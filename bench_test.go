@@ -41,6 +41,7 @@ func BenchmarkLocalWriteTx(b *testing.B) {
 	defer c.Close()
 	c.Seed(1, 0, make([]byte, 128))
 	n := c.Node(0)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tx := n.BeginOn(0)
@@ -120,6 +121,7 @@ func BenchmarkLocalWriteTxParallel(b *testing.B) {
 			n := c.Node(0)
 			var next atomic.Uint32
 			b.SetParallelism(par)
+			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				g := int(next.Add(1)) - 1
@@ -155,6 +157,7 @@ func BenchmarkReadOnlyTx(b *testing.B) {
 	defer c.Close()
 	c.Seed(1, 0, make([]byte, 128))
 	n := c.Node(1) // a reader
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tx := n.BeginRO()
@@ -215,6 +218,7 @@ func BenchmarkPipelinedCommit(b *testing.B) {
 	n := c.Node(0)
 	buf := make([]byte, 400)
 	b.SetBytes(400)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tx := n.BeginOn(0)

@@ -94,10 +94,22 @@ const maxPeers = 64
 // peerQueue is one peer's slice of the outbound coalescer. Each queue has
 // its own lock so workers enqueueing to different followers never contend;
 // two pipelines sharing a follower contend only on that follower's queue.
+//
+// msgs and spare are the queue's two buffers: a flush takes msgs, leaves
+// spare in its place for the enqueues that arrive meanwhile, and parks the
+// flushed slice (cleared) as the next spare once SendBatch returned — the
+// transport keeps no reference to it (transport.BatchSender), so steady
+// state enqueues into arrays it already owns instead of regrowing a fresh
+// one after every flush.
 type peerQueue struct {
-	mu   sync.Mutex
-	msgs []wire.Msg
+	mu    sync.Mutex
+	msgs  []wire.Msg
+	spare []wire.Msg
 }
+
+// maxSpareCap bounds the buffer a peer queue keeps between flushes (a few
+// count-triggered flushes' worth); a burst's larger array goes to the GC.
+const maxSpareCap = 4 * coalesceFlushCount
 
 // Engine runs the reliable commit protocol on one node.
 type Engine struct {
@@ -183,14 +195,16 @@ type outPipe struct {
 
 	mu        sync.Mutex
 	nextLocal uint64
-	slots     map[uint64]*outSlot
+	slots     map[uint64]*Slot
 	// order is the registration-order FIFO of the same slots (CTS
 	// ascending — timestamps are minted under mu). The AppliedWM sweep
 	// walks it from the front and stops at the watermark instead of
 	// iterating the slots map, whose cost is capacity- not
-	// size-proportional and never shrinks. Validated slots are trimmed
-	// off the head by compactLocked at the next mu acquisition.
-	order []*outSlot
+	// size-proportional and never shrinks. The live window is order[head:]
+	// (see live); validated slots are trimmed off its front by
+	// compactLocked at the next mu acquisition.
+	order []*Slot
+	head  int
 	// swept records, per follower, the highest AppliedWM a sweep has
 	// processed. A follower's watermark is one of this pipe's own applied
 	// CTSs, and every slot registered later mints a strictly larger CTS,
@@ -200,21 +214,50 @@ type outPipe struct {
 	swept map[wire.NodeID]uint64
 }
 
-// compactLocked drops validated slots off the head of the order FIFO.
-// Amortized O(1): each slot is appended once and trimmed once.
+// compactLocked drops validated slots off the front of the order FIFO.
+// Amortized O(1): each slot is appended once, trimmed once and moved at most
+// once. The front advances by index rather than by reslicing, so a pipeline
+// that drains — every commit of a shallow one — rewinds into the array it
+// already has instead of allocating a new FIFO; only an array a burst grew
+// past the pipeline bound is let go.
 func (p *outPipe) compactLocked() {
-	for len(p.order) > 0 && p.order[0].valed {
-		p.order[0] = nil // release the slot to the GC behind the reslice
-		p.order = p.order[1:]
+	for p.head < len(p.order) && p.order[p.head].valed {
+		p.order[p.head] = nil // release the slot to the GC
+		p.head++
 	}
-	if len(p.order) == 0 {
-		p.order = nil // let the grown backing array go
+	switch {
+	case p.head == len(p.order):
+		if cap(p.order) > MaxPipelineDepth {
+			p.order = nil
+		} else {
+			p.order = p.order[:0]
+		}
+		p.head = 0
+	case p.head >= MaxPipelineDepth:
+		// A pipeline that never drains: slide the live window down so the
+		// dead prefix does not grow with every append.
+		n := copy(p.order, p.order[p.head:])
+		clear(p.order[n:])
+		p.order = p.order[:n]
+		p.head = 0
 	}
 }
 
-type outSlot struct {
-	tx        wire.TxID
+// live is the order FIFO's live window (compactLocked trims its front).
+func (p *outPipe) live() []*Slot { return p.order[p.head:] }
+
+// Slot is one reliable commit in flight on a coordinator pipeline — the
+// handle Commit returns. It is the commit's only allocation: the first R-INV
+// and the resend pacer live inside it, and the completion channel exists
+// only if somebody asks for it (Done).
+type Slot struct {
+	pipe *outPipe
+	// inv is the R-INV to (re)send. It points at first until a view change
+	// rewrites epoch and followers, which installs a fresh copy instead
+	// (copy-on-write, OnViewChange/resendLoop): the original may still be in
+	// flight, and on the zero-copy hub the followers hold this very struct.
 	inv       *wire.CommitInv
+	first     wire.CommitInv
 	followers wire.Bitmap
 	acked     wire.Bitmap
 	// extraVal are nodes to include in this slot's R-VAL broadcast even
@@ -222,15 +265,47 @@ type outSlot struct {
 	// the R-VAL to apply it (§5.2).
 	extraVal wire.Bitmap
 	valed    bool
+	// finished flips (under pipe.mu) once completeSlot is through; done is
+	// the channel Done handed out before that, nil if nobody asked.
+	finished bool
 	done     chan struct{}
 	// Crash-aware resend pacing (see resendPolicy).
-	retr       *retry.Retrier
+	retr       retry.Retrier
 	nextResend time.Time
 	// Observability (zero unless the engine has an obs bundle): openedAt
 	// feeds the phase-latency histograms and the watchdog's age scan, tr is
 	// the sampled transaction's trace (nil for unsampled commits).
 	openedAt time.Time
 	tr       *obs.Trace
+}
+
+// closedChan is what Done returns for a slot that already validated: one
+// shared, pre-closed channel instead of one allocation per commit.
+var closedChan = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// Tx returns the transaction id the pipeline assigned to the commit.
+func (s *Slot) Tx() wire.TxID { return s.first.Tx }
+
+// Done returns a channel that is closed once the slot validated: every live
+// follower acknowledged, the local objects flipped back to Valid and the
+// R-VAL is queued. The channel is made on the first call — tests and drain
+// paths wait on it, the transaction hot path never asks.
+func (s *Slot) Done() <-chan struct{} {
+	p := s.pipe
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if s.done == nil {
+		if s.finished {
+			s.done = closedChan
+		} else {
+			s.done = make(chan struct{})
+		}
+	}
+	return s.done
 }
 
 // inPipe tracks one remote coordinator pipeline at a follower.
@@ -361,13 +436,23 @@ func (e *Engine) flushOut() {
 		q := &e.coQ[to]
 		q.mu.Lock()
 		msgs := q.msgs
-		q.msgs = nil
-		q.mu.Unlock()
 		if len(msgs) == 0 {
+			q.mu.Unlock()
 			continue
 		}
+		q.msgs, q.spare = q.spare, nil
+		q.mu.Unlock()
 		e.coCount.Add(int32(-len(msgs)))
 		_ = transport.SendBatch(e.tr, wire.NodeID(to), msgs)
+		if cap(msgs) > maxSpareCap {
+			continue
+		}
+		clear(msgs) // a parked buffer must not keep the sent messages alive
+		q.mu.Lock()
+		if q.spare == nil {
+			q.spare = msgs[:0]
+		}
+		q.mu.Unlock()
 	}
 }
 
@@ -375,17 +460,22 @@ func (e *Engine) flushOut() {
 // the first message of a batch was queued (count-triggered flushes happen
 // inline in enqueue).
 func (e *Engine) coalesceLoop() {
+	// One timer for the loop's life: a shallow pipeline arms a cycle per
+	// commit, and time.After would allocate a timer and a channel for each.
+	t := time.NewTimer(coalesceInterval)
+	defer t.Stop()
 	for {
 		select {
 		case <-e.closed:
 			return
 		case <-e.coWake:
 		}
+		t.Reset(coalesceInterval)
 		select {
 		case <-e.closed:
 			e.flushOut()
 			return
-		case <-time.After(coalesceInterval):
+		case <-t.C:
 		}
 		e.coArmed.Store(false) // before the flush: racing enqueues re-arm
 		e.flushOut()
@@ -445,7 +535,7 @@ func (e *Engine) pipe(w wire.Worker) *outPipe {
 		if incar == 0 {
 			incar = e.agent.Epoch()
 		}
-		return &outPipe{id: wire.PipeID{Node: e.self, Worker: w, Incar: incar}, nextLocal: 1, slots: make(map[uint64]*outSlot)}
+		return &outPipe{id: wire.PipeID{Node: e.self, Worker: w, Incar: incar}, nextLocal: 1, slots: make(map[uint64]*Slot)}
 	})
 }
 
@@ -504,9 +594,10 @@ func (e *Engine) WaitIdle(timeout time.Duration) bool {
 // application, §5.2). The store must already hold the new t_data/t_version
 // with t_state = Write; PendingCommits must already be incremented by the
 // caller under the object locks (that counter is the engine's only per-object
-// pending state — see HasPending). The returned channel closes when the slot
-// is validated (tests and drain paths wait on it; applications do not).
-func (e *Engine) Commit(w wire.Worker, updates []wire.Update, followers wire.Bitmap) (wire.TxID, <-chan struct{}) {
+// pending state — see HasPending). The returned slot names the transaction
+// (Tx) and reports validation (Done: tests and drain paths wait on it;
+// applications do not).
+func (e *Engine) Commit(w wire.Worker, updates []wire.Update, followers wire.Bitmap) *Slot {
 	return e.CommitTraced(w, updates, followers, nil)
 }
 
@@ -515,7 +606,7 @@ func (e *Engine) Commit(w wire.Worker, updates []wire.Update, followers wire.Bit
 // slot stamps "inv" after the R-INV fan-out and "ack"/"val"/"applied"
 // through completeSlot, and offers the finished trace to the registry's
 // slowest-N table.
-func (e *Engine) CommitTraced(w wire.Worker, updates []wire.Update, followers wire.Bitmap, tr *obs.Trace) (wire.TxID, <-chan struct{}) {
+func (e *Engine) CommitTraced(w wire.Worker, updates []wire.Update, followers wire.Bitmap, tr *obs.Trace) *Slot {
 	p := e.pipe(w)
 	live := e.agent.View().Live
 	epoch := e.agent.Epoch()
@@ -542,7 +633,6 @@ func (e *Engine) CommitTraced(w wire.Worker, updates []wire.Update, followers wi
 	}
 	local := p.nextLocal
 	p.nextLocal++
-	tx := wire.TxID{Pipe: p.id, Local: local}
 
 	// prev-VAL rule (§5.2): if the previous slot's R-VAL has already been
 	// broadcast (or there is no previous slot), piggyback the bit so
@@ -566,8 +656,14 @@ func (e *Engine) CommitTraced(w wire.Worker, updates []wire.Update, followers wi
 		cts = e.clock.Next()
 	}
 
-	inv := &wire.CommitInv{Tx: tx, Epoch: epoch, Followers: followers, PrevVal: prevVal, Updates: updates, CTS: cts}
-	slot := &outSlot{tx: tx, inv: inv, followers: followers, done: make(chan struct{}), retr: resendPolicy.Start(), tr: tr}
+	slot := &Slot{
+		pipe: p,
+		first: wire.CommitInv{Tx: wire.TxID{Pipe: p.id, Local: local}, Epoch: epoch,
+			Followers: followers, PrevVal: prevVal, Updates: updates, CTS: cts},
+		followers: followers, retr: resendPolicy.Begin(), tr: tr,
+	}
+	inv := &slot.first
+	slot.inv = inv
 	if wait, ok := slot.retr.Next(); ok {
 		// Share one clock read between resend pacing and the obs phase
 		// stamp: on this path time.Now() is the dominant obs cost.
@@ -580,30 +676,30 @@ func (e *Engine) CommitTraced(w wire.Worker, updates []wire.Update, followers wi
 		slot.openedAt = time.Now()
 	}
 	p.slots[local] = slot
-	p.order = append(p.order, slot)
+	// Trim before appending: a drained FIFO rewinds, and the new slot lands
+	// at the front of the array it already has.
 	//lint:allow lockedsuffix p.mu is held: the backpressure loop above exits via break with the lock taken
 	p.compactLocked()
+	p.order = append(p.order, slot)
 	p.mu.Unlock()
 
 	if followers.Count() == 0 {
 		// No live followers (replication degree 1 or all backups dead):
 		// the commit is trivially reliable.
-		e.completeSlot(p, slot)
-		return tx, slot.done
+		e.completeSlot(slot)
+		return slot
 	}
-	// Batched fan-out: marshal once for the byte accounting, then hand the
-	// R-INV to the per-peer coalescer, so back-to-back pipeline slots to
-	// the same follower ride one transport batch.
-	enc := wire.GetBuf()
-	enc.B = wire.AppendMarshal(enc.B, inv)
-	size := uint64(len(enc.B))
-	wire.PutBuf(enc)
-	for _, n := range followers.Nodes() {
+	// Batched fan-out: hand the R-INV to the per-peer coalescer, so
+	// back-to-back pipeline slots to the same follower ride one transport
+	// batch. The byte accounting is the exact encoded size per follower.
+	size, _ := wire.CommitSize(inv)
+	for n := range followers.Each {
 		e.enqueue(n, inv)
-		e.stBytes.Add(size)
 	}
+	fanout := uint64(followers.Count())
+	e.stBytes.Add(uint64(size) * fanout)
 	if ob := e.obs; ob != nil {
-		ob.fanout.Add(uint64(followers.Count()))
+		ob.fanout.Add(fanout)
 	}
 	tr.Event("inv")
 	// Shallow pipeline = nothing behind this slot to coalesce with: push the
@@ -615,7 +711,7 @@ func (e *Engine) CommitTraced(w wire.Worker, updates []wire.Update, followers wi
 	if shallow {
 		e.flushOut()
 	}
-	return tx, slot.done
+	return slot
 }
 
 // completeSlot validates a coordinator slot: flip local objects whose version
@@ -625,7 +721,8 @@ func (e *Engine) CommitTraced(w wire.Worker, updates []wire.Update, followers wi
 // counts every present slot as open, so deleting first would let a
 // watermark advance past a version that is not ring-published yet — a
 // snapshot reader at that watermark would miss the commit.
-func (e *Engine) completeSlot(p *outPipe, s *outSlot) {
+func (e *Engine) completeSlot(s *Slot) {
+	p := s.pipe
 	p.mu.Lock()
 	if s.valed {
 		p.mu.Unlock()
@@ -665,8 +762,8 @@ func (e *Engine) completeSlot(p *outPipe, s *outSlot) {
 	s.tr.Event("val")
 	e.recCommitted(s.inv.Updates, true, cts)
 
-	val := &wire.CommitVal{Tx: s.tx, Epoch: s.inv.Epoch}
-	for _, n := range s.followers.Union(extra).Nodes() {
+	val := &wire.CommitVal{Tx: s.Tx(), Epoch: s.inv.Epoch}
+	for n := range s.followers.Union(extra).Each {
 		e.enqueue(n, val) // coalesced with neighbouring slots' R-VALs
 	}
 	e.stCommitted.Add(1)
@@ -677,10 +774,13 @@ func (e *Engine) completeSlot(p *outPipe, s *outSlot) {
 		}
 		ob.reg.Traces.Offer(s.tr)
 	}
-	close(s.done)
 
 	p.mu.Lock()
-	delete(p.slots, s.tx.Local)
+	delete(p.slots, s.Tx().Local)
+	s.finished = true
+	if s.done != nil {
+		close(s.done)
+	}
 	p.mu.Unlock()
 }
 
@@ -700,8 +800,8 @@ func (e *Engine) Watermark() uint64 {
 		// validated slots off the head the front entry carries the
 		// pipe's minimum open CTS — no need to scan the rest.
 		p.compactLocked()
-		if len(p.order) > 0 {
-			if cts := p.order[0].inv.CTS; cts != 0 && cts <= w {
+		if open := p.live(); len(open) > 0 {
+			if cts := open[0].inv.CTS; cts != 0 && cts <= w {
 				w = cts - 1
 			}
 		}
@@ -915,7 +1015,10 @@ func (e *Engine) handleAck(m *wire.CommitAck) {
 		}
 		live := e.agent.View().Live
 		self := wire.BitmapOf(e.self)
-		var complete []*outSlot
+		// Completions collect in a stack buffer: one ACK finishes one slot,
+		// a sweep a handful.
+		var buf [8]*Slot
+		complete := buf[:0]
 		p.mu.Lock()
 		if s := p.slots[m.Tx.Local]; s != nil {
 			s.acked = s.acked.Add(m.From)
@@ -933,11 +1036,12 @@ func (e *Engine) handleAck(m *wire.CommitAck) {
 		// slots, never the whole map.
 		p.compactLocked()
 		if prev := p.swept[m.From]; m.AppliedWM > prev {
-			i := sort.Search(len(p.order), func(i int) bool {
-				return p.order[i].inv.CTS > prev
+			open := p.live()
+			i := sort.Search(len(open), func(i int) bool {
+				return open[i].inv.CTS > prev
 			})
-			for ; i < len(p.order); i++ {
-				s := p.order[i]
+			for ; i < len(open); i++ {
+				s := open[i]
 				if s.inv.CTS == 0 || s.inv.CTS > m.AppliedWM {
 					break
 				}
@@ -957,7 +1061,7 @@ func (e *Engine) handleAck(m *wire.CommitAck) {
 		}
 		p.mu.Unlock()
 		for _, s := range complete {
-			e.completeSlot(p, s)
+			e.completeSlot(s)
 		}
 		return
 	}
@@ -1010,10 +1114,7 @@ func (e *Engine) OnViewChange(next wire.View, removed wire.Bitmap) {
 
 	// 1. Own open slots: rewrite epochs, drop dead followers, re-send to
 	// the survivors (they may have missed the original in the old epoch).
-	var toComplete []struct {
-		p *outPipe
-		s *outSlot
-	}
+	var toComplete []*Slot
 	e.outPipes.Range(func(_ wire.Worker, p *outPipe) bool {
 		p.mu.Lock()
 		for _, s := range p.slots {
@@ -1026,12 +1127,9 @@ func (e *Engine) OnViewChange(next wire.View, removed wire.Bitmap) {
 			inv.Replay = true
 			s.inv = &inv
 			if s.acked.Intersect(s.followers) == s.followers {
-				toComplete = append(toComplete, struct {
-					p *outPipe
-					s *outSlot
-				}{p, s})
+				toComplete = append(toComplete, s)
 			} else {
-				for _, n := range s.followers.Nodes() {
+				for n := range s.followers.Each {
 					if !s.acked.Contains(n) {
 						_ = e.tr.Send(n, s.inv)
 					}
@@ -1041,8 +1139,8 @@ func (e *Engine) OnViewChange(next wire.View, removed wire.Bitmap) {
 		p.mu.Unlock()
 		return true
 	})
-	for _, c := range toComplete {
-		e.completeSlot(c.p, c.s)
+	for _, s := range toComplete {
+		e.completeSlot(s)
 	}
 
 	// 2. Stored R-INVs of dead coordinators: replay them.
@@ -1102,7 +1200,7 @@ func (e *Engine) OnViewChange(next wire.View, removed wire.Bitmap) {
 			e.replayMu.Unlock()
 			continue
 		}
-		for _, n := range ro.followers.Nodes() {
+		for n := range ro.followers.Each {
 			_ = e.tr.Send(n, ro.inv)
 		}
 	}
@@ -1120,7 +1218,7 @@ func (e *Engine) finishReplayLocked(rs *replaySlot) {
 	go func() {
 		// Validate locally exactly like a follower receiving R-VAL.
 		e.handleVal(&wire.CommitVal{Tx: tx, Epoch: epoch})
-		for _, n := range followers.Nodes() {
+		for n := range followers.Each {
 			if n != e.self {
 				_ = e.tr.Send(n, &wire.CommitVal{Tx: tx, Epoch: epoch})
 			}
@@ -1179,10 +1277,7 @@ func (e *Engine) resendLoop() {
 			inv *wire.CommitInv
 		}
 		var sends []send
-		var complete []struct {
-			p *outPipe
-			s *outSlot
-		}
+		var complete []*Slot
 
 		e.outPipes.Range(func(_ wire.Worker, p *outPipe) bool {
 			p.mu.Lock()
@@ -1192,10 +1287,7 @@ func (e *Engine) resendLoop() {
 				}
 				need := s.followers.Intersect(live)
 				if s.acked.Union(wire.BitmapOf(e.self)).Intersect(need) == need {
-					complete = append(complete, struct {
-						p *outPipe
-						s *outSlot
-					}{p, s})
+					complete = append(complete, s)
 					continue
 				}
 				wait, _ := s.retr.Next()
@@ -1205,7 +1297,7 @@ func (e *Engine) resendLoop() {
 				inv.Replay = true
 				inv.Followers = need
 				s.inv = &inv
-				for _, n := range need.Nodes() {
+				for n := range need.Each {
 					if n != e.self && !s.acked.Contains(n) {
 						sends = append(sends, send{n, s.inv})
 					}
@@ -1214,8 +1306,8 @@ func (e *Engine) resendLoop() {
 			p.mu.Unlock()
 			return true
 		})
-		for _, c := range complete {
-			e.completeSlot(c.p, c.s)
+		for _, s := range complete {
+			e.completeSlot(s)
 		}
 
 		e.replayMu.Lock()
@@ -1235,7 +1327,7 @@ func (e *Engine) resendLoop() {
 			inv := *rs.inv
 			inv.Epoch = epoch
 			rs.inv = &inv
-			for _, n := range need.Nodes() {
+			for n := range need.Each {
 				if n != e.self && !rs.acked.Contains(n) {
 					sends = append(sends, send{n, rs.inv})
 				}

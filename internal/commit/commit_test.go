@@ -75,6 +75,13 @@ func (c *tcluster) seedObject(obj wire.ObjectID, owner wire.NodeID, readers wire
 // localWrite performs the local-commit part of a write transaction at the
 // owner (what internal/core does) and hands it to the reliable commit.
 func (c *tcluster) localWrite(owner wire.NodeID, w wire.Worker, objs []wire.ObjectID, val string) (wire.TxID, <-chan struct{}) {
+	s := c.localCommit(owner, w, objs, val)
+	return s.Tx(), s.Done()
+}
+
+// localCommit is localWrite returning the slot itself (localWrite asks it
+// for its Done channel, which is itself under test in slot_test.go).
+func (c *tcluster) localCommit(owner wire.NodeID, w wire.Worker, objs []wire.ObjectID, val string) *Slot {
 	nd := c.nodes[owner]
 	var updates []wire.Update
 	var followers wire.Bitmap

@@ -31,7 +31,7 @@ func (e *Engine) DumpState(w io.Writer) {
 			for _, local := range sortedKeys(p.slots) {
 				s := p.slots[local]
 				fmt.Fprintf(w, "  slot local=%d tx=%v epoch=%d followers=%v acked=%v valed=%v updates=%d\n",
-					local, s.tx, s.inv.Epoch, s.followers.Nodes(), s.acked.Nodes(), s.valed, len(s.inv.Updates))
+					local, s.Tx(), s.inv.Epoch, s.followers.Nodes(), s.acked.Nodes(), s.valed, len(s.inv.Updates))
 			}
 		}
 		p.mu.Unlock()

@@ -127,9 +127,9 @@ func (e *Engine) watchdogScan(now time.Time, age time.Duration, reported map[str
 			if s.valed || s.openedAt.IsZero() || now.Sub(s.openedAt) < age {
 				continue
 			}
-			report(fmt.Sprintf("slot:%v", s.tx), "open-slot",
+			report(fmt.Sprintf("slot:%v", s.Tx()), "open-slot",
 				fmt.Sprintf("tx=%v age=%s followers=%v acked=%v epoch=%d updates=%d",
-					s.tx, now.Sub(s.openedAt).Round(time.Millisecond),
+					s.Tx(), now.Sub(s.openedAt).Round(time.Millisecond),
 					s.followers.Nodes(), s.acked.Nodes(), epoch, len(s.inv.Updates)))
 		}
 		p.mu.Unlock()

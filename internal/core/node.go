@@ -19,11 +19,12 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -200,42 +201,6 @@ type Node struct {
 	obs     *obs.Registry
 	sampler *obs.Sampler
 	txSeq   atomic.Uint64
-	// liveTraces parks sampled transactions' traces between Begin and
-	// Commit/Abort (nil without sampling). See traceTable for why it is a
-	// separate allocation and why Tx carries a numeric key instead of the
-	// trace pointer.
-	liveTraces *traceTable
-}
-
-// traceTable parks sampled write transactions' traces between Begin and
-// Commit/Abort, keyed by the sampling sequence number. Escape-analysis
-// discipline keeps the unsampled hot path allocation-free: (1) the Tx
-// carries only the uint64 key — a *obs.Trace field would give Commit a
-// depth-1 content-leak summary and heap-allocate EVERY transaction's maps,
-// read-only ones included; (2) the table is its own allocation rather than
-// inline Node fields — its methods lock the mutex, which leaks their
-// receiver, and as a Node field that would put tx.n one dereference from
-// the heap in Commit's summary with the same effect. BenchmarkReadOnlyTx's
-// 1 alloc/op pins this.
-type traceTable struct {
-	mu sync.Mutex
-	m  map[uint64]*obs.Trace
-}
-
-// park stores a freshly sampled transaction's trace under its key.
-func (t *traceTable) park(id uint64, tr *obs.Trace) {
-	t.mu.Lock()
-	t.m[id] = tr
-	t.mu.Unlock()
-}
-
-// take claims (and removes) a parked trace; nil if the key is unknown.
-func (t *traceTable) take(id uint64) *obs.Trace {
-	t.mu.Lock()
-	tr := t.m[id]
-	delete(t.m, id)
-	t.mu.Unlock()
-	return tr
 }
 
 // NewNode builds and wires a node on the given transport and membership
@@ -336,9 +301,6 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *membership.Agent, cf
 		r := cfg.Obs
 		n.obs = r
 		n.sampler = obs.NewSampler(cfg.TraceSample)
-		if n.sampler != nil {
-			n.liveTraces = &traceTable{m: make(map[uint64]*obs.Trace)}
-		}
 		n.cmt.SetObs(r)
 		n.own.SetObs(r)
 		if n.log != nil {
@@ -511,19 +473,16 @@ func (n *Node) handleObsPull(from wire.NodeID, m wire.Msg) {
 
 // maybeTrace attaches a per-phase trace to every sampler-selected write
 // transaction. One atomic add and a modulo when sampling is on; one nil
-// check when it is off. The trace parks in liveTraces (only the numeric
-// key rides the Tx — see that field's comment) until Commit/Abort claims
-// it via takeTrace.
+// check when it is off. Commit hands the trace to the commit engine, Abort
+// just drops it.
 func (n *Node) maybeTrace(tx *Tx) {
 	s := n.sampler
 	if s == nil {
 		return
 	}
 	if id := n.txSeq.Add(1); s.Sample(id) {
-		tr := obs.NewTrace(id)
-		tr.Event("begin")
-		n.liveTraces.park(id, tr)
-		tx.trID = id
+		tx.tr = obs.NewTrace(id)
+		tx.tr.Event("begin")
 	}
 }
 
@@ -670,24 +629,115 @@ func (n *Node) DeleteObject(obj wire.ObjectID) error { return n.own.Delete(obj) 
 // ---------------------------------------------------------------------------
 
 // Tx is one transaction (see package comment for the lifecycle).
+//
+// All per-object bookkeeping — what was read at which version, the private
+// copies of what was written, which objects the worker holds local ownership
+// of — is one access set: a list of access entries, one per object touched,
+// in first-touch order. The first inlineAccesses entries live inside the Tx,
+// so a Smallbank or TATP transaction (≤ 3 objects) costs exactly the Tx's
+// own allocation; a larger one moves the set to a heap slice and, from then
+// on, finds entries through an id index instead of scanning.
 type Tx struct {
 	n        *Node
 	worker   int
 	ro       bool
-	snap     bool                     // snapshot read (SnapshotReads mode): serve from the ring
-	at       uint64                   // snapshot timestamp (snap only)
-	reads    map[wire.ObjectID]uint64 // version observed at first read
-	readBuf  map[wire.ObjectID][]byte // stable snapshot of reads
-	writes   map[wire.ObjectID][]byte // private copies (opacity)
-	held     map[wire.ObjectID]*store.Object
-	finished bool
-	durable  <-chan struct{}
-	// trID keys this transaction's sampled trace in Node.liveTraces (0 for
-	// the unsampled majority). Deliberately NOT a *obs.Trace: a pointer
-	// field handed to the commit engine would leak the Tx's content in
-	// Commit's escape summary and heap-allocate every transaction's maps.
-	trID uint64
+	snap     bool   // snapshot read (SnapshotReads mode): serve from the ring
+	finished bool   // Commit or Abort ran: Get, Set and Commit refuse
+	at       uint64 // snapshot timestamp (snap only)
+
+	// The access set: inline[:nacc] until it outgrows the array, then spill
+	// (which holds every entry, the first inlineAccesses included) with
+	// index mapping an id to its position. Use accesses/find/add.
+	nacc    int
+	nwrites int // entries with accWritten
+	inline  [inlineAccesses]access
+	spill   []access
+	index   map[wire.ObjectID]int32
+
+	// slot is the reliable commit a write transaction ended in (Durable).
+	slot *commit.Slot
+	// tr is the sampled transaction's trace (nil for the unsampled majority;
+	// obs.Trace methods are nil-receiver-safe). Commit passes it on to the
+	// commit engine, which leaks only what the Tx points at: a Tx its caller
+	// keeps local still lives on the stack (BenchmarkReadOnlyTx's 1 alloc/op
+	// pins that).
+	tr *obs.Trace
 }
+
+// inlineAccesses is how many objects a transaction touches before its access
+// set leaves the Tx for the heap.
+const inlineAccesses = 4
+
+// access is one object's entry in a transaction's access set.
+type access struct {
+	id  wire.ObjectID
+	obj *store.Object // resolved once, at first touch
+	// ver is the t_version observed at first read (accRead).
+	ver uint64
+	// data is what Get returns from the second access on: the private copy
+	// (accWritten; it becomes the object's payload at commit), else the
+	// payload observed at first read, aliased, never written through.
+	data  []byte
+	flags accessFlags
+}
+
+type accessFlags uint8
+
+const (
+	accRead    accessFlags = 1 << iota // ver/data hold a read to validate
+	accWritten                         // data is the private copy
+	accHeld                            // this worker holds local ownership
+)
+
+// accesses returns the access set in first-touch order (sorted by id once a
+// write transaction's Commit got that far).
+func (tx *Tx) accesses() []access {
+	if tx.spill != nil {
+		return tx.spill
+	}
+	return tx.inline[:tx.nacc]
+}
+
+// find returns obj's entry, nil if the transaction has not touched it. The
+// pointer is good until the next add.
+func (tx *Tx) find(id wire.ObjectID) *access {
+	if tx.index != nil {
+		if i, ok := tx.index[id]; ok {
+			return &tx.spill[i]
+		}
+		return nil
+	}
+	for i := 0; i < tx.nacc; i++ {
+		if tx.inline[i].id == id {
+			return &tx.inline[i]
+		}
+	}
+	return nil
+}
+
+// add appends an entry for an object find did not know and returns it.
+func (tx *Tx) add(a access) *access {
+	if tx.spill == nil {
+		if tx.nacc < inlineAccesses {
+			tx.inline[tx.nacc] = a
+			tx.nacc++
+			return &tx.inline[tx.nacc-1]
+		}
+		tx.spill = append(make([]access, 0, 4*inlineAccesses), tx.inline[:]...)
+		tx.index = make(map[wire.ObjectID]int32, 4*inlineAccesses)
+		for i := range tx.spill {
+			tx.index[tx.spill[i].id] = int32(i)
+		}
+	}
+	tx.index[a.id] = int32(len(tx.spill))
+	tx.spill = append(tx.spill, a)
+	return &tx.spill[len(tx.spill)-1]
+}
+
+// errFinished is what Get, Set and Commit return after Commit or Abort: a
+// finished transaction released its local ownership, and an access would
+// re-take grants nothing ever releases.
+var errFinished = errors.New("core: transaction already finished")
 
 // Begin starts a write transaction on an automatically assigned worker.
 func (n *Node) Begin() *Tx {
@@ -697,15 +747,11 @@ func (n *Node) Begin() *Tx {
 }
 
 // BeginOn starts a write transaction on a specific worker thread. Worker ids
-// map 1:1 onto reliable-commit pipelines (§5.2, §7).
+// map 1:1 onto reliable-commit pipelines (§5.2, §7). The Tx is the only
+// allocation, and none at all when the caller keeps it on its stack (BeginOn
+// inlines and the access set is part of the struct).
 func (n *Node) BeginOn(worker int) *Tx {
-	return &Tx{
-		n: n, worker: worker % n.cfg.Workers,
-		reads:   make(map[wire.ObjectID]uint64),
-		readBuf: make(map[wire.ObjectID][]byte),
-		writes:  make(map[wire.ObjectID][]byte),
-		held:    make(map[wire.ObjectID]*store.Object),
-	}
+	return &Tx{n: n, worker: worker % n.cfg.Workers}
 }
 
 // BeginRO starts a read-only transaction: local, strictly serializable on
@@ -716,10 +762,11 @@ func (n *Node) BeginRO() *Tx {
 	return n.beginRO(int(n.nextWorker.Add(1)))
 }
 
-// beginRO must stay inlinable (with BeginOn) into its callers: the whole
-// Tx, maps included, then stack-allocates for short transactions. The
-// snapshot timestamp is therefore minted lazily in snapshotGet, not here —
-// a clock call would blow the inlining budget for every RO transaction,
+// beginRO must stay inlinable (with BeginOn) into its callers: a caller that
+// does not let the Tx escape — BeginRO, Get, Commit in one function — then
+// runs the whole read-only transaction, access set included, on its stack.
+// The snapshot timestamp is therefore minted lazily in snapshotGet, not here
+// — a clock call would blow the inlining budget for every RO transaction,
 // snapshot mode or not.
 func (n *Node) beginRO(worker int) *Tx {
 	tx := n.BeginOn(worker)
@@ -733,31 +780,28 @@ var errNeedOwnership = fmt.Errorf("core: ownership level missing")
 
 // Get returns the value of obj as seen by the transaction (tr_open_read).
 func (tx *Tx) Get(obj uint64) ([]byte, error) {
-	id := wire.ObjectID(obj)
-	if !tx.ro {
-		if w, ok := tx.writes[id]; ok {
-			return append([]byte(nil), w...), nil
-		}
+	if tx.finished {
+		return nil, errFinished
 	}
-	if b, ok := tx.readBuf[id]; ok {
-		return append([]byte(nil), b...), nil
+	id := wire.ObjectID(obj)
+	// Read-your-writes and repeat-read stability: a touched object answers
+	// from its entry (every entry was read or written).
+	if a := tx.find(id); a != nil {
+		return append([]byte(nil), a.data...), nil
 	}
 	if tx.snap {
 		return tx.snapshotGet(id)
 	}
-	if err := tx.ensureReadable(id); err != nil {
+	o, err := tx.ensureReadable(id)
+	if err != nil {
 		return nil, err
 	}
-	o, ok := tx.n.st.Get(id)
-	if !ok {
-		return nil, dbapi.ErrNoReplica
-	}
-	// Copy-on-read elision: the read buffer aliases the object's payload
-	// instead of copying it under the lock (store.Object.SnapshotRef; Data
-	// is replace-only) — a later commit installs a new slice and never
-	// mutates this one, so the buffered snapshot stays exactly the bytes
-	// read at `ver`, which is what opacity needs anyway. Only the
-	// app-facing return below pays a copy.
+	// Copy-on-read elision: the entry aliases the object's payload instead
+	// of copying it under the lock (store.Object.SnapshotRef; Data is
+	// replace-only) — a later commit installs a new slice and never mutates
+	// this one, so the buffered snapshot stays exactly the bytes read at
+	// `ver`, which is what opacity needs anyway. Only the app-facing return
+	// below pays a copy.
 	st, ver, lvl, data := o.SnapshotRef()
 
 	// Invalidated objects cannot be read (§5.3); the owner may read its
@@ -776,8 +820,7 @@ func (tx *Tx) Get(obj uint64) ([]byte, error) {
 		tx.release()
 		return nil, dbapi.ErrConflict
 	}
-	tx.reads[id] = ver
-	tx.readBuf[id] = data
+	tx.add(access{id: id, obj: o, ver: ver, data: data, flags: accRead})
 	return append([]byte(nil), data...), nil
 }
 
@@ -821,8 +864,7 @@ func (tx *Tx) snapshotGet(id wire.ObjectID) ([]byte, error) {
 	if !ok {
 		return nil, dbapi.ErrConflict
 	}
-	tx.reads[id] = e.Version
-	tx.readBuf[id] = e.Data
+	tx.add(access{id: id, obj: o, ver: e.Version, data: e.Data, flags: accRead})
 	n.stSnapReads.Add(1)
 	return append([]byte(nil), e.Data...), nil
 }
@@ -862,51 +904,76 @@ func (tx *Tx) Set(obj uint64, val []byte) error {
 	if tx.ro {
 		return fmt.Errorf("core: Set on read-only transaction")
 	}
+	if tx.finished {
+		return errFinished
+	}
 	id := wire.ObjectID(obj)
-	if _, ok := tx.held[id]; !ok {
-		if err := tx.ensureWritable(id); err != nil {
+	a := tx.find(id)
+	if a == nil || a.flags&accHeld == 0 {
+		o, err := tx.ensureWritable(id)
+		if err != nil {
 			return err
 		}
+		if a == nil {
+			a = tx.add(access{id: id, obj: o})
+		} else if a.obj != o {
+			// The object was deleted and re-created since it was read: the
+			// entry's orphan is not what the grant was taken on.
+			o.ReleaseLocal(int32(tx.worker))
+			tx.release()
+			return dbapi.ErrConflict
+		}
+		a.flags |= accHeld
 		// If the object was read before being locked, it must not have
 		// changed in between (snapshot consistency).
-		if ver, wasRead := tx.reads[id]; wasRead {
-			o, _ := tx.n.st.Get(id)
+		if a.flags&accRead != 0 {
 			o.Mu.Lock()
 			cur := o.TVersion
 			o.Mu.Unlock()
-			if cur != ver {
+			if cur != a.ver {
 				tx.release()
 				return dbapi.ErrConflict
 			}
 		}
 	}
-	tx.writes[id] = append([]byte(nil), val...)
+	if a.flags&accWritten == 0 {
+		a.flags |= accWritten
+		tx.nwrites++
+	}
+	a.data = append([]byte(nil), val...)
 	return nil
 }
 
-// ensureReadable secures reader (or owner) level for the object.
-func (tx *Tx) ensureReadable(id wire.ObjectID) error {
+// ensureReadable secures reader (or owner) level for the object and returns
+// it.
+func (tx *Tx) ensureReadable(id wire.ObjectID) (*store.Object, error) {
 	n := tx.n
 	if o, ok := n.st.Get(id); ok {
 		o.Mu.Lock()
 		lvl, ost := o.Level, o.OState
 		o.Mu.Unlock()
 		if lvl != wire.NonReplica && (ost == store.OValid || ost == store.ORequest) {
-			return nil
+			return o, nil
 		}
 	}
 	if tx.ro && !n.cfg.AutoAcquireRead {
-		return dbapi.ErrNoReplica
+		return nil, dbapi.ErrNoReplica
 	}
 	if err := n.own.AcquireRead(id); err != nil {
-		return ownershipErr(err)
+		return nil, ownershipErr(err)
 	}
-	return nil
+	o, ok := n.st.Get(id)
+	if !ok {
+		return nil, dbapi.ErrNoReplica
+	}
+	return o, nil
 }
 
 // ensureWritable secures exclusive write access: owner level via the
-// ownership protocol (remote) plus local ownership via try-lock (§7).
-func (tx *Tx) ensureWritable(id wire.ObjectID) error {
+// ownership protocol (remote) plus local ownership via try-lock (§7). It
+// returns the object with the local grant taken; the caller records it in
+// the access set (accHeld) so release gives it back.
+func (tx *Tx) ensureWritable(id wire.ObjectID) (*store.Object, error) {
 	n := tx.n
 	o, _ := n.st.GetOrCreate(id)
 	for attempt := 0; attempt < 3; attempt++ {
@@ -916,24 +983,23 @@ func (tx *Tx) ensureWritable(id wire.ObjectID) error {
 			// transfer-fairness yield (§6.2): after a remote requester
 			// was NACKed for pending commits, new local write grants
 			// hold off so the pipeline drains and the transfer wins.
-			if !o.GrantLocalLocked(int32(tx.worker)) {
-				o.Mu.Unlock()
-				tx.release()
-				return dbapi.ErrConflict // abort + retry
-			}
-			tx.held[id] = o
+			granted := o.GrantLocalLocked(int32(tx.worker))
 			o.Mu.Unlock()
-			return nil
+			if !granted {
+				tx.release()
+				return nil, dbapi.ErrConflict // abort + retry
+			}
+			return o, nil
 		}
 		o.Mu.Unlock()
 		if err := n.own.AcquireOwnership(id); err != nil {
 			tx.release()
-			return ownershipErr(err)
+			return nil, ownershipErr(err)
 		}
 		n.maybeTrim(id)
 	}
 	tx.release()
-	return dbapi.ErrConflict
+	return nil, dbapi.ErrConflict
 }
 
 // ownershipErr maps ownership failures to the retryable conflict error,
@@ -1002,7 +1068,9 @@ func (n *Node) maybeTrim(id wire.ObjectID) {
 	}
 }
 
-// validateReads re-checks every read version (caller holds no locks).
+// validateReads re-checks every read version (caller holds no locks) on the
+// object resolved at first touch — an object deleted since fails, because
+// store.Delete leaves it invalid behind the pointer.
 // Read-only transactions validate lock-free: a single atomic load of the
 // packed ⟨t_version, t_state⟩ word (store.Object.TSnapshot) replaces the
 // object lock — the seqlock-style check of the ROADMAP's "reader-local RO
@@ -1010,23 +1078,22 @@ func (n *Node) maybeTrim(id wire.ObjectID) {
 // transactions still lock briefly: their validation additionally reads the
 // access level (owner-visible TWrite values).
 func (tx *Tx) validateReads() bool {
-	for id, ver := range tx.reads {
-		if _, written := tx.writes[id]; written {
-			continue // protected by local ownership
+	acc := tx.accesses()
+	for i := range acc {
+		a := &acc[i]
+		if a.flags&accRead == 0 || a.flags&accWritten != 0 {
+			continue // never read, or protected by local ownership
 		}
-		o, ok := tx.n.st.Get(id)
-		if !ok {
-			return false
-		}
+		o := a.obj
 		if tx.ro {
 			v, st := o.TSnapshot()
-			if v != ver || st != store.TValid {
+			if v != a.ver || st != store.TValid {
 				return false
 			}
 			continue
 		}
 		o.Mu.Lock()
-		okv := o.TVersion == ver && (o.TState == store.TValid ||
+		okv := o.TVersion == a.ver && (o.TState == store.TValid ||
 			(o.TState == store.TWrite && o.Level == wire.Owner))
 		o.Mu.Unlock()
 		if !okv {
@@ -1041,18 +1108,11 @@ func (tx *Tx) validateReads() bool {
 // updates to the reliable-commit pipeline without blocking (§5.2).
 func (tx *Tx) Commit() error {
 	if tx.finished {
-		return fmt.Errorf("core: transaction already finished")
+		return errFinished
 	}
 	tx.finished = true
 	n := tx.n
-	// Claim the parked trace (sampled write transactions only). Aborting
-	// paths below simply drop it — the trace table keeps no entry behind.
-	var tr *obs.Trace
-	if tx.trID != 0 {
-		tr = n.liveTraces.take(tx.trID)
-	}
-
-	if tx.ro || len(tx.writes) == 0 {
+	if tx.ro || tx.nwrites == 0 {
 		// Snapshot transactions are already serializable at their fixed
 		// timestamp: every read came from an immutable ring entry chosen
 		// at `at`, so there is nothing to re-validate (and validating
@@ -1076,24 +1136,28 @@ func (tx *Tx) Commit() error {
 	}
 
 	// Local commit: verify ownership of the write set (still held), then
-	// validate the read snapshot.
-	ids := make([]wire.ObjectID, 0, len(tx.writes))
-	for id := range tx.writes {
-		ids = append(ids, id)
+	// validate the read snapshot. The set is sorted by id in place first, so
+	// every walk below — and with it the Updates of the R-INV — is in
+	// ascending id order. (The sort strands tx.index; the transaction is
+	// finished, nothing looks an entry up again.)
+	acc := tx.accesses()
+	if tx.nwrites > 1 {
+		slices.SortFunc(acc, func(a, b access) int { return cmp.Compare(a.id, b.id) })
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		o := tx.held[id]
-		if o == nil {
-			tx.release()
-			n.stAborts.Add(1)
-			return dbapi.ErrConflict
+	for i := range acc {
+		a := &acc[i]
+		if a.flags&accWritten == 0 {
+			continue
 		}
-		o.Mu.Lock()
-		ok := o.Level == wire.Owner &&
-			(o.OState == store.OValid || o.OState == store.ORequest) &&
-			o.LocalOwner == int32(tx.worker)
-		o.Mu.Unlock()
+		ok := a.flags&accHeld != 0 // an earlier conflict released the grants
+		if ok {
+			o := a.obj
+			o.Mu.Lock()
+			ok = o.Level == wire.Owner &&
+				(o.OState == store.OValid || o.OState == store.ORequest) &&
+				o.LocalOwner == int32(tx.worker)
+			o.Mu.Unlock()
+		}
 		if !ok {
 			tx.release()
 			n.stAborts.Add(1)
@@ -1107,24 +1171,26 @@ func (tx *Tx) Commit() error {
 	}
 
 	// Apply: install private copies, bump versions, mark Write state.
-	updates := make([]wire.Update, 0, len(ids))
+	updates := make([]wire.Update, 0, tx.nwrites)
 	var followers wire.Bitmap
-	for _, id := range ids {
-		o := tx.held[id]
-		data := tx.writes[id]
+	for i := range acc {
+		a := &acc[i]
+		if a.flags&accWritten == 0 {
+			continue
+		}
+		o := a.obj
 		o.Mu.Lock()
-		o.Data = data
+		o.Data = a.data
 		o.SetTLocked(o.TVersion+1, store.TWrite)
 		o.PendingCommits.Add(1)
-		updates = append(updates, wire.Update{Obj: id, Version: o.TVersion, Data: data})
+		updates = append(updates, wire.Update{Obj: a.id, Version: o.TVersion, Data: a.data})
 		followers = followers.Union(o.Replicas.Readers)
 		o.Mu.Unlock()
 	}
 	tx.release()
 
 	// Reliable commit: pipelined, never blocks the worker (§5.2).
-	_, done := n.cmt.CommitTraced(wire.Worker(tx.worker), updates, followers, tr)
-	tx.durable = done
+	tx.slot = n.cmt.CommitTraced(wire.Worker(tx.worker), updates, followers, tx.tr)
 	n.stCommits.Add(1)
 	return nil
 }
@@ -1135,9 +1201,6 @@ func (tx *Tx) Abort() {
 		return
 	}
 	tx.finished = true
-	if tx.trID != 0 {
-		tx.n.liveTraces.take(tx.trID) // drop the parked trace
-	}
 	tx.release()
 	if tx.ro {
 		tx.n.stROAborts.Add(1)
@@ -1149,13 +1212,23 @@ func (tx *Tx) Abort() {
 // Durable returns a channel closed once the transaction's reliable commit
 // validated on all followers (nil if the transaction wrote nothing).
 // Applications do not wait on it — the pipeline guarantees ordering — but
-// tests and drain paths do.
-func (tx *Tx) Durable() <-chan struct{} { return tx.durable }
+// tests and drain paths do; the channel is made on the first call (one
+// shared, already closed channel if the commit validated before that).
+func (tx *Tx) Durable() <-chan struct{} {
+	if tx.slot == nil {
+		return nil
+	}
+	return tx.slot.Done()
+}
 
+// release gives back every local write grant the transaction holds.
 func (tx *Tx) release() {
-	for id, o := range tx.held {
-		o.ReleaseLocal(int32(tx.worker))
-		delete(tx.held, id)
+	acc := tx.accesses()
+	for i := range acc {
+		if a := &acc[i]; a.flags&accHeld != 0 {
+			a.obj.ReleaseLocal(int32(tx.worker))
+			a.flags &^= accHeld
+		}
 	}
 }
 

@@ -67,7 +67,15 @@ func (p Policy) withDefaults() Policy {
 
 // Start begins one execution of the policy.
 func (p Policy) Start() *Retrier {
-	return &Retrier{p: p.withDefaults()}
+	r := p.Begin()
+	return &r
+}
+
+// Begin is Start by value, for callers that embed the Retrier in a struct
+// they allocate anyway (the commit engine's slot) instead of paying a second
+// allocation for it.
+func (p Policy) Begin() Retrier {
+	return Retrier{p: p.withDefaults()}
 }
 
 // Retrier tracks one policy execution. Not safe for concurrent use.

@@ -400,12 +400,24 @@ func (s *Store) GetOrCreate(id wire.ObjectID) (o *Object, created bool) {
 	return o, true
 }
 
-// Delete removes the object.
+// Delete removes the object. Holders of the pointer — a transaction resolves
+// an object once and validates against it until it commits — must not
+// mistake the orphan for a live replica, so it is left Invalid and without an
+// access level: read validation and the local-commit ownership check both
+// fail on it, exactly as a lookup of the missing id would. The caller must
+// not hold the object's Mu.
 func (s *Store) Delete(id wire.ObjectID) {
 	sh := s.shard(id)
 	sh.mu.Lock()
+	o := sh.objs[id]
 	delete(sh.objs, id)
 	sh.mu.Unlock()
+	if o != nil {
+		o.Mu.Lock()
+		o.Level = wire.NonReplica
+		o.SetTLocked(o.TVersion, TInvalid)
+		o.Mu.Unlock()
+	}
 }
 
 // Len returns the number of objects stored.

@@ -47,6 +47,26 @@ func TestDeleteAndLen(t *testing.T) {
 	}
 }
 
+// TestDeleteInvalidatesHeldPointer: a transaction validates against the
+// object it resolved at first touch, so a deleted object must stop looking
+// like a valid replica through that pointer.
+func TestDeleteInvalidatesHeldPointer(t *testing.T) {
+	s := New()
+	o, _ := s.GetOrCreate(7)
+	o.Mu.Lock()
+	o.Level = wire.Owner
+	o.SetTLocked(3, TValid)
+	o.Mu.Unlock()
+	s.Delete(7)
+	s.Delete(7) // a second delete of a missing id is a no-op
+	if v, st := o.TSnapshot(); v != 3 || st != TInvalid {
+		t.Fatalf("orphan reads as v%d %v, want v3 Invalid", v, st)
+	}
+	if st, _, lvl, _ := o.SnapshotRef(); st != TInvalid || lvl != wire.NonReplica {
+		t.Fatalf("orphan is %v at level %v, want Invalid non-replica", st, lvl)
+	}
+}
+
 func TestForEachVisitsAllAndStops(t *testing.T) {
 	s := New()
 	for i := wire.ObjectID(0); i < 64; i++ {

@@ -46,6 +46,12 @@ type MemTransport struct {
 	closed  chan struct{}
 	once    sync.Once
 	down    atomic.Bool
+	// free holds dispatched batch slices for the next SendBatch towards this
+	// node: the frame's slice is the hub's own copy (BatchSender's no-retain
+	// contract), so once loop has handed its messages to the handler it goes
+	// back here instead of to the GC. Bounded in depth and in slice capacity
+	// (maxFreeBatchCap), so a burst cannot pin memory.
+	free chan []wire.Msg
 }
 
 // memFrame is one delivery hop: a single message (msg) or a batch.
@@ -54,6 +60,13 @@ type memFrame struct {
 	msg   wire.Msg
 	batch []wire.Msg
 }
+
+// freeBatches / maxFreeBatchCap bound a node's recycled batch slices: at most
+// 16 slices of at most 128 message slots (32 KiB) stay parked per node.
+const (
+	freeBatches     = 16
+	maxFreeBatchCap = 128
+)
 
 // Node returns (creating if needed) the transport for node id.
 func (h *Hub) Node(id wire.NodeID) *MemTransport {
@@ -66,6 +79,7 @@ func (h *Hub) Node(id wire.NodeID) *MemTransport {
 		hub:    h,
 		self:   id,
 		inbox:  make(chan memFrame, 1<<16),
+		free:   make(chan []wire.Msg, freeBatches),
 		closed: make(chan struct{}),
 	}
 	h.nodes[id] = t
@@ -100,25 +114,6 @@ func (t *MemTransport) sendable() error {
 	return nil
 }
 
-// commitMsgSize returns the exact marshalled size of the reliable-commit
-// messages (used by the zero-copy fast path to keep byte accounting honest
-// without actually encoding).
-func commitMsgSize(m wire.Msg) (int, bool) {
-	switch v := m.(type) {
-	case *wire.CommitInv:
-		n := 42 // kind + tx + epoch + followers + prevval + replay + count + cts
-		for _, u := range v.Updates {
-			n += 20 + len(u.Data)
-		}
-		return n, true
-	case *wire.CommitAck:
-		return 30, true // + applied watermark
-	case *wire.CommitVal:
-		return 20, true
-	}
-	return 0, false
-}
-
 // roundtrip runs m through the codec so that tests exercise serialization
 // and receivers never alias sender memory. The encode buffer is pooled.
 //
@@ -132,7 +127,7 @@ func commitMsgSize(m wire.Msg) (int, bool) {
 // accounting uses the exact encoded size so bandwidth numbers stay
 // comparable with the real fabrics.
 func (t *MemTransport) roundtrip(m wire.Msg) (wire.Msg, error) {
-	if n, ok := commitMsgSize(m); ok {
+	if n, ok := wire.CommitSize(m); ok {
 		t.hub.msgs.Add(1)
 		t.hub.bytes.Add(uint64(n))
 		return m, nil
@@ -146,19 +141,31 @@ func (t *MemTransport) roundtrip(m wire.Msg) (wire.Msg, error) {
 	return mm, err
 }
 
-func (t *MemTransport) deliver(to wire.NodeID, f memFrame) error {
+// peer returns the destination's transport, or nil when the frame would be
+// silently dropped, like a network does (unknown or crashed node).
+func (t *MemTransport) peer(to wire.NodeID) *MemTransport {
 	t.hub.mu.RLock()
 	dst, ok := t.hub.nodes[to]
 	t.hub.mu.RUnlock()
 	if !ok || dst.down.Load() {
-		return nil // silently dropped, like a network
+		return nil
 	}
+	return dst
+}
+
+func (t *MemTransport) deliver(to wire.NodeID, f memFrame) error {
+	if dst := t.peer(to); dst != nil {
+		t.enqueue(dst, f)
+	}
+	return nil
+}
+
+func (t *MemTransport) enqueue(dst *MemTransport, f memFrame) {
 	t.hub.frames.Add(1)
 	select {
 	case dst.inbox <- f:
 	case <-dst.closed:
 	}
-	return nil
 }
 
 // Send delivers m to the peer's inbox (exactly once, FIFO per sender).
@@ -173,7 +180,10 @@ func (t *MemTransport) Send(to wire.NodeID, m wire.Msg) error {
 	return t.deliver(to, memFrame{from: t.self, msg: mm})
 }
 
-// SendBatch delivers msgs to the peer as one inbox hop, preserving order.
+// SendBatch delivers msgs to the peer as one inbox hop, preserving order. The
+// frame carries the hub's own slice (msgs is the caller's again on return,
+// see BatchSender), taken from the destination's free list when one is
+// parked there.
 func (t *MemTransport) SendBatch(to wire.NodeID, msgs []wire.Msg) error {
 	if err := t.sendable(); err != nil {
 		return err
@@ -181,15 +191,26 @@ func (t *MemTransport) SendBatch(to wire.NodeID, msgs []wire.Msg) error {
 	if len(msgs) == 0 {
 		return nil
 	}
-	batch := make([]wire.Msg, 0, len(msgs))
+	dst := t.peer(to)
+	var batch []wire.Msg
+	if dst != nil {
+		select {
+		case batch = <-dst.free:
+		default:
+			batch = make([]wire.Msg, 0, len(msgs))
+		}
+	}
 	for _, m := range msgs {
-		mm, err := t.roundtrip(m)
+		mm, err := t.roundtrip(m) // a dropped message still counts as carried
 		if err != nil {
 			return err
 		}
 		batch = append(batch, mm)
 	}
-	return t.deliver(to, memFrame{from: t.self, batch: batch})
+	if dst != nil {
+		t.enqueue(dst, memFrame{from: t.self, batch: batch})
+	}
+	return nil
 }
 
 // Multicast sends m to every destination, marshalling once. Each receiver
@@ -202,7 +223,7 @@ func (t *MemTransport) Multicast(dsts []wire.NodeID, m wire.Msg) error {
 	if len(dsts) == 0 {
 		return nil
 	}
-	if n, ok := commitMsgSize(m); ok {
+	if n, ok := wire.CommitSize(m); ok {
 		t.hub.msgs.Add(uint64(len(dsts)))
 		t.hub.bytes.Add(uint64(n) * uint64(len(dsts)))
 		var err error
@@ -247,6 +268,7 @@ func (t *MemTransport) loop() {
 				for _, m := range f.batch {
 					h(f.from, m)
 				}
+				t.recycle(f.batch)
 			} else {
 				h(f.from, f.msg)
 			}
@@ -256,6 +278,21 @@ func (t *MemTransport) loop() {
 		case <-t.closed:
 			return
 		}
+	}
+}
+
+// recycle parks a dispatched batch slice for the next SendBatch towards this
+// node. The handler (or the router's shard queues) holds the messages by
+// now, never the slice; the slots are cleared so a parked slice keeps no
+// message alive.
+func (t *MemTransport) recycle(batch []wire.Msg) {
+	if cap(batch) > maxFreeBatchCap {
+		return
+	}
+	clear(batch)
+	select {
+	case t.free <- batch[:0]:
+	default:
 	}
 }
 

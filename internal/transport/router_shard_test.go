@@ -161,3 +161,31 @@ func TestCloseShardsStopsDelivery(t *testing.T) {
 	// Dispatch after close: inline again (shards gone), must not panic.
 	r.Dispatch(1, &wire.CommitInv{Tx: wire.TxID{Pipe: wire.PipeID{Node: 1}, Local: 1}})
 }
+
+// TestShardQueueKeepsNoHandledMessage: a shard swaps between two arrays, and
+// the one it just drained becomes the next queue. Its slots must be cleared
+// by then — a handled R-INV left behind pins its whole commit slot (the
+// message is embedded in it) for as long as the shard stays quiet.
+func TestShardQueueKeepsNoHandledMessage(t *testing.T) {
+	r := NewRouter()
+	r.EnableSharding(2)
+	defer r.CloseShards()
+	var handled atomic.Int64
+	r.Handle(wire.KindCommitVal, func(wire.NodeID, wire.Msg) { handled.Add(1) })
+	for round := int64(1); round <= 4; round++ { // one pipe, so one shard; each round swaps its arrays
+		for i := uint64(0); i < 16; i++ {
+			r.Dispatch(1, ping(i))
+		}
+		waitFor(t, "the round's messages", func() bool { return handled.Load() == round*16 })
+		for _, s := range r.shards {
+			s.mu.Lock()
+			for _, it := range s.items[len(s.items):cap(s.items)] {
+				if it.m != nil {
+					s.mu.Unlock()
+					t.Fatalf("round %d: the drained queue array still references a handled message", round)
+				}
+			}
+			s.mu.Unlock()
+		}
+	}
+}

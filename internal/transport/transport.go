@@ -41,6 +41,14 @@ var ErrClosed = errors.New("transport: closed")
 // BatchSender is implemented by transports that can hand several messages to
 // one peer as a unit (one frame on the reliable fabric, one write on TCP, one
 // inbox hop on the hub). Protocol engines use it to coalesce responses.
+//
+// No-retain contract: SendBatch is finished with the msgs slice when it
+// returns — it has encoded the messages (Reliable, TCP) or copied the
+// pointers into a frame of its own (hub) — so the caller may overwrite and
+// reuse the slice immediately; the commit coalescer flushes from the same
+// two buffers per peer forever. The messages themselves stay frozen as for
+// Send (zeuslint sendfrozen): only the slice that carried them is the
+// caller's again.
 type BatchSender interface {
 	SendBatch(to wire.NodeID, msgs []wire.Msg) error
 }
@@ -379,5 +387,6 @@ func (s *shardQ) loop() {
 			}
 			it.h(it.from, it.m)
 		}
+		clear(batch) // the array is the next swap's queue: keep no handled message alive in it
 	}
 }

@@ -487,3 +487,111 @@ func TestDeliveryTickFiresPerFrame(t *testing.T) {
 		t.Fatalf("delivery ticks = %d, want 1 for one batch frame", got)
 	}
 }
+
+// TestSendBatchDoesNotRetainTheSlice pins the BatchSender contract on all
+// three fabrics: the caller reuses its slice the moment SendBatch returns
+// (the commit coalescer flushes from the same two buffers forever), so
+// overwriting it between batches must not disturb what was sent.
+func TestSendBatchDoesNotRetainTheSlice(t *testing.T) {
+	const rounds, per = 20, 8
+	run := func(t *testing.T, a BatchSender, c *collect) {
+		buf := make([]wire.Msg, per)
+		for r := 0; r < rounds; r++ {
+			for i := range buf {
+				buf[i] = ping(uint64(r*per + i))
+			}
+			if err := a.SendBatch(1, buf); err != nil {
+				t.Fatal(err)
+			}
+			clear(buf) // what the coalescer does before it parks the buffer
+		}
+		c.waitN(t, rounds*per, 5*time.Second)
+		for i, m := range c.msgs {
+			if m == nil || pingSeq(m) != uint64(i) {
+				t.Fatalf("message %d arrived as %v", i, m)
+			}
+		}
+	}
+	t.Run("hub", func(t *testing.T) {
+		h := NewHub()
+		a, b := h.Node(0), h.Node(1)
+		defer a.Close()
+		defer b.Close()
+		c := newCollect()
+		b.SetHandler(c.handler)
+		run(t, a, c)
+	})
+	t.Run("reliable", func(t *testing.T) {
+		a, b, _ := reliablePair(t, netsim.Config{Seed: 1, InboxDepth: 4096})
+		c := newCollect()
+		b.SetHandler(c.handler)
+		run(t, a, c)
+	})
+	t.Run("tcp", func(t *testing.T) {
+		a, err := NewTCP(0, "127.0.0.1:0", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+		b, err := NewTCP(1, "127.0.0.1:0", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		a.SetAddr(1, b.Addr())
+		c := newCollect()
+		b.SetHandler(c.handler)
+		run(t, a, c)
+	})
+}
+
+// TestHubRecyclesBatchSlices: the hub's per-frame copy of a batch goes back
+// to the receiver's free list once dispatched — cleared, so a parked slice
+// keeps no message alive — and the next SendBatch takes it from there.
+func TestHubRecyclesBatchSlices(t *testing.T) {
+	h := NewHub()
+	a, b := h.Node(0), h.Node(1)
+	defer a.Close()
+	defer b.Close()
+	c := newCollect()
+	b.SetHandler(c.handler)
+	ticked := make(chan struct{}, 16)
+	b.SetTickHandler(func() { ticked <- struct{}{} })
+
+	send := func(n int) {
+		t.Helper()
+		batch := make([]wire.Msg, n)
+		for i := range batch {
+			batch[i] = ping(uint64(i))
+		}
+		if err := a.SendBatch(1, batch); err != nil {
+			t.Fatal(err)
+		}
+		<-ticked // dispatched and recycled: the tick runs after both
+	}
+	send(4)
+	if len(b.free) != 1 {
+		t.Fatalf("free list holds %d slices after one batch, want 1", len(b.free))
+	}
+	parked := <-b.free
+	if len(parked) != 0 || cap(parked) < 4 {
+		t.Fatalf("parked slice has len %d cap %d", len(parked), cap(parked))
+	}
+	for _, m := range parked[:cap(parked)] {
+		if m != nil {
+			t.Fatal("parked slice still references a delivered message")
+		}
+	}
+	b.free <- parked
+	send(3) // fits: must ride the parked slice, which then comes back
+	if len(b.free) != 1 {
+		t.Fatalf("free list holds %d slices, want the one slice cycling", len(b.free))
+	}
+	if again := <-b.free; &again[:1][0] != &parked[:1][0] {
+		t.Fatal("second batch did not reuse the parked slice")
+	}
+	send(maxFreeBatchCap + 1) // a burst-sized slice is not worth keeping
+	if len(b.free) != 0 {
+		t.Fatal("an oversized batch slice was parked")
+	}
+}

@@ -46,9 +46,10 @@ type Client struct {
 	closed chan struct{}
 	once   sync.Once
 
-	// obs, when set (SetObs, wiring time), holds the cached metric
-	// handles; nil keeps the seed paths.
-	obs *clientObs
+	// obs, when set (SetObs), holds the cached metric handles; nil keeps
+	// the seed paths. Atomic because NewClient has already started pump and
+	// sent the initial query by the time the caller can wire a registry.
+	obs atomic.Pointer[clientObs]
 }
 
 // NewClient attaches a client to the ensemble at ids over tr, seeded with
@@ -205,7 +206,7 @@ func (c *Client) Renew(node wire.NodeID) {
 		return // a recent flush covers us; the sweeper sends the rest
 	}
 	if c.renewFlushed.CompareAndSwap(last, now) {
-		if ob := c.obs; ob != nil && last != 0 && now > last {
+		if ob := c.obs.Load(); ob != nil && last != 0 && now > last {
 			ob.renewLagNS.Record(uint64(now - last))
 		}
 		c.flushRenewals()
@@ -240,7 +241,7 @@ func (c *Client) renewLoop() {
 			if c.renewPending.Load() != 0 {
 				now := time.Now().UnixNano()
 				prev := c.renewFlushed.Swap(now)
-				if ob := c.obs; ob != nil && prev != 0 && now > prev {
+				if ob := c.obs.Load(); ob != nil && prev != 0 && now > prev {
 					ob.renewLagNS.Record(uint64(now - prev))
 				}
 				c.flushRenewals()
@@ -406,7 +407,7 @@ func (c *Client) pump() {
 		recovered := s.Barrier == 0 && (oldBarrier != 0 || (viewChanged && removed != 0))
 		onView, onRecovered, onState := c.onView, c.onRecovered, c.onState
 		c.mu.Unlock()
-		if ob := c.obs; ob != nil {
+		if ob := c.obs.Load(); ob != nil {
 			if viewChanged {
 				ob.epochChanges.Inc()
 				if removed != 0 {

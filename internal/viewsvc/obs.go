@@ -25,19 +25,19 @@ type clientObs struct {
 	barrierStart time.Time
 }
 
-// SetObs wires the observability registry. Must be called before the client
-// processes ensemble traffic (wiring time): Renew and pump read c.obs
-// without synchronization.
+// SetObs wires the observability registry, normally right after NewClient.
+// The pump goroutine is already running by then (it may be installing the
+// answer to the initial query), hence the atomic publish.
 func (c *Client) SetObs(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	c.obs = &clientObs{
+	c.obs.Store(&clientObs{
 		reg:          r,
 		epochChanges: r.Counter("vs_epoch_changes_total"),
 		barrierNS:    r.Histogram("vs_barrier_ns"),
 		renewLagNS:   r.Histogram("vs_renew_lag_ns"),
-	}
+	})
 	r.GaugeFunc("vs_epoch", func() int64 { return int64(c.View().Epoch) })
 	r.GaugeFunc("vs_live_nodes", func() int64 { return int64(c.View().Live.Count()) })
 }

@@ -461,6 +461,28 @@ func EncodedSize(m Msg) int {
 	return fixed
 }
 
+// CommitSize returns the exact marshalled size of the three reliable-commit
+// kinds (R-INV, R-ACK, R-VAL) without encoding them; ok is false for every
+// other kind. The commit engine's replicated-bytes counter and the hub's
+// zero-copy fast path both account with it, so their byte figures stay
+// comparable with the fabrics that really encode. TestCommitSizeExact pins it
+// to len(Marshal(m)).
+func CommitSize(m Msg) (n int, ok bool) {
+	switch v := m.(type) {
+	case *CommitInv:
+		n = 42 // kind + tx + epoch + followers + prevval + replay + count + cts
+		for i := range v.Updates {
+			n += 20 + len(v.Updates[i].Data) // obj + version + length prefix
+		}
+		return n, true
+	case *CommitAck:
+		return 30, true // kind + tx + epoch + from + applied watermark
+	case *CommitVal:
+		return 20, true // kind + tx + epoch
+	}
+	return 0, false
+}
+
 // vsstateSize bounds the variable tail of one encoded VSState.
 func vsstateSize(s *VSState) int {
 	n := 8 * len(s.Placement.Shards)

@@ -8,7 +8,10 @@
 // wire.Marshal / wire.Unmarshal.
 package wire
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // NodeID identifies a Zeus node (server). The paper uses the terms node and
 // server interchangeably; so does this codebase.
@@ -71,6 +74,17 @@ func (b Bitmap) Nodes() []NodeID {
 		}
 	}
 	return out
+}
+
+// Each yields the members in ascending order without building the slice
+// Nodes allocates; it is a range-over-func iterator for the per-message
+// fan-out loops: for n := range set.Each { ... }.
+func (b Bitmap) Each(yield func(NodeID) bool) {
+	for v := uint64(b); v != 0; v &= v - 1 {
+		if !yield(NodeID(bits.TrailingZeros64(v))) {
+			return
+		}
+	}
 }
 
 // BitmapOf builds a Bitmap from the given nodes.

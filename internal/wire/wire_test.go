@@ -437,3 +437,64 @@ func TestBufPoolRecycles(t *testing.T) {
 	big := &Buf{B: make([]byte, 1<<17)}
 	PutBuf(big) // must not panic or pin
 }
+
+// TestCommitSizeExact pins CommitSize to the codec: the commit engine and the
+// hub account replicated bytes with it instead of encoding, so it must equal
+// len(Marshal(m)) for every reliable-commit kind and refuse everything else.
+func TestCommitSizeExact(t *testing.T) {
+	tx := TxID{Pipe: PipeID{Node: 1, Worker: 2, Incar: 7}, Local: 99}
+	upd := func(sizes ...int) []Update {
+		var us []Update
+		for i, n := range sizes {
+			us = append(us, Update{Obj: ObjectID(i + 1), Version: uint64(10 + i), Data: make([]byte, n)})
+		}
+		return us
+	}
+	msgs := []Msg{
+		&CommitInv{Tx: tx, Epoch: 3, Followers: BitmapOf(0, 2), PrevVal: true, CTS: 5},
+		&CommitInv{Tx: tx, Epoch: 3, Followers: BitmapOf(0, 2), Updates: upd(64)},
+		&CommitInv{Tx: tx, Epoch: 3, Followers: BitmapOf(0, 2), Replay: true, Updates: upd(0, 400, 7)},
+		&CommitAck{Tx: tx, Epoch: 3, From: 2, AppliedWM: 1 << 40},
+		&CommitVal{Tx: tx, Epoch: 3},
+	}
+	for _, m := range msgs {
+		n, ok := CommitSize(m)
+		if want := len(Marshal(m)); !ok || n != want {
+			t.Errorf("CommitSize(%v) = %d, %v; Marshal is %d bytes", m.Kind(), n, ok, want)
+		}
+	}
+	if _, ok := CommitSize(&View{Epoch: 1}); ok {
+		t.Error("CommitSize accepted a non-commit message")
+	}
+}
+
+// TestBitmapEach checks the iterator against Nodes, early exit included, and
+// that ranging over it allocates nothing (it replaces Nodes in the per-commit
+// fan-out loops for exactly that reason).
+func TestBitmapEach(t *testing.T) {
+	for _, b := range []Bitmap{0, BitmapOf(0), BitmapOf(1, 2, 63), BitmapOf(0, 5, 9, 33)} {
+		var got []NodeID
+		for n := range b.Each {
+			got = append(got, n)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(b.Nodes()) && !(len(got) == 0 && len(b.Nodes()) == 0) {
+			t.Errorf("Each(%v) = %v", b, got)
+		}
+	}
+	first := NoNode
+	for n := range BitmapOf(4, 8).Each {
+		first = n
+		break
+	}
+	if first != 4 {
+		t.Errorf("early exit saw %d, want 4", first)
+	}
+	set, sum := BitmapOf(1, 2, 40), 0
+	if a := testing.AllocsPerRun(100, func() {
+		for n := range set.Each {
+			sum += int(n)
+		}
+	}); a != 0 {
+		t.Errorf("ranging over Bitmap.Each allocates %v times", a)
+	}
+}

@@ -243,3 +243,47 @@ func counterVal(b []byte) uint64 {
 	}
 	return binary.LittleEndian.Uint64(b)
 }
+
+// TestPublicAPIUseAfterFinish: a transaction handle kept past Update must be
+// inert. A stale Set used to re-take the object's local write grant — on a
+// finished transaction nothing ever releases it — so every other worker's
+// write to the object conflicted until its retry budget ran out.
+func TestPublicAPIUseAfterFinish(t *testing.T) {
+	c := zeus.New(zeus.Options{Nodes: 3})
+	defer c.Close()
+	c.Seed(1, 0, counterBytes(0))
+	n := c.Node(0)
+	var stale *zeus.Tx
+	if err := n.Update(0, func(tx *zeus.Tx) error {
+		stale = tx
+		return tx.Set(1, counterBytes(1))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := stale.Set(1, counterBytes(99)); err == nil {
+		t.Error("Set on a committed transaction succeeded")
+	}
+	if _, err := stale.Get(1); err == nil {
+		t.Error("Get on a committed transaction succeeded")
+	}
+	done := make(chan error, 1)
+	go func() {
+		done <- n.Update(1, func(tx *zeus.Tx) error { return tx.Set(1, counterBytes(2)) })
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("another worker's write after the stale Set: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("another worker's write is wedged behind the finished transaction's local grant")
+	}
+	var got uint64
+	if err := n.View(0, func(tx *zeus.Tx) error {
+		v, err := tx.Get(1)
+		got = counterVal(v)
+		return err
+	}); err != nil || got != 2 {
+		t.Fatalf("object reads %d, %v; want 2", got, err)
+	}
+}
