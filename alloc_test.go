@@ -11,12 +11,12 @@ import (
 )
 
 // Allocation ceilings for the three transaction shapes the benchmark
-// workloads are made of, on a 3-node hub cluster. The count is process-wide
-// — coordinator, both followers, transports and the background loops — and
-// taken after the pipelines drained, so it is what `allocs_per_op` in
-// benchmark/ is made of. Each ceiling is one above what the code achieves, so
-// the next allocation added to the path fails `go test`; CHANGES.md (PR 14)
-// lists what each remaining allocation is for.
+// workloads are made of, and for the ownership move, on a 3-node hub cluster.
+// The count is process-wide — coordinator, both followers, transports and the
+// background loops — and taken after the pipelines drained, so it is what
+// `allocs_per_op` in benchmark/ is made of. Each ceiling is one above what the code achieves, so
+// the next allocation added to the path fails `go test`; CHANGES.md (PR 14,
+// PR 15 for the move) lists what each remaining allocation is for.
 // Not built under -race: the detector allocates on its own.
 
 // mallocsPerTx runs txs transactions, waits for replication, and returns the
@@ -79,15 +79,40 @@ func TestAllocCeilings(t *testing.T) {
 		must(tx.Commit())
 	})
 	// 1-read RO transaction on a reader replica: Get's copy for the caller.
+	// WaitReplication spoke for the owner; the reader refuses the read until
+	// the last transfer's R-VAL has reached it too.
+	for {
+		tx := reader.BeginRO()
+		if _, err := tx.Get(1); err == nil {
+			must(tx.Commit())
+			break
+		}
+		tx.Abort()
+	}
 	ro := mallocsPerTx(t, reader, txs, func(i int) {
 		tx := reader.BeginRO()
 		_, err := tx.Get(1)
 		must(err)
 		must(tx.Commit())
 	})
-	t.Logf("mallocs per transaction: rmw %.2f, transfer %.2f, read-only %.2f", rmw, transfer, ro)
-	// Achieved: 7, 9 and 1 (plus a few hundredths of timers and lease
-	// renewals). One more allocation per transaction reaches the ceiling.
+	// Ownership move between two nodes, the mover driving its own request:
+	// what crosses the wire or outlives the call — the INV, two remote ACKs,
+	// the VAL — and the hub's six decodes. Eight idle objects take turns, so
+	// a move's VALs have landed by the time its object moves back; bouncing a
+	// single object would mostly count the NACK, the back-off timer and a
+	// millisecond of lease renewals behind it (nacks/op in
+	// BenchmarkOwnershipTransfer), which differ from host to host.
+	const movers = 8
+	for obj := uint64(10); obj < 10+movers; obj++ {
+		c.Seed(obj, 0, counterBytes(0))
+	}
+	move := mallocsPerTx(t, owner, txs, func(i int) {
+		must(c.Node((i/movers + 1) % 2).AcquireOwnership(uint64(10 + i%movers)))
+	})
+	t.Logf("mallocs per transaction: rmw %.2f, transfer %.2f, read-only %.2f; per ownership move %.2f", rmw, transfer, ro, move)
+	// Achieved: 7, 9, 1 and 10 (plus a few hundredths of timers and lease
+	// renewals; a move cost 22 before PR 15). One more allocation per
+	// transaction reaches the ceiling.
 	for _, c := range []struct {
 		name    string
 		got     float64
@@ -96,6 +121,7 @@ func TestAllocCeilings(t *testing.T) {
 		{"1-object read-modify-write", rmw, 8},
 		{"2-object transfer", transfer, 10},
 		{"1-read read-only", ro, 2},
+		{"ownership move", move, 11},
 	} {
 		if c.got >= c.ceiling {
 			t.Errorf("%s: %.2f mallocs per transaction, must stay below %.0f", c.name, c.got, c.ceiling)

@@ -227,6 +227,11 @@ func TestTCPFabricCluster(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// Run returns at the local commit; node 2 serves the old value, validly,
+	// until the R-INV reaches it. Reliably committed means it has.
+	if !c.Node(1).WaitReplication(5 * time.Second) {
+		t.Fatal("write never replicated")
+	}
 	var got []byte
 	if err := dbapi.RunRO(c.Node(2).DB(), 0, func(tx dbapi.Txn) error {
 		v, err := tx.Get(25)

@@ -23,6 +23,17 @@
 // state (arb-replay); ACKs flow to the replaying driver, which RESPs a live
 // requester (so the requester still applies first) or VALs directly when the
 // requester died.
+//
+// A node is routinely requester, driver and arbiter of the same request (the
+// requester drives whenever it co-locates with the object's directory shard,
+// §4.2). Protocol steps addressed to the node itself are function calls on the
+// goroutine that reached them, not messages: the requester runs the driver's
+// REQ handling inline, and an arbiter hands its ACK straight to the local ACK
+// collection. A failure-free move allocates only what crosses the wire: the
+// INV, the remote arbiters' ACKs and the VAL. What merely outlives a call is
+// reused: the arbiters' arbitration records (pendPool) and the requester-side
+// record of an acquisition (ACK set, wake-up channel, attempt timer; see
+// pendingReq for what guards its reuse).
 package ownership
 
 import (
@@ -143,7 +154,8 @@ type Engine struct {
 	// objects (or different request ids) never serialize on one engine
 	// lock (§7: worker threads are independent):
 	//
-	//   - pending, striped by reqID: the requester-side ACK collection.
+	//   - pending, striped by reqID: the requester-side ACK collection
+	//     (the record currently running that request id).
 	//   - valsAwait, striped by ObjectID: VALs that overtook their INV.
 	//
 	// Only recovery keeps a single slow-path mutex (recovMu): arb-replays
@@ -158,10 +170,15 @@ type Engine struct {
 	recov   map[uint64]*recovState // recovery-driver side, by reqID
 	recovN  atomic.Int32
 
+	// free parks the request records of finished acquisitions for the next
+	// ones (LIFO; its depth is bounded by the acquisitions ever in flight at
+	// once, i.e. the node's application threads).
+	freeMu sync.Mutex
+	free   []*pendingReq
+
 	recovering atomic.Bool
 	closed     chan struct{}
 	once       sync.Once
-	selfQ      chan wire.Msg
 
 	// log, when set, records applied ownership grants (recGrant) so a
 	// restarted node knows each object's last-known replica set and level.
@@ -186,18 +203,17 @@ type Engine struct {
 	rng   *rand.Rand
 }
 
+// outcome is how one request id ended. It carries the id because the record
+// (and so the channel) it travels through outlives the request.
 type outcome struct {
+	id     uint64
 	ok     bool
 	reason wire.NackReason
 	from   wire.NodeID // NACK sender (unknown-object opinions are per driver)
 }
 
-type pendingReq struct {
-	id   uint64
-	obj  wire.ObjectID
-	mode wire.ReqMode
-
-	mu          sync.Mutex
+// ackSet is the requester-side ACK collection of one request id.
+type ackSet struct {
 	arbiters    wire.Bitmap // learned from the first ACK
 	acked       wire.Bitmap
 	ts          wire.OTS
@@ -207,7 +223,45 @@ type pendingReq struct {
 	data        []byte
 	cts         uint64
 	applied     bool
-	done        chan outcome
+}
+
+// pendingReq is the requester-side record of an acquisition: the ACK
+// collection of the request id it currently runs, the channel that wakes the
+// blocked application goroutine and the attempt timer. One record serves a
+// whole acquisition (rekey gives it a fresh request id after a lost
+// arbitration or a timeout) and is then parked for the next (Engine.free), so
+// a handler that looked it up under an id that has since finished can still
+// be holding it. Hence the rule: id is only read or written under mu, every
+// handler compares it with the id its message carries before touching
+// anything else, and run ignores outcomes for any id but the current one — a
+// late NACK, ACK or RESP for a finished request cannot complete, or add to,
+// the request that reuses the record.
+type pendingReq struct {
+	mode wire.ReqMode // fixed while id != 0
+
+	mu sync.Mutex
+	id uint64 // request id in flight; 0 while parked
+	ackSet
+
+	// done holds a request id's outcomes until run reads them: one success,
+	// or a NACK from its driver plus one from each driver it lost an
+	// arbitration to — a handful; a full channel drops the outcome and costs
+	// the attempt its timeout.
+	done  chan outcome
+	timer *time.Timer // attempt timeout, stopped between attempts
+}
+
+// deliver hands run the outcome of request id, unless the record moved on.
+func (r *pendingReq) deliver(id uint64, out outcome) {
+	out.id = id
+	r.mu.Lock()
+	if r.id == id {
+		select {
+		case r.done <- out:
+		default:
+		}
+	}
+	r.mu.Unlock()
 }
 
 type recovState struct {
@@ -254,12 +308,10 @@ func New(self wire.NodeID, st *store.Store, tr transport.Transport, agent *membe
 		recov:            make(map[uint64]*recovState),
 		valsAwait:        shardmap.NewStriped[wire.ObjectID, wire.OTS](func(id wire.ObjectID) uint64 { return shardmap.Mix64(uint64(id)) }),
 		closed:           make(chan struct{}),
-		selfQ:            make(chan wire.Msg, 4096),
 		rng:              rand.New(rand.NewSource(int64(self)*7919 + 1)),
 		clock:            new(safetime.Clock),
 		HasPendingCommit: func(wire.ObjectID) bool { return false },
 	}
-	go e.selfLoop()
 	return e
 }
 
@@ -306,29 +358,23 @@ func (e *Engine) DrivesShard(n wire.NodeID, obj wire.ObjectID) bool {
 // Directory exposes the engine's directory resolver (tests and tooling).
 func (e *Engine) Directory() directory.Directory { return e.dir }
 
-// send routes self-addressed messages through an in-process queue (a node
-// can be requester, driver and arbiter at once) and everything else through
-// the transport.
+// send hands m to the transport, or, when the node addresses itself (it can
+// be requester, driver and arbiter at once), handles it inline on the calling
+// goroutine. The two self-addressed steps of the failure-free flow do not
+// even come here (run calls handleReq, ackAsArbiter calls handleAck, both on
+// a stack message); what does is a NACK to a local requester.
+//
+// Because a handler may therefore run inside send, no lock a handler takes —
+// an object's Mu, a request record's mu, recovMu — may be held across a send
+// that can be self-addressed. The one send under a lock,
+// checkRecoveryCompleteLocked's RESP under recovMu, only ever goes to a
+// requester other than this node.
 func (e *Engine) send(to wire.NodeID, m wire.Msg) {
 	if to == e.self {
-		select {
-		case e.selfQ <- m:
-		case <-e.closed:
-		}
+		e.Handle(e.self, m)
 		return
 	}
 	_ = e.tr.Send(to, m)
-}
-
-func (e *Engine) selfLoop() {
-	for {
-		select {
-		case m := <-e.selfQ:
-			e.Handle(e.self, m)
-		case <-e.closed:
-			return
-		}
-	}
 }
 
 // Handle dispatches one inbound ownership message.
@@ -403,27 +449,82 @@ func (e *Engine) levelSatisfied(obj wire.ObjectID, mode wire.ReqMode) bool {
 	}
 }
 
+// beginRequest takes a parked request record (or makes the node's next one)
+// for an acquisition in the given mode and gives it its first request id.
+func (e *Engine) beginRequest(mode wire.ReqMode) (*pendingReq, uint64) {
+	var req *pendingReq
+	e.freeMu.Lock()
+	if n := len(e.free); n > 0 {
+		req, e.free = e.free[n-1], e.free[:n-1]
+	}
+	e.freeMu.Unlock()
+	if req == nil {
+		req = &pendingReq{done: make(chan outcome, 8), timer: time.NewTimer(time.Hour)}
+		req.timer.Stop()
+	}
+	req.mode = mode // parked: no handler gets past the id check
+	return req, e.rekey(req)
+}
+
+// rekey moves req to a fresh request id: ACK collection starts over, and
+// whatever is still in flight for the previous id no longer matches.
+func (e *Engine) rekey(req *pendingReq) uint64 {
+	id := uint64(e.self)<<48 | e.nextReq.Add(1)
+	e.retire(req, id)
+	e.pending.Put(id, req)
+	return id
+}
+
+// retire ends req's current request id, replacing it with next (0 to park).
+func (e *Engine) retire(req *pendingReq, next uint64) {
+	req.mu.Lock()
+	old := req.id
+	req.id = next
+	req.ackSet = ackSet{}
+	req.mu.Unlock()
+	if old != 0 {
+		e.pending.Delete(old)
+	}
+}
+
+// endRequest parks req for the next acquisition.
+func (e *Engine) endRequest(req *pendingReq) {
+	e.retire(req, 0)
+	e.freeMu.Lock()
+	e.free = append(e.free, req)
+	e.freeMu.Unlock()
+}
+
+// await blocks until request id has an outcome, its attempt times out
+// (timedOut) or the engine closes (ErrClosed).
+func (e *Engine) await(req *pendingReq, id uint64) (out outcome, timedOut bool, err error) {
+	req.timer.Reset(e.cfg.AttemptTimeout)
+	defer req.timer.Stop()
+	for {
+		select {
+		case out = <-req.done:
+			if out.id == id {
+				return out, false, nil
+			}
+			// Left over from an id this record ran earlier: not ours.
+		case <-req.timer.C:
+			return outcome{}, true, nil
+		case <-e.closed:
+			return outcome{}, false, ErrClosed
+		}
+	}
+}
+
 func (e *Engine) run(obj wire.ObjectID, mode wire.ReqMode, target wire.Bitmap) error {
 	if e.levelSatisfied(obj, mode) {
 		return nil
 	}
 	start := time.Now()
 	deadline := start.Add(e.cfg.Deadline)
-	retr := e.cfg.Retry.Start()
+	retr := e.cfg.Retry.Begin()
 
-	var req *pendingReq
-	newRequest := func() *pendingReq {
-		id := uint64(e.self)<<48 | e.nextReq.Add(1)
-		r := &pendingReq{id: id, obj: obj, mode: mode, done: make(chan outcome, 8)}
-		e.pending.Put(id, r)
-		return r
-	}
-	dropRequest := func(r *pendingReq) {
-		e.pending.Delete(r.id)
-	}
-
-	req = newRequest()
-	defer func() { dropRequest(req) }()
+	req, id := e.beginRequest(mode)
+	defer e.endRequest(req)
 
 	// unknownFrom collects the DISTINCT drivers that answered
 	// unknown-object. One driver's word is no longer final under the
@@ -457,20 +558,23 @@ func (e *Engine) run(obj wire.ObjectID, mode wire.ReqMode, target wire.Bitmap) e
 
 		driver := e.pickDriver(obj, unknownFrom)
 		e.stRequests.Add(1)
-		e.send(driver, &wire.OwnReq{
-			ReqID: req.id, Obj: obj, Requester: e.self, Mode: mode,
+		m := wire.OwnReq{
+			ReqID: id, Obj: obj, Requester: e.self, Mode: mode,
 			Epoch: e.agent.Epoch(), Target: target,
 			Shard: uint32(e.dir.ShardOf(obj)),
-		})
+		}
+		if driver == e.self {
+			// Co-located with the shard (§4.2): drive the request right
+			// here; the REQ never leaves this stack frame.
+			e.handleReq(&m)
+		} else {
+			wm := m
+			_ = e.tr.Send(driver, &wm)
+		}
 
-		var out outcome
-		timedOut := false
-		select {
-		case out = <-req.done:
-		case <-time.After(e.cfg.AttemptTimeout):
-			timedOut = true
-		case <-e.closed:
-			return ErrClosed
+		out, timedOut, err := e.await(req, id)
+		if err != nil {
+			return err
 		}
 		if ob := e.obs; ob != nil && !timedOut && !out.ok && int(out.reason) < nackReasonCount {
 			ob.nacks[out.reason].Inc()
@@ -500,8 +604,7 @@ func (e *Engine) run(obj wire.ObjectID, mode wire.ReqMode, target wire.Bitmap) e
 				e.resetRequestState(obj)
 				return fmt.Errorf("%w: %d", ErrUnknownObject, obj)
 			}
-			dropRequest(req)
-			req = newRequest()
+			id = e.rekey(req)
 		case !timedOut && out.reason == wire.NackPendingCommit:
 			// Owner busy: retry the SAME request — the driver still
 			// holds the arbitration in Drive state and will re-INV with
@@ -514,8 +617,7 @@ func (e *Engine) run(obj wire.ObjectID, mode wire.ReqMode, target wire.Bitmap) e
 			if timedOut {
 				e.stTimeouts.Add(1)
 			}
-			dropRequest(req)
-			req = newRequest()
+			id = e.rekey(req)
 		}
 
 		if time.Now().After(deadline) {
@@ -543,8 +645,7 @@ func (e *Engine) run(obj wire.ObjectID, mode wire.ReqMode, target wire.Bitmap) e
 		if e.agent.Epoch() != epochBefore && ownerBusy {
 			// The arbitration we were waiting on may have been force-
 			// completed by recovery under a new epoch; start fresh.
-			dropRequest(req)
-			req = newRequest()
+			id = e.rekey(req)
 		}
 	}
 }
@@ -575,17 +676,32 @@ func (e *Engine) pickDriver(obj wire.ObjectID, avoid wire.Bitmap) wire.NodeID {
 	if preferred := candidates &^ avoid; preferred != 0 {
 		candidates = preferred
 	}
-	nodes := candidates.Nodes()
-	if len(nodes) == 0 {
-		if all := drivers.Nodes(); len(all) > 0 {
-			return all[0] // nothing live: let it time out
+	n := candidates.Count()
+	if n == 0 {
+		// Nothing live: the lowest driver, and let it time out.
+		if d, ok := lowest(drivers); ok {
+			return d
 		}
 		return e.self
 	}
 	e.rngMu.Lock()
-	n := nodes[e.rng.Intn(len(nodes))]
+	skip := e.rng.Intn(n)
 	e.rngMu.Unlock()
-	return n
+	for d := range candidates.Each {
+		if skip == 0 {
+			return d
+		}
+		skip--
+	}
+	return e.self // not reached: skip < n
+}
+
+// lowest returns the lowest-numbered member of set.
+func lowest(set wire.Bitmap) (wire.NodeID, bool) {
+	for n := range set.Each {
+		return n, true
+	}
+	return wire.NoNode, false
 }
 
 // ---------------------------------------------------------------------------
@@ -636,7 +752,7 @@ func (e *Engine) handleReq(m *wire.OwnReq) {
 		inv := invFromPending(m.Obj, o.Pending)
 		arbiters := o.Pending.Arbiters
 		o.Mu.Unlock()
-		e.broadcastInv(arbiters, inv)
+		e.sendOthers(arbiters, inv)
 		e.ackAsArbiter(inv) // driver re-ACKs too
 		return
 	}
@@ -699,7 +815,7 @@ func (e *Engine) handleReq(m *wire.OwnReq) {
 		next = cur.WithReader(m.Requester)
 	case wire.DropReader:
 		next = cur
-		for _, n := range m.Target.Nodes() {
+		for n := range m.Target.Each {
 			next = next.WithoutReader(n)
 		}
 	case wire.CreateObject:
@@ -730,33 +846,48 @@ func (e *Engine) handleReq(m *wire.OwnReq) {
 		arbiters = arbiters.Union(cur.All().Intersect(live))
 	default:
 		if prevOwner == wire.NoNode && cur.LevelOf(m.Requester) == wire.NonReplica {
-			if src, ok := pickLive(cur.Readers, live); ok {
+			if src, ok := lowest(cur.Readers.Intersect(live)); ok {
 				arbiters = arbiters.Add(src)
 				prevOwner = src // acts as the data source
 			}
 		}
 	}
 
-	pend := &store.PendingOwn{
+	setPendingLocked(o, store.PendingOwn{
 		ReqID: m.ReqID, TS: ts, Requester: m.Requester, Driver: e.self,
 		Mode: m.Mode, NewReplicas: next, PrevOwner: prevOwner,
 		Arbiters: arbiters, Epoch: epoch, Since: time.Now(),
-	}
-	o.Pending = pend
+	})
 	o.OState = store.ODrive
-	inv := invFromPending(m.Obj, pend)
+	inv := invFromPending(m.Obj, o.Pending)
 	o.Mu.Unlock()
 
-	e.broadcastInv(arbiters, inv)
+	e.sendOthers(arbiters, inv)
 	e.ackAsArbiter(inv)
 }
 
-func pickLive(set wire.Bitmap, live wire.Bitmap) (wire.NodeID, bool) {
-	alive := set.Intersect(live).Nodes()
-	if len(alive) == 0 {
-		return wire.NoNode, false
+// pendPool recycles arbitration records: an object's Pending is set at
+// REQ/INV time and cleared at VAL time, three records per move. That is safe
+// because Pending is only ever followed under the object's Mu and no reader
+// keeps the pointer past it — they copy the record, or the fields they need,
+// while they hold the lock.
+var pendPool = sync.Pool{New: func() any { return new(store.PendingOwn) }}
+
+// setPendingLocked makes p the object's arbitration record (caller holds
+// o.Mu), recycling the one it supersedes.
+func setPendingLocked(o *store.Object, p store.PendingOwn) {
+	clearPendingLocked(o)
+	o.Pending = pendPool.Get().(*store.PendingOwn)
+	*o.Pending = p
+}
+
+// clearPendingLocked drops the object's arbitration record, if any (caller
+// holds o.Mu).
+func clearPendingLocked(o *store.Object) {
+	if p := o.Pending; p != nil {
+		o.Pending = nil
+		pendPool.Put(p)
 	}
-	return alive[0], true
 }
 
 func invFromPending(obj wire.ObjectID, p *store.PendingOwn) *wire.OwnInv {
@@ -768,30 +899,37 @@ func invFromPending(obj wire.ObjectID, p *store.PendingOwn) *wire.OwnInv {
 	}
 }
 
-func (e *Engine) broadcastInv(arbiters wire.Bitmap, inv *wire.OwnInv) {
-	for _, n := range arbiters.Nodes() {
-		if n == e.self {
-			continue
-		}
-		e.send(n, inv)
+// sendOthers sends m to every member of set but this node.
+func (e *Engine) sendOthers(set wire.Bitmap, m wire.Msg) {
+	for n := range set.Remove(e.self).Each {
+		_ = e.tr.Send(n, m)
 	}
 }
 
-// ackAsArbiter makes the driver play its own arbiter part: it has applied the
-// pending request (state Drive) and ACKs the requester like any arbiter.
+// ackAsArbiter ACKs inv's requester (its replaying driver during recovery):
+// every arbiter does so once it holds the arbitration, the driver included —
+// it has applied the pending request (state Drive) like any arbiter. An ACK
+// to this node itself is collected right here and never leaves the stack.
 func (e *Engine) ackAsArbiter(inv *wire.OwnInv) {
-	ack := e.buildAck(inv)
 	dst := inv.Requester
 	if inv.Recovery {
 		dst = inv.Driver
 	}
-	e.send(dst, ack)
+	if dst == e.self {
+		var ack wire.OwnAck
+		e.buildAck(&ack, inv)
+		e.handleAck(&ack)
+		return
+	}
+	ack := new(wire.OwnAck)
+	e.buildAck(ack, inv)
+	_ = e.tr.Send(dst, ack)
 }
 
-// buildAck assembles this node's ACK for the given INV, attaching the data
+// buildAck fills in this node's ACK for the given INV, attaching the data
 // when this node is the data source and the requester gains a replica.
-func (e *Engine) buildAck(inv *wire.OwnInv) *wire.OwnAck {
-	ack := &wire.OwnAck{
+func (e *Engine) buildAck(ack *wire.OwnAck, inv *wire.OwnInv) {
+	*ack = wire.OwnAck{
 		ReqID: inv.ReqID, Obj: inv.Obj, TS: inv.TS, Epoch: inv.Epoch,
 		From: e.self, Arbiters: inv.Arbiters, NewReplicas: inv.NewReplicas,
 		Mode: inv.Mode,
@@ -825,7 +963,6 @@ func (e *Engine) buildAck(inv *wire.OwnInv) *wire.OwnAck {
 			o.Mu.Unlock()
 		}
 	}
-	return ack
 }
 
 // ---------------------------------------------------------------------------
@@ -892,16 +1029,18 @@ func (e *Engine) handleInv(m *wire.OwnInv) {
 
 	// If this node was driving a different, smaller-ts request, that
 	// request lost: NACK its requester (contention resolution, §4.1).
-	var loser *store.PendingOwn
+	// Copied, not pointed to: setPendingLocked recycles the superseded record.
+	var loser store.PendingOwn
+	lost := false
 	if o.OState == store.ODrive && o.Pending != nil && o.Pending.Driver == e.self && o.Pending.ReqID != m.ReqID {
-		loser = o.Pending
+		loser, lost = *o.Pending, true
 	}
 
-	o.Pending = &store.PendingOwn{
+	setPendingLocked(o, store.PendingOwn{
 		ReqID: m.ReqID, TS: m.TS, Requester: m.Requester, Driver: m.Driver,
 		Mode: m.Mode, NewReplicas: m.NewReplicas, PrevOwner: m.PrevOwner,
 		Arbiters: m.Arbiters, Epoch: m.Epoch, Since: time.Now(),
-	}
+	})
 	o.OState = store.OInvalid
 	// An owner that accepts an INV moving ownership away relinquishes its
 	// write rights with the ACK (§4.1) — the requester applies first and
@@ -933,7 +1072,7 @@ func (e *Engine) handleInv(m *wire.OwnInv) {
 		e.recGrant(m.Obj, gts, greps)
 	}
 
-	if loser != nil {
+	if lost {
 		e.stNacks.Add(1)
 		e.send(loser.Requester, &wire.OwnNack{
 			ReqID: loser.ReqID, Obj: m.Obj, Epoch: m.Epoch, From: e.self,
@@ -953,19 +1092,20 @@ func (e *Engine) applyLocked(o *store.Object) (ts wire.OTS, reps wire.ReplicaSet
 	if p == nil {
 		return wire.OTS{}, wire.ReplicaSet{}, false
 	}
+	ts, reps = p.TS, p.NewReplicas
+	clearPendingLocked(o)
 	wasReplica := o.Level != wire.NonReplica
-	o.Replicas = p.NewReplicas
-	o.OTS = p.TS
+	o.Replicas = reps
+	o.OTS = ts
 	o.OState = store.OValid
-	newLevel := p.NewReplicas.LevelOf(e.self)
+	newLevel := reps.LevelOf(e.self)
 	if wasReplica && newLevel == wire.NonReplica {
 		o.Data = nil // dropped reader discards its replica
 		o.SetTLocked(0, store.TValid)
 		o.ResetRingLocked() // a dropped replica must never serve ring reads
 	}
 	o.Level = newLevel
-	o.Pending = nil
-	return p.TS, p.NewReplicas, true
+	return ts, reps, true
 }
 
 // recGrant records an applied ownership grant in the WAL (best effort:
@@ -1038,26 +1178,20 @@ func (e *Engine) handleAck(m *wire.OwnAck) {
 	}
 
 	req.mu.Lock()
-	if req.applied {
+	if req.id != m.ReqID || req.applied {
 		req.mu.Unlock()
-		return
+		return // the record moved on to another request, or this one is done
 	}
 	if req.ts != m.TS {
-		if req.ts.Less(m.TS) {
-			// The driver re-arbitrated this request with a fresh,
-			// larger o_ts (e.g. after an interleaved contender):
-			// adopt it and restart ACK collection.
-			req.ts = m.TS
-			req.acked = 0
-			req.hasData = false
-			req.data = nil
-			req.cts = 0
-		} else {
+		if !req.ts.Less(m.TS) {
 			req.mu.Unlock()
 			return // stale ACK from a superseded arbitration
 		}
+		// The driver re-arbitrated this request with a fresh, larger o_ts
+		// (e.g. after an interleaved contender): adopt it and restart ACK
+		// collection.
+		req.ackSet = ackSet{ts: m.TS}
 	}
-	req.ts = m.TS
 	req.arbiters = m.Arbiters
 	req.newReplicas = m.NewReplicas
 	req.acked = req.acked.Add(m.From)
@@ -1072,27 +1206,14 @@ func (e *Engine) handleAck(m *wire.OwnAck) {
 		return
 	}
 	req.applied = true
-	ts, arbiters := req.ts, req.arbiters
-	mode := req.mode
-	hasData, tversion, data := req.hasData, req.tversion, req.data
-	cts := req.cts
-	newReplicas := req.newReplicas
+	got, mode := req.ackSet, req.mode
 	req.mu.Unlock()
 
 	// All expected ACKs received: the requester applies the request first
 	// (before any arbiter), unblocks the application, then VALs.
-	e.applyAsRequester(m.Obj, ts, newReplicas, mode, hasData, tversion, data, cts)
-	select {
-	case req.done <- outcome{ok: true}:
-	default:
-	}
-	val := &wire.OwnVal{ReqID: m.ReqID, Obj: m.Obj, TS: ts, Epoch: m.Epoch}
-	for _, n := range arbiters.Nodes() {
-		if n == e.self {
-			continue
-		}
-		e.send(n, val)
-	}
+	e.applyAsRequester(m.Obj, got.ts, got.newReplicas, mode, got.hasData, got.tversion, got.data, got.cts)
+	req.deliver(m.ReqID, outcome{ok: true})
+	e.sendOthers(got.arbiters, &wire.OwnVal{ReqID: m.ReqID, Obj: m.Obj, TS: got.ts, Epoch: m.Epoch})
 }
 
 // applyAsRequester installs the granted level, replica set and (for fresh
@@ -1114,7 +1235,7 @@ func (e *Engine) applyAsRequester(obj wire.ObjectID, ts wire.OTS, reps wire.Repl
 					o.Replicas = reps
 					o.OTS = ts
 					o.OState = store.OValid
-					o.Pending = nil
+					clearPendingLocked(o)
 					o.Level = wire.NonReplica
 					o.Data = nil
 				}
@@ -1134,7 +1255,7 @@ func (e *Engine) applyAsRequester(obj wire.ObjectID, ts wire.OTS, reps wire.Repl
 	o.Replicas = reps
 	o.OTS = ts
 	o.OState = store.OValid
-	o.Pending = nil
+	clearPendingLocked(o)
 	if hasData && tversion >= o.TVersion {
 		o.Data = data
 		o.SetTLocked(tversion, store.TValid)
@@ -1156,13 +1277,8 @@ func (e *Engine) applyAsRequester(obj wire.ObjectID, ts wire.OTS, reps wire.Repl
 }
 
 func (e *Engine) handleNack(m *wire.OwnNack) {
-	req, ok := e.pending.Get(m.ReqID)
-	if !ok {
-		return
-	}
-	select {
-	case req.done <- outcome{ok: false, reason: m.Reason, from: m.From}:
-	default:
+	if req, ok := e.pending.Get(m.ReqID); ok {
+		req.deliver(m.ReqID, outcome{reason: m.Reason, from: m.From})
 	}
 }
 
@@ -1259,12 +1375,7 @@ func (e *Engine) arbReplay(obj wire.ObjectID, pend store.PendingOwn, epoch wire.
 	inv.Driver = e.self // ACKs flow to the replaying driver
 	inv.Recovery = true
 	inv.Arbiters = rs.arbiters
-	for _, n := range rs.arbiters.Nodes() {
-		if n == e.self {
-			continue
-		}
-		e.send(n, inv)
-	}
+	e.sendOthers(rs.arbiters, inv)
 	// Count the replayer's own ACK.
 	e.recovMu.Lock()
 	rs.acked = rs.acked.Add(e.self)
@@ -1309,13 +1420,7 @@ func (e *Engine) checkRecoveryCompleteLocked(rs *recovState, epoch wire.Epoch) {
 		if p.Requester == e.self {
 			e.applyAsRequester(rs.obj, rs.ts, p.NewReplicas, p.Mode, rs.hasData, rs.tversion, rs.data, rs.cts)
 		}
-		val := &wire.OwnVal{ReqID: rs.reqID, Obj: rs.obj, TS: rs.ts, Epoch: epoch}
-		for _, n := range rs.arbiters.Nodes() {
-			if n == e.self {
-				continue
-			}
-			e.send(n, val)
-		}
+		e.sendOthers(rs.arbiters, &wire.OwnVal{ReqID: rs.reqID, Obj: rs.obj, TS: rs.ts, Epoch: epoch})
 		// Ensure the local entry is validated too (the requester may have
 		// died before applying; this node holds the pending record).
 		if o, ok := e.st.Get(rs.obj); ok {
@@ -1341,18 +1446,8 @@ func (e *Engine) handleResp(m *wire.OwnResp) {
 		return
 	}
 	e.applyAsRequester(m.Obj, m.TS, m.NewReplicas, m.Mode, m.HasData, m.TVersion, m.Data, m.CTS)
-	req, ok := e.pending.Get(m.ReqID)
-	if ok {
-		select {
-		case req.done <- outcome{ok: true}:
-		default:
-		}
+	if req, ok := e.pending.Get(m.ReqID); ok {
+		req.deliver(m.ReqID, outcome{ok: true})
 	}
-	val := &wire.OwnVal{ReqID: m.ReqID, Obj: m.Obj, TS: m.TS, Epoch: m.Epoch}
-	for _, n := range m.Arbiters.Nodes() {
-		if n == e.self {
-			continue
-		}
-		e.send(n, val)
-	}
+	e.sendOthers(m.Arbiters, &wire.OwnVal{ReqID: m.ReqID, Obj: m.Obj, TS: m.TS, Epoch: m.Epoch})
 }

@@ -3,6 +3,9 @@ package ownership
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -42,6 +45,7 @@ func newTestCluster(t *testing.T, n int) *tcluster {
 	}
 	hub := transport.NewHub()
 	mgr := membership.NewManager(membership.Config{Lease: 2 * time.Millisecond}, members)
+	t.Cleanup(mgr.Close) // its view-service replicas tick until closed
 	c := &tcluster{hub: hub, mgr: mgr, dirs: dirs}
 	for i := 0; i < n; i++ {
 		id := wire.NodeID(i)
@@ -570,5 +574,239 @@ func TestInvariantSingleOwnerUnderChurn(t *testing.T) {
 				t.Fatalf("obj %d: directory owner %d at level %v", i, reps[0].Owner, lvl)
 			}
 		}
+	}
+}
+
+// settled waits until obj's move to newOwner is validated everywhere: every
+// VAL sent and applied.
+func (c *tcluster) settled(t *testing.T, obj wire.ObjectID, newOwner wire.NodeID) {
+	t.Helper()
+	for _, nd := range c.nodes {
+		if _, ok := nd.st.Get(obj); ok {
+			c.waitDir(t, nd.id, obj, func(reps wire.ReplicaSet) bool { return reps.Owner == newOwner })
+		}
+	}
+}
+
+// The protocol steps a node addresses to itself are function calls, so a move
+// costs exactly the messages the protocol requires, whoever drives it.
+func TestMoveSendsOnlyTheRequiredMessages(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		nodes     int
+		requester wire.NodeID
+		want      uint64
+	}{
+		// Requester = driver = arbiter: 2 INV, 2 ACK, 2 VAL.
+		{"requester drives", 3, 2, 6},
+		// Requester outside the shard's drivers: REQ, 2 INV, 3 ACK, 3 VAL.
+		{"requester does not drive", 5, 4, 9},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCluster(t, tc.nodes)
+			seed(t, c, 0, 70, 0, []byte("m"))
+			c.settled(t, 70, 0)
+			if got := c.nodes[tc.requester].eng.DrivesShard(tc.requester, 70); got != (tc.nodes == 3) {
+				t.Fatalf("requester drives the shard: %v", got)
+			}
+			before := c.hub.Messages()
+			if err := c.nodes[tc.requester].eng.AcquireOwnership(70); err != nil {
+				t.Fatal(err)
+			}
+			c.settled(t, 70, tc.requester)
+			if got := c.hub.Messages() - before; got != tc.want {
+				t.Fatalf("move took %d messages, want %d", got, tc.want)
+			}
+			if s := c.nodes[tc.requester].eng.Stats(); s.Requests != 1 || s.Succeeded != 1 {
+				t.Fatalf("stats = %+v, want one request, one success", s)
+			}
+		})
+	}
+}
+
+// A driver's refusal reaches a requester on the same node as the same NACK it
+// would send over the wire.
+func TestNackToSelf(t *testing.T) {
+	c := newTestCluster(t, 4)
+	seed(t, c, 1, 71, 0, []byte("n"))
+	for _, tc := range []struct {
+		name   string
+		node   wire.NodeID
+		arm    func(e *Engine, m *wire.OwnReq)
+		reason wire.NackReason
+	}{
+		{"paused", 0, func(e *Engine, _ *wire.OwnReq) { e.Pause() }, wire.NackRecovering},
+		{"wrong epoch", 0, func(_ *Engine, m *wire.OwnReq) { m.Epoch++ }, wire.NackWrongEpoch},
+		{"not driver", 3, func(*Engine, *wire.OwnReq) {}, wire.NackNotDriver},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := c.nodes[tc.node].eng
+			req, id := e.beginRequest(wire.AcquireOwner)
+			defer e.endRequest(req)
+			m := &wire.OwnReq{
+				ReqID: id, Obj: 71, Requester: e.self, Mode: wire.AcquireOwner,
+				Epoch: e.agent.Epoch(), Shard: uint32(e.dir.ShardOf(71)),
+			}
+			tc.arm(e, m)
+			defer e.recovering.Store(false)
+			e.Handle(e.self, m)
+			out, timedOut, err := e.await(req, id)
+			if err != nil || timedOut {
+				t.Fatalf("no outcome: timedOut=%v err=%v", timedOut, err)
+			}
+			if out.ok || out.reason != tc.reason || out.from != e.self {
+				t.Fatalf("outcome = %+v, want a %v NACK from node %d", out, tc.reason, e.self)
+			}
+		})
+	}
+}
+
+func TestPausedEngineAbortsLocalRequester(t *testing.T) {
+	c := newTestCluster(t, 3)
+	seed(t, c, 1, 72, 0, []byte("p"))
+	e := c.nodes[0].eng
+	e.cfg.Deadline = 20 * time.Millisecond
+	e.Pause()
+	err := e.AcquireOwnership(72)
+	if !errors.Is(err, ErrAborted) || !strings.Contains(err.Error(), wire.NackRecovering.String()) {
+		t.Fatalf("err = %v, want ErrAborted (%v)", err, wire.NackRecovering)
+	}
+	if s := e.Stats(); s.Succeeded != 0 || s.Timeouts != 0 {
+		t.Fatalf("stats = %+v", s)
+	}
+}
+
+// blockedAcquire starts e.AcquireOwnership(obj) with every other node cut
+// off, and returns once the request is collecting ACKs: its own is in, the
+// rest can never come.
+func blockedAcquire(t *testing.T, c *tcluster, e *Engine, obj wire.ObjectID) (*pendingReq, <-chan error) {
+	t.Helper()
+	for _, nd := range c.nodes {
+		c.hub.SetDown(nd.id, nd.eng != e)
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- e.AcquireOwnership(obj) }()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		var req *pendingReq
+		e.pending.Range(func(_ uint64, r *pendingReq) bool { req = r; return false })
+		if req != nil {
+			req.mu.Lock()
+			collecting := req.acked.Contains(e.self)
+			req.mu.Unlock()
+			if collecting {
+				return req, errc
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("acquisition never started collecting ACKs")
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+}
+
+// A request record is reused by the next acquisition. A handler that resolved
+// it under the finished request's id must not touch the new request.
+func TestLateMessagesLeaveReusedRecordAlone(t *testing.T) {
+	c := newTestCluster(t, 3)
+	seed(t, c, 1, 80, 0, []byte("a"))
+	seed(t, c, 1, 81, 0, []byte("b"))
+	e := c.nodes[0].eng
+	e.cfg.AttemptTimeout = 10 * time.Second // the blocked attempt must not expire under the test
+	e.cfg.Deadline = 20 * time.Second
+
+	if err := e.AcquireOwnership(80); err != nil {
+		t.Fatal(err)
+	}
+	c.settled(t, 80, 0)
+	finished := uint64(e.self)<<48 | e.nextReq.Load()
+	if len(e.free) != 1 {
+		t.Fatalf("%d parked records after one acquisition", len(e.free))
+	}
+	parked := e.free[0]
+
+	req, errc := blockedAcquire(t, c, e, 81)
+	if req != parked {
+		t.Fatal("second acquisition did not reuse the first one's record")
+	}
+	req.mu.Lock()
+	current, before := req.id, req.ackSet
+	req.mu.Unlock()
+
+	// What a handler holds that looked the record up just before the first
+	// request was retired.
+	e.pending.Put(finished, req)
+	o, _ := c.nodes[0].st.Get(80)
+	o.Mu.Lock()
+	ts, reps := o.OTS, o.Replicas
+	o.Mu.Unlock()
+	epoch := e.agent.Epoch()
+	e.Handle(1, &wire.OwnNack{ReqID: finished, Obj: 80, Epoch: epoch, From: 1, Reason: wire.NackLostArbitration})
+	e.Handle(1, &wire.OwnAck{
+		ReqID: finished, Obj: 80, TS: wire.OTS{Ver: ts.Ver + 5, Node: 1}, Epoch: epoch, From: 1,
+		Arbiters: wire.BitmapOf(0, 1), NewReplicas: reps, Mode: wire.AcquireOwner,
+	})
+	e.Handle(1, &wire.OwnResp{
+		ReqID: finished, Obj: 80, TS: ts, Epoch: epoch, Driver: 1,
+		NewReplicas: reps, Mode: wire.AcquireOwner,
+	})
+	e.pending.Delete(finished)
+
+	req.mu.Lock()
+	after, id := req.ackSet, req.id
+	req.mu.Unlock()
+	if id != current || !reflect.DeepEqual(after, before) {
+		t.Fatalf("late messages changed the record: id %d → %d, ACK set %+v → %+v", current, id, before, after)
+	}
+	select {
+	case out := <-req.done:
+		t.Fatalf("late messages produced outcome %+v", out)
+	case err := <-errc:
+		t.Fatalf("late messages finished the acquisition: %v", err)
+	default:
+	}
+
+	// The same messages under the current id do count: with the fabric back,
+	// an owner-busy NACK makes run re-send the request, which now completes.
+	for _, nd := range c.nodes {
+		c.hub.SetDown(nd.id, false)
+	}
+	e.Handle(1, &wire.OwnNack{ReqID: current, Obj: 81, Epoch: epoch, From: 1, Reason: wire.NackPendingCommit})
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	if owners := c.ownersOf(81); len(owners) != 1 || owners[0] != 0 {
+		t.Fatalf("owners = %v", owners)
+	}
+}
+
+// The engine runs on its callers' goroutines and owns none: New starts
+// nothing, and Close only has to release the acquisitions blocked in it.
+func TestCloseReleasesBlockedAcquireAndEngineOwnsNoGoroutine(t *testing.T) {
+	c := newTestCluster(t, 3)
+	seed(t, c, 1, 90, 0, []byte("c"))
+	nd := c.nodes[0]
+
+	idle := runtime.NumGoroutine()
+	spare := New(nd.id, store.New(), nd.tr, nd.agent, DefaultConfig(c.dirs))
+	if got := runtime.NumGoroutine(); got != idle {
+		t.Fatalf("New started %d goroutines", got-idle)
+	}
+	spare.Close()
+
+	_, errc := blockedAcquire(t, c, nd.eng, 90)
+	nd.eng.Close()
+	if err := <-errc; !errors.Is(err, ErrClosed) {
+		t.Fatalf("err = %v, want ErrClosed", err)
+	}
+	if err := nd.eng.AcquireOwnership(90); !errors.Is(err, ErrClosed) {
+		t.Fatalf("acquire on a closed engine: %v", err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > idle {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left behind", runtime.NumGoroutine()-idle)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

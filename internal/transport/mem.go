@@ -118,14 +118,15 @@ func (t *MemTransport) sendable() error {
 // and receivers never alias sender memory. The encode buffer is pooled.
 //
 // Exception — the reliable-commit hot path (R-INV/R-ACK/R-VAL) is delivered
-// zero-copy, like the ownership engine's self-queue: the receiver gets the
-// sender's message pointer with no marshal/unmarshal round trip. This is
-// safe because commit-protocol messages are immutable once handed to the
-// transport (the engine copy-on-writes them for epoch rewrites, see
-// commit.OnViewChange/resendLoop) and Update.Data/object data are never
+// zero-copy: the receiver gets the sender's message pointer with no
+// marshal/unmarshal round trip. (Ownership messages are not exempt — what a
+// node addresses to itself the ownership engine handles inline, and never
+// sends.) This is safe because commit-protocol messages are immutable once
+// handed to the transport (the engine copy-on-writes them for epoch rewrites,
+// see commit.OnViewChange/resendLoop) and Update.Data/object data are never
 // mutated in place anywhere (writes replace the slice wholesale). Byte
-// accounting uses the exact encoded size so bandwidth numbers stay
-// comparable with the real fabrics.
+// accounting uses the exact encoded size so bandwidth numbers stay comparable
+// with the real fabrics.
 func (t *MemTransport) roundtrip(m wire.Msg) (wire.Msg, error) {
 	if n, ok := wire.CommitSize(m); ok {
 		t.hub.msgs.Add(1)
