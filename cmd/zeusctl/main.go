@@ -57,7 +57,7 @@ func main() {
 	// steered to the client while ObsState replies from data nodes land in
 	// obsCh for the metrics/status commands.
 	router := transport.NewRouter()
-	cli := viewsvc.NewClientDetached(viewsvc.Config{}, tr, replicaIDs, 0)
+	cli := viewsvc.NewClientDetached(viewsvc.Config{}, tr, replicaIDs, 0, nil)
 	defer cli.Close()
 	router.HandleMany(cli.Handle, wire.KindVSCommit, wire.KindVSQuery)
 	obsCh := make(chan *wire.ObsState, 8)

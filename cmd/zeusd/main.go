@@ -6,7 +6,8 @@
 // cluster state rather than per-process assumption.
 //
 // Founding a three-node cluster, each node hosting one view replica
-// (three shells; identical -peers, -view and -dir-shards everywhere):
+// (three shells; identical -peers and -view everywhere, and the same
+// -dir-shards on every process that hosts a view replica):
 //
 //	zeusd -id 0 -listen :7000 -view :7100,:7101,:7102 -view-host 0 -peers 0=:7000,1=:7001,2=:7002 -data /var/zeus/0
 //	zeusd -id 1 -listen :7001 -view :7100,:7101,:7102 -view-host 1 -peers 0=:7000,1=:7001,2=:7002 -data /var/zeus/1
@@ -22,6 +23,11 @@
 // delta-syncs divergent objects from the current owners (state sync) before
 // serving. A process with -view-only hosts just its view replica and no data
 // node. Use cmd/zeusctl to inspect or drive the ensemble from outside.
+//
+// The ownership directory (§6.2) has one placement authority: -dir-shards
+// only seeds the ensemble's initial state, and every data node — founder or
+// joiner, whatever its id — resolves object → shard → drivers from the
+// placement the ensemble commits.
 package main
 
 import (
@@ -38,9 +44,7 @@ import (
 	"time"
 
 	"zeus/internal/core"
-	"zeus/internal/membership"
 	"zeus/internal/obs"
-	"zeus/internal/ownership"
 	"zeus/internal/storage/filestorage"
 	"zeus/internal/transport"
 	"zeus/internal/viewsvc"
@@ -60,7 +64,7 @@ func main() {
 	dataDir := flag.String("data", "", "durable data directory (WAL + snapshots); empty = memory only")
 	degree := flag.Int("degree", 3, "replication degree")
 	workers := flag.Int("workers", 8, "worker threads")
-	dirShards := flag.Int("dir-shards", 0, "ownership-directory shard count (0 = service default; every process MUST pass the same value)")
+	dirShards := flag.Int("dir-shards", 0, "ownership-directory shard count: seeds the view ensemble's initial placement, which every data node then follows (0 = host-scaled default; a non-zero value that contradicts the committed placement is fatal)")
 	lease := flag.Duration("lease", 500*time.Millisecond, "membership lease (failure detection horizon)")
 	obsAddr := flag.String("obs-addr", "", "observability HTTP listen address (/metrics, /debug/trace, /debug/incidents); empty = off")
 	traceSample := flag.Uint64("trace-sample", 0, "sample every Nth write transaction with a per-phase trace (0 = off; needs -obs-addr)")
@@ -166,16 +170,9 @@ func main() {
 	}
 	defer tr.Close()
 
-	cli := viewsvc.NewClientDetached(vcfg, tr, replicaIDs, members)
-	mgr := membership.NewManagerOver(membership.Config{Lease: *lease, DirShards: *dirShards}, cli)
-	defer mgr.Close()
-	agent := mgr.Agent(self)
-
 	cfg := core.DefaultConfig()
 	cfg.Degree = *degree
 	cfg.Workers = *workers
-	cfg.DirectoryShards = *dirShards
-	cfg.Ownership = ownership.DefaultConfig(firstThree(members))
 	if *dataDir != "" {
 		stg, err := filestorage.Open(*dataDir)
 		if err != nil {
@@ -187,10 +184,11 @@ func main() {
 		cfg.Obs = obs.NewRegistry()
 		cfg.TraceSample = *traceSample
 		cfg.Obs.CounterFunc("tcp_decode_drops_total", tr.DecodeDrops)
-		cli.SetObs(cfg.Obs)
 	}
 	cfg.WatchdogAge = *watchdogAge
-	node := core.NewNode(self, tr, agent, cfg)
+	cli := viewsvc.NewClientDetached(vcfg, tr, replicaIDs, members, cfg.Obs)
+	defer cli.Close()
+	node := core.NewNode(self, tr, cli.Agent(self), cfg)
 	defer node.Close()
 	if *obsAddr != "" {
 		serveObs(*obsAddr, node.Obs())
@@ -200,7 +198,7 @@ func main() {
 	node.Router().HandleMany(cli.Handle, wire.KindVSCommit, wire.KindVSQuery)
 
 	if *join {
-		if err := joinCluster(node, tr, mgr, cli, self, adv, *dirShards); err != nil {
+		if err := joinCluster(node, tr, cli, self, adv, *dirShards); err != nil {
 			log.Fatalf("zeusd: %v", err)
 		}
 	} else if *dataDir != "" && node.Incarnation() > 1 {
@@ -210,18 +208,18 @@ func main() {
 		// epoch and has the survivors replay whatever the previous
 		// incarnation left mid-flight, then state sync re-arms the
 		// recovered objects against the current owners.
-		if err := joinCluster(node, tr, mgr, cli, self, adv, *dirShards); err != nil {
+		if err := joinCluster(node, tr, cli, self, adv, *dirShards); err != nil {
 			log.Fatalf("zeusd: founder rejoin: %v", err)
 		}
 	}
 
-	go watchClusterState(tr, mgr, cli, self, *dirShards)
+	go watchClusterState(tr, cli, self, *dirShards)
 
 	log.Printf("zeusd: node %d serving on %s (advertised %s), view %v, epoch %d, live %s",
-		*id, tr.Addr(), adv, viewAddrs, mgr.View().Epoch, mgr.View().Live)
+		*id, tr.Addr(), adv, viewAddrs, cli.View().Epoch, cli.View().Live)
 
 	if *demo {
-		runDemo(node, mgr.View().Live)
+		runDemo(node, cli.View().Live)
 	}
 
 	waitSignal()
@@ -232,7 +230,7 @@ func main() {
 // ensemble, adopt its address book, verify the directory configuration,
 // evict any still-live previous incarnation of itself (leave-then-join),
 // commit the join, and state-sync whatever the local WAL recovered.
-func joinCluster(node *core.Node, tr *transport.TCP, mgr *membership.Manager, cli *viewsvc.Client, self wire.NodeID, adv string, dirShards int) error {
+func joinCluster(node *core.Node, tr *transport.TCP, cli *viewsvc.Client, self wire.NodeID, adv string, dirShards int) error {
 	// First contact: the cached state is a local seed (empty, for a joiner)
 	// until the ensemble answers. WaitEpoch re-queries as a lost-push
 	// backstop, so driving it doubles as the contact retry loop.
@@ -241,9 +239,9 @@ func joinCluster(node *core.Node, tr *transport.TCP, mgr *membership.Manager, cl
 		if time.Now().After(deadline) {
 			return fmt.Errorf("no contact with view ensemble (is it running?)")
 		}
-		cli.WaitEpoch(mgr.View().Epoch+1, 500*time.Millisecond)
+		cli.WaitEpoch(cli.View().Epoch+1, 500*time.Millisecond)
 	}
-	s := mgr.State()
+	s := cli.State()
 	if err := checkPlacement(s, dirShards); err != nil {
 		return err
 	}
@@ -264,16 +262,16 @@ func joinCluster(node *core.Node, tr *transport.TCP, mgr *membership.Manager, cl
 		if !cli.Leave(self) {
 			return fmt.Errorf("pre-join leave did not commit (no ensemble quorum?)")
 		}
-		if !mgr.WaitEpoch(before+1, 10*time.Second) {
+		if !cli.WaitEpoch(before+1, 10*time.Second) {
 			return fmt.Errorf("pre-join leave view change timed out")
 		}
-		s = mgr.State()
+		s = cli.State()
 	}
 	before := s.Epoch
 	if !cli.JoinAddr(self, adv) {
 		return fmt.Errorf("join did not commit (no ensemble quorum?)")
 	}
-	if !mgr.WaitEpoch(before+1, 10*time.Second) {
+	if !cli.WaitEpoch(before+1, 10*time.Second) {
 		return fmt.Errorf("join view change timed out")
 	}
 	// Rejoin is state sync, not cold start: recovered objects re-arm at the
@@ -288,14 +286,14 @@ func joinCluster(node *core.Node, tr *transport.TCP, mgr *membership.Manager, cl
 // watchClusterState follows the replicated state: new addresses extend the
 // transport's book, and a directory-shard disagreement (this process was
 // started with a -dir-shards that contradicts the committed placement) is
-// fatal — serving would split-brain the ownership directory.
-func watchClusterState(tr *transport.TCP, mgr *membership.Manager, cli *viewsvc.Client, self wire.NodeID, dirShards int) {
+// fatal — the operator's idea of the deployment is wrong.
+func watchClusterState(tr *transport.TCP, cli *viewsvc.Client, self wire.NodeID, dirShards int) {
 	for {
 		time.Sleep(200 * time.Millisecond)
 		if !cli.Heard() {
 			continue
 		}
-		s := mgr.State()
+		s := cli.State()
 		if err := checkPlacement(s, dirShards); err != nil {
 			log.Fatalf("zeusd: %v", err)
 		}
@@ -353,22 +351,6 @@ func waitSignal() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
-}
-
-// firstThree picks the directory nodes for the legacy static directory (the
-// sharded directory ignores it): the three lowest founding ids.
-func firstThree(members wire.Bitmap) wire.Bitmap {
-	var dirs wire.Bitmap
-	for i, n := range members.Nodes() {
-		if i == 3 {
-			break
-		}
-		dirs = dirs.Add(n)
-	}
-	if dirs == 0 {
-		dirs = wire.BitmapOf(0, 1, 2)
-	}
-	return dirs
 }
 
 func splitAddrs(s string) []string {

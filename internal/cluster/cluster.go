@@ -1,7 +1,7 @@
 // Package cluster assembles an in-process Zeus deployment: N core nodes over
 // either the perfect in-memory fabric (Hub) or the lossy simulated network
-// (netsim + reliable transport), one membership manager, and helpers for
-// failure injection, scale-out and bulk data seeding.
+// (netsim + reliable transport), one view-service ensemble and its client,
+// and helpers for failure injection, scale-out and bulk data seeding.
 //
 // This is the substitute for the paper's six-server testbed: benchmarks and
 // experiments run against a Cluster.
@@ -9,17 +9,14 @@ package cluster
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
 	"zeus/internal/core"
-	"zeus/internal/membership"
 	"zeus/internal/netsim"
 	"zeus/internal/obs"
 	"zeus/internal/ownership"
 	"zeus/internal/retry"
-	"zeus/internal/shardmap"
 	"zeus/internal/storage"
 	"zeus/internal/store"
 	"zeus/internal/transport"
@@ -68,19 +65,12 @@ type Options struct {
 	// fault-injection tests can crash them like any node.
 	ViewReplicas int
 	// View overrides the view-service tuning (heartbeat, takeover,
-	// client retry). Zero fields derive from Lease.
+	// client retry). Zero fields derive from Lease. View.DirShards is the
+	// one place the ownership directory's shard count (§6.2) is set: each
+	// shard is driven by up to three nodes rendezvous-hashed from the live
+	// view, and every node follows the shard→drivers placement the view
+	// service replicates. Zero or negative picks the host-scaled default.
 	View viewsvc.Config
-	// DirShards partitions the ownership directory into hash shards
-	// (§6.2), each driven by up to three nodes rendezvous-hashed from the
-	// live view, with the shard→drivers placement replicated through the
-	// view service. 0 picks the host-scaled default
-	// (shardmap.ScaledCount); negative — or an explicit DirNodes — keeps
-	// the legacy fixed directory (the 1-shard compat shim).
-	DirShards int
-	// DirNodes overrides the directory placement with a fixed driver set
-	// (default: first 3 nodes). Setting it selects the legacy static
-	// directory; leave it zero to use the sharded directory.
-	DirNodes wire.Bitmap
 	// TrimReplicas / AutoAcquireRead forward to core.Config.
 	TrimReplicas    bool
 	AutoAcquireRead bool
@@ -113,8 +103,7 @@ type Options struct {
 	WatchdogAge time.Duration
 }
 
-// DefaultOptions mirrors the paper's setup: 3-way replication, directory on
-// the first three nodes.
+// DefaultOptions mirrors the paper's setup: 3-way replication.
 func DefaultOptions(nodes int) Options {
 	return Options{
 		Nodes:           nodes,
@@ -129,18 +118,16 @@ func DefaultOptions(nodes int) Options {
 
 // Cluster is an in-process Zeus deployment.
 type Cluster struct {
-	opts      Options
-	hub       *transport.Hub
-	net       *netsim.Network
-	mgr       *membership.Manager
-	views     *viewsvc.Ensemble
-	vsIDs     []wire.NodeID
-	mu        sync.RWMutex // guards nodes/trs: Restart races test load loops
-	nodes     map[wire.NodeID]*core.Node
-	trs       map[wire.NodeID]transport.Transport
-	stores    map[wire.NodeID]storage.Storage // retained across Restart
-	dirs      wire.Bitmap
-	dirShards int // > 0: sharded directory; <= 0: legacy static DirNodes
+	opts   Options
+	hub    *transport.Hub
+	net    *netsim.Network
+	mgr    *viewsvc.Client
+	views  *viewsvc.Ensemble
+	vsIDs  []wire.NodeID
+	mu     sync.RWMutex // guards nodes/trs: Restart races test load loops
+	nodes  map[wire.NodeID]*core.Node
+	trs    map[wire.NodeID]transport.Transport
+	stores map[wire.NodeID]storage.Storage // retained across Restart
 
 	// viewObs (Options.Observability only) holds the shared view-service
 	// client's metrics — epoch changes, recovery-barrier durations, lease
@@ -183,34 +170,11 @@ func New(opts Options) *Cluster {
 	for i := 0; i < opts.Nodes; i++ {
 		members = members.Add(wire.NodeID(i))
 	}
-	dirs := opts.DirNodes
-	if dirs == 0 {
-		n := 3
-		if opts.Nodes < 3 {
-			n = opts.Nodes
-		}
-		for i := 0; i < n; i++ {
-			dirs = dirs.Add(wire.NodeID(i))
-		}
-	}
-	// Directory sharding (§6.2): the default is the sharded directory at
-	// host scale; an explicit DirNodes set — which pins the driver set, as
-	// documented — or a negative DirShards keeps the legacy fixed
-	// directory as the compat shim.
-	dirShards := opts.DirShards
-	if opts.DirNodes != 0 {
-		dirShards = -1
-	}
-	if dirShards == 0 {
-		dirShards = shardmap.ScaledCount(runtime.GOMAXPROCS(0))
-	}
 	c := &Cluster{
-		opts:      opts,
-		nodes:     make(map[wire.NodeID]*core.Node),
-		trs:       make(map[wire.NodeID]transport.Transport),
-		stores:    make(map[wire.NodeID]storage.Storage),
-		dirs:      dirs,
-		dirShards: dirShards,
+		opts:   opts,
+		nodes:  make(map[wire.NodeID]*core.Node),
+		trs:    make(map[wire.NodeID]transport.Transport),
+		stores: make(map[wire.NodeID]storage.Storage),
 	}
 	switch opts.Fabric {
 	case FabricSim:
@@ -228,21 +192,16 @@ func New(opts Options) *Cluster {
 	if vcfg.Lease <= 0 {
 		vcfg.Lease = opts.Lease
 	}
-	if c.dirShards > 0 && vcfg.DirShards <= 0 {
-		vcfg.DirShards = c.dirShards
-	}
 	c.vsIDs = viewsvc.ReplicaIDs(opts.ViewReplicas)
 	vtrs := make([]transport.Transport, len(c.vsIDs))
 	for i, id := range c.vsIDs {
 		vtrs[i] = c.endpoint(id)
 	}
 	c.views = viewsvc.StartEnsemble(vcfg, c.vsIDs, vtrs, members)
-	cli := viewsvc.NewClient(vcfg, c.endpoint(viewsvc.ClientID), c.vsIDs, members)
 	if opts.Observability {
 		c.viewObs = obs.NewRegistry()
-		cli.SetObs(c.viewObs)
 	}
-	c.mgr = membership.NewManagerOver(membership.Config{Lease: opts.Lease}, cli)
+	c.mgr = viewsvc.NewClient(vcfg, c.endpoint(viewsvc.ClientID), c.vsIDs, members, c.viewObs)
 	for i := 0; i < opts.Nodes; i++ {
 		c.startNode(wire.NodeID(i))
 	}
@@ -307,7 +266,7 @@ func (c *Cluster) reliableCfg() transport.ReliableConfig {
 
 func (c *Cluster) startNode(id wire.NodeID) *core.Node {
 	tr := c.endpoint(id)
-	ocfg := ownership.DefaultConfig(c.dirs)
+	ocfg := ownership.DefaultConfig()
 	if c.opts.OwnershipDeadline > 0 {
 		ocfg.Deadline = c.opts.OwnershipDeadline
 	}
@@ -326,9 +285,6 @@ func (c *Cluster) startNode(id wire.NodeID) *core.Node {
 		Ownership:        ocfg,
 		SnapshotReads:    c.opts.SnapshotReads,
 		SafeTimeInterval: c.opts.SafeTimeInterval,
-	}
-	if c.dirShards > 0 {
-		cfg.DirectoryShards = c.dirShards
 	}
 	if c.opts.Observability {
 		cfg.Obs = obs.NewRegistry()
@@ -376,8 +332,9 @@ func (c *Cluster) Nodes() int {
 	return len(c.nodes)
 }
 
-// Manager exposes the membership manager.
-func (c *Cluster) Manager() *membership.Manager { return c.mgr }
+// Manager exposes the cluster's view-service client: the membership handle
+// (View, Fail, Join, Leave, WaitEpoch, RecoveryPending, Placement).
+func (c *Cluster) Manager() *viewsvc.Client { return c.mgr }
 
 // Obs returns node i's observability registry (nil unless the cluster was
 // built with Options.Observability, or ZEUS_WATCHDOG_AGE armed a private
@@ -428,29 +385,13 @@ func (c *Cluster) KillViewReplica(k int) error {
 // Live returns the current live set.
 func (c *Cluster) Live() wire.Bitmap { return c.mgr.View().Live }
 
-// Dirs returns the legacy static directory node set (the compat shim's
-// driver set). Sharded deployments resolve drivers per object — see
-// DirDrivers.
-func (c *Cluster) Dirs() wire.Bitmap { return c.dirs }
-
-// DirShards returns the directory shard count (1 for the legacy static
-// directory).
-func (c *Cluster) DirShards() int {
-	if c.dirShards > 0 {
-		return c.dirShards
-	}
-	return 1
-}
+// DirShards returns the directory shard count of the committed placement.
+func (c *Cluster) DirShards() int { return len(c.mgr.Placement().Shards) }
 
 // DirDrivers returns the arbitration driver set for obj under the current
-// placement (the static set on legacy deployments).
+// placement.
 func (c *Cluster) DirDrivers(obj wire.ObjectID) wire.Bitmap {
-	if c.dirShards > 0 {
-		if p := c.mgr.Placement(); p != nil && !p.IsZero() {
-			return p.DriversFor(obj)
-		}
-	}
-	return c.dirs
+	return c.mgr.Placement().DriversFor(obj)
 }
 
 // Kill crash-stops node i and waits for the view change and the recovery
@@ -475,7 +416,7 @@ func (c *Cluster) Kill(i int) error {
 // escapes.
 var errRecoveryPending = fmt.Errorf("cluster: recovery barrier open")
 
-// waitRecoveryDrained polls the manager's recovery barrier through the
+// waitRecoveryDrained polls the client's recovery barrier through the
 // shared retry machinery (fixed 200 µs probes, bounded by timeout); it
 // reports whether the barrier closed in time.
 func (c *Cluster) waitRecoveryDrained(timeout time.Duration) bool {
@@ -619,10 +560,8 @@ func (c *Cluster) Bytes() uint64 {
 func (c *Cluster) Seed(obj wire.ObjectID, owner wire.NodeID, readers wire.Bitmap, data []byte) {
 	reps := wire.ReplicaSet{Owner: owner, Readers: readers.Remove(owner)}
 	ts := wire.OTS{Ver: 1, Node: owner}
-	// Directory entries land at the object's arbitration drivers; the
-	// legacy dirs set is seeded too so compat tooling keeps seeing entries
-	// at the first three nodes (a stale never-driving entry is inert).
-	targets := reps.All().Union(c.dirs).Union(c.DirDrivers(obj))
+	// Directory entries land at the object's arbitration drivers.
+	targets := reps.All().Union(c.DirDrivers(obj))
 	for _, id := range targets.Nodes() {
 		n := c.Node(int(id))
 		if n == nil {

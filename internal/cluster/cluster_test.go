@@ -16,8 +16,21 @@ func TestDefaultsAndAccessors(t *testing.T) {
 	if c.Nodes() != 4 {
 		t.Fatalf("nodes = %d", c.Nodes())
 	}
-	if c.Dirs() != wire.BitmapOf(0, 1, 2) {
-		t.Fatalf("dirs = %v", c.Dirs())
+	if c.DirShards() < 1 {
+		t.Fatalf("dir shards = %d", c.DirShards())
+	}
+	// A non-positive shard count is the host-scaled default, not a mode.
+	neg := DefaultOptions(3)
+	neg.View.DirShards = -1
+	c2 := New(neg)
+	defer c2.Close()
+	if c2.DirShards() != c.DirShards() {
+		t.Fatalf("DirShards -1 gave %d shards, default gives %d", c2.DirShards(), c.DirShards())
+	}
+	for obj := wire.ObjectID(0); obj < 32; obj++ {
+		if d := c.DirDrivers(obj); d.Count() != 3 || d.Intersect(c.Live()) != d {
+			t.Fatalf("obj %d: drivers = %v (live %v)", obj, d, c.Live())
+		}
 	}
 	if c.Live().Count() != 4 {
 		t.Fatalf("live = %v", c.Live())
@@ -33,8 +46,10 @@ func TestDefaultsAndAccessors(t *testing.T) {
 func TestSmallClusterDirsClamped(t *testing.T) {
 	c := New(DefaultOptions(2))
 	defer c.Close()
-	if c.Dirs().Count() != 2 {
-		t.Fatalf("dirs on 2-node cluster = %v", c.Dirs())
+	for obj := wire.ObjectID(0); obj < 32; obj++ {
+		if d := c.DirDrivers(obj); d != wire.BitmapOf(0, 1) {
+			t.Fatalf("obj %d: drivers on 2-node cluster = %v", obj, d)
+		}
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 func dirTortureOpts() Options {
 	opts := tortureOpts()
 	opts.Nodes = 5
-	opts.DirShards = 16
+	opts.View.DirShards = 16
 	return opts
 }
 

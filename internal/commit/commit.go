@@ -38,7 +38,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"zeus/internal/membership"
 	"zeus/internal/obs"
 	"zeus/internal/retry"
 	"zeus/internal/safetime"
@@ -46,6 +45,7 @@ import (
 	"zeus/internal/storage"
 	"zeus/internal/store"
 	"zeus/internal/transport"
+	"zeus/internal/viewsvc"
 	"zeus/internal/wire"
 )
 
@@ -116,7 +116,7 @@ type Engine struct {
 	self  wire.NodeID
 	st    *store.Store
 	tr    transport.Transport
-	agent *membership.Agent
+	agent *viewsvc.Agent
 
 	// Pipelines: copy-on-write maps (lock-free lookup, mutex-serialized
 	// insertion — a pipe is created once and read per message). Per-slot
@@ -148,31 +148,19 @@ type Engine struct {
 	closed chan struct{}
 	once   sync.Once
 
-	// log, when set, is the node's durability WAL. Followers persist R-INV
-	// updates before acking (ackDurable) and both sides record committed
-	// versions, so a restarted node replays every write it ever
-	// acknowledged. nil (the zero default) disables durability.
-	log *storage.Log
-
-	// incar, when non-zero, is the durable per-process incarnation number
-	// stamped into new pipelines' PipeID.Incar (see SetIncarnation). Zero
-	// (no durable storage) falls back to the view epoch at pipe creation.
+	// The Config fields, fixed at construction: the durability WAL (nil
+	// disables durability), the durable incarnation stamped into new
+	// pipelines' PipeID.Incar (zero falls back to the view epoch at pipe
+	// creation), the node's hybrid-logical clock, and whether commits are
+	// timestamped at all.
+	log   *storage.Log
 	incar wire.Epoch
-
-	// clock mints the commit timestamp (CTS) stamped into every R-INV and
-	// merges CTSs observed as a follower, so causally-related commits carry
-	// increasing timestamps across owner migration. New installs a private
-	// clock; SetClock shares the node-wide one.
 	clock *safetime.Clock
+	ts    bool
 
-	// ts enables commit timestamping (EnableTimestamps, wiring time):
-	// without it commits carry CTS 0 and ring publication no-ops, so the
-	// classic write path pays nothing for the snapshot-read machinery.
-	ts bool
-
-	// obs, when set (SetObs, wiring time), holds the cached metric handles
-	// the hot path records into. nil (the zero default) keeps the seed
-	// write path: every record site is gated on one nil check.
+	// obs holds the cached metric handles the hot path records into. nil
+	// (no Config.Obs) keeps the seed write path: every record site is gated
+	// on one nil check.
 	obs *engineObs
 
 	stCommitted atomic.Uint64
@@ -335,8 +323,45 @@ type inPipe struct {
 	wdSeen map[uint64]time.Time
 }
 
+// Config is what the node hands the engine at construction; the zero value
+// is a memory-only, untimestamped, unobserved engine with a private clock.
+type Config struct {
+	// Clock is the node's hybrid-logical clock, shared with the ownership
+	// engine and the snapshot-read path: it mints the commit timestamp (CTS)
+	// stamped into every R-INV and merges CTSs observed as a follower, so
+	// causally-related commits carry increasing timestamps across owner
+	// migration. Nil installs a private clock.
+	Clock *safetime.Clock
+	// Log is the node's durability WAL. Followers persist R-INV updates
+	// before acking (ackDurable) and both sides record committed versions,
+	// so a restarted node replays every write it ever acknowledged. The
+	// engine never closes the log.
+	Log *storage.Log
+	// Incarnation pins new coordinator pipelines to a durable per-process
+	// incarnation number (storage.Recovered.Incarnation) instead of the view
+	// epoch. The counter advances on every restart over the same store, so
+	// a crashed-and-restarted coordinator can never alias its previous
+	// life's pipelines at the followers — even when the restart beat the
+	// failure detector and the view epoch never bumped. A node must not
+	// alternate between durable and memory-only lifetimes: the counter and
+	// the epoch fallback draw from independent sequences.
+	Incarnation uint64
+	// Timestamps turns on commit timestamping: every R-INV carries a CTS
+	// minted from the clock and validated versions are published to the
+	// object version rings (the substrate of MVCC snapshot reads). A
+	// deployment that never snapshot-reads leaves it off and skips the clock
+	// read on every commit and the ring insert on every validation. It must
+	// be uniform across the cluster: a CTS-0 commit is invisible to the
+	// ring, so a mixed cluster would serve snapshots that miss other nodes'
+	// writes.
+	Timestamps bool
+	// Obs, when non-nil, receives the engine's metrics, traces and watchdog
+	// incidents.
+	Obs *obs.Registry
+}
+
 // New creates a reliable-commit engine.
-func New(self wire.NodeID, st *store.Store, tr transport.Transport, agent *membership.Agent) *Engine {
+func New(self wire.NodeID, st *store.Store, tr transport.Transport, agent *viewsvc.Agent, cfg Config) *Engine {
 	e := &Engine{
 		self:    self,
 		st:      st,
@@ -345,49 +370,21 @@ func New(self wire.NodeID, st *store.Store, tr transport.Transport, agent *membe
 		replays: make(map[wire.TxID]*replaySlot),
 		coWake:  make(chan struct{}, 1),
 		closed:  make(chan struct{}),
-		clock:   new(safetime.Clock),
+		log:     cfg.Log,
+		incar:   wire.Epoch(cfg.Incarnation),
+		clock:   cfg.Clock,
+		ts:      cfg.Timestamps,
+	}
+	if e.clock == nil {
+		e.clock = new(safetime.Clock)
+	}
+	if cfg.Obs != nil {
+		e.obs = newEngineObs(e, cfg.Obs)
 	}
 	go e.resendLoop()
 	go e.coalesceLoop()
 	return e
 }
-
-// SetLog arms write-ahead durability. Must be called before the engine
-// receives traffic (node wiring time); the engine never closes the log.
-func (e *Engine) SetLog(l *storage.Log) { e.log = l }
-
-// SetIncarnation pins new coordinator pipelines to a durable per-process
-// incarnation number (storage.Recovered.Incarnation) instead of the view
-// epoch. The counter advances on every restart over the same store, so a
-// crashed-and-restarted coordinator can never alias its previous life's
-// pipelines at the followers — even when the restart beat the failure
-// detector and the view epoch never bumped. Must be called before the
-// engine receives traffic (node wiring time). A node must not alternate
-// between durable and memory-only lifetimes: the counter and the epoch
-// fallback draw from independent sequences.
-func (e *Engine) SetIncarnation(n uint64) { e.incar = wire.Epoch(n) }
-
-// SetClock replaces the engine's private hybrid-logical clock with the
-// node-wide one (shared with the ownership engine and the RO snapshot
-// path). Must be called before the engine receives traffic.
-func (e *Engine) SetClock(c *safetime.Clock) {
-	if c != nil {
-		e.clock = c
-	}
-}
-
-// Clock returns the engine's hybrid-logical clock.
-func (e *Engine) Clock() *safetime.Clock { return e.clock }
-
-// EnableTimestamps turns on commit timestamping: every R-INV carries a CTS
-// minted from the clock and validated versions are published to the object
-// version rings (the substrate of MVCC snapshot reads). Off by default —
-// a deployment that never snapshot-reads skips the clock read on every
-// commit and the ring insert on every validation. Must be called before
-// the engine receives traffic (node wiring time) and uniformly across the
-// cluster: a CTS-0 commit is invisible to the ring, so a mixed cluster
-// would serve snapshots that miss other nodes' writes.
-func (e *Engine) EnableTimestamps() { e.ts = true }
 
 // Close flushes coalesced outbound messages and stops the background loops.
 func (e *Engine) Close() {
@@ -729,16 +726,18 @@ func (e *Engine) completeSlot(s *Slot) {
 		return
 	}
 	s.valed = true
-	extra := s.extraVal
-	cts := s.inv.CTS
+	// OnViewChange and the resend loop repoint s.inv and s.followers under
+	// p.mu; everything below works from this one consistent reading.
+	inv, targets := s.inv, s.followers.Union(s.extraVal)
 	p.mu.Unlock()
+	cts := inv.CTS
 
 	s.tr.Event("ack")
 	if ob := e.obs; ob != nil && !s.openedAt.IsZero() {
 		ob.ackNS.RecordSince(s.openedAt)
 	}
 
-	for _, u := range s.inv.Updates {
+	for _, u := range inv.Updates {
 		if o, ok := e.st.Get(u.Obj); ok {
 			o.Mu.Lock()
 			if o.TVersion == u.Version && o.TState == store.TWrite {
@@ -760,10 +759,10 @@ func (e *Engine) completeSlot(s *Slot) {
 	// not depend on it (followers persisted the updates before acking);
 	// it spares the restarted coordinator a data delta during state sync.
 	s.tr.Event("val")
-	e.recCommitted(s.inv.Updates, true, cts)
+	e.recCommitted(inv.Updates, true, cts)
 
-	val := &wire.CommitVal{Tx: s.Tx(), Epoch: s.inv.Epoch}
-	for n := range s.followers.Union(extra).Each {
+	val := &wire.CommitVal{Tx: s.Tx(), Epoch: inv.Epoch}
+	for n := range targets.Each {
 		e.enqueue(n, val) // coalesced with neighbouring slots' R-VALs
 	}
 	e.stCommitted.Add(1)

@@ -6,10 +6,10 @@ import (
 	"testing"
 	"time"
 
-	"zeus/internal/membership"
 	"zeus/internal/storage"
 	"zeus/internal/store"
 	"zeus/internal/transport"
+	"zeus/internal/viewsvc"
 	"zeus/internal/wire"
 )
 
@@ -18,30 +18,48 @@ type tnode struct {
 	st    *store.Store
 	eng   *Engine
 	tr    *transport.MemTransport
-	agent *membership.Agent
+	agent *viewsvc.Agent
 }
 
 type tcluster struct {
 	hub   *transport.Hub
-	mgr   *membership.Manager
+	mgr   *viewsvc.Client
 	nodes []*tnode
 }
 
 func newTestCluster(t *testing.T, n int) *tcluster {
+	t.Helper()
+	return newTestClusterWith(t, n, func(wire.NodeID) Config { return Config{} })
+}
+
+// onNode gives node id the engine Config cfg and every other node the zero
+// Config.
+func onNode(id wire.NodeID, cfg Config) func(wire.NodeID) Config {
+	return func(n wire.NodeID) Config {
+		if n == id {
+			return cfg
+		}
+		return Config{}
+	}
+}
+
+// newTestClusterWith builds the cluster with a per-node engine Config.
+func newTestClusterWith(t *testing.T, n int, cfg func(wire.NodeID) Config) *tcluster {
 	t.Helper()
 	var members wire.Bitmap
 	for i := 0; i < n; i++ {
 		members = members.Add(wire.NodeID(i))
 	}
 	hub := transport.NewHub()
-	mgr := membership.NewManager(membership.Config{Lease: 2 * time.Millisecond}, members)
+	mgr := viewsvc.NewSelfHosted(viewsvc.Config{Lease: 2 * time.Millisecond}, members)
+	t.Cleanup(mgr.Close)
 	c := &tcluster{hub: hub, mgr: mgr}
 	for i := 0; i < n; i++ {
 		id := wire.NodeID(i)
 		st := store.New()
 		tr := hub.Node(id)
 		agent := mgr.Agent(id)
-		eng := New(id, st, tr, agent)
+		eng := New(id, st, tr, agent, cfg(id))
 		r := transport.NewRouter()
 		eng.Register(r)
 		tr.SetHandler(r.Dispatch)
@@ -526,10 +544,9 @@ func (c *countingStore) count() int {
 // first append failed is retried by the next delivery — the ACK stays
 // withheld until its records are durable.
 func TestDuplicateInvDoesNotRelog(t *testing.T) {
-	c := newTestCluster(t, 2)
 	cs := &countingStore{failNext: true}
+	c := newTestClusterWith(t, 2, onNode(1, Config{Log: storage.NewLog(cs, nil)}))
 	fl := c.nodes[1]
-	fl.eng.SetLog(storage.NewLog(cs))
 
 	inv := &wire.CommitInv{
 		Tx:        wire.TxID{Pipe: wire.PipeID{Node: 0, Worker: 0}, Local: 1},
@@ -565,9 +582,8 @@ func TestDuplicateInvDoesNotRelog(t *testing.T) {
 // carry it instead of the view epoch, so a restart that never bumped the
 // epoch still gets fresh pipe identities at the followers.
 func TestIncarnationPinsPipeID(t *testing.T) {
-	c := newTestCluster(t, 2)
+	c := newTestClusterWith(t, 2, onNode(0, Config{Incarnation: 7}))
 	e := c.nodes[0].eng
-	e.SetIncarnation(7)
 	if got := e.pipe(3).id.Incar; got != 7 {
 		t.Fatalf("pipe Incar = %d, want the armed incarnation 7", got)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // engineObs is the commit engine's cached observability bundle: every handle
-// the hot path records into is resolved once here (wiring time), so record
+// the hot path records into is resolved once here (in New), so record
 // sites are a nil check plus an atomic — no registry lookup, no allocation
 // (zeuslint obsrecord).
 type engineObs struct {
@@ -26,15 +26,10 @@ type engineObs struct {
 	fanout *obs.Counter
 }
 
-// SetObs wires the observability registry. Must be called before the engine
-// receives traffic (node wiring time), like SetLog/SetClock: record sites
-// read e.obs without synchronization. Quantities the engine already counts
-// in its st* atomics are pull-scraped via CounterFunc — never double-counted
-// on the hot path.
-func (e *Engine) SetObs(r *obs.Registry) {
-	if r == nil {
-		return
-	}
+// newEngineObs resolves the engine's handles in r. Quantities the engine
+// already counts in its st* atomics are pull-scraped via CounterFunc — never
+// double-counted on the hot path.
+func newEngineObs(e *Engine, r *obs.Registry) *engineObs {
 	b := &engineObs{
 		reg:       r,
 		ackNS:     r.Histogram("cmt_ack_ns"),
@@ -48,15 +43,7 @@ func (e *Engine) SetObs(r *obs.Registry) {
 	r.CounterFunc("cmt_bytes_total", e.stBytes.Load)
 	r.GaugeFunc("cmt_open_slots", func() int64 { return int64(e.PendingSlots()) })
 	r.GaugeFunc("cmt_pending_replays", func() int64 { return int64(e.PendingReplays()) })
-	e.obs = b
-}
-
-// Obs returns the engine's registry (nil when observability is disabled).
-func (e *Engine) Obs() *obs.Registry {
-	if e.obs == nil {
-		return nil
-	}
-	return e.obs.reg
+	return b
 }
 
 // ---------------------------------------------------------------------------
@@ -67,8 +54,8 @@ func (e *Engine) Obs() *obs.Registry {
 // R-INV (pending-commit debt at a follower) or dead-coordinator replay older
 // than age emits ONE structured incident into the registry's IncidentLog,
 // with the engine state DumpState would show post-mortem — so a wedge in the
-// CI race gate self-diagnoses while it is still observable. Requires SetObs;
-// returns false if observability is off or age is zero. The scanner stops
+// CI race gate self-diagnoses while it is still observable. Requires
+// Config.Obs; returns false if observability is off or age is zero. The scanner stops
 // with the engine (Close).
 func (e *Engine) StartWatchdog(age time.Duration) bool {
 	if e.obs == nil || age <= 0 {

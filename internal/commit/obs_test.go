@@ -13,10 +13,9 @@ import (
 // contract: one incident per offender while it persists, forgotten once it
 // resolves, and a fresh wedge fires again.
 func TestWatchdogFiresOncePerOffender(t *testing.T) {
-	c := newTestCluster(t, 3)
-	eng := c.nodes[0].eng
 	reg := obs.NewRegistry()
-	eng.SetObs(reg)
+	c := newTestClusterWith(t, 3, onNode(0, Config{Obs: reg}))
+	eng := c.nodes[0].eng
 	c.seedObject(1, 0, wire.BitmapOf(1, 2))
 
 	c.hub.SetDown(1, true) // follower 1 cannot ack: the slot wedges open
@@ -65,10 +64,9 @@ func TestWatchdogFiresOncePerOffender(t *testing.T) {
 // TestWatchdogQuietWhenHealthy: a drained engine has no debt, so scans must
 // stay silent regardless of the threshold.
 func TestWatchdogQuietWhenHealthy(t *testing.T) {
-	c := newTestCluster(t, 2)
-	eng := c.nodes[0].eng
 	reg := obs.NewRegistry()
-	eng.SetObs(reg)
+	c := newTestClusterWith(t, 2, onNode(0, Config{Obs: reg}))
+	eng := c.nodes[0].eng
 	c.seedObject(1, 0, wire.BitmapOf(1))
 	_, done := c.localWrite(0, 0, []wire.ObjectID{1}, "healthy")
 	<-done

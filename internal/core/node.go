@@ -32,7 +32,6 @@ import (
 	"zeus/internal/commit"
 	"zeus/internal/dbapi"
 	"zeus/internal/directory"
-	"zeus/internal/membership"
 	"zeus/internal/obs"
 	"zeus/internal/ownership"
 	"zeus/internal/retry"
@@ -40,6 +39,7 @@ import (
 	"zeus/internal/storage"
 	"zeus/internal/store"
 	"zeus/internal/transport"
+	"zeus/internal/viewsvc"
 	"zeus/internal/wire"
 )
 
@@ -70,15 +70,9 @@ type Config struct {
 	// plus a throttled multicast at the membership client), so these
 	// loops never contend on a shared mutex.
 	LeaseRenewEvery time.Duration
-	// DirectoryShards selects the ownership-directory implementation
-	// (§6.2): a value > 0 builds the sharded directory subsystem
-	// (internal/directory) — object → shard → drivers resolved from the
-	// placement map replicated through the view service, with the value as
-	// the shard count of the local fallback placement. 0 keeps the legacy
-	// static directory over Ownership.DirNodes (the degenerate 1-shard
-	// compat shim).
-	DirectoryShards int
-	// Ownership configures the ownership engine (directory nodes etc).
+	// Ownership tunes the ownership engine (timeouts, retry policy, latency
+	// observer). NewNode fills its wiring fields — Directory,
+	// HasPendingCommit, Clock, Log, Obs — itself.
 	Ownership ownership.Config
 	// Storage, when non-nil, makes the node durable: followers persist
 	// R-INVs before acking (the cluster-level durability choke point),
@@ -105,11 +99,11 @@ type Config struct {
 	// watermark broadcast). 0 picks 50µs. Only meaningful with
 	// SnapshotReads.
 	SafeTimeInterval time.Duration
-	// Obs, when non-nil, wires the observability registry through every
-	// engine at construction time (metrics, traces, incidents — see
-	// internal/obs). Nil keeps every record site behind its nil check: the
-	// seed hot paths are untouched. The registry is also reachable remotely
-	// via wire.ObsPull regardless (the reply just carries less).
+	// Obs, when non-nil, is handed to every engine's constructor (metrics,
+	// traces, incidents — see internal/obs). Nil keeps every record site
+	// behind its nil check: the seed hot paths are untouched. The registry
+	// is also reachable remotely via wire.ObsPull regardless (the reply just
+	// carries less).
 	Obs *obs.Registry
 	// TraceSample samples every Nth write transaction with a per-phase
 	// obs.Trace (begin → inv → ack → val → applied). 0 disables tracing.
@@ -125,15 +119,14 @@ type Config struct {
 	WatchdogAge time.Duration
 }
 
-// DefaultConfig mirrors the paper's evaluation setup: 3-way replication, the
-// directory on the first three nodes.
+// DefaultConfig mirrors the paper's evaluation setup: 3-way replication.
 func DefaultConfig() Config {
 	return Config{
 		Degree:          3,
 		Workers:         8,
 		TrimReplicas:    true,
 		AutoAcquireRead: true,
-		Ownership:       ownership.DefaultConfig(wire.BitmapOf(0, 1, 2)),
+		Ownership:       ownership.DefaultConfig(),
 	}
 }
 
@@ -155,13 +148,13 @@ type Node struct {
 	st     *store.Store
 	tr     transport.Transport
 	router *transport.Router
-	agent  *membership.Agent
+	agent  *viewsvc.Agent
 	own    *ownership.Engine
 	cmt    *commit.Engine
-	dirsvc *directory.Service // nil with the static compat directory
+	dirsvc *directory.Service
 
-	// Safe-time plane (always wired; the exchange loop only runs with
-	// Config.SnapshotReads): the node's HLC (shared with the commit and
+	// Safe-time plane (always built; the exchange loop only runs with
+	// Config.SnapshotReads): the node's one HLC (handed to the commit and
 	// ownership engines) and the per-node watermark tracker.
 	clk   *safetime.Clock
 	safet *safetime.Tracker
@@ -197,17 +190,17 @@ type Node struct {
 
 	// Observability (nil without Config.Obs / ZEUS_WATCHDOG_AGE): the node's
 	// registry, the write-transaction trace sampler, and the sampling
-	// sequence. Set once in NewNode before traffic; read unsynchronized.
+	// sequence. Set once in NewNode; read unsynchronized.
 	obs     *obs.Registry
 	sampler *obs.Sampler
 	txSeq   atomic.Uint64
 }
 
-// NewNode builds and wires a node on the given transport and membership
-// agent. The node installs its message handler on the transport; extra
-// handlers (e.g. the load balancer's Hermes KV) can be registered on
-// Router() before traffic flows.
-func NewNode(id wire.NodeID, tr transport.Transport, agent *membership.Agent, cfg Config) *Node {
+// NewNode builds a node on the given transport and membership agent; there
+// is nothing left to wire afterwards. The node installs its message handler
+// on the transport; extra handlers (e.g. the load balancer's Hermes KV) can
+// be registered on Router() before traffic flows.
+func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, cfg Config) *Node {
 	if cfg.Degree <= 0 {
 		cfg.Degree = 3
 	}
@@ -245,67 +238,61 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *membership.Agent, cf
 		incarnation = rec.Incarnation
 		maxCTS = rec.MaxCTS
 	}
-	// Sharded ownership directory (§6.2): when enabled, ownership REQs
-	// resolve object → shard → drivers through the replicated placement
-	// map instead of the fixed DirNodes set. The service registers its
-	// view-change hook here, BEFORE the engines', so a placement diff (and
-	// the shard metadata pulls it triggers) precedes the ownership pause /
-	// recovery machinery of the same view change. The cfg fix-up happens
-	// before the Node copies it, so there is exactly one Config to read.
-	var dirsvc *directory.Service
-	if cfg.DirectoryShards > 0 && cfg.Ownership.Directory == nil {
-		dirsvc = directory.NewService(id, st, tr, agent, directory.Options{
-			Shards: cfg.DirectoryShards,
-			Degree: 3,
-		})
-		cfg.Ownership.Directory = dirsvc
-	}
-	n := &Node{id: id, cfg: cfg, st: st, tr: tr, agent: agent, dirsvc: dirsvc,
-		trimQ: make(chan trimReq, trimQueueDepth), closedCh: make(chan struct{}),
+	// Sharded ownership directory (§6.2): ownership REQs resolve object →
+	// shard → drivers through the placement map the view service replicates.
+	// The service registers its view-change hook here, BEFORE the node's, so
+	// a placement diff (and the shard metadata pulls it triggers) precedes
+	// the ownership pause / recovery machinery of the same view change.
+	n := &Node{id: id, cfg: cfg, st: st, tr: tr, agent: agent,
+		dirsvc: directory.NewService(id, st, tr, agent),
+		trimQ:  make(chan trimReq, trimQueueDepth), closedCh: make(chan struct{}),
 		stg: cfg.Storage, recovered: recovered, incarnation: incarnation,
 		syncPending: pending}
 	n.router = transport.NewRouter()
-	n.cmt = commit.New(id, st, tr, agent)
-	n.own = ownership.New(id, st, tr, agent, cfg.Ownership)
-	// One HLC per node, shared by both engines: commit stamps CTSs from it,
+	// One HLC per node, handed to both engines: commit stamps CTSs from it,
 	// ownership merges the CTS riding on grants back in. Recovery seeds it
 	// above every persisted timestamp so the new lifetime never reuses one.
-	n.clk = n.cmt.Clock()
+	n.clk = new(safetime.Clock)
 	n.clk.Update(maxCTS)
-	n.own.SetClock(n.clk)
-	if cfg.SnapshotReads {
+	if cfg.Storage != nil {
+		n.log = storage.NewLog(cfg.Storage, cfg.Obs)
+	}
+	n.cmt = commit.New(id, st, tr, agent, commit.Config{
+		Clock: n.clk,
+		Log:   n.log,
+		// The durable incarnation replaces the view epoch as PipeID.Incar:
+		// a fast rejoin that beats the failure detector never bumps the
+		// epoch, but the counter advances on every Recover. Zero without
+		// storage.
+		Incarnation: incarnation,
 		// Commit timestamping (and with it ring publication) is paid only
 		// by deployments that serve snapshot reads.
-		n.cmt.EnableTimestamps()
-	}
+		Timestamps: cfg.SnapshotReads,
+		Obs:        cfg.Obs,
+	})
+	ocfg := cfg.Ownership
+	ocfg.Directory = n.dirsvc
+	// The owner refuses ownership transfers while the object is involved
+	// in a pending reliable commit (§4.1). Executing local transactions
+	// (local ownership held) are detected by the ownership engine itself
+	// via Object.LocalOwner — this probe does not lock the object.
+	ocfg.HasPendingCommit = n.cmt.HasPending
+	ocfg.Clock, ocfg.Log, ocfg.Obs = n.clk, n.log, cfg.Obs
+	n.own = ownership.New(id, st, tr, agent, ocfg)
 	n.safet = safetime.NewTracker()
 	{
 		v := agent.View()
 		n.safet.OnViewChange(v.Epoch, v.Live, 0)
 	}
-	if cfg.Storage != nil {
-		n.log = storage.NewLog(cfg.Storage)
-		n.cmt.SetLog(n.log)
-		// The durable incarnation replaces the view epoch as PipeID.Incar:
-		// a fast rejoin that beats the failure detector never bumps the
-		// epoch, but the counter advances on every Recover.
-		n.cmt.SetIncarnation(incarnation)
-		n.own.SetLog(n.log)
+	if n.log != nil {
 		go n.snapshotLoop()
 	}
-	// Observability (wiring time, before any traffic): fan the registry out
-	// to every engine, register the node-level scrape callbacks, and hook the
-	// trace sampler. Every record site below this point is behind a nil
-	// check, so a nil registry costs the seed paths nothing.
-	if cfg.Obs != nil {
-		r := cfg.Obs
+	// Observability: the node-level scrape callbacks and the trace sampler.
+	// Every record site is behind a nil check, so a nil registry costs the
+	// seed paths nothing.
+	if r := cfg.Obs; r != nil {
 		n.obs = r
 		n.sampler = obs.NewSampler(cfg.TraceSample)
-		n.cmt.SetObs(r)
-		n.own.SetObs(r)
-		if n.log != nil {
-			n.log.SetObs(r)
-		}
 		n.registerNodeMetrics(r)
 		if cfg.WatchdogAge > 0 {
 			n.cmt.StartWatchdog(cfg.WatchdogAge)
@@ -314,16 +301,9 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *membership.Agent, cf
 	n.router.HandleMany(n.handleSync, wire.KindSyncPull, wire.KindSyncState)
 	n.router.Handle(wire.KindSafeTime, n.handleSafeTime)
 	n.router.Handle(wire.KindObsPull, n.handleObsPull)
-	// The owner refuses ownership transfers while the object is involved
-	// in a pending reliable commit (§4.1). Executing local transactions
-	// (local ownership held) are detected by the ownership engine itself
-	// via Object.LocalOwner — this hook must not lock the object.
-	n.own.HasPendingCommit = n.cmt.HasPending
 	n.own.Register(n.router)
 	n.cmt.Register(n.router)
-	if n.dirsvc != nil {
-		n.dirsvc.Register(n.router)
-	}
+	n.dirsvc.Register(n.router)
 	// Sharded delivery (§5.2/§7): keyed protocol traffic fans out to
 	// per-pipe / per-object handler goroutines so independent pipelines
 	// apply in parallel. Defaults to min(Workers, GOMAXPROCS) — extra
@@ -516,15 +496,14 @@ func (n *Node) Router() *transport.Router { return n.router }
 // OwnershipEngine exposes the ownership engine (experiments measure it).
 func (n *Node) OwnershipEngine() *ownership.Engine { return n.own }
 
-// DirectoryService exposes the sharded-directory service, or nil when the
-// node runs the legacy static directory.
+// DirectoryService exposes the sharded-directory service.
 func (n *Node) DirectoryService() *directory.Service { return n.dirsvc }
 
 // CommitEngine exposes the reliable-commit engine.
 func (n *Node) CommitEngine() *commit.Engine { return n.cmt }
 
 // Agent returns the membership agent.
-func (n *Node) Agent() *membership.Agent { return n.agent }
+func (n *Node) Agent() *viewsvc.Agent { return n.agent }
 
 // Stats returns this node's transaction counters.
 func (n *Node) Stats() Stats {

@@ -12,20 +12,16 @@
 // quorum-committed, versioned by the membership epoch, and survives view
 // changes and view-leader takeover exactly like membership itself.
 //
-// Two implementations of the Directory interface exist:
-//
-//   - Static: the degenerate 1-shard compat shim — a fixed driver set, the
-//     pre-sharding behaviour (ownership.Config.DirNodes).
-//   - Service: the full subsystem. It resolves placement from the node's
-//     membership agent (one atomic load on the REQ path), and heals driver
-//     churn: when a placement change makes this node a NEW driver of a
-//     shard (the previous driver crashed, or a joined node ranked into the
-//     set), the service pulls the shard's directory metadata — replica sets
-//     and ownership timestamps, never object data — from the surviving
-//     drivers (DIR-PULL / DIR-STATE), NACKing ownership REQs for that shard
-//     until the first snapshot lands (Ready). In-flight arbitrations need no
-//     transfer at all: every arbiter stores the full pending record, so the
-//     existing arb-replay path completes them per shard.
+// Service is the subsystem. It resolves placement from the node's membership
+// agent (one atomic load on the REQ path), and heals driver churn: when a
+// placement change makes this node a NEW driver of a shard (the previous
+// driver crashed, or a joined node ranked into the set), the service pulls
+// the shard's directory metadata — replica sets and ownership timestamps,
+// never object data — from the surviving drivers (DIR-PULL / DIR-STATE),
+// NACKing ownership REQs for that shard until the first snapshot lands
+// (Ready). In-flight arbitrations need no transfer at all: every arbiter
+// stores the full pending record, so the existing arb-replay path completes
+// them per shard.
 package directory
 
 import (
@@ -33,14 +29,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"zeus/internal/membership"
 	"zeus/internal/store"
 	"zeus/internal/transport"
+	"zeus/internal/viewsvc"
 	"zeus/internal/wire"
 )
 
 // Directory resolves object → shard → arbitration drivers for the ownership
-// engine.
+// engine. Service is the only implementation a node runs; the interface is
+// the seam the ownership engine's unit tests put a fixed-driver fake behind.
 type Directory interface {
 	// Shards returns the shard count of the current placement.
 	Shards() int
@@ -54,56 +51,13 @@ type Directory interface {
 	// Ready reports whether this node may drive obj's shard right now (a
 	// new driver is not ready until it synced the shard's metadata).
 	Ready(obj wire.ObjectID) bool
-	// Authoritative reports whether one driver's directory answer is final
-	// (the fixed static directory) or requires corroboration (a sharded
-	// driver may have been force-readied with incomplete entries).
-	Authoritative() bool
-	// PlacementEpoch returns the current placement version.
-	PlacementEpoch() wire.Epoch
 }
 
-// ---------------------------------------------------------------------------
-// Static: the 1-shard compat shim.
-// ---------------------------------------------------------------------------
-
-// Static is the fixed-driver-set directory: one shard driven by the
-// configured nodes, always ready. It reproduces the pre-sharding DirNodes
-// behaviour exactly.
-type Static struct{ drivers wire.Bitmap }
-
-// NewStatic builds the compat shim over a fixed driver set.
-func NewStatic(drivers wire.Bitmap) Static { return Static{drivers: drivers} }
-
-func (s Static) Shards() int                          { return 1 }
-func (s Static) ShardOf(wire.ObjectID) int            { return 0 }
-func (s Static) DriversFor(wire.ObjectID) wire.Bitmap { return s.drivers }
-func (s Static) DrivesShard(n wire.NodeID, _ wire.ObjectID) bool {
-	return s.drivers.Contains(n)
-}
-func (s Static) Ready(wire.ObjectID) bool   { return true }
-func (s Static) Authoritative() bool        { return true }
-func (s Static) PlacementEpoch() wire.Epoch { return 0 }
-
-// ---------------------------------------------------------------------------
-// Service: the sharded directory.
-// ---------------------------------------------------------------------------
-
-// Options tunes a Service.
-type Options struct {
-	// Shards and Degree parameterize the LOCAL fallback placement, used
-	// only when the membership agent replicates no placement (hand-rolled
-	// deployments). When the view service replicates a placement — the
-	// normal case — the replicated map is authoritative, including its
-	// shard count.
-	Shards int
-	Degree int
-	// SyncTimeout bounds how long a newly assigned shard may wait for a
-	// DIR-STATE snapshot before the driver gives up and serves with what it
-	// has (liveness backstop: all snapshot sources may be dead, in which
-	// case the metadata is reconstructed lazily through arbitrations).
-	// Default 250ms.
-	SyncTimeout time.Duration
-}
+// syncTimeout bounds how long a newly assigned shard may wait for a DIR-STATE
+// snapshot before the driver gives up and serves with what it has (liveness
+// backstop: all snapshot sources may be dead, in which case the metadata is
+// reconstructed lazily through arbitrations).
+const syncTimeout = 250 * time.Millisecond
 
 // Stats counts Service activity (tests and diagnostics).
 type Stats struct {
@@ -120,15 +74,9 @@ type Service struct {
 	self  wire.NodeID
 	st    *store.Store
 	tr    transport.Transport
-	agent *membership.Agent
-	opts  Options
-
-	// fallback caches the locally computed placement per epoch when the
-	// agent replicates none.
-	fallback atomic.Pointer[wire.DirPlacement]
+	agent *viewsvc.Agent
 
 	mu      sync.Mutex
-	last    wire.DirPlacement  // placement last diffed by viewChanged
 	syncing map[int]wire.Epoch // shard → placement epoch of the pending pull
 	// suspect holds objects whose snapshot entry carried an in-flight
 	// arbitration (DirEntry.Pending): the applied state this node synced
@@ -160,27 +108,16 @@ type Service struct {
 // NewService builds the sharded directory for one node and hooks it into the
 // membership agent's view-change stream. Call Register to install its
 // DIR-PULL / DIR-STATE handlers before traffic flows.
-func NewService(self wire.NodeID, st *store.Store, tr transport.Transport, agent *membership.Agent, opts Options) *Service {
-	if opts.Shards <= 0 {
-		opts.Shards = 1
-	}
-	if opts.Degree <= 0 {
-		opts.Degree = 3
-	}
-	if opts.SyncTimeout <= 0 {
-		opts.SyncTimeout = 250 * time.Millisecond
-	}
+func NewService(self wire.NodeID, st *store.Store, tr transport.Transport, agent *viewsvc.Agent) *Service {
 	s := &Service{
 		self:    self,
 		st:      st,
 		tr:      tr,
 		agent:   agent,
-		opts:    opts,
 		syncing: make(map[int]wire.Epoch),
 		suspect: make(map[wire.ObjectID]wire.OTS),
 	}
-	s.last = *s.placement()
-	s.diffed.Store(uint32(s.last.Epoch))
+	s.diffed.Store(uint32(s.agent.Placement().Epoch))
 	agent.OnChange(func(_, _ wire.View, _ wire.Bitmap) { s.viewChanged() })
 	return s
 }
@@ -203,36 +140,16 @@ func (s *Service) Stats() Stats {
 	}
 }
 
-// placement resolves the current placement: the replicated one when the
-// agent has it (one atomic load), else a locally computed per-epoch fallback.
-func (s *Service) placement() *wire.DirPlacement {
-	if p := s.agent.Placement(); p != nil && !p.IsZero() {
-		return p
-	}
-	v := s.agent.View()
-	if p := s.fallback.Load(); p != nil && p.Epoch == v.Epoch {
-		return p
-	}
-	np := wire.ComputePlacement(s.opts.Shards, s.opts.Degree, v.Epoch, v.Live)
-	s.fallback.Store(&np)
-	return &np
-}
-
 // Directory interface.
 
-func (s *Service) Shards() int                   { return len(s.placement().Shards) }
-func (s *Service) ShardOf(obj wire.ObjectID) int { return s.placement().ShardOf(obj) }
+func (s *Service) Shards() int                   { return len(s.agent.Placement().Shards) }
+func (s *Service) ShardOf(obj wire.ObjectID) int { return s.agent.Placement().ShardOf(obj) }
 func (s *Service) DriversFor(obj wire.ObjectID) wire.Bitmap {
-	return s.placement().DriversFor(obj)
+	return s.agent.Placement().DriversFor(obj)
 }
 func (s *Service) DrivesShard(n wire.NodeID, obj wire.ObjectID) bool {
-	return s.placement().Drives(n, obj)
+	return s.agent.Placement().Drives(n, obj)
 }
-func (s *Service) PlacementEpoch() wire.Epoch { return s.placement().Epoch }
-
-// Authoritative is false: a sharded driver may have been force-readied with
-// incomplete entries, so requesters corroborate unknown-object answers.
-func (s *Service) Authoritative() bool { return false }
 
 // Ready reports whether this node may drive obj's shard: false while a
 // freshly assigned shard awaits its metadata snapshot, while a newly
@@ -240,7 +157,7 @@ func (s *Service) Authoritative() bool { return false }
 // specific objects whose snapshot flagged an in-flight arbitration (see
 // suspect) until the outcome is visible locally.
 func (s *Service) Ready(obj wire.ObjectID) bool {
-	p := s.placement()
+	p := s.agent.Placement()
 	if wire.Epoch(s.diffed.Load()) != p.Epoch {
 		return false
 	}
@@ -287,21 +204,27 @@ func (s *Service) clearedSuspect(obj wire.ObjectID) bool {
 	return true
 }
 
-// viewChanged diffs the new placement against the last one and starts a
-// metadata pull for every shard this node NEWLY drives. It runs on the
+// viewChanged diffs the new placement against the one it replaces and starts
+// a metadata pull for every shard this node NEWLY drives. It runs on the
 // agent's view-change callback, before the ownership engine pauses/resumes,
 // so pulls overlap the recovery barrier and are usually done by the time
 // ownership requests flow again.
+//
+// The baseline is the placement the view service held before this change
+// (Agent.PlacementBefore), not the one this service last diffed: a node
+// outside the view is delivered no view changes, so a joiner's own record
+// would be the placement it was constructed with — for a process that built
+// its node before first contact, one with every driver set empty, against
+// which no shard has a source to pull from.
 func (s *Service) viewChanged() {
-	p := *s.placement()
+	p := *s.agent.Placement()
+	prev := s.agent.PlacementBefore()
 	live := s.agent.View().Live
 	// Shards are grouped by their source set so each source scans its store
 	// ONCE per view change, however many shards this node newly drives.
 	groups := make(map[wire.Bitmap][]uint32)
 
 	s.mu.Lock()
-	prev := s.last
-	s.last = p
 	for sh, ds := range p.Shards {
 		if !ds.Contains(s.self) {
 			// Not (or no longer) a driver: nothing to sync. Stale entries
@@ -343,7 +266,7 @@ func (s *Service) viewChanged() {
 		_ = transport.Multicast(s.tr, sources.Nodes(), msg)
 		for _, sh := range shards {
 			sh, ep := int(sh), p.Epoch
-			time.AfterFunc(s.opts.SyncTimeout, func() { s.forceReady(sh, ep) })
+			time.AfterFunc(syncTimeout, func() { s.forceReady(sh, ep) })
 		}
 	}
 	if len(groups) > 0 {
@@ -382,7 +305,7 @@ func (s *Service) handlePull(m *wire.DirPull) {
 	if len(m.Shards) == 0 {
 		return
 	}
-	p := s.placement()
+	p := s.agent.Placement()
 	wanted := make(map[int][]wire.DirEntry, len(m.Shards))
 	for _, sh := range m.Shards {
 		wanted[int(sh)] = nil
@@ -449,7 +372,7 @@ func (s *Service) handleState(m *wire.DirState) {
 			armed[i] = s.suspect[obj]
 		}
 		s.mu.Unlock()
-		time.AfterFunc(4*s.opts.SyncTimeout, func() {
+		time.AfterFunc(4*syncTimeout, func() {
 			s.mu.Lock()
 			for i, obj := range objs {
 				if cur, ok := s.suspect[obj]; ok && !armed[i].Less(cur) {

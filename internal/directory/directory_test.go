@@ -4,17 +4,18 @@ import (
 	"testing"
 	"time"
 
-	"zeus/internal/membership"
 	"zeus/internal/store"
 	"zeus/internal/transport"
+	"zeus/internal/viewsvc"
 	"zeus/internal/wire"
 )
 
-// harness wires N directory services over a hub, sharing one self-hosted
-// membership manager (which replicates the placement through its private
-// view-service ensemble).
+// harness wires N directory services over a hub that also carries the
+// view-service ensemble replicating the placement, and the client the
+// services' agents hang off.
 type harness struct {
-	mgr  *membership.Manager
+	vcfg viewsvc.Config
+	mgr  *viewsvc.Client
 	hub  *transport.Hub
 	svcs []*Service
 	sts  []*store.Store
@@ -27,38 +28,36 @@ func newHarness(t *testing.T, nodes, dirShards int) *harness {
 		members = members.Add(wire.NodeID(i))
 	}
 	h := &harness{
-		mgr: membership.NewManager(membership.Config{Lease: 2 * time.Millisecond, DirShards: dirShards}, members),
-		hub: transport.NewHub(),
+		vcfg: viewsvc.Config{Lease: 2 * time.Millisecond, DirShards: dirShards},
+		hub:  transport.NewHub(),
 	}
-	t.Cleanup(func() { h.mgr.Close() })
+	ids := viewsvc.ReplicaIDs(3)
+	trs := make([]transport.Transport, len(ids))
+	for i, id := range ids {
+		trs[i] = h.hub.Node(id)
+	}
+	ens := viewsvc.StartEnsemble(h.vcfg, ids, trs, members)
+	h.mgr = viewsvc.NewClient(h.vcfg, h.hub.Node(viewsvc.ClientID), ids, members, nil)
+	t.Cleanup(func() {
+		h.mgr.Close()
+		ens.Close()
+	})
 	for i := 0; i < nodes; i++ {
-		id := wire.NodeID(i)
-		st := store.New()
-		tr := h.hub.Node(id)
-		svc := NewService(id, st, tr, h.mgr.Agent(id), Options{Shards: dirShards})
-		r := transport.NewRouter()
-		svc.Register(r)
-		tr.SetHandler(r.Dispatch)
-		h.svcs = append(h.svcs, svc)
-		h.sts = append(h.sts, st)
+		h.addNode(wire.NodeID(i), h.mgr.Agent(wire.NodeID(i)))
 	}
 	return h
 }
 
-func TestStaticShim(t *testing.T) {
-	s := NewStatic(wire.BitmapOf(0, 1, 2))
-	if s.Shards() != 1 || s.ShardOf(99) != 0 {
-		t.Fatal("static shim must be the degenerate 1-shard directory")
-	}
-	if s.DriversFor(7) != wire.BitmapOf(0, 1, 2) {
-		t.Fatalf("drivers = %v", s.DriversFor(7))
-	}
-	if !s.DrivesShard(1, 42) || s.DrivesShard(3, 42) {
-		t.Fatal("DrivesShard must mirror the fixed set")
-	}
-	if !s.Ready(5) {
-		t.Fatal("static directory is always ready")
-	}
+// addNode starts the directory service of node id on the harness hub.
+func (h *harness) addNode(id wire.NodeID, agent *viewsvc.Agent) {
+	st := store.New()
+	tr := h.hub.Node(id)
+	svc := NewService(id, st, tr, agent)
+	r := transport.NewRouter()
+	svc.Register(r)
+	tr.SetHandler(r.Dispatch)
+	h.svcs = append(h.svcs, svc)
+	h.sts = append(h.sts, st)
 }
 
 func TestServiceResolutionAgreesAcrossNodes(t *testing.T) {
@@ -145,6 +144,78 @@ func TestServiceSyncsNewDriverShards(t *testing.T) {
 	}
 	if st := h.svcs[spare].Stats(); st.Pulls == 0 || st.Synced == 0 {
 		t.Fatalf("sync stats: %+v", st)
+	}
+}
+
+// TestJoinerPullsShardMetadata is the zeusd -join shape: the joining process
+// has its own view-service client, seeded with no members, and builds its
+// directory service before first contact — so the placement it was
+// constructed with has empty driver sets. When its join commits it must
+// still pull the shards it newly drives from the drivers of the placement
+// that was in force before the join.
+func TestJoinerPullsShardMetadata(t *testing.T) {
+	h := newHarness(t, 3, 8)
+	const joiner = wire.NodeID(3)
+
+	// Seed one directory entry per object at the founding drivers (all three
+	// founders drive every shard at degree 3).
+	const objs = 64
+	want := wire.OTS{Ver: 5, Node: 1}
+	for obj := wire.ObjectID(0); obj < objs; obj++ {
+		for _, st := range h.sts {
+			o, _ := st.GetOrCreate(obj)
+			o.Mu.Lock()
+			o.OTS = want
+			o.Replicas = wire.ReplicaSet{Owner: 1}
+			o.Mu.Unlock()
+		}
+	}
+
+	cli := viewsvc.NewClient(h.vcfg, h.hub.Node(viewsvc.ClientID-1), viewsvc.ReplicaIDs(3), 0, nil)
+	t.Cleanup(cli.Close)
+	h.addNode(joiner, cli.Agent(joiner))
+	svc, st := h.svcs[joiner], h.sts[joiner]
+	deadline := time.Now().Add(5 * time.Second)
+	for !cli.Heard() {
+		if time.Now().After(deadline) {
+			t.Fatal("joiner never heard from the ensemble")
+		}
+		cli.WaitEpoch(2, 10*time.Millisecond)
+	}
+	if !cli.Join(joiner) {
+		t.Fatal("join did not commit")
+	}
+
+	var driven []wire.ObjectID
+	for obj := wire.ObjectID(0); obj < objs; obj++ {
+		if svc.DrivesShard(joiner, obj) {
+			driven = append(driven, obj)
+		}
+	}
+	if len(driven) == 0 {
+		t.Fatal("joiner ranked into no shard; pick another shard count")
+	}
+	for _, obj := range driven {
+		for {
+			if o, ok := st.Get(obj); ok {
+				o.Mu.Lock()
+				ts, owner := o.OTS, o.Replicas.Owner
+				o.Mu.Unlock()
+				if ts == want && owner == 1 {
+					break
+				}
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("joiner never synced the entry of obj %d (stats %+v)", obj, svc.Stats())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if !svc.Ready(obj) {
+			t.Fatalf("obj %d: shard not ready after sync", obj)
+		}
+	}
+	if stats := svc.Stats(); stats.Pulls == 0 || stats.Synced == 0 || stats.ForcedReady != 0 {
+		t.Fatalf("sync stats: %+v", stats)
 	}
 }
 

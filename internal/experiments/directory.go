@@ -27,11 +27,10 @@ type DirectoryRow struct {
 // DirectoryResult is the sharded-directory ablation (§6.2): the same
 // hot-directory workload — every node fighting for ownership of a pool of
 // hot objects, so ownership REQs (not commits) dominate — swept across
-// directory shard counts, plus the pre-sharding fixed-DirNodes path as the
-// compat baseline. With one shard all arbitration funnels through one
-// driver set exactly like the legacy directory (the two rows should match);
-// as shards grow, arbitration spreads across the cluster and REQ throughput
-// should scale with cores. On a single-core host the sweep degenerates to a
+// directory shard counts. With one shard all arbitration funnels through one
+// three-node driver set (the paper's fixed directory); as shards grow,
+// arbitration spreads across the cluster and REQ throughput should scale
+// with cores. On a single-core host the sweep degenerates to a
 // flat-not-degrading check; MaxProcs records the regime.
 type DirectoryResult struct {
 	MaxProcs int
@@ -67,7 +66,6 @@ func Directory(s Scale) DirectoryResult {
 		label  string
 		shards int
 	}{
-		{"legacy DirNodes", -1}, // pre-sharding fixed three-node directory
 		{"1 shard", 1},
 		{"4 shards", 4},
 		{"16 shards", 16},
@@ -77,7 +75,7 @@ func Directory(s Scale) DirectoryResult {
 	for _, cfg := range configs {
 		opts := cluster.DefaultOptions(nodes)
 		opts.Workers = s.Workers
-		opts.DirShards = cfg.shards
+		opts.View.DirShards = cfg.shards
 		c := cluster.New(opts)
 		c.SeedRange(1, objects, make([]byte, 64))
 
@@ -121,13 +119,9 @@ func Directory(s Scale) DirectoryResult {
 		after := sumOwnStats(c, nodes)
 		c.Close()
 
-		shards := cfg.shards
-		if shards < 0 {
-			shards = 1
-		}
 		row := DirectoryRow{
 			Label:    cfg.label,
-			Shards:   shards,
+			Shards:   cfg.shards,
 			Acquired: after.Succeeded - before.Succeeded,
 			Requests: after.Requests - before.Requests,
 			Nacks:    after.Nacks - before.Nacks,
@@ -137,8 +131,8 @@ func Directory(s Scale) DirectoryResult {
 		row.Tps = float64(row.Acquired) / elapsed.Seconds()
 		res.Rows = append(res.Rows, row)
 	}
-	// Speedup vs the 1-shard row (index 1).
-	if base := res.Rows[1].Tps; base > 0 {
+	// Speedup vs the 1-shard row.
+	if base := res.Rows[0].Tps; base > 0 {
 		for i := range res.Rows {
 			res.Rows[i].Speedup = res.Rows[i].Tps / base
 		}

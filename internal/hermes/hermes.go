@@ -15,9 +15,9 @@ import (
 	"sync"
 	"time"
 
-	"zeus/internal/membership"
 	"zeus/internal/retry"
 	"zeus/internal/transport"
+	"zeus/internal/viewsvc"
 	"zeus/internal/wire"
 )
 
@@ -55,7 +55,7 @@ type KV struct {
 	self     wire.NodeID
 	replicas wire.Bitmap
 	tr       transport.Transport
-	agent    *membership.Agent
+	agent    *viewsvc.Agent
 	timeout  time.Duration
 
 	mu      sync.Mutex
@@ -65,7 +65,7 @@ type KV struct {
 
 // New creates a KV replica; replicas is the full replica group (all nodes of
 // the load balancer tier). Register installs the handlers.
-func New(self wire.NodeID, replicas wire.Bitmap, tr transport.Transport, agent *membership.Agent) *KV {
+func New(self wire.NodeID, replicas wire.Bitmap, tr transport.Transport, agent *viewsvc.Agent) *KV {
 	return &KV{
 		self:     self,
 		replicas: replicas,

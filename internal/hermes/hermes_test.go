@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"zeus/internal/membership"
 	"zeus/internal/transport"
+	"zeus/internal/viewsvc"
 	"zeus/internal/wire"
 )
 
@@ -18,7 +18,8 @@ func newKVGroup(t *testing.T, n int) []*KV {
 		members = members.Add(wire.NodeID(i))
 	}
 	hub := transport.NewHub()
-	mgr := membership.NewManager(membership.Config{Lease: time.Millisecond}, members)
+	mgr := viewsvc.NewSelfHosted(viewsvc.Config{Lease: time.Millisecond}, members)
+	t.Cleanup(mgr.Close)
 	kvs := make([]*KV, n)
 	for i := 0; i < n; i++ {
 		id := wire.NodeID(i)

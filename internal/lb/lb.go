@@ -14,21 +14,21 @@ import (
 	"time"
 
 	"zeus/internal/hermes"
-	"zeus/internal/membership"
+	"zeus/internal/viewsvc"
 	"zeus/internal/wire"
 )
 
 // Balancer routes request keys to Zeus nodes.
 type Balancer struct {
 	kv    *hermes.KV
-	agent *membership.Agent
+	agent *viewsvc.Agent
 
 	mu  sync.Mutex
 	rng *rand.Rand
 }
 
 // New creates a balancer over an existing Hermes KV replica.
-func New(kv *hermes.KV, agent *membership.Agent, seed int64) *Balancer {
+func New(kv *hermes.KV, agent *viewsvc.Agent, seed int64) *Balancer {
 	return &Balancer{kv: kv, agent: agent, rng: rand.New(rand.NewSource(seed))}
 }
 

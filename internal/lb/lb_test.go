@@ -5,19 +5,20 @@ import (
 	"time"
 
 	"zeus/internal/hermes"
-	"zeus/internal/membership"
 	"zeus/internal/transport"
+	"zeus/internal/viewsvc"
 	"zeus/internal/wire"
 )
 
-func newBalancers(t *testing.T, n int) ([]*Balancer, *membership.Manager) {
+func newBalancers(t *testing.T, n int) ([]*Balancer, *viewsvc.Client) {
 	t.Helper()
 	var members wire.Bitmap
 	for i := 0; i < n; i++ {
 		members = members.Add(wire.NodeID(i))
 	}
 	hub := transport.NewHub()
-	mgr := membership.NewManager(membership.Config{Lease: time.Millisecond}, members)
+	mgr := viewsvc.NewSelfHosted(viewsvc.Config{Lease: time.Millisecond}, members)
+	t.Cleanup(mgr.Close)
 	out := make([]*Balancer, n)
 	for i := 0; i < n; i++ {
 		id := wire.NodeID(i)

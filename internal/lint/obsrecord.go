@@ -72,7 +72,7 @@ func runObsRecord(pass *analysis.Pass) (interface{}, error) {
 // proven non-nil (by exprKey) at each point. The facts map is flow-
 // insensitive within a statement but respects lexical dominance: enclosing
 // `!= nil` guards and terminating `== nil` early returns. Obs handles are
-// set once at wiring time (the SetObs contract), so lexical facts are never
+// set once, by the engine's constructor, so lexical facts are never
 // invalidated by assignment.
 func obsCheckStmts(pass *analysis.Pass, stmts []ast.Stmt, facts map[string]bool) {
 	facts = copyFacts(facts)

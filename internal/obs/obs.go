@@ -3,11 +3,11 @@
 // and a structured incident log, all stdlib-only and allocation-free on the
 // record path.
 //
-// The wiring contract mirrors commit.Engine.EnableTimestamps: a deployment
-// opts in by handing each engine an obs handle at wiring time (SetObs,
-// before the engine receives traffic), and every record site is gated on a
-// nil check of that handle, so disabled deployments keep the seed hot path
-// bit for bit. Engines cache the metric handles they record into — the
+// A deployment opts in by handing each engine's constructor a Registry
+// (commit.Config.Obs, ownership.Config.Obs, storage.NewLog,
+// viewsvc.NewClient), and every record site is gated on a nil check of the
+// handle bundle the constructor built from it, so disabled deployments keep
+// the seed hot path bit for bit. Engines cache the metric handles they record into — the
 // Registry's name→metric maps are touched at registration time only, never
 // per event (zeuslint obsrecord enforces both disciplines).
 //

@@ -13,7 +13,7 @@ import (
 const nackReasonCount = int(wire.NackNotDriver) + 1
 
 // engineObs is the ownership engine's cached observability bundle (see
-// commit.engineObs): handles resolved once at wiring time, record sites pay
+// commit.engineObs): handles resolved once in New, record sites pay
 // a nil check plus an atomic.
 type engineObs struct {
 	reg *obs.Registry
@@ -30,23 +30,19 @@ type engineObs struct {
 	migrations []*obs.Counter
 }
 
-// SetObs wires the observability registry. Must be called before the engine
-// receives traffic (node wiring time). The per-reason and per-shard counter
-// families have computed names; they register here, once, never on the
-// record path.
-func (e *Engine) SetObs(r *obs.Registry) {
-	if r == nil {
-		return
-	}
+// newEngineObs resolves the engine's handles in r. The per-reason and
+// per-shard counter families have computed names; they register here, once,
+// never on the record path.
+func newEngineObs(e *Engine, r *obs.Registry) *engineObs {
 	b := &engineObs{reg: r, acquireNS: r.Histogram("own_acquire_ns")}
 	for i := range b.nacks {
 		name := strings.ReplaceAll(wire.NackReason(i).String(), "-", "_")
-		//lint:allow obsrecord the per-reason NACK counter family is registered once at wiring time
+		//lint:allow obsrecord the per-reason NACK counter family is registered once at construction
 		b.nacks[i] = r.Counter(fmt.Sprintf("own_nack_%s_total", name))
 	}
 	b.migrations = make([]*obs.Counter, e.dir.Shards())
 	for s := range b.migrations {
-		//lint:allow obsrecord per-shard migration heat counters are registered once at wiring time
+		//lint:allow obsrecord per-shard migration heat counters are registered once at construction
 		b.migrations[s] = r.Counter(fmt.Sprintf("own_migrations_shard%d_total", s))
 	}
 	r.CounterFunc("own_requests_total", e.stRequests.Load)
@@ -54,7 +50,7 @@ func (e *Engine) SetObs(r *obs.Registry) {
 	r.CounterFunc("own_nacks_sent_total", e.stNacks.Load)
 	r.CounterFunc("own_timeouts_total", e.stTimeouts.Load)
 	r.CounterFunc("own_replays_total", e.stReplays.Load)
-	e.obs = b
+	return b
 }
 
 // MigrationsByShard returns the per-shard successful-acquisition counts (nil

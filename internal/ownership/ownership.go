@@ -45,13 +45,14 @@ import (
 	"time"
 
 	"zeus/internal/directory"
-	"zeus/internal/membership"
+	"zeus/internal/obs"
 	"zeus/internal/retry"
 	"zeus/internal/safetime"
 	"zeus/internal/shardmap"
 	"zeus/internal/storage"
 	"zeus/internal/store"
 	"zeus/internal/transport"
+	"zeus/internal/viewsvc"
 	"zeus/internal/wire"
 )
 
@@ -86,16 +87,30 @@ var (
 	ErrClosed = errors.New("ownership: engine closed")
 )
 
-// Config tunes the engine.
+// Config tunes the engine and carries what the node wires it to. The tuning
+// fields default when zero; core.NewNode fills the wiring fields.
 type Config struct {
-	// Directory resolves object → shard → arbitration drivers (§6.2). When
-	// nil, the engine falls back to the degenerate 1-shard directory over
-	// DirNodes — the pre-sharding behaviour.
+	// Directory resolves object → shard → arbitration drivers (§6.2).
+	// Required.
 	Directory directory.Directory
-	// DirNodes is the fixed driver set of the compat shim used when
-	// Directory is nil (the paper's evaluation replicates the directory
-	// across three fixed nodes).
-	DirNodes wire.Bitmap
+	// HasPendingCommit is the reliable-commit engine's probe: the owner
+	// NACKs ownership requests for objects with pending reliable commits
+	// (§4.1). It MUST NOT lock the object (the engine may hold the object
+	// mutex when calling it); objects held by executing local transactions
+	// are detected by the engine itself via Object.LocalOwner. Nil means no
+	// commit engine: never pending.
+	HasPendingCommit func(wire.ObjectID) bool
+	// Clock is the node's hybrid-logical clock: the engine merges the commit
+	// timestamps riding on ownership ACKs/RESPs into it, and transferred
+	// data re-arms the receiving replica's snapshot-read ring at the shipped
+	// CTS. Nil installs a private clock.
+	Clock *safetime.Clock
+	// Log, when set, records applied ownership grants (recGrant) so a
+	// restarted node knows each object's last-known replica set and level.
+	// The engine never closes the log.
+	Log *storage.Log
+	// Obs, when non-nil, receives the engine's metrics.
+	Obs *obs.Registry
 	// AttemptTimeout bounds one REQ→final-ACK attempt.
 	AttemptTimeout time.Duration
 	// Deadline bounds the whole Acquire (across retries and back-off).
@@ -115,9 +130,8 @@ type Config struct {
 }
 
 // DefaultConfig returns simulation-friendly timeouts.
-func DefaultConfig(dirNodes wire.Bitmap) Config {
+func DefaultConfig() Config {
 	return Config{
-		DirNodes:       dirNodes,
 		AttemptTimeout: 100 * time.Millisecond,
 		Deadline:       5 * time.Second,
 		Retry:          DefaultRetryPolicy(),
@@ -139,16 +153,9 @@ type Engine struct {
 	self  wire.NodeID
 	st    *store.Store
 	tr    transport.Transport
-	agent *membership.Agent
+	agent *viewsvc.Agent
 	cfg   Config
 	dir   directory.Directory
-
-	// HasPendingCommit is wired to the reliable-commit engine: the owner
-	// NACKs ownership requests for objects with pending reliable commits.
-	// It MUST NOT lock the object (the engine may hold the object mutex
-	// when calling it); objects held by executing local transactions are
-	// detected by the engine itself via Object.LocalOwner.
-	HasPendingCommit func(wire.ObjectID) bool
 
 	// Hot-path state is striped so concurrent requests on different
 	// objects (or different request ids) never serialize on one engine
@@ -180,18 +187,12 @@ type Engine struct {
 	closed     chan struct{}
 	once       sync.Once
 
-	// log, when set, records applied ownership grants (recGrant) so a
-	// restarted node knows each object's last-known replica set and level.
-	log *storage.Log
-
-	// clock, when set, merges the commit timestamps riding on ownership
-	// ACKs/RESPs into the node's HLC, and transferred data re-arms the
-	// receiving replica's snapshot-read ring at the shipped CTS.
+	// Config.Log and Config.Clock (never nil), and the cached metric handles
+	// the request path records into — nil without Config.Obs, which keeps
+	// the seed path (one branch).
+	log   *storage.Log
 	clock *safetime.Clock
-
-	// obs, when set (SetObs, wiring time), holds the cached metric handles
-	// the request path records into; nil keeps the seed path (one branch).
-	obs *engineObs
+	obs   *engineObs
 
 	stRequests  atomic.Uint64
 	stSucceeded atomic.Uint64
@@ -278,9 +279,8 @@ type recovState struct {
 	finished bool
 }
 
-// New creates an ownership engine. Call Register to hook it into a router,
-// and set HasPendingCommit before serving traffic.
-func New(self wire.NodeID, st *store.Store, tr transport.Transport, agent *membership.Agent, cfg Config) *Engine {
+// New creates an ownership engine. Call Register to hook it into a router.
+func New(self wire.NodeID, st *store.Store, tr transport.Transport, agent *viewsvc.Agent, cfg Config) *Engine {
 	if cfg.AttemptTimeout <= 0 {
 		cfg.AttemptTimeout = 100 * time.Millisecond
 	}
@@ -293,38 +293,31 @@ func New(self wire.NodeID, st *store.Store, tr transport.Transport, agent *membe
 	if cfg.StaleAfter <= 0 {
 		cfg.StaleAfter = 250 * time.Millisecond
 	}
-	dir := cfg.Directory
-	if dir == nil {
-		dir = directory.NewStatic(cfg.DirNodes)
+	if cfg.HasPendingCommit == nil {
+		cfg.HasPendingCommit = func(wire.ObjectID) bool { return false }
+	}
+	if cfg.Clock == nil {
+		cfg.Clock = new(safetime.Clock)
 	}
 	e := &Engine{
-		self:             self,
-		st:               st,
-		tr:               tr,
-		agent:            agent,
-		cfg:              cfg,
-		dir:              dir,
-		pending:          shardmap.NewStriped[uint64, *pendingReq](shardmap.Mix64),
-		recov:            make(map[uint64]*recovState),
-		valsAwait:        shardmap.NewStriped[wire.ObjectID, wire.OTS](func(id wire.ObjectID) uint64 { return shardmap.Mix64(uint64(id)) }),
-		closed:           make(chan struct{}),
-		rng:              rand.New(rand.NewSource(int64(self)*7919 + 1)),
-		clock:            new(safetime.Clock),
-		HasPendingCommit: func(wire.ObjectID) bool { return false },
+		self:      self,
+		st:        st,
+		tr:        tr,
+		agent:     agent,
+		cfg:       cfg,
+		dir:       cfg.Directory,
+		pending:   shardmap.NewStriped[uint64, *pendingReq](shardmap.Mix64),
+		recov:     make(map[uint64]*recovState),
+		valsAwait: shardmap.NewStriped[wire.ObjectID, wire.OTS](func(id wire.ObjectID) uint64 { return shardmap.Mix64(uint64(id)) }),
+		closed:    make(chan struct{}),
+		rng:       rand.New(rand.NewSource(int64(self)*7919 + 1)),
+		log:       cfg.Log,
+		clock:     cfg.Clock,
+	}
+	if cfg.Obs != nil {
+		e.obs = newEngineObs(e, cfg.Obs)
 	}
 	return e
-}
-
-// SetLog arms grant journaling. Must be called before the engine receives
-// traffic (node wiring time); the engine never closes the log.
-func (e *Engine) SetLog(l *storage.Log) { e.log = l }
-
-// SetClock shares the node's hybrid-logical clock with the engine (node
-// wiring time). Nil keeps a private clock so call sites stay nil-safe.
-func (e *Engine) SetClock(c *safetime.Clock) {
-	if c != nil {
-		e.clock = c
-	}
 }
 
 // Register installs the engine's handlers on the router.
@@ -349,14 +342,9 @@ func (e *Engine) Stats() Stats {
 }
 
 // DrivesShard reports whether n drives the directory shard of obj (§6.2).
-// With the 1-shard compat directory this degenerates to the old "is n a
-// directory node" check.
 func (e *Engine) DrivesShard(n wire.NodeID, obj wire.ObjectID) bool {
 	return e.dir.DrivesShard(n, obj)
 }
-
-// Directory exposes the engine's directory resolver (tests and tooling).
-func (e *Engine) Directory() directory.Directory { return e.dir }
 
 // send hands m to the transport, or, when the node addresses itself (it can
 // be requester, driver and arbiter at once), handles it inline on the calling
@@ -527,20 +515,14 @@ func (e *Engine) run(obj wire.ObjectID, mode wire.ReqMode, target wire.Bitmap) e
 	defer e.endRequest(req)
 
 	// unknownFrom collects the DISTINCT drivers that answered
-	// unknown-object. One driver's word is no longer final under the
-	// sharded directory: a driver whose shard sync was force-readied (all
-	// snapshot sources dead or silent) may hold no entry for an object its
-	// peers know. The request only fails as unknown once several distinct
-	// drivers — or every live driver of the shard — agree, and pickDriver
-	// steers retries away from the drivers that already said unknown. The
-	// static compat directory is always authoritative (fixed driver set,
-	// never syncing), so there the first NACK stands and a genuine unknown
-	// object keeps its one-round-trip error.
+	// unknown-object. One driver's word is not final: a driver whose shard
+	// sync was force-readied (all snapshot sources dead or silent) may hold
+	// no entry for an object its peers know. The request only fails as
+	// unknown once several distinct drivers — or every live driver of the
+	// shard — agree, and pickDriver steers retries away from the drivers
+	// that already said unknown.
 	var unknownFrom wire.Bitmap
-	unknownRetries := 3
-	if e.dir.Authoritative() {
-		unknownRetries = 1
-	}
+	const unknownRetries = 3
 
 	for {
 		select {
@@ -789,7 +771,7 @@ func (e *Engine) handleReq(m *wire.OwnReq) {
 	// (bumped under the object lock at local-commit time) when wired to
 	// the commit engine, and is a stub seam in tests.
 	if o.Level == wire.Owner && m.Requester != e.self &&
-		(o.LocalOwner != store.NoLocalOwner || e.HasPendingCommit(m.Obj)) {
+		(o.LocalOwner != store.NoLocalOwner || e.cfg.HasPendingCommit(m.Obj)) {
 		o.YieldLocalUntil = time.Now().Add(transferYield)
 		o.Mu.Unlock()
 		e.stNacks.Add(1)
@@ -1013,7 +995,7 @@ func (e *Engine) handleInv(m *wire.OwnInv) {
 	// (an initiated reliable commit cannot abort) and replication of the
 	// in-flight slots completes independently.
 	if !m.Recovery && e.self == m.PrevOwner && o.Level == wire.Owner &&
-		(o.LocalOwner != store.NoLocalOwner || e.HasPendingCommit(m.Obj)) {
+		(o.LocalOwner != store.NoLocalOwner || e.cfg.HasPendingCommit(m.Obj)) {
 		// Transfer fairness: a back-to-back local write stream would keep
 		// this guard busy forever, so defer new local write grants long
 		// enough for the pipeline to drain and the requester to re-probe.

@@ -11,11 +11,23 @@ import (
 	"testing"
 	"time"
 
-	"zeus/internal/membership"
 	"zeus/internal/store"
 	"zeus/internal/transport"
+	"zeus/internal/viewsvc"
 	"zeus/internal/wire"
 )
+
+// fixedDir is the directory.Directory these tests run the engine against:
+// one shard, a fixed driver set, always ready.
+type fixedDir wire.Bitmap
+
+func (d fixedDir) Shards() int                          { return 1 }
+func (d fixedDir) ShardOf(wire.ObjectID) int            { return 0 }
+func (d fixedDir) DriversFor(wire.ObjectID) wire.Bitmap { return wire.Bitmap(d) }
+func (d fixedDir) Ready(wire.ObjectID) bool             { return true }
+func (d fixedDir) DrivesShard(n wire.NodeID, _ wire.ObjectID) bool {
+	return wire.Bitmap(d).Contains(n)
+}
 
 // tnode bundles one node's ownership stack for tests.
 type tnode struct {
@@ -23,14 +35,26 @@ type tnode struct {
 	st    *store.Store
 	eng   *Engine
 	tr    *transport.MemTransport
-	agent *membership.Agent
+	agent *viewsvc.Agent
+	// hasPending, when set, stands in for the commit engine's pending-commit
+	// probe (Config.HasPendingCommit).
+	hasPending atomic.Pointer[func(wire.ObjectID) bool]
 }
 
 type tcluster struct {
 	hub   *transport.Hub
-	mgr   *membership.Manager
+	mgr   *viewsvc.Client
 	nodes []*tnode
 	dirs  wire.Bitmap
+}
+
+// config is the engine configuration every test node runs.
+func (c *tcluster) config() Config {
+	cfg := DefaultConfig()
+	cfg.Directory = fixedDir(c.dirs)
+	cfg.AttemptTimeout = 100 * time.Millisecond
+	cfg.Deadline = 3 * time.Second
+	return cfg
 }
 
 func newTestCluster(t *testing.T, n int) *tcluster {
@@ -44,7 +68,7 @@ func newTestCluster(t *testing.T, n int) *tcluster {
 		dirs = members
 	}
 	hub := transport.NewHub()
-	mgr := membership.NewManager(membership.Config{Lease: 2 * time.Millisecond}, members)
+	mgr := viewsvc.NewSelfHosted(viewsvc.Config{Lease: 2 * time.Millisecond}, members)
 	t.Cleanup(mgr.Close) // its view-service replicas tick until closed
 	c := &tcluster{hub: hub, mgr: mgr, dirs: dirs}
 	for i := 0; i < n; i++ {
@@ -52,14 +76,17 @@ func newTestCluster(t *testing.T, n int) *tcluster {
 		st := store.New()
 		tr := hub.Node(id)
 		agent := mgr.Agent(id)
-		cfg := DefaultConfig(dirs)
-		cfg.AttemptTimeout = 100 * time.Millisecond
-		cfg.Deadline = 3 * time.Second
+		nd := &tnode{id: id, st: st, tr: tr, agent: agent}
+		cfg := c.config()
+		cfg.HasPendingCommit = func(obj wire.ObjectID) bool {
+			f := nd.hasPending.Load()
+			return f != nil && (*f)(obj)
+		}
 		eng := New(id, st, tr, agent, cfg)
+		nd.eng = eng
 		r := transport.NewRouter()
 		eng.Register(r)
 		tr.SetHandler(r.Dispatch)
-		nd := &tnode{id: id, st: st, eng: eng, tr: tr, agent: agent}
 		agent.OnChange(func(old, next wire.View, removed wire.Bitmap) {
 			if removed.Count() > 0 {
 				eng.Pause()
@@ -307,9 +334,8 @@ func TestPendingCommitNackThenRetrySucceeds(t *testing.T) {
 	seed(t, c, 0, 13, 0, []byte("p"))
 	var pending atomic.Bool
 	pending.Store(true)
-	c.nodes[0].eng.HasPendingCommit = func(obj wire.ObjectID) bool {
-		return obj == 13 && pending.Load()
-	}
+	hasPending := func(obj wire.ObjectID) bool { return obj == 13 && pending.Load() }
+	c.nodes[0].hasPending.Store(&hasPending)
 	// Drain the "pipeline" shortly after the first NACKs.
 	time.AfterFunc(10*time.Millisecond, func() { pending.Store(false) })
 	if err := c.nodes[3].eng.AcquireOwnership(13); err != nil {
@@ -788,7 +814,7 @@ func TestCloseReleasesBlockedAcquireAndEngineOwnsNoGoroutine(t *testing.T) {
 	nd := c.nodes[0]
 
 	idle := runtime.NumGoroutine()
-	spare := New(nd.id, store.New(), nd.tr, nd.agent, DefaultConfig(c.dirs))
+	spare := New(nd.id, store.New(), nd.tr, nd.agent, c.config())
 	if got := runtime.NumGoroutine(); got != idle {
 		t.Fatalf("New started %d goroutines", got-idle)
 	}

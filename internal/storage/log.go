@@ -28,12 +28,12 @@ type Log struct {
 	closed   atomic.Bool
 	appended atomic.Int64 // records appended since the last mark
 
-	// obs, when set (SetObs, wiring time), holds the group-commit metric
-	// handles; nil keeps the seed flush path.
+	// obs holds the group-commit metric handles; nil (NewLog without a
+	// registry) keeps the seed flush path.
 	obs *logObs
 }
 
-// logObs caches the WAL metric handles (resolved once at wiring time).
+// logObs caches the WAL metric handles (resolved once, in NewLog).
 type logObs struct {
 	// appendNS is the driver Append latency per batch (the fsync for
 	// filestorage); batchRecs is the group-commit batch size — together
@@ -42,29 +42,24 @@ type logObs struct {
 	batchRecs *obs.Histogram
 }
 
-// SetObs wires the observability registry. Must be called before the log
-// sees traffic (node wiring time): drain reads l.obs unsynchronized.
-func (l *Log) SetObs(r *obs.Registry) {
-	if r == nil {
-		return
-	}
-	l.obs = &logObs{
-		appendNS:  r.Histogram("wal_append_ns"),
-		batchRecs: r.Histogram("wal_batch_records"),
-	}
-	// Gauge, not counter: the mark resets at every snapshot.
-	r.GaugeFunc("wal_records_since_mark", l.appended.Load)
-}
-
 type logBatch struct {
 	recs []Record
 	done chan struct{}
 	err  error
 }
 
-// NewLog starts a group-commit log over s.
-func NewLog(s Storage) *Log {
+// NewLog starts a group-commit log over s. reg, when non-nil, receives the
+// group-commit metrics.
+func NewLog(s Storage, reg *obs.Registry) *Log {
 	l := &Log{s: s, kick: make(chan struct{}, 1), quit: make(chan struct{})}
+	if reg != nil {
+		l.obs = &logObs{
+			appendNS:  reg.Histogram("wal_append_ns"),
+			batchRecs: reg.Histogram("wal_batch_records"),
+		}
+		// Gauge, not counter: the mark resets at every snapshot.
+		reg.GaugeFunc("wal_records_since_mark", l.appended.Load)
+	}
 	l.done.Add(1)
 	go l.run()
 	return l

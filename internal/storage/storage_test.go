@@ -47,7 +47,7 @@ func TestReplayRules(t *testing.T) {
 
 func TestMemstorageSnapshotRetainsTail(t *testing.T) {
 	ms := memstorage.New()
-	log := storage.NewLog(ms)
+	log := storage.NewLog(ms, nil)
 	defer log.Close()
 
 	if err := log.Append(storage.Record{Kind: storage.RecCommit, Obj: 1, Version: 1, Data: []byte("a")}); err != nil {
@@ -78,7 +78,7 @@ func TestMemstorageSnapshotRetainsTail(t *testing.T) {
 
 func TestLogGroupCommitConcurrent(t *testing.T) {
 	ms := memstorage.New()
-	log := storage.NewLog(ms)
+	log := storage.NewLog(ms, nil)
 
 	const writers, per = 8, 200
 	var wg sync.WaitGroup

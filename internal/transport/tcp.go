@@ -21,9 +21,14 @@ type TCP struct {
 	self wire.NodeID
 	ln   net.Listener
 
-	mu      sync.Mutex
-	addrs   map[wire.NodeID]string // guarded by mu; extended via SetAddr
-	conns   map[wire.NodeID]*tcpConn
+	mu    sync.Mutex
+	addrs map[wire.NodeID]string // guarded by mu; extended via SetAddr
+	conns map[wire.NodeID]*tcpConn
+	// open holds every live socket, in conns or not (the second connection
+	// of a simultaneous dial is nobody's route): Close closes them all, so
+	// no reader goroutine — and through its handler, no node — outlives
+	// the transport.
+	open    map[net.Conn]struct{}
 	handler atomic.Value // Handler
 	tick    atomic.Value // func(), invoked after each message dispatch
 	closed  chan struct{}
@@ -58,6 +63,7 @@ func NewTCP(self wire.NodeID, listenAddr string, addrs map[wire.NodeID]string) (
 		addrs:  book,
 		ln:     ln,
 		conns:  make(map[wire.NodeID]*tcpConn),
+		open:   make(map[net.Conn]struct{}),
 		closed: make(chan struct{}),
 	}
 	t.wg.Add(1)
@@ -106,33 +112,59 @@ func (t *TCP) acceptLoop() {
 	}
 }
 
+// isClosed reports whether Close has begun. Under t.mu it orders a new
+// socket against Close: either Close sees the socket in open, or the caller
+// sees the transport closed.
+func (t *TCP) isClosed() bool {
+	select {
+	case <-t.closed:
+		return true
+	default:
+		return false
+	}
+}
+
+// hangUp closes a socket whose read loop ended and, if it is still the
+// route to peer, drops the route so a later Send redials instead of writing
+// into a dead socket.
+func (t *TCP) hangUp(peer wire.NodeID, c net.Conn) {
+	t.mu.Lock()
+	delete(t.open, c)
+	if cur, ok := t.conns[peer]; ok && cur.c == c {
+		delete(t.conns, peer)
+	}
+	t.mu.Unlock()
+	c.Close()
+}
+
 func (t *TCP) serveConn(c net.Conn) {
-	defer c.Close()
+	var peer wire.NodeID // unknown until the handshake; hangUp only drops a route that is c
+	defer func() { t.hangUp(peer, c) }()
+	t.mu.Lock()
+	closed := t.isClosed()
+	if !closed {
+		t.open[c] = struct{}{}
+	}
+	t.mu.Unlock()
+	if closed {
+		return
+	}
 	// Handshake: peer sends its node id.
 	var hdr [2]byte
 	if _, err := io.ReadFull(c, hdr[:]); err != nil {
 		return
 	}
-	peer := wire.NodeID(binary.LittleEndian.Uint16(hdr[:]))
+	peer = wire.NodeID(binary.LittleEndian.Uint16(hdr[:]))
 	// Register the inbound connection for outbound use (first one wins): a
 	// peer with no listed address — a zeusctl client, or a joiner the
 	// address book has not delivered yet — becomes reachable the moment it
 	// dials in, so replies and pushes need no reverse dial.
 	t.mu.Lock()
-	reg, registered := t.conns[peer]
-	if !registered {
-		reg = &tcpConn{c: c}
-		t.conns[peer] = reg
+	if _, registered := t.conns[peer]; !registered {
+		t.conns[peer] = &tcpConn{c: c}
 	}
 	t.mu.Unlock()
 	t.readLoop(peer, c)
-	// The peer hung up: drop the registration (if still ours) so a later
-	// Send redials instead of writing into a dead socket.
-	t.mu.Lock()
-	if cur, ok := t.conns[peer]; ok && cur == reg && reg.c == c {
-		delete(t.conns, peer)
-	}
-	t.mu.Unlock()
 }
 
 func (t *TCP) readLoop(peer wire.NodeID, c net.Conn) {
@@ -173,6 +205,9 @@ func (t *TCP) conn(to wire.NodeID) (*tcpConn, error) {
 	if c, ok := t.conns[to]; ok {
 		return c, nil
 	}
+	if t.isClosed() { // a Send that raced Close must not dial a socket Close never sees
+		return nil, ErrClosed
+	}
 	addr, ok := t.addrs[to]
 	if !ok {
 		return nil, fmt.Errorf("transport: no address for node %d", to)
@@ -189,12 +224,14 @@ func (t *TCP) conn(to wire.NodeID) (*tcpConn, error) {
 	}
 	tc := &tcpConn{c: c}
 	t.conns[to] = tc
+	t.open[c] = struct{}{}
 	// Also read from outbound connections so a pair of nodes can share
 	// one connection in each direction without confusion.
 	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
 		t.readLoop(to, c)
+		t.hangUp(to, c)
 	}()
 	return tc, nil
 }
@@ -219,10 +256,8 @@ func (t *TCP) write(to wire.NodeID, tc *tcpConn, buf []byte) error {
 // Send transmits m to the peer, dialing on first use. Marshalling happens
 // outside any lock, into a pooled buffer.
 func (t *TCP) Send(to wire.NodeID, m wire.Msg) error {
-	select {
-	case <-t.closed:
+	if t.isClosed() {
 		return ErrClosed
-	default:
 	}
 	tc, err := t.conn(to)
 	if err != nil {
@@ -238,10 +273,8 @@ func (t *TCP) Send(to wire.NodeID, m wire.Msg) error {
 // SendBatch transmits msgs back-to-back in a single write (one syscall); the
 // on-wire framing is unchanged, so mixed-version peers interoperate.
 func (t *TCP) SendBatch(to wire.NodeID, msgs []wire.Msg) error {
-	select {
-	case <-t.closed:
+	if t.isClosed() {
 		return ErrClosed
-	default:
 	}
 	if len(msgs) == 0 {
 		return nil
@@ -261,10 +294,8 @@ func (t *TCP) SendBatch(to wire.NodeID, msgs []wire.Msg) error {
 
 // Multicast marshals m once and writes it to every destination.
 func (t *TCP) Multicast(dsts []wire.NodeID, m wire.Msg) error {
-	select {
-	case <-t.closed:
+	if t.isClosed() {
 		return ErrClosed
-	default:
 	}
 	if len(dsts) == 0 {
 		return nil
@@ -291,8 +322,8 @@ func (t *TCP) Close() error {
 		close(t.closed)
 		t.ln.Close()
 		t.mu.Lock()
-		for _, c := range t.conns {
-			c.c.Close()
+		for c := range t.open {
+			c.Close()
 		}
 		t.conns = make(map[wire.NodeID]*tcpConn)
 		t.mu.Unlock()

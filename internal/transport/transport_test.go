@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -320,6 +321,57 @@ func TestTCPTransport(t *testing.T) {
 		}
 	}
 	ca.waitN(t, N, 5*time.Second)
+}
+
+// TestTCPCloseStopsEveryReader: Close must end the reader of every socket,
+// not only of those that are a route. The second connection of a simultaneous
+// dial is nobody's route; left open, its reader — and through the handler the
+// whole node behind it — outlived the transport (a closed benchmark cluster
+// stayed on the heap, 31 MB in one smallbank_tcp run of ten).
+func TestTCPCloseStopsEveryReader(t *testing.T) {
+	a, err := NewTCP(0, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := NewTCP(1, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	a.SetAddr(1, b.Addr())
+	b.SetAddr(0, a.Addr())
+	cb := newCollect()
+	b.SetHandler(cb.handler)
+	if err := a.Send(1, ping(0)); err != nil { // b's route to node 0
+		t.Fatal(err)
+	}
+	cb.waitN(t, 1, 5*time.Second)
+	// A second socket that also says it is node 0: b reads it, routes nothing
+	// over it.
+	extra, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer extra.Close()
+	if _, err := extra.Write(append([]byte{0, 0}, wire.AppendMessage(nil, ping(1))...)); err != nil {
+		t.Fatal(err)
+	}
+	cb.waitN(t, 2, 5*time.Second)
+
+	b.Close()
+	done := make(chan struct{})
+	go func() { b.wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a reader goroutine outlived Close")
+	}
+	// A Send that passed its closed check before Close ran dials from
+	// conn(): it must not open a socket Close will never see.
+	if _, err := b.conn(0); err != ErrClosed {
+		t.Fatalf("conn after Close: %v, want ErrClosed", err)
+	}
 }
 
 func TestTCPSendUnknownPeer(t *testing.T) {

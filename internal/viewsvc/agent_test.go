@@ -1,4 +1,4 @@
-package membership
+package viewsvc
 
 import (
 	"sync"
@@ -10,7 +10,7 @@ import (
 )
 
 func TestInitialView(t *testing.T) {
-	m := NewManager(Config{Lease: time.Millisecond}, wire.BitmapOf(0, 1, 2))
+	m := NewSelfHosted(Config{Lease: time.Millisecond}, wire.BitmapOf(0, 1, 2))
 	defer m.Close()
 	v := m.View()
 	if v.Epoch != 1 || v.Live != wire.BitmapOf(0, 1, 2) {
@@ -30,7 +30,7 @@ func TestInitialView(t *testing.T) {
 
 func TestFailWaitsForLease(t *testing.T) {
 	lease := 30 * time.Millisecond
-	m := NewManager(Config{Lease: lease}, wire.BitmapOf(0, 1, 2))
+	m := NewSelfHosted(Config{Lease: lease}, wire.BitmapOf(0, 1, 2))
 	defer m.Close()
 	a := m.Agent(0)
 	a.Renew()
@@ -54,7 +54,7 @@ func TestFailWaitsForLease(t *testing.T) {
 }
 
 func TestFailIsIdempotent(t *testing.T) {
-	m := NewManager(Config{Lease: time.Millisecond}, wire.BitmapOf(0, 1, 2))
+	m := NewSelfHosted(Config{Lease: time.Millisecond}, wire.BitmapOf(0, 1, 2))
 	defer m.Close()
 	m.Fail(2)
 	m.Fail(2)
@@ -73,7 +73,7 @@ func TestFailIsIdempotent(t *testing.T) {
 }
 
 func TestChangeCallbackCarriesRemovedSet(t *testing.T) {
-	m := NewManager(Config{Lease: time.Millisecond}, wire.BitmapOf(0, 1, 2))
+	m := NewSelfHosted(Config{Lease: time.Millisecond}, wire.BitmapOf(0, 1, 2))
 	defer m.Close()
 	a := m.Agent(0)
 	type change struct {
@@ -99,7 +99,7 @@ func TestChangeCallbackCarriesRemovedSet(t *testing.T) {
 }
 
 func TestDeadAgentNotNotified(t *testing.T) {
-	m := NewManager(Config{Lease: time.Millisecond}, wire.BitmapOf(0, 1))
+	m := NewSelfHosted(Config{Lease: time.Millisecond}, wire.BitmapOf(0, 1))
 	defer m.Close()
 	dead := m.Agent(1)
 	var notified atomic.Bool
@@ -115,7 +115,7 @@ func TestDeadAgentNotNotified(t *testing.T) {
 }
 
 func TestRecoveryBarrier(t *testing.T) {
-	m := NewManager(Config{Lease: time.Millisecond}, wire.BitmapOf(0, 1, 2))
+	m := NewSelfHosted(Config{Lease: time.Millisecond}, wire.BitmapOf(0, 1, 2))
 	defer m.Close()
 	a0, a1 := m.Agent(0), m.Agent(1)
 	var mu sync.Mutex
@@ -161,7 +161,7 @@ func TestRecoveryBarrier(t *testing.T) {
 }
 
 func TestRecoveryDoneStaleEpochIgnored(t *testing.T) {
-	m := NewManager(Config{Lease: time.Millisecond}, wire.BitmapOf(0, 1, 2))
+	m := NewSelfHosted(Config{Lease: time.Millisecond}, wire.BitmapOf(0, 1, 2))
 	defer m.Close()
 	a0 := m.Agent(0)
 	// Reporting for an epoch with no open barrier is a no-op.
@@ -173,7 +173,7 @@ func TestRecoveryDoneStaleEpochIgnored(t *testing.T) {
 }
 
 func TestJoinBumpsEpochWithoutBarrier(t *testing.T) {
-	m := NewManager(Config{Lease: time.Millisecond}, wire.BitmapOf(0, 1))
+	m := NewSelfHosted(Config{Lease: time.Millisecond}, wire.BitmapOf(0, 1))
 	defer m.Close()
 	a0 := m.Agent(0)
 	var removedSeen atomic.Int32
@@ -198,7 +198,7 @@ func TestJoinBumpsEpochWithoutBarrier(t *testing.T) {
 }
 
 func TestLeaveOpensBarrierImmediately(t *testing.T) {
-	m := NewManager(Config{Lease: time.Hour}, wire.BitmapOf(0, 1, 2))
+	m := NewSelfHosted(Config{Lease: time.Hour}, wire.BitmapOf(0, 1, 2))
 	defer m.Close()
 	m.Leave(2)
 	v := m.View()
@@ -211,11 +211,11 @@ func TestLeaveOpensBarrierImmediately(t *testing.T) {
 }
 
 func TestAgentIgnoresStaleViews(t *testing.T) {
-	m := NewManager(Config{Lease: time.Millisecond}, wire.BitmapOf(0, 1))
+	m := NewSelfHosted(Config{Lease: time.Millisecond}, wire.BitmapOf(0, 1))
 	defer m.Close()
 	a := m.Agent(0)
 	old := wire.View{Epoch: 0, Live: wire.BitmapOf(0)}
-	a.apply(old, old, 0) // stale epoch: ignored
+	a.apply(old, old, 0, nil) // stale epoch: ignored
 	if a.Epoch() != 1 {
 		t.Fatalf("agent applied stale view: %+v", a.View())
 	}
@@ -223,7 +223,7 @@ func TestAgentIgnoresStaleViews(t *testing.T) {
 
 func TestRenewExtendsLease(t *testing.T) {
 	lease := 25 * time.Millisecond
-	m := NewManager(Config{Lease: lease}, wire.BitmapOf(0, 1))
+	m := NewSelfHosted(Config{Lease: lease}, wire.BitmapOf(0, 1))
 	defer m.Close()
 	a1 := m.Agent(1)
 	// Renew right before failing: expiry counts from the renewal.
@@ -240,7 +240,7 @@ func TestRenewExtendsLease(t *testing.T) {
 }
 
 func TestConcurrentFailuresDistinctEpochs(t *testing.T) {
-	m := NewManager(Config{Lease: time.Millisecond}, wire.BitmapOf(0, 1, 2, 3, 4, 5))
+	m := NewSelfHosted(Config{Lease: time.Millisecond}, wire.BitmapOf(0, 1, 2, 3, 4, 5))
 	defer m.Close()
 	m.Fail(4)
 	m.Fail(5)

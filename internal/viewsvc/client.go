@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"zeus/internal/obs"
 	"zeus/internal/retry"
 	"zeus/internal/transport"
 	"zeus/internal/wire"
@@ -12,7 +13,8 @@ import (
 
 // Client is a deployment's handle on the view service: it caches the last
 // committed state, receives state pushes (VSCommit), proposes membership
-// commands, renews data-node leases, and reports recovery-barrier progress.
+// commands, renews data-node leases, reports recovery-barrier progress, and
+// fans every committed state out to the per-node agents it created (Agent).
 //
 // Clients never locate the leader: every proposal is multicast to the whole
 // ensemble (only the leader acts; commands are deduplicated against the
@@ -23,15 +25,19 @@ type Client struct {
 	cfg      Config
 	tr       transport.Transport
 	replicas []wire.NodeID
-	ownsTr   bool // Close closes tr only when the client installed on it
+	ownsTr   bool      // Close closes tr only when the client installed on it
+	ens      *Ensemble // self-hosted ensemble (NewSelfHosted only), closed with the client
 
 	mu    sync.Mutex
 	state wire.VSState
 	heard bool // a state from the ensemble (vs the local seed) installed
 
-	onView      func(old, next wire.View, removed wire.Bitmap)
-	onRecovered func(wire.Epoch)
-	onState     func(wire.VSState)
+	// placement caches the latest committed directory placement (§6.2); it
+	// is fanned out to every agent's atomic slot so the ownership hot path
+	// resolves object → drivers with one atomic load.
+	placement atomic.Pointer[wire.DirPlacement]
+	agentMu   sync.Mutex
+	agents    map[wire.NodeID]*Agent
 
 	// Renewal coalescing, entirely atomic — concurrent renewals never
 	// serialize on the client mutex (or any mutex): Renew sets the node's
@@ -46,17 +52,35 @@ type Client struct {
 	closed chan struct{}
 	once   sync.Once
 
-	// obs, when set (SetObs), holds the cached metric handles; nil keeps
-	// the seed paths. Atomic because NewClient has already started pump and
-	// sent the initial query by the time the caller can wire a registry.
-	obs atomic.Pointer[clientObs]
+	// obs holds the cached metric handles; nil (no registry) keeps the seed
+	// paths. Set before the pump starts, read-only afterwards.
+	obs *clientObs
 }
 
 // NewClient attaches a client to the ensemble at ids over tr, seeded with
 // the deployment's initial view {epoch 1, members}. The client installs its
-// handler on tr and subscribes to commit pushes with an initial query.
-func NewClient(cfg Config, tr transport.Transport, ids []wire.NodeID, members wire.Bitmap) *Client {
-	return newClient(cfg, tr, ids, members, true)
+// handler on tr and subscribes to commit pushes with an initial query. reg,
+// when non-nil, receives the client's metrics (epoch changes, recovery-barrier
+// durations, lease-renewal lag).
+func NewClient(cfg Config, tr transport.Transport, ids []wire.NodeID, members wire.Bitmap, reg *obs.Registry) *Client {
+	return newClient(cfg, tr, ids, members, reg, true)
+}
+
+// NewSelfHosted is NewClient over a three-replica ensemble it starts itself
+// on a private in-process fabric — the right shape for single-process
+// harnesses that need a membership authority but no fault injection into it.
+// Close stops the ensemble with the client.
+func NewSelfHosted(cfg Config, members wire.Bitmap) *Client {
+	hub := transport.NewHub()
+	ids := ReplicaIDs(3)
+	trs := make([]transport.Transport, len(ids))
+	for i, id := range ids {
+		trs[i] = hub.Node(id)
+	}
+	ens := StartEnsemble(cfg, ids, trs, members)
+	c := NewClient(cfg, hub.Node(ClientID), ids, members, nil)
+	c.ens = ens
+	return c
 }
 
 // NewClientDetached is NewClient for callers that own the transport's
@@ -64,16 +88,17 @@ func NewClient(cfg Config, tr transport.Transport, ids []wire.NodeID, members wi
 // traffic through one Router over one socket. The client installs nothing;
 // route KindVSCommit and KindVSQuery to Handle. Close leaves the shared
 // transport open.
-func NewClientDetached(cfg Config, tr transport.Transport, ids []wire.NodeID, members wire.Bitmap) *Client {
-	return newClient(cfg, tr, ids, members, false)
+func NewClientDetached(cfg Config, tr transport.Transport, ids []wire.NodeID, members wire.Bitmap, reg *obs.Registry) *Client {
+	return newClient(cfg, tr, ids, members, reg, false)
 }
 
-func newClient(cfg Config, tr transport.Transport, ids []wire.NodeID, members wire.Bitmap, install bool) *Client {
+func newClient(cfg Config, tr transport.Transport, ids []wire.NodeID, members wire.Bitmap, reg *obs.Registry, install bool) *Client {
 	c := &Client{
 		cfg:      cfg.withDefaults(),
 		tr:       tr,
 		replicas: append([]wire.NodeID(nil), ids...),
 		ownsTr:   install,
+		agents:   make(map[wire.NodeID]*Agent),
 		events:   make(chan wire.VSState, 1024),
 		closed:   make(chan struct{}),
 	}
@@ -81,6 +106,11 @@ func newClient(cfg Config, tr transport.Transport, ids []wire.NodeID, members wi
 		Index: 0, Epoch: 1, Live: members,
 		Placement: wire.ComputePlacement(c.cfg.DirShards, c.cfg.DirDegree, 1, members),
 		Addrs:     append([]wire.NodeAddr(nil), c.cfg.InitialAddrs...),
+	}
+	seed := c.state.Placement // a copy: c.state is overwritten on every install
+	c.placement.Store(&seed)
+	if reg != nil {
+		c.obs = newClientObs(c, reg)
 	}
 	if install {
 		tr.SetHandler(c.Handle)
@@ -91,39 +121,18 @@ func newClient(cfg Config, tr transport.Transport, ids []wire.NodeID, members wi
 	return c
 }
 
-// Close stops the client's goroutines (and its transport, when owned).
+// Close stops the client's goroutines (and its transport and ensemble, when
+// owned).
 func (c *Client) Close() {
 	c.once.Do(func() {
 		close(c.closed)
 		if c.ownsTr {
 			_ = c.tr.Close()
 		}
+		if c.ens != nil {
+			c.ens.Close()
+		}
 	})
-}
-
-// OnView registers the (single) view-change callback; it runs on the
-// client's notification goroutine, in commit order.
-func (c *Client) OnView(fn func(old, next wire.View, removed wire.Bitmap)) {
-	c.mu.Lock()
-	c.onView = fn
-	c.mu.Unlock()
-}
-
-// OnRecovered registers the (single) barrier-completion callback.
-func (c *Client) OnRecovered(fn func(wire.Epoch)) {
-	c.mu.Lock()
-	c.onRecovered = fn
-	c.mu.Unlock()
-}
-
-// OnState registers the (single) raw-state callback: it runs for every newly
-// installed committed state, BEFORE the view/recovered callbacks that state
-// implies — consumers of replicated side-state (the directory placement)
-// must be current by the time the view-change machinery reacts.
-func (c *Client) OnState(fn func(wire.VSState)) {
-	c.mu.Lock()
-	c.onState = fn
-	c.mu.Unlock()
 }
 
 // View returns the cached committed view.
@@ -206,7 +215,7 @@ func (c *Client) Renew(node wire.NodeID) {
 		return // a recent flush covers us; the sweeper sends the rest
 	}
 	if c.renewFlushed.CompareAndSwap(last, now) {
-		if ob := c.obs.Load(); ob != nil && last != 0 && now > last {
+		if ob := c.obs; ob != nil && last != 0 && now > last {
 			ob.renewLagNS.Record(uint64(now - last))
 		}
 		c.flushRenewals()
@@ -241,7 +250,7 @@ func (c *Client) renewLoop() {
 			if c.renewPending.Load() != 0 {
 				now := time.Now().UnixNano()
 				prev := c.renewFlushed.Swap(now)
-				if ob := c.obs.Load(); ob != nil && prev != 0 && now > prev {
+				if ob := c.obs; ob != nil && prev != 0 && now > prev {
 					ob.renewLagNS.Record(uint64(now - prev))
 				}
 				c.flushRenewals()
@@ -405,9 +414,9 @@ func (c *Client) pump() {
 		removed := old.Live &^ next.Live
 		viewChanged := next.Epoch > old.Epoch
 		recovered := s.Barrier == 0 && (oldBarrier != 0 || (viewChanged && removed != 0))
-		onView, onRecovered, onState := c.onView, c.onRecovered, c.onState
+		before := c.state.Placement
 		c.mu.Unlock()
-		if ob := c.obs.Load(); ob != nil {
+		if ob := c.obs; ob != nil {
 			if viewChanged {
 				ob.epochChanges.Inc()
 				if removed != 0 {
@@ -430,14 +439,12 @@ func (c *Client) pump() {
 		// Callbacks first, install second: by the time WaitEpoch or
 		// RecoveryPending observe the new state, its consequences (engine
 		// pause/recovery/resume) have fully propagated.
-		if onState != nil {
-			onState(s)
+		c.fanoutState(s)
+		if viewChanged {
+			c.fanoutView(old, next, removed, &before)
 		}
-		if viewChanged && onView != nil {
-			onView(old, next, removed)
-		}
-		if recovered && onRecovered != nil {
-			onRecovered(s.BarrierEpoch)
+		if recovered {
+			c.fanoutRecovered(next.Live, s.BarrierEpoch)
 		}
 		c.mu.Lock()
 		c.state = s

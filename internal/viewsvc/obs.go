@@ -7,7 +7,7 @@ import (
 )
 
 // clientObs caches the view-service client's metric handles (resolved once
-// at wiring time — see commit.engineObs for the discipline).
+// at construction — see commit.engineObs for the discipline).
 type clientObs struct {
 	reg *obs.Registry
 
@@ -25,19 +25,13 @@ type clientObs struct {
 	barrierStart time.Time
 }
 
-// SetObs wires the observability registry, normally right after NewClient.
-// The pump goroutine is already running by then (it may be installing the
-// answer to the initial query), hence the atomic publish.
-func (c *Client) SetObs(r *obs.Registry) {
-	if r == nil {
-		return
-	}
-	c.obs.Store(&clientObs{
+func newClientObs(c *Client, r *obs.Registry) *clientObs {
+	r.GaugeFunc("vs_epoch", func() int64 { return int64(c.View().Epoch) })
+	r.GaugeFunc("vs_live_nodes", func() int64 { return int64(c.View().Live.Count()) })
+	return &clientObs{
 		reg:          r,
 		epochChanges: r.Counter("vs_epoch_changes_total"),
 		barrierNS:    r.Histogram("vs_barrier_ns"),
 		renewLagNS:   r.Histogram("vs_renew_lag_ns"),
-	})
-	r.GaugeFunc("vs_epoch", func() int64 { return int64(c.View().Epoch) })
-	r.GaugeFunc("vs_live_nodes", func() int64 { return int64(c.View().Live.Count()) })
+	}
 }

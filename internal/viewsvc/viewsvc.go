@@ -22,10 +22,10 @@
 // Everything crosses the wire: replicas and clients talk VS-PROPOSE /
 // VS-ACCEPT / VS-COMMIT / VS-LEASE / VS-QUERY messages over any
 // transport.Transport (the in-process hub, the reliable transport over the
-// simulated fabric, or TCP). Clients (package membership's Manager facade)
-// multicast proposals to every replica — only the leader acts, commands are
-// deduplicated against the committed state, so retries and duplicates are
-// harmless — and receive committed states as pushes.
+// simulated fabric, or TCP). A Client multicasts proposals to every replica —
+// only the leader acts, commands are deduplicated against the committed
+// state, so retries and duplicates are harmless — receives committed states
+// as pushes, and fans them out to the Agents embedded in the data nodes.
 //
 // Leader failure: backups detect heartbeat silence and take over with a
 // higher ballot staggered by rank, adopt the highest committed state and any

@@ -24,7 +24,7 @@ func newRig(t *testing.T, replicas int, members wire.Bitmap, cfg Config) *rig {
 		trs[i] = hub.Node(id)
 	}
 	ens := StartEnsemble(cfg, ids, trs, members)
-	cli := NewClient(cfg, hub.Node(ClientID), ids, members)
+	cli := NewClient(cfg, hub.Node(ClientID), ids, members, nil)
 	r := &rig{hub: hub, ens: ens, cli: cli}
 	t.Cleanup(func() {
 		cli.Close()

@@ -3,8 +3,10 @@
 # TCP (each hosting one view-service replica), take a demo workload, then one
 # node is SIGKILLed and restarted against its durable directory — it must be
 # auto-failed out of the view by the surviving ensemble and rejoin through
-# WAL recovery + state sync. Exercises the whole deployment story end to
-# end: bootstrap, shared control plane, failure detection, durable restart.
+# WAL recovery + state sync, and then take ownership of the demo object away
+# from node 2 through the replicated directory placement. Exercises the whole
+# deployment story end to end: bootstrap, shared control plane, one placement
+# authority, failure detection, durable restart.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -29,6 +31,8 @@ go build -o "$BIN/zeusctl" ./cmd/zeusctl
 VIEW="127.0.0.1:7100,127.0.0.1:7101,127.0.0.1:7102"
 PEERS="0=127.0.0.1:7000,1=127.0.0.1:7001,2=127.0.0.1:7002"
 status() { "$BIN/zeusctl" -view "$VIEW" -timeout 5s status; }
+# dir_shards prints N from the "dirs: N shards" line of the last status.
+dir_shards() { awk '$1 == "dirs:" && $3 == "shards" {print $2}' "$WORK/status.txt"; }
 
 start_node() { # id view_host extra...
   local id=$1 vh=$2; shift 2
@@ -53,6 +57,10 @@ for _ in $(seq 1 50); do
 done
 [ -n "$ok" ] || fail "founders never all live"
 cat "$WORK/status.txt"
+SHARDS=$(dir_shards)
+[ -n "$SHARDS" ] && [ "$SHARDS" -ge 1 ] \
+  || fail "status reports no committed directory placement (dirs: '${SHARDS:-}')"
+log "committed directory placement: $SHARDS shards"
 
 log "letting the demo workload commit"
 ok=
@@ -90,7 +98,7 @@ done
 cat "$WORK/status.txt"
 
 log "restarting node 1 from its durable state (-join: rejoin is state sync)"
-"$BIN/zeusd" -id 1 -listen 127.0.0.1:7001 -view "$VIEW" -join \
+"$BIN/zeusd" -id 1 -listen 127.0.0.1:7001 -view "$VIEW" -join -demo \
   -data "$WORK/data1" -lease 300ms >"$WORK/node1.restart.log" 2>&1 &
 PIDS+=($!)
 
@@ -106,6 +114,8 @@ for _ in $(seq 1 100); do
 done
 [ -n "$ok" ] || { cat "$WORK/node1.restart.log"; fail "node 1 never rejoined"; }
 cat "$WORK/status.txt"
+[ "$(dir_shards)" = "$SHARDS" ] \
+  || fail "directory shard count changed across the rejoin: $SHARDS -> '$(dir_shards)'"
 
 log "waiting for node 1 to finish WAL recovery + state sync"
 ok=
@@ -116,4 +126,13 @@ done
 [ -n "$ok" ] || { cat "$WORK/node1.restart.log"; fail "restart never reported state sync done"; }
 grep "joined" "$WORK/node1.restart.log"
 
-log "smoke OK: bootstrap, auto-fail, durable rejoin all verified"
+log "waiting for the rejoined node 1 to write object 42 (ownership moves off node 2)"
+ok=
+for _ in $(seq 1 100); do
+  grep -q "demo: committed write" "$WORK/node1.restart.log" && { ok=1; break; }
+  sleep 0.2
+done
+[ -n "$ok" ] || { cat "$WORK/node1.restart.log"; fail "rejoined node 1 never committed a write on object 42"; }
+grep "demo:" "$WORK/node1.restart.log" | tail -3
+
+log "smoke OK: bootstrap, replicated placement, auto-fail, durable rejoin, post-rejoin ownership move all verified"

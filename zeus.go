@@ -70,9 +70,8 @@ type Options struct {
 	// hashing from the live view; the shard→drivers placement map is
 	// replicated through the view service, so arbitration load spreads
 	// across the cluster and a crashed driver's shards are re-driven after
-	// its lease expires. 0 (the default) scales the shard count with the
-	// host like the store's shards; negative keeps the legacy fixed
-	// three-node directory (the degenerate 1-shard case).
+	// its lease expires. Values <= 0 (the default) scale the shard count
+	// with the host like the store's shards.
 	DirectoryShards int
 	// ViewReplicas is the size of the replicated membership (view service)
 	// ensemble backing the deployment (default and maximum 3 — the
@@ -140,7 +139,7 @@ func New(opts Options) *Cluster {
 		co.Workers = opts.Workers
 	}
 	co.DispatchShards = opts.DispatchShards
-	co.DirShards = opts.DirectoryShards
+	co.View.DirShards = opts.DirectoryShards
 	co.ViewReplicas = opts.ViewReplicas
 	if opts.SimulatedNetwork {
 		co.Fabric = cluster.FabricSim

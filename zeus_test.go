@@ -61,6 +61,28 @@ func TestPublicAPIMigrationAndLocality(t *testing.T) {
 	}
 }
 
+// DirectoryShards <= 0 means the host-scaled default, never "no sharded
+// directory": a negative value builds the same working cluster as zero.
+func TestPublicAPINonPositiveDirectoryShards(t *testing.T) {
+	for _, shards := range []int{0, -1} {
+		c := zeus.New(zeus.Options{Nodes: 4, DirectoryShards: shards})
+		c.Seed(10, 0, []byte("migrate-me"))
+		n3 := c.Node(3)
+		if err := n3.Update(0, func(tx *zeus.Tx) error {
+			return tx.Set(10, []byte("moved"))
+		}); err != nil {
+			t.Fatalf("DirectoryShards %d: %v", shards, err)
+		}
+		if n3.Stats().OwnershipMoves == 0 {
+			t.Fatalf("DirectoryShards %d: no ownership move recorded", shards)
+		}
+		if err := n3.CreateObject(11, []byte("new")); err != nil {
+			t.Fatalf("DirectoryShards %d: create: %v", shards, err)
+		}
+		c.Close()
+	}
+}
+
 func TestPublicAPIFailover(t *testing.T) {
 	c := zeus.New(zeus.Options{Nodes: 4})
 	defer c.Close()
