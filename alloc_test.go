@@ -43,6 +43,44 @@ func mallocsPerTx(t *testing.T, n *zeus.Node, txs int, body func(i int)) float64
 	return best
 }
 
+// liveHeap returns the bytes reachable after two collections (a sync.Pool
+// keeps what it held for one more cycle).
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestFootprintCeilings: live heap follows the data. An idle 3-node cluster
+// holds what its goroutines and tables need — no pre-sized delivery buffers
+// (seven 65 536-frame hub inboxes were 22 MB of it) — and a seeded object
+// costs, per replica, its record (144 B), its payload and its map slot:
+// nothing pinned beside them (the seeded ring entry and a dead copy of the
+// payload were another 112 B).
+func TestFootprintCeilings(t *testing.T) {
+	before := liveHeap()
+	c := zeus.New(zeus.Options{Nodes: 3})
+	defer c.Close()
+	idle := liveHeap() - before
+	const objects, replicas, payload = 10000, 3, 64
+	for obj := uint64(0); obj < objects; obj++ {
+		c.Seed(obj, int(obj%3), make([]byte, payload))
+	}
+	perReplica := float64(liveHeap()-before-idle) / (objects * replicas)
+	t.Logf("idle cluster %.2f MB; %.0f bytes per seeded replica of a %d-byte payload", float64(idle)/1e6, perReplica, payload)
+	if idle >= 4<<20 {
+		t.Errorf("an idle 3-node cluster holds %.2f MB of live heap, must stay below 4 MB", float64(idle)/1e6)
+	}
+	// Achieved: 0.28 MB, and 240 = 144 + 64 + 32 of map (22 to 44, depending
+	// on how full the host-scaled shard maps are at this population). The
+	// ceiling is one allocation size class above.
+	if perReplica > 256 {
+		t.Errorf("a seeded replica costs %.0f bytes of live heap, must stay within 256", perReplica)
+	}
+}
+
 func TestAllocCeilings(t *testing.T) {
 	c := zeus.New(zeus.Options{Nodes: 3, Workers: 2})
 	defer c.Close()

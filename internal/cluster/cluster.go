@@ -562,7 +562,7 @@ func (c *Cluster) Seed(obj wire.ObjectID, owner wire.NodeID, readers wire.Bitmap
 	ts := wire.OTS{Ver: 1, Node: owner}
 	// Directory entries land at the object's arbitration drivers.
 	targets := reps.All().Union(c.DirDrivers(obj))
-	for _, id := range targets.Nodes() {
+	for id := range targets.Each {
 		n := c.Node(int(id))
 		if n == nil {
 			continue
@@ -576,12 +576,16 @@ func (c *Cluster) Seed(obj wire.ObjectID, owner wire.NodeID, readers wire.Bitmap
 		if o.Level != wire.NonReplica {
 			o.Data = append([]byte(nil), data...)
 			o.SetTLocked(1, store.TValid)
-			// Arm the snapshot-read ring with a floor timestamp: HLC
-			// timestamps are wall-clock-scale, so CTS 1 orders the seeded
-			// version below every commit the cluster will ever mint while
-			// keeping it visible to any snapshot (ts >= 1).
-			o.CommitCTS = 1
-			o.PublishRingLocked(1, 1, o.Data)
+			if c.opts.SnapshotReads {
+				// Arm the snapshot-read ring with a floor timestamp: HLC
+				// timestamps are wall-clock-scale, so CTS 1 orders the
+				// seeded version below every commit the cluster will ever
+				// mint while keeping it visible to any snapshot (ts >= 1).
+				// Without snapshot reads nothing would ever evict the entry:
+				// CommitCTS stays 0, "committed before timestamps existed",
+				// and an ownership transfer re-publishes nothing either.
+				o.PublishRingLocked(1, 1, o.Data)
+			}
 		}
 		o.Mu.Unlock()
 	}
@@ -603,19 +607,20 @@ func (c *Cluster) SeedAt(obj wire.ObjectID, owner wire.NodeID, data []byte) {
 	c.Seed(obj, owner, c.defaultReaders(owner), data)
 }
 
+// defaultReaders picks the Degree-1 live nodes that follow owner in id order,
+// wrapping around.
 func (c *Cluster) defaultReaders(owner wire.NodeID) wire.Bitmap {
-	live := c.Live().Nodes()
-	var readers wire.Bitmap
-	start := 0
-	for i, nd := range live {
-		if nd == owner {
-			start = i + 1
-			break
-		}
+	live := c.Live()
+	after := live
+	if live.Contains(owner) {
+		after = live &^ (wire.Bitmap(1)<<(owner+1) - 1)
 	}
-	for i := 0; i < len(live) && readers.Count() < c.opts.Degree-1; i++ {
-		cand := live[(start+i)%len(live)]
-		if cand != owner {
+	var readers wire.Bitmap
+	for _, part := range [2]wire.Bitmap{after, live &^ after} {
+		for cand := range part.Remove(owner).Each {
+			if readers.Count() >= c.opts.Degree-1 {
+				return readers
+			}
 			readers = readers.Add(cand)
 		}
 	}

@@ -63,8 +63,8 @@ func TestSeedEstablishesReplicasAndDirectory(t *testing.T) {
 		t.Fatal("owner has no object")
 	}
 	o.Mu.Lock()
-	if o.Level != wire.Owner || string(o.Data) != "seeded" || o.TState != store.TValid {
-		t.Fatalf("owner state: %v %q %v", o.Level, o.Data, o.TState)
+	if o.Level != wire.Owner || string(o.Data) != "seeded" || o.TState() != store.TValid {
+		t.Fatalf("owner state: %v %q %v", o.Level, o.Data, o.TState())
 	}
 	o.Mu.Unlock()
 	// Readers.
@@ -176,6 +176,64 @@ func TestLeaveDrainsAndRemoves(t *testing.T) {
 	})
 	if err != nil || string(got) != "l2" {
 		t.Fatalf("post-leave read: %q %v", got, err)
+	}
+}
+
+// TestDefaultClusterGrowsNoRing: with snapshot reads off nobody reads the
+// version ring, so neither Seed, nor a hundred commits, nor an ownership
+// transfer (which re-publishes at the CTS the ex-owner ships) may put an
+// entry in it — the seeded (1,1) entry used to stay for the life of the
+// process and pin the seeded payload on every replica.
+func TestDefaultClusterGrowsNoRing(t *testing.T) {
+	c := New(DefaultOptions(3))
+	defer c.Close()
+	c.SeedAt(21, 0, []byte("seeded"))
+	write := func(node int) {
+		t.Helper()
+		if err := dbapi.Run(c.Node(node).DB(), 0, func(tx dbapi.Txn) error {
+			return tx.Set(21, []byte("written"))
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		write(0)
+	}
+	write(1) // moves ownership to node 1, shipping the value and its CTS
+	if !c.WaitIdle(2 * time.Second) {
+		t.Fatal("WaitIdle timed out")
+	}
+	for n := 0; n < 3; n++ {
+		o, ok := c.Node(n).Store().Get(21)
+		if !ok {
+			t.Fatalf("node %d has no replica", n)
+		}
+		o.Mu.Lock()
+		ring, cts := len(o.Ring), o.CommitCTS
+		o.Mu.Unlock()
+		if ring != 0 || cts != 0 {
+			t.Errorf("node %d: ring holds %d entries, CommitCTS %d; want none and 0", n, ring, cts)
+		}
+	}
+}
+
+// TestDefaultReadersFollowTheOwner: the degree-1 live nodes after the owner
+// in id order, wrapping; a dead owner starts the walk at the lowest id.
+func TestDefaultReadersFollowTheOwner(t *testing.T) {
+	c := New(DefaultOptions(5))
+	defer c.Close()
+	for _, tc := range []struct {
+		owner wire.NodeID
+		want  wire.Bitmap
+	}{
+		{0, wire.BitmapOf(1, 2)},
+		{3, wire.BitmapOf(4, 0)},
+		{4, wire.BitmapOf(0, 1)},
+		{9, wire.BitmapOf(0, 1)},
+	} {
+		if got := c.defaultReaders(tc.owner); got != tc.want {
+			t.Errorf("owner %d: readers %v, want %v", tc.owner, got, tc.want)
+		}
 	}
 }
 

@@ -740,8 +740,8 @@ func (e *Engine) completeSlot(s *Slot) {
 	for _, u := range inv.Updates {
 		if o, ok := e.st.Get(u.Obj); ok {
 			o.Mu.Lock()
-			if o.TVersion == u.Version && o.TState == store.TWrite {
-				o.SetTLocked(o.TVersion, store.TValid)
+			if ver, st := o.TSnapshot(); ver == u.Version && st == store.TWrite {
+				o.SetTLocked(ver, store.TValid)
 			}
 			// Publish regardless of the version check: a superseding write
 			// does not un-commit this version, and the ring insert is
@@ -881,7 +881,7 @@ func (e *Engine) applyOneLocked(p *inPipe, m *wire.CommitInv) {
 	for _, u := range m.Updates {
 		o, _ := e.st.GetOrCreate(u.Obj)
 		o.Mu.Lock()
-		if u.Version > o.TVersion {
+		if u.Version > o.TVersion() {
 			o.Data = u.Data
 			o.SetTLocked(u.Version, store.TInvalid)
 		}
@@ -973,8 +973,8 @@ func (e *Engine) handleVal(m *wire.CommitVal) {
 	for _, u := range inv.Updates {
 		if o, ok := e.st.Get(u.Obj); ok {
 			o.Mu.Lock()
-			if o.TVersion == u.Version && o.TState == store.TInvalid {
-				o.SetTLocked(o.TVersion, store.TValid)
+			if ver, st := o.TSnapshot(); ver == u.Version && st == store.TInvalid {
+				o.SetTLocked(ver, store.TValid)
 			}
 			o.Mu.Unlock()
 		}

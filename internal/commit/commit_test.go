@@ -85,7 +85,7 @@ func (c *tcluster) seedObject(obj wire.ObjectID, owner wire.NodeID, readers wire
 		o.Mu.Lock()
 		o.Level = lvl
 		o.Replicas = reps
-		o.TState = store.TValid
+		o.SetTLocked(o.TVersion(), store.TValid)
 		o.Mu.Unlock()
 	}
 }
@@ -106,11 +106,10 @@ func (c *tcluster) localCommit(owner wire.NodeID, w wire.Worker, objs []wire.Obj
 	for _, id := range objs {
 		o, _ := nd.st.Get(id)
 		o.Mu.Lock()
-		o.TVersion++
+		o.SetTLocked(o.TVersion()+1, store.TWrite)
 		o.Data = []byte(val)
-		o.TState = store.TWrite
 		o.PendingCommits.Add(1)
-		updates = append(updates, wire.Update{Obj: id, Version: o.TVersion, Data: []byte(val)})
+		updates = append(updates, wire.Update{Obj: id, Version: o.TVersion(), Data: []byte(val)})
 		followers = followers.Union(o.Replicas.Readers)
 		o.Mu.Unlock()
 	}
@@ -123,7 +122,7 @@ func (c *tcluster) waitValid(t *testing.T, node wire.NodeID, obj wire.ObjectID, 
 	for {
 		if o, ok := c.nodes[node].st.Get(obj); ok {
 			o.Mu.Lock()
-			st, ver, data := o.TState, o.TVersion, string(o.Data)
+			st, ver, data := o.TState(), o.TVersion(), string(o.Data)
 			o.Mu.Unlock()
 			if st == store.TValid && ver == wantVer && data == wantData {
 				return
@@ -133,7 +132,7 @@ func (c *tcluster) waitValid(t *testing.T, node wire.NodeID, obj wire.ObjectID, 
 			o, _ := c.nodes[node].st.Get(obj)
 			o.Mu.Lock()
 			t.Fatalf("node %d obj %d never reached Valid v%d %q (now %v v%d %q)",
-				node, obj, wantVer, wantData, o.TState, o.TVersion, o.Data)
+				node, obj, wantVer, wantData, o.TState(), o.TVersion(), o.Data)
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
@@ -251,7 +250,7 @@ func TestFollowerInvalidationWindow(t *testing.T) {
 		o, ok := c.nodes[1].st.Get(7)
 		if ok {
 			o.Mu.Lock()
-			st := o.TState
+			st := o.TState()
 			o.Mu.Unlock()
 			if st == store.TInvalid {
 				break
@@ -335,14 +334,14 @@ func TestIdempotentDuplicateInv(t *testing.T) {
 	}
 	o, _ := c.nodes[1].st.Get(31)
 	o.Mu.Lock()
-	ver, data := o.TVersion, string(o.Data)
+	ver, data := o.TVersion(), string(o.Data)
 	o.Mu.Unlock()
 	if ver != 1 || data != "once" {
 		t.Fatalf("duplicate INV mis-applied: v%d %q", ver, data)
 	}
 	c.nodes[1].eng.Handle(0, &wire.CommitVal{Tx: inv.Tx, Epoch: 1})
 	o.Mu.Lock()
-	st := o.TState
+	st := o.TState()
 	o.Mu.Unlock()
 	if st != store.TValid {
 		t.Fatalf("state after VAL: %v", st)
@@ -350,7 +349,7 @@ func TestIdempotentDuplicateInv(t *testing.T) {
 	// Late duplicate after VAL: re-ACKed, not re-applied.
 	c.nodes[1].eng.Handle(0, inv)
 	o.Mu.Lock()
-	st = o.TState
+	st = o.TState()
 	o.Mu.Unlock()
 	if st != store.TValid {
 		t.Fatalf("late duplicate flipped state: %v", st)
@@ -362,7 +361,7 @@ func TestStaleVersionSkipped(t *testing.T) {
 	c.seedObject(41, 0, wire.BitmapOf(1))
 	o, _ := c.nodes[1].st.Get(41)
 	o.Mu.Lock()
-	o.TVersion = 5
+	o.SetTLocked(5, store.TValid)
 	o.Data = []byte("newer")
 	o.Mu.Unlock()
 	inv := &wire.CommitInv{
@@ -373,8 +372,8 @@ func TestStaleVersionSkipped(t *testing.T) {
 	c.nodes[1].eng.Handle(0, inv)
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
-	if o.TVersion != 5 || string(o.Data) != "newer" {
-		t.Fatalf("stale INV applied: v%d %q", o.TVersion, o.Data)
+	if o.TVersion() != 5 || string(o.Data) != "newer" {
+		t.Fatalf("stale INV applied: v%d %q", o.TVersion(), o.Data)
 	}
 }
 
@@ -391,7 +390,7 @@ func TestOutOfOrderSlotWaitsForPredecessor(t *testing.T) {
 	c.nodes[1].eng.Handle(0, inv2)
 	o, _ := c.nodes[1].st.Get(51)
 	o.Mu.Lock()
-	ver := o.TVersion
+	ver := o.TVersion()
 	o.Mu.Unlock()
 	if ver != 0 {
 		t.Fatalf("slot 2 applied before slot 1: v%d", ver)
@@ -404,7 +403,7 @@ func TestOutOfOrderSlotWaitsForPredecessor(t *testing.T) {
 	}
 	c.nodes[1].eng.Handle(0, inv1)
 	o.Mu.Lock()
-	ver, data := o.TVersion, string(o.Data)
+	ver, data := o.TVersion(), string(o.Data)
 	o.Mu.Unlock()
 	if ver != 2 || data != "two" {
 		t.Fatalf("drain failed: v%d %q", ver, data)
@@ -425,8 +424,8 @@ func TestPrevValBitAllowsGap(t *testing.T) {
 	o, _ := c.nodes[1].st.Get(61)
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
-	if o.TVersion != 1 || string(o.Data) != "gap" {
-		t.Fatalf("prev-VAL gap not applied: v%d %q", o.TVersion, o.Data)
+	if o.TVersion() != 1 || string(o.Data) != "gap" {
+		t.Fatalf("prev-VAL gap not applied: v%d %q", o.TVersion(), o.Data)
 	}
 }
 
@@ -446,8 +445,8 @@ func TestRValInclusionUnblocksPartialFollower(t *testing.T) {
 	o, _ := c.nodes[1].st.Get(71)
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
-	if o.TVersion != 1 || string(o.Data) != "late" {
-		t.Fatalf("R-VAL inclusion did not unblock: v%d %q", o.TVersion, o.Data)
+	if o.TVersion() != 1 || string(o.Data) != "late" {
+		t.Fatalf("R-VAL inclusion did not unblock: v%d %q", o.TVersion(), o.Data)
 	}
 }
 
@@ -463,7 +462,7 @@ func TestWrongEpochIgnored(t *testing.T) {
 	o, _ := c.nodes[1].st.Get(81)
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
-	if o.TVersion != 0 {
+	if o.TVersion() != 0 {
 		t.Fatal("stale-epoch INV applied")
 	}
 }
@@ -484,9 +483,8 @@ func TestConcurrentCommitsManyObjects(t *testing.T) {
 				nd := c.nodes[0]
 				o, _ := nd.st.Get(obj)
 				o.Mu.Lock()
-				o.TVersion++
-				ver := o.TVersion
-				o.TState = store.TWrite
+				ver := o.TVersion() + 1
+				o.SetTLocked(ver, store.TWrite)
 				o.PendingCommits.Add(1)
 				followers := o.Replicas.Readers
 				o.Mu.Unlock()
@@ -503,7 +501,7 @@ func TestConcurrentCommitsManyObjects(t *testing.T) {
 		obj := wire.ObjectID(100 + i)
 		o0, _ := c.nodes[0].st.Get(obj)
 		o0.Mu.Lock()
-		ver := o0.TVersion
+		ver := o0.TVersion()
 		o0.Mu.Unlock()
 		for _, n := range []wire.NodeID{1, 2} {
 			c.waitValid(t, n, obj, ver, "c")

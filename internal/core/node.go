@@ -591,10 +591,10 @@ func (n *Node) CreateObjectWithReaders(obj wire.ObjectID, data []byte, readers w
 	o, _ := n.st.GetOrCreate(obj)
 	o.Mu.Lock()
 	o.Data = append([]byte(nil), data...)
-	o.SetTLocked(o.TVersion+1, store.TWrite)
+	ver := o.TVersion() + 1
+	o.SetTLocked(ver, store.TWrite)
 	o.PendingCommits.Add(1)
 	followers := o.Replicas.Readers
-	ver := o.TVersion
 	o.Mu.Unlock()
 	n.cmt.Commit(wire.Worker(0), []wire.Update{{Obj: obj, Version: ver, Data: append([]byte(nil), data...)}}, followers)
 	return nil
@@ -907,7 +907,7 @@ func (tx *Tx) Set(obj uint64, val []byte) error {
 		// changed in between (snapshot consistency).
 		if a.flags&accRead != 0 {
 			o.Mu.Lock()
-			cur := o.TVersion
+			cur := o.TVersion()
 			o.Mu.Unlock()
 			if cur != a.ver {
 				tx.release()
@@ -1072,8 +1072,9 @@ func (tx *Tx) validateReads() bool {
 			continue
 		}
 		o.Mu.Lock()
-		okv := o.TVersion == a.ver && (o.TState == store.TValid ||
-			(o.TState == store.TWrite && o.Level == wire.Owner))
+		ver, st := o.TSnapshot()
+		okv := ver == a.ver && (st == store.TValid ||
+			(st == store.TWrite && o.Level == wire.Owner))
 		o.Mu.Unlock()
 		if !okv {
 			return false
@@ -1160,9 +1161,10 @@ func (tx *Tx) Commit() error {
 		o := a.obj
 		o.Mu.Lock()
 		o.Data = a.data
-		o.SetTLocked(o.TVersion+1, store.TWrite)
+		ver := o.TVersion() + 1
+		o.SetTLocked(ver, store.TWrite)
 		o.PendingCommits.Add(1)
-		updates = append(updates, wire.Update{Obj: a.id, Version: o.TVersion, Data: a.data})
+		updates = append(updates, wire.Update{Obj: a.id, Version: ver, Data: a.data})
 		followers = followers.Union(o.Replicas.Readers)
 		o.Mu.Unlock()
 	}

@@ -524,7 +524,7 @@ func TestStoreStateMachineValidAfterCommit(t *testing.T) {
 			}
 			o.Mu.Lock()
 			if o.Level != wire.NonReplica &&
-				(o.TState != store.TValid || string(o.Data) != "s2") {
+				(o.TState() != store.TValid || string(o.Data) != "s2") {
 				allValid = false
 			}
 			o.Mu.Unlock()

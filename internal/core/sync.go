@@ -209,7 +209,7 @@ func (n *Node) sendPulls() {
 		var ver uint64
 		if o, ok := n.st.Get(id); ok {
 			o.Mu.Lock()
-			ver = o.TVersion
+			ver = o.TVersion()
 			o.Mu.Unlock()
 		}
 		entries = append(entries, wire.SyncEntry{Obj: id, Version: ver})
@@ -246,7 +246,7 @@ func (n *Node) reclaimLeftovers() int {
 			continue
 		}
 		o.Mu.Lock()
-		if org.hintSeen && org.hintVer > o.TVersion {
+		if org.hintSeen && org.hintVer > o.TVersion() {
 			if owner := org.hintReplicas.Owner; owner != n.id && owner != wire.NoNode {
 				// A replica's grant history names someone else: ownership
 				// moved while this node was down. Whoever holds it answers
@@ -277,7 +277,7 @@ func (n *Node) reclaimLeftovers() int {
 		o.Level = wire.Owner
 		o.OState = store.OValid
 		if org.valid {
-			o.SetTLocked(o.TVersion, store.TValid)
+			o.SetTLocked(o.TVersion(), store.TValid)
 		}
 		o.Mu.Unlock()
 		delete(n.syncPending, id)
@@ -313,17 +313,18 @@ func (n *Node) handleSyncPull(p *wire.SyncPull) {
 			continue
 		}
 		o.Mu.Lock()
+		ver, st := o.TSnapshot()
 		ans := wire.SyncEntry{
 			Obj:      e.Obj,
-			Version:  o.TVersion,
+			Version:  ver,
 			TS:       o.OTS,
 			Replicas: o.Replicas,
 			CTS:      o.CommitCTS,
 		}
 		switch {
-		case o.Level == wire.Owner && o.OState == store.OValid && o.TState == store.TValid:
+		case o.Level == wire.Owner && o.OState == store.OValid && st == store.TValid:
 			ans.Class = wire.SyncOwner
-			if o.TVersion != e.Version {
+			if ver != e.Version {
 				// Stale puller: ship the payload. Data is replace-only, so
 				// aliasing it beyond the lock is safe (store.Object.Data).
 				ans.HasData = true
@@ -331,9 +332,9 @@ func (n *Node) handleSyncPull(p *wire.SyncPull) {
 			}
 		case o.Level == wire.Owner:
 			ans.Class = wire.SyncClaim
-		case o.Level != wire.NonReplica && o.TVersion > e.Version:
+		case o.Level != wire.NonReplica && ver > e.Version:
 			ans.Class = wire.SyncHint
-			if o.TState == store.TValid {
+			if st == store.TValid {
 				ans.HasData = true
 				ans.Data = o.Data
 			}
@@ -420,7 +421,7 @@ func (n *Node) handleSyncState(s *wire.SyncState) {
 		}
 		o, _ := n.st.GetOrCreate(e.Obj)
 		o.Mu.Lock()
-		if e.Version < o.TVersion || e.TS.Less(o.OTS) {
+		if e.Version < o.TVersion() || e.TS.Less(o.OTS) {
 			// The object already advanced past the answer — a racing
 			// invalidation bumped the version, or a racing ownership grant
 			// minted a newer o_ts (this node may drive the object's
@@ -439,10 +440,10 @@ func (n *Node) handleSyncState(s *wire.SyncState) {
 			o.SetTLocked(e.Version, store.TValid)
 			o.CommitCTS = e.CTS
 			o.PublishRingLocked(e.CTS, e.Version, o.Data)
-		} else if o.TVersion == e.Version {
-			o.SetTLocked(o.TVersion, store.TValid)
+		} else if o.TVersion() == e.Version {
+			o.SetTLocked(e.Version, store.TValid)
 			o.CommitCTS = e.CTS
-			o.PublishRingLocked(e.CTS, o.TVersion, o.Data)
+			o.PublishRingLocked(e.CTS, e.Version, o.Data)
 		}
 		o.Mu.Unlock()
 		n.clk.Update(e.CTS)
@@ -492,9 +493,9 @@ func (n *Node) SnapshotNow() error {
 			o.Mu.Lock()
 			so := storage.SnapObject{
 				Obj:      o.ID,
-				Version:  o.TVersion,
+				Version:  o.TVersion(),
 				Data:     o.Data,
-				Valid:    o.TState == store.TValid,
+				Valid:    o.TState() == store.TValid,
 				TS:       o.OTS,
 				Replicas: o.Replicas,
 				Level:    o.Level,

@@ -16,10 +16,6 @@ func TestReplaceOnly(t *testing.T) {
 	linttest.Run(t, "replaceonly", lint.ReplaceOnly)
 }
 
-func TestSeqlockWrite(t *testing.T) {
-	linttest.Run(t, "seqlockwrite", lint.SeqlockWrite)
-}
-
 func TestLockedSuffix(t *testing.T) {
 	linttest.Run(t, "lockedsuffix", lint.LockedSuffix)
 }

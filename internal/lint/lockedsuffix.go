@@ -17,8 +17,8 @@ import (
 //     visible X.Lock()/X.RLock() with no intervening unconditional
 //     X.Unlock());
 //   - a write to a Mu-guarded store.Object field (Data, OState, OTS,
-//     Replicas, Pending, Level, LocalOwner, YieldLocalUntil, TState,
-//     TVersion) outside a *Locked function requires a lexically held lock.
+//     Replicas, Pending, Level, LocalOwner) outside a *Locked function
+//     requires a lexically held lock.
 //
 // The analysis is a per-function lexical walk with light flow sensitivity:
 // an Unlock inside a branch that terminates (returns/breaks/continues) does
@@ -35,12 +35,14 @@ var LockedSuffix = &analysis.Analyzer{
 	Run:  runLockedSuffix,
 }
 
-// guardedObjectFields are the store.Object fields documented as Mu-guarded.
-// (PendingCommits is atomic; tsv is seqlockwrite's business.)
+// guardedObjectFields are the exported store.Object fields documented as
+// Mu-guarded. (PendingCommits is atomic; ⟨t_version, t_state⟩ and the
+// transfer-fairness yield are unexported and written only by the store's own
+// SetTLocked and YieldLocalLocked, which the call-side rule covers.)
 var guardedObjectFields = map[string]bool{
-	"Data": true, "TState": true, "TVersion": true,
+	"Data":   true,
 	"OState": true, "OTS": true, "Replicas": true, "Pending": true,
-	"Level": true, "LocalOwner": true, "YieldLocalUntil": true,
+	"Level": true, "LocalOwner": true,
 }
 
 func runLockedSuffix(pass *analysis.Pass) (interface{}, error) {

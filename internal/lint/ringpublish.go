@@ -12,7 +12,7 @@ import (
 // Ring entries are read lock-free of the writer's critical path by any
 // replica serving a snapshot, so one in-place mutation rewrites history a
 // committed snapshot already observed, and one hand-rolled append can
-// publish a version before the object's seqlock word (⟨TVersion, TState⟩
+// publish a version before the object's seqlock word (⟨t_version, t_state⟩,
 // via SetTLocked) reflects it — a reader would then serve data the
 // validation plane does not vouch for.
 //

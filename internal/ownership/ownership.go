@@ -772,7 +772,7 @@ func (e *Engine) handleReq(m *wire.OwnReq) {
 	// the commit engine, and is a stub seam in tests.
 	if o.Level == wire.Owner && m.Requester != e.self &&
 		(o.LocalOwner != store.NoLocalOwner || e.cfg.HasPendingCommit(m.Obj)) {
-		o.YieldLocalUntil = time.Now().Add(transferYield)
+		o.YieldLocalLocked(transferYield)
 		o.Mu.Unlock()
 		e.stNacks.Add(1)
 		e.send(m.Requester, &wire.OwnNack{
@@ -932,7 +932,7 @@ func (e *Engine) buildAck(ack *wire.OwnAck, inv *wire.OwnInv) {
 			// the requester's t_version check applies it idempotently.
 			if inv.Recovery || o.Replicas.LevelOf(inv.Requester) == wire.NonReplica {
 				ack.HasData = true
-				ack.TVersion = o.TVersion
+				ack.TVersion = o.TVersion()
 				ack.CTS = o.CommitCTS
 				// No copy: object payloads are replace-only (see the
 				// store.Object.Data contract) and a data-carrying ACK is
@@ -999,7 +999,7 @@ func (e *Engine) handleInv(m *wire.OwnInv) {
 		// Transfer fairness: a back-to-back local write stream would keep
 		// this guard busy forever, so defer new local write grants long
 		// enough for the pipeline to drain and the requester to re-probe.
-		o.YieldLocalUntil = time.Now().Add(transferYield)
+		o.YieldLocalLocked(transferYield)
 		o.Mu.Unlock()
 		e.stNacks.Add(1)
 		e.send(m.Requester, &wire.OwnNack{
@@ -1238,7 +1238,7 @@ func (e *Engine) applyAsRequester(obj wire.ObjectID, ts wire.OTS, reps wire.Repl
 	o.OTS = ts
 	o.OState = store.OValid
 	clearPendingLocked(o)
-	if hasData && tversion >= o.TVersion {
+	if hasData && tversion >= o.TVersion() {
 		o.Data = data
 		o.SetTLocked(tversion, store.TValid)
 		// A shipped value re-arms this replica's snapshot-read ring: the

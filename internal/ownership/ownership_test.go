@@ -177,7 +177,7 @@ func seed(t *testing.T, c *tcluster, owner wire.NodeID, obj wire.ObjectID, reade
 		o.Mu.Lock()
 		if o.Level == wire.Owner || o.Level == wire.Reader {
 			o.Data = append([]byte(nil), data...)
-			o.TVersion = 1
+			o.SetTLocked(1, store.TValid)
 		}
 		o.Mu.Unlock()
 	}

@@ -97,17 +97,14 @@ type PendingOwn struct {
 
 // Object is one object replica (or bare directory entry) at a node. Fields
 // are protected by Mu; engines lock the object across multi-field updates.
+// The record fills the 144-byte allocation size class (TestObjectSize): every
+// byte is paid once per replica, so the small fields sit together and
+// nothing is stored twice.
 type Object struct {
 	Mu sync.Mutex
 
 	ID wire.ObjectID
 
-	// Reliable-commit metadata (meaningful on owner and readers).
-	// TState/TVersion must be written through SetTLocked (under Mu) so the
-	// packed atomic mirror (tsv) that the lock-free read-only validation
-	// reads stays coherent.
-	TState   TState
-	TVersion uint64
 	// Data is the object payload. The slice is REPLACE-ONLY: every writer
 	// installs a freshly allocated (or freshly received) slice under Mu,
 	// and no code path ever mutates a published backing array in place —
@@ -120,20 +117,21 @@ type Object struct {
 	// released. TestSnapshotRefStableAcrossReplace pins it.
 	Data []byte
 
-	// tsv mirrors ⟨TVersion, TState⟩ as one packed atomic word
-	// (version<<2 | state), maintained by SetTLocked. Read-only
-	// transactions re-validate against it without taking Mu (TSnapshot) —
-	// the seqlock-style check where the single-word payload makes the
-	// double-read degenerate to one consistent load.
+	// tsv is the reliable-commit metadata ⟨t_version, t_state⟩ (meaningful
+	// on owner and readers), packed into one atomic word (version<<2 |
+	// state) and stored nowhere else: written by SetTLocked under Mu, read
+	// through TVersion/TState or, without Mu, through TSnapshot — the
+	// read-only re-validation's seqlock-style check, where the single-word
+	// payload makes the double read degenerate to one consistent load.
 	tsv atomic.Uint64
 
 	// Ownership metadata (meaningful on the owner and directory nodes).
-	OState   OState
 	OTS      wire.OTS
 	Replicas wire.ReplicaSet
 	// Pending is the in-flight ownership request applied at INV time and
 	// finalized (or superseded) at VAL time; nil when none.
 	Pending *PendingOwn
+	OState  OState
 
 	// Level is this node's access level for the object.
 	Level wire.AccessLevel
@@ -146,19 +144,19 @@ type Object struct {
 	// have not been validated yet; the owner NACKs ownership requests
 	// while it is non-zero (§4.1, §5.2). Writers (the local-commit path and
 	// the commit engine's slot completion) always also hold Mu, so the
-	// counter stays consistent with TState; it is atomic so the ownership
+	// counter stays consistent with t_state; it is atomic so the ownership
 	// engine's HasPendingCommit hook can read it without taking Mu — the
 	// hook runs with other object locks held, and a lock-free read keeps
 	// pending checks off every engine-global structure.
 	PendingCommits atomic.Int32
 
-	// YieldLocalUntil implements transfer fairness (§6.2 starvation
+	// yieldLocalUntil implements transfer fairness (§6.2 starvation
 	// avoidance): after NACKing an ownership request for pending commits,
 	// the owner briefly defers granting *new* local write ownership of
-	// this object, so a back-to-back local write stream cannot starve a
-	// remote requester forever — the pipeline drains and the requester's
-	// next probe wins. Zero means no yield.
-	YieldLocalUntil time.Time
+	// this object (YieldLocalLocked), so a back-to-back local write stream
+	// cannot starve a remote requester forever — the pipeline drains and the
+	// requester's next probe wins. A monoNow deadline; zero means no yield.
+	yieldLocalUntil int64
 
 	// CommitCTS is the commit timestamp of the newest reliably-committed
 	// version this replica knows about (0 when unknown, e.g. an object
@@ -196,8 +194,9 @@ const DefaultRingEntries = 8
 // Mu). Publication is a sorted insert by version with dedupe: slot
 // completions race (ack handlers run per follower), so version k may be
 // published after k+1 — an append-only ring would drop k and serve a stale
-// read at timestamps in [cts_k, cts_{k+1}). When the ring is full the
-// oldest entry is dropped. CommitCTS tracks the newest published entry.
+// read at timestamps in [cts_k, cts_{k+1}). A full ring evicts its oldest
+// entry in place before the insert, so the array never grows past
+// DefaultRingEntries. CommitCTS tracks the newest published entry.
 func (o *Object) PublishRingLocked(cts, ver uint64, data []byte) {
 	if cts == 0 {
 		return // no timestamp known (e.g. pre-snapshot-reads seed): nothing to publish
@@ -209,12 +208,16 @@ func (o *Object) PublishRingLocked(cts, ver uint64, data []byte) {
 		}
 		i--
 	}
-	o.Ring = append(o.Ring, VersionEntry{})
-	copy(o.Ring[i+1:], o.Ring[i:])
-	o.Ring[i] = VersionEntry{CTS: cts, Version: ver, Data: data}
-	if len(o.Ring) > DefaultRingEntries {
-		o.Ring = o.Ring[:copy(o.Ring, o.Ring[1:])]
-	}
+	e := VersionEntry{CTS: cts, Version: ver, Data: data}
+	switch {
+	case len(o.Ring) < DefaultRingEntries:
+		o.Ring = append(o.Ring, VersionEntry{})
+		copy(o.Ring[i+1:], o.Ring[i:])
+		o.Ring[i] = e
+	case i > 0:
+		copy(o.Ring, o.Ring[1:i])
+		o.Ring[i-1] = e
+	} // else full and older than the oldest retained version: e is the entry to evict
 	if cts > o.CommitCTS {
 		o.CommitCTS = cts
 	}
@@ -242,8 +245,8 @@ func (o *Object) RingReadLocked(ts uint64) (VersionEntry, bool) {
 			return o.Ring[i], true
 		}
 	}
-	if o.TState == TValid && o.CommitCTS <= ts {
-		return VersionEntry{CTS: o.CommitCTS, Version: o.TVersion, Data: o.Data}, true
+	if ver, st := o.TSnapshot(); st == TValid && o.CommitCTS <= ts {
+		return VersionEntry{CTS: o.CommitCTS, Version: ver, Data: o.Data}, true
 	}
 	return VersionEntry{}, false
 }
@@ -259,7 +262,7 @@ func (o *Object) TryAcquireLocal(worker int32) bool {
 }
 
 // GrantLocalLocked is TryAcquireLocal for callers already holding o.Mu. A
-// *new* grant is refused while the transfer-fairness yield (YieldLocalUntil)
+// *new* grant is refused while the transfer-fairness yield (YieldLocalLocked)
 // is active; a worker that already holds the object keeps it.
 func (o *Object) GrantLocalLocked(worker int32) bool {
 	if o.LocalOwner == worker {
@@ -268,12 +271,24 @@ func (o *Object) GrantLocalLocked(worker int32) bool {
 	if o.LocalOwner != NoLocalOwner {
 		return false
 	}
-	if !o.YieldLocalUntil.IsZero() && time.Now().Before(o.YieldLocalUntil) {
+	if o.yieldLocalUntil != 0 && monoNow() < o.yieldLocalUntil {
 		return false
 	}
 	o.LocalOwner = worker
 	return true
 }
+
+// YieldLocalLocked refuses new local write grants for the next d (caller
+// holds Mu): the transfer-fairness yield, see yieldLocalUntil.
+func (o *Object) YieldLocalLocked(d time.Duration) {
+	o.yieldLocalUntil = monoNow() + int64(d)
+}
+
+// monoNow is the monotonic clock in nanoseconds since process start: a
+// deadline on it is 8 bytes per object where a time.Time is 24.
+func monoNow() int64 { return int64(time.Since(processStart)) }
+
+var processStart = time.Now()
 
 // ReleaseLocal releases local ownership if held by worker.
 func (o *Object) ReleaseLocal(worker int32) {
@@ -285,12 +300,17 @@ func (o *Object) ReleaseLocal(worker int32) {
 }
 
 // SetTLocked installs the reliable-commit version and state (caller holds
-// Mu) and publishes the packed atomic mirror for lock-free RO validation.
+// Mu): the one writer of the packed word, which is what keeps a version and
+// its state from ever being observed apart.
 func (o *Object) SetTLocked(ver uint64, st TState) {
-	o.TVersion = ver
-	o.TState = st
 	o.tsv.Store(ver<<2 | uint64(st))
 }
+
+// TVersion returns t_version. Stable only while the caller holds Mu.
+func (o *Object) TVersion() uint64 { return o.tsv.Load() >> 2 }
+
+// TState returns t_state. Stable only while the caller holds Mu.
+func (o *Object) TState() TState { return TState(o.tsv.Load() & 3) }
 
 // TSnapshot returns ⟨t_version, t_state⟩ from one atomic load, without
 // taking Mu. Because both ride in a single word, the value is always a
@@ -311,7 +331,8 @@ func (o *Object) TSnapshot() (uint64, TState) {
 func (o *Object) SnapshotRef() (TState, uint64, wire.AccessLevel, []byte) {
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
-	return o.TState, o.TVersion, o.Level, o.Data
+	ver, st := o.TSnapshot()
+	return st, ver, o.Level, o.Data
 }
 
 // DataCopy returns a copy of the object's data under the object lock.
@@ -335,7 +356,8 @@ func (o *Object) Snapshot() (TState, uint64, []byte) {
 		d = make([]byte, len(o.Data))
 		copy(d, o.Data)
 	}
-	return o.TState, o.TVersion, d
+	ver, st := o.TSnapshot()
+	return st, ver, d
 }
 
 // shardCount scales with the host (the same policy as the ownership
@@ -415,7 +437,7 @@ func (s *Store) Delete(id wire.ObjectID) {
 	if o != nil {
 		o.Mu.Lock()
 		o.Level = wire.NonReplica
-		o.SetTLocked(o.TVersion, TInvalid)
+		o.SetTLocked(o.TVersion(), TInvalid)
 		o.Mu.Unlock()
 	}
 }

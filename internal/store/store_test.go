@@ -1,9 +1,13 @@
 package store
 
 import (
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
+	"unsafe"
 
 	"zeus/internal/wire"
 )
@@ -15,7 +19,7 @@ func TestGetOrCreateDefaults(t *testing.T) {
 		t.Fatal("first insert must report created")
 	}
 	if o.Level != wire.NonReplica || o.Replicas.Owner != wire.NoNode ||
-		o.LocalOwner != NoLocalOwner || o.TState != TValid || o.OState != OValid {
+		o.LocalOwner != NoLocalOwner || o.TState() != TValid || o.OState != OValid {
 		t.Fatalf("bad defaults: %+v", o)
 	}
 	o2, created2 := s.GetOrCreate(7)
@@ -141,8 +145,7 @@ func TestSnapshotAndDataCopyIsolation(t *testing.T) {
 	o, _ := s.GetOrCreate(1)
 	o.Mu.Lock()
 	o.Data = []byte("abc")
-	o.TVersion = 5
-	o.TState = TWrite
+	o.SetTLocked(5, TWrite)
 	o.Mu.Unlock()
 
 	st, ver, data := o.Snapshot()
@@ -215,8 +218,8 @@ func TestTSnapshotMirrorsSetTLocked(t *testing.T) {
 	if v, st := o.TSnapshot(); v != 7 || st != TInvalid {
 		t.Fatalf("after SetTLocked: %d %v", v, st)
 	}
-	if o.TVersion != 7 || o.TState != TInvalid {
-		t.Fatal("SetTLocked must also set the locked fields")
+	if o.TVersion() != 7 || o.TState() != TInvalid {
+		t.Fatal("the accessors must read what SetTLocked stored")
 	}
 	o.Mu.Lock()
 	o.SetTLocked(8, TWrite)
@@ -255,7 +258,7 @@ func TestConcurrentStoreAccess(t *testing.T) {
 				id := wire.ObjectID(i % 97)
 				o, _ := s.GetOrCreate(id)
 				o.Mu.Lock()
-				o.TVersion++
+				o.SetTLocked(o.TVersion()+1, TValid)
 				o.Mu.Unlock()
 				s.Get(id)
 			}
@@ -267,7 +270,7 @@ func TestConcurrentStoreAccess(t *testing.T) {
 	}
 	var total uint64
 	s.ForEach(func(o *Object) bool {
-		total += o.TVersion
+		total += o.TVersion()
 		return true
 	})
 	if total != 4000 {
@@ -297,5 +300,83 @@ func TestGetOrCreatePropertyIdempotent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestObjectSize pins the record at its allocation size class: one more
+// word is 160 bytes per replica, three times per object.
+func TestObjectSize(t *testing.T) {
+	if got := unsafe.Sizeof(Object{}); got > 144 {
+		t.Fatalf("store.Object is %d bytes, must stay within the 144-byte size class", got)
+	}
+}
+
+// TestYieldLocalDefersNewGrants: the transfer-fairness yield refuses a new
+// local grant until its deadline, and never takes the object from a worker
+// that already holds it.
+func TestYieldLocalDefersNewGrants(t *testing.T) {
+	s := New()
+	o, _ := s.GetOrCreate(1)
+	o.Mu.Lock()
+	defer o.Mu.Unlock()
+	o.YieldLocalLocked(time.Hour)
+	if o.GrantLocalLocked(3) {
+		t.Fatal("new local grant during the yield")
+	}
+	o.YieldLocalLocked(-time.Nanosecond)
+	if !o.GrantLocalLocked(3) {
+		t.Fatal("local grant refused after the yield ran out")
+	}
+	o.YieldLocalLocked(time.Hour)
+	if !o.GrantLocalLocked(3) {
+		t.Fatal("the yield took the object from the worker holding it")
+	}
+}
+
+// TestPublishRingStaysInPlace: the ring holds the DefaultRingEntries newest
+// distinct versions, sorted, whatever order they were published in — and a
+// full ring makes room before the insert, so its array never grows past
+// DefaultRingEntries (appending first used to double it on the ninth
+// publish, for good).
+func TestPublishRingStaysInPlace(t *testing.T) {
+	inOrder := make([]uint64, 100)
+	for i := range inOrder {
+		inOrder[i] = uint64(i + 1)
+	}
+	shuffled := slices.Clone(inOrder)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	withDuplicates := append(slices.Clone(shuffled), shuffled[:50]...)
+	for name, versions := range map[string][]uint64{
+		"in order": inOrder, "shuffled": shuffled, "duplicates": withDuplicates,
+	} {
+		o := &Object{}
+		var want []uint64 // the reference: sorted insert, dedupe, then drop the oldest
+		for _, v := range versions {
+			o.PublishRingLocked(1000+v, v, []byte{byte(v)})
+			if i, dup := slices.BinarySearch(want, v); !dup {
+				want = slices.Insert(want, i, v)
+				if len(want) > DefaultRingEntries {
+					want = want[1:]
+				}
+			}
+			if cap(o.Ring) > DefaultRingEntries {
+				t.Fatalf("%s: ring array grew to %d slots after publishing v%d", name, cap(o.Ring), v)
+			}
+			got := make([]uint64, len(o.Ring))
+			for i, e := range o.Ring {
+				got[i] = e.Version
+				if e.CTS != 1000+e.Version || e.Data[0] != byte(e.Version) {
+					t.Fatalf("%s: entry %d = %+v does not belong to its version", name, i, e)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: after publishing v%d the ring holds %v, want %v", name, v, got, want)
+			}
+		}
+		if o.CommitCTS != 1100 {
+			t.Fatalf("%s: CommitCTS %d, want the newest published (1100)", name, o.CommitCTS)
+		}
 	}
 }

@@ -9,7 +9,10 @@ import (
 
 // Hub is a perfect in-process fabric: exactly-once, per-sender FIFO, no loss.
 // It is the unit-test substrate; protocol tests that need faults use the
-// Reliable transport over netsim instead.
+// Reliable transport over netsim instead. Each node's inbox is a queue (see
+// queue.go) bounded at inboxBound frames: an idle node holds no buffer, and a
+// sender that finds the inbox full blocks until the node's dispatch goroutine
+// takes the backlog or the node closes.
 type Hub struct {
 	mu    sync.RWMutex
 	nodes map[wire.NodeID]*MemTransport
@@ -40,7 +43,7 @@ func (h *Hub) Bytes() uint64 { return h.bytes.Load() }
 type MemTransport struct {
 	hub     *Hub
 	self    wire.NodeID
-	inbox   chan memFrame
+	inbox   *queue[memFrame]
 	handler atomic.Value // Handler
 	tick    atomic.Value // func(), invoked after each frame's dispatch
 	closed  chan struct{}
@@ -48,9 +51,9 @@ type MemTransport struct {
 	down    atomic.Bool
 	// free holds dispatched batch slices for the next SendBatch towards this
 	// node: the frame's slice is the hub's own copy (BatchSender's no-retain
-	// contract), so once loop has handed its messages to the handler it goes
-	// back here instead of to the GC. Bounded in depth and in slice capacity
-	// (maxFreeBatchCap), so a burst cannot pin memory.
+	// contract), so once dispatch has handed its messages to the handler it
+	// goes back here instead of to the GC. Bounded in depth and in slice
+	// capacity (maxFreeBatchCap), so a burst cannot pin memory.
 	free chan []wire.Msg
 }
 
@@ -63,9 +66,13 @@ type memFrame struct {
 
 // freeBatches / maxFreeBatchCap bound a node's recycled batch slices: at most
 // 16 slices of at most 128 message slots (32 KiB) stay parked per node.
+// inboxBound is the backlog at which a sender blocks — a backstop against a
+// runaway producer, 400 times the deepest backlog the benchmark's hub
+// workloads build (161 frames; CHANGES.md, PR 17).
 const (
 	freeBatches     = 16
 	maxFreeBatchCap = 128
+	inboxBound      = 65536
 )
 
 // Node returns (creating if needed) the transport for node id.
@@ -78,12 +85,12 @@ func (h *Hub) Node(id wire.NodeID) *MemTransport {
 	t := &MemTransport{
 		hub:    h,
 		self:   id,
-		inbox:  make(chan memFrame, 1<<16),
+		inbox:  newQueue[memFrame](inboxBound),
 		free:   make(chan []wire.Msg, freeBatches),
 		closed: make(chan struct{}),
 	}
 	h.nodes[id] = t
-	go t.loop()
+	go t.inbox.run(t.dispatch)
 	return t
 }
 
@@ -163,10 +170,7 @@ func (t *MemTransport) deliver(to wire.NodeID, f memFrame) error {
 
 func (t *MemTransport) enqueue(dst *MemTransport, f memFrame) {
 	t.hub.frames.Add(1)
-	select {
-	case dst.inbox <- f:
-	case <-dst.closed:
-	}
+	dst.inbox.push(f) // a closed node drops it, like a network does
 }
 
 // Send delivers m to the peer's inbox (exactly once, FIFO per sender).
@@ -254,31 +258,25 @@ func (t *MemTransport) Multicast(dsts []wire.NodeID, m wire.Msg) error {
 	return err
 }
 
-func (t *MemTransport) loop() {
-	for {
-		select {
-		case f := <-t.inbox:
-			if t.down.Load() {
-				continue
-			}
-			h, _ := t.handler.Load().(Handler)
-			if h == nil {
-				continue
-			}
-			if f.batch != nil {
-				for _, m := range f.batch {
-					h(f.from, m)
-				}
-				t.recycle(f.batch)
-			} else {
-				h(f.from, f.msg)
-			}
-			if tf, _ := t.tick.Load().(func()); tf != nil {
-				tf()
-			}
-		case <-t.closed:
-			return
+// dispatch hands one inbox frame to the handler, then runs the delivery tick.
+func (t *MemTransport) dispatch(f memFrame) {
+	if t.down.Load() {
+		return
+	}
+	h, _ := t.handler.Load().(Handler)
+	if h == nil {
+		return
+	}
+	if f.batch != nil {
+		for _, m := range f.batch {
+			h(f.from, m)
 		}
+		t.recycle(f.batch)
+	} else {
+		h(f.from, f.msg)
+	}
+	if tf, _ := t.tick.Load().(func()); tf != nil {
+		tf()
 	}
 }
 
@@ -297,9 +295,12 @@ func (t *MemTransport) recycle(batch []wire.Msg) {
 	}
 }
 
-// Close stops the dispatch goroutine.
+// Close stops the dispatch goroutine; frames still queued are dropped.
 func (t *MemTransport) Close() error {
-	t.once.Do(func() { close(t.closed) })
+	t.once.Do(func() {
+		close(t.closed)
+		t.inbox.close()
+	})
 	return nil
 }
 

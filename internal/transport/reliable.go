@@ -94,6 +94,11 @@ const (
 // the immediate duplicate ACK on out-of-order arrival so fast retransmit
 // still recovers holes in under an RTT. The adaptive per-peer RTO (SRTT/
 // RTTVAR with exponential back-off, Karn's rule) catches tail losses.
+//
+// In-order frames reach the handler through one queue per peer (queue.go)
+// and that peer's delivery goroutine. It holds only the frames not yet
+// dispatched; at DeliveryDepth of them the receive loop, and with it every
+// acknowledgement, waits until the backlog is taken or the transport closes.
 type Reliable struct {
 	ep  *netsim.Endpoint
 	cfg ReliableConfig
@@ -141,7 +146,7 @@ type peerState struct {
 	ackOwed  int       // in-order data frames received since the last ack went out
 	lastData time.Time // last in-order data frame arrival (quickack detection)
 
-	deliver chan delivery
+	deliver *queue[delivery]
 }
 
 type unackedFrame struct {
@@ -297,10 +302,15 @@ func (r *Reliable) peer(id wire.NodeID) *peerState {
 			unacked:  make(map[uint64]*unackedFrame),
 			pending:  make(map[uint64]pendingFrame),
 			est:      retry.NewRTOEstimator(r.cfg.RTO, r.cfg.MinRTO, r.cfg.MaxRTO),
-			deliver:  make(chan delivery, r.cfg.DeliveryDepth),
+			deliver:  newQueue[delivery](r.cfg.DeliveryDepth),
 		}
 		r.peers[id] = p
-		go r.deliverLoop(p)
+		select {
+		case <-r.closed: // Close has swept r.peers already: this one is born closed
+			p.deliver.close()
+		default:
+			go p.deliver.run(func(d delivery) { r.deliverFrame(id, d) })
+		}
 	}
 	return p
 }
@@ -660,10 +670,8 @@ func (r *Reliable) recvLoop() {
 				r.sendAck(f.From, cum, false)
 			}
 			for _, d := range ready {
-				select {
-				case p.deliver <- d:
-				case <-r.closed:
-					return
+				if !p.deliver.push(d) {
+					return // closed
 				}
 			}
 		default:
@@ -682,34 +690,29 @@ func (r *Reliable) recvLoop() {
 	}
 }
 
-func (r *Reliable) deliverLoop(p *peerState) {
-	for {
-		select {
-		case d := <-p.deliver:
-			if !d.batch {
-				r.dispatch(p.id, d.payload)
-			} else {
-				it := wire.NewBatchIter(d.payload)
-				for {
-					raw, err := it.Next()
-					if err != nil {
-						r.decodeDrops.Add(1)
-						break
-					}
-					if raw == nil {
-						break
-					}
-					r.dispatch(p.id, raw)
-				}
+// deliverFrame dispatches one in-order frame's messages, then runs the
+// delivery tick.
+func (r *Reliable) deliverFrame(from wire.NodeID, d delivery) {
+	if !d.batch {
+		r.dispatch(from, d.payload)
+	} else {
+		it := wire.NewBatchIter(d.payload)
+		for {
+			raw, err := it.Next()
+			if err != nil {
+				r.decodeDrops.Add(1)
+				break
 			}
-			// Delivery tick: the frame's messages are all dispatched;
-			// let engines flush the responses they coalesced across it.
-			if f, _ := r.tick.Load().(func()); f != nil {
-				f()
+			if raw == nil {
+				break
 			}
-		case <-r.closed:
-			return
+			r.dispatch(from, raw)
 		}
+	}
+	// Delivery tick: the frame's messages are all dispatched; let engines
+	// flush the responses they coalesced across it.
+	if f, _ := r.tick.Load().(func()); f != nil {
+		f()
 	}
 }
 
@@ -795,6 +798,9 @@ func (r *Reliable) Close() error {
 	r.once.Do(func() {
 		r.Flush()
 		close(r.closed)
+		for _, p := range r.snapshotPeers() {
+			p.deliver.close()
+		}
 	})
 	return nil
 }

@@ -9,11 +9,18 @@
 //
 // All fabrics guarantee exactly-once, per-peer FIFO delivery of wire.Msg
 // values, which the Zeus protocols rely on for pipeline ordering (§5.2).
+//
+// Every hand-off to a delivery goroutine — the hub's inbox, the reliable
+// fabric's per-peer in-order delivery, the Router's shard queues — is the
+// same queue (queue.go): its memory follows the backlog, the bound at which a
+// sender blocks is given at construction (65 536 frames, DeliveryDepth, none)
+// and one rule gives a burst's array back (queueKeepCap).
 package transport
 
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"zeus/internal/wire"
 )
@@ -293,10 +300,9 @@ func (r *Router) EnableSharding(n int) {
 	}
 	shards := make([]*shardQ, n)
 	for i := range shards {
-		s := &shardQ{router: r}
-		s.cond = sync.NewCond(&s.mu)
+		s := &shardQ{queue: newQueue[shardItem](0), router: r}
 		shards[i] = s
-		go s.loop()
+		go s.run(s.handle)
 	}
 	r.mu.Lock()
 	r.shards = shards
@@ -322,71 +328,33 @@ type shardItem struct {
 	h    Handler
 }
 
-// shardQ is one shard's unbounded FIFO plus its worker goroutine state.
+// shardQ is one shard: an unbounded queue (see the Router doc for why) whose
+// consumer goroutine runs the handlers, plus the tick-token bookkeeping.
 type shardQ struct {
+	*queue[shardItem]
 	router *Router
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []shardItem
-	dirty  bool // received a message since the last tick token
-	closed bool
+	// dirty: a message was queued since the last tick token. Set after the
+	// message is in the queue, so whichever Tick clears it queues its token
+	// behind that message.
+	dirty atomic.Bool
 }
 
 func (s *shardQ) push(it shardItem) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
+	if s.queue.push(it) {
+		s.dirty.Store(true)
 	}
-	s.items = append(s.items, it)
-	s.dirty = true
-	s.mu.Unlock()
-	s.cond.Signal()
 }
 
 // pushTickIfDirty queues a tick token behind the shard's pending messages if
 // any arrived since the last token; it reports whether a token was queued.
 func (s *shardQ) pushTickIfDirty() bool {
-	s.mu.Lock()
-	if s.closed || !s.dirty {
-		s.mu.Unlock()
-		return false
-	}
-	s.dirty = false
-	s.items = append(s.items, shardItem{})
-	s.mu.Unlock()
-	s.cond.Signal()
-	return true
+	return s.dirty.Swap(false) && s.queue.push(shardItem{})
 }
 
-func (s *shardQ) close() {
-	s.mu.Lock()
-	s.closed = true
-	s.items = nil
-	s.mu.Unlock()
-	s.cond.Broadcast()
-}
-
-func (s *shardQ) loop() {
-	var batch []shardItem
-	for {
-		s.mu.Lock()
-		for len(s.items) == 0 && !s.closed {
-			s.cond.Wait()
-		}
-		if s.closed {
-			s.mu.Unlock()
-			return
-		}
-		batch, s.items = s.items, batch[:0]
-		s.mu.Unlock()
-		for _, it := range batch {
-			if it.m == nil {
-				s.router.runTicks()
-				continue
-			}
-			it.h(it.from, it.m)
-		}
-		clear(batch) // the array is the next swap's queue: keep no handled message alive in it
+func (s *shardQ) handle(it shardItem) {
+	if it.m == nil {
+		s.router.runTicks()
+		return
 	}
+	it.h(it.from, it.m)
 }
