@@ -7,7 +7,7 @@
 //	zeus-bench -experiment all
 //	zeus-bench -experiment fig8 -full
 //	zeus-bench -experiment slo -slo-out BENCH_SLO.json
-//	zeus-bench -compare -slo -slo-new /tmp/slo.json
+//	zeus-bench -compare -slo-new /tmp/slo.json
 //	zeus-bench -list
 //
 // Experiments: tab2, locality, fig7 … fig15, ablation, transport, scaling,
@@ -28,23 +28,14 @@ func main() {
 	exp := flag.String("experiment", "all", "experiment id (tab2, locality, fig7..fig15, ablation, transport, scaling, directory, readscale, slo, all)")
 	full := flag.Bool("full", false, "run the full-scale configuration (slower)")
 	list := flag.Bool("list", false, "list available experiments")
-	compare := flag.Bool("compare", false, "compare two benchmark JSON records and print the delta")
-	oldFile := flag.String("old", "BENCH_BASELINE.json", "baseline record for -compare")
-	newFile := flag.String("new", "BENCH_AFTER.json", "current record for -compare")
-	sloCmp := flag.Bool("slo", false, "with -compare: gate open-loop SLO records instead of go-bench records")
-	sloOld := flag.String("slo-old", "BENCH_SLO.json", "baseline SLO record for -compare -slo")
-	sloNew := flag.String("slo-new", "SLO_AFTER.json", "current SLO record for -compare -slo")
+	compare := flag.Bool("compare", false, "gate an open-loop SLO record (-slo-new) against the baseline (-slo-old)")
+	sloOld := flag.String("slo-old", "BENCH_SLO.json", "baseline SLO record for -compare")
+	sloNew := flag.String("slo-new", "SLO_AFTER.json", "current SLO record for -compare")
 	sloOut := flag.String("slo-out", "", "with -experiment slo: write the matrix percentiles to this JSON record")
 	flag.Parse()
 
 	if *compare {
-		var err error
-		if *sloCmp {
-			err = compareSLORecords(os.Stdout, *sloOld, *sloNew)
-		} else {
-			err = compareRecords(os.Stdout, *oldFile, *newFile)
-		}
-		if err != nil {
+		if err := compareSLORecords(os.Stdout, *sloOld, *sloNew); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -55,14 +55,14 @@ type sloRecord struct {
 	Rows         map[string]sloRecordRow `json:"rows"`
 }
 
-// writeSLORecord serializes a matrix run for the -compare -slo gate.
+// writeSLORecord serializes a matrix run for the -compare gate.
 func writeSLORecord(path, label string, r experiments.SLOResult) error {
 	rec := sloRecord{
 		Label:        label,
 		Recorded:     time.Now().UTC().Format(time.RFC3339),
 		Host:         fmt.Sprintf("%d-core %s/%s (GOMAXPROCS=%d)", runtime.NumCPU(), runtime.GOOS, runtime.GOARCH, r.MaxProcs),
 		Command:      "go run ./cmd/zeus-bench -experiment slo -slo-out " + path,
-		Note:         "open-loop intended-send-time percentiles; -compare -slo flags a row only when p99 grows past old × (1+p99_tolerance) AND exceeds p99_floor_ns",
+		Note:         "open-loop intended-send-time percentiles; -compare flags a row only when p99 grows past old × (1+p99_tolerance) AND exceeds p99_floor_ns",
 		P99Tolerance: sloP99Tolerance,
 		P99FloorNS:   int64(sloP99Floor),
 		Rows:         make(map[string]sloRecordRow, len(r.Rows)),

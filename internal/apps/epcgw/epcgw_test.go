@@ -137,7 +137,7 @@ func TestSequenceNumbersAdvance(t *testing.T) {
 		t.Fatal("ue ctx missing")
 	}
 	o.Mu.Lock()
-	_, seq := decode(o.Data)
+	_, seq := decode(o.DataLocked())
 	o.Mu.Unlock()
 	if seq != 10 {
 		t.Fatalf("seq = %d, want 10", seq)

@@ -155,7 +155,7 @@ func TestReplicationSurvivesStateOnBackup(t *testing.T) {
 		t.Fatal("no replica on backup")
 	}
 	o.Mu.Lock()
-	st, err := DecodeState(o.Data)
+	st, err := DecodeState(o.DataLocked())
 	o.Mu.Unlock()
 	if err != nil {
 		t.Fatal(err)

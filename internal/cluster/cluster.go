@@ -64,22 +64,19 @@ type Options struct {
 	// ensemble). The replicas live on the cluster's own fabric, so
 	// fault-injection tests can crash them like any node.
 	ViewReplicas int
-	// View overrides the view-service tuning (heartbeat, takeover,
-	// client retry). Zero fields derive from Lease. View.DirShards is the
-	// one place the ownership directory's shard count (§6.2) is set: each
-	// shard is driven by up to three nodes rendezvous-hashed from the live
-	// view, and every node follows the shard→drivers placement the view
-	// service replicates. Zero or negative picks the host-scaled default.
+	// View overrides the view-service tuning (heartbeat, takeover). Zero
+	// fields derive from Lease. View.DirShards is the one place the
+	// ownership directory's shard count (§6.2) is set: each shard is driven
+	// by up to three nodes rendezvous-hashed from the live view, and every
+	// node follows the shard→drivers placement the view service replicates.
+	// Zero or negative picks the host-scaled default.
 	View viewsvc.Config
-	// TrimReplicas / AutoAcquireRead forward to core.Config.
-	TrimReplicas    bool
-	AutoAcquireRead bool
+	// TrimReplicas forwards to core.Config.
+	TrimReplicas bool
 	// SnapshotReads / SafeTimeInterval forward to core.Config: MVCC
 	// snapshot reads from any replica at the quorum-advanced safe-time.
 	SnapshotReads    bool
 	SafeTimeInterval time.Duration
-	// OwnershipDeadline bounds blocking ownership acquisitions.
-	OwnershipDeadline time.Duration
 	// OnOwnershipLatency observes ownership request latencies (Fig. 12).
 	OnOwnershipLatency func(time.Duration)
 	// Storage builds the per-node durable storage driver; nil keeps nodes
@@ -106,13 +103,12 @@ type Options struct {
 // DefaultOptions mirrors the paper's setup: 3-way replication.
 func DefaultOptions(nodes int) Options {
 	return Options{
-		Nodes:           nodes,
-		Degree:          3,
-		Workers:         8,
-		Fabric:          FabricMem,
-		Lease:           2 * time.Millisecond,
-		TrimReplicas:    true,
-		AutoAcquireRead: true,
+		Nodes:        nodes,
+		Degree:       3,
+		Workers:      8,
+		Fabric:       FabricMem,
+		Lease:        2 * time.Millisecond,
+		TrimReplicas: true,
 	}
 }
 
@@ -267,9 +263,6 @@ func (c *Cluster) reliableCfg() transport.ReliableConfig {
 func (c *Cluster) startNode(id wire.NodeID) *core.Node {
 	tr := c.endpoint(id)
 	ocfg := ownership.DefaultConfig()
-	if c.opts.OwnershipDeadline > 0 {
-		ocfg.Deadline = c.opts.OwnershipDeadline
-	}
 	ocfg.OnLatency = c.opts.OnOwnershipLatency
 	renew := c.opts.Lease / 3
 	if renew < time.Millisecond {
@@ -280,7 +273,6 @@ func (c *Cluster) startNode(id wire.NodeID) *core.Node {
 		Workers:          c.opts.Workers,
 		DispatchShards:   c.opts.DispatchShards,
 		TrimReplicas:     c.opts.TrimReplicas,
-		AutoAcquireRead:  c.opts.AutoAcquireRead,
 		LeaseRenewEvery:  renew,
 		Ownership:        ocfg,
 		SnapshotReads:    c.opts.SnapshotReads,
@@ -560,6 +552,16 @@ func (c *Cluster) Bytes() uint64 {
 func (c *Cluster) Seed(obj wire.ObjectID, owner wire.NodeID, readers wire.Bitmap, data []byte) {
 	reps := wire.ReplicaSet{Owner: owner, Readers: readers.Remove(owner)}
 	ts := wire.OTS{Ver: 1, Node: owner}
+	// With snapshot reads the ring is armed with a floor timestamp: HLC
+	// timestamps are wall-clock-scale, so CTS 1 orders the seeded version
+	// below every commit the cluster will ever mint while keeping it visible
+	// to any snapshot (ts >= 1). Without them nothing would ever evict the
+	// entry: the timestamp stays 0, "committed before timestamps existed",
+	// and an ownership transfer re-publishes nothing either.
+	var seedCTS uint64
+	if c.opts.SnapshotReads {
+		seedCTS = 1
+	}
 	// Directory entries land at the object's arbitration drivers.
 	targets := reps.All().Union(c.DirDrivers(obj))
 	for id := range targets.Each {
@@ -574,18 +576,7 @@ func (c *Cluster) Seed(obj wire.ObjectID, owner wire.NodeID, readers wire.Bitmap
 		o.OState = store.OValid
 		o.Level = reps.LevelOf(id)
 		if o.Level != wire.NonReplica {
-			o.Data = append([]byte(nil), data...)
-			o.SetTLocked(1, store.TValid)
-			if c.opts.SnapshotReads {
-				// Arm the snapshot-read ring with a floor timestamp: HLC
-				// timestamps are wall-clock-scale, so CTS 1 orders the
-				// seeded version below every commit the cluster will ever
-				// mint while keeping it visible to any snapshot (ts >= 1).
-				// Without snapshot reads nothing would ever evict the entry:
-				// CommitCTS stays 0, "committed before timestamps existed",
-				// and an ownership transfer re-publishes nothing either.
-				o.PublishRingLocked(1, 1, o.Data)
-			}
+			o.InstallLocked(seedCTS, 1, append([]byte(nil), data...))
 		}
 		o.Mu.Unlock()
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -63,8 +64,8 @@ func TestSeedEstablishesReplicasAndDirectory(t *testing.T) {
 		t.Fatal("owner has no object")
 	}
 	o.Mu.Lock()
-	if o.Level != wire.Owner || string(o.Data) != "seeded" || o.TState() != store.TValid {
-		t.Fatalf("owner state: %v %q %v", o.Level, o.Data, o.TState())
+	if o.Level != wire.Owner || string(o.DataLocked()) != "seeded" || o.TState() != store.TValid {
+		t.Fatalf("owner state: %v %q %v", o.Level, o.DataLocked(), o.TState())
 	}
 	o.Mu.Unlock()
 	// Readers.
@@ -74,8 +75,8 @@ func TestSeedEstablishesReplicasAndDirectory(t *testing.T) {
 			t.Fatalf("reader %d missing object", r)
 		}
 		ro.Mu.Lock()
-		if ro.Level != wire.Reader || string(ro.Data) != "seeded" {
-			t.Fatalf("reader %d state: %v %q", r, ro.Level, ro.Data)
+		if ro.Level != wire.Reader || string(ro.DataLocked()) != "seeded" {
+			t.Fatalf("reader %d state: %v %q", r, ro.Level, ro.DataLocked())
 		}
 		ro.Mu.Unlock()
 	}
@@ -209,10 +210,11 @@ func TestDefaultClusterGrowsNoRing(t *testing.T) {
 			t.Fatalf("node %d has no replica", n)
 		}
 		o.Mu.Lock()
-		ring, cts := len(o.Ring), o.CommitCTS
+		newest, _ := o.RingReadLocked(math.MaxUint64) // a ring entry if any: those carry a CTS
+		cts := o.CommitCTSLocked()
 		o.Mu.Unlock()
-		if ring != 0 || cts != 0 {
-			t.Errorf("node %d: ring holds %d entries, CommitCTS %d; want none and 0", n, ring, cts)
+		if newest.CTS != 0 || cts != 0 {
+			t.Errorf("node %d: ring serves an entry at CTS %d, CommitCTS %d; want none and 0", n, newest.CTS, cts)
 		}
 	}
 }

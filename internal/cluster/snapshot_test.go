@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -91,6 +92,42 @@ func TestSnapshotReadNonReplicaRefuses(t *testing.T) {
 	}
 	if reqs := c.Node(2).OwnershipEngine().Stats().Requests; reqs != 0 {
 		t.Fatalf("non-replica issued %d ownership requests", reqs)
+	}
+}
+
+// TestDeleteAtDriverDropsTheWholeReplica: the node that deletes an object may
+// also drive its directory shard, and then keeps the bare entry. That entry
+// must be as empty as any other dropped replica's — the requester's delete
+// branch used to nil the payload only, leaving the old version, commit
+// timestamp and ring behind for a later re-create to meet.
+func TestDeleteAtDriverDropsTheWholeReplica(t *testing.T) {
+	c := New(snapshotOptions(3)) // three nodes: each drives every shard
+	defer c.Close()
+	c.Seed(31, 0, wire.BitmapOf(1, 2), []byte("seeded"))
+	for i := 0; i < 3; i++ {
+		if err := dbapi.Run(c.Node(0).DB(), 0, func(tx dbapi.Txn) error {
+			return tx.Set(31, []byte("written"))
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !c.WaitIdle(2 * time.Second) {
+		t.Fatal("WaitIdle timed out")
+	}
+	if err := c.Node(0).DeleteObject(31); err != nil {
+		t.Fatal(err)
+	}
+	o, ok := c.Node(0).Store().Get(31)
+	if !ok {
+		t.Fatal("the deleting driver lost its directory entry")
+	}
+	o.Mu.Lock()
+	defer o.Mu.Unlock()
+	newest, _ := o.RingReadLocked(math.MaxUint64) // a ring entry if any: those carry a CTS
+	if o.Level != wire.NonReplica || o.DataLocked() != nil || o.TVersion() != 0 ||
+		o.CommitCTSLocked() != 0 || newest.CTS != 0 {
+		t.Fatalf("surviving entry: level %v, data %q, version %d, CommitCTS %d, newest ring entry at CTS %d; want a bare entry",
+			o.Level, o.DataLocked(), o.TVersion(), o.CommitCTSLocked(), newest.CTS)
 	}
 }
 

@@ -740,13 +740,7 @@ func (e *Engine) completeSlot(s *Slot) {
 	for _, u := range inv.Updates {
 		if o, ok := e.st.Get(u.Obj); ok {
 			o.Mu.Lock()
-			if ver, st := o.TSnapshot(); ver == u.Version && st == store.TWrite {
-				o.SetTLocked(ver, store.TValid)
-			}
-			// Publish regardless of the version check: a superseding write
-			// does not un-commit this version, and the ring insert is
-			// version-sorted.
-			o.PublishRingLocked(cts, u.Version, u.Data)
+			o.ValidateWriteLocked(cts, u.Version, u.Data)
 			if o.PendingCommits.Load() > 0 {
 				o.PendingCommits.Add(-1)
 			}
@@ -872,20 +866,13 @@ func (e *Engine) applyInvLocked(p *inPipe, from wire.NodeID, m *wire.CommitInv) 
 	}
 }
 
-// applyOneLocked installs one R-INV's updates and records it in the pipe
-// (p.mu held). The ring entry is published at APPLY time, before the R-VAL:
-// a reliable commit never aborts once the coordinator locally committed, so
-// the version is already history — and publish-before-ACK is what lets a
-// follower's ACK vouch that snapshot readers here can see the version.
+// applyOneLocked stages one R-INV's updates and records it in the pipe
+// (p.mu held).
 func (e *Engine) applyOneLocked(p *inPipe, m *wire.CommitInv) {
 	for _, u := range m.Updates {
 		o, _ := e.st.GetOrCreate(u.Obj)
 		o.Mu.Lock()
-		if u.Version > o.TVersion() {
-			o.Data = u.Data
-			o.SetTLocked(u.Version, store.TInvalid)
-		}
-		o.PublishRingLocked(m.CTS, u.Version, u.Data)
+		o.StageInvLocked(m.CTS, u.Version, u.Data)
 		o.Mu.Unlock()
 	}
 	e.clock.Update(m.CTS)
@@ -973,9 +960,7 @@ func (e *Engine) handleVal(m *wire.CommitVal) {
 	for _, u := range inv.Updates {
 		if o, ok := e.st.Get(u.Obj); ok {
 			o.Mu.Lock()
-			if ver, st := o.TSnapshot(); ver == u.Version && st == store.TInvalid {
-				o.SetTLocked(ver, store.TValid)
-			}
+			o.ValidateLocked(u.Version, store.TInvalid)
 			o.Mu.Unlock()
 		}
 	}

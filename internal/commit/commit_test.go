@@ -85,7 +85,6 @@ func (c *tcluster) seedObject(obj wire.ObjectID, owner wire.NodeID, readers wire
 		o.Mu.Lock()
 		o.Level = lvl
 		o.Replicas = reps
-		o.SetTLocked(o.TVersion(), store.TValid)
 		o.Mu.Unlock()
 	}
 }
@@ -106,10 +105,9 @@ func (c *tcluster) localCommit(owner wire.NodeID, w wire.Worker, objs []wire.Obj
 	for _, id := range objs {
 		o, _ := nd.st.Get(id)
 		o.Mu.Lock()
-		o.SetTLocked(o.TVersion()+1, store.TWrite)
-		o.Data = []byte(val)
+		ver := o.StageLocked([]byte(val))
 		o.PendingCommits.Add(1)
-		updates = append(updates, wire.Update{Obj: id, Version: o.TVersion(), Data: []byte(val)})
+		updates = append(updates, wire.Update{Obj: id, Version: ver, Data: []byte(val)})
 		followers = followers.Union(o.Replicas.Readers)
 		o.Mu.Unlock()
 	}
@@ -122,7 +120,7 @@ func (c *tcluster) waitValid(t *testing.T, node wire.NodeID, obj wire.ObjectID, 
 	for {
 		if o, ok := c.nodes[node].st.Get(obj); ok {
 			o.Mu.Lock()
-			st, ver, data := o.TState(), o.TVersion(), string(o.Data)
+			st, ver, data := o.TState(), o.TVersion(), string(o.DataLocked())
 			o.Mu.Unlock()
 			if st == store.TValid && ver == wantVer && data == wantData {
 				return
@@ -132,7 +130,7 @@ func (c *tcluster) waitValid(t *testing.T, node wire.NodeID, obj wire.ObjectID, 
 			o, _ := c.nodes[node].st.Get(obj)
 			o.Mu.Lock()
 			t.Fatalf("node %d obj %d never reached Valid v%d %q (now %v v%d %q)",
-				node, obj, wantVer, wantData, o.TState(), o.TVersion(), o.Data)
+				node, obj, wantVer, wantData, o.TState(), o.TVersion(), o.DataLocked())
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
@@ -334,7 +332,7 @@ func TestIdempotentDuplicateInv(t *testing.T) {
 	}
 	o, _ := c.nodes[1].st.Get(31)
 	o.Mu.Lock()
-	ver, data := o.TVersion(), string(o.Data)
+	ver, data := o.TVersion(), string(o.DataLocked())
 	o.Mu.Unlock()
 	if ver != 1 || data != "once" {
 		t.Fatalf("duplicate INV mis-applied: v%d %q", ver, data)
@@ -361,8 +359,7 @@ func TestStaleVersionSkipped(t *testing.T) {
 	c.seedObject(41, 0, wire.BitmapOf(1))
 	o, _ := c.nodes[1].st.Get(41)
 	o.Mu.Lock()
-	o.SetTLocked(5, store.TValid)
-	o.Data = []byte("newer")
+	o.InstallLocked(0, 5, []byte("newer"))
 	o.Mu.Unlock()
 	inv := &wire.CommitInv{
 		Tx:    wire.TxID{Pipe: wire.PipeID{Node: 0, Worker: 0}, Local: 1},
@@ -372,8 +369,8 @@ func TestStaleVersionSkipped(t *testing.T) {
 	c.nodes[1].eng.Handle(0, inv)
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
-	if o.TVersion() != 5 || string(o.Data) != "newer" {
-		t.Fatalf("stale INV applied: v%d %q", o.TVersion(), o.Data)
+	if o.TVersion() != 5 || string(o.DataLocked()) != "newer" {
+		t.Fatalf("stale INV applied: v%d %q", o.TVersion(), o.DataLocked())
 	}
 }
 
@@ -403,7 +400,7 @@ func TestOutOfOrderSlotWaitsForPredecessor(t *testing.T) {
 	}
 	c.nodes[1].eng.Handle(0, inv1)
 	o.Mu.Lock()
-	ver, data := o.TVersion(), string(o.Data)
+	ver, data := o.TVersion(), string(o.DataLocked())
 	o.Mu.Unlock()
 	if ver != 2 || data != "two" {
 		t.Fatalf("drain failed: v%d %q", ver, data)
@@ -424,8 +421,8 @@ func TestPrevValBitAllowsGap(t *testing.T) {
 	o, _ := c.nodes[1].st.Get(61)
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
-	if o.TVersion() != 1 || string(o.Data) != "gap" {
-		t.Fatalf("prev-VAL gap not applied: v%d %q", o.TVersion(), o.Data)
+	if o.TVersion() != 1 || string(o.DataLocked()) != "gap" {
+		t.Fatalf("prev-VAL gap not applied: v%d %q", o.TVersion(), o.DataLocked())
 	}
 }
 
@@ -445,8 +442,8 @@ func TestRValInclusionUnblocksPartialFollower(t *testing.T) {
 	o, _ := c.nodes[1].st.Get(71)
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
-	if o.TVersion() != 1 || string(o.Data) != "late" {
-		t.Fatalf("R-VAL inclusion did not unblock: v%d %q", o.TVersion(), o.Data)
+	if o.TVersion() != 1 || string(o.DataLocked()) != "late" {
+		t.Fatalf("R-VAL inclusion did not unblock: v%d %q", o.TVersion(), o.DataLocked())
 	}
 }
 
@@ -483,8 +480,7 @@ func TestConcurrentCommitsManyObjects(t *testing.T) {
 				nd := c.nodes[0]
 				o, _ := nd.st.Get(obj)
 				o.Mu.Lock()
-				ver := o.TVersion() + 1
-				o.SetTLocked(ver, store.TWrite)
+				ver := o.StageLocked([]byte("c"))
 				o.PendingCommits.Add(1)
 				followers := o.Replicas.Readers
 				o.Mu.Unlock()

@@ -59,9 +59,6 @@ type Config struct {
 	// TrimReplicas restores the replication degree out of the critical
 	// path after a non-replica acquired ownership (§6.2).
 	TrimReplicas bool
-	// AutoAcquireRead lets read accesses on non-replica nodes acquire
-	// reader level via the ownership protocol (first access only).
-	AutoAcquireRead bool
 	// LeaseRenewEvery is the period of the node's background membership
 	// lease renewal (§3.1: live nodes continuously renew so that failure
 	// declarations wait out a full lease). 0 picks a 5ms default;
@@ -83,9 +80,6 @@ type Config struct {
 	// level and validity through StateSync, never by trusting possibly
 	// stale local state. Nil keeps the node memory-only (tests, sims).
 	Storage storage.Storage
-	// SnapshotEvery is the number of WAL records between background
-	// snapshots (0 picks 16384). Only meaningful with Storage set.
-	SnapshotEvery int
 	// SnapshotReads enables MVCC snapshot reads (§5.3 extended): reliable
 	// commits carry an HLC commit timestamp and publish into per-object
 	// version rings, nodes exchange applied watermarks to advance a
@@ -122,11 +116,10 @@ type Config struct {
 // DefaultConfig mirrors the paper's evaluation setup: 3-way replication.
 func DefaultConfig() Config {
 	return Config{
-		Degree:          3,
-		Workers:         8,
-		TrimReplicas:    true,
-		AutoAcquireRead: true,
-		Ownership:       ownership.DefaultConfig(),
+		Degree:       3,
+		Workers:      8,
+		TrimReplicas: true,
+		Ownership:    ownership.DefaultConfig(),
 	}
 }
 
@@ -590,9 +583,7 @@ func (n *Node) CreateObjectWithReaders(obj wire.ObjectID, data []byte, readers w
 	}
 	o, _ := n.st.GetOrCreate(obj)
 	o.Mu.Lock()
-	o.Data = append([]byte(nil), data...)
-	ver := o.TVersion() + 1
-	o.SetTLocked(ver, store.TWrite)
+	ver := o.StageLocked(append([]byte(nil), data...))
 	o.PendingCommits.Add(1)
 	followers := o.Replicas.Readers
 	o.Mu.Unlock()
@@ -935,9 +926,6 @@ func (tx *Tx) ensureReadable(id wire.ObjectID) (*store.Object, error) {
 			return o, nil
 		}
 	}
-	if tx.ro && !n.cfg.AutoAcquireRead {
-		return nil, dbapi.ErrNoReplica
-	}
 	if err := n.own.AcquireRead(id); err != nil {
 		return nil, ownershipErr(err)
 	}
@@ -1160,9 +1148,7 @@ func (tx *Tx) Commit() error {
 		}
 		o := a.obj
 		o.Mu.Lock()
-		o.Data = a.data
-		ver := o.TVersion() + 1
-		o.SetTLocked(ver, store.TWrite)
+		ver := o.StageLocked(a.data)
 		o.PendingCommits.Add(1)
 		updates = append(updates, wire.Update{Obj: a.id, Version: ver, Data: a.data})
 		followers = followers.Union(o.Replicas.Readers)

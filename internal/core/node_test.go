@@ -293,7 +293,7 @@ func TestSerializableCounterAcrossNodes(t *testing.T) {
 		}
 		o.Mu.Lock()
 		if o.Level == wire.Owner {
-			final = fromU64(o.Data)
+			final = fromU64(o.DataLocked())
 		}
 		o.Mu.Unlock()
 	}
@@ -492,7 +492,7 @@ func TestClusterOverLossySimulatedNetwork(t *testing.T) {
 		if o, ok := c.Node(i).Store().Get(100); ok {
 			o.Mu.Lock()
 			if o.Level == wire.Owner {
-				final = fromU64(o.Data)
+				final = fromU64(o.DataLocked())
 			}
 			o.Mu.Unlock()
 		}
@@ -524,7 +524,7 @@ func TestStoreStateMachineValidAfterCommit(t *testing.T) {
 			}
 			o.Mu.Lock()
 			if o.Level != wire.NonReplica &&
-				(o.TState() != store.TValid || string(o.Data) != "s2") {
+				(o.TState() != store.TValid || string(o.DataLocked()) != "s2") {
 				allValid = false
 			}
 			o.Mu.Unlock()

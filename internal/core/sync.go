@@ -87,15 +87,7 @@ func installRecovered(self wire.NodeID, st *store.Store, rec *storage.Recovered,
 	for id, r := range rec.Objects {
 		o, _ := st.GetOrCreate(id)
 		o.Mu.Lock()
-		o.Data = r.Data
-		o.SetTLocked(r.Version, store.TInvalid)
-		// The version ring does not survive a restart: ring entries vouch
-		// for "committed and safe-time-covered" and a rejoiner can vouch
-		// for nothing until state sync re-arms it. The recovered CTS is
-		// kept as a hint so a validity flip re-enables the implicit
-		// current-version entry.
-		o.ResetRingLocked()
-		o.CommitCTS = r.CTS
+		o.RecoverLocked(r.CTS, r.Version, r.Data)
 		o.OState = store.OValid
 		o.OTS = r.TS
 		reps := r.Replicas
@@ -261,10 +253,7 @@ func (n *Node) reclaimLeftovers() int {
 				o.Mu.Unlock()
 				continue
 			}
-			o.Data = org.hintData
-			o.SetTLocked(org.hintVer, store.TValid)
-			o.CommitCTS = org.hintCTS
-			o.PublishRingLocked(org.hintCTS, org.hintVer, org.hintData)
+			o.InstallLocked(org.hintCTS, org.hintVer, org.hintData)
 			if o.OTS.Less(org.hintTS) {
 				o.OTS = org.hintTS
 				o.Replicas = org.hintReplicas
@@ -277,7 +266,7 @@ func (n *Node) reclaimLeftovers() int {
 		o.Level = wire.Owner
 		o.OState = store.OValid
 		if org.valid {
-			o.SetTLocked(o.TVersion(), store.TValid)
+			o.ValidateLocked(o.TSnapshot()) // whatever version and state the record holds
 		}
 		o.Mu.Unlock()
 		delete(n.syncPending, id)
@@ -319,16 +308,16 @@ func (n *Node) handleSyncPull(p *wire.SyncPull) {
 			Version:  ver,
 			TS:       o.OTS,
 			Replicas: o.Replicas,
-			CTS:      o.CommitCTS,
+			CTS:      o.CommitCTSLocked(),
 		}
 		switch {
 		case o.Level == wire.Owner && o.OState == store.OValid && st == store.TValid:
 			ans.Class = wire.SyncOwner
 			if ver != e.Version {
-				// Stale puller: ship the payload. Data is replace-only, so
-				// aliasing it beyond the lock is safe (store.Object.Data).
+				// Stale puller: ship the payload. It is replace-only, so
+				// aliasing it beyond the lock is safe (store.Object.DataLocked).
 				ans.HasData = true
-				ans.Data = o.Data
+				ans.Data = o.DataLocked()
 			}
 		case o.Level == wire.Owner:
 			ans.Class = wire.SyncClaim
@@ -336,7 +325,7 @@ func (n *Node) handleSyncPull(p *wire.SyncPull) {
 			ans.Class = wire.SyncHint
 			if st == store.TValid {
 				ans.HasData = true
-				ans.Data = o.Data
+				ans.Data = o.DataLocked()
 			}
 		default:
 			o.Mu.Unlock()
@@ -436,14 +425,9 @@ func (n *Node) handleSyncState(s *wire.SyncState) {
 		o.OState = store.OValid
 		o.Level = e.Replicas.LevelOf(n.id)
 		if e.HasData {
-			o.Data = append([]byte(nil), e.Data...)
-			o.SetTLocked(e.Version, store.TValid)
-			o.CommitCTS = e.CTS
-			o.PublishRingLocked(e.CTS, e.Version, o.Data)
+			o.InstallLocked(e.CTS, e.Version, append([]byte(nil), e.Data...))
 		} else if o.TVersion() == e.Version {
-			o.SetTLocked(e.Version, store.TValid)
-			o.CommitCTS = e.CTS
-			o.PublishRingLocked(e.CTS, e.Version, o.Data)
+			o.InstallLocked(e.CTS, e.Version, o.DataLocked()) // the owner confirmed the local value
 		}
 		o.Mu.Unlock()
 		n.clk.Update(e.CTS)
@@ -454,16 +438,12 @@ func (n *Node) handleSyncState(s *wire.SyncState) {
 // Background snapshots.
 // ---------------------------------------------------------------------------
 
-// defaultSnapshotEvery is the WAL record count between background snapshots.
-const defaultSnapshotEvery = 1 << 14
+// snapshotEvery is the WAL record count between background snapshots.
+const snapshotEvery = 1 << 14
 
 // snapshotLoop watches the WAL growth counter and rolls a snapshot whenever
 // enough records accumulated since the last one. Runs only with Storage set.
 func (n *Node) snapshotLoop() {
-	every := n.cfg.SnapshotEvery
-	if every <= 0 {
-		every = defaultSnapshotEvery
-	}
 	t := time.NewTicker(50 * time.Millisecond)
 	defer t.Stop()
 	for {
@@ -471,7 +451,7 @@ func (n *Node) snapshotLoop() {
 		case <-n.closedCh:
 			return
 		case <-t.C:
-			if n.log.AppendedSinceMark() >= int64(every) {
+			if n.log.AppendedSinceMark() >= snapshotEvery {
 				_ = n.SnapshotNow()
 			}
 		}
@@ -494,12 +474,12 @@ func (n *Node) SnapshotNow() error {
 			so := storage.SnapObject{
 				Obj:      o.ID,
 				Version:  o.TVersion(),
-				Data:     o.Data,
+				Data:     o.DataLocked(),
 				Valid:    o.TState() == store.TValid,
 				TS:       o.OTS,
 				Replicas: o.Replicas,
 				Level:    o.Level,
-				CTS:      o.CommitCTS,
+				CTS:      o.CommitCTSLocked(),
 			}
 			o.Mu.Unlock()
 			err = emit(so)

@@ -360,8 +360,9 @@ func (s *Service) handleState(m *wire.DirState) {
 	}
 	if len(flagged) > 0 {
 		// Backstop: suspicion must not outlive the arbitration it guards.
-		// Replays force-complete within StaleAfter-scale time; after four
-		// sync windows, drive with what we have and count the override.
+		// Replays force-complete within the ownership engine's staleAfter
+		// (250 ms); after four sync windows, drive with what we have and
+		// count the override.
 		// The timer only lifts the suspicion it armed: an object re-flagged
 		// at a higher o_ts by a later snapshot (a NEW in-flight
 		// arbitration) keeps its own full window.

@@ -4,13 +4,14 @@
 // code base otherwise carries only in comments and torture tests; each
 // analyzer turns one such prose contract into a build-time error:
 //
-//   - replaceonly: store.Object.Data is replace-only outside the store
-//     package — the zero-copy read paths (SnapshotRef, ownership ACK
-//     piggyback, FabricMem delivery) alias its backing array after Mu is
-//     released, so one in-place write is a silent lost update.
+//   - replaceonly: the slice store.Object.DataLocked returns is never
+//     written through — the zero-copy read paths (SnapshotRef, ownership
+//     ACK piggyback, FabricMem delivery) alias the payload's backing array
+//     after Mu is released, so one in-place write is a silent lost update,
+//     and Go has no read-only slice type the getter could return instead.
 //   - lockedsuffix: *Locked functions are only called with a mutex held (or
-//     from another *Locked function), and Mu-guarded store.Object fields
-//     are only written under a lock.
+//     from another *Locked function), and the Mu-guarded ownership-side
+//     store.Object fields are only written under a lock.
 //   - sendfrozen: a wire message handed to Send/SendBatch/Multicast/
 //     Broadcast/enqueue is frozen — zero-copy fabrics and retransmit
 //     queues may still reference it.
@@ -26,12 +27,6 @@
 //     registry lookups on the record path, and field-path records dominated
 //     by a nil check of the obs handle so disabled deployments keep the
 //     seed hot path.
-//   - ringpublish: store.Object.Ring (the MVCC version ring behind snapshot
-//     reads) is append-via-publish only — entries enter through
-//     PublishRingLocked after SetTLocked advanced the seqlock word, are
-//     immutable once published, and leave only through ResetRingLocked; a
-//     direct write, in-place mutation or hand-rolled append rewrites history
-//     a committed snapshot may already have observed.
 //
 // Findings can be waived in place with a trailing or preceding comment:
 //
@@ -42,10 +37,16 @@
 // lint job enforce it), so every new invariant-bearing change either
 // satisfies the contracts or carries an explicit, justified waiver.
 //
-// A rule a type can carry is not linted: ⟨t_version, t_state⟩ is one
-// unexported atomic word of store.Object with SetTLocked as its only writer,
-// so the direct write the former seqlockwrite analyzer flagged no longer
-// compiles.
+// A rule a type can carry is not linted. The value side of store.Object —
+// payload, the one atomic ⟨t_version, t_state⟩ word, commit timestamp, MVCC
+// ring — is unexported and changes only through the store's five transitions,
+// so what two former analyzers flagged no longer compiles: seqlockwrite's
+// direct write of the word, and every line of ringpublish (a ring write,
+// append or address-of outside the store; a publish before the word
+// advanced, which is now the statement order inside each transition and a
+// version check in the one function that inserts). The replacing half of
+// replaceonly went the same way; its in-place half stays because the payload
+// getter must return a plain []byte.
 package lint
 
 import (
@@ -74,7 +75,6 @@ func Analyzers() []*analysis.Analyzer {
 		SendFrozen,
 		RetryDiscipline,
 		WalFrozen,
-		RingPublish,
 		Obsrecord,
 	}
 }

@@ -32,10 +32,6 @@ func TestWalFrozen(t *testing.T) {
 	linttest.Run(t, "walfrozen", lint.WalFrozen)
 }
 
-func TestRingPublish(t *testing.T) {
-	linttest.Run(t, "ringpublish", lint.RingPublish)
-}
-
 func TestObsRecord(t *testing.T) {
 	linttest.Run(t, "obsrecord", lint.Obsrecord)
 }

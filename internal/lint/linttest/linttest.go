@@ -6,7 +6,7 @@
 // A want comment annotates the line the diagnostic lands on and carries a
 // backquoted regular expression the message must match:
 //
-//	o.Data[0] = 1 // want `in-place element write`
+//	o.DataLocked()[0] = 1 // want `in-place element write`
 //
 // Unmatched wants and unexpected findings both fail the test, which makes the
 // comments the committed golden diagnostics for each analyzer.

@@ -1,9 +1,13 @@
 // Package loader loads and type-checks Go packages for zeuslint using only
 // the standard library: package discovery shells out to `go list -json`
 // (the same resolver the build uses, so build tags and file exclusions
-// match), parsing uses go/parser, and type-checking uses go/types with the
-// source importer, which type-checks dependencies from source — no compiled
-// export data and no network are required.
+// match), parsing uses go/parser, and type-checking uses go/types. Imports
+// are not type-checked from source: `go list -export` names the compiler's
+// export data for every dependency (building what the build cache lacks —
+// the tree builds before it is linted, so normally nothing), and one gc
+// importer per process reads it. A package a hundred others import, the
+// standard library included, is therefore loaded once per process, not once
+// per Load or LoadDir call. No network is required.
 //
 // Test files (*_test.go) are deliberately excluded: zeuslint enforces the
 // engine's runtime contracts on shipped code, while tests routinely build
@@ -19,10 +23,13 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
 )
 
 // Package is one loaded, type-checked package.
@@ -39,20 +46,33 @@ type Package struct {
 // listedPkg is the subset of `go list -json` output the loader consumes.
 type listedPkg struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	GoFiles    []string
+	Export     string // file holding the compiled package's export data
+	DepOnly    bool   // listed as a dependency, not matched by a pattern
 }
 
-// Load resolves patterns (e.g. "./...") relative to dir with `go list` and
-// returns every matched package parsed and type-checked. All packages share
-// one FileSet and one source importer, so dependency type-checks are done
-// once per load.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	args := append([]string{"list", "-json=ImportPath,Name,Dir,GoFiles"}, patterns...)
+// The process-wide import state, guarded by mu: every load shares one
+// FileSet and one importer, which keeps each imported package it has read.
+// exportFile is a pure cache of what `go list -export` reported.
+var (
+	mu         sync.Mutex
+	fset       = token.NewFileSet()
+	exportFile = make(map[string]string) // import path → export data file
+	imp        = importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		f, ok := exportFile[path]
+		if !ok {
+			return nil, fmt.Errorf("loader: no export data listed for %s", path)
+		}
+		return os.Open(f)
+	})
+)
+
+// list runs `go list -export -deps` for patterns relative to dir, records
+// every listed package's export data and returns the packages in dependency
+// order.
+func list(dir string, patterns ...string) ([]listedPkg, error) {
+	args := append([]string{"list", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,Export,DepOnly", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	out, err := cmd.Output()
@@ -63,24 +83,43 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		}
 		return nil, fmt.Errorf("loader: go list %s: %s", strings.Join(patterns, " "), msg)
 	}
-
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
-	var pkgs []*Package
+	var pkgs []listedPkg
 	dec := json.NewDecoder(strings.NewReader(string(out)))
 	for dec.More() {
 		var lp listedPkg
 		if err := dec.Decode(&lp); err != nil {
 			return nil, fmt.Errorf("loader: decoding go list output: %v", err)
 		}
-		if len(lp.GoFiles) == 0 {
+		if lp.Export != "" {
+			exportFile[lp.ImportPath] = lp.Export
+		}
+		pkgs = append(pkgs, lp)
+	}
+	return pkgs, nil
+}
+
+// Load resolves patterns (e.g. "./...") relative to dir with `go list` and
+// returns every matched package parsed and type-checked.
+func Load(dir string, patterns ...string) ([]*Package, error) {
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	listed, err := list(dir, patterns...)
+	if err != nil {
+		return nil, err
+	}
+	var pkgs []*Package
+	for _, lp := range listed {
+		if lp.DepOnly || len(lp.GoFiles) == 0 {
 			continue
 		}
 		files := make([]string, len(lp.GoFiles))
 		for i, f := range lp.GoFiles {
 			files[i] = filepath.Join(lp.Dir, f)
 		}
-		p, err := check(fset, imp, lp.ImportPath, lp.Dir, files)
+		p, err := check(lp.ImportPath, lp.Dir, files)
 		if err != nil {
 			return nil, err
 		}
@@ -109,20 +148,34 @@ func LoadDir(dir, importPath string) (*Package, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("loader: no Go files in %s", dir)
 	}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
-	return check(fset, imp, importPath, dir, files)
+	mu.Lock()
+	defer mu.Unlock()
+	return check(importPath, dir, files)
 }
 
-// check parses and type-checks one package.
-func check(fset *token.FileSet, imp types.Importer, path, dir string, filenames []string) (*Package, error) {
+// check parses and type-checks one package (mu held), listing first whatever
+// it imports that no earlier load in this process has listed — a fixture's
+// imports; Load's own listing already covers its packages.
+func check(path, dir string, filenames []string) (*Package, error) {
 	var files []*ast.File
+	var unlisted []string
 	for _, fn := range filenames {
 		f, err := parser.ParseFile(fset, fn, nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("loader: %v", err)
 		}
 		files = append(files, f)
+		for _, spec := range f.Imports {
+			imported, _ := strconv.Unquote(spec.Path.Value)
+			if _, ok := exportFile[imported]; !ok && imported != "unsafe" {
+				unlisted = append(unlisted, imported)
+			}
+		}
+	}
+	if len(unlisted) > 0 {
+		if _, err := list(dir, unlisted...); err != nil {
+			return nil, err
+		}
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),

@@ -8,7 +8,7 @@ import (
 )
 
 // LockedSuffix enforces the codebase's lock-transfer naming convention: a
-// function whose name ends in "Locked" (SetTLocked, GrantLocalLocked,
+// function whose name ends in "Locked" (StageLocked, GrantLocalLocked,
 // applyInvLocked, …) documents "the caller holds the corresponding mutex".
 // The analyzer checks both directions of that contract:
 //
@@ -16,9 +16,9 @@ import (
 //     from a scope where some sync.Mutex/RWMutex is lexically held (a
 //     visible X.Lock()/X.RLock() with no intervening unconditional
 //     X.Unlock());
-//   - a write to a Mu-guarded store.Object field (Data, OState, OTS,
-//     Replicas, Pending, Level, LocalOwner) outside a *Locked function
-//     requires a lexically held lock.
+//   - a write to a Mu-guarded store.Object field (OState, OTS, Replicas,
+//     Pending, Level, LocalOwner) outside a *Locked function requires a
+//     lexically held lock.
 //
 // The analysis is a per-function lexical walk with light flow sensitivity:
 // an Unlock inside a branch that terminates (returns/breaks/continues) does
@@ -36,11 +36,11 @@ var LockedSuffix = &analysis.Analyzer{
 }
 
 // guardedObjectFields are the exported store.Object fields documented as
-// Mu-guarded. (PendingCommits is atomic; ⟨t_version, t_state⟩ and the
-// transfer-fairness yield are unexported and written only by the store's own
-// SetTLocked and YieldLocalLocked, which the call-side rule covers.)
+// Mu-guarded. (PendingCommits is atomic; the value side — payload,
+// ⟨t_version, t_state⟩, commit timestamp, ring — and the transfer-fairness
+// yield are unexported and written only by the store's own *Locked
+// transitions and YieldLocalLocked, which the call-side rule covers.)
 var guardedObjectFields = map[string]bool{
-	"Data":   true,
 	"OState": true, "OTS": true, "Replicas": true, "Pending": true,
 	"Level": true, "LocalOwner": true,
 }

@@ -7,35 +7,36 @@ import (
 	"zeus/internal/lint/analysis"
 )
 
-// ReplaceOnly enforces the store.Object.Data contract: outside the store
-// package the payload slice is REPLACE-ONLY. Every legal write installs a
-// whole new slice (o.Data = newSlice); no code path may mutate the published
-// backing array in place, because the zero-copy read paths (SnapshotRef, the
-// transaction layer's read buffers, the ownership ACK piggyback, FabricMem
-// delivery) alias that array after the object lock is released. A single
-// mutated byte is a silent lost update that even the -race torture gates can
-// miss (the readers are in other processes' logical pasts, not other
-// goroutines).
+// ReplaceOnly enforces the in-place half of the store.Object payload contract.
+// The payload slice is REPLACE-ONLY: the zero-copy read paths (SnapshotRef,
+// the transaction layer's read buffers, the ownership ACK piggyback, FabricMem
+// delivery) alias its backing array after the object lock is released, so a
+// single mutated byte is a silent lost update that even the -race torture
+// gates can miss (the readers are in other processes' logical pasts, not
+// other goroutines). The replacing half needs no lint any more — the field is
+// unexported and only the store's transitions assign it — but DataLocked hands
+// out the live []byte, and Go has no read-only slice type to return instead:
+// writing through that result is what is left to flag.
 //
-// Flagged, for o.Data or any local aliasing it (d := o.Data):
+// Flagged, for o.DataLocked() or any local aliasing it (d := o.DataLocked()):
 //
-//	o.Data[i] = x            // element write
-//	append(o.Data, ...)      // may write into spare capacity
-//	copy(o.Data, src)        // bulk overwrite (Data as destination)
-//	clear(o.Data)
-//	r.Read(o.Data)           // fill-style callees (Read/ReadFull)
+//	o.DataLocked()[i] = x    // element write
+//	append(d, ...)           // may write into spare capacity
+//	copy(d, src)             // bulk overwrite (payload as destination)
+//	clear(d)
+//	r.Read(d)                // fill-style callees (Read/ReadFull)
 //
-// The check is lexical per function: aliases through function returns or
-// struct fields are not tracked (the store package owns those paths).
+// The check is lexical per function: aliases through other function returns
+// or struct fields are not tracked (the store package owns those paths).
 var ReplaceOnly = &analysis.Analyzer{
 	Name: "replaceonly",
-	Doc:  "store.Object.Data must be replaced whole, never mutated in place",
+	Doc:  "the slice store.Object.DataLocked returns is never written through",
 	Run:  runReplaceOnly,
 }
 
 func runReplaceOnly(pass *analysis.Pass) (interface{}, error) {
 	if pass.Pkg.Path() == storePkg {
-		return nil, nil // the store package owns the field
+		return nil, nil // the store package owns the payload
 	}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
@@ -52,8 +53,8 @@ func runReplaceOnly(pass *analysis.Pass) (interface{}, error) {
 func checkReplaceOnlyFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 	info := pass.TypesInfo
 
-	// Pass 1: collect locals that alias Object.Data (d := o.Data, possibly
-	// sliced). The data-source set is the field itself plus these aliases.
+	// Pass 1: collect locals that alias the payload (d := o.DataLocked(),
+	// possibly sliced). The data-source set is the getter call plus these.
 	aliases := make(map[types.Object]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
@@ -79,19 +80,15 @@ func checkReplaceOnlyFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 		switch v := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range v.Lhs {
-				// Whole-slice replacement (lhs exactly the Data selector or
-				// an alias ident) is the legal write; an element or
-				// sub-slice write is not.
-				switch l := lhs.(type) {
-				case *ast.IndexExpr:
-					if isDataExpr(info, l.X, aliases) {
-						pass.Reportf(l.Pos(), "in-place element write to store.Object.Data (replace-only: install a fresh slice under Mu)")
-					}
+				// Re-pointing an alias ident is harmless; an element write
+				// goes through to the published array.
+				if l, ok := lhs.(*ast.IndexExpr); ok && isDataExpr(info, l.X, aliases) {
+					pass.Reportf(l.Pos(), "in-place element write to the store.Object payload (replace-only: stage a fresh slice)")
 				}
 			}
 		case *ast.IncDecStmt:
 			if ix, ok := v.X.(*ast.IndexExpr); ok && isDataExpr(info, ix.X, aliases) {
-				pass.Reportf(v.Pos(), "in-place element write to store.Object.Data (replace-only: install a fresh slice under Mu)")
+				pass.Reportf(v.Pos(), "in-place element write to the store.Object payload (replace-only: stage a fresh slice)")
 			}
 		case *ast.CallExpr:
 			checkReplaceOnlyCall(pass, v, aliases)
@@ -108,15 +105,15 @@ func checkReplaceOnlyCall(pass *analysis.Pass, call *ast.CallExpr, aliases map[t
 	switch {
 	case isBuiltin(info, call, "append"):
 		if isDataExpr(info, call.Args[0], aliases) {
-			pass.Reportf(call.Pos(), "append to store.Object.Data may write into the published backing array (replace-only: build a fresh slice)")
+			pass.Reportf(call.Pos(), "append to the store.Object payload may write into the published backing array (replace-only: build a fresh slice)")
 		}
 	case isBuiltin(info, call, "copy"):
 		if isDataExpr(info, call.Args[0], aliases) {
-			pass.Reportf(call.Pos(), "copy into store.Object.Data overwrites the published backing array (replace-only: install a fresh slice)")
+			pass.Reportf(call.Pos(), "copy into the store.Object payload overwrites the published backing array (replace-only: stage a fresh slice)")
 		}
 	case isBuiltin(info, call, "clear"):
 		if isDataExpr(info, call.Args[0], aliases) {
-			pass.Reportf(call.Pos(), "clear of store.Object.Data overwrites the published backing array (replace-only)")
+			pass.Reportf(call.Pos(), "clear of the store.Object payload overwrites the published backing array (replace-only)")
 		}
 	default:
 		// Fill-style callees that write into their []byte argument.
@@ -126,14 +123,15 @@ func checkReplaceOnlyCall(pass *analysis.Pass, call *ast.CallExpr, aliases map[t
 		}
 		for _, arg := range call.Args {
 			if isDataExpr(info, arg, aliases) {
-				pass.Reportf(call.Pos(), "store.Object.Data passed as %s's fill buffer mutates the published backing array (replace-only)", name)
+				pass.Reportf(call.Pos(), "store.Object payload passed as %s's fill buffer mutates the published backing array (replace-only)", name)
 			}
 		}
 	}
 }
 
-// isDataExpr reports whether e denotes Object.Data or a tracked alias,
-// looking through parentheses and sub-slicing (o.Data[:n] shares the array).
+// isDataExpr reports whether e denotes the result of Object.DataLocked or a
+// tracked alias, looking through parentheses and sub-slicing (d[:n] shares the
+// array).
 func isDataExpr(info *types.Info, e ast.Expr, aliases map[types.Object]bool) bool {
 	for {
 		switch v := e.(type) {
@@ -141,9 +139,13 @@ func isDataExpr(info *types.Info, e ast.Expr, aliases map[types.Object]bool) boo
 			e = v.X
 		case *ast.SliceExpr:
 			e = v.X
-		case *ast.SelectorExpr:
-			name, ok := objectField(info, v)
-			return ok && name == "Data"
+		case *ast.CallExpr:
+			sel, ok := v.Fun.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "DataLocked" {
+				return false
+			}
+			s := info.Selections[sel]
+			return s != nil && s.Kind() == types.MethodVal && isObjectType(s.Recv())
 		case *ast.Ident:
 			if obj := info.Uses[v]; obj != nil {
 				return aliases[obj]

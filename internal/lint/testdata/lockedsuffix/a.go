@@ -39,7 +39,7 @@ func goodBranchReturn(o *store.Object) {
 		o.Mu.Unlock()
 		return
 	}
-	o.SetTLocked(1, store.TValid)
+	o.DropLocked()
 	o.Mu.Unlock()
 }
 
@@ -59,7 +59,7 @@ func badWrite(o *store.Object) {
 func badUnlockThen(o *store.Object) {
 	o.Mu.Lock()
 	o.Mu.Unlock()
-	o.SetTLocked(1, store.TValid) // want `SetTLocked called without a lexically held mutex`
+	o.DropLocked() // want `DropLocked called without a lexically held mutex`
 }
 
 // badGoroutine: a goroutine does not inherit its creator's locks — this is
@@ -68,7 +68,7 @@ func badGoroutine(o *store.Object) {
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
 	go func() {
-		o.SetTLocked(2, store.TValid) // want `SetTLocked called without a lexically held mutex`
+		o.DropLocked() // want `DropLocked called without a lexically held mutex`
 	}()
 }
 

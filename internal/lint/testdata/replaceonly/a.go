@@ -1,7 +1,8 @@
 // Package replaceonly exercises the replaceonly analyzer. Every flagged
 // line is a variant of the PR-5 failure mode: an in-place write to the
 // zero-copy payload that SnapshotRef, the ownership ACK piggyback and the
-// FabricMem delivery path may all still alias.
+// FabricMem delivery path may all still alias. Replacing the payload is no
+// longer in the fixture: outside the store package it does not compile.
 package replaceonly
 
 import (
@@ -10,53 +11,56 @@ import (
 	"zeus/internal/store"
 )
 
-// mutateDirect covers the direct in-place write shapes.
+// mutateDirect covers the in-place write shapes on the getter's result.
 func mutateDirect(o *store.Object, src []byte, r io.Reader) {
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
-	o.Data[0] = 1                   // want `in-place element write to store\.Object\.Data`
-	o.Data[1]++                     // want `in-place element write to store\.Object\.Data`
-	o.Data = append(o.Data, src...) // want `append to store\.Object\.Data`
-	copy(o.Data, src)               // want `copy into store\.Object\.Data`
-	copy(o.Data[4:], src)           // want `copy into store\.Object\.Data`
-	clear(o.Data)                   // want `clear of store\.Object\.Data`
-	_, _ = r.Read(o.Data)           // want `store\.Object\.Data passed as Read's fill buffer`
-	_, _ = io.ReadFull(r, o.Data)   // want `store\.Object\.Data passed as ReadFull's fill buffer`
-
-	// Whole-slice replacement is the one legal write.
-	o.Data = append([]byte(nil), src...)
-	o.Data = src
-	o.Data = nil
+	o.DataLocked()[0] = 1                 // want `in-place element write to the store\.Object payload`
+	o.DataLocked()[1]++                   // want `in-place element write to the store\.Object payload`
+	_ = append(o.DataLocked(), src...)    // want `append to the store\.Object payload`
+	copy(o.DataLocked(), src)             // want `copy into the store\.Object payload`
+	copy(o.DataLocked()[4:], src)         // want `copy into the store\.Object payload`
+	clear(o.DataLocked())                 // want `clear of the store\.Object payload`
+	_, _ = r.Read(o.DataLocked())         // want `store\.Object payload passed as Read's fill buffer`
+	_, _ = io.ReadFull(r, o.DataLocked()) // want `store\.Object payload passed as ReadFull's fill buffer`
 }
 
 // mutatePiggyback is the PR-4/PR-5 regression shape: the ownership ACK
-// piggyback (ack.Data = o.Data) aliases the store payload, and scribbling on
-// the alias after Mu is released corrupts every concurrent snapshot reader.
+// piggyback (ack.Data = o.DataLocked()) aliases the store payload, and
+// scribbling on the alias after Mu is released corrupts every concurrent
+// snapshot reader.
 func mutatePiggyback(o *store.Object) []byte {
 	o.Mu.Lock()
-	d := o.Data
+	d := o.DataLocked()
 	o.Mu.Unlock()
-	d[0] ^= 0xff // want `in-place element write to store\.Object\.Data`
+	d[0] ^= 0xff // want `in-place element write to the store\.Object payload`
 	return d
 }
 
 // mutateAliasBuiltins: the alias carries the taint into the builtins too.
 func mutateAliasBuiltins(o *store.Object, src []byte) {
-	buf := o.Data
-	copy(buf, src) // want `copy into store\.Object\.Data`
-	clear(buf)     // want `clear of store\.Object\.Data`
+	o.Mu.Lock()
+	buf := o.DataLocked()
+	o.Mu.Unlock()
+	copy(buf, src) // want `copy into the store\.Object payload`
+	clear(buf)     // want `clear of the store\.Object payload`
 }
 
-// readersAreFine: reads, copies OUT of Data, and fresh slices never flag.
+// readersAreFine: reads, copies OUT of the payload, and fresh slices never
+// flag.
 func readersAreFine(o *store.Object, dst []byte) byte {
-	copy(dst, o.Data) // copying out of the payload is a read
-	fresh := make([]byte, len(o.Data))
-	copy(fresh, o.Data)
+	o.Mu.Lock()
+	defer o.Mu.Unlock()
+	copy(dst, o.DataLocked()) // copying out of the payload is a read
+	fresh := make([]byte, len(o.DataLocked()))
+	copy(fresh, o.DataLocked())
 	fresh[0] = 1
-	return o.Data[0]
+	return o.DataLocked()[0]
 }
 
 // waived proves //lint:allow suppresses a finding (reason is mandatory).
 func waived(o *store.Object) {
-	o.Data[0] = 0 //lint:allow replaceonly fixture demonstrates the waiver syntax
+	o.Mu.Lock()
+	defer o.Mu.Unlock()
+	o.DataLocked()[0] = 0 //lint:allow replaceonly fixture demonstrates the waiver syntax
 }

@@ -120,14 +120,15 @@ type Config struct {
 	// early by a membership epoch change — "owner busy" waits out the
 	// back-off, "owner dead" re-resolves the moment the view changes.
 	Retry retry.Policy
-	// StaleAfter is how long a pending arbitration may linger before a
-	// driver force-completes it with an arb-replay (liveness escape for
-	// requesters that died or gave up before validating).
-	StaleAfter time.Duration
 	// OnLatency, if set, observes the latency of every successful
 	// ownership request (the metric of Figure 12).
 	OnLatency func(time.Duration)
 }
+
+// staleAfter is how long a pending arbitration may linger before a driver
+// force-completes it with an arb-replay (liveness escape for requesters that
+// died or gave up before validating).
+const staleAfter = 250 * time.Millisecond
 
 // DefaultConfig returns simulation-friendly timeouts.
 func DefaultConfig() Config {
@@ -135,7 +136,6 @@ func DefaultConfig() Config {
 		AttemptTimeout: 100 * time.Millisecond,
 		Deadline:       5 * time.Second,
 		Retry:          DefaultRetryPolicy(),
-		StaleAfter:     250 * time.Millisecond,
 	}
 }
 
@@ -289,9 +289,6 @@ func New(self wire.NodeID, st *store.Store, tr transport.Transport, agent *views
 	}
 	if cfg.Retry == (retry.Policy{}) {
 		cfg.Retry = DefaultRetryPolicy()
-	}
-	if cfg.StaleAfter <= 0 {
-		cfg.StaleAfter = 250 * time.Millisecond
 	}
 	if cfg.HasPendingCommit == nil {
 		cfg.HasPendingCommit = func(wire.ObjectID) bool { return false }
@@ -748,7 +745,7 @@ func (e *Engine) handleReq(m *wire.OwnReq) {
 	// validating), the driver force-completes it via arb-replay — any
 	// arbiter has all the information to do so idempotently (§4.1).
 	if o.Pending != nil {
-		stale := time.Since(o.Pending.Since) > e.cfg.StaleAfter
+		stale := time.Since(o.Pending.Since) > staleAfter
 		pend := *o.Pending
 		o.Mu.Unlock()
 		e.stNacks.Add(1)
@@ -933,14 +930,14 @@ func (e *Engine) buildAck(ack *wire.OwnAck, inv *wire.OwnInv) {
 			if inv.Recovery || o.Replicas.LevelOf(inv.Requester) == wire.NonReplica {
 				ack.HasData = true
 				ack.TVersion = o.TVersion()
-				ack.CTS = o.CommitCTS
-				// No copy: object payloads are replace-only (see the
-				// store.Object.Data contract) and a data-carrying ACK is
+				ack.CTS = o.CommitCTSLocked()
+				// No copy: object payloads are replace-only (see
+				// store.Object.DataLocked) and a data-carrying ACK is
 				// never self-delivered (the data source is never the
 				// requester), so the transport marshals — or, in process,
 				// the receiver installs — a slice whose backing array this
 				// node will never mutate.
-				ack.Data = o.Data
+				ack.Data = o.DataLocked()
 			}
 			o.Mu.Unlock()
 		}
@@ -1082,9 +1079,7 @@ func (e *Engine) applyLocked(o *store.Object) (ts wire.OTS, reps wire.ReplicaSet
 	o.OState = store.OValid
 	newLevel := reps.LevelOf(e.self)
 	if wasReplica && newLevel == wire.NonReplica {
-		o.Data = nil // dropped reader discards its replica
-		o.SetTLocked(0, store.TValid)
-		o.ResetRingLocked() // a dropped replica must never serve ring reads
+		o.DropLocked() // dropped reader discards its replica
 	}
 	o.Level = newLevel
 	return ts, reps, true
@@ -1219,7 +1214,7 @@ func (e *Engine) applyAsRequester(obj wire.ObjectID, ts wire.OTS, reps wire.Repl
 					o.OState = store.OValid
 					clearPendingLocked(o)
 					o.Level = wire.NonReplica
-					o.Data = nil
+					o.DropLocked() // the driver keeps the bare directory entry
 				}
 				o.Mu.Unlock()
 			}
@@ -1239,18 +1234,11 @@ func (e *Engine) applyAsRequester(obj wire.ObjectID, ts wire.OTS, reps wire.Repl
 	o.OState = store.OValid
 	clearPendingLocked(o)
 	if hasData && tversion >= o.TVersion() {
-		o.Data = data
-		o.SetTLocked(tversion, store.TValid)
-		// A shipped value re-arms this replica's snapshot-read ring: the
-		// ex-owner's CommitCTS vouches for the version it shipped.
-		o.CommitCTS = cts
-		o.PublishRingLocked(cts, tversion, data)
+		o.InstallLocked(cts, tversion, data)
 	}
 	newLevel := reps.LevelOf(e.self)
 	if o.Level != wire.NonReplica && newLevel == wire.NonReplica {
-		o.Data = nil
-		o.SetTLocked(0, store.TValid)
-		o.ResetRingLocked() // a dropped replica must never serve ring reads
+		o.DropLocked()
 	}
 	o.Level = newLevel
 	o.Mu.Unlock()

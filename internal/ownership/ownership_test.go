@@ -176,8 +176,7 @@ func seed(t *testing.T, c *tcluster, owner wire.NodeID, obj wire.ObjectID, reade
 		}
 		o.Mu.Lock()
 		if o.Level == wire.Owner || o.Level == wire.Reader {
-			o.Data = append([]byte(nil), data...)
-			o.SetTLocked(1, store.TValid)
+			o.InstallLocked(0, 1, append([]byte(nil), data...))
 		}
 		o.Mu.Unlock()
 	}
@@ -229,7 +228,7 @@ func TestAcquireOwnershipTransfersDataToNonReplica(t *testing.T) {
 		t.Fatal("no object at new owner")
 	}
 	o.Mu.Lock()
-	lvl, data := o.Level, string(o.Data)
+	lvl, data := o.Level, string(o.DataLocked())
 	o.Mu.Unlock()
 	if lvl != wire.Owner {
 		t.Fatalf("level = %v", lvl)
@@ -254,8 +253,8 @@ func TestAcquireOwnershipFromReaderNoDataTransfer(t *testing.T) {
 	o, _ := c.nodes[3].st.Get(9)
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
-	if o.Level != wire.Owner || string(o.Data) != "xyz" {
-		t.Fatalf("reader-to-owner: %v %q", o.Level, o.Data)
+	if o.Level != wire.Owner || string(o.DataLocked()) != "xyz" {
+		t.Fatalf("reader-to-owner: %v %q", o.Level, o.DataLocked())
 	}
 }
 
@@ -268,8 +267,8 @@ func TestAcquireReadAddsReplica(t *testing.T) {
 	o, _ := c.nodes[3].st.Get(11)
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
-	if o.Level != wire.Reader || string(o.Data) != "r" {
-		t.Fatalf("got %v %q", o.Level, o.Data)
+	if o.Level != wire.Reader || string(o.DataLocked()) != "r" {
+		t.Fatalf("got %v %q", o.Level, o.DataLocked())
 	}
 }
 
@@ -324,8 +323,8 @@ func TestContentionSingleWinnerThenBothSucceed(t *testing.T) {
 	o, _ := c.nodes[owners[0]].st.Get(42)
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
-	if string(o.Data) != "hot" {
-		t.Fatalf("final owner data %q", o.Data)
+	if string(o.DataLocked()) != "hot" {
+		t.Fatalf("final owner data %q", o.DataLocked())
 	}
 }
 
@@ -362,8 +361,8 @@ func TestDropReaderDiscardsReplica(t *testing.T) {
 	o, _ := c.nodes[3].st.Get(21)
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
-	if o.Data != nil {
-		t.Fatalf("dropped reader kept data %q", o.Data)
+	if o.DataLocked() != nil {
+		t.Fatalf("dropped reader kept data %q", o.DataLocked())
 	}
 	// Directory no longer lists node 3 (VAL applies asynchronously).
 	c.waitDir(t, 1, 21, func(reps wire.ReplicaSet) bool {
@@ -383,7 +382,7 @@ func TestDeleteRemovesEverywhere(t *testing.T) {
 		gone := true
 		if o, ok := c.nodes[3].st.Get(33); ok {
 			o.Mu.Lock()
-			if o.Level != wire.NonReplica || o.Data != nil {
+			if o.Level != wire.NonReplica || o.DataLocked() != nil {
 				gone = false
 			}
 			o.Mu.Unlock()
@@ -421,8 +420,8 @@ func TestOwnerDeathNewOwnerTakesOverFromReader(t *testing.T) {
 	no, _ := c.nodes[2].st.Get(55)
 	no.Mu.Lock()
 	defer no.Mu.Unlock()
-	if no.Level != wire.Owner || string(no.Data) != "survivor" {
-		t.Fatalf("takeover failed: %v %q", no.Level, no.Data)
+	if no.Level != wire.Owner || string(no.DataLocked()) != "survivor" {
+		t.Fatalf("takeover failed: %v %q", no.Level, no.DataLocked())
 	}
 }
 

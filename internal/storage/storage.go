@@ -82,7 +82,7 @@ type SnapObject struct {
 	TS       wire.OTS
 	Replicas wire.ReplicaSet
 	Level    wire.AccessLevel
-	// CTS is the object's commit timestamp at scan time (Object.CommitCTS).
+	// CTS is the object's commit timestamp at scan time (Object.CommitCTSLocked).
 	CTS uint64
 }
 

@@ -3,6 +3,35 @@
 // t_version, t_data), the ownership metadata of §4 (o_state, o_ts,
 // o_replicas), this node's access level (Table 1), and the local-ownership
 // marker used by the multi-threaded local commit of §7.
+//
+// The value side of a replica — payload, ⟨t_version, t_state⟩, commit
+// timestamp and MVCC ring — is unexported and moves only through five
+// transitions, each called with Mu held from exactly these protocol steps:
+//
+//	stage     StageLocked          core.Tx.Commit, core.CreateObjectWithReaders:
+//	                               the owner's local commit → next version, Write
+//	          StageInvLocked       commit.applyOneLocked: a follower applies an
+//	                               R-INV → Invalid unless stale; ring entry always
+//	validate  ValidateWriteLocked  commit.completeSlot: every follower acked →
+//	                               Write → Valid if still current; ring entry always
+//	          ValidateLocked       commit.handleVal: R-VAL → Invalid → Valid;
+//	                               core.reclaimLeftovers: a restarted sole owner
+//	                               vouches for its own recovered value
+//	install   InstallLocked        ownership.applyAsRequester (the ACK shipped the
+//	                               value), core.reclaimLeftovers and
+//	                               core.handleSyncState (state sync shipped or
+//	                               confirmed it), cluster.Seed
+//	recover   RecoverLocked        core.installRecovered: WAL/snapshot replay
+//	                               → Invalid hint, no history
+//	drop      DropLocked           ownership.applyLocked, ownership.applyAsRequester:
+//	                               this node left the replica set or the object
+//	                               was deleted → no payload, version 0, no history
+//
+// Everything else reads: SnapshotRef, DataLocked, CommitCTSLocked,
+// RingReadLocked, TVersion/TState/TSnapshot. Two rules that used to be
+// linted are the bodies of these functions: a ring entry is published only
+// after the ⟨t_version, t_state⟩ word covers its version, and the payload
+// slice is only ever replaced whole.
 package store
 
 import (
@@ -105,22 +134,22 @@ type Object struct {
 
 	ID wire.ObjectID
 
-	// Data is the object payload. The slice is REPLACE-ONLY: every writer
-	// installs a freshly allocated (or freshly received) slice under Mu,
-	// and no code path ever mutates a published backing array in place —
-	// local commits install the transaction's private copy, R-INV apply
-	// installs the decoded update slab, ownership transfer installs the
-	// ACK payload, drops install nil. This contract is what makes the
-	// no-copy read paths safe: SnapshotRef, the transaction layer's
-	// owner-local read buffers, the ownership ACK piggyback and the
+	// data is the object payload. The slice is REPLACE-ONLY: every
+	// transition installs a freshly allocated (or freshly received) slice
+	// under Mu, and no code path ever mutates a published backing array in
+	// place — local commits install the transaction's private copy, R-INV
+	// apply installs the decoded update slab, ownership transfer installs
+	// the ACK payload, drops install nil. This contract is what makes the
+	// no-copy read paths safe: SnapshotRef, DataLocked, the transaction
+	// layer's owner-local read buffers, the ownership ACK piggyback and the
 	// zero-copy FabricMem delivery all alias the array after Mu is
 	// released. TestSnapshotRefStableAcrossReplace pins it.
-	Data []byte
+	data []byte
 
 	// tsv is the reliable-commit metadata ⟨t_version, t_state⟩ (meaningful
 	// on owner and readers), packed into one atomic word (version<<2 |
-	// state) and stored nowhere else: written by SetTLocked under Mu, read
-	// through TVersion/TState or, without Mu, through TSnapshot — the
+	// state) and stored nowhere else: written by the transitions under Mu,
+	// read through TVersion/TState or, without Mu, through TSnapshot — the
 	// read-only re-validation's seqlock-style check, where the single-word
 	// payload makes the double read degenerate to one consistent load.
 	tsv atomic.Uint64
@@ -158,21 +187,20 @@ type Object struct {
 	// requester's next probe wins. A monoNow deadline; zero means no yield.
 	yieldLocalUntil int64
 
-	// CommitCTS is the commit timestamp of the newest reliably-committed
+	// commitCTS is the commit timestamp of the newest reliably-committed
 	// version this replica knows about (0 when unknown, e.g. an object
-	// seeded before snapshot reads or recovered without a timestamp).
-	// Guarded by Mu; written only via PublishRingLocked / ResetRingLocked.
-	CommitCTS uint64
+	// seeded without snapshot reads or recovered without a timestamp).
+	// Guarded by Mu.
+	commitCTS uint64
 
-	// Ring is the per-object MVCC version ring: the last few committed
+	// ring is the per-object MVCC version ring: the last few committed
 	// ⟨CTS, version, payload⟩ triples, newest last, serving snapshot reads
 	// at a timestamp. Entries follow the same REPLACE-ONLY discipline as
-	// Data — VersionEntry.Data aliases published payloads and is never
-	// mutated in place — and the slice itself changes only through
-	// PublishRingLocked / ResetRingLocked under Mu (enforced by the
-	// zeuslint ringpublish analyzer). A published entry's payload may be
-	// aliased by concurrent snapshot readers after Mu is released.
-	Ring []VersionEntry
+	// data — VersionEntry.Data aliases published payloads and is never
+	// mutated in place — and entries enter only through publishRingLocked.
+	// A published entry's payload may be aliased by concurrent snapshot
+	// readers after Mu is released.
+	ring []VersionEntry
 }
 
 // VersionEntry is one committed version in an object's ring.
@@ -181,7 +209,7 @@ type VersionEntry struct {
 	// commit that produced Version.
 	CTS     uint64
 	Version uint64
-	// Data is the committed payload. Replace-only, like Object.Data.
+	// Data is the committed payload. Replace-only, like the object's.
 	Data []byte
 }
 
@@ -190,78 +218,151 @@ type VersionEntry struct {
 // retaining unbounded history.
 const DefaultRingEntries = 8
 
-// PublishRingLocked records a committed version in the ring (caller holds
-// Mu). Publication is a sorted insert by version with dedupe: slot
-// completions race (ack handlers run per follower), so version k may be
-// published after k+1 — an append-only ring would drop k and serve a stale
-// read at timestamps in [cts_k, cts_{k+1}). A full ring evicts its oldest
-// entry in place before the insert, so the array never grows past
-// DefaultRingEntries. CommitCTS tracks the newest published entry.
-func (o *Object) PublishRingLocked(cts, ver uint64, data []byte) {
-	if cts == 0 {
-		return // no timestamp known (e.g. pre-snapshot-reads seed): nothing to publish
+// StageLocked is the owner's local commit (caller holds Mu): data becomes the
+// next version, in state Write, and that version is returned. The commit
+// timestamp is minted afterwards by the commit engine, so the ring entry is
+// ValidateWriteLocked's to publish.
+func (o *Object) StageLocked(data []byte) uint64 {
+	ver := o.TVersion() + 1
+	o.data = data
+	o.setTLocked(ver, TWrite)
+	return ver
+}
+
+// StageInvLocked applies one update of an R-INV at a follower (caller holds
+// Mu): a newer version replaces the payload and leaves the replica Invalid; a
+// stale one — a duplicate, or an R-INV overtaken by a later one or by an
+// ownership install — touches neither. The ring entry is published either
+// way, before the R-VAL: a reliable commit never aborts once the coordinator
+// locally committed, so the version is already history, and
+// publish-before-ACK is what lets the follower's ACK vouch that snapshot
+// readers here can see it.
+func (o *Object) StageInvLocked(cts, ver uint64, data []byte) {
+	if ver > o.TVersion() {
+		o.data = data
+		o.setTLocked(ver, TInvalid)
 	}
-	i := len(o.Ring)
-	for i > 0 && o.Ring[i-1].Version >= ver {
-		if o.Ring[i-1].Version == ver {
+	o.publishRingLocked(cts, ver, data)
+}
+
+// ValidateLocked flips the replica to Valid iff it still holds exactly
+// ⟨ver, from⟩ (caller holds Mu); any other version or state means a later
+// transition owns the record and the call is a no-op.
+func (o *Object) ValidateLocked(ver uint64, from TState) {
+	if v, st := o.TSnapshot(); v == ver && st == from {
+		o.setTLocked(ver, TValid)
+	}
+}
+
+// ValidateWriteLocked completes the owner's reliable commit of ver (caller
+// holds Mu): Write → Valid if no later write superseded it, and the ring
+// entry published regardless — a superseding write does not un-commit this
+// version, and the ring insert is version-sorted.
+func (o *Object) ValidateWriteLocked(cts, ver uint64, data []byte) {
+	o.ValidateLocked(ver, TWrite)
+	o.publishRingLocked(cts, ver, data)
+}
+
+// InstallLocked installs a committed value that arrived whole (caller holds
+// Mu, and has checked ver is not below t_version): payload, ⟨ver, Valid⟩, and
+// cts as the replica's commit timestamp — taken as given, the sender vouches
+// for the version it shipped — and as the ring entry that re-arms snapshot
+// reads here. cts 0, "committed before timestamps existed", publishes nothing.
+func (o *Object) InstallLocked(cts, ver uint64, data []byte) {
+	o.data = data
+	o.setTLocked(ver, TValid)
+	o.commitCTS = cts
+	o.publishRingLocked(cts, ver, data)
+}
+
+// RecoverLocked installs what the WAL and snapshot remembered (caller holds
+// Mu): an Invalid hint, served to nobody until state sync or a reclaim
+// validates it. The ring does not survive a restart — its entries vouch for
+// "committed and safe-time-covered", a rejoiner for nothing — while cts is
+// kept so a later validate re-enables RingReadLocked's implicit entry.
+func (o *Object) RecoverLocked(cts, ver uint64, data []byte) {
+	o.data = data
+	o.setTLocked(ver, TInvalid)
+	o.ring = nil
+	o.commitCTS = cts
+}
+
+// DropLocked discards the replica (caller holds Mu) when this node leaves the
+// object's replica set or the object is deleted: no payload, version 0, and no
+// history — a dropped replica must never serve ring reads, and a later
+// re-install must not meet a stale version or timestamp.
+func (o *Object) DropLocked() {
+	o.data = nil
+	o.setTLocked(0, TValid)
+	o.ring = nil
+	o.commitCTS = 0
+}
+
+// setTLocked is the one writer of the packed ⟨t_version, t_state⟩ word, which
+// is what keeps a version and its state from ever being observed apart.
+func (o *Object) setTLocked(ver uint64, st TState) {
+	o.tsv.Store(ver<<2 | uint64(st))
+}
+
+// publishRingLocked records a committed version in the ring. The ring never
+// runs ahead of the ⟨t_version, t_state⟩ word: every transition writes the
+// word first, and a version above it (a slot completing on a record dropped
+// since it was staged) is not published. Publication is a sorted insert by
+// version with dedupe: slot completions race (ack handlers run per
+// follower), so version k may be published after k+1 — an append-only ring
+// would drop k and serve a stale read at timestamps in [cts_k, cts_{k+1}).
+// A full ring evicts its oldest entry in place before the insert, so the
+// array never grows past DefaultRingEntries. commitCTS tracks the newest
+// published entry.
+func (o *Object) publishRingLocked(cts, ver uint64, data []byte) {
+	if cts == 0 || ver > o.TVersion() {
+		return // no timestamp known (a seed without snapshot reads), or not this record's history
+	}
+	i := len(o.ring)
+	for i > 0 && o.ring[i-1].Version >= ver {
+		if o.ring[i-1].Version == ver {
 			return // already published
 		}
 		i--
 	}
 	e := VersionEntry{CTS: cts, Version: ver, Data: data}
 	switch {
-	case len(o.Ring) < DefaultRingEntries:
-		o.Ring = append(o.Ring, VersionEntry{})
-		copy(o.Ring[i+1:], o.Ring[i:])
-		o.Ring[i] = e
+	case len(o.ring) < DefaultRingEntries:
+		o.ring = append(o.ring, VersionEntry{})
+		copy(o.ring[i+1:], o.ring[i:])
+		o.ring[i] = e
 	case i > 0:
-		copy(o.Ring, o.Ring[1:i])
-		o.Ring[i-1] = e
+		copy(o.ring, o.ring[1:i])
+		o.ring[i-1] = e
 	} // else full and older than the oldest retained version: e is the entry to evict
-	if cts > o.CommitCTS {
-		o.CommitCTS = cts
+	if cts > o.commitCTS {
+		o.commitCTS = cts
 	}
-}
-
-// ResetRingLocked drops the ring and commit timestamp (caller holds Mu):
-// used when a replica's history stops being authoritative — recovery
-// installs, ownership drops — so a rejoining node can never serve pre-sync
-// versions from a stale ring.
-func (o *Object) ResetRingLocked() {
-	o.Ring = nil
-	o.CommitCTS = 0
 }
 
 // RingReadLocked returns the newest committed version with CTS ≤ ts
 // (caller holds Mu). When the ring has no entries at or below ts, the
-// current committed value stands in: a validated object whose CommitCTS ≤
-// ts (including CommitCTS 0 — committed before timestamps existed, hence
+// current committed value stands in: a validated object whose commitCTS ≤
+// ts (including commitCTS 0 — committed before timestamps existed, hence
 // before any read timestamp) is itself the snapshot. ok=false means this
 // replica's retained history starts after ts and the read must retry at a
 // fresher timestamp.
 func (o *Object) RingReadLocked(ts uint64) (VersionEntry, bool) {
-	for i := len(o.Ring) - 1; i >= 0; i-- {
-		if o.Ring[i].CTS <= ts {
-			return o.Ring[i], true
+	for i := len(o.ring) - 1; i >= 0; i-- {
+		if o.ring[i].CTS <= ts {
+			return o.ring[i], true
 		}
 	}
-	if ver, st := o.TSnapshot(); st == TValid && o.CommitCTS <= ts {
-		return VersionEntry{CTS: o.CommitCTS, Version: ver, Data: o.Data}, true
+	if ver, st := o.TSnapshot(); st == TValid && o.commitCTS <= ts {
+		return VersionEntry{CTS: o.commitCTS, Version: ver, Data: o.data}, true
 	}
 	return VersionEntry{}, false
 }
 
-// TryAcquireLocal attempts to make worker the local owner. It succeeds if
-// the object is free or already held by the same worker (re-entrancy within
-// one transaction is handled by the caller's write set, so same-worker
-// re-acquisition only happens for distinct objects in one tx).
-func (o *Object) TryAcquireLocal(worker int32) bool {
-	o.Mu.Lock()
-	defer o.Mu.Unlock()
-	return o.GrantLocalLocked(worker)
-}
-
-// GrantLocalLocked is TryAcquireLocal for callers already holding o.Mu. A
+// GrantLocalLocked attempts to make worker the local owner (caller holds Mu).
+// It succeeds if the object is free or already held by the same worker
+// (re-entrancy within one transaction is handled by the caller's write set, so
+// same-worker re-acquisition only happens for distinct objects in one tx). A
 // *new* grant is refused while the transfer-fairness yield (YieldLocalLocked)
 // is active; a worker that already holds the object keeps it.
 func (o *Object) GrantLocalLocked(worker int32) bool {
@@ -299,13 +400,6 @@ func (o *Object) ReleaseLocal(worker int32) {
 	}
 }
 
-// SetTLocked installs the reliable-commit version and state (caller holds
-// Mu): the one writer of the packed word, which is what keeps a version and
-// its state from ever being observed apart.
-func (o *Object) SetTLocked(ver uint64, st TState) {
-	o.tsv.Store(ver<<2 | uint64(st))
-}
-
 // TVersion returns t_version. Stable only while the caller holds Mu.
 func (o *Object) TVersion() uint64 { return o.tsv.Load() >> 2 }
 
@@ -323,8 +417,8 @@ func (o *Object) TSnapshot() (uint64, TState) {
 
 // SnapshotRef returns (t_state, t_version, access level, data) WITHOUT
 // copying the payload — the transaction layer's read path. The returned
-// slice aliases the object's current Data, which is safe to read
-// indefinitely thanks to the replace-only contract (see the Data field): a
+// slice aliases the object's current payload, which is safe to read
+// indefinitely thanks to the replace-only contract (see the data field): a
 // later commit installs a new slice and never touches the array this
 // snapshot points at. Callers must uphold the same rule and never write
 // through the result.
@@ -332,33 +426,17 @@ func (o *Object) SnapshotRef() (TState, uint64, wire.AccessLevel, []byte) {
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
 	ver, st := o.TSnapshot()
-	return st, ver, o.Level, o.Data
+	return st, ver, o.Level, o.data
 }
 
-// DataCopy returns a copy of the object's data under the object lock.
-func (o *Object) DataCopy() []byte {
-	o.Mu.Lock()
-	defer o.Mu.Unlock()
-	if o.Data == nil {
-		return nil
-	}
-	out := make([]byte, len(o.Data))
-	copy(out, o.Data)
-	return out
-}
+// DataLocked returns the payload without copying it (caller holds Mu). Like
+// SnapshotRef's result it may be read after Mu is released and must never be
+// written through (zeuslint replaceonly).
+func (o *Object) DataLocked() []byte { return o.data }
 
-// Snapshot returns (t_state, t_version, copy-of-data) atomically.
-func (o *Object) Snapshot() (TState, uint64, []byte) {
-	o.Mu.Lock()
-	defer o.Mu.Unlock()
-	var d []byte
-	if o.Data != nil {
-		d = make([]byte, len(o.Data))
-		copy(d, o.Data)
-	}
-	ver, st := o.TSnapshot()
-	return st, ver, d
-}
+// CommitCTSLocked returns the commit timestamp of the newest reliably
+// committed version this replica knows about, 0 when unknown (caller holds Mu).
+func (o *Object) CommitCTSLocked() uint64 { return o.commitCTS }
 
 // shardCount scales with the host (the same policy as the ownership
 // engine's stripes — see shardmap.ScaledCount).
@@ -437,7 +515,7 @@ func (s *Store) Delete(id wire.ObjectID) {
 	if o != nil {
 		o.Mu.Lock()
 		o.Level = wire.NonReplica
-		o.SetTLocked(o.TVersion(), TInvalid)
+		o.setTLocked(o.TVersion(), TInvalid)
 		o.Mu.Unlock()
 	}
 }

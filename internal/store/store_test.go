@@ -59,7 +59,7 @@ func TestDeleteInvalidatesHeldPointer(t *testing.T) {
 	o, _ := s.GetOrCreate(7)
 	o.Mu.Lock()
 	o.Level = wire.Owner
-	o.SetTLocked(3, TValid)
+	o.setTLocked(3, TValid)
 	o.Mu.Unlock()
 	s.Delete(7)
 	s.Delete(7) // a second delete of a missing id is a no-op
@@ -94,24 +94,30 @@ func TestForEachVisitsAllAndStops(t *testing.T) {
 	}
 }
 
+func tryAcquireLocal(o *Object, worker int32) bool {
+	o.Mu.Lock()
+	defer o.Mu.Unlock()
+	return o.GrantLocalLocked(worker)
+}
+
 func TestLocalOwnership(t *testing.T) {
 	s := New()
 	o, _ := s.GetOrCreate(1)
-	if !o.TryAcquireLocal(3) {
+	if !tryAcquireLocal(o, 3) {
 		t.Fatal("free object must be acquirable")
 	}
-	if !o.TryAcquireLocal(3) {
+	if !tryAcquireLocal(o, 3) {
 		t.Fatal("same worker re-acquire must succeed")
 	}
-	if o.TryAcquireLocal(4) {
+	if tryAcquireLocal(o, 4) {
 		t.Fatal("held object acquired by another worker")
 	}
 	o.ReleaseLocal(4) // not the holder: no-op
-	if o.TryAcquireLocal(4) {
+	if tryAcquireLocal(o, 4) {
 		t.Fatal("release by non-holder freed the object")
 	}
 	o.ReleaseLocal(3)
-	if !o.TryAcquireLocal(4) {
+	if !tryAcquireLocal(o, 4) {
 		t.Fatal("released object must be acquirable")
 	}
 }
@@ -127,7 +133,7 @@ func TestLocalOwnershipMutualExclusion(t *testing.T) {
 		go func(w int32) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if o.TryAcquireLocal(w) {
+				if tryAcquireLocal(o, w) {
 					counter++ // protected by local ownership
 					o.ReleaseLocal(w)
 				}
@@ -140,37 +146,6 @@ func TestLocalOwnershipMutualExclusion(t *testing.T) {
 	}
 }
 
-func TestSnapshotAndDataCopyIsolation(t *testing.T) {
-	s := New()
-	o, _ := s.GetOrCreate(1)
-	o.Mu.Lock()
-	o.Data = []byte("abc")
-	o.SetTLocked(5, TWrite)
-	o.Mu.Unlock()
-
-	st, ver, data := o.Snapshot()
-	if st != TWrite || ver != 5 || string(data) != "abc" {
-		t.Fatalf("snapshot: %v %d %q", st, ver, data)
-	}
-	data[0] = 'X'
-	if string(o.DataCopy()) != "abc" {
-		t.Fatal("snapshot aliases object data")
-	}
-	c := o.DataCopy()
-	c[0] = 'Y'
-	if string(o.DataCopy()) != "abc" {
-		t.Fatal("DataCopy aliases object data")
-	}
-	// Nil data stays nil.
-	o2, _ := s.GetOrCreate(2)
-	if o2.DataCopy() != nil {
-		t.Fatal("nil data should copy to nil")
-	}
-	if _, _, d := o2.Snapshot(); d != nil {
-		t.Fatal("nil data snapshot should be nil")
-	}
-}
-
 // TestSnapshotRefStableAcrossReplace pins the replace-only contract behind
 // the copy-on-read elision: a no-copy snapshot keeps observing exactly the
 // bytes read, because writers install fresh slices instead of mutating the
@@ -179,22 +154,20 @@ func TestSnapshotRefStableAcrossReplace(t *testing.T) {
 	s := New()
 	o, _ := s.GetOrCreate(1)
 	o.Mu.Lock()
-	o.Data = []byte("v1")
-	o.SetTLocked(1, TValid)
+	o.InstallLocked(0, 1, []byte("v1"))
 	o.Mu.Unlock()
 
 	st, ver, lvl, ref := o.SnapshotRef()
 	if st != TValid || ver != 1 || lvl != wire.NonReplica || string(ref) != "v1" {
 		t.Fatalf("snapshot ref: %v %d %v %q", st, ver, lvl, ref)
 	}
-	if &ref[0] != &o.Data[0] {
+	if &ref[0] != &o.data[0] {
 		t.Fatal("SnapshotRef must alias, not copy")
 	}
 
 	// A commit REPLACES the payload; the snapshot stays the old bytes.
 	o.Mu.Lock()
-	o.Data = []byte("v2")
-	o.SetTLocked(2, TWrite)
+	o.StageLocked([]byte("v2"))
 	o.Mu.Unlock()
 	if string(ref) != "v1" {
 		t.Fatalf("snapshot mutated by replace: %q", ref)
@@ -213,19 +186,19 @@ func TestTSnapshotMirrorsSetTLocked(t *testing.T) {
 		t.Fatalf("zero value: %d %v", v, st)
 	}
 	o.Mu.Lock()
-	o.SetTLocked(7, TInvalid)
+	o.setTLocked(7, TInvalid)
 	o.Mu.Unlock()
 	if v, st := o.TSnapshot(); v != 7 || st != TInvalid {
-		t.Fatalf("after SetTLocked: %d %v", v, st)
+		t.Fatalf("after setTLocked: %d %v", v, st)
 	}
 	if o.TVersion() != 7 || o.TState() != TInvalid {
-		t.Fatal("the accessors must read what SetTLocked stored")
+		t.Fatal("the accessors must read what setTLocked stored")
 	}
 	o.Mu.Lock()
-	o.SetTLocked(8, TWrite)
+	o.setTLocked(8, TWrite)
 	o.Mu.Unlock()
 	if v, st := o.TSnapshot(); v != 8 || st != TWrite {
-		t.Fatalf("after second SetTLocked: %d %v", v, st)
+		t.Fatalf("after second setTLocked: %d %v", v, st)
 	}
 }
 
@@ -258,7 +231,7 @@ func TestConcurrentStoreAccess(t *testing.T) {
 				id := wire.ObjectID(i % 97)
 				o, _ := s.GetOrCreate(id)
 				o.Mu.Lock()
-				o.SetTLocked(o.TVersion()+1, TValid)
+				o.setTLocked(o.TVersion()+1, TValid)
 				o.Mu.Unlock()
 				s.Get(id)
 			}
@@ -352,20 +325,21 @@ func TestPublishRingStaysInPlace(t *testing.T) {
 		"in order": inOrder, "shuffled": shuffled, "duplicates": withDuplicates,
 	} {
 		o := &Object{}
-		var want []uint64 // the reference: sorted insert, dedupe, then drop the oldest
+		o.setTLocked(100, TValid) // the ring never runs ahead of the word
+		var want []uint64         // the reference: sorted insert, dedupe, then drop the oldest
 		for _, v := range versions {
-			o.PublishRingLocked(1000+v, v, []byte{byte(v)})
+			o.publishRingLocked(1000+v, v, []byte{byte(v)})
 			if i, dup := slices.BinarySearch(want, v); !dup {
 				want = slices.Insert(want, i, v)
 				if len(want) > DefaultRingEntries {
 					want = want[1:]
 				}
 			}
-			if cap(o.Ring) > DefaultRingEntries {
-				t.Fatalf("%s: ring array grew to %d slots after publishing v%d", name, cap(o.Ring), v)
+			if cap(o.ring) > DefaultRingEntries {
+				t.Fatalf("%s: ring array grew to %d slots after publishing v%d", name, cap(o.ring), v)
 			}
-			got := make([]uint64, len(o.Ring))
-			for i, e := range o.Ring {
+			got := make([]uint64, len(o.ring))
+			for i, e := range o.ring {
 				got[i] = e.Version
 				if e.CTS != 1000+e.Version || e.Data[0] != byte(e.Version) {
 					t.Fatalf("%s: entry %d = %+v does not belong to its version", name, i, e)
@@ -375,8 +349,8 @@ func TestPublishRingStaysInPlace(t *testing.T) {
 				t.Fatalf("%s: after publishing v%d the ring holds %v, want %v", name, v, got, want)
 			}
 		}
-		if o.CommitCTS != 1100 {
-			t.Fatalf("%s: CommitCTS %d, want the newest published (1100)", name, o.CommitCTS)
+		if o.commitCTS != 1100 {
+			t.Fatalf("%s: commitCTS %d, want the newest published (1100)", name, o.commitCTS)
 		}
 	}
 }

@@ -1,0 +1,199 @@
+package store
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+)
+
+// valueSide renders ⟨data, version, state, CTS, ring⟩ — everything the five
+// transitions own — as one comparable line; ring entries read cts:version:data.
+func valueSide(o *Object) string {
+	ring := make([]string, len(o.ring))
+	for i, e := range o.ring {
+		ring[i] = entryString(e)
+	}
+	data := "nil"
+	if o.data != nil {
+		data = string(o.data)
+	}
+	return fmt.Sprintf("%s v%d %v cts%d [%s]", data, o.TVersion(), o.TState(), o.commitCTS, strings.Join(ring, " "))
+}
+
+func entryString(e VersionEntry) string {
+	return fmt.Sprintf("%d:%d:%s", e.CTS, e.Version, e.Data)
+}
+
+// TestObjectTransitions is the pre-state → post-state table of the value-side
+// transitions (store package doc). Pre-states are themselves built from
+// transitions, so every row is a reachable history.
+func TestObjectTransitions(t *testing.T) {
+	b := func(s string) []byte { return []byte(s) }
+	// valid3 is a replica holding committed version 3; write4 and invalid4 are
+	// that replica after the owner's local commit resp. a follower's R-INV.
+	valid3 := func(o *Object) { o.InstallLocked(30, 3, b("a")) }
+	write4 := func(o *Object) { valid3(o); o.StageLocked(b("b")) }
+	invalid4 := func(o *Object) { valid3(o); o.StageInvLocked(40, 4, b("b")) }
+
+	for _, tc := range []struct {
+		name string
+		pre  func(*Object)
+		do   func(*Object)
+		want string
+		// readAt, when non-zero, is a snapshot timestamp read after do;
+		// wantRead is the entry RingReadLocked serves, "none" for ok=false.
+		readAt   uint64
+		wantRead string
+	}{
+		{name: "stage: the owner's local commit mints the next version, no ring entry yet",
+			pre: valid3,
+			do: func(o *Object) {
+				if ver := o.StageLocked(b("b")); ver != 4 {
+					t.Errorf("StageLocked minted v%d, want v4", ver)
+				}
+			},
+			want:   "b v4 Write cts30 [30:3:a]",
+			readAt: 99, wantRead: "30:3:a"},
+		{name: "stage: an R-INV replaces the payload, invalidates and publishes",
+			pre: valid3, do: func(o *Object) { o.StageInvLocked(40, 4, b("b")) },
+			want:   "b v4 Invalid cts40 [30:3:a 40:4:b]",
+			readAt: 39, wantRead: "30:3:a"},
+		{name: "stage: a stale R-INV leaves payload and word alone but is still history",
+			pre:  func(o *Object) { o.InstallLocked(50, 5, b("c")) },
+			do:   func(o *Object) { o.StageInvLocked(40, 4, b("b")) },
+			want: "c v5 Valid cts50 [40:4:b 50:5:c]"},
+		{name: "stage: a duplicate R-INV changes nothing",
+			pre: invalid4, do: func(o *Object) { o.StageInvLocked(40, 4, b("dup")) },
+			want: "b v4 Invalid cts40 [30:3:a 40:4:b]"},
+		{name: "validate: the owner's slot completes",
+			pre: write4, do: func(o *Object) { o.ValidateWriteLocked(40, 4, b("b")) },
+			want:   "b v4 Valid cts40 [30:3:a 40:4:b]",
+			readAt: 40, wantRead: "40:4:b"},
+		{name: "validate: a superseded slot publishes its version and leaves the word to the later write",
+			pre:  func(o *Object) { write4(o); o.StageLocked(b("c")) },
+			do:   func(o *Object) { o.ValidateWriteLocked(40, 4, b("b")) },
+			want: "c v5 Write cts40 [30:3:a 40:4:b]"},
+		{name: "validate: a slot completing on a record dropped since it was staged publishes nothing",
+			pre:  func(o *Object) { write4(o); o.DropLocked() },
+			do:   func(o *Object) { o.ValidateWriteLocked(40, 4, b("b")) },
+			want: "nil v0 Valid cts0 []"},
+		{name: "validate: an R-VAL flips the version it names",
+			pre: invalid4, do: func(o *Object) { o.ValidateLocked(4, TInvalid) },
+			want: "b v4 Valid cts40 [30:3:a 40:4:b]"},
+		{name: "validate: the wrong version is a no-op",
+			pre: invalid4, do: func(o *Object) { o.ValidateLocked(3, TInvalid) },
+			want: "b v4 Invalid cts40 [30:3:a 40:4:b]"},
+		{name: "validate: the wrong from-state is a no-op",
+			pre: write4, do: func(o *Object) { o.ValidateLocked(4, TInvalid) },
+			want: "b v4 Write cts30 [30:3:a]"},
+		{name: "install: a shipped value arrives whole",
+			pre: func(*Object) {}, do: func(o *Object) { o.InstallLocked(70, 7, b("d")) },
+			want:   "d v7 Valid cts70 [70:7:d]",
+			readAt: 69, wantRead: "none"},
+		{name: "install: the shipped CTS is taken as given, even below the record's",
+			pre:  func(o *Object) { o.InstallLocked(50, 5, b("c")) },
+			do:   func(o *Object) { o.InstallLocked(45, 6, b("d")) },
+			want: "d v6 Valid cts45 [50:5:c 45:6:d]"},
+		{name: "install: without a timestamp nothing is published",
+			pre: func(*Object) {}, do: func(o *Object) { o.InstallLocked(0, 1, b("seed")) },
+			want:   "seed v1 Valid cts0 []",
+			readAt: 1, wantRead: "0:1:seed"},
+		{name: "recover: an Invalid hint with no history serves no snapshot",
+			pre: invalid4, do: func(o *Object) { o.RecoverLocked(50, 5, b("c")) },
+			want:   "c v5 Invalid cts50 []",
+			readAt: 99, wantRead: "none"},
+		{name: "recover: the kept CTS re-arms the implicit entry once validated",
+			pre:    func(o *Object) { o.RecoverLocked(50, 5, b("c")) },
+			do:     func(o *Object) { o.ValidateLocked(o.TSnapshot()) },
+			want:   "c v5 Valid cts50 []",
+			readAt: 50, wantRead: "50:5:c"},
+		{name: "drop: nothing of the replica is left to read",
+			pre: invalid4, do: (*Object).DropLocked,
+			want:   "nil v0 Valid cts0 []",
+			readAt: math.MaxUint64, wantRead: "0:0:"},
+	} {
+		o := &Object{}
+		tc.pre(o)
+		tc.do(o)
+		if got := valueSide(o); got != tc.want {
+			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+		if tc.readAt != 0 {
+			got := "none"
+			if e, ok := o.RingReadLocked(tc.readAt); ok {
+				got = entryString(e)
+			}
+			if got != tc.wantRead {
+				t.Errorf("%s: snapshot read at %d serves %s, want %s", tc.name, tc.readAt, got, tc.wantRead)
+			}
+		}
+	}
+}
+
+// TestRingNeverAheadOfWord drives random transition sequences and checks after
+// every step what the deleted ringpublish analyzer approximated lexically: no
+// ring entry's version exceeds t_version, entries are strictly version-sorted,
+// and the ring (array included) never exceeds DefaultRingEntries. Versions are
+// drawn around the current one, stale and ahead alike; InstallLocked alone
+// keeps its documented precondition (never below t_version).
+func TestRingNeverAheadOfWord(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		o := &Object{}
+		var trail []string
+		for step := 0; step < 400; step++ {
+			cur := o.TVersion()
+			near := cur + uint64(rng.Intn(6))
+			if near >= 3 {
+				near -= 3 // cur-3 … cur+2
+			}
+			cts := uint64(rng.Intn(1000)) // 0 = no timestamp, now and then
+			data := []byte{byte(step)}
+			var op string
+			switch r := rng.Intn(20); { // resets are rare enough for rings to fill up in between
+			case r < 5:
+				op = "stage"
+				o.StageLocked(data)
+			case r < 10:
+				op = fmt.Sprintf("stage-inv(%d,%d)", cts, near)
+				o.StageInvLocked(cts, near, data)
+			case r < 14:
+				op = fmt.Sprintf("validate-write(%d,%d)", cts, near)
+				o.ValidateWriteLocked(cts, near, data)
+			case r < 16:
+				from := TState(rng.Intn(3))
+				op = fmt.Sprintf("validate(%d,%v)", near, from)
+				o.ValidateLocked(near, from)
+			case r < 18:
+				ver := cur + uint64(rng.Intn(3))
+				op = fmt.Sprintf("install(%d,%d)", cts, ver)
+				o.InstallLocked(cts, ver, data)
+			case r < 19:
+				op = fmt.Sprintf("recover(%d,%d)", cts, near)
+				o.RecoverLocked(cts, near, data)
+			default:
+				op = "drop"
+				o.DropLocked()
+			}
+			trail = append(trail, op)
+			bad := ""
+			if len(o.ring) > DefaultRingEntries || cap(o.ring) > DefaultRingEntries {
+				bad = fmt.Sprintf("ring holds %d entries in %d slots", len(o.ring), cap(o.ring))
+			}
+			for i, e := range o.ring {
+				if e.Version > o.TVersion() {
+					bad = fmt.Sprintf("ring entry v%d is ahead of t_version %d", e.Version, o.TVersion())
+				}
+				if i > 0 && o.ring[i-1].Version >= e.Version {
+					bad = fmt.Sprintf("ring not strictly version-sorted at %d", i)
+				}
+			}
+			if bad != "" {
+				last := trail[max(0, len(trail)-8):]
+				t.Fatalf("seed %d step %d: %s — %s; last ops %v", seed, step, bad, valueSide(o), last)
+			}
+		}
+	}
+}

@@ -113,8 +113,8 @@ func TestShardedDispatchKeepsUnkeyedInline(t *testing.T) {
 	r.EnableSharding(4)
 	defer r.CloseShards()
 	called := false
-	r.Handle(wire.KindView, func(wire.NodeID, wire.Msg) { called = true })
-	r.Dispatch(0, &wire.View{Epoch: 1})
+	r.Handle(wire.KindSafeTime, func(wire.NodeID, wire.Msg) { called = true })
+	r.Dispatch(0, &wire.SafeTime{Epoch: 1})
 	if !called {
 		t.Fatal("unkeyed message was not dispatched inline")
 	}

@@ -117,7 +117,7 @@ func TestRouterDispatch(t *testing.T) {
 	r.Fallback(func(_ wire.NodeID, _ wire.Msg) { gotOther.Add(1) })
 	r.Dispatch(0, &wire.CommitVal{})
 	r.Dispatch(0, &wire.CommitAck{})
-	r.Dispatch(0, &wire.View{})
+	r.Dispatch(0, &wire.SafeTime{})
 	if gotVal.Load() != 1 || gotAck.Load() != 1 || gotOther.Load() != 1 {
 		t.Fatalf("dispatch counts: %d %d %d", gotVal.Load(), gotAck.Load(), gotOther.Load())
 	}
@@ -431,12 +431,12 @@ func TestReliableThroughputSanity(t *testing.T) {
 
 func ExampleRouter() {
 	r := NewRouter()
-	r.Handle(wire.KindView, func(from wire.NodeID, m wire.Msg) {
-		v := m.(*wire.View)
-		fmt.Printf("view epoch=%d live=%s\n", v.Epoch, v.Live)
+	r.Handle(wire.KindSafeTime, func(from wire.NodeID, m wire.Msg) {
+		v := m.(*wire.SafeTime)
+		fmt.Printf("safe-time from=%d epoch=%d wm=%d\n", from, v.Epoch, v.WM)
 	})
-	r.Dispatch(0, &wire.View{Epoch: 3, Live: wire.BitmapOf(0, 1, 2)})
-	// Output: view epoch=3 live=[0 1 2]
+	r.Dispatch(2, &wire.SafeTime{From: 2, Epoch: 3, WM: 40})
+	// Output: safe-time from=2 epoch=3 wm=40
 }
 
 func TestHubSendBatchFIFOAndFrames(t *testing.T) {

@@ -168,7 +168,7 @@ func (c *Client) RecoveryPending() bool {
 
 // epochPollPolicy paces WaitEpoch's cached-state poll: fixed 200 µs probes
 // (retrydiscipline: engine pacing goes through internal/retry); the query
-// backstop keeps its own coarser RetryEvery cadence.
+// backstop keeps its own coarser retryEvery cadence.
 var epochPollPolicy = retry.Policy{
 	InitialBackoff: 200 * time.Microsecond,
 	MaxBackoff:     200 * time.Microsecond,
@@ -180,7 +180,7 @@ var epochPollPolicy = retry.Policy{
 // querying the ensemble periodically as a lost-push backstop.
 func (c *Client) WaitEpoch(e wire.Epoch, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
-	nextQuery := time.Now().Add(c.cfg.RetryEvery)
+	nextQuery := time.Now().Add(c.cfg.retryEvery())
 	poll := epochPollPolicy.Start()
 	for {
 		c.mu.Lock()
@@ -195,7 +195,7 @@ func (c *Client) WaitEpoch(e wire.Epoch, timeout time.Duration) bool {
 		}
 		if now.After(nextQuery) {
 			c.query()
-			nextQuery = now.Add(c.cfg.RetryEvery)
+			nextQuery = now.Add(c.cfg.retryEvery())
 		}
 		wait, _ := poll.Next()
 		_ = retry.Sleep(nil, wait, nil)
@@ -328,7 +328,7 @@ func (c *Client) driveUntil(cmd wire.VSCommand, done func(wire.VSState) bool, ti
 		transport.Flush(c.tr)
 		// Fine-grained wait: re-check the cache well before the next
 		// re-proposal is due (the command usually commits in microseconds).
-		next := time.Now().Add(c.cfg.RetryEvery)
+		next := time.Now().Add(c.cfg.retryEvery())
 		for time.Now().Before(next) {
 			c.mu.Lock()
 			s = c.state

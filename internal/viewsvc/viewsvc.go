@@ -68,9 +68,6 @@ type Config struct {
 	// k*TakeoverAfter so the next-in-line wins uncontested. Default:
 	// max(6*Heartbeat, 10ms).
 	TakeoverAfter time.Duration
-	// RetryEvery paces client-side proposal retry loops. Default:
-	// max(Lease/2, 2ms).
-	RetryEvery time.Duration
 	// InitialAddrs seeds the replicated address book (VSState.Addrs) with
 	// the deployment's bootstrap endpoints: every replica and client of one
 	// ensemble must be seeded identically (like DirShards, the value only
@@ -115,16 +112,13 @@ func (c Config) withDefaults() Config {
 			c.TakeoverAfter = 10 * time.Millisecond
 		}
 	}
-	if c.RetryEvery <= 0 {
-		c.RetryEvery = c.Lease / 2
-		if c.RetryEvery < 2*time.Millisecond {
-			c.RetryEvery = 2 * time.Millisecond
-		}
-		if c.RetryEvery > 50*time.Millisecond {
-			c.RetryEvery = 50 * time.Millisecond
-		}
-	}
 	return c
+}
+
+// retryEvery paces client-side proposal retry loops and the lost-push query
+// backstop: Lease/2 clamped to [2ms, 50ms].
+func (c Config) retryEvery() time.Duration {
+	return min(max(c.Lease/2, 2*time.Millisecond), 50*time.Millisecond)
 }
 
 // entry is an accepted-but-uncommitted command with its post-state.

@@ -227,7 +227,7 @@ func (d *dec) skip(n int) {
 // path, so a pre-scan over the (already validated-length) buffer is cheaper
 // than the saved allocator round trips. The slab is never reused: decoded
 // updates are retained by followers (stored R-INVs) and by the store itself
-// (o.Data aliases u.Data), so ownership must pass to the caller.
+// (the staged payload aliases u.Data), so ownership must pass to the caller.
 func (d *dec) updates() []Update {
 	n := d.u32()
 	if d.err != nil || n > math.MaxUint32 {
@@ -585,12 +585,6 @@ func AppendMarshal(dst []byte, m Msg) []byte {
 	case *CommitVal:
 		e.tx(v.Tx)
 		e.epoch(v.Epoch)
-	case *View:
-		e.epoch(v.Epoch)
-		e.bitmap(v.Live)
-	case *RecoveryDone:
-		e.epoch(v.Epoch)
-		e.node(v.From)
 	case *HermesInv:
 		e.u64(v.Key)
 		e.ots(v.TS)
@@ -768,10 +762,6 @@ func Unmarshal(p []byte) (Msg, error) {
 		m = &CommitAck{Tx: d.tx(), Epoch: d.epoch(), From: d.node(), AppliedWM: d.u64()}
 	case KindCommitVal:
 		m = &CommitVal{Tx: d.tx(), Epoch: d.epoch()}
-	case KindView:
-		m = &View{Epoch: d.epoch(), Live: d.bitmap()}
-	case KindRecoveryDone:
-		m = &RecoveryDone{Epoch: d.epoch(), From: d.node()}
 	case KindHermesInv:
 		m = &HermesInv{Key: d.u64(), TS: d.ots(), Epoch: d.epoch(), From: d.node(), Val: d.bytes()}
 	case KindHermesAck:

@@ -21,9 +21,11 @@ const (
 	KindCommitAck // follower → coordinator (R-ACK)
 	KindCommitVal // coordinator → followers (R-VAL)
 
-	// Membership.
-	KindView         // manager → nodes: new membership view
-	KindRecoveryDone // node → manager: finished replaying pending commits
+	// Two retired membership kinds (a view broadcast and a recovery-done
+	// report; the replicated view service below replaced both). The numbers
+	// stay reserved so every later kind keeps its on-wire value.
+	_
+	_
 
 	// Hermes-lite replicated KV (load balancer substrate).
 	KindHermesInv
@@ -75,7 +77,7 @@ const (
 func (k Kind) String() string {
 	names := [...]string{
 		"invalid", "own-req", "own-inv", "own-ack", "own-val", "own-nack",
-		"own-resp", "r-inv", "r-ack", "r-val", "view", "recovery-done",
+		"own-resp", "r-inv", "r-ack", "r-val", "reserved-10", "reserved-11",
 		"h-inv", "h-ack", "h-val", "b-read-req", "b-read-resp", "b-lock",
 		"b-lock-resp", "b-validate", "b-validate-resp", "b-backup",
 		"b-backup-ack", "b-commit", "b-commit-ack", "b-abort",
@@ -266,28 +268,18 @@ type CommitVal struct {
 func (*CommitVal) Kind() Kind { return KindCommitVal }
 
 // ---------------------------------------------------------------------------
-// Membership messages.
+// Membership.
 // ---------------------------------------------------------------------------
 
-// View announces a membership view: the set of live nodes tagged with a
-// monotonically increasing epoch id, published only after all leases of
-// departed nodes have expired (§3.1).
+// View is a membership view: the set of live nodes tagged with a
+// monotonically increasing epoch id, installed only after all leases of
+// departed nodes have expired (§3.1). It is what agents hand to their
+// OnChange subscribers, not a message: views travel inside the view
+// service's VSState.
 type View struct {
 	Epoch Epoch
 	Live  Bitmap
 }
-
-func (*View) Kind() Kind { return KindView }
-
-// RecoveryDone tells the membership manager that the sender has no more
-// pending reliable commits from dead coordinators; once every live node has
-// reported, the ownership protocol resumes (§5.1).
-type RecoveryDone struct {
-	Epoch Epoch
-	From  NodeID
-}
-
-func (*RecoveryDone) Kind() Kind { return KindRecoveryDone }
 
 // ---------------------------------------------------------------------------
 // Hermes-lite messages (load-balancer KV, §3.1).
