@@ -183,7 +183,7 @@ func main() {
 	if *obsAddr != "" {
 		cfg.Obs = obs.NewRegistry()
 		cfg.TraceSample = *traceSample
-		cfg.Obs.CounterFunc("tcp_decode_drops_total", tr.DecodeDrops)
+		tr.RegisterObs(cfg.Obs)
 	}
 	cfg.WatchdogAge = *watchdogAge
 	cli := viewsvc.NewClientDetached(vcfg, tr, replicaIDs, members, cfg.Obs)

@@ -282,11 +282,11 @@ func (c *Cluster) startNode(id wire.NodeID) *core.Node {
 		cfg.Obs = obs.NewRegistry()
 		cfg.TraceSample = c.opts.TraceSample
 		cfg.WatchdogAge = c.opts.WatchdogAge
-		if rel, ok := tr.(*transport.Reliable); ok {
-			// FabricSim: the node's reliable endpoint scrapes its frame
-			// counters into the same registry (FabricMem's hub is perfect
-			// and carries cluster-wide totals via Messages/Bytes instead).
-			rel.RegisterObs(cfg.Obs)
+		// FabricSim and FabricTCP: the node's endpoint scrapes its frame and
+		// socket counters into the same registry (FabricMem's hub is perfect
+		// and carries cluster-wide totals via Messages/Bytes instead).
+		if counted, ok := tr.(interface{ RegisterObs(*obs.Registry) }); ok {
+			counted.RegisterObs(cfg.Obs)
 		}
 	}
 	if c.opts.Storage != nil {
@@ -523,7 +523,9 @@ func (c *Cluster) Close() {
 	}
 }
 
-// Messages returns total messages carried (FabricMem only; 0 otherwise).
+// Messages returns total messages carried: the hub's count, the simulated
+// network's frames (FabricSim batches several messages into one), or the sum
+// over the live TCP endpoints, view service included.
 func (c *Cluster) Messages() uint64 {
 	if c.hub != nil {
 		return c.hub.Messages()
@@ -531,10 +533,11 @@ func (c *Cluster) Messages() uint64 {
 	if c.net != nil {
 		return c.net.Stats().Sent
 	}
-	return 0
+	return c.sumTCP((*transport.TCP).MessagesSent)
 }
 
-// Bytes returns total payload bytes carried.
+// Bytes returns total bytes carried: marshalled payload on the hub, frames
+// with their headers on FabricSim and FabricTCP.
 func (c *Cluster) Bytes() uint64 {
 	if c.hub != nil {
 		return c.hub.Bytes()
@@ -542,7 +545,18 @@ func (c *Cluster) Bytes() uint64 {
 	if c.net != nil {
 		return c.net.Stats().Bytes
 	}
-	return 0
+	return c.sumTCP((*transport.TCP).BytesSent)
+}
+
+// sumTCP adds one counter over the cluster's TCP endpoints.
+func (c *Cluster) sumTCP(counter func(*transport.TCP) uint64) uint64 {
+	c.tcpMu.Lock()
+	defer c.tcpMu.Unlock()
+	var n uint64
+	for _, tr := range c.tcpTrs {
+		n += counter(tr)
+	}
+	return n
 }
 
 // Seed bulk-installs an object without running the protocols: the replica

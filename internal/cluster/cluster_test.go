@@ -293,6 +293,7 @@ func TestOwnershipLatencyHookWiring(t *testing.T) {
 func TestTCPFabricCluster(t *testing.T) {
 	opts := DefaultOptions(3)
 	opts.Fabric = FabricTCP
+	opts.Observability = true
 	c := New(opts)
 	defer c.Close()
 	c.SeedAt(25, 0, []byte("tcp"))
@@ -317,6 +318,19 @@ func TestTCPFabricCluster(t *testing.T) {
 	}
 	if string(got) != "tcp2" {
 		t.Fatalf("read %q over TCP fabric, want %q", got, "tcp2")
+	}
+	// The sockets count what they carry: cluster-wide through Messages and
+	// Bytes, per node in its registry.
+	if c.Messages() == 0 || c.Bytes() == 0 {
+		t.Errorf("cluster counted %d messages, %d bytes over TCP", c.Messages(), c.Bytes())
+	}
+	for _, name := range []string{"tcp_msgs_sent_total", "tcp_bytes_sent_total", "tcp_writes_total", "tcp_reads_total"} {
+		if v, ok := c.Obs(1).CounterValue(name); !ok || v == 0 {
+			t.Errorf("node 1's %s = %d (registered: %v)", name, v, ok)
+		}
+	}
+	if v, ok := c.Obs(1).CounterValue("tcp_decode_drops_total"); !ok || v != 0 {
+		t.Errorf("node 1's tcp_decode_drops_total = %d (registered: %v)", v, ok)
 	}
 	// Failure injection is a simulator capability; real sockets refuse it
 	// rather than silently doing nothing.

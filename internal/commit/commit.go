@@ -200,6 +200,8 @@ type outPipe struct {
 	// each ack would re-walk the whole in-flight window (every open slot
 	// trails the follower's applied watermark under pipelining).
 	swept map[wire.NodeID]uint64
+	// vals is where completeSlot takes each slot's R-VAL from (under mu).
+	vals wire.Chunk[wire.CommitVal]
 }
 
 // compactLocked drops validated slots off the front of the order FIFO.
@@ -321,6 +323,8 @@ type inPipe struct {
 	// each stored R-INV (under mu, but ONLY from watchdogScan — the apply
 	// and validate hot paths never touch it, so obs costs nothing here).
 	wdSeen map[uint64]time.Time
+	// acks is where ackDurable takes each R-ACK from (under mu).
+	acks wire.Chunk[wire.CommitAck]
 }
 
 // Config is what the node hands the engine at construction; the zero value
@@ -729,6 +733,7 @@ func (e *Engine) completeSlot(s *Slot) {
 	// OnViewChange and the resend loop repoint s.inv and s.followers under
 	// p.mu; everything below works from this one consistent reading.
 	inv, targets := s.inv, s.followers.Union(s.extraVal)
+	val := p.vals.Take()
 	p.mu.Unlock()
 	cts := inv.CTS
 
@@ -755,7 +760,7 @@ func (e *Engine) completeSlot(s *Slot) {
 	s.tr.Event("val")
 	e.recCommitted(inv.Updates, true, cts)
 
-	val := &wire.CommitVal{Tx: s.Tx(), Epoch: inv.Epoch}
+	*val = wire.CommitVal{Tx: s.Tx(), Epoch: inv.Epoch} // written once, here, before any enqueue
 	for n := range targets.Each {
 		e.enqueue(n, val) // coalesced with neighbouring slots' R-VALs
 	}
@@ -914,7 +919,9 @@ func (e *Engine) ackDurable(p *inPipe, to wire.NodeID, m *wire.CommitInv) {
 			delete(p.unlogged, m.Tx.Local)
 		}
 	}
-	e.enqueue(to, &wire.CommitAck{Tx: m.Tx, Epoch: m.Epoch, From: e.self, AppliedWM: p.lastCTS})
+	ack := p.acks.Take()
+	*ack = wire.CommitAck{Tx: m.Tx, Epoch: m.Epoch, From: e.self, AppliedWM: p.lastCTS}
+	e.enqueue(to, ack)
 }
 
 // recCommitted records validated versions in the WAL (best effort: the

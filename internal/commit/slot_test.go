@@ -1,6 +1,7 @@
 package commit
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -208,6 +209,85 @@ func TestCoalescerReusesItsBuffers(t *testing.T) {
 			if m != nil {
 				t.Fatal("a parked coalescer buffer still references a sent message")
 			}
+		}
+	}
+}
+
+// TestEmittedRecordsAreDistinct: R-ACKs and R-VALs are carved from chunks on
+// the pipes, and a record must never be handed out twice — on the zero-copy
+// hub the receiver holds a pointer into the sender's chunk, so a reused
+// record would rewrite a message that is still in flight. 100 pipelined
+// commits (six chunks' worth) must arrive as 100 different R-ACKs and 100
+// different R-VALs that still name their own transactions at the end.
+func TestEmittedRecordsAreDistinct(t *testing.T) {
+	c := newTestCluster(t, 2)
+	c.seedObject(1, 0, wire.BitmapOf(1))
+	var mu sync.Mutex
+	var acks []*wire.CommitAck
+	var vals []*wire.CommitVal
+	for _, nd := range c.nodes {
+		nd.tr.SetHandler(func(from wire.NodeID, m wire.Msg) {
+			mu.Lock()
+			switch v := m.(type) {
+			case *wire.CommitAck:
+				acks = append(acks, v)
+			case *wire.CommitVal:
+				vals = append(vals, v)
+			}
+			mu.Unlock()
+			nd.eng.Handle(from, m)
+		})
+		nd.tr.SetTickHandler(nd.eng.flushOut)
+	}
+	const commits = 100
+	var slots []*Slot
+	for i := 0; i < commits; i++ {
+		slots = append(slots, c.localCommit(0, 0, []wire.ObjectID{1}, "v"))
+	}
+	for _, s := range slots {
+		waitClosed(t, s.Done())
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		mu.Lock()
+		done := len(vals) == commits
+		mu.Unlock()
+		if done {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d R-VALs arrived", len(vals), commits)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(acks) != commits {
+		t.Fatalf("%d R-ACKs for %d commits", len(acks), commits)
+	}
+	// Batches of one peer queue may overtake each other between flushOut's
+	// swap and its send, so arrival order proves nothing: every transaction
+	// must be named by exactly one R-ACK and one R-VAL, each its own record.
+	pipe := slots[0].Tx().Pipe
+	ackFor, valFor := map[uint64]*wire.CommitAck{}, map[uint64]*wire.CommitVal{}
+	ackSeen, valSeen := map[*wire.CommitAck]bool{}, map[*wire.CommitVal]bool{}
+	for i := 0; i < commits; i++ {
+		ack, val := acks[i], vals[i]
+		if ackSeen[ack] || valSeen[val] {
+			t.Fatalf("the record of %v's R-ACK or %v's R-VAL was handed out twice", ack.Tx, val.Tx)
+		}
+		ackSeen[ack], valSeen[val] = true, true
+		if ack.Tx.Pipe != pipe || ack.From != 1 || ackFor[ack.Tx.Local] != nil {
+			t.Errorf("R-ACK %+v: wrong pipe or sender, or the second for its transaction", *ack)
+		}
+		if val.Tx.Pipe != pipe || valFor[val.Tx.Local] != nil {
+			t.Errorf("R-VAL %+v: wrong pipe, or the second for its transaction", *val)
+		}
+		ackFor[ack.Tx.Local], valFor[val.Tx.Local] = ack, val
+	}
+	for local := uint64(1); local <= commits; local++ {
+		if ackFor[local] == nil || valFor[local] == nil {
+			t.Errorf("commit %d: R-ACK %v, R-VAL %v", local, ackFor[local], valFor[local])
 		}
 	}
 }

@@ -37,3 +37,18 @@ func (r *Reliable) MaxRTO() int64 {
 	}
 	return max
 }
+
+// RegisterObs exposes the TCP fabric's counters through a registry, pull-
+// scraped like the reliable layer's. tcp_msgs_sent_total over
+// tcp_writes_total is the average outbound batch; tcp_reads_total counts the
+// inbound socket drains.
+func (t *TCP) RegisterObs(reg *obs.Registry) {
+	if reg == nil {
+		return
+	}
+	reg.CounterFunc("tcp_msgs_sent_total", t.MessagesSent)
+	reg.CounterFunc("tcp_bytes_sent_total", t.BytesSent)
+	reg.CounterFunc("tcp_writes_total", t.Writes)
+	reg.CounterFunc("tcp_reads_total", t.Reads)
+	reg.CounterFunc("tcp_decode_drops_total", t.DecodeDrops)
+}

@@ -309,7 +309,8 @@ func (r *Reliable) peer(id wire.NodeID) *peerState {
 		case <-r.closed: // Close has swept r.peers already: this one is born closed
 			p.deliver.close()
 		default:
-			go p.deliver.run(func(d delivery) { r.deliverFrame(id, d) })
+			dec := new(wire.Decoder) // this peer's stream; the delivery goroutine is its only user
+			go p.deliver.run(func(d delivery) { r.deliverFrame(id, dec, d) })
 		}
 	}
 	return p
@@ -692,9 +693,9 @@ func (r *Reliable) recvLoop() {
 
 // deliverFrame dispatches one in-order frame's messages, then runs the
 // delivery tick.
-func (r *Reliable) deliverFrame(from wire.NodeID, d delivery) {
+func (r *Reliable) deliverFrame(from wire.NodeID, dec *wire.Decoder, d delivery) {
 	if !d.batch {
-		r.dispatch(from, d.payload)
+		r.dispatch(from, dec, d.payload)
 	} else {
 		it := wire.NewBatchIter(d.payload)
 		for {
@@ -706,7 +707,7 @@ func (r *Reliable) deliverFrame(from wire.NodeID, d delivery) {
 			if raw == nil {
 				break
 			}
-			r.dispatch(from, raw)
+			r.dispatch(from, dec, raw)
 		}
 	}
 	// Delivery tick: the frame's messages are all dispatched; let engines
@@ -716,8 +717,8 @@ func (r *Reliable) deliverFrame(from wire.NodeID, d delivery) {
 	}
 }
 
-func (r *Reliable) dispatch(from wire.NodeID, raw []byte) {
-	m, err := wire.Unmarshal(raw)
+func (r *Reliable) dispatch(from wire.NodeID, dec *wire.Decoder, raw []byte) {
+	m, err := dec.Unmarshal(raw)
 	if err != nil {
 		r.decodeDrops.Add(1)
 		return

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Codec errors.
@@ -228,9 +227,11 @@ func (d *dec) skip(n int) {
 // than the saved allocator round trips. The slab is never reused: decoded
 // updates are retained by followers (stored R-INVs) and by the store itself
 // (the staged payload aliases u.Data), so ownership must pass to the caller.
-func (d *dec) updates() []Update {
+// A list that fits inline (a Decoder record's array) is decoded into it and
+// costs the slab alone; nothing is written before the whole list validated.
+func (d *dec) updates(inline []Update) []Update {
 	n := d.u32()
-	if d.err != nil || n > math.MaxUint32 {
+	if d.err != nil || n == 0 {
 		return nil
 	}
 	if int(n) > len(d.b) { // each update is ≥21 bytes; cheap sanity bound
@@ -253,7 +254,12 @@ func (d *dec) updates() []Update {
 	}
 	d.off = start
 	slab := make([]byte, 0, total)
-	out := make([]Update, n)
+	var out []Update
+	if int(n) <= len(inline) {
+		out = inline[:n:n]
+	} else {
+		out = make([]Update, n)
+	}
 	for i := range out {
 		out[i].Obj = d.obj()
 		out[i].Version = d.u64()
@@ -709,8 +715,15 @@ func AppendMarshal(dst []byte, m Msg) []byte {
 	return e.b
 }
 
-// Unmarshal parses a message produced by Marshal.
-func Unmarshal(p []byte) (Msg, error) {
+// Unmarshal parses a message produced by Marshal into records of its own: the
+// one-shot entry, for a message that does not arrive on a stream a Decoder
+// reads (the hub's round trip of non-commit kinds, tools, tests).
+func Unmarshal(p []byte) (Msg, error) { return unmarshal(p, nil) }
+
+// unmarshal is the one kind switch: each message's field list is written
+// here and nowhere else. The three reliable-commit kinds take their record
+// from dc (a fresh one when dc is nil); every other kind allocates.
+func unmarshal(p []byte, dc *Decoder) (Msg, error) {
 	if len(p) == 0 {
 		return nil, ErrShortBuffer
 	}
@@ -753,15 +766,21 @@ func Unmarshal(p []byte) (Msg, error) {
 			Data: d.bytes(), CTS: d.u64(),
 		}
 	case KindCommitInv:
-		m = &CommitInv{
+		v, inline := dc.inv()
+		*v = CommitInv{
 			Tx: d.tx(), Epoch: d.epoch(), Followers: d.bitmap(),
-			PrevVal: d.boolean(), Replay: d.boolean(), Updates: d.updates(),
+			PrevVal: d.boolean(), Replay: d.boolean(), Updates: d.updates(inline),
 			CTS: d.u64(),
 		}
+		m = v
 	case KindCommitAck:
-		m = &CommitAck{Tx: d.tx(), Epoch: d.epoch(), From: d.node(), AppliedWM: d.u64()}
+		v := dc.ack()
+		*v = CommitAck{Tx: d.tx(), Epoch: d.epoch(), From: d.node(), AppliedWM: d.u64()}
+		m = v
 	case KindCommitVal:
-		m = &CommitVal{Tx: d.tx(), Epoch: d.epoch()}
+		v := dc.val()
+		*v = CommitVal{Tx: d.tx(), Epoch: d.epoch()}
+		m = v
 	case KindHermesInv:
 		m = &HermesInv{Key: d.u64(), TS: d.ots(), Epoch: d.epoch(), From: d.node(), Val: d.bytes()}
 	case KindHermesAck:
@@ -781,11 +800,11 @@ func Unmarshal(p []byte) (Msg, error) {
 	case KindBValidateResp:
 		m = &BValidateResp{ReqID: d.u64(), From: d.node(), OK: d.boolean()}
 	case KindBBackup:
-		m = &BBackup{ReqID: d.u64(), From: d.node(), Updates: d.updates()}
+		m = &BBackup{ReqID: d.u64(), From: d.node(), Updates: d.updates(nil)}
 	case KindBBackupAck:
 		m = &BBackupAck{ReqID: d.u64(), From: d.node()}
 	case KindBCommit:
-		m = &BCommit{ReqID: d.u64(), From: d.node(), Updates: d.updates()}
+		m = &BCommit{ReqID: d.u64(), From: d.node(), Updates: d.updates(nil)}
 	case KindBCommitAck:
 		m = &BCommitAck{ReqID: d.u64(), From: d.node()}
 	case KindBAbort:
@@ -831,6 +850,7 @@ func Unmarshal(p []byte) (Msg, error) {
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrBadKind, uint8(k))
 	}
+	dc.settle(k, d.err == nil)
 	if d.err != nil {
 		return nil, d.err
 	}

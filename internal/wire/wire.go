@@ -6,6 +6,17 @@
 // views, the Hermes-lite KV used by the load balancer, and the distributed
 // commit baseline — is expressed as a wire.Msg and serialized with
 // wire.Marshal / wire.Unmarshal.
+//
+// A transport that reads a stream of messages decodes it through a Decoder
+// instead of Unmarshal: one Decoder per inbound stream, owned by the
+// goroutine that reads the stream and not safe for concurrent use. It carves
+// the records of the reliable-commit kinds from 16-record chunks (Chunk), so
+// a decoded R-INV, R-ACK or R-VAL is a sixteenth of an allocation; nobody
+// releases a record — the garbage collector frees a chunk when its last
+// record dies. An R-INV's payload slab is deliberately not chunked: the
+// follower keeps it as the replica's value, and a value carved from a shared
+// array would pin its neighbours for as long as the object goes unwritten.
+// Both entries run the same kind switch and decode the same values.
 package wire
 
 import (
