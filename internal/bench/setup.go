@@ -139,40 +139,3 @@ func MoveObjects(dst *core.Node, objs []uint64) MigrationResult {
 	res.Duration = time.Since(start)
 	return res
 }
-
-// MoveObjectsParallel splits objs across workers concurrent movers.
-func MoveObjectsParallel(dst *core.Node, objs []uint64, workers int) MigrationResult {
-	if workers <= 1 {
-		return MoveObjects(dst, objs)
-	}
-	start := time.Now()
-	type part struct{ moved, failed int }
-	results := make(chan part, workers)
-	chunk := (len(objs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(objs) {
-			hi = len(objs)
-		}
-		go func(sub []uint64) {
-			var p part
-			for _, o := range sub {
-				if err := dst.OwnershipEngine().AcquireOwnership(wire.ObjectID(o)); err != nil {
-					p.failed++
-				} else {
-					p.moved++
-				}
-			}
-			results <- p
-		}(objs[lo:hi])
-	}
-	var res MigrationResult
-	for w := 0; w < workers; w++ {
-		p := <-results
-		res.Moved += p.moved
-		res.Failed += p.failed
-	}
-	res.Duration = time.Since(start)
-	return res
-}

@@ -559,10 +559,12 @@ func (c *Cluster) sumTCP(counter func(*transport.TCP) uint64) uint64 {
 	return n
 }
 
-// Seed bulk-installs an object without running the protocols: the replica
-// set is written into the owner, the readers and the directory, and the
-// initial value into every replica. This models the benchmarks' initial
+// Seed bulk-installs an object without running the protocols: the owner, the
+// readers and the directory each apply the same grant, ⟨1, owner⟩, and a
+// replica's carries the initial value. This models the benchmarks' initial
 // sharding (the paper: "The initial sharding of all systems is the same").
+// Being a grant, a second Seed of an object cannot take o_ts or a version
+// back, and a node it leaves out drops its copy.
 func (c *Cluster) Seed(obj wire.ObjectID, owner wire.NodeID, readers wire.Bitmap, data []byte) {
 	reps := wire.ReplicaSet{Owner: owner, Readers: readers.Remove(owner)}
 	ts := wire.OTS{Ver: 1, Node: owner}
@@ -583,15 +585,13 @@ func (c *Cluster) Seed(obj wire.ObjectID, owner wire.NodeID, readers wire.Bitmap
 		if n == nil {
 			continue
 		}
+		var val store.Shipped
+		if reps.LevelOf(id) != wire.NonReplica {
+			val = store.Shipped{Has: true, CTS: seedCTS, Version: 1, Data: append([]byte(nil), data...)}
+		}
 		o, _ := n.Store().GetOrCreate(obj)
 		o.Mu.Lock()
-		o.Replicas = reps
-		o.OTS = ts
-		o.OState = store.OValid
-		o.Level = reps.LevelOf(id)
-		if o.Level != wire.NonReplica {
-			o.InstallLocked(seedCTS, 1, append([]byte(nil), data...))
-		}
+		o.GrantLocked(id, ts, reps, val)
 		o.Mu.Unlock()
 	}
 }

@@ -64,8 +64,8 @@ func TestSeedEstablishesReplicasAndDirectory(t *testing.T) {
 		t.Fatal("owner has no object")
 	}
 	o.Mu.Lock()
-	if o.Level != wire.Owner || string(o.DataLocked()) != "seeded" || o.TState() != store.TValid {
-		t.Fatalf("owner state: %v %q %v", o.Level, o.DataLocked(), o.TState())
+	if o.LevelLocked() != wire.Owner || string(o.DataLocked()) != "seeded" || o.TState() != store.TValid {
+		t.Fatalf("owner state: %v %q %v", o.LevelLocked(), o.DataLocked(), o.TState())
 	}
 	o.Mu.Unlock()
 	// Readers.
@@ -75,8 +75,8 @@ func TestSeedEstablishesReplicasAndDirectory(t *testing.T) {
 			t.Fatalf("reader %d missing object", r)
 		}
 		ro.Mu.Lock()
-		if ro.Level != wire.Reader || string(ro.DataLocked()) != "seeded" {
-			t.Fatalf("reader %d state: %v %q", r, ro.Level, ro.DataLocked())
+		if ro.LevelLocked() != wire.Reader || string(ro.DataLocked()) != "seeded" {
+			t.Fatalf("reader %d state: %v %q", r, ro.LevelLocked(), ro.DataLocked())
 		}
 		ro.Mu.Unlock()
 	}
@@ -87,8 +87,27 @@ func TestSeedEstablishesReplicasAndDirectory(t *testing.T) {
 	}
 	d.Mu.Lock()
 	defer d.Mu.Unlock()
-	if d.Replicas.Owner != 3 || d.Level != wire.NonReplica {
-		t.Fatalf("dir entry: %+v", d.Replicas)
+	if d.ReplicasLocked().Owner != 3 || d.LevelLocked() != wire.NonReplica {
+		t.Fatalf("dir entry: %+v", d.ReplicasLocked())
+	}
+}
+
+// TestReseedIsAGrant: Seed goes through the grant transition, so seeding an
+// object again moves replicas like a grant does — a node the new set leaves
+// out drops its copy instead of keeping a payload behind a non-replica level.
+func TestReseedIsAGrant(t *testing.T) {
+	c := New(DefaultOptions(3))
+	defer c.Close()
+	c.Seed(5, 0, wire.BitmapOf(1), []byte("first"))
+	c.Seed(5, 2, 0, []byte("second")) // o_ts ⟨1, node 2⟩ orders after ⟨1, node 0⟩
+	for node, want := range []string{"", "", "second"} {
+		o, _ := c.Node(node).Store().Get(5)
+		o.Mu.Lock()
+		lvl, owner, ver, data := o.LevelLocked(), o.ReplicasLocked().Owner, o.TVersion(), string(o.DataLocked())
+		o.Mu.Unlock()
+		if owner != 2 || (lvl != wire.NonReplica) != (want != "") || data != want || (ver != 0) != (want != "") {
+			t.Fatalf("node %d after the second seed: level %v, owner %d, version %d, payload %q", node, lvl, owner, ver, data)
+		}
 	}
 }
 
@@ -103,7 +122,7 @@ func TestSeedRangeRoundRobin(t *testing.T) {
 			t.Fatalf("obj %d missing at node %d", 100+i, owner)
 		}
 		o.Mu.Lock()
-		lvl := o.Level
+		lvl := o.LevelLocked()
 		o.Mu.Unlock()
 		if lvl != wire.Owner {
 			t.Fatalf("obj %d level %v at node %d", 100+i, lvl, owner)

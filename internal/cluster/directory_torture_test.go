@@ -145,7 +145,7 @@ func assertDirInvariants(t *testing.T, c *Cluster, dead wire.NodeID,
 					continue nodeLoop
 				}
 				o.Mu.Lock()
-				pending := o.Pending != nil
+				_, pending := o.PendingLocked()
 				o.Mu.Unlock()
 				if !pending {
 					continue nodeLoop

@@ -124,10 +124,10 @@ func TestDeleteAtDriverDropsTheWholeReplica(t *testing.T) {
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
 	newest, _ := o.RingReadLocked(math.MaxUint64) // a ring entry if any: those carry a CTS
-	if o.Level != wire.NonReplica || o.DataLocked() != nil || o.TVersion() != 0 ||
+	if o.LevelLocked() != wire.NonReplica || o.DataLocked() != nil || o.TVersion() != 0 ||
 		o.CommitCTSLocked() != 0 || newest.CTS != 0 {
 		t.Fatalf("surviving entry: level %v, data %q, version %d, CommitCTS %d, newest ring entry at CTS %d; want a bare entry",
-			o.Level, o.DataLocked(), o.TVersion(), o.CommitCTSLocked(), newest.CTS)
+			o.LevelLocked(), o.DataLocked(), o.TVersion(), o.CommitCTSLocked(), newest.CTS)
 	}
 }
 

@@ -98,13 +98,20 @@ const maxPeers = 64
 // msgs and spare are the queue's two buffers: a flush takes msgs, leaves
 // spare in its place for the enqueues that arrive meanwhile, and parks the
 // flushed slice (cleared) as the next spare once SendBatch returned — the
-// transport keeps no reference to it (transport.BatchSender), so steady
+// transport keeps no reference to it (transport.Transport.SendBatch), so steady
 // state enqueues into arrays it already owns instead of regrowing a fresh
 // one after every flush.
+//
+// sending marks the one flusher that is putting this peer's messages on the
+// link: batches taken under mu are sent after it is released, so two flushers
+// at once could deliver a later batch ahead of an earlier one. A flusher that
+// finds the flag set leaves the messages queued; the sender looks at the
+// queue again before it clears the flag, so they go out behind its batch.
 type peerQueue struct {
-	mu    sync.Mutex
-	msgs  []wire.Msg
-	spare []wire.Msg
+	mu      sync.Mutex
+	msgs    []wire.Msg
+	spare   []wire.Msg
+	sending bool
 }
 
 // maxSpareCap bounds the buffer a peer queue keeps between flushes (a few
@@ -428,7 +435,10 @@ func (e *Engine) enqueue(to wire.NodeID, m wire.Msg) {
 // flushOut drains the coalescer, sending each peer's queue as one batch.
 // Only peers flagged dirty are visited; an enqueue racing with the swap
 // re-flags its peer (the Or runs after the append), so at worst a queue is
-// visited empty once or left for the already-armed next cycle.
+// visited empty once or left for the already-armed next cycle. One flusher
+// sends to a peer at a time (peerQueue.sending), which keeps the peer's
+// batches in queue order on the link; what a second flusher leaves behind is
+// sent by the first before it lets go, so no message waits for a later flush.
 func (e *Engine) flushOut() {
 	dirty := e.coDirty.Swap(0)
 	for dirty != 0 {
@@ -436,23 +446,27 @@ func (e *Engine) flushOut() {
 		dirty &^= 1 << to
 		q := &e.coQ[to]
 		q.mu.Lock()
-		msgs := q.msgs
-		if len(msgs) == 0 {
+		if q.sending {
 			q.mu.Unlock()
 			continue
 		}
-		q.msgs, q.spare = q.spare, nil
-		q.mu.Unlock()
-		e.coCount.Add(int32(-len(msgs)))
-		_ = transport.SendBatch(e.tr, wire.NodeID(to), msgs)
-		if cap(msgs) > maxSpareCap {
-			continue
+		q.sending = true
+		for len(q.msgs) > 0 {
+			msgs := q.msgs
+			q.msgs, q.spare = q.spare, nil
+			q.mu.Unlock()
+			e.coCount.Add(int32(-len(msgs)))
+			_ = e.tr.SendBatch(wire.NodeID(to), msgs)
+			park := cap(msgs) <= maxSpareCap // a burst's array goes to the GC
+			if park {
+				clear(msgs) // a parked buffer must not keep the sent messages alive
+			}
+			q.mu.Lock()
+			if park && q.spare == nil {
+				q.spare = msgs[:0]
+			}
 		}
-		clear(msgs) // a parked buffer must not keep the sent messages alive
-		q.mu.Lock()
-		if q.spare == nil {
-			q.spare = msgs[:0]
-		}
+		q.sending = false
 		q.mu.Unlock()
 	}
 }

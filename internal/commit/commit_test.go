@@ -77,14 +77,12 @@ func newTestClusterWith(t *testing.T, n int, cfg func(wire.NodeID) Config) *tclu
 func (c *tcluster) seedObject(obj wire.ObjectID, owner wire.NodeID, readers wire.Bitmap) {
 	reps := wire.ReplicaSet{Owner: owner, Readers: readers.Remove(owner)}
 	for _, nd := range c.nodes {
-		lvl := reps.LevelOf(nd.id)
-		if lvl == wire.NonReplica {
+		if reps.LevelOf(nd.id) == wire.NonReplica {
 			continue
 		}
 		o, _ := nd.st.GetOrCreate(obj)
 		o.Mu.Lock()
-		o.Level = lvl
-		o.Replicas = reps
+		o.GrantLocked(nd.id, wire.OTS{Ver: 1, Node: owner}, reps, store.Shipped{})
 		o.Mu.Unlock()
 	}
 }
@@ -108,7 +106,7 @@ func (c *tcluster) localCommit(owner wire.NodeID, w wire.Worker, objs []wire.Obj
 		ver := o.StageLocked([]byte(val))
 		o.PendingCommits.Add(1)
 		updates = append(updates, wire.Update{Obj: id, Version: ver, Data: []byte(val)})
-		followers = followers.Union(o.Replicas.Readers)
+		followers = followers.Union(o.ReplicasLocked().Readers)
 		o.Mu.Unlock()
 	}
 	return nd.eng.Commit(w, updates, followers)
@@ -359,7 +357,7 @@ func TestStaleVersionSkipped(t *testing.T) {
 	c.seedObject(41, 0, wire.BitmapOf(1))
 	o, _ := c.nodes[1].st.Get(41)
 	o.Mu.Lock()
-	o.InstallLocked(0, 5, []byte("newer"))
+	o.GrantLocked(1, wire.OTS{Ver: 2}, o.ReplicasLocked(), store.Shipped{Has: true, Version: 5, Data: []byte("newer")})
 	o.Mu.Unlock()
 	inv := &wire.CommitInv{
 		Tx:    wire.TxID{Pipe: wire.PipeID{Node: 0, Worker: 0}, Local: 1},
@@ -482,7 +480,7 @@ func TestConcurrentCommitsManyObjects(t *testing.T) {
 				o.Mu.Lock()
 				ver := o.StageLocked([]byte("c"))
 				o.PendingCommits.Add(1)
-				followers := o.Replicas.Readers
+				followers := o.ReplicasLocked().Readers
 				o.Mu.Unlock()
 				nd.eng.Commit(w, []wire.Update{{Obj: obj, Version: ver, Data: []byte("c")}}, followers)
 			}

@@ -71,7 +71,7 @@ func (e *Engine) DumpState(w io.Writer) {
 		pending := o.PendingCommits.Load()
 		if pending > 0 || o.TState() != store.TValid {
 			fmt.Fprintf(w, "object id=%d tver=%d tstate=%v pending=%d ostate=%v level=%v owner=%d localOwner=%d\n",
-				o.ID, o.TVersion(), o.TState(), pending, o.OState, o.Level, o.Replicas.Owner, o.LocalOwner)
+				o.ID, o.TVersion(), o.TState(), pending, o.OStateLocked(), o.LevelLocked(), o.ReplicasLocked().Owner, o.LocalOwnerLocked())
 		}
 		o.Mu.Unlock()
 		return true

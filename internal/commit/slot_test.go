@@ -5,6 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"zeus/internal/store"
+	"zeus/internal/transport"
+	"zeus/internal/viewsvc"
 	"zeus/internal/wire"
 )
 
@@ -265,9 +268,9 @@ func TestEmittedRecordsAreDistinct(t *testing.T) {
 	if len(acks) != commits {
 		t.Fatalf("%d R-ACKs for %d commits", len(acks), commits)
 	}
-	// Batches of one peer queue may overtake each other between flushOut's
-	// swap and its send, so arrival order proves nothing: every transaction
-	// must be named by exactly one R-ACK and one R-VAL, each its own record.
+	// Arrival order is TestFlushersKeepAPeersOrder's business; here every
+	// transaction must be named by exactly one R-ACK and one R-VAL, each its
+	// own record.
 	pipe := slots[0].Tx().Pipe
 	ackFor, valFor := map[uint64]*wire.CommitAck{}, map[uint64]*wire.CommitVal{}
 	ackSeen, valSeen := map[*wire.CommitAck]bool{}, map[*wire.CommitVal]bool{}
@@ -289,5 +292,68 @@ func TestEmittedRecordsAreDistinct(t *testing.T) {
 		if ackFor[local] == nil || valFor[local] == nil {
 			t.Errorf("commit %d: R-ACK %v, R-VAL %v", local, ackFor[local], valFor[local])
 		}
+	}
+}
+
+// gatedSender is a hub transport that records the R-VALs handed to SendBatch
+// and parks the first call until the test lets it go.
+type gatedSender struct {
+	*transport.MemTransport
+	entered, release chan struct{}
+
+	mu   sync.Mutex
+	sent []uint64 // Tx.Local of every R-VAL, in the order the link saw them
+}
+
+func (g *gatedSender) SendBatch(to wire.NodeID, msgs []wire.Msg) error {
+	select {
+	case <-g.entered:
+	default:
+		close(g.entered)
+		<-g.release
+	}
+	g.mu.Lock()
+	for _, m := range msgs {
+		g.sent = append(g.sent, m.(*wire.CommitVal).Tx.Local)
+	}
+	g.mu.Unlock()
+	return nil
+}
+
+// TestFlushersKeepAPeersOrder: flushOut takes a peer's queue under the queue
+// lock and sends it after, so a second flusher (a worker's count flush, the
+// delivery tick, the timer) that runs while the first is still in SendBatch
+// must not put the later messages on the link first, and must not strand them
+// either: the first flusher sends them before it is done.
+func TestFlushersKeepAPeersOrder(t *testing.T) {
+	mgr := viewsvc.NewSelfHosted(viewsvc.Config{Lease: 2 * time.Millisecond}, wire.BitmapOf(0, 1))
+	defer mgr.Close()
+	g := &gatedSender{
+		MemTransport: transport.NewHub().Node(0),
+		entered:      make(chan struct{}),
+		release:      make(chan struct{}),
+	}
+	defer g.Close()
+	eng := New(0, store.New(), g, mgr.Agent(0), Config{})
+	defer eng.Close()
+	eng.coArmed.Store(true) // keep the timed flusher out: every flush below is this test's
+
+	eng.enqueue(1, &wire.CommitVal{Tx: wire.TxID{Local: 1}})
+	first := make(chan struct{})
+	go func() {
+		defer close(first)
+		eng.flushOut()
+	}()
+	<-g.entered // the first flusher holds #1 and is inside SendBatch
+	eng.enqueue(1, &wire.CommitVal{Tx: wire.TxID{Local: 2}})
+	eng.enqueue(1, &wire.CommitVal{Tx: wire.TxID{Local: 3}})
+	eng.flushOut() // the second flusher
+	close(g.release)
+	<-first
+
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if len(g.sent) != 3 || g.sent[0] != 1 || g.sent[1] != 2 || g.sent[2] != 3 {
+		t.Fatalf("the link saw R-VALs %v, want [1 2 3]", g.sent)
 	}
 }

@@ -308,7 +308,7 @@ func TestUseAfterFinishIsRefused(t *testing.T) {
 	}
 	o, _ := n.Store().Get(1)
 	o.Mu.Lock()
-	owner := o.LocalOwner
+	owner := o.LocalOwnerLocked()
 	o.Mu.Unlock()
 	if owner != store.NoLocalOwner {
 		t.Fatalf("object still locally owned by worker %d after every transaction finished", owner)

@@ -268,7 +268,7 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, cfg C
 	// The owner refuses ownership transfers while the object is involved
 	// in a pending reliable commit (§4.1). Executing local transactions
 	// (local ownership held) are detected by the ownership engine itself
-	// via Object.LocalOwner — this probe does not lock the object.
+	// via Object.LocalOwnerLocked — this probe does not lock the object.
 	ocfg.HasPendingCommit = n.cmt.HasPending
 	ocfg.Clock, ocfg.Log, ocfg.Obs = n.clk, n.log, cfg.Obs
 	n.own = ownership.New(id, st, tr, agent, ocfg)
@@ -310,7 +310,7 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, cfg C
 	}
 	n.router.EnableSharding(shards)
 	tr.SetHandler(n.router.Dispatch)
-	transport.SetTick(tr, n.router.Tick)
+	tr.SetTickHandler(n.router.Tick)
 	for i := 0; i < trimWorkers; i++ {
 		go n.trimLoop()
 	}
@@ -585,7 +585,7 @@ func (n *Node) CreateObjectWithReaders(obj wire.ObjectID, data []byte, readers w
 	o.Mu.Lock()
 	ver := o.StageLocked(append([]byte(nil), data...))
 	o.PendingCommits.Add(1)
-	followers := o.Replicas.Readers
+	followers := o.ReplicasLocked().Readers
 	o.Mu.Unlock()
 	n.cmt.Commit(wire.Worker(0), []wire.Update{{Obj: obj, Version: ver, Data: append([]byte(nil), data...)}}, followers)
 	return nil
@@ -818,7 +818,7 @@ func (tx *Tx) snapshotGet(id wire.ObjectID) ([]byte, error) {
 		return nil, dbapi.ErrNoReplica
 	}
 	o.Mu.Lock()
-	lvl := o.Level
+	lvl := o.LevelLocked()
 	o.Mu.Unlock()
 	if lvl == wire.NonReplica {
 		// Snapshot reads never generate ownership traffic; the caller
@@ -920,9 +920,9 @@ func (tx *Tx) ensureReadable(id wire.ObjectID) (*store.Object, error) {
 	n := tx.n
 	if o, ok := n.st.Get(id); ok {
 		o.Mu.Lock()
-		lvl, ost := o.Level, o.OState
+		readable := o.HoldsLocked(wire.Reader)
 		o.Mu.Unlock()
-		if lvl != wire.NonReplica && (ost == store.OValid || ost == store.ORequest) {
+		if readable {
 			return o, nil
 		}
 	}
@@ -945,7 +945,7 @@ func (tx *Tx) ensureWritable(id wire.ObjectID) (*store.Object, error) {
 	o, _ := n.st.GetOrCreate(id)
 	for attempt := 0; attempt < 3; attempt++ {
 		o.Mu.Lock()
-		if o.Level == wire.Owner && (o.OState == store.OValid || o.OState == store.ORequest) {
+		if o.HoldsLocked(wire.Owner) {
 			// GrantLocalLocked refuses both local contention and the
 			// transfer-fairness yield (§6.2): after a remote requester
 			// was NACKed for pending commits, new local write grants
@@ -1020,9 +1020,9 @@ func (n *Node) maybeTrim(id wire.ObjectID) {
 	}
 	o.Mu.Lock()
 	var drop wire.NodeID = wire.NoNode
-	if o.Level == wire.Owner && o.Replicas.All().Count() > n.cfg.Degree {
+	if reps := o.ReplicasLocked(); o.LevelLocked() == wire.Owner && reps.All().Count() > n.cfg.Degree {
 		// Drop the lowest-id reader; deterministic and simple.
-		if rd := o.Replicas.Readers.Nodes(); len(rd) > 0 {
+		if rd := reps.Readers.Nodes(); len(rd) > 0 {
 			drop = rd[0]
 		}
 	}
@@ -1062,7 +1062,7 @@ func (tx *Tx) validateReads() bool {
 		o.Mu.Lock()
 		ver, st := o.TSnapshot()
 		okv := ver == a.ver && (st == store.TValid ||
-			(st == store.TWrite && o.Level == wire.Owner))
+			(st == store.TWrite && o.LevelLocked() == wire.Owner))
 		o.Mu.Unlock()
 		if !okv {
 			return false
@@ -1121,9 +1121,7 @@ func (tx *Tx) Commit() error {
 		if ok {
 			o := a.obj
 			o.Mu.Lock()
-			ok = o.Level == wire.Owner &&
-				(o.OState == store.OValid || o.OState == store.ORequest) &&
-				o.LocalOwner == int32(tx.worker)
+			ok = o.HoldsLocked(wire.Owner) && o.LocalOwnerLocked() == int32(tx.worker)
 			o.Mu.Unlock()
 		}
 		if !ok {
@@ -1151,7 +1149,7 @@ func (tx *Tx) Commit() error {
 		ver := o.StageLocked(a.data)
 		o.PendingCommits.Add(1)
 		updates = append(updates, wire.Update{Obj: a.id, Version: ver, Data: a.data})
-		followers = followers.Union(o.Replicas.Readers)
+		followers = followers.Union(o.ReplicasLocked().Readers)
 		o.Mu.Unlock()
 	}
 	tx.release()

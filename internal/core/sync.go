@@ -87,16 +87,7 @@ func installRecovered(self wire.NodeID, st *store.Store, rec *storage.Recovered,
 	for id, r := range rec.Objects {
 		o, _ := st.GetOrCreate(id)
 		o.Mu.Lock()
-		o.RecoverLocked(r.CTS, r.Version, r.Data)
-		o.OState = store.OValid
-		o.OTS = r.TS
-		reps := r.Replicas
-		selfOwner := reps.Owner == self
-		if selfOwner {
-			reps.Owner = wire.NoNode
-		}
-		o.Replicas = reps
-		o.Level = wire.NonReplica
+		selfOwner := o.RecoverLocked(self, r.CTS, r.Version, r.Data, r.TS, r.Replicas)
 		o.Mu.Unlock()
 		pending[id] = syncOrigin{selfOwner: selfOwner, valid: r.Valid}
 	}
@@ -238,6 +229,7 @@ func (n *Node) reclaimLeftovers() int {
 			continue
 		}
 		o.Mu.Lock()
+		var hint store.Shipped
 		if org.hintSeen && org.hintVer > o.TVersion() {
 			if owner := org.hintReplicas.Owner; owner != n.id && owner != wire.NoNode {
 				// A replica's grant history names someone else: ownership
@@ -253,21 +245,9 @@ func (n *Node) reclaimLeftovers() int {
 				o.Mu.Unlock()
 				continue
 			}
-			o.InstallLocked(org.hintCTS, org.hintVer, org.hintData)
-			if o.OTS.Less(org.hintTS) {
-				o.OTS = org.hintTS
-				o.Replicas = org.hintReplicas
-			}
-			org.valid = true
+			hint = store.Shipped{Has: true, CTS: org.hintCTS, Version: org.hintVer, Data: org.hintData}
 		}
-		reps := o.Replicas
-		reps.Owner = n.id
-		o.Replicas = reps
-		o.Level = wire.Owner
-		o.OState = store.OValid
-		if org.valid {
-			o.ValidateLocked(o.TSnapshot()) // whatever version and state the record holds
-		}
+		o.ReclaimLocked(n.id, org.hintTS, org.hintReplicas, hint, org.valid)
 		o.Mu.Unlock()
 		delete(n.syncPending, id)
 	}
@@ -306,12 +286,13 @@ func (n *Node) handleSyncPull(p *wire.SyncPull) {
 		ans := wire.SyncEntry{
 			Obj:      e.Obj,
 			Version:  ver,
-			TS:       o.OTS,
-			Replicas: o.Replicas,
+			TS:       o.OTSLocked(),
+			Replicas: o.ReplicasLocked(),
 			CTS:      o.CommitCTSLocked(),
 		}
+		lvl := o.LevelLocked()
 		switch {
-		case o.Level == wire.Owner && o.OState == store.OValid && st == store.TValid:
+		case lvl == wire.Owner && o.OStateLocked() == store.OValid && st == store.TValid:
 			ans.Class = wire.SyncOwner
 			if ver != e.Version {
 				// Stale puller: ship the payload. It is replace-only, so
@@ -319,9 +300,9 @@ func (n *Node) handleSyncPull(p *wire.SyncPull) {
 				ans.HasData = true
 				ans.Data = o.DataLocked()
 			}
-		case o.Level == wire.Owner:
+		case lvl == wire.Owner:
 			ans.Class = wire.SyncClaim
-		case o.Level != wire.NonReplica && ver > e.Version:
+		case lvl != wire.NonReplica && ver > e.Version:
 			ans.Class = wire.SyncHint
 			if st == store.TValid {
 				ans.HasData = true
@@ -344,12 +325,13 @@ func (n *Node) handleSyncPull(p *wire.SyncPull) {
 	transport.Flush(n.tr)
 }
 
-// handleSyncState installs an owner's authoritative answers on the puller:
-// the replica set and ownership timestamp verbatim, this node's level as the
-// replica set implies it, and either the shipped payload (stale puller) or a
-// validity flip of the local bytes (versions matched). Each object accepts
-// exactly ONE authoritative answer — the first to arrive retires the pending
-// entry, and later duplicates (resend overlap) or stragglers are dropped.
+// handleSyncState applies an owner's authoritative answers on the puller as
+// grants: the replica set and ownership timestamp verbatim, this node's level
+// as the replica set implies it, and as the value either the shipped payload
+// (stale puller) or the local bytes the owner confirmed (versions matched).
+// Each object accepts exactly ONE authoritative answer — the first to arrive
+// retires the pending entry, and later duplicates (resend overlap) or
+// stragglers are dropped.
 // Installing a second answer would be a regression hazard: by the time it
 // arrives the object may have rejoined the live protocol and advanced past
 // the answered version.
@@ -410,7 +392,7 @@ func (n *Node) handleSyncState(s *wire.SyncState) {
 		}
 		o, _ := n.st.GetOrCreate(e.Obj)
 		o.Mu.Lock()
-		if e.Version < o.TVersion() || e.TS.Less(o.OTS) {
+		if e.Version < o.TVersion() || e.TS.Less(o.OTSLocked()) {
 			// The object already advanced past the answer — a racing
 			// invalidation bumped the version, or a racing ownership grant
 			// minted a newer o_ts (this node may drive the object's
@@ -420,15 +402,13 @@ func (n *Node) handleSyncState(s *wire.SyncState) {
 			o.Mu.Unlock()
 			continue
 		}
-		o.Replicas = e.Replicas
-		o.OTS = e.TS
-		o.OState = store.OValid
-		o.Level = e.Replicas.LevelOf(n.id)
+		val := store.Shipped{Has: true, CTS: e.CTS, Version: e.Version, Data: o.DataLocked()}
 		if e.HasData {
-			o.InstallLocked(e.CTS, e.Version, append([]byte(nil), e.Data...))
-		} else if o.TVersion() == e.Version {
-			o.InstallLocked(e.CTS, e.Version, o.DataLocked()) // the owner confirmed the local value
+			val.Data = append([]byte(nil), e.Data...)
+		} else if o.TVersion() != e.Version {
+			val = store.Shipped{} // nothing shipped, and not the local version confirmed
 		}
+		o.GrantLocked(n.id, e.TS, e.Replicas, val)
 		o.Mu.Unlock()
 		n.clk.Update(e.CTS)
 	}
@@ -476,9 +456,9 @@ func (n *Node) SnapshotNow() error {
 				Version:  o.TVersion(),
 				Data:     o.DataLocked(),
 				Valid:    o.TState() == store.TValid,
-				TS:       o.OTS,
-				Replicas: o.Replicas,
-				Level:    o.Level,
+				TS:       o.OTSLocked(),
+				Replicas: o.ReplicasLocked(),
+				Level:    o.LevelLocked(),
 				CTS:      o.CommitCTSLocked(),
 			}
 			o.Mu.Unlock()

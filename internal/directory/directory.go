@@ -176,7 +176,7 @@ func (s *Service) Ready(obj wire.ObjectID) bool {
 
 // clearedSuspect reports whether obj is clear of suspicion, lifting it when
 // the local entry caught up: either the in-flight arbitration reached this
-// node (o.Pending set — the ownership engine then handles it natively) or
+// node (a pending record — the ownership engine then handles it natively) or
 // its completion did (o_ts advanced past the snapshot's).
 func (s *Service) clearedSuspect(obj wire.ObjectID) bool {
 	s.mu.Lock()
@@ -190,7 +190,8 @@ func (s *Service) clearedSuspect(obj wire.ObjectID) bool {
 		return false
 	}
 	o.Mu.Lock()
-	caughtUp := o.Pending != nil || ts.Less(o.OTS)
+	_, arbitrating := o.PendingLocked()
+	caughtUp := arbitrating || ts.Less(o.OTSLocked())
 	o.Mu.Unlock()
 	if !caughtUp {
 		return false
@@ -263,7 +264,7 @@ func (s *Service) viewChanged() {
 	for sources, shards := range groups {
 		s.stPulls.Add(uint64(len(shards)))
 		msg := &wire.DirPull{Shards: shards, PlacementEpoch: p.Epoch, From: s.self}
-		_ = transport.Multicast(s.tr, sources.Nodes(), msg)
+		_ = s.tr.Multicast(sources.Nodes(), msg)
 		for _, sh := range shards {
 			sh, ep := int(sh), p.Epoch
 			time.AfterFunc(syncTimeout, func() { s.forceReady(sh, ep) })
@@ -317,9 +318,11 @@ func (s *Service) handlePull(m *wire.DirPull) {
 			return true
 		}
 		o.Mu.Lock()
-		if o.Replicas.Owner != wire.NoNode || o.Replicas.Readers != 0 || o.Pending != nil {
+		reps := o.ReplicasLocked()
+		_, arbitrating := o.PendingLocked()
+		if reps.Owner != wire.NoNode || reps.Readers != 0 || arbitrating {
 			wanted[sh] = append(entries, wire.DirEntry{
-				Obj: o.ID, TS: o.OTS, Replicas: o.Replicas, Pending: o.Pending != nil,
+				Obj: o.ID, TS: o.OTSLocked(), Replicas: reps, Pending: arbitrating,
 			})
 		}
 		o.Mu.Unlock()
@@ -333,21 +336,19 @@ func (s *Service) handlePull(m *wire.DirPull) {
 	transport.Flush(s.tr)
 }
 
-// handleState installs a shard snapshot: each entry only overwrites a
-// strictly older ownership timestamp and never a pending arbitration, so
-// duplicate snapshots and races with live arbitration traffic are harmless.
+// handleState installs a shard snapshot, entry by entry (see
+// store.Object.AdoptEntryLocked for what an entry may overwrite).
 func (s *Service) handleState(m *wire.DirState) {
 	live := s.agent.View().Live
 	var flagged []wire.ObjectID
 	for _, e := range m.Entries {
 		o, _ := s.st.GetOrCreate(e.Obj)
 		o.Mu.Lock()
-		if o.Pending == nil && o.OTS.Less(e.TS) {
-			o.OTS = e.TS
-			o.Replicas = e.Replicas.Prune(live)
+		adopted := o.AdoptEntryLocked(e.TS, e.Replicas.Prune(live))
+		o.Mu.Unlock()
+		if adopted {
 			s.stEntries.Add(1)
 		}
-		o.Mu.Unlock()
 		if e.Pending {
 			s.mu.Lock()
 			if cur, ok := s.suspect[e.Obj]; !ok || cur.Less(e.TS) {

@@ -104,8 +104,7 @@ func TestServiceSyncsNewDriverShards(t *testing.T) {
 	for _, d := range drivers.Nodes() {
 		o, _ := h.sts[d].GetOrCreate(obj)
 		o.Mu.Lock()
-		o.OTS = wire.OTS{Ver: 5, Node: spare}
-		o.Replicas = reps
+		o.AdoptEntryLocked(wire.OTS{Ver: 5, Node: spare}, reps)
 		o.Mu.Unlock()
 	}
 
@@ -128,7 +127,7 @@ func TestServiceSyncsNewDriverShards(t *testing.T) {
 	for {
 		if o, ok := h.sts[spare].Get(obj); ok {
 			o.Mu.Lock()
-			ts, rs := o.OTS, o.Replicas
+			ts, rs := o.OTSLocked(), o.ReplicasLocked()
 			o.Mu.Unlock()
 			if ts == (wire.OTS{Ver: 5, Node: spare}) && rs.Owner == spare {
 				break
@@ -165,8 +164,7 @@ func TestJoinerPullsShardMetadata(t *testing.T) {
 		for _, st := range h.sts {
 			o, _ := st.GetOrCreate(obj)
 			o.Mu.Lock()
-			o.OTS = want
-			o.Replicas = wire.ReplicaSet{Owner: 1}
+			o.AdoptEntryLocked(want, wire.ReplicaSet{Owner: 1})
 			o.Mu.Unlock()
 		}
 	}
@@ -199,7 +197,7 @@ func TestJoinerPullsShardMetadata(t *testing.T) {
 		for {
 			if o, ok := st.Get(obj); ok {
 				o.Mu.Lock()
-				ts, owner := o.OTS, o.Replicas.Owner
+				ts, owner := o.OTSLocked(), o.ReplicasLocked().Owner
 				o.Mu.Unlock()
 				if ts == want && owner == 1 {
 					break
@@ -254,7 +252,7 @@ func TestSuspectGatingUntilArbitrationOutcome(t *testing.T) {
 	// The arbitration's completion becomes visible: o_ts advances.
 	o, _ := st.GetOrCreate(obj)
 	o.Mu.Lock()
-	o.OTS = wire.OTS{Ver: 10, Node: 2}
+	o.GrantLocked(0, wire.OTS{Ver: 10, Node: 2}, wire.ReplicaSet{Owner: 2}, store.Shipped{})
 	o.Mu.Unlock()
 	if !svc.Ready(obj) {
 		t.Fatal("suspicion must lift once the entry advanced past the snapshot")
@@ -274,7 +272,7 @@ func TestSuspectGatingUntilArbitrationOutcome(t *testing.T) {
 	}
 	o2, _ := st.GetOrCreate(obj2)
 	o2.Mu.Lock()
-	o2.Pending = &store.PendingOwn{ReqID: 7, TS: wire.OTS{Ver: 6, Node: 0}}
+	o2.InvalidateLocked(store.PendingOwn{ReqID: 7, TS: wire.OTS{Ver: 6, Node: 0}}, 0)
 	o2.Mu.Unlock()
 	if !svc.Ready(obj2) {
 		t.Fatal("suspicion must lift once the pending arbitration reached us")
@@ -289,28 +287,27 @@ func TestServiceSnapshotNeverRegresses(t *testing.T) {
 
 	o, _ := st.GetOrCreate(9)
 	o.Mu.Lock()
-	o.OTS = wire.OTS{Ver: 10, Node: 2}
-	o.Replicas = wire.ReplicaSet{Owner: 2}
+	o.GrantLocked(0, wire.OTS{Ver: 10, Node: 2}, wire.ReplicaSet{Owner: 2}, store.Shipped{})
 	o.Mu.Unlock()
 
 	svc.Handle(1, &wire.DirState{Shard: uint32(svc.ShardOf(9)), From: 1, Entries: []wire.DirEntry{
 		{Obj: 9, TS: wire.OTS{Ver: 4, Node: 1}, Replicas: wire.ReplicaSet{Owner: 1}},
 	}})
 	o.Mu.Lock()
-	owner := o.Replicas.Owner
+	owner := o.ReplicasLocked().Owner
 	o.Mu.Unlock()
 	if owner != 2 {
 		t.Fatal("stale snapshot entry overwrote a newer directory entry")
 	}
 
 	o.Mu.Lock()
-	o.Pending = &store.PendingOwn{ReqID: 1, TS: wire.OTS{Ver: 11, Node: 0}}
+	o.InvalidateLocked(store.PendingOwn{ReqID: 1, TS: wire.OTS{Ver: 11, Node: 0}}, 0)
 	o.Mu.Unlock()
 	svc.Handle(1, &wire.DirState{Shard: uint32(svc.ShardOf(9)), From: 1, Entries: []wire.DirEntry{
 		{Obj: 9, TS: wire.OTS{Ver: 20, Node: 1}, Replicas: wire.ReplicaSet{Owner: 1}},
 	}})
 	o.Mu.Lock()
-	owner = o.Replicas.Owner
+	owner = o.ReplicasLocked().Owner
 	o.Mu.Unlock()
 	if owner != 2 {
 		t.Fatal("snapshot entry overwrote a pending arbitration")

@@ -10,8 +10,8 @@
 //     after Mu is released, so one in-place write is a silent lost update,
 //     and Go has no read-only slice type the getter could return instead.
 //   - lockedsuffix: *Locked functions are only called with a mutex held (or
-//     from another *Locked function), and the Mu-guarded ownership-side
-//     store.Object fields are only written under a lock.
+//     from another *Locked function) — the suffix names a dozen different
+//     mutexes across the engines, so no one lock-token type could carry it.
 //   - sendfrozen: a wire message handed to Send/SendBatch/Multicast/
 //     Broadcast/enqueue is frozen — zero-copy fabrics and retransmit
 //     queues may still reference it.
@@ -37,14 +37,16 @@
 // lint job enforce it), so every new invariant-bearing change either
 // satisfies the contracts or carries an explicit, justified waiver.
 //
-// A rule a type can carry is not linted. The value side of store.Object —
-// payload, the one atomic ⟨t_version, t_state⟩ word, commit timestamp, MVCC
-// ring — is unexported and changes only through the store's five transitions,
-// so what two former analyzers flagged no longer compiles: seqlockwrite's
-// direct write of the word, and every line of ringpublish (a ring write,
-// append or address-of outside the store; a publish before the word
-// advanced, which is now the statement order inside each transition and a
-// version check in the one function that inserts). The replacing half of
+// A rule a type can carry is not linted. Every field of store.Object but Mu,
+// ID and the atomic PendingCommits is unexported and changes only through the
+// store's transitions (value side: stage, validate, install, recover, drop;
+// ownership side: request, arbitrate, grant, prune, reclaim, adopt), so what
+// two former analyzers and half of a third flagged no longer compiles:
+// seqlockwrite's direct write of the ⟨t_version, t_state⟩ word, every line of
+// ringpublish (a ring write, append or address-of outside the store; a publish
+// before the word advanced, which is now the statement order inside each
+// transition and a version check in the one function that inserts), and
+// lockedsuffix's unlocked write to a Mu-guarded field. The replacing half of
 // replaceonly went the same way; its in-place half stays because the payload
 // getter must return a plain []byte.
 package lint
@@ -189,23 +191,6 @@ func (w *waivers) allows(rule string, pos token.Position) bool {
 // ---------------------------------------------------------------------------
 // Shared type helpers.
 // ---------------------------------------------------------------------------
-
-// objectField reports whether e selects a field of store.Object (through a
-// value or pointer receiver) and returns the field name.
-func objectField(info *types.Info, e ast.Expr) (string, bool) {
-	sel, ok := e.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	s := info.Selections[sel]
-	if s == nil || s.Kind() != types.FieldVal {
-		return "", false
-	}
-	if !isObjectType(s.Recv()) {
-		return "", false
-	}
-	return s.Obj().Name(), true
-}
 
 // isObjectType reports whether t (possibly a pointer) is store.Object.
 func isObjectType(t types.Type) bool {

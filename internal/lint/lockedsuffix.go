@@ -10,15 +10,16 @@ import (
 // LockedSuffix enforces the codebase's lock-transfer naming convention: a
 // function whose name ends in "Locked" (StageLocked, GrantLocalLocked,
 // applyInvLocked, …) documents "the caller holds the corresponding mutex".
-// The analyzer checks both directions of that contract:
-//
-//   - a *Locked function may only be called from another *Locked function or
-//     from a scope where some sync.Mutex/RWMutex is lexically held (a
-//     visible X.Lock()/X.RLock() with no intervening unconditional
-//     X.Unlock());
-//   - a write to a Mu-guarded store.Object field (OState, OTS, Replicas,
-//     Pending, Level, LocalOwner) outside a *Locked function requires a
-//     lexically held lock.
+// The analyzer checks the call side of that contract: a *Locked function may
+// only be called from another *Locked function or from a scope where some
+// sync.Mutex/RWMutex is lexically held (a visible X.Lock()/X.RLock() with no
+// intervening unconditional X.Unlock()). It is the rule a type cannot carry
+// here: the suffix is used on some twenty functions over a dozen different
+// mutexes (commit pipes, the view service, transport queues, safe-time, the
+// WAL, netsim), so a lock-token parameter would be a wrapper type per mutex.
+// The field side it used to have — no unlocked write to store.Object's
+// Mu-guarded fields — is a compile error now: every such field is unexported
+// and written only by the store's own *Locked transitions.
 //
 // The analysis is a per-function lexical walk with light flow sensitivity:
 // an Unlock inside a branch that terminates (returns/breaks/continues) does
@@ -31,18 +32,8 @@ import (
 // path that holds nothing at all.
 var LockedSuffix = &analysis.Analyzer{
 	Name: "lockedsuffix",
-	Doc:  "*Locked functions and Mu-guarded Object fields require a held mutex",
+	Doc:  "*Locked functions require a held mutex",
 	Run:  runLockedSuffix,
-}
-
-// guardedObjectFields are the exported store.Object fields documented as
-// Mu-guarded. (PendingCommits is atomic; the value side — payload,
-// ⟨t_version, t_state⟩, commit timestamp, ring — and the transfer-fairness
-// yield are unexported and written only by the store's own *Locked
-// transitions and YieldLocalLocked, which the call-side rule covers.)
-var guardedObjectFields = map[string]bool{
-	"OState": true, "OTS": true, "Replicas": true, "Pending": true,
-	"Level": true, "LocalOwner": true,
 }
 
 func runLockedSuffix(pass *analysis.Pass) (interface{}, error) {
@@ -120,11 +111,9 @@ func (ls *lockScan) stmt(s ast.Stmt, held map[string]bool) bool {
 			ls.expr(r, held)
 		}
 		for _, l := range v.Lhs {
-			ls.checkGuardedWrite(l, held)
 			ls.expr(l, held)
 		}
 	case *ast.IncDecStmt:
-		ls.checkGuardedWrite(v.X, held)
 		ls.expr(v.X, held)
 	case *ast.ReturnStmt:
 		for _, r := range v.Results {
@@ -269,19 +258,6 @@ func (ls *lockScan) funcLit(fl *ast.FuncLit) {
 	}
 	inner := &lockScan{pass: ls.pass, inLocked: false}
 	inner.block(fl.Body.List, map[string]bool{})
-}
-
-// checkGuardedWrite flags assignments to Mu-guarded store.Object fields made
-// with no lock held and outside a *Locked function.
-func (ls *lockScan) checkGuardedWrite(lhs ast.Expr, held map[string]bool) {
-	name, ok := objectField(ls.pass.TypesInfo, lhs)
-	if !ok || !guardedObjectFields[name] {
-		return
-	}
-	if ls.inLocked || len(held) > 0 {
-		return
-	}
-	ls.pass.Reportf(lhs.Pos(), "store.Object.%s is Mu-guarded but written with no lexically held mutex (and not in a *Locked function)", name)
 }
 
 // mutexOp decodes e as a Lock/RLock/Unlock/RUnlock call on a sync mutex and

@@ -1,25 +1,22 @@
 // Package lockedsuffix exercises the lockedsuffix analyzer: *Locked
-// functions document "the caller holds the corresponding mutex", and
-// Mu-guarded store.Object fields may only be written under a lock. The
-// analyzer checks both directions with a lexical, lightly flow-sensitive
-// walk.
+// functions document "the caller holds the corresponding mutex", which the
+// analyzer checks at every call with a lexical, lightly flow-sensitive walk.
 package lockedsuffix
 
 import (
 	"sync"
 
 	"zeus/internal/store"
-	"zeus/internal/wire"
 )
 
 type engine struct {
 	mu sync.Mutex
 }
 
-// applyLocked carries the suffix, so it may write guarded fields freely —
+// applyLocked carries the suffix, so it may call *Locked functions freely —
 // the contract moved to its callers.
 func (e *engine) applyLocked(o *store.Object) {
-	o.Level = wire.NonReplica
+	o.RequestLocked()
 }
 
 // good: lock held lexically (defer-unlock keeps it held to scope end).
@@ -28,18 +25,17 @@ func good(e *engine, o *store.Object) {
 	defer o.Mu.Unlock()
 	o.GrantLocalLocked(1)
 	e.applyLocked(o)
-	o.LocalOwner = store.NoLocalOwner
 }
 
 // goodBranchReturn: the Unlock inside the early-return branch does not
 // release the fallthrough path's lock.
 func goodBranchReturn(o *store.Object) {
 	o.Mu.Lock()
-	if o.LocalOwner == store.NoLocalOwner {
+	if o.LocalOwnerLocked() == store.NoLocalOwner {
 		o.Mu.Unlock()
 		return
 	}
-	o.DropLocked()
+	o.YieldLocalLocked(0)
 	o.Mu.Unlock()
 }
 
@@ -49,17 +45,12 @@ func bad(e *engine, o *store.Object) {
 	e.applyLocked(o)      // want `applyLocked called without a lexically held mutex`
 }
 
-// badWrite: a guarded field write with no lock anywhere in sight.
-func badWrite(o *store.Object) {
-	o.LocalOwner = 3 // want `store\.Object\.LocalOwner is Mu-guarded but written with no lexically held mutex`
-}
-
 // badUnlockThen: an unconditional Unlock releases the lock for the
 // statements after it.
 func badUnlockThen(o *store.Object) {
 	o.Mu.Lock()
 	o.Mu.Unlock()
-	o.DropLocked() // want `DropLocked called without a lexically held mutex`
+	o.YieldLocalLocked(0) // want `YieldLocalLocked called without a lexically held mutex`
 }
 
 // badGoroutine: a goroutine does not inherit its creator's locks — this is
@@ -68,7 +59,7 @@ func badGoroutine(o *store.Object) {
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
 	go func() {
-		o.DropLocked() // want `DropLocked called without a lexically held mutex`
+		o.YieldLocalLocked(0) // want `YieldLocalLocked called without a lexically held mutex`
 	}()
 }
 

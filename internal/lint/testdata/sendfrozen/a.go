@@ -62,7 +62,7 @@ func enqueueCounts(q interface{ Enqueue(wire.NodeID, wire.Msg) }, to wire.NodeID
 // multicastCounts: one struct handed to many destinations at once.
 func multicastCounts(tr transport.Transport, dsts []wire.NodeID) {
 	val := &wire.CommitVal{}
-	_ = transport.Multicast(tr, dsts, val)
+	_ = tr.Multicast(dsts, val)
 	val.Epoch = 2 // want `wire message val written after being handed to Multicast`
 }
 

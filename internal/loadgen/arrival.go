@@ -79,15 +79,3 @@ func (Poisson) Schedule(rate float64, duration time.Duration, seed int64) []time
 		out = append(out, d)
 	}
 }
-
-// ArrivalByName resolves a process name from a summary or SLO record key
-// back to its generator (const and poisson; unknown names return nil).
-func ArrivalByName(name string) Arrival {
-	switch name {
-	case "const":
-		return ConstantRate{}
-	case "poisson":
-		return Poisson{}
-	}
-	return nil
-}

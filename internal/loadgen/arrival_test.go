@@ -75,18 +75,6 @@ func TestPoissonInterArrival(t *testing.T) {
 	}
 }
 
-func TestArrivalByName(t *testing.T) {
-	if a := ArrivalByName("const"); a == nil || a.Name() != "const" {
-		t.Fatalf("const did not round-trip: %#v", a)
-	}
-	if a := ArrivalByName("poisson"); a == nil || a.Name() != "poisson" {
-		t.Fatalf("poisson did not round-trip: %#v", a)
-	}
-	if a := ArrivalByName("uniform"); a != nil {
-		t.Fatalf("unknown name resolved to %#v", a)
-	}
-}
-
 // TestScheduleDrift bounds how late the harness itself issues requests: with
 // a no-op workload the only latency is scheduler wakeup jitter plus slot
 // claiming, so the omission-safe p99 is an upper bound on harness-induced

@@ -50,6 +50,7 @@ func newEngineObs(e *Engine, r *obs.Registry) *engineObs {
 	r.CounterFunc("own_nacks_sent_total", e.stNacks.Load)
 	r.CounterFunc("own_timeouts_total", e.stTimeouts.Load)
 	r.CounterFunc("own_replays_total", e.stReplays.Load)
+	r.CounterFunc("own_bare_grants_total", e.stBareGrants.Load)
 	return b
 }
 

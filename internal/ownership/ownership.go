@@ -31,9 +31,10 @@
 // REQ handling inline, and an arbiter hands its ACK straight to the local ACK
 // collection. A failure-free move allocates only what crosses the wire: the
 // INV, the remote arbiters' ACKs and the VAL. What merely outlives a call is
-// reused: the arbiters' arbitration records (pendPool) and the requester-side
-// record of an acquisition (ACK set, wake-up channel, attempt timer; see
-// pendingReq for what guards its reuse).
+// reused: the arbiters' arbitration records (pooled inside the store, which
+// only ever hands out copies) and the requester-side record of an acquisition
+// (ACK set, wake-up channel, attempt timer; see pendingReq for what guards its
+// reuse).
 package ownership
 
 import (
@@ -97,8 +98,8 @@ type Config struct {
 	// NACKs ownership requests for objects with pending reliable commits
 	// (§4.1). It MUST NOT lock the object (the engine may hold the object
 	// mutex when calling it); objects held by executing local transactions
-	// are detected by the engine itself via Object.LocalOwner. Nil means no
-	// commit engine: never pending.
+	// are detected by the engine itself via Object.LocalOwnerLocked. Nil
+	// means no commit engine: never pending.
 	HasPendingCommit func(wire.ObjectID) bool
 	// Clock is the node's hybrid-logical clock: the engine merges the commit
 	// timestamps riding on ownership ACKs/RESPs into it, and transferred
@@ -146,6 +147,10 @@ type Stats struct {
 	Nacks     uint64
 	Timeouts  uint64
 	Replays   uint64 // arb-replays driven during recovery
+	// BareGrants counts grants that raised this node's level over a record
+	// holding no value, with none shipped (object creation aside): the
+	// precondition of ROADMAP item 2-i's lost update. 0 on a correct run.
+	BareGrants uint64
 }
 
 // Engine runs the ownership protocol on one node.
@@ -200,6 +205,8 @@ type Engine struct {
 	stTimeouts  atomic.Uint64
 	stReplays   atomic.Uint64
 
+	stBareGrants atomic.Uint64
+
 	rngMu sync.Mutex
 	rng   *rand.Rand
 }
@@ -219,10 +226,7 @@ type ackSet struct {
 	acked       wire.Bitmap
 	ts          wire.OTS
 	newReplicas wire.ReplicaSet
-	hasData     bool
-	tversion    uint64
-	data        []byte
-	cts         uint64
+	val         store.Shipped // the data source's piggyback, if any
 	applied     bool
 }
 
@@ -272,10 +276,7 @@ type recovState struct {
 	arbiters wire.Bitmap
 	acked    wire.Bitmap
 	pend     store.PendingOwn
-	hasData  bool
-	tversion uint64
-	data     []byte
-	cts      uint64
+	val      store.Shipped
 	finished bool
 }
 
@@ -335,6 +336,8 @@ func (e *Engine) Stats() Stats {
 		Nacks:     e.stNacks.Load(),
 		Timeouts:  e.stTimeouts.Load(),
 		Replays:   e.stReplays.Load(),
+
+		BareGrants: e.stBareGrants.Load(),
 	}
 }
 
@@ -421,14 +424,11 @@ func (e *Engine) levelSatisfied(obj wire.ObjectID, mode wire.ReqMode) bool {
 	}
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
-	if o.OState != store.OValid && o.OState != store.ORequest {
-		return false
-	}
 	switch mode {
 	case wire.AcquireOwner:
-		return o.Level == wire.Owner
+		return o.HoldsLocked(wire.Owner)
 	case wire.AcquireReader:
-		return o.Level == wire.Owner || o.Level == wire.Reader
+		return o.HoldsLocked(wire.Reader)
 	default:
 		return false
 	}
@@ -530,9 +530,7 @@ func (e *Engine) run(obj wire.ObjectID, mode wire.ReqMode, target wire.Bitmap) e
 		// Mark local o_state = Request (unless an INV owns the entry).
 		o, _ := e.st.GetOrCreate(obj)
 		o.Mu.Lock()
-		if o.OState == store.OValid {
-			o.OState = store.ORequest
-		}
+		o.RequestLocked()
 		o.Mu.Unlock()
 
 		driver := e.pickDriver(obj, unknownFrom)
@@ -633,9 +631,7 @@ func (e *Engine) run(obj wire.ObjectID, mode wire.ReqMode, target wire.Bitmap) e
 func (e *Engine) resetRequestState(obj wire.ObjectID) {
 	if o, ok := e.st.Get(obj); ok {
 		o.Mu.Lock()
-		if o.OState == store.ORequest {
-			o.OState = store.OValid
-		}
+		o.SettleRequestLocked()
 		o.Mu.Unlock()
 	}
 }
@@ -715,11 +711,13 @@ func (e *Engine) handleReq(m *wire.OwnReq) {
 	}
 	o, _ := e.st.GetOrCreate(m.Obj)
 	o.Mu.Lock()
+	cur := o.ReplicasLocked()
+	pend, arbitrating := o.PendingLocked()
 
 	// Unknown object: no replica anywhere and not a creation request.
 	// (This also covers deleted objects and catastrophic data loss.)
-	if m.Mode != wire.CreateObject && o.Replicas.Owner == wire.NoNode &&
-		o.Replicas.Readers.Count() == 0 && o.Pending == nil {
+	if m.Mode != wire.CreateObject && cur.Owner == wire.NoNode &&
+		cur.Readers.Count() == 0 && !arbitrating {
 		o.Mu.Unlock()
 		e.send(m.Requester, &wire.OwnNack{ReqID: m.ReqID, Obj: m.Obj, Epoch: epoch, From: e.self, Reason: wire.NackUnknownObject})
 		return
@@ -727,11 +725,10 @@ func (e *Engine) handleReq(m *wire.OwnReq) {
 
 	// Retry of the request this driver already arbitrates: re-INV with the
 	// same o_ts (idempotent); arbiters that already applied re-ACK.
-	if o.Pending != nil && o.Pending.ReqID == m.ReqID {
-		inv := invFromPending(m.Obj, o.Pending)
-		arbiters := o.Pending.Arbiters
+	if arbitrating && pend.ReqID == m.ReqID {
 		o.Mu.Unlock()
-		e.sendOthers(arbiters, inv)
+		inv := invFromPending(m.Obj, pend)
+		e.sendOthers(pend.Arbiters, inv)
 		e.ackAsArbiter(inv) // driver re-ACKs too
 		return
 	}
@@ -744,9 +741,8 @@ func (e *Engine) handleReq(m *wire.OwnReq) {
 	// arbitration has lingered (its requester died or gave up before
 	// validating), the driver force-completes it via arb-replay — any
 	// arbiter has all the information to do so idempotently (§4.1).
-	if o.Pending != nil {
-		stale := time.Since(o.Pending.Since) > staleAfter
-		pend := *o.Pending
+	if arbitrating {
+		stale := time.Since(pend.Since) > staleAfter
 		o.Mu.Unlock()
 		e.stNacks.Add(1)
 		e.send(m.Requester, &wire.OwnNack{
@@ -767,8 +763,8 @@ func (e *Engine) handleReq(m *wire.OwnReq) {
 	// HasPendingCommit reads the object's atomic PendingCommits counter
 	// (bumped under the object lock at local-commit time) when wired to
 	// the commit engine, and is a stub seam in tests.
-	if o.Level == wire.Owner && m.Requester != e.self &&
-		(o.LocalOwner != store.NoLocalOwner || e.cfg.HasPendingCommit(m.Obj)) {
+	if o.LevelLocked() == wire.Owner && m.Requester != e.self &&
+		(o.LocalOwnerLocked() != store.NoLocalOwner || e.cfg.HasPendingCommit(m.Obj)) {
 		o.YieldLocalLocked(transferYield)
 		o.Mu.Unlock()
 		e.stNacks.Add(1)
@@ -782,10 +778,9 @@ func (e *Engine) handleReq(m *wire.OwnReq) {
 	// Mint a fresh o_ts strictly above the applied version. Concurrent
 	// requests through other drivers mint the same version with different
 	// node ids; the lexicographic order picks exactly one winner (§4.1).
-	ts := wire.OTS{Ver: o.OTS.Ver + 1, Node: e.self}
+	ts := wire.OTS{Ver: o.OTSLocked().Ver + 1, Node: e.self}
 
 	// Compute the replica set after the request.
-	cur := o.Replicas
 	var next wire.ReplicaSet
 	switch m.Mode {
 	case wire.AcquireOwner:
@@ -832,44 +827,20 @@ func (e *Engine) handleReq(m *wire.OwnReq) {
 		}
 	}
 
-	setPendingLocked(o, store.PendingOwn{
+	pend = store.PendingOwn{
 		ReqID: m.ReqID, TS: ts, Requester: m.Requester, Driver: e.self,
 		Mode: m.Mode, NewReplicas: next, PrevOwner: prevOwner,
 		Arbiters: arbiters, Epoch: epoch, Since: time.Now(),
-	})
-	o.OState = store.ODrive
-	inv := invFromPending(m.Obj, o.Pending)
+	}
+	o.DriveLocked(pend)
 	o.Mu.Unlock()
 
+	inv := invFromPending(m.Obj, pend)
 	e.sendOthers(arbiters, inv)
 	e.ackAsArbiter(inv)
 }
 
-// pendPool recycles arbitration records: an object's Pending is set at
-// REQ/INV time and cleared at VAL time, three records per move. That is safe
-// because Pending is only ever followed under the object's Mu and no reader
-// keeps the pointer past it — they copy the record, or the fields they need,
-// while they hold the lock.
-var pendPool = sync.Pool{New: func() any { return new(store.PendingOwn) }}
-
-// setPendingLocked makes p the object's arbitration record (caller holds
-// o.Mu), recycling the one it supersedes.
-func setPendingLocked(o *store.Object, p store.PendingOwn) {
-	clearPendingLocked(o)
-	o.Pending = pendPool.Get().(*store.PendingOwn)
-	*o.Pending = p
-}
-
-// clearPendingLocked drops the object's arbitration record, if any (caller
-// holds o.Mu).
-func clearPendingLocked(o *store.Object) {
-	if p := o.Pending; p != nil {
-		o.Pending = nil
-		pendPool.Put(p)
-	}
-}
-
-func invFromPending(obj wire.ObjectID, p *store.PendingOwn) *wire.OwnInv {
+func invFromPending(obj wire.ObjectID, p store.PendingOwn) *wire.OwnInv {
 	return &wire.OwnInv{
 		ReqID: p.ReqID, Obj: obj, TS: p.TS, Epoch: p.Epoch,
 		Requester: p.Requester, Driver: p.Driver, Mode: p.Mode,
@@ -927,7 +898,7 @@ func (e *Engine) buildAck(ack *wire.OwnAck, inv *wire.OwnInv) {
 			// the ex-owner therefore always piggybacks its data, which
 			// is final (an initiated reliable commit cannot abort), and
 			// the requester's t_version check applies it idempotently.
-			if inv.Recovery || o.Replicas.LevelOf(inv.Requester) == wire.NonReplica {
+			if inv.Recovery || o.ReplicasLocked().LevelOf(inv.Requester) == wire.NonReplica {
 				ack.HasData = true
 				ack.TVersion = o.TVersion()
 				ack.CTS = o.CommitCTSLocked()
@@ -957,15 +928,16 @@ func (e *Engine) handleInv(m *wire.OwnInv) {
 
 	// Idempotent re-delivery or replay: already holding / applied this
 	// exact arbitration → just re-ACK.
-	if (o.Pending != nil && o.Pending.TS == m.TS) || o.OTS == m.TS {
+	effective := o.OTSLocked()
+	pend, arbitrating := o.PendingLocked()
+	if (arbitrating && pend.TS == m.TS) || effective == m.TS {
 		o.Mu.Unlock()
 		e.ackAsArbiter(m)
 		return
 	}
 
-	effective := o.OTS
-	if o.Pending != nil && effective.Less(o.Pending.TS) {
-		effective = o.Pending.TS
+	if arbitrating && effective.Less(pend.TS) {
+		effective = pend.TS
 	}
 	if !effective.Less(m.TS) {
 		o.Mu.Unlock()
@@ -991,8 +963,8 @@ func (e *Engine) handleInv(m *wire.OwnInv) {
 	// Replayed INVs bypass this: the locally committed values are final
 	// (an initiated reliable commit cannot abort) and replication of the
 	// in-flight slots completes independently.
-	if !m.Recovery && e.self == m.PrevOwner && o.Level == wire.Owner &&
-		(o.LocalOwner != store.NoLocalOwner || e.cfg.HasPendingCommit(m.Obj)) {
+	if !m.Recovery && e.self == m.PrevOwner && o.LevelLocked() == wire.Owner &&
+		(o.LocalOwnerLocked() != store.NoLocalOwner || e.cfg.HasPendingCommit(m.Obj)) {
 		// Transfer fairness: a back-to-back local write stream would keep
 		// this guard busy forever, so defer new local write grants long
 		// enough for the pipeline to drain and the requester to re-probe.
@@ -1006,30 +978,13 @@ func (e *Engine) handleInv(m *wire.OwnInv) {
 		return
 	}
 
-	// If this node was driving a different, smaller-ts request, that
-	// request lost: NACK its requester (contention resolution, §4.1).
-	// Copied, not pointed to: setPendingLocked recycles the superseded record.
-	var loser store.PendingOwn
-	lost := false
-	if o.OState == store.ODrive && o.Pending != nil && o.Pending.Driver == e.self && o.Pending.ReqID != m.ReqID {
-		loser, lost = *o.Pending, true
-	}
-
-	setPendingLocked(o, store.PendingOwn{
+	// If this node was driving a different, smaller-ts request, that request
+	// lost: its requester is NACKed below (contention resolution, §4.1).
+	loser, lost := o.InvalidateLocked(store.PendingOwn{
 		ReqID: m.ReqID, TS: m.TS, Requester: m.Requester, Driver: m.Driver,
 		Mode: m.Mode, NewReplicas: m.NewReplicas, PrevOwner: m.PrevOwner,
 		Arbiters: m.Arbiters, Epoch: m.Epoch, Since: time.Now(),
-	})
-	o.OState = store.OInvalid
-	// An owner that accepts an INV moving ownership away relinquishes its
-	// write rights with the ACK (§4.1) — the requester applies first and
-	// may serve writes before our VAL arrives, so keeping Level = Owner
-	// until then would present two owners to local readers. Demote to
-	// reader now (WithOwner keeps the ex-owner's replica); the VAL installs
-	// the final level either way.
-	if o.Level == wire.Owner && m.NewReplicas.LevelOf(e.self) != wire.Owner {
-		o.Level = wire.Reader
-	}
+	}, e.self)
 
 	// Did a VAL overtake this INV? Apply immediately if so.
 	hasVal := false
@@ -1040,15 +995,13 @@ func (e *Engine) handleInv(m *wire.OwnInv) {
 		}
 		return awaited, false, false
 	})
-	var gts wire.OTS
-	var greps wire.ReplicaSet
-	granted := false
+	applied, bare := false, false
 	if hasVal {
-		gts, greps, granted = e.applyLocked(o)
+		_, applied, bare = o.GrantPendingLocked(e.self)
 	}
 	o.Mu.Unlock()
-	if granted {
-		e.recGrant(m.Obj, gts, greps)
+	if applied {
+		e.recGrant(m.Obj, m.TS, m.NewReplicas, m.Mode, bare)
 	}
 
 	if lost {
@@ -1061,35 +1014,17 @@ func (e *Engine) handleInv(m *wire.OwnInv) {
 	e.ackAsArbiter(m)
 }
 
-// applyLocked applies the pending request to the object (caller holds o.Mu):
-// replica set, ownership timestamp, this node's access level, and state
-// Valid. Dropped replicas discard their data; deletes are handled by caller.
-// It returns the applied grant so the caller can WAL it after releasing the
-// object mutex (recGrant; grant records never block the object lock).
-func (e *Engine) applyLocked(o *store.Object) (ts wire.OTS, reps wire.ReplicaSet, applied bool) {
-	p := o.Pending
-	if p == nil {
-		return wire.OTS{}, wire.ReplicaSet{}, false
-	}
-	ts, reps = p.TS, p.NewReplicas
-	clearPendingLocked(o)
-	wasReplica := o.Level != wire.NonReplica
-	o.Replicas = reps
-	o.OTS = ts
-	o.OState = store.OValid
-	newLevel := reps.LevelOf(e.self)
-	if wasReplica && newLevel == wire.NonReplica {
-		o.DropLocked() // dropped reader discards its replica
-	}
-	o.Level = newLevel
-	return ts, reps, true
-}
-
-// recGrant records an applied ownership grant in the WAL (best effort:
+// recGrant counts an applied grant and records it in the WAL (best effort:
 // grant records are recovery hints — the restarted node re-derives
-// authoritative levels from state sync — so a failed append degrades
-// nothing but restart locality). Called outside the object mutex.
-func (e *Engine) recGrant(obj wire.ObjectID, ts wire.OTS, reps wire.ReplicaSet) {
+// authoritative levels from state sync — so a failed append degrades nothing
+// but restart locality). Called outside the object mutex: grant records never
+// block the object lock. bare is the grant transition's report that it raised
+// a record holding no value without one being shipped; a created object's
+// value follows by R-INV by design, anything else is ROADMAP item 2-i.
+func (e *Engine) recGrant(obj wire.ObjectID, ts wire.OTS, reps wire.ReplicaSet, mode wire.ReqMode, bare bool) {
+	if bare && mode != wire.CreateObject {
+		e.stBareGrants.Add(1)
+	}
 	if l := e.log; l != nil {
 		_ = l.Append(storage.Record{
 			Kind: storage.RecGrant, Obj: obj, TS: ts,
@@ -1104,18 +1039,19 @@ func (e *Engine) handleVal(m *wire.OwnVal) {
 	}
 	o, _ := e.st.GetOrCreate(m.Obj)
 	o.Mu.Lock()
+	ots := o.OTSLocked()
+	pend, arbitrating := o.PendingLocked()
 	switch {
-	case o.Pending != nil && o.Pending.TS == m.TS:
-		mode := o.Pending.Mode
-		gts, greps, granted := e.applyLocked(o)
+	case arbitrating && pend.TS == m.TS:
+		_, applied, bare := o.GrantPendingLocked(e.self)
 		o.Mu.Unlock()
-		if granted {
-			e.recGrant(m.Obj, gts, greps)
+		if applied {
+			e.recGrant(m.Obj, pend.TS, pend.NewReplicas, pend.Mode, bare)
 		}
-		if mode == wire.DeleteObject && !e.dir.DrivesShard(e.self, m.Obj) {
+		if pend.Mode == wire.DeleteObject && !e.dir.DrivesShard(e.self, m.Obj) {
 			e.st.Delete(m.Obj)
 		}
-	case o.OTS == m.TS || (o.Pending != nil && m.TS.Less(o.Pending.TS)) || m.TS.Less(o.OTS):
+	case ots == m.TS || (arbitrating && m.TS.Less(pend.TS)) || m.TS.Less(ots):
 		o.Mu.Unlock() // duplicate or superseded: ignore
 	default:
 		// VAL overtook its INV (different senders): stash until the INV
@@ -1173,10 +1109,7 @@ func (e *Engine) handleAck(m *wire.OwnAck) {
 	req.newReplicas = m.NewReplicas
 	req.acked = req.acked.Add(m.From)
 	if m.HasData {
-		req.hasData = true
-		req.tversion = m.TVersion
-		req.data = m.Data
-		req.cts = m.CTS
+		req.val = store.Shipped{Has: true, CTS: m.CTS, Version: m.TVersion, Data: m.Data}
 	}
 	if req.acked.Intersect(req.arbiters) != req.arbiters {
 		req.mu.Unlock()
@@ -1188,7 +1121,7 @@ func (e *Engine) handleAck(m *wire.OwnAck) {
 
 	// All expected ACKs received: the requester applies the request first
 	// (before any arbiter), unblocks the application, then VALs.
-	e.applyAsRequester(m.Obj, got.ts, got.newReplicas, mode, got.hasData, got.tversion, got.data, got.cts)
+	e.applyAsRequester(m.Obj, got.ts, got.newReplicas, mode, got.val)
 	req.deliver(m.ReqID, outcome{ok: true})
 	e.sendOthers(got.arbiters, &wire.OwnVal{ReqID: m.ReqID, Obj: m.Obj, TS: got.ts, Epoch: m.Epoch})
 }
@@ -1201,49 +1134,22 @@ func (e *Engine) handleAck(m *wire.OwnAck) {
 // finishing an arbitration its requester abandoned (attempt timeout) and
 // re-ran: applying the abandoned grant over the newer state would hand
 // ownership metadata back in time and present two owners.
-func (e *Engine) applyAsRequester(obj wire.ObjectID, ts wire.OTS, reps wire.ReplicaSet,
-	mode wire.ReqMode, hasData bool, tversion uint64, data []byte, cts uint64) {
-
-	if mode == wire.DeleteObject {
-		if e.dir.DrivesShard(e.self, obj) {
-			if o, ok := e.st.Get(obj); ok {
-				o.Mu.Lock()
-				if !ts.Less(o.OTS) {
-					o.Replicas = reps
-					o.OTS = ts
-					o.OState = store.OValid
-					clearPendingLocked(o)
-					o.Level = wire.NonReplica
-					o.DropLocked() // the driver keeps the bare directory entry
-				}
-				o.Mu.Unlock()
-			}
-		} else {
-			e.st.Delete(obj)
-		}
+func (e *Engine) applyAsRequester(obj wire.ObjectID, ts wire.OTS, reps wire.ReplicaSet, mode wire.ReqMode, val store.Shipped) {
+	if mode == wire.DeleteObject && !e.dir.DrivesShard(e.self, obj) {
+		e.st.Delete(obj)
 		return
 	}
+	// A driver keeps the bare directory entry of an object it deleted, so
+	// there the delete is a grant like any other: to nobody.
 	o, _ := e.st.GetOrCreate(obj)
 	o.Mu.Lock()
-	if ts.Less(o.OTS) {
-		o.Mu.Unlock()
+	applied, bare := o.GrantLocked(e.self, ts, reps, val)
+	o.Mu.Unlock()
+	if !applied {
 		return
 	}
-	o.Replicas = reps
-	o.OTS = ts
-	o.OState = store.OValid
-	clearPendingLocked(o)
-	if hasData && tversion >= o.TVersion() {
-		o.InstallLocked(cts, tversion, data)
-	}
-	newLevel := reps.LevelOf(e.self)
-	if o.Level != wire.NonReplica && newLevel == wire.NonReplica {
-		o.DropLocked()
-	}
-	o.Level = newLevel
-	o.Mu.Unlock()
-	e.clock.Update(cts)
-	e.recGrant(obj, ts, reps)
+	e.clock.Update(val.CTS)
+	e.recGrant(obj, ts, reps, mode, bare)
 }
 
 func (e *Engine) handleNack(m *wire.OwnNack) {
@@ -1276,14 +1182,7 @@ func (e *Engine) Resume() {
 func (e *Engine) PruneDead(live wire.Bitmap) {
 	e.st.ForEach(func(o *store.Object) bool {
 		o.Mu.Lock()
-		o.Replicas = o.Replicas.Prune(live)
-		if o.Pending != nil {
-			o.Pending.Arbiters = o.Pending.Arbiters.Intersect(live)
-			o.Pending.NewReplicas = o.Pending.NewReplicas.Prune(live)
-			if !live.Contains(o.Pending.PrevOwner) {
-				o.Pending.PrevOwner = wire.NoNode
-			}
-		}
+		o.PruneLocked(live)
 		o.Mu.Unlock()
 		return true
 	})
@@ -1302,10 +1201,8 @@ func (e *Engine) ArbReplayAll() {
 	var replays []replay
 	e.st.ForEach(func(o *store.Object) bool {
 		o.Mu.Lock()
-		if o.Pending != nil && (o.OState == store.OInvalid || o.OState == store.ODrive) {
-			o.Pending.Epoch = epoch
-			o.Pending.Arbiters = o.Pending.Arbiters.Intersect(live)
-			replays = append(replays, replay{obj: o.ID, pend: *o.Pending})
+		if pend, ok := o.ReplayLocked(epoch, live); ok {
+			replays = append(replays, replay{obj: o.ID, pend: pend})
 		}
 		o.Mu.Unlock()
 		return true
@@ -1340,7 +1237,7 @@ func (e *Engine) arbReplay(obj wire.ObjectID, pend store.PendingOwn, epoch wire.
 	e.recovN.Add(1)
 	e.recovMu.Unlock()
 
-	inv := invFromPending(obj, &pend)
+	inv := invFromPending(obj, pend)
 	inv.Epoch = epoch
 	inv.Driver = e.self // ACKs flow to the replaying driver
 	inv.Recovery = true
@@ -1356,10 +1253,7 @@ func (e *Engine) arbReplay(obj wire.ObjectID, pend store.PendingOwn, epoch wire.
 func (e *Engine) handleRecoveryAckLocked(rs *recovState, m *wire.OwnAck) {
 	rs.acked = rs.acked.Add(m.From)
 	if m.HasData {
-		rs.hasData = true
-		rs.tversion = m.TVersion
-		rs.data = m.Data
-		rs.cts = m.CTS
+		rs.val = store.Shipped{Has: true, CTS: m.CTS, Version: m.TVersion, Data: m.Data}
 	}
 	e.checkRecoveryCompleteLocked(rs, m.Epoch)
 }
@@ -1380,30 +1274,28 @@ func (e *Engine) checkRecoveryCompleteLocked(rs *recovState, epoch wire.Epoch) {
 		e.send(p.Requester, &wire.OwnResp{
 			ReqID: rs.reqID, Obj: rs.obj, TS: rs.ts, Epoch: epoch,
 			Driver: e.self, Arbiters: rs.arbiters, NewReplicas: p.NewReplicas,
-			Mode: p.Mode, HasData: rs.hasData, TVersion: rs.tversion, Data: rs.data,
-			CTS: rs.cts,
+			Mode: p.Mode, HasData: rs.val.Has, TVersion: rs.val.Version, Data: rs.val.Data,
+			CTS: rs.val.CTS,
 		})
 		return
 	}
 	// Requester dead (or is this very node): finalize directly.
 	go func() {
 		if p.Requester == e.self {
-			e.applyAsRequester(rs.obj, rs.ts, p.NewReplicas, p.Mode, rs.hasData, rs.tversion, rs.data, rs.cts)
+			e.applyAsRequester(rs.obj, rs.ts, p.NewReplicas, p.Mode, rs.val)
 		}
 		e.sendOthers(rs.arbiters, &wire.OwnVal{ReqID: rs.reqID, Obj: rs.obj, TS: rs.ts, Epoch: epoch})
 		// Ensure the local entry is validated too (the requester may have
 		// died before applying; this node holds the pending record).
 		if o, ok := e.st.Get(rs.obj); ok {
 			o.Mu.Lock()
-			var gts wire.OTS
-			var greps wire.ReplicaSet
-			granted := false
-			if o.Pending != nil && o.Pending.TS == rs.ts {
-				gts, greps, granted = e.applyLocked(o)
+			applied, bare := false, false
+			if pend, ok := o.PendingLocked(); ok && pend.TS == rs.ts {
+				_, applied, bare = o.GrantPendingLocked(e.self)
 			}
 			o.Mu.Unlock()
-			if granted {
-				e.recGrant(rs.obj, gts, greps)
+			if applied {
+				e.recGrant(rs.obj, rs.ts, p.NewReplicas, p.Mode, bare)
 			}
 		}
 	}()
@@ -1415,7 +1307,8 @@ func (e *Engine) handleResp(m *wire.OwnResp) {
 	if m.Epoch != e.agent.Epoch() {
 		return
 	}
-	e.applyAsRequester(m.Obj, m.TS, m.NewReplicas, m.Mode, m.HasData, m.TVersion, m.Data, m.CTS)
+	e.applyAsRequester(m.Obj, m.TS, m.NewReplicas, m.Mode,
+		store.Shipped{Has: m.HasData, CTS: m.CTS, Version: m.TVersion, Data: m.Data})
 	if req, ok := e.pending.Get(m.ReqID); ok {
 		req.deliver(m.ReqID, outcome{ok: true})
 	}

@@ -126,7 +126,7 @@ func (c *tcluster) ownersOf(obj wire.ObjectID) []wire.NodeID {
 	for _, nd := range c.nodes {
 		if o, ok := nd.st.Get(obj); ok {
 			o.Mu.Lock()
-			if o.Level == wire.Owner {
+			if o.LevelLocked() == wire.Owner {
 				out = append(out, nd.id)
 			}
 			o.Mu.Unlock()
@@ -142,7 +142,7 @@ func (c *tcluster) waitLevel(t *testing.T, id wire.NodeID, obj wire.ObjectID, lv
 	for {
 		if o, ok := c.nodes[id].st.Get(obj); ok {
 			o.Mu.Lock()
-			cur := o.Level
+			cur := o.LevelLocked()
 			o.Mu.Unlock()
 			if cur == lvl {
 				return
@@ -175,8 +175,10 @@ func seed(t *testing.T, c *tcluster, owner wire.NodeID, obj wire.ObjectID, reade
 			continue
 		}
 		o.Mu.Lock()
-		if o.Level == wire.Owner || o.Level == wire.Reader {
-			o.InstallLocked(0, 1, append([]byte(nil), data...))
+		if o.LevelLocked() != wire.NonReplica {
+			// The same grant again, this time with the value.
+			o.GrantLocked(nd.id, o.OTSLocked(), o.ReplicasLocked(),
+				store.Shipped{Has: true, Version: 1, Data: append([]byte(nil), data...)})
 		}
 		o.Mu.Unlock()
 	}
@@ -204,7 +206,7 @@ func (c *tcluster) waitDir(t *testing.T, d wire.NodeID, obj wire.ObjectID, ok fu
 	for {
 		if o, found := c.nodes[d].st.Get(obj); found {
 			o.Mu.Lock()
-			st, reps := o.OState, o.Replicas
+			st, reps := o.OStateLocked(), o.ReplicasLocked()
 			o.Mu.Unlock()
 			if st == store.OValid && ok(reps) {
 				return
@@ -228,7 +230,7 @@ func TestAcquireOwnershipTransfersDataToNonReplica(t *testing.T) {
 		t.Fatal("no object at new owner")
 	}
 	o.Mu.Lock()
-	lvl, data := o.Level, string(o.DataLocked())
+	lvl, data := o.LevelLocked(), string(o.DataLocked())
 	o.Mu.Unlock()
 	if lvl != wire.Owner {
 		t.Fatalf("level = %v", lvl)
@@ -253,8 +255,8 @@ func TestAcquireOwnershipFromReaderNoDataTransfer(t *testing.T) {
 	o, _ := c.nodes[3].st.Get(9)
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
-	if o.Level != wire.Owner || string(o.DataLocked()) != "xyz" {
-		t.Fatalf("reader-to-owner: %v %q", o.Level, o.DataLocked())
+	if o.LevelLocked() != wire.Owner || string(o.DataLocked()) != "xyz" {
+		t.Fatalf("reader-to-owner: %v %q", o.LevelLocked(), o.DataLocked())
 	}
 }
 
@@ -267,8 +269,8 @@ func TestAcquireReadAddsReplica(t *testing.T) {
 	o, _ := c.nodes[3].st.Get(11)
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
-	if o.Level != wire.Reader || string(o.DataLocked()) != "r" {
-		t.Fatalf("got %v %q", o.Level, o.DataLocked())
+	if o.LevelLocked() != wire.Reader || string(o.DataLocked()) != "r" {
+		t.Fatalf("got %v %q", o.LevelLocked(), o.DataLocked())
 	}
 }
 
@@ -382,7 +384,7 @@ func TestDeleteRemovesEverywhere(t *testing.T) {
 		gone := true
 		if o, ok := c.nodes[3].st.Get(33); ok {
 			o.Mu.Lock()
-			if o.Level != wire.NonReplica || o.DataLocked() != nil {
+			if o.LevelLocked() != wire.NonReplica || o.DataLocked() != nil {
 				gone = false
 			}
 			o.Mu.Unlock()
@@ -409,8 +411,8 @@ func TestOwnerDeathNewOwnerTakesOverFromReader(t *testing.T) {
 	// Directory pruned the dead owner.
 	o, _ := c.nodes[0].st.Get(55)
 	o.Mu.Lock()
-	if o.Replicas.Owner != wire.NoNode {
-		t.Fatalf("dead owner still recorded: %v", o.Replicas)
+	if o.ReplicasLocked().Owner != wire.NoNode {
+		t.Fatalf("dead owner still recorded: %v", o.ReplicasLocked())
 	}
 	o.Mu.Unlock()
 	// A non-replica node takes over; data is sourced from the reader.
@@ -420,8 +422,8 @@ func TestOwnerDeathNewOwnerTakesOverFromReader(t *testing.T) {
 	no, _ := c.nodes[2].st.Get(55)
 	no.Mu.Lock()
 	defer no.Mu.Unlock()
-	if no.Level != wire.Owner || string(no.DataLocked()) != "survivor" {
-		t.Fatalf("takeover failed: %v %q", no.Level, no.DataLocked())
+	if no.LevelLocked() != wire.Owner || string(no.DataLocked()) != "survivor" {
+		t.Fatalf("takeover failed: %v %q", no.LevelLocked(), no.DataLocked())
 	}
 }
 
@@ -440,9 +442,7 @@ func TestArbReplayCompletesOrphanedRequest(t *testing.T) {
 	for _, id := range []wire.NodeID{0, 1, 2} {
 		o, _ := c.nodes[id].st.Get(77)
 		o.Mu.Lock()
-		p := pend
-		o.Pending = &p
-		o.OState = store.OInvalid
+		o.InvalidateLocked(pend, id)
 		o.Mu.Unlock()
 	}
 	c.kill(t, 4) // triggers Pause → PruneDead → Resume → ArbReplayAll
@@ -452,7 +452,7 @@ func TestArbReplayCompletesOrphanedRequest(t *testing.T) {
 		for _, id := range []wire.NodeID{0, 1, 2} {
 			o, _ := c.nodes[id].st.Get(77)
 			o.Mu.Lock()
-			if o.OState != store.OValid || o.Pending != nil {
+			if _, arbitrating := o.PendingLocked(); arbitrating || o.OStateLocked() != store.OValid {
 				ok = false
 			}
 			o.Mu.Unlock()
@@ -470,8 +470,8 @@ func TestArbReplayCompletesOrphanedRequest(t *testing.T) {
 	o, _ := c.nodes[1].st.Get(77)
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
-	if o.Replicas.Owner == 4 {
-		t.Fatalf("dead node still owner: %v", o.Replicas)
+	if o.ReplicasLocked().Owner == 4 {
+		t.Fatalf("dead node still owner: %v", o.ReplicasLocked())
 	}
 	if replays := c.nodes[0].eng.Stats().Replays + c.nodes[1].eng.Stats().Replays +
 		c.nodes[2].eng.Stats().Replays; replays == 0 {
@@ -576,8 +576,8 @@ func TestInvariantSingleOwnerUnderChurn(t *testing.T) {
 				continue
 			}
 			o.Mu.Lock()
-			if o.OState == store.OValid {
-				reps = append(reps, o.Replicas)
+			if o.OStateLocked() == store.OValid {
+				reps = append(reps, o.ReplicasLocked())
 			}
 			o.Mu.Unlock()
 		}
@@ -593,7 +593,7 @@ func TestInvariantSingleOwnerUnderChurn(t *testing.T) {
 				t.Fatalf("obj %d: directory owner %d has no object", i, reps[0].Owner)
 			}
 			o.Mu.Lock()
-			lvl := o.Level
+			lvl := o.LevelLocked()
 			o.Mu.Unlock()
 			if lvl != wire.Owner {
 				t.Fatalf("obj %d: directory owner %d at level %v", i, reps[0].Owner, lvl)
@@ -763,7 +763,7 @@ func TestLateMessagesLeaveReusedRecordAlone(t *testing.T) {
 	e.pending.Put(finished, req)
 	o, _ := c.nodes[0].st.Get(80)
 	o.Mu.Lock()
-	ts, reps := o.OTS, o.Replicas
+	ts, reps := o.OTSLocked(), o.ReplicasLocked()
 	o.Mu.Unlock()
 	epoch := e.agent.Epoch()
 	e.Handle(1, &wire.OwnNack{ReqID: finished, Obj: 80, Epoch: epoch, From: 1, Reason: wire.NackLostArbitration})

@@ -1,0 +1,272 @@
+package store
+
+import (
+	"sync"
+	"time"
+
+	"zeus/internal/wire"
+)
+
+// OState is the ownership state of an object at an arbiter (§4).
+type OState uint8
+
+const (
+	// OValid: ownership metadata is stable.
+	OValid OState = iota
+	// OInvalid: an ownership INV has been applied; awaiting VAL.
+	OInvalid
+	// ORequest: this node has an outstanding ownership request.
+	ORequest
+	// ODrive: this directory node is driving an ownership request.
+	ODrive
+)
+
+func (s OState) String() string {
+	switch s {
+	case OValid:
+		return "Valid"
+	case OInvalid:
+		return "Invalid"
+	case ORequest:
+		return "Request"
+	case ODrive:
+		return "Drive"
+	default:
+		return "OState(?)"
+	}
+}
+
+// PendingOwn is the arbitration record an arbiter keeps between processing an
+// ownership INV and the matching VAL. It contains everything needed to replay
+// the exact INV during failure recovery (arb-replay, §4.1).
+type PendingOwn struct {
+	ReqID       uint64
+	TS          wire.OTS
+	Requester   wire.NodeID
+	Driver      wire.NodeID
+	Mode        wire.ReqMode
+	NewReplicas wire.ReplicaSet
+	PrevOwner   wire.NodeID
+	Arbiters    wire.Bitmap
+	Epoch       wire.Epoch
+	// Since records when this arbitration was applied locally; drivers
+	// force-complete (arb-replay) arbitrations that linger past a
+	// staleness threshold, e.g. because the requester gave up.
+	Since time.Time
+}
+
+// Shipped is a committed value that travels with a grant: the ownership ACK's
+// piggyback, a state-sync answer or hint, a seed. The zero Shipped ships
+// nothing.
+type Shipped struct {
+	Has     bool
+	CTS     uint64
+	Version uint64
+	Data    []byte
+}
+
+// pendPool recycles arbitration records: an object's is set at REQ/INV time
+// and cleared at VAL time, three records per move. The pointer never leaves
+// this file — PendingLocked and the transitions hand out copies — so a
+// recycled record cannot be read through a stale reference.
+var pendPool = sync.Pool{New: func() any { return new(PendingOwn) }}
+
+// setPendingLocked makes p the arbitration record, recycling the one it
+// supersedes.
+func (o *Object) setPendingLocked(p PendingOwn) {
+	o.clearPendingLocked()
+	o.pending = pendPool.Get().(*PendingOwn)
+	*o.pending = p
+}
+
+func (o *Object) clearPendingLocked() {
+	if p := o.pending; p != nil {
+		o.pending = nil
+		pendPool.Put(p)
+	}
+}
+
+// Reads of the ownership side (caller holds Mu).
+
+// LevelLocked returns this node's access level for the object.
+func (o *Object) LevelLocked() wire.AccessLevel { return o.level }
+
+// OStateLocked returns o_state.
+func (o *Object) OStateLocked() OState { return o.ostate }
+
+// OTSLocked returns o_ts, the timestamp of the last applied grant.
+func (o *Object) OTSLocked() wire.OTS { return o.ots }
+
+// ReplicasLocked returns o_replicas.
+func (o *Object) ReplicasLocked() wire.ReplicaSet { return o.replicas }
+
+// LocalOwnerLocked returns the worker holding the object for a write
+// transaction, or NoLocalOwner.
+func (o *Object) LocalOwnerLocked() int32 { return o.localOwner }
+
+// PendingLocked returns a copy of the in-flight arbitration record, if any.
+func (o *Object) PendingLocked() (PendingOwn, bool) {
+	if o.pending == nil {
+		return PendingOwn{}, false
+	}
+	return *o.pending, true
+}
+
+// HoldsLocked reports whether this node may act at level min (Reader or
+// Owner) right now: it has at least that level and no arbitration has
+// invalidated the entry — a node's own outstanding request (ORequest) does
+// not suspend the rights it already holds.
+func (o *Object) HoldsLocked(min wire.AccessLevel) bool {
+	return o.level >= min && (o.ostate == OValid || o.ostate == ORequest)
+}
+
+// RequestLocked marks this node's own ownership request as outstanding, unless
+// an arbitration holds the entry (caller holds Mu).
+func (o *Object) RequestLocked() {
+	if o.ostate == OValid {
+		o.ostate = ORequest
+	}
+}
+
+// SettleRequestLocked is RequestLocked undone for a request that was given up;
+// a granted one settles through GrantLocked (caller holds Mu).
+func (o *Object) SettleRequestLocked() {
+	if o.ostate == ORequest {
+		o.ostate = OValid
+	}
+}
+
+// DriveLocked records the arbitration this node starts driving (caller holds
+// Mu and has found no arbitration pending).
+func (o *Object) DriveLocked(p PendingOwn) {
+	o.setPendingLocked(p)
+	o.ostate = ODrive
+}
+
+// InvalidateLocked applies an arbiter's INV (caller holds Mu and has decided p
+// wins): p supersedes whatever arbitration was pending, and when that was a
+// different request this node was driving, a copy of it is returned — the
+// loser, whose requester the caller NACKs. An owner that accepts an INV moving
+// ownership away gives up its write rights with the ACK (§4.1): the requester
+// applies first and may serve writes before the VAL arrives here, so the owner
+// is demoted to Reader now; the VAL installs the final level either way.
+func (o *Object) InvalidateLocked(p PendingOwn, self wire.NodeID) (loser PendingOwn, lost bool) {
+	if old := o.pending; old != nil && o.ostate == ODrive && old.Driver == self && old.ReqID != p.ReqID {
+		loser, lost = *old, true
+	}
+	o.setPendingLocked(p)
+	o.ostate = OInvalid
+	if o.level == wire.Owner && p.NewReplicas.LevelOf(self) != wire.Owner {
+		o.level = wire.Reader
+	}
+	return loser, lost
+}
+
+// GrantLocked applies a grant (caller holds Mu): ⟨reps, ts⟩ become the entry,
+// o_state Valid, no arbitration pending, and this node's level what reps gives
+// self. It is the only code that raises a level, and the value moves with it:
+// a node that leaves the set drops its replica, one in the set installs val
+// unless it already holds a newer version. A ts older than o_ts is refused —
+// applied false, nothing touched. bare reports a raise that left the record
+// without a value (version 0): none was shipped to a node that held none.
+func (o *Object) GrantLocked(self wire.NodeID, ts wire.OTS, reps wire.ReplicaSet, val Shipped) (applied, bare bool) {
+	if ts.Less(o.ots) {
+		return false, false
+	}
+	o.clearPendingLocked()
+	o.replicas, o.ots, o.ostate = reps, ts, OValid
+	was := o.level
+	o.level = reps.LevelOf(self)
+	switch {
+	case o.level == wire.NonReplica:
+		if was != wire.NonReplica {
+			o.dropLocked()
+		}
+	case val.Has && val.Version >= o.TVersion():
+		o.installLocked(val.CTS, val.Version, val.Data)
+	}
+	return true, o.level > was && o.TVersion() == 0
+}
+
+// GrantPendingLocked applies the pending arbitration as a grant without a
+// value (caller holds Mu) and returns a copy of it; applied is false when
+// there was none, or when o_ts has since passed it — the arbitration is void
+// and dropped.
+func (o *Object) GrantPendingLocked(self wire.NodeID) (p PendingOwn, applied, bare bool) {
+	if o.pending == nil {
+		return PendingOwn{}, false, false
+	}
+	p = *o.pending
+	if applied, bare = o.GrantLocked(self, p.TS, p.NewReplicas, Shipped{}); !applied {
+		o.clearPendingLocked()
+		o.ostate = OValid
+	}
+	return p, applied, bare
+}
+
+// PruneLocked is the view change's edit (caller holds Mu): nodes outside live
+// leave the replica set — a dead owner leaves the object ownerless until the
+// next write takes over (§4.1) — and the pending arbitration's arbiters, new
+// set and data source alike. It removes other nodes only (a node is in every
+// view it installs), so the level stands.
+func (o *Object) PruneLocked(live wire.Bitmap) {
+	o.replicas = o.replicas.Prune(live)
+	if p := o.pending; p != nil {
+		p.Arbiters = p.Arbiters.Intersect(live)
+		p.NewReplicas = p.NewReplicas.Prune(live)
+		if !live.Contains(p.PrevOwner) {
+			p.PrevOwner = wire.NoNode
+		}
+	}
+}
+
+// ReplayLocked re-stamps the pending arbitration for an arb-replay in epoch
+// among live and returns a copy (caller holds Mu); false when none is pending.
+func (o *Object) ReplayLocked(epoch wire.Epoch, live wire.Bitmap) (PendingOwn, bool) {
+	p := o.pending
+	if p == nil {
+		return PendingOwn{}, false
+	}
+	p.Epoch = epoch
+	p.Arbiters = p.Arbiters.Intersect(live)
+	return *p, true
+}
+
+// ReclaimLocked re-arms a restarted node as the owner its durable grant
+// history says it still is (caller holds Mu, and has checked that no live
+// owner, claim or unsettled newer version stands against it). A validated
+// newer hint is installed first, and its ⟨ts, reps⟩ adopted if newer than the
+// recovered ones; without one, vouch says the recovered value had completed
+// its commit and may be served again. o_state returns to Valid unless an
+// arbitration is pending, whose VAL or replay settles the entry.
+func (o *Object) ReclaimLocked(self wire.NodeID, ts wire.OTS, reps wire.ReplicaSet, hint Shipped, vouch bool) {
+	switch {
+	case hint.Has:
+		o.installLocked(hint.CTS, hint.Version, hint.Data)
+		if o.ots.Less(ts) {
+			o.ots, o.replicas = ts, reps
+		}
+	case vouch:
+		o.ValidateLocked(o.TSnapshot()) // whatever version and state the record holds
+	}
+	o.replicas.Owner = self
+	o.level = wire.Owner
+	if o.pending == nil {
+		o.ostate = OValid
+	}
+}
+
+// AdoptEntryLocked installs one entry of a directory shard snapshot (caller
+// holds Mu): only over a strictly older o_ts and never over a pending
+// arbitration, so duplicate snapshots and races with live arbitration traffic
+// are harmless. It edits the set without deriving this node's level from it,
+// on purpose: a snapshot is what another driver knows about the object, not a
+// grant to this node — no arbitration named it, no value came with it — and a
+// level only ever changes through one.
+func (o *Object) AdoptEntryLocked(ts wire.OTS, reps wire.ReplicaSet) bool {
+	if o.pending != nil || !o.ots.Less(ts) {
+		return false
+	}
+	o.ots, o.replicas = ts, reps
+	return true
+}

@@ -1,0 +1,452 @@
+package store
+
+import (
+	"fmt"
+	"math/rand"
+	"strconv"
+	"testing"
+
+	"zeus/internal/wire"
+)
+
+// ownerSide renders ⟨level, o_state, o_ts, o_replicas, pending⟩ — everything
+// the ownership-side transitions own — as one comparable line. A set reads
+// owner[readers], "-" for no owner; a pending record
+// req<id>@<ts>-><new set> arb<arbiters> src<prev owner> ep<epoch>.
+func ownerSide(o *Object) string {
+	pend := "-"
+	if p := o.pending; p != nil {
+		pend = fmt.Sprintf("req%d@%d.%d->%s arb%v src%s ep%d", p.ReqID, p.TS.Ver, p.TS.Node,
+			setString(p.NewReplicas), p.Arbiters, nodeString(p.PrevOwner), p.Epoch)
+	}
+	return fmt.Sprintf("%v %v %d.%d %s %s", o.level, o.ostate, o.ots.Ver, o.ots.Node, setString(o.replicas), pend)
+}
+
+func setString(r wire.ReplicaSet) string { return nodeString(r.Owner) + r.Readers.String() }
+
+func nodeString(n wire.NodeID) string {
+	if n == wire.NoNode {
+		return "-"
+	}
+	return strconv.Itoa(int(n))
+}
+
+// TestOwnershipTransitions is the pre-state → post-state table of the
+// ownership-side transitions (store package doc), as seen from node 1.
+// Pre-states are themselves built from transitions, so every row is a
+// reachable history; both sides of the record are compared, because a grant
+// moves the value with the level.
+func TestOwnershipTransitions(t *testing.T) {
+	const self = wire.NodeID(1)
+	b := func(s string) []byte { return []byte(s) }
+	ts := func(ver uint64, node wire.NodeID) wire.OTS { return wire.OTS{Ver: ver, Node: node} }
+	set := func(owner wire.NodeID, readers ...wire.NodeID) wire.ReplicaSet {
+		return wire.ReplicaSet{Owner: owner, Readers: wire.BitmapOf(readers...)}
+	}
+	ships := func(cts, ver uint64, data string) Shipped {
+		return Shipped{Has: true, CTS: cts, Version: ver, Data: b(data)}
+	}
+	fresh := func(*Object) {}
+	// owner3 / reader3: node 1 owns, resp. reads, committed version 3 under
+	// o_ts 3.0; recovered5 is node 1 restarted over a WAL that says it owned v5.
+	owner3 := func(o *Object) { o.GrantLocked(self, ts(3, 0), set(1, 0, 2), ships(30, 3, "a")) }
+	reader3 := func(o *Object) { o.GrantLocked(self, ts(3, 0), set(0, 1, 2), ships(30, 3, "a")) }
+	recovered5 := func(o *Object) { o.RecoverLocked(self, 50, 5, b("c"), ts(7, 1), set(1, 0)) }
+	// move7 is the arbitration node 1 drives for node 2's acquisition; move9
+	// the one node 2 drives for node 0's, which beats it (4.2 > 4.1); drop8
+	// removes reader 1.
+	move7 := PendingOwn{ReqID: 7, TS: ts(4, 1), Requester: 2, Driver: 1, Mode: wire.AcquireOwner,
+		NewReplicas: set(2, 0, 1), PrevOwner: 1, Arbiters: wire.BitmapOf(0, 1, 2), Epoch: 5}
+	move9 := PendingOwn{ReqID: 9, TS: ts(4, 2), Requester: 0, Driver: 2, Mode: wire.AcquireOwner,
+		NewReplicas: set(0, 1, 2), PrevOwner: 1, Arbiters: wire.BitmapOf(0, 1, 2), Epoch: 5}
+	drop8 := PendingOwn{ReqID: 8, TS: ts(4, 0), Requester: 0, Driver: 0, Mode: wire.DropReader,
+		NewReplicas: set(0, 2), PrevOwner: 0, Arbiters: wire.BitmapOf(0, 1), Epoch: 5}
+	const (
+		move7s = "req7@4.1->2[0 1] arb[0 1 2] src1 ep5"
+		move9s = "req9@4.2->0[1 2] arb[0 1 2] src1 ep5"
+		a3     = "a v3 Valid cts30 [30:3:a]"
+		none   = "nil v0 Valid cts0 []"
+	)
+
+	for _, tc := range []struct {
+		name      string
+		pre       func(*Object)
+		do        func(*testing.T, *Object)
+		want      string // ownerSide
+		wantValue string // valueSide
+	}{
+		{name: "request: a node's own request is marked, and unmarked when given up",
+			pre: reader3,
+			do: func(t *testing.T, o *Object) {
+				o.RequestLocked()
+				if !o.HoldsLocked(wire.Reader) || o.HoldsLocked(wire.Owner) || o.ostate != ORequest {
+					t.Errorf("requesting reader: %s", ownerSide(o))
+				}
+				o.SettleRequestLocked()
+			},
+			want: "reader Valid 3.0 0[1 2] -", wantValue: a3},
+		{name: "request: an arbitration holding the entry is left alone",
+			pre:  func(o *Object) { owner3(o); o.DriveLocked(move7) },
+			do:   func(_ *testing.T, o *Object) { o.RequestLocked(); o.SettleRequestLocked() },
+			want: "owner Drive 3.0 1[0 2] " + move7s, wantValue: a3},
+		{name: "arbitrate: a driver records its arbitration and keeps its level",
+			pre: owner3,
+			do: func(t *testing.T, o *Object) {
+				o.DriveLocked(move7)
+				if o.HoldsLocked(wire.Reader) {
+					t.Error("a driving owner still acts on the object")
+				}
+			},
+			want: "owner Drive 3.0 1[0 2] " + move7s, wantValue: a3},
+		{name: "arbitrate: an INV over a driven smaller-ts request returns the loser's copy and demotes the owner",
+			pre: func(o *Object) { owner3(o); o.DriveLocked(move7) },
+			do: func(t *testing.T, o *Object) {
+				if loser, lost := o.InvalidateLocked(move9, self); !lost || loser != move7 {
+					t.Errorf("loser = %+v, %v; want request 7", loser, lost)
+				}
+			},
+			want: "reader Invalid 3.0 1[0 2] " + move9s, wantValue: a3},
+		{name: "arbitrate: a duplicate INV loses nobody and changes nothing",
+			pre: func(o *Object) { owner3(o); o.InvalidateLocked(move9, self) },
+			do: func(t *testing.T, o *Object) {
+				if _, lost := o.InvalidateLocked(move9, self); lost {
+					t.Error("a duplicate INV reported a loser")
+				}
+			},
+			want: "reader Invalid 3.0 1[0 2] " + move9s, wantValue: a3},
+		{name: "arbitrate: an INV that leaves ownership here does not demote",
+			pre: owner3,
+			do: func(_ *testing.T, o *Object) {
+				p := move9
+				p.Mode, p.NewReplicas = wire.AcquireReader, set(1, 0, 2, 3)
+				o.InvalidateLocked(p, self)
+			},
+			want: "owner Invalid 3.0 1[0 2] req9@4.2->1[0 2 3] arb[0 1 2] src1 ep5", wantValue: a3},
+		{name: "grant: a VAL applying a pending grant that drops this node discards payload, version and ring",
+			pre: func(o *Object) { reader3(o); o.InvalidateLocked(drop8, self) },
+			do: func(t *testing.T, o *Object) {
+				if p, applied, bare := o.GrantPendingLocked(self); !applied || bare || p != drop8 {
+					t.Errorf("GrantPendingLocked = %+v, %v, %v", p, applied, bare)
+				}
+			},
+			want: "non-replica Valid 4.0 0[2] -", wantValue: none},
+		{name: "grant: a VAL with nothing pending applies nothing",
+			pre: reader3,
+			do: func(t *testing.T, o *Object) {
+				if _, applied, _ := o.GrantPendingLocked(self); applied {
+					t.Error("applied a grant nobody arbitrated")
+				}
+			},
+			want: "reader Valid 3.0 0[1 2] -", wantValue: a3},
+		{name: "grant: a pending arbitration o_ts has passed is void",
+			pre: func(o *Object) {
+				recovered5(o)
+				o.InvalidateLocked(move9, self)
+				o.ReclaimLocked(self, ts(9, 0), set(wire.NoNode, 0), ships(60, 6, "d"), false)
+			},
+			do: func(t *testing.T, o *Object) {
+				if _, applied, _ := o.GrantPendingLocked(self); applied {
+					t.Error("applied an arbitration older than o_ts")
+				}
+			},
+			want: "owner Valid 9.0 1[0] -", wantValue: "d v6 Valid cts60 [60:6:d]"},
+		{name: "grant: an older o_ts is refused and nothing is touched",
+			pre: func(o *Object) { owner3(o); o.DriveLocked(move7) },
+			do: func(t *testing.T, o *Object) {
+				if applied, _ := o.GrantLocked(self, ts(2, 5), set(0), ships(99, 9, "z")); applied {
+					t.Error("applied a grant older than o_ts")
+				}
+			},
+			want: "owner Drive 3.0 1[0 2] " + move7s, wantValue: a3},
+		{name: "grant: a shipped value older than the local version keeps the local value",
+			pre: func(o *Object) { reader3(o); o.StageInvLocked(50, 5, b("c")); o.ValidateLocked(5, TInvalid) },
+			do: func(_ *testing.T, o *Object) {
+				o.GrantLocked(self, ts(4, 1), set(1, 0, 2), ships(40, 4, "old"))
+			},
+			want: "owner Valid 4.1 1[0 2] -", wantValue: "c v5 Valid cts50 [30:3:a 50:5:c]"},
+		{name: "grant: a raise over a record that holds nothing, with nothing shipped, is reported",
+			pre: fresh,
+			do: func(t *testing.T, o *Object) {
+				if applied, bare := o.GrantLocked(self, ts(1, 0), set(0, 1), Shipped{}); !applied || !bare {
+					t.Errorf("GrantLocked = %v, %v; want a bare grant", applied, bare)
+				}
+			},
+			want: "reader Valid 1.0 0[1] -", wantValue: none},
+		{name: "grant: the same level again over a record that holds nothing is not a raise",
+			pre: func(o *Object) { o.GrantLocked(self, ts(1, 0), set(0, 1), Shipped{}) },
+			do: func(t *testing.T, o *Object) {
+				if _, bare := o.GrantLocked(self, ts(2, 0), set(0, 1, 2), Shipped{}); bare {
+					t.Error("reported a bare grant without a raise")
+				}
+			},
+			want: "reader Valid 2.0 0[1 2] -", wantValue: none},
+		{name: "grant: a shipped value arrives with the level",
+			pre: fresh,
+			do: func(t *testing.T, o *Object) {
+				if _, bare := o.GrantLocked(self, ts(4, 1), set(1, 0), ships(40, 4, "b")); bare {
+					t.Error("reported a bare grant although a value was shipped")
+				}
+			},
+			want: "owner Valid 4.1 1[0] -", wantValue: "b v4 Valid cts40 [40:4:b]"},
+		{name: "grant: a set that does not list this node installs nothing",
+			pre:  fresh,
+			do:   func(_ *testing.T, o *Object) { o.GrantLocked(self, ts(1, 0), set(0), ships(10, 1, "x")) },
+			want: "non-replica Valid 1.0 0[] -", wantValue: none},
+		{name: "grant: a delete at its driver leaves a bare entry",
+			pre:  owner3,
+			do:   func(_ *testing.T, o *Object) { o.GrantLocked(self, ts(4, 1), set(wire.NoNode), Shipped{}) },
+			want: "non-replica Valid 4.1 -[] -", wantValue: none},
+		{name: "grant: a state-sync answer supersedes a pending arbitration",
+			pre:  func(o *Object) { recovered5(o); o.InvalidateLocked(move9, self) },
+			do:   func(_ *testing.T, o *Object) { o.GrantLocked(self, ts(8, 0), set(0, 1), ships(50, 5, "c")) },
+			want: "reader Valid 8.0 0[1] -", wantValue: "c v5 Valid cts50 [50:5:c]"},
+		{name: "prune: the view change edits the set and the pending record alike",
+			pre: func(o *Object) {
+				owner3(o)
+				p := move9
+				p.PrevOwner = 0
+				o.InvalidateLocked(p, self)
+			},
+			do:   func(_ *testing.T, o *Object) { o.PruneLocked(wire.BitmapOf(1, 2)) },
+			want: "reader Invalid 3.0 1[2] req9@4.2->-[1 2] arb[1 2] src- ep5", wantValue: a3},
+		{name: "prune: a replay re-stamps the pending record and hands out a copy",
+			pre: func(o *Object) { owner3(o); o.DriveLocked(move7) },
+			do: func(t *testing.T, o *Object) {
+				want := move7
+				want.Epoch, want.Arbiters = 6, wire.BitmapOf(0, 1)
+				if p, ok := o.ReplayLocked(6, wire.BitmapOf(0, 1)); !ok || p != want {
+					t.Errorf("replay copy = %+v, %v", p, ok)
+				}
+				if _, ok := new(Object).ReplayLocked(6, wire.BitmapOf(0, 1)); ok {
+					t.Error("replayed an arbitration that is not there")
+				}
+			},
+			want: "owner Drive 3.0 1[0 2] req7@4.1->2[0 1] arb[0 1] src1 ep6", wantValue: a3},
+		{name: "recover: a remembered self-as-owner is rewritten and reported",
+			pre: func(o *Object) { owner3(o); o.DriveLocked(move7) },
+			do: func(t *testing.T, o *Object) {
+				if !o.RecoverLocked(self, 50, 5, b("c"), ts(7, 1), set(1, 0)) {
+					t.Error("recovery did not report that this node was the owner")
+				}
+			},
+			want: "non-replica Valid 7.1 -[0] -", wantValue: "c v5 Invalid cts50 []"},
+		{name: "recover: another node's ownership is a hint like any other",
+			pre: fresh,
+			do: func(t *testing.T, o *Object) {
+				if o.RecoverLocked(self, 50, 5, b("c"), ts(7, 0), set(0, 1)) {
+					t.Error("recovery reported this node as owner of node 0's object")
+				}
+			},
+			want: "non-replica Valid 7.0 0[1] -", wantValue: "c v5 Invalid cts50 []"},
+		{name: "reclaim: without a hint the vouched-for recovered value is served again",
+			pre:  recovered5,
+			do:   func(_ *testing.T, o *Object) { o.ReclaimLocked(self, wire.OTS{}, wire.ReplicaSet{}, Shipped{}, true) },
+			want: "owner Valid 7.1 1[0] -", wantValue: "c v5 Valid cts50 []"},
+		{name: "reclaim: a recovered value that had not completed its commit stays Invalid",
+			pre:  recovered5,
+			do:   func(_ *testing.T, o *Object) { o.ReclaimLocked(self, wire.OTS{}, wire.ReplicaSet{}, Shipped{}, false) },
+			want: "owner Valid 7.1 1[0] -", wantValue: "c v5 Invalid cts50 []"},
+		{name: "reclaim: a newer hint is installed and its newer ⟨ts, reps⟩ adopted",
+			pre: recovered5,
+			do: func(_ *testing.T, o *Object) {
+				o.ReclaimLocked(self, ts(8, 0), set(wire.NoNode, 0, 2), ships(60, 6, "d"), false)
+			},
+			want: "owner Valid 8.0 1[0 2] -", wantValue: "d v6 Valid cts60 [60:6:d]"},
+		{name: "reclaim: a hint under an older o_ts brings its value only",
+			pre: recovered5,
+			do: func(_ *testing.T, o *Object) {
+				o.ReclaimLocked(self, ts(6, 0), set(wire.NoNode, 2), ships(60, 6, "d"), false)
+			},
+			want: "owner Valid 7.1 1[0] -", wantValue: "d v6 Valid cts60 [60:6:d]"},
+		{name: "reclaim: a pending arbitration keeps the entry until its VAL",
+			pre: func(o *Object) { recovered5(o); o.InvalidateLocked(move9, self) },
+			do: func(t *testing.T, o *Object) {
+				o.ReclaimLocked(self, wire.OTS{}, wire.ReplicaSet{}, Shipped{}, true)
+				if o.HoldsLocked(wire.Reader) {
+					t.Error("a reclaimed owner acts on an entry an arbitration holds")
+				}
+			},
+			want: "owner Invalid 7.1 1[0] " + move9s, wantValue: "c v5 Valid cts50 []"},
+		{name: "adopt: a newer directory entry replaces the set and leaves the level alone",
+			pre: reader3,
+			do: func(t *testing.T, o *Object) {
+				if !o.AdoptEntryLocked(ts(5, 2), set(2)) {
+					t.Error("refused a newer entry")
+				}
+			},
+			want: "reader Valid 5.2 2[] -", wantValue: a3},
+		{name: "adopt: an entry that is not newer is refused",
+			pre: reader3,
+			do: func(t *testing.T, o *Object) {
+				if o.AdoptEntryLocked(ts(3, 0), set(2)) {
+					t.Error("adopted an entry at the same o_ts")
+				}
+			},
+			want: "reader Valid 3.0 0[1 2] -", wantValue: a3},
+		{name: "adopt: refused over a pending arbitration",
+			pre: func(o *Object) { reader3(o); o.InvalidateLocked(move9, self) },
+			do: func(t *testing.T, o *Object) {
+				if o.AdoptEntryLocked(ts(20, 2), set(2)) {
+					t.Error("adopted an entry over a pending arbitration")
+				}
+			},
+			want: "reader Invalid 3.0 0[1 2] " + move9s, wantValue: a3},
+	} {
+		o, _ := New().GetOrCreate(1)
+		tc.pre(o)
+		tc.do(t, o)
+		if got := ownerSide(o); got != tc.want {
+			t.Errorf("%s:\n got  %s\n want %s", tc.name, got, tc.want)
+		}
+		if got := valueSide(o); got != tc.wantValue {
+			t.Errorf("%s:\n got  %s\n want %s", tc.name, got, tc.wantValue)
+		}
+	}
+}
+
+// TestOwnershipInvariantsHold drives two records (they share the arbitration
+// pool) through seeded random sequences of every ownership-side transition,
+// legal or not at that point, and checks after every step the invariants the
+// package doc states: o_ts never decreases in a record's life; a level rises
+// only through a grant or a reclaim, and a reported bare grant is a raise over
+// version 0; a NonReplica record never reads as ⟨Valid, payload⟩; an
+// arbitration is pending iff o_state is Drive or Invalid; and the copies
+// PendingLocked and InvalidateLocked handed out still read what they read
+// then. The commit engine's transitions take part where its protocol runs
+// them — a local commit at an owner, an R-INV and its R-VAL at a replica.
+func TestOwnershipInvariantsHold(t *testing.T) {
+	const self = wire.NodeID(1)
+	type held struct{ got, want PendingOwn }
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		st := New()
+		var objs [2]*Object
+		var floor [2]wire.OTS // highest o_ts seen in the record's life
+		for i := range objs {
+			objs[i], _ = st.GetOrCreate(wire.ObjectID(i))
+		}
+		var copies []held
+		var trail []string
+		randSet := func() wire.ReplicaSet {
+			s := wire.ReplicaSet{Owner: wire.NodeID(rng.Intn(4)), Readers: wire.Bitmap(rng.Intn(16))}
+			if s.Owner == 3 {
+				s.Owner = wire.NoNode
+			}
+			s.Readers = s.Readers.Remove(s.Owner)
+			return s
+		}
+		for step := 0; step < 400; step++ {
+			i := rng.Intn(2)
+			o := objs[i]
+			// Timestamps are drawn around the current one, older and newer alike.
+			near := wire.OTS{Ver: o.ots.Ver + uint64(rng.Intn(4)), Node: wire.NodeID(rng.Intn(3))}
+			if near.Ver > 0 {
+				near.Ver--
+			}
+			ver := o.TVersion() + uint64(rng.Intn(3))
+			val := Shipped{Has: rng.Intn(2) == 0, CTS: uint64(rng.Intn(1000)), Version: ver, Data: []byte{byte(step)}}
+			pend := PendingOwn{ReqID: uint64(seed)<<32 | uint64(step), TS: near, Requester: wire.NodeID(rng.Intn(3)),
+				Driver: wire.NodeID(rng.Intn(3)), Mode: wire.ReqMode(rng.Intn(5)), NewReplicas: randSet(),
+				PrevOwner: wire.NodeID(rng.Intn(3)), Arbiters: wire.Bitmap(rng.Intn(8)), Epoch: wire.Epoch(step)}
+			was, raises := o.level, false
+			var op string
+			switch r := rng.Intn(24); {
+			case r < 2:
+				op = "request"
+				o.RequestLocked()
+			case r < 4:
+				op = "settle"
+				o.SettleRequestLocked()
+			case r < 6:
+				op = "drive"
+				if o.pending != nil {
+					continue // DriveLocked's one precondition
+				}
+				o.DriveLocked(pend)
+				got, _ := o.PendingLocked()
+				copies = append(copies, held{got, pend})
+			case r < 10:
+				op = fmt.Sprintf("inv(%d.%d)", near.Ver, near.Node)
+				driving, _ := o.PendingLocked()
+				wasDriving := o.ostate == ODrive && driving.Driver == self
+				if loser, lost := o.InvalidateLocked(pend, self); lost {
+					if !wasDriving || loser != driving {
+						t.Fatalf("seed %d step %d: InvalidateLocked lost %+v, was driving %+v", seed, step, loser, driving)
+					}
+					copies = append(copies, held{loser, driving})
+				}
+				got, _ := o.PendingLocked()
+				copies = append(copies, held{got, pend})
+			case r < 13:
+				op, raises = "val", true
+				if _, applied, bare := o.GrantPendingLocked(self); bare && (!applied || o.level <= was || o.TVersion() != 0) {
+					t.Fatalf("seed %d step %d: bare grant reported for %s / %s", seed, step, ownerSide(o), valueSide(o))
+				}
+			case r < 16:
+				op, raises = fmt.Sprintf("grant(%d.%d)", near.Ver, near.Node), true
+				if applied, bare := o.GrantLocked(self, near, randSet(), val); bare && (!applied || o.level <= was || o.TVersion() != 0) {
+					t.Fatalf("seed %d step %d: bare grant reported for %s / %s", seed, step, ownerSide(o), valueSide(o))
+				}
+			case r < 17:
+				op = "prune"
+				o.PruneLocked(wire.Bitmap(rng.Intn(16)).Add(self))
+				if got, ok := o.PendingLocked(); ok {
+					copies = append(copies, held{got, got})
+				}
+			case r < 18:
+				op = "replay"
+				if got, ok := o.ReplayLocked(wire.Epoch(step), wire.Bitmap(rng.Intn(16)).Add(self)); ok {
+					copies = append(copies, held{got, got})
+				}
+			case r < 19:
+				op = "recover"
+				o.RecoverLocked(self, val.CTS, ver, val.Data, near, randSet())
+				floor[i] = wire.OTS{} // a new life
+			case r < 20:
+				op, raises = "reclaim", true
+				val.Version++ // a hint is newer than the record, reclaimLeftovers checks
+				o.ReclaimLocked(self, near, randSet(), val, rng.Intn(2) == 0)
+			case r < 21:
+				op = fmt.Sprintf("adopt(%d.%d)", near.Ver, near.Node)
+				o.AdoptEntryLocked(near, randSet())
+			case r < 22:
+				op = "local-commit"
+				if !o.HoldsLocked(wire.Owner) {
+					continue
+				}
+				o.StageLocked(val.Data)
+			default:
+				op = "r-inv+r-val"
+				if o.level == wire.NonReplica {
+					continue
+				}
+				o.StageInvLocked(val.CTS, ver, val.Data)
+				o.ValidateLocked(ver, TInvalid)
+			}
+			trail = append(trail, fmt.Sprintf("%d:%s", i, op))
+			bad := ""
+			if o.ots.Less(floor[i]) {
+				bad = fmt.Sprintf("o_ts went back from %v", floor[i])
+			}
+			floor[i] = o.ots
+			if o.level > was && !raises {
+				bad = fmt.Sprintf("level rose from %v", was)
+			}
+			if ver, ts := o.TSnapshot(); o.level == wire.NonReplica && ts == TValid && (ver != 0 || o.data != nil) {
+				bad = "a non-replica reads as Valid with a payload"
+			}
+			if (o.pending != nil) != (o.ostate == ODrive || o.ostate == OInvalid) {
+				bad = "pending record and o_state disagree"
+			}
+			for _, c := range copies {
+				if c.got != c.want {
+					bad = fmt.Sprintf("a copy handed out earlier now reads %+v, was %+v", c.got, c.want)
+				}
+			}
+			if bad != "" {
+				last := trail[max(0, len(trail)-8):]
+				t.Fatalf("seed %d step %d: %s — %s / %s; last ops %v", seed, step, bad, ownerSide(o), valueSide(o), last)
+			}
+		}
+	}
+}

@@ -4,9 +4,12 @@
 // o_replicas), this node's access level (Table 1), and the local-ownership
 // marker used by the multi-threaded local commit of §7.
 //
-// The value side of a replica — payload, ⟨t_version, t_state⟩, commit
-// timestamp and MVCC ring — is unexported and moves only through five
-// transitions, each called with Mu held from exactly these protocol steps:
+// Zeus's safety argument is an invariant over this one record — a node is a
+// reader or the owner of the value it holds — so the record is closed: bar Mu,
+// ID and the atomic PendingCommits every field is unexported, and a replica
+// changes only through the transitions below, each called with Mu held from
+// exactly these protocol steps. The value side (payload, ⟨t_version,
+// t_state⟩, commit timestamp, MVCC ring):
 //
 //	stage     StageLocked          core.Tx.Commit, core.CreateObjectWithReaders:
 //	                               the owner's local commit → next version, Write
@@ -14,24 +17,52 @@
 //	                               R-INV → Invalid unless stale; ring entry always
 //	validate  ValidateWriteLocked  commit.completeSlot: every follower acked →
 //	                               Write → Valid if still current; ring entry always
-//	          ValidateLocked       commit.handleVal: R-VAL → Invalid → Valid;
-//	                               core.reclaimLeftovers: a restarted sole owner
-//	                               vouches for its own recovered value
-//	install   InstallLocked        ownership.applyAsRequester (the ACK shipped the
-//	                               value), core.reclaimLeftovers and
-//	                               core.handleSyncState (state sync shipped or
-//	                               confirmed it), cluster.Seed
+//	          ValidateLocked       commit.handleVal: R-VAL → Invalid → Valid
+//	install   installLocked        inside grant and reclaim only: a committed
+//	                               value that arrived whole
 //	recover   RecoverLocked        core.installRecovered: WAL/snapshot replay
-//	                               → Invalid hint, no history
-//	drop      DropLocked           ownership.applyLocked, ownership.applyAsRequester:
-//	                               this node left the replica set or the object
-//	                               was deleted → no payload, version 0, no history
+//	                               → Invalid hint, no history, NonReplica
+//	drop      dropLocked           inside grant only: this node left the replica
+//	                               set or the object was deleted → no payload,
+//	                               version 0, no history
 //
-// Everything else reads: SnapshotRef, DataLocked, CommitCTSLocked,
-// RingReadLocked, TVersion/TState/TSnapshot. Two rules that used to be
-// linted are the bodies of these functions: a ring entry is published only
-// after the ⟨t_version, t_state⟩ word covers its version, and the payload
-// slice is only ever replaced whole.
+// The ownership side (o_state, o_ts, o_replicas, the pending arbitration, the
+// access level; ownership.go):
+//
+//	request    RequestLocked, SettleRequestLocked  ownership.run, resetRequestState
+//	arbitrate  DriveLocked                         ownership.handleReq: the driver's REQ
+//	           InvalidateLocked                    ownership.handleInv: an arbiter's INV
+//	grant      GrantLocked         ownership.applyAsRequester (every mode, a delete
+//	                               at its driver included), core.handleSyncState
+//	                               (the owner's answer), cluster.Seed
+//	           GrantPendingLocked  ownership.handleVal, handleInv (the VAL came
+//	                               first), checkRecoveryCompleteLocked
+//	prune      PruneLocked, ReplayLocked  ownership.PruneDead, ArbReplayAll: the
+//	                               view change's edits
+//	reclaim    ReclaimLocked       core.reclaimLeftovers: a restarted sole owner
+//	adopt      AdoptEntryLocked    directory.handleState: a shard snapshot's entry
+//
+// GrantLocked is the one body that assigns replica set, o_ts, o_state and level
+// together, and the only code that raises a level; RecoverLocked (a level only
+// falls there) and ReclaimLocked (the level comes from the node's own durable
+// grant history) are its two variants. Everything else reads — PendingLocked,
+// like every transition that returns an arbitration record, a copy: the
+// records are pooled and no pointer to one leaves this package.
+//
+// What holds after any sequence of transitions (TestRingNeverAheadOfWord,
+// TestOwnershipInvariantsHold): a ring entry is published only after the
+// ⟨t_version, t_state⟩ word covers its version, and the payload slice is only
+// ever replaced whole; o_ts never decreases in a record's life, which
+// RecoverLocked starts; an arbitration is pending iff o_state is Drive or
+// Invalid; a level rises only by grant or reclaim, and the value moves with
+// it — a node that leaves the set drops its replica, a grant that does not
+// list this node installs nothing, recovery installs Invalid — so through
+// these transitions a NonReplica record never reads as ⟨Valid, payload⟩. (The
+// commit engine's transitions are level-blind: an R-INV that finds a replica
+// already dropped leaves a payload behind a NonReplica level, which no read
+// path serves and the next grant's install supersedes.) The converse is not
+// structural yet: GrantLocked can raise a node over a record that holds no
+// value when none is shipped, and reports it (ownership.Stats.BareGrants).
 package store
 
 import (
@@ -73,56 +104,8 @@ func (s TState) String() string {
 	}
 }
 
-// OState is the ownership state of an object at an arbiter (§4).
-type OState uint8
-
-const (
-	// OValid: ownership metadata is stable.
-	OValid OState = iota
-	// OInvalid: an ownership INV has been applied; awaiting VAL.
-	OInvalid
-	// ORequest: this node has an outstanding ownership request.
-	ORequest
-	// ODrive: this directory node is driving an ownership request.
-	ODrive
-)
-
-func (s OState) String() string {
-	switch s {
-	case OValid:
-		return "Valid"
-	case OInvalid:
-		return "Invalid"
-	case ORequest:
-		return "Request"
-	case ODrive:
-		return "Drive"
-	default:
-		return "OState(?)"
-	}
-}
-
 // NoLocalOwner marks an object not currently held by any local worker.
 const NoLocalOwner int32 = -1
-
-// PendingOwn is the arbitration record an arbiter keeps between processing an
-// ownership INV and the matching VAL. It contains everything needed to replay
-// the exact INV during failure recovery (arb-replay, §4.1).
-type PendingOwn struct {
-	ReqID       uint64
-	TS          wire.OTS
-	Requester   wire.NodeID
-	Driver      wire.NodeID
-	Mode        wire.ReqMode
-	NewReplicas wire.ReplicaSet
-	PrevOwner   wire.NodeID
-	Arbiters    wire.Bitmap
-	Epoch       wire.Epoch
-	// Since records when this arbitration was applied locally; drivers
-	// force-complete (arb-replay) arbitrations that linger past a
-	// staleness threshold, e.g. because the requester gave up.
-	Since time.Time
-}
 
 // Object is one object replica (or bare directory entry) at a node. Fields
 // are protected by Mu; engines lock the object across multi-field updates.
@@ -154,20 +137,19 @@ type Object struct {
 	// payload makes the double read degenerate to one consistent load.
 	tsv atomic.Uint64
 
-	// Ownership metadata (meaningful on the owner and directory nodes).
-	OTS      wire.OTS
-	Replicas wire.ReplicaSet
-	// Pending is the in-flight ownership request applied at INV time and
-	// finalized (or superseded) at VAL time; nil when none.
-	Pending *PendingOwn
-	OState  OState
+	// The ownership side (§4): ⟨o_state, o_ts, o_replicas⟩, the in-flight
+	// arbitration applied at REQ/INV time and finalized (or superseded) at VAL
+	// time (nil when none; pooled, see pendPool), and this node's access
+	// level. Written only by the transitions of ownership.go.
+	ots      wire.OTS
+	replicas wire.ReplicaSet
+	pending  *PendingOwn
+	ostate   OState
+	level    wire.AccessLevel
 
-	// Level is this node's access level for the object.
-	Level wire.AccessLevel
-
-	// LocalOwner is the local worker currently holding the object for a
+	// localOwner is the local worker currently holding the object for a
 	// write transaction (§7's local ownership), or NoLocalOwner.
-	LocalOwner int32
+	localOwner int32
 
 	// PendingCommits counts reliable commits involving this object that
 	// have not been validated yet; the owner NACKs ownership requests
@@ -263,12 +245,12 @@ func (o *Object) ValidateWriteLocked(cts, ver uint64, data []byte) {
 	o.publishRingLocked(cts, ver, data)
 }
 
-// InstallLocked installs a committed value that arrived whole (caller holds
+// installLocked installs a committed value that arrived whole (caller holds
 // Mu, and has checked ver is not below t_version): payload, ⟨ver, Valid⟩, and
 // cts as the replica's commit timestamp — taken as given, the sender vouches
 // for the version it shipped — and as the ring entry that re-arms snapshot
 // reads here. cts 0, "committed before timestamps existed", publishes nothing.
-func (o *Object) InstallLocked(cts, ver uint64, data []byte) {
+func (o *Object) installLocked(cts, ver uint64, data []byte) {
 	o.data = data
 	o.setTLocked(ver, TValid)
 	o.commitCTS = cts
@@ -276,22 +258,33 @@ func (o *Object) InstallLocked(cts, ver uint64, data []byte) {
 }
 
 // RecoverLocked installs what the WAL and snapshot remembered (caller holds
-// Mu): an Invalid hint, served to nobody until state sync or a reclaim
-// validates it. The ring does not survive a restart — its entries vouch for
-// "committed and safe-time-covered", a rejoiner for nothing — while cts is
-// kept so a later validate re-enables RingReadLocked's implicit entry.
-func (o *Object) RecoverLocked(cts, ver uint64, data []byte) {
+// Mu): the value as an Invalid hint, served to nobody until state sync or a
+// reclaim validates it, and ⟨ts, reps⟩ as an ownership hint under level
+// NonReplica. A remembered "self is owner" is rewritten to NoNode — ownership
+// may have migrated while the node was down — and reported: it is what makes
+// the object eligible for ReclaimLocked. The ring does not survive a restart —
+// its entries vouch for "committed and safe-time-covered", a rejoiner for
+// nothing — while cts is kept so a later validate re-enables RingReadLocked's
+// implicit entry. It starts a record's life (a fresh store, before any handler
+// exists), so it is the one transition that takes o_ts as given.
+func (o *Object) RecoverLocked(self wire.NodeID, cts, ver uint64, data []byte, ts wire.OTS, reps wire.ReplicaSet) (wasOwner bool) {
 	o.data = data
 	o.setTLocked(ver, TInvalid)
 	o.ring = nil
 	o.commitCTS = cts
+	if wasOwner = reps.Owner == self; wasOwner {
+		reps.Owner = wire.NoNode
+	}
+	o.clearPendingLocked()
+	o.replicas, o.ots, o.ostate, o.level = reps, ts, OValid, wire.NonReplica
+	return wasOwner
 }
 
-// DropLocked discards the replica (caller holds Mu) when this node leaves the
+// dropLocked discards the replica (caller holds Mu) when this node leaves the
 // object's replica set or the object is deleted: no payload, version 0, and no
 // history — a dropped replica must never serve ring reads, and a later
 // re-install must not meet a stale version or timestamp.
-func (o *Object) DropLocked() {
+func (o *Object) dropLocked() {
 	o.data = nil
 	o.setTLocked(0, TValid)
 	o.ring = nil
@@ -366,16 +359,16 @@ func (o *Object) RingReadLocked(ts uint64) (VersionEntry, bool) {
 // *new* grant is refused while the transfer-fairness yield (YieldLocalLocked)
 // is active; a worker that already holds the object keeps it.
 func (o *Object) GrantLocalLocked(worker int32) bool {
-	if o.LocalOwner == worker {
+	if o.localOwner == worker {
 		return true
 	}
-	if o.LocalOwner != NoLocalOwner {
+	if o.localOwner != NoLocalOwner {
 		return false
 	}
 	if o.yieldLocalUntil != 0 && monoNow() < o.yieldLocalUntil {
 		return false
 	}
-	o.LocalOwner = worker
+	o.localOwner = worker
 	return true
 }
 
@@ -395,8 +388,8 @@ var processStart = time.Now()
 func (o *Object) ReleaseLocal(worker int32) {
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
-	if o.LocalOwner == worker {
-		o.LocalOwner = NoLocalOwner
+	if o.localOwner == worker {
+		o.localOwner = NoLocalOwner
 	}
 }
 
@@ -426,7 +419,7 @@ func (o *Object) SnapshotRef() (TState, uint64, wire.AccessLevel, []byte) {
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
 	ver, st := o.TSnapshot()
-	return st, ver, o.Level, o.data
+	return st, ver, o.level, o.data
 }
 
 // DataLocked returns the payload without copying it (caller holds Mu). Like
@@ -492,9 +485,9 @@ func (s *Store) GetOrCreate(id wire.ObjectID) (o *Object, created bool) {
 	}
 	o = &Object{
 		ID:         id,
-		Level:      wire.NonReplica,
-		Replicas:   wire.ReplicaSet{Owner: wire.NoNode},
-		LocalOwner: NoLocalOwner,
+		level:      wire.NonReplica,
+		replicas:   wire.ReplicaSet{Owner: wire.NoNode},
+		localOwner: NoLocalOwner,
 	}
 	sh.objs[id] = o
 	return o, true
@@ -514,7 +507,7 @@ func (s *Store) Delete(id wire.ObjectID) {
 	sh.mu.Unlock()
 	if o != nil {
 		o.Mu.Lock()
-		o.Level = wire.NonReplica
+		o.level = wire.NonReplica
 		o.setTLocked(o.TVersion(), TInvalid)
 		o.Mu.Unlock()
 	}

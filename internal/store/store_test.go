@@ -18,8 +18,8 @@ func TestGetOrCreateDefaults(t *testing.T) {
 	if !created {
 		t.Fatal("first insert must report created")
 	}
-	if o.Level != wire.NonReplica || o.Replicas.Owner != wire.NoNode ||
-		o.LocalOwner != NoLocalOwner || o.TState() != TValid || o.OState != OValid {
+	if o.level != wire.NonReplica || o.replicas.Owner != wire.NoNode ||
+		o.localOwner != NoLocalOwner || o.TState() != TValid || o.ostate != OValid {
 		t.Fatalf("bad defaults: %+v", o)
 	}
 	o2, created2 := s.GetOrCreate(7)
@@ -58,7 +58,7 @@ func TestDeleteInvalidatesHeldPointer(t *testing.T) {
 	s := New()
 	o, _ := s.GetOrCreate(7)
 	o.Mu.Lock()
-	o.Level = wire.Owner
+	o.level = wire.Owner
 	o.setTLocked(3, TValid)
 	o.Mu.Unlock()
 	s.Delete(7)
@@ -154,7 +154,7 @@ func TestSnapshotRefStableAcrossReplace(t *testing.T) {
 	s := New()
 	o, _ := s.GetOrCreate(1)
 	o.Mu.Lock()
-	o.InstallLocked(0, 1, []byte("v1"))
+	o.installLocked(0, 1, []byte("v1"))
 	o.Mu.Unlock()
 
 	st, ver, lvl, ref := o.SnapshotRef()

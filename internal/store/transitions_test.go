@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"zeus/internal/wire"
 )
 
 // valueSide renders ⟨data, version, state, CTS, ring⟩ — everything the five
@@ -33,7 +35,7 @@ func TestObjectTransitions(t *testing.T) {
 	b := func(s string) []byte { return []byte(s) }
 	// valid3 is a replica holding committed version 3; write4 and invalid4 are
 	// that replica after the owner's local commit resp. a follower's R-INV.
-	valid3 := func(o *Object) { o.InstallLocked(30, 3, b("a")) }
+	valid3 := func(o *Object) { o.installLocked(30, 3, b("a")) }
 	write4 := func(o *Object) { valid3(o); o.StageLocked(b("b")) }
 	invalid4 := func(o *Object) { valid3(o); o.StageInvLocked(40, 4, b("b")) }
 
@@ -61,7 +63,7 @@ func TestObjectTransitions(t *testing.T) {
 			want:   "b v4 Invalid cts40 [30:3:a 40:4:b]",
 			readAt: 39, wantRead: "30:3:a"},
 		{name: "stage: a stale R-INV leaves payload and word alone but is still history",
-			pre:  func(o *Object) { o.InstallLocked(50, 5, b("c")) },
+			pre:  func(o *Object) { o.installLocked(50, 5, b("c")) },
 			do:   func(o *Object) { o.StageInvLocked(40, 4, b("b")) },
 			want: "c v5 Valid cts50 [40:4:b 50:5:c]"},
 		{name: "stage: a duplicate R-INV changes nothing",
@@ -76,7 +78,7 @@ func TestObjectTransitions(t *testing.T) {
 			do:   func(o *Object) { o.ValidateWriteLocked(40, 4, b("b")) },
 			want: "c v5 Write cts40 [30:3:a 40:4:b]"},
 		{name: "validate: a slot completing on a record dropped since it was staged publishes nothing",
-			pre:  func(o *Object) { write4(o); o.DropLocked() },
+			pre:  func(o *Object) { write4(o); o.dropLocked() },
 			do:   func(o *Object) { o.ValidateWriteLocked(40, 4, b("b")) },
 			want: "nil v0 Valid cts0 []"},
 		{name: "validate: an R-VAL flips the version it names",
@@ -89,28 +91,28 @@ func TestObjectTransitions(t *testing.T) {
 			pre: write4, do: func(o *Object) { o.ValidateLocked(4, TInvalid) },
 			want: "b v4 Write cts30 [30:3:a]"},
 		{name: "install: a shipped value arrives whole",
-			pre: func(*Object) {}, do: func(o *Object) { o.InstallLocked(70, 7, b("d")) },
+			pre: func(*Object) {}, do: func(o *Object) { o.installLocked(70, 7, b("d")) },
 			want:   "d v7 Valid cts70 [70:7:d]",
 			readAt: 69, wantRead: "none"},
 		{name: "install: the shipped CTS is taken as given, even below the record's",
-			pre:  func(o *Object) { o.InstallLocked(50, 5, b("c")) },
-			do:   func(o *Object) { o.InstallLocked(45, 6, b("d")) },
+			pre:  func(o *Object) { o.installLocked(50, 5, b("c")) },
+			do:   func(o *Object) { o.installLocked(45, 6, b("d")) },
 			want: "d v6 Valid cts45 [50:5:c 45:6:d]"},
 		{name: "install: without a timestamp nothing is published",
-			pre: func(*Object) {}, do: func(o *Object) { o.InstallLocked(0, 1, b("seed")) },
+			pre: func(*Object) {}, do: func(o *Object) { o.installLocked(0, 1, b("seed")) },
 			want:   "seed v1 Valid cts0 []",
 			readAt: 1, wantRead: "0:1:seed"},
 		{name: "recover: an Invalid hint with no history serves no snapshot",
-			pre: invalid4, do: func(o *Object) { o.RecoverLocked(50, 5, b("c")) },
+			pre: invalid4, do: func(o *Object) { o.RecoverLocked(0, 50, 5, b("c"), wire.OTS{}, wire.ReplicaSet{}) },
 			want:   "c v5 Invalid cts50 []",
 			readAt: 99, wantRead: "none"},
 		{name: "recover: the kept CTS re-arms the implicit entry once validated",
-			pre:    func(o *Object) { o.RecoverLocked(50, 5, b("c")) },
+			pre:    func(o *Object) { o.RecoverLocked(0, 50, 5, b("c"), wire.OTS{}, wire.ReplicaSet{}) },
 			do:     func(o *Object) { o.ValidateLocked(o.TSnapshot()) },
 			want:   "c v5 Valid cts50 []",
 			readAt: 50, wantRead: "50:5:c"},
 		{name: "drop: nothing of the replica is left to read",
-			pre: invalid4, do: (*Object).DropLocked,
+			pre: invalid4, do: (*Object).dropLocked,
 			want:   "nil v0 Valid cts0 []",
 			readAt: math.MaxUint64, wantRead: "0:0:"},
 	} {
@@ -136,7 +138,7 @@ func TestObjectTransitions(t *testing.T) {
 // every step what the deleted ringpublish analyzer approximated lexically: no
 // ring entry's version exceeds t_version, entries are strictly version-sorted,
 // and the ring (array included) never exceeds DefaultRingEntries. Versions are
-// drawn around the current one, stale and ahead alike; InstallLocked alone
+// drawn around the current one, stale and ahead alike; installLocked alone
 // keeps its documented precondition (never below t_version).
 func TestRingNeverAheadOfWord(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
@@ -169,13 +171,13 @@ func TestRingNeverAheadOfWord(t *testing.T) {
 			case r < 18:
 				ver := cur + uint64(rng.Intn(3))
 				op = fmt.Sprintf("install(%d,%d)", cts, ver)
-				o.InstallLocked(cts, ver, data)
+				o.installLocked(cts, ver, data)
 			case r < 19:
 				op = fmt.Sprintf("recover(%d,%d)", cts, near)
-				o.RecoverLocked(cts, near, data)
+				o.RecoverLocked(0, cts, near, data, wire.OTS{}, wire.ReplicaSet{})
 			default:
 				op = "drop"
-				o.DropLocked()
+				o.dropLocked()
 			}
 			trail = append(trail, op)
 			bad := ""

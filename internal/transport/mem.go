@@ -50,7 +50,7 @@ type MemTransport struct {
 	once    sync.Once
 	down    atomic.Bool
 	// free holds dispatched batch slices for the next SendBatch towards this
-	// node: the frame's slice is the hub's own copy (BatchSender's no-retain
+	// node: the frame's slice is the hub's own copy (SendBatch's no-retain
 	// contract), so once dispatch has handed its messages to the handler it
 	// goes back here instead of to the GC. Bounded in depth and in slice
 	// capacity (maxFreeBatchCap), so a burst cannot pin memory.
@@ -187,7 +187,7 @@ func (t *MemTransport) Send(to wire.NodeID, m wire.Msg) error {
 
 // SendBatch delivers msgs to the peer as one inbox hop, preserving order. The
 // frame carries the hub's own slice (msgs is the caller's again on return,
-// see BatchSender), taken from the destination's free list when one is
+// see Transport.SendBatch), taken from the destination's free list when one is
 // parked there.
 func (t *MemTransport) SendBatch(to wire.NodeID, msgs []wire.Msg) error {
 	if err := t.sendable(); err != nil {
@@ -305,11 +305,5 @@ func (t *MemTransport) Close() error {
 }
 
 var _ Transport = (*MemTransport)(nil)
-var _ BatchSender = (*MemTransport)(nil)
-var _ Multicaster = (*MemTransport)(nil)
-var _ TickNotifier = (*MemTransport)(nil)
 var _ Transport = (*Reliable)(nil)
-var _ BatchSender = (*Reliable)(nil)
-var _ Multicaster = (*Reliable)(nil)
 var _ Flusher = (*Reliable)(nil)
-var _ TickNotifier = (*Reliable)(nil)

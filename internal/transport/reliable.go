@@ -23,22 +23,9 @@ type ReliableConfig struct {
 	// like a loss.
 	MinRTO time.Duration
 	MaxRTO time.Duration
-	// DupAckThreshold is the number of duplicate pure ACKs that trigger a
-	// fast retransmission of the first unacknowledged frame (à la TCP fast
-	// retransmit; default 2). Out-of-order arrivals are always acked
-	// immediately — delayed acks never mute this signal.
-	DupAckThreshold int
-	// ScanInterval is how often the retransmitter scans for timed-out
-	// frames; defaults to max(MinRTO/2, 50µs).
-	ScanInterval time.Duration
 	// DeliveryDepth bounds the per-peer in-order delivery queue (frames).
 	DeliveryDepth int
 
-	// MaxBatchBytes flushes a peer's egress queue once the pending batch
-	// payload reaches this size (default 16 KB).
-	MaxBatchBytes int
-	// MaxBatchMsgs flushes once this many messages are queued (default 64).
-	MaxBatchMsgs int
 	// WindowFrames is the Nagle-style batching trigger: egress flushes
 	// immediately while fewer than this many frames are unacknowledged
 	// (idle links get minimum latency), and queues into batch frames
@@ -62,6 +49,18 @@ type ReliableConfig struct {
 	// behaviour; the transport ablation experiment uses it as a baseline).
 	NoDelay bool
 }
+
+const (
+	// dupAckThreshold is the number of duplicate pure ACKs that trigger a
+	// fast retransmission of the first unacknowledged frame (à la TCP fast
+	// retransmit). Out-of-order arrivals are always acked immediately —
+	// delayed acks never mute this signal.
+	dupAckThreshold = 2
+	// A peer's egress queue is flushed once the pending batch payload
+	// reaches maxBatchBytes or maxBatchMsgs messages are queued.
+	maxBatchBytes = 16 << 10
+	maxBatchMsgs  = 64
+)
 
 // DefaultReliableConfig matches the simulated fabric's latency scale.
 func DefaultReliableConfig() ReliableConfig {
@@ -170,12 +169,6 @@ func NewReliable(ep *netsim.Endpoint, cfg ReliableConfig) *Reliable {
 	if cfg.RTO <= 0 {
 		cfg.RTO = 2 * time.Millisecond
 	}
-	if cfg.MaxBatchBytes <= 0 {
-		cfg.MaxBatchBytes = 16 << 10
-	}
-	if cfg.MaxBatchMsgs <= 0 {
-		cfg.MaxBatchMsgs = 64
-	}
 	if cfg.WindowFrames <= 0 {
 		cfg.WindowFrames = 16
 	}
@@ -207,15 +200,6 @@ func NewReliable(ep *netsim.Endpoint, cfg ReliableConfig) *Reliable {
 		cfg.MaxRTO = 100 * time.Millisecond
 		if cfg.MaxRTO < 4*cfg.RTO {
 			cfg.MaxRTO = 4 * cfg.RTO
-		}
-	}
-	if cfg.DupAckThreshold <= 0 {
-		cfg.DupAckThreshold = 2
-	}
-	if cfg.ScanInterval <= 0 {
-		cfg.ScanInterval = cfg.MinRTO / 2
-		if cfg.ScanInterval < 50*time.Microsecond {
-			cfg.ScanInterval = 50 * time.Microsecond
 		}
 	}
 	if cfg.DeliveryDepth <= 0 {
@@ -344,7 +328,7 @@ func (r *Reliable) Send(to wire.NodeID, m wire.Msg) error {
 	p.egMu.Lock()
 	p.egBuf = wire.AppendMessage(p.egBuf, m)
 	p.egCount++
-	full := len(p.egBuf) >= r.cfg.MaxBatchBytes || p.egCount >= r.cfg.MaxBatchMsgs
+	full := len(p.egBuf) >= maxBatchBytes || p.egCount >= maxBatchMsgs
 	p.egMu.Unlock()
 	if full || r.belowWindow(p) {
 		return r.flushPeer(p)
@@ -381,7 +365,7 @@ func (r *Reliable) SendBatch(to wire.NodeID, msgs []wire.Msg) error {
 		p.egCount++
 		// Enforce the frame bound per message, not per batch: a caller's
 		// batch larger than the thresholds leaves as several frames.
-		if len(p.egBuf) >= r.cfg.MaxBatchBytes || p.egCount >= r.cfg.MaxBatchMsgs {
+		if len(p.egBuf) >= maxBatchBytes || p.egCount >= maxBatchMsgs {
 			if e := r.flushPeerLocked(p); e != nil && err == nil {
 				err = e
 			}
@@ -425,7 +409,7 @@ func (r *Reliable) Multicast(dsts []wire.NodeID, m wire.Msg) error {
 		p.egMu.Lock()
 		p.egBuf = append(p.egBuf, enc.B...)
 		p.egCount++
-		full := len(p.egBuf) >= r.cfg.MaxBatchBytes || p.egCount >= r.cfg.MaxBatchMsgs
+		full := len(p.egBuf) >= maxBatchBytes || p.egCount >= maxBatchMsgs
 		p.egMu.Unlock()
 		if full || r.belowWindow(p) {
 			if e := r.flushPeer(p); e != nil && err == nil {
@@ -574,14 +558,14 @@ func (r *Reliable) processAck(p *peerState, ack uint64, pureAck, delayed bool) b
 		}
 	case ack == p.cumAck && pureAck:
 		// A duplicate ack means later frames arrived while ack+1 is
-		// missing; after DupAckThreshold of them, resend it right away —
+		// missing; after dupAckThreshold of them, resend it right away —
 		// but only once per hole (à la TCP): every frame queued behind
 		// the hole produces another duplicate ack, and re-firing on each
 		// would amplify one loss into a burst of identical copies. If
 		// the retransmission is lost too, the RTO timer recovers.
 		if uf, ok := p.unacked[ack+1]; ok && ack+1 > p.fastRetx {
 			p.dupAcks++
-			if p.dupAcks >= r.cfg.DupAckThreshold {
+			if p.dupAcks >= dupAckThreshold {
 				p.dupAcks = 0
 				p.fastRetx = ack + 1
 				uf.retx = true
@@ -758,7 +742,8 @@ func (r *Reliable) flushLoop() {
 }
 
 func (r *Reliable) retransmitLoop() {
-	t := time.NewTicker(r.cfg.ScanInterval)
+	// Timed-out frames are looked for twice per shortest possible timeout.
+	t := time.NewTicker(max(r.cfg.MinRTO/2, 50*time.Microsecond))
 	defer t.Stop()
 	for {
 		select {

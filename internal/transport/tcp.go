@@ -425,6 +425,3 @@ func (t *TCP) Close() error {
 }
 
 var _ Transport = (*TCP)(nil)
-var _ BatchSender = (*TCP)(nil)
-var _ Multicaster = (*TCP)(nil)
-var _ TickNotifier = (*TCP)(nil)

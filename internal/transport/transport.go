@@ -12,7 +12,7 @@
 //
 // All three work per batch, not per message. A SendBatch travels as a unit
 // (one inbox hop, one reliable frame, one socket write), and the receiver
-// runs the delivery tick (TickNotifier) once per unit it took in, after
+// runs the delivery tick (SetTickHandler) once per unit it took in, after
 // dispatching all of it — so the responses a batch provokes leave as one
 // batch too. The hub and the reliable fabric see the sender's unit as such.
 // TCP sees a byte stream, and its unit is the socket drain: a read loop reads
@@ -42,15 +42,37 @@ import (
 // and must not block indefinitely.
 type Handler func(from wire.NodeID, m wire.Msg)
 
-// Transport sends and receives protocol messages.
+// Transport sends and receives protocol messages. All three fabrics work per
+// batch, so the batch operations are part of the interface, not an optional
+// extra with a per-message fallback.
 type Transport interface {
 	// Self returns the local node id.
 	Self() wire.NodeID
 	// Send transmits one message to a peer (reliable, FIFO per peer).
 	Send(to wire.NodeID, m wire.Msg) error
+	// SendBatch hands several messages to one peer as a unit (one frame on
+	// the reliable fabric, one write on TCP, one inbox hop on the hub);
+	// protocol engines use it to coalesce responses.
+	//
+	// No-retain contract: SendBatch is finished with the msgs slice when it
+	// returns — it has encoded the messages (Reliable, TCP) or copied the
+	// pointers into a frame of its own (hub) — so the caller may overwrite
+	// and reuse the slice immediately; the commit coalescer flushes from the
+	// same two buffers per peer forever. The messages themselves stay frozen
+	// as for Send (zeuslint sendfrozen): only the slice that carried them is
+	// the caller's again.
+	SendBatch(to wire.NodeID, msgs []wire.Msg) error
+	// Multicast sends m to every node in dsts (self included, if listed)
+	// with a single marshal: the batched fan-out on the replication path.
+	Multicast(dsts []wire.NodeID, m wire.Msg) error
 	// SetHandler installs the inbound message handler. It must be called
 	// before any peer sends traffic to this node.
 	SetHandler(h Handler)
+	// SetTickHandler installs the delivery-tick hook: it runs once after each
+	// inbound frame's (or batch's, or on TCP each socket drain's) messages
+	// have been dispatched, so engines can flush responses coalesced across
+	// the frame.
+	SetTickHandler(func())
 	// Close releases transport resources.
 	Close() error
 }
@@ -58,80 +80,10 @@ type Transport interface {
 // ErrClosed is returned when sending on a closed transport.
 var ErrClosed = errors.New("transport: closed")
 
-// BatchSender is implemented by transports that can hand several messages to
-// one peer as a unit (one frame on the reliable fabric, one write on TCP, one
-// inbox hop on the hub). Protocol engines use it to coalesce responses.
-//
-// No-retain contract: SendBatch is finished with the msgs slice when it
-// returns — it has encoded the messages (Reliable, TCP) or copied the
-// pointers into a frame of its own (hub) — so the caller may overwrite and
-// reuse the slice immediately; the commit coalescer flushes from the same
-// two buffers per peer forever. The messages themselves stay frozen as for
-// Send (zeuslint sendfrozen): only the slice that carried them is the
-// caller's again.
-type BatchSender interface {
-	SendBatch(to wire.NodeID, msgs []wire.Msg) error
-}
-
-// Multicaster is implemented by transports that can send one message to many
-// peers with a single marshal (the batched fan-out on the replication path).
-type Multicaster interface {
-	Multicast(dsts []wire.NodeID, m wire.Msg) error
-}
-
 // Flusher is implemented by transports that buffer egress (frame batching);
 // Flush forces everything queued onto the wire.
 type Flusher interface {
 	Flush()
-}
-
-// TickNotifier is implemented by transports that signal delivery ticks: the
-// hook runs once after each inbound frame's (or batch's, or on TCP each
-// socket drain's) messages have been dispatched, so engines can flush
-// responses coalesced across the frame.
-type TickNotifier interface {
-	SetTickHandler(func())
-}
-
-// SetTick installs f as the delivery-tick hook if the transport supports it.
-func SetTick(t Transport, f func()) {
-	if tn, ok := t.(TickNotifier); ok {
-		tn.SetTickHandler(f)
-	}
-}
-
-// SendBatch sends msgs to one peer, as a unit when the transport supports it.
-func SendBatch(t Transport, to wire.NodeID, msgs []wire.Msg) error {
-	if len(msgs) == 0 {
-		return nil
-	}
-	if bs, ok := t.(BatchSender); ok {
-		return bs.SendBatch(to, msgs)
-	}
-	for _, m := range msgs {
-		if err := t.Send(to, m); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Multicast sends m to every node in dsts (self included, if listed), with a
-// single marshal when the transport supports it.
-func Multicast(t Transport, dsts []wire.NodeID, m wire.Msg) error {
-	if len(dsts) == 0 {
-		return nil
-	}
-	if mc, ok := t.(Multicaster); ok {
-		return mc.Multicast(dsts, m)
-	}
-	var err error
-	for _, n := range dsts {
-		if e := t.Send(n, m); e != nil && err == nil {
-			err = e
-		}
-	}
-	return err
 }
 
 // Flush forces any transport-buffered egress onto the wire.
@@ -141,12 +93,9 @@ func Flush(t Transport) {
 	}
 }
 
-// Broadcast sends m to every node in set except self (one marshal when the
-// transport is a Multicaster).
+// Broadcast sends m to every node in set except self (one marshal).
 func Broadcast(t Transport, set wire.Bitmap, m wire.Msg) {
-	self := t.Self()
-	nodes := set.Remove(self).Nodes()
-	_ = Multicast(t, nodes, m)
+	_ = t.Multicast(set.Remove(t.Self()).Nodes(), m)
 }
 
 // Router dispatches inbound messages to per-kind handlers, so that the

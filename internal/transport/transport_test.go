@@ -540,13 +540,13 @@ func TestDeliveryTickFiresPerFrame(t *testing.T) {
 	}
 }
 
-// TestSendBatchDoesNotRetainTheSlice pins the BatchSender contract on all
+// TestSendBatchDoesNotRetainTheSlice pins SendBatch's no-retain contract on all
 // three fabrics: the caller reuses its slice the moment SendBatch returns
 // (the commit coalescer flushes from the same two buffers forever), so
 // overwriting it between batches must not disturb what was sent.
 func TestSendBatchDoesNotRetainTheSlice(t *testing.T) {
 	const rounds, per = 20, 8
-	run := func(t *testing.T, a BatchSender, c *collect) {
+	run := func(t *testing.T, a Transport, c *collect) {
 		buf := make([]wire.Msg, per)
 		for r := 0; r < rounds; r++ {
 			for i := range buf {

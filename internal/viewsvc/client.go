@@ -228,7 +228,7 @@ func (c *Client) flushRenewals() {
 	if bits == 0 {
 		return
 	}
-	_ = transport.Multicast(c.tr, c.replicas, &wire.VSLeaseMsg{Nodes: wire.Bitmap(bits)})
+	_ = c.tr.Multicast(c.replicas, &wire.VSLeaseMsg{Nodes: wire.Bitmap(bits)})
 	transport.Flush(c.tr)
 }
 
@@ -324,7 +324,7 @@ func (c *Client) driveUntil(cmd wire.VSCommand, done func(wire.VSState) bool, ti
 		if time.Now().After(deadline) {
 			return false
 		}
-		_ = transport.Multicast(c.tr, c.replicas, &wire.VSPropose{Cmd: cmd})
+		_ = c.tr.Multicast(c.replicas, &wire.VSPropose{Cmd: cmd})
 		transport.Flush(c.tr)
 		// Fine-grained wait: re-check the cache well before the next
 		// re-proposal is due (the command usually commits in microseconds).
@@ -348,7 +348,7 @@ func (c *Client) driveUntil(cmd wire.VSCommand, done func(wire.VSState) bool, ti
 // query asks every replica for its committed state (the responses heal any
 // missed push; the Index guard drops stale ones).
 func (c *Client) query() {
-	_ = transport.Multicast(c.tr, c.replicas, &wire.VSQuery{})
+	_ = c.tr.Multicast(c.replicas, &wire.VSQuery{})
 	transport.Flush(c.tr)
 }
 

@@ -241,7 +241,7 @@ func (r *Replica) others() []wire.NodeID {
 }
 
 func (r *Replica) multicast(m wire.Msg) {
-	_ = transport.Multicast(r.tr, r.others(), m)
+	_ = r.tr.Multicast(r.others(), m)
 	transport.Flush(r.tr)
 }
 
@@ -508,7 +508,7 @@ func (r *Replica) commitLocked() {
 	for _, s := range r.subs.Nodes() {
 		dsts = append(dsts, s)
 	}
-	_ = transport.Multicast(r.tr, dsts, msg)
+	_ = r.tr.Multicast(dsts, msg)
 	transport.Flush(r.tr)
 	r.popQueueLocked()
 }
@@ -755,7 +755,7 @@ func (r *Replica) becomeLeaderLocked() {
 	for _, s := range r.subs.Nodes() {
 		dsts = append(dsts, s)
 	}
-	_ = transport.Multicast(r.tr, dsts, msg)
+	_ = r.tr.Multicast(dsts, msg)
 	transport.Flush(r.tr)
 	r.popQueueLocked()
 }

@@ -57,7 +57,7 @@ func TestDuplicateProposalsCommitOnce(t *testing.T) {
 	// Multicast the same join several times by hand: the leader must
 	// deduplicate against state, queue and accepted entry.
 	for i := 0; i < 5; i++ {
-		_ = transport.Multicast(r.cli.tr, r.cli.replicas, &wire.VSPropose{Cmd: wire.VSCommand{Op: wire.VSJoin, Node: 9}})
+		_ = r.cli.tr.Multicast(r.cli.replicas, &wire.VSPropose{Cmd: wire.VSCommand{Op: wire.VSJoin, Node: 9}})
 	}
 	if !r.cli.WaitEpoch(2, time.Second) {
 		t.Fatal("join never committed")
