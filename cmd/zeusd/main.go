@@ -227,9 +227,9 @@ func main() {
 }
 
 // joinCluster attaches this node to a running deployment: contact the
-// ensemble, adopt its address book, verify the directory configuration,
-// evict any still-live previous incarnation of itself (leave-then-join),
-// commit the join, and state-sync whatever the local WAL recovered.
+// ensemble, adopt its address book, verify the directory configuration, and
+// run the rejoin sequence (core.Node.Rejoin: evict a still-live previous
+// incarnation, commit the join, state-sync whatever the local WAL recovered).
 func joinCluster(node *core.Node, tr *transport.TCP, cli *viewsvc.Client, self wire.NodeID, adv string, dirShards int) error {
 	// First contact: the cached state is a local seed (empty, for a joiner)
 	// until the ensemble answers. WaitEpoch re-queries as a lost-push
@@ -247,37 +247,8 @@ func joinCluster(node *core.Node, tr *transport.TCP, cli *viewsvc.Client, self w
 	}
 	applyAddrs(tr, s, self)
 
-	// Restart eviction: a crashed process can be back before the failure
-	// detector noticed, so the previous incarnation still sits in the Live
-	// set and its unfinished replication state is still held by the
-	// survivors. Committing an explicit Leave first bumps the epoch and
-	// opens the recovery barrier — the survivors replay this incarnation's
-	// stranded R-INVs and validate what the crash left mid-flight — before
-	// the rejoin commits. The old "already live, nothing to commit" fast
-	// path skipped all of that: those slots stayed stored forever at the
-	// followers, and on memory-only nodes the unbumped epoch let the new
-	// pipes alias the previous incarnation's PipeIDs.
-	if s.Live.Contains(self) {
-		before := s.Epoch
-		if !cli.Leave(self) {
-			return fmt.Errorf("pre-join leave did not commit (no ensemble quorum?)")
-		}
-		if !cli.WaitEpoch(before+1, 10*time.Second) {
-			return fmt.Errorf("pre-join leave view change timed out")
-		}
-		s = cli.State()
-	}
-	before := s.Epoch
-	if !cli.JoinAddr(self, adv) {
-		return fmt.Errorf("join did not commit (no ensemble quorum?)")
-	}
-	if !cli.WaitEpoch(before+1, 10*time.Second) {
-		return fmt.Errorf("join view change timed out")
-	}
-	// Rejoin is state sync, not cold start: recovered objects re-arm at the
-	// owners' current versions; exclusively-owned ones are reclaimed.
-	if err := node.StateSync(15 * time.Second); err != nil {
-		return fmt.Errorf("state sync: %w", err)
+	if err := node.Rejoin(cli, adv, 15*time.Second); err != nil {
+		return err
 	}
 	log.Printf("zeusd: node %d joined (recovered %d objects from WAL, state sync complete)", self, node.Recovered())
 	return nil
@@ -310,9 +281,6 @@ func checkPlacement(s wire.VSState, dirShards int) error {
 }
 
 func applyAddrs(tr *transport.TCP, s wire.VSState, self wire.NodeID) {
-	if tr == nil {
-		return
-	}
 	for _, a := range s.Addrs {
 		if a.Node != self && a.Addr != "" {
 			tr.SetAddr(a.Node, a.Addr)

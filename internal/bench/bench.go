@@ -1,27 +1,16 @@
 // Package bench implements the paper's evaluation workloads (§8): the
 // cellular Handovers benchmark, Smallbank, TATP and Voter (Table 2), the
 // locality analyses (Boston handovers, Venmo graph, TPC-C closed form), and
-// a generic runner that measures throughput and abort rates against any
-// dbapi.DB — Zeus or the distributed-commit baseline.
+// what stands a system up for them: the seeders that give Zeus and the
+// distributed-commit baseline the same initial sharding, and the baseline's
+// deployment. A workload's MakeOp yields an Op against any dbapi.DB;
+// internal/loadgen drives it, closed loop for the paper's figures.
 package bench
 
 import (
 	"encoding/binary"
 	"math/rand"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"zeus/internal/dbapi"
-	"zeus/internal/obs"
 )
-
-// U64 encodes a counter value as an object payload.
-func U64(v uint64) []byte {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, v)
-	return b
-}
 
 // FromU64 decodes a counter payload.
 func FromU64(b []byte) uint64 {
@@ -43,209 +32,8 @@ func Pad(v uint64, size int) []byte {
 	return b
 }
 
-// Result summarizes one benchmark run.
-type Result struct {
-	Name     string
-	Duration time.Duration
-	Ops      uint64 // committed transactions
-	Failures uint64 // operations that gave up (non-conflict errors)
-	// PerNode is the committed-op count per node index.
-	PerNode []uint64
-}
-
-// Tps returns committed transactions per second.
-func (r Result) Tps() float64 {
-	if r.Duration <= 0 {
-		return 0
-	}
-	return float64(r.Ops) / r.Duration.Seconds()
-}
-
-// TpsPerNode returns throughput divided by node count.
-func (r Result) TpsPerNode() float64 {
-	if len(r.PerNode) == 0 {
-		return r.Tps()
-	}
-	return r.Tps() / float64(len(r.PerNode))
-}
-
-// Op is one benchmark operation: it runs one transaction (including
-// retry-on-conflict, typically via dbapi.Run) on the given worker.
+// Op is one request of a workload: it runs one transaction (including
+// retry-on-conflict, typically via dbapi.Run) on the given worker, drawing
+// its choices from the worker's rng. It is the one signature every load
+// driver executes (loadgen.Run, and the repository benchmark's own loop).
 type Op func(worker int, rng *rand.Rand) error
-
-// Runner drives a fixed number of operations per worker on every node.
-type Runner struct {
-	// Name labels the result.
-	Name string
-	// DBs holds one dbapi.DB per participating node.
-	DBs []dbapi.DB
-	// WorkersPerNode is the number of concurrent workers per node.
-	WorkersPerNode int
-	// OpsPerWorker is how many operations each worker executes.
-	OpsPerWorker int
-	// WarmupPerWorker operations run untimed before measurement starts
-	// (defaults to OpsPerWorker/4), absorbing allocator and scheduler
-	// warm-up so that back-to-back configurations compare fairly.
-	WarmupPerWorker int
-	// Seed makes workload choices reproducible.
-	Seed int64
-}
-
-// Run executes makeOp(node, db) once per (node, worker), running the
-// returned Op OpsPerWorker times, and aggregates the results.
-func (r Runner) Run(makeOp func(node int, db dbapi.DB) Op) Result {
-	return r.RunCounted(makeOp)
-}
-
-// TimedRunner is like Runner but runs for a fixed duration; used by the
-// timeline experiments (Voter Figures 10/11, Nginx Figure 15).
-type TimedRunner struct {
-	Name           string
-	DBs            []dbapi.DB
-	WorkersPerNode int
-	Duration       time.Duration
-	Seed           int64
-	// Latencies, when set, receives every committed op's service latency —
-	// the experiments report the same _p50/_p99/_p999 fields the load
-	// harness gates on instead of ad-hoc sorted-slice percentiles. (This is
-	// closed-loop timing: op start to op return. Open-loop intended-send
-	// measurement lives in internal/loadgen.)
-	Latencies *obs.Histogram
-}
-
-// RunTimed executes ops until the duration expires, sampling per-node
-// throughput every interval. It returns the samples (ops committed per node
-// per interval) and the total.
-func (r TimedRunner) RunTimed(makeOp func(node int, db dbapi.DB) Op, interval time.Duration) (samples [][]uint64, total Result) {
-	if r.WorkersPerNode <= 0 {
-		r.WorkersPerNode = 4
-	}
-	if interval <= 0 {
-		interval = 100 * time.Millisecond
-	}
-	counters := make([]*atomic.Uint64, len(r.DBs))
-	for i := range counters {
-		counters[i] = &atomic.Uint64{}
-	}
-	var failures atomic.Uint64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for node := range r.DBs {
-		op := makeOp(node, r.DBs[node])
-		for w := 0; w < r.WorkersPerNode; w++ {
-			wg.Add(1)
-			go func(node, w int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(r.Seed + int64(node)*1000 + int64(w)))
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					t0 := time.Now()
-					if err := op(w, rng); err != nil {
-						failures.Add(1)
-						continue
-					}
-					if r.Latencies != nil {
-						r.Latencies.RecordSince(t0)
-					}
-					counters[node].Add(1)
-				}
-			}(node, w)
-		}
-	}
-	start := time.Now()
-	prev := make([]uint64, len(r.DBs))
-	for time.Since(start) < r.Duration {
-		time.Sleep(interval)
-		row := make([]uint64, len(r.DBs))
-		for i, c := range counters {
-			cur := c.Load()
-			row[i] = cur - prev[i]
-			prev[i] = cur
-		}
-		samples = append(samples, row)
-	}
-	close(stop)
-	wg.Wait()
-	elapsed := time.Since(start)
-	perNode := make([]uint64, len(r.DBs))
-	var ops uint64
-	for i, c := range counters {
-		perNode[i] = c.Load()
-		ops += perNode[i]
-	}
-	return samples, Result{
-		Name: r.Name, Duration: elapsed, Ops: ops,
-		Failures: failures.Load(), PerNode: perNode,
-	}
-}
-
-// RunCounted is the counting engine behind Run.
-func (r Runner) RunCounted(makeOp func(node int, db dbapi.DB) Op) Result {
-	if r.WorkersPerNode <= 0 {
-		r.WorkersPerNode = 4
-	}
-	if r.OpsPerWorker <= 0 {
-		r.OpsPerWorker = 100
-	}
-	warmup := r.WarmupPerWorker
-	if warmup == 0 {
-		warmup = r.OpsPerWorker / 4
-	}
-	counters := make([]*atomic.Uint64, len(r.DBs))
-	for i := range counters {
-		counters[i] = &atomic.Uint64{}
-	}
-	var failures atomic.Uint64
-	var wg sync.WaitGroup
-	ops := make([]Op, len(r.DBs))
-	for node := range r.DBs {
-		ops[node] = makeOp(node, r.DBs[node])
-	}
-	// Warm-up phase: untimed, uncounted.
-	for node := range r.DBs {
-		for w := 0; w < r.WorkersPerNode; w++ {
-			wg.Add(1)
-			go func(node, w int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(r.Seed + 7777 + int64(node)*1000 + int64(w)))
-				for i := 0; i < warmup; i++ {
-					_ = ops[node](w, rng)
-				}
-			}(node, w)
-		}
-	}
-	wg.Wait()
-	start := time.Now()
-	for node := range r.DBs {
-		for w := 0; w < r.WorkersPerNode; w++ {
-			wg.Add(1)
-			go func(node, w int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(r.Seed + int64(node)*1000 + int64(w)))
-				for i := 0; i < r.OpsPerWorker; i++ {
-					if err := ops[node](w, rng); err != nil {
-						failures.Add(1)
-						continue
-					}
-					counters[node].Add(1)
-				}
-			}(node, w)
-		}
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	perNode := make([]uint64, len(r.DBs))
-	var total uint64
-	for i, c := range counters {
-		perNode[i] = c.Load()
-		total += perNode[i]
-	}
-	return Result{
-		Name: r.Name, Duration: elapsed, Ops: total,
-		Failures: failures.Load(), PerNode: perNode,
-	}
-}

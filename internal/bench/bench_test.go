@@ -3,11 +3,9 @@ package bench
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"zeus/internal/cluster"
 	"zeus/internal/dbapi"
-	"zeus/internal/obs"
 )
 
 func smallZeus(t *testing.T, nodes int) *cluster.Cluster {
@@ -43,114 +41,11 @@ func TestPadAndU64(t *testing.T) {
 	if len(b) != 400 || FromU64(b) != 77 {
 		t.Fatalf("pad round trip: len=%d v=%d", len(b), FromU64(b))
 	}
-	if FromU64(U64(5)) != 5 || FromU64(nil) != 0 {
+	if FromU64(Pad(5, 8)) != 5 || FromU64(nil) != 0 {
 		t.Fatal("u64 round trip failed")
 	}
 	if len(Pad(1, 2)) != 8 {
 		t.Fatal("pad must clamp to 8 bytes")
-	}
-}
-
-func TestSmallbankOnZeus(t *testing.T) {
-	const nodes = 3
-	c := smallZeus(t, nodes)
-	cfg := DefaultSmallbankConfig(nodes)
-	cfg.AccountsPerNode = 200
-	sb := NewSmallbank(cfg)
-	sb.Seed(ZeusSeeder(c))
-	r := Runner{Name: "smallbank", DBs: ZeusDBs(c, nodes), WorkersPerNode: 2, OpsPerWorker: 50, Seed: 1}
-	res := r.Run(sb.MakeOp)
-	if res.Ops == 0 {
-		t.Fatal("no transactions committed")
-	}
-	if res.Failures > res.Ops/10 {
-		t.Fatalf("too many failures: %d of %d", res.Failures, res.Ops)
-	}
-	if res.Tps() <= 0 || res.TpsPerNode() <= 0 {
-		t.Fatal("throughput not computed")
-	}
-}
-
-func TestSmallbankOnBaselineSameSharding(t *testing.T) {
-	const nodes = 3
-	d := NewBaselineDeployment(nodes, 3)
-	defer d.Close()
-	cfg := DefaultSmallbankConfig(nodes)
-	cfg.AccountsPerNode = 200
-	sb := NewSmallbank(cfg)
-	sb.Seed(d.Seeder())
-	r := Runner{Name: "smallbank-baseline", DBs: d.DBs(), WorkersPerNode: 2, OpsPerWorker: 50, Seed: 1}
-	res := r.Run(sb.MakeOp)
-	if res.Ops == 0 {
-		t.Fatal("no transactions committed on baseline")
-	}
-}
-
-func TestSmallbankRemoteFractionDrivesOwnership(t *testing.T) {
-	const nodes = 3
-	c := smallZeus(t, nodes)
-	cfg := DefaultSmallbankConfig(nodes)
-	cfg.AccountsPerNode = 500
-	cfg.RemoteWriteFrac = 0.5
-	sb := NewSmallbank(cfg)
-	sb.Seed(ZeusSeeder(c))
-	r := Runner{Name: "sb-remote", DBs: ZeusDBs(c, nodes), WorkersPerNode: 2, OpsPerWorker: 40, Seed: 2}
-	res := r.Run(sb.MakeOp)
-	if res.Ops == 0 {
-		t.Fatal("no ops")
-	}
-	var reqs uint64
-	for i := 0; i < nodes; i++ {
-		reqs += c.Node(i).OwnershipEngine().Stats().Succeeded
-	}
-	if reqs == 0 {
-		t.Fatal("remote writes never triggered ownership changes")
-	}
-}
-
-func TestTATPOnZeusReadHeavy(t *testing.T) {
-	const nodes = 3
-	c := smallZeus(t, nodes)
-	cfg := DefaultTATPConfig(nodes)
-	cfg.SubscribersPerNode = 300
-	tp := NewTATP(cfg)
-	tp.Seed(ZeusSeeder(c))
-	before := c.Messages()
-	r := Runner{Name: "tatp", DBs: ZeusDBs(c, nodes), WorkersPerNode: 2, OpsPerWorker: 100, Seed: 3}
-	res := r.Run(tp.MakeOp)
-	if res.Ops == 0 {
-		t.Fatal("no transactions committed")
-	}
-	// 80% of TATP is read-only and local: messages per op must be well
-	// below the write-tx replication cost (~2 messages per write × 2
-	// followers). This is the §5.3 no-network-reads property.
-	msgs := c.Messages() - before
-	perOp := float64(msgs) / float64(res.Ops)
-	if perOp > 4 {
-		t.Fatalf("read-heavy TATP used %.1f messages/op", perOp)
-	}
-}
-
-func TestVoterOnZeusAndMigration(t *testing.T) {
-	const nodes = 3
-	c := smallZeus(t, nodes)
-	cfg := DefaultVoterConfig(nodes)
-	cfg.VotersPerNode = 300
-	vt := NewVoter(cfg)
-	vt.Seed(ZeusSeeder(c))
-	r := Runner{Name: "voter", DBs: ZeusDBs(c, nodes), WorkersPerNode: 2, OpsPerWorker: 60, Seed: 4}
-	res := r.Run(vt.MakeOp)
-	if res.Ops == 0 {
-		t.Fatal("no votes")
-	}
-	// Figure 10's core primitive: bulk-move node 0's voters to node 1.
-	objs := vt.VoterObjects(0)[:100]
-	mig := MoveObjects(c.Node(1), objs)
-	if mig.Moved != 100 || mig.Failed != 0 {
-		t.Fatalf("migration: %+v", mig)
-	}
-	if mig.Rate() <= 0 {
-		t.Fatal("migration rate not computed")
 	}
 }
 
@@ -187,74 +82,6 @@ func TestVoterVoteLimit(t *testing.T) {
 		if got > 2 {
 			t.Fatalf("voter %d has %d votes, limit 2", i, got)
 		}
-	}
-}
-
-func TestHandoversOnZeus(t *testing.T) {
-	const nodes = 3
-	c := smallZeus(t, nodes)
-	cfg := DefaultHandoverConfig(nodes)
-	cfg.UsersPerNode = 200
-	cfg.HandoverRatio = 0.05
-	h := NewHandovers(cfg)
-	h.Seed(ZeusSeeder(c))
-	r := Runner{Name: "handover", DBs: ZeusDBs(c, nodes), WorkersPerNode: 2, OpsPerWorker: 40, Seed: 5}
-	res := r.Run(h.MakeOp)
-	if res.Ops == 0 {
-		t.Fatal("no control-plane operations")
-	}
-}
-
-func TestHandoversIdealNoOwnershipTraffic(t *testing.T) {
-	const nodes = 3
-	c := smallZeus(t, nodes)
-	cfg := DefaultHandoverConfig(nodes)
-	cfg.UsersPerNode = 200
-	cfg.HandoverRatio = 0.05
-	cfg.Ideal = true
-	h := NewHandovers(cfg)
-	h.Seed(ZeusSeeder(c))
-	r := Runner{Name: "handover-ideal", DBs: ZeusDBs(c, nodes), WorkersPerNode: 2, OpsPerWorker: 40, Seed: 6}
-	res := r.Run(h.MakeOp)
-	if res.Ops == 0 {
-		t.Fatal("no ops")
-	}
-	for i := 0; i < nodes; i++ {
-		if got := c.Node(i).OwnershipEngine().Stats().Requests; got != 0 {
-			t.Fatalf("ideal mode issued %d ownership requests on node %d", got, i)
-		}
-	}
-}
-
-func TestTimedRunnerSamples(t *testing.T) {
-	const nodes = 3
-	c := smallZeus(t, nodes)
-	cfg := DefaultVoterConfig(nodes)
-	cfg.VotersPerNode = 200
-	vt := NewVoter(cfg)
-	vt.Seed(ZeusSeeder(c))
-	// Duration ≫ interval: sleeps oversleep badly on loaded (-race,
-	// single-core) hosts, and a too-tight ratio yields a lone sample.
-	lats := &obs.Histogram{}
-	tr := TimedRunner{Name: "timed", DBs: ZeusDBs(c, nodes), WorkersPerNode: 2, Duration: 360 * time.Millisecond, Seed: 7, Latencies: lats}
-	samples, total := tr.RunTimed(vt.MakeOp, 30*time.Millisecond)
-	if len(samples) < 2 {
-		t.Fatalf("only %d samples", len(samples))
-	}
-	if total.Ops == 0 {
-		t.Fatal("no ops in timed run")
-	}
-	var sampled uint64
-	for _, row := range samples {
-		for _, v := range row {
-			sampled += v
-		}
-	}
-	if sampled == 0 {
-		t.Fatal("samples all zero")
-	}
-	if snap := lats.Snapshot(); snap.Count != total.Ops {
-		t.Fatalf("latency histogram recorded %d samples for %d committed ops", snap.Count, total.Ops)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"zeus/internal/cluster"
 	"zeus/internal/core"
 	"zeus/internal/dbapi"
-	"zeus/internal/netsim"
 	"zeus/internal/transport"
 	"zeus/internal/wire"
 )
@@ -31,58 +30,29 @@ func ZeusDBs(c *cluster.Cluster, n int) []dbapi.DB {
 
 // BaselineDeployment is a self-contained baseline cluster.
 type BaselineDeployment struct {
-	Nodes []*baseline.Node
-	hub   *transport.Hub
-	net   *netsim.Network
-	trs   []transport.Transport
+	Nodes  []*baseline.Node
+	fabric transport.Fabric
 }
 
-// NewBaselineDeployment builds n baseline nodes over the in-memory fabric.
-func NewBaselineDeployment(n, degree int) *BaselineDeployment {
-	hub := transport.NewHub()
-	d := &BaselineDeployment{hub: hub}
+// NewBaselineDeployment builds n baseline nodes on fabric, which it owns from
+// here on: the hub for protocol checks, or — the comparison substrate of
+// Figures 8/9/13 — the same simulated fabric the Zeus cluster it is measured
+// against stands on, so that the cost of remote accesses and of the blocking
+// distributed commit is visible.
+func NewBaselineDeployment(n, degree int, fabric transport.Fabric) *BaselineDeployment {
+	d := &BaselineDeployment{fabric: fabric}
 	cfg := baseline.Config{Nodes: n, Degree: degree}
 	for i := 0; i < n; i++ {
-		tr := hub.Node(wire.NodeID(i))
+		tr := fabric.Node(wire.NodeID(i))
 		r := transport.NewRouter()
 		d.Nodes = append(d.Nodes, baseline.NewNode(wire.NodeID(i), tr, r, cfg))
 		tr.SetHandler(r.Dispatch)
-		d.trs = append(d.trs, tr)
 	}
 	return d
 }
 
-// NewBaselineDeploymentSim builds n baseline nodes over the simulated fabric
-// (with real per-message latency), so the cost of remote accesses and the
-// blocking distributed commit is visible — the comparison substrate for
-// Figures 8/9/13.
-func NewBaselineDeploymentSim(n, degree int, netCfg netsim.Config) *BaselineDeployment {
-	nw := netsim.New(netCfg)
-	d := &BaselineDeployment{net: nw}
-	cfg := baseline.Config{Nodes: n, Degree: degree}
-	rc := transport.DefaultReliableConfig()
-	if rto := 4*netCfg.MaxLatency + 2*time.Millisecond; rto > rc.RTO {
-		rc.RTO = rto
-	}
-	for i := 0; i < n; i++ {
-		tr := transport.NewReliable(nw.Endpoint(wire.NodeID(i)), rc)
-		r := transport.NewRouter()
-		d.Nodes = append(d.Nodes, baseline.NewNode(wire.NodeID(i), tr, r, cfg))
-		tr.SetHandler(r.Dispatch)
-		d.trs = append(d.trs, tr)
-	}
-	return d
-}
-
-// Close releases transports.
-func (d *BaselineDeployment) Close() {
-	for _, tr := range d.trs {
-		_ = tr.Close()
-	}
-	if d.net != nil {
-		d.net.Close()
-	}
-}
+// Close releases the fabric and every endpoint on it.
+func (d *BaselineDeployment) Close() { d.fabric.Close() }
 
 // DBs returns the dbapi view of the deployment.
 func (d *BaselineDeployment) DBs() []dbapi.DB {

@@ -1,10 +1,34 @@
-// Package cluster assembles an in-process Zeus deployment: N core nodes over
-// either the perfect in-memory fabric (Hub) or the lossy simulated network
-// (netsim + reliable transport), one view-service ensemble and its client,
-// and helpers for failure injection, scale-out and bulk data seeding.
+// Package cluster is the one place an in-process Zeus deployment is stood up,
+// faulted and torn down: N core nodes, one view-service ensemble and its
+// client, all on one transport.Fabric, with helpers for failure injection
+// (Kill, Restart, KillViewReplica, Leave), scale-out and bulk data seeding.
+// It is the substitute for the paper's six-server testbed: benchmarks,
+// experiments and the public zeus package run against a Cluster, and the
+// baseline systems (bench.BaselineDeployment) stand on the same fabrics.
 //
-// This is the substitute for the paper's six-server testbed: benchmarks and
-// experiments run against a Cluster.
+// Nothing here asks which fabric it is on except newFabric (fabric.go). What
+// the three do with the same five calls:
+//
+//	             FabricMem                FabricSim                      FabricTCP
+//	endpoint     a slot in a              a transport.Reliable over a    a transport.TCP on a
+//	             transport.Hub            netsim endpoint, one per id    127.0.0.1:0 listener
+//	SetDown      the slot drops what it   netsim drops every frame to    true closes the listener
+//	             sends and is sent;       and from the endpoint; the     and every socket for good;
+//	             false undoes it          Reliable keeps retransmitting  false does nothing
+//	a Restart    the same slot, inbox     the same Reliable: sequence    a new listener on a new
+//	gets         as the kill left it      numbers in step with peers,    port, whose address every
+//	                                      frames unacked since the       live endpoint is given
+//	                                      kill delivered late
+//	Messages     messages delivered       frames handed to netsim,       messages handed to socket
+//	                                      retransmits and acks included  writes, closed endpoints too
+//	Bytes        their encoded size       those frames with headers      the framed bytes written
+//
+// On every fabric the endpoint belongs to the fabric, not to the node built on
+// it: Kill cuts it off and leaves the dead node's engines running into the
+// void, as a crashed server's peers would see it; Restart shuts what is left
+// of the old node down, asks the fabric for the id's endpoint again and takes
+// the new node through core.Node.Rejoin, the same sequence a restarted zeusd
+// process runs.
 package cluster
 
 import (
@@ -22,23 +46,6 @@ import (
 	"zeus/internal/transport"
 	"zeus/internal/viewsvc"
 	"zeus/internal/wire"
-)
-
-// FabricKind selects the network substrate.
-type FabricKind int
-
-const (
-	// FabricMem is the perfect in-process hub (fast; unit tests, benches).
-	FabricMem FabricKind = iota
-	// FabricSim is the lossy simulated network under the reliable
-	// transport (protocol stress, fault injection).
-	FabricSim
-	// FabricTCP runs every endpoint over real loopback TCP sockets
-	// (transport.TCP with ":0" listeners and an in-process address book):
-	// in-process nodes, real syscalls — the load harness's "over TCP"
-	// configuration. Failure injection (Kill, Leave, KillViewReplica) is
-	// unsupported: TCP has no SetDown switch.
-	FabricTCP
 )
 
 // Options configures a cluster.
@@ -71,8 +78,6 @@ type Options struct {
 	// node follows the shard→drivers placement the view service replicates.
 	// Zero or negative picks the host-scaled default.
 	View viewsvc.Config
-	// TrimReplicas forwards to core.Config.
-	TrimReplicas bool
 	// SnapshotReads / SafeTimeInterval forward to core.Config: MVCC
 	// snapshot reads from any replica at the quorum-advanced safe-time.
 	SnapshotReads    bool
@@ -103,40 +108,29 @@ type Options struct {
 // DefaultOptions mirrors the paper's setup: 3-way replication.
 func DefaultOptions(nodes int) Options {
 	return Options{
-		Nodes:        nodes,
-		Degree:       3,
-		Workers:      8,
-		Fabric:       FabricMem,
-		Lease:        2 * time.Millisecond,
-		TrimReplicas: true,
+		Nodes:   nodes,
+		Degree:  3,
+		Workers: 8,
+		Fabric:  FabricMem,
+		Lease:   2 * time.Millisecond,
 	}
 }
 
 // Cluster is an in-process Zeus deployment.
 type Cluster struct {
 	opts   Options
-	hub    *transport.Hub
-	net    *netsim.Network
+	fabric transport.Fabric
 	mgr    *viewsvc.Client
 	views  *viewsvc.Ensemble
 	vsIDs  []wire.NodeID
-	mu     sync.RWMutex // guards nodes/trs: Restart races test load loops
+	mu     sync.RWMutex // guards nodes: Restart races test load loops
 	nodes  map[wire.NodeID]*core.Node
-	trs    map[wire.NodeID]transport.Transport
 	stores map[wire.NodeID]storage.Storage // retained across Restart
 
 	// viewObs (Options.Observability only) holds the shared view-service
 	// client's metrics — epoch changes, recovery-barrier durations, lease
 	// renew lag — which belong to the cluster, not to any one node.
 	viewObs *obs.Registry
-
-	// FabricTCP state: the address book maps every started endpoint to its
-	// ":0"-bound listen address, and tcpTrs tracks the live transports so a
-	// new endpoint's address propagates to all earlier ones (endpoints are
-	// created before they carry traffic, so propagation is race-free).
-	tcpMu   sync.Mutex
-	tcpBook map[wire.NodeID]string
-	tcpTrs  []*transport.TCP
 }
 
 // New builds and starts a cluster.
@@ -168,17 +162,9 @@ func New(opts Options) *Cluster {
 	}
 	c := &Cluster{
 		opts:   opts,
+		fabric: newFabric(opts),
 		nodes:  make(map[wire.NodeID]*core.Node),
-		trs:    make(map[wire.NodeID]transport.Transport),
 		stores: make(map[wire.NodeID]storage.Storage),
-	}
-	switch opts.Fabric {
-	case FabricSim:
-		c.net = netsim.New(opts.Net)
-	case FabricTCP:
-		c.tcpBook = make(map[wire.NodeID]string)
-	default:
-		c.hub = transport.NewHub()
 	}
 	// View service first: the ensemble and the membership client live on
 	// reserved endpoint ids of the same fabric as the data nodes, so every
@@ -191,89 +177,27 @@ func New(opts Options) *Cluster {
 	c.vsIDs = viewsvc.ReplicaIDs(opts.ViewReplicas)
 	vtrs := make([]transport.Transport, len(c.vsIDs))
 	for i, id := range c.vsIDs {
-		vtrs[i] = c.endpoint(id)
+		vtrs[i] = c.fabric.Node(id)
 	}
 	c.views = viewsvc.StartEnsemble(vcfg, c.vsIDs, vtrs, members)
 	if opts.Observability {
 		c.viewObs = obs.NewRegistry()
 	}
-	c.mgr = viewsvc.NewClient(vcfg, c.endpoint(viewsvc.ClientID), c.vsIDs, members, c.viewObs)
+	c.mgr = viewsvc.NewClient(vcfg, c.fabric.Node(viewsvc.ClientID), c.vsIDs, members, c.viewObs)
 	for i := 0; i < opts.Nodes; i++ {
 		c.startNode(wire.NodeID(i))
 	}
 	return c
 }
 
-// endpoint attaches a transport for id to the cluster's fabric.
-func (c *Cluster) endpoint(id wire.NodeID) transport.Transport {
-	if c.net != nil {
-		return transport.NewReliable(c.net.Endpoint(id), c.reliableCfg())
-	}
-	if c.tcpBook != nil {
-		return c.tcpEndpoint(id)
-	}
-	return c.hub.Node(id)
-}
-
-// tcpEndpoint starts a loopback TCP listener for id and threads its address
-// through the in-process book: the new transport gets every existing peer's
-// address, and every existing transport learns the new one — the same
-// propagation zeusd gets from the replicated address book, minus the wire.
-func (c *Cluster) tcpEndpoint(id wire.NodeID) transport.Transport {
-	c.tcpMu.Lock()
-	defer c.tcpMu.Unlock()
-	tr, err := transport.NewTCP(id, "127.0.0.1:0", c.tcpBook)
-	if err != nil {
-		panic(fmt.Sprintf("cluster: tcp endpoint %d: %v", id, err))
-	}
-	addr := tr.Addr()
-	c.tcpBook[id] = addr
-	for _, peer := range c.tcpTrs {
-		peer.SetAddr(id, addr)
-	}
-	c.tcpTrs = append(c.tcpTrs, tr)
-	return tr
-}
-
-// reliableCfg derives the reliable-transport tuning from the fabric's
-// latency scale (FabricSim only).
-func (c *Cluster) reliableCfg() transport.ReliableConfig {
-	rc := c.opts.Reliable
-	if rc.RTO <= 0 {
-		rc.RTO = transport.DefaultReliableConfig().RTO
-		// Scale the initial retransmission timeout with the fabric's
-		// latency so slow-motion fabrics do not trigger spurious
-		// retransmits before the adaptive estimator has RTT samples;
-		// the floor keeps the adapted RTO above one round trip.
-		if rto := 4*c.opts.Net.MaxLatency + 2*time.Millisecond; rto > rc.RTO {
-			rc.RTO = rto
-		}
-	}
-	if rc.MinRTO <= 0 {
-		if min := 2 * c.opts.Net.MaxLatency; min > rc.MinRTO {
-			rc.MinRTO = min // NewReliable floors this at 2×FlushInterval
-		}
-	}
-	if rc.DeliveryDepth <= 0 {
-		rc.DeliveryDepth = transport.DefaultReliableConfig().DeliveryDepth
-	}
-	return rc
-}
-
 func (c *Cluster) startNode(id wire.NodeID) *core.Node {
-	tr := c.endpoint(id)
+	tr := c.fabric.Node(id)
 	ocfg := ownership.DefaultConfig()
 	ocfg.OnLatency = c.opts.OnOwnershipLatency
-	renew := c.opts.Lease / 3
-	if renew < time.Millisecond {
-		renew = time.Millisecond
-	}
 	cfg := core.Config{
 		Degree:           c.opts.Degree,
 		Workers:          c.opts.Workers,
 		DispatchShards:   c.opts.DispatchShards,
-		TrimReplicas:     c.opts.TrimReplicas,
-		LeaseRenewEvery:  renew,
 		Ownership:        ocfg,
 		SnapshotReads:    c.opts.SnapshotReads,
 		SafeTimeInterval: c.opts.SafeTimeInterval,
@@ -282,9 +206,8 @@ func (c *Cluster) startNode(id wire.NodeID) *core.Node {
 		cfg.Obs = obs.NewRegistry()
 		cfg.TraceSample = c.opts.TraceSample
 		cfg.WatchdogAge = c.opts.WatchdogAge
-		// FabricSim and FabricTCP: the node's endpoint scrapes its frame and
-		// socket counters into the same registry (FabricMem's hub is perfect
-		// and carries cluster-wide totals via Messages/Bytes instead).
+		// An endpoint with counters of its own (frames, socket writes) scrapes
+		// them into the node's registry; the hub's are fabric-wide only.
 		if counted, ok := tr.(interface{ RegisterObs(*obs.Registry) }); ok {
 			counted.RegisterObs(cfg.Obs)
 		}
@@ -305,7 +228,6 @@ func (c *Cluster) startNode(id wire.NodeID) *core.Node {
 	n := core.NewNode(id, tr, c.mgr.Agent(id), cfg)
 	c.mu.Lock()
 	c.nodes[id] = n
-	c.trs[id] = tr
 	c.mu.Unlock()
 	return n
 }
@@ -346,21 +268,6 @@ func (c *Cluster) ViewObs() *obs.Registry { return c.viewObs }
 // ViewService exposes the view-service ensemble (tests and tooling).
 func (c *Cluster) ViewService() *viewsvc.Ensemble { return c.views }
 
-// setDown toggles fabric reachability for id. It reports false on
-// FabricTCP, which has no down switch (real sockets cannot be severed
-// in-process without closing them for good).
-func (c *Cluster) setDown(id wire.NodeID, down bool) bool {
-	switch {
-	case c.net != nil:
-		c.net.SetDown(id, down)
-	case c.hub != nil:
-		c.hub.SetDown(id, down)
-	default:
-		return false
-	}
-	return true
-}
-
 // KillViewReplica crash-stops view-service replica k (0-based ensemble
 // index). The data plane must keep working as long as a replica quorum
 // survives; killing the leader triggers a ballot takeover.
@@ -368,9 +275,7 @@ func (c *Cluster) KillViewReplica(k int) error {
 	if k < 0 || k >= len(c.vsIDs) {
 		return fmt.Errorf("cluster: no view replica %d", k)
 	}
-	if !c.setDown(c.vsIDs[k], true) {
-		return fmt.Errorf("cluster: failure injection unsupported on the TCP fabric")
-	}
+	c.fabric.SetDown(c.vsIDs[k], true)
 	return nil
 }
 
@@ -390,16 +295,20 @@ func (c *Cluster) DirDrivers(obj wire.ObjectID) wire.Bitmap {
 // barrier to complete.
 func (c *Cluster) Kill(i int) error {
 	id := wire.NodeID(i)
-	if !c.setDown(id, true) {
-		return fmt.Errorf("cluster: failure injection unsupported on the TCP fabric")
-	}
+	c.fabric.SetDown(id, true)
 	before := c.mgr.View().Epoch
 	c.mgr.Fail(id)
+	return c.awaitRemoval(before, fmt.Sprintf("killing %d", i))
+}
+
+// awaitRemoval waits for the view change that removes a node (the epoch after
+// before) and for the recovery barrier it opens to close.
+func (c *Cluster) awaitRemoval(before wire.Epoch, after string) error {
 	if !c.mgr.WaitEpoch(before+1, 5*time.Second) {
-		return fmt.Errorf("cluster: view change after killing %d timed out", i)
+		return fmt.Errorf("cluster: view change after %s timed out", after)
 	}
 	if !c.waitRecoveryDrained(5 * time.Second) {
-		return fmt.Errorf("cluster: recovery barrier after killing %d timed out", i)
+		return fmt.Errorf("cluster: recovery barrier after %s timed out", after)
 	}
 	return nil
 }
@@ -427,11 +336,12 @@ func (c *Cluster) waitRecoveryDrained(timeout time.Duration) bool {
 	return err == nil
 }
 
-// Restart reincarnates a previously Killed node from its retained durable
-// storage, mirroring a real process restart: tear down what is left of the
-// old instance (the fabric endpoint survives), recover the store from the
-// WAL + snapshot, rejoin the view, and delta-sync divergent objects from the
-// current owners. Returns the new node once it is serving.
+// Restart reincarnates node i from its retained durable storage, as a
+// process restart would: shut down what is left of the old instance (its
+// endpoint is the fabric's and is asked for again), recover the store from
+// the WAL + snapshot, and rejoin — core.Node.Rejoin, which also evicts the old
+// incarnation first if the node was never Killed. Returns the new node once it
+// is serving.
 func (c *Cluster) Restart(i int) (*core.Node, error) {
 	id := wire.NodeID(i)
 	c.mu.RLock()
@@ -440,33 +350,13 @@ func (c *Cluster) Restart(i int) (*core.Node, error) {
 	if !ok {
 		return nil, fmt.Errorf("cluster: no node %d to restart", i)
 	}
-	// The old instance died mid-flight; release its engines and its WAL
-	// without closing the shared fabric endpoint the new instance reuses.
-	old.Shutdown(false)
-	if !c.setDown(id, false) {
-		return nil, fmt.Errorf("cluster: restart unsupported on the TCP fabric")
-	}
+	old.Close()
+	c.fabric.SetDown(id, false)
 	// A fresh agent: the dead instance's callbacks must not see the
 	// rejoin's view changes.
 	c.mgr.ResetAgent(id)
 	n := c.startNode(id)
-	// Join BEFORE sync: ownership transfers skip the data payload for
-	// requesters already in the replica set, which is only sound if every
-	// commit invalidates them — and commits only wait on LIVE replicas. A
-	// node that state-synced while still outside the view could re-arm a
-	// copy as valid and then miss the very next commit, leaving it
-	// stale-but-valid in the set. Joining first closes that window: once
-	// live, every commit reaches the node, and a sync answer that lost the
-	// race against a newer invalidation is dropped by its version guard.
-	before := c.mgr.View().Epoch
-	c.mgr.Join(id)
-	if !c.mgr.WaitEpoch(before+1, 5*time.Second) {
-		return n, fmt.Errorf("cluster: rejoin view change for %d timed out", i)
-	}
-	if err := n.StateSync(5 * time.Second); err != nil {
-		return n, err
-	}
-	return n, nil
+	return n, n.Rejoin(c.mgr, "", 5*time.Second)
 }
 
 // AddNode starts a fresh node with the next id and joins it to the
@@ -483,81 +373,43 @@ func (c *Cluster) Leave(i int) error {
 	id := wire.NodeID(i)
 	before := c.mgr.View().Epoch
 	c.mgr.Leave(id)
-	if !c.mgr.WaitEpoch(before+1, 5*time.Second) {
-		return fmt.Errorf("cluster: leave view change timed out")
+	err := c.awaitRemoval(before, fmt.Sprintf("node %d's leave", i))
+	if err == nil {
+		c.fabric.SetDown(id, true)
 	}
-	if !c.waitRecoveryDrained(5 * time.Second) {
-		return fmt.Errorf("cluster: recovery barrier after leave timed out")
+	return err
+}
+
+// everyNode returns the current incarnation of every node ever started, in
+// id order.
+func (c *Cluster) everyNode() []*core.Node {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	nodes := make([]*core.Node, 0, len(c.nodes))
+	for id := wire.NodeID(0); len(nodes) < len(c.nodes); id++ {
+		if n, ok := c.nodes[id]; ok {
+			nodes = append(nodes, n)
+		}
 	}
-	// On the TCP fabric the departed node cannot be isolated in place; the
-	// membership leave already removed it from the view, which is all the
-	// harness workloads need.
-	c.setDown(id, true)
-	return nil
+	return nodes
 }
 
 // Close shuts everything down.
 func (c *Cluster) Close() {
-	c.mu.RLock()
-	nodes := make([]*core.Node, 0, len(c.nodes))
-	for _, n := range c.nodes {
-		nodes = append(nodes, n)
-	}
-	c.mu.RUnlock()
-	for _, n := range nodes {
+	for _, n := range c.everyNode() {
 		n.Close()
 	}
 	c.mgr.Close()
 	c.views.Close()
-	if c.net != nil {
-		c.net.Close()
-	}
-	// FabricTCP: close any listeners still open (node/view shutdown closes
-	// its own endpoints; Close is idempotent, so double closes are safe).
-	c.tcpMu.Lock()
-	trs := c.tcpTrs
-	c.tcpTrs = nil
-	c.tcpMu.Unlock()
-	for _, tr := range trs {
-		tr.Close()
-	}
+	c.fabric.Close()
 }
 
-// Messages returns total messages carried: the hub's count, the simulated
-// network's frames (FabricSim batches several messages into one), or the sum
-// over the live TCP endpoints, view service included.
-func (c *Cluster) Messages() uint64 {
-	if c.hub != nil {
-		return c.hub.Messages()
-	}
-	if c.net != nil {
-		return c.net.Stats().Sent
-	}
-	return c.sumTCP((*transport.TCP).MessagesSent)
-}
+// Messages returns the traffic the fabric carried so far, view service
+// included; the unit is the fabric's (see the package doc).
+func (c *Cluster) Messages() uint64 { return c.fabric.Messages() }
 
-// Bytes returns total bytes carried: marshalled payload on the hub, frames
-// with their headers on FabricSim and FabricTCP.
-func (c *Cluster) Bytes() uint64 {
-	if c.hub != nil {
-		return c.hub.Bytes()
-	}
-	if c.net != nil {
-		return c.net.Stats().Bytes
-	}
-	return c.sumTCP((*transport.TCP).BytesSent)
-}
-
-// sumTCP adds one counter over the cluster's TCP endpoints.
-func (c *Cluster) sumTCP(counter func(*transport.TCP) uint64) uint64 {
-	c.tcpMu.Lock()
-	defer c.tcpMu.Unlock()
-	var n uint64
-	for _, tr := range c.tcpTrs {
-		n += counter(tr)
-	}
-	return n
-}
+// Bytes returns the bytes of that traffic.
+func (c *Cluster) Bytes() uint64 { return c.fabric.Bytes() }
 
 // Seed bulk-installs an object without running the protocols: the owner, the
 // readers and the directory each apply the same grant, ⟨1, owner⟩, and a
@@ -635,13 +487,7 @@ func (c *Cluster) defaultReaders(owner wire.NodeID) wire.Bitmap {
 // WaitIdle waits for every node's commit pipelines to drain.
 func (c *Cluster) WaitIdle(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
-	c.mu.RLock()
-	nodes := make([]*core.Node, 0, len(c.nodes))
-	for _, n := range c.nodes {
-		nodes = append(nodes, n)
-	}
-	c.mu.RUnlock()
-	for _, n := range nodes {
+	for _, n := range c.everyNode() {
 		left := time.Until(deadline)
 		if left <= 0 || !n.CommitEngine().WaitIdle(left) {
 			return false

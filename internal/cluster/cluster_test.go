@@ -351,12 +351,13 @@ func TestTCPFabricCluster(t *testing.T) {
 	if v, ok := c.Obs(1).CounterValue("tcp_decode_drops_total"); !ok || v != 0 {
 		t.Errorf("node 1's tcp_decode_drops_total = %d (registered: %v)", v, ok)
 	}
-	// Failure injection is a simulator capability; real sockets refuse it
-	// rather than silently doing nothing.
-	if err := c.Kill(1); err == nil {
-		t.Fatal("Kill on the TCP fabric should report unsupported")
+	// Failure injection goes through the fabric: on sockets a kill closes the
+	// endpoint and a restart listens afresh (TestKillRestartOnEveryFabric
+	// takes it from there).
+	if err := c.Kill(1); err != nil {
+		t.Fatalf("Kill on the TCP fabric: %v", err)
 	}
-	if _, err := c.Restart(1); err == nil {
-		t.Fatal("Restart on the TCP fabric should report unsupported")
+	if _, err := c.Restart(1); err != nil {
+		t.Fatalf("Restart on the TCP fabric: %v", err)
 	}
 }

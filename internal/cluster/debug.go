@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
-
-	"zeus/internal/wire"
 )
 
 // WedgeDumpEnv arms MaybeWedgeDump: when set (any non-empty value), a torture
@@ -23,13 +20,8 @@ const WedgeDumpEnv = "ZEUS_WEDGE_DUMP"
 // takes its pipe/object locks briefly and in isolation.
 func (c *Cluster) WedgeDump(w io.Writer, context string) {
 	fmt.Fprintf(w, "==== wedge dump (%s) ====\n", context)
-	ids := make([]wire.NodeID, 0, len(c.nodes))
-	for id := range c.nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		c.nodes[id].CommitEngine().DumpState(w)
+	for _, n := range c.everyNode() {
+		n.CommitEngine().DumpState(w)
 	}
 	fmt.Fprintf(w, "==== end wedge dump ====\n")
 }

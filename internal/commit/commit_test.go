@@ -17,7 +17,7 @@ type tnode struct {
 	id    wire.NodeID
 	st    *store.Store
 	eng   *Engine
-	tr    *transport.MemTransport
+	tr    transport.Transport
 	agent *viewsvc.Agent
 }
 

@@ -298,7 +298,7 @@ func TestEmittedRecordsAreDistinct(t *testing.T) {
 // gatedSender is a hub transport that records the R-VALs handed to SendBatch
 // and parks the first call until the test lets it go.
 type gatedSender struct {
-	*transport.MemTransport
+	transport.Transport
 	entered, release chan struct{}
 
 	mu   sync.Mutex
@@ -329,9 +329,9 @@ func TestFlushersKeepAPeersOrder(t *testing.T) {
 	mgr := viewsvc.NewSelfHosted(viewsvc.Config{Lease: 2 * time.Millisecond}, wire.BitmapOf(0, 1))
 	defer mgr.Close()
 	g := &gatedSender{
-		MemTransport: transport.NewHub().Node(0),
-		entered:      make(chan struct{}),
-		release:      make(chan struct{}),
+		Transport: transport.NewHub().Node(0),
+		entered:   make(chan struct{}),
+		release:   make(chan struct{}),
 	}
 	defer g.Close()
 	eng := New(0, store.New(), g, mgr.Agent(0), Config{})

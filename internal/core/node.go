@@ -56,17 +56,6 @@ type Config struct {
 	// values <= 1 keep inline dispatch (single delivery goroutine, the
 	// right choice on single-core hosts where extra hops only add cost).
 	DispatchShards int
-	// TrimReplicas restores the replication degree out of the critical
-	// path after a non-replica acquired ownership (§6.2).
-	TrimReplicas bool
-	// LeaseRenewEvery is the period of the node's background membership
-	// lease renewal (§3.1: live nodes continuously renew so that failure
-	// declarations wait out a full lease). 0 picks a 5ms default;
-	// negative disables the loop (tests that drive renewals manually).
-	// Renewal state is striped per node all the way down (an atomic slot
-	// plus a throttled multicast at the membership client), so these
-	// loops never contend on a shared mutex.
-	LeaseRenewEvery time.Duration
 	// Ownership tunes the ownership engine (timeouts, retry policy, latency
 	// observer). NewNode fills its wiring fields — Directory,
 	// HasPendingCommit, Clock, Log, Obs — itself.
@@ -116,10 +105,9 @@ type Config struct {
 // DefaultConfig mirrors the paper's evaluation setup: 3-way replication.
 func DefaultConfig() Config {
 	return Config{
-		Degree:       3,
-		Workers:      8,
-		TrimReplicas: true,
-		Ownership:    ownership.DefaultConfig(),
+		Degree:    3,
+		Workers:   8,
+		Ownership: ownership.DefaultConfig(),
 	}
 }
 
@@ -191,8 +179,8 @@ type Node struct {
 
 // NewNode builds a node on the given transport and membership agent; there
 // is nothing left to wire afterwards. The node installs its message handler
-// on the transport; extra handlers (e.g. the load balancer's Hermes KV) can
-// be registered on Router() before traffic flows.
+// on the transport; extra handlers (zeusd's view-service client, which shares
+// the node's socket) can be registered on Router() before traffic flows.
 func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, cfg Config) *Node {
 	if cfg.Degree <= 0 {
 		cfg.Degree = 3
@@ -335,13 +323,7 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, cfg C
 	if cfg.SnapshotReads {
 		go n.safetimeLoop()
 	}
-	if cfg.LeaseRenewEvery >= 0 {
-		every := cfg.LeaseRenewEvery
-		if every == 0 {
-			every = 5 * time.Millisecond
-		}
-		go n.renewLoop(every)
-	}
+	go n.renewLoop()
 	return n
 }
 
@@ -462,10 +444,14 @@ func (n *Node) maybeTrace(tx *Tx) {
 // Clock exposes the node's hybrid-logical clock (tests and tooling).
 func (n *Node) Clock() *safetime.Clock { return n.clk }
 
-// renewLoop keeps this node's membership lease fresh. The membership client
-// throttles the wire traffic, so the ticker can run finer than the lease.
-func (n *Node) renewLoop(every time.Duration) {
-	t := time.NewTicker(every)
+// renewLoop keeps this node's membership lease fresh (§3.1: live nodes renew
+// continuously, so that a failure declaration waits out a full lease): three
+// renewals per lease, no more often than every millisecond. Renewal state is
+// striped per node all the way down — an atomic slot and a throttled
+// multicast at the membership client — so the loops of co-located nodes never
+// contend on a shared mutex.
+func (n *Node) renewLoop() {
+	t := time.NewTicker(max(n.agent.Lease()/3, time.Millisecond))
 	defer t.Stop()
 	for {
 		select {
@@ -509,15 +495,10 @@ func (n *Node) Stats() Stats {
 	}
 }
 
-// Close shuts down the node's engines and releases the transport.
-func (n *Node) Close() { n.shutdown(true) }
-
-// Shutdown is Close with control over the transport: restart harnesses pass
-// closeTransport=false so the fabric-side endpoint (a hub slot or listening
-// socket) survives for the reincarnated process to reuse.
-func (n *Node) Shutdown(closeTransport bool) { n.shutdown(closeTransport) }
-
-func (n *Node) shutdown(closeTransport bool) {
+// Close shuts down the node's engines and its log. The transport is not the
+// node's to close: whoever made it does (a zeusd process its socket, a cluster
+// its fabric), and a restart builds the next incarnation on the same endpoint.
+func (n *Node) Close() {
 	n.closeOnce.Do(func() { close(n.closedCh) })
 	n.own.Close()
 	n.cmt.Close()
@@ -529,9 +510,6 @@ func (n *Node) shutdown(closeTransport bool) {
 	}
 	if n.stg != nil {
 		_ = n.stg.Close()
-	}
-	if closeTransport {
-		_ = n.tr.Close()
 	}
 }
 
@@ -1011,9 +989,6 @@ func (n *Node) trimLoop() {
 // maybeTrim restores the replication degree after ownership grew the replica
 // set, out of the critical path (§6.2), via the bounded trim pool.
 func (n *Node) maybeTrim(id wire.ObjectID) {
-	if !n.cfg.TrimReplicas {
-		return
-	}
 	o, ok := n.st.Get(id)
 	if !ok {
 		return

@@ -102,12 +102,7 @@ func TestReplicationReachesReaders(t *testing.T) {
 }
 
 func TestRemoteWriteMigratesOwnershipOnce(t *testing.T) {
-	// Replica trimming issues one background ownership request after the
-	// migration; disable it so the assertion counts only tx-driven ones.
-	opts := cluster.DefaultOptions(4)
-	opts.TrimReplicas = false
-	c := cluster.New(opts)
-	t.Cleanup(c.Close)
+	c := newCluster(t, 4)
 	c.SeedAt(3, 0, []byte("x"))
 	n3 := c.Node(3)
 	// First write from node 3: invokes the ownership protocol.
@@ -115,6 +110,21 @@ func TestRemoteWriteMigratesOwnershipOnce(t *testing.T) {
 		return tx.Set(3, []byte("first"))
 	}); err != nil {
 		t.Fatal(err)
+	}
+	// The migration made node 3 a fourth replica, and replica trimming issues
+	// one background request to drop a reader: let it settle, so that what is
+	// counted from here on is transaction-driven.
+	o, _ := n3.Store().Get(3)
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(200 * time.Microsecond) {
+		o.Mu.Lock()
+		replicas := o.ReplicasLocked().All().Count()
+		o.Mu.Unlock()
+		if replicas == 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replica set still has %d members", replicas)
+		}
 	}
 	reqsAfterFirst := n3.OwnershipEngine().Stats().Requests
 	if reqsAfterFirst == 0 {

@@ -43,6 +43,7 @@ import (
 	"zeus/internal/storage"
 	"zeus/internal/store"
 	"zeus/internal/transport"
+	"zeus/internal/viewsvc"
 	"zeus/internal/wire"
 )
 
@@ -164,6 +165,51 @@ func (n *Node) StateSync(timeout time.Duration) error {
 		return fmt.Errorf("core: state sync timed out with %d unresolved objects", left)
 	}
 	return nil
+}
+
+// Rejoin brings this node — a new incarnation of one that crashed or was
+// restarted, or a first-time joiner — into a running deployment through cli:
+// leave if the view still lists it, join (addr, if any, goes into the
+// replicated address book), wait for the view change, state-sync. Every step
+// gets the same timeout. The order is the protocol:
+//
+// Leave before join (restart eviction). A process can be back before the
+// failure detector noticed, so its previous incarnation still sits in the live
+// set and the survivors still hold its unfinished replication state.
+// Committing a Leave first bumps the epoch and opens the recovery barrier —
+// the survivors replay that incarnation's stranded R-INVs and validate what
+// the crash left mid-flight — before the join commits. Skipping it for a node
+// that is "already live" would leave those slots stored at the followers for
+// ever and, on a memory-only node, let the new pipes alias the old PipeIDs
+// under an epoch that never moved.
+//
+// Join before sync. An ownership transfer ships no payload to a requester
+// already in the replica set, which is sound only if every commit invalidates
+// that requester — and a commit waits on live replicas only. A node that
+// state-synced while still outside the view could re-arm a copy as valid and
+// then miss the very next commit: stale but valid, and listed. Once it is
+// live every commit reaches it, and a sync answer that lost the race against
+// a newer invalidation is dropped by its version guard.
+func (n *Node) Rejoin(cli *viewsvc.Client, addr string, timeout time.Duration) error {
+	s := cli.State()
+	if s.Live.Contains(n.id) {
+		if !cli.Leave(n.id) {
+			return fmt.Errorf("core: pre-join leave of node %d did not commit (no ensemble quorum?)", n.id)
+		}
+		if !cli.WaitEpoch(s.Epoch+1, timeout) {
+			return fmt.Errorf("core: pre-join leave view change for node %d timed out", n.id)
+		}
+		s = cli.State()
+	}
+	if !cli.JoinAddr(n.id, addr) {
+		return fmt.Errorf("core: join of node %d did not commit (no ensemble quorum?)", n.id)
+	}
+	if !cli.WaitEpoch(s.Epoch+1, timeout) {
+		return fmt.Errorf("core: join view change for node %d timed out", n.id)
+	}
+	// Not a cold start: recovered objects re-arm at the owners' current
+	// versions, exclusively-owned ones are reclaimed.
+	return n.StateSync(timeout)
 }
 
 // sendPulls multicasts the still-pending ⟨obj, version⟩ entries to every

@@ -10,6 +10,7 @@ import (
 	"zeus/internal/cluster"
 	"zeus/internal/dbapi"
 	"zeus/internal/netsim"
+	"zeus/internal/wire"
 )
 
 // AblationResult collects the design-choice ablations DESIGN.md calls out:
@@ -62,10 +63,7 @@ func Ablations(s Scale) AblationResult {
 
 	// --- Replication degree ---
 	for _, degree := range []int{1, 2, 3} {
-		opts := cluster.DefaultOptions(3)
-		opts.Degree = degree
-		opts.Workers = s.Workers
-		c := cluster.New(opts)
+		c := newZeusDegree(3, degree, s.Workers)
 		res.DegreeTps[degree] = ablationWriteStream(c, s, false)
 		c.Close()
 	}
@@ -107,14 +105,10 @@ func ablationWriteStream(c *cluster.Cluster, s Scale, blocking bool) float64 {
 	}
 	for n := 0; n < nodes; n++ {
 		for w := 0; w < s.Workers; w++ {
-			c.SeedAt(wireObj(obj(n, w)), wireNode(n), bench.Pad(0, 128))
+			c.SeedAt(wire.ObjectID(obj(n, w)), wire.NodeID(n), bench.Pad(0, 128))
 		}
 	}
-	r := bench.Runner{
-		Name: "ablation", DBs: bench.ZeusDBs(c, nodes),
-		WorkersPerNode: s.Workers, OpsPerWorker: s.OpsPerWorker, Seed: 41,
-	}
-	res := r.Run(func(node int, db dbapi.DB) bench.Op {
+	res := countedRun(s, 41, bench.ZeusDBs(c, nodes), func(node int, db dbapi.DB) bench.Op {
 		zn := c.Node(node)
 		return func(worker int, rng *rand.Rand) error {
 			o := obj(node, worker)
@@ -141,7 +135,7 @@ func ablationWriteStream(c *cluster.Cluster, s Scale, blocking bool) float64 {
 			return nil
 		}
 	})
-	return res.Tps()
+	return res.Throughput()
 }
 
 // Print renders the ablations.

@@ -3,11 +3,13 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"runtime"
-	"sync"
 	"time"
 
+	"zeus/internal/bench"
 	"zeus/internal/cluster"
+	"zeus/internal/loadgen"
 	"zeus/internal/wire"
 )
 
@@ -84,37 +86,24 @@ func Directory(s Scale) DirectoryResult {
 		// Acquire stormers: every node walks the hot-object pool with its
 		// own stride, so each object's ownership keeps ping-ponging between
 		// nodes and (almost) every acquisition issues a REQ.
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
 		workers := s.Workers
 		if workers <= 0 {
 			workers = 2
 		}
-		start := time.Now()
-		for n := 0; n < nodes; n++ {
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(n, w int) {
-					defer wg.Done()
-					eng := c.Node(n).OwnershipEngine()
-					i := n + w*nodes
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						obj := wire.ObjectID(1 + i%objects)
-						i += 1 + n // node-specific stride keeps acquirers colliding
-						_ = eng.AcquireOwnership(obj)
-					}
-				}(n, w)
+		ops := make([]bench.Op, nodes)
+		for n := range ops {
+			eng := c.Node(n).OwnershipEngine()
+			at := make([]int, workers) // each worker's place in its walk
+			for w := range at {
+				at[w] = n + w*nodes
+			}
+			ops[n] = func(worker int, _ *rand.Rand) error {
+				obj := wire.ObjectID(1 + at[worker]%objects)
+				at[worker] += 1 + n // node-specific stride keeps acquirers colliding
+				return eng.AcquireOwnership(obj)
 			}
 		}
-		time.Sleep(dur)
-		close(stop)
-		wg.Wait()
-		elapsed := time.Since(start)
+		elapsed := closedLoop(loadgen.Config{Arrival: loadgen.ClosedLoop{}, Duration: dur}, workers, ops).Elapsed
 
 		after := sumOwnStats(c, nodes)
 		c.Close()

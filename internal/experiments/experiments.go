@@ -14,9 +14,12 @@ import (
 	"io"
 	"time"
 
+	"zeus/internal/bench"
 	"zeus/internal/cluster"
+	"zeus/internal/dbapi"
+	"zeus/internal/loadgen"
 	"zeus/internal/netsim"
-	"zeus/internal/wire"
+	"zeus/internal/transport"
 )
 
 // Scale sizes an experiment run.
@@ -69,8 +72,12 @@ var Full = Scale{
 
 // newZeus builds a Zeus cluster over the perfect in-memory fabric (protocol
 // dynamics experiments: migrations, latency CDFs, timelines).
-func newZeus(nodes, workers int) *cluster.Cluster {
+func newZeus(nodes, workers int) *cluster.Cluster { return newZeusDegree(nodes, 3, workers) }
+
+// newZeusDegree is newZeus at another replication degree.
+func newZeusDegree(nodes, degree, workers int) *cluster.Cluster {
 	opts := cluster.DefaultOptions(nodes)
+	opts.Degree = degree
 	opts.Workers = workers
 	return cluster.New(opts)
 }
@@ -98,6 +105,50 @@ func newZeusSim(nodes, workers int) *cluster.Cluster {
 	return cluster.New(opts)
 }
 
+// closedLoop is how every figure loads a system: the paper's worker threads,
+// workers of them per node, each issuing its next request when its last one
+// returned. ops holds one op per node, in node order, and loadgen gets one
+// driver per node, so the result's per-driver columns are per node. cfg says
+// how long: loadgen.ClosedLoop{Ops: n}, or a Duration (and an Interval to
+// sample at).
+func closedLoop(cfg loadgen.Config, workers int, ops []bench.Op) loadgen.Result {
+	cfg.Drivers, cfg.WorkersPerDriver = len(ops), workers
+	return loadgen.Run(cfg, func(node int) bench.Op { return ops[node] })
+}
+
+// countedRun is closedLoop for the throughput figures: OpsPerWorker requests
+// per worker against every db, after a quarter as many unmeasured ones that
+// absorb allocator and scheduler warm-up, so that configurations run back to
+// back compare fairly.
+func countedRun(s Scale, seed int64, dbs []dbapi.DB, makeOp func(node int, db dbapi.DB) bench.Op) loadgen.Result {
+	ops := opsOn(dbs, makeOp)
+	closedLoop(loadgen.Config{Arrival: loadgen.ClosedLoop{Ops: s.OpsPerWorker / 4}, Seed: seed + 7777}, s.Workers, ops)
+	return closedLoop(loadgen.Config{Arrival: loadgen.ClosedLoop{Ops: s.OpsPerWorker}, Seed: seed}, s.Workers, ops)
+}
+
+// timedRun is closedLoop for the timelines: every db loaded for the scale's
+// Duration, completions per node cut every Interval.
+func timedRun(s Scale, seed int64, dbs []dbapi.DB, makeOp func(node int, db dbapi.DB) bench.Op) loadgen.Result {
+	return closedLoop(loadgen.Config{Arrival: loadgen.ClosedLoop{}, Duration: s.Duration, Interval: s.Interval, Seed: seed}, s.Workers, opsOn(dbs, makeOp))
+}
+
+func opsOn(dbs []dbapi.DB, makeOp func(node int, db dbapi.DB) bench.Op) []bench.Op {
+	ops := make([]bench.Op, len(dbs))
+	for node, db := range dbs {
+		ops[node] = makeOp(node, db)
+	}
+	return ops
+}
+
+// perNode is a run's throughput divided by its node count.
+func perNode(r loadgen.Result) float64 { return r.Throughput() / float64(r.Drivers) }
+
+// newBaselineSim builds the distributed-commit baseline on the same simulated
+// fabric newZeusSim gives Zeus.
+func newBaselineSim(nodes, degree int) *bench.BaselineDeployment {
+	return bench.NewBaselineDeployment(nodes, degree, transport.NewSimFabric(simNetConfig(), transport.ReliableConfig{}))
+}
+
 // fmtTps renders a throughput in human units.
 func fmtTps(tps float64) string {
 	switch {
@@ -114,7 +165,3 @@ func fmtTps(tps float64) string {
 func printHeader(w io.Writer, title string) {
 	fmt.Fprintf(w, "\n== %s ==\n", title)
 }
-
-// Conversion helpers for the wire id types.
-func wireObj(o uint64) wire.ObjectID { return wire.ObjectID(o) }
-func wireNode(n int) wire.NodeID     { return wire.NodeID(n) }

@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sync"
 	"time"
 
 	"zeus/internal/apps/epcgw"
 	"zeus/internal/apps/httplb"
 	"zeus/internal/apps/sctpsim"
 	"zeus/internal/bench"
-	"zeus/internal/cluster"
+	"zeus/internal/loadgen"
 	"zeus/internal/wire"
 )
 
@@ -27,88 +26,67 @@ type Fig13Result struct {
 // Fig13 runs the gateway on all four backends.
 func Fig13(s Scale) Fig13Result {
 	users := s.UsersPerNode
-	ops := s.OpsPerWorker
 
-	run := func(gws []*epcgw.Gateway, workers int) float64 {
-		var wg sync.WaitGroup
-		start := time.Now()
-		total := 0
-		var mu sync.Mutex
-		for gi, g := range gws {
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(g *epcgw.Gateway, gi, w int) {
-					defer wg.Done()
-					done, _ := g.Drive(w, ops, rand.New(rand.NewSource(int64(gi*100+w))))
-					mu.Lock()
-					total += done
-					mu.Unlock()
-				}(g, gi, w)
+	// One single-threaded worker per gateway, as the real gateway runs, each
+	// signalling operation a service request or a release for a random
+	// subscriber.
+	run := func(gws []*epcgw.Gateway) float64 {
+		ops := make([]bench.Op, len(gws))
+		for i, g := range gws {
+			ops[i] = func(worker int, rng *rand.Rand) error {
+				return g.Step(worker, rng.Intn(users), rng.Int())
 			}
 		}
-		wg.Wait()
-		return float64(total) / time.Since(start).Seconds()
+		return closedLoop(loadgen.Config{Arrival: loadgen.ClosedLoop{Ops: s.OpsPerWorker}, Seed: 13}, 1, ops).Throughput()
 	}
 
-	// 1. Local memory: one gateway, one worker per user partition (the
-	// real gateway's single-threaded local mode).
+	// 1. Local memory: one gateway.
 	ldb := epcgw.NewLocalDB()
 	lcfg := epcgw.DefaultConfig(0, 1)
 	lcfg.Users = users
 	lg := epcgw.New(lcfg, ldb)
 	lg.SeedObjects(func(obj uint64, home int, data []byte) { ldb.Seed(obj, data) })
-	localTps := run([]*epcgw.Gateway{lg}, 1)
+	localTps := run([]*epcgw.Gateway{lg})
 
 	// 2. Blocking store: baseline with a single primary (node 0) and the
 	// gateway running on node 1 — every access is a blocking RPC over the
 	// simulated fabric (real round-trip latency, like the paper's Redis).
-	d := bench.NewBaselineDeploymentSim(2, 1, simNetConfig())
+	d := newBaselineSim(2, 1)
 	bcfg := epcgw.DefaultConfig(0, 1)
 	bcfg.Users = users
 	bg := epcgw.New(bcfg, d.Nodes[1])
 	bg.SeedObjects(func(obj uint64, home int, data []byte) {
 		d.Nodes[0].Seed(wire.ObjectID(obj), 1, data)
 	})
-	blockingTps := run([]*epcgw.Gateway{bg}, 1)
+	blockingTps := run([]*epcgw.Gateway{bg})
 	d.Close()
 
 	// 3. Zeus, 1 active + 1 passive.
-	c1 := clusterFor(2, s.Workers)
+	c1 := newZeusDegree(2, 2, s.Workers)
 	zcfg := epcgw.DefaultConfig(0, 2)
 	zcfg.Users = users
 	zg := epcgw.New(zcfg, c1.Node(0).DB())
-	zg.SeedObjects(func(obj uint64, home int, data []byte) {
-		c1.SeedAt(wire.ObjectID(obj), wire.NodeID(home), data)
-	})
-	zeus1Tps := run([]*epcgw.Gateway{zg}, 1)
+	zg.SeedObjects(bench.ZeusSeeder(c1))
+	zeus1Tps := run([]*epcgw.Gateway{zg})
 	c1.Close()
 
 	// 4. Zeus, 2 active nodes, each the other's replica.
-	c2 := clusterFor(2, s.Workers)
+	c2 := newZeusDegree(2, 2, s.Workers)
 	var gws []*epcgw.Gateway
 	for n := 0; n < 2; n++ {
 		cfg := epcgw.DefaultConfig(n, 2)
 		cfg.Users = users
 		g := epcgw.New(cfg, c2.Node(n).DB())
-		g.SeedObjects(func(obj uint64, home int, data []byte) {
-			c2.SeedAt(wire.ObjectID(obj), wire.NodeID(home), data)
-		})
+		g.SeedObjects(bench.ZeusSeeder(c2))
 		gws = append(gws, g)
 	}
-	zeus2Tps := run(gws, 1)
+	zeus2Tps := run(gws)
 	c2.Close()
 
 	return Fig13Result{
 		LocalTps: localTps, BlockingTps: blockingTps,
 		Zeus1ActiveTps: zeus1Tps, Zeus2ActiveTps: zeus2Tps,
 	}
-}
-
-func clusterFor(nodes, workers int) *cluster.Cluster {
-	opts := cluster.DefaultOptions(nodes)
-	opts.Degree = 2
-	opts.Workers = workers
-	return cluster.New(opts)
 }
 
 // Print renders the comparison.
@@ -139,10 +117,7 @@ func Fig14(s Scale) Fig14Result {
 	for _, pkt := range []int{150, 1440} {
 		row := Fig14Row{PacketBytes: pkt}
 		for _, degree := range []int{1, 2} {
-			opts := cluster.DefaultOptions(2)
-			opts.Degree = degree
-			opts.Workers = s.Workers
-			c := cluster.New(opts)
+			c := newZeusDegree(2, degree, s.Workers)
 			cfg := sctpsim.DefaultConfig()
 			c.SeedAt(wire.ObjectID(1), 0, sctpsim.InitialState(cfg).Encode(cfg.StateSize))
 			a := sctpsim.New(cfg, c.Node(0).DB(), 1, 0)
@@ -180,7 +155,6 @@ func (r Fig14Result) Print(w io.Writer) {
 
 // Fig15Result is the Nginx-style scale-out/in timeline (§8.5, Figure 15).
 type Fig15Result struct {
-	Interval time.Duration
 	// Phases: rate with 1 proxy, with 2 proxies (scale-out), back to 1.
 	OneProxyTps  float64
 	TwoProxyTps  float64
@@ -191,52 +165,24 @@ type Fig15Result struct {
 // Fig15 measures session-persistent HTTP routing through Zeus while scaling
 // a second proxy node out and back in.
 func Fig15(s Scale) Fig15Result {
-	opts := cluster.DefaultOptions(2)
-	opts.Degree = 2
-	opts.Workers = s.Workers
-	c := cluster.New(opts)
+	c := newZeusDegree(2, 2, s.Workers)
 	defer c.Close()
 
 	cfg := httplb.DefaultConfig(0, 2)
 	cfg.Sessions = s.Sessions
 	p0 := httplb.New(cfg, c.Node(0).DB())
-	p0.SeedObjects(func(obj uint64, home int, data []byte) {
-		c.SeedAt(wire.ObjectID(obj), wire.NodeID(home), data)
-	})
+	p0.SeedObjects(bench.ZeusSeeder(c))
 	p1 := httplb.New(cfg, c.Node(1).DB())
 
 	drive := func(proxies []*httplb.Proxy, d time.Duration) float64 {
-		var total uint64
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		stop := make(chan struct{})
-		time.AfterFunc(d, func() { close(stop) })
-		start := time.Now()
-		for pi, p := range proxies {
-			for w := 0; w < s.Workers; w++ {
-				wg.Add(1)
-				go func(p *httplb.Proxy, pi, w int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(pi*100 + w)))
-					n := uint64(0)
-					for {
-						select {
-						case <-stop:
-							mu.Lock()
-							total += n
-							mu.Unlock()
-							return
-						default:
-						}
-						if _, err := p.Handle(w, rng.Intn(s.Sessions), rng); err == nil {
-							n++
-						}
-					}
-				}(p, pi, w)
+		ops := make([]bench.Op, len(proxies))
+		for i, p := range proxies {
+			ops[i] = func(worker int, rng *rand.Rand) error {
+				_, err := p.Handle(worker, rng.Intn(s.Sessions), rng)
+				return err
 			}
 		}
-		wg.Wait()
-		return float64(total) / time.Since(start).Seconds()
+		return closedLoop(loadgen.Config{Arrival: loadgen.ClosedLoop{}, Duration: d, Seed: 15}, s.Workers, ops).Throughput()
 	}
 
 	third := s.Duration / 3
@@ -244,10 +190,7 @@ func Fig15(s Scale) Fig15Result {
 	two := drive([]*httplb.Proxy{p0, p1}, third) // scale-out
 	back := drive([]*httplb.Proxy{p0}, third)    // scale-in
 	_, misses := p0.Stats()
-	return Fig15Result{
-		Interval: s.Interval, OneProxyTps: one, TwoProxyTps: two,
-		BackToOneTps: back, Misses: misses,
-	}
+	return Fig15Result{OneProxyTps: one, TwoProxyTps: two, BackToOneTps: back, Misses: misses}
 }
 
 // Print renders the phases.

@@ -53,11 +53,7 @@ func runHandovers(s Scale, nodes int, ratio float64, ideal bool) float64 {
 	cfg.Ideal = ideal
 	h := bench.NewHandovers(cfg)
 	h.Seed(bench.ZeusSeeder(c))
-	r := bench.Runner{
-		Name: "handovers", DBs: bench.ZeusDBs(c, nodes),
-		WorkersPerNode: s.Workers, OpsPerWorker: s.OpsPerWorker, Seed: 11,
-	}
-	return r.Run(h.MakeOp).Tps()
+	return countedRun(s, 11, bench.ZeusDBs(c, nodes), h.MakeOp).Throughput()
 }
 
 // PrintFig7 renders the figure.
@@ -114,17 +110,15 @@ func runSmallbank(s Scale, nodes int, frac float64, baselineSys bool) float64 {
 	cfg.RemoteWriteFrac = frac
 	sb := bench.NewSmallbank(cfg)
 	if baselineSys {
-		d := bench.NewBaselineDeploymentSim(nodes, 3, simNetConfig())
+		d := newBaselineSim(nodes, 3)
 		defer d.Close()
 		sb.Seed(d.Seeder())
-		r := bench.Runner{Name: "sb-baseline", DBs: d.DBs(), WorkersPerNode: s.Workers, OpsPerWorker: s.OpsPerWorker, Seed: 21}
-		return r.Run(sb.MakeOp).TpsPerNode()
+		return perNode(countedRun(s, 21, d.DBs(), sb.MakeOp))
 	}
 	c := newZeusSim(nodes, s.Workers)
 	defer c.Close()
 	sb.Seed(bench.ZeusSeeder(c))
-	r := bench.Runner{Name: "sb-zeus", DBs: bench.ZeusDBs(c, nodes), WorkersPerNode: s.Workers, OpsPerWorker: s.OpsPerWorker, Seed: 21}
-	return r.Run(sb.MakeOp).TpsPerNode()
+	return perNode(countedRun(s, 21, bench.ZeusDBs(c, nodes), sb.MakeOp))
 }
 
 func runTATP(s Scale, nodes int, frac float64, baselineSys bool) float64 {
@@ -133,17 +127,15 @@ func runTATP(s Scale, nodes int, frac float64, baselineSys bool) float64 {
 	cfg.RemoteWriteFrac = frac
 	tp := bench.NewTATP(cfg)
 	if baselineSys {
-		d := bench.NewBaselineDeploymentSim(nodes, 3, simNetConfig())
+		d := newBaselineSim(nodes, 3)
 		defer d.Close()
 		tp.Seed(d.Seeder())
-		r := bench.Runner{Name: "tatp-baseline", DBs: d.DBs(), WorkersPerNode: s.Workers, OpsPerWorker: s.OpsPerWorker, Seed: 22}
-		return r.Run(tp.MakeOp).TpsPerNode()
+		return perNode(countedRun(s, 22, d.DBs(), tp.MakeOp))
 	}
 	c := newZeusSim(nodes, s.Workers)
 	defer c.Close()
 	tp.Seed(bench.ZeusSeeder(c))
-	r := bench.Runner{Name: "tatp-zeus", DBs: bench.ZeusDBs(c, nodes), WorkersPerNode: s.Workers, OpsPerWorker: s.OpsPerWorker, Seed: 22}
-	return r.Run(tp.MakeOp).TpsPerNode()
+	return perNode(countedRun(s, 22, bench.ZeusDBs(c, nodes), tp.MakeOp))
 }
 
 // PrintSweep renders Figures 8/9.

@@ -69,6 +69,10 @@ type voterExperiment struct {
 	// location: voters with index < progress are at dst; others at src.
 	src, dst atomic.Int32
 	progress atomic.Int64
+	// votes is the latency of committed votes. A node the voters have left
+	// polls for their return, and the load driver's Service histogram counts
+	// each poll as a (failed) request; this one times the transaction alone.
+	votes obs.Histogram
 }
 
 func newVoterExperiment(s Scale, nodes int, onLat func(time.Duration)) *voterExperiment {
@@ -115,6 +119,7 @@ func (v *voterExperiment) pickVoter(node int, rng *rand.Rand) int {
 // makeOp builds the vote operation for one node: vote for a voter currently
 // located here plus this worker's contestant total.
 func (v *voterExperiment) makeOp(workers int) func(node int, db dbapi.DB) bench.Op {
+	votes := &v.votes
 	return func(node int, db dbapi.DB) bench.Op {
 		return func(worker int, rng *rand.Rand) error {
 			i := v.pickVoter(node, rng)
@@ -126,7 +131,8 @@ func (v *voterExperiment) makeOp(workers int) func(node int, db dbapi.DB) bench.
 			}
 			voter := v.voterObj(i)
 			contestant := v.contestantObj(node, worker, workers)
-			return dbapi.Run(db, worker, func(tx dbapi.Txn) error {
+			t0 := time.Now()
+			err := dbapi.Run(db, worker, func(tx dbapi.Txn) error {
 				hv, err := tx.Get(voter)
 				if err != nil {
 					return err
@@ -140,6 +146,10 @@ func (v *voterExperiment) makeOp(workers int) func(node int, db dbapi.DB) bench.
 				}
 				return tx.Set(contestant, bench.Pad(bench.FromU64(cv)+1, 32))
 			})
+			if err == nil {
+				votes.RecordSince(t0)
+			}
+			return err
 		}
 	}
 }
@@ -181,18 +191,12 @@ func Fig10(s Scale) Fig10Result {
 		moved = m1 + m2
 		rate = (r1 + r2) / 2
 	}()
-	lats := &obs.Histogram{}
-	tr := bench.TimedRunner{
-		Name: "fig10", DBs: bench.ZeusDBs(v.c, 3),
-		WorkersPerNode: s.Workers, Duration: s.Duration, Seed: 31,
-		Latencies: lats,
-	}
-	samples, total := tr.RunTimed(v.makeOp(s.Workers), s.Interval)
+	res := timedRun(s, 31, bench.ZeusDBs(v.c, v.nodes), v.makeOp(s.Workers))
 	<-moverDone // migrations may outlast the load window
 	return Fig10Result{
-		Voters: v.voters, Interval: s.Interval, Samples: samples,
-		Moved: moved, MoveRate: rate, TotalVotes: total.Ops,
-		Latency: quantilesOf(lats.Snapshot()),
+		Voters: v.voters, Interval: s.Interval, Samples: res.Samples,
+		Moved: moved, MoveRate: rate, TotalVotes: res.Completed,
+		Latency: quantilesOf(v.votes.Snapshot()),
 	}
 }
 
@@ -238,12 +242,13 @@ func Fig11(s Scale) Fig11Result {
 	if hot < 100 {
 		hot = 100
 	}
-	hotObj := func(i int) uint64 { return 2_000_000 + uint64(i) }
-	for i := 0; i < hot; i++ {
-		c.SeedAt(wire.ObjectID(hotObj(i)), 0, bench.Pad(0, 32))
+	hotObjs := make([]uint64, hot)
+	for i := range hotObjs {
+		hotObjs[i] = 2_000_000 + uint64(i)
+		c.SeedAt(wire.ObjectID(hotObjs[i]), 0, bench.Pad(0, 32))
 	}
 
-	var hotMoved atomic.Int64
+	var hotMoved int
 	var hotRate float64
 	var migrating atomic.Bool
 	done := make(chan struct{})
@@ -253,23 +258,13 @@ func Fig11(s Scale) Fig11Result {
 		migrating.Store(true)
 		start := time.Now()
 		for _, dst := range []int{1, 2} {
-			for i := 0; i < hot; i++ {
-				if err := c.Node(dst).OwnershipEngine().AcquireOwnership(wire.ObjectID(hotObj(i))); err == nil {
-					hotMoved.Add(1)
-				}
-			}
+			hotMoved += bench.MoveObjects(c.Node(dst), hotObjs).Moved
 		}
-		hotRate = float64(hotMoved.Load()) / time.Since(start).Seconds()
+		hotRate = float64(hotMoved) / time.Since(start).Seconds()
 		migrating.Store(false)
 	}()
 
 	var duringOps, duringNs, beforeOps, beforeNs atomic.Int64
-	lats := &obs.Histogram{}
-	tr := bench.TimedRunner{
-		Name: "fig11", DBs: bench.ZeusDBs(c, 3),
-		WorkersPerNode: s.Workers, Duration: s.Duration, Seed: 32,
-		Latencies: lats,
-	}
 	makeOp := func(node int, db dbapi.DB) bench.Op {
 		inner := vt.MakeOp(node, db)
 		return func(worker int, rng *rand.Rand) error {
@@ -288,7 +283,7 @@ func Fig11(s Scale) Fig11Result {
 			return err
 		}
 	}
-	samples, _ := tr.RunTimed(makeOp, s.Interval)
+	res := timedRun(s, 32, bench.ZeusDBs(c, 3), makeOp)
 	<-done
 
 	// Per-op service rate (ops per busy-second): comparable across phases
@@ -300,11 +295,11 @@ func Fig11(s Scale) Fig11Result {
 		return float64(ops) / (float64(ns) / 1e9)
 	}
 	return Fig11Result{
-		Interval: s.Interval, Samples: samples,
-		HotMoved: int(hotMoved.Load()), HotMoveRate: hotRate,
+		Interval: s.Interval, Samples: res.Samples,
+		HotMoved: hotMoved, HotMoveRate: hotRate,
 		BackgroundBefore: tput(beforeOps.Load(), beforeNs.Load()),
 		BackgroundDuring: tput(duringOps.Load(), duringNs.Load()),
-		Latency:          quantilesOf(lats.Snapshot()),
+		Latency:          quantilesOf(res.Service),
 	}
 }
 
@@ -342,11 +337,7 @@ func Fig12(s Scale) Fig12Result {
 		time.Sleep(s.Duration / 4)
 		v.moveAll(1)
 	}()
-	tr := bench.TimedRunner{
-		Name: "fig12", DBs: bench.ZeusDBs(v.c, 3),
-		WorkersPerNode: s.Workers, Duration: s.Duration, Seed: 33,
-	}
-	tr.RunTimed(v.makeOp(s.Workers), s.Interval)
+	timedRun(s, 33, bench.ZeusDBs(v.c, v.nodes), v.makeOp(s.Workers))
 	return Fig12Result{quantilesOf(ownLat.Snapshot())}
 }
 

@@ -9,8 +9,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"zeus/internal/bench"
 	"zeus/internal/cluster"
 	"zeus/internal/dbapi"
+	"zeus/internal/loadgen"
 	"zeus/internal/wire"
 )
 
@@ -137,33 +139,25 @@ func readScalePoint(s Scale, writePct, replicas int) ReadScaleRow {
 		}()
 	}
 
-	var wg sync.WaitGroup
-	start := time.Now()
-	for node := 0; node < replicas; node++ {
-		for w := 0; w < s.Workers; w++ {
-			wg.Add(1)
-			go func(node, w int) {
-				defer wg.Done()
-				n := c.Node(node)
-				rng := rand.New(rand.NewSource(int64(1 + node*64 + w)))
-				for i := 0; i < roTxs; i++ {
-					err := dbapi.RunRO(n.DB(), w, func(tx dbapi.Txn) error {
-						for r := 0; r < readsPerTx; r++ {
-							if _, err := tx.Get(uint64(1 + rng.Intn(objects))); err != nil {
-								return err
-							}
-						}
-						return nil
-					})
-					if err == nil {
-						reads.Add(readsPerTx)
+	ops := make([]bench.Op, replicas)
+	for node := range ops {
+		db := c.Node(node).DB()
+		ops[node] = func(w int, rng *rand.Rand) error {
+			err := dbapi.RunRO(db, w, func(tx dbapi.Txn) error {
+				for r := 0; r < readsPerTx; r++ {
+					if _, err := tx.Get(uint64(1 + rng.Intn(objects))); err != nil {
+						return err
 					}
 				}
-			}(node, w)
+				return nil
+			})
+			if err == nil {
+				reads.Add(readsPerTx)
+			}
+			return err
 		}
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	elapsed := closedLoop(loadgen.Config{Arrival: loadgen.ClosedLoop{Ops: roTxs}, Seed: 1}, s.Workers, ops).Elapsed
 	close(stopWriter)
 	writerWG.Wait()
 	c.WaitIdle(10 * time.Second)

@@ -3,11 +3,13 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"runtime"
-	"sync"
 	"time"
 
+	"zeus/internal/bench"
 	"zeus/internal/cluster"
+	"zeus/internal/loadgen"
 	"zeus/internal/wire"
 )
 
@@ -58,35 +60,28 @@ func Scaling(s Scale) ScalingResult {
 			c.SeedAt(wire.ObjectID(1+w), 0, make([]byte, 128))
 		}
 		n := c.Node(0)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				obj := uint64(1 + w)
-				buf := make([]byte, 128)
-				for i := 0; i < ops; i++ {
-					tx := n.BeginOn(w)
-					if _, err := tx.Get(obj); err != nil {
-						tx.Abort()
-						continue
-					}
-					buf[0] = byte(i)
-					if err := tx.Set(obj, buf); err != nil {
-						tx.Abort()
-						continue
-					}
-					_ = tx.Commit()
+		bufs := make([][128]byte, workers) // each worker's value, rewritten in place between writes
+		run := closedLoop(loadgen.Config{Arrival: loadgen.ClosedLoop{Ops: ops}}, workers, []bench.Op{
+			func(w int, _ *rand.Rand) error {
+				obj, buf := uint64(1+w), bufs[w][:]
+				tx := n.BeginOn(w)
+				if _, err := tx.Get(obj); err != nil {
+					tx.Abort()
+					return err
 				}
-			}(w)
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
+				buf[0]++
+				if err := tx.Set(obj, buf); err != nil {
+					tx.Abort()
+					return err
+				}
+				return tx.Commit()
+			},
+		})
+		elapsed := run.Elapsed
 		n.WaitReplication(10 * time.Second)
 		c.Close()
 
-		total := ops * workers
+		total := ops * workers // attempts: disjoint write streams abort nothing
 		row := ScalingRow{
 			Workers: workers,
 			Ops:     total,

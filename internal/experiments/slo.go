@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"time"
 
+	"zeus/internal/bench"
 	"zeus/internal/cluster"
 	"zeus/internal/loadgen"
 	"zeus/internal/obs"
@@ -154,27 +155,24 @@ func sloPoint(s Scale, wl loadgen.Workload, fabric cluster.FabricKind, nodes int
 	opts.TraceSample = 16
 	c := cluster.New(opts)
 	defer c.Close()
-	wl.Seed(func(obj uint64, home int, data []byte) {
-		c.SeedAt(wireObj(obj), wireNode(home), data)
-	})
+	wl.Seed(bench.ZeusSeeder(c))
 
 	drivers := sloDrivers(nodes)
 	res := loadgen.Run(loadgen.Config{
-		Name:             wl.Name,
 		Rate:             rate,
 		Arrival:          arrival,
 		Duration:         s.Duration,
 		Drivers:          drivers,
 		WorkersPerDriver: s.Workers,
 		Seed:             42,
-	}, func(driver int) loadgen.Op {
+	}, func(driver int) bench.Op {
 		node := driver % nodes
 		lane := driver / nodes
 		inner := wl.MakeOp(node, c.Node(node).DB())
-		return func(worker, client int, rng *rand.Rand) error {
+		return func(worker int, rng *rand.Rand) error {
 			// Lanes offset their worker ids so co-located driver groups use
 			// distinct pipelines (and distinct per-worker workload state).
-			return inner(lane*s.Workers+worker, client, rng)
+			return inner(lane*s.Workers+worker, rng)
 		}
 	})
 	c.WaitIdle(10 * time.Second)

@@ -85,12 +85,5 @@ func (r TransportResult) Print(w io.Writer) {
 	row("no-delay", r.NoDelayFrames, r.NoDelayAcks, r.NoDelayMsgsPerS)
 	fmt.Fprintf(w, "  frame reduction %.1fx, ack reduction %.1fx\n",
 		float64(r.NoDelayFrames)/float64(r.BatchedFrames),
-		float64(r.NoDelayAcks)/float64(max64(r.BatchedAcks, 1)))
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
+		float64(r.NoDelayAcks)/float64(max(r.BatchedAcks, 1)))
 }

@@ -1,6 +1,8 @@
 package lint_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -47,4 +49,55 @@ func moduleRoot(t *testing.T) string {
 		t.Fatal("not in a module")
 	}
 	return filepath.Dir(gomod)
+}
+
+// TestEveryInternalPackageIsReached: no package sits off every path. Each
+// zeus/internal/... package must be reachable from the module root, a command,
+// an example or the repository benchmark over the module's import edges, test
+// imports counted — so a package only its own tests and a sibling nobody
+// imports keep alive (the §3.1 load balancer and its KV were that) fails here
+// instead of being carried. Lint fixtures live under testdata and are not
+// packages to `go list`.
+func TestEveryInternalPackageIsReached(t *testing.T) {
+	cmd := exec.Command("go", "list", "-json=ImportPath,Imports,TestImports,XTestImports", "./...")
+	cmd.Dir = moduleRoot(t)
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list ./...: %v", err)
+	}
+	edges := make(map[string][]string)
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p struct {
+			ImportPath                         string
+			Imports, TestImports, XTestImports []string
+		}
+		if err := dec.Decode(&p); err != nil {
+			t.Fatalf("decoding go list output: %v", err)
+		}
+		edges[p.ImportPath] = append(append(p.Imports, p.TestImports...), p.XTestImports...)
+	}
+	reached := make(map[string]bool)
+	var visit func(string)
+	visit = func(pkg string) {
+		if _, ours := edges[pkg]; !ours || reached[pkg] {
+			return
+		}
+		reached[pkg] = true
+		for _, imp := range edges[pkg] {
+			visit(imp)
+		}
+	}
+	for pkg := range edges {
+		if pkg == "zeus" || pkg == "zeus/benchmark" || strings.HasPrefix(pkg, "zeus/cmd/") || strings.HasPrefix(pkg, "zeus/examples/") {
+			visit(pkg)
+		}
+	}
+	if !reached["zeus"] || !reached["zeus/benchmark"] || !reached["zeus/internal/core"] {
+		t.Fatalf("the walk did not start: %d of %d packages reached", len(reached), len(edges))
+	}
+	for pkg := range edges {
+		if strings.HasPrefix(pkg, "zeus/internal/") && !reached[pkg] {
+			t.Errorf("%s is imported by nothing the module root, cmd/, examples/ or benchmark/ reaches", pkg)
+		}
+	}
 }

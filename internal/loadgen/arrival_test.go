@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"zeus/internal/bench"
 )
 
 func TestConstantRateSchedule(t *testing.T) {
@@ -81,12 +83,11 @@ func TestPoissonInterArrival(t *testing.T) {
 // drift. The bound is deliberately loose for loaded single-core CI hosts.
 func TestScheduleDrift(t *testing.T) {
 	res := Run(Config{
-		Name:     "noop",
 		Rate:     500,
 		Duration: 400 * time.Millisecond,
 		Drivers:  2,
-	}, func(driver int) Op {
-		return func(worker, client int, rng *rand.Rand) error { return nil }
+	}, func(driver int) bench.Op {
+		return func(worker int, rng *rand.Rand) error { return nil }
 	})
 	if res.Offered != 200 {
 		t.Fatalf("offered %d, want 200", res.Offered)
@@ -97,17 +98,5 @@ func TestScheduleDrift(t *testing.T) {
 	}
 	if p99 := time.Duration(res.Latency.Quantile(0.99)); p99 > 50*time.Millisecond {
 		t.Fatalf("no-op schedule drift p99=%v, want <50ms", p99)
-	}
-}
-
-// TestClientStability pins the slot→client hash: SLO records keyed by the
-// same seed must replay against the same client identities.
-func TestClientStability(t *testing.T) {
-	a, b := clientOf(12345, 1_000_000), clientOf(12345, 1_000_000)
-	if a != b {
-		t.Fatalf("clientOf not stable: %d vs %d", a, b)
-	}
-	if c := clientOf(12345, 10); c < 0 || c >= 10 {
-		t.Fatalf("clientOf out of range: %d", c)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"zeus/internal/bench"
 )
 
 // TestOmissionSafety is the coordinated-omission regression test: a 500ms
@@ -24,14 +26,13 @@ func TestOmissionSafety(t *testing.T) {
 
 	var issued atomic.Int64
 	res := Run(Config{
-		Name:             "stall",
 		Rate:             rate,
 		Duration:         duration,
 		Drivers:          1,
 		WorkersPerDriver: 1,
 		Seed:             1,
-	}, func(driver int) Op {
-		return func(worker, client int, rng *rand.Rand) error {
+	}, func(driver int) bench.Op {
+		return func(worker int, rng *rand.Rand) error {
 			// One stall a quarter of the way in; every other request is free.
 			if issued.Add(1) == int64(rate/4) {
 				time.Sleep(stall)
@@ -81,14 +82,13 @@ func TestBacklogCharging(t *testing.T) {
 	const rate = 1000.0
 	const duration = 300 * time.Millisecond
 	res := Run(Config{
-		Name:             "oversub",
 		Rate:             rate,
 		Duration:         duration,
 		Drivers:          1,
 		WorkersPerDriver: 1,
 		Seed:             1,
-	}, func(driver int) Op {
-		return func(worker, client int, rng *rand.Rand) error {
+	}, func(driver int) bench.Op {
+		return func(worker int, rng *rand.Rand) error {
 			time.Sleep(2 * time.Millisecond)
 			return nil
 		}

@@ -10,9 +10,9 @@ import (
 	"zeus/internal/dbapi"
 )
 
-// Seeder installs one object at its home node (the cluster's bulk initial
-// sharding; mirrors bench.Seeder).
-type Seeder func(obj uint64, home int, data []byte)
+// clients is the simulated client population an application op draws its
+// client from (the paper's "millions of users" framing at simulation scale).
+const clients = 1_000_000
 
 // Workload binds a real application workload to the harness: how to seed its
 // objects and how a driver pinned to a node issues one request.
@@ -20,9 +20,9 @@ type Workload struct {
 	// Name keys run summaries and SLO records.
 	Name string
 	// Seed installs the workload's initial objects.
-	Seed func(seed Seeder)
+	Seed func(seed bench.Seeder)
 	// MakeOp returns the op a driver bound to the given node executes.
-	MakeOp func(node int, db dbapi.DB) Op
+	MakeOp func(node int, db dbapi.DB) bench.Op
 }
 
 // EPCGW is the packet-gateway control plane (§8.5, Figure 13): each arrival
@@ -32,17 +32,16 @@ func EPCGW(nodes int) Workload {
 	cfgFor := func(node int) epcgw.Config { return epcgw.DefaultConfig(node, nodes) }
 	return Workload{
 		Name: "epcgw",
-		Seed: func(seed Seeder) {
+		Seed: func(seed bench.Seeder) {
 			for n := 0; n < nodes; n++ {
-				epcgw.New(cfgFor(n), nil).SeedObjects(func(obj uint64, home int, data []byte) {
-					seed(obj, home, data)
-				})
+				epcgw.New(cfgFor(n), nil).SeedObjects(seed)
 			}
 		},
-		MakeOp: func(node int, db dbapi.DB) Op {
+		MakeOp: func(node int, db dbapi.DB) bench.Op {
 			cfg := cfgFor(node)
 			g := epcgw.New(cfg, db)
-			return func(worker, client int, rng *rand.Rand) error {
+			return func(worker int, rng *rand.Rand) error {
+				client := rng.Intn(clients)
 				return g.Step(worker, client%cfg.Users, client)
 			}
 		},
@@ -56,18 +55,16 @@ func HTTPLB(nodes int) Workload {
 	cfgFor := func(node int) httplb.Config { return httplb.DefaultConfig(node, nodes) }
 	return Workload{
 		Name: "httplb",
-		Seed: func(seed Seeder) {
+		Seed: func(seed bench.Seeder) {
 			for n := 0; n < nodes; n++ {
-				httplb.New(cfgFor(n), nil).SeedObjects(func(obj uint64, home int, data []byte) {
-					seed(obj, home, data)
-				})
+				httplb.New(cfgFor(n), nil).SeedObjects(seed)
 			}
 		},
-		MakeOp: func(node int, db dbapi.DB) Op {
+		MakeOp: func(node int, db dbapi.DB) bench.Op {
 			cfg := cfgFor(node)
 			p := httplb.New(cfg, db)
-			return func(worker, client int, rng *rand.Rand) error {
-				_, err := p.Handle(worker, client%cfg.Sessions, rng)
+			return func(worker int, rng *rand.Rand) error {
+				_, err := p.Handle(worker, rng.Intn(clients)%cfg.Sessions, rng)
 				return err
 			}
 		},
@@ -93,7 +90,7 @@ func SCTP(nodes, assocsPerNode int) Workload {
 	}
 	return Workload{
 		Name: "sctp",
-		Seed: func(seed Seeder) {
+		Seed: func(seed bench.Seeder) {
 			init := sctpsim.InitialState(cfg).Encode(cfg.StateSize)
 			for n := 0; n < nodes; n++ {
 				for a := 0; a < assocsPerNode; a++ {
@@ -101,8 +98,8 @@ func SCTP(nodes, assocsPerNode int) Workload {
 				}
 			}
 		},
-		MakeOp: func(node int, db dbapi.DB) Op {
-			return func(worker, client int, rng *rand.Rand) error {
+		MakeOp: func(node int, db dbapi.DB) bench.Op {
+			return func(worker int, rng *rand.Rand) error {
 				a := sctpsim.New(cfg, db, assocObj(node, worker%assocsPerNode), worker)
 				return a.PacketEvent(1200)
 			}
@@ -116,13 +113,8 @@ func SCTP(nodes, assocsPerNode int) Workload {
 func Handover(nodes int) Workload {
 	h := bench.NewHandovers(bench.DefaultHandoverConfig(nodes))
 	return Workload{
-		Name: "handover",
-		Seed: func(seed Seeder) { h.Seed(bench.Seeder(seed)) },
-		MakeOp: func(node int, db dbapi.DB) Op {
-			inner := h.MakeOp(node, db)
-			return func(worker, client int, rng *rand.Rand) error {
-				return inner(worker, rng)
-			}
-		},
+		Name:   "handover",
+		Seed:   h.Seed,
+		MakeOp: h.MakeOp,
 	}
 }

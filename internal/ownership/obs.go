@@ -53,16 +53,3 @@ func newEngineObs(e *Engine, r *obs.Registry) *engineObs {
 	r.CounterFunc("own_bare_grants_total", e.stBareGrants.Load)
 	return b
 }
-
-// MigrationsByShard returns the per-shard successful-acquisition counts (nil
-// when observability is off) — the heat vector placement experiments read.
-func (e *Engine) MigrationsByShard() []uint64 {
-	if e.obs == nil {
-		return nil
-	}
-	out := make([]uint64, len(e.obs.migrations))
-	for i, c := range e.obs.migrations {
-		out[i] = c.Load()
-	}
-	return out
-}

@@ -34,7 +34,7 @@ type tnode struct {
 	id    wire.NodeID
 	st    *store.Store
 	eng   *Engine
-	tr    *transport.MemTransport
+	tr    transport.Transport
 	agent *viewsvc.Agent
 	// hasPending, when set, stands in for the commit engine's pending-commit
 	// probe (Config.HasPendingCommit).

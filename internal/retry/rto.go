@@ -88,13 +88,6 @@ func (e *RTOEstimator) Backoff() {
 	}
 }
 
-// SRTT returns the smoothed RTT (0 before the first sample; diagnostics).
-func (e *RTOEstimator) SRTT() time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.srtt
-}
-
 func (e *RTOEstimator) clampLocked(d time.Duration) time.Duration {
 	if d < e.min {
 		return e.min

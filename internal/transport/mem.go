@@ -76,7 +76,9 @@ const (
 )
 
 // Node returns (creating if needed) the transport for node id.
-func (h *Hub) Node(id wire.NodeID) *MemTransport {
+func (h *Hub) Node(id wire.NodeID) Transport { return h.node(id) }
+
+func (h *Hub) node(id wire.NodeID) *MemTransport {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if t, ok := h.nodes[id]; ok {
@@ -96,7 +98,16 @@ func (h *Hub) Node(id wire.NodeID) *MemTransport {
 
 // SetDown makes the node drop all inbound and outbound traffic (crash-stop).
 func (h *Hub) SetDown(id wire.NodeID, down bool) {
-	h.Node(id).down.Store(down)
+	h.node(id).down.Store(down)
+}
+
+// Close closes every node's transport.
+func (h *Hub) Close() {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	for _, t := range h.nodes {
+		_ = t.Close()
+	}
 }
 
 // Self returns the local node id.

@@ -99,8 +99,8 @@ func Broadcast(t Transport, set wire.Bitmap, m wire.Msg) {
 }
 
 // Router dispatches inbound messages to per-kind handlers, so that the
-// ownership engine, reliable-commit engine, membership agent, Hermes KV and
-// baseline engine can share one Transport.
+// ownership engine, reliable-commit engine, membership agent and baseline
+// engine can share one Transport.
 //
 // # Sharded dispatch
 //
@@ -122,8 +122,8 @@ func Broadcast(t Transport, set wire.Bitmap, m wire.Msg) {
 // ordering does not exist in the paper either, the ownership protocol
 // tolerates cross-object reordering by construction (o_ts arbitration), and
 // VAL-vs-INV races on one object are impossible across shards because both
-// carry the same ObjectID. Unkeyed kinds (membership, Hermes KV, baseline
-// RPCs) keep today's inline delivery. Shard queues are unbounded FIFOs: the
+// carry the same ObjectID. Unkeyed kinds (membership, baseline RPCs) keep
+// today's inline delivery. Shard queues are unbounded FIFOs: the
 // commit pipeline's MaxPipelineDepth backpressure bounds them in steady
 // state, and never blocking the transport goroutine rules out delivery
 // deadlocks between mutually-loaded nodes.

@@ -480,15 +480,15 @@ func TestHubMulticastDeliversFreshCopies(t *testing.T) {
 	c2.SetHandler(cc.handler)
 
 	// Non-commit kinds go through the codec: receivers never alias.
-	m := &wire.HermesInv{Key: 1, TS: wire.OTS{Ver: 1}, Val: []byte("abc")}
+	m := &wire.OwnAck{Obj: 1, TS: wire.OTS{Ver: 1}, HasData: true, Data: []byte("abc")}
 	if err := a.Multicast([]wire.NodeID{1, 2}, m); err != nil {
 		t.Fatal(err)
 	}
 	cb.waitN(t, 1, time.Second)
 	cc.waitN(t, 1, time.Second)
-	mb := cb.msgs[0].(*wire.HermesInv)
-	mc := cc.msgs[0].(*wire.HermesInv)
-	if &mb.Val[0] == &mc.Val[0] {
+	mb := cb.msgs[0].(*wire.OwnAck)
+	mc := cc.msgs[0].(*wire.OwnAck)
+	if &mb.Data[0] == &mc.Data[0] {
 		t.Fatal("multicast receivers alias the same memory")
 	}
 	if h.Messages() != 2 {
@@ -602,7 +602,7 @@ func TestSendBatchDoesNotRetainTheSlice(t *testing.T) {
 // keeps no message alive — and the next SendBatch takes it from there.
 func TestHubRecyclesBatchSlices(t *testing.T) {
 	h := NewHub()
-	a, b := h.Node(0), h.Node(1)
+	a, b := h.node(0), h.node(1)
 	defer a.Close()
 	defer b.Close()
 	c := newCollect()

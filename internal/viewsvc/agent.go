@@ -4,6 +4,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"zeus/internal/wire"
 )
@@ -173,6 +174,9 @@ func (a *Agent) ReportRecoveryDone(epoch wire.Epoch) {
 
 // Renew renews this node's lease.
 func (a *Agent) Renew() { a.cli.Renew(a.self) }
+
+// Lease returns how long a lease outlives its last renewal.
+func (a *Agent) Lease() time.Duration { return a.cli.cfg.Lease }
 
 // ChangeSignal returns a channel that is closed at the next view change;
 // callers blocked on a back-off use it as an immediate wake signal to

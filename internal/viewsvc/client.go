@@ -48,6 +48,10 @@ type Client struct {
 	renewPending atomic.Uint64
 	renewFlushed atomic.Int64 // unix nanos of the last renewal multicast
 
+	// removedAt is the epoch of each node's last removal from the view, set
+	// by the pump: what a failure report waits for (see Fail).
+	removedAt [wire.MaxNodes]atomic.Uint64
+
 	events chan wire.VSState
 	closed chan struct{}
 	once   sync.Once
@@ -104,7 +108,7 @@ func newClient(cfg Config, tr transport.Transport, ids []wire.NodeID, members wi
 	}
 	c.state = wire.VSState{
 		Index: 0, Epoch: 1, Live: members,
-		Placement: wire.ComputePlacement(c.cfg.DirShards, c.cfg.DirDegree, 1, members),
+		Placement: wire.ComputePlacement(c.cfg.DirShards, dirDegree, 1, members),
 		Addrs:     append([]wire.NodeAddr(nil), c.cfg.InitialAddrs...),
 	}
 	seed := c.state.Placement // a copy: c.state is overwritten on every install
@@ -262,9 +266,17 @@ func (c *Client) renewLoop() {
 // Fail reports a crashed node. It returns immediately (the view change
 // happens after the lease expires); a background loop re-proposes until the
 // node has left the view, so the report survives view-service leader crashes.
+// "Has left" is a removal at a later epoch than the report's, not only "is not
+// live now": the loop samples the cached state, and a node that rejoins within
+// one sampling gap of its removal (a restart a few milliseconds after the
+// kill) would look as if it had never left and be failed a second time.
 func (c *Client) Fail(node wire.NodeID) {
+	if node >= wire.MaxNodes {
+		return
+	}
+	reported := uint64(c.View().Epoch)
 	go c.driveUntil(wire.VSCommand{Op: wire.VSFail, Node: node}, func(s wire.VSState) bool {
-		return !s.Live.Contains(node)
+		return !s.Live.Contains(node) || c.removedAt[node].Load() > reported
 	}, c.cfg.Lease+10*time.Second)
 }
 
@@ -441,6 +453,9 @@ func (c *Client) pump() {
 		// pause/recovery/resume) have fully propagated.
 		c.fanoutState(s)
 		if viewChanged {
+			for n := range removed.Each {
+				c.removedAt[n].Store(uint64(next.Epoch))
+			}
 			c.fanoutView(old, next, removed, &before)
 		}
 		if recovered {

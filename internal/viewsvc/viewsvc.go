@@ -45,6 +45,10 @@ import (
 	"zeus/internal/wire"
 )
 
+// dirDegree is the target driver count per directory shard: the paper's
+// directory replication degree, clamped to the live set.
+const dirDegree = 3
+
 // Config tunes the service.
 type Config struct {
 	// Lease is how long a data node's lease outlives its last renewal; a
@@ -57,9 +61,6 @@ type Config struct {
 	// the value only seeds the initial state; afterwards the committed
 	// placement is authoritative.
 	DirShards int
-	// DirDegree is the target driver count per directory shard (default 3,
-	// the paper's directory replication degree; clamped to the live set).
-	DirDegree int
 	// Heartbeat is the leader's heartbeat period towards the other
 	// replicas. Default: Lease/2 clamped to [1ms, 25ms].
 	Heartbeat time.Duration
@@ -90,9 +91,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DirShards > wire.MaxDirShards {
 		c.DirShards = wire.MaxDirShards
-	}
-	if c.DirDegree <= 0 {
-		c.DirDegree = 3
 	}
 	if c.Heartbeat <= 0 {
 		c.Heartbeat = c.Lease / 2
@@ -179,7 +177,7 @@ func NewReplica(cfg Config, ids []wire.NodeID, idx int, tr transport.Transport, 
 	}
 	r.state = wire.VSState{
 		Index: 0, Epoch: 1, Live: members,
-		Placement: wire.ComputePlacement(r.cfg.DirShards, r.cfg.DirDegree, 1, members),
+		Placement: wire.ComputePlacement(r.cfg.DirShards, dirDegree, 1, members),
 		Addrs:     append([]wire.NodeAddr(nil), r.cfg.InitialAddrs...),
 	}
 	now := time.Now().UnixNano()
@@ -209,13 +207,6 @@ func (r *Replica) Ballot() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.ballot
-}
-
-// Leading reports whether this replica believes it is the active leader.
-func (r *Replica) Leading() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.leading
 }
 
 // State returns the replica's committed state.

@@ -137,7 +137,7 @@ func TestBarrierAcrossTakeover(t *testing.T) {
 // of the state.
 func TestPlacementRidesTheStateMachine(t *testing.T) {
 	cfg := Config{Lease: time.Millisecond, Heartbeat: time.Millisecond,
-		TakeoverAfter: 5 * time.Millisecond, DirShards: 8, DirDegree: 3}
+		TakeoverAfter: 5 * time.Millisecond, DirShards: 8}
 	r := newRig(t, 3, wire.BitmapOf(0, 1, 2, 3), cfg)
 
 	p := r.cli.State().Placement
@@ -210,5 +210,27 @@ func TestRenewalsLockFree(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		<-done
+	}
+}
+
+// TestFailReportEndsAtTheRemovalItCaused: a failure report is driven by a
+// loop that samples the cached state. A node that rejoins right after the
+// removal — a restart a few milliseconds after the kill — is live again by the
+// loop's next look; the report must be over all the same, not fail the new
+// incarnation.
+func TestFailReportEndsAtTheRemovalItCaused(t *testing.T) {
+	r := newRig(t, 3, wire.BitmapOf(0, 1, 2, 3), Config{Lease: time.Millisecond})
+	for round := wire.Epoch(0); round < 10; round++ {
+		r.cli.Fail(3)
+		if !r.cli.WaitEpoch(2+2*round, time.Second) {
+			t.Fatal("fail never committed")
+		}
+		if !r.cli.Join(3) {
+			t.Fatal("rejoin never committed")
+		}
+		time.Sleep(3 * r.cli.cfg.retryEvery()) // a lingering report would have re-proposed by now
+		if v := r.cli.View(); v.Epoch != 3+2*round || !v.Live.Contains(3) {
+			t.Fatalf("round %d: view %+v after fail and rejoin, want epoch %d with node 3 live", round, v, 3+2*round)
+		}
 	}
 }

@@ -424,8 +424,6 @@ func EncodedSize(m Msg) int {
 		return fixed + len(v.Data)
 	case *OwnResp:
 		return fixed + len(v.Data)
-	case *HermesInv:
-		return fixed + len(v.Val)
 	case *BReadResp:
 		return fixed + len(v.Data)
 	case *BLock:
@@ -590,21 +588,6 @@ func AppendMarshal(dst []byte, m Msg) []byte {
 		e.u64(v.AppliedWM)
 	case *CommitVal:
 		e.tx(v.Tx)
-		e.epoch(v.Epoch)
-	case *HermesInv:
-		e.u64(v.Key)
-		e.ots(v.TS)
-		e.epoch(v.Epoch)
-		e.node(v.From)
-		e.bytes(v.Val)
-	case *HermesAck:
-		e.u64(v.Key)
-		e.ots(v.TS)
-		e.epoch(v.Epoch)
-		e.node(v.From)
-	case *HermesVal:
-		e.u64(v.Key)
-		e.ots(v.TS)
 		e.epoch(v.Epoch)
 	case *BReadReq:
 		e.u64(v.ReqID)
@@ -781,12 +764,6 @@ func unmarshal(p []byte, dc *Decoder) (Msg, error) {
 		v := dc.val()
 		*v = CommitVal{Tx: d.tx(), Epoch: d.epoch()}
 		m = v
-	case KindHermesInv:
-		m = &HermesInv{Key: d.u64(), TS: d.ots(), Epoch: d.epoch(), From: d.node(), Val: d.bytes()}
-	case KindHermesAck:
-		m = &HermesAck{Key: d.u64(), TS: d.ots(), Epoch: d.epoch(), From: d.node()}
-	case KindHermesVal:
-		m = &HermesVal{Key: d.u64(), TS: d.ots(), Epoch: d.epoch()}
 	case KindBReadReq:
 		m = &BReadReq{ReqID: d.u64(), From: d.node(), Obj: d.obj()}
 	case KindBReadResp:

@@ -175,6 +175,10 @@ func FuzzUnmarshal(f *testing.F) {
 		f.Add(b[:len(b)/2])
 	}
 	f.Add(Marshal(testInv(3, inlineUpdates+1)))
+	for k := firstRetiredKind; k <= lastRetiredKind; k++ {
+		f.Add(retiredFrame(k)) // both entries must refuse it
+	}
+	f.Add([]byte{})
 	next := Marshal(testInv(5, 2))
 	f.Fuzz(func(t *testing.T, p []byte) {
 		var dc Decoder

@@ -21,16 +21,16 @@ const (
 	KindCommitAck // follower → coordinator (R-ACK)
 	KindCommitVal // coordinator → followers (R-VAL)
 
-	// Two retired membership kinds (a view broadcast and a recovery-done
-	// report; the replicated view service below replaced both). The numbers
-	// stay reserved so every later kind keeps its on-wire value.
+	// Five retired kinds, 10–14: two membership messages (a view broadcast
+	// and a recovery-done report, replaced by the view service below) and the
+	// three of a load balancer's replicated KV that no measured path used.
+	// The numbers are never reused, so every later kind keeps its on-wire
+	// value.
 	_
 	_
-
-	// Hermes-lite replicated KV (load balancer substrate).
-	KindHermesInv
-	KindHermesAck
-	KindHermesVal
+	_
+	_
+	_
 
 	// Distributed-commit baseline (FaRM/FaSST-style OCC + 2PC).
 	KindBReadReq
@@ -78,7 +78,7 @@ func (k Kind) String() string {
 	names := [...]string{
 		"invalid", "own-req", "own-inv", "own-ack", "own-val", "own-nack",
 		"own-resp", "r-inv", "r-ack", "r-val", "reserved-10", "reserved-11",
-		"h-inv", "h-ack", "h-val", "b-read-req", "b-read-resp", "b-lock",
+		"reserved-12", "reserved-13", "reserved-14", "b-read-req", "b-read-resp", "b-lock",
 		"b-lock-resp", "b-validate", "b-validate-resp", "b-backup",
 		"b-backup-ack", "b-commit", "b-commit-ack", "b-abort",
 		"vs-propose", "vs-accept", "vs-commit", "vs-lease", "vs-query",
@@ -280,40 +280,6 @@ type View struct {
 	Epoch Epoch
 	Live  Bitmap
 }
-
-// ---------------------------------------------------------------------------
-// Hermes-lite messages (load-balancer KV, §3.1).
-// ---------------------------------------------------------------------------
-
-// HermesInv invalidates a key at all replicas with its new value.
-type HermesInv struct {
-	Key   uint64
-	TS    OTS
-	Epoch Epoch
-	From  NodeID
-	Val   []byte
-}
-
-func (*HermesInv) Kind() Kind { return KindHermesInv }
-
-// HermesAck acknowledges an invalidation.
-type HermesAck struct {
-	Key   uint64
-	TS    OTS
-	Epoch Epoch
-	From  NodeID
-}
-
-func (*HermesAck) Kind() Kind { return KindHermesAck }
-
-// HermesVal validates a key once every replica acked the invalidation.
-type HermesVal struct {
-	Key   uint64
-	TS    OTS
-	Epoch Epoch
-}
-
-func (*HermesVal) Kind() Kind { return KindHermesVal }
 
 // ---------------------------------------------------------------------------
 // Distributed-commit baseline messages (FaRM/FaSST-style, §6.1).

@@ -2,10 +2,10 @@
 // exchanged by Zeus nodes, together with a compact binary codec.
 //
 // Everything that crosses a node boundary in this repository — the ownership
-// protocol (§4 of the paper), the reliable commit protocol (§5), membership
-// views, the Hermes-lite KV used by the load balancer, and the distributed
-// commit baseline — is expressed as a wire.Msg and serialized with
-// wire.Marshal / wire.Unmarshal.
+// protocol (§4 of the paper), the reliable commit protocol (§5), the view
+// service's membership commands, directory and state-sync transfers, and the
+// distributed commit baseline — is expressed as a wire.Msg and serialized
+// with wire.Marshal / wire.Unmarshal.
 //
 // A transport that reads a stream of messages decodes it through a Decoder
 // instead of Unmarshal: one Decoder per inbound stream, owned by the

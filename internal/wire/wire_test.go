@@ -162,9 +162,6 @@ func allMessages() []Msg {
 			CTS:     1234567},
 		&CommitAck{Tx: TxID{Pipe: PipeID{Node: 2, Worker: 5}, Local: 99}, Epoch: 3, From: 1, AppliedWM: 1234566},
 		&CommitVal{Tx: TxID{Pipe: PipeID{Node: 2, Worker: 5}, Local: 99}, Epoch: 3},
-		&HermesInv{Key: 77, TS: OTS{3, 2}, Epoch: 1, From: 2, Val: data},
-		&HermesAck{Key: 77, TS: OTS{3, 2}, Epoch: 1, From: 0},
-		&HermesVal{Key: 77, TS: OTS{3, 2}, Epoch: 1},
 		&BReadReq{ReqID: 5, From: 2, Obj: 10},
 		&BReadResp{ReqID: 5, Obj: 10, Ver: 3, OK: true, Data: data},
 		&BLock{ReqID: 5, From: 2, Items: []BVer{{Obj: 1, Ver: 2}, {Obj: 3, Ver: 4}}},
@@ -225,17 +222,17 @@ func TestMarshalRoundTripAllKinds(t *testing.T) {
 			t.Fatalf("%T round trip mismatch:\n got %#v\nwant %#v", m, got, m)
 		}
 	}
-	// Ensure the fixture covers every declared kind. The two retired
-	// membership kinds keep their numbers (every later kind keeps its on-wire
-	// value) and decode to nothing.
-	const firstRetired, lastRetired = KindCommitVal + 1, KindHermesInv - 1
-	if KindCommitVal != 9 || KindHermesInv != 12 || KindObsState != 37 {
-		t.Errorf("kind numbers moved: r-val %d, h-inv %d, obs-state %d; want 9, 12, 37",
-			KindCommitVal, KindHermesInv, KindObsState)
+	// Ensure the fixture covers every declared kind. The five retired kinds
+	// (two membership messages, three of a load balancer's KV) keep their
+	// numbers, so every later kind keeps its on-wire value, and decode to
+	// nothing.
+	if KindCommitVal != 9 || KindBReadReq != 15 || KindObsState != 37 {
+		t.Errorf("kind numbers moved: r-val %d, b-read-req %d, obs-state %d; want 9, 15, 37",
+			KindCommitVal, KindBReadReq, KindObsState)
 	}
 	for k := KindOwnReq; k < kindSentinel; k++ {
-		if k >= firstRetired && k <= lastRetired {
-			if m, err := Unmarshal([]byte{byte(k), 0, 0, 0, 0, 0, 0, 0, 0}); err == nil {
+		if k >= firstRetiredKind && k <= lastRetiredKind {
+			if m, err := Unmarshal(retiredFrame(k)); err == nil {
 				t.Errorf("retired kind %d decodes to %T", k, m)
 			}
 			continue
@@ -245,6 +242,12 @@ func TestMarshalRoundTripAllKinds(t *testing.T) {
 		}
 	}
 }
+
+// The retired kind numbers, and a frame that would have decoded as one: the
+// round-trip test and the fuzz seeds both hold that it decodes to nothing.
+const firstRetiredKind, lastRetiredKind = KindCommitVal + 1, KindBReadReq - 1
+
+func retiredFrame(k Kind) []byte { return []byte{byte(k), 0, 0, 0, 0, 0, 0, 0, 0} }
 
 // normalize maps nil and empty byte slices to a canonical form so that
 // DeepEqual tolerates the codec returning nil for zero-length fields.

@@ -9,9 +9,8 @@
 //
 // The package is a facade over the full implementation in internal/: the
 // ownership protocol (§4 of the paper), the reliable commit protocol (§5),
-// the transactional memory API (§7), a lease-based membership service, a
-// simulated datacenter fabric with loss/duplication/reordering, and an
-// application-level load balancer on a Hermes-replicated KV.
+// the transactional memory API (§7), a lease-based membership service and a
+// simulated datacenter fabric with loss/duplication/reordering.
 //
 // Quick start:
 //
