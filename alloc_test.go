@@ -16,10 +16,13 @@ import (
 // background loops — and taken after the pipelines drained, so it is what
 // `allocs_per_op` in benchmark/ is made of. Each ceiling is one above what the code achieves, so
 // the next allocation added to the path fails `go test`; CHANGES.md (PR 14,
-// PR 15 for the move, PR 19 for the chunked R-ACK/R-VAL records) lists what
-// each remaining allocation is for. The hub hands commit messages over by
-// pointer; what decoding them costs on a real fabric is TestTCPAllocCeiling's
-// to hold (internal/cluster).
+// PR 15 for the move, PR 19 for the chunked R-ACK/R-VAL records, PR 23 for
+// Get's view and the Updates inside the slot) lists what each remaining
+// allocation is for. The transactions here keep their Tx on the stack; the
+// same shapes through dbapi.Run, where the Tx escapes and is recycled, and
+// what decoding commit messages costs on a real fabric (the hub hands them
+// over by pointer) are TestRunAllocCeilings' and TestTCPAllocCeiling's to
+// hold (internal/cluster).
 // Not built under -race: the detector allocates on its own.
 
 // mallocsPerTx runs txs transactions, waits for replication, and returns the
@@ -98,10 +101,12 @@ func TestAllocCeilings(t *testing.T) {
 	}
 	const txs = 2000
 
-	// 1-object read-modify-write: Get's copy for the caller, Set's private
-	// copy, the Updates slice and the slot (the Tx and counterBytes' buffer
-	// stay on this function's stack) — plus three sixteenths: each follower's
-	// R-ACK and the coordinator's R-VAL are records of a 16-record chunk.
+	// 1-object read-modify-write: Set's private copy — the version the commit
+	// publishes, on the hub at all three replicas — and the slot, which holds
+	// the R-INV and its Updates (Get returns a view; the Tx and counterBytes'
+	// buffer stay on this function's stack) — plus three sixteenths: each
+	// follower's R-ACK and the coordinator's R-VAL are records of a 16-record
+	// chunk.
 	rmw := mallocsPerTx(t, owner, txs, func(i int) {
 		tx := owner.BeginOn(0)
 		v, err := tx.Get(1)
@@ -109,7 +114,7 @@ func TestAllocCeilings(t *testing.T) {
 		must(tx.Set(1, counterBytes(counterVal(v)+1)))
 		must(tx.Commit())
 	})
-	// 2-object transfer: one more Get copy and one more private copy.
+	// 2-object transfer: one more private copy.
 	transfer := mallocsPerTx(t, owner, txs, func(i int) {
 		tx := owner.BeginOn(1)
 		a, err := tx.Get(1)
@@ -120,7 +125,7 @@ func TestAllocCeilings(t *testing.T) {
 		must(tx.Set(2, counterBytes(counterVal(b)+1)))
 		must(tx.Commit())
 	})
-	// 1-read RO transaction on a reader replica: Get's copy for the caller.
+	// 1-read RO transaction on a reader replica: nothing, Get returns a view.
 	// WaitReplication spoke for the owner; the reader refuses the read until
 	// the last transfer's R-VAL has reached it too.
 	for {
@@ -152,18 +157,19 @@ func TestAllocCeilings(t *testing.T) {
 		must(c.Node((i/movers + 1) % 2).AcquireOwnership(uint64(10 + i%movers)))
 	})
 	t.Logf("mallocs per transaction: rmw %.2f, transfer %.2f, read-only %.2f; per ownership move %.2f", rmw, transfer, ro, move)
-	// Achieved: 4.3, 6.3, 1 and 10.1 (the hundredths are timers and lease
-	// renewals; the two write shapes cost 7 and 9 while every R-ACK and R-VAL
-	// was its own allocation, a move 22 before PR 15). One more allocation
+	// Achieved: 2.2, 3.3, 0 and 10.1 (the hundredths are timers and lease
+	// renewals; the two write shapes cost 4.3 and 6.3 while Get copied and the
+	// Updates were a slice of their own, 7 and 9 while every R-ACK and R-VAL
+	// was its own allocation too, a move 22 before PR 15). One more allocation
 	// per transaction reaches the ceiling.
 	for _, c := range []struct {
 		name    string
 		got     float64
 		ceiling float64
 	}{
-		{"1-object read-modify-write", rmw, 5},
-		{"2-object transfer", transfer, 7},
-		{"1-read read-only", ro, 2},
+		{"1-object read-modify-write", rmw, 3},
+		{"2-object transfer", transfer, 4},
+		{"1-read read-only", ro, 1},
 		{"ownership move", move, 11},
 	} {
 		if c.got >= c.ceiling {

@@ -44,14 +44,16 @@ func BenchmarkLocalWriteTx(b *testing.B) {
 	n := c.Node(0)
 	b.ReportAllocs()
 	b.ResetTimer()
+	buf := make([]byte, 128) // Get's result is a view: stage the new value here
 	for i := 0; i < b.N; i++ {
 		tx := n.BeginOn(0)
 		v, err := tx.Get(1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		binary.LittleEndian.PutUint64(v, uint64(i))
-		if err := tx.Set(1, v); err != nil {
+		copy(buf, v)
+		binary.LittleEndian.PutUint64(buf, uint64(i))
+		if err := tx.Set(1, buf); err != nil {
 			b.Fatal(err)
 		}
 		if err := tx.Commit(); err != nil {
@@ -72,14 +74,16 @@ func BenchmarkLocalWriteTxObs(b *testing.B) {
 	c.Seed(1, 0, make([]byte, 128))
 	n := c.Node(0)
 	b.ResetTimer()
+	buf := make([]byte, 128) // Get's result is a view: stage the new value here
 	for i := 0; i < b.N; i++ {
 		tx := n.BeginOn(0)
 		v, err := tx.Get(1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		binary.LittleEndian.PutUint64(v, uint64(i))
-		if err := tx.Set(1, v); err != nil {
+		copy(buf, v)
+		binary.LittleEndian.PutUint64(buf, uint64(i))
+		if err := tx.Set(1, buf); err != nil {
 			b.Fatal(err)
 		}
 		if err := tx.Commit(); err != nil {
@@ -129,15 +133,17 @@ func BenchmarkLocalWriteTxParallel(b *testing.B) {
 				w := g % workers
 				obj := uint64(1 + g)
 				i := 0
+				buf := make([]byte, 128)
 				for pb.Next() {
 					tx := n.BeginOn(w)
 					v, err := tx.Get(obj)
 					if err != nil {
 						b.Fatal(err)
 					}
-					binary.LittleEndian.PutUint64(v, uint64(i))
+					copy(buf, v)
+					binary.LittleEndian.PutUint64(buf, uint64(i))
 					i++
-					if err := tx.Set(obj, v); err != nil {
+					if err := tx.Set(obj, buf); err != nil {
 						b.Fatal(err)
 					}
 					if err := tx.Commit(); err != nil {

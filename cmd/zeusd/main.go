@@ -383,7 +383,8 @@ func runDemo(node *core.Node, members wire.Bitmap) {
 			time.Sleep(200 * time.Millisecond)
 			continue
 		}
-		if err := tx.Set(obj, append(v, '.')); err != nil {
+		// v is a view of the committed version: grow a copy, not its spare capacity.
+		if err := tx.Set(obj, append(append([]byte(nil), v...), '.')); err != nil {
 			tx.Abort()
 			log.Printf("demo: set: %v", err)
 			continue

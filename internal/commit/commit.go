@@ -33,6 +33,7 @@ package commit
 import (
 	"errors"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -244,17 +245,20 @@ func (p *outPipe) compactLocked() {
 func (p *outPipe) live() []*Slot { return p.order[p.head:] }
 
 // Slot is one reliable commit in flight on a coordinator pipeline — the
-// handle Commit returns. It is the commit's only allocation: the first R-INV
-// and the resend pacer live inside it, and the completion channel exists
-// only if somebody asks for it (Done).
+// handle Commit returns. It is the commit's only allocation: the first R-INV,
+// its Updates (up to inlineUpdates of them) and the resend pacer live inside
+// it, and the completion channel exists only if somebody asks for it (Done).
 type Slot struct {
 	pipe *outPipe
 	// inv is the R-INV to (re)send. It points at first until a view change
 	// rewrites epoch and followers, which installs a fresh copy instead
 	// (copy-on-write, OnViewChange/resendLoop): the original may still be in
 	// flight, and on the zero-copy hub the followers hold this very struct.
-	inv       *wire.CommitInv
-	first     wire.CommitInv
+	inv   *wire.CommitInv
+	first wire.CommitInv
+	// updates backs first.Updates for a write set that fits; a larger one
+	// gets a heap slice.
+	updates   [inlineUpdates]wire.Update
 	followers wire.Bitmap
 	acked     wire.Bitmap
 	// extraVal are nodes to include in this slot's R-VAL broadcast even
@@ -275,6 +279,11 @@ type Slot struct {
 	openedAt time.Time
 	tr       *obs.Trace
 }
+
+// inlineUpdates is the write set a Slot holds without a second allocation:
+// the workloads' transactions write at most three objects (Smallbank's
+// amalgamate), and core keeps as many accesses inline in its Tx.
+const inlineUpdates = 4
 
 // closedChan is what Done returns for a slot that already validated: one
 // shared, pre-closed channel instead of one allocation per commit.
@@ -609,19 +618,17 @@ func (e *Engine) WaitIdle(timeout time.Duration) bool {
 // application, §5.2). The store must already hold the new t_data/t_version
 // with t_state = Write; PendingCommits must already be incremented by the
 // caller under the object locks (that counter is the engine's only per-object
-// pending state — see HasPending). The returned slot names the transaction
-// (Tx) and reports validation (Done: tests and drain paths wait on it;
-// applications do not).
-func (e *Engine) Commit(w wire.Worker, updates []wire.Update, followers wire.Bitmap) *Slot {
-	return e.CommitTraced(w, updates, followers, nil)
-}
-
-// CommitTraced is Commit carrying a sampled transaction's trace recorder
-// (nil for unsampled transactions — Trace.Event is nil-receiver-safe). The
-// slot stamps "inv" after the R-INV fan-out and "ack"/"val"/"applied"
-// through completeSlot, and offers the finished trace to the registry's
-// slowest-N table.
-func (e *Engine) CommitTraced(w wire.Worker, updates []wire.Update, followers wire.Bitmap, tr *obs.Trace) *Slot {
+// pending state — see HasPending). The updates are copied into the slot (their
+// Data is not: the engine and the followers share the published version), so
+// the caller's slice can live on its stack. The returned slot names the
+// transaction (Tx) and reports validation (Done: tests and drain paths wait on
+// it; applications do not).
+//
+// tr is a sampled transaction's trace recorder, nil for the unsampled majority
+// (Trace.Event is nil-receiver-safe). The slot stamps "inv" after the R-INV
+// fan-out and "ack"/"val"/"applied" through completeSlot, and offers the
+// finished trace to the registry's slowest-N table.
+func (e *Engine) Commit(w wire.Worker, updates []wire.Update, followers wire.Bitmap, tr *obs.Trace) *Slot {
 	p := e.pipe(w)
 	live := e.agent.View().Live
 	epoch := e.agent.Epoch()
@@ -674,10 +681,15 @@ func (e *Engine) CommitTraced(w wire.Worker, updates []wire.Update, followers wi
 	slot := &Slot{
 		pipe: p,
 		first: wire.CommitInv{Tx: wire.TxID{Pipe: p.id, Local: local}, Epoch: epoch,
-			Followers: followers, PrevVal: prevVal, Updates: updates, CTS: cts},
+			Followers: followers, PrevVal: prevVal, CTS: cts},
 		followers: followers, retr: resendPolicy.Begin(), tr: tr,
 	}
 	inv := &slot.first
+	if len(updates) <= inlineUpdates {
+		inv.Updates = slot.updates[:copy(slot.updates[:], updates)]
+	} else {
+		inv.Updates = slices.Clone(updates)
+	}
 	slot.inv = inv
 	if wait, ok := slot.retr.Next(); ok {
 		// Share one clock read between resend pacing and the obs phase

@@ -109,7 +109,7 @@ func (c *tcluster) localCommit(owner wire.NodeID, w wire.Worker, objs []wire.Obj
 		followers = followers.Union(o.ReplicasLocked().Readers)
 		o.Mu.Unlock()
 	}
-	return nd.eng.Commit(w, updates, followers)
+	return nd.eng.Commit(w, updates, followers, nil)
 }
 
 func (c *tcluster) waitValid(t *testing.T, node wire.NodeID, obj wire.ObjectID, wantVer uint64, wantData string) {
@@ -482,7 +482,7 @@ func TestConcurrentCommitsManyObjects(t *testing.T) {
 				o.PendingCommits.Add(1)
 				followers := o.ReplicasLocked().Readers
 				o.Mu.Unlock()
-				nd.eng.Commit(w, []wire.Update{{Obj: obj, Version: ver, Data: []byte("c")}}, followers)
+				nd.eng.Commit(w, []wire.Update{{Obj: obj, Version: ver, Data: []byte("c")}}, followers, nil)
 			}
 		}(w)
 	}

@@ -8,8 +8,11 @@
 //
 //  1. Prepare & Execute — before accessing an object the worker verifies it
 //     holds the needed ownership level, acquiring it via the ownership
-//     protocol otherwise (blocking, the only blocking step). The first
-//     update creates a private copy (opacity, §6.2).
+//     protocol otherwise (blocking, the only blocking step). A read hands
+//     out a view of the committed version (tr_open_read: versions are
+//     replace-only, so the view never changes under the reader); the first
+//     update creates the private copy (tr_open_write; opacity, §6.2), which
+//     the commit publishes as the next version.
 //  2. Local Commit — contention across local workers is resolved with a
 //     local version of the ownership protocol: per-object local ownership
 //     taken by try-lock, conflicts abort and retry with back-off (§7).
@@ -141,6 +144,9 @@ type Node struct {
 	safet *safetime.Tracker
 
 	nextWorker atomic.Uint32
+	// parked holds, per worker, the finished Tx dbapi's run loop handed back
+	// (see dbAdapter.Recycle) for that worker's next Begin.
+	parked []atomic.Pointer[Tx]
 
 	// trimQ feeds the bounded replica-trim pool (see maybeTrim): dropping a
 	// reader is best-effort background work, so a fixed pool with a bounded
@@ -228,7 +234,7 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, cfg C
 		dirsvc: directory.NewService(id, st, tr, agent),
 		trimQ:  make(chan trimReq, trimQueueDepth), closedCh: make(chan struct{}),
 		stg: cfg.Storage, recovered: recovered, incarnation: incarnation,
-		syncPending: pending}
+		syncPending: pending, parked: make([]atomic.Pointer[Tx], cfg.Workers)}
 	n.router = transport.NewRouter()
 	// One HLC per node, handed to both engines: commit stamps CTSs from it,
 	// ownership merges the CTS riding on grants back in. Recovery seeds it
@@ -565,7 +571,7 @@ func (n *Node) CreateObjectWithReaders(obj wire.ObjectID, data []byte, readers w
 	o.PendingCommits.Add(1)
 	followers := o.ReplicasLocked().Readers
 	o.Mu.Unlock()
-	n.cmt.Commit(wire.Worker(0), []wire.Update{{Obj: obj, Version: ver, Data: append([]byte(nil), data...)}}, followers)
+	n.cmt.Commit(wire.Worker(0), []wire.Update{{Obj: obj, Version: ver, Data: append([]byte(nil), data...)}}, followers, nil)
 	return nil
 }
 
@@ -687,6 +693,11 @@ func (tx *Tx) add(a access) *access {
 // re-take grants nothing ever releases.
 var errFinished = errors.New("core: transaction already finished")
 
+// FinishedTx is a transaction that is over and was nobody's: every method
+// refuses and none writes it. A wrapper points a handle it has severed here
+// (zeus.Node.Update), so the handle answers as any finished Tx does.
+var FinishedTx = &Tx{finished: true}
+
 // Begin starts a write transaction on an automatically assigned worker.
 func (n *Node) Begin() *Tx {
 	tx := n.BeginOn(int(n.nextWorker.Add(1)) % n.cfg.Workers)
@@ -726,7 +737,12 @@ func (n *Node) beginRO(worker int) *Tx {
 // errNeedOwnership is an internal marker: the access level must be acquired.
 var errNeedOwnership = fmt.Errorf("core: ownership level missing")
 
-// Get returns the value of obj as seen by the transaction (tr_open_read).
+// Get returns the value of obj as seen by the transaction (tr_open_read). The
+// bytes are a view, not a copy: the committed version, or the private copy
+// this transaction staged with Set. The engine never writes them again — a
+// later commit, or a later Set in this transaction, installs a new slice —
+// so they stay valid for as long as the caller keeps them; the caller must
+// not write them either (copy before modifying).
 func (tx *Tx) Get(obj uint64) ([]byte, error) {
 	if tx.finished {
 		return nil, errFinished
@@ -735,7 +751,7 @@ func (tx *Tx) Get(obj uint64) ([]byte, error) {
 	// Read-your-writes and repeat-read stability: a touched object answers
 	// from its entry (every entry was read or written).
 	if a := tx.find(id); a != nil {
-		return append([]byte(nil), a.data...), nil
+		return a.data, nil
 	}
 	if tx.snap {
 		return tx.snapshotGet(id)
@@ -744,12 +760,11 @@ func (tx *Tx) Get(obj uint64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Copy-on-read elision: the entry aliases the object's payload instead
-	// of copying it under the lock (store.Object.SnapshotRef; Data is
+	// The entry and the caller alias the object's payload instead of copying
+	// it under the lock (store.Object.SnapshotRef; the payload is
 	// replace-only) — a later commit installs a new slice and never mutates
-	// this one, so the buffered snapshot stays exactly the bytes read at
-	// `ver`, which is what opacity needs anyway. Only the app-facing return
-	// below pays a copy.
+	// this one, so both keep exactly the bytes read at `ver`, which is what
+	// opacity needs anyway.
 	st, ver, lvl, data := o.SnapshotRef()
 
 	// Invalidated objects cannot be read (§5.3); the owner may read its
@@ -769,7 +784,7 @@ func (tx *Tx) Get(obj uint64) ([]byte, error) {
 		return nil, dbapi.ErrConflict
 	}
 	tx.add(access{id: id, obj: o, ver: ver, data: data, flags: accRead})
-	return append([]byte(nil), data...), nil
+	return data, nil
 }
 
 // snapshotGet serves a read at the transaction's snapshot timestamp from
@@ -814,7 +829,7 @@ func (tx *Tx) snapshotGet(id wire.ObjectID) ([]byte, error) {
 	}
 	tx.add(access{id: id, obj: o, ver: e.Version, data: e.Data, flags: accRead})
 	n.stSnapReads.Add(1)
-	return append([]byte(nil), e.Data...), nil
+	return e.Data, nil
 }
 
 // waitSafe delays until the safe-time covers the snapshot timestamp
@@ -1111,8 +1126,14 @@ func (tx *Tx) Commit() error {
 		return dbapi.ErrConflict
 	}
 
-	// Apply: install private copies, bump versions, mark Write state.
-	updates := make([]wire.Update, 0, tx.nwrites)
+	// Apply: install private copies, bump versions, mark Write state. The
+	// engine copies the set into its slot, so up to inlineAccesses updates
+	// are built here on the stack.
+	var buf [inlineAccesses]wire.Update
+	updates := buf[:0]
+	if tx.nwrites > len(buf) {
+		updates = make([]wire.Update, 0, tx.nwrites)
+	}
 	var followers wire.Bitmap
 	for i := range acc {
 		a := &acc[i]
@@ -1130,7 +1151,7 @@ func (tx *Tx) Commit() error {
 	tx.release()
 
 	// Reliable commit: pipelined, never blocks the worker (§5.2).
-	tx.slot = n.cmt.CommitTraced(wire.Worker(tx.worker), updates, followers, tx.tr)
+	tx.slot = n.cmt.Commit(wire.Worker(tx.worker), updates, followers, tx.tr)
 	n.stCommits.Add(1)
 	return nil
 }
@@ -1178,16 +1199,48 @@ func (tx *Tx) release() {
 
 type dbAdapter struct{ n *Node }
 
-// DB returns the node as a dbapi.DB for the shared benchmark workloads.
+// DB returns the node as a dbapi.DB for the shared benchmark workloads. A Tx
+// begun through it escapes into the dbapi.Txn interface, so it lives on the
+// heap; dbapi's run loop hands it back when the attempt is over (Recycle) and
+// the worker's next Begin reuses it.
 func (n *Node) DB() dbapi.DB { return dbAdapter{n} }
 
 func (a dbAdapter) Begin(worker int) dbapi.Txn {
-	tx := a.n.BeginOn(worker)
+	tx := a.begin(worker, false)
 	a.n.maybeTrace(tx)
 	return tx
 }
-func (a dbAdapter) BeginRO(worker int) dbapi.Txn {
-	return a.n.beginRO(worker)
+
+func (a dbAdapter) BeginRO(worker int) dbapi.Txn { return a.begin(worker, true) }
+
+// begin takes the worker's parked Tx, or makes one. Swap leaves the slot
+// empty, so two goroutines that collide on a worker id never share a Tx.
+func (a dbAdapter) begin(worker int, ro bool) *Tx {
+	w := worker % a.n.cfg.Workers
+	tx := a.n.parked[w].Swap(nil)
+	if tx == nil {
+		tx = new(Tx)
+	}
+	*tx = Tx{n: a.n, worker: w, ro: ro, snap: ro && a.n.cfg.SnapshotReads}
+	return tx
 }
 
-var _ dbapi.Txn = (*Tx)(nil)
+// Recycle parks a finished Tx of this node for its worker's next Begin
+// (dbapi.Recycler). A parked Tx is zeroed — no slot, payload, store.Object or
+// spill map stays reachable from the cache — but stays finished, so a handle
+// kept past dbapi.Run answers errFinished, and it belongs to no node, so
+// parking it again is refused like any foreign Tx.
+func (a dbAdapter) Recycle(t dbapi.Txn) {
+	tx, ok := t.(*Tx)
+	if !ok || tx.n != a.n || !tx.finished {
+		return
+	}
+	w := tx.worker
+	*tx = Tx{finished: true}
+	a.n.parked[w].Store(tx)
+}
+
+var (
+	_ dbapi.Txn      = (*Tx)(nil)
+	_ dbapi.Recycler = dbAdapter{}
+)

@@ -1,0 +1,312 @@
+package core_test
+
+import (
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"zeus/internal/cluster"
+	"zeus/internal/core"
+	"zeus/internal/dbapi"
+	"zeus/internal/wire"
+)
+
+// Get returns a view of the version it read, not a copy. These tests hold the
+// two halves of that contract: no copy is made, and nothing the engine does
+// later — a commit, a staged write, a ring eviction — changes bytes a caller
+// still holds.
+
+func sameArray(a, b []byte) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+
+func TestGetReturnsAViewNotACopy(t *testing.T) {
+	c := newCluster(t, 3)
+	c.SeedAt(1, 0, u64(7))
+	for name, begin := range map[string]func() *core.Tx{
+		"write":     func() *core.Tx { return c.Node(0).BeginOn(0) },
+		"read-only": func() *core.Tx { return c.Node(1).BeginRO() },
+	} {
+		tx := begin()
+		a, err := tx.Get(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := tx.Get(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameArray(a, b) {
+			t.Errorf("%s: two Gets of one object returned different backing arrays: a copy is being made", name)
+		}
+		tx.Abort()
+	}
+}
+
+func TestViewSurvivesLaterCommits(t *testing.T) {
+	c := newCluster(t, 3)
+	c.SeedAt(1, 0, u64(0))
+	owner, reader := c.Node(0), c.Node(1)
+	ro := reader.BeginRO()
+	atReader, err := ro.Get(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro.Abort()
+	var held [][]byte // held[i] was read when the object held i
+	for i := uint64(0); i < 10; i++ {
+		tx := owner.BeginOn(0)
+		v, err := tx.Get(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, v)
+		if err := tx.Set(1, u64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !owner.WaitReplication(2 * time.Second) {
+		t.Fatal("pipelines never drained")
+	}
+	for i, v := range held {
+		if got := fromU64(v); got != uint64(i) {
+			t.Errorf("the slice read at value %d reads %d after %d more commits", i, got, len(held)-i)
+		}
+	}
+	if got := fromU64(atReader); got != 0 {
+		t.Errorf("the reader replica's slice reads %d after 10 replicated commits, want 0", got)
+	}
+}
+
+func TestViewSurvivesSetInTheSameTransaction(t *testing.T) {
+	c := newCluster(t, 3)
+	c.SeedAt(1, 0, u64(1))
+	tx := c.Node(0).BeginOn(0)
+	before, err := tx.Get(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	staged := u64(2)
+	if err := tx.Set(1, staged); err != nil {
+		t.Fatal(err)
+	}
+	after, err := tx.Get(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fromU64(before) != 1 || fromU64(after) != 2 {
+		t.Fatalf("before Set reads %d, after reads %d; want 1 and 2", fromU64(before), fromU64(after))
+	}
+	// Set copied: the caller may reuse its buffer, the staged version is the
+	// engine's. A second Set replaces the staged slice, it does not overwrite it.
+	staged[0] = 9
+	if err := tx.Set(1, u64(3)); err != nil {
+		t.Fatal(err)
+	}
+	if fromU64(after) != 2 {
+		t.Fatalf("the staged value read earlier reads %d after the caller reused its buffer and Set again, want 2", fromU64(after))
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if fromU64(before) != 1 || fromU64(after) != 2 {
+		t.Fatalf("after Commit the two slices read %d and %d; want 1 and 2", fromU64(before), fromU64(after))
+	}
+}
+
+func TestSnapshotViewSurvivesRingEviction(t *testing.T) {
+	opts := cluster.DefaultOptions(3)
+	opts.SnapshotReads = true
+	c := cluster.New(opts)
+	t.Cleanup(c.Close)
+	c.SeedAt(1, 0, u64(0))
+	var old []byte
+	if err := dbapi.RunRO(c.Node(1).DB(), 0, func(tx dbapi.Txn) (err error) {
+		old, err = tx.Get(1)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Three times the ring's capacity: the entry `old` came from is long gone.
+	for i := uint64(1); i <= 24; i++ {
+		if err := dbapi.Run(c.Node(0).DB(), 0, func(tx dbapi.Txn) error { return tx.Set(1, u64(i)) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !c.WaitIdle(2 * time.Second) {
+		t.Fatal("WaitIdle timed out")
+	}
+	var now []byte
+	if err := dbapi.RunRO(c.Node(1).DB(), 0, func(tx dbapi.Txn) (err error) {
+		now, err = tx.Get(1)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if fromU64(now) != 24 || fromU64(old) != 0 {
+		t.Fatalf("a fresh snapshot reads %d and the retained one %d; want 24 and 0", fromU64(now), fromU64(old))
+	}
+}
+
+// TestRecycleGuardRails: dbapi.Run hands the worker's Tx back to the node;
+// what the node accepts, what it keeps of it, and what a stale handle can do.
+func TestRecycleGuardRails(t *testing.T) {
+	c := newCluster(t, 3)
+	c.SeedAt(1, 0, u64(0))
+	n, other := c.Node(0), c.Node(1)
+	db := n.DB()
+	rec := db.(dbapi.Recycler)
+
+	live := db.Begin(0).(*core.Tx)
+	rec.Recycle(live)
+	if n.Parked(0) != nil {
+		t.Fatal("an unfinished Tx was parked")
+	}
+	if err := live.Set(1, u64(1)); err != nil {
+		t.Fatalf("the refused Tx no longer works: %v", err)
+	}
+	if err := live.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	foreign := other.DB().Begin(0)
+	foreign.Abort()
+	rec.Recycle(foreign)
+	rec.Recycle(fakeTxn{})
+	direct := n.BeginOn(0) // never went through DB(): finished, this node's — fine to keep
+	direct.Abort()
+	if n.Parked(0) != nil {
+		t.Fatal("another node's Tx, or something that is no Tx, was parked")
+	}
+
+	rec.Recycle(live)
+	if n.Parked(0) != live {
+		t.Fatal("a finished Tx of this node was not parked")
+	}
+	// Parked: finished, and nothing of the transaction reachable from it.
+	v := reflect.ValueOf(live).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if name := v.Type().Field(i).Name; name != "finished" && !v.Field(i).IsZero() {
+			t.Errorf("parked Tx keeps %s = %v", name, v.Field(i))
+		}
+	}
+	if _, err := live.Get(1); err == nil {
+		t.Error("Get on a parked Tx succeeded")
+	}
+	if err := live.Set(1, u64(9)); err == nil {
+		t.Error("Set on a parked Tx succeeded")
+	}
+	if err := live.Commit(); err == nil {
+		t.Error("Commit on a parked Tx succeeded")
+	}
+	live.Abort()
+	if live.Durable() != nil {
+		t.Error("a parked Tx still reports a slot")
+	}
+
+	// A second Recycle of the same handle parks nothing new: one Begin gets
+	// it, the next gets its own.
+	rec.Recycle(live)
+	a, b := db.Begin(0).(*core.Tx), db.Begin(0).(*core.Tx)
+	if a != live || b == live {
+		t.Fatalf("after two Recycles of one Tx, Begin returned it %v and %v times", a == live, b == live)
+	}
+	a.Abort()
+	b.Abort()
+
+	// The handle dbapi.Run passed to fn is parked, and so inert, on return.
+	var kept dbapi.Txn
+	if err := dbapi.Run(db, 1, func(tx dbapi.Txn) error {
+		kept = tx
+		return tx.Set(1, u64(2))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n.Parked(1) != kept.(*core.Tx) {
+		t.Fatal("dbapi.Run did not hand its Tx back")
+	}
+	if err := kept.Set(1, u64(9)); err == nil {
+		t.Error("Set through a handle kept past dbapi.Run succeeded")
+	}
+	if err := dbapi.Run(db, 0, func(tx dbapi.Txn) error { return tx.Set(1, u64(3)) }); err != nil {
+		t.Fatalf("a write after the stale Set: %v", err)
+	}
+}
+
+type fakeTxn struct{}
+
+func (fakeTxn) Get(uint64) ([]byte, error) { return nil, nil }
+func (fakeTxn) Set(uint64, []byte) error   { return nil }
+func (fakeTxn) Commit() error              { return nil }
+func (fakeTxn) Abort()                     {}
+
+// TestRecycleNeverSharesATx: goroutines that collide on one worker id each run
+// in a Tx of their own. (They write disjoint objects: a worker id is also the
+// name local ownership is granted under, so two transactions on one id are not
+// isolated from each other — that is the caller's to avoid; sharing the
+// record would be the engine's.)
+func TestRecycleNeverSharesATx(t *testing.T) {
+	c := newCluster(t, 3)
+	const goroutines, objects, rounds = 4, 4, 300
+	for obj := uint64(1); obj <= objects; obj++ {
+		c.SeedAt(wire.ObjectID(obj), 0, u64(0))
+	}
+	db := c.Node(0).DB()
+	var (
+		mu    sync.Mutex
+		inUse = map[dbapi.Txn]bool{}
+		wg    sync.WaitGroup
+	)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				obj := uint64(1 + g)
+				err := dbapi.Run(db, 0, func(tx dbapi.Txn) error {
+					mu.Lock()
+					shared := inUse[tx]
+					inUse[tx] = true
+					mu.Unlock()
+					defer func() {
+						mu.Lock()
+						delete(inUse, tx)
+						mu.Unlock()
+					}()
+					if shared {
+						t.Error("two running transactions share one Tx")
+					}
+					v, err := tx.Get(obj)
+					if err != nil {
+						return err
+					}
+					return tx.Set(obj, u64(fromU64(v)+1))
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	var sum uint64
+	if err := dbapi.RunRO(db, 0, func(tx dbapi.Txn) error {
+		sum = 0
+		for obj := uint64(1); obj <= objects; obj++ {
+			v, err := tx.Get(obj)
+			if err != nil {
+				return err
+			}
+			sum += fromU64(v)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if sum != goroutines*rounds {
+		t.Fatalf("counters sum to %d after %d increments", sum, goroutines*rounds)
+	}
+}

@@ -26,7 +26,11 @@ var ErrNoReplica = errors.New("db: object has no local replica")
 // exactly one Commit or Abort.
 type Txn interface {
 	// Get returns the object's value. In a write transaction the value
-	// reflects the transaction's own pending writes.
+	// reflects the transaction's own pending writes. The bytes are a view of
+	// the committed (or this transaction's staged) version, not a copy: the
+	// datastore never writes them again and they stay valid for as long as
+	// the caller keeps them, but the caller must not write them either —
+	// copy before modifying.
 	Get(obj uint64) ([]byte, error)
 	// Set buffers a full-object write (invalid on read-only transactions).
 	Set(obj uint64, val []byte) error
@@ -43,6 +47,17 @@ type DB interface {
 	// BeginRO starts a read-only transaction (§5.3 in Zeus: local and
 	// strictly serializable on any replica).
 	BeginRO(worker int) Txn
+}
+
+// Recycler is an optional capability of a DB that run uses, not an API for
+// applications: run owns each Txn from Begin to the return of Commit or Abort,
+// so it is the one caller that knows nothing else holds the handle, and hands
+// it back for the DB to reuse on a later Begin. A DB without it (a decorator,
+// the baseline, a test double) gets a fresh Txn per attempt.
+type Recycler interface {
+	// Recycle takes back a Txn that Commit or Abort finished. The DB refuses
+	// (ignores) one that is not its own or not finished.
+	Recycle(Txn)
 }
 
 // DefaultPolicy is the conflict-retry policy used by Run/RunRO. It is
@@ -82,6 +97,7 @@ func RunROWith(ctx context.Context, db DB, worker int, p retry.Policy, fn func(T
 }
 
 func run(ctx context.Context, db DB, worker int, p retry.Policy, fn func(Txn) error, ro bool) error {
+	rec, _ := db.(Recycler)
 	return retry.Do(ctx, p,
 		func(err error) bool { return errors.Is(err, ErrConflict) },
 		func(int) error {
@@ -93,9 +109,13 @@ func run(ctx context.Context, db DB, worker int, p retry.Policy, fn func(Txn) er
 			}
 			err := fn(tx)
 			if err == nil {
-				return tx.Commit()
+				err = tx.Commit()
+			} else {
+				tx.Abort()
 			}
-			tx.Abort()
+			if rec != nil {
+				rec.Recycle(tx)
+			}
 			return err
 		})
 }

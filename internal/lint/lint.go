@@ -4,7 +4,8 @@
 // code base otherwise carries only in comments and torture tests; each
 // analyzer turns one such prose contract into a build-time error:
 //
-//   - replaceonly: the slice store.Object.DataLocked returns is never
+//   - replaceonly: the slice store.Object.DataLocked returns, and the view of
+//     it a transaction's Get returns (core.Tx, dbapi.Txn, zeus.Tx), is never
 //     written through — the zero-copy read paths (SnapshotRef, ownership
 //     ACK piggyback, FabricMem delivery) alias the payload's backing array
 //     after Mu is released, so one in-place write is a silent lost update,

@@ -16,21 +16,27 @@ import (
 // other goroutines). The replacing half needs no lint any more — the field is
 // unexported and only the store's transitions assign it — but DataLocked hands
 // out the live []byte, and Go has no read-only slice type to return instead:
-// writing through that result is what is left to flag.
+// writing through that result is what is left to flag. The same holds one
+// layer up: a transaction's Get (core.Tx, dbapi.Txn, zeus.Tx) returns a view of
+// that payload, not a copy, so its first result is a source too.
 //
-// Flagged, for o.DataLocked() or any local aliasing it (d := o.DataLocked()):
+// Flagged, for o.DataLocked(), the slice of v, err := tx.Get(obj), or any
+// local aliasing either (d := o.DataLocked()):
 //
 //	o.DataLocked()[i] = x    // element write
 //	append(d, ...)           // may write into spare capacity
 //	copy(d, src)             // bulk overwrite (payload as destination)
 //	clear(d)
 //	r.Read(d)                // fill-style callees (Read/ReadFull)
+//	binary.LittleEndian.PutUint64(d, x) // and PutUint16/32, any ByteOrder
+//
+// Legal: copy first (append([]byte(nil), v...)), then write the copy.
 //
 // The check is lexical per function: aliases through other function returns
 // or struct fields are not tracked (the store package owns those paths).
 var ReplaceOnly = &analysis.Analyzer{
 	Name: "replaceonly",
-	Doc:  "the slice store.Object.DataLocked returns is never written through",
+	Doc:  "the slice store.Object.DataLocked or a transaction's Get returns is never written through",
 	Run:  runReplaceOnly,
 }
 
@@ -54,23 +60,33 @@ func checkReplaceOnlyFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 	info := pass.TypesInfo
 
 	// Pass 1: collect locals that alias the payload (d := o.DataLocked(),
-	// possibly sliced). The data-source set is the getter call plus these.
+	// possibly sliced; v, err := tx.Get(obj)). The data-source set is the
+	// getter call plus these.
 	aliases := make(map[types.Object]bool)
+	alias := func(lhs ast.Expr) {
+		if id, ok := lhs.(*ast.Ident); ok {
+			if obj := info.Defs[id]; obj != nil {
+				aliases[obj] = true
+			} else if obj := info.Uses[id]; obj != nil {
+				aliases[obj] = true
+			}
+		}
+	}
 	ast.Inspect(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
+		if !ok {
+			return true
+		}
+		if len(as.Lhs) == 2 && len(as.Rhs) == 1 && isTxGet(info, as.Rhs[0]) {
+			alias(as.Lhs[0])
+			return true
+		}
+		if len(as.Lhs) != len(as.Rhs) {
 			return true
 		}
 		for i, rhs := range as.Rhs {
-			if !isDataExpr(info, rhs, aliases) {
-				continue
-			}
-			if id, ok := as.Lhs[i].(*ast.Ident); ok {
-				if obj := info.Defs[id]; obj != nil {
-					aliases[obj] = true
-				} else if obj := info.Uses[id]; obj != nil {
-					aliases[obj] = true
-				}
+			if isDataExpr(info, rhs, aliases) {
+				alias(as.Lhs[i])
 			}
 		}
 		return true
@@ -116,17 +132,45 @@ func checkReplaceOnlyCall(pass *analysis.Pass, call *ast.CallExpr, aliases map[t
 			pass.Reportf(call.Pos(), "clear of the store.Object payload overwrites the published backing array (replace-only)")
 		}
 	default:
-		// Fill-style callees that write into their []byte argument.
+		// Fill-style callees that write into their []byte argument: any
+		// argument of Read/ReadFull, the first of binary.ByteOrder's PutUintN.
+		args := call.Args
 		name := calleeName(call)
-		if name != "Read" && name != "ReadFull" {
+		switch name {
+		case "Read", "ReadFull":
+		case "PutUint16", "PutUint32", "PutUint64":
+			args = args[:1]
+		default:
 			return
 		}
-		for _, arg := range call.Args {
+		for _, arg := range args {
 			if isDataExpr(info, arg, aliases) {
 				pass.Reportf(call.Pos(), "store.Object payload passed as %s's fill buffer mutates the published backing array (replace-only)", name)
 			}
 		}
 	}
+}
+
+// txGets are the transaction reads whose first result is a view of the
+// payload (types.Func.FullName form).
+var txGets = map[string]bool{
+	"(*zeus/internal/core.Tx).Get":  true,
+	"(zeus/internal/dbapi.Txn).Get": true,
+	"(*zeus.Tx).Get":                true,
+}
+
+// isTxGet reports whether e is a call of one of txGets.
+func isTxGet(info *types.Info, e ast.Expr) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	return ok && txGets[fn.FullName()]
 }
 
 // isDataExpr reports whether e denotes the result of Object.DataLocked or a

@@ -10,7 +10,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-max_lines=25392  # non-test Go outside benchmark/ (PR 21)
+# PR 23 raised it by 218: 71 are replaceonly's new golden fixture (testdata is
+# counted), ~70 the contract text on the three Gets, Recycler and the package
+# docs, the rest the recycler, the inline Updates and the analyzer's new
+# sources against the three deleted copies and the CommitTraced fold.
+max_lines=25610  # non-test Go outside benchmark/ (PR 23)
 max_fields=77    # option fields (PR 21)
 
 lines() { find . -name '*.go' ! -name '*_test.go' "$@" -print0 | xargs -0 cat | wc -l; }

@@ -228,19 +228,28 @@ func (n *Node) DeleteObject(obj uint64) error {
 }
 
 // Update runs fn in a write transaction on the given worker, retrying
-// conflicts with exponential back-off.
+// conflicts with exponential back-off. The Tx is fn's for the length of the
+// call: a handle kept past it refuses every operation.
 func (n *Node) Update(worker int, fn func(*Tx) error) error {
-	return dbapi.Run(n.n.DB(), worker, func(t dbapi.Txn) error {
-		return fn(&Tx{tx: t.(*core.Tx)})
-	})
+	return dbapi.Run(n.n.DB(), worker, scoped(fn))
 }
 
 // View runs fn in a read-only transaction on the given worker, retrying
-// conflicts.
+// conflicts. As with Update, the Tx ends with the call.
 func (n *Node) View(worker int, fn func(*Tx) error) error {
-	return dbapi.RunRO(n.n.DB(), worker, func(t dbapi.Txn) error {
-		return fn(&Tx{tx: t.(*core.Tx)})
-	})
+	return dbapi.RunRO(n.n.DB(), worker, scoped(fn))
+}
+
+// scoped hands fn a handle that is severed when fn returns: the engine
+// reuses the worker's core.Tx for its next transaction, which a handle that
+// still pointed at it would reach into.
+func scoped(fn func(*Tx) error) func(dbapi.Txn) error {
+	return func(t dbapi.Txn) error {
+		w := &Tx{tx: t.(*core.Tx)}
+		err := fn(w)
+		w.tx = core.FinishedTx
+		return err
+	}
 }
 
 // Stats reports this node's transaction counters.
@@ -288,15 +297,22 @@ func (n *Node) WaitReplication(timeout time.Duration) bool {
 // with Options.Observability). See internal/obs for the registry API.
 func (n *Node) Obs() *obs.Registry { return n.n.Obs() }
 
-// Tx is one transaction. Exactly one of Commit or Abort must finish it.
+// Tx is one transaction. Exactly one of Commit or Abort must finish it
+// (Update and View do that themselves, and the handle they pass to fn is dead
+// once fn returns).
 type Tx struct {
-	tx *core.Tx
+	tx *core.Tx // core.FinishedTx once Update/View severed the handle
 }
 
-// Get returns the value of obj as seen by the transaction.
+// Get returns the value of obj as seen by the transaction. The bytes are a
+// view, not a copy: the committed version, or the value this transaction Set.
+// Zeus never writes them again and they stay valid for as long as the caller
+// keeps them, but the caller must not write them either — copy before
+// modifying (append([]byte(nil), v...)).
 func (t *Tx) Get(obj uint64) ([]byte, error) { return t.tx.Get(obj) }
 
-// Set buffers a full-object write in the transaction's private copy.
+// Set buffers a full-object write in the transaction's private copy (val is
+// copied; the caller may reuse it).
 func (t *Tx) Set(obj uint64, val []byte) error { return t.tx.Set(obj, val) }
 
 // Commit finishes the transaction; ErrConflict means retry.

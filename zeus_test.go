@@ -22,7 +22,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		return tx.Set(1, append(v, '!'))
+		return tx.Set(1, append(append([]byte(nil), v...), '!'))
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -307,5 +307,41 @@ func TestPublicAPIUseAfterFinish(t *testing.T) {
 		return err
 	}); err != nil || got != 2 {
 		t.Fatalf("object reads %d, %v; want 2", got, err)
+	}
+
+	// The engine reuses worker 0's transaction record, so while the worker's
+	// next Update runs, the record behind the first handle is live again: the
+	// handle must still refuse everything and leave that transaction alone.
+	if err := n.Update(0, func(tx *zeus.Tx) error {
+		if err := tx.Set(1, counterBytes(3)); err != nil {
+			return err
+		}
+		if err := stale.Set(1, counterBytes(99)); err == nil {
+			t.Error("stale Set reached the worker's next transaction")
+		}
+		if _, err := stale.Get(1); err == nil {
+			t.Error("stale Get reached the worker's next transaction")
+		}
+		if err := stale.Commit(); err == nil {
+			t.Error("stale Commit finished the worker's next transaction")
+		}
+		stale.Abort()
+		if stale.Durable() != nil {
+			t.Error("stale Durable reports the worker's next transaction")
+		}
+		v, err := tx.Get(1)
+		if err == nil && counterVal(v) != 3 {
+			t.Errorf("the running transaction reads its own write as %d, want 3", counterVal(v))
+		}
+		return err
+	}); err != nil {
+		t.Fatalf("second Update on the worker: %v", err)
+	}
+	if err := n.View(0, func(tx *zeus.Tx) error {
+		v, err := tx.Get(1)
+		got = counterVal(v)
+		return err
+	}); err != nil || got != 3 {
+		t.Fatalf("object reads %d, %v; want 3", got, err)
 	}
 }
