@@ -266,15 +266,12 @@ func TestTransportExperiment(t *testing.T) {
 	if r.BatchedFrames*4 > r.Msgs {
 		t.Fatalf("batching inert: %d frames for %d msgs", r.BatchedFrames, r.Msgs)
 	}
-	// Race instrumentation slows delivery enough that delayed-ack timers
-	// fire before the every-8th-frame counter does; only the un-instrumented
-	// build asserts the tight coalescing ratio (see race_off.go).
-	ackBound := 0.5
-	if raceEnabled {
-		ackBound = 4.0
-	}
-	if ratio := float64(r.BatchedAcks) / float64(r.BatchedFrames); ratio >= ackBound {
-		t.Fatalf("ack coalescing inert: %.2f pure acks per data frame", ratio)
+	// The frame counter acks at most every 8th (AckEvery) data frame. The
+	// flush timer's and the idle gap's acks are not bounded: how many there
+	// are is how loaded the host is (a pure-ack:frame ratio bound failed 4–5
+	// in 100 here; transport's TestReliableAckCoalescingRatio had the same).
+	if bound := r.BatchedFrames/8 + 1; r.BatchedCounted > bound {
+		t.Fatalf("ack coalescing inert: %d acks by the frame count for %d data frames, want at most %d", r.BatchedCounted, r.BatchedFrames, bound)
 	}
 	if r.NoDelayFrames != r.Msgs {
 		t.Fatalf("no-delay mode must send one frame per message: %d frames for %d msgs", r.NoDelayFrames, r.Msgs)

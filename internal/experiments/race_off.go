@@ -3,8 +3,8 @@
 package experiments
 
 // raceEnabled reports whether the race detector instruments this build.
-// Timing-sensitive experiment assertions (delayed-ack coalescing ratios on a
-// microsecond-latency simulated fabric) loosen their thresholds under race:
-// the instrumentation slows delivery enough that ack timers fire before the
-// coalescing counters do, which is measurement noise, not a regression.
+// Timing-sensitive experiment assertions (the replicated-versus-unreplicated
+// goodput margin at the tiny test scale) loosen their thresholds under race:
+// the instrumentation slows one side's measurement enough to invert it, which
+// is measurement noise, not a regression.
 const raceEnabled = false

@@ -22,6 +22,7 @@ type TransportResult struct {
 
 	BatchedFrames   uint64  // data frames (batching on)
 	BatchedAcks     uint64  // pure-ack frames (batching on)
+	BatchedCounted  uint64  // of them, sent because AckEvery frames were owed: the share no clock decides
 	BatchedMsgsPerS float64 // delivered throughput (batching on)
 
 	NoDelayFrames   uint64
@@ -36,7 +37,7 @@ func Transport(s Scale) TransportResult {
 		msgs = 2000
 	}
 	res := TransportResult{Msgs: msgs}
-	run := func(noDelay bool) (frames, acks uint64, rate float64) {
+	run := func(noDelay bool) (frames, acks, counted uint64, rate float64) {
 		n := netsim.New(netsim.Config{
 			Seed:       11,
 			MinLatency: 5 * time.Microsecond,
@@ -66,10 +67,10 @@ func Transport(s Scale) TransportResult {
 		case <-time.After(30 * time.Second):
 		}
 		elapsed := time.Since(start)
-		return a.DataFramesSent(), b.PureAcksSent(), float64(got.Load()) / elapsed.Seconds()
+		return a.DataFramesSent(), b.PureAcksSent(), b.CountedAcksSent(), float64(got.Load()) / elapsed.Seconds()
 	}
-	res.BatchedFrames, res.BatchedAcks, res.BatchedMsgsPerS = run(false)
-	res.NoDelayFrames, res.NoDelayAcks, res.NoDelayMsgsPerS = run(true)
+	res.BatchedFrames, res.BatchedAcks, res.BatchedCounted, res.BatchedMsgsPerS = run(false)
+	res.NoDelayFrames, res.NoDelayAcks, _, res.NoDelayMsgsPerS = run(true)
 	return res
 }
 

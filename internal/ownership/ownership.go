@@ -29,12 +29,17 @@
 // §4.2). Protocol steps addressed to the node itself are function calls on the
 // goroutine that reached them, not messages: the requester runs the driver's
 // REQ handling inline, and an arbiter hands its ACK straight to the local ACK
-// collection. A failure-free move allocates only what crosses the wire: the
-// INV, the remote arbiters' ACKs and the VAL. What merely outlives a call is
-// reused: the arbiters' arbitration records (pooled inside the store, which
-// only ever hands out copies) and the requester-side record of an acquisition
-// (ACK set, wake-up channel, attempt timer; see pendingReq for what guards its
-// reuse).
+// collection. A failure-free move makes only what crosses the wire — the INV,
+// the remote arbiters' ACKs and the VAL — and makes each as a sixteenth of an
+// allocation: the engine Takes the record from a wire.Chunk of its own when it
+// emits one, and the receiving fabric's wire.Decoder carves the decoded one
+// from its chunks. That costs nothing to get right because no handler keeps a
+// message: each copies what it needs by value (store.PendingOwn, ackSet,
+// store.Shipped) before it returns, so a chunk lives for sixteen messages.
+// What merely outlives a call is reused: the arbiters' arbitration records
+// (pooled inside the store, which only ever hands out copies) and the
+// requester-side record of an acquisition (ACK set, wake-up channel, attempt
+// timer; see pendingReq for what guards its reuse).
 package ownership
 
 import (
@@ -187,6 +192,15 @@ type Engine struct {
 	// once, i.e. the node's application threads).
 	freeMu sync.Mutex
 	free   []*pendingReq
+
+	// The failure-free flow's three emissions take their message records
+	// from these chunks (see take): the driver's INV, a remote arbiter's ACK
+	// and the requester's VAL. Shard goroutines and requesters emit at once,
+	// so recMu serializes the Take — and only the Take.
+	recMu sync.Mutex
+	invs  wire.Chunk[wire.OwnInv]
+	acks  wire.Chunk[wire.OwnAck]
+	vals  wire.Chunk[wire.OwnVal]
 
 	recovering atomic.Bool
 	closed     chan struct{}
@@ -365,7 +379,18 @@ func (e *Engine) send(to wire.NodeID, m wire.Msg) {
 	_ = e.tr.Send(to, m)
 }
 
-// Handle dispatches one inbound ownership message.
+// take hands out the next record of one of the engine's emission chunks. The
+// caller fills it outside the lock, once, before the send (zeuslint
+// sendfrozen), and nobody gives it back: a record is handed out once.
+func take[T any](e *Engine, c *wire.Chunk[T]) *T {
+	e.recMu.Lock()
+	defer e.recMu.Unlock()
+	return c.Take()
+}
+
+// Handle dispatches one inbound ownership message. No handler keeps m, or a
+// pointer into it, past its return: that bounds a chunk's life to the
+// ChunkRecords messages carved from it.
 func (e *Engine) Handle(from wire.NodeID, m wire.Msg) {
 	switch v := m.(type) {
 	case *wire.OwnReq:
@@ -727,7 +752,7 @@ func (e *Engine) handleReq(m *wire.OwnReq) {
 	// same o_ts (idempotent); arbiters that already applied re-ACK.
 	if arbitrating && pend.ReqID == m.ReqID {
 		o.Mu.Unlock()
-		inv := invFromPending(m.Obj, pend)
+		inv := e.invFromPending(m.Obj, pend)
 		e.sendOthers(pend.Arbiters, inv)
 		e.ackAsArbiter(inv) // driver re-ACKs too
 		return
@@ -835,18 +860,20 @@ func (e *Engine) handleReq(m *wire.OwnReq) {
 	o.DriveLocked(pend)
 	o.Mu.Unlock()
 
-	inv := invFromPending(m.Obj, pend)
+	inv := e.invFromPending(m.Obj, pend)
 	e.sendOthers(arbiters, inv)
 	e.ackAsArbiter(inv)
 }
 
-func invFromPending(obj wire.ObjectID, p store.PendingOwn) *wire.OwnInv {
-	return &wire.OwnInv{
+func (e *Engine) invFromPending(obj wire.ObjectID, p store.PendingOwn) *wire.OwnInv {
+	inv := take(e, &e.invs)
+	*inv = wire.OwnInv{
 		ReqID: p.ReqID, Obj: obj, TS: p.TS, Epoch: p.Epoch,
 		Requester: p.Requester, Driver: p.Driver, Mode: p.Mode,
 		NewReplicas: p.NewReplicas, PrevOwner: p.PrevOwner,
 		Arbiters: p.Arbiters,
 	}
+	return inv
 }
 
 // sendOthers sends m to every member of set but this node.
@@ -871,9 +898,18 @@ func (e *Engine) ackAsArbiter(inv *wire.OwnInv) {
 		e.handleAck(&ack)
 		return
 	}
-	ack := new(wire.OwnAck)
+	ack := take(e, &e.acks)
 	e.buildAck(ack, inv)
 	_ = e.tr.Send(dst, ack)
+}
+
+// validate VALs every arbiter of a request but this node: the step that
+// follows the requester's (or, its requester dead, the replaying driver's)
+// own apply.
+func (e *Engine) validate(arbiters wire.Bitmap, reqID uint64, obj wire.ObjectID, ts wire.OTS, epoch wire.Epoch) {
+	val := take(e, &e.vals)
+	*val = wire.OwnVal{ReqID: reqID, Obj: obj, TS: ts, Epoch: epoch}
+	e.sendOthers(arbiters, val)
 }
 
 // buildAck fills in this node's ACK for the given INV, attaching the data
@@ -1123,7 +1159,7 @@ func (e *Engine) handleAck(m *wire.OwnAck) {
 	// (before any arbiter), unblocks the application, then VALs.
 	e.applyAsRequester(m.Obj, got.ts, got.newReplicas, mode, got.val)
 	req.deliver(m.ReqID, outcome{ok: true})
-	e.sendOthers(got.arbiters, &wire.OwnVal{ReqID: m.ReqID, Obj: m.Obj, TS: got.ts, Epoch: m.Epoch})
+	e.validate(got.arbiters, m.ReqID, m.Obj, got.ts, m.Epoch)
 }
 
 // applyAsRequester installs the granted level, replica set and (for fresh
@@ -1237,7 +1273,7 @@ func (e *Engine) arbReplay(obj wire.ObjectID, pend store.PendingOwn, epoch wire.
 	e.recovN.Add(1)
 	e.recovMu.Unlock()
 
-	inv := invFromPending(obj, pend)
+	inv := e.invFromPending(obj, pend)
 	inv.Epoch = epoch
 	inv.Driver = e.self // ACKs flow to the replaying driver
 	inv.Recovery = true
@@ -1284,7 +1320,7 @@ func (e *Engine) checkRecoveryCompleteLocked(rs *recovState, epoch wire.Epoch) {
 		if p.Requester == e.self {
 			e.applyAsRequester(rs.obj, rs.ts, p.NewReplicas, p.Mode, rs.val)
 		}
-		e.sendOthers(rs.arbiters, &wire.OwnVal{ReqID: rs.reqID, Obj: rs.obj, TS: rs.ts, Epoch: epoch})
+		e.validate(rs.arbiters, rs.reqID, rs.obj, rs.ts, epoch)
 		// Ensure the local entry is validated too (the requester may have
 		// died before applying; this node holds the pending record).
 		if o, ok := e.st.Get(rs.obj); ok {
@@ -1312,5 +1348,5 @@ func (e *Engine) handleResp(m *wire.OwnResp) {
 	if req, ok := e.pending.Get(m.ReqID); ok {
 		req.deliver(m.ReqID, outcome{ok: true})
 	}
-	e.sendOthers(m.Arbiters, &wire.OwnVal{ReqID: m.ReqID, Obj: m.Obj, TS: m.TS, Epoch: m.Epoch})
+	e.validate(m.Arbiters, m.ReqID, m.Obj, m.TS, m.Epoch)
 }

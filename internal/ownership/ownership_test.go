@@ -57,7 +57,12 @@ func (c *tcluster) config() Config {
 	return cfg
 }
 
-func newTestCluster(t *testing.T, n int) *tcluster {
+func newTestCluster(t *testing.T, n int) *tcluster { return newAuditedCluster(t, n, 0, nil) }
+
+// newAuditedCluster is newTestCluster with each router dispatching on shards
+// goroutines, and with audit (when non-nil) seeing every message an engine
+// sends and every message a node's handler is given.
+func newAuditedCluster(t *testing.T, n, shards int, audit *moveAudit) *tcluster {
 	t.Helper()
 	var members wire.Bitmap
 	for i := 0; i < n; i++ {
@@ -75,6 +80,9 @@ func newTestCluster(t *testing.T, n int) *tcluster {
 		id := wire.NodeID(i)
 		st := store.New()
 		tr := hub.Node(id)
+		if audit != nil {
+			tr = auditedTransport{tr, audit}
+		}
 		agent := mgr.Agent(id)
 		nd := &tnode{id: id, st: st, tr: tr, agent: agent}
 		cfg := c.config()
@@ -86,6 +94,8 @@ func newTestCluster(t *testing.T, n int) *tcluster {
 		nd.eng = eng
 		r := transport.NewRouter()
 		eng.Register(r)
+		r.EnableSharding(shards)
+		t.Cleanup(r.CloseShards)
 		tr.SetHandler(r.Dispatch)
 		agent.OnChange(func(old, next wire.View, removed wire.Bitmap) {
 			if removed.Count() > 0 {
@@ -834,4 +844,203 @@ func TestCloseReleasesBlockedAcquireAndEngineOwnsNoGoroutine(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// auditedTransport shows a moveAudit both ends of a node's traffic.
+type auditedTransport struct {
+	transport.Transport
+	audit *moveAudit
+}
+
+func (a auditedTransport) Send(to wire.NodeID, m wire.Msg) error {
+	a.audit.sent(a.Self(), to, m)
+	return a.Transport.Send(to, m)
+}
+
+func (a auditedTransport) SetHandler(h transport.Handler) {
+	a.Transport.SetHandler(func(from wire.NodeID, m wire.Msg) {
+		a.audit.received(from, a.Self(), m)
+		h(from, m)
+	})
+}
+
+// moveAudit checks that the chunked message records of a move are handed out
+// once, on the emitting and on the decoding side. It keeps every record it has
+// seen reachable, so an address cannot come back through the allocator: a
+// pointer met twice is a record handed out twice.
+type moveAudit struct {
+	mu sync.Mutex
+	// asking counts, per node and object, the requesters inside an
+	// AcquireOwnership call: a self-driven INV is for one of them.
+	asking map[wire.NodeID]map[wire.ObjectID]int
+	// issued is the ⟨object, o_ts⟩ pairs each request id was arbitrated
+	// with, taken from the INVs as their drivers sent them.
+	issued map[uint64]map[string]bool
+	// records maps every chunked record seen, sent or received, to its
+	// content when first seen; inFlight counts contents sent and not yet
+	// received, per destination.
+	records  map[wire.Msg]string
+	inFlight map[wire.NodeID]map[string]int
+	errs     []string
+}
+
+func newMoveAudit() *moveAudit {
+	return &moveAudit{
+		asking:   map[wire.NodeID]map[wire.ObjectID]int{},
+		issued:   map[uint64]map[string]bool{},
+		records:  map[wire.Msg]string{},
+		inFlight: map[wire.NodeID]map[string]int{},
+	}
+}
+
+func (a *moveAudit) errorf(format string, args ...any) {
+	if len(a.errs) < 10 {
+		a.errs = append(a.errs, fmt.Sprintf(format, args...))
+	}
+}
+
+// ask brackets one AcquireOwnership call of a requester on node n.
+func (a *moveAudit) ask(n wire.NodeID, obj wire.ObjectID, delta int) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.asking[n] == nil {
+		a.asking[n] = map[wire.ObjectID]int{}
+	}
+	a.asking[n][obj] += delta
+}
+
+// arbitration is what ties a message to a request: ⟨id, object, o_ts⟩.
+func arbitration(m wire.Msg) (id uint64, key string, ok bool) {
+	switch v := m.(type) {
+	case *wire.OwnInv:
+		return v.ReqID, fmt.Sprint(v.Obj, v.TS), true
+	case *wire.OwnAck:
+		return v.ReqID, fmt.Sprint(v.Obj, v.TS), true
+	case *wire.OwnVal:
+		return v.ReqID, fmt.Sprint(v.Obj, v.TS), true
+	}
+	return 0, "", false
+}
+
+func (a *moveAudit) sent(from, to wire.NodeID, m wire.Msg) {
+	id, key, ok := arbitration(m)
+	if !ok {
+		return
+	}
+	content := fmt.Sprintf("%T%+v", m, m)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	// The same record goes to each arbiter in turn, unchanged; anything else
+	// under this address is a second hand-out.
+	if first, seen := a.records[m]; seen && first != content {
+		a.errorf("node %d emitted record %p twice: as %s, then as %s", from, m, first, content)
+	}
+	a.records[m] = content
+	if inv, isInv := m.(*wire.OwnInv); isInv && !inv.Recovery {
+		if inv.Driver != from || inv.TS.Node != from || wire.NodeID(id>>48) != inv.Requester {
+			a.errorf("node %d sent an INV that is not its own arbitration: %s", from, content)
+		}
+		if inv.Mode == wire.AcquireOwner && inv.Requester == from && a.asking[from][inv.Obj] == 0 {
+			a.errorf("node %d drove %s for an object no local requester is asking for", from, content)
+		}
+		if a.issued[id] == nil {
+			a.issued[id] = map[string]bool{}
+		}
+		a.issued[id][key] = true
+	} else if !a.issued[id][key] {
+		a.errorf("node %d sent %s, which matches no issued arbitration", from, content)
+	}
+	if a.inFlight[to] == nil {
+		a.inFlight[to] = map[string]int{}
+	}
+	a.inFlight[to][content]++
+}
+
+func (a *moveAudit) received(from, to wire.NodeID, m wire.Msg) {
+	id, key, ok := arbitration(m)
+	if !ok {
+		return
+	}
+	content := fmt.Sprintf("%T%+v", m, m)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if first, seen := a.records[m]; seen {
+		a.errorf("node %d was handed record %p twice: as %s, then as %s", to, m, first, content)
+	}
+	a.records[m] = content
+	if a.inFlight[to][content] == 0 {
+		a.errorf("node %d received %s from %d, which nobody sent it", to, content, from)
+	}
+	a.inFlight[to][content]--
+	if !a.issued[id][key] {
+		a.errorf("node %d received %s, which matches no issued arbitration", to, content)
+	}
+}
+
+// TestRecordsAreHandedOutOnce: movers on all three nodes bounce eight objects
+// at once, so each engine's emission chunks are hit by two requester
+// goroutines (INVs) and four shard goroutines (ACKs, VALs) together, and each
+// hub Decoder by every sender. Every INV, ACK and VAL a handler is given must
+// be a record of its own that carries, field for field, what some engine
+// sent, and the ⟨request id, object, o_ts⟩ of an arbitration a driver
+// actually issued for a requester that was asking. Run under -race, where two
+// fills of one record are also a reported write-write race.
+func TestRecordsAreHandedOutOnce(t *testing.T) {
+	audit := newMoveAudit()
+	c := newAuditedCluster(t, 3, 4, audit)
+	const objs, rounds = 8, 300
+	for i := 0; i < objs; i++ {
+		seed(t, c, 0, wire.ObjectID(100+i), wire.BitmapOf(1, 2), []byte("r"))
+	}
+	var wg sync.WaitGroup
+	var moves, refused atomic.Int64
+	for _, nd := range c.nodes {
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func(nd *tnode, g int) {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					obj := wire.ObjectID(100 + (i*2+g+int(nd.id)*3)%objs)
+					audit.ask(nd.id, obj, +1)
+					err := nd.eng.AcquireOwnership(obj)
+					audit.ask(nd.id, obj, -1)
+					switch {
+					case err == nil:
+						moves.Add(1)
+					case errors.Is(err, ErrAborted) || errors.Is(err, ErrTimeout):
+						refused.Add(1) // contention outlasted the deadline: a lost record cannot hide here, see below
+					default:
+						t.Errorf("node %d, object %d: %v", nd.id, obj, err)
+					}
+				}
+			}(nd, g)
+		}
+	}
+	wg.Wait()
+	for i := 0; i < objs; i++ { // the last VALs land: every node agrees on the owner
+		obj := wire.ObjectID(100 + i)
+		deadline := time.Now().Add(2 * time.Second)
+		for len(c.ownersOf(obj)) != 1 && time.Now().Before(deadline) {
+			time.Sleep(200 * time.Microsecond)
+		}
+		if owners := c.ownersOf(obj); len(owners) != 1 {
+			t.Errorf("object %d has owners %v", obj, owners)
+		}
+	}
+	audit.mu.Lock()
+	defer audit.mu.Unlock()
+	for _, e := range audit.errs {
+		t.Error(e)
+	}
+	// A record lost to a double hand-out would leave an ACK set incomplete:
+	// the attempt would time out, not be refused.
+	var timeouts, requests uint64
+	for _, nd := range c.nodes {
+		st := nd.eng.Stats()
+		timeouts, requests = timeouts+st.Timeouts, requests+st.Requests
+	}
+	if timeouts != 0 {
+		t.Errorf("%d attempts timed out: a message of theirs never arrived", timeouts)
+	}
+	t.Logf("%d acquisitions (%d refused) took %d requests; %d records audited", moves.Load(), refused.Load(), requests, len(audit.records))
 }

@@ -10,9 +10,9 @@ import (
 // Hub is a perfect in-process fabric: exactly-once, per-sender FIFO, no loss.
 // It is the unit-test substrate; protocol tests that need faults use the
 // Reliable transport over netsim instead. Each node's inbox is a queue (see
-// queue.go) bounded at inboxBound frames: an idle node holds no buffer, and a
-// sender that finds the inbox full blocks until the node's dispatch goroutine
-// takes the backlog or the node closes.
+// queue.go) bounded at inboxBound messages: an idle node holds no buffer, and
+// a sender that finds the inbox full blocks until the node's dispatch
+// goroutine takes the backlog or the node closes.
 type Hub struct {
 	mu    sync.RWMutex
 	nodes map[wire.NodeID]*MemTransport
@@ -49,30 +49,31 @@ type MemTransport struct {
 	closed  chan struct{}
 	once    sync.Once
 	down    atomic.Bool
-	// free holds dispatched batch slices for the next SendBatch towards this
-	// node: the frame's slice is the hub's own copy (SendBatch's no-retain
-	// contract), so once dispatch has handed its messages to the handler it
-	// goes back here instead of to the GC. Bounded in depth and in slice
-	// capacity (maxFreeBatchCap), so a burst cannot pin memory.
-	free chan []wire.Msg
+	// dec decodes what roundtrip marshals towards this node, so the records
+	// of a decoded ownership message come from this node's chunks like on
+	// the fabrics with a read loop. Senders are many goroutines: decMu
+	// serializes them for the ~150 ns a decode takes.
+	decMu sync.Mutex
+	dec   wire.Decoder
 }
 
-// memFrame is one delivery hop: a single message (msg) or a batch.
+// memFrame is one inbox entry: a message and who sent it. A SendBatch is a
+// run of entries pushed together, all but the last marked more.
 type memFrame struct {
-	from  wire.NodeID
-	msg   wire.Msg
-	batch []wire.Msg
+	msg  wire.Msg
+	from wire.NodeID
+	more bool // the same batch continues: the delivery tick waits for its last
 }
 
-// freeBatches / maxFreeBatchCap bound a node's recycled batch slices: at most
-// 16 slices of at most 128 message slots (32 KiB) stay parked per node.
-// inboxBound is the backlog at which a sender blocks — a backstop against a
-// runaway producer, 400 times the deepest backlog the benchmark's hub
-// workloads build (161 frames; CHANGES.md, PR 17).
+// inboxBound is the backlog, in messages, at which a sender blocks — a
+// backstop against a runaway producer, two orders of magnitude above the
+// deepest backlog the benchmark's hub workloads build (161 frames of at most
+// a few messages each; CHANGES.md, PR 17). batchStage is the longest
+// SendBatch staged on the sender's stack; a longer one (1 in 2 500 on
+// smallbank_local) stages in a slice of its own.
 const (
-	freeBatches     = 16
-	maxFreeBatchCap = 128
-	inboxBound      = 65536
+	inboxBound = 65536
+	batchStage = 32
 )
 
 // Node returns (creating if needed) the transport for node id.
@@ -88,7 +89,6 @@ func (h *Hub) node(id wire.NodeID) *MemTransport {
 		hub:    h,
 		self:   id,
 		inbox:  newQueue[memFrame](inboxBound),
-		free:   make(chan []wire.Msg, freeBatches),
 		closed: make(chan struct{}),
 	}
 	h.nodes[id] = t
@@ -116,8 +116,8 @@ func (t *MemTransport) Self() wire.NodeID { return t.self }
 // SetHandler installs the inbound handler.
 func (t *MemTransport) SetHandler(h Handler) { t.handler.Store(h) }
 
-// SetTickHandler installs the delivery-tick hook, run after each inbox
-// frame's messages (one, or a SendBatch's worth) have been dispatched.
+// SetTickHandler installs the delivery-tick hook, run after each sender's
+// unit (one message, or a SendBatch's worth) has been dispatched.
 func (t *MemTransport) SetTickHandler(f func()) { t.tick.Store(f) }
 
 func (t *MemTransport) sendable() error {
@@ -133,19 +133,24 @@ func (t *MemTransport) sendable() error {
 }
 
 // roundtrip runs m through the codec so that tests exercise serialization
-// and receivers never alias sender memory. The encode buffer is pooled.
+// and receivers never alias sender memory: it is marshalled into a pooled
+// buffer and decoded through dst's Decoder. A nil dst is a frame the fabric
+// drops: counted as carried, not decoded.
 //
 // Exception — the reliable-commit hot path (R-INV/R-ACK/R-VAL) is delivered
 // zero-copy: the receiver gets the sender's message pointer with no
-// marshal/unmarshal round trip. (Ownership messages are not exempt — what a
+// marshal/unmarshal round trip. Ownership messages are not exempt — what a
 // node addresses to itself the ownership engine handles inline, and never
-// sends.) This is safe because commit-protocol messages are immutable once
+// sends; what does cross the hub is decoded into the destination's chunks, a
+// sixteenth of an allocation a message, so the round trip that keeps the
+// codec and the no-aliasing rule under every protocol test stays affordable.
+// The exemption is safe because commit-protocol messages are immutable once
 // handed to the transport (the engine copy-on-writes them for epoch rewrites,
 // see commit.OnViewChange/resendLoop) and Update.Data/object data are never
 // mutated in place anywhere (writes replace the slice wholesale). Byte
 // accounting uses the exact encoded size so bandwidth numbers stay comparable
 // with the real fabrics.
-func (t *MemTransport) roundtrip(m wire.Msg) (wire.Msg, error) {
+func (t *MemTransport) roundtrip(dst *MemTransport, m wire.Msg) (wire.Msg, error) {
 	if n, ok := wire.CommitSize(m); ok {
 		t.hub.msgs.Add(1)
 		t.hub.bytes.Add(uint64(n))
@@ -155,9 +160,20 @@ func (t *MemTransport) roundtrip(m wire.Msg) (wire.Msg, error) {
 	buf.B = wire.AppendMarshal(buf.B, m)
 	t.hub.msgs.Add(1)
 	t.hub.bytes.Add(uint64(len(buf.B)))
-	mm, err := wire.Unmarshal(buf.B)
+	mm, err := dst.decode(buf.B)
 	wire.PutBuf(buf)
 	return mm, err
+}
+
+// decode parses one marshalled message addressed to this node; a nil node
+// (see roundtrip) decodes nothing.
+func (t *MemTransport) decode(b []byte) (wire.Msg, error) {
+	if t == nil {
+		return nil, nil
+	}
+	t.decMu.Lock()
+	defer t.decMu.Unlock()
+	return t.dec.Unmarshal(b)
 }
 
 // peer returns the destination's transport, or nil when the frame would be
@@ -172,16 +188,13 @@ func (t *MemTransport) peer(to wire.NodeID) *MemTransport {
 	return dst
 }
 
-func (t *MemTransport) deliver(to wire.NodeID, f memFrame) error {
-	if dst := t.peer(to); dst != nil {
-		t.enqueue(dst, f)
-	}
-	return nil
-}
-
+// enqueue hands dst a single message as one delivery hop; a nil dst (see
+// peer) or a closed node drops it, like a network does.
 func (t *MemTransport) enqueue(dst *MemTransport, f memFrame) {
-	t.hub.frames.Add(1)
-	dst.inbox.push(f) // a closed node drops it, like a network does
+	if dst != nil {
+		t.hub.frames.Add(1)
+		dst.inbox.push(f)
+	}
 }
 
 // Send delivers m to the peer's inbox (exactly once, FIFO per sender).
@@ -189,17 +202,20 @@ func (t *MemTransport) Send(to wire.NodeID, m wire.Msg) error {
 	if err := t.sendable(); err != nil {
 		return err
 	}
-	mm, err := t.roundtrip(m)
+	dst := t.peer(to)
+	mm, err := t.roundtrip(dst, m)
 	if err != nil {
 		return err
 	}
-	return t.deliver(to, memFrame{from: t.self, msg: mm})
+	t.enqueue(dst, memFrame{from: t.self, msg: mm})
+	return nil
 }
 
-// SendBatch delivers msgs to the peer as one inbox hop, preserving order. The
-// frame carries the hub's own slice (msgs is the caller's again on return,
-// see Transport.SendBatch), taken from the destination's free list when one is
-// parked there.
+// SendBatch delivers msgs to the peer as one inbox hop, preserving order: a
+// batch is len(msgs) inbox entries pushed under one lock, so nothing comes
+// between them, and the receiver's delivery tick follows the last. The
+// entries are staged on this stack (msgs is the caller's again on return, see
+// Transport.SendBatch); nothing of the batch but its messages is allocated.
 func (t *MemTransport) SendBatch(to wire.NodeID, msgs []wire.Msg) error {
 	if err := t.sendable(); err != nil {
 		return err
@@ -208,23 +224,22 @@ func (t *MemTransport) SendBatch(to wire.NodeID, msgs []wire.Msg) error {
 		return nil
 	}
 	dst := t.peer(to)
-	var batch []wire.Msg
-	if dst != nil {
-		select {
-		case batch = <-dst.free:
-		default:
-			batch = make([]wire.Msg, 0, len(msgs))
-		}
+	var stage [batchStage]memFrame
+	fs := stage[:0]
+	if len(msgs) > len(stage) {
+		fs = make([]memFrame, 0, len(msgs))
 	}
 	for _, m := range msgs {
-		mm, err := t.roundtrip(m) // a dropped message still counts as carried
+		mm, err := t.roundtrip(dst, m) // a dropped message still counts as carried
 		if err != nil {
 			return err
 		}
-		batch = append(batch, mm)
+		fs = append(fs, memFrame{from: t.self, msg: mm, more: true})
 	}
+	fs[len(fs)-1].more = false
 	if dst != nil {
-		t.enqueue(dst, memFrame{from: t.self, batch: batch})
+		t.hub.frames.Add(1)
+		dst.inbox.pushAll(fs)
 	}
 	return nil
 }
@@ -239,37 +254,33 @@ func (t *MemTransport) Multicast(dsts []wire.NodeID, m wire.Msg) error {
 	if len(dsts) == 0 {
 		return nil
 	}
-	if n, ok := wire.CommitSize(m); ok {
-		t.hub.msgs.Add(uint64(len(dsts)))
-		t.hub.bytes.Add(uint64(n) * uint64(len(dsts)))
-		var err error
-		for _, to := range dsts {
-			if e := t.deliver(to, memFrame{from: t.self, msg: m}); e != nil && err == nil {
-				err = e
-			}
-		}
-		return err
+	n, zeroCopy := wire.CommitSize(m)
+	var buf *wire.Buf
+	if !zeroCopy {
+		buf = wire.GetBuf()
+		buf.B = wire.AppendMarshal(buf.B, m)
+		n = len(buf.B)
 	}
-	buf := wire.GetBuf()
-	buf.B = wire.AppendMarshal(buf.B, m)
 	t.hub.msgs.Add(uint64(len(dsts)))
-	t.hub.bytes.Add(uint64(len(buf.B)) * uint64(len(dsts)))
+	t.hub.bytes.Add(uint64(n) * uint64(len(dsts)))
 	var err error
 	for _, to := range dsts {
-		mm, e := wire.Unmarshal(buf.B)
-		if e != nil {
-			err = e
-			continue
+		dst, mm := t.peer(to), m
+		if !zeroCopy {
+			var e error
+			if mm, e = dst.decode(buf.B); e != nil {
+				err = e
+				continue
+			}
 		}
-		if e := t.deliver(to, memFrame{from: t.self, msg: mm}); e != nil && err == nil {
-			err = e
-		}
+		t.enqueue(dst, memFrame{from: t.self, msg: mm})
 	}
-	wire.PutBuf(buf)
+	wire.PutBuf(buf) // nil on the zero-copy path: a no-op
 	return err
 }
 
-// dispatch hands one inbox frame to the handler, then runs the delivery tick.
+// dispatch hands one inbox entry to the handler and, unless more of its batch
+// follow, runs the delivery tick.
 func (t *MemTransport) dispatch(f memFrame) {
 	if t.down.Load() {
 		return
@@ -278,31 +289,12 @@ func (t *MemTransport) dispatch(f memFrame) {
 	if h == nil {
 		return
 	}
-	if f.batch != nil {
-		for _, m := range f.batch {
-			h(f.from, m)
-		}
-		t.recycle(f.batch)
-	} else {
-		h(f.from, f.msg)
+	h(f.from, f.msg)
+	if f.more {
+		return
 	}
 	if tf, _ := t.tick.Load().(func()); tf != nil {
 		tf()
-	}
-}
-
-// recycle parks a dispatched batch slice for the next SendBatch towards this
-// node. The handler (or the router's shard queues) holds the messages by
-// now, never the slice; the slots are cleared so a parked slice keeps no
-// message alive.
-func (t *MemTransport) recycle(batch []wire.Msg) {
-	if cap(batch) > maxFreeBatchCap {
-		return
-	}
-	clear(batch)
-	select {
-	case t.free <- batch[:0]:
-	default:
 	}
 }
 

@@ -4,9 +4,9 @@ import "sync"
 
 // queueKeepCap is the largest backing array a drained queue keeps for its
 // next backlog: what a burst grew beyond it goes back to the GC once handled,
-// so a burst pins nothing (the rule maxFreeBatchCap applies to batch slices).
-// The benchmark's backlogs stay well below it (CHANGES.md, PR 17), so a
-// queue's two arrays reach their capacity once and are reused.
+// so a burst pins nothing. The benchmark's backlogs stay well below it
+// (CHANGES.md, PR 17), so a queue's two arrays reach their capacity once and
+// are reused.
 const queueKeepCap = 4096
 
 // queue is the one delivery queue of this package: the hub inbox, the
@@ -15,9 +15,9 @@ const queueKeepCap = 4096
 // through it. A mutex-guarded slice, not a channel: an idle queue holds
 // nothing, where a buffered channel allocates (and the GC scans) its full
 // depth up front. FIFO in push order, hence per sender. At bound queued items
-// push blocks until the consumer takes the backlog or the queue closes; bound
-// 0 never blocks. Close wakes the parked consumer and every blocked sender,
-// drops what is queued and refuses later pushes.
+// a push blocks until the consumer takes the backlog or the queue closes;
+// bound 0 never blocks. Close wakes the parked consumer and every blocked
+// sender, drops what is queued and refuses later pushes.
 type queue[T any] struct {
 	mu     sync.Mutex
 	ready  sync.Cond // the consumer parks here while items is empty
@@ -36,18 +36,41 @@ func newQueue[T any](bound int) *queue[T] {
 // push queues v behind everything pushed before it. It reports false, v
 // dropped, when the queue is closed.
 func (q *queue[T]) push(v T) bool {
-	q.mu.Lock()
-	for q.bound > 0 && len(q.items) >= q.bound && !q.closed {
-		q.room.Wait()
-	}
-	if q.closed {
-		q.mu.Unlock()
+	if !q.admit() {
 		return false
 	}
 	q.items = append(q.items, v)
 	q.mu.Unlock()
 	q.ready.Signal()
 	return true
+}
+
+// pushAll queues vs in order and contiguously — nothing another sender pushes
+// comes between them — under one lock and with one wake-up. It waits for room
+// like push and then takes all of vs, so the backlog may overshoot the bound
+// by len(vs)-1. It reports false, vs dropped, when the queue is closed; vs is
+// the caller's again on return.
+func (q *queue[T]) pushAll(vs []T) bool {
+	if !q.admit() {
+		return false
+	}
+	q.items = append(q.items, vs...)
+	q.mu.Unlock()
+	q.ready.Signal()
+	return true
+}
+
+// admit takes the lock and waits for room below the bound. It reports false,
+// the lock released again, when the queue is closed.
+func (q *queue[T]) admit() bool {
+	q.mu.Lock()
+	for q.bound > 0 && len(q.items) >= q.bound && !q.closed {
+		q.room.Wait()
+	}
+	if q.closed {
+		q.mu.Unlock()
+	}
+	return !q.closed
 }
 
 // run is the consumer loop, returning when the queue is closed: it takes the

@@ -130,6 +130,74 @@ func TestQueueBoundBlocksSender(t *testing.T) {
 	}
 }
 
+// TestQueuePushAll: a pushAll's items are handled in order with nothing
+// another sender pushed between them; at the bound it blocks like push, then
+// takes the whole batch (overshooting the bound by its length), and a close
+// wakes it and drops the batch.
+func TestQueuePushAll(t *testing.T) {
+	const senders, batches, per = 4, 500, 7
+	type item struct{ sender, seq int }
+	q := newQueue[item](16)
+	var last item
+	next := make([]int, senders)
+	all := make(chan struct{})
+	go q.run(func(it item) {
+		if it.seq != next[it.sender] {
+			t.Errorf("sender %d: got item %d, want %d", it.sender, it.seq, next[it.sender])
+		}
+		if it.seq%per != 0 && last.sender != it.sender {
+			t.Errorf("sender %d's item came inside sender %d's batch", last.sender, it.sender)
+		}
+		last = it
+		next[it.sender]++
+		if allDone(next, batches*per) {
+			close(all)
+		}
+	})
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			var batch [per]item
+			for b := 0; b < batches; b++ {
+				for i := range batch {
+					batch[i] = item{s, b*per + i}
+				}
+				if !q.pushAll(batch[:]) { // the array is reused: pushAll must have copied
+					t.Errorf("sender %d: pushAll refused on an open queue", s)
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	returnsWithin(t, "every item to be handled", all)
+	q.close()
+
+	// No consumer: one below the bound a batch still fits whole; at or past
+	// it the next one blocks until the close, which refuses it.
+	const bound = 4
+	q2 := newQueue[int](bound)
+	q2.pushAll([]int{0, 1, 2})
+	if !q2.pushAll([]int{3, 4, 5}) {
+		t.Fatal("pushAll refused below the bound")
+	}
+	if n := len(q2.items); n != 6 {
+		t.Fatalf("queue holds %d items, want 6 (the bound counts when the push starts)", n)
+	}
+	refused := make(chan struct{})
+	go func() {
+		defer close(refused)
+		if q2.pushAll([]int{6, 7}) {
+			t.Error("pushAll blocked at the bound reported success after close")
+		}
+	}()
+	staysBlocked(t, "pushAll past the bound", refused)
+	q2.close()
+	returnsWithin(t, "close to release the blocked pushAll", refused)
+}
+
 // TestQueueCloseWakesParkedConsumer: run returns on close even when nothing
 // was ever pushed.
 func TestQueueCloseWakesParkedConsumer(t *testing.T) {

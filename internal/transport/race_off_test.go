@@ -3,8 +3,6 @@
 package transport
 
 // raceEnabled reports whether the race detector instruments this build.
-// Timing-sensitive torture assertions (delayed-ack coalescing ratios on a
-// microsecond-latency simulated fabric) loosen their thresholds under race:
-// the instrumentation slows delivery enough that ack timers fire before the
-// coalescing counters do, which is measurement noise, not a regression.
+// Allocation-count assertions skip under it: the detector allocates on its
+// own.
 const raceEnabled = false

@@ -3,5 +3,5 @@
 package transport
 
 // raceEnabled reports whether the race detector instruments this build.
-// See race_off_test.go for why torture assertions consult it.
+// See race_off_test.go for why allocation assertions consult it.
 const raceEnabled = true

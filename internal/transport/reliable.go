@@ -112,6 +112,7 @@ type Reliable struct {
 	retransmits     atomic.Uint64
 	fastRetransmits atomic.Uint64
 	acksSent        atomic.Uint64
+	countedAcks     atomic.Uint64
 	dataFrames      atomic.Uint64
 	msgsSent        atomic.Uint64
 	decodeDrops     atomic.Uint64
@@ -244,6 +245,14 @@ func (r *Reliable) DataFramesSent() uint64 { return r.dataFrames.Load() }
 // PureAcksSent reports standalone acknowledgement frames sent (acks that
 // piggybacked on data frames are not counted).
 func (r *Reliable) PureAcksSent() uint64 { return r.acksSent.Load() }
+
+// CountedAcksSent reports the pure acks the frame count decided: sent because
+// AckEvery in-order frames were owed (or NoDelay asks for one per frame). The
+// rest of PureAcksSent — the flush timer's, an idle gap's quickack, a
+// duplicate's or a hole's re-ack — depend on the clock and the path, so only
+// this share is bounded by the traffic alone: at most one per AckEvery data
+// frames.
+func (r *Reliable) CountedAcksSent() uint64 { return r.countedAcks.Load() }
 
 // MessagesSent reports wire.Msg values accepted for transmission; divided by
 // DataFramesSent it gives the average batch size.
@@ -644,7 +653,8 @@ func (r *Reliable) recvLoop() {
 			quick := now.Sub(p.lastData) > r.cfg.FlushInterval
 			p.lastData = now
 			p.ackOwed += len(ready)
-			ackNow := r.cfg.NoDelay || quick || p.ackOwed >= r.cfg.AckEvery
+			counted := r.cfg.NoDelay || p.ackOwed >= r.cfg.AckEvery
+			ackNow := counted || quick
 			var cum uint64
 			if ackNow {
 				cum = p.expected - 1
@@ -652,6 +662,9 @@ func (r *Reliable) recvLoop() {
 			}
 			p.recvMu.Unlock()
 			if ackNow {
+				if counted {
+					r.countedAcks.Add(1)
+				}
 				r.sendAck(f.From, cum, false)
 			}
 			for _, d := range ready {

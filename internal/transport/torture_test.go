@@ -201,8 +201,11 @@ func TestReliableFastRetransmitFiresOnDupAcks(t *testing.T) {
 
 // TestReliableAckCoalescingRatio drives a one-way burst over a perfect fabric
 // and asserts the batching contract: messages coalesce into far fewer frames,
-// the receiver's delayed acks stay below one pure ack per two data frames,
-// and nothing is lost or dropped in decode.
+// the receiver's frame counter acks at most every AckEvery-th data frame, and
+// nothing is lost or dropped in decode. The acks the clock decides — the
+// flush timer's, an idle gap's quickack — and a jittered frame's re-ack are
+// logged, not bounded: how many there are is how loaded the host is (a
+// pure-ack:frame ratio bound failed 2 in 30 here, ROADMAP's flake rule).
 func TestReliableAckCoalescingRatio(t *testing.T) {
 	cfg := netsim.Config{
 		Seed:       7,
@@ -236,24 +239,17 @@ func TestReliableAckCoalescingRatio(t *testing.T) {
 	}
 	c.mu.Unlock()
 
-	frames, acks, msgs := a.DataFramesSent(), b.PureAcksSent(), a.MessagesSent()
-	t.Logf("%d msgs in %d data frames (avg batch %.1f), %d pure acks (ratio %.2f)",
-		msgs, frames, float64(msgs)/float64(frames), acks, float64(acks)/float64(frames))
+	frames, acks, counted, msgs := a.DataFramesSent(), b.PureAcksSent(), b.CountedAcksSent(), a.MessagesSent()
+	t.Logf("%d msgs in %d data frames (avg batch %.1f), %d pure acks (ratio %.2f), %d of them by the frame count",
+		msgs, frames, float64(msgs)/float64(frames), acks, float64(acks)/float64(frames), counted)
 	if msgs != N {
 		t.Fatalf("messages sent = %d, want %d", msgs, N)
 	}
 	if frames >= N/2 {
 		t.Fatalf("batching inert: %d frames for %d messages", frames, N)
 	}
-	// Race instrumentation slows delivery enough that delayed-ack timers
-	// beat the every-8th-frame counter; the tight ratio is asserted only on
-	// un-instrumented builds (see race_off_test.go).
-	ackBound := 0.5
-	if raceEnabled {
-		ackBound = 4.0
-	}
-	if ratio := float64(acks) / float64(frames); ratio >= ackBound {
-		t.Fatalf("pure-ack:data frame ratio = %.2f, want < %.1f (ack coalescing inert)", ratio, ackBound)
+	if bound := frames/8 + 1; counted > bound { // AckEvery's default
+		t.Fatalf("%d acks by the frame count for %d data frames, want at most %d (ack coalescing inert)", counted, frames, bound)
 	}
 	if drops := b.DecodeDrops(); drops != 0 {
 		t.Fatalf("decode drops = %d, want 0", drops)

@@ -11,23 +11,25 @@
 // values, which the Zeus protocols rely on for pipeline ordering (§5.2).
 //
 // All three work per batch, not per message. A SendBatch travels as a unit
-// (one inbox hop, one reliable frame, one socket write), and the receiver
-// runs the delivery tick (SetTickHandler) once per unit it took in, after
-// dispatching all of it — so the responses a batch provokes leave as one
-// batch too. The hub and the reliable fabric see the sender's unit as such.
-// TCP sees a byte stream, and its unit is the socket drain: a read loop reads
-// through a small buffer, dispatches every whole frame the read brought in,
-// and ticks just before it would go back to the socket. The buffer is 8 KiB
-// (readBufSize) because a cluster keeps some 25 read loops alive: at 8 KiB
-// the benchmark's live heap did not move, at 64 KiB it grew 1.4 MB (+5.5 %
-// on smallbank_tcp) and batched no better. Each inbound stream decodes
-// through a wire.Decoder of its own.
+// (a run of inbox entries pushed under one lock, one reliable frame, one
+// socket write), and the receiver runs the delivery tick (SetTickHandler)
+// once per unit it took in, after dispatching all of it — so the responses a
+// batch provokes leave as one batch too. The hub and the reliable fabric see
+// the sender's unit as such (on the hub the tick follows the batch's last
+// entry). TCP sees a byte stream, and its unit is the socket drain: a read
+// loop reads through a small buffer, dispatches every whole frame the read
+// brought in, and ticks just before it would go back to the socket. The
+// buffer is 8 KiB (readBufSize) because a cluster keeps some 25 read loops
+// alive: at 8 KiB the benchmark's live heap did not move, at 64 KiB it grew
+// 1.4 MB (+5.5 % on smallbank_tcp) and batched no better. Each inbound stream
+// decodes through a wire.Decoder of its own; the hub, which has no streams,
+// keeps one per destination node and serializes its senders on it.
 //
 // Every hand-off to a delivery goroutine — the hub's inbox, the reliable
 // fabric's per-peer in-order delivery, the Router's shard queues — is the
 // same queue (queue.go): its memory follows the backlog, the bound at which a
-// sender blocks is given at construction (65 536 frames, DeliveryDepth, none)
-// and one rule gives a burst's array back (queueKeepCap).
+// sender blocks is given at construction (65 536 messages, DeliveryDepth,
+// none) and one rule gives a burst's array back (queueKeepCap).
 package transport
 
 import (
@@ -56,7 +58,7 @@ type Transport interface {
 	//
 	// No-retain contract: SendBatch is finished with the msgs slice when it
 	// returns — it has encoded the messages (Reliable, TCP) or copied the
-	// pointers into a frame of its own (hub) — so the caller may overwrite
+	// pointers into inbox entries (hub) — so the caller may overwrite
 	// and reuse the slice immediately; the commit coalescer flushes from the
 	// same two buffers per peer forever. The messages themselves stay frozen
 	// as for Send (zeuslint sendfrozen): only the slice that carried them is

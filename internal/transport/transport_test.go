@@ -597,53 +597,122 @@ func TestSendBatchDoesNotRetainTheSlice(t *testing.T) {
 	})
 }
 
-// TestHubRecyclesBatchSlices: the hub's per-frame copy of a batch goes back
-// to the receiver's free list once dispatched — cleared, so a parked slice
-// keeps no message alive — and the next SendBatch takes it from there.
-func TestHubRecyclesBatchSlices(t *testing.T) {
+// TestHubBatchIsEntriesTickAfterLast: a SendBatch of any length — one message,
+// a few, more than the sender stages on its stack — is dispatched in order
+// with nothing of another sender's between its messages, and the delivery tick
+// runs exactly once for it, after the last. A second sender's single Sends,
+// interleaved, stay in their own order and tick once each.
+func TestHubBatchIsEntriesTickAfterLast(t *testing.T) {
 	h := NewHub()
-	a, b := h.node(0), h.node(1)
-	defer a.Close()
-	defer b.Close()
-	c := newCollect()
-	b.SetHandler(c.handler)
-	ticked := make(chan struct{}, 16)
-	b.SetTickHandler(func() { ticked <- struct{}{} })
+	a, b, c := h.Node(0), h.Node(1), h.Node(2)
+	defer h.Close()
 
-	send := func(n int) {
-		t.Helper()
+	// The dispatch goroutine's log: a message as (sender, seq), a tick as
+	// sender -1. Handler and tick run on that one goroutine.
+	type event struct {
+		from int
+		seq  uint64
+	}
+	var log []event
+	const singles = 200
+	lens := []int{1, 4, batchStage + 3, 1, batchStage, 2 * batchStage}
+	total := singles
+	for _, n := range lens {
+		total += n
+	}
+	done := make(chan struct{})
+	b.SetHandler(func(from wire.NodeID, m wire.Msg) { log = append(log, event{int(from), pingSeq(m)}) })
+	b.SetTickHandler(func() {
+		log = append(log, event{from: -1})
+		if len(log) == total+len(lens)+singles {
+			close(done)
+		}
+	})
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := uint64(0); i < singles; i++ {
+			if err := c.Send(1, ping(i)); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	seq := uint64(0)
+	for _, n := range lens {
 		batch := make([]wire.Msg, n)
 		for i := range batch {
-			batch[i] = ping(uint64(i))
+			batch[i] = ping(seq)
+			seq++
 		}
 		if err := a.SendBatch(1, batch); err != nil {
 			t.Fatal(err)
 		}
-		<-ticked // dispatched and recycled: the tick runs after both
 	}
-	send(4)
-	if len(b.free) != 1 {
-		t.Fatalf("free list holds %d slices after one batch, want 1", len(b.free))
+	wg.Wait()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("timed out after %d of %d messages and ticks", len(log), total+len(lens)+singles)
 	}
-	parked := <-b.free
-	if len(parked) != 0 || cap(parked) < 4 {
-		t.Fatalf("parked slice has len %d cap %d", len(parked), cap(parked))
+
+	// Replay the log: per-sender FIFO, and each unit closed by its own tick.
+	next := map[int]uint64{}
+	ends := map[uint64]bool{} // seq of the last message of each of a's batches
+	for end, i := uint64(0), 0; i < len(lens); i++ {
+		end += uint64(lens[i])
+		ends[end-1] = true
 	}
-	for _, m := range parked[:cap(parked)] {
-		if m != nil {
-			t.Fatal("parked slice still references a delivered message")
+	for i, ev := range log {
+		if ev.from == -1 {
+			continue
+		}
+		if ev.seq != next[ev.from] {
+			t.Fatalf("event %d: sender %d delivered %d, want %d", i, ev.from, ev.seq, next[ev.from])
+		}
+		next[ev.from]++
+		closes := ev.from == 2 || ends[ev.seq]
+		if ticked := log[i+1].from == -1; ticked != closes {
+			t.Fatalf("event %d (sender %d, message %d): tick follows = %v, want %v", i, ev.from, ev.seq, ticked, closes)
+		}
+		if !closes && log[i+1].from != 0 {
+			t.Fatalf("event %d: sender %d's message came inside sender 0's batch", i+1, log[i+1].from)
 		}
 	}
-	b.free <- parked
-	send(3) // fits: must ride the parked slice, which then comes back
-	if len(b.free) != 1 {
-		t.Fatalf("free list holds %d slices, want the one slice cycling", len(b.free))
+	if got, want := h.Frames(), uint64(len(lens)+singles); got != want {
+		t.Errorf("frames = %d, want %d (one per SendBatch, one per Send)", got, want)
 	}
-	if again := <-b.free; &again[:1][0] != &parked[:1][0] {
-		t.Fatal("second batch did not reuse the parked slice")
+}
+
+// TestHubSendBatchAllocatesNothing: a batch of commit messages is staged on
+// the sender's stack and copied into the inbox's array — once that array has
+// grown to the backlog, the hub allocates nothing for it.
+func TestHubSendBatchAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	send(maxFreeBatchCap + 1) // a burst-sized slice is not worth keeping
-	if len(b.free) != 0 {
-		t.Fatal("an oversized batch slice was parked")
+	h := NewHub()
+	a, b := h.Node(0), h.Node(1)
+	defer h.Close()
+	ticked := make(chan struct{}, 1)
+	b.SetHandler(func(wire.NodeID, wire.Msg) {})
+	b.SetTickHandler(func() { ticked <- struct{}{} })
+	for _, n := range []int{1, 8, batchStage} {
+		batch := make([]wire.Msg, n)
+		for i := range batch {
+			batch[i] = ping(uint64(i))
+		}
+		send := func() {
+			if err := a.SendBatch(1, batch); err != nil {
+				t.Fatal(err)
+			}
+			<-ticked // dispatched: the next run finds the inbox empty again
+		}
+		send() // warm: the inbox's two arrays reach the batch's length
+		send()
+		if allocs := testing.AllocsPerRun(200, send); allocs != 0 {
+			t.Errorf("SendBatch of %d commit messages allocates %.2f objects, want 0", n, allocs)
+		}
 	}
 }

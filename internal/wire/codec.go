@@ -700,12 +700,12 @@ func AppendMarshal(dst []byte, m Msg) []byte {
 
 // Unmarshal parses a message produced by Marshal into records of its own: the
 // one-shot entry, for a message that does not arrive on a stream a Decoder
-// reads (the hub's round trip of non-commit kinds, tools, tests).
-func Unmarshal(p []byte) (Msg, error) { return unmarshal(p, nil) }
+// reads (tools, tests).
+func Unmarshal(p []byte) (Msg, error) { return unmarshal(p, &Decoder{oneShot: true}) }
 
 // unmarshal is the one kind switch: each message's field list is written
-// here and nowhere else. The three reliable-commit kinds take their record
-// from dc (a fresh one when dc is nil); every other kind allocates.
+// here and nowhere else. The reliable-commit and ownership kinds take their
+// record from dc (see put); every other kind allocates.
 func unmarshal(p []byte, dc *Decoder) (Msg, error) {
 	if len(p) == 0 {
 		return nil, ErrShortBuffer
@@ -715,39 +715,39 @@ func unmarshal(p []byte, dc *Decoder) (Msg, error) {
 	var m Msg
 	switch k {
 	case KindOwnReq:
-		m = &OwnReq{
+		m = put(dc, &dc.ownReqs, d, OwnReq{
 			ReqID: d.u64(), Obj: d.obj(), Requester: d.node(),
 			Mode: ReqMode(d.u8()), Epoch: d.epoch(), Target: d.bitmap(),
 			Shard: d.u32(),
-		}
+		})
 	case KindOwnInv:
-		m = &OwnInv{
+		m = put(dc, &dc.ownInvs, d, OwnInv{
 			ReqID: d.u64(), Obj: d.obj(), TS: d.ots(), Epoch: d.epoch(),
 			Requester: d.node(), Driver: d.node(), Mode: ReqMode(d.u8()),
 			NewReplicas: d.replicas(), PrevOwner: d.node(),
 			Arbiters: d.bitmap(), Recovery: d.boolean(),
-		}
+		})
 	case KindOwnAck:
-		m = &OwnAck{
+		m = put(dc, &dc.ownAcks, d, OwnAck{
 			ReqID: d.u64(), Obj: d.obj(), TS: d.ots(), Epoch: d.epoch(),
 			From: d.node(), Arbiters: d.bitmap(), NewReplicas: d.replicas(),
 			Mode: ReqMode(d.u8()), HasData: d.boolean(), TVersion: d.u64(),
 			Data: d.bytes(), CTS: d.u64(),
-		}
+		})
 	case KindOwnVal:
-		m = &OwnVal{ReqID: d.u64(), Obj: d.obj(), TS: d.ots(), Epoch: d.epoch()}
+		m = put(dc, &dc.ownVals, d, OwnVal{ReqID: d.u64(), Obj: d.obj(), TS: d.ots(), Epoch: d.epoch()})
 	case KindOwnNack:
-		m = &OwnNack{
+		m = put(dc, &dc.ownNacks, d, OwnNack{
 			ReqID: d.u64(), Obj: d.obj(), Epoch: d.epoch(), From: d.node(),
 			Reason: NackReason(d.u8()),
-		}
+		})
 	case KindOwnResp:
-		m = &OwnResp{
+		m = put(dc, &dc.ownResps, d, OwnResp{
 			ReqID: d.u64(), Obj: d.obj(), TS: d.ots(), Epoch: d.epoch(),
 			Driver: d.node(), Arbiters: d.bitmap(), NewReplicas: d.replicas(),
 			Mode: ReqMode(d.u8()), HasData: d.boolean(), TVersion: d.u64(),
 			Data: d.bytes(), CTS: d.u64(),
-		}
+		})
 	case KindCommitInv:
 		v, inline := dc.inv()
 		*v = CommitInv{
@@ -755,15 +755,12 @@ func unmarshal(p []byte, dc *Decoder) (Msg, error) {
 			PrevVal: d.boolean(), Replay: d.boolean(), Updates: d.updates(inline),
 			CTS: d.u64(),
 		}
+		dc.settleInv(d.err == nil)
 		m = v
 	case KindCommitAck:
-		v := dc.ack()
-		*v = CommitAck{Tx: d.tx(), Epoch: d.epoch(), From: d.node(), AppliedWM: d.u64()}
-		m = v
+		m = put(dc, &dc.acks, d, CommitAck{Tx: d.tx(), Epoch: d.epoch(), From: d.node(), AppliedWM: d.u64()})
 	case KindCommitVal:
-		v := dc.val()
-		*v = CommitVal{Tx: d.tx(), Epoch: d.epoch()}
-		m = v
+		m = put(dc, &dc.vals, d, CommitVal{Tx: d.tx(), Epoch: d.epoch()})
 	case KindBReadReq:
 		m = &BReadReq{ReqID: d.u64(), From: d.node(), Obj: d.obj()}
 	case KindBReadResp:
@@ -827,7 +824,6 @@ func unmarshal(p []byte, dc *Decoder) (Msg, error) {
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrBadKind, uint8(k))
 	}
-	dc.settle(k, d.err == nil)
 	if d.err != nil {
 		return nil, d.err
 	}

@@ -53,67 +53,79 @@ type invRecord struct {
 	inline [inlineUpdates]Update
 }
 
-// Decoder decodes the messages of one inbound stream, carving the three
-// reliable-commit kinds (R-INV, R-ACK, R-VAL — all but a few of the messages
-// a loaded node receives) from chunks instead of allocating each.
+// Decoder decodes the messages of one inbound stream, carving the records of
+// the nine kinds a loaded node receives — the reliable-commit kinds (R-INV,
+// R-ACK, R-VAL) and the six ownership kinds (REQ, INV, ACK, VAL, NACK, RESP)
+// — from chunks instead of allocating each.
 //
 // Ownership rule: one Decoder per inbound stream, owned by the goroutine that
 // reads it (a TCP connection's read loop, the reliable fabric's per-peer
-// delivery goroutine). It is not safe for concurrent use. Decoded messages
-// are ordinary messages: handlers keep them as long as they like (a follower
+// delivery goroutine) or serialized by its owner, as the hub does per
+// destination. It is not safe for concurrent use. Decoded messages are
+// ordinary messages: handlers keep them as long as they like (a follower
 // stores an R-INV until its R-VAL) and nobody gives them back.
 //
 // An R-INV's payload slab is never carved from a chunk: it stays one
 // allocation per message, because the follower's store adopts it as the
 // replica's value — a value that shared an array with its neighbours would
-// keep them all alive for as long as the object goes unwritten.
+// keep them all alive for as long as the object goes unwritten. The Data of
+// an ownership ACK or RESP is a slab of its own for the same reason, and adds
+// a retention bound the other way round: the record holds the slab, so a
+// data-carrying ACK/RESP (a requester without a replica) pins its payload
+// until its chunk's remaining records have been handed out and have died —
+// at most ChunkRecords-1 payloads per stream.
 type Decoder struct {
-	invs Chunk[invRecord]
-	acks Chunk[CommitAck]
-	vals Chunk[CommitVal]
+	invs     Chunk[invRecord]
+	acks     Chunk[CommitAck]
+	vals     Chunk[CommitVal]
+	ownReqs  Chunk[OwnReq]
+	ownInvs  Chunk[OwnInv]
+	ownAcks  Chunk[OwnAck]
+	ownVals  Chunk[OwnVal]
+	ownNacks Chunk[OwnNack]
+	ownResps Chunk[OwnResp]
+	// oneShot makes every record an allocation of its own and leaves the
+	// chunks unused: the package-level Unmarshal.
+	oneShot bool
 }
 
 // Unmarshal parses a message produced by Marshal. It decodes exactly what
 // the package-level Unmarshal does (they share the kind switch); only where
-// the commit kinds' records come from differs. A failed decode uses no
+// the chunked kinds' records come from differs. A failed decode uses no
 // record.
 func (dc *Decoder) Unmarshal(p []byte) (Msg, error) { return unmarshal(p, dc) }
 
+// put ends the decode of a chunked kind whose fields d has read into v: a
+// good message moves into its kind's next record (an allocation of its own
+// on the one-shot path); a failed decode never reaches the chunk, so it uses
+// no record and leaves nothing — no stale Data pointer — in the next one.
+func put[T any](dc *Decoder, c *Chunk[T], d *dec, v T) *T {
+	if d.err != nil {
+		return nil
+	}
+	var r *T
+	if dc.oneShot {
+		r = new(T)
+	} else {
+		r = c.Take()
+	}
+	*r = v
+	return r
+}
+
 // inv returns the record the R-INV being decoded goes into and the array for
-// its Update list; ack and val likewise. A nil Decoder is the one-shot path.
+// its Update list. The one kind decoded in place (its list lives in the
+// record), so settleInv closes it.
 func (dc *Decoder) inv() (*CommitInv, []Update) {
-	if dc == nil {
+	if dc.oneShot {
 		return new(CommitInv), nil
 	}
 	r := dc.invs.head()
 	return &r.CommitInv, r.inline[:]
 }
 
-func (dc *Decoder) ack() *CommitAck {
-	if dc == nil {
-		return new(CommitAck)
-	}
-	return dc.acks.head()
-}
-
-func (dc *Decoder) val() *CommitVal {
-	if dc == nil {
-		return new(CommitVal)
-	}
-	return dc.vals.head()
-}
-
-// settle closes the decode of a message of kind k (see Chunk.settle).
-func (dc *Decoder) settle(k Kind, ok bool) {
-	if dc == nil {
-		return
-	}
-	switch k {
-	case KindCommitInv:
+func (dc *Decoder) settleInv(ok bool) {
+	if !dc.oneShot {
 		dc.invs.settle(ok)
-	case KindCommitAck:
-		dc.acks.settle(ok)
-	case KindCommitVal:
-		dc.vals.settle(ok)
 	}
 }

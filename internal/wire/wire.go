@@ -9,14 +9,17 @@
 //
 // A transport that reads a stream of messages decodes it through a Decoder
 // instead of Unmarshal: one Decoder per inbound stream, owned by the
-// goroutine that reads the stream and not safe for concurrent use. It carves
-// the records of the reliable-commit kinds from 16-record chunks (Chunk), so
-// a decoded R-INV, R-ACK or R-VAL is a sixteenth of an allocation; nobody
-// releases a record — the garbage collector frees a chunk when its last
-// record dies. An R-INV's payload slab is deliberately not chunked: the
-// follower keeps it as the replica's value, and a value carved from a shared
-// array would pin its neighbours for as long as the object goes unwritten.
-// Both entries run the same kind switch and decode the same values.
+// goroutine that reads the stream (or serialized by its owner, as the hub does
+// per destination) and not safe for concurrent use. It carves the records of
+// the reliable-commit and ownership kinds from 16-record chunks (Chunk), so a
+// decoded R-INV, R-ACK, R-VAL or ownership message is a sixteenth of an
+// allocation; the engines Take the ones they emit from chunks of their own.
+// Nobody releases a record — the garbage collector frees a chunk when its
+// last record dies. A payload slab (an R-INV's, a data-carrying ownership
+// ACK's) is deliberately not chunked: the receiver keeps it as the replica's
+// value, and a value carved from a shared array would pin its neighbours for
+// as long as the object goes unwritten. Both entries run the same kind switch
+// and decode the same values.
 package wire
 
 import (

@@ -10,11 +10,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# PR 23 raised it by 218: 71 are replaceonly's new golden fixture (testdata is
-# counted), ~70 the contract text on the three Gets, Recycler and the package
-# docs, the rest the recycler, the inline Updates and the analyzer's new
-# sources against the three deleted copies and the CommitTraced fold.
-max_lines=25610  # non-test Go outside benchmark/ (PR 23)
+# PR 24 raised it by 78 (the issue's prototype: +73): 36 are the ownership
+# engine's three emission chunks with take/validate and the doc of what a move
+# now makes, 23 queue.pushAll beside push (a direct push is 8 ns cheaper than a
+# batch of one), 14 the counted-ack counter the two de-flaked coalescing tests
+# read, 12 the Decoder's six ownership chunks and their retention bound; the
+# hub's free-list machinery (-45) and the generic put folding Decoder.ack/val/
+# settle (-24) are already netted out of mem.go, codec.go and decoder.go.
+max_lines=25688  # non-test Go outside benchmark/ (PR 24)
 max_fields=77    # option fields (PR 21)
 
 lines() { find . -name '*.go' ! -name '*_test.go' "$@" -print0 | xargs -0 cat | wc -l; }
