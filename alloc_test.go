@@ -101,12 +101,12 @@ func TestAllocCeilings(t *testing.T) {
 	}
 	const txs = 2000
 
-	// 1-object read-modify-write: Set's private copy — the version the commit
-	// publishes, on the hub at all three replicas — and the slot, which holds
-	// the R-INV and its Updates (Get returns a view; the Tx and counterBytes'
-	// buffer stay on this function's stack) — plus three sixteenths: each
-	// follower's R-ACK and the coordinator's R-VAL are records of a 16-record
-	// chunk.
+	// 1-object read-modify-write: the version the commit publishes —
+	// counterBytes' buffer, which Set adopts and, on the hub, all three
+	// replicas share — plus four sixteenths: the slot (the R-INV and its
+	// Updates), each follower's R-ACK and the coordinator's R-VAL are records
+	// of 16-record chunks. Get returns a view and the Tx stays on this
+	// function's stack.
 	rmw := mallocsPerTx(t, owner, txs, func(i int) {
 		tx := owner.BeginOn(0)
 		v, err := tx.Get(1)
@@ -114,7 +114,7 @@ func TestAllocCeilings(t *testing.T) {
 		must(tx.Set(1, counterBytes(counterVal(v)+1)))
 		must(tx.Commit())
 	})
-	// 2-object transfer: one more private copy.
+	// 2-object transfer: one more version.
 	transfer := mallocsPerTx(t, owner, txs, func(i int) {
 		tx := owner.BeginOn(1)
 		a, err := tx.Get(1)
@@ -160,19 +160,21 @@ func TestAllocCeilings(t *testing.T) {
 		must(c.Node((i/movers + 1) % 2).AcquireOwnership(uint64(10 + i%movers)))
 	})
 	t.Logf("mallocs per transaction: rmw %.2f, transfer %.2f, read-only %.2f; per ownership move %.2f", rmw, transfer, ro, move)
-	// Achieved: 2.2, 3.3, 0 and 0.73–0.86 (the hundredths, and a tenth or two
-	// of a move, are timers and lease renewals; the two write shapes cost 4.3
-	// and 6.3 while Get copied and the Updates were a slice of their own, 7
-	// and 9 while every R-ACK and R-VAL was its own allocation too; a move
-	// 10.1 while each of its ten records was, 22 before PR 15). One more
-	// allocation per transaction, or per move, reaches the ceiling.
+	// Achieved: 1.27, 2.26, 0 and 0.65–0.86 (the hundredths, and a tenth or
+	// two of a move, are timers and lease renewals; the two write shapes cost
+	// 2.2 and 3.3 while Set copied and the slot was an allocation of its own,
+	// 4.3 and 6.3 while Get copied and the Updates were a slice of their own,
+	// 7 and 9 while every R-ACK and R-VAL was its own allocation too; a move
+	// 10.1 while each of its ten records was, 22 before its self-addressed
+	// steps ran inline). One more allocation per transaction, or per move,
+	// reaches the ceiling.
 	for _, c := range []struct {
 		name    string
 		got     float64
 		ceiling float64
 	}{
-		{"1-object read-modify-write", rmw, 3},
-		{"2-object transfer", transfer, 4},
+		{"1-object read-modify-write", rmw, 2},
+		{"2-object transfer", transfer, 3},
 		{"1-read read-only", ro, 1},
 		{"ownership move", move, 2},
 	} {

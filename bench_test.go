@@ -44,16 +44,17 @@ func BenchmarkLocalWriteTx(b *testing.B) {
 	n := c.Node(0)
 	b.ReportAllocs()
 	b.ResetTimer()
-	buf := make([]byte, 128) // Get's result is a view: stage the new value here
 	for i := 0; i < b.N; i++ {
 		tx := n.BeginOn(0)
 		v, err := tx.Get(1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		copy(buf, v)
-		binary.LittleEndian.PutUint64(buf, uint64(i))
-		if err := tx.Set(1, buf); err != nil {
+		// Get's result is a view and Set adopts its argument: stage the new
+		// value in a fresh buffer, the version this commit publishes.
+		next := append([]byte(nil), v...)
+		binary.LittleEndian.PutUint64(next, uint64(i))
+		if err := tx.Set(1, next); err != nil {
 			b.Fatal(err)
 		}
 		if err := tx.Commit(); err != nil {
@@ -74,16 +75,17 @@ func BenchmarkLocalWriteTxObs(b *testing.B) {
 	c.Seed(1, 0, make([]byte, 128))
 	n := c.Node(0)
 	b.ResetTimer()
-	buf := make([]byte, 128) // Get's result is a view: stage the new value here
 	for i := 0; i < b.N; i++ {
 		tx := n.BeginOn(0)
 		v, err := tx.Get(1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		copy(buf, v)
-		binary.LittleEndian.PutUint64(buf, uint64(i))
-		if err := tx.Set(1, buf); err != nil {
+		// Get's result is a view and Set adopts its argument: stage the new
+		// value in a fresh buffer, the version this commit publishes.
+		next := append([]byte(nil), v...)
+		binary.LittleEndian.PutUint64(next, uint64(i))
+		if err := tx.Set(1, next); err != nil {
 			b.Fatal(err)
 		}
 		if err := tx.Commit(); err != nil {
@@ -133,17 +135,16 @@ func BenchmarkLocalWriteTxParallel(b *testing.B) {
 				w := g % workers
 				obj := uint64(1 + g)
 				i := 0
-				buf := make([]byte, 128)
 				for pb.Next() {
 					tx := n.BeginOn(w)
 					v, err := tx.Get(obj)
 					if err != nil {
 						b.Fatal(err)
 					}
-					copy(buf, v)
-					binary.LittleEndian.PutUint64(buf, uint64(i))
+					next := append([]byte(nil), v...) // Set adopts it: one buffer per write
+					binary.LittleEndian.PutUint64(next, uint64(i))
 					i++
-					if err := tx.Set(obj, buf); err != nil {
+					if err := tx.Set(obj, next); err != nil {
 						b.Fatal(err)
 					}
 					if err := tx.Commit(); err != nil {
@@ -239,13 +240,14 @@ func BenchmarkPipelinedCommit(b *testing.B) {
 	defer c.Close()
 	c.Seed(1, 0, make([]byte, 400))
 	n := c.Node(0)
-	buf := make([]byte, 400)
 	b.SetBytes(400)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tx := n.BeginOn(0)
-		if err := tx.Set(1, buf); err != nil {
+		// Set adopts its argument as the published version: a fresh one per
+		// commit, as an application makes it.
+		if err := tx.Set(1, make([]byte, 400)); err != nil {
 			b.Fatal(err)
 		}
 		if err := tx.Commit(); err != nil {

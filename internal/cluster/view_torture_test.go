@@ -38,7 +38,7 @@ func viewDecode(b []byte) (uint64, bool) {
 }
 
 // TestViewImmutabilityTorture: Get returns a view, so whatever memory a
-// payload lives in — the coordinator's private copy, which the hub's
+// payload lives in — the writer's own buffer, which Set adopts and the hub's
 // followers install as it is, or the slab a TCP read loop decoded it into —
 // must never be written or reused while anyone can still hold it. Readers on
 // all three replicas keep every slice they Get, with the value it decoded to,

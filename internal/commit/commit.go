@@ -208,8 +208,10 @@ type outPipe struct {
 	// each ack would re-walk the whole in-flight window (every open slot
 	// trails the follower's applied watermark under pipelining).
 	swept map[wire.NodeID]uint64
-	// vals is where completeSlot takes each slot's R-VAL from (under mu).
-	vals wire.Chunk[wire.CommitVal]
+	// vals is where completeSlot takes each slot's R-VAL from, and fresh
+	// where Commit takes each Slot from (both under mu).
+	vals  wire.Chunk[wire.CommitVal]
+	fresh wire.Chunk[Slot]
 }
 
 // compactLocked drops validated slots off the front of the order FIFO.
@@ -245,9 +247,16 @@ func (p *outPipe) compactLocked() {
 func (p *outPipe) live() []*Slot { return p.order[p.head:] }
 
 // Slot is one reliable commit in flight on a coordinator pipeline — the
-// handle Commit returns. It is the commit's only allocation: the first R-INV,
-// its Updates (up to inlineUpdates of them) and the resend pacer live inside
-// it, and the completion channel exists only if somebody asks for it (Done).
+// handle Commit returns. The first R-INV, its Updates (up to inlineUpdates of
+// them) and the resend pacer live inside it, and the completion channel
+// exists only if somebody asks for it (Done). Slots are carved from the
+// pipe's wire.Chunk, so a commit costs a sixteenth of an allocation. A slot is
+// handed out once and never reused — the hub's followers hold &slot.first for
+// as long as they store the R-INV, which rules out any recycling — and the GC
+// frees a chunk when its last slot dies; the price is that a stuck slot keeps
+// its ChunkRecords-1 neighbours (≈ 6.5 KB) and the versions they published
+// alive. 416 bytes, so 16 of them and Go's malloc header fit the 6784-byte
+// size class (TestSlotSize).
 type Slot struct {
 	pipe *outPipe
 	// inv is the R-INV to (re)send. It points at first until a view change
@@ -270,14 +279,16 @@ type Slot struct {
 	// the channel Done handed out before that, nil if nobody asked.
 	finished bool
 	done     chan struct{}
-	// Crash-aware resend pacing (see resendPolicy).
-	retr       retry.Retrier
-	nextResend time.Time
-	// Observability (zero unless the engine has an obs bundle): openedAt
-	// feeds the phase-latency histograms and the watchdog's age scan, tr is
-	// the sampled transaction's trace (nil for unsampled commits).
-	openedAt time.Time
-	tr       *obs.Trace
+	// Crash-aware resend pacing (see resendPolicy): the next re-broadcast is
+	// due resendAfter past openedAt, when Commit registered the slot — which
+	// also feeds the phase-latency histograms and the watchdog's age scan.
+	// (An offset, not a second time.Time: it keeps the Slot in its size
+	// class.)
+	retr        retry.Retrier
+	resendAfter time.Duration
+	openedAt    time.Time
+	// tr is the sampled transaction's trace (nil for unsampled commits).
+	tr *obs.Trace
 }
 
 // inlineUpdates is the write set a Slot holds without a second allocation:
@@ -678,11 +689,12 @@ func (e *Engine) Commit(w wire.Worker, updates []wire.Update, followers wire.Bit
 		cts = e.clock.Next()
 	}
 
-	slot := &Slot{
+	slot := p.fresh.Take()
+	*slot = Slot{
 		pipe: p,
 		first: wire.CommitInv{Tx: wire.TxID{Pipe: p.id, Local: local}, Epoch: epoch,
 			Followers: followers, PrevVal: prevVal, CTS: cts},
-		followers: followers, retr: resendPolicy.Begin(), tr: tr,
+		followers: followers, retr: resendPolicy.Begin(), openedAt: time.Now(), tr: tr,
 	}
 	inv := &slot.first
 	if len(updates) <= inlineUpdates {
@@ -691,17 +703,7 @@ func (e *Engine) Commit(w wire.Worker, updates []wire.Update, followers wire.Bit
 		inv.Updates = slices.Clone(updates)
 	}
 	slot.inv = inv
-	if wait, ok := slot.retr.Next(); ok {
-		// Share one clock read between resend pacing and the obs phase
-		// stamp: on this path time.Now() is the dominant obs cost.
-		now := time.Now()
-		slot.nextResend = now.Add(wait)
-		if e.obs != nil {
-			slot.openedAt = now
-		}
-	} else if e.obs != nil {
-		slot.openedAt = time.Now()
-	}
+	slot.resendAfter, _ = slot.retr.Next() // resendPolicy never gives up
 	p.slots[local] = slot
 	// Trim before appending: a drained FIFO rewinds, and the new slot lands
 	// at the front of the array it already has.
@@ -764,7 +766,7 @@ func (e *Engine) completeSlot(s *Slot) {
 	cts := inv.CTS
 
 	s.tr.Event("ack")
-	if ob := e.obs; ob != nil && !s.openedAt.IsZero() {
+	if ob := e.obs; ob != nil {
 		ob.ackNS.RecordSince(s.openedAt)
 	}
 
@@ -793,9 +795,7 @@ func (e *Engine) completeSlot(s *Slot) {
 	e.stCommitted.Add(1)
 	s.tr.Event("applied")
 	if ob := e.obs; ob != nil {
-		if !s.openedAt.IsZero() {
-			ob.appliedNS.RecordSince(s.openedAt)
-		}
+		ob.appliedNS.RecordSince(s.openedAt)
 		ob.reg.Traces.Offer(s.tr)
 	}
 
@@ -1299,7 +1299,7 @@ func (e *Engine) resendLoop() {
 		e.outPipes.Range(func(_ wire.Worker, p *outPipe) bool {
 			p.mu.Lock()
 			for _, s := range p.slots {
-				if s.valed || now.Before(s.nextResend) {
+				if s.valed || now.Before(s.openedAt.Add(s.resendAfter)) {
 					continue
 				}
 				need := s.followers.Intersect(live)
@@ -1308,7 +1308,7 @@ func (e *Engine) resendLoop() {
 					continue
 				}
 				wait, _ := s.retr.Next()
-				s.nextResend = now.Add(wait)
+				s.resendAfter = now.Sub(s.openedAt) + wait
 				inv := *s.inv // copy-on-write: the original may be in flight
 				inv.Epoch = epoch
 				inv.Replay = true

@@ -111,7 +111,7 @@ func (e *Engine) watchdogScan(now time.Time, age time.Duration, reported map[str
 	e.outPipes.Range(func(wk wire.Worker, p *outPipe) bool {
 		p.mu.Lock()
 		for _, s := range p.slots {
-			if s.valed || s.openedAt.IsZero() || now.Sub(s.openedAt) < age {
+			if s.valed || now.Sub(s.openedAt) < age {
 				continue
 			}
 			report(fmt.Sprintf("slot:%v", s.Tx()), "open-slot",

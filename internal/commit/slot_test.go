@@ -1,9 +1,14 @@
 package commit
 
 import (
+	"fmt"
+	"maps"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"zeus/internal/store"
 	"zeus/internal/transport"
@@ -96,9 +101,10 @@ func TestSlotDoneWithoutFollowers(t *testing.T) {
 	}
 }
 
-// TestSlotIsOneAllocation: the first R-INV a slot sends is the one embedded
-// in it, so the slot, its message and its resend pacer are one object.
-func TestSlotIsOneAllocation(t *testing.T) {
+// TestSlotSendsItsEmbeddedRInv: the first R-INV a slot sends is the one
+// embedded in it, so the slot, its message, its Updates and its resend pacer
+// are one record — a sixteenth of the pipe's chunk.
+func TestSlotSendsItsEmbeddedRInv(t *testing.T) {
 	c := newTestCluster(t, 3)
 	c.seedObject(1, 0, wire.BitmapOf(1, 2))
 	open := c.gateFollower(1)
@@ -112,6 +118,150 @@ func TestSlotIsOneAllocation(t *testing.T) {
 	}
 	if s.Tx() != s.inv.Tx || s.pipe != p {
 		t.Fatalf("slot %v on pipe %p, R-INV %v on pipe %p", s.Tx(), s.pipe, s.inv.Tx, p)
+	}
+}
+
+// TestSlotSize: a pipe carves Slots wire.ChunkRecords at a time, and a Slot
+// holds pointers, so the array also carries Go's 8-byte malloc header. At 432
+// bytes that was 16 × 432 + 8 = 6920, one byte into the 8192-byte size class
+// (1.2 KB of every chunk wasted); at 416 it is 6664, inside the 6784-byte
+// class. A Slot past 424 bytes leaves the 6912-byte class too.
+func TestSlotSize(t *testing.T) {
+	const sizeClass = 6784
+	size := unsafe.Sizeof(Slot{})
+	if chunk := wire.ChunkRecords*size + 8; chunk > sizeClass {
+		t.Errorf("Slot is %d bytes: a chunk is %d, past the %d-byte size class", size, chunk, sizeClass)
+	}
+}
+
+// TestSlotsAreCarvedNotReused is the ABA guard for carving slots: on the hub
+// a follower stores the coordinator's own R-INV — &slot.first — until the
+// R-VAL reaches it, which can be long after the slot validated. Slots must
+// therefore be handed out once and never recycled. Follower 1 is gated while
+// 40 slots open on one pipe (2.5 chunks), follower 2 stores every R-INV but
+// is kept from seeing any R-VAL; then the 40 validate, 40 more commits run
+// through the same pipe, and every R-INV follower 2 still stores must equal,
+// field for field, what was sent. A pool would have handed the first slots
+// out again and rewritten them.
+func TestSlotsAreCarvedNotReused(t *testing.T) {
+	c := newTestCluster(t, 3)
+	c.seedObject(1, 0, wire.BitmapOf(1, 2))
+	open := c.gateFollower(1)
+	f2 := c.nodes[2]
+	var mu sync.Mutex
+	var heldVals []*wire.CommitVal
+	f2.tr.SetHandler(func(from wire.NodeID, m wire.Msg) {
+		if v, ok := m.(*wire.CommitVal); ok {
+			mu.Lock()
+			heldVals = append(heldVals, v)
+			mu.Unlock()
+			return
+		}
+		f2.eng.Handle(from, m)
+	})
+	f2.tr.SetTickHandler(f2.eng.flushOut)
+
+	const batch = 40
+	var slots []*Slot
+	sent := make([]wire.CommitInv, 0, 2*batch) // deep copies, in slot order
+	commit := func() {
+		s := c.localCommit(0, 0, []wire.ObjectID{1}, fmt.Sprintf("v%03d", len(slots)))
+		p := s.pipe
+		p.mu.Lock()
+		inv := *s.inv
+		p.mu.Unlock()
+		inv.Updates = slices.Clone(inv.Updates)
+		for i := range inv.Updates {
+			inv.Updates[i].Data = slices.Clone(inv.Updates[i].Data)
+		}
+		slots = append(slots, s)
+		sent = append(sent, inv)
+	}
+	distinct := func() {
+		t.Helper()
+		seen := make(map[*Slot]bool)
+		for _, s := range slots {
+			if seen[s] {
+				t.Fatalf("slot %p handed out twice", s)
+			}
+			seen[s] = true
+		}
+	}
+	stored := func() map[uint64]*wire.CommitInv {
+		p, ok := f2.eng.inPipes.Get(slots[0].Tx().Pipe)
+		if !ok {
+			return nil
+		}
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return maps.Clone(p.stored)
+	}
+	waitStored := func(n int) map[uint64]*wire.CommitInv {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			if st := stored(); len(st) == n {
+				return st
+			} else if time.Now().After(deadline) {
+				t.Fatalf("follower 2 stores %d R-INVs, want %d", len(st), n)
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+	}
+
+	for i := 0; i < batch; i++ {
+		commit()
+	}
+	distinct()
+	// Carved, not allocated one by one: consecutive slots of a chunk are
+	// neighbours in memory, so 40 slots from at most four chunks leave at
+	// most three gaps.
+	adjacent := 0
+	for i := 1; i < batch; i++ {
+		if uintptr(unsafe.Pointer(slots[i]))-uintptr(unsafe.Pointer(slots[i-1])) == unsafe.Sizeof(Slot{}) {
+			adjacent++
+		}
+	}
+	if adjacent < batch-4 {
+		t.Errorf("only %d of %d consecutive slots are neighbours in memory", adjacent, batch-1)
+	}
+	waitStored(batch)
+	open()
+	for _, s := range slots {
+		waitClosed(t, s.Done())
+	}
+	for i := 0; i < batch; i++ {
+		commit()
+	}
+	for _, s := range slots[batch:] {
+		waitClosed(t, s.Done())
+	}
+	distinct()
+	st := waitStored(2 * batch)
+	for i, want := range sent {
+		got := st[want.Tx.Local]
+		if got != &slots[i].first {
+			t.Fatalf("follower 2 stores %p for %v, not the slot's own R-INV %p: the hub path under test is not zero-copy", got, want.Tx, &slots[i].first)
+		}
+		if !reflect.DeepEqual(*got, want) {
+			t.Errorf("stored R-INV %v changed after its slot validated:\n got %+v\nwant %+v", want.Tx, *got, want)
+		}
+	}
+
+	var vals []*wire.CommitVal
+	for deadline := time.Now().Add(2 * time.Second); len(vals) < 2*batch; time.Sleep(200 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower 2 was sent %d R-VALs, want %d", len(vals), 2*batch)
+		}
+		mu.Lock()
+		vals = heldVals
+		mu.Unlock()
+	}
+	for _, v := range vals {
+		f2.eng.Handle(0, v)
+	}
+	if n := len(stored()); n != 0 {
+		t.Errorf("follower 2 still stores %d R-INVs after their R-VALs", n)
 	}
 }
 

@@ -10,9 +10,12 @@
 //     holds the needed ownership level, acquiring it via the ownership
 //     protocol otherwise (blocking, the only blocking step). A read hands
 //     out a view of the committed version (tr_open_read: versions are
-//     replace-only, so the view never changes under the reader); the first
-//     update creates the private copy (tr_open_write; opacity, §6.2), which
-//     the commit publishes as the next version.
+//     replace-only, so the view never changes under the reader). An update
+//     (tr_open_write) stages the caller's bytes as they are, not a copy:
+//     they are the version the commit publishes, so the caller hands them
+//     over and never writes them again — the mirror of the read's view.
+//     Staged values stay private to the transaction until it commits
+//     (opacity, §6.2).
 //  2. Local Commit — contention across local workers is resolved with a
 //     local version of the ownership protocol: per-object local ownership
 //     taken by try-lock, conflicts abort and retry with back-off (§7).
@@ -628,9 +631,9 @@ type access struct {
 	obj *store.Object // resolved once, at first touch
 	// ver is the t_version observed at first read (accRead).
 	ver uint64
-	// data is what Get returns from the second access on: the private copy
-	// (accWritten; it becomes the object's payload at commit), else the
-	// payload observed at first read, aliased, never written through.
+	// data is what Get returns from the second access on: the slice Set
+	// adopted (accWritten; it becomes the object's payload at commit), else
+	// the payload observed at first read, aliased, never written through.
 	data  []byte
 	flags accessFlags
 }
@@ -639,7 +642,7 @@ type accessFlags uint8
 
 const (
 	accRead    accessFlags = 1 << iota // ver/data hold a read to validate
-	accWritten                         // data is the private copy
+	accWritten                         // data is the staged value
 	accHeld                            // this worker holds local ownership
 )
 
@@ -738,8 +741,8 @@ func (n *Node) beginRO(worker int) *Tx {
 var errNeedOwnership = fmt.Errorf("core: ownership level missing")
 
 // Get returns the value of obj as seen by the transaction (tr_open_read). The
-// bytes are a view, not a copy: the committed version, or the private copy
-// this transaction staged with Set. The engine never writes them again — a
+// bytes are a view, not a copy: the committed version, or the very slice this
+// transaction staged with Set. The engine never writes them again — a
 // later commit, or a later Set in this transaction, installs a new slice —
 // so they stay valid for as long as the caller keeps them; the caller must
 // not write them either (copy before modifying).
@@ -861,8 +864,14 @@ func (tx *Tx) waitSafe() error {
 	return nil
 }
 
-// Set buffers a full-object write in the transaction's private copy
-// (tr_open_write + update).
+// Set stages a full-object write (tr_open_write + update). It adopts val
+// instead of copying it: the bytes become the version the commit publishes —
+// shared with the version ring, the WAL and, on the hub, the followers'
+// replicas — so the caller must not write them after Set (build a fresh slice
+// per write). The staged slice's capacity is clipped to its length, so an
+// append to the version — by anyone who Gets it — reallocates instead of
+// writing past it. A second Set of the same object replaces the staged slice;
+// an empty val is staged as nil.
 func (tx *Tx) Set(obj uint64, val []byte) error {
 	if tx.ro {
 		return fmt.Errorf("core: Set on read-only transaction")
@@ -903,7 +912,10 @@ func (tx *Tx) Set(obj uint64, val []byte) error {
 		a.flags |= accWritten
 		tx.nwrites++
 	}
-	a.data = append([]byte(nil), val...)
+	if len(val) == 0 {
+		val = nil // WAL records tell "no data" by a nil Data (Recovered.ApplyRecord)
+	}
+	a.data = slices.Clip(val)
 	return nil
 }
 

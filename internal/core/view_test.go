@@ -80,6 +80,10 @@ func TestViewSurvivesLaterCommits(t *testing.T) {
 	}
 }
 
+// TestViewSurvivesSetInTheSameTransaction: Set adopts the caller's bytes, so a
+// Get after it returns them; a second Set, with a fresh buffer as the contract
+// asks, replaces the staged slice and leaves the first one — which the caller
+// may still hold — as it was.
 func TestViewSurvivesSetInTheSameTransaction(t *testing.T) {
 	c := newCluster(t, 3)
 	c.SeedAt(1, 0, u64(1))
@@ -99,20 +103,75 @@ func TestViewSurvivesSetInTheSameTransaction(t *testing.T) {
 	if fromU64(before) != 1 || fromU64(after) != 2 {
 		t.Fatalf("before Set reads %d, after reads %d; want 1 and 2", fromU64(before), fromU64(after))
 	}
-	// Set copied: the caller may reuse its buffer, the staged version is the
-	// engine's. A second Set replaces the staged slice, it does not overwrite it.
-	staged[0] = 9
-	if err := tx.Set(1, u64(3)); err != nil {
+	if !sameArray(after, staged) {
+		t.Fatal("Get after Set returned a copy, not the bytes handed to Set")
+	}
+	replacement := u64(3)
+	if err := tx.Set(1, replacement); err != nil {
 		t.Fatal(err)
 	}
-	if fromU64(after) != 2 {
-		t.Fatalf("the staged value read earlier reads %d after the caller reused its buffer and Set again, want 2", fromU64(after))
+	latest, err := tx.Get(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameArray(latest, replacement) || fromU64(after) != 2 {
+		t.Fatalf("after a second Set: Get returns the new buffer %v, the first staged value reads %d (want true, 2)",
+			sameArray(latest, replacement), fromU64(after))
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if fromU64(before) != 1 || fromU64(after) != 2 {
-		t.Fatalf("after Commit the two slices read %d and %d; want 1 and 2", fromU64(before), fromU64(after))
+	if fromU64(before) != 1 || fromU64(after) != 2 || fromU64(latest) != 3 {
+		t.Fatalf("after Commit the three slices read %d, %d and %d; want 1, 2 and 3", fromU64(before), fromU64(after), fromU64(latest))
+	}
+}
+
+// TestSetAdoptsTheCallersBytes: the bytes handed to Set are the version the
+// commit publishes — no copy at the owner, none at a follower on the hub,
+// which hands the R-INV over by pointer — with the capacity clipped, so an
+// append to the version reallocates instead of writing past it. An empty
+// value is staged as nil, which storage reads as "no data".
+func TestSetAdoptsTheCallersBytes(t *testing.T) {
+	c := newCluster(t, 3)
+	c.SeedAt(1, 0, u64(0))
+	c.SeedAt(2, 0, u64(0))
+	owner := c.Node(0)
+	val := make([]byte, 8, 64) // spare capacity the version must not expose
+	copy(val, u64(5))
+	tx := owner.BeginOn(0)
+	if err := tx.Set(1, val); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Set(2, []byte{}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := tx.Get(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameArray(got, val) || len(got) != 8 || cap(got) != 8 {
+		t.Fatalf("Get after Set: same array %v, len %d, cap %d; want the caller's array, 8, 8", sameArray(got, val), len(got), cap(got))
+	}
+	if empty, err := tx.Get(2); err != nil || empty != nil {
+		t.Fatalf("an empty value staged as %#v (%v), want nil", empty, err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if !owner.WaitReplication(2 * time.Second) {
+		t.Fatal("pipelines never drained")
+	}
+	for i := 0; i < 3; i++ {
+		o, ok := c.Node(i).Store().Get(1)
+		if !ok {
+			t.Fatalf("node %d holds no replica", i)
+		}
+		o.Mu.Lock()
+		data := o.DataLocked()
+		o.Mu.Unlock()
+		if !sameArray(data, val) || cap(data) != 8 {
+			t.Errorf("node %d holds the version in its own array (same %v, cap %d): it was copied", i, sameArray(data, val), cap(data))
+		}
 	}
 }
 

@@ -33,6 +33,10 @@ type Txn interface {
 	// copy before modifying.
 	Get(obj uint64) ([]byte, error)
 	// Set buffers a full-object write (invalid on read-only transactions).
+	// The datastore may adopt val instead of copying it — Zeus does: the
+	// bytes become the version the commit publishes, shared with its
+	// replicas — so the caller hands them over and must not write them after
+	// Set; build a fresh slice for every write.
 	Set(obj uint64, val []byte) error
 	// Commit attempts to commit; ErrConflict means retry.
 	Commit() error

@@ -60,17 +60,20 @@ func Scaling(s Scale) ScalingResult {
 			c.SeedAt(wire.ObjectID(1+w), 0, make([]byte, 128))
 		}
 		n := c.Node(0)
-		bufs := make([][128]byte, workers) // each worker's value, rewritten in place between writes
 		run := closedLoop(loadgen.Config{Arrival: loadgen.ClosedLoop{Ops: ops}}, workers, []bench.Op{
 			func(w int, _ *rand.Rand) error {
-				obj, buf := uint64(1+w), bufs[w][:]
+				obj := uint64(1 + w)
 				tx := n.BeginOn(w)
-				if _, err := tx.Get(obj); err != nil {
+				v, err := tx.Get(obj)
+				if err != nil {
 					tx.Abort()
 					return err
 				}
-				buf[0]++
-				if err := tx.Set(obj, buf); err != nil {
+				// Set adopts its argument as the published version: a fresh
+				// value per write, never the last one rewritten in place.
+				next := append([]byte(nil), v...)
+				next[0]++
+				if err := tx.Set(obj, next); err != nil {
 					tx.Abort()
 					return err
 				}

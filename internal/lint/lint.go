@@ -10,6 +10,8 @@
 //     ACK piggyback, FabricMem delivery) alias the payload's backing array
 //     after Mu is released, so one in-place write is a silent lost update,
 //     and Go has no read-only slice type the getter could return instead.
+//     The slice handed to a transaction's Set is frozen the same way from
+//     the call on: Set adopts it as the version the commit publishes.
 //   - lockedsuffix: *Locked functions are only called with a mutex held (or
 //     from another *Locked function) — the suffix names a dozen different
 //     mutexes across the engines, so no one lock-token type could carry it.

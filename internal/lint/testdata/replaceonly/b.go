@@ -52,8 +52,8 @@ func mutateViewPublic(tx *zeus.Tx) error {
 	return nil
 }
 
-// copyThenWrite is the legal form: the copy is the caller's, and Set copies
-// again into the version it publishes.
+// copyThenWrite is the legal form: the copy is the caller's, written before
+// Set adopts it as the version it publishes.
 func copyThenWrite(tx dbapi.Txn, i uint64) error {
 	v, err := tx.Get(1)
 	if err != nil {

@@ -120,9 +120,10 @@ type Object struct {
 	// data is the object payload. The slice is REPLACE-ONLY: every
 	// transition installs a freshly allocated (or freshly received) slice
 	// under Mu, and no code path ever mutates a published backing array in
-	// place — local commits install the transaction's private copy, R-INV
-	// apply installs the decoded update slab, ownership transfer installs
-	// the ACK payload, drops install nil. This contract is what makes the
+	// place — local commits install the slice the transaction's Set adopted
+	// (its caller handed it over, capacity clipped), R-INV apply installs the
+	// decoded update slab, ownership transfer installs the ACK payload, drops
+	// install nil. This contract is what makes the
 	// no-copy read paths safe: SnapshotRef, DataLocked, the transaction
 	// layer's owner-local read buffers, the ownership ACK piggyback and the
 	// zero-copy FabricMem delivery all alias the array after Mu is

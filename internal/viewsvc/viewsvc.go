@@ -550,7 +550,7 @@ func (r *Replica) handleLease(from wire.NodeID, m *wire.VSLeaseMsg) {
 	// Renewal: one atomic store per renewed node, no state-machine lock —
 	// renewals proceed in parallel (the "striped lease table").
 	now := time.Now().UnixNano()
-	for _, n := range m.Nodes.Nodes() {
+	for n := range m.Nodes.Each {
 		r.renewals[n].Store(now)
 	}
 	r.mu.Lock()

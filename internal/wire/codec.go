@@ -704,8 +704,8 @@ func AppendMarshal(dst []byte, m Msg) []byte {
 func Unmarshal(p []byte) (Msg, error) { return unmarshal(p, &Decoder{oneShot: true}) }
 
 // unmarshal is the one kind switch: each message's field list is written
-// here and nowhere else. The reliable-commit and ownership kinds take their
-// record from dc (see put); every other kind allocates.
+// here and nowhere else. The reliable-commit, ownership and lease kinds take
+// their record from dc (see put); every other kind allocates.
 func unmarshal(p []byte, dc *Decoder) (Msg, error) {
 	if len(p) == 0 {
 		return nil, ErrShortBuffer
@@ -797,7 +797,7 @@ func unmarshal(p []byte, dc *Decoder) (Msg, error) {
 			BarrierDone: d.boolean(), DoneEpoch: d.epoch(),
 		}
 	case KindVSLease:
-		m = &VSLeaseMsg{Nodes: d.bitmap(), Heartbeat: d.boolean(), Ballot: d.u64()}
+		m = put(dc, &dc.leases, d, VSLeaseMsg{Nodes: d.bitmap(), Heartbeat: d.boolean(), Ballot: d.u64()})
 	case KindVSQuery:
 		m = &VSQuery{Resp: d.boolean(), Ballot: d.u64(), State: d.vsstate()}
 	case KindDirPull:

@@ -3,14 +3,20 @@ package wire
 // ChunkRecords is how many records a Chunk allocates at a time.
 const ChunkRecords = 16
 
-// Chunk carves records of one message type out of arrays of ChunkRecords, so
-// a record costs 1/ChunkRecords of an allocation. It is a bump allocator, not
-// a recycler: a record is handed out once and never comes back, and the
+// Chunk carves records of one type out of arrays of ChunkRecords, so a record
+// costs 1/ChunkRecords of an allocation. Its users are the Decoder and the
+// engines' emission paths (messages), and the commit engine's pipelines
+// (commit.Slot, which embeds its first R-INV). It is a bump allocator, not a
+// recycler: a record is handed out once and never comes back, and the
 // garbage collector frees an array when the last record carved from it dies —
 // there is no release call to forget and no reuse to race with a message
 // still in flight or stored. The price is false retention: one long-lived
 // record keeps its array's other ChunkRecords-1 alive (≈ 4 KB for a stuck
-// R-INV). A Chunk is not safe for concurrent use; its owner serializes Take.
+// decoded R-INV, ≈ 6.5 KB for a stuck commit slot). An array over 512 bytes
+// whose records hold pointers also carries Go's 8-byte malloc header, so such
+// a record is sized for ChunkRecords of it plus 8 bytes to fill a size class
+// (TestChunkedRecordSizes, commit.TestSlotSize). A Chunk is not safe for
+// concurrent use; its owner serializes Take.
 type Chunk[T any] struct{ free []T }
 
 // Take returns the next record, zeroed. The caller fills it once, before the
@@ -54,9 +60,11 @@ type invRecord struct {
 }
 
 // Decoder decodes the messages of one inbound stream, carving the records of
-// the nine kinds a loaded node receives — the reliable-commit kinds (R-INV,
-// R-ACK, R-VAL) and the six ownership kinds (REQ, INV, ACK, VAL, NACK, RESP)
-// — from chunks instead of allocating each.
+// the ten kinds a loaded node receives — the reliable-commit kinds (R-INV,
+// R-ACK, R-VAL), the six ownership kinds (REQ, INV, ACK, VAL, NACK, RESP) and
+// the view service's lease renewals and heartbeats, which arrive every few
+// hundred microseconds whatever the load — from chunks instead of allocating
+// each.
 //
 // Ownership rule: one Decoder per inbound stream, owned by the goroutine that
 // reads it (a TCP connection's read loop, the reliable fabric's per-peer
@@ -84,6 +92,7 @@ type Decoder struct {
 	ownVals  Chunk[OwnVal]
 	ownNacks Chunk[OwnNack]
 	ownResps Chunk[OwnResp]
+	leases   Chunk[VSLeaseMsg]
 	// oneShot makes every record an allocation of its own and leaves the
 	// chunks unused: the package-level Unmarshal.
 	oneShot bool

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // testInv builds an R-INV with n updates whose every field is derived from
@@ -58,7 +59,7 @@ func chunked[T any, PT interface {
 	}
 }
 
-// chunkedKinds lists the nine kinds a Decoder chunks. The data-carrying ACK
+// chunkedKinds lists the ten kinds a Decoder chunks. The data-carrying ACK
 // and RESP are the hard rows: a stale Data pointer left in a record would
 // surface in the next message decoded into it.
 func chunkedKinds() []chunkedKind {
@@ -103,6 +104,9 @@ func chunkedKinds() []chunkedKind {
 			return &OwnResp{ReqID: seq, Obj: ObjectID(seq * 10), TS: ts(seq), Epoch: 2, Driver: 1,
 				Arbiters: BitmapOf(0, 1), NewReplicas: reps(seq), Mode: AcquireOwner,
 				HasData: true, TVersion: seq + 5, Data: data(seq), CTS: 1000 + seq}
+		}),
+		chunked("LEASE", func(dc *Decoder) *Chunk[VSLeaseMsg] { return &dc.leases }, 0, func(seq uint64) Msg {
+			return &VSLeaseMsg{Nodes: BitmapOf(NodeID(seq % 3)), Heartbeat: seq%2 == 0, Ballot: seq}
 		}),
 	}
 }
@@ -259,6 +263,25 @@ func TestDecoderAllocs(t *testing.T) {
 		})
 		if want := float64(1 + ChunkRecords*k.slabs); a > want {
 			t.Errorf("%d %ss cost %.0f allocations, want one chunk and %d slabs", ChunkRecords, k.name, a, ChunkRecords*k.slabs)
+		}
+	}
+}
+
+// TestChunkedRecordSizes: OwnAck and OwnResp hold a pointer (Data), so a
+// chunk of them carries Go's 8-byte malloc header. At 112 bytes that was
+// 16 × 112 + 8 = 1800, past the 1792-byte size class into the 2048-byte one;
+// with Mode and HasData packed beside From they are 104, and a chunk is 1672.
+func TestChunkedRecordSizes(t *testing.T) {
+	const sizeClass = 1792
+	for _, r := range []struct {
+		name string
+		size uintptr
+	}{
+		{"OwnAck", unsafe.Sizeof(OwnAck{})},
+		{"OwnResp", unsafe.Sizeof(OwnResp{})},
+	} {
+		if chunk := ChunkRecords*r.size + 8; chunk > sizeClass {
+			t.Errorf("%s is %d bytes: a chunk is %d, past the %d-byte size class", r.name, r.size, chunk, sizeClass)
 		}
 	}
 }

@@ -150,17 +150,19 @@ func (*OwnInv) Kind() Kind { return KindOwnInv }
 // OwnAck is an arbiter's acknowledgement, sent directly to the requester in
 // the failure-free case (latency optimization, §4.1) or to the recovery
 // driver during arb-replay. The previous owner piggybacks the object data
-// when the requester holds no replica.
+// when the requester holds no replica. Field order is memory layout only (the
+// codec writes fields by name): Mode and HasData fill Epoch/From's word, which
+// keeps the record at 104 bytes (TestChunkedRecordSizes).
 type OwnAck struct {
 	ReqID       uint64
 	Obj         ObjectID
 	TS          OTS
 	Epoch       Epoch
 	From        NodeID
-	Arbiters    Bitmap
-	NewReplicas ReplicaSet
 	Mode        ReqMode
 	HasData     bool
+	Arbiters    Bitmap
+	NewReplicas ReplicaSet
 	TVersion    uint64
 	Data        []byte
 	// CTS is the piggybacked value's commit timestamp (0 when unknown),
@@ -196,17 +198,17 @@ func (*OwnNack) Kind() Kind { return KindOwnNack }
 
 // OwnResp confirms the arbitration win to a live requester during recovery so
 // that, as in the failure-free case, the requester applies the request before
-// any arbiter (§4.1).
+// any arbiter (§4.1). Laid out as OwnAck is, and for the same reason.
 type OwnResp struct {
 	ReqID       uint64
 	Obj         ObjectID
 	TS          OTS
 	Epoch       Epoch
 	Driver      NodeID
-	Arbiters    Bitmap
-	NewReplicas ReplicaSet
 	Mode        ReqMode
 	HasData     bool
+	Arbiters    Bitmap
+	NewReplicas ReplicaSet
 	TVersion    uint64
 	Data        []byte
 	// CTS mirrors OwnAck.CTS for the recovery-path data hand-off.

@@ -17,7 +17,14 @@ cd "$(dirname "$0")/.."
 # read, 12 the Decoder's six ownership chunks and their retention bound; the
 # hub's free-list machinery (-45) and the generic put folding Decoder.ack/val/
 # settle (-24) are already netted out of mem.go, codec.go and decoder.go.
-max_lines=25688  # non-test Go outside benchmark/ (PR 24)
+# Raised by 251 for Set's adoption of the caller's bytes: 125 are replaceonly's
+# frozen-after-Set rule (alias links to a root variable, fresh assignments,
+# the after/loop/closure test, one write walk shared with the payload rule)
+# and 90 its golden fixture; 3 the Decoder's lease chunk; the rest is the new
+# contract's doc on Set, Slot, Chunk and the two reordered ownership records.
+# The write path itself (Set adopting val, the Slot taken from a chunk, the
+# resend deadline as an offset) is net zero lines.
+max_lines=25939  # non-test Go outside benchmark/
 max_fields=77    # option fields (PR 21)
 
 lines() { find . -name '*.go' ! -name '*_test.go' "$@" -print0 | xargs -0 cat | wc -l; }

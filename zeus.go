@@ -21,7 +21,7 @@
 //	err := n.Update(0, func(tx *zeus.Tx) error {
 //	    v, err := tx.Get(1)
 //	    if err != nil { return err }
-//	    return tx.Set(1, append(v, '!'))
+//	    return tx.Set(1, append(append([]byte(nil), v...), '!'))
 //	})
 package zeus
 
@@ -311,8 +311,11 @@ type Tx struct {
 // modifying (append([]byte(nil), v...)).
 func (t *Tx) Get(obj uint64) ([]byte, error) { return t.tx.Get(obj) }
 
-// Set buffers a full-object write in the transaction's private copy (val is
-// copied; the caller may reuse it).
+// Set buffers a full-object write. val is adopted, not copied: the bytes
+// become the version the commit publishes, shared with every replica that
+// applies it, so the caller must not write them after Set — build a fresh
+// slice for every write. (The version's capacity is clipped to its length,
+// so an append to what Get returns for it reallocates.)
 func (t *Tx) Set(obj uint64, val []byte) error { return t.tx.Set(obj, val) }
 
 // Commit finishes the transaction; ErrConflict means retry.
