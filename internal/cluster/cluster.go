@@ -33,6 +33,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -416,7 +417,10 @@ func (c *Cluster) Bytes() uint64 { return c.fabric.Bytes() }
 // replica's carries the initial value. This models the benchmarks' initial
 // sharding (the paper: "The initial sharding of all systems is the same").
 // Being a grant, a second Seed of an object cannot take o_ts or a version
-// back, and a node it leaves out drops its copy.
+// back, and a node it leaves out drops its copy. Seed adopts data as a
+// transaction's Set does: the slice, capacity clipped (an empty one as nil), is
+// the version every replica shares, so the caller must not write it after the
+// call; one slice that nobody writes may seed many objects.
 func (c *Cluster) Seed(obj wire.ObjectID, owner wire.NodeID, readers wire.Bitmap, data []byte) {
 	reps := wire.ReplicaSet{Owner: owner, Readers: readers.Remove(owner)}
 	ts := wire.OTS{Ver: 1, Node: owner}
@@ -430,6 +434,9 @@ func (c *Cluster) Seed(obj wire.ObjectID, owner wire.NodeID, readers wire.Bitmap
 	if c.opts.SnapshotReads {
 		seedCTS = 1
 	}
+	if data = slices.Clip(data); len(data) == 0 {
+		data = nil
+	}
 	// Directory entries land at the object's arbitration drivers.
 	targets := reps.All().Union(c.DirDrivers(obj))
 	for id := range targets.Each {
@@ -439,7 +446,7 @@ func (c *Cluster) Seed(obj wire.ObjectID, owner wire.NodeID, readers wire.Bitmap
 		}
 		var val store.Shipped
 		if reps.LevelOf(id) != wire.NonReplica {
-			val = store.Shipped{Has: true, CTS: seedCTS, Version: 1, Data: append([]byte(nil), data...)}
+			val = store.Shipped{Has: true, CTS: seedCTS, Version: 1, Data: data}
 		}
 		o, _ := n.Store().GetOrCreate(obj)
 		o.Mu.Lock()
@@ -459,7 +466,8 @@ func (c *Cluster) SeedRange(from wire.ObjectID, count int, data []byte) {
 	}
 }
 
-// SeedAt seeds one object at an explicit owner with default readers.
+// SeedAt seeds one object at an explicit owner with default readers, adopting
+// data as Seed does.
 func (c *Cluster) SeedAt(obj wire.ObjectID, owner wire.NodeID, data []byte) {
 	c.Seed(obj, owner, c.defaultReaders(owner), data)
 }

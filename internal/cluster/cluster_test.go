@@ -54,6 +54,37 @@ func TestSmallClusterDirsClamped(t *testing.T) {
 	}
 }
 
+// TestSeedSharesOneCopy: Seed adopts data as Set does — every replica on
+// the hub holds the caller's backing array, capacity clipped so an append to
+// the version reallocates — and an empty value is stored as nil.
+func TestSeedSharesOneCopy(t *testing.T) {
+	c := New(DefaultOptions(3))
+	defer c.Close()
+	val := make([]byte, 8, 64) // spare capacity the version must not expose
+	c.SeedAt(1, 0, val)
+	c.SeedAt(2, 0, []byte{})
+	for i := 0; i < 3; i++ {
+		for obj, want := range map[wire.ObjectID][]byte{1: val, 2: nil} {
+			o, ok := c.Node(i).Store().Get(obj)
+			if !ok {
+				t.Fatalf("node %d holds no replica of %d", i, obj)
+			}
+			o.Mu.Lock()
+			data, lvl := o.DataLocked(), o.LevelLocked()
+			o.Mu.Unlock()
+			switch {
+			case lvl == wire.NonReplica:
+				t.Fatalf("node %d is not a replica of %d", i, obj)
+			case want == nil && data != nil:
+				t.Errorf("node %d stores the empty value as %#v, want nil", i, data)
+			case want != nil && (&data[0] != &val[0] || len(data) != 8 || cap(data) != 8):
+				t.Errorf("node %d: same array %v, len %d, cap %d; want the caller's array, 8, 8",
+					i, &data[0] == &val[0], len(data), cap(data))
+			}
+		}
+	}
+}
+
 func TestSeedEstablishesReplicasAndDirectory(t *testing.T) {
 	c := New(DefaultOptions(4))
 	defer c.Close()

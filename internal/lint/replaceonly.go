@@ -22,7 +22,8 @@ import (
 // writing through that result is what is left to flag. The same holds one
 // layer up, both ways: a transaction's Get (core.Tx, dbapi.Txn, zeus.Tx)
 // returns a view of that payload, and its Set adopts the slice it is handed as
-// the version the commit publishes.
+// the version the commit publishes — as a cluster's Seed (cluster.Cluster's
+// Seed and SeedAt, zeus.Cluster's Seed) adopts the seeded value.
 //
 // Flagged, for o.DataLocked(), the slice of v, err := tx.Get(obj), or any
 // local aliasing either (d := o.DataLocked()):
@@ -36,21 +37,22 @@ import (
 //
 // Legal: copy first (append([]byte(nil), v...)), then write the copy.
 //
-// For tx.Set(obj, buf) — buf, a slice of it, of an array, of an element of an
-// outer array (bufs[w][:]), or a local aliasing any of these — the same
-// shapes are flagged on buf's memory when the write comes lexically after the
-// Set (unless buf was assigned a new array in between), or sits in a loop body
-// or a func literal that contains the Set while buf is declared outside it:
-// the next iteration or call rewrites the version the last one published.
-// Legal: a fresh slice per Set. Distinct elements of one outer array count as
-// one buffer, so giving each iteration its own element is flagged too.
+// For tx.Set(obj, buf) or c.Seed(obj, owner, buf) — buf, a slice of it, of an
+// array, of an element of an outer array (bufs[w][:]), or a local aliasing any
+// of these — the same shapes are flagged on buf's memory when the write comes
+// lexically after the call (unless buf was assigned a new array in between),
+// or sits in a loop body or a func literal that contains the call while buf is
+// declared outside it: the next iteration or call rewrites the version the
+// last one published. Legal: a fresh slice per call. Distinct elements of one
+// outer array count as one buffer, so giving each iteration its own element is
+// flagged too.
 //
 // The check is lexical per function: aliases through other function returns
 // or struct fields are not tracked (the store package owns those paths; a
 // buffer kept in a struct field and handed to Set is out of reach).
 var ReplaceOnly = &analysis.Analyzer{
 	Name: "replaceonly",
-	Doc:  "the slice store.Object.DataLocked or a transaction's Get returns, or a transaction's Set adopted, is never written through",
+	Doc:  "the slice store.Object.DataLocked or a transaction's Get returns, or a transaction's Set or a cluster's Seed adopted, is never written through",
 	Run:  runReplaceOnly,
 }
 
@@ -77,8 +79,8 @@ func checkReplaceOnlyFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 	// possibly sliced; v, err := tx.Get(obj)) — the data-source set is the
 	// getter call plus these. parent: a local aliasing another variable's
 	// memory (b := buf[:n]); fresh: where a variable was assigned anything
-	// else. sets: the Set calls; loops: func literals and loop bodies, the
-	// code that runs again.
+	// else. sets: the adopting calls (Set, Seed); loops: func literals and
+	// loop bodies, the code that runs again.
 	aliases := make(map[types.Object]bool)
 	parent := make(map[*types.Var]*types.Var)
 	fresh := make(map[*types.Var][]token.Pos)
@@ -125,7 +127,7 @@ func checkReplaceOnlyFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 				}
 			}
 		case *ast.CallExpr:
-			if len(v.Args) == 2 && isTxCall(info, v, "Set") {
+			if adoptedArg(info, v) != nil {
 				sets = append(sets, v)
 			}
 		case *ast.FuncLit:
@@ -145,7 +147,7 @@ func checkReplaceOnlyFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 	}
 	within := func(n ast.Node, p token.Pos) bool { return n.Pos() <= p && p < n.End() }
 	// frozen says why a write through target at pos can reach a version a Set
-	// published, "" if it cannot.
+	// or Seed published, "" if it cannot.
 	frozen := func(pos token.Pos, target ast.Expr) string {
 		v := baseVar(info, target)
 		if v == nil {
@@ -153,20 +155,21 @@ func checkReplaceOnlyFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 		}
 		r := root(v)
 		for _, set := range sets {
-			if sv := baseVar(info, set.Args[1]); sv == nil || root(sv) != r {
+			if sv := baseVar(info, adoptedArg(info, set)); sv == nil || root(sv) != r {
 				continue
 			}
+			name := calleeName(set)
 			if pos > set.End() && !assignedBetween(fresh[v], set.End(), pos) {
-				return "after it was handed to Set"
+				return "after it was handed to " + name
 			}
 			for _, l := range loops {
 				if !within(l, pos) || !within(l, set.Pos()) || within(l, r.Pos()) {
 					continue
 				}
 				if _, lit := l.(*ast.FuncLit); lit {
-					return "in a func literal that Sets the captured " + r.Name() + ": the next call rewrites the version the last one published"
+					return "in a func literal that hands the captured " + r.Name() + " to " + name + ": the next call rewrites the version the last one published"
 				}
-				return "in a loop that hands it to Set: the next iteration rewrites the version this one published"
+				return "in a loop that hands it to " + name + ": the next iteration rewrites the version this one published"
 			}
 		}
 		return ""
@@ -178,7 +181,7 @@ func checkReplaceOnlyFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 			pass.Reportf(pos, "%s (replace-only: the published backing array is shared; stage a fresh slice)",
 				fmt.Sprintf(write, "the store.Object payload"))
 		} else if why := frozen(pos, target); why != "" {
-			pass.Reportf(pos, "%s %s (Set adopted it as the published version: build a fresh slice per Set)",
+			pass.Reportf(pos, "%s %s (adopted as the published version: build a fresh slice per call)",
 				fmt.Sprintf(write, types.ExprString(target)), why)
 		}
 	}
@@ -277,7 +280,7 @@ func identVar(info *types.Info, id *ast.Ident) *types.Var {
 }
 
 // txTypes are the transaction types whose Get returns a view of the payload
-// and whose Set adopts its val argument (types.Func.FullName's receiver form).
+// (types.Func.FullName's receiver form).
 var txTypes = map[string]bool{
 	"(*zeus/internal/core.Tx)":  true,
 	"(zeus/internal/dbapi.Txn)": true,
@@ -296,6 +299,29 @@ func isTxCall(info *types.Info, e ast.Expr, method string) bool {
 	}
 	fn, ok := info.Uses[sel.Sel].(*types.Func)
 	return ok && fn.Name() == method && txTypes[strings.TrimSuffix(fn.FullName(), "."+method)]
+}
+
+// adopters are the methods (types.Func.FullName) that adopt the argument at
+// the given index as a published version.
+var adopters = map[string]int{
+	"(*zeus/internal/core.Tx).Set":            1,
+	"(zeus/internal/dbapi.Txn).Set":           1,
+	"(*zeus.Tx).Set":                          1,
+	"(*zeus/internal/cluster.Cluster).Seed":   3,
+	"(*zeus/internal/cluster.Cluster).SeedAt": 2,
+	"(*zeus.Cluster).Seed":                    2,
+}
+
+// adoptedArg returns the argument call hands to one of adopters, nil if none.
+func adoptedArg(info *types.Info, call *ast.CallExpr) ast.Expr {
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+		if fn, ok := info.Uses[sel.Sel].(*types.Func); ok {
+			if i, ok := adopters[fn.FullName()]; ok && i < len(call.Args) {
+				return call.Args[i]
+			}
+		}
+	}
+	return nil
 }
 
 // isDataExpr reports whether e denotes the result of Object.DataLocked or a

@@ -29,7 +29,7 @@ func closureReuse(db dbapi.DB) error {
 	buf := make([]byte, 8)
 	bump := func(tx dbapi.Txn, obj uint64) error {
 		v, _ := tx.Get(obj)
-		binary.LittleEndian.PutUint64(buf, binary.LittleEndian.Uint64(v)+1) // want `buf passed as PutUint64's fill buffer in a func literal that Sets the captured buf`
+		binary.LittleEndian.PutUint64(buf, binary.LittleEndian.Uint64(v)+1) // want `buf passed as PutUint64's fill buffer in a func literal that hands the captured buf to Set`
 		return tx.Set(obj, buf)
 	}
 	return dbapi.Run(db, 0, func(tx dbapi.Txn) error { return bump(tx, 1) })
@@ -40,7 +40,7 @@ func outerArrayReuse(n *core.Node, workers int) func(w int) error {
 	return func(w int) error {
 		obj, buf := uint64(1+w), bufs[w][:]
 		tx := n.BeginOn(w)
-		buf[0]++ // want `in-place element write to buf in a func literal that Sets the captured bufs`
+		buf[0]++ // want `in-place element write to buf in a func literal that hands the captured bufs to Set`
 		_ = tx.Set(obj, buf)
 		return tx.Commit()
 	}

@@ -95,10 +95,16 @@ func (o *Object) LevelLocked() wire.AccessLevel { return o.level }
 func (o *Object) OStateLocked() OState { return o.ostate }
 
 // OTSLocked returns o_ts, the timestamp of the last applied grant.
-func (o *Object) OTSLocked() wire.OTS { return o.ots }
+func (o *Object) OTSLocked() wire.OTS { return wire.OTS{Ver: o.otsVer, Node: o.otsNode} }
 
 // ReplicasLocked returns o_replicas.
-func (o *Object) ReplicasLocked() wire.ReplicaSet { return o.replicas }
+func (o *Object) ReplicasLocked() wire.ReplicaSet {
+	return wire.ReplicaSet{Owner: o.owner, Readers: o.readers}
+}
+
+func (o *Object) setOTSLocked(ts wire.OTS) { o.otsVer, o.otsNode = ts.Ver, ts.Node }
+
+func (o *Object) setReplicasLocked(r wire.ReplicaSet) { o.owner, o.readers = r.Owner, r.Readers }
 
 // LocalOwnerLocked returns the worker holding the object for a write
 // transaction, or NoLocalOwner.
@@ -170,11 +176,13 @@ func (o *Object) InvalidateLocked(p PendingOwn, self wire.NodeID) (loser Pending
 // applied false, nothing touched. bare reports a raise that left the record
 // without a value (version 0): none was shipped to a node that held none.
 func (o *Object) GrantLocked(self wire.NodeID, ts wire.OTS, reps wire.ReplicaSet, val Shipped) (applied, bare bool) {
-	if ts.Less(o.ots) {
+	if ts.Less(o.OTSLocked()) {
 		return false, false
 	}
 	o.clearPendingLocked()
-	o.replicas, o.ots, o.ostate = reps, ts, OValid
+	o.setReplicasLocked(reps)
+	o.setOTSLocked(ts)
+	o.ostate = OValid
 	was := o.level
 	o.level = reps.LevelOf(self)
 	switch {
@@ -210,7 +218,7 @@ func (o *Object) GrantPendingLocked(self wire.NodeID) (p PendingOwn, applied, ba
 // set and data source alike. It removes other nodes only (a node is in every
 // view it installs), so the level stands.
 func (o *Object) PruneLocked(live wire.Bitmap) {
-	o.replicas = o.replicas.Prune(live)
+	o.setReplicasLocked(o.ReplicasLocked().Prune(live))
 	if p := o.pending; p != nil {
 		p.Arbiters = p.Arbiters.Intersect(live)
 		p.NewReplicas = p.NewReplicas.Prune(live)
@@ -243,13 +251,14 @@ func (o *Object) ReclaimLocked(self wire.NodeID, ts wire.OTS, reps wire.ReplicaS
 	switch {
 	case hint.Has:
 		o.installLocked(hint.CTS, hint.Version, hint.Data)
-		if o.ots.Less(ts) {
-			o.ots, o.replicas = ts, reps
+		if o.OTSLocked().Less(ts) {
+			o.setOTSLocked(ts)
+			o.setReplicasLocked(reps)
 		}
 	case vouch:
 		o.ValidateLocked(o.TSnapshot()) // whatever version and state the record holds
 	}
-	o.replicas.Owner = self
+	o.owner = self
 	o.level = wire.Owner
 	if o.pending == nil {
 		o.ostate = OValid
@@ -264,9 +273,10 @@ func (o *Object) ReclaimLocked(self wire.NodeID, ts wire.OTS, reps wire.ReplicaS
 // grant to this node — no arbitration named it, no value came with it — and a
 // level only ever changes through one.
 func (o *Object) AdoptEntryLocked(ts wire.OTS, reps wire.ReplicaSet) bool {
-	if o.pending != nil || !o.ots.Less(ts) {
+	if o.pending != nil || !o.OTSLocked().Less(ts) {
 		return false
 	}
-	o.ots, o.replicas = ts, reps
+	o.setOTSLocked(ts)
+	o.setReplicasLocked(reps)
 	return true
 }

@@ -19,7 +19,7 @@ func ownerSide(o *Object) string {
 		pend = fmt.Sprintf("req%d@%d.%d->%s arb%v src%s ep%d", p.ReqID, p.TS.Ver, p.TS.Node,
 			setString(p.NewReplicas), p.Arbiters, nodeString(p.PrevOwner), p.Epoch)
 	}
-	return fmt.Sprintf("%v %v %d.%d %s %s", o.level, o.ostate, o.ots.Ver, o.ots.Node, setString(o.replicas), pend)
+	return fmt.Sprintf("%v %v %d.%d %s %s", o.level, o.ostate, o.otsVer, o.otsNode, setString(o.ReplicasLocked()), pend)
 }
 
 func setString(r wire.ReplicaSet) string { return nodeString(r.Owner) + r.Readers.String() }
@@ -339,7 +339,7 @@ func TestOwnershipInvariantsHold(t *testing.T) {
 			i := rng.Intn(2)
 			o := objs[i]
 			// Timestamps are drawn around the current one, older and newer alike.
-			near := wire.OTS{Ver: o.ots.Ver + uint64(rng.Intn(4)), Node: wire.NodeID(rng.Intn(3))}
+			near := wire.OTS{Ver: o.otsVer + uint64(rng.Intn(4)), Node: wire.NodeID(rng.Intn(3))}
 			if near.Ver > 0 {
 				near.Ver--
 			}
@@ -425,10 +425,10 @@ func TestOwnershipInvariantsHold(t *testing.T) {
 			}
 			trail = append(trail, fmt.Sprintf("%d:%s", i, op))
 			bad := ""
-			if o.ots.Less(floor[i]) {
+			if o.OTSLocked().Less(floor[i]) {
 				bad = fmt.Sprintf("o_ts went back from %v", floor[i])
 			}
-			floor[i] = o.ots
+			floor[i] = o.OTSLocked()
 			if o.level > was && !raises {
 				bad = fmt.Sprintf("level rose from %v", was)
 			}

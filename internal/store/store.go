@@ -63,11 +63,21 @@
 // path serves and the next grant's install supersedes.) The converse is not
 // structural yet: GrantLocked can raise a node over a record that holds no
 // value when none is shipped, and reports it (ownership.Stats.BareGrants).
+//
+// The index (TestStoreIndexMatchesMap): a shard maps ids to records in an
+// open-addressing table of pointers, 8 bytes a slot where a Go map pays 16 and
+// a control byte. An id's home slot is the bits of its hash just below the
+// shard's; a collision probes linearly, comparing the candidate's ID (fixed
+// once the record is published); the table doubles before it is 3/4 full, so a
+// probe always ends at the id or an empty slot. Delete shifts the rest of the
+// probe run back over the hole instead of leaving a tombstone, so every entry
+// stays reachable from its home.
 package store
 
 import (
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,9 +119,11 @@ const NoLocalOwner int32 = -1
 
 // Object is one object replica (or bare directory entry) at a node. Fields
 // are protected by Mu; engines lock the object across multi-field updates.
-// The record fills the 144-byte allocation size class (TestObjectSize): every
-// byte is paid once per replica, so the small fields sit together and
-// nothing is stored twice.
+// The record fills the 112-byte allocation size class (TestObjectSize): every
+// byte is paid once per replica, so the small fields sit together, nothing is
+// stored twice, what only snapshot reads use is behind one pointer (hist), and
+// o_ts and o_replicas are unpacked, their node ids beside the small fields
+// (wire.OTS and wire.ReplicaSet each pad a 2-byte node id to 8).
 type Object struct {
 	Mu sync.Mutex
 
@@ -122,12 +134,12 @@ type Object struct {
 	// under Mu, and no code path ever mutates a published backing array in
 	// place — local commits install the slice the transaction's Set adopted
 	// (its caller handed it over, capacity clipped), R-INV apply installs the
-	// decoded update slab, ownership transfer installs the ACK payload, drops
-	// install nil. This contract is what makes the
-	// no-copy read paths safe: SnapshotRef, DataLocked, the transaction
-	// layer's owner-local read buffers, the ownership ACK piggyback and the
-	// zero-copy FabricMem delivery all alias the array after Mu is
-	// released. TestSnapshotRefStableAcrossReplace pins it.
+	// decoded update slab, ownership transfer installs the ACK payload, a seed
+	// the slice cluster.Seed adopted, drops install nil. This contract is what
+	// makes the no-copy read paths safe: SnapshotRef, DataLocked, the
+	// transaction layer's owner-local read buffers, the ownership ACK
+	// piggyback and the zero-copy FabricMem delivery all alias the array after
+	// Mu is released. TestSnapshotRefStableAcrossReplace pins it.
 	data []byte
 
 	// tsv is the reliable-commit metadata ⟨t_version, t_state⟩ (meaningful
@@ -138,15 +150,31 @@ type Object struct {
 	// payload makes the double read degenerate to one consistent load.
 	tsv atomic.Uint64
 
-	// The ownership side (§4): ⟨o_state, o_ts, o_replicas⟩, the in-flight
-	// arbitration applied at REQ/INV time and finalized (or superseded) at VAL
-	// time (nil when none; pooled, see pendPool), and this node's access
-	// level. Written only by the transitions of ownership.go.
-	ots      wire.OTS
-	replicas wire.ReplicaSet
-	pending  *PendingOwn
-	ostate   OState
-	level    wire.AccessLevel
+	// The ownership side (§4): o_ts ⟨otsVer, otsNode⟩, o_replicas ⟨owner,
+	// readers⟩, o_state, the in-flight arbitration applied at REQ/INV time and
+	// finalized (or superseded) at VAL time (nil when none; pooled, see
+	// pendPool), and this node's access level. Written only by the transitions.
+	otsVer  uint64
+	readers wire.Bitmap
+	pending *PendingOwn
+
+	// hist is nil until a transition records a non-zero commit timestamp
+	// (only snapshot reads mint one) and again after drop and recover; nil
+	// reads as "commit timestamp 0, empty ring".
+	hist *history
+
+	// yieldLocalUntil implements transfer fairness (§6.2 starvation
+	// avoidance): after NACKing an ownership request for pending commits,
+	// the owner briefly defers granting *new* local write ownership of
+	// this object (YieldLocalLocked), so a back-to-back local write stream
+	// cannot starve a remote requester forever — the pipeline drains and the
+	// requester's next probe wins. A monoNow deadline; zero means no yield.
+	yieldLocalUntil int64
+
+	otsNode wire.NodeID
+	owner   wire.NodeID
+	ostate  OState
+	level   wire.AccessLevel
 
 	// localOwner is the local worker currently holding the object for a
 	// write transaction (§7's local ownership), or NoLocalOwner.
@@ -161,19 +189,13 @@ type Object struct {
 	// hook runs with other object locks held, and a lock-free read keeps
 	// pending checks off every engine-global structure.
 	PendingCommits atomic.Int32
+}
 
-	// yieldLocalUntil implements transfer fairness (§6.2 starvation
-	// avoidance): after NACKing an ownership request for pending commits,
-	// the owner briefly defers granting *new* local write ownership of
-	// this object (YieldLocalLocked), so a back-to-back local write stream
-	// cannot starve a remote requester forever — the pipeline drains and the
-	// requester's next probe wins. A monoNow deadline; zero means no yield.
-	yieldLocalUntil int64
-
+// history is what a replica keeps for snapshot reads, guarded by Mu.
+type history struct {
 	// commitCTS is the commit timestamp of the newest reliably-committed
 	// version this replica knows about (0 when unknown, e.g. an object
-	// seeded without snapshot reads or recovered without a timestamp).
-	// Guarded by Mu.
+	// recovered without a timestamp).
 	commitCTS uint64
 
 	// ring is the per-object MVCC version ring: the last few committed
@@ -254,7 +276,9 @@ func (o *Object) ValidateWriteLocked(cts, ver uint64, data []byte) {
 func (o *Object) installLocked(cts, ver uint64, data []byte) {
 	o.data = data
 	o.setTLocked(ver, TValid)
-	o.commitCTS = cts
+	if h := o.histFor(cts); h != nil {
+		h.commitCTS = cts
+	}
 	o.publishRingLocked(cts, ver, data)
 }
 
@@ -271,13 +295,17 @@ func (o *Object) installLocked(cts, ver uint64, data []byte) {
 func (o *Object) RecoverLocked(self wire.NodeID, cts, ver uint64, data []byte, ts wire.OTS, reps wire.ReplicaSet) (wasOwner bool) {
 	o.data = data
 	o.setTLocked(ver, TInvalid)
-	o.ring = nil
-	o.commitCTS = cts
+	o.hist = nil
+	if cts != 0 {
+		o.hist = &history{commitCTS: cts}
+	}
 	if wasOwner = reps.Owner == self; wasOwner {
 		reps.Owner = wire.NoNode
 	}
 	o.clearPendingLocked()
-	o.replicas, o.ots, o.ostate, o.level = reps, ts, OValid, wire.NonReplica
+	o.setReplicasLocked(reps)
+	o.setOTSLocked(ts)
+	o.ostate, o.level = OValid, wire.NonReplica
 	return wasOwner
 }
 
@@ -288,8 +316,15 @@ func (o *Object) RecoverLocked(self wire.NodeID, cts, ver uint64, data []byte, t
 func (o *Object) dropLocked() {
 	o.data = nil
 	o.setTLocked(0, TValid)
-	o.ring = nil
-	o.commitCTS = 0
+	o.hist = nil
+}
+
+// histFor returns hist, allocated first for a non-zero cts (nil otherwise).
+func (o *Object) histFor(cts uint64) *history {
+	if o.hist == nil && cts != 0 {
+		o.hist = new(history)
+	}
+	return o.hist
 }
 
 // setTLocked is the one writer of the packed ⟨t_version, t_state⟩ word, which
@@ -312,25 +347,26 @@ func (o *Object) publishRingLocked(cts, ver uint64, data []byte) {
 	if cts == 0 || ver > o.TVersion() {
 		return // no timestamp known (a seed without snapshot reads), or not this record's history
 	}
-	i := len(o.ring)
-	for i > 0 && o.ring[i-1].Version >= ver {
-		if o.ring[i-1].Version == ver {
+	h := o.histFor(cts)
+	i := len(h.ring)
+	for i > 0 && h.ring[i-1].Version >= ver {
+		if h.ring[i-1].Version == ver {
 			return // already published
 		}
 		i--
 	}
 	e := VersionEntry{CTS: cts, Version: ver, Data: data}
 	switch {
-	case len(o.ring) < DefaultRingEntries:
-		o.ring = append(o.ring, VersionEntry{})
-		copy(o.ring[i+1:], o.ring[i:])
-		o.ring[i] = e
+	case len(h.ring) < DefaultRingEntries:
+		h.ring = append(h.ring, VersionEntry{})
+		copy(h.ring[i+1:], h.ring[i:])
+		h.ring[i] = e
 	case i > 0:
-		copy(o.ring, o.ring[1:i])
-		o.ring[i-1] = e
+		copy(h.ring, h.ring[1:i])
+		h.ring[i-1] = e
 	} // else full and older than the oldest retained version: e is the entry to evict
-	if cts > o.commitCTS {
-		o.commitCTS = cts
+	if cts > h.commitCTS {
+		h.commitCTS = cts
 	}
 }
 
@@ -342,13 +378,17 @@ func (o *Object) publishRingLocked(cts, ver uint64, data []byte) {
 // replica's retained history starts after ts and the read must retry at a
 // fresher timestamp.
 func (o *Object) RingReadLocked(ts uint64) (VersionEntry, bool) {
-	for i := len(o.ring) - 1; i >= 0; i-- {
-		if o.ring[i].CTS <= ts {
-			return o.ring[i], true
+	var cts uint64
+	if h := o.hist; h != nil {
+		for i := len(h.ring) - 1; i >= 0; i-- {
+			if h.ring[i].CTS <= ts {
+				return h.ring[i], true
+			}
 		}
+		cts = h.commitCTS
 	}
-	if ver, st := o.TSnapshot(); st == TValid && o.commitCTS <= ts {
-		return VersionEntry{CTS: o.commitCTS, Version: ver, Data: o.data}, true
+	if ver, st := o.TSnapshot(); st == TValid && cts <= ts {
+		return VersionEntry{CTS: cts, Version: ver, Data: o.data}, true
 	}
 	return VersionEntry{}, false
 }
@@ -430,15 +470,23 @@ func (o *Object) DataLocked() []byte { return o.data }
 
 // CommitCTSLocked returns the commit timestamp of the newest reliably
 // committed version this replica knows about, 0 when unknown (caller holds Mu).
-func (o *Object) CommitCTSLocked() uint64 { return o.commitCTS }
+func (o *Object) CommitCTSLocked() uint64 {
+	if o.hist == nil {
+		return 0
+	}
+	return o.hist.commitCTS
+}
 
 // shardCount scales with the host (the same policy as the ownership
 // engine's stripes — see shardmap.ScaledCount).
 var shardCount = shardmap.ScaledCount(runtime.GOMAXPROCS(0))
 
+// shard is one lock and one index (see the package doc).
 type shard struct {
-	mu   sync.RWMutex
-	objs map[wire.ObjectID]*Object
+	mu    sync.RWMutex
+	slots []*Object // a power of two of them; nil is empty
+	shift uint      // home(h) = h>>shift & (len(slots)-1)
+	n     int
 }
 
 // Store is a sharded map of objects.
@@ -456,41 +504,74 @@ func New() *Store {
 		shards: make([]shard, n),
 	}
 	for i := range s.shards {
-		s.shards[i].objs = make(map[wire.ObjectID]*Object)
+		s.shards[i].slots = make([]*Object, 8)
+		s.shards[i].shift = s.shift - 3
 	}
 	return s
 }
 
-func (s *Store) shard(id wire.ObjectID) *shard {
-	// Fibonacci hashing spreads dense benchmark key ranges.
-	return &s.shards[(uint64(id)*0x9E3779B97F4A7C15)>>s.shift]
+// hash is Fibonacci hashing, which spreads dense benchmark key ranges.
+func hash(id wire.ObjectID) uint64 { return uint64(id) * 0x9E3779B97F4A7C15 }
+
+func (s *Store) shard(id wire.ObjectID) (*shard, uint64) {
+	h := hash(id)
+	return &s.shards[h>>s.shift], h
+}
+
+// find returns the slot holding id, or the empty slot ending its probe run
+// (caller holds mu).
+func (sh *shard) find(id wire.ObjectID, h uint64) int {
+	mask := len(sh.slots) - 1
+	i := int(h>>sh.shift) & mask
+	for o := sh.slots[i]; o != nil && o.ID != id; o = sh.slots[i] {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// grow doubles the table (caller holds mu for writing).
+func (sh *shard) grow() {
+	old := sh.slots
+	sh.slots = make([]*Object, 2*len(old))
+	sh.shift--
+	for _, o := range old {
+		if o != nil {
+			sh.slots[sh.find(o.ID, hash(o.ID))] = o
+		}
+	}
 }
 
 // Get returns the object if present.
 func (s *Store) Get(id wire.ObjectID) (*Object, bool) {
-	sh := s.shard(id)
+	sh, h := s.shard(id)
 	sh.mu.RLock()
-	o, ok := sh.objs[id]
+	o := sh.slots[sh.find(id, h)]
 	sh.mu.RUnlock()
-	return o, ok
+	return o, o != nil
 }
 
 // GetOrCreate returns the object, creating a zero-value entry (non-replica,
 // no owner) if absent. created reports whether insertion happened.
 func (s *Store) GetOrCreate(id wire.ObjectID) (o *Object, created bool) {
-	sh := s.shard(id)
+	sh, h := s.shard(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if o, ok := sh.objs[id]; ok {
+	i := sh.find(id, h)
+	if o := sh.slots[i]; o != nil {
 		return o, false
+	}
+	if 4*(sh.n+1) > 3*len(sh.slots) {
+		sh.grow()
+		i = sh.find(id, h)
 	}
 	o = &Object{
 		ID:         id,
 		level:      wire.NonReplica,
-		replicas:   wire.ReplicaSet{Owner: wire.NoNode},
+		owner:      wire.NoNode,
 		localOwner: NoLocalOwner,
 	}
-	sh.objs[id] = o
+	sh.slots[i] = o
+	sh.n++
 	return o, true
 }
 
@@ -501,17 +582,29 @@ func (s *Store) GetOrCreate(id wire.ObjectID) (o *Object, created bool) {
 // fail on it, exactly as a lookup of the missing id would. The caller must
 // not hold the object's Mu.
 func (s *Store) Delete(id wire.ObjectID) {
-	sh := s.shard(id)
+	sh, h := s.shard(id)
 	sh.mu.Lock()
-	o := sh.objs[id]
-	delete(sh.objs, id)
-	sh.mu.Unlock()
-	if o != nil {
-		o.Mu.Lock()
-		o.level = wire.NonReplica
-		o.setTLocked(o.TVersion(), TInvalid)
-		o.Mu.Unlock()
+	i := sh.find(id, h)
+	o := sh.slots[i]
+	if o == nil {
+		sh.mu.Unlock()
+		return
 	}
+	// Move back over the hole every entry of the run whose home is not in
+	// (hole, j]: a probe from there would stop at the hole.
+	mask := len(sh.slots) - 1
+	for j := (i + 1) & mask; sh.slots[j] != nil; j = (j + 1) & mask {
+		if home := int(hash(sh.slots[j].ID)>>sh.shift) & mask; (j-home)&mask >= (j-i)&mask {
+			sh.slots[i], i = sh.slots[j], j
+		}
+	}
+	sh.slots[i] = nil
+	sh.n--
+	sh.mu.Unlock()
+	o.Mu.Lock()
+	o.level = wire.NonReplica
+	o.setTLocked(o.TVersion(), TInvalid)
+	o.Mu.Unlock()
 }
 
 // Len returns the number of objects stored.
@@ -519,7 +612,7 @@ func (s *Store) Len() int {
 	n := 0
 	for i := range s.shards {
 		s.shards[i].mu.RLock()
-		n += len(s.shards[i].objs)
+		n += s.shards[i].n
 		s.shards[i].mu.RUnlock()
 	}
 	return n
@@ -532,13 +625,10 @@ func (s *Store) ForEach(fn func(*Object) bool) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		objs := make([]*Object, 0, len(sh.objs))
-		for _, o := range sh.objs {
-			objs = append(objs, o)
-		}
+		objs := slices.Clone(sh.slots)
 		sh.mu.RUnlock()
 		for _, o := range objs {
-			if !fn(o) {
+			if o != nil && !fn(o) {
 				return
 			}
 		}

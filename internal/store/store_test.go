@@ -2,6 +2,7 @@ package store
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -18,7 +19,7 @@ func TestGetOrCreateDefaults(t *testing.T) {
 	if !created {
 		t.Fatal("first insert must report created")
 	}
-	if o.level != wire.NonReplica || o.replicas.Owner != wire.NoNode ||
+	if o.level != wire.NonReplica || o.owner != wire.NoNode ||
 		o.localOwner != NoLocalOwner || o.TState() != TValid || o.ostate != OValid {
 		t.Fatalf("bad defaults: %+v", o)
 	}
@@ -211,7 +212,7 @@ func TestShardingDistribution(t *testing.T) {
 	}
 	max := 0
 	for i := range s.shards {
-		if n := len(s.shards[i].objs); n > max {
+		if n := s.shards[i].n; n > max {
 			max = n
 		}
 	}
@@ -276,11 +277,150 @@ func TestGetOrCreatePropertyIdempotent(t *testing.T) {
 	}
 }
 
-// TestObjectSize pins the record at its allocation size class: one more
-// word is 160 bytes per replica, three times per object.
+// TestObjectSize pins the record at its allocation size class: past 112 bytes
+// Go rounds it up to the 128-byte class, 16 bytes more per replica, three
+// times per object.
 func TestObjectSize(t *testing.T) {
-	if got := unsafe.Sizeof(Object{}); got > 144 {
-		t.Fatalf("store.Object is %d bytes, must stay within the 144-byte size class", got)
+	if got := unsafe.Sizeof(Object{}); got > 112 {
+		t.Fatalf("store.Object is %d bytes, must stay within the 112-byte size class", got)
+	}
+}
+
+// TestStoreBytesPerObject: an object costs its record plus its index slots —
+// 8 bytes each, the table between 3/8 and 3/4 full — and nothing else.
+func TestStoreBytesPerObject(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what an allocation costs")
+	}
+	const objects = 30000
+	s := New()
+	before := liveHeap()
+	for i := wire.ObjectID(0); i < objects; i++ {
+		s.GetOrCreate(i)
+	}
+	per := float64(liveHeap()-before) / objects
+	t.Logf("%.1f bytes per object (%d shards)", per, len(s.shards))
+	if per > 140 {
+		t.Errorf("the store costs %.1f bytes per object, must stay within 140", per)
+	}
+	runtime.KeepAlive(s)
+}
+
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// checkIndex verifies every shard's table: each entry is reachable from its
+// home slot without crossing an empty one, no id is stored twice, and the
+// count matches.
+func checkIndex(t *testing.T, s *Store) {
+	t.Helper()
+	for si := range s.shards {
+		sh := &s.shards[si]
+		mask := len(sh.slots) - 1
+		n, seen := 0, map[wire.ObjectID]bool{}
+		for i, o := range sh.slots {
+			if o == nil {
+				continue
+			}
+			n++
+			if seen[o.ID] {
+				t.Fatalf("shard %d: id %d stored twice", si, o.ID)
+			}
+			seen[o.ID] = true
+			h := hash(o.ID)
+			if &s.shards[h>>s.shift] != sh {
+				t.Fatalf("shard %d holds id %d of another shard", si, o.ID)
+			}
+			for j := int(h>>sh.shift) & mask; j != i; j = (j + 1) & mask {
+				if sh.slots[j] == nil {
+					t.Fatalf("shard %d: id %d at slot %d is cut off from its home by an empty slot %d", si, o.ID, i, j)
+				}
+			}
+		}
+		if n != sh.n {
+			t.Fatalf("shard %d counts %d objects and holds %d", si, sh.n, n)
+		}
+	}
+}
+
+// TestStoreIndexMatchesMap runs the index against a Go map: a probe run that
+// wraps around the end of the table and loses an entry from its middle, then
+// random GetOrCreate/Get/Delete over ids crowded into two shards, so tables
+// grow several times and deletes land inside long probe runs — the case
+// backward-shift deletion must get right.
+func TestStoreIndexMatchesMap(t *testing.T) {
+	s := New()
+	sh := &s.shards[0]
+	// Ids of shard 0 whose home is the fresh table's last slot: their run
+	// wraps to slots 0, 1, 2, ...
+	var wrap []wire.ObjectID
+	for id := wire.ObjectID(0); len(wrap) < 5; id++ {
+		if h := hash(id); h>>s.shift == 0 && int(h>>sh.shift)&7 == 7 {
+			wrap = append(wrap, id)
+		}
+	}
+	for _, id := range wrap {
+		s.GetOrCreate(id)
+	}
+	if len(sh.slots) != 8 || sh.slots[7].ID != wrap[0] || sh.slots[0].ID != wrap[1] {
+		t.Fatalf("the run did not wrap around the fresh 8-slot table: %d slots", len(sh.slots))
+	}
+	s.Delete(wrap[1])
+	checkIndex(t, s)
+	for i, id := range wrap {
+		if _, ok := s.Get(id); ok != (i != 1) {
+			t.Fatalf("after deleting %d from the middle of the run, Get(%d) = %v", wrap[1], id, ok)
+		}
+	}
+
+	s = New()
+	var pool []wire.ObjectID
+	for id := wire.ObjectID(0); len(pool) < 3000; id++ {
+		if hash(id)>>s.shift < 2 {
+			pool = append(pool, id)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	ref := map[wire.ObjectID]*Object{}
+	for step := 0; step < 40000; step++ {
+		id := pool[rng.Intn(len(pool))]
+		switch r := rng.Intn(10); {
+		case r < 5:
+			o, created := s.GetOrCreate(id)
+			if want, ok := ref[id]; created == ok || ok && o != want || o.ID != id {
+				t.Fatalf("step %d: GetOrCreate(%d) = %p, created %v; the map holds %p", step, id, o, created, want)
+			}
+			ref[id] = o
+		case r < 8:
+			s.Delete(id)
+			delete(ref, id)
+		default:
+			if o, ok := s.Get(id); o != ref[id] || ok != (o != nil) {
+				t.Fatalf("step %d: Get(%d) = %p, %v; the map holds %p", step, id, o, ok, ref[id])
+			}
+		}
+		if step%500 == 0 {
+			checkIndex(t, s)
+		}
+	}
+	checkIndex(t, s)
+	if s.Len() != len(ref) {
+		t.Fatalf("Len %d, the map holds %d", s.Len(), len(ref))
+	}
+	for id, want := range ref {
+		if o, _ := s.Get(id); o != want {
+			t.Fatalf("Get(%d) = %p, the map holds %p", id, o, want)
+		}
+	}
+	n := 0
+	s.ForEach(func(o *Object) bool { n++; return ref[o.ID] == o })
+	if n != len(ref) {
+		t.Fatalf("ForEach visited %d of %d objects", n, len(ref))
 	}
 }
 
@@ -335,11 +475,12 @@ func TestPublishRingStaysInPlace(t *testing.T) {
 					want = want[1:]
 				}
 			}
-			if cap(o.ring) > DefaultRingEntries {
-				t.Fatalf("%s: ring array grew to %d slots after publishing v%d", name, cap(o.ring), v)
+			ring := o.ringForTest()
+			if cap(ring) > DefaultRingEntries {
+				t.Fatalf("%s: ring array grew to %d slots after publishing v%d", name, cap(ring), v)
 			}
-			got := make([]uint64, len(o.ring))
-			for i, e := range o.ring {
+			got := make([]uint64, len(ring))
+			for i, e := range ring {
 				got[i] = e.Version
 				if e.CTS != 1000+e.Version || e.Data[0] != byte(e.Version) {
 					t.Fatalf("%s: entry %d = %+v does not belong to its version", name, i, e)
@@ -349,8 +490,8 @@ func TestPublishRingStaysInPlace(t *testing.T) {
 				t.Fatalf("%s: after publishing v%d the ring holds %v, want %v", name, v, got, want)
 			}
 		}
-		if o.commitCTS != 1100 {
-			t.Fatalf("%s: commitCTS %d, want the newest published (1100)", name, o.commitCTS)
+		if cts := o.CommitCTSLocked(); cts != 1100 {
+			t.Fatalf("%s: commitCTS %d, want the newest published (1100)", name, cts)
 		}
 	}
 }

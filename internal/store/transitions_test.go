@@ -13,15 +13,23 @@ import (
 // valueSide renders ⟨data, version, state, CTS, ring⟩ — everything the five
 // transitions own — as one comparable line; ring entries read cts:version:data.
 func valueSide(o *Object) string {
-	ring := make([]string, len(o.ring))
-	for i, e := range o.ring {
+	ring := make([]string, len(o.ringForTest()))
+	for i, e := range o.ringForTest() {
 		ring[i] = entryString(e)
 	}
 	data := "nil"
 	if o.data != nil {
 		data = string(o.data)
 	}
-	return fmt.Sprintf("%s v%d %v cts%d [%s]", data, o.TVersion(), o.TState(), o.commitCTS, strings.Join(ring, " "))
+	return fmt.Sprintf("%s v%d %v cts%d [%s]", data, o.TVersion(), o.TState(), o.CommitCTSLocked(), strings.Join(ring, " "))
+}
+
+// ringForTest is the ring a test inspects: empty without a history.
+func (o *Object) ringForTest() []VersionEntry {
+	if o.hist == nil {
+		return nil
+	}
+	return o.hist.ring
 }
 
 func entryString(e VersionEntry) string {
@@ -180,15 +188,15 @@ func TestRingNeverAheadOfWord(t *testing.T) {
 				o.dropLocked()
 			}
 			trail = append(trail, op)
-			bad := ""
-			if len(o.ring) > DefaultRingEntries || cap(o.ring) > DefaultRingEntries {
-				bad = fmt.Sprintf("ring holds %d entries in %d slots", len(o.ring), cap(o.ring))
+			bad, ring := "", o.ringForTest()
+			if len(ring) > DefaultRingEntries || cap(ring) > DefaultRingEntries {
+				bad = fmt.Sprintf("ring holds %d entries in %d slots", len(ring), cap(ring))
 			}
-			for i, e := range o.ring {
+			for i, e := range ring {
 				if e.Version > o.TVersion() {
 					bad = fmt.Sprintf("ring entry v%d is ahead of t_version %d", e.Version, o.TVersion())
 				}
-				if i > 0 && o.ring[i-1].Version >= e.Version {
+				if i > 0 && ring[i-1].Version >= e.Version {
 					bad = fmt.Sprintf("ring not strictly version-sorted at %d", i)
 				}
 			}

@@ -24,10 +24,19 @@ cd "$(dirname "$0")/.."
 # contract's doc on Set, Slot, Chunk and the two reordered ownership records.
 # The write path itself (Set adopting val, the Slot taken from a chunk, the
 # resend deadline as an offset) is net zero lines.
-max_lines=25939  # non-test Go outside benchmark/
+# Lowered by 623 to 25316 when testdata/ stopped being counted (the lint
+# fixtures are golden inputs, not shipped code), then raised by 136 for what a
+# replica costs: 100 in internal/store (code: the open-addressing index with
+# backward-shift deletion, ~48, and the history record behind one pointer plus
+# the unpacked o_ts/o_replicas with their accessors and setters, ~31; docs: the
+# index paragraph of the package doc and the record's new layout, 21), 10 for Seed
+# adopting data (the clip, and the contract on three Seed docs) and 26 for
+# replaceonly's table of adopting calls, which now holds Seed as well as Set.
+max_lines=25452  # non-test Go outside benchmark/, testdata/ excluded
 max_fields=77    # option fields (PR 21)
 
-lines() { find . -name '*.go' ! -name '*_test.go' "$@" -print0 | xargs -0 cat | wc -l; }
+# testdata/ is what the go tool itself never builds (the lint fixtures).
+lines() { find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' "$@" -print0 | xargs -0 cat | wc -l; }
 outside=$(lines ! -path './benchmark/*')
 echo "non-test Go lines, whole tree:          $(lines)"
 echo "non-test Go lines, outside benchmark/:  $outside"

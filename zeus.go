@@ -183,7 +183,9 @@ func (c *Cluster) AddNode() *Node { return &Node{n: c.c.AddNode()} }
 func (c *Cluster) Leave(i int) error { return c.c.Leave(i) }
 
 // Seed bulk-installs an object with an explicit owner, bypassing the
-// protocols — use for initial data loading only.
+// protocols — use for initial data loading only. Like Tx.Set it adopts data:
+// the bytes become the seeded version every replica holds, so the caller must
+// not write them after the call.
 func (c *Cluster) Seed(obj uint64, owner int, data []byte) {
 	c.c.SeedAt(wire.ObjectID(obj), wire.NodeID(owner), data)
 }
