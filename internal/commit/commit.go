@@ -918,7 +918,7 @@ func (e *Engine) applyOneLocked(p *inPipe, m *wire.CommitInv) {
 }
 
 // ackDurable is the single choke point between applying an R-INV and
-// acknowledging it (zeuslint walfrozen; p.mu held): when durability is
+// acknowledging it (zeuslint ackdurable; p.mu held): when durability is
 // armed and the slot is still in p.unlogged, the updates are appended to
 // the WAL — group-committed, durable on return — strictly before the R-ACK
 // is queued, so a coordinator can never observe an acknowledgement for a

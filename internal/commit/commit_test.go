@@ -3,6 +3,7 @@ package commit
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -503,21 +504,33 @@ func TestConcurrentCommitsManyObjects(t *testing.T) {
 	}
 }
 
-// countingStore is a Storage stub that counts successfully appended records
-// and can fail the next append (a transient storage error).
+// countingStore is a Storage stub that counts successfully appended records,
+// can fail the next append (a transient storage error) and can hold the next
+// append until released (a slow fsync).
 type countingStore struct {
 	mu       sync.Mutex
 	appended int
 	failNext bool
+	hold     chan struct{} // non-nil: the next append waits for it to close
+	held     chan struct{} // closed once that append is waiting
 }
 
 func (c *countingStore) Append(recs []storage.Record) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.failNext {
 		c.failNext = false
+		c.mu.Unlock()
 		return fmt.Errorf("transient append failure")
 	}
+	hold, held := c.hold, c.held
+	c.hold = nil
+	c.mu.Unlock()
+	if hold != nil {
+		close(held)
+		<-hold
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.appended += len(recs)
 	return nil
 }
@@ -531,14 +544,59 @@ func (c *countingStore) count() int {
 	return c.appended
 }
 
-// TestDuplicateInvDoesNotRelog: duplicate R-INVs must re-ACK without
-// re-appending (a resend storm must not grow the WAL), while a slot whose
-// first append failed is retried by the next delivery — the ACK stays
-// withheld until its records are durable.
+// holdNext makes the next append wait until release is called (once or
+// more); held is closed once it waits.
+func (c *countingStore) holdNext() (held <-chan struct{}, release func()) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	hold := make(chan struct{})
+	c.hold, c.held = hold, make(chan struct{})
+	return c.held, sync.OnceFunc(func() { close(hold) })
+}
+
+// acksFrom replaces node 0's handler with one that counts the R-ACKs fl
+// sends it. The returned func reports that count once everything fl's
+// engine queued before the call has arrived: it queues a marker R-VAL behind
+// it, and a peer's coalescer queue and the hub keep their order.
+func acksFrom(t *testing.T, c *tcluster, fl *tnode) func() int {
+	t.Helper()
+	var acks atomic.Int32
+	marks := make(chan wire.Msg, 1)
+	c.nodes[0].tr.SetHandler(func(from wire.NodeID, m wire.Msg) {
+		switch m.(type) {
+		case *wire.CommitAck:
+			acks.Add(1)
+		case *wire.CommitVal:
+			marks <- m
+		}
+	})
+	return func() int {
+		t.Helper()
+		mark := &wire.CommitVal{}
+		fl.eng.enqueue(0, mark)
+		select {
+		case got := <-marks:
+			if got != mark {
+				t.Fatalf("node 0 received an R-VAL nobody sent: %+v", got)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("the marker R-VAL never arrived")
+		}
+		return int(acks.Load())
+	}
+}
+
+// TestDuplicateInvDoesNotRelog: an R-ACK leaves only once the records it
+// acknowledges are durable, and duplicate R-INVs re-ACK without re-appending
+// (a resend storm must not grow the WAL). A slot whose first append failed
+// sends no ACK and is retried by the next delivery; an append that has not
+// returned holds its ACK back. This is the run-time half of zeuslint's
+// ackdurable rule, at the one choke point it sanctions.
 func TestDuplicateInvDoesNotRelog(t *testing.T) {
 	cs := &countingStore{failNext: true}
 	c := newTestClusterWith(t, 2, onNode(1, Config{Log: storage.NewLog(cs, nil)}))
 	fl := c.nodes[1]
+	acks := acksFrom(t, c, fl)
 
 	inv := &wire.CommitInv{
 		Tx:        wire.TxID{Pipe: wire.PipeID{Node: 0, Worker: 0}, Local: 1},
@@ -551,9 +609,15 @@ func TestDuplicateInvDoesNotRelog(t *testing.T) {
 	if n := cs.count(); n != 0 {
 		t.Fatalf("records durable after failed append: %d", n)
 	}
+	if n := acks(); n != 0 {
+		t.Fatalf("%d R-ACKs after the append failed, want 0", n)
+	}
 	fl.eng.Handle(0, inv) // retransmit: retries the append, then ACKs
 	if n := cs.count(); n != 1 {
 		t.Fatalf("retransmit did not retry the append: %d records", n)
+	}
+	if n := acks(); n != 1 {
+		t.Fatalf("%d R-ACKs after the retried append, want 1", n)
 	}
 	for i := 0; i < 5; i++ {
 		fl.eng.Handle(0, inv) // pure duplicates: re-ACK only
@@ -567,6 +631,34 @@ func TestDuplicateInvDoesNotRelog(t *testing.T) {
 	fl.eng.Handle(0, inv) // late duplicate after VAL: isDone path, re-ACK only
 	if n := cs.count(); n != 2 {
 		t.Fatalf("post-VAL records = %d, want 2 (RecInv + RecCommit)", n)
+	}
+	if n := acks(); n != 7 {
+		t.Fatalf("%d R-ACKs, want 7: one per delivery since the append succeeded", n)
+	}
+
+	// The next slot's append does not return until released: its ACK waits.
+	next := *inv
+	next.Tx.Local = 2
+	next.Updates = []wire.Update{{Obj: 9, Version: 2, Data: []byte("v2")}}
+	held, release := cs.holdNext()
+	defer release() // a failed check below must not leave the follower blocked
+	handled := make(chan struct{})
+	go func() {
+		fl.eng.Handle(0, &next)
+		close(handled)
+	}()
+	select {
+	case <-held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the second slot never reached the WAL")
+	}
+	if n := acks(); n != 7 {
+		t.Fatalf("an R-ACK left while its append was still running: %d R-ACKs, want 7", n)
+	}
+	release()
+	<-handled
+	if n := acks(); n != 8 {
+		t.Fatalf("%d R-ACKs once the append returned, want 8", n)
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 // engineObs is the commit engine's cached observability bundle: every handle
 // the hot path records into is resolved once here (in New), so record
 // sites are a nil check plus an atomic — no registry lookup, no allocation
-// (zeuslint obsrecord).
+// (TestAllocCeilings' observability-on rows; the nil checks are exercised by
+// every test that runs with observability off).
 type engineObs struct {
 	reg *obs.Registry
 

@@ -4,32 +4,22 @@
 // code base otherwise carries only in comments and torture tests; each
 // analyzer turns one such prose contract into a build-time error:
 //
-//   - replaceonly: the slice store.Object.DataLocked returns, and the view of
-//     it a transaction's Get returns (core.Tx, dbapi.Txn, zeus.Tx), is never
-//     written through — the zero-copy read paths (SnapshotRef, ownership
-//     ACK piggyback, FabricMem delivery) alias the payload's backing array
-//     after Mu is released, so one in-place write is a silent lost update,
-//     and Go has no read-only slice type the getter could return instead.
-//     The slice handed to a transaction's Set is frozen the same way from
-//     the call on: Set adopts it as the version the commit publishes.
+//   - frozen: a value is frozen once it is handed over — a wire message
+//     after Send/SendBatch/Multicast/Broadcast/enqueue, a storage.Record
+//     after Append, a []byte after a transaction's Set or a cluster's Seed —
+//     and the payload views store.Object.DataLocked and a transaction's Get
+//     return are frozen from birth. The callee keeps the memory (zero-copy
+//     fabrics, retransmit queues, the group-commit encoder, the published
+//     version), and Go has no read-only or moved-from type a signature could
+//     demand instead.
 //   - lockedsuffix: *Locked functions are only called with a mutex held (or
 //     from another *Locked function) — the suffix names a dozen different
 //     mutexes across the engines, so no one lock-token type could carry it.
-//   - sendfrozen: a wire message handed to Send/SendBatch/Multicast/
-//     Broadcast/enqueue is frozen — zero-copy fabrics and retransmit
-//     queues may still reference it.
 //   - retrydiscipline: engine code does not call raw time.Sleep; retries,
 //     polls and back-off go through internal/retry.
-//   - walfrozen: a storage.Record handed to Append is frozen (the group-
-//     commit log encodes it asynchronously), and in any function that sends
-//     a CommitAck the WAL Append comes first with its error consumed — no
-//     acknowledgement may outrun the durability it promises.
-//   - obsrecord: metric record sites are allocation-free and nil-guarded —
-//     constant metric names (dynamic families register at wiring time under
-//     a waiver), no time.Now() pairs split across locks (RecordSince), no
-//     registry lookups on the record path, and field-path records dominated
-//     by a nil check of the obs handle so disabled deployments keep the
-//     seed hot path.
+//   - ackdurable: in any function that sends a CommitAck, the WAL Append it
+//     depends on comes first with its error consumed — no acknowledgement
+//     may outrun the durability it promises, and no type orders two calls.
 //
 // Findings can be waived in place with a trailing or preceding comment:
 //
@@ -40,18 +30,22 @@
 // lint job enforce it), so every new invariant-bearing change either
 // satisfies the contracts or carries an explicit, justified waiver.
 //
-// A rule a type can carry is not linted. Every field of store.Object but Mu,
-// ID and the atomic PendingCommits is unexported and changes only through the
-// store's transitions (value side: stage, validate, install, recover, drop;
-// ownership side: request, arbitrate, grant, prune, reclaim, adopt), so what
-// two former analyzers and half of a third flagged no longer compiles:
-// seqlockwrite's direct write of the ⟨t_version, t_state⟩ word, every line of
-// ringpublish (a ring write, append or address-of outside the store; a publish
-// before the word advanced, which is now the statement order inside each
-// transition and a version check in the one function that inserts), and
-// lockedsuffix's unlocked write to a Mu-guarded field. The replacing half of
-// replaceonly went the same way; its in-place half stays because the payload
-// getter must return a plain []byte.
+// A rule a type or a test can carry is not linted. Every field of
+// store.Object but Mu, ID and the atomic PendingCommits is unexported and
+// changes only through the store's transitions (value side: stage, validate,
+// install, recover, drop; ownership side: request, arbitrate, grant, prune,
+// reclaim, adopt), so what two former analyzers and half of a third flagged no
+// longer compiles: seqlockwrite's direct write of the ⟨t_version, t_state⟩
+// word, every line of ringpublish (a ring write, append or address-of outside
+// the store; a publish before the word advanced, which is now the statement
+// order inside each transition and a version check in the one function that
+// inserts), and lockedsuffix's unlocked write to a Mu-guarded field. The
+// replacing half of the payload rule went the same way; its in-place half
+// stays in frozen because the payload getter must return a plain []byte.
+// obsrecord's metric record-site rules went to tests: a record block without
+// its nil guard panics the tier-1 tests of its package, which run with
+// observability off, and an allocation on a record path fails
+// TestAllocCeilings' observability-on rows.
 package lint
 
 import (
@@ -72,15 +66,16 @@ const storePkg = "zeus/internal/store"
 // wirePkg is the import path of the wire message types.
 const wirePkg = "zeus/internal/wire"
 
+// storagePkg is the import path owning the WAL record model.
+const storagePkg = "zeus/internal/storage"
+
 // Analyzers returns the full zeuslint suite.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		ReplaceOnly,
+		Frozen,
 		LockedSuffix,
-		SendFrozen,
 		RetryDiscipline,
-		WalFrozen,
-		Obsrecord,
+		AckDurable,
 	}
 }
 
@@ -206,6 +201,23 @@ func isObjectType(t types.Type) bool {
 	}
 	obj := n.Obj()
 	return obj.Name() == "Object" && obj.Pkg() != nil && obj.Pkg().Path() == storePkg
+}
+
+// isRecordType reports whether t (possibly behind a pointer or slice) is
+// storage.Record.
+func isRecordType(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Pointer:
+		t = u.Elem()
+	case *types.Slice:
+		t = u.Elem()
+	}
+	n, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := n.Obj()
+	return obj.Name() == "Record" && obj.Pkg() != nil && obj.Pkg().Path() == storagePkg
 }
 
 // isPkgFunc reports whether call invokes the package-level function

@@ -12,28 +12,33 @@ import (
 // fixture also carries a //lint:allow line proving the waiver suppresses the
 // finding (the harness would report it as unexpected otherwise).
 
+func TestFrozen(t *testing.T) {
+	linttest.Run(t, "frozen", lint.Frozen)
+}
+
+// TestReplaceOnly pins the []byte rows of Frozen's hand-off table: the
+// payload views (DataLocked, a transaction's Get) and the bytes Set and Seed
+// adopt.
 func TestReplaceOnly(t *testing.T) {
-	linttest.Run(t, "replaceonly", lint.ReplaceOnly)
+	linttest.RunFiles(t, "frozen", lint.Frozen, "payload.go", "view.go", "set.go", "seed.go")
+}
+
+// TestSendFrozen pins Frozen's wire-message row: a message handed to Send
+// and its kin is never written through.
+func TestSendFrozen(t *testing.T) {
+	linttest.RunFiles(t, "frozen", lint.Frozen, "send.go")
 }
 
 func TestLockedSuffix(t *testing.T) {
 	linttest.Run(t, "lockedsuffix", lint.LockedSuffix)
 }
 
-func TestSendFrozen(t *testing.T) {
-	linttest.Run(t, "sendfrozen", lint.SendFrozen)
-}
-
 func TestRetryDiscipline(t *testing.T) {
 	linttest.Run(t, "retrydiscipline", lint.RetryDiscipline)
 }
 
-func TestWalFrozen(t *testing.T) {
-	linttest.Run(t, "walfrozen", lint.WalFrozen)
-}
-
-func TestObsRecord(t *testing.T) {
-	linttest.Run(t, "obsrecord", lint.Obsrecord)
+func TestAckDurable(t *testing.T) {
+	linttest.Run(t, "ackdurable", lint.AckDurable)
 }
 
 // TestWaiverRequiresReason: a //lint:allow with no reason is itself a finding

@@ -37,10 +37,45 @@ type want struct {
 // lint.Run, and matches findings against the fixture's want comments.
 func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	t.Helper()
+	run(t, dir, a, nil)
+}
+
+// RunFiles is Run restricted to the named files of testdata/<dir>: findings
+// and wants elsewhere in the fixture are ignored. It pins one row of an
+// analyzer whose fixture spreads its rows over several files.
+func RunFiles(t *testing.T, dir string, a *analysis.Analyzer, files ...string) {
+	t.Helper()
+	if len(files) == 0 {
+		t.Fatal("RunFiles needs at least one file")
+	}
+	only := make(map[string]bool, len(files))
+	for _, f := range files {
+		only[f] = true
+	}
+	run(t, dir, a, only)
+}
+
+// run matches a's findings on testdata/<dir> against its wants, counting only
+// the files in only (every file when only is nil).
+func run(t *testing.T, dir string, a *analysis.Analyzer, only map[string]bool) {
+	t.Helper()
 	pkg := loadPkg(t, dir)
+	in := func(filename string) bool { return only == nil || only[filepath.Base(filename)] }
+	present := make(map[string]bool, len(pkg.Files))
+	for _, file := range pkg.Files {
+		present[filepath.Base(pkg.Fset.Position(file.Pos()).Filename)] = true
+	}
+	for name := range only {
+		if !present[name] {
+			t.Fatalf("fixture %s has no file %s", dir, name)
+		}
+	}
 	findings := runAnalyzer(t, pkg, a)
 	wants := collectWants(t, pkg)
 	for _, f := range findings {
+		if !in(f.Pos.Filename) {
+			continue
+		}
 		if w := match(wants, f.Pos.Filename, f.Pos.Line, f.Message); w != nil {
 			w.matched = true
 			continue
@@ -48,7 +83,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 		t.Errorf("unexpected finding: %s", f)
 	}
 	for _, w := range wants {
-		if !w.matched {
+		if !w.matched && in(w.file) {
 			t.Errorf("%s:%d: no finding matched want %q", w.file, w.line, w.re)
 		}
 	}

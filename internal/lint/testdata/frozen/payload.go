@@ -1,9 +1,14 @@
-// Package replaceonly exercises the replaceonly analyzer. Every flagged
-// line is a variant of the PR-5 failure mode: an in-place write to the
-// zero-copy payload that SnapshotRef, the ownership ACK piggyback and the
-// FabricMem delivery path may all still alias. Replacing the payload is no
-// longer in the fixture: outside the store package it does not compile.
-package replaceonly
+// Package frozen exercises the frozen analyzer, one file per source of
+// frozen memory: payload.go and view.go the payload views, frozen from
+// birth; set.go and seed.go the []byte a Set or Seed adopts; send.go the wire
+// message a send hands over; wal.go the records an Append keeps.
+//
+// Every line flagged here is a variant of one lost update: an in-place
+// write to the zero-copy payload that SnapshotRef, the ownership ACK
+// piggyback and the FabricMem delivery path may all still alias. Replacing
+// the payload is no longer in the fixture: outside the store package it does
+// not compile.
+package frozen
 
 import (
 	"io"
@@ -62,5 +67,5 @@ func readersAreFine(o *store.Object, dst []byte) byte {
 func waived(o *store.Object) {
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
-	o.DataLocked()[0] = 0 //lint:allow replaceonly fixture demonstrates the waiver syntax
+	o.DataLocked()[0] = 0 //lint:allow frozen fixture demonstrates the waiver syntax
 }

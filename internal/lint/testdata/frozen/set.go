@@ -1,4 +1,4 @@
-package replaceonly
+package frozen
 
 import (
 	"encoding/binary"
@@ -86,5 +86,5 @@ func freshPerSet(db dbapi.DB, tx *zeus.Tx) {
 	}
 	staged := make([]byte, 8)
 	_ = tx.Set(20, staged)
-	staged[0] = 1 //lint:allow replaceonly fixture demonstrates the waiver on the Set half
+	staged[0] = 1 //lint:allow frozen fixture demonstrates the waiver on the Set half
 }

@@ -1,4 +1,4 @@
-package replaceonly
+package frozen
 
 import (
 	"encoding/binary"

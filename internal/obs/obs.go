@@ -9,7 +9,9 @@
 // handle bundle the constructor built from it, so disabled deployments keep
 // the seed hot path bit for bit. Engines cache the metric handles they record into — the
 // Registry's name→metric maps are touched at registration time only, never
-// per event (zeuslint obsrecord enforces both disciplines).
+// per event. Tests hold both disciplines: every tier-1 test that runs with
+// observability off panics on a record site without its nil check, and
+// TestAllocCeilings' observability-on rows fail on an allocation per event.
 //
 // Counters that already exist as engine atomics are not double-counted:
 // CounterFunc/GaugeFunc register a read callback that pull-scrapes the
@@ -81,7 +83,7 @@ type histStripe struct {
 // Go exposes no CPU id, so the hash spreads concurrent recorders across
 // cache lines statistically instead of exactly). Latencies are recorded in
 // nanoseconds via RecordSince, so record sites never split a time.Now()
-// pair across locks (zeuslint obsrecord).
+// pair across locks.
 type Histogram struct {
 	buckets [NumBuckets]atomic.Uint64
 	stripes [8]histStripe

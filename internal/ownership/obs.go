@@ -37,12 +37,10 @@ func newEngineObs(e *Engine, r *obs.Registry) *engineObs {
 	b := &engineObs{reg: r, acquireNS: r.Histogram("own_acquire_ns")}
 	for i := range b.nacks {
 		name := strings.ReplaceAll(wire.NackReason(i).String(), "-", "_")
-		//lint:allow obsrecord the per-reason NACK counter family is registered once at construction
 		b.nacks[i] = r.Counter(fmt.Sprintf("own_nack_%s_total", name))
 	}
 	b.migrations = make([]*obs.Counter, e.dir.Shards())
 	for s := range b.migrations {
-		//lint:allow obsrecord per-shard migration heat counters are registered once at construction
 		b.migrations[s] = r.Counter(fmt.Sprintf("own_migrations_shard%d_total", s))
 	}
 	r.CounterFunc("own_requests_total", e.stRequests.Load)

@@ -381,7 +381,7 @@ func (e *Engine) send(to wire.NodeID, m wire.Msg) {
 
 // take hands out the next record of one of the engine's emission chunks. The
 // caller fills it outside the lock, once, before the send (zeuslint
-// sendfrozen), and nobody gives it back: a record is handed out once.
+// frozen), and nobody gives it back: a record is handed out once.
 func take[T any](e *Engine, c *wire.Chunk[T]) *T {
 	e.recMu.Lock()
 	defer e.recMu.Unlock()

@@ -6,7 +6,8 @@
 // owns the record model, the replay rules and the group-commit front end;
 // drivers only move bytes durably.
 //
-// Durability contract (enforced by the zeuslint walfrozen analyzer):
+// Durability contract (enforced by the zeuslint frozen and ackdurable
+// analyzers):
 //
 //   - A Record handed to Append is frozen: the WAL may retain and encode it
 //     asynchronously, so callers must not mutate it (or the Data it aliases)

@@ -465,7 +465,7 @@ func (o *Object) SnapshotRef() (TState, uint64, wire.AccessLevel, []byte) {
 
 // DataLocked returns the payload without copying it (caller holds Mu). Like
 // SnapshotRef's result it may be read after Mu is released and must never be
-// written through (zeuslint replaceonly).
+// written through (zeuslint frozen).
 func (o *Object) DataLocked() []byte { return o.data }
 
 // CommitCTSLocked returns the commit timestamp of the newest reliably

@@ -61,7 +61,7 @@ type Transport interface {
 	// pointers into inbox entries (hub) — so the caller may overwrite
 	// and reuse the slice immediately; the commit coalescer flushes from the
 	// same two buffers per peer forever. The messages themselves stay frozen
-	// as for Send (zeuslint sendfrozen): only the slice that carried them is
+	// as for Send (zeuslint frozen): only the slice that carried them is
 	// the caller's again.
 	SendBatch(to wire.NodeID, msgs []wire.Msg) error
 	// Multicast sends m to every node in dsts (self included, if listed)

@@ -213,6 +213,33 @@ func TestRenewalsLockFree(t *testing.T) {
 	}
 }
 
+// TestRenewalsAcrossThrottleWindows: a renewal inside the throttle window (a
+// quarter lease after the last flush) is left to the sweeper, and one after
+// it flushes inline against the last flush — both reach the replicas' lease
+// tables, on a client built without observability, as most are.
+func TestRenewalsAcrossThrottleWindows(t *testing.T) {
+	r := newRig(t, 3, wire.BitmapOf(0, 1, 2), Config{Lease: 8 * time.Millisecond})
+	table := &r.ens.Replica(0).renewals
+	renewed := func(n wire.NodeID, since int64) {
+		t.Helper()
+		for deadline := time.Now().Add(time.Second); table[n].Load() <= since; {
+			if time.Now().After(deadline) {
+				t.Fatalf("node %d's renewal never reached the lease table", n)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	before0, before1 := table[0].Load(), table[1].Load()
+	r.cli.Renew(0) // the first renewal flushes inline
+	r.cli.Renew(1) // inside the window: the sweeper sends it
+	renewed(0, before0)
+	renewed(1, before1)
+	time.Sleep(4 * time.Millisecond) // past the 2 ms window
+	before2 := table[2].Load()
+	r.cli.Renew(2)
+	renewed(2, before2)
+}
+
 // TestFailReportEndsAtTheRemovalItCaused: a failure report is driven by a
 // loop that samples the cached state. A node that rejoins right after the
 // removal — a restart a few milliseconds after the kill — is live again by the

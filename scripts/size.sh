@@ -32,7 +32,8 @@ cd "$(dirname "$0")/.."
 # index paragraph of the package doc and the record's new layout, 21), 10 for Seed
 # adopting data (the clip, and the contract on three Seed docs) and 26 for
 # replaceonly's table of adopting calls, which now holds Seed as well as Set.
-max_lines=25452  # non-test Go outside benchmark/, testdata/ excluded
+# Lowered by 570: zeuslint went from six analyzers to four (obsrecord deleted, three hand-off rules merged into frozen).
+max_lines=24882  # non-test Go outside benchmark/, testdata/ excluded
 max_fields=77    # option fields (PR 21)
 
 # testdata/ is what the go tool itself never builds (the lint fixtures).
