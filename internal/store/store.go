@@ -21,10 +21,10 @@
 //	install   installLocked        inside grant and reclaim only: a committed
 //	                               value that arrived whole
 //	recover   RecoverLocked        core.installRecovered: WAL/snapshot replay
-//	                               → Invalid hint, no history, NonReplica
+//	                               → Invalid hint, no history, no yield, NonReplica
 //	drop      dropLocked           inside grant only: this node left the replica
 //	                               set or the object was deleted → no payload,
-//	                               version 0, no history
+//	                               version 0, no history, no yield
 //
 // The ownership side (o_state, o_ts, o_replicas, the pending arbitration, the
 // access level; ownership.go):
@@ -63,6 +63,10 @@
 // path serves and the next grant's install supersedes.) The converse is not
 // structural yet: GrantLocked can raise a node over a record that holds no
 // value when none is shipped, and reports it (ownership.Stats.BareGrants).
+//
+// A replica costs its 96-byte record (TestObjectSize) and its index slots, 116
+// bytes an object in the store (TestStoreBytesPerObject); snapshot reads and a
+// transfer-fairness yield add one 48-byte side record (Object.cold).
 //
 // The index (TestStoreIndexMatchesMap): a shard maps ids to records in an
 // open-addressing table of pointers, 8 bytes a slot where a Go map pays 16 and
@@ -119,11 +123,12 @@ const NoLocalOwner int32 = -1
 
 // Object is one object replica (or bare directory entry) at a node. Fields
 // are protected by Mu; engines lock the object across multi-field updates.
-// The record fills the 112-byte allocation size class (TestObjectSize): every
+// The record fills the 96-byte allocation size class (TestObjectSize): every
 // byte is paid once per replica, so the small fields sit together, nothing is
-// stored twice, what only snapshot reads use is behind one pointer (hist), and
-// o_ts and o_replicas are unpacked, their node ids beside the small fields
-// (wire.OTS and wire.ReplicaSet each pad a 2-byte node id to 8).
+// stored twice, what only snapshot reads and transfer fairness use is behind
+// one pointer (cold), and o_ts and o_replicas are unpacked, their node ids
+// beside the small fields (wire.OTS and wire.ReplicaSet each pad a 2-byte node
+// id to 8).
 type Object struct {
 	Mu sync.Mutex
 
@@ -158,18 +163,11 @@ type Object struct {
 	readers wire.Bitmap
 	pending *PendingOwn
 
-	// hist is nil until a transition records a non-zero commit timestamp
-	// (only snapshot reads mint one) and again after drop and recover; nil
-	// reads as "commit timestamp 0, empty ring".
-	hist *history
-
-	// yieldLocalUntil implements transfer fairness (§6.2 starvation
-	// avoidance): after NACKing an ownership request for pending commits,
-	// the owner briefly defers granting *new* local write ownership of
-	// this object (YieldLocalLocked), so a back-to-back local write stream
-	// cannot starve a remote requester forever — the pipeline drains and the
-	// requester's next probe wins. A monoNow deadline; zero means no yield.
-	yieldLocalUntil int64
+	// cold is nil until a transition records a non-zero commit timestamp
+	// (only snapshot reads mint one) or a yield, and again after drop and
+	// recover, and after a local grant finds only an expired yield in it; nil
+	// reads as "commit timestamp 0, empty ring, no yield".
+	cold *coldState
 
 	otsNode wire.NodeID
 	owner   wire.NodeID
@@ -191,8 +189,9 @@ type Object struct {
 	PendingCommits atomic.Int32
 }
 
-// history is what a replica keeps for snapshot reads, guarded by Mu.
-type history struct {
+// coldState is what a replica uses rarely — snapshot reads' timestamp and
+// ring, and the transfer-fairness yield — guarded by Mu.
+type coldState struct {
 	// commitCTS is the commit timestamp of the newest reliably-committed
 	// version this replica knows about (0 when unknown, e.g. an object
 	// recovered without a timestamp).
@@ -206,6 +205,16 @@ type history struct {
 	// A published entry's payload may be aliased by concurrent snapshot
 	// readers after Mu is released.
 	ring []VersionEntry
+
+	// yieldUntil implements transfer fairness (§6.2 starvation avoidance):
+	// after NACKing an ownership request for pending commits, the owner
+	// briefly defers granting *new* local write ownership of this object
+	// (YieldLocalLocked), so a back-to-back local write stream cannot starve a
+	// remote requester forever — the pipeline drains and the requester's next
+	// probe wins. A monoNow deadline; zero means no yield. A NACK is rare (none
+	// on a workload whose writes stay local), so the yield lives here rather
+	// than in every record.
+	yieldUntil int64
 }
 
 // VersionEntry is one committed version in an object's ring.
@@ -276,8 +285,8 @@ func (o *Object) ValidateWriteLocked(cts, ver uint64, data []byte) {
 func (o *Object) installLocked(cts, ver uint64, data []byte) {
 	o.data = data
 	o.setTLocked(ver, TValid)
-	if h := o.histFor(cts); h != nil {
-		h.commitCTS = cts
+	if c := o.coldFor(cts != 0); c != nil {
+		c.commitCTS = cts
 	}
 	o.publishRingLocked(cts, ver, data)
 }
@@ -291,13 +300,14 @@ func (o *Object) installLocked(cts, ver uint64, data []byte) {
 // its entries vouch for "committed and safe-time-covered", a rejoiner for
 // nothing — while cts is kept so a later validate re-enables RingReadLocked's
 // implicit entry. It starts a record's life (a fresh store, before any handler
-// exists), so it is the one transition that takes o_ts as given.
+// exists), so it is the one transition that takes o_ts as given, and no yield
+// survives it.
 func (o *Object) RecoverLocked(self wire.NodeID, cts, ver uint64, data []byte, ts wire.OTS, reps wire.ReplicaSet) (wasOwner bool) {
 	o.data = data
 	o.setTLocked(ver, TInvalid)
-	o.hist = nil
+	o.cold = nil
 	if cts != 0 {
-		o.hist = &history{commitCTS: cts}
+		o.cold = &coldState{commitCTS: cts}
 	}
 	if wasOwner = reps.Owner == self; wasOwner {
 		reps.Owner = wire.NoNode
@@ -312,19 +322,20 @@ func (o *Object) RecoverLocked(self wire.NodeID, cts, ver uint64, data []byte, t
 // dropLocked discards the replica (caller holds Mu) when this node leaves the
 // object's replica set or the object is deleted: no payload, version 0, and no
 // history — a dropped replica must never serve ring reads, and a later
-// re-install must not meet a stale version or timestamp.
+// re-install must not meet a stale version or timestamp — nor a yield, which
+// only an owner's local writes obey.
 func (o *Object) dropLocked() {
 	o.data = nil
 	o.setTLocked(0, TValid)
-	o.hist = nil
+	o.cold = nil
 }
 
-// histFor returns hist, allocated first for a non-zero cts (nil otherwise).
-func (o *Object) histFor(cts uint64) *history {
-	if o.hist == nil && cts != 0 {
-		o.hist = new(history)
+// coldFor returns cold, allocated first if need is set (nil otherwise).
+func (o *Object) coldFor(need bool) *coldState {
+	if o.cold == nil && need {
+		o.cold = new(coldState)
 	}
-	return o.hist
+	return o.cold
 }
 
 // setTLocked is the one writer of the packed ⟨t_version, t_state⟩ word, which
@@ -347,7 +358,7 @@ func (o *Object) publishRingLocked(cts, ver uint64, data []byte) {
 	if cts == 0 || ver > o.TVersion() {
 		return // no timestamp known (a seed without snapshot reads), or not this record's history
 	}
-	h := o.histFor(cts)
+	h := o.coldFor(true)
 	i := len(h.ring)
 	for i > 0 && h.ring[i-1].Version >= ver {
 		if h.ring[i-1].Version == ver {
@@ -379,7 +390,7 @@ func (o *Object) publishRingLocked(cts, ver uint64, data []byte) {
 // fresher timestamp.
 func (o *Object) RingReadLocked(ts uint64) (VersionEntry, bool) {
 	var cts uint64
-	if h := o.hist; h != nil {
+	if h := o.cold; h != nil {
 		for i := len(h.ring) - 1; i >= 0; i-- {
 			if h.ring[i].CTS <= ts {
 				return h.ring[i], true
@@ -398,7 +409,9 @@ func (o *Object) RingReadLocked(ts uint64) (VersionEntry, bool) {
 // (re-entrancy within one transaction is handled by the caller's write set, so
 // same-worker re-acquisition only happens for distinct objects in one tx). A
 // *new* grant is refused while the transfer-fairness yield (YieldLocalLocked)
-// is active; a worker that already holds the object keeps it.
+// is active; a worker that already holds the object keeps it. The first grant
+// after a yield ran out clears it, and drops the cold record if the yield was
+// all it held.
 func (o *Object) GrantLocalLocked(worker int32) bool {
 	if o.localOwner == worker {
 		return true
@@ -406,17 +419,23 @@ func (o *Object) GrantLocalLocked(worker int32) bool {
 	if o.localOwner != NoLocalOwner {
 		return false
 	}
-	if o.yieldLocalUntil != 0 && monoNow() < o.yieldLocalUntil {
-		return false
+	if c := o.cold; c != nil && c.yieldUntil != 0 {
+		if monoNow() < c.yieldUntil {
+			return false
+		}
+		c.yieldUntil = 0
+		if c.commitCTS == 0 && len(c.ring) == 0 {
+			o.cold = nil // nil reads the same
+		}
 	}
 	o.localOwner = worker
 	return true
 }
 
 // YieldLocalLocked refuses new local write grants for the next d (caller
-// holds Mu): the transfer-fairness yield, see yieldLocalUntil.
+// holds Mu): the transfer-fairness yield, see coldState.yieldUntil.
 func (o *Object) YieldLocalLocked(d time.Duration) {
-	o.yieldLocalUntil = monoNow() + int64(d)
+	o.coldFor(true).yieldUntil = monoNow() + int64(d)
 }
 
 // monoNow is the monotonic clock in nanoseconds since process start: a
@@ -471,10 +490,10 @@ func (o *Object) DataLocked() []byte { return o.data }
 // CommitCTSLocked returns the commit timestamp of the newest reliably
 // committed version this replica knows about, 0 when unknown (caller holds Mu).
 func (o *Object) CommitCTSLocked() uint64 {
-	if o.hist == nil {
+	if o.cold == nil {
 		return 0
 	}
-	return o.hist.commitCTS
+	return o.cold.commitCTS
 }
 
 // shardCount scales with the host (the same policy as the ownership

@@ -277,12 +277,12 @@ func TestGetOrCreatePropertyIdempotent(t *testing.T) {
 	}
 }
 
-// TestObjectSize pins the record at its allocation size class: past 112 bytes
-// Go rounds it up to the 128-byte class, 16 bytes more per replica, three
+// TestObjectSize pins the record at its allocation size class: past 96 bytes
+// Go rounds it up to the 112-byte class, 16 bytes more per replica, three
 // times per object.
 func TestObjectSize(t *testing.T) {
-	if got := unsafe.Sizeof(Object{}); got > 112 {
-		t.Fatalf("store.Object is %d bytes, must stay within the 112-byte size class", got)
+	if got := unsafe.Sizeof(Object{}); got > 96 {
+		t.Fatalf("store.Object is %d bytes, must stay within the 96-byte size class", got)
 	}
 }
 
@@ -300,8 +300,8 @@ func TestStoreBytesPerObject(t *testing.T) {
 	}
 	per := float64(liveHeap()-before) / objects
 	t.Logf("%.1f bytes per object (%d shards)", per, len(s.shards))
-	if per > 140 {
-		t.Errorf("the store costs %.1f bytes per object, must stay within 140", per)
+	if per > 124 {
+		t.Errorf("the store costs %.1f bytes per object, must stay within 124", per)
 	}
 	runtime.KeepAlive(s)
 }

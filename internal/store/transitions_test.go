@@ -6,12 +6,14 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"zeus/internal/wire"
 )
 
 // valueSide renders ⟨data, version, state, CTS, ring⟩ — everything the five
-// transitions own — as one comparable line; ring entries read cts:version:data.
+// transitions own — as one comparable line; ring entries read cts:version:data,
+// and a recorded transfer-fairness yield, expired or not, adds " yield".
 func valueSide(o *Object) string {
 	ring := make([]string, len(o.ringForTest()))
 	for i, e := range o.ringForTest() {
@@ -21,15 +23,19 @@ func valueSide(o *Object) string {
 	if o.data != nil {
 		data = string(o.data)
 	}
-	return fmt.Sprintf("%s v%d %v cts%d [%s]", data, o.TVersion(), o.TState(), o.CommitCTSLocked(), strings.Join(ring, " "))
+	yield := ""
+	if o.cold != nil && o.cold.yieldUntil != 0 {
+		yield = " yield"
+	}
+	return fmt.Sprintf("%s v%d %v cts%d [%s]%s", data, o.TVersion(), o.TState(), o.CommitCTSLocked(), strings.Join(ring, " "), yield)
 }
 
-// ringForTest is the ring a test inspects: empty without a history.
+// ringForTest is the ring a test inspects: empty without a cold record.
 func (o *Object) ringForTest() []VersionEntry {
-	if o.hist == nil {
+	if o.cold == nil {
 		return nil
 	}
-	return o.hist.ring
+	return o.cold.ring
 }
 
 func entryString(e VersionEntry) string {
@@ -37,8 +43,9 @@ func entryString(e VersionEntry) string {
 }
 
 // TestObjectTransitions is the pre-state → post-state table of the value-side
-// transitions (store package doc). Pre-states are themselves built from
-// transitions, so every row is a reachable history.
+// transitions (store package doc), and of the transfer-fairness yield that
+// shares their cold record. Pre-states are themselves built from transitions,
+// so every row is a reachable history.
 func TestObjectTransitions(t *testing.T) {
 	b := func(s string) []byte { return []byte(s) }
 	// valid3 is a replica holding committed version 3; write4 and invalid4 are
@@ -46,6 +53,11 @@ func TestObjectTransitions(t *testing.T) {
 	valid3 := func(o *Object) { o.installLocked(30, 3, b("a")) }
 	write4 := func(o *Object) { valid3(o); o.StageLocked(b("b")) }
 	invalid4 := func(o *Object) { valid3(o); o.StageInvLocked(40, 4, b("b")) }
+	// yielding is an owner that just NACKed a mover; yielded one whose yield
+	// has run out.
+	yielding := func(o *Object) { o.YieldLocalLocked(time.Hour) }
+	yielded := func(o *Object) { o.YieldLocalLocked(-time.Nanosecond) }
+	exactly := func(n float64) *float64 { return &n }
 
 	for _, tc := range []struct {
 		name string
@@ -56,6 +68,8 @@ func TestObjectTransitions(t *testing.T) {
 		// wantRead is the entry RingReadLocked serves, "none" for ok=false.
 		readAt   uint64
 		wantRead string
+		// allocs, when set, is what do allocates (each run on a fresh pre-state).
+		allocs *float64
 	}{
 		{name: "stage: the owner's local commit mints the next version, no ring entry yet",
 			pre: valid3,
@@ -110,22 +124,90 @@ func TestObjectTransitions(t *testing.T) {
 			pre: func(*Object) {}, do: func(o *Object) { o.installLocked(0, 1, b("seed")) },
 			want:   "seed v1 Valid cts0 []",
 			readAt: 1, wantRead: "0:1:seed"},
-		{name: "recover: an Invalid hint with no history serves no snapshot",
-			pre: invalid4, do: func(o *Object) { o.RecoverLocked(0, 50, 5, b("c"), wire.OTS{}, wire.ReplicaSet{}) },
+		{name: "recover: an Invalid hint with no history and no yield serves no snapshot",
+			pre:    func(o *Object) { invalid4(o); yielding(o) },
+			do:     func(o *Object) { o.RecoverLocked(0, 50, 5, b("c"), wire.OTS{}, wire.ReplicaSet{}) },
 			want:   "c v5 Invalid cts50 []",
 			readAt: 99, wantRead: "none"},
+		{name: "recover: without a timestamp nothing of the record is kept",
+			pre: yielding,
+			do: func(o *Object) {
+				o.RecoverLocked(0, 0, 5, b("c"), wire.OTS{}, wire.ReplicaSet{})
+				if o.cold != nil {
+					t.Error("recovery kept a cold record it had nothing to put in")
+				}
+			},
+			want: "c v5 Invalid cts0 []"},
 		{name: "recover: the kept CTS re-arms the implicit entry once validated",
 			pre:    func(o *Object) { o.RecoverLocked(0, 50, 5, b("c"), wire.OTS{}, wire.ReplicaSet{}) },
 			do:     func(o *Object) { o.ValidateLocked(o.TSnapshot()) },
 			want:   "c v5 Valid cts50 []",
 			readAt: 50, wantRead: "50:5:c"},
-		{name: "drop: nothing of the replica is left to read",
-			pre: invalid4, do: (*Object).dropLocked,
+		{name: "drop: nothing of the replica is left to read, and no yield",
+			pre: func(o *Object) { invalid4(o); yielding(o) },
+			do: func(o *Object) {
+				o.dropLocked()
+				if o.cold != nil {
+					t.Error("a dropped replica kept its cold record")
+				}
+			},
 			want:   "nil v0 Valid cts0 []",
 			readAt: math.MaxUint64, wantRead: "0:0:"},
+		{name: "yield: the first one allocates the cold record, which reads like none",
+			pre: func(o *Object) { o.installLocked(0, 1, b("seed")) }, do: yielding,
+			want:   "seed v1 Valid cts0 [] yield",
+			readAt: 1, wantRead: "0:1:seed", allocs: exactly(1)},
+		{name: "yield: a yield-only record over an Invalid hint serves nothing, as none does",
+			pre: func(o *Object) { o.RecoverLocked(0, 0, 5, b("c"), wire.OTS{}, wire.ReplicaSet{}) }, do: yielding,
+			want:   "c v5 Invalid cts0 [] yield",
+			readAt: 99, wantRead: "none"},
+		{name: "yield: a second one reuses the record, history included",
+			pre: func(o *Object) { valid3(o); yielding(o) }, do: yielding,
+			want: "a v3 Valid cts30 [30:3:a] yield", allocs: exactly(0)},
+		{name: "yield: a new local grant is refused while it lasts",
+			pre: yielding,
+			do: func(o *Object) {
+				if o.GrantLocalLocked(3) {
+					t.Error("new local grant during the yield")
+				}
+			},
+			want: "nil v0 Valid cts0 [] yield", allocs: exactly(0)},
+		{name: "yield: the worker that holds the object releases it as usual",
+			pre: func(o *Object) { o.GrantLocalLocked(3); yielding(o) },
+			do: func(o *Object) {
+				o.ReleaseLocal(3)
+				if o.LocalOwnerLocked() != NoLocalOwner {
+					t.Error("ReleaseLocal kept the object")
+				}
+			},
+			want: "nil v0 Valid cts0 [] yield", allocs: exactly(0)},
+		{name: "yield: the first grant after it ran out clears it, and the record it alone held",
+			pre: yielded,
+			do: func(o *Object) {
+				if !o.GrantLocalLocked(3) {
+					t.Error("local grant refused after the yield ran out")
+				}
+				if o.cold != nil {
+					t.Error("an expired yield left its cold record behind")
+				}
+			},
+			want: "nil v0 Valid cts0 []", allocs: exactly(0)},
+		{name: "yield: a record that also holds a history outlives its expired yield",
+			pre: func(o *Object) { valid3(o); yielded(o) },
+			do: func(o *Object) {
+				if !o.GrantLocalLocked(3) {
+					t.Error("local grant refused after the yield ran out")
+				}
+			},
+			want:   "a v3 Valid cts30 [30:3:a]",
+			readAt: 30, wantRead: "30:3:a", allocs: exactly(0)},
 	} {
-		o := &Object{}
-		tc.pre(o)
+		fresh := func() *Object {
+			o, _ := New().GetOrCreate(1)
+			tc.pre(o)
+			return o
+		}
+		o := fresh()
 		tc.do(o)
 		if got := valueSide(o); got != tc.want {
 			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, tc.want)
@@ -137,6 +219,17 @@ func TestObjectTransitions(t *testing.T) {
 			}
 			if got != tc.wantRead {
 				t.Errorf("%s: snapshot read at %d serves %s, want %s", tc.name, tc.readAt, got, tc.wantRead)
+			}
+		}
+		if tc.allocs != nil {
+			const runs = 20
+			objs := make([]*Object, runs+1) // AllocsPerRun warms up with one more run
+			for i := range objs {
+				objs[i] = fresh()
+			}
+			n := 0
+			if got := testing.AllocsPerRun(runs, func() { tc.do(objs[n]); n++ }); got != *tc.allocs {
+				t.Errorf("%s: allocates %v, want %v", tc.name, got, *tc.allocs)
 			}
 		}
 	}

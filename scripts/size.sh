@@ -32,8 +32,15 @@ cd "$(dirname "$0")/.."
 # index paragraph of the package doc and the record's new layout, 21), 10 for Seed
 # adopting data (the clip, and the contract on three Seed docs) and 26 for
 # replaceonly's table of adopting calls, which now holds Seed as well as Set.
-# Lowered by 570: zeuslint went from six analyzers to four (obsrecord deleted, three hand-off rules merged into frozen).
-max_lines=24882  # non-test Go outside benchmark/, testdata/ excluded
+# Lowered by 535 to 24917: zeuslint went from six analyzers to four (obsrecord
+# deleted, three hand-off rules merged into frozen); the ceiling first written
+# for it, 24882, was 35 below what that tree counts, so --check failed on it.
+# Raised by 20 for the 96-byte store.Object: 19 in internal/store (code: the
+# yield behind the cold pointer, cleared and its lone record dropped on the next
+# local grant, ~6; docs: the record's cost in the package doc, why the yield
+# lives in the cold record, what drop and recover clear, ~13) and 1 for
+# retry.TimerGranularity's lock-free probe.
+max_lines=24937  # non-test Go outside benchmark/, testdata/ excluded
 max_fields=77    # option fields (PR 21)
 
 # testdata/ is what the go tool itself never builds (the lint fixtures).
