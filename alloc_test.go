@@ -62,7 +62,7 @@ func liveHeap() int64 {
 // TestFootprintCeilings: live heap follows the data. An idle 3-node cluster
 // holds what its goroutines and tables need — no pre-sized delivery buffers
 // (seven 65 536-frame hub inboxes were 22 MB of it) — and a seeded object
-// costs, per replica, its record (96 B), its index slots and a third of the
+// costs, per replica, its record (80 B), its index slots and a third of the
 // payload the three replicas share: nothing pinned beside them (the seeded
 // ring entry and a dead copy of the payload were another 112 B).
 func TestFootprintCeilings(t *testing.T) {
@@ -79,11 +79,11 @@ func TestFootprintCeilings(t *testing.T) {
 	if idle >= 4<<20 {
 		t.Errorf("an idle 3-node cluster holds %.2f MB of live heap, must stay below 4 MB", float64(idle)/1e6)
 	}
-	// Achieved: 0.30 MB, and 132 = 96 + 64/3 + 14 of index (11 to 21,
+	// Achieved: 0.29 MB, and 116 = 80 + 64/3 + 14 of index (11 to 21,
 	// depending on how full the host-scaled shard tables are at this
 	// population).
-	if perReplica > 144 {
-		t.Errorf("a seeded replica costs %.0f bytes of live heap, must stay within 144", perReplica)
+	if perReplica > 128 {
+		t.Errorf("a seeded replica costs %.0f bytes of live heap, must stay within 128", perReplica)
 	}
 }
 

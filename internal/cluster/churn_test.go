@@ -190,8 +190,8 @@ func TestLossyFabricOwnershipChurn(t *testing.T) {
 
 // bareGrants sums ownership.Stats.BareGrants over every node the cluster ever
 // started: how often a node became reader or owner of a value it does not
-// hold and was not sent — the precondition of ROADMAP item 2-i's lost update,
-// 0 on a correct run.
+// hold and was not sent — the precondition of the lost update in ROADMAP's
+// bare-grant item, 0 on a correct run.
 func bareGrants(c *Cluster) uint64 {
 	var n uint64
 	for i := 0; i < c.Nodes(); i++ {

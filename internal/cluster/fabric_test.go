@@ -165,8 +165,8 @@ func TestKillRestartOnEveryFabric(t *testing.T) {
 // want at the owner's version. A node outside the set that still holds a level
 // is logged, not failed: a restarted node that reclaimed an object nobody
 // touched while it was down is known to no directory driver, so a later move
-// arbitrates without it and it keeps a stale Owner level (ROADMAP item 1, the
-// silent reclaim; present on the parent, on every fabric).
+// arbitrates without it and it keeps a stale Owner level (ROADMAP's
+// silent-reclaim item; it reproduces on every fabric).
 func assertReplicasAgree(t *testing.T, c *Cluster, obj wire.ObjectID, want []byte) {
 	t.Helper()
 	type copyOf struct {

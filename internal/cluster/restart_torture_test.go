@@ -55,8 +55,8 @@ func TestCrashRestartTorture(t *testing.T) {
 	for i := 0; i < loadN; i++ {
 		counts[loadBase+wire.ObjectID(i)] = &atomic.Uint64{}
 	}
-	// A lost increment (ROADMAP item 2-i) starts as a bare grant: a failure
-	// prints the count beside what each object should hold.
+	// A lost increment (ROADMAP's bare-grant item) starts as a bare grant: a
+	// failure prints the count beside what each object should hold.
 	defer func() {
 		logBareGrants(t, c)
 		for i := 0; t.Failed() && i < loadN; i++ {

@@ -745,7 +745,8 @@ var errNeedOwnership = fmt.Errorf("core: ownership level missing")
 // transaction staged with Set. The engine never writes them again — a
 // later commit, or a later Set in this transaction, installs a new slice —
 // so they stay valid for as long as the caller keeps them; the caller must
-// not write them either (copy before modifying).
+// not write them either (copy before modifying). A committed empty value
+// reads as nil.
 func (tx *Tx) Get(obj uint64) ([]byte, error) {
 	if tx.finished {
 		return nil, errFinished

@@ -30,7 +30,8 @@ type Txn interface {
 	// the committed (or this transaction's staged) version, not a copy: the
 	// datastore never writes them again and they stay valid for as long as
 	// the caller keeps them, but the caller must not write them either —
-	// copy before modifying.
+	// copy before modifying. A committed empty value may read as nil (Zeus's
+	// does): test len, not nil.
 	Get(obj uint64) ([]byte, error)
 	// Set buffers a full-object write (invalid on read-only transactions).
 	// The datastore may adopt val instead of copying it — Zeus does: the

@@ -154,7 +154,7 @@ type Stats struct {
 	Replays   uint64 // arb-replays driven during recovery
 	// BareGrants counts grants that raised this node's level over a record
 	// holding no value, with none shipped (object creation aside): the
-	// precondition of ROADMAP item 2-i's lost update. 0 on a correct run.
+	// precondition of ROADMAP's bare-grant lost update. 0 on a correct run.
 	BareGrants uint64
 }
 
@@ -1056,7 +1056,7 @@ func (e *Engine) handleInv(m *wire.OwnInv) {
 // but restart locality). Called outside the object mutex: grant records never
 // block the object lock. bare is the grant transition's report that it raised
 // a record holding no value without one being shipped; a created object's
-// value follows by R-INV by design, anything else is ROADMAP item 2-i.
+// value follows by R-INV by design, anything else is ROADMAP's bare-grant item.
 func (e *Engine) recGrant(obj wire.ObjectID, ts wire.OTS, reps wire.ReplicaSet, mode wire.ReqMode, bare bool) {
 	if bare && mode != wire.CreateObject {
 		e.stBareGrants.Add(1)

@@ -66,23 +66,37 @@ type Shipped struct {
 }
 
 // pendPool recycles arbitration records: an object's is set at REQ/INV time
-// and cleared at VAL time, three records per move. The pointer never leaves
-// this file — PendingLocked and the transitions hand out copies — so a
-// recycled record cannot be read through a stale reference.
+// and cleared at VAL time, three records per move, each in the cold record
+// that coldPool recycles beside it. The pointer never leaves this file —
+// PendingLocked and the transitions hand out copies — so a recycled record
+// cannot be read through a stale reference.
 var pendPool = sync.Pool{New: func() any { return new(PendingOwn) }}
 
-// setPendingLocked makes p the arbitration record, recycling the one it
-// supersedes.
-func (o *Object) setPendingLocked(p PendingOwn) {
-	o.clearPendingLocked()
-	o.pending = pendPool.Get().(*PendingOwn)
-	*o.pending = p
+// pendingRec is the arbitration record, nil when none is pending.
+func (o *Object) pendingRec() *PendingOwn {
+	if o.cold == nil {
+		return nil
+	}
+	return o.cold.pending
 }
 
+// setPendingLocked makes p the arbitration record, overwriting the one it
+// supersedes.
+func (o *Object) setPendingLocked(p PendingOwn) {
+	c := o.coldFor(true)
+	if c.pending == nil {
+		c.pending = pendPool.Get().(*PendingOwn)
+	}
+	*c.pending = p
+}
+
+// clearPendingLocked recycles the arbitration record, and the cold record if
+// the arbitration was all it held.
 func (o *Object) clearPendingLocked() {
-	if p := o.pending; p != nil {
-		o.pending = nil
-		pendPool.Put(p)
+	if c := o.cold; c != nil && c.pending != nil {
+		pendPool.Put(c.pending)
+		c.pending = nil
+		o.settleColdLocked()
 	}
 }
 
@@ -112,10 +126,10 @@ func (o *Object) LocalOwnerLocked() int32 { return o.localOwner }
 
 // PendingLocked returns a copy of the in-flight arbitration record, if any.
 func (o *Object) PendingLocked() (PendingOwn, bool) {
-	if o.pending == nil {
-		return PendingOwn{}, false
+	if p := o.pendingRec(); p != nil {
+		return *p, true
 	}
-	return *o.pending, true
+	return PendingOwn{}, false
 }
 
 // HoldsLocked reports whether this node may act at level min (Reader or
@@ -157,7 +171,7 @@ func (o *Object) DriveLocked(p PendingOwn) {
 // applies first and may serve writes before the VAL arrives here, so the owner
 // is demoted to Reader now; the VAL installs the final level either way.
 func (o *Object) InvalidateLocked(p PendingOwn, self wire.NodeID) (loser PendingOwn, lost bool) {
-	if old := o.pending; old != nil && o.ostate == ODrive && old.Driver == self && old.ReqID != p.ReqID {
+	if old := o.pendingRec(); old != nil && o.ostate == ODrive && old.Driver == self && old.ReqID != p.ReqID {
 		loser, lost = *old, true
 	}
 	o.setPendingLocked(p)
@@ -201,10 +215,11 @@ func (o *Object) GrantLocked(self wire.NodeID, ts wire.OTS, reps wire.ReplicaSet
 // there was none, or when o_ts has since passed it — the arbitration is void
 // and dropped.
 func (o *Object) GrantPendingLocked(self wire.NodeID) (p PendingOwn, applied, bare bool) {
-	if o.pending == nil {
+	pp := o.pendingRec()
+	if pp == nil {
 		return PendingOwn{}, false, false
 	}
-	p = *o.pending
+	p = *pp
 	if applied, bare = o.GrantLocked(self, p.TS, p.NewReplicas, Shipped{}); !applied {
 		o.clearPendingLocked()
 		o.ostate = OValid
@@ -219,7 +234,7 @@ func (o *Object) GrantPendingLocked(self wire.NodeID) (p PendingOwn, applied, ba
 // view it installs), so the level stands.
 func (o *Object) PruneLocked(live wire.Bitmap) {
 	o.setReplicasLocked(o.ReplicasLocked().Prune(live))
-	if p := o.pending; p != nil {
+	if p := o.pendingRec(); p != nil {
 		p.Arbiters = p.Arbiters.Intersect(live)
 		p.NewReplicas = p.NewReplicas.Prune(live)
 		if !live.Contains(p.PrevOwner) {
@@ -231,7 +246,7 @@ func (o *Object) PruneLocked(live wire.Bitmap) {
 // ReplayLocked re-stamps the pending arbitration for an arb-replay in epoch
 // among live and returns a copy (caller holds Mu); false when none is pending.
 func (o *Object) ReplayLocked(epoch wire.Epoch, live wire.Bitmap) (PendingOwn, bool) {
-	p := o.pending
+	p := o.pendingRec()
 	if p == nil {
 		return PendingOwn{}, false
 	}
@@ -260,7 +275,7 @@ func (o *Object) ReclaimLocked(self wire.NodeID, ts wire.OTS, reps wire.ReplicaS
 	}
 	o.owner = self
 	o.level = wire.Owner
-	if o.pending == nil {
+	if o.pendingRec() == nil {
 		o.ostate = OValid
 	}
 }
@@ -273,7 +288,7 @@ func (o *Object) ReclaimLocked(self wire.NodeID, ts wire.OTS, reps wire.ReplicaS
 // grant to this node — no arbitration named it, no value came with it — and a
 // level only ever changes through one.
 func (o *Object) AdoptEntryLocked(ts wire.OTS, reps wire.ReplicaSet) bool {
-	if o.pending != nil || !o.OTSLocked().Less(ts) {
+	if o.pendingRec() != nil || !o.OTSLocked().Less(ts) {
 		return false
 	}
 	o.setOTSLocked(ts)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strconv"
 	"testing"
+	"time"
 
 	"zeus/internal/wire"
 )
@@ -15,7 +16,7 @@ import (
 // req<id>@<ts>-><new set> arb<arbiters> src<prev owner> ep<epoch>.
 func ownerSide(o *Object) string {
 	pend := "-"
-	if p := o.pending; p != nil {
+	if p := o.pendingRec(); p != nil {
 		pend = fmt.Sprintf("req%d@%d.%d->%s arb%v src%s ep%d", p.ReqID, p.TS.Ver, p.TS.Node,
 			setString(p.NewReplicas), p.Arbiters, nodeString(p.PrevOwner), p.Epoch)
 	}
@@ -98,6 +99,14 @@ func TestOwnershipTransitions(t *testing.T) {
 				}
 			},
 			want: "owner Drive 3.0 1[0 2] " + move7s, wantValue: a3},
+		{name: "arbitrate: a drive shares the cold record with a ring and a yield, and keeps both",
+			pre:  func(o *Object) { owner3(o); o.YieldLocalLocked(time.Hour) },
+			do:   func(_ *testing.T, o *Object) { o.DriveLocked(move7) },
+			want: "owner Drive 3.0 1[0 2] " + move7s, wantValue: a3 + " yield"},
+		{name: "arbitrate: an INV over a yield-only record keeps the yield",
+			pre:  func(o *Object) { o.YieldLocalLocked(time.Hour) },
+			do:   func(_ *testing.T, o *Object) { o.InvalidateLocked(move9, self) },
+			want: "non-replica Invalid 0.0 -[] " + move9s, wantValue: none + " yield"},
 		{name: "arbitrate: an INV over a driven smaller-ts request returns the loser's copy and demotes the owner",
 			pre: func(o *Object) { owner3(o); o.DriveLocked(move7) },
 			do: func(t *testing.T, o *Object) {
@@ -130,6 +139,27 @@ func TestOwnershipTransitions(t *testing.T) {
 				}
 			},
 			want: "non-replica Valid 4.0 0[2] -", wantValue: none},
+		{name: "grant: a VAL that drops this node takes the arbitration, the ring and the yield, and the cold record with them",
+			pre: func(o *Object) { reader3(o); o.YieldLocalLocked(time.Hour); o.InvalidateLocked(drop8, self) },
+			do: func(t *testing.T, o *Object) {
+				o.GrantPendingLocked(self)
+				if o.cold != nil {
+					t.Error("a dropped replica kept its cold record")
+				}
+			},
+			want: "non-replica Valid 4.0 0[2] -", wantValue: none},
+		{name: "grant: a VAL that settles a record whose cold record held only the arbitration returns it",
+			pre: func(o *Object) {
+				o.GrantLocked(self, ts(3, 0), set(0, 1, 2), ships(0, 3, "seed"))
+				o.InvalidateLocked(move9, self)
+			},
+			do: func(t *testing.T, o *Object) {
+				o.GrantPendingLocked(self)
+				if o.cold != nil {
+					t.Error("the settled arbitration left its cold record behind")
+				}
+			},
+			want: "reader Valid 4.2 0[1 2] -", wantValue: "seed v3 Valid cts0 []"},
 		{name: "grant: a VAL with nothing pending applies nothing",
 			pre: reader3,
 			do: func(t *testing.T, o *Object) {
@@ -230,6 +260,15 @@ func TestOwnershipTransitions(t *testing.T) {
 				}
 			},
 			want: "non-replica Valid 7.1 -[0] -", wantValue: "c v5 Invalid cts50 []"},
+		{name: "recover: without a timestamp neither the arbitration, the ring, the yield nor the cold record survives",
+			pre: func(o *Object) { owner3(o); o.YieldLocalLocked(time.Hour); o.DriveLocked(move7) },
+			do: func(t *testing.T, o *Object) {
+				o.RecoverLocked(self, 0, 5, b("c"), ts(7, 0), set(0, 1))
+				if o.cold != nil {
+					t.Error("recovery kept a cold record it had nothing to put in")
+				}
+			},
+			want: "non-replica Valid 7.0 0[1] -", wantValue: "c v5 Invalid cts0 []"},
 		{name: "recover: another node's ownership is a hint like any other",
 			pre: fresh,
 			do: func(t *testing.T, o *Object) {
@@ -301,6 +340,9 @@ func TestOwnershipTransitions(t *testing.T) {
 		if got := valueSide(o); got != tc.wantValue {
 			t.Errorf("%s:\n got  %s\n want %s", tc.name, got, tc.wantValue)
 		}
+		if !coldSettled(o) {
+			t.Errorf("%s: kept a cold record that holds nothing", tc.name)
+		}
 	}
 }
 
@@ -310,10 +352,12 @@ func TestOwnershipTransitions(t *testing.T) {
 // package doc states: o_ts never decreases in a record's life; a level rises
 // only through a grant or a reclaim, and a reported bare grant is a raise over
 // version 0; a NonReplica record never reads as ⟨Valid, payload⟩; an
-// arbitration is pending iff o_state is Drive or Invalid; and the copies
+// arbitration is pending iff o_state is Drive or Invalid; the cold record
+// (which holds the arbitration) is nil iff it holds nothing; and the copies
 // PendingLocked and InvalidateLocked handed out still read what they read
-// then. The commit engine's transitions take part where its protocol runs
-// them — a local commit at an owner, an R-INV and its R-VAL at a replica.
+// then — the records are pooled, so a copy that aliased one would not. The
+// commit engine's transitions take part where its protocol runs them — a
+// local commit at an owner, an R-INV and its R-VAL at a replica.
 func TestOwnershipInvariantsHold(t *testing.T) {
 	const self = wire.NodeID(1)
 	type held struct{ got, want PendingOwn }
@@ -350,7 +394,7 @@ func TestOwnershipInvariantsHold(t *testing.T) {
 				PrevOwner: wire.NodeID(rng.Intn(3)), Arbiters: wire.Bitmap(rng.Intn(8)), Epoch: wire.Epoch(step)}
 			was, raises := o.level, false
 			var op string
-			switch r := rng.Intn(24); {
+			switch r := rng.Intn(26); {
 			case r < 2:
 				op = "request"
 				o.RequestLocked()
@@ -359,7 +403,7 @@ func TestOwnershipInvariantsHold(t *testing.T) {
 				o.SettleRequestLocked()
 			case r < 6:
 				op = "drive"
-				if o.pending != nil {
+				if o.pendingRec() != nil {
 					continue // DriveLocked's one precondition
 				}
 				o.DriveLocked(pend)
@@ -415,13 +459,21 @@ func TestOwnershipInvariantsHold(t *testing.T) {
 					continue
 				}
 				o.StageLocked(val.Data)
-			default:
+			case r < 24:
 				op = "r-inv+r-val"
 				if o.level == wire.NonReplica {
 					continue
 				}
 				o.StageInvLocked(val.CTS, ver, val.Data)
 				o.ValidateLocked(ver, TInvalid)
+			case r < 25:
+				op = "yield" // the owner NACKed a mover; half of them have run out already
+				o.YieldLocalLocked(time.Duration(rng.Intn(2)*2-1) * time.Hour)
+			default:
+				op = "local-grant"
+				if o.GrantLocalLocked(0) {
+					o.ReleaseLocal(0)
+				}
 			}
 			trail = append(trail, fmt.Sprintf("%d:%s", i, op))
 			bad := ""
@@ -432,11 +484,14 @@ func TestOwnershipInvariantsHold(t *testing.T) {
 			if o.level > was && !raises {
 				bad = fmt.Sprintf("level rose from %v", was)
 			}
-			if ver, ts := o.TSnapshot(); o.level == wire.NonReplica && ts == TValid && (ver != 0 || o.data != nil) {
+			if ver, ts := o.TSnapshot(); o.level == wire.NonReplica && ts == TValid && (ver != 0 || o.data != "") {
 				bad = "a non-replica reads as Valid with a payload"
 			}
-			if (o.pending != nil) != (o.ostate == ODrive || o.ostate == OInvalid) {
+			if (o.pendingRec() != nil) != (o.ostate == ODrive || o.ostate == OInvalid) {
 				bad = "pending record and o_state disagree"
+			}
+			if !coldSettled(o) {
+				bad = "a cold record that holds nothing was kept"
 			}
 			for _, c := range copies {
 				if c.got != c.want {

@@ -21,7 +21,8 @@
 //	install   installLocked        inside grant and reclaim only: a committed
 //	                               value that arrived whole
 //	recover   RecoverLocked        core.installRecovered: WAL/snapshot replay
-//	                               → Invalid hint, no history, no yield, NonReplica
+//	                               → Invalid hint, no history, no yield, no
+//	                               arbitration, NonReplica
 //	drop      dropLocked           inside grant only: this node left the replica
 //	                               set or the object was deleted → no payload,
 //	                               version 0, no history, no yield
@@ -64,9 +65,12 @@
 // structural yet: GrantLocked can raise a node over a record that holds no
 // value when none is shipped, and reports it (ownership.Stats.BareGrants).
 //
-// A replica costs its 96-byte record (TestObjectSize) and its index slots, 116
-// bytes an object in the store (TestStoreBytesPerObject); snapshot reads and a
-// transfer-fairness yield add one 48-byte side record (Object.cold).
+// A replica costs its 80-byte record (TestObjectSize) and its index slots, 100
+// bytes an object in the store (TestStoreBytesPerObject); snapshot reads, a
+// transfer-fairness yield and a pending arbitration add one 48-byte side
+// record (Object.cold), recycled through coldPool. The payload is held as a
+// string view of the bytes its writer handed over (adopt, view: the package's
+// one use of unsafe), since a replace-only payload never uses a capacity.
 //
 // The index (TestStoreIndexMatchesMap): a shard maps ids to records in an
 // open-addressing table of pointers, 8 bytes a slot where a Go map pays 16 and
@@ -85,6 +89,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"zeus/internal/shardmap"
 	"zeus/internal/wire"
@@ -123,29 +128,33 @@ const NoLocalOwner int32 = -1
 
 // Object is one object replica (or bare directory entry) at a node. Fields
 // are protected by Mu; engines lock the object across multi-field updates.
-// The record fills the 96-byte allocation size class (TestObjectSize): every
+// The record fills the 80-byte allocation size class (TestObjectSize): every
 // byte is paid once per replica, so the small fields sit together, nothing is
-// stored twice, what only snapshot reads and transfer fairness use is behind
-// one pointer (cold), and o_ts and o_replicas are unpacked, their node ids
-// beside the small fields (wire.OTS and wire.ReplicaSet each pad a 2-byte node
-// id to 8).
+// stored twice, what a replica uses rarely — snapshot reads, transfer
+// fairness, an arbitration in flight — is behind one pointer (cold), the
+// payload carries no capacity word, and o_ts and o_replicas are unpacked,
+// their node ids beside the small fields (wire.OTS and wire.ReplicaSet each
+// pad a 2-byte node id to 8).
 type Object struct {
 	Mu sync.Mutex
 
 	ID wire.ObjectID
 
-	// data is the object payload. The slice is REPLACE-ONLY: every
-	// transition installs a freshly allocated (or freshly received) slice
+	// data is the object payload, held as a view of the adopted bytes (adopt;
+	// read back through view, nil when empty). It is REPLACE-ONLY: every
+	// transition installs a freshly allocated (or freshly received) payload
 	// under Mu, and no code path ever mutates a published backing array in
 	// place — local commits install the slice the transaction's Set adopted
 	// (its caller handed it over, capacity clipped), R-INV apply installs the
 	// decoded update slab, ownership transfer installs the ACK payload, a seed
-	// the slice cluster.Seed adopted, drops install nil. This contract is what
-	// makes the no-copy read paths safe: SnapshotRef, DataLocked, the
+	// the slice cluster.Seed adopted, drops install nothing. This contract is
+	// what makes the no-copy read paths safe, and what lets the payload drop
+	// the capacity a slice would carry: SnapshotRef, DataLocked, the
 	// transaction layer's owner-local read buffers, the ownership ACK
 	// piggyback and the zero-copy FabricMem delivery all alias the array after
-	// Mu is released. TestSnapshotRefStableAcrossReplace pins it.
-	data []byte
+	// Mu is released. TestSnapshotRefStableAcrossReplace and
+	// TestPayloadIsTheAdoptedArray pin it.
+	data string
 
 	// tsv is the reliable-commit metadata ⟨t_version, t_state⟩ (meaningful
 	// on owner and readers), packed into one atomic word (version<<2 |
@@ -156,17 +165,17 @@ type Object struct {
 	tsv atomic.Uint64
 
 	// The ownership side (§4): o_ts ⟨otsVer, otsNode⟩, o_replicas ⟨owner,
-	// readers⟩, o_state, the in-flight arbitration applied at REQ/INV time and
-	// finalized (or superseded) at VAL time (nil when none; pooled, see
-	// pendPool), and this node's access level. Written only by the transitions.
+	// readers⟩, o_state, the pending arbitration (coldState.pending), and this
+	// node's access level. Written only by the transitions.
 	otsVer  uint64
 	readers wire.Bitmap
-	pending *PendingOwn
 
 	// cold is nil until a transition records a non-zero commit timestamp
-	// (only snapshot reads mint one) or a yield, and again after drop and
-	// recover, and after a local grant finds only an expired yield in it; nil
-	// reads as "commit timestamp 0, empty ring, no yield".
+	// (only snapshot reads mint one), a yield or an arbitration, and nil again
+	// as soon as it holds none of them (settleColdLocked): after drop and
+	// recover, after a VAL settles the arbitration, after a local grant finds
+	// only an expired yield in it. nil reads as "commit timestamp 0, empty
+	// ring, no yield, no arbitration pending".
 	cold *coldState
 
 	otsNode wire.NodeID
@@ -190,7 +199,8 @@ type Object struct {
 }
 
 // coldState is what a replica uses rarely — snapshot reads' timestamp and
-// ring, and the transfer-fairness yield — guarded by Mu.
+// ring, the transfer-fairness yield, and the arbitration in flight — guarded
+// by Mu. 48 bytes: under snapshot reads a replica costs 128 with its record.
 type coldState struct {
 	// commitCTS is the commit timestamp of the newest reliably-committed
 	// version this replica knows about (0 when unknown, e.g. an object
@@ -215,6 +225,60 @@ type coldState struct {
 	// on a workload whose writes stay local), so the yield lives here rather
 	// than in every record.
 	yieldUntil int64
+
+	// pending is the in-flight arbitration, applied at REQ/INV time and
+	// finalized (or superseded) at VAL time; nil when none, pooled (pendPool).
+	// An object is arbitrated only while it moves, so it too lives here.
+	pending *PendingOwn
+}
+
+// coldPool recycles cold records: a move gives each of its three sides one
+// for the arbitration and takes it back at VAL time, so without the pool
+// every move would allocate three. A record goes back zeroed, and no pointer
+// to one leaves this package.
+var coldPool = sync.Pool{New: func() any { return new(coldState) }}
+
+// coldFor returns cold, taken from coldPool first if need is set (nil
+// otherwise).
+func (o *Object) coldFor(need bool) *coldState {
+	if o.cold == nil && need {
+		o.cold = coldPool.Get().(*coldState)
+	}
+	return o.cold
+}
+
+// settleColdLocked returns the cold record to coldPool once it holds nothing,
+// so that cold is nil iff it would read as nil.
+func (o *Object) settleColdLocked() {
+	if c := o.cold; c != nil && c.commitCTS == 0 && len(c.ring) == 0 && c.yieldUntil == 0 && c.pending == nil {
+		*c = coldState{}
+		o.cold = nil
+		coldPool.Put(c)
+	}
+}
+
+// forgetLocked is what drop and recover share (caller holds Mu): no ring, no
+// yield, cts as the commit timestamp; a pending arbitration is the ownership
+// side's to settle.
+func (o *Object) forgetLocked(cts uint64) {
+	if c := o.coldFor(cts != 0); c != nil {
+		c.commitCTS, c.ring, c.yieldUntil = cts, nil, 0
+		o.settleColdLocked()
+	}
+}
+
+// adopt holds b as a payload without copying it. A payload is clipped and
+// replace-only, so the capacity word a slice would carry is never used.
+func adopt(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// view is the payload as the slice adopt was given, nil when empty (a drop, a
+// recovery without data): the WAL and snapshot codecs read a nil payload as
+// "no data".
+func view(s string) []byte {
+	if s == "" {
+		return nil
+	}
+	return unsafe.Slice(unsafe.StringData(s), len(s))
 }
 
 // VersionEntry is one committed version in an object's ring.
@@ -238,7 +302,7 @@ const DefaultRingEntries = 8
 // ValidateWriteLocked's to publish.
 func (o *Object) StageLocked(data []byte) uint64 {
 	ver := o.TVersion() + 1
-	o.data = data
+	o.data = adopt(data)
 	o.setTLocked(ver, TWrite)
 	return ver
 }
@@ -253,7 +317,7 @@ func (o *Object) StageLocked(data []byte) uint64 {
 // readers here can see it.
 func (o *Object) StageInvLocked(cts, ver uint64, data []byte) {
 	if ver > o.TVersion() {
-		o.data = data
+		o.data = adopt(data)
 		o.setTLocked(ver, TInvalid)
 	}
 	o.publishRingLocked(cts, ver, data)
@@ -283,10 +347,11 @@ func (o *Object) ValidateWriteLocked(cts, ver uint64, data []byte) {
 // for the version it shipped — and as the ring entry that re-arms snapshot
 // reads here. cts 0, "committed before timestamps existed", publishes nothing.
 func (o *Object) installLocked(cts, ver uint64, data []byte) {
-	o.data = data
+	o.data = adopt(data)
 	o.setTLocked(ver, TValid)
 	if c := o.coldFor(cts != 0); c != nil {
 		c.commitCTS = cts
+		o.settleColdLocked()
 	}
 	o.publishRingLocked(cts, ver, data)
 }
@@ -301,18 +366,15 @@ func (o *Object) installLocked(cts, ver uint64, data []byte) {
 // nothing — while cts is kept so a later validate re-enables RingReadLocked's
 // implicit entry. It starts a record's life (a fresh store, before any handler
 // exists), so it is the one transition that takes o_ts as given, and no yield
-// survives it.
+// or arbitration survives it.
 func (o *Object) RecoverLocked(self wire.NodeID, cts, ver uint64, data []byte, ts wire.OTS, reps wire.ReplicaSet) (wasOwner bool) {
-	o.data = data
+	o.data = adopt(data)
 	o.setTLocked(ver, TInvalid)
-	o.cold = nil
-	if cts != 0 {
-		o.cold = &coldState{commitCTS: cts}
-	}
+	o.forgetLocked(cts)
+	o.clearPendingLocked()
 	if wasOwner = reps.Owner == self; wasOwner {
 		reps.Owner = wire.NoNode
 	}
-	o.clearPendingLocked()
 	o.setReplicasLocked(reps)
 	o.setOTSLocked(ts)
 	o.ostate, o.level = OValid, wire.NonReplica
@@ -323,19 +385,12 @@ func (o *Object) RecoverLocked(self wire.NodeID, cts, ver uint64, data []byte, t
 // object's replica set or the object is deleted: no payload, version 0, and no
 // history — a dropped replica must never serve ring reads, and a later
 // re-install must not meet a stale version or timestamp — nor a yield, which
-// only an owner's local writes obey.
+// only an owner's local writes obey. Its one caller, GrantLocked, has settled
+// the arbitration already, so the cold record goes too.
 func (o *Object) dropLocked() {
-	o.data = nil
+	o.data = ""
 	o.setTLocked(0, TValid)
-	o.cold = nil
-}
-
-// coldFor returns cold, allocated first if need is set (nil otherwise).
-func (o *Object) coldFor(need bool) *coldState {
-	if o.cold == nil && need {
-		o.cold = new(coldState)
-	}
-	return o.cold
+	o.forgetLocked(0)
 }
 
 // setTLocked is the one writer of the packed ⟨t_version, t_state⟩ word, which
@@ -365,6 +420,9 @@ func (o *Object) publishRingLocked(cts, ver uint64, data []byte) {
 			return // already published
 		}
 		i--
+	}
+	if len(data) == 0 {
+		data = nil // as view serves the implicit entry's empty payload
 	}
 	e := VersionEntry{CTS: cts, Version: ver, Data: data}
 	switch {
@@ -399,7 +457,7 @@ func (o *Object) RingReadLocked(ts uint64) (VersionEntry, bool) {
 		cts = h.commitCTS
 	}
 	if ver, st := o.TSnapshot(); st == TValid && cts <= ts {
-		return VersionEntry{CTS: cts, Version: ver, Data: o.data}, true
+		return VersionEntry{CTS: cts, Version: ver, Data: view(o.data)}, true
 	}
 	return VersionEntry{}, false
 }
@@ -410,8 +468,8 @@ func (o *Object) RingReadLocked(ts uint64) (VersionEntry, bool) {
 // same-worker re-acquisition only happens for distinct objects in one tx). A
 // *new* grant is refused while the transfer-fairness yield (YieldLocalLocked)
 // is active; a worker that already holds the object keeps it. The first grant
-// after a yield ran out clears it, and drops the cold record if the yield was
-// all it held.
+// after a yield ran out clears it, and returns the cold record to its pool if
+// the yield was all it held.
 func (o *Object) GrantLocalLocked(worker int32) bool {
 	if o.localOwner == worker {
 		return true
@@ -424,9 +482,7 @@ func (o *Object) GrantLocalLocked(worker int32) bool {
 			return false
 		}
 		c.yieldUntil = 0
-		if c.commitCTS == 0 && len(c.ring) == 0 {
-			o.cold = nil // nil reads the same
-		}
+		o.settleColdLocked()
 	}
 	o.localOwner = worker
 	return true
@@ -479,13 +535,13 @@ func (o *Object) SnapshotRef() (TState, uint64, wire.AccessLevel, []byte) {
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
 	ver, st := o.TSnapshot()
-	return st, ver, o.level, o.data
+	return st, ver, o.level, view(o.data)
 }
 
-// DataLocked returns the payload without copying it (caller holds Mu). Like
-// SnapshotRef's result it may be read after Mu is released and must never be
-// written through (zeuslint frozen).
-func (o *Object) DataLocked() []byte { return o.data }
+// DataLocked returns the payload without copying it (caller holds Mu), nil
+// when there is none. Like SnapshotRef's result it may be read after Mu is
+// released and must never be written through (zeuslint frozen).
+func (o *Object) DataLocked() []byte { return view(o.data) }
 
 // CommitCTSLocked returns the commit timestamp of the newest reliably
 // committed version this replica knows about, 0 when unknown (caller holds Mu).

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -162,7 +163,7 @@ func TestSnapshotRefStableAcrossReplace(t *testing.T) {
 	if st != TValid || ver != 1 || lvl != wire.NonReplica || string(ref) != "v1" {
 		t.Fatalf("snapshot ref: %v %d %v %q", st, ver, lvl, ref)
 	}
-	if &ref[0] != &o.data[0] {
+	if &ref[0] != unsafe.StringData(o.data) {
 		t.Fatal("SnapshotRef must alias, not copy")
 	}
 
@@ -277,12 +278,71 @@ func TestGetOrCreatePropertyIdempotent(t *testing.T) {
 	}
 }
 
-// TestObjectSize pins the record at its allocation size class: past 96 bytes
-// Go rounds it up to the 112-byte class, 16 bytes more per replica, three
-// times per object.
+// TestObjectSize pins the record at its allocation size class: past 80 bytes
+// Go rounds it up to the 96-byte class, 16 bytes more per replica, three
+// times per object. It reached 80 by two moves from 96: the pending
+// arbitration's pointer went into the cold record, and the payload is a
+// string view, which drops the capacity word of a slice. Under snapshot reads
+// the cold record adds its 48-byte class: 128 in all.
 func TestObjectSize(t *testing.T) {
-	if got := unsafe.Sizeof(Object{}); got > 96 {
-		t.Fatalf("store.Object is %d bytes, must stay within the 96-byte size class", got)
+	if got := unsafe.Sizeof(Object{}); got > 80 {
+		t.Fatalf("store.Object is %d bytes, must stay within the 80-byte size class", got)
+	}
+	if got := unsafe.Sizeof(Object{}) + unsafe.Sizeof(coldState{}); got > 128 {
+		t.Fatalf("store.Object and its cold record are %d bytes, must stay within 128", got)
+	}
+}
+
+// TestPayloadIsTheAdoptedArray: the payload is held without its capacity but
+// is still the caller's array, not a copy — DataLocked, SnapshotRef and the
+// ring read's implicit entry return the very bytes a transition adopted, with
+// cap == len — and an empty payload reads as nil, never as a non-nil empty
+// slice, from a ring entry as from the record: the WAL and snapshot codecs
+// write a nil payload as "no data".
+func TestPayloadIsTheAdoptedArray(t *testing.T) {
+	same := func(what string, got, want []byte) {
+		t.Helper()
+		if len(got) != len(want) || cap(got) != len(got) || &got[0] != &want[0] {
+			t.Errorf("%s: %d/%d bytes at %p, want the adopted %d at %p", what, len(got), cap(got), got, len(want), want)
+		}
+	}
+	v := make([]byte, 8, 16)[2:5:5] // clipped, as Set and Seed hand it over
+	o, _ := New().GetOrCreate(1)
+	// reads returns what the three read paths serve once do has run.
+	reads := func(do func()) (data, ref, ring []byte, served bool) {
+		o.Mu.Lock()
+		do()
+		data = o.DataLocked()
+		e, ok := o.RingReadLocked(math.MaxUint64)
+		o.Mu.Unlock()
+		_, _, _, ref = o.SnapshotRef()
+		return data, ref, e.Data, ok
+	}
+
+	data, ref, ring, served := reads(func() { o.installLocked(0, 1, v) })
+	same("DataLocked", data, v)
+	same("SnapshotRef", ref, v)
+	if !served {
+		t.Fatal("the implicit ring entry was not served")
+	}
+	same("RingReadLocked", ring, v)
+	for _, step := range []struct {
+		name string
+		do   func()
+	}{
+		{"an empty payload committed", func() { o.ValidateLocked(o.StageLocked([]byte{}), TWrite) }},
+		{"an empty payload published to the ring", func() { o.StageInvLocked(7, o.TVersion()+1, []byte{}) }},
+		{"a drop", o.dropLocked},
+		{"a recovery without data", func() {
+			o.RecoverLocked(0, 0, 2, nil, wire.OTS{}, wire.ReplicaSet{})
+			o.ValidateLocked(o.TSnapshot())
+		}},
+	} {
+		data, ref, ring, served := reads(step.do)
+		if data != nil || ref != nil || ring != nil || !served {
+			t.Errorf("after %s: DataLocked %#v, SnapshotRef %#v, ring read %#v (served %v); want nil, nil, nil (true)",
+				step.name, data, ref, ring, served)
+		}
 	}
 }
 
@@ -300,8 +360,8 @@ func TestStoreBytesPerObject(t *testing.T) {
 	}
 	per := float64(liveHeap()-before) / objects
 	t.Logf("%.1f bytes per object (%d shards)", per, len(s.shards))
-	if per > 124 {
-		t.Errorf("the store costs %.1f bytes per object, must stay within 124", per)
+	if per > 108 {
+		t.Errorf("the store costs %.1f bytes per object, must stay within 108", per)
 	}
 	runtime.KeepAlive(s)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -20,8 +21,8 @@ func valueSide(o *Object) string {
 		ring[i] = entryString(e)
 	}
 	data := "nil"
-	if o.data != nil {
-		data = string(o.data)
+	if o.data != "" {
+		data = o.data
 	}
 	yield := ""
 	if o.cold != nil && o.cold.yieldUntil != 0 {
@@ -40,6 +41,13 @@ func (o *Object) ringForTest() []VersionEntry {
 
 func entryString(e VersionEntry) string {
 	return fmt.Sprintf("%d:%d:%s", e.CTS, e.Version, e.Data)
+}
+
+// coldSettled reports whether cold is nil iff it holds nothing: a record that
+// would read like none has gone back to coldPool.
+func coldSettled(o *Object) bool {
+	c := o.cold
+	return c == nil || c.commitCTS != 0 || len(c.ring) != 0 || c.yieldUntil != 0 || c.pending != nil
 }
 
 // TestObjectTransitions is the pre-state → post-state table of the value-side
@@ -68,7 +76,10 @@ func TestObjectTransitions(t *testing.T) {
 		// wantRead is the entry RingReadLocked serves, "none" for ok=false.
 		readAt   uint64
 		wantRead string
-		// allocs, when set, is what do allocates (each run on a fresh pre-state).
+		// allocs, when set, is what do allocates, each run on a fresh pre-state
+		// and coldPool emptied first. Under -race a sync.Pool drops a quarter
+		// of its Puts, which costs a reusing row one more allocation in those
+		// runs; AllocsPerRun's whole-number average still reads the same.
 		allocs *float64
 	}{
 		{name: "stage: the owner's local commit mints the next version, no ring entry yet",
@@ -124,6 +135,10 @@ func TestObjectTransitions(t *testing.T) {
 			pre: func(*Object) {}, do: func(o *Object) { o.installLocked(0, 1, b("seed")) },
 			want:   "seed v1 Valid cts0 []",
 			readAt: 1, wantRead: "0:1:seed"},
+		{name: "install: without a timestamp over a recovered one, the cold record goes back",
+			pre:  func(o *Object) { o.RecoverLocked(0, 50, 5, b("c"), wire.OTS{}, wire.ReplicaSet{}) },
+			do:   func(o *Object) { o.installLocked(0, 6, b("d")) },
+			want: "d v6 Valid cts0 []"},
 		{name: "recover: an Invalid hint with no history and no yield serves no snapshot",
 			pre:    func(o *Object) { invalid4(o); yielding(o) },
 			do:     func(o *Object) { o.RecoverLocked(0, 50, 5, b("c"), wire.OTS{}, wire.ReplicaSet{}) },
@@ -153,10 +168,19 @@ func TestObjectTransitions(t *testing.T) {
 			},
 			want:   "nil v0 Valid cts0 []",
 			readAt: math.MaxUint64, wantRead: "0:0:"},
-		{name: "yield: the first one allocates the cold record, which reads like none",
+		{name: "yield: the first one takes a cold record from the pool, new when it is empty, and it reads like none",
 			pre: func(o *Object) { o.installLocked(0, 1, b("seed")) }, do: yielding,
 			want:   "seed v1 Valid cts0 [] yield",
 			readAt: 1, wantRead: "0:1:seed", allocs: exactly(1)},
+		{name: "yield: the record a settled yield gave back is the one the next yield takes",
+			pre: func(o *Object) { o.installLocked(0, 1, b("seed")) },
+			do: func(o *Object) {
+				yielded(o)
+				o.GrantLocalLocked(3)
+				o.ReleaseLocal(3)
+				yielding(o)
+			},
+			want: "seed v1 Valid cts0 [] yield", allocs: exactly(1)},
 		{name: "yield: a yield-only record over an Invalid hint serves nothing, as none does",
 			pre: func(o *Object) { o.RecoverLocked(0, 0, 5, b("c"), wire.OTS{}, wire.ReplicaSet{}) }, do: yielding,
 			want:   "c v5 Invalid cts0 [] yield",
@@ -212,6 +236,9 @@ func TestObjectTransitions(t *testing.T) {
 		if got := valueSide(o); got != tc.want {
 			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, tc.want)
 		}
+		if !coldSettled(o) {
+			t.Errorf("%s: kept a cold record that holds nothing", tc.name)
+		}
 		if tc.readAt != 0 {
 			got := "none"
 			if e, ok := o.RingReadLocked(tc.readAt); ok {
@@ -227,6 +254,8 @@ func TestObjectTransitions(t *testing.T) {
 			for i := range objs {
 				objs[i] = fresh()
 			}
+			runtime.GC() // a pool survives one collection, in its victim cache
+			runtime.GC()
 			n := 0
 			if got := testing.AllocsPerRun(runs, func() { tc.do(objs[n]); n++ }); got != *tc.allocs {
 				t.Errorf("%s: allocates %v, want %v", tc.name, got, *tc.allocs)
@@ -238,7 +267,8 @@ func TestObjectTransitions(t *testing.T) {
 // TestRingNeverAheadOfWord drives random transition sequences and checks after
 // every step what the deleted ringpublish analyzer approximated lexically: no
 // ring entry's version exceeds t_version, entries are strictly version-sorted,
-// and the ring (array included) never exceeds DefaultRingEntries. Versions are
+// and the ring (array included) never exceeds DefaultRingEntries; and that
+// the cold record is nil iff it holds nothing. Versions are
 // drawn around the current one, stale and ahead alike; installLocked alone
 // keeps its documented precondition (never below t_version).
 func TestRingNeverAheadOfWord(t *testing.T) {
@@ -282,6 +312,9 @@ func TestRingNeverAheadOfWord(t *testing.T) {
 			}
 			trail = append(trail, op)
 			bad, ring := "", o.ringForTest()
+			if !coldSettled(o) {
+				bad = "a cold record that holds nothing was kept"
+			}
 			if len(ring) > DefaultRingEntries || cap(ring) > DefaultRingEntries {
 				bad = fmt.Sprintf("ring holds %d entries in %d slots", len(ring), cap(ring))
 			}

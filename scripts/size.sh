@@ -40,7 +40,14 @@ cd "$(dirname "$0")/.."
 # local grant, ~6; docs: the record's cost in the package doc, why the yield
 # lives in the cold record, what drop and recover clear, ~13) and 1 for
 # retry.TimerGranularity's lock-free probe.
-max_lines=24937  # non-test Go outside benchmark/, testdata/ excluded
+# Raised by 68 for the 80-byte store.Object, all in internal/store: 28 code
+# (the cold records' pool with the helpers that take one and give it back once
+# empty, the arbitration reached through the cold record, the payload's two
+# string-view conversions), 33 docs (what the cold record now holds and when it
+# goes back, why the payload needs no capacity word), 7 blank. Then by 5 for
+# empty values reading as nil: 3 in the ring's publish (an empty payload is
+# stored as nil there too), 2 in the Get docs of core.Tx and dbapi.Txn.
+max_lines=25010  # non-test Go outside benchmark/, testdata/ excluded
 max_fields=77    # option fields (PR 21)
 
 # testdata/ is what the go tool itself never builds (the lint fixtures).

@@ -310,7 +310,7 @@ type Tx struct {
 // view, not a copy: the committed version, or the value this transaction Set.
 // Zeus never writes them again and they stay valid for as long as the caller
 // keeps them, but the caller must not write them either — copy before
-// modifying (append([]byte(nil), v...)).
+// modifying (append([]byte(nil), v...)). A committed empty value reads as nil.
 func (t *Tx) Get(obj uint64) ([]byte, error) { return t.tx.Get(obj) }
 
 // Set buffers a full-object write. val is adopted, not copied: the bytes
