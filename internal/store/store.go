@@ -65,8 +65,8 @@
 // structural yet: GrantLocked can raise a node over a record that holds no
 // value when none is shipped, and reports it (ownership.Stats.BareGrants).
 //
-// A replica costs its 80-byte record (TestObjectSize) and its index slots, 100
-// bytes an object in the store (TestStoreBytesPerObject); snapshot reads, a
+// A replica costs its 80-byte record (TestObjectSize) and its index slots, 92
+// bytes an object at 30 000 (TestStoreBytesPerObject); snapshot reads, a
 // transfer-fairness yield and a pending arbitration add one 48-byte side
 // record (Object.cold), recycled through coldPool. The payload is held as a
 // string view of the bytes its writer handed over (adopt, view: the package's
@@ -74,12 +74,18 @@
 //
 // The index (TestStoreIndexMatchesMap): a shard maps ids to records in an
 // open-addressing table of pointers, 8 bytes a slot where a Go map pays 16 and
-// a control byte. An id's home slot is the bits of its hash just below the
-// shard's; a collision probes linearly, comparing the candidate's ID (fixed
-// once the record is published); the table doubles before it is 3/4 full, so a
-// probe always ends at the id or an empty slot. Delete shifts the rest of the
-// probe run back over the hole instead of leaving a tombstone, so every entry
-// stays reachable from its home.
+// a control byte. An id's home slot is the 32 bits of its hash just below the
+// shard's, scaled to the table's length (fastrange); a collision probes
+// linearly, wrapping at the end, comparing the candidate's ID (fixed once the
+// record is published). Before the table is 3/4 full it grows to at least half
+// as long again, so it is about half full after, and takes every slot of the
+// size class that length rounds up to
+// (TestShardTablesFillTheirSizeClass): a table over 512 bytes also carries
+// Go's 8-byte malloc header, so 1 024 slots would spill into a 9 472-byte
+// allocation where 671 fill their 5 376-byte class. A probe always ends at the
+// id or an empty slot. Delete shifts the rest of the probe run back over the
+// hole instead of leaving a tombstone, so every entry stays reachable from its
+// home.
 package store
 
 import (
@@ -558,10 +564,10 @@ var shardCount = shardmap.ScaledCount(runtime.GOMAXPROCS(0))
 
 // shard is one lock and one index (see the package doc).
 type shard struct {
-	mu    sync.RWMutex
-	slots []*Object // a power of two of them; nil is empty
-	shift uint      // home(h) = h>>shift & (len(slots)-1)
-	n     int
+	mu        sync.RWMutex
+	slots     []*Object // every slot of the allocation's size class; nil is empty
+	shardBits uint      // how many top hash bits chose the shard (see home)
+	n         int
 }
 
 // Store is a sharded map of objects.
@@ -579,8 +585,8 @@ func New() *Store {
 		shards: make([]shard, n),
 	}
 	for i := range s.shards {
-		s.shards[i].slots = make([]*Object, 8)
-		s.shards[i].shift = s.shift - 3
+		s.shards[i].slots = make([]*Object, 8) // the 64-byte class, full
+		s.shards[i].shardBits = 64 - s.shift
 	}
 	return s
 }
@@ -593,22 +599,37 @@ func (s *Store) shard(id wire.ObjectID) (*shard, uint64) {
 	return &s.shards[h>>s.shift], h
 }
 
-// find returns the slot holding id, or the empty slot ending its probe run
-// (caller holds mu).
-func (sh *shard) find(id wire.ObjectID, h uint64) int {
-	mask := len(sh.slots) - 1
-	i := int(h>>sh.shift) & mask
-	for o := sh.slots[i]; o != nil && o.ID != id; o = sh.slots[i] {
-		i = (i + 1) & mask
+// home is the slot where the probe for hash h starts: the 32 hash bits below
+// the shard's, scaled to the table's length by a multiply and a shift
+// (fastrange), which works for any length.
+func (sh *shard) home(h uint64) int {
+	return int(uint64(uint32(h<<sh.shardBits>>32)) * uint64(len(sh.slots)) >> 32)
+}
+
+// next is the slot after i, wrapping at the end of the table.
+func (sh *shard) next(i int) int {
+	if i++; i == len(sh.slots) {
+		return 0
 	}
 	return i
 }
 
-// grow doubles the table (caller holds mu for writing).
+// find returns the slot holding id, or the empty slot ending its probe run
+// (caller holds mu).
+func (sh *shard) find(id wire.ObjectID, h uint64) int {
+	i := sh.home(h)
+	for o := sh.slots[i]; o != nil && o.ID != id; o = sh.slots[i] {
+		i = sh.next(i)
+	}
+	return i
+}
+
+// grow makes the table at least half as long again and takes every slot of
+// the size class that rounds up to (caller holds mu for writing).
 func (sh *shard) grow() {
 	old := sh.slots
-	sh.slots = make([]*Object, 2*len(old))
-	sh.shift--
+	sh.slots = slices.Grow([]*Object(nil), len(old)+len(old)/2)
+	sh.slots = sh.slots[:cap(sh.slots)]
 	for _, o := range old {
 		if o != nil {
 			sh.slots[sh.find(o.ID, hash(o.ID))] = o
@@ -666,10 +687,10 @@ func (s *Store) Delete(id wire.ObjectID) {
 		return
 	}
 	// Move back over the hole every entry of the run whose home is not in
-	// (hole, j]: a probe from there would stop at the hole.
-	mask := len(sh.slots) - 1
-	for j := (i + 1) & mask; sh.slots[j] != nil; j = (j + 1) & mask {
-		if home := int(hash(sh.slots[j].ID)>>sh.shift) & mask; (j-home)&mask >= (j-i)&mask {
+	// (hole, j], cyclically: a probe from there would stop at the hole.
+	n := len(sh.slots)
+	for j := sh.next(i); sh.slots[j] != nil; j = sh.next(j) {
+		if (j-sh.home(hash(sh.slots[j].ID))+n)%n >= (j-i+n)%n {
 			sh.slots[i], i = sh.slots[j], j
 		}
 	}

@@ -347,23 +347,66 @@ func TestPayloadIsTheAdoptedArray(t *testing.T) {
 }
 
 // TestStoreBytesPerObject: an object costs its record plus its index slots —
-// 8 bytes each, the table between 3/8 and 3/4 full — and nothing else.
+// 8 bytes each, in tables about 1/2 to 3/4 full that use every slot their
+// allocation pays for — and nothing else. The shard count is pinned to a
+// small host's 64, so every host measures the same tables; 30 000 objects is
+// the benchmark's population of one store.
 func TestStoreBytesPerObject(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what an allocation costs")
 	}
-	const objects = 30000
+	defer func(n int) { shardCount = n }(shardCount)
+	shardCount = 64
+	for _, c := range []struct {
+		objects             int
+		perObject, perEntry float64 // ceilings, 0 for none
+	}{
+		{objects: 3000, perEntry: 22},
+		{objects: 10000, perEntry: 22},
+		{objects: 30000, perObject: 96, perEntry: 12},
+		{objects: 100000, perEntry: 22},
+	} {
+		before := liveHeap()
+		s := New()
+		for i := 0; i < c.objects; i++ {
+			s.GetOrCreate(wire.ObjectID(i))
+		}
+		per := float64(liveHeap()-before) / float64(c.objects)
+		index := per - float64(unsafe.Sizeof(Object{}))
+		runtime.KeepAlive(s)
+		t.Logf("%d objects: %.1f bytes an object, %.1f of them index", c.objects, per, index)
+		if c.perObject > 0 && per > c.perObject {
+			t.Errorf("%d objects: the store costs %.1f bytes an object, must stay within %.0f", c.objects, per, c.perObject)
+		}
+		if index > c.perEntry {
+			t.Errorf("%d objects: the index costs %.1f bytes an entry, must stay within %.0f", c.objects, index, c.perEntry)
+		}
+	}
+}
+
+// TestShardTablesFillTheirSizeClass: each table a shard grows to is at least
+// half as long again as the last, and holds every slot of its allocation's size
+// class — asking slices.Grow for that many slots yields exactly that many — so
+// no byte of it goes unused, a table's malloc header over 512 bytes included.
+func TestShardTablesFillTheirSizeClass(t *testing.T) {
 	s := New()
-	before := liveHeap()
-	for i := wire.ObjectID(0); i < objects; i++ {
-		s.GetOrCreate(i)
+	sh := &s.shards[0]
+	lens := []int{len(sh.slots)}
+	for id := wire.ObjectID(0); sh.n < 5000; id++ {
+		if hash(id)>>s.shift != 0 {
+			continue
+		}
+		old := len(sh.slots)
+		s.GetOrCreate(id)
+		if n := len(sh.slots); n != old {
+			lens = append(lens, n)
+			if n < old+old/2 || cap(sh.slots) != n || cap(slices.Grow([]*Object(nil), n)) != n {
+				t.Fatalf("%d slots grew to %d of capacity %d; want ≥ %d, all of its size class", old, n, cap(sh.slots), old+old/2)
+			}
+		}
 	}
-	per := float64(liveHeap()-before) / objects
-	t.Logf("%.1f bytes per object (%d shards)", per, len(s.shards))
-	if per > 108 {
-		t.Errorf("the store costs %.1f bytes per object, must stay within 108", per)
-	}
-	runtime.KeepAlive(s)
+	t.Logf("table lengths: %v", lens)
+	checkIndex(t, s)
 }
 
 func liveHeap() int64 {
@@ -375,13 +418,15 @@ func liveHeap() int64 {
 }
 
 // checkIndex verifies every shard's table: each entry is reachable from its
-// home slot without crossing an empty one, no id is stored twice, and the
-// count matches.
+// home slot without crossing an empty one, no id is stored twice, the count
+// matches, and the table is at most 3/4 full.
 func checkIndex(t *testing.T, s *Store) {
 	t.Helper()
 	for si := range s.shards {
 		sh := &s.shards[si]
-		mask := len(sh.slots) - 1
+		if 4*sh.n > 3*len(sh.slots) {
+			t.Fatalf("shard %d holds %d objects in %d slots, above 3/4", si, sh.n, len(sh.slots))
+		}
 		n, seen := 0, map[wire.ObjectID]bool{}
 		for i, o := range sh.slots {
 			if o == nil {
@@ -396,7 +441,7 @@ func checkIndex(t *testing.T, s *Store) {
 			if &s.shards[h>>s.shift] != sh {
 				t.Fatalf("shard %d holds id %d of another shard", si, o.ID)
 			}
-			for j := int(h>>sh.shift) & mask; j != i; j = (j + 1) & mask {
+			for j := sh.home(h); j != i; j = (j + 1) % len(sh.slots) {
 				if sh.slots[j] == nil {
 					t.Fatalf("shard %d: id %d at slot %d is cut off from its home by an empty slot %d", si, o.ID, i, j)
 				}
@@ -409,36 +454,50 @@ func checkIndex(t *testing.T, s *Store) {
 }
 
 // TestStoreIndexMatchesMap runs the index against a Go map: a probe run that
-// wraps around the end of the table and loses an entry from its middle, then
-// random GetOrCreate/Get/Delete over ids crowded into two shards, so tables
-// grow several times and deletes land inside long probe runs — the case
+// wraps around the end of a fresh table, and of grown ones whose lengths are
+// not powers of two, and loses an entry from its middle; then random
+// GetOrCreate/Get/Delete over ids crowded into two shards, so tables grow
+// several times and deletes land inside long probe runs — the case
 // backward-shift deletion must get right.
 func TestStoreIndexMatchesMap(t *testing.T) {
-	s := New()
-	sh := &s.shards[0]
-	// Ids of shard 0 whose home is the fresh table's last slot: their run
-	// wraps to slots 0, 1, 2, ...
-	var wrap []wire.ObjectID
-	for id := wire.ObjectID(0); len(wrap) < 5; id++ {
-		if h := hash(id); h>>s.shift == 0 && int(h>>sh.shift)&7 == 7 {
-			wrap = append(wrap, id)
+	for _, size := range []int{8, 12, 18} {
+		s := New()
+		sh := &s.shards[0]
+		// Grow shard 0's table to size and empty it again: tables never shrink.
+		var fill []wire.ObjectID
+		for id := wire.ObjectID(0); len(sh.slots) < size; id++ {
+			if hash(id)>>s.shift == 0 {
+				s.GetOrCreate(id)
+				fill = append(fill, id)
+			}
 		}
-	}
-	for _, id := range wrap {
-		s.GetOrCreate(id)
-	}
-	if len(sh.slots) != 8 || sh.slots[7].ID != wrap[0] || sh.slots[0].ID != wrap[1] {
-		t.Fatalf("the run did not wrap around the fresh 8-slot table: %d slots", len(sh.slots))
-	}
-	s.Delete(wrap[1])
-	checkIndex(t, s)
-	for i, id := range wrap {
-		if _, ok := s.Get(id); ok != (i != 1) {
-			t.Fatalf("after deleting %d from the middle of the run, Get(%d) = %v", wrap[1], id, ok)
+		for _, id := range fill {
+			s.Delete(id)
+		}
+		// Ids of shard 0 whose home is the table's last slot: their run
+		// wraps to slots 0, 1, 2, ...
+		var wrap []wire.ObjectID
+		for id := wire.ObjectID(0); len(wrap) < 5; id++ {
+			if h := hash(id); h>>s.shift == 0 && sh.home(h) == size-1 {
+				wrap = append(wrap, id)
+			}
+		}
+		for _, id := range wrap {
+			s.GetOrCreate(id)
+		}
+		if len(sh.slots) != size || sh.slots[size-1].ID != wrap[0] || sh.slots[0].ID != wrap[1] {
+			t.Fatalf("the run did not wrap around the %d-slot table: %d slots", size, len(sh.slots))
+		}
+		s.Delete(wrap[1])
+		checkIndex(t, s)
+		for i, id := range wrap {
+			if _, ok := s.Get(id); ok != (i != 1) {
+				t.Fatalf("%d slots: after deleting %d from the middle of the run, Get(%d) = %v", size, wrap[1], id, ok)
+			}
 		}
 	}
 
-	s = New()
+	s := New()
 	var pool []wire.ObjectID
 	for id := wire.ObjectID(0); len(pool) < 3000; id++ {
 		if hash(id)>>s.shift < 2 {
@@ -553,5 +612,37 @@ func TestPublishRingStaysInPlace(t *testing.T) {
 		if cts := o.CommitCTSLocked(); cts != 1100 {
 			t.Fatalf("%s: commitCTS %d, want the newest published (1100)", name, cts)
 		}
+	}
+}
+
+// BenchmarkGet looks up ids in a store of 30 000, the benchmark's population
+// of one store, in an order no prefetcher follows: ids it holds, and ids it
+// does not (a probe ending at an empty slot).
+func BenchmarkGet(b *testing.B) {
+	const objects = 30000
+	s := New()
+	for i := wire.ObjectID(0); i < objects; i++ {
+		s.GetOrCreate(i)
+	}
+	for _, c := range []struct {
+		name  string
+		first wire.ObjectID
+	}{{"hit", 0}, {"miss", objects}} {
+		b.Run(c.name, func(b *testing.B) {
+			x, found := uint64(1), 0
+			for i := 0; i < b.N; i++ {
+				x = x*6364136223846793005 + 1442695040888963407
+				if _, ok := s.Get(c.first + wire.ObjectID(x>>33%objects)); ok {
+					found++
+				}
+			}
+			want := 0
+			if c.first == 0 {
+				want = b.N
+			}
+			if found != want {
+				b.Fatalf("%d of %d lookups found their id, want %d", found, b.N, want)
+			}
+		})
 	}
 }

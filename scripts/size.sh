@@ -47,7 +47,12 @@ cd "$(dirname "$0")/.."
 # goes back, why the payload needs no capacity word), 7 blank. Then by 5 for
 # empty values reading as nil: 3 in the ring's publish (an empty payload is
 # stored as nil there too), 2 in the Get docs of core.Tx and dbapi.Txn.
-max_lines=25010  # non-test Go outside benchmark/, testdata/ excluded
+# Raised by 21 for shard tables that fill their allocation, all in
+# internal/store: 8 code (home's fastrange and next's wrap, which a table
+# whose length is not a power of two needs in place of a mask), 11 docs (the
+# growth rule and the malloc header in the package doc, home, next, grow), 2
+# blank.
+max_lines=25031  # non-test Go outside benchmark/, testdata/ excluded
 max_fields=77    # option fields (PR 21)
 
 # testdata/ is what the go tool itself never builds (the lint fixtures).
