@@ -170,9 +170,7 @@ func main() {
 	}
 	defer tr.Close()
 
-	cfg := core.DefaultConfig()
-	cfg.Degree = *degree
-	cfg.Workers = *workers
+	cfg := core.Config{Degree: *degree, Workers: *workers, WatchdogAge: *watchdogAge}
 	if *dataDir != "" {
 		stg, err := filestorage.Open(*dataDir)
 		if err != nil {
@@ -183,9 +181,7 @@ func main() {
 	if *obsAddr != "" {
 		cfg.Obs = obs.NewRegistry()
 		cfg.TraceSample = *traceSample
-		tr.RegisterObs(cfg.Obs)
 	}
-	cfg.WatchdogAge = *watchdogAge
 	cli := viewsvc.NewClientDetached(vcfg, tr, replicaIDs, members, cfg.Obs)
 	defer cli.Close()
 	node := core.NewNode(self, tr, cli.Agent(self), cfg)

@@ -40,7 +40,6 @@ import (
 	"zeus/internal/core"
 	"zeus/internal/netsim"
 	"zeus/internal/obs"
-	"zeus/internal/ownership"
 	"zeus/internal/retry"
 	"zeus/internal/storage"
 	"zeus/internal/store"
@@ -65,19 +64,17 @@ type Options struct {
 	// clusters (batching thresholds, flush interval, delayed acks, RTO).
 	// Zero fields keep the defaults derived from Net's latency scale.
 	Reliable transport.ReliableConfig
-	// Lease is the membership lease duration.
-	Lease time.Duration
 	// ViewReplicas is the view-service ensemble size (default 3; values
 	// above 3 clamp — the reserved transport-id range 61..63 caps the
 	// ensemble). The replicas live on the cluster's own fabric, so
 	// fault-injection tests can crash them like any node.
 	ViewReplicas int
-	// View overrides the view-service tuning (heartbeat, takeover). Zero
-	// fields derive from Lease. View.DirShards is the one place the
-	// ownership directory's shard count (§6.2) is set: each shard is driven
-	// by up to three nodes rendezvous-hashed from the live view, and every
-	// node follows the shard→drivers placement the view service replicates.
-	// Zero or negative picks the host-scaled default.
+	// View tunes the view service. View.Lease is the one membership lease,
+	// 2ms when zero; the heartbeat derives from it. View.DirShards is the one
+	// place the ownership directory's shard count (§6.2) is set: each shard
+	// is driven by up to three nodes rendezvous-hashed from the live view, and
+	// every node follows the shard→drivers placement the view service
+	// replicates. Zero or negative picks the host-scaled default.
 	View viewsvc.Config
 	// SnapshotReads / SafeTimeInterval forward to core.Config: MVCC
 	// snapshot reads from any replica at the quorum-advanced safe-time.
@@ -113,7 +110,6 @@ func DefaultOptions(nodes int) Options {
 		Degree:  3,
 		Workers: 8,
 		Fabric:  FabricMem,
-		Lease:   2 * time.Millisecond,
 	}
 }
 
@@ -145,8 +141,8 @@ func New(opts Options) *Cluster {
 	if opts.Workers <= 0 {
 		opts.Workers = 8
 	}
-	if opts.Lease <= 0 {
-		opts.Lease = 2 * time.Millisecond
+	if opts.View.Lease <= 0 {
+		opts.View.Lease = 2 * time.Millisecond
 	}
 	if opts.Nodes > int(viewsvc.MaxDataNode)+1 {
 		panic(fmt.Sprintf("cluster: at most %d data nodes (ids above are reserved for the view service)", viewsvc.MaxDataNode+1))
@@ -171,20 +167,16 @@ func New(opts Options) *Cluster {
 	// reserved endpoint ids of the same fabric as the data nodes, so every
 	// membership decision (epoch bump, lease expiry, recovery barrier)
 	// crosses the wire — and tests can crash view replicas like any node.
-	vcfg := c.opts.View
-	if vcfg.Lease <= 0 {
-		vcfg.Lease = opts.Lease
-	}
 	c.vsIDs = viewsvc.ReplicaIDs(opts.ViewReplicas)
 	vtrs := make([]transport.Transport, len(c.vsIDs))
 	for i, id := range c.vsIDs {
 		vtrs[i] = c.fabric.Node(id)
 	}
-	c.views = viewsvc.StartEnsemble(vcfg, c.vsIDs, vtrs, members)
+	c.views = viewsvc.StartEnsemble(opts.View, c.vsIDs, vtrs, members)
 	if opts.Observability {
 		c.viewObs = obs.NewRegistry()
 	}
-	c.mgr = viewsvc.NewClient(vcfg, c.fabric.Node(viewsvc.ClientID), c.vsIDs, members, c.viewObs)
+	c.mgr = viewsvc.NewClient(opts.View, c.fabric.Node(viewsvc.ClientID), c.vsIDs, members, c.viewObs)
 	for i := 0; i < opts.Nodes; i++ {
 		c.startNode(wire.NodeID(i))
 	}
@@ -193,25 +185,18 @@ func New(opts Options) *Cluster {
 
 func (c *Cluster) startNode(id wire.NodeID) *core.Node {
 	tr := c.fabric.Node(id)
-	ocfg := ownership.DefaultConfig()
-	ocfg.OnLatency = c.opts.OnOwnershipLatency
 	cfg := core.Config{
-		Degree:           c.opts.Degree,
-		Workers:          c.opts.Workers,
-		DispatchShards:   c.opts.DispatchShards,
-		Ownership:        ocfg,
-		SnapshotReads:    c.opts.SnapshotReads,
-		SafeTimeInterval: c.opts.SafeTimeInterval,
+		Degree:             c.opts.Degree,
+		Workers:            c.opts.Workers,
+		DispatchShards:     c.opts.DispatchShards,
+		OnOwnershipLatency: c.opts.OnOwnershipLatency,
+		SnapshotReads:      c.opts.SnapshotReads,
+		SafeTimeInterval:   c.opts.SafeTimeInterval,
 	}
 	if c.opts.Observability {
 		cfg.Obs = obs.NewRegistry()
 		cfg.TraceSample = c.opts.TraceSample
 		cfg.WatchdogAge = c.opts.WatchdogAge
-		// An endpoint with counters of its own (frames, socket writes) scrapes
-		// them into the node's registry; the hub's are fabric-wide only.
-		if counted, ok := tr.(interface{ RegisterObs(*obs.Registry) }); ok {
-			counted.RegisterObs(cfg.Obs)
-		}
 	}
 	if c.opts.Storage != nil {
 		stg, retained := c.stores[id]

@@ -54,6 +54,25 @@ func TestSmallClusterDirsClamped(t *testing.T) {
 	}
 }
 
+// TestLeaseHasOneSource: View.Lease is the membership lease every node's
+// agent runs on, 2ms when left zero (not the view service's own 10ms).
+func TestLeaseHasOneSource(t *testing.T) {
+	for _, tc := range []struct{ set, want time.Duration }{
+		{0, 2 * time.Millisecond},
+		{3 * time.Millisecond, 3 * time.Millisecond},
+	} {
+		opts := DefaultOptions(3)
+		opts.View.Lease = tc.set
+		c := New(opts)
+		for i := 0; i < c.Nodes(); i++ {
+			if got := c.Node(i).Agent().Lease(); got != tc.want {
+				t.Errorf("View.Lease %v: node %d lease = %v, want %v", tc.set, i, got, tc.want)
+			}
+		}
+		c.Close()
+	}
+}
+
 // TestSeedSharesOneCopy: Seed adopts data as Set does — every replica on
 // the hub holds the caller's backing array, capacity clipped so an append to
 // the version reallocates — and an empty value is stored as nil.
@@ -310,6 +329,7 @@ func TestSimFabricCluster(t *testing.T) {
 	opts := DefaultOptions(3)
 	opts.Fabric = FabricSim
 	opts.Net = netsim.Config{Seed: 5, MaxLatency: 30 * time.Microsecond, LossProb: 0.02, InboxDepth: 1 << 14}
+	opts.Observability = true
 	c := New(opts)
 	defer c.Close()
 	c.SeedAt(15, 0, []byte("sim"))
@@ -320,6 +340,11 @@ func TestSimFabricCluster(t *testing.T) {
 	}
 	if c.Messages() == 0 {
 		t.Fatal("sim fabric carried no messages")
+	}
+	// core.NewNode scrapes the reliable endpoint's counters into the node's
+	// registry, as it does a TCP endpoint's.
+	if v, ok := c.Obs(1).CounterValue("tr_msgs_sent_total"); !ok || v == 0 {
+		t.Errorf("node 1's tr_msgs_sent_total = %d (registered: %v)", v, ok)
 	}
 }
 

@@ -14,12 +14,13 @@ import (
 )
 
 // tortureOpts builds a 4-node FabricSim cluster with a lossy fabric and a
-// fast-failover view service.
+// fast-failover view service: a 3ms lease, the 2ms heartbeat it derives
+// (Lease/2 clamped to [2ms, 25ms]) and a 15ms takeover, set here because the
+// derived one would be 12ms.
 func tortureOpts() Options {
 	opts := DefaultOptions(4)
 	opts.Fabric = FabricSim
 	opts.Workers = 2
-	opts.Lease = 3 * time.Millisecond
 	opts.Net = netsim.Config{
 		Seed:       23,
 		MinLatency: 2 * time.Microsecond,
@@ -30,7 +31,6 @@ func tortureOpts() Options {
 	}
 	opts.View = viewsvc.Config{
 		Lease:         3 * time.Millisecond,
-		Heartbeat:     2 * time.Millisecond,
 		TakeoverAfter: 15 * time.Millisecond,
 	}
 	return opts
@@ -141,7 +141,7 @@ func TestViewServiceLeaderFailover(t *testing.T) {
 	// recovery barrier must all flow through the NEW view leader. Renew the
 	// node's lease first so lease-before-install is measurable.
 	c.Node(3).Agent().Renew()
-	lease := c.opts.Lease
+	lease := c.opts.View.Lease
 	killStart := time.Now()
 	if err := c.Kill(3); err != nil {
 		t.Fatal(err)

@@ -62,10 +62,9 @@ type Config struct {
 	// values <= 1 keep inline dispatch (single delivery goroutine, the
 	// right choice on single-core hosts where extra hops only add cost).
 	DispatchShards int
-	// Ownership tunes the ownership engine (timeouts, retry policy, latency
-	// observer). NewNode fills its wiring fields — Directory,
-	// HasPendingCommit, Clock, Log, Obs — itself.
-	Ownership ownership.Config
+	// OnOwnershipLatency, if set, observes the latency of every successful
+	// ownership request (the metric of Figure 12).
+	OnOwnershipLatency func(time.Duration)
 	// Storage, when non-nil, makes the node durable: followers persist
 	// R-INVs before acking (the cluster-level durability choke point),
 	// committed values and ownership grants append to the same WAL, and a
@@ -106,15 +105,6 @@ type Config struct {
 	// incidents have somewhere to land — CI race jobs catch wedges without
 	// every test opting into metrics.
 	WatchdogAge time.Duration
-}
-
-// DefaultConfig mirrors the paper's evaluation setup: 3-way replication.
-func DefaultConfig() Config {
-	return Config{
-		Degree:    3,
-		Workers:   8,
-		Ownership: ownership.DefaultConfig(),
-	}
 }
 
 // Stats aggregates transaction counters for one node.
@@ -260,15 +250,18 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, cfg C
 		Timestamps: cfg.SnapshotReads,
 		Obs:        cfg.Obs,
 	})
-	ocfg := cfg.Ownership
-	ocfg.Directory = n.dirsvc
-	// The owner refuses ownership transfers while the object is involved
-	// in a pending reliable commit (§4.1). Executing local transactions
-	// (local ownership held) are detected by the ownership engine itself
-	// via Object.LocalOwnerLocked — this probe does not lock the object.
-	ocfg.HasPendingCommit = n.cmt.HasPending
-	ocfg.Clock, ocfg.Log, ocfg.Obs = n.clk, n.log, cfg.Obs
-	n.own = ownership.New(id, st, tr, agent, ocfg)
+	n.own = ownership.New(id, st, tr, agent, ownership.Config{
+		Directory: n.dirsvc,
+		// The owner refuses ownership transfers while the object is involved
+		// in a pending reliable commit (§4.1). Executing local transactions
+		// (local ownership held) are detected by the ownership engine itself
+		// via Object.LocalOwnerLocked — this probe does not lock the object.
+		HasPendingCommit: n.cmt.HasPending,
+		Clock:            n.clk,
+		Log:              n.log,
+		Obs:              cfg.Obs,
+		OnLatency:        cfg.OnOwnershipLatency,
+	})
 	n.safet = safetime.NewTracker()
 	{
 		v := agent.View()
@@ -284,6 +277,12 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, cfg C
 		n.obs = r
 		n.sampler = obs.NewSampler(cfg.TraceSample)
 		n.registerNodeMetrics(r)
+		// An endpoint with counters of its own (reliable frames, TCP socket
+		// writes) scrapes them into the node's registry; the hub's are
+		// fabric-wide only.
+		if counted, ok := tr.(interface{ RegisterObs(*obs.Registry) }); ok {
+			counted.RegisterObs(r)
+		}
 		if cfg.WatchdogAge > 0 {
 			n.cmt.StartWatchdog(cfg.WatchdogAge)
 		}

@@ -69,16 +69,23 @@ import (
 // inside the yield window with a drained pipeline.
 const transferYield = 25 * time.Millisecond
 
-// DefaultRetryPolicy is the NACK/timeout back-off of the ownership protocol
-// (§6.2): exponential with full jitter, unbounded attempts — the Acquire
-// deadline, not the policy, decides when to give up.
-func DefaultRetryPolicy() retry.Policy {
-	return retry.Policy{
-		InitialBackoff: 50 * time.Microsecond,
-		MaxBackoff:     5 * time.Millisecond,
-		Multiplier:     2,
-		Jitter:         1,
-	}
+// attemptTimeout bounds one REQ→final-ACK attempt; acquireDeadline bounds
+// the whole acquisition, across retries and back-off.
+const (
+	attemptTimeout  = 100 * time.Millisecond
+	acquireDeadline = 5 * time.Second
+)
+
+// retryPolicy paces the NACK/timeout retry loop (§6.2 deadlock
+// circumvention): exponential with full jitter, unbounded attempts — the
+// acquire deadline, not the policy, decides when to give up. Back-off sleeps
+// are interrupted early by a membership epoch change: "owner busy" waits out
+// the back-off, "owner dead" re-resolves the moment the view changes.
+var retryPolicy = retry.Policy{
+	InitialBackoff: 50 * time.Microsecond,
+	MaxBackoff:     5 * time.Millisecond,
+	Multiplier:     2,
+	Jitter:         1,
 }
 
 // Errors returned by Acquire and friends.
@@ -93,8 +100,7 @@ var (
 	ErrClosed = errors.New("ownership: engine closed")
 )
 
-// Config tunes the engine and carries what the node wires it to. The tuning
-// fields default when zero; core.NewNode fills the wiring fields.
+// Config carries what the node wires the engine to; core.NewNode fills it.
 type Config struct {
 	// Directory resolves object → shard → arbitration drivers (§6.2).
 	// Required.
@@ -117,15 +123,6 @@ type Config struct {
 	Log *storage.Log
 	// Obs, when non-nil, receives the engine's metrics.
 	Obs *obs.Registry
-	// AttemptTimeout bounds one REQ→final-ACK attempt.
-	AttemptTimeout time.Duration
-	// Deadline bounds the whole Acquire (across retries and back-off).
-	Deadline time.Duration
-	// Retry paces the NACK/timeout retry loop (§6.2 deadlock circumvention:
-	// exponential back-off with jitter). Back-off sleeps are interrupted
-	// early by a membership epoch change — "owner busy" waits out the
-	// back-off, "owner dead" re-resolves the moment the view changes.
-	Retry retry.Policy
 	// OnLatency, if set, observes the latency of every successful
 	// ownership request (the metric of Figure 12).
 	OnLatency func(time.Duration)
@@ -135,15 +132,6 @@ type Config struct {
 // force-completes it with an arb-replay (liveness escape for requesters that
 // died or gave up before validating).
 const staleAfter = 250 * time.Millisecond
-
-// DefaultConfig returns simulation-friendly timeouts.
-func DefaultConfig() Config {
-	return Config{
-		AttemptTimeout: 100 * time.Millisecond,
-		Deadline:       5 * time.Second,
-		Retry:          DefaultRetryPolicy(),
-	}
-}
 
 // Stats aggregates engine counters.
 type Stats struct {
@@ -166,6 +154,10 @@ type Engine struct {
 	agent *viewsvc.Agent
 	cfg   Config
 	dir   directory.Directory
+
+	// attemptTimeout and deadline start as the package's attemptTimeout and
+	// acquireDeadline; tests shorten or stretch them on one engine.
+	attemptTimeout, deadline time.Duration
 
 	// Hot-path state is striped so concurrent requests on different
 	// objects (or different request ids) never serialize on one engine
@@ -296,15 +288,6 @@ type recovState struct {
 
 // New creates an ownership engine. Call Register to hook it into a router.
 func New(self wire.NodeID, st *store.Store, tr transport.Transport, agent *viewsvc.Agent, cfg Config) *Engine {
-	if cfg.AttemptTimeout <= 0 {
-		cfg.AttemptTimeout = 100 * time.Millisecond
-	}
-	if cfg.Deadline <= 0 {
-		cfg.Deadline = 5 * time.Second
-	}
-	if cfg.Retry == (retry.Policy{}) {
-		cfg.Retry = DefaultRetryPolicy()
-	}
 	if cfg.HasPendingCommit == nil {
 		cfg.HasPendingCommit = func(wire.ObjectID) bool { return false }
 	}
@@ -325,6 +308,9 @@ func New(self wire.NodeID, st *store.Store, tr transport.Transport, agent *views
 		rng:       rand.New(rand.NewSource(int64(self)*7919 + 1)),
 		log:       cfg.Log,
 		clock:     cfg.Clock,
+
+		attemptTimeout: attemptTimeout,
+		deadline:       acquireDeadline,
 	}
 	if cfg.Obs != nil {
 		e.obs = newEngineObs(e, cfg.Obs)
@@ -508,7 +494,7 @@ func (e *Engine) endRequest(req *pendingReq) {
 // await blocks until request id has an outcome, its attempt times out
 // (timedOut) or the engine closes (ErrClosed).
 func (e *Engine) await(req *pendingReq, id uint64) (out outcome, timedOut bool, err error) {
-	req.timer.Reset(e.cfg.AttemptTimeout)
+	req.timer.Reset(e.attemptTimeout)
 	defer req.timer.Stop()
 	for {
 		select {
@@ -530,8 +516,8 @@ func (e *Engine) run(obj wire.ObjectID, mode wire.ReqMode, target wire.Bitmap) e
 		return nil
 	}
 	start := time.Now()
-	deadline := start.Add(e.cfg.Deadline)
-	retr := e.cfg.Retry.Begin()
+	deadline := start.Add(e.deadline)
+	retr := retryPolicy.Begin()
 
 	req, id := e.beginRequest(mode)
 	defer e.endRequest(req)

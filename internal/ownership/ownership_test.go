@@ -50,11 +50,7 @@ type tcluster struct {
 
 // config is the engine configuration every test node runs.
 func (c *tcluster) config() Config {
-	cfg := DefaultConfig()
-	cfg.Directory = fixedDir(c.dirs)
-	cfg.AttemptTimeout = 100 * time.Millisecond
-	cfg.Deadline = 3 * time.Second
-	return cfg
+	return Config{Directory: fixedDir(c.dirs)}
 }
 
 func newTestCluster(t *testing.T, n int) *tcluster { return newAuditedCluster(t, n, 0, nil) }
@@ -91,6 +87,7 @@ func newAuditedCluster(t *testing.T, n, shards int, audit *moveAudit) *tcluster 
 			return f != nil && (*f)(obj)
 		}
 		eng := New(id, st, tr, agent, cfg)
+		eng.deadline = 3 * time.Second
 		nd.eng = eng
 		r := transport.NewRouter()
 		eng.Register(r)
@@ -700,7 +697,7 @@ func TestPausedEngineAbortsLocalRequester(t *testing.T) {
 	c := newTestCluster(t, 3)
 	seed(t, c, 1, 72, 0, []byte("p"))
 	e := c.nodes[0].eng
-	e.cfg.Deadline = 20 * time.Millisecond
+	e.deadline = 20 * time.Millisecond
 	e.Pause()
 	err := e.AcquireOwnership(72)
 	if !errors.Is(err, ErrAborted) || !strings.Contains(err.Error(), wire.NackRecovering.String()) {
@@ -747,8 +744,8 @@ func TestLateMessagesLeaveReusedRecordAlone(t *testing.T) {
 	seed(t, c, 1, 80, 0, []byte("a"))
 	seed(t, c, 1, 81, 0, []byte("b"))
 	e := c.nodes[0].eng
-	e.cfg.AttemptTimeout = 10 * time.Second // the blocked attempt must not expire under the test
-	e.cfg.Deadline = 20 * time.Second
+	e.attemptTimeout = 10 * time.Second // the blocked attempt must not expire under the test
+	e.deadline = 20 * time.Second
 
 	if err := e.AcquireOwnership(80); err != nil {
 		t.Fatal(err)

@@ -61,13 +61,11 @@ type Config struct {
 	// the value only seeds the initial state; afterwards the committed
 	// placement is authoritative.
 	DirShards int
-	// Heartbeat is the leader's heartbeat period towards the other
-	// replicas. Default: Lease/2 clamped to [1ms, 25ms].
-	Heartbeat time.Duration
 	// TakeoverAfter is how long a backup tolerates heartbeat silence
 	// before starting a ballot takeover; backup k behind the leader waits
 	// k*TakeoverAfter so the next-in-line wins uncontested. Default:
-	// max(6*Heartbeat, 10ms).
+	// max(6*heartbeat, 10ms), where the leader's heartbeat period towards
+	// the other replicas is Lease/2 clamped to [2ms, 25ms].
 	TakeoverAfter time.Duration
 	// InitialAddrs seeds the replicated address book (VSState.Addrs) with
 	// the deployment's bootstrap endpoints: every replica and client of one
@@ -80,6 +78,10 @@ type Config struct {
 	// it off (tests report failures explicitly); multi-process deployments
 	// (zeusd) turn it on — nobody else notices a SIGKILLed process.
 	AutoFail bool
+
+	// heartbeat is the leader's heartbeat period; withDefaults derives it
+	// from Lease. The package's tests set it to beat faster than the floor.
+	heartbeat time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -92,23 +94,14 @@ func (c Config) withDefaults() Config {
 	if c.DirShards > wire.MaxDirShards {
 		c.DirShards = wire.MaxDirShards
 	}
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = c.Lease / 2
+	if c.heartbeat <= 0 {
 		// The floor keeps millisecond-scale simulation leases from turning
 		// the control plane into a busy loop on starved hosts; TakeoverAfter
 		// floors at 10ms, so five beats still fit a takeover window.
-		if c.Heartbeat < 2*time.Millisecond {
-			c.Heartbeat = 2 * time.Millisecond
-		}
-		if c.Heartbeat > 25*time.Millisecond {
-			c.Heartbeat = 25 * time.Millisecond
-		}
+		c.heartbeat = min(max(c.Lease/2, 2*time.Millisecond), 25*time.Millisecond)
 	}
 	if c.TakeoverAfter <= 0 {
-		c.TakeoverAfter = 6 * c.Heartbeat
-		if c.TakeoverAfter < 10*time.Millisecond {
-			c.TakeoverAfter = 10 * time.Millisecond
-		}
+		c.TakeoverAfter = max(6*c.heartbeat, 10*time.Millisecond)
 	}
 	return c
 }
@@ -575,7 +568,7 @@ func (r *Replica) handleQuery(from wire.NodeID, m *wire.VSQuery) {
 // ---------------------------------------------------------------------------
 
 func (r *Replica) loop() {
-	t := time.NewTicker(r.cfg.Heartbeat)
+	t := time.NewTicker(r.cfg.heartbeat)
 	defer t.Stop()
 	for {
 		select {

@@ -33,6 +33,23 @@ func newRig(t *testing.T, replicas int, members wire.Bitmap, cfg Config) *rig {
 	return r
 }
 
+// TestHeartbeatDerivesFromLease pins the derivation: Lease/2 clamped to
+// [2ms, 25ms], and a takeover after six beats but no sooner than 10ms.
+func TestHeartbeatDerivesFromLease(t *testing.T) {
+	for _, tc := range []struct{ lease, beat, takeover time.Duration }{
+		{time.Millisecond, 2 * time.Millisecond, 12 * time.Millisecond},
+		{3 * time.Millisecond, 2 * time.Millisecond, 12 * time.Millisecond},
+		{10 * time.Millisecond, 5 * time.Millisecond, 30 * time.Millisecond},
+		{time.Second, 25 * time.Millisecond, 150 * time.Millisecond},
+	} {
+		c := Config{Lease: tc.lease}.withDefaults()
+		if c.heartbeat != tc.beat || c.TakeoverAfter != tc.takeover {
+			t.Errorf("lease %v: heartbeat %v, takeover %v; want %v, %v",
+				tc.lease, c.heartbeat, c.TakeoverAfter, tc.beat, tc.takeover)
+		}
+	}
+}
+
 func TestQuorumCommitUpdatesClient(t *testing.T) {
 	r := newRig(t, 3, wire.BitmapOf(0, 1, 2), Config{Lease: time.Millisecond})
 	r.cli.Join(7)
@@ -79,7 +96,7 @@ func TestFollowerCrashQuorumSurvives(t *testing.T) {
 }
 
 func TestLeaderCrashBallotTakeover(t *testing.T) {
-	cfg := Config{Lease: time.Millisecond, Heartbeat: time.Millisecond, TakeoverAfter: 5 * time.Millisecond}
+	cfg := Config{Lease: time.Millisecond, heartbeat: time.Millisecond, TakeoverAfter: 5 * time.Millisecond}
 	r := newRig(t, 3, wire.BitmapOf(0, 1, 2), cfg)
 	if r.ens.LeaderIndex() != 0 {
 		t.Fatalf("initial leader = %d, want 0", r.ens.LeaderIndex())
@@ -108,7 +125,7 @@ func TestLeaderCrashBallotTakeover(t *testing.T) {
 }
 
 func TestBarrierAcrossTakeover(t *testing.T) {
-	cfg := Config{Lease: time.Millisecond, Heartbeat: time.Millisecond, TakeoverAfter: 5 * time.Millisecond}
+	cfg := Config{Lease: time.Millisecond, heartbeat: time.Millisecond, TakeoverAfter: 5 * time.Millisecond}
 	r := newRig(t, 3, wire.BitmapOf(0, 1, 2), cfg)
 	r.cli.Fail(2)
 	if !r.cli.WaitEpoch(2, time.Second) {
@@ -136,7 +153,7 @@ func TestBarrierAcrossTakeover(t *testing.T) {
 // every live-set change, and adopted across a ballot takeover like the rest
 // of the state.
 func TestPlacementRidesTheStateMachine(t *testing.T) {
-	cfg := Config{Lease: time.Millisecond, Heartbeat: time.Millisecond,
+	cfg := Config{Lease: time.Millisecond, heartbeat: time.Millisecond,
 		TakeoverAfter: 5 * time.Millisecond, DirShards: 8}
 	r := newRig(t, 3, wire.BitmapOf(0, 1, 2, 3), cfg)
 

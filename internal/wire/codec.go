@@ -204,7 +204,6 @@ func (d *dec) bytes() []byte {
 		return nil
 	}
 	if n == 0 {
-		d.off += 0
 		return nil
 	}
 	out := make([]byte, n)

@@ -52,8 +52,16 @@ cd "$(dirname "$0")/.."
 # whose length is not a power of two needs in place of a mask), 11 docs (the
 # growth rule and the malloc header in the package doc, home, next, grow), 2
 # blank.
-max_lines=25031  # non-test Go outside benchmark/, testdata/ excluded
-max_fields=77    # option fields (PR 21)
+# Lowered by 49 to 24982 when knobs that only one value reached became the
+# code's own: ownership's attempt timeout, acquire deadline and back-off are
+# package constants, the cluster's lease is View.Lease alone, the view
+# service's heartbeat is derived only, core.Config carries a latency observer
+# instead of a whole ownership.Config, NewNode registers an endpoint's
+# transport counters for both node builders, and two dead lines went.
+max_lines=24982  # non-test Go outside benchmark/, testdata/ excluded
+# Lowered from 77 by those five fields: ownership.Config's AttemptTimeout,
+# Deadline and Retry, cluster.Options.Lease and viewsvc.Config.Heartbeat.
+max_fields=72    # option fields
 
 # testdata/ is what the go tool itself never builds (the lint fixtures).
 lines() { find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' "$@" -print0 | xargs -0 cat | wc -l; }

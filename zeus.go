@@ -333,10 +333,3 @@ func (t *Tx) Durable() <-chan struct{} { return t.tx.Durable() }
 
 // IsConflict reports whether err is the retryable conflict error.
 func IsConflict(err error) bool { return errors.Is(err, ErrConflict) }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
