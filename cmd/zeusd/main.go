@@ -45,6 +45,7 @@ import (
 
 	"zeus/internal/core"
 	"zeus/internal/obs"
+	"zeus/internal/storage"
 	"zeus/internal/storage/filestorage"
 	"zeus/internal/transport"
 	"zeus/internal/viewsvc"
@@ -62,8 +63,9 @@ func main() {
 	peersFlag := flag.String("peers", "", "founding members as id=host:port pairs (bootstrap only; joiners omit it)")
 	join := flag.Bool("join", false, "join a running cluster (or rejoin after a crash) instead of founding one")
 	dataDir := flag.String("data", "", "durable data directory (WAL + snapshots); empty = memory only")
-	degree := flag.Int("degree", 3, "replication degree")
-	workers := flag.Int("workers", 8, "worker threads")
+	def := core.Config{}.WithDefaults()
+	degree := flag.Int("degree", def.Degree, "replication degree")
+	workers := flag.Int("workers", def.Workers, "worker threads")
 	dirShards := flag.Int("dir-shards", 0, "ownership-directory shard count: seeds the view ensemble's initial placement, which every data node then follows (0 = host-scaled default; a non-zero value that contradicts the committed placement is fatal)")
 	lease := flag.Duration("lease", 500*time.Millisecond, "membership lease (failure detection horizon)")
 	obsAddr := flag.String("obs-addr", "", "observability HTTP listen address (/metrics, /debug/trace, /debug/incidents); empty = off")
@@ -171,20 +173,22 @@ func main() {
 	defer tr.Close()
 
 	cfg := core.Config{Degree: *degree, Workers: *workers, WatchdogAge: *watchdogAge}
+	var stg storage.Storage
 	if *dataDir != "" {
-		stg, err := filestorage.Open(*dataDir)
+		fs, err := filestorage.Open(*dataDir)
 		if err != nil {
 			log.Fatalf("zeusd: open data dir: %v", err)
 		}
-		cfg.Storage = stg
+		stg = fs
 	}
+	var reg *obs.Registry
 	if *obsAddr != "" {
-		cfg.Obs = obs.NewRegistry()
+		reg = obs.NewRegistry()
 		cfg.TraceSample = *traceSample
 	}
-	cli := viewsvc.NewClientDetached(vcfg, tr, replicaIDs, members, cfg.Obs)
+	cli := viewsvc.NewClientDetached(vcfg, tr, replicaIDs, members, reg)
 	defer cli.Close()
-	node := core.NewNode(self, tr, cli.Agent(self), cfg)
+	node := core.NewNode(self, tr, cli.Agent(self), stg, reg, cfg)
 	defer node.Close()
 	if *obsAddr != "" {
 		serveObs(*obsAddr, node.Obs())

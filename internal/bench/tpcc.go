@@ -60,8 +60,7 @@ func (p TPCCParams) CrossNodeProb() float64 {
 //
 // With the spec mix this yields ≈9–10 % — noticeably above the 2.45 % the
 // paper reports, which implies additional colocation assumptions the paper
-// does not spell out (see EXPERIMENTS.md). PaperCalibrated applies the
-// implied correction.
+// does not spell out. PaperCalibrated applies the implied correction.
 func (p TPCCParams) RemoteFraction() float64 {
 	x := p.CrossNodeProb()
 	noRemote := 1 - math.Pow(1-p.RemoteItemProb*x, float64(p.ItemsPerOrder))

@@ -48,16 +48,12 @@ import (
 	"zeus/internal/wire"
 )
 
-// Options configures a cluster.
+// Options configures a cluster. The embedded core.Config is every node's
+// tuning, handed to each node as it is.
 type Options struct {
-	Nodes   int
-	Degree  int
-	Workers int
-	// DispatchShards forwards to core.Config: handler goroutines for keyed
-	// inbound traffic (0 = min(Workers, GOMAXPROCS), <=1 inline, negative
-	// forces inline).
-	DispatchShards int
-	Fabric         FabricKind
+	core.Config
+	Nodes  int
+	Fabric FabricKind
 	// Net configures the simulated fabric (FabricSim only).
 	Net netsim.Config
 	// Reliable overrides the reliable transport's tuning for FabricSim
@@ -76,17 +72,10 @@ type Options struct {
 	// every node follows the shard→drivers placement the view service
 	// replicates. Zero or negative picks the host-scaled default.
 	View viewsvc.Config
-	// SnapshotReads / SafeTimeInterval forward to core.Config: MVCC
-	// snapshot reads from any replica at the quorum-advanced safe-time.
-	SnapshotReads    bool
-	SafeTimeInterval time.Duration
-	// OnOwnershipLatency observes ownership request latencies (Fig. 12).
-	OnOwnershipLatency func(time.Duration)
 	// Storage builds the per-node durable storage driver; nil keeps nodes
 	// memory-only. The cluster memoizes the driver per node id, so a
 	// restarted node recovers from the SAME driver its previous
-	// incarnation wrote (drivers exposing Reopen() — memstorage — are
-	// reopened across the in-process restart).
+	// incarnation wrote.
 	Storage func(wire.NodeID) storage.Storage
 	// Observability gives every node its own obs.Registry (metrics, traces,
 	// incidents — reachable via Cluster.Obs) plus a cluster-level registry
@@ -95,22 +84,11 @@ type Options struct {
 	// registry. Off by default: benchmarks measure the nil-registry paths
 	// unless they opt in.
 	Observability bool
-	// TraceSample forwards to core.Config: sample every Nth write
-	// transaction with a per-phase trace. Requires Observability.
-	TraceSample uint64
-	// WatchdogAge forwards to core.Config: arm the commit-engine debt
-	// watchdog at this slot-age threshold (0 defers to ZEUS_WATCHDOG_AGE).
-	WatchdogAge time.Duration
 }
 
 // DefaultOptions mirrors the paper's setup: 3-way replication.
 func DefaultOptions(nodes int) Options {
-	return Options{
-		Nodes:   nodes,
-		Degree:  3,
-		Workers: 8,
-		Fabric:  FabricMem,
-	}
+	return Options{Config: core.Config{}.WithDefaults(), Nodes: nodes, Fabric: FabricMem}
 }
 
 // Cluster is an in-process Zeus deployment.
@@ -135,12 +113,8 @@ func New(opts Options) *Cluster {
 	if opts.Nodes <= 0 {
 		opts.Nodes = 3
 	}
-	if opts.Degree <= 0 {
-		opts.Degree = 3
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = 8
-	}
+	// Seed's default readers need the effective degree.
+	opts.Config = opts.Config.WithDefaults()
 	if opts.View.Lease <= 0 {
 		opts.View.Lease = 2 * time.Millisecond
 	}
@@ -184,34 +158,17 @@ func New(opts Options) *Cluster {
 }
 
 func (c *Cluster) startNode(id wire.NodeID) *core.Node {
-	tr := c.fabric.Node(id)
-	cfg := core.Config{
-		Degree:             c.opts.Degree,
-		Workers:            c.opts.Workers,
-		DispatchShards:     c.opts.DispatchShards,
-		OnOwnershipLatency: c.opts.OnOwnershipLatency,
-		SnapshotReads:      c.opts.SnapshotReads,
-		SafeTimeInterval:   c.opts.SafeTimeInterval,
-	}
+	var reg *obs.Registry
 	if c.opts.Observability {
-		cfg.Obs = obs.NewRegistry()
-		cfg.TraceSample = c.opts.TraceSample
-		cfg.WatchdogAge = c.opts.WatchdogAge
+		reg = obs.NewRegistry()
 	}
-	if c.opts.Storage != nil {
-		stg, retained := c.stores[id]
-		if !retained {
-			stg = c.opts.Storage(id)
-			c.stores[id] = stg
-		} else if ro, ok := stg.(interface{ Reopen() }); ok {
-			// The previous incarnation Closed the driver on shutdown; an
-			// in-process restart reopens the same instance (memstorage)
-			// the way a real process re-Opens its data directory.
-			ro.Reopen()
-		}
-		cfg.Storage = stg
+	// A restarted node gets its previous incarnation's driver back.
+	stg := c.stores[id]
+	if stg == nil && c.opts.Storage != nil {
+		stg = c.opts.Storage(id)
+		c.stores[id] = stg
 	}
-	n := core.NewNode(id, tr, c.mgr.Agent(id), cfg)
+	n := core.NewNode(id, c.fabric.Node(id), c.mgr.Agent(id), stg, reg, c.opts.Config)
 	c.mu.Lock()
 	c.nodes[id] = n
 	c.mu.Unlock()
@@ -237,8 +194,7 @@ func (c *Cluster) Nodes() int {
 func (c *Cluster) Manager() *viewsvc.Client { return c.mgr }
 
 // Obs returns node i's observability registry (nil unless the cluster was
-// built with Options.Observability, or ZEUS_WATCHDOG_AGE armed a private
-// one).
+// built with Options.Observability, or a watchdog age armed a private one).
 func (c *Cluster) Obs(i int) *obs.Registry {
 	n := c.Node(i)
 	if n == nil {
@@ -447,34 +403,14 @@ func (c *Cluster) SeedRange(from wire.ObjectID, count int, data []byte) {
 	for i := 0; i < count; i++ {
 		obj := from + wire.ObjectID(i)
 		owner := live[i%len(live)]
-		c.Seed(obj, owner, c.defaultReaders(owner), data)
+		c.Seed(obj, owner, core.DefaultReaders(c.Live(), owner, c.opts.Degree), data)
 	}
 }
 
-// SeedAt seeds one object at an explicit owner with default readers, adopting
-// data as Seed does.
+// SeedAt seeds one object at an explicit owner with the live view's
+// core.DefaultReaders, adopting data as Seed does.
 func (c *Cluster) SeedAt(obj wire.ObjectID, owner wire.NodeID, data []byte) {
-	c.Seed(obj, owner, c.defaultReaders(owner), data)
-}
-
-// defaultReaders picks the Degree-1 live nodes that follow owner in id order,
-// wrapping around.
-func (c *Cluster) defaultReaders(owner wire.NodeID) wire.Bitmap {
-	live := c.Live()
-	after := live
-	if live.Contains(owner) {
-		after = live &^ (wire.Bitmap(1)<<(owner+1) - 1)
-	}
-	var readers wire.Bitmap
-	for _, part := range [2]wire.Bitmap{after, live &^ after} {
-		for cand := range part.Remove(owner).Each {
-			if readers.Count() >= c.opts.Degree-1 {
-				return readers
-			}
-			readers = readers.Add(cand)
-		}
-	}
-	return readers
+	c.Seed(obj, owner, core.DefaultReaders(c.Live(), owner, c.opts.Degree), data)
 }
 
 // WaitIdle waits for every node's commit pipelines to drain.

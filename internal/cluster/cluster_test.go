@@ -288,22 +288,32 @@ func TestDefaultClusterGrowsNoRing(t *testing.T) {
 	}
 }
 
-// TestDefaultReadersFollowTheOwner: the degree-1 live nodes after the owner
-// in id order, wrapping; a dead owner starts the walk at the lowest id.
-func TestDefaultReadersFollowTheOwner(t *testing.T) {
+// TestSeedAndCreateObjectShareOnePlacement: an object the cluster seeds at
+// node k and one node k creates get the same readers, core.DefaultReaders of
+// the live view, here a view with a hole in it.
+func TestSeedAndCreateObjectShareOnePlacement(t *testing.T) {
 	c := New(DefaultOptions(5))
 	defer c.Close()
-	for _, tc := range []struct {
-		owner wire.NodeID
-		want  wire.Bitmap
-	}{
-		{0, wire.BitmapOf(1, 2)},
-		{3, wire.BitmapOf(4, 0)},
-		{4, wire.BitmapOf(0, 1)},
-		{9, wire.BitmapOf(0, 1)},
-	} {
-		if got := c.defaultReaders(tc.owner); got != tc.want {
-			t.Errorf("owner %d: readers %v, want %v", tc.owner, got, tc.want)
+	if err := c.Kill(2); err != nil {
+		t.Fatal(err)
+	}
+	readers := func(k wire.NodeID, obj wire.ObjectID) wire.Bitmap {
+		o, ok := c.Node(int(k)).Store().Get(obj)
+		if !ok {
+			t.Fatalf("node %d holds no object %d", k, obj)
+		}
+		o.Mu.Lock()
+		defer o.Mu.Unlock()
+		return o.ReplicasLocked().Readers
+	}
+	for k := range c.Live().Each {
+		seeded, created := wire.ObjectID(100+k), wire.ObjectID(200+k)
+		c.SeedAt(seeded, k, []byte("s"))
+		if err := c.Node(int(k)).CreateObject(created, []byte("c")); err != nil {
+			t.Fatal(err)
+		}
+		if s, cr := readers(k, seeded), readers(k, created); s != cr || s.Count() != 2 || s.Contains(2) {
+			t.Errorf("owner %d: seeded readers %v, created readers %v; want the same two live nodes", k, s, cr)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -121,8 +122,8 @@ func assertDirInvariants(t *testing.T, c *Cluster, dead wire.NodeID,
 			return tx.Set(uint64(obj), v)
 		})
 		if err != nil {
-			// Pending-commit wedge trace (ZEUS_WEDGE_DUMP, ROADMAP liveness bug).
-			c.MaybeWedgeDump(fmt.Sprintf("directory-torture final read of %d: %v", obj, err))
+			// Pending-commit wedge trace (ROADMAP liveness bug).
+			c.WedgeDump(os.Stderr, fmt.Sprintf("directory-torture final read of %d: %v", obj, err))
 			t.Fatalf("final read of %d: %v", obj, err)
 		}
 		if want := committed[obj].Load() + 1; final != want {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -196,8 +197,8 @@ func TestViewServiceLeaderFailover(t *testing.T) {
 	})
 	if err != nil {
 		// The carried-over pending-commit wedge flake dies here after
-		// exhausting NackPendingCommit retries; leave a trace (ZEUS_WEDGE_DUMP).
-		c.MaybeWedgeDump("leader-takeover final read: " + err.Error())
+		// exhausting NackPendingCommit retries; leave a trace.
+		c.WedgeDump(os.Stderr, "leader-takeover final read: "+err.Error())
 		t.Fatal(err)
 	}
 	if final != committed.Load()+1 {
@@ -273,8 +274,8 @@ func TestViewServiceFollowerCrashUnderLoad(t *testing.T) {
 		return tx.Set(1, v)
 	}); err != nil {
 		// The carried-over pending-commit wedge flake dies here after
-		// exhausting NackPendingCommit retries; leave a trace (ZEUS_WEDGE_DUMP).
-		c.MaybeWedgeDump("follower-crash final read: " + err.Error())
+		// exhausting NackPendingCommit retries; leave a trace.
+		c.WedgeDump(os.Stderr, "follower-crash final read: "+err.Error())
 		t.Fatal(err)
 	}
 	if final != committed.Load() {

@@ -12,7 +12,7 @@ import (
 // TestDumpStateShowsWedgedSlot pins the wedge-dump format: a coordinator
 // slot stranded by an unreachable (but still-live-in-the-view) follower must
 // surface in DumpState with its pipe, slot and the object's pending debt —
-// that is exactly the trace the ZEUS_WEDGE_DUMP torture hook relies on.
+// that is exactly the trace the torture tests' wedge dump relies on.
 func TestDumpStateShowsWedgedSlot(t *testing.T) {
 	c := newTestCluster(t, 2)
 	c.seedObject(7, 0, wire.BitmapOf(1))

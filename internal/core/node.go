@@ -49,12 +49,15 @@ import (
 	"zeus/internal/wire"
 )
 
-// Config tunes a node.
+// Config tunes a node. It is declared once: cluster.Options embeds it and
+// zeusd maps its flags onto it. What belongs to one node instance — its
+// transport, membership agent, storage and registry — is a NewNode argument.
 type Config struct {
 	// Degree is the replication degree: replicas per object including the
-	// owner. The paper evaluates 3-way replication.
+	// owner. 0 picks 3, the paper's 3-way replication.
 	Degree int
 	// Workers is the number of worker threads; each owns a commit pipeline.
+	// 0 picks 8.
 	Workers int
 	// DispatchShards is the number of inbound handler goroutines for keyed
 	// protocol traffic (per-pipe for reliable commits, per-object for
@@ -65,15 +68,6 @@ type Config struct {
 	// OnOwnershipLatency, if set, observes the latency of every successful
 	// ownership request (the metric of Figure 12).
 	OnOwnershipLatency func(time.Duration)
-	// Storage, when non-nil, makes the node durable: followers persist
-	// R-INVs before acking (the cluster-level durability choke point),
-	// committed values and ownership grants append to the same WAL, and a
-	// background loop snapshots the store to bound replay. NewNode replays
-	// whatever the driver recovered BEFORE traffic flows — recovered
-	// objects come back demoted (NonReplica, TInvalid) and regain their
-	// level and validity through StateSync, never by trusting possibly
-	// stale local state. Nil keeps the node memory-only (tests, sims).
-	Storage storage.Storage
 	// SnapshotReads enables MVCC snapshot reads (§5.3 extended): reliable
 	// commits carry an HLC commit timestamp and publish into per-object
 	// version rings, nodes exchange applied watermarks to advance a
@@ -87,24 +81,30 @@ type Config struct {
 	// watermark broadcast). 0 picks 50µs. Only meaningful with
 	// SnapshotReads.
 	SafeTimeInterval time.Duration
-	// Obs, when non-nil, is handed to every engine's constructor (metrics,
-	// traces, incidents — see internal/obs). Nil keeps every record site
-	// behind its nil check: the seed hot paths are untouched. The registry
-	// is also reachable remotely via wire.ObsPull regardless (the reply just
-	// carries less).
-	Obs *obs.Registry
 	// TraceSample samples every Nth write transaction with a per-phase
 	// obs.Trace (begin → inv → ack → val → applied). 0 disables tracing.
-	// Requires Obs.
+	// Requires a registry.
 	TraceSample uint64
 	// WatchdogAge arms the commit-engine debt watchdog: replication slots,
 	// stored R-INVs or replay probes older than this threshold raise
 	// structured incidents. 0 defers to the ZEUS_WATCHDOG_AGE environment
 	// variable (a Go duration; unset leaves the watchdog off). When the
-	// watchdog is armed without Config.Obs, a private registry is created so
+	// watchdog is armed without a registry, a private one is created so
 	// incidents have somewhere to land — CI race jobs catch wedges without
 	// every test opting into metrics.
 	WatchdogAge time.Duration
+}
+
+// WithDefaults returns cfg with a non-positive Degree or Workers replaced by
+// the default: 3-way replication, 8 workers.
+func (cfg Config) WithDefaults() Config {
+	if cfg.Degree <= 0 {
+		cfg.Degree = 3
+	}
+	if cfg.Workers <= 0 {
+		cfg.Workers = 8
+	}
+	return cfg
 }
 
 // Stats aggregates transaction counters for one node.
@@ -149,7 +149,7 @@ type Node struct {
 	closedCh  chan struct{}
 	closeOnce sync.Once
 
-	// Durability (nil without Config.Storage): the group-commit WAL front
+	// Durability (nil without storage): the group-commit WAL front
 	// end shared by the commit and ownership engines, and the recovery
 	// census taken before the first message was handled.
 	log         *storage.Log
@@ -168,7 +168,7 @@ type Node struct {
 	stROAborts  atomic.Uint64
 	stSnapReads atomic.Uint64
 
-	// Observability (nil without Config.Obs / ZEUS_WATCHDOG_AGE): the node's
+	// Observability (nil without a registry or a watchdog age): the node's
 	// registry, the write-transaction trace sampler, and the sampling
 	// sequence. Set once in NewNode; read unsynchronized.
 	obs     *obs.Registry
@@ -180,13 +180,21 @@ type Node struct {
 // is nothing left to wire afterwards. The node installs its message handler
 // on the transport; extra handlers (zeusd's view-service client, which shares
 // the node's socket) can be registered on Router() before traffic flows.
-func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, cfg Config) *Node {
-	if cfg.Degree <= 0 {
-		cfg.Degree = 3
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 8
-	}
+//
+// A non-nil stg makes the node durable: followers persist R-INVs before
+// acking (the cluster-level durability choke point), committed values and
+// ownership grants append to the same WAL, and a background loop snapshots
+// the store to bound replay. NewNode replays whatever stg recovers BEFORE
+// traffic flows — recovered objects come back demoted (NonReplica,
+// TInvalid) and regain their level and validity through StateSync, never by
+// trusting possibly stale local state. Nil keeps the node memory-only.
+//
+// A non-nil reg is handed to every engine's constructor (metrics, traces,
+// incidents — see internal/obs). Nil keeps every record site behind its nil
+// check, the hot paths untouched; the node still answers wire.ObsPull (the
+// reply just carries less).
+func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, stg storage.Storage, reg *obs.Registry, cfg Config) *Node {
+	cfg = cfg.WithDefaults()
 	// Watchdog arming via the environment (CI race jobs set a low threshold
 	// for every test binary without code changes). Resolved before the Node
 	// copies cfg so there is exactly one Config to read.
@@ -197,8 +205,8 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, cfg C
 			}
 		}
 	}
-	if cfg.Obs == nil && cfg.WatchdogAge > 0 {
-		cfg.Obs = obs.NewRegistry()
+	if reg == nil && cfg.WatchdogAge > 0 {
+		reg = obs.NewRegistry()
 	}
 	st := store.New()
 	// Durable recovery happens FIRST, before any engine or handler exists:
@@ -207,8 +215,8 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, cfg C
 	var recovered int
 	var incarnation, maxCTS uint64
 	pending := make(map[wire.ObjectID]syncOrigin)
-	if cfg.Storage != nil {
-		rec, err := cfg.Storage.Recover()
+	if stg != nil {
+		rec, err := stg.Recover()
 		if err != nil {
 			// A node must not serve with a half-recovered store; the
 			// operator decides between repair and a fresh data dir.
@@ -226,7 +234,7 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, cfg C
 	n := &Node{id: id, cfg: cfg, st: st, tr: tr, agent: agent,
 		dirsvc: directory.NewService(id, st, tr, agent),
 		trimQ:  make(chan trimReq, trimQueueDepth), closedCh: make(chan struct{}),
-		stg: cfg.Storage, recovered: recovered, incarnation: incarnation,
+		stg: stg, recovered: recovered, incarnation: incarnation,
 		syncPending: pending, parked: make([]atomic.Pointer[Tx], cfg.Workers)}
 	n.router = transport.NewRouter()
 	// One HLC per node, handed to both engines: commit stamps CTSs from it,
@@ -234,8 +242,8 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, cfg C
 	// above every persisted timestamp so the new lifetime never reuses one.
 	n.clk = new(safetime.Clock)
 	n.clk.Update(maxCTS)
-	if cfg.Storage != nil {
-		n.log = storage.NewLog(cfg.Storage, cfg.Obs)
+	if stg != nil {
+		n.log = storage.NewLog(stg, reg)
 	}
 	n.cmt = commit.New(id, st, tr, agent, commit.Config{
 		Clock: n.clk,
@@ -248,7 +256,7 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, cfg C
 		// Commit timestamping (and with it ring publication) is paid only
 		// by deployments that serve snapshot reads.
 		Timestamps: cfg.SnapshotReads,
-		Obs:        cfg.Obs,
+		Obs:        reg,
 	})
 	n.own = ownership.New(id, st, tr, agent, ownership.Config{
 		Directory: n.dirsvc,
@@ -259,7 +267,7 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, cfg C
 		HasPendingCommit: n.cmt.HasPending,
 		Clock:            n.clk,
 		Log:              n.log,
-		Obs:              cfg.Obs,
+		Obs:              reg,
 		OnLatency:        cfg.OnOwnershipLatency,
 	})
 	n.safet = safetime.NewTracker()
@@ -273,15 +281,15 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, cfg C
 	// Observability: the node-level scrape callbacks and the trace sampler.
 	// Every record site is behind a nil check, so a nil registry costs the
 	// seed paths nothing.
-	if r := cfg.Obs; r != nil {
-		n.obs = r
+	if reg != nil {
+		n.obs = reg
 		n.sampler = obs.NewSampler(cfg.TraceSample)
-		n.registerNodeMetrics(r)
+		n.registerNodeMetrics(reg)
 		// An endpoint with counters of its own (reliable frames, TCP socket
 		// writes) scrapes them into the node's registry; the hub's are
 		// fabric-wide only.
 		if counted, ok := tr.(interface{ RegisterObs(*obs.Registry) }); ok {
-			counted.RegisterObs(r)
+			counted.RegisterObs(reg)
 		}
 		if cfg.WatchdogAge > 0 {
 			n.cmt.StartWatchdog(cfg.WatchdogAge)
@@ -376,8 +384,8 @@ func (n *Node) handleSafeTime(from wire.NodeID, m wire.Msg) {
 // the first full exchange completes). Tests and tooling.
 func (n *Node) SafeTime() uint64 { return n.safet.Safe() }
 
-// Obs returns the node's observability registry (nil unless Config.Obs was
-// set or ZEUS_WATCHDOG_AGE armed the watchdog).
+// Obs returns the node's observability registry (nil unless NewNode was given
+// one or a watchdog age armed the watchdog).
 func (n *Node) Obs() *obs.Registry { return n.obs }
 
 // registerNodeMetrics exposes the node-level transaction counters and the
@@ -530,36 +538,32 @@ func (n *Node) WaitReplication(timeout time.Duration) bool {
 // Object lifecycle (malloc / free, §7).
 // ---------------------------------------------------------------------------
 
-// Placement returns the default replica set for a new object: this node as
-// owner plus Degree-1 readers chosen round-robin from the live view.
-func (n *Node) Placement(obj wire.ObjectID) wire.Bitmap {
-	live := n.agent.View().Live.Nodes()
+// DefaultReaders is the one placement rule for a new object's readers: the
+// degree-1 nodes of live that follow owner in id order, wrapping around (from
+// the lowest live id when owner is not live). Every live node but the owner
+// when degree exceeds the live count, none at degree 1. It allocates nothing:
+// a cluster's bulk seeding calls it once an object.
+func DefaultReaders(live wire.Bitmap, owner wire.NodeID, degree int) wire.Bitmap {
+	after := live
+	if live.Contains(owner) {
+		after = live &^ (wire.Bitmap(1)<<(owner+1) - 1)
+	}
 	var readers wire.Bitmap
-	if len(live) == 0 {
-		return readers
-	}
-	// Start after self, offset by the object id for spread.
-	start := 0
-	for i, nd := range live {
-		if nd == n.id {
-			start = i + 1
-			break
-		}
-	}
-	need := n.cfg.Degree - 1
-	for i := 0; i < len(live) && readers.Count() < need; i++ {
-		cand := live[(start+i)%len(live)]
-		if cand != n.id {
+	for _, part := range [2]wire.Bitmap{after, live &^ after} {
+		for cand := range part.Remove(owner).Each {
+			if readers.Count() >= degree-1 {
+				return readers
+			}
 			readers = readers.Add(cand)
 		}
 	}
 	return readers
 }
 
-// CreateObject registers obj with this node as owner and default placement,
-// then reliably replicates the initial value.
+// CreateObject registers obj with this node as owner and the live view's
+// DefaultReaders, then reliably replicates the initial value.
 func (n *Node) CreateObject(obj wire.ObjectID, data []byte) error {
-	return n.CreateObjectWithReaders(obj, data, n.Placement(obj))
+	return n.CreateObjectWithReaders(obj, data, DefaultReaders(n.agent.View().Live, n.id, n.cfg.Degree))
 }
 
 // CreateObjectWithReaders is CreateObject with an explicit reader set.

@@ -10,6 +10,7 @@ import (
 
 	"zeus/internal/cluster"
 	"zeus/internal/commit"
+	"zeus/internal/core"
 	"zeus/internal/dbapi"
 	"zeus/internal/netsim"
 	"zeus/internal/ownership"
@@ -367,6 +368,33 @@ func TestCreateAndDeleteObject(t *testing.T) {
 	})
 	if !errors.Is(werr, ownership.ErrUnknownObject) {
 		t.Fatalf("post-delete write: %v", werr)
+	}
+}
+
+// TestDefaultReadersFollowTheOwner: the degree-1 live nodes after the owner
+// in id order, wrapping; a dead owner starts the walk at the lowest live id.
+func TestDefaultReadersFollowTheOwner(t *testing.T) {
+	five := wire.BitmapOf(0, 1, 2, 3, 4)
+	for _, tc := range []struct {
+		live   wire.Bitmap
+		owner  wire.NodeID
+		degree int
+		want   wire.Bitmap
+	}{
+		{five, 0, 3, wire.BitmapOf(1, 2)},
+		{five, 3, 3, wire.BitmapOf(4, 0)},
+		{five, 4, 3, wire.BitmapOf(0, 1)},
+		{five, 9, 3, wire.BitmapOf(0, 1)},
+		{five, 2, 1, 0},
+		{wire.BitmapOf(0, 2, 4), 2, 5, wire.BitmapOf(0, 4)},
+		{wire.BitmapOf(0, 1, 3, 4), 2, 3, wire.BitmapOf(0, 1)},
+	} {
+		if got := core.DefaultReaders(tc.live, tc.owner, tc.degree); got != tc.want {
+			t.Errorf("live %v, owner %d, degree %d: readers %v, want %v", tc.live, tc.owner, tc.degree, got, tc.want)
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { core.DefaultReaders(five, 3, 3) }); a != 0 {
+		t.Errorf("DefaultReaders allocates %v times; a cluster's bulk seeding calls it once an object", a)
 	}
 }
 

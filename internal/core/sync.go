@@ -96,11 +96,11 @@ func installRecovered(self wire.NodeID, st *store.Store, rec *storage.Recovered,
 }
 
 // Recovered returns how many objects storage recovery installed (0 without
-// Config.Storage).
+// storage).
 func (n *Node) Recovered() int { return n.recovered }
 
 // Incarnation returns the durable per-process incarnation number the storage
-// driver reported at recovery (0 without Config.Storage; 1 for the first
+// driver reported at recovery (0 without storage; 1 for the first
 // lifetime over a data dir). Values above 1 mean this process is a restart
 // over existing durable state.
 func (n *Node) Incarnation() uint64 { return n.incarnation }

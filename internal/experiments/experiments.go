@@ -6,7 +6,8 @@
 // Absolute numbers differ from the paper — the substrate is an in-process
 // simulated fabric, not a 40 Gbps DPDK testbed — but the comparisons (who
 // wins, by what factor, where the crossovers fall) reproduce the paper's
-// shapes. EXPERIMENTS.md records paper-vs-measured for every artefact.
+// shapes. Each printer puts the paper's figure beside the measured one (its
+// "paper: …" notes in `zeus-bench -experiment <name>` output).
 package experiments
 
 import (

@@ -67,9 +67,13 @@ func (s *Store) Snapshot(scan func(emit func(storage.SnapObject) error) error) e
 	return nil
 }
 
-// Recover implements storage.Storage.
+// Recover implements storage.Storage. It also reopens a closed store:
+// recovering is the first thing a restarted node does with the store its
+// previous incarnation closed, as a restarted process re-opens its data
+// directory.
 func (s *Store) Recover() (*storage.Recovered, error) {
 	s.mu.Lock()
+	s.closed = false
 	snap := s.snap
 	wal := append([]storage.Record(nil), s.wal...)
 	s.incar++
@@ -87,19 +91,11 @@ func (s *Store) Recover() (*storage.Recovered, error) {
 	return r, nil
 }
 
-// Close implements storage.Storage. The retained WAL and snapshot stay
-// readable via Reopen (a crashed process's disk does not disappear).
+// Close implements storage.Storage. The retained WAL and snapshot stay for
+// the next Recover (a crashed process's disk does not disappear).
 func (s *Store) Close() error {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
 	return nil
-}
-
-// Reopen makes a closed store appendable again, modeling a restarted
-// process opening the same data directory.
-func (s *Store) Reopen() {
-	s.mu.Lock()
-	s.closed = false
-	s.mu.Unlock()
 }

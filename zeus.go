@@ -131,12 +131,9 @@ type Cluster struct {
 // New starts a deployment.
 func New(opts Options) *Cluster {
 	co := cluster.DefaultOptions(max(opts.Nodes, 1))
-	if opts.ReplicationDegree > 0 {
-		co.Degree = opts.ReplicationDegree
-	}
-	if opts.Workers > 0 {
-		co.Workers = opts.Workers
-	}
+	// cluster.New defaults a non-positive degree or worker count.
+	co.Degree = opts.ReplicationDegree
+	co.Workers = opts.Workers
 	co.DispatchShards = opts.DispatchShards
 	co.View.DirShards = opts.DirectoryShards
 	co.ViewReplicas = opts.ViewReplicas

@@ -83,6 +83,19 @@ func TestPublicAPINonPositiveDirectoryShards(t *testing.T) {
 	}
 }
 
+// WatchdogAge alone arms the watchdog: without Observability each node gets
+// a private registry for the incidents to land in, as the option's doc says.
+func TestPublicAPIWatchdogAgeAloneArmsTheWatchdog(t *testing.T) {
+	t.Setenv("ZEUS_WATCHDOG_AGE", "")
+	c := zeus.New(zeus.Options{Nodes: 3, WatchdogAge: time.Second})
+	defer c.Close()
+	for i := 0; i < c.Nodes(); i++ {
+		if c.Node(i).Obs() == nil {
+			t.Errorf("node %d: no registry, so no watchdog", i)
+		}
+	}
+}
+
 func TestPublicAPIFailover(t *testing.T) {
 	c := zeus.New(zeus.Options{Nodes: 4})
 	defer c.Close()
