@@ -16,7 +16,7 @@ var updateAPI = flag.Bool("update-api", false, "rewrite testdata/api.golden from
 // TestPublicAPIUnchanged pins the public surface of package zeus: every
 // exported name with its signature, the exported fields and methods of its
 // types, and the fields of the internal structs those fields expose
-// (netsim.Config, transport.ReliableConfig). A change to any of them fails
+// (netsim.Config). A change to any of them fails
 // here until testdata/api.golden is rewritten with -update-api, where a
 // reviewer sees it. Unexported names and fields are not part of it.
 func TestPublicAPIUnchanged(t *testing.T) {

@@ -109,9 +109,9 @@ func BenchmarkLocalWriteTxObs(b *testing.B) {
 func BenchmarkLocalWriteTxParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			// DispatchShards stays on auto: min(workers, GOMAXPROCS)
-			// shards, so multi-core hosts get the parallel dispatch path
-			// and single-core hosts skip the pointless queue hop.
+			// A node dispatches on min(workers, GOMAXPROCS) shards, so
+			// multi-core hosts get the parallel dispatch path and
+			// single-core hosts skip the pointless queue hop.
 			c := zeus.New(zeus.Options{Nodes: 3, Workers: workers})
 			defer c.Close()
 			// Seed an object per potential goroutine: RunParallel spawns
@@ -436,8 +436,9 @@ func BenchmarkFig15HTTPLB(b *testing.B) {
 	b.ReportMetric(r.TwoProxyTps, "2proxy-tps")
 }
 
-// BenchmarkTransportBatching regenerates the transport ablation: frame
-// batching + delayed acks against per-message frames on the same stream.
+// BenchmarkTransportBatching regenerates the transport ablation: frames and
+// pure acks that batching + delayed acks send for a one-way stream (the
+// per-message floor is one of each a message).
 func BenchmarkTransportBatching(b *testing.B) {
 	var r experiments.TransportResult
 	for i := 0; i < b.N; i++ {
@@ -445,7 +446,6 @@ func BenchmarkTransportBatching(b *testing.B) {
 	}
 	b.ReportMetric(float64(r.Msgs)/float64(r.BatchedFrames), "msgs/frame")
 	b.ReportMetric(float64(r.BatchedAcks)/float64(r.BatchedFrames), "acks/frame")
-	b.ReportMetric(float64(r.NoDelayFrames)/float64(r.BatchedFrames), "frame-reduction-x")
 }
 
 // BenchmarkAblationScaling regenerates the worker-pipeline scaling ablation.

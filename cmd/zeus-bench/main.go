@@ -139,7 +139,7 @@ var order = []entry{
 	{"ablation", "Pipelining / replication degree / loss ablations", func(s experiments.Scale) {
 		experiments.Ablations(s).Print(os.Stdout)
 	}},
-	{"transport", "Transport frame batching + delayed acks vs per-message frames", func(s experiments.Scale) {
+	{"transport", "Transport frame batching + delayed acks vs the per-message floor", func(s experiments.Scale) {
 		experiments.Transport(s).Print(os.Stdout)
 	}},
 	{"scaling", "Worker-pipeline scaling: local write tx with 1→8 workers", func(s experiments.Scale) {

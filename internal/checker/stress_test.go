@@ -2,6 +2,7 @@ package checker_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -26,9 +27,11 @@ func TestParallelPipelinesStrictlySerializable(t *testing.T) {
 		opsPerWkr = 10
 		sharedN   = 2
 	)
+	// A node runs min(Workers, GOMAXPROCS) dispatch shards: raise GOMAXPROCS
+	// so that it shards, with workers shards, whatever the host's core count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	opts := cluster.DefaultOptions(nodes)
 	opts.Workers = workers
-	opts.DispatchShards = workers // force sharded dispatch regardless of GOMAXPROCS
 	c := cluster.New(opts)
 	defer c.Close()
 

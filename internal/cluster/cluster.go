@@ -54,12 +54,9 @@ type Options struct {
 	core.Config
 	Nodes  int
 	Fabric FabricKind
-	// Net configures the simulated fabric (FabricSim only).
+	// Net configures the simulated fabric (FabricSim only); the reliable
+	// transport over it derives its timeouts from Net's latency scale.
 	Net netsim.Config
-	// Reliable overrides the reliable transport's tuning for FabricSim
-	// clusters (batching thresholds, flush interval, delayed acks, RTO).
-	// Zero fields keep the defaults derived from Net's latency scale.
-	Reliable transport.ReliableConfig
 	// ViewReplicas is the view-service ensemble size (default 3; values
 	// above 3 clamp — the reserved transport-id range 61..63 caps the
 	// ensemble). The replicas live on the cluster's own fabric, so

@@ -9,8 +9,8 @@ const (
 	// FabricMem is the perfect in-process hub (fast; unit tests, benches).
 	FabricMem FabricKind = iota
 	// FabricSim is the lossy simulated network under the reliable
-	// transport (protocol stress, fault injection); Options.Net and
-	// Options.Reliable configure it.
+	// transport (protocol stress, fault injection); Options.Net
+	// configures it.
 	FabricSim
 	// FabricTCP runs every endpoint over real loopback TCP sockets:
 	// in-process nodes, real syscalls — the load harness's "over TCP"
@@ -23,7 +23,7 @@ const (
 func newFabric(opts Options) transport.Fabric {
 	switch opts.Fabric {
 	case FabricSim:
-		return transport.NewSimFabric(opts.Net, opts.Reliable)
+		return transport.NewSimFabric(opts.Net)
 	case FabricTCP:
 		return transport.NewTCPFabric()
 	}

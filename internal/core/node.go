@@ -59,12 +59,6 @@ type Config struct {
 	// Workers is the number of worker threads; each owns a commit pipeline.
 	// 0 picks 8.
 	Workers int
-	// DispatchShards is the number of inbound handler goroutines for keyed
-	// protocol traffic (per-pipe for reliable commits, per-object for
-	// ownership — see transport.Router). 0 picks min(Workers, GOMAXPROCS);
-	// values <= 1 keep inline dispatch (single delivery goroutine, the
-	// right choice on single-core hosts where extra hops only add cost).
-	DispatchShards int
 	// OnOwnershipLatency, if set, observes the latency of every successful
 	// ownership request (the metric of Figure 12).
 	OnOwnershipLatency func(time.Duration)
@@ -77,10 +71,6 @@ type Config struct {
 	// non-replica returns ErrNoReplica instead of generating ownership
 	// traffic.
 	SnapshotReads bool
-	// SafeTimeInterval is the period of the safe-time exchange (applied
-	// watermark broadcast). 0 picks 50µs. Only meaningful with
-	// SnapshotReads.
-	SafeTimeInterval time.Duration
 	// TraceSample samples every Nth write transaction with a per-phase
 	// obs.Trace (begin → inv → ack → val → applied). 0 disables tracing.
 	// Requires a registry.
@@ -303,16 +293,10 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, stg s
 	n.dirsvc.Register(n.router)
 	// Sharded delivery (§5.2/§7): keyed protocol traffic fans out to
 	// per-pipe / per-object handler goroutines so independent pipelines
-	// apply in parallel. Defaults to min(Workers, GOMAXPROCS) — extra
-	// shards on a single-core host only add queue hops.
-	shards := cfg.DispatchShards
-	if shards == 0 {
-		shards = cfg.Workers
-		if p := runtime.GOMAXPROCS(0); p < shards {
-			shards = p
-		}
-	}
-	n.router.EnableSharding(shards)
+	// apply in parallel. min(Workers, GOMAXPROCS) of them: extra shards
+	// on a single-core host only add queue hops, and one keeps inline
+	// dispatch.
+	n.router.EnableSharding(min(cfg.Workers, runtime.GOMAXPROCS(0)))
 	tr.SetHandler(n.router.Dispatch)
 	tr.SetTickHandler(n.router.Tick)
 	for i := 0; i < trimWorkers; i++ {
@@ -343,6 +327,9 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, stg s
 	return n
 }
 
+// safeTimeInterval is the period of the safe-time exchange.
+const safeTimeInterval = 50 * time.Microsecond
+
 // safetimeLoop drives the safe-time exchange (SnapshotReads mode): each
 // tick computes this node's applied watermark — every reliable commit this
 // node coordinated with CTS ≤ W is validated at all followers — folds it
@@ -350,11 +337,7 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, stg s
 // is tiny (one 20-byte message per peer per tick) and off every critical
 // path; its period bounds how far behind real time the safe-time trails.
 func (n *Node) safetimeLoop() {
-	every := n.cfg.SafeTimeInterval
-	if every <= 0 {
-		every = 50 * time.Microsecond
-	}
-	t := time.NewTicker(every)
+	t := time.NewTicker(safeTimeInterval)
 	defer t.Stop()
 	for {
 		select {

@@ -147,7 +147,7 @@ func perNode(r loadgen.Result) float64 { return r.Throughput() / float64(r.Drive
 // newBaselineSim builds the distributed-commit baseline on the same simulated
 // fabric newZeusSim gives Zeus.
 func newBaselineSim(nodes, degree int) *bench.BaselineDeployment {
-	return bench.NewBaselineDeployment(nodes, degree, transport.NewSimFabric(simNetConfig(), transport.ReliableConfig{}))
+	return bench.NewBaselineDeployment(nodes, degree, transport.NewSimFabric(simNetConfig()))
 }
 
 // fmtTps renders a throughput in human units.

@@ -261,7 +261,7 @@ func TestReadScaleExperiment(t *testing.T) {
 
 func TestTransportExperiment(t *testing.T) {
 	r := Transport(tiny)
-	if r.Msgs == 0 || r.BatchedFrames == 0 || r.NoDelayFrames == 0 {
+	if r.Msgs == 0 || r.BatchedFrames == 0 {
 		t.Fatalf("empty result: %+v", r)
 	}
 	if r.BatchedFrames*4 > r.Msgs {
@@ -273,9 +273,6 @@ func TestTransportExperiment(t *testing.T) {
 	// in 100 here; transport's TestReliableAckCoalescingRatio had the same).
 	if bound := r.BatchedFrames/8 + 1; r.BatchedCounted > bound {
 		t.Fatalf("ack coalescing inert: %d acks by the frame count for %d data frames, want at most %d", r.BatchedCounted, r.BatchedFrames, bound)
-	}
-	if r.NoDelayFrames != r.Msgs {
-		t.Fatalf("no-delay mode must send one frame per message: %d frames for %d msgs", r.NoDelayFrames, r.Msgs)
 	}
 	renders(t, func(b *bytes.Buffer) { r.Print(b) }, "Transport")
 }

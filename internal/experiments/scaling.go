@@ -48,10 +48,8 @@ func Scaling(s Scale) ScalingResult {
 	for _, workers := range []int{1, 2, 4, 8} {
 		opts := cluster.DefaultOptions(3)
 		opts.Workers = workers
-		// DispatchShards stays on auto (min(workers, GOMAXPROCS)): the
-		// sweep measures the deployment-default configuration per worker
-		// count, which shards on multi-core hosts and stays inline on
-		// single-core ones.
+		// A node dispatches on min(workers, GOMAXPROCS) shards: the sweep
+		// shards on multi-core hosts and stays inline on single-core ones.
 		c := cluster.New(opts)
 
 		// One hot object per worker, all owned by node 0: disjoint write

@@ -13,7 +13,6 @@ package netsim
 import (
 	"container/heap"
 	"errors"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -25,7 +24,10 @@ import (
 
 // Config controls the simulated fabric.
 type Config struct {
-	// Seed makes loss/duplication/latency decisions reproducible.
+	// Seed decides, with the link and the frame's index on it, whether a
+	// frame is lost or duplicated and how long each copy takes: the n-th
+	// frame on a link meets the same fate in every run with the same seed,
+	// whatever order goroutines send in.
 	Seed int64
 	// MinLatency/MaxLatency bound the uniformly distributed one-way frame
 	// latency. Equal values give a fixed latency; distinct values give
@@ -36,15 +38,6 @@ type Config struct {
 	LossProb float64
 	// DupProb is the probability a frame is delivered twice.
 	DupProb float64
-	// DeterministicDrops derives every loss/duplication decision from a
-	// hash of (Seed, source, destination, per-link frame index) instead of
-	// the shared RNG stream. The shared stream is consumed in whatever
-	// order goroutines happen to call Send, so identical seeds still yield
-	// different fault patterns run to run; in deterministic mode the n-th
-	// frame on a given link is dropped (or duplicated) in every run with
-	// the same seed, making loss-recovery tests reproducible. Latency
-	// jitter still comes from the RNG (it orders deliveries, not faults).
-	DeterministicDrops bool
 	// InboxDepth bounds each endpoint's receive queue; frames arriving at
 	// a full inbox are dropped (a lossy network may do that too).
 	InboxDepth int
@@ -83,10 +76,9 @@ type Network struct {
 	cfg Config
 
 	mu        sync.Mutex
-	rng       *rand.Rand
 	endpoints map[wire.NodeID]*Endpoint
 	blocked   map[[2]wire.NodeID]bool
-	linkSeq   map[[2]wire.NodeID]uint64 // per-link frame index (deterministic mode)
+	linkSeq   map[[2]wire.NodeID]uint64 // per-link frame index, the fate's input
 	closed    bool
 	done      chan struct{}
 
@@ -116,7 +108,6 @@ func New(cfg Config) *Network {
 	}
 	n := &Network{
 		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		endpoints: make(map[wire.NodeID]*Endpoint),
 		blocked:   make(map[[2]wire.NodeID]bool),
 		linkSeq:   make(map[[2]wire.NodeID]uint64),
@@ -235,17 +226,22 @@ func (n *Network) schedulerLoop() {
 	}
 }
 
+// deliverNow counts a frame delivered before the receiver can hold it, and
+// takes the count back if the frame is dropped instead: a receiver that got
+// the n-th frame reads Delivered ≥ n.
 func (n *Network) deliverNow(dst *Endpoint, f Frame) {
 	if dst.down.Load() {
 		n.blockedCt.Add(1)
 		return
 	}
+	n.delivered.Add(1)
 	select {
 	case <-n.done:
+		n.delivered.Add(^uint64(0))
 		n.blockedCt.Add(1)
 	case dst.inbox <- f:
-		n.delivered.Add(1)
 	default:
+		n.delivered.Add(^uint64(0))
 		n.overflow.Add(1)
 	}
 }
@@ -349,18 +345,10 @@ func (ep *Endpoint) Send(dst wire.NodeID, payload []byte) error {
 	var lost, dup bool
 	var lat, lat2 time.Duration
 	if ok && !blocked {
-		if n.cfg.DeterministicDrops {
-			link := [2]wire.NodeID{ep.id, dst}
-			idx := n.linkSeq[link]
-			n.linkSeq[link] = idx + 1
-			lost = n.cfg.LossProb > 0 && linkHash(n.cfg.Seed, ep.id, dst, idx, 0) < n.cfg.LossProb
-			dup = n.cfg.DupProb > 0 && linkHash(n.cfg.Seed, ep.id, dst, idx, 1) < n.cfg.DupProb
-		} else {
-			lost = n.cfg.LossProb > 0 && n.rng.Float64() < n.cfg.LossProb
-			dup = n.cfg.DupProb > 0 && n.rng.Float64() < n.cfg.DupProb
-		}
-		lat = n.latencyLocked()
-		lat2 = n.latencyLocked()
+		link := [2]wire.NodeID{ep.id, dst}
+		idx := n.linkSeq[link]
+		n.linkSeq[link] = idx + 1
+		lost, dup, lat, lat2 = n.cfg.fate(ep.id, dst, idx)
 	}
 	n.mu.Unlock()
 
@@ -385,9 +373,22 @@ func (ep *Endpoint) Send(dst wire.NodeID, payload []byte) error {
 	return nil
 }
 
+// fate is what the network does with the idx-th frame on the link from → to:
+// whether it is lost, whether it is duplicated, and the latencies of its copy
+// and of the duplicate, each uniform in [MinLatency, MaxLatency). It is a pure
+// function of the configuration, the link and the index.
+func (c Config) fate(from, to wire.NodeID, idx uint64) (lost, dup bool, lat, lat2 time.Duration) {
+	spread := float64(c.MaxLatency - c.MinLatency)
+	lost = linkHash(c.Seed, from, to, idx, 0) < c.LossProb
+	dup = linkHash(c.Seed, from, to, idx, 1) < c.DupProb
+	lat = c.MinLatency + time.Duration(linkHash(c.Seed, from, to, idx, 2)*spread)
+	lat2 = c.MinLatency + time.Duration(linkHash(c.Seed, from, to, idx, 3)*spread)
+	return lost, dup, lat, lat2
+}
+
 // linkHash maps (seed, link, frame index, decision kind) to [0,1) via a
-// splitmix64 finalizer, so deterministic-drop decisions are independent of
-// goroutine scheduling.
+// splitmix64 finalizer. The index is shifted left by two, so kind is one of
+// the four decisions 0–3 that fate takes.
 func linkHash(seed int64, from, to wire.NodeID, idx uint64, kind uint64) float64 {
 	x := uint64(seed) ^ uint64(from)<<40 ^ uint64(to)<<48 ^ idx<<2 ^ kind
 	x += 0x9e3779b97f4a7c15
@@ -395,14 +396,6 @@ func linkHash(seed int64, from, to wire.NodeID, idx uint64, kind uint64) float64
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	x ^= x >> 31
 	return float64(x>>11) / float64(1<<53)
-}
-
-func (n *Network) latencyLocked() time.Duration {
-	if n.cfg.MaxLatency == n.cfg.MinLatency {
-		return n.cfg.MinLatency
-	}
-	spread := n.cfg.MaxLatency - n.cfg.MinLatency
-	return n.cfg.MinLatency + time.Duration(n.rng.Int63n(int64(spread)))
 }
 
 func (n *Network) deliverAfter(dst *Endpoint, f Frame, lat time.Duration) {

@@ -242,80 +242,138 @@ func TestEndpointIsStable(t *testing.T) {
 	}
 }
 
-// lossPattern sends n frames over one link and returns which were dropped.
-func lossPattern(cfg Config, n int) []bool {
+// frameFate is what a run showed of one frame's fate: whether it was lost,
+// and whether it was duplicated.
+type frameFate struct{ lost, dup bool }
+
+// fates sends n frames over link 0→1 and returns what became of each,
+// checking it against the pure fate function the network draws it from.
+func fates(t *testing.T, cfg Config, n int) []frameFate {
+	t.Helper()
 	nw := New(cfg)
 	defer nw.Close()
 	src := nw.Endpoint(0)
 	nw.Endpoint(1)
-	pattern := make([]bool, n)
-	for i := 0; i < n; i++ {
-		before := nw.Stats().Lost
+	got := make([]frameFate, n)
+	for i := range got {
+		before := nw.Stats()
 		_ = src.Send(1, []byte{byte(i)})
-		pattern[i] = nw.Stats().Lost > before
+		after := nw.Stats()
+		got[i] = frameFate{lost: after.Lost > before.Lost, dup: after.Duplicate > before.Duplicate}
+		lost, dup, _, _ := nw.cfg.fate(0, 1, uint64(i))
+		if want := (frameFate{lost: lost, dup: dup && !lost}); got[i] != want {
+			t.Fatalf("frame %d: the network did %+v, its fate is %+v", i, got[i], want)
+		}
 	}
-	return pattern
+	return got
 }
 
-func TestDeterministicDropsReproducible(t *testing.T) {
-	cfg := Config{Seed: 99, LossProb: 0.2, DupProb: 0.1, DeterministicDrops: true}
+// TestFrameFateReproducible: a frame's loss, duplication and two latencies
+// are a function of the seed, the link and the frame's index alone.
+func TestFrameFateReproducible(t *testing.T) {
+	cfg := Config{Seed: 99, MinLatency: 10 * time.Microsecond, MaxLatency: 30 * time.Microsecond,
+		LossProb: 0.2, DupProb: 0.1}
 	const N = 500
-	a := lossPattern(cfg, N)
-	b := lossPattern(cfg, N)
-	drops := 0
+	a := fates(t, cfg, N)
+	b := fates(t, cfg, N)
+	drops, dups := 0, 0
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("frame %d: run1 dropped=%v run2 dropped=%v", i, a[i], b[i])
+			t.Fatalf("frame %d: run1 %+v, run2 %+v", i, a[i], b[i])
 		}
-		if a[i] {
+		if a[i].lost {
 			drops++
 		}
-	}
-	// The hash should approximate the configured rate (20% ± 5pp).
-	if drops < N*15/100 || drops > N*25/100 {
-		t.Fatalf("deterministic loss rate %d/%d far from 20%%", drops, N)
-	}
-	// A different seed must give a different pattern.
-	cfg.Seed = 100
-	c := lossPattern(cfg, N)
-	same := 0
-	for i := range a {
-		if a[i] == c[i] {
-			same++
+		if a[i].dup {
+			dups++
 		}
 	}
-	if same == N {
-		t.Fatal("seed change did not change the drop pattern")
+	// The hash should approximate the configured rates (20% ± 5pp of the
+	// frames lost, 10% ± 5pp of the delivered ones duplicated).
+	if drops < N*15/100 || drops > N*25/100 {
+		t.Fatalf("loss rate %d/%d far from 20%%", drops, N)
+	}
+	if kept := N - drops; dups < kept*5/100 || dups > kept*15/100 {
+		t.Fatalf("duplication rate %d/%d far from 10%%", dups, kept)
+	}
+
+	// Both latencies lie in [MinLatency, MaxLatency] and spread over it.
+	lo, hi := cfg.MaxLatency, cfg.MinLatency
+	for i := uint64(0); i < N; i++ {
+		_, _, lat, lat2 := cfg.fate(0, 1, i)
+		for _, l := range []time.Duration{lat, lat2} {
+			if l < cfg.MinLatency || l > cfg.MaxLatency {
+				t.Fatalf("frame %d: latency %v outside [%v, %v]", i, l, cfg.MinLatency, cfg.MaxLatency)
+			}
+			lo, hi = min(lo, l), max(hi, l)
+		}
+	}
+	if spread := cfg.MaxLatency - cfg.MinLatency; lo > cfg.MinLatency+spread/10 || hi < cfg.MaxLatency-spread/10 {
+		t.Fatalf("latencies span [%v, %v] of [%v, %v]", lo, hi, cfg.MinLatency, cfg.MaxLatency)
+	}
+	fixed := Config{Seed: 99, MinLatency: 7 * time.Microsecond, MaxLatency: 7 * time.Microsecond}
+	if _, _, lat, lat2 := fixed.fate(0, 1, 3); lat != fixed.MinLatency || lat2 != fixed.MinLatency {
+		t.Fatalf("fixed latency %v gave %v and %v", fixed.MinLatency, lat, lat2)
+	}
+
+	// Probabilities 0 and 1 mean never and always.
+	for _, p := range []float64{0, 1} {
+		c := Config{Seed: 5, LossProb: p, DupProb: p}
+		for i := uint64(0); i < N; i++ {
+			if lost, dup, _, _ := c.fate(2, 3, i); lost != (p == 1) || dup != (p == 1) {
+				t.Fatalf("probability %v: frame %d lost=%v dup=%v", p, i, lost, dup)
+			}
+		}
+	}
+
+	// A different seed must give a different pattern, and other latencies.
+	reseeded := cfg
+	reseeded.Seed = 100
+	c := fates(t, reseeded, N)
+	sameFate, sameLat := 0, 0
+	for i := range a {
+		if a[i] == c[i] {
+			sameFate++
+		}
+		_, _, l1, _ := cfg.fate(0, 1, uint64(i))
+		_, _, l2, _ := reseeded.fate(0, 1, uint64(i))
+		if l1 == l2 {
+			sameLat++
+		}
+	}
+	if sameFate == N || sameLat == N {
+		t.Fatalf("seed change kept %d/%d fates and %d/%d latencies", sameFate, N, sameLat, N)
 	}
 }
 
-func TestDeterministicDropsIndependentOfInterleaving(t *testing.T) {
+func TestFrameFateIndependentOfInterleaving(t *testing.T) {
 	// Frames on link 0→1 keep their fates even when another link's
 	// traffic is interleaved differently between runs.
-	run := func(interleave bool) []bool {
-		cfg := Config{Seed: 7, LossProb: 0.2, DeterministicDrops: true}
+	run := func(interleave bool) []frameFate {
+		cfg := Config{Seed: 7, LossProb: 0.2, DupProb: 0.1}
 		nw := New(cfg)
 		defer nw.Close()
 		src := nw.Endpoint(0)
 		other := nw.Endpoint(2)
 		nw.Endpoint(1)
-		pattern := make([]bool, 200)
+		pattern := make([]frameFate, 200)
 		for i := range pattern {
 			if interleave {
 				_ = other.Send(1, []byte("noise"))
 			}
-			before := nw.Stats().Lost
+			// Read the counters strictly around the 0→1 send, so the
+			// noise frame's fate is not counted.
+			before := nw.Stats()
 			_ = src.Send(1, []byte{byte(i)})
-			// Subtract losses caused by the noise frame: read the delta
-			// strictly around the 0→1 send.
-			pattern[i] = nw.Stats().Lost > before
+			after := nw.Stats()
+			pattern[i] = frameFate{lost: after.Lost > before.Lost, dup: after.Duplicate > before.Duplicate}
 		}
 		return pattern
 	}
 	a, b := run(false), run(true)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("frame %d fate changed with interleaved traffic", i)
+			t.Fatalf("frame %d fate changed with interleaved traffic: %+v, then %+v", i, a[i], b[i])
 		}
 	}
 }

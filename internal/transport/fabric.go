@@ -45,18 +45,16 @@ type SimFabric struct {
 }
 
 // NewSimFabric builds a simulated network and derives the reliable layer's
-// timeouts from its latency scale; non-zero fields of cfg are kept.
-func NewSimFabric(net netsim.Config, cfg ReliableConfig) *SimFabric {
-	if cfg.RTO <= 0 {
+// timeouts from its latency scale.
+func NewSimFabric(net netsim.Config) *SimFabric {
+	cfg := ReliableConfig{
 		// The initial timeout scales with the fabric's latency, so that a
 		// slow-motion fabric does not retransmit spuriously before the
 		// adaptive estimator has RTT samples.
-		cfg.RTO = 4*net.MaxLatency + 2*time.Millisecond
-	}
-	if cfg.MinRTO <= 0 {
+		RTO: 4*net.MaxLatency + 2*time.Millisecond,
 		// Keeps the adapted timeout above one round trip (NewReliable adds
 		// its own floor, 2×FlushInterval).
-		cfg.MinRTO = 2 * net.MaxLatency
+		MinRTO: 2 * net.MaxLatency,
 	}
 	return &SimFabric{net: netsim.New(net), cfg: cfg, nodes: make(map[wire.NodeID]*Reliable)}
 }

@@ -18,7 +18,7 @@ func TestFabricSetDownAndBack(t *testing.T) {
 		fabric Fabric
 	}{
 		{"hub", NewHub()},
-		{"sim", NewSimFabric(netsim.Config{Seed: 3, MaxLatency: 20 * time.Microsecond, InboxDepth: 1 << 10}, ReliableConfig{})},
+		{"sim", NewSimFabric(netsim.Config{Seed: 3, MaxLatency: 20 * time.Microsecond, InboxDepth: 1 << 10})},
 		{"tcp", NewTCPFabric()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

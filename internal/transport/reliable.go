@@ -17,10 +17,9 @@ type ReliableConfig struct {
 	// arrive; after that the per-peer adaptive estimator (SRTT/RTTVAR, RFC
 	// 6298 via retry.RTOEstimator) takes over.
 	RTO time.Duration
-	// MinRTO / MaxRTO clamp the adaptive timeout. With batching enabled,
-	// MinRTO is floored at twice the larger of FlushInterval and the
-	// host's measured timer granularity, so a delayed ack can never look
-	// like a loss.
+	// MinRTO / MaxRTO clamp the adaptive timeout. MinRTO is floored at
+	// twice the larger of FlushInterval and the host's measured timer
+	// granularity, so a delayed ack can never look like a loss.
 	MinRTO time.Duration
 	MaxRTO time.Duration
 	// DeliveryDepth bounds the per-peer in-order delivery queue (frames).
@@ -44,10 +43,6 @@ type ReliableConfig struct {
 	// carry a "delayed" flag so the sender's RTT estimator ignores their
 	// inflated samples.
 	AckEvery int
-	// NoDelay disables egress batching and delayed acks: one frame per
-	// message, one pure ack per in-order data frame (the pre-batching
-	// behaviour; the transport ablation experiment uses it as a baseline).
-	NoDelay bool
 }
 
 const (
@@ -179,24 +174,13 @@ func NewReliable(ep *netsim.Endpoint, cfg ReliableConfig) *Reliable {
 	if cfg.AckEvery <= 0 {
 		cfg.AckEvery = 8
 	}
-	if cfg.MinRTO <= 0 {
-		cfg.MinRTO = 100 * time.Microsecond
-	}
-	if !cfg.NoDelay {
-		// A delayed ack waits up to ~FlushInterval — in practice up to the
-		// host's real timer granularity, which containers stretch to a
-		// millisecond or more. The retransmission timeout must clear that
-		// window with margin, or every traffic pause (sender stalled below
-		// AckEvery with only the timer left to ack) turns into a spurious
-		// retransmission storm.
-		floor := 2 * cfg.FlushInterval
-		if g := 2 * retry.TimerGranularity(); g > floor {
-			floor = g
-		}
-		if cfg.MinRTO < floor {
-			cfg.MinRTO = floor
-		}
-	}
+	// A delayed ack waits up to ~FlushInterval — in practice up to the
+	// host's real timer granularity, which containers stretch to a
+	// millisecond or more. The retransmission timeout must clear that
+	// window with margin, or every traffic pause (sender stalled below
+	// AckEvery with only the timer left to ack) turns into a spurious
+	// retransmission storm.
+	cfg.MinRTO = max(cfg.MinRTO, 2*cfg.FlushInterval, 2*retry.TimerGranularity())
 	if cfg.MaxRTO <= 0 {
 		cfg.MaxRTO = 100 * time.Millisecond
 		if cfg.MaxRTO < 4*cfg.RTO {
@@ -214,9 +198,7 @@ func NewReliable(ep *netsim.Endpoint, cfg ReliableConfig) *Reliable {
 	}
 	go r.recvLoop()
 	go r.retransmitLoop()
-	if !cfg.NoDelay {
-		go r.flushLoop()
-	}
+	go r.flushLoop()
 	return r
 }
 
@@ -247,11 +229,10 @@ func (r *Reliable) DataFramesSent() uint64 { return r.dataFrames.Load() }
 func (r *Reliable) PureAcksSent() uint64 { return r.acksSent.Load() }
 
 // CountedAcksSent reports the pure acks the frame count decided: sent because
-// AckEvery in-order frames were owed (or NoDelay asks for one per frame). The
-// rest of PureAcksSent — the flush timer's, an idle gap's quickack, a
-// duplicate's or a hole's re-ack — depend on the clock and the path, so only
-// this share is bounded by the traffic alone: at most one per AckEvery data
-// frames.
+// AckEvery in-order frames were owed. The rest of PureAcksSent — the flush
+// timer's, an idle gap's quickack, a duplicate's or a hole's re-ack — depend
+// on the clock and the path, so only this share is bounded by the traffic
+// alone: at most one per AckEvery data frames.
 func (r *Reliable) CountedAcksSent() uint64 { return r.countedAcks.Load() }
 
 // MessagesSent reports wire.Msg values accepted for transmission; divided by
@@ -331,9 +312,6 @@ func (r *Reliable) Send(to wire.NodeID, m wire.Msg) error {
 	}
 	p := r.peer(to)
 	r.msgsSent.Add(1)
-	if r.cfg.NoDelay {
-		return r.sendNoDelay(p, m)
-	}
 	p.egMu.Lock()
 	p.egBuf = wire.AppendMessage(p.egBuf, m)
 	p.egCount++
@@ -358,15 +336,6 @@ func (r *Reliable) SendBatch(to wire.NodeID, msgs []wire.Msg) error {
 	}
 	p := r.peer(to)
 	r.msgsSent.Add(uint64(len(msgs)))
-	if r.cfg.NoDelay {
-		var err error
-		for _, m := range msgs {
-			if e := r.sendNoDelay(p, m); e != nil && err == nil {
-				err = e
-			}
-		}
-		return err
-	}
 	var err error
 	p.egMu.Lock()
 	for _, m := range msgs {
@@ -399,15 +368,6 @@ func (r *Reliable) Multicast(dsts []wire.NodeID, m wire.Msg) error {
 	}
 	if len(dsts) == 0 {
 		return nil
-	}
-	if r.cfg.NoDelay {
-		var err error
-		for _, to := range dsts {
-			if e := r.Send(to, m); e != nil && err == nil {
-				err = e
-			}
-		}
-		return err
 	}
 	enc := wire.GetBuf()
 	enc.B = wire.AppendMessage(enc.B, m)
@@ -489,33 +449,6 @@ func (r *Reliable) flushPeerLocked(p *peerState) error {
 
 	r.dataFrames.Add(1)
 	err := r.ep.Send(p.id, buf)
-	if err != nil {
-		r.sendErrs.Add(1)
-	}
-	return err
-}
-
-// sendNoDelay transmits m as its own frame immediately (NoDelay mode).
-func (r *Reliable) sendNoDelay(p *peerState, m wire.Msg) error {
-	buf := make([]byte, hdrLen, hdrLen+64)
-	buf[0] = flagData
-	buf = wire.AppendMarshal(buf, m)
-
-	p.egMu.Lock()
-	p.sendMu.Lock()
-	seq := p.nextSeq
-	p.nextSeq++
-	binary.LittleEndian.PutUint64(buf[1:], seq)
-	p.recvMu.Lock()
-	ack := p.expected - 1
-	p.ackOwed = 0
-	p.recvMu.Unlock()
-	binary.LittleEndian.PutUint64(buf[9:], ack)
-	p.unacked[seq] = &unackedFrame{buf: buf, sent: time.Now()}
-	p.sendMu.Unlock()
-	r.dataFrames.Add(1)
-	err := r.ep.Send(p.id, buf)
-	p.egMu.Unlock()
 	if err != nil {
 		r.sendErrs.Add(1)
 	}
@@ -653,7 +586,7 @@ func (r *Reliable) recvLoop() {
 			quick := now.Sub(p.lastData) > r.cfg.FlushInterval
 			p.lastData = now
 			p.ackOwed += len(ready)
-			counted := r.cfg.NoDelay || p.ackOwed >= r.cfg.AckEvery
+			counted := p.ackOwed >= r.cfg.AckEvery
 			ackNow := counted || quick
 			var cum uint64
 			if ackNow {

@@ -12,19 +12,18 @@ import (
 // reliable transport at increasing loss rates (with duplication and jitter-
 // induced reordering on top) and asserts the §3.1 contract exactly: every
 // message delivered exactly once, in per-peer FIFO order, at every rate.
-// Deterministic drops make each rate's fault pattern reproducible run to run.
+// Each rate's fault pattern is the seed's, the same run to run.
 func TestReliableTortureLossSweep(t *testing.T) {
 	for _, loss := range []float64{0.01, 0.05, 0.20} {
 		loss := loss
 		t.Run(fmt.Sprintf("loss=%g", loss), func(t *testing.T) {
 			cfg := netsim.Config{
-				Seed:               1234,
-				MinLatency:         2 * time.Microsecond,
-				MaxLatency:         60 * time.Microsecond,
-				LossProb:           loss,
-				DupProb:            loss / 2,
-				DeterministicDrops: true,
-				InboxDepth:         1 << 14,
+				Seed:       1234,
+				MinLatency: 2 * time.Microsecond,
+				MaxLatency: 60 * time.Microsecond,
+				LossProb:   loss,
+				DupProb:    loss / 2,
+				InboxDepth: 1 << 14,
 			}
 			n := netsim.New(cfg)
 			defer n.Close()

@@ -67,7 +67,16 @@ cd "$(dirname "$0")/.."
 # and Node.Placement's two copies of the reader rule, memstorage's Recover
 # reopens the store (Reopen and its probe went), and the ZEUS_WEDGE_DUMP hook
 # became a plain WedgeDump call. No knob was removed.
-max_lines=24903  # non-test Go outside benchmark/, testdata/ excluded
+# Lowered by 122 to 24781 when the knobs no caller set left the public API and
+# the simulated fabric kept one send path and one fault path: Reliable's
+# per-message send path (sendNoDelay and its branches in Send, SendBatch,
+# Multicast, the MinRTO floor, flushLoop's start and the counted-ack rule),
+# netsim's shared RNG stream beside the hashed one (DeterministicDrops), the
+# Transport/Reliable/DispatchShards/SafeTimeInterval fields with their
+# plumbing, and the transport experiment's second run. The 122 are net of 5
+# for the fix that counts a netsim frame delivered before its receiver can
+# hold it.
+max_lines=24781  # non-test Go outside benchmark/, testdata/ excluded
 # Lowered from 77 by those five fields: ownership.Config's AttemptTimeout,
 # Deadline and Retry, cluster.Options.Lease and viewsvc.Config.Heartbeat.
 # Lowered from 72 to 62 by de-duplication, not by removing a knob: the eight
@@ -76,7 +85,13 @@ max_lines=24903  # non-test Go outside benchmark/, testdata/ excluded
 # TraceSample, WatchdogAge) are counted once, in core.Config, and core.Config's
 # Storage and Obs are per-node NewNode arguments (cluster.Options.Storage and
 # Observability still set them). Every value a caller could set is settable.
-max_fields=62    # option fields
+# Lowered from 62 to 54 by deleting every option no caller in the tree set:
+# zeus.Options' DispatchShards, Transport and SafeTimeInterval,
+# cluster.Options.Reliable, core.Config's DispatchShards (derived:
+# min(Workers, GOMAXPROCS)) and SafeTimeInterval (a 50µs constant),
+# ReliableConfig.NoDelay and netsim.Config.DeterministicDrops (each with the
+# second code path it selected).
+max_fields=54    # option fields
 
 # testdata/ is what the go tool itself never builds (the lint fixtures).
 lines() { find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' "$@" -print0 | xargs -0 cat | wc -l; }

@@ -35,7 +35,6 @@ import (
 	"zeus/internal/netsim"
 	"zeus/internal/obs"
 	"zeus/internal/ownership"
-	"zeus/internal/transport"
 	"zeus/internal/wire"
 )
 
@@ -57,13 +56,6 @@ type Options struct {
 	// Workers is the number of worker threads per node; each worker owns a
 	// reliable-commit pipeline (default 8).
 	Workers int
-	// DispatchShards is the number of inbound handler goroutines per node
-	// for keyed protocol traffic: reliable-commit messages fan out per
-	// pipeline, ownership messages per object, each preserving its key's
-	// FIFO while independent keys apply in parallel. 0 (the default) picks
-	// min(Workers, GOMAXPROCS); any value <= 1 (e.g. -1) keeps the single
-	// inline delivery goroutine.
-	DispatchShards int
 	// DirectoryShards partitions the ownership directory (§6.2) into hash
 	// shards, each driven by up to three nodes chosen by rendezvous
 	// hashing from the live view; the shard→drivers placement map is
@@ -84,13 +76,9 @@ type Options struct {
 	// hub. Configure faults via Network.
 	SimulatedNetwork bool
 	// Network configures the simulated fabric (loss, duplication,
-	// latency); zero value = netsim defaults.
+	// latency); the zero value is netsim.DefaultConfig. The reliable
+	// messaging layer above it derives its timeouts from the latency scale.
 	Network netsim.Config
-	// Transport tunes the reliable messaging layer over the simulated
-	// fabric (frame batching, delayed acks, RTO); zero fields keep the
-	// defaults derived from Network's latency scale. Ignored unless
-	// SimulatedNetwork is set.
-	Transport transport.ReliableConfig
 	// OnOwnershipLatency observes every successful ownership request's
 	// latency (the Figure 12 metric).
 	OnOwnershipLatency func(time.Duration)
@@ -101,9 +89,6 @@ type Options struct {
 	// serializable, zero owner traffic — read throughput scales with the
 	// replica count.
 	SnapshotReads bool
-	// SafeTimeInterval is the period of the safe-time watermark exchange
-	// (default 50µs). Only meaningful with SnapshotReads.
-	SafeTimeInterval time.Duration
 	// Observability gives every node an obs.Registry: per-node counters and
 	// latency histograms across the commit, ownership, storage and transport
 	// layers, sampled per-transaction traces, and the commit-engine debt
@@ -134,20 +119,17 @@ func New(opts Options) *Cluster {
 	// cluster.New defaults a non-positive degree or worker count.
 	co.Degree = opts.ReplicationDegree
 	co.Workers = opts.Workers
-	co.DispatchShards = opts.DispatchShards
 	co.View.DirShards = opts.DirectoryShards
 	co.ViewReplicas = opts.ViewReplicas
 	if opts.SimulatedNetwork {
 		co.Fabric = cluster.FabricSim
 		co.Net = opts.Network
-		if co.Net.InboxDepth == 0 {
+		if co.Net == (netsim.Config{}) {
 			co.Net = netsim.DefaultConfig()
 		}
-		co.Reliable = opts.Transport
 	}
 	co.OnOwnershipLatency = opts.OnOwnershipLatency
 	co.SnapshotReads = opts.SnapshotReads
-	co.SafeTimeInterval = opts.SafeTimeInterval
 	co.Observability = opts.Observability
 	co.TraceSample = opts.TraceSample
 	co.WatchdogAge = opts.WatchdogAge

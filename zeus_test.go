@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"zeus"
+	"zeus/internal/netsim"
 )
 
 func TestPublicAPIQuickstart(t *testing.T) {
@@ -229,6 +230,45 @@ func TestPublicAPISimulatedNetwork(t *testing.T) {
 	}
 	if c.Messages() == 0 || c.Bytes() == 0 {
 		t.Fatal("no traffic accounted on simulated fabric")
+	}
+}
+
+// TestPublicAPISimulatedNetworkIsTheConfiguredOne: Options.Network is the
+// fabric the deployment runs on, whatever of it is left zero. With a fifth of
+// the frames lost, 200 updates replicated one at a time cost about 400
+// retransmissions; on the loss-free default fabric, a few dozen spurious ones
+// at most.
+func TestPublicAPISimulatedNetworkIsTheConfiguredOne(t *testing.T) {
+	c := zeus.New(zeus.Options{Nodes: 3, SimulatedNetwork: true, Observability: true,
+		Network: netsim.Config{Seed: 3, LossProb: 0.2, MaxLatency: 30 * time.Microsecond}})
+	defer c.Close()
+	c.Seed(55, 0, []byte("v"))
+	for i := 0; i < 200; i++ {
+		// One update at a time, each replicated before the next: every
+		// one crosses the links in frames of its own.
+		tx := c.Node(0).Begin()
+		if err := tx.Set(55, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-tx.Durable():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("update %d not replicated", i)
+		}
+	}
+	var retx uint64
+	for i := 0; i < c.Nodes(); i++ {
+		for _, name := range []string{"tr_retransmits_total", "tr_fast_retransmits_total"} {
+			v, _ := c.Node(i).Obs().CounterValue(name)
+			retx += v
+		}
+	}
+	t.Logf("%d retransmissions", retx)
+	if retx < 150 {
+		t.Fatalf("%d retransmissions for 200 updates over 20%% loss: the deployment is not on the configured network", retx)
 	}
 }
 
