@@ -36,10 +36,8 @@ func main() {
 	// 2. Blocking store (Redis-like): every access a blocking RPC.
 	hub := transport.NewHub()
 	bcfg := baseline.Config{Nodes: 1, Degree: 1}
-	server := newBaselineNode(hub, 0, bcfg)
-	client := newBaselineNode(hub, 1, bcfg)
-	_ = server
-	bg := epcgw.New(cfg, client)
+	server := baseline.NewNode(0, hub.Node(0), bcfg)
+	bg := epcgw.New(cfg, baseline.NewNode(1, hub.Node(1), bcfg))
 	bg.SeedObjects(func(obj uint64, home int, data []byte) {
 		server.Seed(wire.ObjectID(obj), 1, data)
 	})
@@ -67,12 +65,4 @@ func run(g *epcgw.Gateway) string {
 		log.Fatalf("drive: %v", err)
 	}
 	return fmt.Sprintf("%.0f ops/s (%d ops)", float64(done)/time.Since(start).Seconds(), done)
-}
-
-func newBaselineNode(hub *transport.Hub, id wire.NodeID, cfg baseline.Config) *baseline.Node {
-	tr := hub.Node(id)
-	r := transport.NewRouter()
-	n := baseline.NewNode(id, tr, r, cfg)
-	tr.SetHandler(r.Dispatch)
-	return n
 }

@@ -12,11 +12,19 @@
 // drifts, transactions simply become remote, which is the effect measured in
 // Figures 8 and 9.
 //
+// Each server operation — read, lock, validate, install (backup and commit)
+// and release (abort) — is written once, in serve, and answers with one
+// reply kind, wire.BResp. A coordinator reaches it through ask, which runs
+// serve in place when the object's primary (or backup) is this node and
+// makes the blocking RPC otherwise; a peer's request reaches it through
+// Handle. Local and remote accesses differ only in the round trip.
+//
 // The same machinery with a single primary node doubles as the "Redis-like
 // blocking store" of Figure 13 (every access a blocking RPC, no replication).
 package baseline
 
 import (
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,19 +37,15 @@ import (
 // write without a preceding read).
 const NoVersion = ^uint64(0)
 
-// Config tunes the baseline deployment.
+// rpcTimeout bounds each blocking phase.
+const rpcTimeout = time.Second
+
+// Config sizes the baseline deployment.
 type Config struct {
 	// Nodes is the deployment size; primary(obj) = obj mod Nodes.
 	Nodes int
 	// Degree is the replication degree (primary + Degree-1 backups).
 	Degree int
-	// RPCTimeout bounds each blocking phase.
-	RPCTimeout time.Duration
-}
-
-// DefaultConfig mirrors the paper's baselines: 3-way replication.
-func DefaultConfig(nodes int) Config {
-	return Config{Nodes: nodes, Degree: 3, RPCTimeout: time.Second}
 }
 
 // bobj is one object replica in the baseline store.
@@ -63,7 +67,7 @@ type Node struct {
 
 	nextReq atomic.Uint64 // low 48 bits of a reqID; see newReqID
 	callMu  sync.Mutex
-	calls   map[uint64]chan wire.Msg
+	calls   map[uint64]chan *wire.BResp
 
 	stCommits atomic.Uint64
 	stAborts  atomic.Uint64
@@ -77,29 +81,23 @@ type Stats struct {
 	RemoteReads uint64
 }
 
-// NewNode creates a baseline node on the transport and installs handlers on
-// the router.
-func NewNode(id wire.NodeID, tr transport.Transport, r *transport.Router, cfg Config) *Node {
+// NewNode creates a baseline node and installs its Handle as the
+// transport's handler: the node is the endpoint's only protocol.
+func NewNode(id wire.NodeID, tr transport.Transport, cfg Config) *Node {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 3
 	}
 	if cfg.Degree <= 0 {
 		cfg.Degree = 3
 	}
-	if cfg.RPCTimeout <= 0 {
-		cfg.RPCTimeout = time.Second
-	}
 	n := &Node{
 		id:    id,
 		cfg:   cfg,
 		tr:    tr,
 		objs:  make(map[wire.ObjectID]*bobj),
-		calls: make(map[uint64]chan wire.Msg),
+		calls: make(map[uint64]chan *wire.BResp),
 	}
-	r.HandleMany(n.Handle,
-		wire.KindBReadReq, wire.KindBReadResp, wire.KindBLock, wire.KindBLockResp,
-		wire.KindBValidate, wire.KindBValidateResp, wire.KindBBackup,
-		wire.KindBBackupAck, wire.KindBCommit, wire.KindBCommitAck, wire.KindBAbort)
+	tr.SetHandler(n.Handle)
 	return n
 }
 
@@ -158,9 +156,14 @@ func (n *Node) obj(id wire.ObjectID, create bool) *bobj {
 	return o
 }
 
-// call performs one blocking RPC.
-func (n *Node) call(to wire.NodeID, reqID uint64, m wire.Msg) (wire.Msg, bool) {
-	ch := make(chan wire.Msg, 1)
+// ask runs req at node p and returns its reply: in place when p is this
+// node, otherwise as one blocking round trip. nil means the send failed or
+// no reply came within rpcTimeout.
+func (n *Node) ask(p wire.NodeID, reqID uint64, req wire.Msg) *wire.BResp {
+	if p == n.id {
+		return n.serve(req)
+	}
+	ch := make(chan *wire.BResp, 1)
 	n.callMu.Lock()
 	n.calls[reqID] = ch
 	n.callMu.Unlock()
@@ -169,172 +172,124 @@ func (n *Node) call(to wire.NodeID, reqID uint64, m wire.Msg) (wire.Msg, bool) {
 		delete(n.calls, reqID)
 		n.callMu.Unlock()
 	}()
-	if err := n.tr.Send(to, m); err != nil {
-		return nil, false
+	if err := n.tr.Send(p, req); err != nil {
+		return nil
 	}
 	select {
-	case resp := <-ch:
-		return resp, true
-	case <-time.After(n.cfg.RPCTimeout):
-		return nil, false
+	case r := <-ch:
+		return r
+	case <-time.After(rpcTimeout):
+		return nil
 	}
 }
 
-func (n *Node) reply(reqID uint64, m wire.Msg) {
-	n.callMu.Lock()
-	ch, ok := n.calls[reqID]
-	n.callMu.Unlock()
-	if ok {
-		select {
-		case ch <- m:
-		default:
-		}
-	}
-}
-
-// Handle dispatches one inbound baseline message.
+// Handle dispatches one inbound baseline message: a reply goes to the
+// coordinator waiting on its request id, a request is served and answered.
 func (n *Node) Handle(from wire.NodeID, m wire.Msg) {
-	switch v := m.(type) {
+	if r, ok := m.(*wire.BResp); ok {
+		n.callMu.Lock()
+		ch := n.calls[r.ReqID]
+		n.callMu.Unlock()
+		if ch != nil {
+			select {
+			case ch <- r:
+			default:
+			}
+		}
+		return
+	}
+	if r := n.serve(m); r != nil {
+		_ = n.tr.Send(from, r)
+	}
+}
+
+// serve runs one server operation on this node's replicas and returns its
+// reply; a release (BAbort) has none.
+func (n *Node) serve(req wire.Msg) *wire.BResp {
+	switch m := req.(type) {
 	case *wire.BReadReq:
-		n.handleRead(from, v)
-	case *wire.BLock:
-		n.handleLock(from, v)
-	case *wire.BValidate:
-		n.handleValidate(from, v)
-	case *wire.BBackup:
-		n.handleBackup(from, v)
-	case *wire.BCommit:
-		n.handleCommit(from, v)
-	case *wire.BAbort:
-		n.handleAbort(v)
-	case *wire.BReadResp:
-		n.reply(v.ReqID, v)
-	case *wire.BLockResp:
-		n.reply(v.ReqID, v)
-	case *wire.BValidateResp:
-		n.reply(v.ReqID, v)
-	case *wire.BBackupAck:
-		n.reply(v.ReqID, v)
-	case *wire.BCommitAck:
-		n.reply(v.ReqID, v)
-	}
-}
-
-func (n *Node) handleRead(from wire.NodeID, m *wire.BReadReq) {
-	resp := &wire.BReadResp{ReqID: m.ReqID, Obj: m.Obj}
-	if o := n.obj(m.Obj, false); o != nil {
-		o.mu.Lock()
-		if o.locked == 0 {
-			resp.OK = true
-			resp.Ver = o.ver
-			resp.Data = append([]byte(nil), o.data...)
-		}
-		o.mu.Unlock()
-	}
-	_ = n.tr.Send(from, resp)
-}
-
-func (n *Node) handleLock(from wire.NodeID, m *wire.BLock) {
-	ok := true
-	var taken []*bobj
-	for _, it := range m.Items {
-		o := n.obj(it.Obj, true)
-		o.mu.Lock()
-		free := o.locked == 0 || o.locked == m.ReqID
-		match := it.Ver == NoVersion || o.ver == it.Ver
-		if free && match {
-			o.locked = m.ReqID
-			taken = append(taken, o)
-			o.mu.Unlock()
-			continue
-		}
-		o.mu.Unlock()
-		ok = false
-		break
-	}
-	if !ok {
-		for _, o := range taken {
+		r := &wire.BResp{ReqID: m.ReqID}
+		if o := n.obj(m.Obj, false); o != nil {
 			o.mu.Lock()
-			if o.locked == m.ReqID {
-				o.locked = 0
+			if o.locked == 0 {
+				r.OK, r.Ver, r.Data = true, o.ver, append([]byte(nil), o.data...)
 			}
 			o.mu.Unlock()
 		}
+		return r
+	case *wire.BLock:
+		// All items or none. The reply's Data holds each item's version
+		// under the lock, 8 bytes apiece, from which the coordinator numbers
+		// the new versions — of a blind write too, wherever its primary is.
+		r := &wire.BResp{ReqID: m.ReqID, OK: true}
+		for i, it := range m.Items {
+			o := n.obj(it.Obj, true)
+			o.mu.Lock()
+			ok := (o.locked == 0 || o.locked == m.ReqID) && (it.Ver == NoVersion || o.ver == it.Ver)
+			if ok {
+				o.locked = m.ReqID
+				r.Data = binary.LittleEndian.AppendUint64(r.Data, o.ver)
+			}
+			o.mu.Unlock()
+			if !ok {
+				for _, t := range m.Items[:i] {
+					n.unlock(m.ReqID, t.Obj)
+				}
+				return &wire.BResp{ReqID: m.ReqID}
+			}
+		}
+		return r
+	case *wire.BValidate:
+		for _, it := range m.Items {
+			o := n.obj(it.Obj, false)
+			if o == nil {
+				return &wire.BResp{ReqID: m.ReqID}
+			}
+			o.mu.Lock()
+			ok := o.ver == it.Ver && (o.locked == 0 || o.locked == m.ReqID)
+			o.mu.Unlock()
+			if !ok {
+				return &wire.BResp{ReqID: m.ReqID}
+			}
+		}
+		return &wire.BResp{ReqID: m.ReqID, OK: true}
+	case *wire.BBackup:
+		n.install(0, m.Updates) // a backup's replicas are never locked
+		return &wire.BResp{ReqID: m.ReqID, OK: true}
+	case *wire.BCommit:
+		n.install(m.ReqID, m.Updates)
+		return &wire.BResp{ReqID: m.ReqID, OK: true}
+	case *wire.BAbort:
+		for _, id := range m.Objs {
+			n.unlock(m.ReqID, id)
+		}
 	}
-	_ = n.tr.Send(from, &wire.BLockResp{ReqID: m.ReqID, From: n.id, OK: ok})
+	return nil
 }
 
-func (n *Node) handleValidate(from wire.NodeID, m *wire.BValidate) {
-	ok := true
-	for _, it := range m.Items {
-		o := n.obj(it.Obj, false)
-		if o == nil {
-			ok = false
-			break
-		}
-		o.mu.Lock()
-		if o.ver != it.Ver || (o.locked != 0 && o.locked != m.ReqID) {
-			ok = false
-		}
-		o.mu.Unlock()
-		if !ok {
-			break
-		}
-	}
-	_ = n.tr.Send(from, &wire.BValidateResp{ReqID: m.ReqID, From: n.id, OK: ok})
-}
-
-func (n *Node) handleBackup(from wire.NodeID, m *wire.BBackup) {
-	for _, u := range m.Updates {
+// install applies each update that is newer than the replica and releases
+// the lock reqID holds on it.
+func (n *Node) install(reqID uint64, ups []wire.Update) {
+	for _, u := range ups {
 		o := n.obj(u.Obj, true)
 		o.mu.Lock()
 		if u.Version > o.ver {
-			o.ver = u.Version
-			o.data = u.Data
+			o.ver, o.data = u.Version, u.Data
 		}
-		o.mu.Unlock()
-	}
-	_ = n.tr.Send(from, &wire.BBackupAck{ReqID: m.ReqID, From: n.id})
-}
-
-func (n *Node) handleCommit(from wire.NodeID, m *wire.BCommit) {
-	for _, u := range m.Updates {
-		o := n.obj(u.Obj, true)
-		o.mu.Lock()
-		if u.Version > o.ver {
-			o.ver = u.Version
-			o.data = u.Data
-		}
-		if o.locked == m.ReqID {
+		if o.locked == reqID {
 			o.locked = 0
 		}
 		o.mu.Unlock()
 	}
-	_ = n.tr.Send(from, &wire.BCommitAck{ReqID: m.ReqID, From: n.id})
 }
 
-func (n *Node) handleAbort(m *wire.BAbort) {
-	for _, id := range m.Objs {
-		if o := n.obj(id, false); o != nil {
-			o.mu.Lock()
-			if o.locked == m.ReqID {
-				o.locked = 0
-			}
-			o.mu.Unlock()
+// unlock releases obj's lock if reqID holds it.
+func (n *Node) unlock(reqID uint64, obj wire.ObjectID) {
+	if o := n.obj(obj, false); o != nil {
+		o.mu.Lock()
+		if o.locked == reqID {
+			o.locked = 0
 		}
+		o.mu.Unlock()
 	}
-}
-
-// localRead reads an object homed at this node.
-func (n *Node) localRead(obj wire.ObjectID) (uint64, []byte, bool) {
-	o := n.obj(obj, false)
-	if o == nil {
-		return 0, nil, false
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.locked != 0 {
-		return 0, nil, false
-	}
-	return o.ver, append([]byte(nil), o.data...), true
 }

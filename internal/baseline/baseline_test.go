@@ -31,12 +31,16 @@ func newBaselineCluster(t *testing.T, n int, degree int) []*Node {
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
 		tr := hub.Node(wire.NodeID(i))
-		r := transport.NewRouter()
-		nodes[i] = NewNode(wire.NodeID(i), tr, r, cfg)
-		tr.SetHandler(r.Dispatch)
+		nodes[i] = NewNode(wire.NodeID(i), tr, cfg)
 		t.Cleanup(func() { tr.Close() })
 	}
 	return nodes
+}
+
+// read returns n's replica of obj through serve, the path every read takes.
+func read(n *Node, obj wire.ObjectID) (uint64, []byte, bool) {
+	r := n.serve(&wire.BReadReq{Obj: obj})
+	return r.Ver, r.Data, r.OK
 }
 
 // seedAll installs obj at its primary and backups per the static sharding.
@@ -64,7 +68,7 @@ func TestLocalReadWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ver, data, ok := nodes[0].localRead(0)
+	ver, data, ok := read(nodes[0], 0)
 	if !ok || ver != 2 || string(data) != "next" {
 		t.Fatalf("after commit: v%d %q ok=%v", ver, data, ok)
 	}
@@ -87,13 +91,13 @@ func TestRemoteReadAndCommit(t *testing.T) {
 	if nodes[0].Stats().RemoteReads == 0 {
 		t.Fatal("no remote reads recorded")
 	}
-	_, data, _ := nodes[1].localRead(1)
+	_, data, _ := read(nodes[1], 1)
 	if fromU64(data) != 15 {
 		t.Fatalf("value = %d", fromU64(data))
 	}
 	// Backups received the update too.
 	for _, b := range nodes[0].Backups(1) {
-		_, bd, ok := nodes[b].localRead(1)
+		_, bd, ok := read(nodes[b], 1)
 		if !ok || fromU64(bd) != 15 {
 			t.Fatalf("backup %d: %v %d", b, ok, fromU64(bd))
 		}
@@ -124,7 +128,7 @@ func TestOCCConflictAborts(t *testing.T) {
 		t.Fatalf("expected conflict, got %v", err)
 	}
 	// The conflicting increment survived.
-	_, data, _ := nodes[2].localRead(2)
+	_, data, _ := read(nodes[2], 2)
 	if fromU64(data) != 1 {
 		t.Fatalf("value = %d", fromU64(data))
 	}
@@ -178,7 +182,7 @@ func TestSerializableCounterBaseline(t *testing.T) {
 		return
 	}
 	p := nodes[0].Primary(5)
-	_, data, _ := nodes[p].localRead(5)
+	_, data, _ := read(nodes[p], 5)
 	if fromU64(data) != 3*perNode {
 		t.Fatalf("lost updates: %d, want %d", fromU64(data), 3*perNode)
 	}
@@ -205,8 +209,8 @@ func TestMultiObjectCommitAcrossPrimaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, d6, _ := nodes[0].localRead(6)
-	_, d7, _ := nodes[1].localRead(7)
+	_, d6, _ := read(nodes[0], 6)
+	_, d7, _ := read(nodes[1], 7)
 	if fromU64(d6) != 50 || fromU64(d7) != 250 {
 		t.Fatalf("transfer broke atomicity: %d %d", fromU64(d6), fromU64(d7))
 	}
@@ -222,9 +226,32 @@ func TestBlindWriteWithoutRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := nodes[0].Primary(8)
-	_, data, _ := nodes[p].localRead(8)
+	_, data, _ := read(nodes[p], 8)
 	if fromU64(data) != 42 {
 		t.Fatalf("blind write lost: %d", fromU64(data))
+	}
+}
+
+// A blind write is numbered from its primary's version under the lock, so
+// it lands even when the coordinator holds no replica of the object.
+func TestRemoteBlindWriteFromNonReplica(t *testing.T) {
+	nodes := newBaselineCluster(t, 3, 1)
+	nodes[1].Seed(10, 4, u64(1)) // primary = node 1, no backups
+	nodes[1].Seed(13, 7, u64(2))
+	err := dbapi.Run(nodes[0], 0, func(tx dbapi.Txn) error {
+		if err := tx.Set(10, u64(42)); err != nil {
+			return err
+		}
+		return tx.Set(13, u64(43))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for obj, want := range map[wire.ObjectID][2]uint64{10: {5, 42}, 13: {8, 43}} {
+		ver, data, ok := read(nodes[1], obj)
+		if !ok || ver != want[0] || fromU64(data) != want[1] {
+			t.Errorf("object %d: v%d %d ok=%v, want v%d %d", obj, ver, fromU64(data), ok, want[0], want[1])
+		}
 	}
 }
 
@@ -235,10 +262,7 @@ func TestSingleNodeBlockingStore(t *testing.T) {
 	var nodes []*Node
 	for i := 0; i < 3; i++ {
 		tr := hub.Node(wire.NodeID(i))
-		r := transport.NewRouter()
-		n := NewNode(wire.NodeID(i), tr, r, cfg)
-		tr.SetHandler(r.Dispatch)
-		nodes = append(nodes, n)
+		nodes = append(nodes, NewNode(wire.NodeID(i), tr, cfg))
 		t.Cleanup(func() { tr.Close() })
 	}
 	nodes[0].Seed(9, 1, u64(5))
@@ -253,7 +277,7 @@ func TestSingleNodeBlockingStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, data, _ := nodes[0].localRead(9)
+	_, data, _ := read(nodes[0], 9)
 	if fromU64(data) != 10 {
 		t.Fatalf("value = %d", fromU64(data))
 	}

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -48,28 +49,17 @@ func (tx *Txn) Get(obj uint64) ([]byte, error) {
 	}
 	n := tx.n
 	p := n.Primary(id)
-	var ver uint64
-	var data []byte
-	var ok bool
-	if p == n.id {
-		ver, data, ok = n.localRead(id)
-	} else {
-		// Remote access: one blocking round trip (§6.1).
-		n.stRemote.Add(1)
-		reqID := n.newReqID()
-		resp, got := n.call(p, reqID, &wire.BReadReq{ReqID: reqID, From: n.id, Obj: id})
-		if got {
-			if r, isRead := resp.(*wire.BReadResp); isRead && r.OK {
-				ver, data, ok = r.Ver, r.Data, true
-			}
-		}
+	if p != n.id {
+		n.stRemote.Add(1) // a remote access: one blocking round trip (§6.1)
 	}
-	if !ok {
+	reqID := n.newReqID()
+	r := n.ask(p, reqID, &wire.BReadReq{ReqID: reqID, Obj: id})
+	if r == nil || !r.OK {
 		return nil, dbapi.ErrConflict
 	}
-	tx.reads[id] = ver
-	tx.readBuf[id] = data
-	return append([]byte(nil), data...), nil
+	tx.reads[id] = r.Ver
+	tx.readBuf[id] = r.Data
+	return append([]byte(nil), r.Data...), nil
 }
 
 // Set buffers a write.
@@ -100,7 +90,7 @@ func (tx *Txn) Commit() error {
 
 	if tx.ro || len(tx.writes) == 0 {
 		// Read-only: re-validate versions at the primaries.
-		if err := tx.validateReads(nil); err != nil {
+		if err := tx.validateReads(n.newReqID()); err != nil {
 			n.stAborts.Add(1)
 			return err
 		}
@@ -140,36 +130,34 @@ func (tx *Txn) Commit() error {
 			for _, it := range byPrimary[p] {
 				objs = append(objs, it.Obj)
 			}
+			// A release has no reply, so it is sent, not asked.
+			m := &wire.BAbort{ReqID: reqID, Objs: objs}
 			if p == n.id {
-				n.handleAbort(&wire.BAbort{ReqID: reqID, From: n.id, Objs: objs})
+				n.serve(m)
 			} else {
-				_ = n.tr.Send(p, &wire.BAbort{ReqID: reqID, From: n.id, Objs: objs})
+				_ = n.tr.Send(p, m)
 			}
 		}
 		n.stAborts.Add(1)
 		return dbapi.ErrConflict
 	}
+	newVer := make(map[wire.ObjectID]uint64, len(writeIDs))
 	for _, p := range primaries {
 		items := byPrimary[p]
-		ok := false
-		if p == n.id {
-			ok = n.lockLocal(reqID, items)
-		} else {
-			resp, got := n.call(p, reqID, &wire.BLock{ReqID: reqID, From: n.id, Items: items})
-			if got {
-				if r, isLock := resp.(*wire.BLockResp); isLock {
-					ok = r.OK
-				}
-			}
+		r := n.ask(p, reqID, &wire.BLock{ReqID: reqID, Items: items})
+		if r != nil && r.OK {
+			locked = append(locked, p)
 		}
-		if !ok {
+		if r == nil || !r.OK || len(r.Data) != 8*len(items) {
 			return abort()
 		}
-		locked = append(locked, p)
+		for i, it := range items {
+			newVer[it.Obj] = binary.LittleEndian.Uint64(r.Data[8*i:]) + 1
+		}
 	}
 
 	// Phase 2: VALIDATE the read set (objects not written).
-	if err := tx.validateReads(reqID2set(reqID)); err != nil {
+	if err := tx.validateReads(reqID); err != nil {
 		return abort()
 	}
 
@@ -177,33 +165,21 @@ func (tx *Txn) Commit() error {
 	byBackup := map[wire.NodeID][]wire.Update{}
 	byPrimaryU := map[wire.NodeID][]wire.Update{}
 	for _, id := range writeIDs {
-		newVer := tx.reads[id] + 1
-		if _, wasRead := tx.reads[id]; !wasRead {
-			newVer = tx.versionAfterLock(id) + 1
-		}
-		u := wire.Update{Obj: id, Version: newVer, Data: tx.writes[id]}
+		u := wire.Update{Obj: id, Version: newVer[id], Data: tx.writes[id]}
 		for _, b := range n.Backups(id) {
 			byBackup[b] = append(byBackup[b], u)
 		}
 		byPrimaryU[n.Primary(id)] = append(byPrimaryU[n.Primary(id)], u)
 	}
 	for b, ups := range byBackup {
-		if b == n.id {
-			n.handleBackupLocal(ups)
-			continue
-		}
-		if _, got := n.call(b, reqID, &wire.BBackup{ReqID: reqID, From: n.id, Updates: ups}); !got {
+		if n.ask(b, reqID, &wire.BBackup{ReqID: reqID, Updates: ups}) == nil {
 			return abort()
 		}
 	}
 
 	// Phase 4: UPDATE PRIMARIES (apply + unlock).
 	for p, ups := range byPrimaryU {
-		if p == n.id {
-			n.commitLocal(reqID, ups)
-			continue
-		}
-		if _, got := n.call(p, reqID, &wire.BCommit{ReqID: reqID, From: n.id, Updates: ups}); !got {
+		if n.ask(p, reqID, &wire.BCommit{ReqID: reqID, Updates: ups}) == nil {
 			// Locks are held remotely; the primary applies when the
 			// retransmitted message arrives. We report success-unknown
 			// as conflict (simplification; the paper's baselines
@@ -216,23 +192,9 @@ func (tx *Txn) Commit() error {
 	return nil
 }
 
-// versionAfterLock returns the current version of a locked, never-read
-// object at its primary (local only; remote blind writes re-read).
-func (tx *Txn) versionAfterLock(id wire.ObjectID) uint64 {
-	if o := tx.n.obj(id, false); o != nil {
-		o.mu.Lock()
-		defer o.mu.Unlock()
-		return o.ver
-	}
-	return 0
-}
-
-func reqID2set(reqID uint64) *uint64 { return &reqID }
-
-// validateReads re-checks read versions at the primaries. holder, when
-// non-nil, is the lock-holding request id (write commits validate while
-// holding their own locks).
-func (tx *Txn) validateReads(holder *uint64) error {
+// validateReads re-checks read versions at the primaries on behalf of reqID
+// (a write commit validates while holding its own locks under that id).
+func (tx *Txn) validateReads(reqID uint64) error {
 	n := tx.n
 	byPrimary := map[wire.NodeID][]wire.BVer{}
 	for id, ver := range tx.reads {
@@ -241,100 +203,12 @@ func (tx *Txn) validateReads(holder *uint64) error {
 		}
 		byPrimary[n.Primary(id)] = append(byPrimary[n.Primary(id)], wire.BVer{Obj: id, Ver: ver})
 	}
-	reqID := uint64(0)
-	if holder != nil {
-		reqID = *holder
-	} else {
-		reqID = n.newReqID()
-	}
 	for p, items := range byPrimary {
-		ok := false
-		if p == n.id {
-			ok = n.validateLocal(reqID, items)
-		} else {
-			resp, got := n.call(p, reqID, &wire.BValidate{ReqID: reqID, From: n.id, Items: items})
-			if got {
-				if r, isVal := resp.(*wire.BValidateResp); isVal {
-					ok = r.OK
-				}
-			}
-		}
-		if !ok {
+		if r := n.ask(p, reqID, &wire.BValidate{ReqID: reqID, Items: items}); r == nil || !r.OK {
 			return dbapi.ErrConflict
 		}
 	}
 	return nil
-}
-
-// Local fast paths (the coordinator is also a primary/backup).
-
-func (n *Node) lockLocal(reqID uint64, items []wire.BVer) bool {
-	var taken []*bobj
-	for _, it := range items {
-		o := n.obj(it.Obj, true)
-		o.mu.Lock()
-		free := o.locked == 0 || o.locked == reqID
-		match := it.Ver == NoVersion || o.ver == it.Ver
-		if free && match {
-			o.locked = reqID
-			taken = append(taken, o)
-			o.mu.Unlock()
-			continue
-		}
-		o.mu.Unlock()
-		for _, t := range taken {
-			t.mu.Lock()
-			if t.locked == reqID {
-				t.locked = 0
-			}
-			t.mu.Unlock()
-		}
-		return false
-	}
-	return true
-}
-
-func (n *Node) validateLocal(reqID uint64, items []wire.BVer) bool {
-	for _, it := range items {
-		o := n.obj(it.Obj, false)
-		if o == nil {
-			return false
-		}
-		o.mu.Lock()
-		ok := o.ver == it.Ver && (o.locked == 0 || o.locked == reqID)
-		o.mu.Unlock()
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-func (n *Node) handleBackupLocal(ups []wire.Update) {
-	for _, u := range ups {
-		o := n.obj(u.Obj, true)
-		o.mu.Lock()
-		if u.Version > o.ver {
-			o.ver = u.Version
-			o.data = u.Data
-		}
-		o.mu.Unlock()
-	}
-}
-
-func (n *Node) commitLocal(reqID uint64, ups []wire.Update) {
-	for _, u := range ups {
-		o := n.obj(u.Obj, true)
-		o.mu.Lock()
-		if u.Version > o.ver {
-			o.ver = u.Version
-			o.data = u.Data
-		}
-		if o.locked == reqID {
-			o.locked = 0
-		}
-		o.mu.Unlock()
-	}
 }
 
 var _ dbapi.DB = (*Node)(nil)

@@ -36,17 +36,14 @@ type BaselineDeployment struct {
 
 // NewBaselineDeployment builds n baseline nodes on fabric, which it owns from
 // here on: the hub for protocol checks, or — the comparison substrate of
-// Figures 8/9/13 — the same simulated fabric the Zeus cluster it is measured
+// Figures 8/9 — the same simulated fabric the Zeus cluster it is measured
 // against stands on, so that the cost of remote accesses and of the blocking
 // distributed commit is visible.
 func NewBaselineDeployment(n, degree int, fabric transport.Fabric) *BaselineDeployment {
 	d := &BaselineDeployment{fabric: fabric}
 	cfg := baseline.Config{Nodes: n, Degree: degree}
 	for i := 0; i < n; i++ {
-		tr := fabric.Node(wire.NodeID(i))
-		r := transport.NewRouter()
-		d.Nodes = append(d.Nodes, baseline.NewNode(wire.NodeID(i), tr, r, cfg))
-		tr.SetHandler(r.Dispatch)
+		d.Nodes = append(d.Nodes, baseline.NewNode(wire.NodeID(i), fabric.Node(wire.NodeID(i)), cfg))
 	}
 	return d
 }

@@ -2,9 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 	"time"
+
+	"zeus/internal/dbapi"
+	"zeus/internal/wire"
 )
 
 // tiny is a minimal scale so every experiment completes in test time.
@@ -150,6 +154,34 @@ func TestFig13Experiment(t *testing.T) {
 		t.Fatalf("blocking store beat Zeus: %+v", r)
 	}
 	renders(t, func(b *bytes.Buffer) { r.Print(b) }, "Figure 13")
+}
+
+// Figure 13's blocking store homes every context on its one server, and the
+// gateway's blind bearer writes, made from the client node, land there.
+func TestBlockingStoreServerHomesEveryObject(t *testing.T) {
+	const users = 16
+	gw, server, closeStore := newBlockingStore(users)
+	defer closeStore()
+	for ue := 0; ue < users; ue++ {
+		for _, obj := range []uint64{gw.UEObj(ue), gw.BearerObj(ue)} {
+			if p := server.Primary(wire.ObjectID(obj)); p != 0 {
+				t.Fatalf("ue %d: object %d homed on node %d, not the server", ue, obj, p)
+			}
+		}
+	}
+	if err := gw.ServiceRequest(0, 3); err != nil {
+		t.Fatal(err)
+	}
+	err := dbapi.RunRO(server, 0, func(tx dbapi.Txn) error {
+		v, err := tx.Get(gw.BearerObj(3))
+		if err == nil && binary.LittleEndian.Uint64(v[8:]) != 1 {
+			t.Errorf("bearer context of ue 3 has seq %d at the server, want 1", binary.LittleEndian.Uint64(v[8:]))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestFig14Experiment(t *testing.T) {

@@ -9,8 +9,10 @@ import (
 	"zeus/internal/apps/epcgw"
 	"zeus/internal/apps/httplb"
 	"zeus/internal/apps/sctpsim"
+	"zeus/internal/baseline"
 	"zeus/internal/bench"
 	"zeus/internal/loadgen"
+	"zeus/internal/transport"
 	"zeus/internal/wire"
 )
 
@@ -48,18 +50,10 @@ func Fig13(s Scale) Fig13Result {
 	lg.SeedObjects(func(obj uint64, home int, data []byte) { ldb.Seed(obj, data) })
 	localTps := run([]*epcgw.Gateway{lg})
 
-	// 2. Blocking store: baseline with a single primary (node 0) and the
-	// gateway running on node 1 — every access is a blocking RPC over the
-	// simulated fabric (real round-trip latency, like the paper's Redis).
-	d := newBaselineSim(2, 1)
-	bcfg := epcgw.DefaultConfig(0, 1)
-	bcfg.Users = users
-	bg := epcgw.New(bcfg, d.Nodes[1])
-	bg.SeedObjects(func(obj uint64, home int, data []byte) {
-		d.Nodes[0].Seed(wire.ObjectID(obj), 1, data)
-	})
+	// 2. Blocking store.
+	bg, _, closeStore := newBlockingStore(users)
 	blockingTps := run([]*epcgw.Gateway{bg})
-	d.Close()
+	closeStore()
 
 	// 3. Zeus, 1 active + 1 passive.
 	c1 := newZeusDegree(2, 2, s.Workers)
@@ -87,6 +81,24 @@ func Fig13(s Scale) Fig13Result {
 		LocalTps: localTps, BlockingTps: blockingTps,
 		Zeus1ActiveTps: zeus1Tps, Zeus2ActiveTps: zeus2Tps,
 	}
+}
+
+// newBlockingStore builds Figure 13's Redis-like blocking store: a single
+// baseline server, node 0, is the primary of every context, and the gateway
+// runs on a second node of the simulated fabric, so every access is a
+// blocking RPC with real round-trip latency, like the paper's Redis. The
+// returned func releases the fabric.
+func newBlockingStore(users int) (*epcgw.Gateway, *baseline.Node, func()) {
+	fab := transport.NewSimFabric(simNetConfig())
+	bcfg := baseline.Config{Nodes: 1, Degree: 1}
+	server := baseline.NewNode(0, fab.Node(0), bcfg)
+	gcfg := epcgw.DefaultConfig(0, 1)
+	gcfg.Users = users
+	gw := epcgw.New(gcfg, baseline.NewNode(1, fab.Node(1), bcfg))
+	gw.SeedObjects(func(obj uint64, home int, data []byte) {
+		server.Seed(wire.ObjectID(obj), 1, data)
+	})
+	return gw, server, fab.Close
 }
 
 // Print renders the comparison.

@@ -100,9 +100,10 @@ func Broadcast(t Transport, set wire.Bitmap, m wire.Msg) {
 	_ = t.Multicast(set.Remove(t.Self()).Nodes(), m)
 }
 
-// Router dispatches inbound messages to per-kind handlers, so that the
-// ownership engine, reliable-commit engine, membership agent and baseline
-// engine can share one Transport.
+// Router dispatches inbound messages to per-kind handlers, so that a Zeus
+// node's ownership engine, reliable-commit engine and membership agent can
+// share one Transport. (A baseline node is its endpoint's only protocol and
+// installs its own handler.)
 //
 // # Sharded dispatch
 //
@@ -124,11 +125,11 @@ func Broadcast(t Transport, set wire.Bitmap, m wire.Msg) {
 // ordering does not exist in the paper either, the ownership protocol
 // tolerates cross-object reordering by construction (o_ts arbitration), and
 // VAL-vs-INV races on one object are impossible across shards because both
-// carry the same ObjectID. Unkeyed kinds (membership, baseline RPCs) keep
-// today's inline delivery. Shard queues are unbounded FIFOs: the
-// commit pipeline's MaxPipelineDepth backpressure bounds them in steady
-// state, and never blocking the transport goroutine rules out delivery
-// deadlocks between mutually-loaded nodes.
+// carry the same ObjectID. Unkeyed kinds (membership, directory and restart
+// sync, safe time, observability) keep today's inline delivery. Shard queues
+// are unbounded FIFOs: the commit pipeline's MaxPipelineDepth backpressure
+// bounds them in steady state, and never blocking the transport goroutine
+// rules out delivery deadlocks between mutually-loaded nodes.
 type Router struct {
 	mu       sync.RWMutex
 	handlers [64]Handler

@@ -407,63 +407,6 @@ func (d *dec) objsList() []ObjectID {
 	return out
 }
 
-// EncodedSize returns an upper bound on m's marshalled size, exact for the
-// payload-carrying kinds. Marshal uses it to allocate the output buffer in
-// one shot instead of growing through append.
-func EncodedSize(m Msg) int {
-	const fixed = 128 // covers every fixed-size message kind
-	switch v := m.(type) {
-	case *CommitInv:
-		n := fixed
-		for _, u := range v.Updates {
-			n += 24 + len(u.Data)
-		}
-		return n
-	case *OwnAck:
-		return fixed + len(v.Data)
-	case *OwnResp:
-		return fixed + len(v.Data)
-	case *BReadResp:
-		return fixed + len(v.Data)
-	case *BLock:
-		return fixed + 16*len(v.Items)
-	case *BValidate:
-		return fixed + 16*len(v.Items)
-	case *BBackup:
-		n := fixed
-		for _, u := range v.Updates {
-			n += 24 + len(u.Data)
-		}
-		return n
-	case *BCommit:
-		n := fixed
-		for _, u := range v.Updates {
-			n += 24 + len(u.Data)
-		}
-		return n
-	case *BAbort:
-		return fixed + 8*len(v.Objs)
-	case *VSPropose:
-		return fixed + len(v.Cmd.Addr)
-	case *VSAccept:
-		return fixed + vsstateSize(&v.State) + vsstateSize(&v.AccState) +
-			len(v.Cmd.Addr) + len(v.AccCmd.Addr)
-	case *VSCommit:
-		return fixed + vsstateSize(&v.State) + len(v.Cmd.Addr)
-	case *VSQuery:
-		return fixed + vsstateSize(&v.State)
-	case *DirState:
-		return fixed + 29*len(v.Entries)
-	case *DirPull:
-		return fixed + 4*len(v.Shards)
-	case *SyncPull:
-		return fixed + syncSize(v.Entries)
-	case *SyncState:
-		return fixed + syncSize(v.Entries)
-	}
-	return fixed
-}
-
 // CommitSize returns the exact marshalled size of the three reliable-commit
 // kinds (R-INV, R-ACK, R-VAL) without encoding them; ok is false for every
 // other kind. The commit engine's replicated-bytes counter and the hub's
@@ -486,26 +429,10 @@ func CommitSize(m Msg) (n int, ok bool) {
 	return 0, false
 }
 
-// vsstateSize bounds the variable tail of one encoded VSState.
-func vsstateSize(s *VSState) int {
-	n := 8 * len(s.Placement.Shards)
-	for _, a := range s.Addrs {
-		n += 4 + len(a.Addr)
-	}
-	return n
-}
-
-func syncSize(es []SyncEntry) int {
-	n := 50 * len(es)
-	for i := range es {
-		n += len(es[i].Data)
-	}
-	return n
-}
-
 // Marshal serializes a message: one kind byte followed by the body.
 func Marshal(m Msg) []byte {
-	return AppendMarshal(make([]byte, 0, EncodedSize(m)), m)
+	n, _ := CommitSize(m) // the hot kinds are sized exactly; append grows the rest
+	return AppendMarshal(make([]byte, 0, n), m)
 }
 
 // AppendMarshal appends m's serialization to dst and returns the extended
@@ -590,47 +517,26 @@ func AppendMarshal(dst []byte, m Msg) []byte {
 		e.epoch(v.Epoch)
 	case *BReadReq:
 		e.u64(v.ReqID)
-		e.node(v.From)
 		e.obj(v.Obj)
-	case *BReadResp:
+	case *BResp:
 		e.u64(v.ReqID)
-		e.obj(v.Obj)
-		e.u64(v.Ver)
 		e.boolean(v.OK)
+		e.u64(v.Ver)
 		e.bytes(v.Data)
 	case *BLock:
 		e.u64(v.ReqID)
-		e.node(v.From)
 		e.bvers(v.Items)
-	case *BLockResp:
-		e.u64(v.ReqID)
-		e.node(v.From)
-		e.boolean(v.OK)
 	case *BValidate:
 		e.u64(v.ReqID)
-		e.node(v.From)
 		e.bvers(v.Items)
-	case *BValidateResp:
-		e.u64(v.ReqID)
-		e.node(v.From)
-		e.boolean(v.OK)
 	case *BBackup:
 		e.u64(v.ReqID)
-		e.node(v.From)
 		e.updates(v.Updates)
-	case *BBackupAck:
-		e.u64(v.ReqID)
-		e.node(v.From)
 	case *BCommit:
 		e.u64(v.ReqID)
-		e.node(v.From)
 		e.updates(v.Updates)
-	case *BCommitAck:
-		e.u64(v.ReqID)
-		e.node(v.From)
 	case *BAbort:
 		e.u64(v.ReqID)
-		e.node(v.From)
 		e.objs(v.Objs)
 	case *VSPropose:
 		e.vscmd(v.Cmd)
@@ -761,27 +667,19 @@ func unmarshal(p []byte, dc *Decoder) (Msg, error) {
 	case KindCommitVal:
 		m = put(dc, &dc.vals, d, CommitVal{Tx: d.tx(), Epoch: d.epoch()})
 	case KindBReadReq:
-		m = &BReadReq{ReqID: d.u64(), From: d.node(), Obj: d.obj()}
-	case KindBReadResp:
-		m = &BReadResp{ReqID: d.u64(), Obj: d.obj(), Ver: d.u64(), OK: d.boolean(), Data: d.bytes()}
+		m = &BReadReq{ReqID: d.u64(), Obj: d.obj()}
+	case KindBResp:
+		m = &BResp{ReqID: d.u64(), OK: d.boolean(), Ver: d.u64(), Data: d.bytes()}
 	case KindBLock:
-		m = &BLock{ReqID: d.u64(), From: d.node(), Items: d.bvers()}
-	case KindBLockResp:
-		m = &BLockResp{ReqID: d.u64(), From: d.node(), OK: d.boolean()}
+		m = &BLock{ReqID: d.u64(), Items: d.bvers()}
 	case KindBValidate:
-		m = &BValidate{ReqID: d.u64(), From: d.node(), Items: d.bvers()}
-	case KindBValidateResp:
-		m = &BValidateResp{ReqID: d.u64(), From: d.node(), OK: d.boolean()}
+		m = &BValidate{ReqID: d.u64(), Items: d.bvers()}
 	case KindBBackup:
-		m = &BBackup{ReqID: d.u64(), From: d.node(), Updates: d.updates(nil)}
-	case KindBBackupAck:
-		m = &BBackupAck{ReqID: d.u64(), From: d.node()}
+		m = &BBackup{ReqID: d.u64(), Updates: d.updates(nil)}
 	case KindBCommit:
-		m = &BCommit{ReqID: d.u64(), From: d.node(), Updates: d.updates(nil)}
-	case KindBCommitAck:
-		m = &BCommitAck{ReqID: d.u64(), From: d.node()}
+		m = &BCommit{ReqID: d.u64(), Updates: d.updates(nil)}
 	case KindBAbort:
-		m = &BAbort{ReqID: d.u64(), From: d.node(), Objs: d.objsList()}
+		m = &BAbort{ReqID: d.u64(), Objs: d.objsList()}
 	case KindVSPropose:
 		m = &VSPropose{Cmd: d.vscmd()}
 	case KindVSAccept:

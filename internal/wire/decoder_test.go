@@ -297,7 +297,14 @@ func FuzzUnmarshal(f *testing.F) {
 		f.Add(b[:len(b)/2])
 	}
 	f.Add(Marshal(testInv(3, inlineUpdates+1)))
-	for k := firstRetiredKind; k <= lastRetiredKind; k++ {
+	// The baseline's one reply in the two shapes the fixture lacks: a
+	// refusal, and a lock's packed versions.
+	for _, m := range []Msg{&BResp{ReqID: 9}, &BResp{ReqID: 9, OK: true, Data: make([]byte, 16)}} {
+		b := Marshal(m)
+		f.Add(b)
+		f.Add(b[:len(b)/2])
+	}
+	for _, k := range retiredKinds {
 		f.Add(retiredFrame(k)) // both entries must refuse it
 	}
 	f.Add([]byte{})

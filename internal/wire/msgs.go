@@ -32,17 +32,20 @@ const (
 	_
 	_
 
-	// Distributed-commit baseline (FaRM/FaSST-style OCC + 2PC).
+	// Distributed-commit baseline (FaRM/FaSST-style OCC + 2PC). Every
+	// request but BAbort is answered by one BResp, which took the first
+	// reply's number; the other four reply numbers (18, 20, 22, 24) are
+	// retired like 10–14.
 	KindBReadReq
-	KindBReadResp
+	KindBResp
 	KindBLock
-	KindBLockResp
+	_
 	KindBValidate
-	KindBValidateResp
+	_
 	KindBBackup
-	KindBBackupAck
+	_
 	KindBCommit
-	KindBCommitAck
+	_
 	KindBAbort
 
 	// Replicated view service (Vertical-Paxos-lite membership, §3.1/§5.1).
@@ -78,9 +81,9 @@ func (k Kind) String() string {
 	names := [...]string{
 		"invalid", "own-req", "own-inv", "own-ack", "own-val", "own-nack",
 		"own-resp", "r-inv", "r-ack", "r-val", "reserved-10", "reserved-11",
-		"reserved-12", "reserved-13", "reserved-14", "b-read-req", "b-read-resp", "b-lock",
-		"b-lock-resp", "b-validate", "b-validate-resp", "b-backup",
-		"b-backup-ack", "b-commit", "b-commit-ack", "b-abort",
+		"reserved-12", "reserved-13", "reserved-14", "b-read-req", "b-resp", "b-lock",
+		"reserved-18", "b-validate", "reserved-20", "b-backup",
+		"reserved-22", "b-commit", "reserved-24", "b-abort",
 		"vs-propose", "vs-accept", "vs-commit", "vs-lease", "vs-query",
 		"dir-pull", "dir-state", "sync-pull", "sync-state", "safe-time",
 		"obs-pull", "obs-state",
@@ -296,99 +299,63 @@ type BVer struct {
 // BReadReq fetches an object from its primary (remote access).
 type BReadReq struct {
 	ReqID uint64
-	From  NodeID
 	Obj   ObjectID
 }
 
 func (*BReadReq) Kind() Kind { return KindBReadReq }
 
-// BReadResp returns the object value and version (OK=false: locked/missing).
-type BReadResp struct {
+// BResp answers every baseline request but BAbort; the coordinator matches
+// it to its request by ReqID alone. OK reports success: the object was
+// readable (a read), every item locked (a lock), every version still current
+// (a validation); an install always succeeds. A read's reply carries the
+// value and its version in Data and Ver; a lock's carries each item's
+// version under the lock in Data, 8 bytes little-endian apiece.
+type BResp struct {
 	ReqID uint64
-	Obj   ObjectID
-	Ver   uint64
 	OK    bool
+	Ver   uint64
 	Data  []byte
 }
 
-func (*BReadResp) Kind() Kind { return KindBReadResp }
+func (*BResp) Kind() Kind { return KindBResp }
 
 // BLock locks the write set entries homed at the receiving primary, checking
 // that versions still match the coordinator's reads (phase LOCK).
 type BLock struct {
 	ReqID uint64
-	From  NodeID
 	Items []BVer
 }
 
 func (*BLock) Kind() Kind { return KindBLock }
 
-// BLockResp reports lock acquisition success.
-type BLockResp struct {
-	ReqID uint64
-	From  NodeID
-	OK    bool
-}
-
-func (*BLockResp) Kind() Kind { return KindBLockResp }
-
 // BValidate re-checks read-set versions at the primary (phase VALIDATE).
 type BValidate struct {
 	ReqID uint64
-	From  NodeID
 	Items []BVer
 }
 
 func (*BValidate) Kind() Kind { return KindBValidate }
 
-// BValidateResp reports read validation success.
-type BValidateResp struct {
-	ReqID uint64
-	From  NodeID
-	OK    bool
-}
-
-func (*BValidateResp) Kind() Kind { return KindBValidateResp }
-
 // BBackup ships new values to backup replicas (phase UPDATE-BACKUP).
 type BBackup struct {
 	ReqID   uint64
-	From    NodeID
 	Updates []Update
 }
 
 func (*BBackup) Kind() Kind { return KindBBackup }
 
-// BBackupAck acknowledges durable receipt at a backup.
-type BBackupAck struct {
-	ReqID uint64
-	From  NodeID
-}
-
-func (*BBackupAck) Kind() Kind { return KindBBackupAck }
-
 // BCommit applies new values at the primary and releases locks
 // (phase UPDATE-PRIMARY).
 type BCommit struct {
 	ReqID   uint64
-	From    NodeID
 	Updates []Update
 }
 
 func (*BCommit) Kind() Kind { return KindBCommit }
 
-// BCommitAck acknowledges primary application.
-type BCommitAck struct {
-	ReqID uint64
-	From  NodeID
-}
-
-func (*BCommitAck) Kind() Kind { return KindBCommitAck }
-
 // BAbort releases locks held by an aborted transaction at the primary.
 type BAbort struct {
 	ReqID uint64
-	From  NodeID
 	Objs  []ObjectID
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -162,17 +163,13 @@ func allMessages() []Msg {
 			CTS:     1234567},
 		&CommitAck{Tx: TxID{Pipe: PipeID{Node: 2, Worker: 5}, Local: 99}, Epoch: 3, From: 1, AppliedWM: 1234566},
 		&CommitVal{Tx: TxID{Pipe: PipeID{Node: 2, Worker: 5}, Local: 99}, Epoch: 3},
-		&BReadReq{ReqID: 5, From: 2, Obj: 10},
-		&BReadResp{ReqID: 5, Obj: 10, Ver: 3, OK: true, Data: data},
-		&BLock{ReqID: 5, From: 2, Items: []BVer{{Obj: 1, Ver: 2}, {Obj: 3, Ver: 4}}},
-		&BLockResp{ReqID: 5, From: 1, OK: true},
-		&BValidate{ReqID: 5, From: 2, Items: []BVer{{Obj: 8, Ver: 0}}},
-		&BValidateResp{ReqID: 5, From: 1, OK: false},
-		&BBackup{ReqID: 5, From: 2, Updates: []Update{{Obj: 1, Version: 3, Data: data}}},
-		&BBackupAck{ReqID: 5, From: 0},
-		&BCommit{ReqID: 5, From: 2, Updates: []Update{{Obj: 1, Version: 3, Data: data}}},
-		&BCommitAck{ReqID: 5, From: 0},
-		&BAbort{ReqID: 5, From: 2, Objs: []ObjectID{1, 2, 3}},
+		&BReadReq{ReqID: 5, Obj: 10},
+		&BResp{ReqID: 5, OK: true, Ver: 3, Data: data},
+		&BLock{ReqID: 5, Items: []BVer{{Obj: 1, Ver: 2}, {Obj: 3, Ver: 4}}},
+		&BValidate{ReqID: 5, Items: []BVer{{Obj: 8, Ver: 0}}},
+		&BBackup{ReqID: 5, Updates: []Update{{Obj: 1, Version: 3, Data: data}}},
+		&BCommit{ReqID: 5, Updates: []Update{{Obj: 1, Version: 3, Data: data}}},
+		&BAbort{ReqID: 5, Objs: []ObjectID{1, 2, 3}},
 		&VSPropose{Cmd: VSCommand{Op: VSJoin, Node: 3, Epoch: 0, Addr: "127.0.0.1:7003"}},
 		&VSAccept{Ballot: 4, Phase: VSPhasePromise,
 			Cmd:    VSCommand{Op: VSLeave, Node: 2},
@@ -222,16 +219,16 @@ func TestMarshalRoundTripAllKinds(t *testing.T) {
 			t.Fatalf("%T round trip mismatch:\n got %#v\nwant %#v", m, got, m)
 		}
 	}
-	// Ensure the fixture covers every declared kind. The five retired kinds
-	// (two membership messages, three of a load balancer's KV) keep their
-	// numbers, so every later kind keeps its on-wire value, and decode to
-	// nothing.
-	if KindCommitVal != 9 || KindBReadReq != 15 || KindObsState != 37 {
-		t.Errorf("kind numbers moved: r-val %d, b-read-req %d, obs-state %d; want 9, 15, 37",
-			KindCommitVal, KindBReadReq, KindObsState)
+	// Ensure the fixture covers every declared kind. The retired kinds (two
+	// membership messages, three of a load balancer's KV, four baseline
+	// replies folded into BResp) keep their numbers, so every later kind
+	// keeps its on-wire value, and decode to nothing.
+	if KindCommitVal != 9 || KindBReadReq != 15 || KindBResp != 16 || KindBAbort != 25 || KindObsState != 37 {
+		t.Errorf("kind numbers moved: r-val %d, b-read-req %d, b-resp %d, b-abort %d, obs-state %d; want 9, 15, 16, 25, 37",
+			KindCommitVal, KindBReadReq, KindBResp, KindBAbort, KindObsState)
 	}
 	for k := KindOwnReq; k < kindSentinel; k++ {
-		if k >= firstRetiredKind && k <= lastRetiredKind {
+		if slices.Contains(retiredKinds, k) {
 			if m, err := Unmarshal(retiredFrame(k)); err == nil {
 				t.Errorf("retired kind %d decodes to %T", k, m)
 			}
@@ -245,7 +242,7 @@ func TestMarshalRoundTripAllKinds(t *testing.T) {
 
 // The retired kind numbers, and a frame that would have decoded as one: the
 // round-trip test and the fuzz seeds both hold that it decodes to nothing.
-const firstRetiredKind, lastRetiredKind = KindCommitVal + 1, KindBReadReq - 1
+var retiredKinds = []Kind{10, 11, 12, 13, 14, 18, 20, 22, 24}
 
 func retiredFrame(k Kind) []byte { return []byte{byte(k), 0, 0, 0, 0, 0, 0, 0, 0} }
 
@@ -358,6 +355,14 @@ func TestKindStrings(t *testing.T) {
 		if s := k.String(); s == "" {
 			t.Errorf("kind %d has empty string", k)
 		}
+	}
+	for _, k := range retiredKinds {
+		if want := fmt.Sprintf("reserved-%d", k); k.String() != want {
+			t.Errorf("retired kind %d reads %q, want %q", k, k, want)
+		}
+	}
+	if KindBResp.String() != "b-resp" || KindBAbort.String() != "b-abort" {
+		t.Errorf("baseline kinds read %q and %q", KindBResp, KindBAbort)
 	}
 	for _, s := range []fmt.Stringer{AccessLevel(9), ReqMode(9), NackReason(9)} {
 		if s.String() == "" {
