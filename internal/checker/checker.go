@@ -15,7 +15,7 @@
 //	w→w: writer of (obj, v)   → writer of (obj, v+1)
 //	w→r: writer of (obj, v)   → reader of (obj, v)
 //	r→w: reader of (obj, v)   → writer of (obj, v+1)
-//	rt : T1 → T2 when T1.End < T2.Start
+//	rt : T1 → T2 when T1.End < T2.Start (through virtual nodes; see buildGraph)
 package checker
 
 import (
@@ -59,64 +59,50 @@ func (v *Violation) Error() string {
 // Check verifies strict serializability; nil means the history is strictly
 // serializable.
 func Check(txs []Tx) error {
-	if err := checkUniqueWriters(txs); err != nil {
-		return err
-	}
-	g, err := buildGraph(txs, true)
-	if err != nil {
-		return err
-	}
-	if cyc := findCycle(g, txs); cyc != nil {
-		return &Violation{Kind: "strict-serializability", Cycle: cyc,
-			Msg: "no serial order consistent with versions and real time"}
-	}
-	return nil
+	return check(txs, true, "strict-serializability", "no serial order consistent with versions and real time")
 }
 
 // CheckSerializable verifies plain serializability (ignores real time).
 func CheckSerializable(txs []Tx) error {
-	if err := checkUniqueWriters(txs); err != nil {
-		return err
-	}
-	g, err := buildGraph(txs, false)
+	return check(txs, false, "serializability", "no serial order consistent with versions")
+}
+
+func check(txs []Tx, realTime bool, kind, msg string) error {
+	writer, err := writers(txs)
 	if err != nil {
 		return err
 	}
-	if cyc := findCycle(g, txs); cyc != nil {
-		return &Violation{Kind: "serializability", Cycle: cyc,
-			Msg: "no serial order consistent with versions"}
+	if cyc := findCycle(buildGraph(txs, writer, realTime), txs); cyc != nil {
+		return &Violation{Kind: kind, Cycle: cyc, Msg: msg}
 	}
 	return nil
 }
 
-// checkUniqueWriters rejects two transactions installing the same version.
-func checkUniqueWriters(txs []Tx) error {
-	writers := map[Access]int{}
+// writers maps every installed version to the transaction that installed it,
+// rejecting two transactions installing the same version.
+func writers(txs []Tx) (map[Access]int, error) {
+	writer := make(map[Access]int, len(txs))
 	for i, t := range txs {
 		for _, w := range t.Writes {
-			if prev, dup := writers[w]; dup {
-				return &Violation{Kind: "duplicate-version",
+			if prev, dup := writer[w]; dup {
+				return nil, &Violation{Kind: "duplicate-version",
 					Msg: fmt.Sprintf("tx %d and tx %d both installed obj %d v%d",
 						txs[prev].ID, t.ID, w.Obj, w.Ver)}
 			}
-			writers[w] = i
+			writer[w] = i
 		}
 	}
-	return nil
+	return writer, nil
 }
 
-func buildGraph(txs []Tx, realTime bool) ([][]int, error) {
+// buildGraph returns the precedence graph: nodes 0..n-1 are the transactions,
+// and with real time n virtual nodes follow them.
+func buildGraph(txs []Tx, writer map[Access]int, realTime bool) [][]int {
 	n := len(txs)
 	adj := make([][]int, n)
 	add := func(a, b int) {
 		if a != b {
 			adj[a] = append(adj[a], b)
-		}
-	}
-	writer := map[Access]int{}
-	for i, t := range txs {
-		for _, w := range t.Writes {
-			writer[w] = i
 		}
 	}
 	for i, t := range txs {
@@ -138,65 +124,79 @@ func buildGraph(txs []Tx, realTime bool) ([][]int, error) {
 		}
 	}
 	if realTime {
-		// Real-time edges. Sort by end time to add only the necessary
-		// O(n log n + edges) precedence: every tx points to all txs that
-		// start after it ends; to bound edges we link each tx to the
-		// earliest-starting subsequent txs transitively via sorting.
+		// One virtual node per start position: node n+k is V_k, with V_k →
+		// tx(order[k]) and V_k → V_{k+1}, so V_k reaches exactly the
+		// transactions starting no earlier than order[k]. A transaction
+		// points at V_k for the first k whose Start is after its End: it
+		// reaches another in real time iff it ended before that one started
+		// — exact, with O(n) edges, built in O(n log n).
 		order := make([]int, n)
 		for i := range order {
 			order[i] = i
 		}
 		sort.Slice(order, func(a, b int) bool { return txs[order[a]].Start < txs[order[b]].Start })
-		for i := 0; i < n; i++ {
-			for _, j := range order {
-				if txs[i].End < txs[j].Start {
-					add(i, j)
-					break // transitivity covers later starters
-				}
+		virt := make([]int, 2*n) // the virtual nodes' edges, two apiece
+		for k, i := range order {
+			virt[2*k], virt[2*k+1] = i, n+k+1
+			adj = append(adj, virt[2*k:2*k+2:2*k+2])
+		}
+		if n > 0 {
+			adj[2*n-1] = adj[2*n-1][:1] // the last start position has no successor
+		}
+		for i, t := range txs {
+			if k := sort.Search(n, func(k int) bool { return txs[order[k]].Start > t.End }); k < n {
+				add(i, n+k)
 			}
 		}
 	}
-	return adj, nil
+	return adj
 }
 
-// findCycle returns the IDs of a cycle, or nil when acyclic.
+// findCycle returns the IDs of a cycle's transactions (virtual nodes left
+// out), or nil when the graph is acyclic. The search is iterative: a history
+// of a million transactions is a path as deep as that.
 func findCycle(adj [][]int, txs []Tx) []int {
 	const (
 		white = 0
 		gray  = 1
 		black = 2
 	)
-	color := make([]int, len(adj))
-	parent := make([]int, len(adj))
-	for i := range parent {
-		parent[i] = -1
-	}
-	var cycle []int
-	var dfs func(u int) bool
-	dfs = func(u int) bool {
-		color[u] = gray
-		for _, v := range adj[u] {
+	color := make([]uint8, len(adj))
+	type frame struct{ u, next int }
+	var stack []frame
+	for root := range adj {
+		if color[root] != white {
+			continue
+		}
+		color[root] = gray
+		stack = append(stack[:0], frame{root, 0})
+		for len(stack) > 0 {
+			f := &stack[len(stack)-1]
+			if f.next == len(adj[f.u]) {
+				color[f.u] = black
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			v := adj[f.u][f.next]
+			f.next++
 			switch color[v] {
 			case white:
-				parent[v] = u
-				if dfs(v) {
-					return true
-				}
+				color[v] = gray
+				stack = append(stack, frame{v, 0})
 			case gray:
-				// Found a back edge: recover the cycle u→…→v.
-				cycle = []int{txs[v].ID}
-				for x := u; x != v && x != -1; x = parent[x] {
-					cycle = append(cycle, txs[x].ID)
+				// A back edge closes the cycle v → … → top of the stack → v.
+				j := len(stack) - 1
+				for stack[j].u != v {
+					j--
 				}
-				return true
+				var cycle []int
+				for _, f := range stack[j:] {
+					if f.u < len(txs) {
+						cycle = append(cycle, txs[f.u].ID)
+					}
+				}
+				return cycle
 			}
-		}
-		color[u] = black
-		return false
-	}
-	for i := range adj {
-		if color[i] == white && dfs(i) {
-			return cycle
 		}
 	}
 	return nil

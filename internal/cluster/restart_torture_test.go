@@ -127,10 +127,6 @@ func TestCrashRestartTorture(t *testing.T) {
 				}
 				r = r*6364136223846793005 + 1
 				increment(node, loadBase+wire.ObjectID(r%loadN))
-				// Pace the load: the checker's real-time edge pass is
-				// quadratic in history length, so an unthrottled loop
-				// turns verification into the slowest part of the test.
-				time.Sleep(500 * time.Microsecond)
 			}
 		}(node)
 	}

@@ -5,41 +5,37 @@
 // local knowledge into a delta protocol:
 //
 //	restarting node  --- SYNC-PULL {obj, version}* --->  live nodes
-//	current owner    --- SYNC-STATE/owner {obj, version, replicas, ts, data?}
-//	owner mid-commit --- SYNC-STATE/claim {obj}
-//	other replicas   --- SYNC-STATE/hint  {obj, version, ts, data?}
+//	current owner    --- SYNC-STATE {obj, version, replicas, ts, data?}
 //
-// Only the current owner of an object answers authoritatively (owners are
-// the single authority for both the value and the replica set); it sends the
-// payload only when the puller's version is stale, so a node that was
-// briefly down re-arms mostly with metadata-sized messages. Objects whose
-// recovered state named this node as owner and that no live owner claims
-// within the quiet period are RECLAIMED from local durable state: the grant
-// WAL says ownership was never transferred away, and a transfer performed
-// while this node was down would have produced a new owner that answers the
-// pull.
+// Only the current owner of an object answers (owners are the single
+// authority for both the value and the replica set), and only once its value
+// is validated; it sends the payload only when the puller's version is stale,
+// so a node that was briefly down re-arms mostly with metadata-sized messages.
 //
-// Reclaim is FENCED by the two non-authoritative answer classes, because
-// "no owner answered" does not imply "my durable state is current":
+// An object whose recovered state named this node as owner may have no owner
+// to answer: the view change that removed this node's previous incarnation
+// pruned it from every replica set, leaving the object ownerless until the
+// directory arbitrates the next request for it (§4.1). After a quiet period
+// with no answer, the node is that next request: it acquires each such object
+// through the directory like any requester. A live reader is the data source
+// and its ACK ships the value, which the grant installs unless the recovered
+// one is newer; a live owner mid-commit NACKs and the request retries. The
+// survivors' replica sets then list this node, so no later move can leave it
+// behind holding a level nobody else knows of.
 //
-//   - A CLAIM says some live node holds owner level but is mid-commit or
-//     mid-transfer (it will answer once its pipeline settles). Reclaiming
-//     over a claim would mint a second owner, so claimed objects are never
-//     reclaimed — the puller just keeps retrying.
-//   - A HINT is a non-owner replica reporting a version NEWER than the
-//     puller's. The canonical case: this node crashed as coordinator after
-//     the local commit of V+1 but before validation, so the followers hold
-//     V+1 (validated via dead-coordinator replay) while the recovered WAL
-//     stops at V — and no current owner exists to answer. A validated hint
-//     ships the value and the reclaim installs it; a staged (unvalidated)
-//     hint, or one whose grant timestamp names a different owner, blocks
-//     the reclaim until it resolves.
+// One case has no directory to ask: every driver answers that no replica of
+// the object is live (all of them died with this node, or the object was
+// deleted while it was down). There, and only there, the node re-arms itself
+// as owner from its own durable state (store.ReclaimLocked).
 package core
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"time"
 
+	"zeus/internal/ownership"
 	"zeus/internal/storage"
 	"zeus/internal/store"
 	"zeus/internal/transport"
@@ -47,30 +43,13 @@ import (
 	"zeus/internal/wire"
 )
 
-// syncOrigin is what recovery remembered about a pending object — whether
-// the durable state named this node as owner (reclaim eligibility) and
-// whether the recovered value had completed a commit (reclaim validity) —
-// plus the reclaim fences learned from non-authoritative SYNC-STATE answers
-// while the pull is open (see the package comment).
+// syncOrigin is what recovery remembered about a pending object: whether the
+// durable state named this node as owner (it reclaims the object) and whether
+// the recovered value had completed a commit (what a local re-arm vouches
+// for).
 type syncOrigin struct {
 	selfOwner bool
 	valid     bool
-
-	// claimed: a live node announced owner level (SyncClaim). The object
-	// must never be reclaimed; the claimant answers once it settles.
-	claimed bool
-
-	// Best hint seen so far (highest version; at equal versions a validated
-	// value or a newer grant timestamp upgrades it). hintValid means the
-	// hint shipped a committed value in hintData. hintCTS is the commit
-	// timestamp of the hinted version (for the snapshot-read ring).
-	hintSeen     bool
-	hintVer      uint64
-	hintTS       wire.OTS
-	hintReplicas wire.ReplicaSet
-	hintData     []byte
-	hintValid    bool
-	hintCTS      uint64
 }
 
 // installRecovered replays a storage.Recovered census into a fresh store,
@@ -105,8 +84,8 @@ func (n *Node) Recovered() int { return n.recovered }
 // over existing durable state.
 func (n *Node) Incarnation() uint64 { return n.incarnation }
 
-// SyncPending returns how many recovered objects still await an
-// authoritative owner answer (tests poll it; 0 once StateSync finished).
+// SyncPending returns how many recovered objects still await an owner's
+// answer or a reclaim (tests poll it; 0 once StateSync finished).
 func (n *Node) SyncPending() int {
 	n.syncMu.Lock()
 	defer n.syncMu.Unlock()
@@ -118,10 +97,10 @@ func (n *Node) SyncPending() int {
 const syncChunk = 256
 
 // StateSync drives the pull protocol until every recovered object was either
-// answered by a current owner or reclaimed from local durable state. It must
-// run after the node joined the view (peers need the view to route replies)
-// and BEFORE the application serves traffic. It is a no-op for nodes that
-// recovered nothing.
+// answered by a current owner or reclaimed (see the package comment). It must
+// run after the node joined the view (peers need the view to route replies,
+// and a reclaim is an ownership request) and BEFORE the application serves
+// traffic. It is a no-op for nodes that recovered nothing.
 func (n *Node) StateSync(timeout time.Duration) error {
 	if n.SyncPending() == 0 {
 		return nil
@@ -129,39 +108,37 @@ func (n *Node) StateSync(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	// Objects whose durable state names this node as owner are reclaimed
 	// after a short quiet period — several resend rounds with no owner
-	// claiming them — rather than at the full deadline: a live owner
-	// answers a pull in far less than one round, so waiting longer only
-	// delays the rejoin.
-	quiet := 500 * time.Millisecond
-	if timeout/2 < quiet {
-		quiet = timeout / 2
-	}
-	reclaimAt := time.Now().Add(quiet)
-	reclaimed := false
+	// answering — rather than at the full deadline: a live owner answers a
+	// pull in far less than one round, so waiting longer only delays the
+	// rejoin.
+	reclaimAt := time.Now().Add(min(500*time.Millisecond, timeout/2))
+	var reclaimed chan struct{}
 	resend := time.NewTicker(100 * time.Millisecond)
 	defer resend.Stop()
 	n.sendPulls()
-	for {
-		if n.SyncPending() == 0 {
-			return nil
-		}
-		if !reclaimed && time.Now().After(reclaimAt) {
-			n.reclaimLeftovers()
-			reclaimed = true
-			continue
-		}
-		if time.Now().After(deadline) {
-			break
+	for n.SyncPending() > 0 && time.Now().Before(deadline) {
+		if reclaimed == nil && time.Now().After(reclaimAt) {
+			reclaimed = make(chan struct{})
+			go func() {
+				defer close(reclaimed)
+				n.reclaim(deadline)
+			}()
 		}
 		select {
 		case <-n.closedCh:
+			if reclaimed != nil {
+				<-reclaimed // a closed engine fails what is still in flight
+			}
 			return fmt.Errorf("core: node closed during state sync")
 		case <-resend.C:
 			n.sendPulls()
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	if left := n.reclaimLeftovers(); left > 0 {
+	if reclaimed != nil {
+		<-reclaimed
+	}
+	if left := n.SyncPending(); left > 0 {
 		return fmt.Errorf("core: state sync timed out with %d unresolved objects", left)
 	}
 	return nil
@@ -171,7 +148,9 @@ func (n *Node) StateSync(timeout time.Duration) error {
 // restarted, or a first-time joiner — into a running deployment through cli:
 // leave if the view still lists it, join (addr, if any, goes into the
 // replicated address book), wait for the view change, state-sync. Every step
-// gets the same timeout. The order is the protocol:
+// gets the same timeout. The join makes the node a new member: the view
+// records the epoch it committed at as the node's incarnation, and a failure
+// report about the previous one is a no-op. The order is the protocol:
 //
 // Leave before join (restart eviction). A process can be back before the
 // failure detector noticed, so its previous incarnation still sits in the live
@@ -189,7 +168,8 @@ func (n *Node) StateSync(timeout time.Duration) error {
 // state-synced while still outside the view could re-arm a copy as valid and
 // then miss the very next commit: stale but valid, and listed. Once it is
 // live every commit reaches it, and a sync answer that lost the race against
-// a newer invalidation is dropped by its version guard.
+// a newer invalidation is dropped by its version guard. A reclaim, too, is an
+// ownership request, which the drivers arbitrate only for a live member.
 func (n *Node) Rejoin(cli *viewsvc.Client, addr string, timeout time.Duration) error {
 	s := cli.State()
 	if s.Live.Contains(n.id) {
@@ -208,7 +188,7 @@ func (n *Node) Rejoin(cli *viewsvc.Client, addr string, timeout time.Duration) e
 		return fmt.Errorf("core: join view change for node %d timed out", n.id)
 	}
 	// Not a cold start: recovered objects re-arm at the owners' current
-	// versions, exclusively-owned ones are reclaimed.
+	// versions, and the ones this node owned are requested back.
 	return n.StateSync(timeout)
 }
 
@@ -250,54 +230,63 @@ func (n *Node) sendPulls() {
 	transport.Flush(n.tr)
 }
 
-// reclaimLeftovers resolves pending objects that no live owner claimed. An
-// object whose durable grant history names this node as owner is restored to
-// owner level — see the package comment for why "no answer" implies "no new
-// owner" — unless a fence blocks it: a live claimant exists (claimed), a
-// hint's grant timestamp names a different owner (this node's grant history
-// is stale), or a replica reported a newer version that has not validated
-// yet (its commit outcome is unknown). Fenced objects stay pending and keep
-// being re-pulled. A validated newer hint is installed before re-arming, so
-// the reclaimed owner serves the cluster's latest committed value rather
-// than its own older one. Values that had not completed a commit at crash
-// time stay TInvalid (the next write re-validates them); committed values
-// come back readable. Returns how many objects could NOT be reclaimed.
-func (n *Node) reclaimLeftovers() int {
+// reclaimWidth bounds the ownership requests a reclaim has in flight.
+const reclaimWidth = 8
+
+// reclaim acquires, through the directory, every still-pending object whose
+// recovered state named this node as owner, reclaimWidth at a time and none
+// after deadline. A request that fails leaves its object pending.
+func (n *Node) reclaim(deadline time.Time) {
 	n.syncMu.Lock()
-	defer n.syncMu.Unlock()
+	var ids []wire.ObjectID
 	for id, org := range n.syncPending {
-		if !org.selfOwner || org.claimed {
-			continue
+		if org.selfOwner {
+			ids = append(ids, id)
 		}
-		o, ok := n.st.Get(id)
-		if !ok {
-			delete(n.syncPending, id)
-			continue
-		}
-		o.Mu.Lock()
-		var hint store.Shipped
-		if org.hintSeen && org.hintVer > o.TVersion() {
-			if owner := org.hintReplicas.Owner; owner != n.id && owner != wire.NoNode {
-				// A replica's grant history names someone else: ownership
-				// moved while this node was down. Whoever holds it answers
-				// (or restarts and reclaims) — never this node.
-				o.Mu.Unlock()
-				continue
-			}
-			if !org.hintValid {
-				// Newer version staged somewhere but not validated; its
-				// commit outcome is unknown. Wait for the replay/validation
-				// to settle — the next pull round gets a validated hint.
-				o.Mu.Unlock()
-				continue
-			}
-			hint = store.Shipped{Has: true, CTS: org.hintCTS, Version: org.hintVer, Data: org.hintData}
-		}
-		o.ReclaimLocked(n.id, org.hintTS, org.hintReplicas, hint, org.valid)
-		o.Mu.Unlock()
-		delete(n.syncPending, id)
 	}
-	return len(n.syncPending)
+	n.syncMu.Unlock()
+	var wg sync.WaitGroup
+	slots := make(chan struct{}, reclaimWidth)
+	for _, id := range ids {
+		slots <- struct{}{}
+		if time.Now().After(deadline) {
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer func() { <-slots; wg.Done() }()
+			n.reclaimOne(id)
+		}()
+	}
+	wg.Wait()
+}
+
+// reclaimOne acquires id and retires its pull. When every driver answers that
+// no replica is live, the node re-arms itself from its durable state — the
+// one case with nobody else to ask.
+func (n *Node) reclaimOne(id wire.ObjectID) {
+	n.syncMu.Lock()
+	_, pending := n.syncPending[id]
+	n.syncMu.Unlock()
+	if !pending {
+		return // an owner answered meanwhile
+	}
+	err := n.own.AcquireOwnership(id)
+	if err != nil && !errors.Is(err, ownership.ErrUnknownObject) {
+		return
+	}
+	n.syncMu.Lock()
+	org, pending := n.syncPending[id]
+	delete(n.syncPending, id)
+	n.syncMu.Unlock()
+	if err == nil || !pending {
+		return
+	}
+	if o, ok := n.st.Get(id); ok {
+		o.Mu.Lock()
+		o.ReclaimLocked(n.id, org.valid)
+		o.Mu.Unlock()
+	}
 }
 
 // handleSync dispatches both sync kinds; it is registered on the router for
@@ -311,15 +300,9 @@ func (n *Node) handleSync(from wire.NodeID, m wire.Msg) {
 	}
 }
 
-// handleSyncPull answers the entries this node knows something about. As
-// current owner with a validated value it answers authoritatively
-// (SyncOwner, retiring the pull). As an owner mid-commit or mid-transfer it
-// sends a claim — no state yet, but the puller learns a live owner exists
-// and must not reclaim; it retries and picks the object up once the
-// pipeline settles. As a non-owner replica holding a version NEWER than the
-// puller's it sends a hint (with the value iff validated) so the puller can
-// fence — and feed — a reclaim even when no current owner exists. Entries
-// this node knows nothing useful about are skipped silently.
+// handleSyncPull answers the entries this node owns with a validated value;
+// an owner mid-commit or mid-transfer answers a later pull, once its pipeline
+// settled. Every other entry is skipped silently.
 func (n *Node) handleSyncPull(p *wire.SyncPull) {
 	var out []wire.SyncEntry
 	for _, e := range p.Entries {
@@ -329,6 +312,10 @@ func (n *Node) handleSyncPull(p *wire.SyncPull) {
 		}
 		o.Mu.Lock()
 		ver, st := o.TSnapshot()
+		if o.LevelLocked() != wire.Owner || o.OStateLocked() != store.OValid || st != store.TValid {
+			o.Mu.Unlock()
+			continue
+		}
 		ans := wire.SyncEntry{
 			Obj:      e.Obj,
 			Version:  ver,
@@ -336,27 +323,11 @@ func (n *Node) handleSyncPull(p *wire.SyncPull) {
 			Replicas: o.ReplicasLocked(),
 			CTS:      o.CommitCTSLocked(),
 		}
-		lvl := o.LevelLocked()
-		switch {
-		case lvl == wire.Owner && o.OStateLocked() == store.OValid && st == store.TValid:
-			ans.Class = wire.SyncOwner
-			if ver != e.Version {
-				// Stale puller: ship the payload. It is replace-only, so
-				// aliasing it beyond the lock is safe (store.Object.DataLocked).
-				ans.HasData = true
-				ans.Data = o.DataLocked()
-			}
-		case lvl == wire.Owner:
-			ans.Class = wire.SyncClaim
-		case lvl != wire.NonReplica && ver > e.Version:
-			ans.Class = wire.SyncHint
-			if st == store.TValid {
-				ans.HasData = true
-				ans.Data = o.DataLocked()
-			}
-		default:
-			o.Mu.Unlock()
-			continue
+		if ver != e.Version {
+			// Stale puller: ship the payload. It is replace-only, so
+			// aliasing it beyond the lock is safe (store.Object.DataLocked).
+			ans.HasData = true
+			ans.Data = o.DataLocked()
 		}
 		o.Mu.Unlock()
 		out = append(out, ans)
@@ -371,62 +342,18 @@ func (n *Node) handleSyncPull(p *wire.SyncPull) {
 	transport.Flush(n.tr)
 }
 
-// handleSyncState applies an owner's authoritative answers on the puller as
-// grants: the replica set and ownership timestamp verbatim, this node's level
-// as the replica set implies it, and as the value either the shipped payload
-// (stale puller) or the local bytes the owner confirmed (versions matched).
-// Each object accepts exactly ONE authoritative answer — the first to arrive
-// retires the pending entry, and later duplicates (resend overlap) or
-// stragglers are dropped.
+// handleSyncState applies an owner's answers on the puller as grants: the
+// replica set and ownership timestamp verbatim, this node's level as the
+// replica set implies it, and as the value either the shipped payload (stale
+// puller) or the local bytes the owner confirmed (versions matched).
+// Each object accepts exactly ONE answer — the first to arrive retires the
+// pending entry, and later duplicates (resend overlap) or stragglers are
+// dropped.
 // Installing a second answer would be a regression hazard: by the time it
 // arrives the object may have rejoined the live protocol and advanced past
 // the answered version.
-//
-// Claim and hint answers do not retire the entry; they accumulate on its
-// syncOrigin as reclaim fences (and, for validated hints, as the value a
-// reclaim installs) — see reclaimLeftovers.
 func (n *Node) handleSyncState(s *wire.SyncState) {
 	for _, e := range s.Entries {
-		switch e.Class {
-		case wire.SyncClaim:
-			n.syncMu.Lock()
-			if org, ok := n.syncPending[e.Obj]; ok {
-				org.claimed = true
-				n.syncPending[e.Obj] = org
-			}
-			n.syncMu.Unlock()
-			continue
-		case wire.SyncHint:
-			n.syncMu.Lock()
-			if org, ok := n.syncPending[e.Obj]; ok {
-				better := !org.hintSeen || e.Version > org.hintVer
-				if !better && e.Version == org.hintVer {
-					// At equal versions a validated value wins; beyond that
-					// only a newer grant timestamp upgrades, and a dataless
-					// hint never displaces a validated one.
-					if e.HasData {
-						better = !org.hintValid || org.hintTS.Less(e.TS)
-					} else {
-						better = !org.hintValid && org.hintTS.Less(e.TS)
-					}
-				}
-				if better {
-					org.hintSeen = true
-					org.hintVer = e.Version
-					org.hintTS = e.TS
-					org.hintReplicas = e.Replicas
-					org.hintValid = e.HasData
-					org.hintData = nil
-					org.hintCTS = e.CTS
-					if e.HasData {
-						org.hintData = append([]byte(nil), e.Data...)
-					}
-					n.syncPending[e.Obj] = org
-				}
-			}
-			n.syncMu.Unlock()
-			continue
-		}
 		n.syncMu.Lock()
 		_, pending := n.syncPending[e.Obj]
 		if pending {

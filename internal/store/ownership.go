@@ -56,7 +56,7 @@ type PendingOwn struct {
 }
 
 // Shipped is a committed value that travels with a grant: the ownership ACK's
-// piggyback, a state-sync answer or hint, a seed. The zero Shipped ships
+// piggyback, a state-sync answer, a seed. The zero Shipped ships
 // nothing.
 type Shipped struct {
 	Has     bool
@@ -256,21 +256,13 @@ func (o *Object) ReplayLocked(epoch wire.Epoch, live wire.Bitmap) (PendingOwn, b
 }
 
 // ReclaimLocked re-arms a restarted node as the owner its durable grant
-// history says it still is (caller holds Mu, and has checked that no live
-// owner, claim or unsettled newer version stands against it). A validated
-// newer hint is installed first, and its ⟨ts, reps⟩ adopted if newer than the
-// recovered ones; without one, vouch says the recovered value had completed
-// its commit and may be served again. o_state returns to Valid unless an
-// arbitration is pending, whose VAL or replay settles the entry.
-func (o *Object) ReclaimLocked(self wire.NodeID, ts wire.OTS, reps wire.ReplicaSet, hint Shipped, vouch bool) {
-	switch {
-	case hint.Has:
-		o.installLocked(hint.CTS, hint.Version, hint.Data)
-		if o.OTSLocked().Less(ts) {
-			o.setOTSLocked(ts)
-			o.setReplicasLocked(reps)
-		}
-	case vouch:
+// history says it is (caller holds Mu), in the one case no directory can
+// grant it: every driver answered that no replica of the object is live. vouch
+// says the recovered value had completed its commit and may be served again.
+// o_state returns to Valid unless an arbitration is pending, whose VAL or
+// replay settles the entry.
+func (o *Object) ReclaimLocked(self wire.NodeID, vouch bool) {
+	if vouch {
 		o.ValidateLocked(o.TSnapshot()) // whatever version and state the record holds
 	}
 	o.owner = self

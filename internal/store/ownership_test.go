@@ -171,15 +171,14 @@ func TestOwnershipTransitions(t *testing.T) {
 		{name: "grant: a pending arbitration o_ts has passed is void",
 			pre: func(o *Object) {
 				recovered5(o)
-				o.InvalidateLocked(move9, self)
-				o.ReclaimLocked(self, ts(9, 0), set(wire.NoNode, 0), ships(60, 6, "d"), false)
+				o.InvalidateLocked(move9, self) // 4.2, under the recovered 7.1
 			},
 			do: func(t *testing.T, o *Object) {
 				if _, applied, _ := o.GrantPendingLocked(self); applied {
 					t.Error("applied an arbitration older than o_ts")
 				}
 			},
-			want: "owner Valid 9.0 1[0] -", wantValue: "d v6 Valid cts60 [60:6:d]"},
+			want: "non-replica Valid 7.1 -[0] -", wantValue: "c v5 Invalid cts50 []"},
 		{name: "grant: an older o_ts is refused and nothing is touched",
 			pre: func(o *Object) { owner3(o); o.DriveLocked(move7) },
 			do: func(t *testing.T, o *Object) {
@@ -277,30 +276,18 @@ func TestOwnershipTransitions(t *testing.T) {
 				}
 			},
 			want: "non-replica Valid 7.0 0[1] -", wantValue: "c v5 Invalid cts50 []"},
-		{name: "reclaim: without a hint the vouched-for recovered value is served again",
+		{name: "reclaim: the vouched-for recovered value is served again",
 			pre:  recovered5,
-			do:   func(_ *testing.T, o *Object) { o.ReclaimLocked(self, wire.OTS{}, wire.ReplicaSet{}, Shipped{}, true) },
+			do:   func(_ *testing.T, o *Object) { o.ReclaimLocked(self, true) },
 			want: "owner Valid 7.1 1[0] -", wantValue: "c v5 Valid cts50 []"},
 		{name: "reclaim: a recovered value that had not completed its commit stays Invalid",
 			pre:  recovered5,
-			do:   func(_ *testing.T, o *Object) { o.ReclaimLocked(self, wire.OTS{}, wire.ReplicaSet{}, Shipped{}, false) },
+			do:   func(_ *testing.T, o *Object) { o.ReclaimLocked(self, false) },
 			want: "owner Valid 7.1 1[0] -", wantValue: "c v5 Invalid cts50 []"},
-		{name: "reclaim: a newer hint is installed and its newer ⟨ts, reps⟩ adopted",
-			pre: recovered5,
-			do: func(_ *testing.T, o *Object) {
-				o.ReclaimLocked(self, ts(8, 0), set(wire.NoNode, 0, 2), ships(60, 6, "d"), false)
-			},
-			want: "owner Valid 8.0 1[0 2] -", wantValue: "d v6 Valid cts60 [60:6:d]"},
-		{name: "reclaim: a hint under an older o_ts brings its value only",
-			pre: recovered5,
-			do: func(_ *testing.T, o *Object) {
-				o.ReclaimLocked(self, ts(6, 0), set(wire.NoNode, 2), ships(60, 6, "d"), false)
-			},
-			want: "owner Valid 7.1 1[0] -", wantValue: "d v6 Valid cts60 [60:6:d]"},
 		{name: "reclaim: a pending arbitration keeps the entry until its VAL",
 			pre: func(o *Object) { recovered5(o); o.InvalidateLocked(move9, self) },
 			do: func(t *testing.T, o *Object) {
-				o.ReclaimLocked(self, wire.OTS{}, wire.ReplicaSet{}, Shipped{}, true)
+				o.ReclaimLocked(self, true)
 				if o.HoldsLocked(wire.Reader) {
 					t.Error("a reclaimed owner acts on an entry an arbitration holds")
 				}
@@ -448,8 +435,7 @@ func TestOwnershipInvariantsHold(t *testing.T) {
 				floor[i] = wire.OTS{} // a new life
 			case r < 20:
 				op, raises = "reclaim", true
-				val.Version++ // a hint is newer than the record, reclaimLeftovers checks
-				o.ReclaimLocked(self, near, randSet(), val, rng.Intn(2) == 0)
+				o.ReclaimLocked(self, rng.Intn(2) == 0)
 			case r < 21:
 				op = fmt.Sprintf("adopt(%d.%d)", near.Ver, near.Node)
 				o.AdoptEntryLocked(near, randSet())

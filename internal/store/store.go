@@ -40,7 +40,8 @@
 //	                               first), checkRecoveryCompleteLocked
 //	prune      PruneLocked, ReplayLocked  ownership.PruneDead, ArbReplayAll: the
 //	                               view change's edits
-//	reclaim    ReclaimLocked       core.reclaimLeftovers: a restarted sole owner
+//	reclaim    ReclaimLocked       core.reclaimOne: a restarted owner whose object
+//	                               no directory knows (no replica live anywhere)
 //	adopt      AdoptEntryLocked    directory.handleState: a shard snapshot's entry
 //
 // GrantLocked is the one body that assigns replica set, o_ts, o_state and level
@@ -55,8 +56,9 @@
 // ⟨t_version, t_state⟩ word covers its version, and the payload slice is only
 // ever replaced whole; o_ts never decreases in a record's life, which
 // RecoverLocked starts; an arbitration is pending iff o_state is Drive or
-// Invalid; a level rises only by grant or reclaim, and the value moves with
-// it — a node that leaves the set drops its replica, a grant that does not
+// Invalid; a level rises only by grant — a restarted owner takes its objects
+// back through the directory like any requester — or, where no replica is live
+// to grant from, by reclaim; the value moves with it — a node that leaves the set drops its replica, a grant that does not
 // list this node installs nothing, recovery installs Invalid — so through
 // these transitions a NonReplica record never reads as ⟨Valid, payload⟩. (The
 // commit engine's transitions are level-blind: an R-INV that finds a replica
@@ -367,7 +369,8 @@ func (o *Object) installLocked(cts, ver uint64, data []byte) {
 // reclaim validates it, and ⟨ts, reps⟩ as an ownership hint under level
 // NonReplica. A remembered "self is owner" is rewritten to NoNode — ownership
 // may have migrated while the node was down — and reported: it is what makes
-// the object eligible for ReclaimLocked. The ring does not survive a restart —
+// the node request the object back (and, when no replica is live anywhere,
+// ReclaimLocked it). The ring does not survive a restart —
 // its entries vouch for "committed and safe-time-covered", a rejoiner for
 // nothing — while cts is kept so a later validate re-enables RingReadLocked's
 // implicit entry. It starts a record's life (a fresh store, before any handler

@@ -48,10 +48,6 @@ type Client struct {
 	renewPending atomic.Uint64
 	renewFlushed atomic.Int64 // unix nanos of the last renewal multicast
 
-	// removedAt is the epoch of each node's last removal from the view, set
-	// by the pump: what a failure report waits for (see Fail).
-	removedAt [wire.MaxNodes]atomic.Uint64
-
 	events chan wire.VSState
 	closed chan struct{}
 	once   sync.Once
@@ -263,20 +259,21 @@ func (c *Client) renewLoop() {
 	}
 }
 
-// Fail reports a crashed node. It returns immediately (the view change
-// happens after the lease expires); a background loop re-proposes until the
-// node has left the view, so the report survives view-service leader crashes.
-// "Has left" is a removal at a later epoch than the report's, not only "is not
-// live now": the loop samples the cached state, and a node that rejoins within
-// one sampling gap of its removal (a restart a few milliseconds after the
-// kill) would look as if it had never left and be failed a second time.
+// Fail reports a crashed node: the incarnation of it that the cached view
+// lists. It returns immediately (the view change happens after the lease
+// expires); a background loop re-proposes until that incarnation is no longer
+// live, so the report survives view-service leader crashes and never ends a
+// later incarnation — a restart that rejoined is a new member, and the view
+// service drops a report about an earlier one.
 func (c *Client) Fail(node wire.NodeID) {
 	if node >= wire.MaxNodes {
 		return
 	}
-	reported := uint64(c.View().Epoch)
-	go c.driveUntil(wire.VSCommand{Op: wire.VSFail, Node: node}, func(s wire.VSState) bool {
-		return !s.Live.Contains(node) || c.removedAt[node].Load() > reported
+	s := c.State()
+	inc := s.Incarnation(node)
+	c.flushRenewals() // a report never overtakes a renewal this client holds back
+	go c.driveUntil(wire.VSCommand{Op: wire.VSFail, Node: node, Epoch: inc}, func(s wire.VSState) bool {
+		return !s.Live.Contains(node) || s.Incarnation(node) != inc
 	}, c.cfg.Lease+10*time.Second)
 }
 
@@ -453,9 +450,6 @@ func (c *Client) pump() {
 		// pause/recovery/resume) have fully propagated.
 		c.fanoutState(s)
 		if viewChanged {
-			for n := range removed.Each {
-				c.removedAt[n].Store(uint64(next.Epoch))
-			}
 			c.fanoutView(old, next, removed, &before)
 		}
 		if recovered {

@@ -36,6 +36,7 @@ package viewsvc
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -310,7 +311,9 @@ func (r *Replica) handlePropose(from wire.NodeID, m *wire.VSPropose) {
 func (r *Replica) applicableLocked(cmd wire.VSCommand) bool {
 	s := &r.state
 	switch cmd.Op {
-	case wire.VSFail, wire.VSLeave:
+	case wire.VSFail:
+		return s.Live.Contains(cmd.Node) && s.Incarnation(cmd.Node) == cmd.Epoch
+	case wire.VSLeave:
 		return s.Live.Contains(cmd.Node)
 	case wire.VSJoin:
 		return !s.Live.Contains(cmd.Node)
@@ -345,10 +348,11 @@ func applyCmd(s wire.VSState, cmd wire.VSCommand) (next wire.VSState, ok, done b
 	next.Index++
 	switch cmd.Op {
 	case wire.VSFail, wire.VSLeave:
-		if !s.Live.Contains(cmd.Node) {
-			return s, false, false, 0
+		if !s.Live.Contains(cmd.Node) || (cmd.Op == wire.VSFail && s.Incarnation(cmd.Node) != cmd.Epoch) {
+			return s, false, false, 0 // not live, or a report about an earlier incarnation
 		}
 		next.Live = s.Live.Remove(cmd.Node)
+		next.Joined = setJoined(s.Joined, cmd.Node, 0)
 		next.Epoch = s.Epoch + 1
 		next.Placement = s.Placement.Recompute(next.Epoch, next.Live)
 		// Post-failure barrier (§5.1): every surviving node must replay
@@ -363,6 +367,7 @@ func applyCmd(s wire.VSState, cmd wire.VSCommand) (next wire.VSState, ok, done b
 		next.Live = s.Live.Add(cmd.Node)
 		next.Epoch = s.Epoch + 1
 		next.Placement = s.Placement.Recompute(next.Epoch, next.Live)
+		next.Joined = setJoined(s.Joined, cmd.Node, next.Epoch)
 		if cmd.Addr != "" {
 			// Joins carry the node's advertised endpoint; the address book
 			// commits with the view it belongs to (copy-on-write — states
@@ -394,6 +399,17 @@ func setAddr(book []wire.NodeAddr, node wire.NodeID, addr string) []wire.NodeAdd
 	}
 	if !replaced {
 		out = append(out, wire.NodeAddr{Node: node, Addr: addr})
+	}
+	return out
+}
+
+// setJoined returns a copy of the join record with node's entry set to epoch,
+// or removed when epoch is 0. Published records are immutable, so updates
+// always copy.
+func setJoined(joined []wire.NodeEpoch, node wire.NodeID, epoch wire.Epoch) []wire.NodeEpoch {
+	out := slices.DeleteFunc(slices.Clone(joined), func(j wire.NodeEpoch) bool { return j.Node == node })
+	if epoch != 0 {
+		out = append(out, wire.NodeEpoch{Node: node, Epoch: epoch})
 	}
 	return out
 }
@@ -657,7 +673,7 @@ func (r *Replica) autoFailLocked() {
 		if now.Sub(time.Unix(0, nanos)) < 2*r.cfg.Lease {
 			continue
 		}
-		cmd := wire.VSCommand{Op: wire.VSFail, Node: n}
+		cmd := wire.VSCommand{Op: wire.VSFail, Node: n, Epoch: r.state.Incarnation(n)}
 		if _, dup := r.pendFail[n]; dup || r.inFlightLocked(cmd) {
 			continue
 		}

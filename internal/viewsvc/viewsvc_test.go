@@ -278,3 +278,29 @@ func TestFailReportEndsAtTheRemovalItCaused(t *testing.T) {
 		}
 	}
 }
+
+// TestStaleFailReportLeavesTheNewIncarnationLive: a restart is a new member.
+// Node 3 fails and rejoins; a failure report about its previous incarnation
+// that reaches the leader afterwards — a proposal delayed in the network, or
+// re-sent by a reporter that had not seen the rejoin — must leave the node
+// that rejoined live.
+func TestStaleFailReportLeavesTheNewIncarnationLive(t *testing.T) {
+	r := newRig(t, 3, wire.BitmapOf(0, 1, 2, 3), Config{Lease: time.Millisecond})
+	r.cli.Fail(3)
+	if !r.cli.WaitEpoch(2, time.Second) {
+		t.Fatal("fail never committed")
+	}
+	if !r.cli.Join(3) {
+		t.Fatal("rejoin never committed")
+	}
+	if s := r.cli.State(); s.Incarnation(3) != 3 || s.Incarnation(0) != 1 {
+		t.Fatalf("incarnations %d (node 3) and %d (founder 0), want 3 (the rejoin's epoch) and 1", s.Incarnation(3), s.Incarnation(0))
+	}
+	stale := wire.VSCommand{Op: wire.VSFail, Node: 3, Epoch: 1} // the founder incarnation
+	_ = r.cli.tr.Multicast(r.cli.replicas, &wire.VSPropose{Cmd: stale})
+	transport.Flush(r.cli.tr)
+	time.Sleep(10 * r.cli.cfg.retryEvery()) // well past the lease wait such a report sits out
+	if v := r.cli.View(); v.Epoch != 3 || !v.Live.Contains(3) {
+		t.Fatalf("view %+v after a report about node 3's previous incarnation, want epoch 3 with node 3 live", v)
+	}
+}

@@ -84,6 +84,13 @@ func (e *enc) addrs(as []NodeAddr) {
 		e.str(a.Addr)
 	}
 }
+func (e *enc) joined(js []NodeEpoch) {
+	e.u16(uint16(len(js)))
+	for _, j := range js {
+		e.node(j.Node)
+		e.epoch(j.Epoch)
+	}
+}
 func (e *enc) vscmd(c VSCommand) {
 	e.u8(uint8(c.Op))
 	e.node(c.Node)
@@ -98,6 +105,7 @@ func (e *enc) vsstate(s VSState) {
 	e.epoch(s.BarrierEpoch)
 	e.placement(s.Placement)
 	e.addrs(s.Addrs)
+	e.joined(s.Joined)
 }
 func (e *enc) syncentries(es []SyncEntry) {
 	e.u32(uint32(len(es)))
@@ -107,7 +115,6 @@ func (e *enc) syncentries(es []SyncEntry) {
 		e.u64(x.Version)
 		e.ots(x.TS)
 		e.replicas(x.Replicas)
-		e.u8(uint8(x.Class))
 		e.boolean(x.HasData)
 		e.bytes(x.Data)
 		e.u64(x.CTS)
@@ -313,6 +320,21 @@ func (d *dec) addrsList() []NodeAddr {
 	}
 	return out
 }
+func (d *dec) joinedList() []NodeEpoch {
+	n := d.u16()
+	if d.err != nil || n == 0 {
+		return nil
+	}
+	if int(n)*6 > len(d.b) { // each entry is 6 encoded bytes
+		d.err = ErrTooLarge
+		return nil
+	}
+	out := make([]NodeEpoch, 0, n)
+	for i := uint16(0); i < n && d.err == nil; i++ {
+		out = append(out, NodeEpoch{Node: d.node(), Epoch: d.epoch()})
+	}
+	return out
+}
 func (d *dec) vscmd() VSCommand {
 	return VSCommand{Op: VSOp(d.u8()), Node: d.node(), Epoch: d.epoch(), Addr: d.str()}
 }
@@ -320,7 +342,7 @@ func (d *dec) vsstate() VSState {
 	return VSState{
 		Index: d.u64(), Epoch: d.epoch(), Live: d.bitmap(),
 		Barrier: d.bitmap(), BarrierEpoch: d.epoch(),
-		Placement: d.placement(), Addrs: d.addrsList(),
+		Placement: d.placement(), Addrs: d.addrsList(), Joined: d.joinedList(),
 	}
 }
 func (d *dec) syncentries() []SyncEntry {
@@ -328,7 +350,7 @@ func (d *dec) syncentries() []SyncEntry {
 	if d.err != nil {
 		return nil
 	}
-	if int(n)*50 > len(d.b) { // each entry is ≥50 encoded bytes
+	if int(n)*49 > len(d.b) { // each entry is ≥49 encoded bytes
 		d.err = ErrTooLarge
 		return nil
 	}
@@ -336,8 +358,8 @@ func (d *dec) syncentries() []SyncEntry {
 	for i := uint32(0); i < n && d.err == nil; i++ {
 		out = append(out, SyncEntry{
 			Obj: d.obj(), Version: d.u64(), TS: d.ots(),
-			Replicas: d.replicas(), Class: SyncClass(d.u8()),
-			HasData: d.boolean(), Data: d.bytes(), CTS: d.u64(),
+			Replicas: d.replicas(),
+			HasData:  d.boolean(), Data: d.bytes(), CTS: d.u64(),
 		})
 	}
 	return out

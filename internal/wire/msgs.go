@@ -407,8 +407,9 @@ func (o VSOp) String() string {
 }
 
 // VSCommand is one state-machine command. Node is the subject (the failed /
-// joining / leaving / reporting node); Epoch is only meaningful for
-// VSRecoveryDone (the barrier epoch the report belongs to).
+// joining / leaving / reporting node). Epoch is meaningful for VSRecoveryDone
+// (the barrier epoch the report belongs to) and VSFail (the incarnation the
+// report ends, VSState.Incarnation: a report about an earlier one is a no-op).
 type VSCommand struct {
 	Op    VSOp
 	Node  NodeID
@@ -441,6 +442,29 @@ type VSState struct {
 	// in-process clusters (the mem fabric needs no addresses). Like
 	// Placement.Shards, the slice is immutable once published.
 	Addrs []NodeAddr
+	// Joined records, for each live node whose membership began with a
+	// join, the epoch that join committed at: the node's incarnation in the
+	// view. A live node with no entry is a founder, incarnation 1, so a
+	// deployment where nobody (re)joined carries an empty list. Like Addrs,
+	// the slice is immutable once published.
+	Joined []NodeEpoch
+}
+
+// Incarnation returns node's incarnation in s: the epoch its join committed
+// at, or 1 for a founder.
+func (s *VSState) Incarnation(node NodeID) Epoch {
+	for _, j := range s.Joined {
+		if j.Node == node {
+			return j.Epoch
+		}
+	}
+	return 1
+}
+
+// NodeEpoch pairs a node with an epoch (VSState.Joined).
+type NodeEpoch struct {
+	Node  NodeID
+	Epoch Epoch
 }
 
 // NodeAddr maps a data node to its advertised transport address.
@@ -582,46 +606,24 @@ func (*DirState) Kind() Kind { return KindDirState }
 //
 // A node restarting from its WAL + snapshot holds data whose cluster status
 // it cannot judge: versions may have advanced while it was down, and every
-// recovered access level is conservatively demoted to non-replica. Before
-// rejoining the view it reconciles against current owners, DIR-PULL style:
+// recovered access level is conservatively demoted to non-replica. Once it
+// has rejoined the view it reconciles against current owners, DIR-PULL style:
 // batched pulls carrying (object, recovered version), answered by whichever
 // live node currently owns each object with the authoritative version,
 // replica set and — only when the versions differ — the data delta.
 // ---------------------------------------------------------------------------
 
-// SyncClass classifies a SyncState answer (SyncEntry.Class; zero in pulls).
-type SyncClass uint8
-
-const (
-	// SyncOwner marks an authoritative answer: the sender is the object's
-	// current owner with a validated value. It retires the pull.
-	SyncOwner SyncClass = iota + 1
-	// SyncClaim means the sender holds owner level but the object is
-	// mid-commit or mid-transfer, so it cannot answer authoritatively yet.
-	// The pull stays open (the puller retries), but a live owner exists:
-	// the puller must never reclaim the object from local durable state.
-	SyncClaim
-	// SyncHint is a non-owner replica reporting what it knows: its version
-	// and grant timestamp, plus the value when it is validated and newer
-	// than the puller's. Hints fence reclaim — a hint above the puller's
-	// recovered version proves the cluster advanced while it was down, even
-	// if the writer (the old owner) died before any owner can answer.
-	SyncHint
-)
-
 // SyncEntry is one object in a state-sync exchange. In a SyncPull, Version
-// is the puller's recovered t_version (data omitted, Class zero). In a
-// SyncState, Class says how to read the entry (see SyncClass):
-// Version/TS/Replicas are the sender's values — authoritative for
-// SyncOwner, advisory for SyncHint — and Data is set iff the puller's
-// version was stale and the sender's value is validated (HasData
-// distinguishes "up to date" from "deleted to empty").
+// is the puller's recovered t_version (data omitted). In a SyncState, the
+// entry is its sender's answer as the object's current owner with a validated
+// value — no other node answers: Version/TS/Replicas are authoritative, and
+// Data is set iff the puller's version was stale (HasData distinguishes "up to
+// date" from "deleted to empty").
 type SyncEntry struct {
 	Obj      ObjectID
 	Version  uint64
 	TS       OTS
 	Replicas ReplicaSet
-	Class    SyncClass
 	HasData  bool
 	Data     []byte
 	// CTS is the sender's commit timestamp for Version (0 when unknown),

@@ -171,6 +171,7 @@ func allMessages() []Msg {
 		&BCommit{ReqID: 5, Updates: []Update{{Obj: 1, Version: 3, Data: data}}},
 		&BAbort{ReqID: 5, Objs: []ObjectID{1, 2, 3}},
 		&VSPropose{Cmd: VSCommand{Op: VSJoin, Node: 3, Epoch: 0, Addr: "127.0.0.1:7003"}},
+		&VSPropose{Cmd: VSCommand{Op: VSFail, Node: 3, Epoch: 4}},
 		&VSAccept{Ballot: 4, Phase: VSPhasePromise,
 			Cmd:    VSCommand{Op: VSLeave, Node: 2},
 			State:  VSState{Index: 9, Epoch: 5, Live: BitmapOf(0, 1), Barrier: BitmapOf(0), BarrierEpoch: 5},
@@ -179,7 +180,8 @@ func allMessages() []Msg {
 		&VSCommit{Ballot: 4, Cmd: VSCommand{Op: VSRecoveryDone, Node: 1, Epoch: 5},
 			State: VSState{Index: 11, Epoch: 5, Live: BitmapOf(0, 1),
 				Placement: DirPlacement{Epoch: 5, Degree: 2, Shards: []Bitmap{BitmapOf(0, 1), BitmapOf(0, 1)}},
-				Addrs:     []NodeAddr{{Node: 0, Addr: "10.0.0.1:7000"}, {Node: 1, Addr: "10.0.0.2:7000"}}},
+				Addrs:     []NodeAddr{{Node: 0, Addr: "10.0.0.1:7000"}, {Node: 1, Addr: "10.0.0.2:7000"}},
+				Joined:    []NodeEpoch{{Node: 1, Epoch: 4}}},
 			BarrierDone: true, DoneEpoch: 5},
 		&VSLeaseMsg{Nodes: BitmapOf(2, 5), Heartbeat: true, Ballot: 7},
 		&VSQuery{Resp: true, Ballot: 7, State: VSState{Index: 3, Epoch: 2, Live: BitmapOf(0, 1, 2),
