@@ -166,67 +166,82 @@ func TestKillRestartOnEveryFabric(t *testing.T) {
 // want at the owner's version, and no node outside the set holds a level. The
 // replica-degree trim that follows a move runs in the background, so a look
 // taken while its arbitration is in flight can find a dropped reader before
-// its VAL: the assertion is on the state the cluster settles in, within a
-// second.
+// its VAL: that one check is on the state the cluster settles in, within a
+// second; every other check is on the first look.
 func assertReplicasAgree(t *testing.T, c *Cluster, obj wire.ObjectID, want []byte) {
 	t.Helper()
-	var wrong []string
+	owner, copies := lookAt(c, obj)
+	if owner == wire.NoNode {
+		t.Errorf("object %d has no owner", obj)
+		return
+	}
+	own := copies[owner]
+	if !bytes.Equal(own.data, want) {
+		t.Errorf("object %d at its owner, node %d: value %d, want %d", obj, owner, fromU64c(own.data), fromU64c(want))
+	}
+	for id, cp := range copies {
+		if own.reps.LevelOf(id) != wire.NonReplica && (cp.ver != own.ver || !bytes.Equal(cp.data, own.data)) {
+			t.Errorf("object %d on node %d: version %d value %d, owner %d has version %d value %d",
+				obj, id, cp.ver, fromU64c(cp.data), owner, own.ver, fromU64c(own.data))
+		}
+	}
+	if own.reps.All().Count() < 2 {
+		t.Errorf("object %d: owner %d's replica set %+v lists no other replica", obj, owner, own.reps)
+	}
+	var stale []string
 	for deadline := time.Now().Add(time.Second); ; time.Sleep(time.Millisecond) {
-		if wrong = replicasDisagree(c, obj, want); len(wrong) == 0 || time.Now().After(deadline) {
+		if stale = staleOutsideSet(c, obj); len(stale) == 0 || time.Now().After(deadline) {
 			break
 		}
 	}
-	for _, w := range wrong {
-		t.Error(w)
+	for _, s := range stale {
+		t.Error(s)
 	}
 }
 
-// replicasDisagree returns what one look at every live node's copy of obj
-// finds wrong (see assertReplicasAgree).
-func replicasDisagree(c *Cluster, obj wire.ObjectID, want []byte) (wrong []string) {
-	type copyOf struct {
-		lvl  wire.AccessLevel
-		ts   wire.OTS
-		reps wire.ReplicaSet
-		ver  uint64
-		data []byte
-	}
-	copies := make(map[wire.NodeID]copyOf)
-	owner := wire.NoNode
+// replicaCopy is one node's copy of an object, read under its lock.
+type replicaCopy struct {
+	lvl  wire.AccessLevel
+	ts   wire.OTS
+	reps wire.ReplicaSet
+	ver  uint64
+	data []byte
+}
+
+// lookAt reads every live node's copy of obj and picks its owner: the Owner
+// copy with the newest o_ts (NoNode when none holds Owner).
+func lookAt(c *Cluster, obj wire.ObjectID) (owner wire.NodeID, copies map[wire.NodeID]replicaCopy) {
+	copies = make(map[wire.NodeID]replicaCopy)
+	owner = wire.NoNode
 	for id := range c.Live().Each {
 		o, ok := c.Node(int(id)).Store().Get(obj)
 		if !ok {
 			continue
 		}
 		o.Mu.Lock()
-		cp := copyOf{o.LevelLocked(), o.OTSLocked(), o.ReplicasLocked(), o.TVersion(), append([]byte(nil), o.DataLocked()...)}
+		cp := replicaCopy{o.LevelLocked(), o.OTSLocked(), o.ReplicasLocked(), o.TVersion(), append([]byte(nil), o.DataLocked()...)}
 		o.Mu.Unlock()
 		copies[id] = cp
 		if cp.lvl == wire.Owner && (owner == wire.NoNode || copies[owner].ts.Less(cp.ts)) {
 			owner = id
 		}
 	}
+	return owner, copies
+}
+
+// staleOutsideSet returns, from one look at obj, each node outside its
+// owner's replica set that still holds a level.
+func staleOutsideSet(c *Cluster, obj wire.ObjectID) (stale []string) {
+	owner, copies := lookAt(c, obj)
 	if owner == wire.NoNode {
-		return []string{fmt.Sprintf("object %d has no owner", obj)}
+		return nil // reported by assertReplicasAgree's first look
 	}
 	own := copies[owner]
-	if !bytes.Equal(own.data, want) {
-		wrong = append(wrong, fmt.Sprintf("object %d at its owner, node %d: value %d, want %d", obj, owner, fromU64c(own.data), fromU64c(want)))
-	}
 	for id, cp := range copies {
-		switch {
-		case own.reps.LevelOf(id) == wire.NonReplica:
-			if cp.lvl != wire.NonReplica {
-				wrong = append(wrong, fmt.Sprintf("object %d: node %d holds a stale %v copy (o_ts %v, version %d) outside owner %d's set %+v (o_ts %v)",
-					obj, id, cp.lvl, cp.ts, cp.ver, owner, own.reps, own.ts))
-			}
-		case cp.ver != own.ver || !bytes.Equal(cp.data, own.data):
-			wrong = append(wrong, fmt.Sprintf("object %d on node %d: version %d value %d, owner %d has version %d value %d",
-				obj, id, cp.ver, fromU64c(cp.data), owner, own.ver, fromU64c(own.data)))
+		if own.reps.LevelOf(id) == wire.NonReplica && cp.lvl != wire.NonReplica {
+			stale = append(stale, fmt.Sprintf("object %d: node %d holds a stale %v copy (o_ts %v, version %d) outside owner %d's set %+v (o_ts %v)",
+				obj, id, cp.lvl, cp.ts, cp.ver, owner, own.reps, own.ts))
 		}
 	}
-	if own.reps.All().Count() < 2 {
-		wrong = append(wrong, fmt.Sprintf("object %d: owner %d's replica set %+v lists no other replica", obj, owner, own.reps))
-	}
-	return wrong
+	return stale
 }

@@ -17,11 +17,12 @@
 // pruned it from every replica set, leaving the object ownerless until the
 // directory arbitrates the next request for it (§4.1). After a quiet period
 // with no answer, the node is that next request: it acquires each such object
-// through the directory like any requester. A live reader is the data source
-// and its ACK ships the value, which the grant installs unless the recovered
-// one is newer; a live owner mid-commit NACKs and the request retries. The
-// survivors' replica sets then list this node, so no later move can leave it
-// behind holding a level nobody else knows of.
+// through the directory like any requester, one at a time, and asks again for
+// any whose request failed until StateSync's deadline. A live reader is the
+// data source and its ACK ships the value, which the grant installs unless the
+// recovered one is newer; a live owner mid-commit NACKs and the request
+// retries. The survivors' replica sets then list this node, so no later move
+// can leave it behind holding a level nobody else knows of.
 //
 // One case has no directory to ask: every driver answers that no replica of
 // the object is live (all of them died with this node, or the object was
@@ -32,7 +33,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"zeus/internal/ownership"
@@ -149,8 +149,8 @@ func (n *Node) StateSync(timeout time.Duration) error {
 // leave if the view still lists it, join (addr, if any, goes into the
 // replicated address book), wait for the view change, state-sync. Every step
 // gets the same timeout. The join makes the node a new member: the view
-// records the epoch it committed at as the node's incarnation, and a failure
-// report about the previous one is a no-op. The order is the protocol:
+// records the epoch it committed at as the node's join epoch, and a failure
+// report naming an earlier one is a no-op. The order is the protocol:
 //
 // Leave before join (restart eviction). A process can be back before the
 // failure detector noticed, so its previous incarnation still sits in the live
@@ -230,63 +230,59 @@ func (n *Node) sendPulls() {
 	transport.Flush(n.tr)
 }
 
-// reclaimWidth bounds the ownership requests a reclaim has in flight.
-const reclaimWidth = 8
-
-// reclaim acquires, through the directory, every still-pending object whose
-// recovered state named this node as owner, reclaimWidth at a time and none
-// after deadline. A request that fails leaves its object pending.
+// reclaim acquires through the directory, one at a time, every still-pending
+// object whose recovered state named this node as owner. Each request gives up
+// by deadline at the latest; an object whose request failed stays pending and
+// is requested again in the next round, until none is left, the deadline
+// passed or the node closed.
 func (n *Node) reclaim(deadline time.Time) {
-	n.syncMu.Lock()
-	var ids []wire.ObjectID
-	for id, org := range n.syncPending {
-		if org.selfOwner {
-			ids = append(ids, id)
+	for {
+		var ids []wire.ObjectID
+		n.syncMu.Lock()
+		for id, org := range n.syncPending {
+			if org.selfOwner {
+				ids = append(ids, id)
+			}
+		}
+		n.syncMu.Unlock()
+		if len(ids) == 0 {
+			return
+		}
+		for _, id := range ids {
+			if time.Now().After(deadline) || errors.Is(n.reclaimOne(id, deadline), ownership.ErrClosed) {
+				return
+			}
 		}
 	}
-	n.syncMu.Unlock()
-	var wg sync.WaitGroup
-	slots := make(chan struct{}, reclaimWidth)
-	for _, id := range ids {
-		slots <- struct{}{}
-		if time.Now().After(deadline) {
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer func() { <-slots; wg.Done() }()
-			n.reclaimOne(id)
-		}()
-	}
-	wg.Wait()
 }
 
 // reclaimOne acquires id and retires its pull. When every driver answers that
 // no replica is live, the node re-arms itself from its durable state — the
-// one case with nobody else to ask.
-func (n *Node) reclaimOne(id wire.ObjectID) {
+// one case with nobody else to ask. A failed request leaves id pending.
+func (n *Node) reclaimOne(id wire.ObjectID, deadline time.Time) error {
 	n.syncMu.Lock()
 	_, pending := n.syncPending[id]
 	n.syncMu.Unlock()
 	if !pending {
-		return // an owner answered meanwhile
+		return nil // an owner answered meanwhile
 	}
-	err := n.own.AcquireOwnership(id)
+	err := n.own.AcquireOwnershipBy(id, deadline)
 	if err != nil && !errors.Is(err, ownership.ErrUnknownObject) {
-		return
+		return err
 	}
 	n.syncMu.Lock()
 	org, pending := n.syncPending[id]
 	delete(n.syncPending, id)
 	n.syncMu.Unlock()
 	if err == nil || !pending {
-		return
+		return nil
 	}
 	if o, ok := n.st.Get(id); ok {
 		o.Mu.Lock()
 		o.ReclaimLocked(n.id, org.valid)
 		o.Mu.Unlock()
 	}
+	return nil
 }
 
 // handleSync dispatches both sync kinds; it is registered on the router for

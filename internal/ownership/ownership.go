@@ -402,29 +402,35 @@ func (e *Engine) Handle(from wire.NodeID, m wire.Msg) {
 // invoked by the transaction layer the first time a write accesses an object
 // this node does not own; subsequent transactions skip it entirely.
 func (e *Engine) AcquireOwnership(obj wire.ObjectID) error {
-	return e.run(obj, wire.AcquireOwner, 0)
+	return e.run(obj, wire.AcquireOwner, 0, time.Time{})
+}
+
+// AcquireOwnershipBy is AcquireOwnership giving up at by when that is sooner
+// than the engine's own deadline (checked between attempts).
+func (e *Engine) AcquireOwnershipBy(obj wire.ObjectID, by time.Time) error {
+	return e.run(obj, wire.AcquireOwner, 0, by)
 }
 
 // AcquireRead blocks until this node is a reader (or owner) of obj.
 func (e *Engine) AcquireRead(obj wire.ObjectID) error {
-	return e.run(obj, wire.AcquireReader, 0)
+	return e.run(obj, wire.AcquireReader, 0, time.Time{})
 }
 
 // Create registers a fresh object with the directory: this node becomes the
 // owner and readers become replicas (they learn their role via the INVs).
 func (e *Engine) Create(obj wire.ObjectID, readers wire.Bitmap) error {
-	return e.run(obj, wire.CreateObject, readers.Remove(e.self))
+	return e.run(obj, wire.CreateObject, readers.Remove(e.self), time.Time{})
 }
 
 // DropReader removes reader from obj's replica set, restoring the replication
 // degree out of the critical path (§6.2).
 func (e *Engine) DropReader(obj wire.ObjectID, reader wire.NodeID) error {
-	return e.run(obj, wire.DropReader, wire.BitmapOf(reader))
+	return e.run(obj, wire.DropReader, wire.BitmapOf(reader), time.Time{})
 }
 
 // Delete unregisters obj deployment-wide; replicas discard their data.
 func (e *Engine) Delete(obj wire.ObjectID) error {
-	return e.run(obj, wire.DeleteObject, 0)
+	return e.run(obj, wire.DeleteObject, 0, time.Time{})
 }
 
 // levelSatisfied reports whether the node already holds the needed level.
@@ -511,12 +517,17 @@ func (e *Engine) await(req *pendingReq, id uint64) (out outcome, timedOut bool, 
 	}
 }
 
-func (e *Engine) run(obj wire.ObjectID, mode wire.ReqMode, target wire.Bitmap) error {
+// run drives one request until it succeeds or fails; it gives up at the
+// engine's acquire deadline, or at by when that is sooner (zero: no by).
+func (e *Engine) run(obj wire.ObjectID, mode wire.ReqMode, target wire.Bitmap, by time.Time) error {
 	if e.levelSatisfied(obj, mode) {
 		return nil
 	}
 	start := time.Now()
 	deadline := start.Add(e.deadline)
+	if !by.IsZero() && by.Before(deadline) {
+		deadline = by
+	}
 	retr := retryPolicy.Begin()
 
 	req, id := e.beginRequest(mode)

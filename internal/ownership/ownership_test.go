@@ -708,6 +708,23 @@ func TestPausedEngineAbortsLocalRequester(t *testing.T) {
 	}
 }
 
+// AcquireOwnershipBy gives up at its own deadline when that comes before the
+// engine's.
+func TestAcquireOwnershipByGivesUpAtItsDeadline(t *testing.T) {
+	c := newTestCluster(t, 3)
+	seed(t, c, 1, 72, 0, []byte("p"))
+	e := c.nodes[0].eng
+	e.deadline = time.Hour
+	e.Pause()
+	start := time.Now()
+	if err := e.AcquireOwnershipBy(72, start.Add(20*time.Millisecond)); !errors.Is(err, ErrAborted) {
+		t.Fatalf("err = %v, want ErrAborted", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("gave up after %v, 20 ms asked", d)
+	}
+}
+
 // blockedAcquire starts e.AcquireOwnership(obj) with every other node cut
 // off, and returns once the request is collecting ACKs: its own is in, the
 // rest can never come.

@@ -259,21 +259,22 @@ func (c *Client) renewLoop() {
 	}
 }
 
-// Fail reports a crashed node: the incarnation of it that the cached view
-// lists. It returns immediately (the view change happens after the lease
-// expires); a background loop re-proposes until that incarnation is no longer
-// live, so the report survives view-service leader crashes and never ends a
-// later incarnation — a restart that rejoined is a new member, and the view
-// service drops a report about an earlier one.
+// Fail reports a crashed node: the membership of it that the cached view
+// lists, named by its join epoch (VSState.JoinEpoch). It returns immediately
+// (the view change happens after the lease expires); a background loop
+// re-proposes until that membership is over, so the report survives
+// view-service leader crashes and never ends a later one — a restart that
+// rejoined is a new member, and the view service drops a report about an
+// earlier membership.
 func (c *Client) Fail(node wire.NodeID) {
 	if node >= wire.MaxNodes {
 		return
 	}
 	s := c.State()
-	inc := s.Incarnation(node)
+	joined := s.JoinEpoch(node)
 	c.flushRenewals() // a report never overtakes a renewal this client holds back
-	go c.driveUntil(wire.VSCommand{Op: wire.VSFail, Node: node, Epoch: inc}, func(s wire.VSState) bool {
-		return !s.Live.Contains(node) || s.Incarnation(node) != inc
+	go c.driveUntil(wire.VSCommand{Op: wire.VSFail, Node: node, Epoch: joined}, func(s wire.VSState) bool {
+		return !s.Live.Contains(node) || s.JoinEpoch(node) != joined
 	}, c.cfg.Lease+10*time.Second)
 }
 

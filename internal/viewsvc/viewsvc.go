@@ -312,7 +312,7 @@ func (r *Replica) applicableLocked(cmd wire.VSCommand) bool {
 	s := &r.state
 	switch cmd.Op {
 	case wire.VSFail:
-		return s.Live.Contains(cmd.Node) && s.Incarnation(cmd.Node) == cmd.Epoch
+		return s.Live.Contains(cmd.Node) && s.JoinEpoch(cmd.Node) == cmd.Epoch
 	case wire.VSLeave:
 		return s.Live.Contains(cmd.Node)
 	case wire.VSJoin:
@@ -348,8 +348,8 @@ func applyCmd(s wire.VSState, cmd wire.VSCommand) (next wire.VSState, ok, done b
 	next.Index++
 	switch cmd.Op {
 	case wire.VSFail, wire.VSLeave:
-		if !s.Live.Contains(cmd.Node) || (cmd.Op == wire.VSFail && s.Incarnation(cmd.Node) != cmd.Epoch) {
-			return s, false, false, 0 // not live, or a report about an earlier incarnation
+		if !s.Live.Contains(cmd.Node) || (cmd.Op == wire.VSFail && s.JoinEpoch(cmd.Node) != cmd.Epoch) {
+			return s, false, false, 0 // not live, or a report about an earlier membership
 		}
 		next.Live = s.Live.Remove(cmd.Node)
 		next.Joined = setJoined(s.Joined, cmd.Node, 0)
@@ -673,7 +673,7 @@ func (r *Replica) autoFailLocked() {
 		if now.Sub(time.Unix(0, nanos)) < 2*r.cfg.Lease {
 			continue
 		}
-		cmd := wire.VSCommand{Op: wire.VSFail, Node: n, Epoch: r.state.Incarnation(n)}
+		cmd := wire.VSCommand{Op: wire.VSFail, Node: n, Epoch: r.state.JoinEpoch(n)}
 		if _, dup := r.pendFail[n]; dup || r.inFlightLocked(cmd) {
 			continue
 		}

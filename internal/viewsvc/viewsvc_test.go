@@ -293,10 +293,10 @@ func TestStaleFailReportLeavesTheNewIncarnationLive(t *testing.T) {
 	if !r.cli.Join(3) {
 		t.Fatal("rejoin never committed")
 	}
-	if s := r.cli.State(); s.Incarnation(3) != 3 || s.Incarnation(0) != 1 {
-		t.Fatalf("incarnations %d (node 3) and %d (founder 0), want 3 (the rejoin's epoch) and 1", s.Incarnation(3), s.Incarnation(0))
+	if s := r.cli.State(); s.JoinEpoch(3) != 3 || s.JoinEpoch(0) != 1 {
+		t.Fatalf("join epochs %d (node 3) and %d (founder 0), want 3 (the rejoin's epoch) and 1", s.JoinEpoch(3), s.JoinEpoch(0))
 	}
-	stale := wire.VSCommand{Op: wire.VSFail, Node: 3, Epoch: 1} // the founder incarnation
+	stale := wire.VSCommand{Op: wire.VSFail, Node: 3, Epoch: 1} // the founder membership
 	_ = r.cli.tr.Multicast(r.cli.replicas, &wire.VSPropose{Cmd: stale})
 	transport.Flush(r.cli.tr)
 	time.Sleep(10 * r.cli.cfg.retryEvery()) // well past the lease wait such a report sits out

@@ -408,8 +408,11 @@ func (o VSOp) String() string {
 
 // VSCommand is one state-machine command. Node is the subject (the failed /
 // joining / leaving / reporting node). Epoch is meaningful for VSRecoveryDone
-// (the barrier epoch the report belongs to) and VSFail (the incarnation the
-// report ends, VSState.Incarnation: a report about an earlier one is a no-op).
+// (the barrier epoch the report belongs to) and VSFail (the join epoch of the
+// membership the report ends, VSState.JoinEpoch: a report about an earlier
+// membership is a no-op). A VSFail's Epoch is not the node's durable
+// incarnation counter (storage.Recovered.Incarnation), which the view never
+// sees.
 type VSCommand struct {
 	Op    VSOp
 	Node  NodeID
@@ -443,16 +446,16 @@ type VSState struct {
 	// Placement.Shards, the slice is immutable once published.
 	Addrs []NodeAddr
 	// Joined records, for each live node whose membership began with a
-	// join, the epoch that join committed at: the node's incarnation in the
-	// view. A live node with no entry is a founder, incarnation 1, so a
-	// deployment where nobody (re)joined carries an empty list. Like Addrs,
-	// the slice is immutable once published.
+	// join, the epoch that join committed at: the node's join epoch, which
+	// names its current membership. A live node with no entry is a founder,
+	// join epoch 1, so a deployment where nobody (re)joined carries an empty
+	// list. Like Addrs, the slice is immutable once published.
 	Joined []NodeEpoch
 }
 
-// Incarnation returns node's incarnation in s: the epoch its join committed
-// at, or 1 for a founder.
-func (s *VSState) Incarnation(node NodeID) Epoch {
+// JoinEpoch returns the epoch node's current membership in s began at: the
+// epoch its join committed at, or 1 for a founder.
+func (s *VSState) JoinEpoch(node NodeID) Epoch {
 	for _, j := range s.Joined {
 		if j.Node == node {
 			return j.Epoch
