@@ -35,7 +35,7 @@ func TestKillOwnerUnderLoad(t *testing.T) {
 	opts.Observability = true
 	c := New(opts)
 	defer c.Close()
-	defer logBareGrants(t, c)
+	defer logUnbacked(t, c)
 	// Owner is node 3; readers are nodes 0 and 1 (defaults put them after
 	// the owner in the live ring: 0,1).
 	c.Seed(1, 3, wire.BitmapOf(0, 1), u64c(0))
@@ -142,6 +142,7 @@ func TestLossyFabricOwnershipChurn(t *testing.T) {
 	opts := DefaultOptions(3)
 	opts.Fabric = FabricSim
 	opts.Workers = 2
+	opts.Observability = true
 	opts.Net = netsim.Config{
 		Seed:       11,
 		MinLatency: 2 * time.Microsecond,
@@ -181,31 +182,39 @@ func TestLossyFabricOwnershipChurn(t *testing.T) {
 	if final != 15 {
 		t.Fatalf("lossy fabric lost increments: %d/15", final)
 	}
-	// No failure was injected, so every one of the 15 moves shipped the value
-	// or found it in place.
-	if n := bareGrants(c); n != 0 {
-		t.Fatalf("%d grants raised a node over a record holding no value", n)
+	// No failure was injected, so every one of the 15 moves found the value
+	// where the requester said it was: the source shipped whenever the
+	// requester held an older version, and no grant had to be refused.
+	if n := unbacked(t, c); n != 0 {
+		t.Fatalf("%d grants were refused as unbacked", n)
 	}
 }
 
-// bareGrants sums ownership.Stats.BareGrants over every node the cluster ever
-// started: how often a node became reader or owner of a value it does not
-// hold and was not sent — the precondition of the lost update in ROADMAP's
-// bare-grant item, 0 on a correct run.
-func bareGrants(c *Cluster) uint64 {
+// unbacked sums own_nack_unbacked_total over every node the cluster ever
+// started (its current incarnation): how often a requester refused a grant
+// that would have raised it over a value older than the data source's, with
+// none shipped, and asked again. Needs Options.Observability.
+func unbacked(t *testing.T, c *Cluster) uint64 {
+	t.Helper()
 	var n uint64
 	for i := 0; i < c.Nodes(); i++ {
-		n += c.Node(i).OwnershipEngine().Stats().BareGrants
+		reg := c.Obs(i)
+		if reg == nil {
+			t.Errorf("node %d has no metrics: the test needs Options.Observability", i)
+			continue
+		}
+		v, _ := reg.CounterValue("own_nack_unbacked_total")
+		n += v
 	}
 	return n
 }
 
-// logBareGrants is deferred by the torture tests in which bare grants have
-// been seen: the count lands in the -v log of a passing run and next to the
-// failure message of a failing one.
-func logBareGrants(t *testing.T, c *Cluster) {
+// logUnbacked is deferred by the torture tests: the count of unbacked
+// refusals lands in the -v log of a passing run and next to the failure
+// message of a failing one.
+func logUnbacked(t *testing.T, c *Cluster) {
 	t.Helper()
-	t.Logf("bare grants, all nodes: %d", bareGrants(c))
+	t.Logf("unbacked grants refused, all nodes: %d", unbacked(t, c))
 }
 
 // TestSequentialKills removes two nodes one after the other; the deployment

@@ -56,7 +56,9 @@ func TestKillRestartOnEveryFabric(t *testing.T) {
 	}
 	for _, f := range everyFabric {
 		t.Run(f.name+"/kill-restart", func(t *testing.T) {
-			c := New(durableOn(f.kind, nodes))
+			opts := durableOn(f.kind, nodes)
+			opts.Observability = true
+			c := New(opts)
 			defer c.Close()
 			c.SeedRange(1, objects, u64c(0)) // object i+1 at node i%4
 			ownedBy := func(node int) []wire.ObjectID {
@@ -115,8 +117,8 @@ func TestKillRestartOnEveryFabric(t *testing.T) {
 				// Seeded 0; one write by its first owner, then the two rounds.
 				assertReplicasAgree(t, c, obj, u64c(3))
 			}
-			if n := bareGrants(c); n != 0 {
-				t.Errorf("%d bare grants on a run with no concurrent load", n)
+			if n := unbacked(t, c); n != 0 {
+				t.Errorf("%d grants refused as unbacked on a run with no concurrent load", n)
 			}
 		})
 		t.Run(f.name+"/kill-view-leader", func(t *testing.T) {

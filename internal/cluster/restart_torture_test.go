@@ -29,6 +29,7 @@ import (
 func TestCrashRestartTorture(t *testing.T) {
 	opts := DefaultOptions(4)
 	opts.Storage = func(wire.NodeID) storage.Storage { return memstorage.New() }
+	opts.Observability = true
 	c := New(opts)
 	defer c.Close()
 
@@ -55,10 +56,11 @@ func TestCrashRestartTorture(t *testing.T) {
 	for i := 0; i < loadN; i++ {
 		counts[loadBase+wire.ObjectID(i)] = &atomic.Uint64{}
 	}
-	// A lost increment (ROADMAP's bare-grant item) starts as a bare grant: a
-	// failure prints the count beside what each object should hold.
+	// A lost increment started as a bare grant, which the grant transition
+	// now refuses: a failure prints the refusals beside what each object
+	// should hold.
 	defer func() {
-		logBareGrants(t, c)
+		logUnbacked(t, c)
 		for i := 0; t.Failed() && i < loadN; i++ {
 			t.Logf("object %d: %d increments committed", loadBase+wire.ObjectID(i), counts[loadBase+wire.ObjectID(i)].Load())
 		}

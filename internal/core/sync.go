@@ -361,13 +361,9 @@ func (n *Node) handleSyncState(s *wire.SyncState) {
 		}
 		o, _ := n.st.GetOrCreate(e.Obj)
 		o.Mu.Lock()
-		if e.Version < o.TVersion() || e.TS.Less(o.OTSLocked()) {
-			// The object already advanced past the answer — a racing
-			// invalidation bumped the version, or a racing ownership grant
-			// minted a newer o_ts (this node may drive the object's
-			// directory shard, so regressing its replica set would mint
-			// grants that silently drop replicas). The live protocol owns
-			// the object now; the answer is stale wholesale.
+		if e.Version < o.TVersion() {
+			// A racing invalidation bumped the version past the answer (one
+			// older than o_ts or a pending arbitration GrantLocked refuses).
 			o.Mu.Unlock()
 			continue
 		}

@@ -9,8 +9,8 @@ import (
 )
 
 // nackReasonCount sizes the per-reason NACK counter family (the reasons are
-// a compact enum ending at NackNotDriver).
-const nackReasonCount = int(wire.NackNotDriver) + 1
+// a compact enum ending at NackUnbacked).
+const nackReasonCount = int(wire.NackUnbacked) + 1
 
 // engineObs is the ownership engine's cached observability bundle (see
 // commit.engineObs): handles resolved once in New, record sites pay
@@ -48,6 +48,5 @@ func newEngineObs(e *Engine, r *obs.Registry) *engineObs {
 	r.CounterFunc("own_nacks_sent_total", e.stNacks.Load)
 	r.CounterFunc("own_timeouts_total", e.stTimeouts.Load)
 	r.CounterFunc("own_replays_total", e.stReplays.Load)
-	r.CounterFunc("own_bare_grants_total", e.stBareGrants.Load)
 	return b
 }

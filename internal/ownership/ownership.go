@@ -14,9 +14,9 @@
 //
 // The failure-free flow (top of Figure 3): REQ → driver mints o_ts, state
 // Drive, INVs remaining arbiters → arbiters invalidate and ACK directly to
-// the requester (the owner piggybacks the data when the requester holds no
-// replica; it NACKs if the object has pending reliable commits) → requester
-// applies first, unblocks the application, and VALs all arbiters.
+// the requester (the owner piggybacks the data when the requester holds an
+// older version; it NACKs if the object has pending reliable commits) →
+// requester applies first, unblocks the application, and VALs all arbiters.
 //
 // Recovery (bottom of Figure 3): after a membership epoch bump, any arbiter
 // stuck with a pending request replays the exact same INV from its stored
@@ -140,10 +140,6 @@ type Stats struct {
 	Nacks     uint64
 	Timeouts  uint64
 	Replays   uint64 // arb-replays driven during recovery
-	// BareGrants counts grants that raised this node's level over a record
-	// holding no value, with none shipped (object creation aside): the
-	// precondition of ROADMAP's bare-grant lost update. 0 on a correct run.
-	BareGrants uint64
 }
 
 // Engine runs the ownership protocol on one node.
@@ -211,8 +207,6 @@ type Engine struct {
 	stTimeouts  atomic.Uint64
 	stReplays   atomic.Uint64
 
-	stBareGrants atomic.Uint64
-
 	rngMu sync.Mutex
 	rng   *rand.Rand
 }
@@ -232,7 +226,7 @@ type ackSet struct {
 	acked       wire.Bitmap
 	ts          wire.OTS
 	newReplicas wire.ReplicaSet
-	val         store.Shipped // the data source's piggyback, if any
+	val         store.Shipped // what the data source holds (fromSource)
 	applied     bool
 }
 
@@ -336,8 +330,6 @@ func (e *Engine) Stats() Stats {
 		Nacks:     e.stNacks.Load(),
 		Timeouts:  e.stTimeouts.Load(),
 		Replays:   e.stReplays.Load(),
-
-		BareGrants: e.stBareGrants.Load(),
 	}
 }
 
@@ -388,7 +380,7 @@ func (e *Engine) Handle(from wire.NodeID, m wire.Msg) {
 	case *wire.OwnVal:
 		e.handleVal(v)
 	case *wire.OwnNack:
-		e.handleNack(v)
+		e.deliver(v.ReqID, outcome{reason: v.Reason, from: v.From})
 	case *wire.OwnResp:
 		e.handleResp(v)
 	}
@@ -552,7 +544,7 @@ func (e *Engine) run(obj wire.ObjectID, mode wire.ReqMode, target wire.Bitmap, b
 		// Mark local o_state = Request (unless an INV owns the entry).
 		o, _ := e.st.GetOrCreate(obj)
 		o.Mu.Lock()
-		o.RequestLocked()
+		holds := o.RequestLocked()
 		o.Mu.Unlock()
 
 		driver := e.pickDriver(obj, unknownFrom)
@@ -560,7 +552,7 @@ func (e *Engine) run(obj wire.ObjectID, mode wire.ReqMode, target wire.Bitmap, b
 		m := wire.OwnReq{
 			ReqID: id, Obj: obj, Requester: e.self, Mode: mode,
 			Epoch: e.agent.Epoch(), Target: target,
-			Shard: uint32(e.dir.ShardOf(obj)),
+			Shard: uint32(e.dir.ShardOf(obj)), Holds: holds,
 		}
 		if driver == e.self {
 			// Co-located with the shard (§4.2): drive the request right
@@ -609,6 +601,11 @@ func (e *Engine) run(obj wire.ObjectID, mode wire.ReqMode, target wire.Bitmap, b
 			// holds the arbitration in Drive state and will re-INV with
 			// the same o_ts; the owner ACKs once its pipeline drains.
 			ownerBusy = true
+		case !timedOut && out.reason == wire.NackUnbacked:
+			// The SAME request again, Holds restated: the source now ships.
+			req.mu.Lock()
+			req.ackSet = ackSet{}
+			req.mu.Unlock()
 		default:
 			// Lost arbitration, stale epoch, recovering, or timeout
 			// (possibly a dead owner or driver): fresh arbitration with
@@ -746,9 +743,10 @@ func (e *Engine) handleReq(m *wire.OwnReq) {
 	}
 
 	// Retry of the request this driver already arbitrates: re-INV with the
-	// same o_ts (idempotent); arbiters that already applied re-ACK.
+	// same o_ts and the restated Holds (idempotent); arbiters re-ACK.
 	if arbitrating && pend.ReqID == m.ReqID {
 		o.Mu.Unlock()
+		pend.Holds = m.Holds
 		inv := e.invFromPending(m.Obj, pend)
 		e.sendOthers(pend.Arbiters, inv)
 		e.ackAsArbiter(inv) // driver re-ACKs too
@@ -823,8 +821,8 @@ func (e *Engine) handleReq(m *wire.OwnReq) {
 	// Arbiters: the shard's drivers + the current owner. Sharding requests
 	// (§6.2) additionally involve the affected replicas: dropped readers
 	// must discard data, created readers must learn their role, deletes
-	// reach everyone. If the owner died and the requester needs data, a
-	// live reader joins the arbitration as the data source.
+	// reach everyone. If the owner died, a live reader other than the
+	// requester joins the arbitration as the data source.
 	live := e.agent.View().Live
 	arbiters := e.dir.DriversFor(m.Obj).Intersect(live)
 	prevOwner := cur.Owner
@@ -841,8 +839,8 @@ func (e *Engine) handleReq(m *wire.OwnReq) {
 	case wire.DeleteObject:
 		arbiters = arbiters.Union(cur.All().Intersect(live))
 	default:
-		if prevOwner == wire.NoNode && cur.LevelOf(m.Requester) == wire.NonReplica {
-			if src, ok := lowest(cur.Readers.Intersect(live)); ok {
+		if prevOwner == wire.NoNode {
+			if src, ok := lowest(cur.Readers.Intersect(live).Remove(m.Requester)); ok {
 				arbiters = arbiters.Add(src)
 				prevOwner = src // acts as the data source
 			}
@@ -852,7 +850,7 @@ func (e *Engine) handleReq(m *wire.OwnReq) {
 	pend = store.PendingOwn{
 		ReqID: m.ReqID, TS: ts, Requester: m.Requester, Driver: e.self,
 		Mode: m.Mode, NewReplicas: next, PrevOwner: prevOwner,
-		Arbiters: arbiters, Epoch: epoch, Since: time.Now(),
+		Arbiters: arbiters, Epoch: epoch, Holds: m.Holds, Since: time.Now(),
 	}
 	o.DriveLocked(pend)
 	o.Mu.Unlock()
@@ -868,7 +866,7 @@ func (e *Engine) invFromPending(obj wire.ObjectID, p store.PendingOwn) *wire.Own
 		ReqID: p.ReqID, Obj: obj, TS: p.TS, Epoch: p.Epoch,
 		Requester: p.Requester, Driver: p.Driver, Mode: p.Mode,
 		NewReplicas: p.NewReplicas, PrevOwner: p.PrevOwner,
-		Arbiters: p.Arbiters,
+		Arbiters: p.Arbiters, Holds: p.Holds,
 	}
 	return inv
 }
@@ -909,31 +907,23 @@ func (e *Engine) validate(arbiters wire.Bitmap, reqID uint64, obj wire.ObjectID,
 	e.sendOthers(arbiters, val)
 }
 
-// buildAck fills in this node's ACK for the given INV, attaching the data
-// when this node is the data source and the requester gains a replica.
+// buildAck fills in this node's ACK for the given INV. The data source
+// reports its version, and attaches the value when the requester's is older
+// or the INV is a replay, whose Holds may predate the requester's drop.
 func (e *Engine) buildAck(ack *wire.OwnAck, inv *wire.OwnInv) {
 	*ack = wire.OwnAck{
 		ReqID: inv.ReqID, Obj: inv.Obj, TS: inv.TS, Epoch: inv.Epoch,
 		From: e.self, Arbiters: inv.Arbiters, NewReplicas: inv.NewReplicas,
 		Mode: inv.Mode,
 	}
-	needData := (inv.Mode == wire.AcquireOwner || inv.Mode == wire.AcquireReader) &&
+	source := (inv.Mode == wire.AcquireOwner || inv.Mode == wire.AcquireReader) &&
 		e.self == inv.PrevOwner && e.self != inv.Requester
-	if needData {
+	if source {
 		if o, ok := e.st.Get(inv.Obj); ok {
 			o.Mu.Lock()
-			// Failure-free transfers to an existing replica send no data:
-			// the pending-commit NACK guard guarantees the pipeline
-			// drained, so the requester's replica is current. Recovery
-			// replays bypass that guard (the pipeline may never drain
-			// towards a dead follower), so the requester's replica can
-			// lag the owner's committed state by the in-flight slots —
-			// the ex-owner therefore always piggybacks its data, which
-			// is final (an initiated reliable commit cannot abort), and
-			// the requester's t_version check applies it idempotently.
-			if inv.Recovery || o.ReplicasLocked().LevelOf(inv.Requester) == wire.NonReplica {
+			ack.TVersion = o.TVersion()
+			if inv.Recovery || inv.Holds < ack.TVersion {
 				ack.HasData = true
-				ack.TVersion = o.TVersion()
 				ack.CTS = o.CommitCTSLocked()
 				// No copy: object payloads are replace-only (see
 				// store.Object.DataLocked) and a data-carrying ACK is
@@ -945,6 +935,14 @@ func (e *Engine) buildAck(ack *wire.OwnAck, inv *wire.OwnInv) {
 			}
 			o.Mu.Unlock()
 		}
+	}
+}
+
+// fromSource folds an ACK into val, what the data source holds: only its ACK
+// reports a version, and a shipped value outlives a later bare report.
+func fromSource(val *store.Shipped, m *wire.OwnAck) {
+	if m.TVersion != 0 && !val.Has {
+		*val = store.Shipped{Has: m.HasData, CTS: m.CTS, Version: m.TVersion, Data: m.Data}
 	}
 }
 
@@ -1016,7 +1014,7 @@ func (e *Engine) handleInv(m *wire.OwnInv) {
 	loser, lost := o.InvalidateLocked(store.PendingOwn{
 		ReqID: m.ReqID, TS: m.TS, Requester: m.Requester, Driver: m.Driver,
 		Mode: m.Mode, NewReplicas: m.NewReplicas, PrevOwner: m.PrevOwner,
-		Arbiters: m.Arbiters, Epoch: m.Epoch, Since: time.Now(),
+		Arbiters: m.Arbiters, Epoch: m.Epoch, Holds: m.Holds, Since: time.Now(),
 	}, e.self)
 
 	// Did a VAL overtake this INV? Apply immediately if so.
@@ -1028,13 +1026,13 @@ func (e *Engine) handleInv(m *wire.OwnInv) {
 		}
 		return awaited, false, false
 	})
-	applied, bare := false, false
+	applied := false
 	if hasVal {
-		_, applied, bare = o.GrantPendingLocked(e.self)
+		_, applied = o.GrantPendingLocked(e.self)
 	}
 	o.Mu.Unlock()
 	if applied {
-		e.recGrant(m.Obj, m.TS, m.NewReplicas, m.Mode, bare)
+		e.recGrant(m.Obj, m.TS, m.NewReplicas)
 	}
 
 	if lost {
@@ -1047,17 +1045,12 @@ func (e *Engine) handleInv(m *wire.OwnInv) {
 	e.ackAsArbiter(m)
 }
 
-// recGrant counts an applied grant and records it in the WAL (best effort:
-// grant records are recovery hints — the restarted node re-derives
-// authoritative levels from state sync — so a failed append degrades nothing
-// but restart locality). Called outside the object mutex: grant records never
-// block the object lock. bare is the grant transition's report that it raised
-// a record holding no value without one being shipped; a created object's
-// value follows by R-INV by design, anything else is ROADMAP's bare-grant item.
-func (e *Engine) recGrant(obj wire.ObjectID, ts wire.OTS, reps wire.ReplicaSet, mode wire.ReqMode, bare bool) {
-	if bare && mode != wire.CreateObject {
-		e.stBareGrants.Add(1)
-	}
+// recGrant records an applied grant in the WAL (best effort: grant records
+// are recovery hints — the restarted node re-derives authoritative levels
+// from state sync — so a failed append degrades nothing but restart
+// locality). Called outside the object mutex: grant records never block the
+// object lock.
+func (e *Engine) recGrant(obj wire.ObjectID, ts wire.OTS, reps wire.ReplicaSet) {
 	if l := e.log; l != nil {
 		_ = l.Append(storage.Record{
 			Kind: storage.RecGrant, Obj: obj, TS: ts,
@@ -1076,10 +1069,10 @@ func (e *Engine) handleVal(m *wire.OwnVal) {
 	pend, arbitrating := o.PendingLocked()
 	switch {
 	case arbitrating && pend.TS == m.TS:
-		_, applied, bare := o.GrantPendingLocked(e.self)
+		_, applied := o.GrantPendingLocked(e.self)
 		o.Mu.Unlock()
 		if applied {
-			e.recGrant(m.Obj, pend.TS, pend.NewReplicas, pend.Mode, bare)
+			e.recGrant(m.Obj, pend.TS, pend.NewReplicas)
 		}
 		if pend.Mode == wire.DeleteObject && !e.dir.DrivesShard(e.self, m.Obj) {
 			e.st.Delete(m.Obj)
@@ -1141,9 +1134,7 @@ func (e *Engine) handleAck(m *wire.OwnAck) {
 	req.arbiters = m.Arbiters
 	req.newReplicas = m.NewReplicas
 	req.acked = req.acked.Add(m.From)
-	if m.HasData {
-		req.val = store.Shipped{Has: true, CTS: m.CTS, Version: m.TVersion, Data: m.Data}
-	}
+	fromSource(&req.val, m)
 	if req.acked.Intersect(req.arbiters) != req.arbiters {
 		req.mu.Unlock()
 		return
@@ -1154,40 +1145,43 @@ func (e *Engine) handleAck(m *wire.OwnAck) {
 
 	// All expected ACKs received: the requester applies the request first
 	// (before any arbiter), unblocks the application, then VALs.
-	e.applyAsRequester(m.Obj, got.ts, got.newReplicas, mode, got.val)
-	req.deliver(m.ReqID, outcome{ok: true})
-	e.validate(got.arbiters, m.ReqID, m.Obj, got.ts, m.Epoch)
+	if e.applyAsRequester(m.ReqID, m.Obj, got.ts, got.newReplicas, mode, got.val) {
+		e.validate(got.arbiters, m.ReqID, m.Obj, got.ts, m.Epoch)
+	}
 }
 
-// applyAsRequester installs the granted level, replica set and (for fresh
-// replicas) the object data. The install is monotonic in the ownership
-// timestamp: a strictly older ts is dropped. In the failure-free flow the
-// requester applies first, so its local o_ts is always below the minted
-// one — the guard only bites for a stale recovery RESP, i.e. an arb-replay
-// finishing an arbitration its requester abandoned (attempt timeout) and
-// re-ran: applying the abandoned grant over the newer state would hand
-// ownership metadata back in time and present two owners.
-func (e *Engine) applyAsRequester(obj wire.ObjectID, ts wire.OTS, reps wire.ReplicaSet, mode wire.ReqMode, val store.Shipped) {
+// applyAsRequester installs the granted level, replica set and shipped value,
+// hands request id its outcome, and reports whether to VAL the arbiters. A
+// stale grant is dropped, and VALed. An unbacked one is neither: id gets
+// NackUnbacked, which run retries.
+func (e *Engine) applyAsRequester(id uint64, obj wire.ObjectID, ts wire.OTS, reps wire.ReplicaSet, mode wire.ReqMode, val store.Shipped) (validate bool) {
 	if mode == wire.DeleteObject && !e.dir.DrivesShard(e.self, obj) {
 		e.st.Delete(obj)
-		return
+		e.deliver(id, outcome{ok: true})
+		return true
 	}
 	// A driver keeps the bare directory entry of an object it deleted, so
 	// there the delete is a grant like any other: to nobody.
 	o, _ := e.st.GetOrCreate(obj)
 	o.Mu.Lock()
-	applied, bare := o.GrantLocked(e.self, ts, reps, val)
+	applied, unbacked := o.GrantLocked(e.self, ts, reps, val)
 	o.Mu.Unlock()
-	if !applied {
-		return
+	if unbacked {
+		e.deliver(id, outcome{reason: wire.NackUnbacked})
+		return false
 	}
-	e.clock.Update(val.CTS)
-	e.recGrant(obj, ts, reps, mode, bare)
+	if applied {
+		e.clock.Update(val.CTS)
+		e.recGrant(obj, ts, reps)
+	}
+	e.deliver(id, outcome{ok: true})
+	return true
 }
 
-func (e *Engine) handleNack(m *wire.OwnNack) {
-	if req, ok := e.pending.Get(m.ReqID); ok {
-		req.deliver(m.ReqID, outcome{reason: m.Reason, from: m.From})
+// deliver hands out to request id's record, if this node still runs it.
+func (e *Engine) deliver(id uint64, out outcome) {
+	if req, ok := e.pending.Get(id); ok {
+		req.deliver(id, out)
 	}
 }
 
@@ -1275,19 +1269,17 @@ func (e *Engine) arbReplay(obj wire.ObjectID, pend store.PendingOwn, epoch wire.
 	inv.Driver = e.self // ACKs flow to the replaying driver
 	inv.Recovery = true
 	inv.Arbiters = rs.arbiters
+	var own wire.OwnAck // the replayer's own ACK: it may be the data source
+	e.buildAck(&own, inv)
 	e.sendOthers(rs.arbiters, inv)
-	// Count the replayer's own ACK.
 	e.recovMu.Lock()
-	rs.acked = rs.acked.Add(e.self)
-	e.checkRecoveryCompleteLocked(rs, epoch)
+	e.handleRecoveryAckLocked(rs, &own)
 	e.recovMu.Unlock()
 }
 
 func (e *Engine) handleRecoveryAckLocked(rs *recovState, m *wire.OwnAck) {
 	rs.acked = rs.acked.Add(m.From)
-	if m.HasData {
-		rs.val = store.Shipped{Has: true, CTS: m.CTS, Version: m.TVersion, Data: m.Data}
-	}
+	fromSource(&rs.val, m)
 	e.checkRecoveryCompleteLocked(rs, m.Epoch)
 }
 
@@ -1312,38 +1304,37 @@ func (e *Engine) checkRecoveryCompleteLocked(rs *recovState, epoch wire.Epoch) {
 		})
 		return
 	}
-	// Requester dead (or is this very node): finalize directly.
+	// Requester dead (or is this very node, applying first): finalize directly.
 	go func() {
-		if p.Requester == e.self {
-			e.applyAsRequester(rs.obj, rs.ts, p.NewReplicas, p.Mode, rs.val)
+		if p.Requester == e.self && !e.applyAsRequester(rs.reqID, rs.obj, rs.ts, p.NewReplicas, p.Mode, rs.val) {
+			return
 		}
 		e.validate(rs.arbiters, rs.reqID, rs.obj, rs.ts, epoch)
 		// Ensure the local entry is validated too (the requester may have
 		// died before applying; this node holds the pending record).
 		if o, ok := e.st.Get(rs.obj); ok {
 			o.Mu.Lock()
-			applied, bare := false, false
+			applied := false
 			if pend, ok := o.PendingLocked(); ok && pend.TS == rs.ts {
-				_, applied, bare = o.GrantPendingLocked(e.self)
+				_, applied = o.GrantPendingLocked(e.self)
 			}
 			o.Mu.Unlock()
 			if applied {
-				e.recGrant(rs.obj, rs.ts, p.NewReplicas, p.Mode, bare)
+				e.recGrant(rs.obj, rs.ts, p.NewReplicas)
 			}
 		}
 	}()
 }
 
 // handleResp lets a live requester finish a recovered request exactly like
-// the failure-free path: apply first, then VAL the arbiters.
+// the failure-free path: apply first, then VAL the arbiters — after a stale
+// RESP too, whose arbiters the first RESP's VAL may have missed.
 func (e *Engine) handleResp(m *wire.OwnResp) {
 	if m.Epoch != e.agent.Epoch() {
 		return
 	}
-	e.applyAsRequester(m.Obj, m.TS, m.NewReplicas, m.Mode,
-		store.Shipped{Has: m.HasData, CTS: m.CTS, Version: m.TVersion, Data: m.Data})
-	if req, ok := e.pending.Get(m.ReqID); ok {
-		req.deliver(m.ReqID, outcome{ok: true})
+	if e.applyAsRequester(m.ReqID, m.Obj, m.TS, m.NewReplicas, m.Mode,
+		store.Shipped{Has: m.HasData, CTS: m.CTS, Version: m.TVersion, Data: m.Data}) {
+		e.validate(m.Arbiters, m.ReqID, m.Obj, m.TS, m.Epoch)
 	}
-	e.validate(m.Arbiters, m.ReqID, m.Obj, m.TS, m.Epoch)
 }

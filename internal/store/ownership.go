@@ -49,6 +49,7 @@ type PendingOwn struct {
 	PrevOwner   wire.NodeID
 	Arbiters    wire.Bitmap
 	Epoch       wire.Epoch
+	Holds       uint64 // the requester's wire.OwnReq.Holds
 	// Since records when this arbitration was applied locally; drivers
 	// force-complete (arb-replay) arbitrations that linger past a
 	// staleness threshold, e.g. because the requester gave up.
@@ -56,8 +57,8 @@ type PendingOwn struct {
 }
 
 // Shipped is a committed value that travels with a grant: the ownership ACK's
-// piggyback, a state-sync answer, a seed. The zero Shipped ships
-// nothing.
+// piggyback, a state-sync answer, a seed. Has false ships nothing: Version is
+// then the data source's version, and the zero Shipped has no source.
 type Shipped struct {
 	Has     bool
 	CTS     uint64
@@ -141,11 +142,16 @@ func (o *Object) HoldsLocked(min wire.AccessLevel) bool {
 }
 
 // RequestLocked marks this node's own ownership request as outstanding, unless
-// an arbitration holds the entry (caller holds Mu).
-func (o *Object) RequestLocked() {
+// an arbitration holds the entry (caller holds Mu), and returns its Holds: the
+// Valid version of a replica it may act on, else 0 (R-INV, hint, pending drop).
+func (o *Object) RequestLocked() (holds uint64) {
 	if o.ostate == OValid {
 		o.ostate = ORequest
 	}
+	if ver, st := o.TSnapshot(); st == TValid && o.HoldsLocked(wire.Reader) {
+		return ver
+	}
+	return 0
 }
 
 // SettleRequestLocked is RequestLocked undone for a request that was given up;
@@ -186,12 +192,15 @@ func (o *Object) InvalidateLocked(p PendingOwn, self wire.NodeID) (loser Pending
 // o_state Valid, no arbitration pending, and this node's level what reps gives
 // self. It is the only code that raises a level, and the value moves with it:
 // a node that leaves the set drops its replica, one in the set installs val
-// unless it already holds a newer version. A ts older than o_ts is refused —
-// applied false, nothing touched. bare reports a raise that left the record
-// without a value (version 0): none was shipped to a node that held none.
-func (o *Object) GrantLocked(self wire.NodeID, ts wire.OTS, reps wire.ReplicaSet, val Shipped) (applied, bare bool) {
-	if ts.Less(o.OTSLocked()) {
+// unless it already holds a newer version. Refused, changing nothing: a stale
+// grant, older than o_ts or the pending arbitration; an unbacked one, a raise
+// that would leave the record below the source's val.Version, nothing shipped.
+func (o *Object) GrantLocked(self wire.NodeID, ts wire.OTS, reps wire.ReplicaSet, val Shipped) (applied, unbacked bool) {
+	if p := o.pendingRec(); ts.Less(o.OTSLocked()) || p != nil && ts.Less(p.TS) {
 		return false, false
+	}
+	if reps.LevelOf(self) > o.level && !val.Has && o.TVersion() < val.Version {
+		return false, true
 	}
 	o.clearPendingLocked()
 	o.setReplicasLocked(reps)
@@ -207,24 +216,24 @@ func (o *Object) GrantLocked(self wire.NodeID, ts wire.OTS, reps wire.ReplicaSet
 	case val.Has && val.Version >= o.TVersion():
 		o.installLocked(val.CTS, val.Version, val.Data)
 	}
-	return true, o.level > was && o.TVersion() == 0
+	return true, false
 }
 
 // GrantPendingLocked applies the pending arbitration as a grant without a
 // value (caller holds Mu) and returns a copy of it; applied is false when
 // there was none, or when o_ts has since passed it — the arbitration is void
 // and dropped.
-func (o *Object) GrantPendingLocked(self wire.NodeID) (p PendingOwn, applied, bare bool) {
+func (o *Object) GrantPendingLocked(self wire.NodeID) (p PendingOwn, applied bool) {
 	pp := o.pendingRec()
 	if pp == nil {
-		return PendingOwn{}, false, false
+		return PendingOwn{}, false
 	}
 	p = *pp
-	if applied, bare = o.GrantLocked(self, p.TS, p.NewReplicas, Shipped{}); !applied {
+	if applied, _ = o.GrantLocked(self, p.TS, p.NewReplicas, Shipped{}); !applied {
 		o.clearPendingLocked()
 		o.ostate = OValid
 	}
-	return p, applied, bare
+	return p, applied
 }
 
 // PruneLocked is the view change's edit (caller holds Mu): nodes outside live

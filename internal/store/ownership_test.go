@@ -86,6 +86,41 @@ func TestOwnershipTransitions(t *testing.T) {
 				o.SettleRequestLocked()
 			},
 			want: "reader Valid 3.0 0[1 2] -", wantValue: a3},
+		{name: "request: a request states the version held Valid",
+			pre: reader3,
+			do: func(t *testing.T, o *Object) {
+				if holds := o.RequestLocked(); holds != 3 {
+					t.Errorf("RequestLocked = %d, want 3", holds)
+				}
+				o.SettleRequestLocked()
+			},
+			want: "reader Valid 3.0 0[1 2] -", wantValue: a3},
+		{name: "request: a value awaiting its R-VAL is not held",
+			pre: func(o *Object) { reader3(o); o.StageInvLocked(50, 5, b("c")) },
+			do: func(t *testing.T, o *Object) {
+				if holds := o.RequestLocked(); holds != 0 {
+					t.Errorf("RequestLocked = %d, want 0", holds)
+				}
+				o.SettleRequestLocked()
+			},
+			want: "reader Valid 3.0 0[1 2] -", wantValue: "c v5 Invalid cts50 [30:3:a 50:5:c]"},
+		{name: "request: a value an arbitration may drop is not held",
+			pre: func(o *Object) { reader3(o); o.InvalidateLocked(drop8, self) },
+			do: func(t *testing.T, o *Object) {
+				if holds := o.RequestLocked(); holds != 0 {
+					t.Errorf("RequestLocked = %d, want 0", holds)
+				}
+			},
+			want: "reader Invalid 3.0 0[1 2] req8@4.0->0[2] arb[0 1] src0 ep5", wantValue: a3},
+		{name: "request: a recovered hint is not held",
+			pre: recovered5,
+			do: func(t *testing.T, o *Object) {
+				if holds := o.RequestLocked(); holds != 0 {
+					t.Errorf("RequestLocked = %d, want 0", holds)
+				}
+				o.SettleRequestLocked()
+			},
+			want: "non-replica Valid 7.1 -[0] -", wantValue: "c v5 Invalid cts50 []"},
 		{name: "request: an arbitration holding the entry is left alone",
 			pre:  func(o *Object) { owner3(o); o.DriveLocked(move7) },
 			do:   func(_ *testing.T, o *Object) { o.RequestLocked(); o.SettleRequestLocked() },
@@ -134,8 +169,8 @@ func TestOwnershipTransitions(t *testing.T) {
 		{name: "grant: a VAL applying a pending grant that drops this node discards payload, version and ring",
 			pre: func(o *Object) { reader3(o); o.InvalidateLocked(drop8, self) },
 			do: func(t *testing.T, o *Object) {
-				if p, applied, bare := o.GrantPendingLocked(self); !applied || bare || p != drop8 {
-					t.Errorf("GrantPendingLocked = %+v, %v, %v", p, applied, bare)
+				if p, applied := o.GrantPendingLocked(self); !applied || p != drop8 {
+					t.Errorf("GrantPendingLocked = %+v, %v", p, applied)
 				}
 			},
 			want: "non-replica Valid 4.0 0[2] -", wantValue: none},
@@ -163,7 +198,7 @@ func TestOwnershipTransitions(t *testing.T) {
 		{name: "grant: a VAL with nothing pending applies nothing",
 			pre: reader3,
 			do: func(t *testing.T, o *Object) {
-				if _, applied, _ := o.GrantPendingLocked(self); applied {
+				if _, applied := o.GrantPendingLocked(self); applied {
 					t.Error("applied a grant nobody arbitrated")
 				}
 			},
@@ -174,7 +209,7 @@ func TestOwnershipTransitions(t *testing.T) {
 				o.InvalidateLocked(move9, self) // 4.2, under the recovered 7.1
 			},
 			do: func(t *testing.T, o *Object) {
-				if _, applied, _ := o.GrantPendingLocked(self); applied {
+				if _, applied := o.GrantPendingLocked(self); applied {
 					t.Error("applied an arbitration older than o_ts")
 				}
 			},
@@ -187,33 +222,73 @@ func TestOwnershipTransitions(t *testing.T) {
 				}
 			},
 			want: "owner Drive 3.0 1[0 2] " + move7s, wantValue: a3},
+		{name: "grant: a grant older than the pending arbitration is refused, and the arbitration stays",
+			pre: func(o *Object) { reader3(o); o.InvalidateLocked(move9, self) },
+			do: func(t *testing.T, o *Object) {
+				if applied, _ := o.GrantLocked(self, ts(4, 1), set(1, 0, 2), ships(40, 4, "b")); applied {
+					t.Error("applied a grant older than the pending arbitration")
+				}
+			},
+			want: "reader Invalid 3.0 0[1 2] " + move9s, wantValue: a3},
+		{name: "grant: a grant at o_ts with nothing pending still applies",
+			pre: reader3,
+			do: func(t *testing.T, o *Object) {
+				if applied, _ := o.GrantLocked(self, ts(3, 0), set(0, 1), ships(30, 3, "a")); !applied {
+					t.Error("refused a grant at o_ts")
+				}
+			},
+			want: "reader Valid 3.0 0[1] -", wantValue: a3},
 		{name: "grant: a shipped value older than the local version keeps the local value",
 			pre: func(o *Object) { reader3(o); o.StageInvLocked(50, 5, b("c")); o.ValidateLocked(5, TInvalid) },
 			do: func(_ *testing.T, o *Object) {
 				o.GrantLocked(self, ts(4, 1), set(1, 0, 2), ships(40, 4, "old"))
 			},
 			want: "owner Valid 4.1 1[0 2] -", wantValue: "c v5 Valid cts50 [30:3:a 50:5:c]"},
-		{name: "grant: a raise over a record that holds nothing, with nothing shipped, is reported",
+		{name: "grant: a raise over a record that holds nothing, with a version reported and nothing shipped, is refused",
 			pre: fresh,
 			do: func(t *testing.T, o *Object) {
-				if applied, bare := o.GrantLocked(self, ts(1, 0), set(0, 1), Shipped{}); !applied || !bare {
-					t.Errorf("GrantLocked = %v, %v; want a bare grant", applied, bare)
+				if applied, unbacked := o.GrantLocked(self, ts(1, 0), set(0, 1), Shipped{Version: 3}); applied || !unbacked {
+					t.Errorf("GrantLocked = %v, %v; want an unbacked refusal", applied, unbacked)
 				}
 			},
-			want: "reader Valid 1.0 0[1] -", wantValue: none},
-		{name: "grant: the same level again over a record that holds nothing is not a raise",
+			want: "non-replica Valid 0.0 -[] -", wantValue: none},
+		{name: "grant: a raise over an older value, with nothing shipped, is refused",
+			pre: reader3,
+			do: func(t *testing.T, o *Object) {
+				if applied, unbacked := o.GrantLocked(self, ts(4, 1), set(1, 0, 2), Shipped{Version: 5}); applied || !unbacked {
+					t.Errorf("GrantLocked = %v, %v; want an unbacked refusal", applied, unbacked)
+				}
+			},
+			want: "reader Valid 3.0 0[1 2] -", wantValue: a3},
+		{name: "grant: a raise over the version the source reports needs nothing shipped",
+			pre: reader3,
+			do: func(t *testing.T, o *Object) {
+				if applied, unbacked := o.GrantLocked(self, ts(4, 1), set(1, 0, 2), Shipped{Version: 3}); !applied || unbacked {
+					t.Errorf("GrantLocked = %v, %v", applied, unbacked)
+				}
+			},
+			want: "owner Valid 4.1 1[0 2] -", wantValue: a3},
+		{name: "grant: a raise whose source reports version 0 applies",
+			pre: fresh,
+			do: func(t *testing.T, o *Object) {
+				if applied, unbacked := o.GrantLocked(self, ts(1, 1), set(1, 0), Shipped{}); !applied || unbacked {
+					t.Errorf("GrantLocked = %v, %v", applied, unbacked)
+				}
+			},
+			want: "owner Valid 1.1 1[0] -", wantValue: none},
+		{name: "grant: the same level again below the reported version is not a raise",
 			pre: func(o *Object) { o.GrantLocked(self, ts(1, 0), set(0, 1), Shipped{}) },
 			do: func(t *testing.T, o *Object) {
-				if _, bare := o.GrantLocked(self, ts(2, 0), set(0, 1, 2), Shipped{}); bare {
-					t.Error("reported a bare grant without a raise")
+				if applied, unbacked := o.GrantLocked(self, ts(2, 0), set(0, 1, 2), Shipped{Version: 3}); !applied || unbacked {
+					t.Errorf("GrantLocked = %v, %v", applied, unbacked)
 				}
 			},
 			want: "reader Valid 2.0 0[1 2] -", wantValue: none},
 		{name: "grant: a shipped value arrives with the level",
 			pre: fresh,
 			do: func(t *testing.T, o *Object) {
-				if _, bare := o.GrantLocked(self, ts(4, 1), set(1, 0), ships(40, 4, "b")); bare {
-					t.Error("reported a bare grant although a value was shipped")
+				if applied, unbacked := o.GrantLocked(self, ts(4, 1), set(1, 0), ships(40, 4, "b")); !applied || unbacked {
+					t.Errorf("GrantLocked = %v, %v", applied, unbacked)
 				}
 			},
 			want: "owner Valid 4.1 1[0] -", wantValue: "b v4 Valid cts40 [40:4:b]"},
@@ -337,8 +412,8 @@ func TestOwnershipTransitions(t *testing.T) {
 // pool) through seeded random sequences of every ownership-side transition,
 // legal or not at that point, and checks after every step the invariants the
 // package doc states: o_ts never decreases in a record's life; a level rises
-// only through a grant or a reclaim, and a reported bare grant is a raise over
-// version 0; a NonReplica record never reads as ⟨Valid, payload⟩; an
+// only through a grant or a reclaim, an applied raise never leaves t_version
+// below the source's version, and an unbacked refusal changes nothing; a NonReplica record never reads as ⟨Valid, payload⟩; an
 // arbitration is pending iff o_state is Drive or Invalid; the cold record
 // (which holds the arbitration) is nil iff it holds nothing; and the copies
 // PendingLocked and InvalidateLocked handed out still read what they read
@@ -410,13 +485,16 @@ func TestOwnershipInvariantsHold(t *testing.T) {
 				copies = append(copies, held{got, pend})
 			case r < 13:
 				op, raises = "val", true
-				if _, applied, bare := o.GrantPendingLocked(self); bare && (!applied || o.level <= was || o.TVersion() != 0) {
-					t.Fatalf("seed %d step %d: bare grant reported for %s / %s", seed, step, ownerSide(o), valueSide(o))
-				}
+				o.GrantPendingLocked(self)
 			case r < 16:
 				op, raises = fmt.Sprintf("grant(%d.%d)", near.Ver, near.Node), true
-				if applied, bare := o.GrantLocked(self, near, randSet(), val); bare && (!applied || o.level <= was || o.TVersion() != 0) {
-					t.Fatalf("seed %d step %d: bare grant reported for %s / %s", seed, step, ownerSide(o), valueSide(o))
+				before := ownerSide(o) + " / " + valueSide(o)
+				applied, unbacked := o.GrantLocked(self, near, randSet(), val)
+				if applied && o.level > was && o.TVersion() < val.Version {
+					t.Fatalf("seed %d step %d: a raise left v%d below the source's v%d", seed, step, o.TVersion(), val.Version)
+				}
+				if after := ownerSide(o) + " / " + valueSide(o); unbacked && (applied || after != before) {
+					t.Fatalf("seed %d step %d: an unbacked refusal changed %s into %s", seed, step, before, after)
 				}
 			case r < 17:
 				op = "prune"

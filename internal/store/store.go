@@ -34,8 +34,9 @@
 //	arbitrate  DriveLocked                         ownership.handleReq: the driver's REQ
 //	           InvalidateLocked                    ownership.handleInv: an arbiter's INV
 //	grant      GrantLocked         ownership.applyAsRequester (every mode, a delete
-//	                               at its driver included), core.handleSyncState
-//	                               (the owner's answer), cluster.Seed
+//	                               at its driver included; refused when stale or
+//	                               unbacked), core.handleSyncState (the owner's
+//	                               answer), cluster.Seed
 //	           GrantPendingLocked  ownership.handleVal, handleInv (the VAL came
 //	                               first), checkRecoveryCompleteLocked
 //	prune      PruneLocked, ReplayLocked  ownership.PruneDead, ArbReplayAll: the
@@ -63,9 +64,9 @@
 // these transitions a NonReplica record never reads as ⟨Valid, payload⟩. (The
 // commit engine's transitions are level-blind: an R-INV that finds a replica
 // already dropped leaves a payload behind a NonReplica level, which no read
-// path serves and the next grant's install supersedes.) The converse is not
-// structural yet: GrantLocked can raise a node over a record that holds no
-// value when none is shipped, and reports it (ownership.Stats.BareGrants).
+// path serves and the next grant's install supersedes.) The converse holds
+// too: GrantLocked refuses a raise that would leave the record below the data
+// source's version with nothing shipped, and changes nothing.
 //
 // A replica costs its 80-byte record (TestObjectSize) and its index slots, 92
 // bytes an object at 30 000 (TestStoreBytesPerObject); snapshot reads, a

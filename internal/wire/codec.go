@@ -472,6 +472,7 @@ func AppendMarshal(dst []byte, m Msg) []byte {
 		e.epoch(v.Epoch)
 		e.bitmap(v.Target)
 		e.u32(v.Shard)
+		e.u64(v.Holds)
 	case *OwnInv:
 		e.u64(v.ReqID)
 		e.obj(v.Obj)
@@ -484,6 +485,7 @@ func AppendMarshal(dst []byte, m Msg) []byte {
 		e.node(v.PrevOwner)
 		e.bitmap(v.Arbiters)
 		e.boolean(v.Recovery)
+		e.u64(v.Holds)
 	case *OwnAck:
 		e.u64(v.ReqID)
 		e.obj(v.Obj)
@@ -645,14 +647,14 @@ func unmarshal(p []byte, dc *Decoder) (Msg, error) {
 		m = put(dc, &dc.ownReqs, d, OwnReq{
 			ReqID: d.u64(), Obj: d.obj(), Requester: d.node(),
 			Mode: ReqMode(d.u8()), Epoch: d.epoch(), Target: d.bitmap(),
-			Shard: d.u32(),
+			Shard: d.u32(), Holds: d.u64(),
 		})
 	case KindOwnInv:
 		m = put(dc, &dc.ownInvs, d, OwnInv{
 			ReqID: d.u64(), Obj: d.obj(), TS: d.ots(), Epoch: d.epoch(),
 			Requester: d.node(), Driver: d.node(), Mode: ReqMode(d.u8()),
 			NewReplicas: d.replicas(), PrevOwner: d.node(),
-			Arbiters: d.bitmap(), Recovery: d.boolean(),
+			Arbiters: d.bitmap(), Recovery: d.boolean(), Holds: d.u64(),
 		})
 	case KindOwnAck:
 		m = put(dc, &dc.ownAcks, d, OwnAck{

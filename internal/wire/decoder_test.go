@@ -81,12 +81,12 @@ func chunkedKinds() []chunkedKind {
 		}),
 		chunked("REQ", func(dc *Decoder) *Chunk[OwnReq] { return &dc.ownReqs }, 0, func(seq uint64) Msg {
 			return &OwnReq{ReqID: seq, Obj: ObjectID(seq * 10), Requester: NodeID(seq % 3),
-				Mode: AcquireOwner, Epoch: 2, Target: BitmapOf(1), Shard: uint32(seq)}
+				Mode: AcquireOwner, Epoch: 2, Target: BitmapOf(1), Shard: uint32(seq), Holds: seq + 4}
 		}),
 		chunked("INV", func(dc *Decoder) *Chunk[OwnInv] { return &dc.ownInvs }, 0, func(seq uint64) Msg {
 			return &OwnInv{ReqID: seq, Obj: ObjectID(seq * 10), TS: ts(seq), Epoch: 2,
 				Requester: NodeID(seq % 3), Driver: 1, Mode: AcquireOwner, NewReplicas: reps(seq),
-				PrevOwner: 2, Arbiters: BitmapOf(0, 1, 2), Recovery: seq%2 == 0}
+				PrevOwner: 2, Arbiters: BitmapOf(0, 1, 2), Recovery: seq%2 == 0, Holds: seq + 4}
 		}),
 		chunked("ACK", func(dc *Decoder) *Chunk[OwnAck] { return &dc.ownAcks }, 1, func(seq uint64) Msg {
 			return &OwnAck{ReqID: seq, Obj: ObjectID(seq * 10), TS: ts(seq), Epoch: 2, From: 1,

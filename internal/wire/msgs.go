@@ -121,6 +121,9 @@ type OwnReq struct {
 	// requester routing on a stale or differently-sized placement re-resolves
 	// and retries instead of being arbitrated by the wrong driver set.
 	Shard uint32
+	// Holds is the Valid version the requester may act on, else 0, restated
+	// on every attempt (store.Object.RequestLocked); the source ships a newer.
+	Holds uint64
 }
 
 func (*OwnReq) Kind() Kind { return KindOwnReq }
@@ -146,16 +149,18 @@ type OwnInv struct {
 	// Recovery marks an arb-replay: ACKs must flow to the driver, not the
 	// requester (bottom of Figure 3).
 	Recovery bool
+	Holds    uint64 // the request's OwnReq.Holds, for the data source
 }
 
 func (*OwnInv) Kind() Kind { return KindOwnInv }
 
 // OwnAck is an arbiter's acknowledgement, sent directly to the requester in
 // the failure-free case (latency optimization, §4.1) or to the recovery
-// driver during arb-replay. The previous owner piggybacks the object data
-// when the requester holds no replica. Field order is memory layout only (the
-// codec writes fields by name): Mode and HasData fill Epoch/From's word, which
-// keeps the record at 104 bytes (TestChunkedRecordSizes).
+// driver during arb-replay. The data source reports its version (TVersion)
+// and ships the data when the requester holds an older one. Field order is
+// memory layout only (the codec writes fields by name): Mode and HasData fill
+// Epoch/From's word, which keeps the record at 104 bytes
+// (TestChunkedRecordSizes).
 type OwnAck struct {
 	ReqID       uint64
 	Obj         ObjectID

@@ -322,6 +322,9 @@ const (
 	// object's directory shard (stale or mismatched placement, §6.2); the
 	// requester re-resolves the placement and retries.
 	NackNotDriver
+	// NackUnbacked: the requester refused a grant its data source's value
+	// did not back (store.Object.GrantLocked); raised locally, never sent.
+	NackUnbacked
 )
 
 func (r NackReason) String() string {
@@ -338,6 +341,8 @@ func (r NackReason) String() string {
 		return "recovering"
 	case NackNotDriver:
 		return "not-driver"
+	case NackUnbacked:
+		return "unbacked"
 	default:
 		return fmt.Sprintf("NackReason(%d)", uint8(r))
 	}

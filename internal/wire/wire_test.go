@@ -145,10 +145,10 @@ func TestReplicaSetWithOwnerSameOwner(t *testing.T) {
 func allMessages() []Msg {
 	data := []byte("the quick brown fox")
 	return []Msg{
-		&OwnReq{ReqID: 7, Obj: 42, Requester: 3, Mode: AcquireOwner, Epoch: 2, Target: BitmapOf(1, 2), Shard: 13},
+		&OwnReq{ReqID: 7, Obj: 42, Requester: 3, Mode: AcquireOwner, Epoch: 2, Target: BitmapOf(1, 2), Shard: 13, Holds: 10},
 		&OwnInv{ReqID: 7, Obj: 42, TS: OTS{9, 1}, Epoch: 2, Requester: 3, Driver: 0,
 			Mode: AcquireReader, NewReplicas: ReplicaSet{Owner: 3, Readers: BitmapOf(1)},
-			PrevOwner: 1, Arbiters: BitmapOf(0, 1, 2), Recovery: true},
+			PrevOwner: 1, Arbiters: BitmapOf(0, 1, 2), Recovery: true, Holds: 10},
 		&OwnAck{ReqID: 7, Obj: 42, TS: OTS{9, 1}, Epoch: 2, From: 1,
 			Arbiters: BitmapOf(0, 1, 2), NewReplicas: ReplicaSet{Owner: 3, Readers: BitmapOf(1)},
 			Mode: AcquireOwner, HasData: true, TVersion: 11, Data: data, CTS: 77},
@@ -457,6 +457,38 @@ func TestBufPoolRecycles(t *testing.T) {
 	// Oversized buffers are dropped, not pooled.
 	big := &Buf{B: make([]byte, 1<<17)}
 	PutBuf(big) // must not panic or pin
+}
+
+// TestEncodedSizes pins the bytes each allMessages fixture encodes to, so a
+// field that grows a message is an edit here, kind by kind. OwnReq and OwnInv
+// carry the requester's Holds (8 bytes); the reliable-commit kinds are the
+// replication path's bytes (wire.commitinv_* in the benchmark).
+func TestEncodedSizes(t *testing.T) {
+	want := []struct {
+		kind Kind
+		size int
+	}{
+		{KindOwnReq, 44}, {KindOwnInv, 65}, {KindOwnAck, 92}, {KindOwnVal, 31},
+		{KindOwnNack, 24}, {KindOwnResp, 92}, {KindCommitInv, 101}, {KindCommitAck, 30},
+		{KindCommitVal, 20}, {KindBReadReq, 17}, {KindBResp, 41}, {KindBLock, 45},
+		{KindBValidate, 29}, {KindBBackup, 52}, {KindBCommit, 52}, {KindBAbort, 37},
+		{KindVSPropose, 24}, {KindVSPropose, 10}, {KindVSAccept, 123}, {KindVSCommit, 122},
+		{KindVSLease, 18}, {KindVSQuery, 85}, {KindDirPull, 23}, {KindDirState, 73},
+		{KindSyncPull, 105}, {KindSyncState, 124}, {KindSafeTime, 15}, {KindObsPull, 4},
+		{KindObsState, 72},
+	}
+	msgs := allMessages()
+	if len(msgs) != len(want) {
+		t.Fatalf("%d fixtures, %d sizes", len(msgs), len(want))
+	}
+	for i, m := range msgs {
+		if m.Kind() != want[i].kind {
+			t.Fatalf("fixture %d is a %v, want a %v", i, m.Kind(), want[i].kind)
+		}
+		if n := len(Marshal(m)); n != want[i].size {
+			t.Errorf("fixture %d (%v) encodes to %d bytes, want %d", i, m.Kind(), n, want[i].size)
+		}
+	}
 }
 
 // TestCommitSizeExact pins CommitSize to the codec: the commit engine and the

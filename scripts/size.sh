@@ -91,7 +91,8 @@ cd "$(dirname "$0")/.."
 # deadline-bounded AcquireOwnershipBy (+11), the history checker's exact
 # real-time pass, with one writer index and one check path for both of its
 # entry points (±0), and WedgeDump's ownership half (+20) ride along.
-max_lines=24462  # non-test Go outside benchmark/, testdata/ excluded
+# Raised by 8 to 24470: OwnReq/OwnInv.Holds and GrantLocked's refusals, net of the replica-set inference and BareGrants.
+max_lines=24470  # non-test Go outside benchmark/, testdata/ excluded
 # Lowered from 77 by those five fields: ownership.Config's AttemptTimeout,
 # Deadline and Retry, cluster.Options.Lease and viewsvc.Config.Heartbeat.
 # Lowered from 72 to 62 by de-duplication, not by removing a knob: the eight
