@@ -19,8 +19,8 @@
 //	zeusd -id 3 -listen :7003 -view :7100,:7101,:7102 -join -data /var/zeus/3
 //
 // Restarting a crashed node is the same join command: the process first
-// recovers its store from the WAL + snapshot in -data, rejoins the view, and
-// delta-syncs divergent objects from the current owners (state sync) before
+// recovers from the WAL + snapshot in -data the objects it owned, rejoins the
+// view, and takes them back through the directory (its reclaim) before
 // serving. A process with -view-only hosts just its view replica and no data
 // node. Use cmd/zeusctl to inspect or drive the ensemble from outside.
 //
@@ -206,8 +206,8 @@ func main() {
 		// incarnation counter says a previous lifetime used it). It takes
 		// the same path as an explicit rejoin: leave-then-join bumps the
 		// epoch and has the survivors replay whatever the previous
-		// incarnation left mid-flight, then state sync re-arms the
-		// recovered objects against the current owners.
+		// incarnation left mid-flight, then the reclaim takes back the
+		// objects it owned.
 		if err := joinCluster(node, tr, cli, self, adv, *dirShards); err != nil {
 			log.Fatalf("zeusd: founder rejoin: %v", err)
 		}
@@ -229,7 +229,7 @@ func main() {
 // joinCluster attaches this node to a running deployment: contact the
 // ensemble, adopt its address book, verify the directory configuration, and
 // run the rejoin sequence (core.Node.Rejoin: evict a still-live previous
-// incarnation, commit the join, state-sync whatever the local WAL recovered).
+// incarnation, commit the join, reclaim what the local WAL says it owned).
 func joinCluster(node *core.Node, tr *transport.TCP, cli *viewsvc.Client, self wire.NodeID, adv string, dirShards int) error {
 	// First contact: the cached state is a local seed (empty, for a joiner)
 	// until the ensemble answers. WaitEpoch re-queries as a lost-push
@@ -250,7 +250,7 @@ func joinCluster(node *core.Node, tr *transport.TCP, cli *viewsvc.Client, self w
 	if err := node.Rejoin(cli, adv, 15*time.Second); err != nil {
 		return err
 	}
-	log.Printf("zeusd: node %d joined (recovered %d objects from WAL, state sync complete)", self, node.Recovered())
+	log.Printf("zeusd: node %d joined (recovered %d objects from WAL, reclaim complete)", self, node.Recovered())
 	return nil
 }
 

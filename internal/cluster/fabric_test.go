@@ -89,8 +89,8 @@ func TestKillRestartOnEveryFabric(t *testing.T) {
 			if n3.Recovered() == 0 {
 				t.Fatal("restarted node recovered nothing from its WAL")
 			}
-			if p := n3.SyncPending(); p != 0 {
-				t.Fatalf("state sync incomplete: %d objects pending", p)
+			if p := n3.ReclaimPending(); p != 0 {
+				t.Fatalf("reclaim incomplete: %d objects pending", p)
 			}
 			// What the restarted node stands on: the endpoint its previous
 			// incarnation had, except on TCP, where that one was closed and

@@ -784,7 +784,8 @@ func (e *Engine) completeSlot(s *Slot) {
 	// Coordinator-side commit record carries the data: the coordinator
 	// never logged a RecInv for its own write. Cluster-wide durability does
 	// not depend on it (followers persisted the updates before acking);
-	// it spares the restarted coordinator a data delta during state sync.
+	// it is what a restarted coordinator re-arms from when no replica of the
+	// object is live anywhere (core.reclaimOne).
 	s.tr.Event("val")
 	e.recCommitted(inv.Updates, true, cts)
 
@@ -950,9 +951,9 @@ func (e *Engine) ackDurable(p *inPipe, to wire.NodeID, m *wire.CommitInv) {
 	e.enqueue(to, ack)
 }
 
-// recCommitted records validated versions in the WAL (best effort: the
-// records only shorten state sync after a restart; R-INV durability is what
-// acks depend on).
+// recCommitted records validated versions in the WAL (best effort: a
+// restarted owner re-arms from them only when no replica of the object is
+// live anywhere; R-INV durability is what acks depend on).
 func (e *Engine) recCommitted(updates []wire.Update, withData bool, cts uint64) {
 	l := e.log
 	if l == nil || len(updates) == 0 {

@@ -147,10 +147,11 @@ type Node struct {
 	recovered   int
 	incarnation uint64
 
-	// State-sync bookkeeping (see sync.go): objects recovered from storage
-	// that still await an authoritative answer from a current owner.
-	syncMu      sync.Mutex
-	syncPending map[wire.ObjectID]syncOrigin
+	// Reclaim bookkeeping (see sync.go): the recovered objects this node
+	// owned that it has not taken back yet, each with whether its recovered
+	// value had completed a commit.
+	reclaimMu      sync.Mutex
+	reclaimPending map[wire.ObjectID]bool
 
 	stCommits   atomic.Uint64
 	stAborts    atomic.Uint64
@@ -175,8 +176,8 @@ type Node struct {
 // acking (the cluster-level durability choke point), committed values and
 // ownership grants append to the same WAL, and a background loop snapshots
 // the store to bound replay. NewNode replays whatever stg recovers BEFORE
-// traffic flows — recovered objects come back demoted (NonReplica,
-// TInvalid) and regain their level and validity through StateSync, never by
+// traffic flows — the objects it owned come back demoted (NonReplica,
+// TInvalid) and regain their level and validity through Reclaim, never by
 // trusting possibly stale local state. Nil keeps the node memory-only.
 //
 // A non-nil reg is handed to every engine's constructor (metrics, traces,
@@ -204,7 +205,7 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, stg s
 	// can race the install. See installRecovered for the demotion rules.
 	var recovered int
 	var incarnation, maxCTS uint64
-	pending := make(map[wire.ObjectID]syncOrigin)
+	pending := make(map[wire.ObjectID]bool)
 	if stg != nil {
 		rec, err := stg.Recover()
 		if err != nil {
@@ -225,7 +226,7 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, stg s
 		dirsvc: directory.NewService(id, st, tr, agent),
 		trimQ:  make(chan trimReq, trimQueueDepth), closedCh: make(chan struct{}),
 		stg: stg, recovered: recovered, incarnation: incarnation,
-		syncPending: pending, parked: make([]atomic.Pointer[Tx], cfg.Workers)}
+		reclaimPending: pending, parked: make([]atomic.Pointer[Tx], cfg.Workers)}
 	n.router = transport.NewRouter()
 	// One HLC per node, handed to both engines: commit stamps CTSs from it,
 	// ownership merges the CTS riding on grants back in. Recovery seeds it
@@ -285,7 +286,6 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, stg s
 			n.cmt.StartWatchdog(cfg.WatchdogAge)
 		}
 	}
-	n.router.HandleMany(n.handleSync, wire.KindSyncPull, wire.KindSyncState)
 	n.router.Handle(wire.KindSafeTime, n.handleSafeTime)
 	n.router.Handle(wire.KindObsPull, n.handleObsPull)
 	n.own.Register(n.router)

@@ -1046,9 +1046,9 @@ func (e *Engine) handleInv(m *wire.OwnInv) {
 }
 
 // recGrant records an applied grant in the WAL (best effort: grant records
-// are recovery hints — the restarted node re-derives authoritative levels
-// from state sync — so a failed append degrades nothing but restart
-// locality). Called outside the object mutex: grant records never block the
+// are recovery hints — they tell a restarted node which objects it owned,
+// and it takes each back through the directory — so a failed append degrades
+// nothing but restart locality). Called outside the object mutex: grant records never block the
 // object lock.
 func (e *Engine) recGrant(obj wire.ObjectID, ts wire.OTS, reps wire.ReplicaSet) {
 	if l := e.log; l != nil {

@@ -22,8 +22,7 @@
 // tracker freezes S until the recovery barrier closes (Resume). The frozen
 // S stays safe — a dead node's last advertised W bounded S below any commit
 // it left unfinished — and the reset forces fresh, current-epoch reports
-// from every live node (including rejoiners, whose state-sync install must
-// complete first) before S moves again.
+// from every live node, rejoiners included, before S moves again.
 package safetime
 
 import (
@@ -133,7 +132,7 @@ func (t *Tracker) advanceLocked() {
 // OnViewChange installs the new epoch and live set. The watermark table
 // resets unconditionally (cross-epoch watermarks are not comparable); if the
 // change removed nodes the tracker additionally pauses until Resume, i.e.
-// until the recovery barrier (replays + state sync) closes.
+// until the recovery barrier (the survivors' replays) closes.
 func (t *Tracker) OnViewChange(epoch wire.Epoch, live wire.Bitmap, removed wire.Bitmap) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

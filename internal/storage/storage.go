@@ -200,8 +200,8 @@ func (r *Recovered) ApplyRecord(rec Record) {
 			}
 		case rec.Version > o.Version:
 			// A commit for a version we never staged: install what we
-			// have. Without data the object stays invalid and state sync
-			// fetches it from the current owner.
+			// have. Without data the object stays invalid and the reclaim
+			// fetches the value from a live replica.
 			o.Version = rec.Version
 			o.Data = rec.Data
 			o.Valid = rec.Data != nil

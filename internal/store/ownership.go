@@ -57,7 +57,7 @@ type PendingOwn struct {
 }
 
 // Shipped is a committed value that travels with a grant: the ownership ACK's
-// piggyback, a state-sync answer, a seed. Has false ships nothing: Version is
+// piggyback or a seed. Has false ships nothing: Version is
 // then the data source's version, and the zero Shipped has no source.
 type Shipped struct {
 	Has     bool

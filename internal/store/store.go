@@ -20,9 +20,9 @@
 //	          ValidateLocked       commit.handleVal: R-VAL → Invalid → Valid
 //	install   installLocked        inside grant and reclaim only: a committed
 //	                               value that arrived whole
-//	recover   RecoverLocked        core.installRecovered: WAL/snapshot replay
-//	                               → Invalid hint, no history, no yield, no
-//	                               arbitration, NonReplica
+//	recover   RecoverLocked        core.installRecovered: WAL/snapshot replay of
+//	                               an object this node owned → Invalid hint, no
+//	                               history, no yield, no arbitration, NonReplica
 //	drop      dropLocked           inside grant only: this node left the replica
 //	                               set or the object was deleted → no payload,
 //	                               version 0, no history, no yield
@@ -35,8 +35,7 @@
 //	           InvalidateLocked                    ownership.handleInv: an arbiter's INV
 //	grant      GrantLocked         ownership.applyAsRequester (every mode, a delete
 //	                               at its driver included; refused when stale or
-//	                               unbacked), core.handleSyncState (the owner's
-//	                               answer), cluster.Seed
+//	                               unbacked), cluster.Seed
 //	           GrantPendingLocked  ownership.handleVal, handleInv (the VAL came
 //	                               first), checkRecoveryCompleteLocked
 //	prune      PruneLocked, ReplayLocked  ownership.PruneDead, ArbReplayAll: the
@@ -365,30 +364,29 @@ func (o *Object) installLocked(cts, ver uint64, data []byte) {
 	o.publishRingLocked(cts, ver, data)
 }
 
-// RecoverLocked installs what the WAL and snapshot remembered (caller holds
-// Mu): the value as an Invalid hint, served to nobody until state sync or a
-// reclaim validates it, and ⟨ts, reps⟩ as an ownership hint under level
-// NonReplica. A remembered "self is owner" is rewritten to NoNode — ownership
-// may have migrated while the node was down — and reported: it is what makes
-// the node request the object back (and, when no replica is live anywhere,
+// RecoverLocked installs what the WAL and snapshot remembered of an object
+// this node owned (caller holds Mu): the value as an Invalid hint, served to
+// nobody until the reclaim validates it, and ⟨ts, reps⟩ as an ownership hint
+// under level NonReplica. A remembered "self is owner" is rewritten to NoNode
+// — ownership may have migrated while the node was down — and the node
+// requests the object back (and, when no replica is live anywhere,
 // ReclaimLocked it). The ring does not survive a restart —
 // its entries vouch for "committed and safe-time-covered", a rejoiner for
 // nothing — while cts is kept so a later validate re-enables RingReadLocked's
 // implicit entry. It starts a record's life (a fresh store, before any handler
 // exists), so it is the one transition that takes o_ts as given, and no yield
 // or arbitration survives it.
-func (o *Object) RecoverLocked(self wire.NodeID, cts, ver uint64, data []byte, ts wire.OTS, reps wire.ReplicaSet) (wasOwner bool) {
+func (o *Object) RecoverLocked(self wire.NodeID, cts, ver uint64, data []byte, ts wire.OTS, reps wire.ReplicaSet) {
 	o.data = adopt(data)
 	o.setTLocked(ver, TInvalid)
 	o.forgetLocked(cts)
 	o.clearPendingLocked()
-	if wasOwner = reps.Owner == self; wasOwner {
+	if reps.Owner == self {
 		reps.Owner = wire.NoNode
 	}
 	o.setReplicasLocked(reps)
 	o.setOTSLocked(ts)
 	o.ostate, o.level = OValid, wire.NonReplica
-	return wasOwner
 }
 
 // dropLocked discards the replica (caller holds Mu) when this node leaves the

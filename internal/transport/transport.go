@@ -95,11 +95,6 @@ func Flush(t Transport) {
 	}
 }
 
-// Broadcast sends m to every node in set except self (one marshal).
-func Broadcast(t Transport, set wire.Bitmap, m wire.Msg) {
-	_ = t.Multicast(set.Remove(t.Self()).Nodes(), m)
-}
-
 // Router dispatches inbound messages to per-kind handlers, so that a Zeus
 // node's ownership engine, reliable-commit engine and membership agent can
 // share one Transport. (A baseline node is its endpoint's only protocol and

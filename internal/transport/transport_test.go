@@ -262,28 +262,6 @@ func TestReliableManyPeers(t *testing.T) {
 	}
 }
 
-func TestBroadcastSkipsSelf(t *testing.T) {
-	h := NewHub()
-	a := h.Node(0)
-	b := h.Node(1)
-	c2 := h.Node(2)
-	defer a.Close()
-	defer b.Close()
-	defer c2.Close()
-	cb, cc, ca := newCollect(), newCollect(), newCollect()
-	a.SetHandler(ca.handler)
-	b.SetHandler(cb.handler)
-	c2.SetHandler(cc.handler)
-	Broadcast(a, wire.BitmapOf(0, 1, 2), ping(7))
-	cb.waitN(t, 1, time.Second)
-	cc.waitN(t, 1, time.Second)
-	ca.mu.Lock()
-	defer ca.mu.Unlock()
-	if len(ca.msgs) != 0 {
-		t.Fatal("broadcast delivered to self")
-	}
-}
-
 func TestTCPTransport(t *testing.T) {
 	a, err := NewTCP(0, "127.0.0.1:0", nil)
 	if err != nil {

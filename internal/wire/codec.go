@@ -107,19 +107,6 @@ func (e *enc) vsstate(s VSState) {
 	e.addrs(s.Addrs)
 	e.joined(s.Joined)
 }
-func (e *enc) syncentries(es []SyncEntry) {
-	e.u32(uint32(len(es)))
-	for i := range es {
-		x := &es[i]
-		e.obj(x.Obj)
-		e.u64(x.Version)
-		e.ots(x.TS)
-		e.replicas(x.Replicas)
-		e.boolean(x.HasData)
-		e.bytes(x.Data)
-		e.u64(x.CTS)
-	}
-}
 func (e *enc) placement(p DirPlacement) {
 	e.epoch(p.Epoch)
 	e.u8(p.Degree)
@@ -344,25 +331,6 @@ func (d *dec) vsstate() VSState {
 		Barrier: d.bitmap(), BarrierEpoch: d.epoch(),
 		Placement: d.placement(), Addrs: d.addrsList(), Joined: d.joinedList(),
 	}
-}
-func (d *dec) syncentries() []SyncEntry {
-	n := d.u32()
-	if d.err != nil {
-		return nil
-	}
-	if int(n)*49 > len(d.b) { // each entry is ≥49 encoded bytes
-		d.err = ErrTooLarge
-		return nil
-	}
-	out := make([]SyncEntry, 0, n)
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		out = append(out, SyncEntry{
-			Obj: d.obj(), Version: d.u64(), TS: d.ots(),
-			Replicas: d.replicas(),
-			HasData:  d.boolean(), Data: d.bytes(), CTS: d.u64(),
-		})
-	}
-	return out
 }
 func (d *dec) placement() DirPlacement {
 	p := DirPlacement{Epoch: d.epoch(), Degree: d.u8()}
@@ -599,12 +567,6 @@ func AppendMarshal(dst []byte, m Msg) []byte {
 		e.epoch(v.PlacementEpoch)
 		e.node(v.From)
 		e.direntries(v.Entries)
-	case *SyncPull:
-		e.node(v.From)
-		e.syncentries(v.Entries)
-	case *SyncState:
-		e.node(v.From)
-		e.syncentries(v.Entries)
 	case *SafeTime:
 		e.node(v.From)
 		e.epoch(v.Epoch)
@@ -728,10 +690,6 @@ func unmarshal(p []byte, dc *Decoder) (Msg, error) {
 			Shard: d.u32(), PlacementEpoch: d.epoch(), From: d.node(),
 			Entries: d.direntries(),
 		}
-	case KindSyncPull:
-		m = &SyncPull{From: d.node(), Entries: d.syncentries()}
-	case KindSyncState:
-		m = &SyncState{From: d.node(), Entries: d.syncentries()}
 	case KindSafeTime:
 		m = &SafeTime{From: d.node(), Epoch: d.epoch(), WM: d.u64()}
 	case KindObsPull:

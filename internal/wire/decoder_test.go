@@ -307,6 +307,21 @@ func FuzzUnmarshal(f *testing.F) {
 	for _, k := range retiredKinds {
 		f.Add(retiredFrame(k)) // both entries must refuse it
 	}
+	// A restart's state pull and its answer as an older peer framed them:
+	// sender, entry count, and one entry with its data.
+	for _, k := range []Kind{33, 34} {
+		e := &enc{b: []byte{byte(k)}}
+		e.node(2)
+		e.u32(1)
+		e.obj(42)
+		e.u64(11)
+		e.ots(OTS{9, 1})
+		e.replicas(ReplicaSet{Owner: 1, Readers: BitmapOf(0, 2)})
+		e.boolean(true)
+		e.bytes([]byte("value"))
+		e.u64(99)
+		f.Add(e.b)
+	}
 	f.Add([]byte{})
 	kinds := chunkedKinds()
 	for _, k := range kinds {

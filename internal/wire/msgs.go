@@ -60,10 +60,10 @@ const (
 	KindDirPull
 	KindDirState
 
-	// Restart state sync: a recovered node reconciles its replayed WAL +
-	// snapshot image against current owners before accepting traffic.
-	KindSyncPull
-	KindSyncState
+	// Two retired kinds, 33–34: a restarted node's state pull and the
+	// owners' answers. Retired like 10–14.
+	_
+	_
 
 	// Safe-time exchange: per-node applied watermarks backing MVCC
 	// snapshot reads.
@@ -85,7 +85,7 @@ func (k Kind) String() string {
 		"reserved-18", "b-validate", "reserved-20", "b-backup",
 		"reserved-22", "b-commit", "reserved-24", "b-abort",
 		"vs-propose", "vs-accept", "vs-commit", "vs-lease", "vs-query",
-		"dir-pull", "dir-state", "sync-pull", "sync-state", "safe-time",
+		"dir-pull", "dir-state", "reserved-33", "reserved-34", "safe-time",
 		"obs-pull", "obs-state",
 	}
 	if int(k) < len(names) {
@@ -608,57 +608,6 @@ type DirState struct {
 }
 
 func (*DirState) Kind() Kind { return KindDirState }
-
-// ---------------------------------------------------------------------------
-// Restart state-sync messages (rejoin as delta sync, not cold start).
-//
-// A node restarting from its WAL + snapshot holds data whose cluster status
-// it cannot judge: versions may have advanced while it was down, and every
-// recovered access level is conservatively demoted to non-replica. Once it
-// has rejoined the view it reconciles against current owners, DIR-PULL style:
-// batched pulls carrying (object, recovered version), answered by whichever
-// live node currently owns each object with the authoritative version,
-// replica set and — only when the versions differ — the data delta.
-// ---------------------------------------------------------------------------
-
-// SyncEntry is one object in a state-sync exchange. In a SyncPull, Version
-// is the puller's recovered t_version (data omitted). In a SyncState, the
-// entry is its sender's answer as the object's current owner with a validated
-// value — no other node answers: Version/TS/Replicas are authoritative, and
-// Data is set iff the puller's version was stale (HasData distinguishes "up to
-// date" from "deleted to empty").
-type SyncEntry struct {
-	Obj      ObjectID
-	Version  uint64
-	TS       OTS
-	Replicas ReplicaSet
-	HasData  bool
-	Data     []byte
-	// CTS is the sender's commit timestamp for Version (0 when unknown),
-	// so a state-synced replica restarts its version ring at the
-	// authoritative timestamp instead of serving pre-sync versions.
-	CTS uint64
-}
-
-// SyncPull asks live nodes for the authoritative state of the listed
-// objects. The puller multicasts chunks to all live data nodes; only the
-// current owner of each object answers for it, so responses partition the
-// pulled set. Unanswered entries (owner currently failing over) are
-// re-pulled until the sync deadline.
-type SyncPull struct {
-	From    NodeID
-	Entries []SyncEntry
-}
-
-func (*SyncPull) Kind() Kind { return KindSyncPull }
-
-// SyncState answers a SyncPull with the subset of entries the sender owns.
-type SyncState struct {
-	From    NodeID
-	Entries []SyncEntry
-}
-
-func (*SyncState) Kind() Kind { return KindSyncState }
 
 // ---------------------------------------------------------------------------
 // Safe-time exchange (MVCC snapshot reads).

@@ -3,7 +3,7 @@
 //
 // Everything that crosses a node boundary in this repository — the ownership
 // protocol (§4 of the paper), the reliable commit protocol (§5), the view
-// service's membership commands, directory and state-sync transfers, and the
+// service's membership commands, directory shard transfers, and the
 // distributed commit baseline — is expressed as a wire.Msg and serialized
 // with wire.Marshal / wire.Unmarshal.
 //

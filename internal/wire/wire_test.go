@@ -191,16 +191,6 @@ func allMessages() []Msg {
 			{Obj: 42, TS: OTS{9, 1}, Replicas: ReplicaSet{Owner: 3, Readers: BitmapOf(1, 2)}, Pending: true},
 			{Obj: 43, TS: OTS{2, 0}, Replicas: ReplicaSet{Owner: NoNode}},
 		}},
-		&SyncPull{From: 2, Entries: []SyncEntry{
-			{Obj: 42, Version: 9},
-			{Obj: 43, Version: 0},
-		}},
-		&SyncState{From: 1, Entries: []SyncEntry{
-			{Obj: 42, Version: 11, TS: OTS{9, 1},
-				Replicas: ReplicaSet{Owner: 1, Readers: BitmapOf(0, 2)},
-				HasData:  true, Data: data, CTS: 99},
-			{Obj: 43, Version: 0, TS: OTS{2, 0}, Replicas: ReplicaSet{Owner: NoNode}},
-		}},
 		&SafeTime{From: 2, Epoch: 5, WM: 987654321},
 		&ObsPull{From: 3, Full: true},
 		&ObsState{From: 1, Epoch: 4, AppliedWM: 10, SafeTime: 9, Clock: 11,
@@ -223,8 +213,9 @@ func TestMarshalRoundTripAllKinds(t *testing.T) {
 	}
 	// Ensure the fixture covers every declared kind. The retired kinds (two
 	// membership messages, three of a load balancer's KV, four baseline
-	// replies folded into BResp) keep their numbers, so every later kind
-	// keeps its on-wire value, and decode to nothing.
+	// replies folded into BResp, a restart's state pull and its answer) keep
+	// their numbers, so every later kind keeps its on-wire value, and decode
+	// to nothing.
 	if KindCommitVal != 9 || KindBReadReq != 15 || KindBResp != 16 || KindBAbort != 25 || KindObsState != 37 {
 		t.Errorf("kind numbers moved: r-val %d, b-read-req %d, b-resp %d, b-abort %d, obs-state %d; want 9, 15, 16, 25, 37",
 			KindCommitVal, KindBReadReq, KindBResp, KindBAbort, KindObsState)
@@ -244,7 +235,7 @@ func TestMarshalRoundTripAllKinds(t *testing.T) {
 
 // The retired kind numbers, and a frame that would have decoded as one: the
 // round-trip test and the fuzz seeds both hold that it decodes to nothing.
-var retiredKinds = []Kind{10, 11, 12, 13, 14, 18, 20, 22, 24}
+var retiredKinds = []Kind{10, 11, 12, 13, 14, 18, 20, 22, 24, 33, 34}
 
 func retiredFrame(k Kind) []byte { return []byte{byte(k), 0, 0, 0, 0, 0, 0, 0, 0} }
 
@@ -474,8 +465,7 @@ func TestEncodedSizes(t *testing.T) {
 		{KindBValidate, 29}, {KindBBackup, 52}, {KindBCommit, 52}, {KindBAbort, 37},
 		{KindVSPropose, 24}, {KindVSPropose, 10}, {KindVSAccept, 123}, {KindVSCommit, 122},
 		{KindVSLease, 18}, {KindVSQuery, 85}, {KindDirPull, 23}, {KindDirState, 73},
-		{KindSyncPull, 105}, {KindSyncState, 124}, {KindSafeTime, 15}, {KindObsPull, 4},
-		{KindObsState, 72},
+		{KindSafeTime, 15}, {KindObsPull, 4}, {KindObsState, 72},
 	}
 	msgs := allMessages()
 	if len(msgs) != len(want) {

@@ -3,7 +3,7 @@
 # TCP (each hosting one view-service replica), take a demo workload, then one
 # node is SIGKILLed and restarted against its durable directory — it must be
 # auto-failed out of the view by the surviving ensemble and rejoin through
-# WAL recovery + state sync, and then take ownership of the demo object away
+# WAL recovery + reclaim, and then take ownership of the demo object away
 # from node 2 through the replicated directory placement. Exercises the whole
 # deployment story end to end: bootstrap, shared control plane, one placement
 # authority, failure detection, durable restart.
@@ -97,7 +97,7 @@ done
 [ -n "$ok" ] || fail "node 1 never auto-failed"
 cat "$WORK/status.txt"
 
-log "restarting node 1 from its durable state (-join: rejoin is state sync)"
+log "restarting node 1 from its durable state (-join: rejoin reclaims what it owned)"
 "$BIN/zeusd" -id 1 -listen 127.0.0.1:7001 -view "$VIEW" -join -demo \
   -data "$WORK/data1" -lease 300ms >"$WORK/node1.restart.log" 2>&1 &
 PIDS+=($!)
@@ -117,13 +117,13 @@ cat "$WORK/status.txt"
 [ "$(dir_shards)" = "$SHARDS" ] \
   || fail "directory shard count changed across the rejoin: $SHARDS -> '$(dir_shards)'"
 
-log "waiting for node 1 to finish WAL recovery + state sync"
+log "waiting for node 1 to finish WAL recovery + reclaim"
 ok=
 for _ in $(seq 1 100); do
   grep -q "joined" "$WORK/node1.restart.log" && { ok=1; break; }
   sleep 0.2
 done
-[ -n "$ok" ] || { cat "$WORK/node1.restart.log"; fail "restart never reported state sync done"; }
+[ -n "$ok" ] || { cat "$WORK/node1.restart.log"; fail "restart never reported its reclaim done"; }
 grep "joined" "$WORK/node1.restart.log"
 
 log "waiting for the rejoined node 1 to write object 42 (ownership moves off node 2)"
