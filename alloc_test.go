@@ -19,7 +19,7 @@ import (
 // PR 15 and PR 24 for the move, PR 19 for the chunked R-ACK/R-VAL records,
 // PR 23 for Get's view and the Updates inside the slot) lists what each
 // remaining allocation is for. The transactions here keep their Tx on the stack; the
-// same shapes through dbapi.Run, where the Tx escapes and is recycled, and
+// same shapes through dbapi.Run, where the Tx escapes and is the worker's own, and
 // what decoding commit messages costs on a real fabric (the hub hands them
 // over by pointer) are TestRunAllocCeilings' and TestTCPAllocCeiling's to
 // hold (internal/cluster).

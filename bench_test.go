@@ -101,11 +101,14 @@ func BenchmarkLocalWriteTxObs(b *testing.B) {
 
 // BenchmarkLocalWriteTxParallel measures fully local write transactions on
 // distinct objects driven through all worker pipelines at once — the §7
-// multi-core path. Each benchmark goroutine owns one object and one worker
-// id (round-robin when goroutines exceed workers), so contention is exactly
-// what the engine imposes, not the workload: with the per-pipe commit locks,
-// striped ownership maps and sharded dispatch, sub-benchmarks should scale
-// with min(workers, GOMAXPROCS); on a single-core host all rows converge.
+// multi-core path. Each benchmark goroutine owns one object and runs on
+// worker g mod workers, so contention is exactly what the engine imposes, not
+// the workload: with the per-pipe commit locks, striped ownership maps and
+// sharded dispatch, sub-benchmarks should scale with min(workers,
+// GOMAXPROCS); on a single-core host all rows converge. Goroutines that share
+// a worker (workers=1 on a multi-core host) take turns: a worker runs one
+// transaction at a time, and a Begin on a busy one answers ErrConflict, which
+// the loop retries at once and reports as busy/op.
 func BenchmarkLocalWriteTxParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -127,6 +130,7 @@ func BenchmarkLocalWriteTxParallel(b *testing.B) {
 			}
 			n := c.Node(0)
 			var next atomic.Uint32
+			var busy atomic.Int64
 			b.SetParallelism(par)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -136,23 +140,30 @@ func BenchmarkLocalWriteTxParallel(b *testing.B) {
 				obj := uint64(1 + g)
 				i := 0
 				for pb.Next() {
-					tx := n.BeginOn(w)
-					v, err := tx.Get(obj)
-					if err != nil {
-						b.Fatal(err)
+					for {
+						tx := n.BeginOn(w)
+						v, err := tx.Get(obj)
+						if err == nil {
+							next := append([]byte(nil), v...) // Set adopts it: one buffer per write
+							binary.LittleEndian.PutUint64(next, uint64(i))
+							if err = tx.Set(obj, next); err == nil {
+								err = tx.Commit()
+							}
+						}
+						if err == nil {
+							break
+						}
+						tx.Abort()
+						if !zeus.IsConflict(err) {
+							b.Fatal(err)
+						}
+						busy.Add(1)
 					}
-					next := append([]byte(nil), v...) // Set adopts it: one buffer per write
-					binary.LittleEndian.PutUint64(next, uint64(i))
 					i++
-					if err := tx.Set(obj, next); err != nil {
-						b.Fatal(err)
-					}
-					if err := tx.Commit(); err != nil {
-						b.Fatal(err)
-					}
 				}
 			})
 			b.StopTimer()
+			b.ReportMetric(float64(busy.Load())/float64(b.N), "busy/op")
 			n.WaitReplication(10 * time.Second)
 		})
 	}

@@ -103,8 +103,8 @@ func TestTCPAllocCeiling(t *testing.T) {
 // TestRunAllocCeilings holds the path the benchmark, loadgen and zeus.Node's
 // Update/View drive — dbapi.Run and RunRO on Node.DB() — to its allocation
 // count on a 3-node hub cluster, process-wide, after the pipelines drained.
-// Through the dbapi.Txn interface the Tx escapes, so it lives on the heap and
-// is the worker's recycled one. A write transaction makes the versions it
+// Through the dbapi.Txn interface the Tx escapes, so it lives on the heap: it
+// is the worker's own, which its lease holds. A write transaction makes the versions it
 // publishes — one fresh buffer per Set, which the body makes (as every
 // application must: Set adopts it) and nothing copies — plus four sixteenths
 // of a chunk (the commit's Slot, which holds the R-INV and up to four
@@ -114,7 +114,7 @@ func TestTCPAllocCeiling(t *testing.T) {
 // writes, against 13.3 while Set copied and the Slot was an allocation of its
 // own, and 18.3 when Get copied and each attempt made its Tx. A read-only
 // transaction makes nothing. Each ceiling is one above what the code achieves
-// (1.3, 2.3, 3.3, 12.3, 0), so the next Tx that escapes unrecycled, copy of a
+// (1.3, 2.3, 3.3, 12.3, 0), so the next Tx that escapes per attempt, copy of a
 // staged value, or Updates slice on the heap, fails here.
 func TestRunAllocCeilings(t *testing.T) {
 	opts := DefaultOptions(3)

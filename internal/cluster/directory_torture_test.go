@@ -160,9 +160,7 @@ func assertDirInvariants(t *testing.T, c *Cluster, dead wire.NodeID,
 	}
 
 	// Strict serializability of the committed history.
-	if err := checker.Check(history); err != nil {
-		t.Fatalf("history not strictly serializable: %v", err)
-	}
+	checkHistory(t, history)
 }
 
 // TestDirectoryDriverCrashUnderLoad crashes a PURE directory driver — a node

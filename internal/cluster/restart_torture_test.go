@@ -208,9 +208,7 @@ func TestCrashRestartTorture(t *testing.T) {
 	// strictly serializable.
 	histMu.Lock()
 	defer histMu.Unlock()
-	if err := checker.Check(hist); err != nil {
-		t.Fatalf("history not strictly serializable: %v", err)
-	}
+	checkHistory(t, hist)
 	if len(hist) < 50 {
 		t.Fatalf("history suspiciously small: %d committed transactions", len(hist))
 	}

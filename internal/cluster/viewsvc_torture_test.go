@@ -211,9 +211,7 @@ func TestViewServiceLeaderFailover(t *testing.T) {
 	// Strict serializability of the committed history.
 	hmu.Lock()
 	defer hmu.Unlock()
-	if err := checker.Check(history); err != nil {
-		t.Fatalf("history not strictly serializable: %v", err)
-	}
+	checkHistory(t, history)
 }
 
 // TestViewServiceFollowerCrashUnderLoad kills a non-leader view replica

@@ -28,6 +28,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"runtime"
 	"slices"
@@ -126,10 +127,7 @@ type Node struct {
 	clk   *safetime.Clock
 	safet *safetime.Tracker
 
-	nextWorker atomic.Uint32
-	// parked holds, per worker, the finished Tx dbapi's run loop handed back
-	// (see dbAdapter.Recycle) for that worker's next Begin.
-	parked []atomic.Pointer[Tx]
+	leases []lease // one per worker
 
 	// trimQ feeds the bounded replica-trim pool (see maybeTrim): dropping a
 	// reader is best-effort background work, so a fixed pool with a bounded
@@ -226,7 +224,7 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, stg s
 		dirsvc: directory.NewService(id, st, tr, agent),
 		trimQ:  make(chan trimReq, trimQueueDepth), closedCh: make(chan struct{}),
 		stg: stg, recovered: recovered, incarnation: incarnation,
-		reclaimPending: pending, parked: make([]atomic.Pointer[Tx], cfg.Workers)}
+		reclaimPending: pending, leases: make([]lease, cfg.Workers)}
 	n.router = transport.NewRouter()
 	// One HLC per node, handed to both engines: commit stamps CTSs from it,
 	// ownership merges the CTS riding on grants back in. Recovery seeds it
@@ -431,7 +429,7 @@ func (n *Node) handleObsPull(from wire.NodeID, m wire.Msg) {
 // just drops it.
 func (n *Node) maybeTrace(tx *Tx) {
 	s := n.sampler
-	if s == nil {
+	if s == nil || tx.finished { // busyTx is nobody's to trace
 		return
 	}
 	if id := n.txSeq.Add(1); s.Sample(id) {
@@ -583,6 +581,7 @@ func (n *Node) DeleteObject(obj wire.ObjectID) error { return n.own.Delete(obj) 
 type Tx struct {
 	n        *Node
 	worker   int
+	leased   bool // holds the worker's lease until Commit or Abort
 	ro       bool
 	snap     bool   // snapshot read (SnapshotReads mode): serve from the ring
 	finished bool   // Commit or Abort ran: Get, Set and Commit refuse
@@ -687,44 +686,66 @@ var errFinished = errors.New("core: transaction already finished")
 // (zeus.Node.Update), so the handle answers as any finished Tx does.
 var FinishedTx = &Tx{finished: true}
 
-// Begin starts a write transaction on an automatically assigned worker.
-func (n *Node) Begin() *Tx {
-	tx := n.BeginOn(int(n.nextWorker.Add(1)) % n.cfg.Workers)
-	n.maybeTrace(tx)
-	return tx
+// busyTx is what a Begin on a busy worker returns: finished and nobody's, but
+// its Get, Set and Commit answer dbapi.ErrConflict, so a retry loop waits the
+// worker out. Begin does not block: a leaked transaction would hang it.
+var busyTx = &Tx{finished: true}
+
+func (tx *Tx) refusal() error {
+	if tx == busyTx {
+		return dbapi.ErrConflict
+	}
+	return errFinished
 }
 
-// BeginOn starts a write transaction on a specific worker thread. Worker ids
-// map 1:1 onto reliable-commit pipelines (§5.2, §7). The Tx is the only
-// allocation, and none at all when the caller keeps it on its stack (BeginOn
-// inlines and the access set is part of the struct).
+// lease is a worker's right to run its one transaction at a time (§5.2, §7).
+// Begin takes it with one CAS, Commit or Abort gives it back (Tx.end); tx is
+// the record DB's transactions on the worker run in.
+type lease struct {
+	busy atomic.Bool
+	tx   Tx
+}
+
+// Begin starts a write transaction on an idle worker, scanning from a random
+// one to spread callers over the pipelines, or returns busyTx if all are busy.
+func (n *Node) Begin() *Tx {
+	w0 := rand.IntN(len(n.leases))
+	for i := range n.leases {
+		if tx := n.BeginOn(w0 + i); tx != busyTx {
+			n.maybeTrace(tx)
+			return tx
+		}
+	}
+	return busyTx
+}
+
+// BeginOn starts a write transaction on a specific worker thread, or returns
+// busyTx while the worker runs one. Worker ids map 1:1 onto reliable-commit
+// pipelines (§5.2, §7). The Tx is the only allocation, and none at all when
+// the caller keeps it on its stack (BeginOn inlines and the access set is part
+// of the struct).
 func (n *Node) BeginOn(worker int) *Tx {
-	return &Tx{n: n, worker: worker % n.cfg.Workers}
+	w := worker % n.cfg.Workers
+	if !n.leases[w].busy.CompareAndSwap(false, true) {
+		return busyTx
+	}
+	return &Tx{n: n, worker: w, leased: true}
 }
 
 // BeginRO starts a read-only transaction: local, strictly serializable on
-// any replica, no network traffic (§5.3). With Config.SnapshotReads the
-// transaction reads at a fixed HLC timestamp from the version ring instead
-// of validating current versions (see snapshotGet).
+// any replica, no network traffic (§5.3). It takes no worker. With
+// Config.SnapshotReads the transaction reads at a fixed HLC timestamp from
+// the version ring instead of validating current versions (see snapshotGet).
+//
+// BeginRO must stay inlinable into its callers: a caller that does not let
+// the Tx escape — BeginRO, Get, Commit in one function — then runs the whole
+// read-only transaction, access set included, on its stack. The snapshot
+// timestamp is therefore minted lazily in snapshotGet, not here — a clock
+// call would blow the inlining budget for every RO transaction, snapshot mode
+// or not.
 func (n *Node) BeginRO() *Tx {
-	return n.beginRO(int(n.nextWorker.Add(1)))
+	return &Tx{n: n, ro: true, snap: n.cfg.SnapshotReads}
 }
-
-// beginRO must stay inlinable (with BeginOn) into its callers: a caller that
-// does not let the Tx escape — BeginRO, Get, Commit in one function — then
-// runs the whole read-only transaction, access set included, on its stack.
-// The snapshot timestamp is therefore minted lazily in snapshotGet, not here
-// — a clock call would blow the inlining budget for every RO transaction,
-// snapshot mode or not.
-func (n *Node) beginRO(worker int) *Tx {
-	tx := n.BeginOn(worker)
-	tx.ro = true
-	tx.snap = n.cfg.SnapshotReads
-	return tx
-}
-
-// errNeedOwnership is an internal marker: the access level must be acquired.
-var errNeedOwnership = fmt.Errorf("core: ownership level missing")
 
 // Get returns the value of obj as seen by the transaction (tr_open_read). The
 // bytes are a view, not a copy: the committed version, or the very slice this
@@ -735,7 +756,7 @@ var errNeedOwnership = fmt.Errorf("core: ownership level missing")
 // reads as nil.
 func (tx *Tx) Get(obj uint64) ([]byte, error) {
 	if tx.finished {
-		return nil, errFinished
+		return nil, tx.refusal()
 	}
 	id := wire.ObjectID(obj)
 	// Read-your-writes and repeat-read stability: a touched object answers
@@ -789,7 +810,7 @@ func (tx *Tx) Get(obj uint64) ([]byte, error) {
 func (tx *Tx) snapshotGet(id wire.ObjectID) ([]byte, error) {
 	n := tx.n
 	if tx.at == 0 {
-		// Lazy mint (see beginRO): from the local HLC, NOT the current
+		// Lazy mint (see BeginRO): from the local HLC, NOT the current
 		// safe-time — reading at a fresh T (and delaying until S ≥ T) is
 		// what makes the snapshot strictly serializable. The first read is
 		// still inside the transaction's lifetime, so T orders after every
@@ -864,7 +885,7 @@ func (tx *Tx) Set(obj uint64, val []byte) error {
 		return fmt.Errorf("core: Set on read-only transaction")
 	}
 	if tx.finished {
-		return errFinished
+		return tx.refusal()
 	}
 	id := wire.ObjectID(obj)
 	a := tx.find(id)
@@ -1065,9 +1086,10 @@ func (tx *Tx) validateReads() bool {
 // updates to the reliable-commit pipeline without blocking (§5.2).
 func (tx *Tx) Commit() error {
 	if tx.finished {
-		return errFinished
+		return tx.refusal()
 	}
 	tx.finished = true
+	defer tx.end()
 	n := tx.n
 	if tx.ro || tx.nwrites == 0 {
 		// Snapshot transactions are already serializable at their fixed
@@ -1167,13 +1189,30 @@ func (tx *Tx) Abort() {
 	} else {
 		tx.n.stAborts.Add(1)
 	}
+	tx.end()
+}
+
+// end gives the worker's lease back, after the grants are released and the
+// commit slot is registered: the pipeline order is the order in which the
+// worker's commits were staged. The worker's own Tx (DB's) is zeroed first
+// but for its slot (see Durable): no object or access set stays reachable.
+func (tx *Tx) end() {
+	if !tx.leased {
+		return
+	}
+	l := &tx.n.leases[tx.worker]
+	if tx == &l.tx {
+		*tx = Tx{finished: true, slot: tx.slot}
+	}
+	l.busy.Store(false)
 }
 
 // Durable returns a channel closed once the transaction's reliable commit
 // validated on all followers (nil if the transaction wrote nothing).
 // Applications do not wait on it — the pipeline guarantees ordering — but
 // tests and drain paths do; the channel is made on the first call (one
-// shared, already closed channel if the commit validated before that).
+// shared, already closed channel if the commit validated before that). A DB
+// transaction keeps its slot, payload included, until the worker's next Begin.
 func (tx *Tx) Durable() <-chan struct{} {
 	if tx.slot == nil {
 		return nil
@@ -1198,10 +1237,10 @@ func (tx *Tx) release() {
 
 type dbAdapter struct{ n *Node }
 
-// DB returns the node as a dbapi.DB for the shared benchmark workloads. A Tx
-// begun through it escapes into the dbapi.Txn interface, so it lives on the
-// heap; dbapi's run loop hands it back when the attempt is over (Recycle) and
-// the worker's next Begin reuses it.
+// DB returns the node as a dbapi.DB for the shared benchmark workloads. Its
+// Begin and BeginRO take the worker's lease as BeginOn does, and run the
+// transaction in the worker's own Tx: it escapes into the dbapi.Txn
+// interface, and reusing it keeps a transaction off the heap.
 func (n *Node) DB() dbapi.DB { return dbAdapter{n} }
 
 func (a dbAdapter) Begin(worker int) dbapi.Txn {
@@ -1212,34 +1251,12 @@ func (a dbAdapter) Begin(worker int) dbapi.Txn {
 
 func (a dbAdapter) BeginRO(worker int) dbapi.Txn { return a.begin(worker, true) }
 
-// begin takes the worker's parked Tx, or makes one. Swap leaves the slot
-// empty, so two goroutines that collide on a worker id never share a Tx.
 func (a dbAdapter) begin(worker int, ro bool) *Tx {
 	w := worker % a.n.cfg.Workers
-	tx := a.n.parked[w].Swap(nil)
-	if tx == nil {
-		tx = new(Tx)
+	l := &a.n.leases[w]
+	if !l.busy.CompareAndSwap(false, true) {
+		return busyTx
 	}
-	*tx = Tx{n: a.n, worker: w, ro: ro, snap: ro && a.n.cfg.SnapshotReads}
-	return tx
+	l.tx = Tx{n: a.n, worker: w, leased: true, ro: ro, snap: ro && a.n.cfg.SnapshotReads}
+	return &l.tx
 }
-
-// Recycle parks a finished Tx of this node for its worker's next Begin
-// (dbapi.Recycler). A parked Tx is zeroed — no slot, payload, store.Object or
-// spill map stays reachable from the cache — but stays finished, so a handle
-// kept past dbapi.Run answers errFinished, and it belongs to no node, so
-// parking it again is refused like any foreign Tx.
-func (a dbAdapter) Recycle(t dbapi.Txn) {
-	tx, ok := t.(*Tx)
-	if !ok || tx.n != a.n || !tx.finished {
-		return
-	}
-	w := tx.worker
-	*tx = Tx{finished: true}
-	a.n.parked[w].Store(tx)
-}
-
-var (
-	_ dbapi.Txn      = (*Tx)(nil)
-	_ dbapi.Recycler = dbAdapter{}
-)

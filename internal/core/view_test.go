@@ -1,15 +1,16 @@
 package core_test
 
 import (
+	"errors"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"zeus/internal/cluster"
 	"zeus/internal/core"
 	"zeus/internal/dbapi"
-	"zeus/internal/wire"
 )
 
 // Get returns a view of the version it read, not a copy. These tests hold the
@@ -209,73 +210,79 @@ func TestSnapshotViewSurvivesRingEviction(t *testing.T) {
 	}
 }
 
-// TestRecycleGuardRails: dbapi.Run hands the worker's Tx back to the node;
-// what the node accepts, what it keeps of it, and what a stale handle can do.
-func TestRecycleGuardRails(t *testing.T) {
+// TestWorkerTxGuardRails: DB's transactions on a worker run in the worker's
+// own Tx. Commit or Abort zeroes it — nothing of the transaction but its
+// commit slot stays reachable from it — and it refuses everything until the
+// worker's next Begin, as does a handle kept past dbapi.Run. Durable still
+// answers for the committed write. A Begin while the worker is busy answers
+// ErrConflict instead.
+func TestWorkerTxGuardRails(t *testing.T) {
 	c := newCluster(t, 3)
 	c.SeedAt(1, 0, u64(0))
-	n, other := c.Node(0), c.Node(1)
-	db := n.DB()
-	rec := db.(dbapi.Recycler)
+	db := c.Node(0).DB()
+	finished := func(how string, tx *core.Tx) {
+		t.Helper()
+		v := reflect.ValueOf(tx).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if name := v.Type().Field(i).Name; name != "finished" && name != "slot" && !v.Field(i).IsZero() {
+				t.Errorf("%s: the worker's Tx keeps %s = %v", how, name, v.Field(i))
+			}
+		}
+		if _, err := tx.Get(1); err == nil || errors.Is(err, dbapi.ErrConflict) {
+			t.Errorf("%s: Get answered %v, want the finished error", how, err)
+		}
+		if err := tx.Set(1, u64(9)); err == nil || errors.Is(err, dbapi.ErrConflict) {
+			t.Errorf("%s: Set answered %v, want the finished error", how, err)
+		}
+		if err := tx.Commit(); err == nil || errors.Is(err, dbapi.ErrConflict) {
+			t.Errorf("%s: Commit answered %v, want the finished error", how, err)
+		}
+		tx.Abort()
+	}
+	durable := func(how string, tx *core.Tx) {
+		t.Helper()
+		d := tx.Durable()
+		if d == nil {
+			t.Fatalf("%s: a committed write reports no Durable channel", how)
+		}
+		select {
+		case <-d:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: the committed write never became durable", how)
+		}
+	}
 
 	live := db.Begin(0).(*core.Tx)
-	rec.Recycle(live)
-	if n.Parked(0) != nil {
-		t.Fatal("an unfinished Tx was parked")
+	busy := db.Begin(0)
+	if _, err := busy.Get(1); !errors.Is(err, dbapi.ErrConflict) {
+		t.Fatalf("Get in a Begin on a busy worker answered %v, want ErrConflict", err)
+	}
+	if err := busy.Set(1, u64(9)); !errors.Is(err, dbapi.ErrConflict) {
+		t.Fatalf("Set in a Begin on a busy worker answered %v, want ErrConflict", err)
+	}
+	if err := busy.Commit(); !errors.Is(err, dbapi.ErrConflict) {
+		t.Fatalf("Commit of a Begin on a busy worker answered %v, want ErrConflict", err)
 	}
 	if err := live.Set(1, u64(1)); err != nil {
-		t.Fatalf("the refused Tx no longer works: %v", err)
+		t.Fatalf("the busy worker's Begin disturbed its transaction: %v", err)
 	}
 	if err := live.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	durable("committed", live)
+	finished("committed", live)
 
-	foreign := other.DB().Begin(0)
-	foreign.Abort()
-	rec.Recycle(foreign)
-	rec.Recycle(fakeTxn{})
-	direct := n.BeginOn(0) // never went through DB(): finished, this node's — fine to keep
-	direct.Abort()
-	if n.Parked(0) != nil {
-		t.Fatal("another node's Tx, or something that is no Tx, was parked")
+	aborted := db.Begin(0).(*core.Tx)
+	if aborted != live {
+		t.Fatal("the worker's next transaction does not run in the worker's Tx")
 	}
+	if err := aborted.Set(1, u64(2)); err != nil {
+		t.Fatal(err)
+	}
+	aborted.Abort()
+	finished("aborted", aborted)
 
-	rec.Recycle(live)
-	if n.Parked(0) != live {
-		t.Fatal("a finished Tx of this node was not parked")
-	}
-	// Parked: finished, and nothing of the transaction reachable from it.
-	v := reflect.ValueOf(live).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		if name := v.Type().Field(i).Name; name != "finished" && !v.Field(i).IsZero() {
-			t.Errorf("parked Tx keeps %s = %v", name, v.Field(i))
-		}
-	}
-	if _, err := live.Get(1); err == nil {
-		t.Error("Get on a parked Tx succeeded")
-	}
-	if err := live.Set(1, u64(9)); err == nil {
-		t.Error("Set on a parked Tx succeeded")
-	}
-	if err := live.Commit(); err == nil {
-		t.Error("Commit on a parked Tx succeeded")
-	}
-	live.Abort()
-	if live.Durable() != nil {
-		t.Error("a parked Tx still reports a slot")
-	}
-
-	// A second Recycle of the same handle parks nothing new: one Begin gets
-	// it, the next gets its own.
-	rec.Recycle(live)
-	a, b := db.Begin(0).(*core.Tx), db.Begin(0).(*core.Tx)
-	if a != live || b == live {
-		t.Fatalf("after two Recycles of one Tx, Begin returned it %v and %v times", a == live, b == live)
-	}
-	a.Abort()
-	b.Abort()
-
-	// The handle dbapi.Run passed to fn is parked, and so inert, on return.
+	// The handle dbapi.Run passed to fn is finished, and so inert, on return.
 	var kept dbapi.Txn
 	if err := dbapi.Run(db, 1, func(tx dbapi.Txn) error {
 		kept = tx
@@ -283,89 +290,60 @@ func TestRecycleGuardRails(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if n.Parked(1) != kept.(*core.Tx) {
-		t.Fatal("dbapi.Run did not hand its Tx back")
-	}
-	if err := kept.Set(1, u64(9)); err == nil {
-		t.Error("Set through a handle kept past dbapi.Run succeeded")
-	}
+	durable("kept past dbapi.Run", kept.(*core.Tx))
+	finished("kept past dbapi.Run", kept.(*core.Tx))
 	if err := dbapi.Run(db, 0, func(tx dbapi.Txn) error { return tx.Set(1, u64(3)) }); err != nil {
 		t.Fatalf("a write after the stale Set: %v", err)
 	}
 }
 
-type fakeTxn struct{}
-
-func (fakeTxn) Get(uint64) ([]byte, error) { return nil, nil }
-func (fakeTxn) Set(uint64, []byte) error   { return nil }
-func (fakeTxn) Commit() error              { return nil }
-func (fakeTxn) Abort()                     {}
-
-// TestRecycleNeverSharesATx: goroutines that collide on one worker id each run
-// in a Tx of their own. (They write disjoint objects: a worker id is also the
-// name local ownership is granted under, so two transactions on one id are not
-// isolated from each other — that is the caller's to avoid; sharing the
-// record would be the engine's.)
-func TestRecycleNeverSharesATx(t *testing.T) {
+// TestLeaseSerializesAWorker: goroutines that share one worker id and one
+// object take turns. A Begin on the busy worker answers ErrConflict, which
+// dbapi.Run retries, so no two transactions run on the worker at once and no
+// increment is lost. (Two transactions on one worker id used to share its
+// local write grant and both commit the same version.)
+func TestLeaseSerializesAWorker(t *testing.T) {
 	c := newCluster(t, 3)
-	const goroutines, objects, rounds = 4, 4, 300
-	for obj := uint64(1); obj <= objects; obj++ {
-		c.SeedAt(wire.ObjectID(obj), 0, u64(0))
-	}
+	const goroutines, rounds = 4, 300
+	c.SeedAt(1, 0, u64(0))
 	db := c.Node(0).DB()
 	var (
-		mu    sync.Mutex
-		inUse = map[dbapi.Txn]bool{}
-		wg    sync.WaitGroup
+		running atomic.Int32
+		wg      sync.WaitGroup
 	)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				obj := uint64(1 + g)
 				err := dbapi.Run(db, 0, func(tx dbapi.Txn) error {
-					mu.Lock()
-					shared := inUse[tx]
-					inUse[tx] = true
-					mu.Unlock()
-					defer func() {
-						mu.Lock()
-						delete(inUse, tx)
-						mu.Unlock()
-					}()
-					if shared {
-						t.Error("two running transactions share one Tx")
-					}
-					v, err := tx.Get(obj)
+					v, err := tx.Get(1)
 					if err != nil {
-						return err
+						return err // among them the busy worker's
 					}
-					return tx.Set(obj, u64(fromU64(v)+1))
+					if running.Add(1) != 1 {
+						t.Error("two transactions run on one worker at once")
+					}
+					defer running.Add(-1)
+					return tx.Set(1, u64(fromU64(v)+1))
 				})
 				if err != nil {
 					t.Error(err)
 					return
 				}
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
-	var sum uint64
+	var got uint64
 	if err := dbapi.RunRO(db, 0, func(tx dbapi.Txn) error {
-		sum = 0
-		for obj := uint64(1); obj <= objects; obj++ {
-			v, err := tx.Get(obj)
-			if err != nil {
-				return err
-			}
-			sum += fromU64(v)
-		}
-		return nil
+		v, err := tx.Get(1)
+		got = fromU64(v)
+		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if sum != goroutines*rounds {
-		t.Fatalf("counters sum to %d after %d increments", sum, goroutines*rounds)
+	if got != goroutines*rounds {
+		t.Fatalf("the counter reads %d after %d increments", got, goroutines*rounds)
 	}
 }

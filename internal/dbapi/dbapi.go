@@ -14,8 +14,9 @@ import (
 )
 
 // ErrConflict is the retryable abort error: the transaction lost a conflict
-// (local contention, lost ownership, failed OCC validation, or a read of an
-// invalidated object) and should be retried by the application.
+// (local contention, lost ownership, failed OCC validation, a read of an
+// invalidated object, or a busy worker: a worker runs one transaction,
+// read-only included, until Commit or Abort) and should be retried.
 var ErrConflict = errors.New("db: transaction conflict, retry")
 
 // ErrNoReplica reports a read-only access on a node that stores no replica
@@ -47,22 +48,13 @@ type Txn interface {
 
 // DB is a transactional datastore node.
 type DB interface {
-	// Begin starts a write transaction on the given worker thread.
+	// Begin starts a write transaction on the given worker thread. A worker
+	// runs one transaction, read-only included, until Commit or Abort; on a
+	// busy worker the Txn's Get, Set and Commit answer ErrConflict.
 	Begin(worker int) Txn
-	// BeginRO starts a read-only transaction (§5.3 in Zeus: local and
+	// BeginRO is Begin for a read-only transaction (§5.3 in Zeus: local and
 	// strictly serializable on any replica).
 	BeginRO(worker int) Txn
-}
-
-// Recycler is an optional capability of a DB that run uses, not an API for
-// applications: run owns each Txn from Begin to the return of Commit or Abort,
-// so it is the one caller that knows nothing else holds the handle, and hands
-// it back for the DB to reuse on a later Begin. A DB without it (a decorator,
-// the baseline, a test double) gets a fresh Txn per attempt.
-type Recycler interface {
-	// Recycle takes back a Txn that Commit or Abort finished. The DB refuses
-	// (ignores) one that is not its own or not finished.
-	Recycle(Txn)
 }
 
 // DefaultPolicy is the conflict-retry policy used by Run/RunRO. It is
@@ -79,31 +71,20 @@ var DefaultPolicy = retry.Policy{
 }
 
 // Run executes fn inside a write transaction with retry-on-conflict under
-// DefaultPolicy, the standard application loop.
+// DefaultPolicy, the standard application loop: it retries until fn's
+// transaction commits, or returns fn's first other error, or the last
+// ErrConflict wrapped with retry.ErrExhausted once the policy runs out.
 func Run(db DB, worker int, fn func(Txn) error) error {
-	return RunWith(context.Background(), db, worker, DefaultPolicy, fn)
+	return run(db, worker, fn, false)
 }
 
 // RunRO is Run for read-only transactions.
 func RunRO(db DB, worker int, fn func(Txn) error) error {
-	return RunROWith(context.Background(), db, worker, DefaultPolicy, fn)
+	return run(db, worker, fn, true)
 }
 
-// RunWith executes fn inside a write transaction, retrying conflicts under
-// the given policy until it commits, the policy is exhausted (the last
-// ErrConflict is returned, wrapped with retry.ErrExhausted), or ctx is done.
-func RunWith(ctx context.Context, db DB, worker int, p retry.Policy, fn func(Txn) error) error {
-	return run(ctx, db, worker, p, fn, false)
-}
-
-// RunROWith is RunWith for read-only transactions.
-func RunROWith(ctx context.Context, db DB, worker int, p retry.Policy, fn func(Txn) error) error {
-	return run(ctx, db, worker, p, fn, true)
-}
-
-func run(ctx context.Context, db DB, worker int, p retry.Policy, fn func(Txn) error, ro bool) error {
-	rec, _ := db.(Recycler)
-	return retry.Do(ctx, p,
+func run(db DB, worker int, fn func(Txn) error, ro bool) error {
+	return retry.Do(context.Background(), DefaultPolicy,
 		func(err error) bool { return errors.Is(err, ErrConflict) },
 		func(int) error {
 			var tx Txn
@@ -117,9 +98,6 @@ func run(ctx context.Context, db DB, worker int, p retry.Policy, fn func(Txn) er
 				err = tx.Commit()
 			} else {
 				tx.Abort()
-			}
-			if rec != nil {
-				rec.Recycle(tx)
 			}
 			return err
 		})

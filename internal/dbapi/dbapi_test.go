@@ -164,56 +164,3 @@ func TestRunFnErrorAborts(t *testing.T) {
 		t.Fatalf("calls=%d vals=%v", calls, db.vals)
 	}
 }
-
-// recyclingDB is a fakeDB that implements Recycler and records what it is
-// handed back.
-type recyclingDB struct {
-	*fakeDB
-	begun, back []Txn
-}
-
-func (db *recyclingDB) Begin(worker int) Txn {
-	tx := db.fakeDB.Begin(worker)
-	db.begun = append(db.begun, tx)
-	return tx
-}
-
-func (db *recyclingDB) Recycle(tx Txn) {
-	if !tx.(*fakeTxn).done {
-		panic("Recycle before Commit or Abort")
-	}
-	db.back = append(db.back, tx)
-}
-
-// TestRunHandsEveryAttemptBack: run gives each attempt's Txn back exactly
-// once, after it finished — committed, conflicted or aborted by fn — and a DB
-// without the capability (every other test's fakeDB) is simply not asked.
-func TestRunHandsEveryAttemptBack(t *testing.T) {
-	db := &recyclingDB{fakeDB: newFakeDB()}
-	db.conflicts = 2
-	calls := 0
-	err := Run(db, 0, func(tx Txn) error {
-		if calls++; calls == 2 {
-			return ErrConflict // this attempt ends in Abort
-		}
-		return tx.Set(1, []byte("z"))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(db.begun) != 4 || len(db.back) != len(db.begun) {
-		t.Fatalf("%d attempts begun, %d handed back; want 4 and 4", len(db.begun), len(db.back))
-	}
-	for i := range db.begun {
-		if db.back[i] != db.begun[i] {
-			t.Fatalf("attempt %d: a different Txn came back than was begun", i)
-		}
-	}
-	boom := errors.New("boom")
-	if err := Run(db, 0, func(Txn) error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	if len(db.back) != 5 {
-		t.Fatalf("the attempt fn failed for good was not handed back")
-	}
-}

@@ -145,8 +145,10 @@ func fabricName(k cluster.FabricKind) string {
 // workload, run the open-loop schedule, drain, and fold the obs registries
 // into the row (health cross-check, phase attribution, SLO verdict).
 func sloPoint(s Scale, wl loadgen.Workload, fabric cluster.FabricKind, nodes int, rate float64, arrival loadgen.Arrival) SLORow {
+	// A worker for each lane's workers: a worker runs one transaction at a time.
+	drivers := sloDrivers(nodes)
 	opts := cluster.DefaultOptions(nodes)
-	opts.Workers = s.Workers
+	opts.Workers = s.Workers * drivers / nodes
 	opts.Fabric = fabric
 	if fabric == cluster.FabricSim {
 		opts.Net = simNetConfig()
@@ -157,7 +159,6 @@ func sloPoint(s Scale, wl loadgen.Workload, fabric cluster.FabricKind, nodes int
 	defer c.Close()
 	wl.Seed(bench.ZeusSeeder(c))
 
-	drivers := sloDrivers(nodes)
 	res := loadgen.Run(loadgen.Config{
 		Rate:             rate,
 		Arrival:          arrival,
@@ -171,7 +172,7 @@ func sloPoint(s Scale, wl loadgen.Workload, fabric cluster.FabricKind, nodes int
 		inner := wl.MakeOp(node, c.Node(node).DB())
 		return func(worker int, rng *rand.Rand) error {
 			// Lanes offset their worker ids so co-located driver groups use
-			// distinct pipelines (and distinct per-worker workload state).
+			// distinct workers (and distinct per-worker workload state).
 			return inner(lane*s.Workers+worker, rng)
 		}
 	})

@@ -471,17 +471,13 @@ func (o *Object) RingReadLocked(ts uint64) (VersionEntry, bool) {
 }
 
 // GrantLocalLocked attempts to make worker the local owner (caller holds Mu).
-// It succeeds if the object is free or already held by the same worker
-// (re-entrancy within one transaction is handled by the caller's write set, so
-// same-worker re-acquisition only happens for distinct objects in one tx). A
-// *new* grant is refused while the transfer-fairness yield (YieldLocalLocked)
-// is active; a worker that already holds the object keeps it. The first grant
+// It succeeds only if the object is free: a worker runs one transaction, which
+// asks once per object, so a second ask is refused like any other. A grant is
+// also refused while the transfer-fairness yield (YieldLocalLocked) is
+// active; a worker that already holds the object keeps it. The first grant
 // after a yield ran out clears it, and returns the cold record to its pool if
 // the yield was all it held.
 func (o *Object) GrantLocalLocked(worker int32) bool {
-	if o.localOwner == worker {
-		return true
-	}
 	if o.localOwner != NoLocalOwner {
 		return false
 	}

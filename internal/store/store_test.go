@@ -108,8 +108,11 @@ func TestLocalOwnership(t *testing.T) {
 	if !tryAcquireLocal(o, 3) {
 		t.Fatal("free object must be acquirable")
 	}
-	if !tryAcquireLocal(o, 3) {
-		t.Fatal("same worker re-acquire must succeed")
+	if tryAcquireLocal(o, 3) {
+		t.Fatal("the holder was granted the object twice")
+	}
+	if o.LocalOwnerLocked() != 3 {
+		t.Fatal("a refused second ask took the object from its holder")
 	}
 	if tryAcquireLocal(o, 4) {
 		t.Fatal("held object acquired by another worker")
@@ -545,7 +548,7 @@ func TestStoreIndexMatchesMap(t *testing.T) {
 
 // TestYieldLocalDefersNewGrants: the transfer-fairness yield refuses a new
 // local grant until its deadline, and never takes the object from a worker
-// that already holds it.
+// that already holds it; that worker's second ask is refused as always.
 func TestYieldLocalDefersNewGrants(t *testing.T) {
 	s := New()
 	o, _ := s.GetOrCreate(1)
@@ -560,7 +563,10 @@ func TestYieldLocalDefersNewGrants(t *testing.T) {
 		t.Fatal("local grant refused after the yield ran out")
 	}
 	o.YieldLocalLocked(time.Hour)
-	if !o.GrantLocalLocked(3) {
+	if o.GrantLocalLocked(3) {
+		t.Fatal("the holder was granted the object twice")
+	}
+	if o.LocalOwnerLocked() != 3 {
 		t.Fatal("the yield took the object from the worker holding it")
 	}
 }

@@ -38,8 +38,10 @@ import (
 	"zeus/internal/wire"
 )
 
-// ErrConflict is the retryable transaction-conflict error. Run/Update retry
-// it automatically; manual Commit callers should retry with back-off.
+// ErrConflict is the retryable transaction-conflict error, also what a busy
+// worker answers (a worker runs one transaction, read-only included, until
+// Commit or Abort). Update retries it; manual Commit callers should retry
+// with back-off.
 var ErrConflict = dbapi.ErrConflict
 
 // ErrUnknownObject reports an access to an object that was never created
@@ -186,15 +188,19 @@ type Node struct {
 // ID returns the node's id.
 func (n *Node) ID() int { return int(n.n.ID()) }
 
-// Begin starts a write transaction on an automatically assigned worker.
+// Begin starts a write transaction on an idle worker. A worker runs one
+// transaction, read-only included, until Commit or Abort; while all are busy,
+// the Tx's Get, Set and Commit answer ErrConflict.
 func (n *Node) Begin() *Tx { return &Tx{tx: n.n.Begin()} }
 
 // BeginOn starts a write transaction on a specific worker thread (worker ids
-// map onto reliable-commit pipelines).
+// map onto reliable-commit pipelines). A worker runs one transaction,
+// read-only included, until Commit or Abort: on a busy worker the Tx's Get,
+// Set and Commit answer ErrConflict.
 func (n *Node) BeginOn(worker int) *Tx { return &Tx{tx: n.n.BeginOn(worker)} }
 
 // BeginRO starts a read-only transaction: local on any replica, strictly
-// serializable, no network traffic.
+// serializable, no network traffic. It takes no worker.
 func (n *Node) BeginRO() *Tx { return &Tx{tx: n.n.BeginRO()} }
 
 // CreateObject registers a new object owned by this node with the default
@@ -209,14 +215,16 @@ func (n *Node) DeleteObject(obj uint64) error {
 }
 
 // Update runs fn in a write transaction on the given worker, retrying
-// conflicts with exponential back-off. The Tx is fn's for the length of the
-// call: a handle kept past it refuses every operation.
+// conflicts with exponential back-off, a busy worker's too: a worker runs
+// one transaction, read-only included, until Commit or Abort. The Tx is fn's
+// for the length of the call: a handle kept past it refuses every operation.
 func (n *Node) Update(worker int, fn func(*Tx) error) error {
 	return dbapi.Run(n.n.DB(), worker, scoped(fn))
 }
 
 // View runs fn in a read-only transaction on the given worker, retrying
-// conflicts. As with Update, the Tx ends with the call.
+// conflicts, a busy worker's included. As with Update, the Tx ends with the
+// call.
 func (n *Node) View(worker int, fn func(*Tx) error) error {
 	return dbapi.RunRO(n.n.DB(), worker, scoped(fn))
 }

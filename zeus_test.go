@@ -3,11 +3,14 @@ package zeus_test
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"zeus"
+	"zeus/internal/checker"
 	"zeus/internal/netsim"
 )
 
@@ -396,5 +399,103 @@ func TestPublicAPIUseAfterFinish(t *testing.T) {
 		return err
 	}); err != nil || got != 3 {
 		t.Fatalf("object reads %d, %v; want 3", got, err)
+	}
+}
+
+// TestPublicAPIOneTransactionPerWorker: goroutines that increment one counter
+// through the public API, more of them than there are workers to run them,
+// lose no committed increment. A worker runs one transaction at a time:
+// Update on a busy worker, and Begin while every worker is busy, answer
+// ErrConflict and are retried. Two increments on one worker used to share its
+// local write grant and commit the same version, which the checker reports as
+// a duplicate version.
+func TestPublicAPIOneTransactionPerWorker(t *testing.T) {
+	bump := func(tx *zeus.Tx) (read uint64, err error) {
+		v, err := tx.Get(1)
+		if err != nil {
+			return 0, err
+		}
+		read = counterVal(v)
+		return read, tx.Set(1, counterBytes(read+1))
+	}
+	for _, tc := range []struct {
+		name              string
+		workers, routines int
+		rounds            int
+		increment         func(*zeus.Node) (read uint64, err error)
+	}{
+		{name: "Update on one worker", workers: 4, routines: 8, rounds: 1000,
+			increment: func(n *zeus.Node) (read uint64, err error) {
+				err = n.Update(0, func(tx *zeus.Tx) (err error) {
+					read, err = bump(tx)
+					return err
+				})
+				return read, err
+			}},
+		{name: "Begin on more goroutines than workers", workers: 2, routines: 8, rounds: 2000,
+			increment: func(n *zeus.Node) (uint64, error) {
+				for {
+					tx := n.Begin()
+					read, err := bump(tx)
+					if err == nil {
+						err = tx.Commit()
+					} else {
+						tx.Abort()
+					}
+					if !zeus.IsConflict(err) {
+						return read, err
+					}
+					runtime.Gosched()
+				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := zeus.New(zeus.Options{Nodes: 3, Workers: tc.workers})
+			defer c.Close()
+			c.Seed(1, 0, counterBytes(0))
+			n := c.Node(0)
+			var (
+				clock atomic.Int64
+				mu    sync.Mutex
+				hist  []checker.Tx
+				wg    sync.WaitGroup
+			)
+			for g := 0; g < tc.routines; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < tc.rounds; i++ {
+						start := clock.Add(1)
+						read, err := tc.increment(n)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						end := clock.Add(1)
+						// Value k is version k+1: the seed installed 0 at version 1.
+						mu.Lock()
+						hist = append(hist, checker.Tx{ID: len(hist) + 1, Start: start, End: end,
+							Reads:  []checker.Access{{Obj: 1, Ver: read + 1}},
+							Writes: []checker.Access{{Obj: 1, Ver: read + 2}}})
+						mu.Unlock()
+					}
+				}()
+			}
+			wg.Wait()
+			if err := checker.Check(hist); err != nil {
+				t.Errorf("history of %d acknowledged increments: %v", len(hist), err)
+			}
+			var got uint64
+			if err := n.View(0, func(tx *zeus.Tx) error {
+				v, err := tx.Get(1)
+				got = counterVal(v)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if want := uint64(len(hist)); got != want {
+				t.Errorf("the counter reads %d after %d acknowledged increments", got, want)
+			}
+		})
 	}
 }
