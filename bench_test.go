@@ -1,8 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (§8), plus protocol micro-benchmarks. Each figure benchmark runs the
-// corresponding experiment from internal/experiments at a compact scale and
-// reports the headline metrics via b.ReportMetric; run cmd/zeus-bench -full
-// for the larger populations.
+// (§8), plus protocol micro-benchmarks. BenchmarkFigures runs each experiment
+// of internal/experiments at a compact scale and reports its headline cells
+// via b.ReportMetric; run cmd/zeus-bench -full for the larger populations.
 package zeus_test
 
 import (
@@ -194,8 +193,8 @@ func BenchmarkReadOnlyTx(b *testing.B) {
 // version ring at a fresh timestamp. Unlike BenchmarkReadOnlyTx this pays
 // the safe-time wait — the quorum watermark exchange must cover the
 // transaction's timestamp before the ring read is allowed — so per-op
-// latency is interval-bound; the win is scale-out (see BenchmarkReadScale),
-// not single-stream latency.
+// latency is interval-bound; the win is scale-out (see
+// BenchmarkFigures/readscale), not single-stream latency.
 func BenchmarkSnapshotReadTx(b *testing.B) {
 	c := zeus.New(zeus.Options{Nodes: 3, Workers: 4, SnapshotReads: true})
 	defer c.Close()
@@ -321,179 +320,54 @@ func BenchmarkWireDecodeStream(b *testing.B) {
 
 // --- Table and figure benchmarks (one per paper artefact) ---
 
-// BenchmarkTable2Summary regenerates Table 2.
-func BenchmarkTable2Summary(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.Table2(); len(rows.Rows) != 4 {
-			b.Fatal("table 2 incomplete")
+// figureMetrics are the experiments BenchmarkFigures runs, and the cells it
+// reports for each: a metric name, and the row and column of the cell it
+// reports (a duration in µs). directory and slo are not among them: they
+// run through zeus-bench, where slo's verdicts gate.
+var figureMetrics = map[string][]struct {
+	name string
+	row  int
+	col  string
+}{
+	"tab2":      nil,
+	"locality":  {{"boston-remote-%", 1, "remote %"}, {"venmo-remote-%", 4, "remote %"}, {"tpcc-remote-%", 6, "remote %"}},
+	"fig7":      {{"zeus-tps", 3, "zeus tx/s"}, {"ideal-tps", 3, "ideal tx/s"}, {"gap-%", 3, "gap %"}},
+	"fig8":      {{"zeus3@0%-tps/node", 0, "zeus-3 tx/s/node"}, {"occ2pc@0%-tps/node", 0, "occ2pc tx/s/node"}},
+	"fig9":      {{"zeus3@0%-tps/node", 0, "zeus-3 tx/s/node"}, {"occ2pc@0%-tps/node", 0, "occ2pc tx/s/node"}},
+	"fig10":     {{"moves/s", 0, "move obj/s"}, {"votes", 0, "votes"}},
+	"fig11":     {{"hot-moves/s", 0, "move obj/s"}},
+	"fig12":     {{"mean-µs", 0, "mean"}, {"p99.9-µs", 0, "p999"}},
+	"fig13":     {{"local-tps", 0, "tx/s"}, {"blocking-tps", 1, "tx/s"}, {"zeus1-tps", 2, "tx/s"}, {"zeus2-tps", 3, "tx/s"}},
+	"fig14":     {{"norepl-Mbps@1440", 1, "no-repl Mbps"}, {"zeus-Mbps@1440", 1, "zeus Mbps"}},
+	"fig15":     {{"1proxy-tps", 0, "tx/s"}, {"2proxy-tps", 1, "tx/s"}},
+	"ablation":  {{"pipelined-tps", 0, "tx/s"}, {"blocking-tps", 1, "tx/s"}},
+	"transport": {{"msgs/frame", 0, "msgs/frame"}, {"acks/frame", 0, "acks/frame"}},
+	"scaling":   {{"speedup-8w", 3, "speedup"}, {"tps-8w", 3, "tx/s"}},
+	"readscale": {{"reads/s@95-5x4r", 5, "reads/s"}, {"speedup-4r", 5, "speedup"}},
+}
+
+// BenchmarkFigures regenerates the tables and figures of the evaluation that
+// figureMetrics names (in experiments.All's order, one sub-benchmark an id)
+// at benchScale, and reports their headline cells.
+func BenchmarkFigures(b *testing.B) {
+	for _, e := range experiments.All {
+		metrics, ok := figureMetrics[e.ID]
+		if !ok {
+			continue
 		}
+		b.Run(e.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			var t experiments.Table
+			for i := 0; i < b.N; i++ {
+				t = e.Run(benchScale)
+			}
+			for _, m := range metrics {
+				v := t.Num(m.row, m.col)
+				if d, ok := t.Rows[m.row][t.Col(m.col)].(time.Duration); ok {
+					v = float64(d.Microseconds())
+				}
+				b.ReportMetric(v, m.name)
+			}
+		})
 	}
-}
-
-// BenchmarkLocalityAnalysis regenerates the §8 locality numbers (Boston,
-// Venmo, TPC-C).
-func BenchmarkLocalityAnalysis(b *testing.B) {
-	var last experiments.LocalityResult
-	for i := 0; i < b.N; i++ {
-		last = experiments.Locality()
-	}
-	b.ReportMetric(100*last.BostonRemoteHandovers6, "boston-remote-%")
-	b.ReportMetric(100*last.VenmoRemote6, "venmo-remote-%")
-	b.ReportMetric(100*last.TPCCCalibrated, "tpcc-remote-%")
-}
-
-// BenchmarkFig7Handovers regenerates Figure 7 (ideal vs Zeus).
-func BenchmarkFig7Handovers(b *testing.B) {
-	var rows []experiments.Fig7Row
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig7(benchScale)
-	}
-	for _, r := range rows {
-		if r.Nodes == 6 && r.HandoverPct == 5 {
-			b.ReportMetric(r.ZeusTps, "zeus-tps")
-			b.ReportMetric(r.IdealTps, "ideal-tps")
-			b.ReportMetric(r.GapPct, "gap-%")
-		}
-	}
-}
-
-// BenchmarkFig8Smallbank regenerates Figure 8 (Smallbank remote sweep).
-func BenchmarkFig8Smallbank(b *testing.B) {
-	var rows []experiments.SweepRow
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig8(benchScale)
-	}
-	if len(rows) > 0 {
-		b.ReportMetric(rows[0].Zeus3PerNode, "zeus3@0%-tps/node")
-		b.ReportMetric(rows[0].BaselinePerNode, "occ2pc@0%-tps/node")
-	}
-}
-
-// BenchmarkFig9TATP regenerates Figure 9 (TATP remote sweep).
-func BenchmarkFig9TATP(b *testing.B) {
-	var rows []experiments.SweepRow
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig9(benchScale)
-	}
-	if len(rows) > 0 {
-		b.ReportMetric(rows[0].Zeus3PerNode, "zeus3@0%-tps/node")
-		b.ReportMetric(rows[0].BaselinePerNode, "occ2pc@0%-tps/node")
-	}
-}
-
-// BenchmarkFig10VoterMigration regenerates Figure 10 (bulk migration).
-func BenchmarkFig10VoterMigration(b *testing.B) {
-	var r experiments.Fig10Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig10(benchScale)
-	}
-	b.ReportMetric(r.MoveRate, "moves/s")
-	b.ReportMetric(float64(r.TotalVotes), "votes")
-}
-
-// BenchmarkFig11VoterConcurrent regenerates Figure 11 (migration under load).
-func BenchmarkFig11VoterConcurrent(b *testing.B) {
-	var r experiments.Fig11Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig11(benchScale)
-	}
-	b.ReportMetric(r.HotMoveRate, "hot-moves/s")
-}
-
-// BenchmarkFig12OwnershipLatency regenerates Figure 12 (latency CDF).
-func BenchmarkFig12OwnershipLatency(b *testing.B) {
-	b.ReportAllocs()
-	var r experiments.Fig12Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig12(benchScale)
-	}
-	b.ReportMetric(float64(r.Mean.Microseconds()), "mean-µs")
-	b.ReportMetric(float64(r.P999.Microseconds()), "p99.9-µs")
-}
-
-// BenchmarkFig13Gateway regenerates Figure 13 (gateway configurations).
-func BenchmarkFig13Gateway(b *testing.B) {
-	var r experiments.Fig13Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig13(benchScale)
-	}
-	b.ReportMetric(r.LocalTps, "local-tps")
-	b.ReportMetric(r.BlockingTps, "blocking-tps")
-	b.ReportMetric(r.Zeus1ActiveTps, "zeus1-tps")
-	b.ReportMetric(r.Zeus2ActiveTps, "zeus2-tps")
-}
-
-// BenchmarkFig14SCTP regenerates Figure 14 (SCTP goodput).
-func BenchmarkFig14SCTP(b *testing.B) {
-	var r experiments.Fig14Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig14(benchScale)
-	}
-	for _, row := range r.Rows {
-		if row.PacketBytes == 1440 {
-			b.ReportMetric(row.NoReplMbps, "norepl-Mbps@1440")
-			b.ReportMetric(row.ZeusMbps, "zeus-Mbps@1440")
-		}
-	}
-}
-
-// BenchmarkFig15HTTPLB regenerates Figure 15 (scale-out/in).
-func BenchmarkFig15HTTPLB(b *testing.B) {
-	var r experiments.Fig15Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig15(benchScale)
-	}
-	b.ReportMetric(r.OneProxyTps, "1proxy-tps")
-	b.ReportMetric(r.TwoProxyTps, "2proxy-tps")
-}
-
-// BenchmarkTransportBatching regenerates the transport ablation: frames and
-// pure acks that batching + delayed acks send for a one-way stream (the
-// per-message floor is one of each a message).
-func BenchmarkTransportBatching(b *testing.B) {
-	var r experiments.TransportResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.Transport(benchScale)
-	}
-	b.ReportMetric(float64(r.Msgs)/float64(r.BatchedFrames), "msgs/frame")
-	b.ReportMetric(float64(r.BatchedAcks)/float64(r.BatchedFrames), "acks/frame")
-}
-
-// BenchmarkAblationScaling regenerates the worker-pipeline scaling ablation.
-func BenchmarkAblationScaling(b *testing.B) {
-	var r experiments.ScalingResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.Scaling(benchScale)
-	}
-	for _, row := range r.Rows {
-		if row.Workers == 8 {
-			b.ReportMetric(row.Speedup, "speedup-8w")
-			b.ReportMetric(row.Tps, "tps-8w")
-		}
-	}
-}
-
-// BenchmarkReadScale regenerates the snapshot-read scaling experiment:
-// RO throughput vs reader replicas with the owner serving zero reads.
-func BenchmarkReadScale(b *testing.B) {
-	var r experiments.ReadScaleResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.ReadScale(benchScale)
-	}
-	for _, row := range r.Rows {
-		if row.WritePct == 5 && row.Replicas == 4 {
-			b.ReportMetric(row.Tps, "reads/s@95-5x4r")
-			b.ReportMetric(row.Speedup, "speedup-4r")
-		}
-	}
-}
-
-// BenchmarkAblationPipelining regenerates the design-choice ablations.
-func BenchmarkAblationPipelining(b *testing.B) {
-	var r experiments.AblationResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.Ablations(benchScale)
-	}
-	b.ReportMetric(r.PipelinedTps, "pipelined-tps")
-	b.ReportMetric(r.BlockingTps, "blocking-tps")
 }

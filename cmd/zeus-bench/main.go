@@ -1,6 +1,6 @@
 // Command zeus-bench regenerates the paper's evaluation artefacts (§8):
 // every table and figure, plus the ablation studies and the repo's own
-// regression experiments.
+// regression experiments, each printed as one table.
 //
 // Usage:
 //
@@ -10,9 +10,8 @@
 //	zeus-bench -compare -slo-new /tmp/slo.json
 //	zeus-bench -list
 //
-// Experiments: tab2, locality, fig7 … fig15, ablation, transport, scaling,
-// directory, readscale, slo, all. The default scale finishes in seconds;
-// -full runs the larger populations.
+// The experiments are experiments.All (-list names them). The default scale
+// finishes in seconds; -full runs the larger populations.
 package main
 
 import (
@@ -25,7 +24,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("experiment", "all", "experiment id (tab2, locality, fig7..fig15, ablation, transport, scaling, directory, readscale, slo, all)")
+	exp := flag.String("experiment", "all", "experiment id (see -list), or all")
 	full := flag.Bool("full", false, "run the full-scale configuration (slower)")
 	list := flag.Bool("list", false, "list available experiments")
 	compare := flag.Bool("compare", false, "gate an open-loop SLO record (-slo-new) against the baseline (-slo-old)")
@@ -43,39 +42,38 @@ func main() {
 	}
 	if *list {
 		fmt.Println("available experiments:")
-		for _, e := range order {
-			fmt.Printf("  %-9s %s\n", e.name, e.desc)
+		for _, e := range experiments.All {
+			fmt.Printf("  %-9s %s\n", e.ID, e.Desc)
 		}
 		return
 	}
-	scale := experiments.Quick
+	scale, scaleName := experiments.Quick, "quick"
 	if *full {
-		scale = experiments.Full
+		scale, scaleName = experiments.Full, "full"
 	}
 
 	want := strings.ToLower(*exp)
 	ran := 0
 	failed := false
-	for _, e := range order {
-		if want != "all" && want != e.name {
+	for _, e := range experiments.All {
+		if want != "all" && want != e.ID {
 			continue
 		}
-		if e.name == "slo" {
-			r := experiments.SLOExp(scale)
-			r.Print(os.Stdout)
+		t := e.Run(scale)
+		t.Print(os.Stdout)
+		if e.ID == "slo" {
+			// The matrix alone gates: -slo-out records it, and a row that
+			// missed its SLO fails the run.
 			if *sloOut != "" {
-				label := "slo " + scaleName(*full)
-				if err := writeSLORecord(*sloOut, label, r); err != nil {
+				if err := writeSLORecord(*sloOut, "slo "+scaleName, t); err != nil {
 					fmt.Fprintln(os.Stderr, "zeus-bench:", err)
 					os.Exit(1)
 				}
 				fmt.Printf("wrote %s\n", *sloOut)
 			}
-			if !r.Pass() {
-				failed = true
+			for _, row := range t.Rows {
+				failed = failed || row[t.Col("verdict")] != "PASS"
 			}
-		} else {
-			e.run(scale)
 		}
 		ran++
 	}
@@ -87,73 +85,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "zeus-bench: SLO matrix failed (see rows marked FAIL)")
 		os.Exit(1)
 	}
-}
-
-func scaleName(full bool) string {
-	if full {
-		return "full"
-	}
-	return "quick"
-}
-
-type entry struct {
-	name string
-	desc string
-	run  func(experiments.Scale)
-}
-
-var order = []entry{
-	{"tab2", "Table 2: benchmark summary", func(experiments.Scale) {
-		experiments.Table2().Print(os.Stdout)
-	}},
-	{"locality", "§8 locality analyses (Boston, Venmo, TPC-C)", func(experiments.Scale) {
-		experiments.Locality().Print(os.Stdout)
-	}},
-	{"fig7", "Handovers: all-local ideal vs Zeus", func(s experiments.Scale) {
-		experiments.PrintFig7(os.Stdout, experiments.Fig7(s))
-	}},
-	{"fig8", "Smallbank vs % remote writes (Zeus vs OCC+2PC)", func(s experiments.Scale) {
-		experiments.PrintSweep(os.Stdout, "Figure 8: Smallbank while varying remote write transactions", experiments.Fig8(s))
-	}},
-	{"fig9", "TATP vs % remote writes (Zeus vs OCC+2PC)", func(s experiments.Scale) {
-		experiments.PrintSweep(os.Stdout, "Figure 9: TATP while varying remote write transactions", experiments.Fig9(s))
-	}},
-	{"fig10", "Voter: bulk object migration under load", func(s experiments.Scale) {
-		experiments.Fig10(s).Print(os.Stdout)
-	}},
-	{"fig11", "Voter: votes concurrent with hot-object moves", func(s experiments.Scale) {
-		experiments.Fig11(s).Print(os.Stdout)
-	}},
-	{"fig12", "CDF of ownership request latency", func(s experiments.Scale) {
-		experiments.Fig12(s).Print(os.Stdout)
-	}},
-	{"fig13", "Packet gateway control plane (4 configurations)", func(s experiments.Scale) {
-		experiments.Fig13(s).Print(os.Stdout)
-	}},
-	{"fig14", "SCTP throughput with/without replication", func(s experiments.Scale) {
-		experiments.Fig14(s).Print(os.Stdout)
-	}},
-	{"fig15", "Nginx-style LB under scale-out/in", func(s experiments.Scale) {
-		experiments.Fig15(s).Print(os.Stdout)
-	}},
-	{"ablation", "Pipelining / replication degree / loss ablations", func(s experiments.Scale) {
-		experiments.Ablations(s).Print(os.Stdout)
-	}},
-	{"transport", "Transport frame batching + delayed acks vs the per-message floor", func(s experiments.Scale) {
-		experiments.Transport(s).Print(os.Stdout)
-	}},
-	{"scaling", "Worker-pipeline scaling: local write tx with 1→8 workers", func(s experiments.Scale) {
-		experiments.Scaling(s).Print(os.Stdout)
-	}},
-	{"directory", "Sharded ownership directory: REQ throughput vs shard count", func(s experiments.Scale) {
-		experiments.Directory(s).Print(os.Stdout)
-	}},
-	{"readscale", "MVCC snapshot reads: RO throughput vs reader replicas (95/5 and 100/0)", func(s experiments.Scale) {
-		experiments.ReadScale(s).Print(os.Stdout)
-	}},
-	{"slo", "Open-loop SLO matrix: omission-safe latency over app workloads (netsim + TCP)", func(s experiments.Scale) {
-		// Handled specially in main so -slo-out and the pass/fail exit
-		// code apply; this entry exists for -list and ordering.
-		experiments.SLOExp(s).Print(os.Stdout)
-	}},
 }

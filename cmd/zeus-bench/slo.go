@@ -55,26 +55,26 @@ type sloRecord struct {
 	Rows         map[string]sloRecordRow `json:"rows"`
 }
 
-// writeSLORecord serializes a matrix run for the -compare gate.
-func writeSLORecord(path, label string, r experiments.SLOResult) error {
+// writeSLORecord serializes the SLO matrix's table for the -compare gate.
+func writeSLORecord(path, label string, t experiments.Table) error {
 	rec := sloRecord{
 		Label:        label,
 		Recorded:     time.Now().UTC().Format(time.RFC3339),
-		Host:         fmt.Sprintf("%d-core %s/%s (GOMAXPROCS=%d)", runtime.NumCPU(), runtime.GOOS, runtime.GOARCH, r.MaxProcs),
+		Host:         fmt.Sprintf("%d-core %s/%s (GOMAXPROCS=%d)", runtime.NumCPU(), runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0)),
 		Command:      "go run ./cmd/zeus-bench -experiment slo -slo-out " + path,
 		Note:         "open-loop intended-send-time percentiles; -compare flags a row only when p99 grows past old × (1+p99_tolerance) AND exceeds p99_floor_ns",
 		P99Tolerance: sloP99Tolerance,
 		P99FloorNS:   int64(sloP99Floor),
-		Rows:         make(map[string]sloRecordRow, len(r.Rows)),
+		Rows:         make(map[string]sloRecordRow, len(t.Rows)),
 	}
-	for _, row := range r.Rows {
-		rec.Rows[row.Key()] = sloRecordRow{
-			P50NS:  row.P50.Nanoseconds(),
-			P99NS:  row.P99.Nanoseconds(),
-			P999NS: row.P999.Nanoseconds(),
-			MaxNS:  row.Max.Nanoseconds(),
-			Tps:    row.Throughput,
-			Pass:   row.Pass,
+	for i, row := range t.Rows {
+		rec.Rows[row[t.Col("point")].(string)] = sloRecordRow{
+			P50NS:  int64(t.Num(i, "p50")),
+			P99NS:  int64(t.Num(i, "p99")),
+			P999NS: int64(t.Num(i, "p999")),
+			MaxNS:  int64(t.Num(i, "max")),
+			Tps:    t.Num(i, "tx/s"),
+			Pass:   row[t.Col("verdict")] == "PASS",
 		}
 	}
 	b, err := json.MarshalIndent(rec, "", "  ")

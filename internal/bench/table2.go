@@ -1,7 +1,5 @@
 package bench
 
-import "fmt"
-
 // BenchmarkInfo is one row of Table 2: the static characteristics of the
 // evaluated benchmarks.
 type BenchmarkInfo struct {
@@ -21,10 +19,4 @@ func Table2() []BenchmarkInfo {
 		{Name: "TATP", Characteristic: "read-intensive", Tables: 4, Columns: 51, TxTypes: 7, ReadTxPercent: 80},
 		{Name: "Voter", Characteristic: "popularity skew", Tables: 3, Columns: 9, TxTypes: 1, ReadTxPercent: 0},
 	}
-}
-
-// String renders the row like the paper's table.
-func (b BenchmarkInfo) String() string {
-	return fmt.Sprintf("%-10s %-16s tables=%d columns=%d txs=%d read-txs=%d%%",
-		b.Name, b.Characteristic, b.Tables, b.Columns, b.TxTypes, b.ReadTxPercent)
 }

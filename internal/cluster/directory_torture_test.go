@@ -160,7 +160,7 @@ func assertDirInvariants(t *testing.T, c *Cluster, dead wire.NodeID,
 	}
 
 	// Strict serializability of the committed history.
-	checkHistory(t, history)
+	checkHistory(t, history, nil)
 }
 
 // TestDirectoryDriverCrashUnderLoad crashes a PURE directory driver — a node

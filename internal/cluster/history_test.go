@@ -9,8 +9,9 @@ import (
 
 // checkHistory fails the test unless hist is strictly serializable. On a
 // cycle it first logs each member's ID, real-time bounds, reads and writes,
-// so the transactions behind a violation show without a re-run.
-func checkHistory(t *testing.T, hist []checker.Tx) {
+// so the transactions behind a violation show without a re-run, each with
+// what notes holds for its ID (nil for none).
+func checkHistory(t *testing.T, hist []checker.Tx, notes map[int]string) {
 	t.Helper()
 	err := checker.Check(hist)
 	if err == nil {
@@ -24,8 +25,8 @@ func checkHistory(t *testing.T, hist []checker.Tx) {
 		}
 		for _, id := range v.Cycle {
 			if tx := byID[id]; tx != nil {
-				t.Logf("cycle member tx %d: start %d end %d reads %+v writes %+v",
-					tx.ID, tx.Start, tx.End, tx.Reads, tx.Writes)
+				t.Logf("cycle member tx %d: start %d end %d reads %+v writes %+v %s",
+					tx.ID, tx.Start, tx.End, tx.Reads, tx.Writes, notes[id])
 			}
 		}
 	}

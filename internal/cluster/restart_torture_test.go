@@ -208,7 +208,7 @@ func TestCrashRestartTorture(t *testing.T) {
 	// strictly serializable.
 	histMu.Lock()
 	defer histMu.Unlock()
-	checkHistory(t, hist)
+	checkHistory(t, hist, nil)
 	if len(hist) < 50 {
 		t.Fatalf("history suspiciously small: %d committed transactions", len(hist))
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"zeus/internal/checker"
+	"zeus/internal/core"
 	"zeus/internal/dbapi"
 	"zeus/internal/storage"
 	"zeus/internal/storage/memstorage"
@@ -214,15 +216,20 @@ func TestSnapshotTortureOwnerKillRestart(t *testing.T) {
 	var (
 		histMu sync.Mutex
 		hist   []checker.Tx
+		notes  = map[int]string{} // a snapshot's T and the CTS of each version it read
 		clock  atomic.Int64
 		txid   atomic.Int64
 	)
-	record := func(start, end int64, reads, writes []checker.Access) {
+	record := func(start, end int64, reads, writes []checker.Access, note string) {
 		histMu.Lock()
+		id := int(txid.Add(1))
 		hist = append(hist, checker.Tx{
-			ID: int(txid.Add(1)), Start: start, End: end,
+			ID: id, Start: start, End: end,
 			Reads: reads, Writes: writes,
 		})
+		if note != "" {
+			notes[id] = note
+		}
 		histMu.Unlock()
 	}
 
@@ -253,15 +260,17 @@ func TestSnapshotTortureOwnerKillRestart(t *testing.T) {
 		end := clock.Add(1)
 		record(start, end,
 			[]checker.Access{{Obj: uint64(objA), Ver: va}, {Obj: uint64(objB), Ver: vb}},
-			[]checker.Access{{Obj: uint64(objA), Ver: va + 1}, {Obj: uint64(objB), Ver: vb + 1}})
+			[]checker.Access{{Obj: uint64(objA), Ver: va + 1}, {Obj: uint64(objB), Ver: vb + 1}}, "")
 		return true
 	}
 
-	// snapRead records one snapshot observation of both counters; a node
+	// snapRead records one snapshot observation of both counters, with the
+	// snapshot's timestamp T and the CTS of the two versions it read; a node
 	// that is (currently) no replica, or cannot catch up, is skipped.
 	snapRead := func(node int) {
 		start := clock.Add(1)
 		var a, b uint64
+		var note string
 		err := dbapi.RunRO(c.Node(node).DB(), node, func(tx dbapi.Txn) error {
 			av, err := tx.Get(uint64(objA))
 			if err != nil {
@@ -272,6 +281,9 @@ func TestSnapshotTortureOwnerKillRestart(t *testing.T) {
 				return err
 			}
 			a, b = fromU64c(av), fromU64c(bv)
+			ctx := tx.(*core.Tx)
+			note = fmt.Sprintf("on node %d at T=%d, read CTS %d (obj %d) and %d (obj %d)",
+				node, ctx.SnapshotTS(), ctx.ReadCTS(uint64(objA)), objA, ctx.ReadCTS(uint64(objB)), objB)
 			return nil
 		})
 		if err != nil {
@@ -283,7 +295,7 @@ func TestSnapshotTortureOwnerKillRestart(t *testing.T) {
 		}
 		record(start, end,
 			[]checker.Access{{Obj: uint64(objA), Ver: a + 1}, {Obj: uint64(objB), Ver: b + 1}},
-			nil)
+			nil, note)
 	}
 
 	stop := make(chan struct{})
@@ -366,5 +378,5 @@ func TestSnapshotTortureOwnerKillRestart(t *testing.T) {
 	if snaps == 0 {
 		t.Fatal("no snapshot reads committed at all")
 	}
-	checkHistory(t, hist)
+	checkHistory(t, hist, notes)
 }

@@ -211,7 +211,7 @@ func TestViewServiceLeaderFailover(t *testing.T) {
 	// Strict serializability of the committed history.
 	hmu.Lock()
 	defer hmu.Unlock()
-	checkHistory(t, history)
+	checkHistory(t, history, nil)
 }
 
 // TestViewServiceFollowerCrashUnderLoad kills a non-leader view replica

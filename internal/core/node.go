@@ -614,7 +614,9 @@ const inlineAccesses = 4
 type access struct {
 	id  wire.ObjectID
 	obj *store.Object // resolved once, at first touch
-	// ver is the t_version observed at first read (accRead).
+	// ver is the t_version observed at first read (accRead). A snapshot
+	// read keeps the commit timestamp of the ring entry it was served from
+	// instead: nothing validates or locks a snapshot transaction's reads.
 	ver uint64
 	// data is what Get returns from the second access on: the slice Set
 	// adopted (accWritten; it becomes the object's payload at commit), else
@@ -699,24 +701,46 @@ func (tx *Tx) refusal() error {
 }
 
 // lease is a worker's right to run its one transaction at a time (§5.2, §7).
-// Begin takes it with one CAS, Commit or Abort gives it back (Tx.end); tx is
-// the record DB's transactions on the worker run in.
+// A Begin takes it by adding one to an even state, Commit or Abort gives it
+// back by adding one more (Tx.end): one atomic write each, and state only
+// grows, so an unchanged state says the lease was held throughout. tx is the
+// record DB's transactions on the worker run in.
 type lease struct {
-	busy atomic.Bool
-	tx   Tx
+	state atomic.Uint64 // odd while held
+	tx    Tx
+}
+
+// take takes the lease if it is free and reports whether it did.
+func (l *lease) take() bool {
+	s := l.state.Load()
+	return s&1 == 0 && l.state.CompareAndSwap(s, s+1)
 }
 
 // Begin starts a write transaction on an idle worker, scanning from a random
-// one to spread callers over the pipelines, or returns busyTx if all are busy.
+// one to spread callers over the pipelines. It returns busyTx only when every
+// worker ran a transaction at one instant during the call: a pass over the
+// workers that finds none idle is repeated until two passes in a row see each
+// worker held by the same transaction. States only grow, so two passes whose
+// states sum alike saw every one unchanged. It never waits for a worker: a
+// pass repeats only after another transaction began or ended.
 func (n *Node) Begin() *Tx {
 	w0 := rand.IntN(len(n.leases))
-	for i := range n.leases {
-		if tx := n.BeginOn(w0 + i); tx != busyTx {
-			n.maybeTrace(tx)
-			return tx
+	var last uint64
+	for pass := 0; ; pass++ {
+		var sum uint64
+		for i := range n.leases {
+			w := (w0 + i) % len(n.leases)
+			if tx := n.BeginOn(w); tx != busyTx {
+				n.maybeTrace(tx)
+				return tx
+			}
+			sum += n.leases[w].state.Load()
 		}
+		if pass > 0 && sum == last {
+			return busyTx
+		}
+		last = sum
 	}
-	return busyTx
 }
 
 // BeginOn starts a write transaction on a specific worker thread, or returns
@@ -726,7 +750,7 @@ func (n *Node) Begin() *Tx {
 // of the struct).
 func (n *Node) BeginOn(worker int) *Tx {
 	w := worker % n.cfg.Workers
-	if !n.leases[w].busy.CompareAndSwap(false, true) {
+	if !n.leases[w].take() {
 		return busyTx
 	}
 	return &Tx{n: n, worker: w, leased: true}
@@ -838,9 +862,22 @@ func (tx *Tx) snapshotGet(id wire.ObjectID) ([]byte, error) {
 	if !ok {
 		return nil, dbapi.ErrConflict
 	}
-	tx.add(access{id: id, obj: o, ver: e.Version, data: e.Data, flags: accRead})
+	tx.add(access{id: id, obj: o, ver: e.CTS, data: e.Data, flags: accRead})
 	n.stSnapReads.Add(1)
 	return e.Data, nil
+}
+
+// SnapshotTS returns a snapshot transaction's timestamp T, 0 until its first
+// read mints it. Ask before Commit or Abort: they zero a DB transaction.
+func (tx *Tx) SnapshotTS() uint64 { return tx.at }
+
+// ReadCTS returns the commit timestamp of the version a snapshot transaction
+// read of obj, 0 if it read none. Ask before Commit or Abort.
+func (tx *Tx) ReadCTS(obj uint64) uint64 {
+	if a := tx.find(wire.ObjectID(obj)); a != nil && tx.snap {
+		return a.ver
+	}
+	return 0
 }
 
 // waitSafe delays until the safe-time covers the snapshot timestamp
@@ -1204,7 +1241,7 @@ func (tx *Tx) end() {
 	if tx == &l.tx {
 		*tx = Tx{finished: true, slot: tx.slot}
 	}
-	l.busy.Store(false)
+	l.state.Add(1)
 }
 
 // Durable returns a channel closed once the transaction's reliable commit
@@ -1254,7 +1291,7 @@ func (a dbAdapter) BeginRO(worker int) dbapi.Txn { return a.begin(worker, true) 
 func (a dbAdapter) begin(worker int, ro bool) *Tx {
 	w := worker % a.n.cfg.Workers
 	l := &a.n.leases[w]
-	if !l.busy.CompareAndSwap(false, true) {
+	if !l.take() {
 		return busyTx
 	}
 	l.tx = Tx{n: a.n, worker: w, leased: true, ro: ro, snap: ro && a.n.cfg.SnapshotReads}

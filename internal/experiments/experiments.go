@@ -1,18 +1,25 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§8). Each experiment is a function from a Scale (how big to
-// run) to a printable result; cmd/zeus-bench and the repository's root
-// benchmarks are thin wrappers around these.
+// run) to a Table: a title, the paper's own figure for the same artefact,
+// named columns, one row of cells per measured point, and notes. All lists
+// them in order; cmd/zeus-bench prints them as text and the repository's
+// BenchmarkFigures reports their headline cells.
 //
 // Absolute numbers differ from the paper — the substrate is an in-process
 // simulated fabric, not a 40 Gbps DPDK testbed — but the comparisons (who
 // wins, by what factor, where the crossovers fall) reproduce the paper's
-// shapes. Each printer puts the paper's figure beside the measured one (its
-// "paper: …" notes in `zeus-bench -experiment <name>` output).
+// shapes, and each table's "paper:" line puts the paper's figure beside the
+// measured one.
 package experiments
 
 import (
 	"fmt"
 	"io"
+	"math"
+	"runtime"
+	"strconv"
+	"strings"
+	"text/tabwriter"
 	"time"
 
 	"zeus/internal/bench"
@@ -22,6 +29,129 @@ import (
 	"zeus/internal/netsim"
 	"zeus/internal/transport"
 )
+
+// Table is what one experiment measured. A cell is a string, an int, a
+// uint64, a float64 or a time.Duration.
+type Table struct {
+	Title string
+	Paper string // what the paper reports
+	Cols  []string
+	Rows  [][]any
+	Notes []string
+}
+
+// An Experiment is one artefact of the evaluation.
+type Experiment struct {
+	ID, Desc string
+	Run      func(Scale) Table
+}
+
+// All is every experiment, in the order zeus-bench lists and runs them.
+var All = []Experiment{
+	{"tab2", "Table 2: benchmark summary", Table2},
+	{"locality", "§8 locality analyses (Boston, Venmo, TPC-C)", Locality},
+	{"fig7", "Handovers: all-local ideal vs Zeus", Fig7},
+	{"fig8", "Smallbank vs % remote writes (Zeus vs OCC+2PC)", Fig8},
+	{"fig9", "TATP vs % remote writes (Zeus vs OCC+2PC)", Fig9},
+	{"fig10", "Voter: bulk object migration under load", Fig10},
+	{"fig11", "Voter: votes concurrent with hot-object moves", Fig11},
+	{"fig12", "CDF of ownership request latency", Fig12},
+	{"fig13", "Packet gateway control plane (4 configurations)", Fig13},
+	{"fig14", "SCTP throughput with/without replication", Fig14},
+	{"fig15", "Nginx-style LB under scale-out/in", Fig15},
+	{"ablation", "Pipelining / replication degree / loss ablations", Ablations},
+	{"transport", "Transport frame batching + delayed acks vs the per-message floor", Transport},
+	{"scaling", "Worker-pipeline scaling: local write tx with 1→8 workers", Scaling},
+	{"directory", "Sharded ownership directory: REQ throughput vs shard count", Directory},
+	{"readscale", "MVCC snapshot reads: RO throughput vs reader replicas (95/5 and 100/0)", ReadScale},
+	{"slo", "Open-loop SLO matrix: omission-safe latency over app workloads (netsim + TCP)", SLOExp},
+}
+
+// Print renders the table as aligned text.
+func (t Table) Print(w io.Writer) {
+	fmt.Fprintf(w, "\n== %s ==\n", t.Title)
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
+	fmt.Fprintf(tw, "  %s\n", strings.Join(t.Cols, "\t"))
+	for _, row := range t.Rows {
+		cells := make([]string, len(row))
+		for i, v := range row {
+			cells[i] = fmtCell(v)
+		}
+		fmt.Fprintf(tw, "  %s\n", strings.Join(cells, "\t"))
+	}
+	tw.Flush()
+	if t.Paper != "" {
+		fmt.Fprintf(w, "  paper: %s\n", t.Paper)
+	}
+	for _, n := range t.Notes {
+		fmt.Fprintf(w, "  %s\n", n)
+	}
+}
+
+// fmtCell renders one cell for Print.
+func fmtCell(v any) string {
+	switch v := v.(type) {
+	case float64:
+		switch a := math.Abs(v); {
+		case a >= 100 || a == 0:
+			return strconv.FormatFloat(v, 'f', 0, 64)
+		case a >= 1:
+			return strconv.FormatFloat(v, 'f', 2, 64)
+		}
+		return strconv.FormatFloat(v, 'g', 3, 64)
+	case time.Duration:
+		return v.Round(time.Microsecond).String()
+	}
+	return fmt.Sprint(v)
+}
+
+// Col returns the index of the named column; it panics on a name the table
+// does not have.
+func (t Table) Col(name string) int {
+	for i, c := range t.Cols {
+		if c == name {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("experiments: %q has no column %q", t.Title, name))
+}
+
+// Num returns a numeric cell as a float64 (a Duration in nanoseconds); it
+// panics on a cell that is not a number.
+func (t Table) Num(row int, col string) float64 {
+	switch v := t.Rows[row][t.Col(col)].(type) {
+	case float64:
+		return v
+	case int:
+		return float64(v)
+	case uint64:
+		return float64(v)
+	case time.Duration:
+		return float64(v)
+	}
+	panic(fmt.Sprintf("experiments: %q row %d column %q is not a number", t.Title, row, col))
+}
+
+// ratio is a/b, 0 when b is: a cell stays a finite number.
+func ratio(a, b float64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return a / b
+}
+
+// add appends one row of cells.
+func (t *Table) add(cells ...any) { t.Rows = append(t.Rows, cells) }
+
+// procsNote is the note of the experiments whose speedups depend on cores:
+// the host's GOMAXPROCS, and on one core what the rows check instead.
+func procsNote(singleCore string) []string {
+	procs := runtime.GOMAXPROCS(0)
+	if procs == 1 {
+		return []string{"GOMAXPROCS=1 (single-core host: " + singleCore + ")"}
+	}
+	return []string{fmt.Sprintf("GOMAXPROCS=%d", procs)}
+}
 
 // Scale sizes an experiment run.
 type Scale struct {
@@ -71,12 +201,10 @@ var Full = Scale{
 	Packets:            50000,
 }
 
-// newZeus builds a Zeus cluster over the perfect in-memory fabric (protocol
-// dynamics experiments: migrations, latency CDFs, timelines).
-func newZeus(nodes, workers int) *cluster.Cluster { return newZeusDegree(nodes, 3, workers) }
-
-// newZeusDegree is newZeus at another replication degree.
-func newZeusDegree(nodes, degree, workers int) *cluster.Cluster {
+// newZeus builds a Zeus cluster of a replication degree over the perfect
+// in-memory fabric (protocol dynamics experiments: migrations, latency CDFs,
+// timelines).
+func newZeus(nodes, degree, workers int) *cluster.Cluster {
 	opts := cluster.DefaultOptions(nodes)
 	opts.Degree = degree
 	opts.Workers = workers
@@ -148,21 +276,4 @@ func perNode(r loadgen.Result) float64 { return r.Throughput() / float64(r.Drive
 // fabric newZeusSim gives Zeus.
 func newBaselineSim(nodes, degree int) *bench.BaselineDeployment {
 	return bench.NewBaselineDeployment(nodes, degree, transport.NewSimFabric(simNetConfig()))
-}
-
-// fmtTps renders a throughput in human units.
-func fmtTps(tps float64) string {
-	switch {
-	case tps >= 1e6:
-		return fmt.Sprintf("%.2f Mtps", tps/1e6)
-	case tps >= 1e3:
-		return fmt.Sprintf("%.1f Ktps", tps/1e3)
-	default:
-		return fmt.Sprintf("%.0f tps", tps)
-	}
-}
-
-// Table rendering helper.
-func printHeader(w io.Writer, title string) {
-	fmt.Fprintf(w, "\n== %s ==\n", title)
 }

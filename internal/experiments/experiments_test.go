@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -25,135 +28,270 @@ var tiny = Scale{
 	Packets:            1500,
 }
 
-func renders(t *testing.T, print func(*bytes.Buffer), want ...string) {
-	t.Helper()
-	var buf bytes.Buffer
-	print(&buf)
-	out := buf.String()
-	if out == "" {
-		t.Fatal("empty rendering")
+// A check is one thing an experiment's table must show: a shape of the
+// paper's figure, or a property every run has.
+type check struct {
+	what string
+	ok   func(t Table) bool
+}
+
+// everyRow is a check that holds when ok holds for each row.
+func everyRow(what string, ok func(t Table, i int) bool) check {
+	return check{what, func(t Table) bool {
+		for i := range t.Rows {
+			if !ok(t, i) {
+				return false
+			}
+		}
+		return true
+	}}
+}
+
+// positive is a check that every row's named columns are above zero.
+func positive(cols ...string) check {
+	return everyRow(strings.Join(cols, ", ")+" above zero", func(t Table, i int) bool {
+		for _, c := range cols {
+			if t.Num(i, c) <= 0 {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// A figure is what one experiment's table is at the tiny scale: its title,
+// columns and row count, pinned, and the checks its cells must pass.
+type figure struct {
+	title  string
+	cols   []string
+	rows   int
+	checks []check
+}
+
+var figures = map[string]figure{
+	"tab2": {"Table 2: summary of evaluated benchmarks",
+		[]string{"benchmark", "characteristic", "tables", "columns", "tx types", "read txs %"}, 4, []check{
+			{"lists Handovers and TATP", func(t Table) bool { return t.Rows[0][0] == "Handovers" && t.Rows[2][0] == "TATP" }},
+		}},
+	"locality": {"Locality in workloads (§8)", []string{"analysis", "nodes", "remote %", "paper %"}, 7, []check{
+		{"Boston's remote share grows from 3 to 6 nodes", func(t Table) bool { return t.Num(1, "remote %") > t.Num(0, "remote %") }},
+		{"Venmo's remote share is above zero and grows from 3 to 6 nodes", func(t Table) bool {
+			return t.Num(3, "remote %") > 0 && t.Num(4, "remote %") > t.Num(3, "remote %")
+		}},
+		{"TPC-C's calibrated remote share is within 2–3 %", func(t Table) bool {
+			return t.Num(6, "remote %") >= 2 && t.Num(6, "remote %") <= 3
+		}},
+	}},
+	"fig7": {"Figure 7: Handovers — all-local (ideal) vs Zeus",
+		[]string{"nodes", "handovers %", "ideal tx/s", "zeus tx/s", "gap %"}, 4, []check{
+			positive("ideal tx/s", "zeus tx/s"),
+			// At the tiny scale timing noise dominates: only an order of
+			// magnitude between the two is held. The paper's 4–9 % gap is
+			// printed beside the measured one.
+			everyRow("ideal and Zeus within 10x of each other", func(t Table, i int) bool {
+				ideal, zeus := t.Num(i, "ideal tx/s"), t.Num(i, "zeus tx/s")
+				return zeus <= ideal*10 && ideal <= zeus*10
+			}),
+		}},
+	"fig8": {"Figure 8: Smallbank while varying remote write transactions", sweepCols, 4, []check{
+		{"throughput at 0 % remote", func(t Table) bool {
+			return t.Num(0, "zeus-3 tx/s/node") > 0 && t.Num(0, "occ2pc tx/s/node") > 0
+		}},
+		zeusBeatsOCCAtZeroRemote,
+		// With noise slack at the tiny scale.
+		{"Zeus decays with the remote share", func(t Table) bool {
+			return t.Num(len(t.Rows)-1, "zeus-3 tx/s/node") <= t.Num(0, "zeus-3 tx/s/node")*1.3
+		}},
+	}},
+	"fig9": {"Figure 9: TATP while varying remote write transactions", sweepCols, 5, []check{zeusBeatsOCCAtZeroRemote}},
+	"fig10": {"Figure 10: Voter — moving all voter objects across nodes under load", withLat("voters", "moved", "move obj/s", "votes"), 1, []check{
+		positive("moved", "move obj/s", "votes"),
+		{"a timeline of votes", func(t Table) bool { return len(t.Notes) > 1 }},
+	}},
+	"fig11": {"Figure 11: Voter — votes concurrent with hot-object migration", withLat("hot moved", "move obj/s", "before op/s", "during op/s"), 1, []check{
+		positive("hot moved"),
+	}},
+	"fig12": {"Figure 12: CDF of ownership request latency", withLat("samples", "mean"), 1, []check{
+		positive("samples"),
+		{"p50 ≤ p99 ≤ max", func(t Table) bool { return t.Num(0, "p50") <= t.Num(0, "p99") && t.Num(0, "p99") <= t.Num(0, "max") }},
+	}},
+	"fig13": {"Figure 13: cellular packet gateway control plane", []string{"datastore", "tx/s", "paper"}, 4, []check{
+		positive("tx/s"),
+		{"the blocking store is slower than Zeus 1 active", func(t Table) bool { return t.Num(1, "tx/s") <= t.Num(2, "tx/s") }},
+	}},
+	"fig14": {"Figure 14: SCTP throughput (single flow, per-packet state transactions)",
+		[]string{"packet B", "no-repl Mbps", "zeus Mbps", "drop %"}, 2, []check{
+			positive("no-repl Mbps", "zeus Mbps"),
+			// Replication costs throughput (paper: ~40% at 1440B); at the
+			// tiny scale only a large inversion is a real problem. Under race
+			// the margin widens: the zero-copy FabricMem commit path made the
+			// replicated run materially faster while the unreplicated
+			// measurement keeps its occasional instrumentation-induced
+			// collapses on starved hosts.
+			everyRow("replicated at most 2x (4x under race) the unreplicated goodput", func(t Table, i int) bool {
+				margin := 2.0
+				if raceEnabled {
+					margin = 4.0
+				}
+				return t.Num(i, "zeus Mbps") <= t.Num(i, "no-repl Mbps")*margin
+			}),
+			{"larger packets give higher goodput", func(t Table) bool { return t.Num(1, "zeus Mbps") >= t.Num(0, "zeus Mbps") }},
+		}},
+	"fig15": {"Figure 15: Nginx-style session persistence under scale-out/in", []string{"phase", "proxies", "tx/s"}, 3, []check{
+		positive("tx/s"),
+	}},
+	"ablation": {"Ablations: pipelining, replication degree, loss tolerance", []string{"configuration", "tx/s"}, 8, []check{
+		// Every row: pipelining both ways, each degree, and each loss rate
+		// (zero throughput under loss is a failed messaging layer).
+		positive("tx/s"),
+		{"pipelining at least 0.8x blocking", func(t Table) bool { return t.Num(0, "tx/s") >= t.Num(1, "tx/s")*0.8 }},
+	}},
+	"transport": {"Transport: frame batching + delayed acks vs the per-message floor",
+		[]string{"sends", "msgs", "data frames", "msgs/frame", "pure acks", "acks/frame", "counted acks", "msgs/s"}, 2, []check{
+			{"messages sent in frames", func(t Table) bool { return t.Num(0, "msgs") > 0 && t.Num(0, "data frames") > 0 }},
+			{"batching puts 4 or more messages in a frame", func(t Table) bool { return t.Num(0, "data frames")*4 <= t.Num(0, "msgs") }},
+			// The frame counter acks at most every 8th (AckEvery) data frame.
+			// The flush timer's and the idle gap's acks are not bounded: how
+			// many there are is how loaded the host is (a pure-ack:frame
+			// ratio bound failed 4–5 in 100 here; transport's
+			// TestReliableAckCoalescingRatio had the same).
+			{"at most one counted ack per 8 data frames, plus one", func(t Table) bool {
+				return uint64(t.Num(0, "counted acks")) <= uint64(t.Num(0, "data frames"))/8+1
+			}},
+		}},
+	"scaling": {"Scaling: local write tx vs worker pipelines", []string{"workers", "ops", "elapsed", "tx/s", "ns/op", "speedup"}, 4, []check{
+		positive("tx/s", "ops"),
+		{"1 to 8 workers, from a speedup of 1", func(t Table) bool {
+			return t.Num(0, "workers") == 1 && t.Num(0, "speedup") == 1 && t.Num(3, "workers") == 8
+		}},
+	}},
+	"directory": {"Directory sharding: ownership-REQ throughput vs shard count (6 nodes, 48 hot objects)",
+		[]string{"shards", "acquired", "elapsed", "acq/s", "reqs", "nacks", "timeouts", "speedup"}, 4, nil},
+	"readscale": {"Readscale: snapshot reads vs reader replicas",
+		[]string{"mix", "replicas", "reads", "writes", "elapsed", "reads/s", "speedup", "owner ring reads", "reader own reqs"}, 6, []check{
+			positive("reads", "reads/s"),
+			// The headline invariants hold at every point: snapshot reads
+			// are served entirely by the reader replicas and generate no
+			// ownership traffic.
+			everyRow("no ring reads at the owner", func(t Table, i int) bool { return t.Num(i, "owner ring reads") == 0 }),
+			everyRow("no ownership requests from the readers", func(t Table, i int) bool { return t.Num(i, "reader own reqs") == 0 }),
+			everyRow("writes in the 95/5 mix alone", func(t Table, i int) bool {
+				return (t.Rows[i][0] == "95/5") == (t.Num(i, "writes") > 0)
+			}),
+			{"1 replica at a speedup of 1 first, the 95/5 mix from row 3", func(t Table) bool {
+				return t.Num(0, "replicas") == 1 && t.Num(0, "speedup") == 1 && t.Rows[3][0] == "95/5"
+			}},
+		}},
+	"slo": {"SLO: open-loop latency over application workloads",
+		[]string{"point", "offered", "done", "err", "tx/s", "p50", "p99", "p999", "max", "ack p99", "applied p99", "verdict"}, 11, []check{
+			{"SLO records keyed on epcgw/netsim/n3/r1000/const first, Poisson and TCP points present", func(t Table) bool {
+				return t.Rows[0][0] == "epcgw/netsim/n3/r1000/const" &&
+					strings.HasSuffix(t.Rows[8][0].(string), "/poisson") && strings.Contains(t.Rows[9][0].(string), "/tcp/")
+			}},
+			positive("offered", "done"),
+			everyRow("the open loop accounts for every arrival (offered = done + err)", func(t Table, i int) bool {
+				return t.Num(i, "offered") == t.Num(i, "done")+t.Num(i, "err")
+			}),
+			everyRow("every row passes its SLO (a failed row's notes say why)", func(t Table, i int) bool {
+				return t.Rows[i][t.Col("verdict")] == "PASS"
+			}),
+		}},
+}
+
+var sweepCols = []string{"remote %", "zeus-3 tx/s/node", "zeus-6 tx/s/node", "occ2pc tx/s/node"}
+
+func withLat(cols ...string) []string { return append(cols, latCols...) }
+
+// The paper's shape: Zeus wins clearly at 0 % remote (local transactions
+// against distributed commit), with slack for noise at the tiny scale.
+var zeusBeatsOCCAtZeroRemote = check{"Zeus at least 0.7x OCC+2PC at 0 % remote", func(t Table) bool {
+	return t.Num(0, "zeus-3 tx/s/node") >= t.Num(0, "occ2pc tx/s/node")*0.7
+}}
+
+// testFigure runs experiment id at the tiny scale, holds its table's shape
+// against figures and runs its checks; on a failure it logs the table.
+func testFigure(t *testing.T, id string) {
+	want := figures[id]
+	i := slices.IndexFunc(All, func(e Experiment) bool { return e.ID == id })
+	tab := All[i].Run(tiny)
+	var out bytes.Buffer
+	tab.Print(&out)
+	if tab.Title != want.title || !slices.Equal(tab.Cols, want.cols) || len(tab.Rows) != want.rows {
+		t.Fatalf("%s: table %q, columns %q, %d rows; want %q, %q, %d rows:\n%s",
+			id, tab.Title, tab.Cols, len(tab.Rows), want.title, want.cols, want.rows, out.String())
 	}
-	for _, w := range want {
-		if !strings.Contains(out, w) {
-			t.Fatalf("output missing %q:\n%s", w, out)
+	for _, row := range tab.Rows {
+		if len(row) != len(tab.Cols) {
+			t.Fatalf("%s: row %v has %d cells for %d columns", id, row, len(row), len(tab.Cols))
 		}
 	}
-}
-
-func TestTable2Experiment(t *testing.T) {
-	r := Table2()
-	if len(r.Rows) != 4 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	renders(t, func(b *bytes.Buffer) { r.Print(b) }, "Handovers", "TATP")
-}
-
-func TestLocalityExperiment(t *testing.T) {
-	r := Locality()
-	if r.BostonRemoteHandovers6 <= r.BostonRemoteHandovers3 {
-		t.Fatalf("boston fractions not monotonic: %+v", r)
-	}
-	if r.VenmoRemote3 <= 0 || r.VenmoRemote6 <= r.VenmoRemote3 {
-		t.Fatalf("venmo fractions wrong: %+v", r)
-	}
-	if r.TPCCCalibrated < 0.02 || r.TPCCCalibrated > 0.03 {
-		t.Fatalf("tpcc calibrated %.4f", r.TPCCCalibrated)
-	}
-	renders(t, func(b *bytes.Buffer) { r.Print(b) }, "Venmo", "TPC-C")
-}
-
-func TestFig7Experiment(t *testing.T) {
-	rows := Fig7(tiny)
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.IdealTps <= 0 || r.ZeusTps <= 0 {
-			t.Fatalf("zero throughput: %+v", r)
-		}
-		// At the tiny test scale timing noise dominates; only require the
-		// two configurations to be within an order of magnitude. The
-		// paper-shape assertion (Zeus within ~10% of ideal) is checked by
-		// the full-scale harness (cmd/zeus-bench, whose fig7 output puts
-		// the paper's 4–9 % gap beside the measured one).
-		if r.ZeusTps > r.IdealTps*10 || r.IdealTps > r.ZeusTps*10 {
-			t.Fatalf("ideal vs zeus diverge beyond noise: %+v", r)
+	for _, c := range want.checks {
+		if !c.ok(tab) {
+			t.Errorf("%s: %s does not hold", id, c.what)
 		}
 	}
-	renders(t, func(b *bytes.Buffer) { PrintFig7(b, rows) }, "Figure 7")
-}
-
-func TestFig8Experiment(t *testing.T) {
-	rows := Fig8(tiny)
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	if rows[0].Zeus3PerNode <= 0 || rows[0].BaselinePerNode <= 0 {
-		t.Fatalf("zero tput at 0%% remote: %+v", rows[0])
-	}
-	// The paper's shape: Zeus wins clearly at 0% remote (local txs vs
-	// distributed commit). Allow tight-noise slack at the tiny scale.
-	if rows[0].Zeus3PerNode < rows[0].BaselinePerNode*0.7 {
-		t.Fatalf("Zeus slower than distributed commit at 0%% remote: %+v", rows[0])
-	}
-	// Zeus throughput decays as remote fraction rises (with noise slack).
-	if rows[len(rows)-1].Zeus3PerNode > rows[0].Zeus3PerNode*1.3 {
-		t.Fatalf("Zeus did not decay with remote fraction: first %+v last %+v",
-			rows[0], rows[len(rows)-1])
-	}
-	renders(t, func(b *bytes.Buffer) { PrintSweep(b, "Figure 8: Smallbank", rows) }, "remote-%")
-}
-
-func TestFig9Experiment(t *testing.T) {
-	rows := Fig9(tiny)
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	if rows[0].Zeus3PerNode < rows[0].BaselinePerNode*0.7 {
-		t.Fatalf("Zeus slower than baseline at 0%% remote on read-heavy TATP: %+v", rows[0])
+	if t.Failed() {
+		t.Log(out.String())
 	}
 }
 
-func TestFig10Experiment(t *testing.T) {
-	r := Fig10(tiny)
-	if r.Moved == 0 || r.MoveRate <= 0 {
-		t.Fatalf("no migration: %+v", r)
-	}
-	if len(r.Samples) == 0 || r.TotalVotes == 0 {
-		t.Fatalf("no load: moved=%d votes=%d", r.Moved, r.TotalVotes)
-	}
-	renders(t, func(b *bytes.Buffer) { r.Print(b) }, "Figure 10", "move rate")
-}
+func TestTable2Experiment(t *testing.T)    { testFigure(t, "tab2") }
+func TestLocalityExperiment(t *testing.T)  { testFigure(t, "locality") }
+func TestFig7Experiment(t *testing.T)      { testFigure(t, "fig7") }
+func TestFig8Experiment(t *testing.T)      { testFigure(t, "fig8") }
+func TestFig9Experiment(t *testing.T)      { testFigure(t, "fig9") }
+func TestFig10Experiment(t *testing.T)     { testFigure(t, "fig10") }
+func TestFig11Experiment(t *testing.T)     { testFigure(t, "fig11") }
+func TestFig12Experiment(t *testing.T)     { testFigure(t, "fig12") }
+func TestFig13Experiment(t *testing.T)     { testFigure(t, "fig13") }
+func TestFig14Experiment(t *testing.T)     { testFigure(t, "fig14") }
+func TestFig15Experiment(t *testing.T)     { testFigure(t, "fig15") }
+func TestAblationsExperiment(t *testing.T) { testFigure(t, "ablation") }
+func TestTransportExperiment(t *testing.T) { testFigure(t, "transport") }
+func TestScalingExperiment(t *testing.T)   { testFigure(t, "scaling") }
+func TestDirectoryExperiment(t *testing.T) { testFigure(t, "directory") }
+func TestReadScaleExperiment(t *testing.T) { testFigure(t, "readscale") }
+func TestSLOExperiment(t *testing.T)       { testFigure(t, "slo") }
 
-func TestFig11Experiment(t *testing.T) {
-	r := Fig11(tiny)
-	if r.HotMoved == 0 {
-		t.Fatalf("no hot objects moved: %+v", r)
+// TestCatalogIsTheRegistry holds README.md's experiment catalog (the table
+// `zeus-bench -list` prints) and the figures above to experiments.All: the
+// same ids, in the same order, with the same descriptions.
+func TestCatalogIsTheRegistry(t *testing.T) {
+	f, err := os.Open("../../README.md")
+	if err != nil {
+		t.Fatal(err)
 	}
-	renders(t, func(b *bytes.Buffer) { r.Print(b) }, "Figure 11")
-}
-
-func TestFig12Experiment(t *testing.T) {
-	r := Fig12(tiny)
-	if r.Count == 0 {
-		t.Fatal("no ownership latencies collected")
+	defer f.Close()
+	var readme []Experiment
+	in := false
+	for sc := bufio.NewScanner(f); sc.Scan(); {
+		line := sc.Text()
+		switch {
+		case strings.Contains(line, "experiment catalog (`zeus-bench -list`)"):
+			in = true
+		case in && strings.HasPrefix(line, "| `"):
+			cells := strings.Split(line, "|")
+			readme = append(readme, Experiment{ID: strings.Trim(cells[1], " `"), Desc: strings.TrimSpace(cells[2])})
+		case in && len(readme) > 0 && !strings.HasPrefix(line, "|"):
+			in = false
+		}
 	}
-	if r.P50 > r.P99 || r.P99 > r.Max {
-		t.Fatalf("percentiles out of order: %+v", r)
+	eq := func(a, b Experiment) bool { return a.ID == b.ID && a.Desc == b.Desc }
+	if !slices.EqualFunc(readme, All, eq) {
+		var want strings.Builder
+		for _, e := range All {
+			want.WriteString("| `" + e.ID + "` | " + e.Desc + " |\n")
+		}
+		t.Errorf("README.md's experiment catalog is not experiments.All; its rows should read:\n%s", want.String())
 	}
-	renders(t, func(b *bytes.Buffer) { r.Print(b) }, "Figure 12")
-}
-
-func TestFig13Experiment(t *testing.T) {
-	r := Fig13(tiny)
-	if r.LocalTps <= 0 || r.BlockingTps <= 0 || r.Zeus1ActiveTps <= 0 || r.Zeus2ActiveTps <= 0 {
-		t.Fatalf("zero throughput: %+v", r)
+	for _, e := range All {
+		if _, ok := figures[e.ID]; !ok {
+			t.Errorf("experiment %q has no figure declared in this test", e.ID)
+		}
 	}
-	// Paper shape: the blocking store is the slowest configuration.
-	if r.BlockingTps > r.Zeus1ActiveTps {
-		t.Fatalf("blocking store beat Zeus: %+v", r)
+	if len(figures) != len(All) {
+		t.Errorf("%d figures declared for %d experiments", len(figures), len(All))
 	}
-	renders(t, func(b *bytes.Buffer) { r.Print(b) }, "Figure 13")
 }
 
 // Figure 13's blocking store homes every context on its one server, and the
@@ -182,152 +320,4 @@ func TestBlockingStoreServerHomesEveryObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestFig14Experiment(t *testing.T) {
-	r := Fig14(tiny)
-	if len(r.Rows) != 2 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	for _, row := range r.Rows {
-		if row.NoReplMbps <= 0 || row.ZeusMbps <= 0 {
-			t.Fatalf("zero goodput: %+v", row)
-		}
-		// Replication costs throughput (paper: ~40% at 1440B). At the
-		// tiny test scale allow generous noise; only a large inversion
-		// indicates a real problem. Under race the margin widens: the
-		// zero-copy FabricMem commit path made the replicated run
-		// materially faster while the unreplicated measurement keeps its
-		// occasional instrumentation-induced collapses on starved hosts.
-		margin := 2.0
-		if raceEnabled {
-			margin = 4.0
-		}
-		if row.ZeusMbps > row.NoReplMbps*margin {
-			t.Fatalf("replicated much faster than unreplicated: %+v", row)
-		}
-	}
-	// Larger packets give higher goodput.
-	if r.Rows[1].ZeusMbps < r.Rows[0].ZeusMbps {
-		t.Fatalf("1440B slower than 150B: %+v", r.Rows)
-	}
-	renders(t, func(b *bytes.Buffer) { r.Print(b) }, "Figure 14")
-}
-
-func TestFig15Experiment(t *testing.T) {
-	r := Fig15(tiny)
-	if r.OneProxyTps <= 0 || r.TwoProxyTps <= 0 || r.BackToOneTps <= 0 {
-		t.Fatalf("zero rate: %+v", r)
-	}
-	renders(t, func(b *bytes.Buffer) { r.Print(b) }, "Figure 15")
-}
-
-func TestAblationsExperiment(t *testing.T) {
-	r := Ablations(tiny)
-	if r.PipelinedTps <= 0 || r.BlockingTps <= 0 {
-		t.Fatalf("zero tput: %+v", r)
-	}
-	// Pipelining must not be slower than blocking on every-tx replication.
-	if r.PipelinedTps < r.BlockingTps*0.8 {
-		t.Fatalf("pipelining slower than blocking: %+v", r)
-	}
-	for _, d := range []int{1, 2, 3} {
-		if r.DegreeTps[d] <= 0 {
-			t.Fatalf("degree %d zero tput", d)
-		}
-	}
-	for _, l := range []int{0, 1, 5} {
-		if r.LossTps[l] <= 0 {
-			t.Fatalf("loss %d%% zero tput (messaging layer failed)", l)
-		}
-	}
-	renders(t, func(b *bytes.Buffer) { r.Print(b) }, "Ablations")
-}
-
-func TestScalingExperiment(t *testing.T) {
-	r := Scaling(tiny)
-	if len(r.Rows) != 4 {
-		t.Fatalf("want 4 rows, got %d", len(r.Rows))
-	}
-	for _, row := range r.Rows {
-		if row.Tps <= 0 || row.Ops <= 0 {
-			t.Fatalf("workers=%d: empty row %+v", row.Workers, row)
-		}
-	}
-	if r.Rows[0].Workers != 1 || r.Rows[0].Speedup != 1 {
-		t.Fatalf("baseline row malformed: %+v", r.Rows[0])
-	}
-	renders(t, func(b *bytes.Buffer) { r.Print(b) }, "Scaling", "workers=8")
-}
-
-func TestReadScaleExperiment(t *testing.T) {
-	r := ReadScale(tiny)
-	if len(r.Rows) != 6 {
-		t.Fatalf("want 6 rows (2 mixes x 3 replica counts), got %d", len(r.Rows))
-	}
-	for _, row := range r.Rows {
-		if row.ReadOps <= 0 || row.Tps <= 0 {
-			t.Fatalf("empty row: %+v", row)
-		}
-		// The headline invariants hold at every point: snapshot reads are
-		// served entirely by the reader replicas (zero ring reads at the
-		// owner) and generate zero ownership traffic.
-		if row.OwnerRingReads != 0 {
-			t.Fatalf("owner served %d ring reads: %+v", row.OwnerRingReads, row)
-		}
-		if row.ReaderOwnReqs != 0 {
-			t.Fatalf("readers issued %d ownership requests: %+v", row.ReaderOwnReqs, row)
-		}
-		if row.WritePct == 0 && row.WriteOps != 0 {
-			t.Fatalf("100/0 mix committed writes: %+v", row)
-		}
-		if row.WritePct > 0 && row.WriteOps == 0 {
-			t.Fatalf("95/5 mix committed no writes: %+v", row)
-		}
-	}
-	if r.Rows[0].Replicas != 1 || r.Rows[0].Speedup != 1 {
-		t.Fatalf("baseline row malformed: %+v", r.Rows[0])
-	}
-	renders(t, func(b *bytes.Buffer) { r.Print(b) }, "Readscale", "replicas=4", "mix  95/5")
-}
-
-func TestTransportExperiment(t *testing.T) {
-	r := Transport(tiny)
-	if r.Msgs == 0 || r.BatchedFrames == 0 {
-		t.Fatalf("empty result: %+v", r)
-	}
-	if r.BatchedFrames*4 > r.Msgs {
-		t.Fatalf("batching inert: %d frames for %d msgs", r.BatchedFrames, r.Msgs)
-	}
-	// The frame counter acks at most every 8th (AckEvery) data frame. The
-	// flush timer's and the idle gap's acks are not bounded: how many there
-	// are is how loaded the host is (a pure-ack:frame ratio bound failed 4–5
-	// in 100 here; transport's TestReliableAckCoalescingRatio had the same).
-	if bound := r.BatchedFrames/8 + 1; r.BatchedCounted > bound {
-		t.Fatalf("ack coalescing inert: %d acks by the frame count for %d data frames, want at most %d", r.BatchedCounted, r.BatchedFrames, bound)
-	}
-	renders(t, func(b *bytes.Buffer) { r.Print(b) }, "Transport")
-}
-
-func TestSLOExperiment(t *testing.T) {
-	r := SLOExp(tiny)
-	if len(r.Rows) != 11 {
-		t.Fatalf("matrix has %d rows, want 11", len(r.Rows))
-	}
-	if got, want := r.Rows[0].Key(), "epcgw/netsim/n3/r1000/const"; got != want {
-		t.Fatalf("row key %q, want %q (SLO records are keyed on this)", got, want)
-	}
-	for _, row := range r.Rows {
-		if row.Offered == 0 || row.Completed == 0 {
-			t.Fatalf("row %s issued nothing: offered=%d done=%d", row.Key(), row.Offered, row.Completed)
-		}
-		if uint64(row.Offered) != row.Completed+row.Errors {
-			t.Fatalf("row %s dropped slots: offered=%d done=%d err=%d — open loop must account for every arrival",
-				row.Key(), row.Offered, row.Completed, row.Errors)
-		}
-		if !row.Pass {
-			t.Errorf("row %s failed: %v (health: incidents=%d)", row.Key(), row.Violations, row.Health.Incidents)
-		}
-	}
-	renders(t, func(b *bytes.Buffer) { r.Print(b) }, "SLO", "PASS", "tcp", "poisson", "ack_p99")
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"time"
 
@@ -16,17 +15,9 @@ import (
 	"zeus/internal/wire"
 )
 
-// Fig13Result is the packet-gateway control-plane comparison (§8.5,
-// Figure 13): throughput of the four datastore configurations.
-type Fig13Result struct {
-	LocalTps       float64 // local memory, no replication
-	BlockingTps    float64 // Redis-like blocking store (remote RPC per access)
-	Zeus1ActiveTps float64 // Zeus, 1 active + 1 passive replica
-	Zeus2ActiveTps float64 // Zeus, 2 active nodes (paper: +60 %)
-}
-
-// Fig13 runs the gateway on all four backends.
-func Fig13(s Scale) Fig13Result {
+// Fig13 is the packet-gateway control-plane comparison (§8.5, Figure 13):
+// the gateway's throughput on each of four datastore configurations.
+func Fig13(s Scale) Table {
 	users := s.UsersPerNode
 
 	// One single-threaded worker per gateway, as the real gateway runs, each
@@ -56,7 +47,7 @@ func Fig13(s Scale) Fig13Result {
 	closeStore()
 
 	// 3. Zeus, 1 active + 1 passive.
-	c1 := newZeusDegree(2, 2, s.Workers)
+	c1 := newZeus(2, 2, s.Workers)
 	zcfg := epcgw.DefaultConfig(0, 2)
 	zcfg.Users = users
 	zg := epcgw.New(zcfg, c1.Node(0).DB())
@@ -65,7 +56,7 @@ func Fig13(s Scale) Fig13Result {
 	c1.Close()
 
 	// 4. Zeus, 2 active nodes, each the other's replica.
-	c2 := newZeusDegree(2, 2, s.Workers)
+	c2 := newZeus(2, 2, s.Workers)
 	var gws []*epcgw.Gateway
 	for n := 0; n < 2; n++ {
 		cfg := epcgw.DefaultConfig(n, 2)
@@ -77,10 +68,15 @@ func Fig13(s Scale) Fig13Result {
 	zeus2Tps := run(gws)
 	c2.Close()
 
-	return Fig13Result{
-		LocalTps: localTps, BlockingTps: blockingTps,
-		Zeus1ActiveTps: zeus1Tps, Zeus2ActiveTps: zeus2Tps,
+	t := Table{
+		Title: "Figure 13: cellular packet gateway control plane",
+		Cols:  []string{"datastore", "tx/s", "paper"},
 	}
+	t.add("local memory", localTps, "")
+	t.add("blocking store", blockingTps, "well below local")
+	t.add("Zeus 1 active + 1 passive", zeus1Tps, "≈ local memory")
+	t.add("Zeus 2 active", zeus2Tps, "≈ +60 % over 1 active")
+	return t
 }
 
 // newBlockingStore builds Figure 13's Redis-like blocking store: a single
@@ -101,35 +97,19 @@ func newBlockingStore(users int) (*epcgw.Gateway, *baseline.Node, func()) {
 	return gw, server, fab.Close
 }
 
-// Print renders the comparison.
-func (r Fig13Result) Print(w io.Writer) {
-	printHeader(w, "Figure 13: cellular packet gateway control plane")
-	fmt.Fprintf(w, "  local memory        : %s\n", fmtTps(r.LocalTps))
-	fmt.Fprintf(w, "  blocking store      : %s   (paper: well below local)\n", fmtTps(r.BlockingTps))
-	fmt.Fprintf(w, "  Zeus 1 active+1 pass: %s   (paper: ≈ local memory)\n", fmtTps(r.Zeus1ActiveTps))
-	fmt.Fprintf(w, "  Zeus 2 active       : %s   (paper: ≈ +60%% over 1 active)\n", fmtTps(r.Zeus2ActiveTps))
-}
-
-// Fig14Result is the SCTP port measurement (§8.5, Figure 14): goodput with
-// and without replication for two packet sizes.
-type Fig14Result struct {
-	Rows []Fig14Row
-}
-
-// Fig14Row is one packet-size group.
-type Fig14Row struct {
-	PacketBytes int
-	NoReplMbps  float64
-	ZeusMbps    float64
-}
-
-// Fig14 transfers a single flow through the SCTP-like association.
-func Fig14(s Scale) Fig14Result {
-	var rows []Fig14Row
+// Fig14 is the SCTP port measurement (§8.5, Figure 14): the goodput of a
+// single flow through the SCTP-like association, without replication and
+// with Zeus, for two packet sizes.
+func Fig14(s Scale) Table {
+	t := Table{
+		Title: "Figure 14: SCTP throughput (single flow, per-packet state transactions)",
+		Paper: "replication costs ~40 % at 1440 B",
+		Cols:  []string{"packet B", "no-repl Mbps", "zeus Mbps", "drop %"},
+	}
 	for _, pkt := range []int{150, 1440} {
-		row := Fig14Row{PacketBytes: pkt}
+		var mbps [2]float64 // by degree - 1
 		for _, degree := range []int{1, 2} {
-			c := newZeusDegree(2, degree, s.Workers)
+			c := newZeus(2, degree, s.Workers)
 			cfg := sctpsim.DefaultConfig()
 			c.SeedAt(wire.ObjectID(1), 0, sctpsim.InitialState(cfg).Encode(cfg.StateSize))
 			a := sctpsim.New(cfg, c.Node(0).DB(), 1, 0)
@@ -140,44 +120,17 @@ func Fig14(s Scale) Fig14Result {
 			if err != nil {
 				continue
 			}
-			mbps := float64(res.Bytes) * 8 / elapsed.Seconds() / 1e6
-			if degree == 1 {
-				row.NoReplMbps = mbps
-			} else {
-				row.ZeusMbps = mbps
-			}
+			mbps[degree-1] = float64(res.Bytes) * 8 / elapsed.Seconds() / 1e6
 		}
-		rows = append(rows, row)
+		t.add(pkt, mbps[0], mbps[1], 100*ratio(mbps[0]-mbps[1], mbps[0]))
 	}
-	return Fig14Result{Rows: rows}
+	return t
 }
 
-// Print renders the comparison.
-func (r Fig14Result) Print(w io.Writer) {
-	printHeader(w, "Figure 14: SCTP throughput (single flow, per-packet state transactions)")
-	for _, row := range r.Rows {
-		drop := 0.0
-		if row.NoReplMbps > 0 {
-			drop = 100 * (row.NoReplMbps - row.ZeusMbps) / row.NoReplMbps
-		}
-		fmt.Fprintf(w, "  %4dB packets: no-repl %8.1f Mbps   zeus %8.1f Mbps   (drop %.0f%%; paper: ~40%% @1440B)\n",
-			row.PacketBytes, row.NoReplMbps, row.ZeusMbps, drop)
-	}
-}
-
-// Fig15Result is the Nginx-style scale-out/in timeline (§8.5, Figure 15).
-type Fig15Result struct {
-	// Phases: rate with 1 proxy, with 2 proxies (scale-out), back to 1.
-	OneProxyTps  float64
-	TwoProxyTps  float64
-	BackToOneTps float64
-	Misses       uint64
-}
-
-// Fig15 measures session-persistent HTTP routing through Zeus while scaling
-// a second proxy node out and back in.
-func Fig15(s Scale) Fig15Result {
-	c := newZeusDegree(2, 2, s.Workers)
+// Fig15 is the Nginx-style timeline (§8.5, Figure 15): session-persistent
+// HTTP routing through Zeus while a second proxy node scales out and back in.
+func Fig15(s Scale) Table {
+	c := newZeus(2, 2, s.Workers)
 	defer c.Close()
 
 	cfg := httplb.DefaultConfig(0, 2)
@@ -197,19 +150,15 @@ func Fig15(s Scale) Fig15Result {
 		return closedLoop(loadgen.Config{Arrival: loadgen.ClosedLoop{}, Duration: d, Seed: 15}, s.Workers, ops).Throughput()
 	}
 
+	t := Table{
+		Title: "Figure 15: Nginx-style session persistence under scale-out/in",
+		Cols:  []string{"phase", "proxies", "tx/s"},
+	}
 	third := s.Duration / 3
-	one := drive([]*httplb.Proxy{p0}, third)
-	two := drive([]*httplb.Proxy{p0, p1}, third) // scale-out
-	back := drive([]*httplb.Proxy{p0}, third)    // scale-in
+	t.add("one proxy", 1, drive([]*httplb.Proxy{p0}, third))
+	t.add("scale-out", 2, drive([]*httplb.Proxy{p0, p1}, third))
+	t.add("scale-in", 1, drive([]*httplb.Proxy{p0}, third))
 	_, misses := p0.Stats()
-	return Fig15Result{OneProxyTps: one, TwoProxyTps: two, BackToOneTps: back, Misses: misses}
-}
-
-// Print renders the phases.
-func (r Fig15Result) Print(w io.Writer) {
-	printHeader(w, "Figure 15: Nginx-style session persistence under scale-out/in")
-	fmt.Fprintf(w, "  1 proxy : %s\n", fmtTps(r.OneProxyTps))
-	fmt.Fprintf(w, "  2 proxies (scale-out): %s\n", fmtTps(r.TwoProxyTps))
-	fmt.Fprintf(w, "  1 proxy (scale-in)  : %s\n", fmtTps(r.BackToOneTps))
-	fmt.Fprintf(w, "  assignment misses=%d (sessions assigned once, sticky after)\n", r.Misses)
+	t.Notes = []string{fmt.Sprintf("assignment misses=%d (sessions assigned once, sticky after)", misses)}
+	return t
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"sync/atomic"
 	"time"
@@ -14,58 +13,31 @@ import (
 	"zeus/internal/wire"
 )
 
-// latQuantiles folds a latency histogram snapshot into the _p50/_p99/_p999
-// fields every experiment reports (the same quantile estimator the obs
-// registry renders and the load harness gates on).
-type latQuantiles struct {
-	Count uint64
-	Mean  time.Duration
-	P50   time.Duration
-	P99   time.Duration
-	P999  time.Duration
-	Max   time.Duration
+// latCols are the columns latCells fills.
+var latCols = []string{"p50", "p99", "p999", "max"}
+
+// latCells are a latency histogram's quantiles, by the estimator the obs
+// registry renders and the load harness gates on.
+func latCells(s obs.HistSnapshot) []any {
+	return []any{time.Duration(s.Quantile(0.50)), time.Duration(s.Quantile(0.99)),
+		time.Duration(s.Quantile(0.999)), time.Duration(s.Max())}
 }
 
-func quantilesOf(s obs.HistSnapshot) latQuantiles {
-	q := latQuantiles{
-		Count: s.Count,
-		P50:   time.Duration(s.Quantile(0.50)),
-		P99:   time.Duration(s.Quantile(0.99)),
-		P999:  time.Duration(s.Quantile(0.999)),
-		Max:   time.Duration(s.Max()),
+// timeline renders a run's per-interval completions on each node as notes.
+func timeline(interval time.Duration, samples [][]uint64) []string {
+	notes := []string{fmt.Sprintf("committed votes per node every %v:", interval)}
+	for i, row := range samples {
+		notes = append(notes, fmt.Sprintf(" t=%-6s node0=%-8d node1=%-8d node2=%-8d",
+			time.Duration(i+1)*interval, row[0], row[1], row[2]))
 	}
-	if s.Count > 0 {
-		q.Mean = time.Duration(s.Sum / s.Count)
-	}
-	return q
-}
-
-func (q latQuantiles) String() string {
-	return fmt.Sprintf("latency_p50=%v latency_p99=%v latency_p999=%v max=%v",
-		q.P50.Round(time.Microsecond), q.P99.Round(time.Microsecond),
-		q.P999.Round(time.Microsecond), q.Max.Round(time.Microsecond))
-}
-
-// Fig10Result is the Voter bulk-migration experiment (§8.4, Figure 10): a
-// voter population entirely on node 0, moved wholesale to node 1 and then to
-// node 2 while the vote load keeps running; votes follow the objects.
-type Fig10Result struct {
-	Voters     int
-	Interval   time.Duration
-	Samples    [][]uint64 // per-interval committed votes per node
-	Moved      int
-	MoveRate   float64 // objects/second for a single mover worker
-	TotalVotes uint64
-	// Latency summarizes committed-vote service latency (obs histogram).
-	Latency latQuantiles
+	return notes
 }
 
 // voterExperiment is the shared machinery of Figures 10–12.
 type voterExperiment struct {
-	c        *cluster.Cluster
-	nodes    int
-	voters   int
-	voterObj func(i int) uint64
+	c      *cluster.Cluster
+	nodes  int
+	voters int
 	// location: voters with index < progress are at dst; others at src.
 	src, dst atomic.Int32
 	progress atomic.Int64
@@ -81,7 +53,6 @@ func newVoterExperiment(s Scale, nodes int, onLat func(time.Duration)) *voterExp
 	opts.OnOwnershipLatency = onLat
 	c := cluster.New(opts)
 	v := &voterExperiment{c: c, nodes: nodes, voters: s.VotersPerNode}
-	v.voterObj = func(i int) uint64 { return 1_000_000 + uint64(i) }
 	// All voters start on node 0 (the paper's setup).
 	for i := 0; i < v.voters; i++ {
 		c.SeedAt(wire.ObjectID(v.voterObj(i)), 0, bench.Pad(0, 32))
@@ -93,10 +64,10 @@ func newVoterExperiment(s Scale, nodes int, onLat func(time.Duration)) *voterExp
 			c.SeedAt(wire.ObjectID(v.contestantObj(n, w, s.Workers)), wire.NodeID(n), bench.Pad(0, 32))
 		}
 	}
-	v.src.Store(0)
-	v.dst.Store(0)
 	return v
 }
+
+func (v *voterExperiment) voterObj(i int) uint64 { return 1_000_000 + uint64(i) }
 
 func (v *voterExperiment) contestantObj(node, worker, workers int) uint64 {
 	return 500_000 + uint64(node*workers+worker)
@@ -174,8 +145,11 @@ func (v *voterExperiment) moveAll(dstNode int) (int, float64) {
 	return moved, rate
 }
 
-// Fig10 runs the migration-under-load experiment on 3 nodes.
-func Fig10(s Scale) Fig10Result {
+// Fig10 is the Voter bulk migration (§8.4, Figure 10): a voter population
+// entirely on node 0, moved wholesale to node 1 and then to node 2 by one
+// mover worker while the vote load keeps running; votes follow the objects.
+// Vote latency is of committed votes alone.
+func Fig10(s Scale) Table {
 	v := newVoterExperiment(s, 3, nil)
 	defer v.c.Close()
 	var moved int
@@ -193,45 +167,23 @@ func Fig10(s Scale) Fig10Result {
 	}()
 	res := timedRun(s, 31, bench.ZeusDBs(v.c, v.nodes), v.makeOp(s.Workers))
 	<-moverDone // migrations may outlast the load window
-	return Fig10Result{
-		Voters: v.voters, Interval: s.Interval, Samples: res.Samples,
-		Moved: moved, MoveRate: rate, TotalVotes: res.Completed,
-		Latency: quantilesOf(v.votes.Snapshot()),
+	t := Table{
+		Title: "Figure 10: Voter — moving all voter objects across nodes under load",
+		Paper: "25k obj/s per mover worker",
+		Cols:  append([]string{"voters", "moved", "move obj/s", "votes"}, latCols...),
+		Notes: timeline(s.Interval, res.Samples),
 	}
+	t.add(append([]any{v.voters, moved, rate, res.Completed}, latCells(v.votes.Snapshot())...)...)
+	return t
 }
 
-// Print renders the timeline.
-func (r Fig10Result) Print(w io.Writer) {
-	printHeader(w, "Figure 10: Voter — moving all voter objects across nodes under load")
-	fmt.Fprintf(w, "  voters=%d, moved=%d, single-worker move rate=%.0f obj/s (paper: 25k obj/s/worker)\n",
-		r.Voters, r.Moved, r.MoveRate)
-	fmt.Fprintf(w, "  per-%v committed votes per node:\n", r.Interval)
-	for i, row := range r.Samples {
-		fmt.Fprintf(w, "   t=%-6s node0=%-8d node1=%-8d node2=%-8d\n",
-			time.Duration(i+1)*r.Interval, row[0], row[1], row[2])
-	}
-	fmt.Fprintf(w, "  total votes: %d\n", r.TotalVotes)
-	fmt.Fprintf(w, "  vote %s\n", r.Latency)
-}
-
-// Fig11Result is the concurrent-migration experiment (§8.4, Figure 11): a
-// hot contestant's voters migrate while the rest of the system sustains its
-// load; migration must not dent the background throughput.
-type Fig11Result struct {
-	Interval         time.Duration
-	Samples          [][]uint64
-	HotMoved         int
-	HotMoveRate      float64
-	BackgroundBefore float64 // background tps while migration idle
-	BackgroundDuring float64 // background tps while migrating
-	// Latency summarizes committed-vote service latency across both phases.
-	Latency latQuantiles
-}
-
-// Fig11 runs the hot-object migration concurrently with steady load.
-func Fig11(s Scale) Fig11Result {
+// Fig11 is the concurrent migration (§8.4, Figure 11): a hot block of voters
+// migrates, moved by one worker, while the rest of the system sustains its
+// load; the migration must not dent the background throughput. Vote latency
+// is over both phases.
+func Fig11(s Scale) Table {
 	// Background: a plain voter workload across 3 nodes.
-	c := newZeus(3, s.Workers)
+	c := newZeus(3, 3, s.Workers)
 	defer c.Close()
 	cfg := bench.DefaultVoterConfig(3)
 	cfg.VotersPerNode = s.VotersPerNode
@@ -294,40 +246,22 @@ func Fig11(s Scale) Fig11Result {
 		}
 		return float64(ops) / (float64(ns) / 1e9)
 	}
-	return Fig11Result{
-		Interval: s.Interval, Samples: res.Samples,
-		HotMoved: hotMoved, HotMoveRate: hotRate,
-		BackgroundBefore: tput(beforeOps.Load(), beforeNs.Load()),
-		BackgroundDuring: tput(duringOps.Load(), duringNs.Load()),
-		Latency:          quantilesOf(res.Service),
+	t := Table{
+		Title: "Figure 11: Voter — votes concurrent with hot-object migration",
+		Paper: "25k obj/s per mover worker; background throughput undented",
+		Cols:  append([]string{"hot moved", "move obj/s", "before op/s", "during op/s"}, latCols...),
+		Notes: timeline(s.Interval, res.Samples),
 	}
+	t.add(append([]any{hotMoved, hotRate, tput(beforeOps.Load(), beforeNs.Load()),
+		tput(duringOps.Load(), duringNs.Load())}, latCells(res.Service)...)...)
+	return t
 }
 
-// Print renders the experiment.
-func (r Fig11Result) Print(w io.Writer) {
-	printHeader(w, "Figure 11: Voter — votes concurrent with hot-object migration")
-	fmt.Fprintf(w, "  hot objects moved=%d at %.0f obj/s by one worker (paper: 25k obj/s)\n",
-		r.HotMoved, r.HotMoveRate)
-	fmt.Fprintf(w, "  background per-op throughput: before %.0f op/s, during migration %.0f op/s\n",
-		r.BackgroundBefore, r.BackgroundDuring)
-	fmt.Fprintf(w, "  vote %s\n", r.Latency)
-	fmt.Fprintf(w, "  per-%v committed votes per node:\n", r.Interval)
-	for i, row := range r.Samples {
-		fmt.Fprintf(w, "   t=%-6s node0=%-8d node1=%-8d node2=%-8d\n",
-			time.Duration(i+1)*r.Interval, row[0], row[1], row[2])
-	}
-}
-
-// Fig12Result is the ownership-latency CDF (§8.4, Figure 12), summarized
-// through the same log-linear obs histogram every latency artefact uses
+// Fig12 is the CDF of ownership request latency (§8.4, Figure 12), harvested
+// during a bulk migration under load (the paper's "moving 100K hot voters"
+// case) into the log-linear obs histogram every latency artefact uses
 // (quantiles are bucket upper bounds, relative error ≤ 1/4).
-type Fig12Result struct {
-	latQuantiles
-}
-
-// Fig12 harvests ownership-request latencies during a bulk migration under
-// load (the paper's "moving 100K hot voters" case).
-func Fig12(s Scale) Fig12Result {
+func Fig12(s Scale) Table {
 	ownLat := &obs.Histogram{}
 	v := newVoterExperiment(s, 3, func(d time.Duration) {
 		ownLat.Record(uint64(d))
@@ -338,13 +272,13 @@ func Fig12(s Scale) Fig12Result {
 		v.moveAll(1)
 	}()
 	timedRun(s, 33, bench.ZeusDBs(v.c, v.nodes), v.makeOp(s.Workers))
-	return Fig12Result{quantilesOf(ownLat.Snapshot())}
-}
-
-// Print renders the CDF summary.
-func (r Fig12Result) Print(w io.Writer) {
-	printHeader(w, "Figure 12: CDF of ownership request latency")
-	fmt.Fprintf(w, "  samples=%d mean=%v %s\n",
-		r.Count, r.Mean.Round(time.Microsecond), r.latQuantiles)
-	fmt.Fprintf(w, "  (paper: mean 17–29 µs, p99.9 36–83 µs on 40Gb DPDK hardware)\n")
+	snap := ownLat.Snapshot()
+	mean := time.Duration(ratio(float64(snap.Sum), float64(snap.Count)))
+	t := Table{
+		Title: "Figure 12: CDF of ownership request latency",
+		Paper: "mean 17–29 µs, p99.9 36–83 µs on 40Gb DPDK hardware",
+		Cols:  append([]string{"samples", "mean"}, latCols...),
+	}
+	t.add(append([]any{snap.Count, mean}, latCells(snap)...)...)
+	return t
 }

@@ -1,46 +1,27 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-
 	"zeus/internal/bench"
 	"zeus/internal/mobility"
 )
 
-// Table2Result is the benchmark-characteristics table (Table 2).
-type Table2Result struct {
-	Rows []bench.BenchmarkInfo
-}
-
-// Table2 returns the paper's Table 2.
-func Table2() Table2Result { return Table2Result{Rows: bench.Table2()} }
-
-// Print renders the table.
-func (r Table2Result) Print(w io.Writer) {
-	printHeader(w, "Table 2: summary of evaluated benchmarks")
-	for _, row := range r.Rows {
-		fmt.Fprintln(w, " ", row)
+// Table2 returns the paper's Table 2, the characteristics of the evaluated
+// benchmarks. It runs nothing.
+func Table2(Scale) Table {
+	t := Table{
+		Title: "Table 2: summary of evaluated benchmarks",
+		Cols:  []string{"benchmark", "characteristic", "tables", "columns", "tx types", "read txs %"},
 	}
+	for _, b := range bench.Table2() {
+		t.add(b.Name, b.Characteristic, b.Tables, b.Columns, b.TxTypes, b.ReadTxPercent)
+	}
+	return t
 }
 
-// LocalityResult is the §8 "Locality in workloads" analysis: the fraction of
-// remote transactions in the three studied workloads.
-type LocalityResult struct {
-	// Boston cellular handovers.
-	BostonRemoteHandovers3 float64 // remote handover fraction, 3 nodes
-	BostonRemoteHandovers6 float64 // paper: up to 6.2 % on 6 nodes
-	BostonRemoteTx         float64 // 5 % handovers × remote fraction (paper: 0.31 %)
-	// Venmo payments.
-	VenmoRemote3 float64 // paper: 0.7 %
-	VenmoRemote6 float64 // paper: 1.2 %
-	// TPC-C closed form.
-	TPCCSpec       float64 // spec-mix formula
-	TPCCCalibrated float64 // paper-calibrated (≈2.45 %)
-}
-
-// Locality runs the three analyses.
-func Locality() LocalityResult {
+// Locality is the §8 "Locality in workloads" analysis: the share of remote
+// transactions in Boston cellular handovers, Venmo payments and TPC-C (the
+// closed form by the spec's mix, and calibrated to the paper).
+func Locality(Scale) Table {
 	const trips = 20000
 	const payments = 300000
 	m3 := mobility.New(mobility.DefaultConfig(3))
@@ -48,25 +29,16 @@ func Locality() LocalityResult {
 	v3 := bench.NewVenmoGraph(bench.DefaultVenmoConfig(3))
 	v6 := bench.NewVenmoGraph(bench.DefaultVenmoConfig(6))
 	p := bench.DefaultTPCCParams(6)
-	return LocalityResult{
-		BostonRemoteHandovers3: m3.Analyze(trips).RemoteFraction(),
-		BostonRemoteHandovers6: m6.Analyze(trips).RemoteFraction(),
-		BostonRemoteTx:         m6.RemoteTransactionFraction(0.05, trips),
-		VenmoRemote3:           v3.Analyze(payments).RemoteFraction(),
-		VenmoRemote6:           v6.Analyze(payments).RemoteFraction(),
-		TPCCSpec:               p.RemoteFraction(),
-		TPCCCalibrated:         p.PaperCalibrated(),
+	t := Table{
+		Title: "Locality in workloads (§8)",
+		Cols:  []string{"analysis", "nodes", "remote %", "paper %"},
 	}
-}
-
-// Print renders the analysis with the paper's reference numbers.
-func (r LocalityResult) Print(w io.Writer) {
-	printHeader(w, "Locality in workloads (§8)")
-	fmt.Fprintf(w, "  Boston handovers: remote %.1f%% @3 nodes, %.1f%% @6 nodes (paper: up to 6.2%% @6)\n",
-		100*r.BostonRemoteHandovers3, 100*r.BostonRemoteHandovers6)
-	fmt.Fprintf(w, "  Boston remote transactions @5%% handovers: %.2f%% (paper: 0.31%%)\n", 100*r.BostonRemoteTx)
-	fmt.Fprintf(w, "  Venmo payments:  remote %.2f%% @3 nodes (paper 0.7%%), %.2f%% @6 nodes (paper 1.2%%)\n",
-		100*r.VenmoRemote3, 100*r.VenmoRemote6)
-	fmt.Fprintf(w, "  TPC-C:           spec formula %.2f%%, paper-calibrated %.2f%% (paper: 2.45%%)\n",
-		100*r.TPCCSpec, 100*r.TPCCCalibrated)
+	t.add("Boston handovers", 3, 100*m3.Analyze(trips).RemoteFraction(), "—")
+	t.add("Boston handovers", 6, 100*m6.Analyze(trips).RemoteFraction(), "up to 6.2")
+	t.add("Boston txs @5% handovers", 6, 100*m6.RemoteTransactionFraction(0.05, trips), "0.31")
+	t.add("Venmo payments", 3, 100*v3.Analyze(payments).RemoteFraction(), "0.7")
+	t.add("Venmo payments", 6, 100*v6.Analyze(payments).RemoteFraction(), "1.2")
+	t.add("TPC-C spec formula", 6, 100*p.RemoteFraction(), "—")
+	t.add("TPC-C paper-calibrated", 6, 100*p.PaperCalibrated(), "2.45")
+	return t
 }

@@ -3,5 +3,5 @@
 package experiments
 
 // raceEnabled reports whether the race detector instruments this build.
-// See race_off.go for why experiment assertions consult it.
+// See race_off_test.go for why checks consult it.
 const raceEnabled = true

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -16,60 +15,41 @@ import (
 	"zeus/internal/wire"
 )
 
-// ReadScaleRow is one point of the snapshot-read scaling experiment: a
-// read/write mix at a given number of reader replicas.
-type ReadScaleRow struct {
-	WritePct int // writes as % of committed operations (0 or 5)
-	Replicas int // reader replicas serving snapshots (owner excluded)
-	ReadOps  int
-	WriteOps int
-	Elapsed  time.Duration
-	Tps      float64 // snapshot reads per second
-	Speedup  float64 // vs the 1-replica row of the same mix
-
-	// The zero-owner-traffic invariants, asserted by the smoke test:
-	// snapshot reads never touch the owner (it serves no ring reads for
-	// this workload) and never generate ownership requests at the readers.
-	OwnerRingReads uint64
-	ReaderOwnReqs  uint64
-}
-
-// ReadScaleResult is the MVCC snapshot-read scaling experiment. Classic Zeus
-// read-only transactions (§5.3) are already local, but they validate against
-// the object's live seqlock word, so a write-heavy owner can starve them into
+// ReadScale is the MVCC snapshot-read scaling experiment: 100/0 and 95/5
+// read/write mixes (writes as a share of committed operations), each with 1,
+// 2 and 4 reader replicas on a fixed 5-node cluster (constant safe-time
+// quorum; only the replica placement varies). Classic Zeus read-only
+// transactions (§5.3) are already local, but they validate against the
+// object's live seqlock word, so a write-heavy owner can starve them into
 // retries; snapshot mode reads an immutable version-ring entry at a
 // quorum-advanced safe-time instead. The claim under test: read throughput
 // scales with the number of reader replicas because every replica serves
-// snapshots from local memory and the owner sees ZERO read traffic — adding
-// a replica adds read capacity without adding owner load. On a single-core
-// host the sweep degenerates to a fairness check (rows within noise);
-// MaxProcs records which regime produced the numbers.
-type ReadScaleResult struct {
-	MaxProcs int
-	Rows     []ReadScaleRow
-}
-
-// ReadScale runs the snapshot-read scaling sweep: 100/0 and 95/5
-// read/write mixes, each with 1, 2 and 4 reader replicas on a fixed 5-node
-// cluster (constant safe-time quorum; only the replica placement varies).
-func ReadScale(s Scale) ReadScaleResult {
-	res := ReadScaleResult{MaxProcs: runtime.GOMAXPROCS(0)}
+// snapshots from local memory and the owner sees ZERO read traffic (no ring
+// reads at the owner, no ownership requests at the readers) — adding a
+// replica adds read capacity without adding owner load. On a single-core
+// host the sweep degenerates to a fairness check (rows within noise).
+func ReadScale(s Scale) Table {
+	t := Table{
+		Title: "Readscale: snapshot reads vs reader replicas",
+		Cols: []string{"mix", "replicas", "reads", "writes", "elapsed", "reads/s", "speedup",
+			"owner ring reads", "reader own reqs"},
+		Notes: procsNote("the sweep checks zero owner traffic and fairness, not speedup"),
+	}
 	for _, writePct := range []int{0, 5} {
-		base := len(res.Rows)
+		base := len(t.Rows)
 		for _, replicas := range []int{1, 2, 4} {
 			row := readScalePoint(s, writePct, replicas)
-			if len(res.Rows) > base {
-				row.Speedup = row.Tps / res.Rows[base].Tps
-			} else {
-				row.Speedup = 1
+			if len(t.Rows) > base {
+				row[6] = ratio(row[5].(float64), t.Num(base, "reads/s"))
 			}
-			res.Rows = append(res.Rows, row)
+			t.add(row...)
 		}
 	}
-	return res
+	return t
 }
 
-func readScalePoint(s Scale, writePct, replicas int) ReadScaleRow {
+// readScalePoint runs one point of ReadScale: its row, with a speedup of 1.
+func readScalePoint(s Scale, writePct, replicas int) []any {
 	const (
 		nodes      = 5
 		objects    = 64
@@ -162,32 +142,12 @@ func readScalePoint(s Scale, writePct, replicas int) ReadScaleRow {
 	writerWG.Wait()
 	c.WaitIdle(10 * time.Second)
 
-	row := ReadScaleRow{
-		WritePct: writePct,
-		Replicas: replicas,
-		ReadOps:  int(reads.Load()),
-		WriteOps: int(writes.Load()),
-		Elapsed:  elapsed,
-		Tps:      float64(reads.Load()) / elapsed.Seconds(),
-	}
-	row.OwnerRingReads, _ = c.Obs(owner).CounterValue("core_snapshot_reads_total")
+	ownerRingReads, _ := c.Obs(owner).CounterValue("core_snapshot_reads_total")
+	var readerOwnReqs uint64
 	for i := 0; i < replicas; i++ {
 		reqs, _ := c.Obs(i).CounterValue("own_requests_total")
-		row.ReaderOwnReqs += reqs
+		readerOwnReqs += reqs
 	}
-	return row
-}
-
-// Print renders the experiment.
-func (r ReadScaleResult) Print(w io.Writer) {
-	printHeader(w, fmt.Sprintf("Readscale: snapshot reads vs reader replicas (GOMAXPROCS=%d)", r.MaxProcs))
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "  mix %3d/%d  replicas=%d  %7d reads (%5d writes) in %8s  %s  speedup %.2fx  owner-ring-reads=%d reader-own-reqs=%d\n",
-			100-row.WritePct, row.WritePct, row.Replicas, row.ReadOps, row.WriteOps,
-			row.Elapsed.Round(time.Millisecond), fmtTps(row.Tps), row.Speedup,
-			row.OwnerRingReads, row.ReaderOwnReqs)
-	}
-	if r.MaxProcs == 1 {
-		fmt.Fprintf(w, "  (single-core host: the sweep checks zero owner traffic and fairness, not speedup)\n")
-	}
+	return []any{fmt.Sprintf("%d/%d", 100-writePct, writePct), replicas, int(reads.Load()), int(writes.Load()),
+		elapsed, float64(reads.Load()) / elapsed.Seconds(), 1.0, ownerRingReads, readerOwnReqs}
 }

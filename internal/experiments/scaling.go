@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"zeus/internal/bench"
@@ -13,38 +10,25 @@ import (
 	"zeus/internal/wire"
 )
 
-// ScalingRow is one point of the worker-scaling ablation.
-type ScalingRow struct {
-	Workers int
-	Ops     int
-	Elapsed time.Duration
-	Tps     float64
-	NsPerOp float64
-	Speedup float64 // vs the 1-worker row
-}
-
-// ScalingResult is the multi-core scaling ablation: the same fully-local
-// write-transaction workload (each worker hammering its own object, the
-// paper's locality sweet spot) with 1→8 worker pipelines driven
-// concurrently. After the engine lock split (per-pipe commit state, striped
-// ownership maps, per-pipe/per-object sharded dispatch) the only shared
-// state between workers is the store shard and the transport, so throughput
-// should track min(workers, cores) — the §7 argument that worker threads
-// never block each other. On a single-core host the sweep degenerates to a
-// fairness check (all rows within noise of each other); the MaxProcs field
-// records which regime produced the numbers.
-type ScalingResult struct {
-	MaxProcs int
-	Rows     []ScalingRow
-}
-
-// Scaling runs the worker-scaling ablation on a 3-node in-memory cluster.
-func Scaling(s Scale) ScalingResult {
+// Scaling is the multi-core scaling ablation, on a 3-node in-memory
+// cluster: the same fully-local write-transaction workload (each worker
+// hammering its own object, the paper's locality sweet spot) with 1→8 worker
+// pipelines driven concurrently. After the engine lock split (per-pipe commit
+// state, striped ownership maps, per-pipe/per-object sharded dispatch) the
+// only shared state between workers is the store shard and the transport, so
+// throughput should track min(workers, cores) — the §7 argument that worker
+// threads never block each other. On a single-core host the sweep
+// degenerates to a fairness check (all rows within noise of each other).
+func Scaling(s Scale) Table {
 	ops := s.OpsPerWorker * 10
 	if ops < 2000 {
 		ops = 2000
 	}
-	res := ScalingResult{MaxProcs: runtime.GOMAXPROCS(0)}
+	t := Table{
+		Title: "Scaling: local write tx vs worker pipelines",
+		Cols:  []string{"workers", "ops", "elapsed", "tx/s", "ns/op", "speedup"},
+		Notes: procsNote("the sweep checks fairness, not speedup"),
+	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		opts := cluster.DefaultOptions(3)
 		opts.Workers = workers
@@ -83,32 +67,12 @@ func Scaling(s Scale) ScalingResult {
 		c.Close()
 
 		total := ops * workers // attempts: disjoint write streams abort nothing
-		row := ScalingRow{
-			Workers: workers,
-			Ops:     total,
-			Elapsed: elapsed,
-			Tps:     float64(total) / elapsed.Seconds(),
-			NsPerOp: float64(elapsed.Nanoseconds()) / float64(total),
+		tps := float64(total) / elapsed.Seconds()
+		speedup := 1.0
+		if len(t.Rows) > 0 {
+			speedup = ratio(tps, t.Num(0, "tx/s"))
 		}
-		if len(res.Rows) > 0 {
-			row.Speedup = row.Tps / res.Rows[0].Tps
-		} else {
-			row.Speedup = 1
-		}
-		res.Rows = append(res.Rows, row)
+		t.add(workers, total, elapsed, tps, float64(elapsed.Nanoseconds())/float64(total), speedup)
 	}
-	return res
-}
-
-// Print renders the ablation.
-func (r ScalingResult) Print(w io.Writer) {
-	printHeader(w, fmt.Sprintf("Scaling: local write tx vs worker pipelines (GOMAXPROCS=%d)", r.MaxProcs))
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "  workers=%d  %7d ops in %8s  %s tx/s  %7.0f ns/op  speedup %.2fx\n",
-			row.Workers, row.Ops, row.Elapsed.Round(time.Millisecond),
-			fmtTps(row.Tps), row.NsPerOp, row.Speedup)
-	}
-	if r.MaxProcs == 1 {
-		fmt.Fprintf(w, "  (single-core host: the sweep checks fairness, not speedup)\n")
-	}
+	return t
 }

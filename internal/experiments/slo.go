@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"runtime"
+	"strings"
 	"time"
 
 	"zeus/internal/bench"
@@ -26,68 +26,30 @@ var DefaultSLO = loadgen.SLO{
 	MaxErrorRate: 0.01,
 }
 
-// SLORow is one point of the workload × fabric × node-count × arrival-rate
-// matrix: an open-loop run over a real application workload with
-// coordinated-omission-safe latency measured from intended send time.
-type SLORow struct {
-	Workload string
-	Fabric   string // mem | netsim | tcp
-	Nodes    int
-	Rate     float64 // aggregate offered arrivals/second
-	Arrival  string  // const | poisson
-
-	Offered    int
-	Completed  uint64
-	Errors     uint64
-	Throughput float64 // completed/s over the whole run
-
-	// Intended-send-time latency (the omission-safe histogram).
-	P50, P99, P999, Max time.Duration
-	// ServiceP99 is the closed-loop view of the same run (actual-send
-	// clock): the gap to P99 is the queueing a closed-loop harness hides.
-	ServiceP99 time.Duration
-	// Phase attribution from the per-transaction trace spans: commit
-	// begin→quorum-ack and begin→applied p99s, so a tail excursion
-	// decomposes into pipeline vs above-engine queueing.
-	AckP99, AppliedP99 time.Duration
-
-	Health     loadgen.Health
-	Violations []string
-	Pass       bool
-	// SlowTraces holds the slowest sampled per-phase traces, kept only for
-	// failed rows (the diagnosis attached to the SLO miss).
-	SlowTraces []obs.TraceRecord
-}
-
-// Key names the row in SLO records (BENCH_SLO.json).
-func (r SLORow) Key() string {
-	return fmt.Sprintf("%s/%s/n%d/r%g/%s", r.Workload, r.Fabric, r.Nodes, r.Rate, r.Arrival)
-}
-
-// SLOResult is the full matrix run.
-type SLOResult struct {
-	MaxProcs int
-	Drivers  int // drivers used on the 3-node rows (GOMAXPROCS-partitioned)
-	Rows     []SLORow
-}
-
-// Pass reports whether every row met its SLO with zero watchdog incidents.
-func (r SLOResult) Pass() bool {
-	for _, row := range r.Rows {
-		if !row.Pass {
-			return false
-		}
-	}
-	return true
-}
-
 // SLOExp runs the open-loop SLO matrix: the three §8.5 application ports
 // (epcgw, httplb, sctp) and the handover pattern over the simulated fabric
 // at two arrival rates, a node-count + Poisson point, and the epcgw workload
 // again over real loopback TCP sockets. Quick scale keeps each run at
 // Scale.Duration; -full stretches the schedules accordingly.
-func SLOExp(s Scale) SLOResult {
-	res := SLOResult{MaxProcs: runtime.GOMAXPROCS(0), Drivers: sloDrivers(3)}
+//
+// A row is one point of the workload × fabric × node-count × arrival-rate
+// matrix, named by its first cell (workload/fabric/n<nodes>/r<rate>/<arrival>,
+// the key of BENCH_SLO.json), with coordinated-omission-safe latency measured
+// from intended send time. Its ack and applied p99s attribute the commit
+// phases from the per-transaction trace spans (begin→quorum-ack and
+// begin→applied), so a tail excursion decomposes into pipeline versus
+// above-engine queueing. A row passes when it met DefaultSLO with zero
+// watchdog incidents; a failed row's notes carry its violations, the
+// closed-loop service p99 (the gap to p99 is the queueing a closed-loop
+// harness hides), the health errata and the slowest sampled traces.
+func SLOExp(s Scale) Table {
+	t := Table{
+		Title: "SLO: open-loop latency over application workloads",
+		Cols: append(append([]string{"point", "offered", "done", "err", "tx/s"}, latCols...),
+			"ack p99", "applied p99", "verdict"),
+		Notes: procsNote("driver groups time-share one CPU — the matrix checks omission-safe measurement and SLO gating, not parallel speedup"),
+	}
+	t.Notes[0] += fmt.Sprintf(", %d drivers on the 3-node rows", sloDrivers(3))
 	lowRate, highRate := 1000.0, 4000.0
 	type point struct {
 		wl      func(nodes int) loadgen.Workload
@@ -115,9 +77,9 @@ func SLOExp(s Scale) SLOResult {
 		{loadgen.EPCGW, cluster.FabricTCP, 3, highRate, loadgen.ConstantRate{}},
 	}
 	for _, p := range points {
-		res.Rows = append(res.Rows, sloPoint(s, p.wl(p.nodes), p.fabric, p.nodes, p.rate, p.arrival))
+		sloPoint(&t, s, p.wl(p.nodes), p.fabric, p.nodes, p.rate, p.arrival)
 	}
-	return res
+	return t
 }
 
 // sloDrivers partitions the schedule across GOMAXPROCS, rounded up to a
@@ -143,8 +105,8 @@ func fabricName(k cluster.FabricKind) string {
 
 // sloPoint runs one matrix point end to end: build the cluster, seed the
 // workload, run the open-loop schedule, drain, and fold the obs registries
-// into the row (health cross-check, phase attribution, SLO verdict).
-func sloPoint(s Scale, wl loadgen.Workload, fabric cluster.FabricKind, nodes int, rate float64, arrival loadgen.Arrival) SLORow {
+// into t's row (health cross-check, phase attribution, SLO verdict).
+func sloPoint(t *Table, s Scale, wl loadgen.Workload, fabric cluster.FabricKind, nodes int, rate float64, arrival loadgen.Arrival) {
 	// A worker for each lane's workers: a worker runs one transaction at a time.
 	drivers := sloDrivers(nodes)
 	opts := cluster.DefaultOptions(nodes)
@@ -187,78 +149,36 @@ func sloPoint(s Scale, wl loadgen.Workload, fabric cluster.FabricKind, nodes int
 	phases := loadgen.Phases(regs...)
 	ackPhase, appliedPhase := phases["cmt_ack_ns"], phases["cmt_applied_ns"]
 
-	row := SLORow{
-		Workload:   wl.Name,
-		Fabric:     fabricName(fabric),
-		Nodes:      nodes,
-		Rate:       rate,
-		Arrival:    res.Arrival,
-		Offered:    res.Offered,
-		Completed:  res.Completed,
-		Errors:     res.Errors,
-		Throughput: res.Throughput(),
-		P50:        time.Duration(res.Latency.Quantile(0.50)),
-		P99:        time.Duration(res.Latency.Quantile(0.99)),
-		P999:       time.Duration(res.Latency.Quantile(0.999)),
-		Max:        time.Duration(res.Latency.Max()),
-		ServiceP99: time.Duration(res.Service.Quantile(0.99)),
-		AckP99:     time.Duration(ackPhase.Quantile(0.99)),
-		AppliedP99: time.Duration(appliedPhase.Quantile(0.99)),
-		Health:     health,
-		Violations: DefaultSLO.Check(res),
-	}
+	point := fmt.Sprintf("%s/%s/n%d/r%g/%s", wl.Name, fabricName(fabric), nodes, rate, res.Arrival)
 	// A healthy run has zero watchdog incidents (the multiproc smoke's
 	// /metrics assertion, in-process); incidents fail the row even when the
 	// latency objectives were met, and the incident list travels with it.
+	violations := DefaultSLO.Check(res)
 	if !health.Healthy() {
-		row.Violations = append(row.Violations,
+		violations = append(violations,
 			fmt.Sprintf("%d watchdog incidents on a healthy-run assertion", health.Incidents))
 	}
-	row.Pass = len(row.Violations) == 0
-	if !row.Pass {
-		row.SlowTraces = loadgen.SlowTraces(4, regs...)
-	}
-	return row
-}
-
-// Print renders the matrix with one pass/fail line per row; failed rows get
-// their violations, the health errata (incident list, retransmits, NACK
-// reasons) and the slowest sampled traces.
-func (r SLOResult) Print(w io.Writer) {
-	printHeader(w, fmt.Sprintf(
-		"SLO: open-loop latency over application workloads (GOMAXPROCS=%d, drivers=%d)", r.MaxProcs, r.Drivers))
-	for _, row := range r.Rows {
-		verdict := "PASS"
-		if !row.Pass {
-			verdict = "FAIL"
+	verdict := "PASS"
+	if len(violations) > 0 {
+		verdict = "FAIL"
+		var b strings.Builder
+		for _, v := range violations {
+			fmt.Fprintf(&b, "violation: %s\n", v)
 		}
-		fmt.Fprintf(w, "  %-8s %-6s n%d %6.0f/s %-7s offered=%-6d done=%-6d err=%-3d %s  %s ack_p99=%v applied_p99=%v  [%s]\n",
-			row.Workload, row.Fabric, row.Nodes, row.Rate, row.Arrival,
-			row.Offered, row.Completed, row.Errors, fmtTps(row.Throughput),
-			fmtLat(row), row.AckP99.Round(time.Microsecond), row.AppliedP99.Round(time.Microsecond), verdict)
-		if !row.Pass {
-			for _, v := range row.Violations {
-				fmt.Fprintf(w, "    violation: %s\n", v)
+		fmt.Fprintf(&b, "closed-loop service_p99=%v — the gap to p99 is queueing the open loop charged\n",
+			time.Duration(res.Service.Quantile(0.99)).Round(time.Microsecond))
+		health.WriteText(&b)
+		for _, tr := range loadgen.SlowTraces(4, regs...) {
+			fmt.Fprintf(&b, "trace reqid=%d total=%v", tr.ReqID, tr.Total)
+			for _, e := range tr.Events {
+				fmt.Fprintf(&b, " %s=+%v", e.Label, e.At)
 			}
-			fmt.Fprintf(w, "    closed-loop service_p99=%v — the gap to p99 is queueing the open loop charged\n",
-				row.ServiceP99.Round(time.Microsecond))
-			row.Health.WriteText(w)
-			for _, tr := range row.SlowTraces {
-				fmt.Fprintf(w, "    trace reqid=%d total=%v", tr.ReqID, tr.Total)
-				for _, e := range tr.Events {
-					fmt.Fprintf(w, " %s=+%v", e.Label, e.At)
-				}
-				fmt.Fprintln(w)
-			}
+			b.WriteByte('\n')
+		}
+		for _, line := range strings.Split(strings.TrimSpace(b.String()), "\n") {
+			t.Notes = append(t.Notes, point+" "+strings.TrimSpace(line))
 		}
 	}
-	if r.MaxProcs == 1 {
-		fmt.Fprintf(w, "  (single-core host: driver groups time-share one CPU — the matrix checks omission-safe measurement and SLO gating, not parallel speedup)\n")
-	}
-}
-
-func fmtLat(row SLORow) string {
-	return fmt.Sprintf("p50=%v p99=%v p999=%v max=%v",
-		row.P50.Round(time.Microsecond), row.P99.Round(time.Microsecond),
-		row.P999.Round(time.Microsecond), row.Max.Round(time.Microsecond))
+	t.add(append(append([]any{point, res.Offered, res.Completed, res.Errors, res.Throughput()}, latCells(res.Latency)...),
+		time.Duration(ackPhase.Quantile(0.99)), time.Duration(appliedPhase.Quantile(0.99)), verdict)...)
 }

@@ -189,8 +189,9 @@ type Node struct {
 func (n *Node) ID() int { return int(n.n.ID()) }
 
 // Begin starts a write transaction on an idle worker. A worker runs one
-// transaction, read-only included, until Commit or Abort; while all are busy,
-// the Tx's Get, Set and Commit answer ErrConflict.
+// transaction, read-only included, until Commit or Abort. Only when every
+// worker ran one at a single instant during the call do the Tx's Get, Set and
+// Commit answer ErrConflict; Begin never waits for a worker.
 func (n *Node) Begin() *Tx { return &Tx{tx: n.n.Begin()} }
 
 // BeginOn starts a write transaction on a specific worker thread (worker ids

@@ -402,6 +402,39 @@ func TestPublicAPIUseAfterFinish(t *testing.T) {
 	}
 }
 
+// TestPublicAPIBeginFindsAnIdleWorker: W goroutines begin transactions
+// through Begin on a node of W workers. A caller inside Begin holds no worker,
+// so one is always idle, and Begin must find it: not one busy answer. (Begin
+// used to make one pass over the workers, and answered busy when a worker
+// was freed behind its scan while the one ahead of it was taken.)
+func TestPublicAPIBeginFindsAnIdleWorker(t *testing.T) {
+	const workers, perRoutine = 4, 25_000
+	c := zeus.New(zeus.Options{Nodes: 3, Workers: workers})
+	defer c.Close()
+	n := c.Node(0)
+	var busy atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perRoutine; i++ {
+				if err := n.Begin().Commit(); zeus.IsConflict(err) {
+					busy.Add(1)
+				} else if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if b := busy.Load(); b != 0 {
+		t.Fatalf("Begin answered busy %d times in %d transactions on %d workers with %d goroutines",
+			b, workers*perRoutine, workers, workers)
+	}
+}
+
 // TestPublicAPIOneTransactionPerWorker: goroutines that increment one counter
 // through the public API, more of them than there are workers to run them,
 // lose no committed increment. A worker runs one transaction at a time:
