@@ -296,7 +296,7 @@ func BenchmarkWireDecodeStream(b *testing.B) {
 		tx := wire.TxID{Pipe: wire.PipeID{Node: 1, Worker: 2}, Local: i}
 		stream = wire.AppendMessage(stream, &wire.CommitInv{Tx: tx, Epoch: 3, Followers: wire.BitmapOf(0, 2),
 			Updates: []wire.Update{{Obj: 42, Version: i, Data: make([]byte, 64)}, {Obj: 43, Version: i, Data: make([]byte, 64)}}})
-		stream = wire.AppendMessage(stream, &wire.CommitAck{Tx: tx, Epoch: 3, From: 2, AppliedWM: i})
+		stream = wire.AppendMessage(stream, &wire.CommitAck{Tx: tx, Epoch: 3, From: 2})
 		stream = wire.AppendMessage(stream, &wire.CommitVal{Tx: tx, Epoch: 3})
 	}
 	var dec wire.Decoder

@@ -8,8 +8,8 @@ import (
 )
 
 // WedgeDump writes every node's commit-engine state (open coordinator slots,
-// stored/buffered follower R-INVs, the replay table, objects with commit
-// debt) to w, in node order, and for every live node its ownership side: each
+// own and adopted from dead coordinators, stored/buffered follower R-INVs,
+// objects with commit debt) to w, in node order, and for every live node its ownership side: each
 // object with a pending arbitration and the engine's counters. Safe on a live
 // or wedged cluster: each engine takes its pipe/object locks briefly and in
 // isolation. The torture tests call it when their final read fails, so a

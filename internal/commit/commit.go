@@ -15,23 +15,31 @@
 // of that pipe is applied or validated, with the prev-VAL bit / R-VAL
 // inclusion rule covering followers that see only part of a pipe's stream.
 //
-// Recovery (§5.1): after an epoch bump, every live node replays the stored
-// R-INVs of dead coordinators (epoch rewritten, dead followers pruned). All
-// R-INVs of a transaction are idempotent — same tx_id and t_versions — so
-// concurrent replayers are harmless. When a node has no pending commits left
-// from dead nodes it reports recovery-done; the ownership protocol resumes
-// only after every live node has reported (the membership barrier).
+// Recovery (§5.1): after an epoch bump, every live node adopts the stored
+// R-INVs of dead coordinators as slots of its own: each becomes a Slot on an
+// adopted outPipe keyed by the dead coordinator's PipeID (epoch rewritten,
+// dead followers pruned) and goes through the same R-INV/R-ACK/R-VAL exchange,
+// resends and completion as a slot this node opened. All R-INVs of a
+// transaction are idempotent — same tx_id and t_versions — so concurrent
+// replayers are harmless. When a node has no adopted slot left open it
+// reports recovery-done; the ownership protocol resumes only after every live
+// node has reported (the membership barrier).
+//
+// A slot is acknowledged by a follower's R-ACK for it and by nothing else: the
+// R-ACK leaves only once the follower's WAL append for that slot returned
+// (ackDurable), and no acknowledgement of one slot vouches for another.
 //
 // Concurrency (§5.2/§7): the engine holds no global lock on any hot path.
 // Pipelines are looked up lock-free (copy-on-write maps — pipes are created
-// once per worker and read per message) and each outPipe/inPipe carries its
-// own mutex, so commits and deliveries on independent pipes never contend.
-// Per-object pending state lives on store.Object (an atomic counter), and
-// only recovery (the replay table) takes a dedicated slow-path lock.
+// once per worker, or once per adopted dead pipe, and read per message) and
+// each outPipe/inPipe carries its own mutex, so commits and deliveries on
+// independent pipes never contend. Per-object pending state lives on
+// store.Object (an atomic counter).
 package commit
 
 import (
 	"errors"
+	"maps"
 	"math/bits"
 	"slices"
 	"sort"
@@ -128,16 +136,19 @@ type Engine struct {
 
 	// Pipelines: copy-on-write maps (lock-free lookup, mutex-serialized
 	// insertion — a pipe is created once and read per message). Per-slot
-	// state is guarded by each pipe's own mutex.
+	// state is guarded by each pipe's own mutex. outPipes are this node's
+	// own, adopted the dead coordinators' pipes it replays (§5.1).
 	outPipes shardmap.COW[wire.Worker, *outPipe]
+	adopted  shardmap.COW[wire.PipeID, *outPipe]
 	inPipes  shardmap.COW[wire.PipeID, *inPipe]
 
-	// Recovery slow path: the replay table is only touched around view
-	// changes, never on the failure-free hot path.
-	replayMu    sync.Mutex
-	replays     map[wire.TxID]*replaySlot
-	replayEpoch wire.Epoch
-	replayN     atomic.Int32 // fast-path probe: len(replays) without the lock
+	// recoveryEpoch is the epoch of the last view change that removed a
+	// node: recovery-done is reported for it once no adopted slot is open.
+	recoveryEpoch atomic.Uint32
+	// unloggedPipes counts the follower pipes holding a slot whose WAL append
+	// failed (inPipe.retrying); while it is non-zero the resend loop retries
+	// those appends.
+	unloggedPipes atomic.Int32
 
 	// Outbound coalescer: R-INV fan-out, R-ACKs and R-VALs accumulate in
 	// per-peer queues and leave as transport batches — either when a
@@ -185,43 +196,43 @@ const (
 	coalesceInterval   = 100 * time.Microsecond
 )
 
-// outPipe is a coordinator-side pipeline (one per worker thread, §7).
+// outPipe is a coordinator-side pipeline: one per worker thread (§7), or a
+// dead coordinator's pipe this node adopted to replay its stored R-INVs
+// (adopted, keyed by that coordinator's PipeID; §5.1).
 type outPipe struct {
-	id wire.PipeID
+	id      wire.PipeID
+	adopted bool
 
 	mu        sync.Mutex
 	nextLocal uint64
 	slots     map[uint64]*Slot
-	// order is the registration-order FIFO of the same slots (CTS
-	// ascending — timestamps are minted under mu). The AppliedWM sweep
-	// walks it from the front and stops at the watermark instead of
-	// iterating the slots map, whose cost is capacity- not
-	// size-proportional and never shrinks. The live window is order[head:]
-	// (see live); validated slots are trimmed off its front by
-	// compactLocked at the next mu acquisition.
+	// order holds the same slots in Local order, hence CTS ascending (an own
+	// pipe mints each CTS under mu as it registers the slot; adopt inserts a
+	// replayed slot at its Local). Watermark reads the pipe's minimum open CTS
+	// off its front and the resend pass walks it, instead of iterating the
+	// slots map, whose cost is capacity- not size-proportional and never
+	// shrinks. The live window is order[head:] (see live); completeSlot
+	// trims finished slots off its front (compactLocked) as they finish, so
+	// the front entry is always open and an idle pipe holds no slot.
 	order []*Slot
 	head  int
-	// swept records, per follower, the highest AppliedWM a sweep has
-	// processed. A follower's watermark is one of this pipe's own applied
-	// CTSs, and every slot registered later mints a strictly larger CTS,
-	// so slots at or below the cursor never need re-sweeping — without it
-	// each ack would re-walk the whole in-flight window (every open slot
-	// trails the follower's applied watermark under pipelining).
-	swept map[wire.NodeID]uint64
 	// vals is where completeSlot takes each slot's R-VAL from, and fresh
-	// where Commit takes each Slot from (both under mu).
+	// where Commit and adopt take each Slot from (both under mu).
 	vals  wire.Chunk[wire.CommitVal]
 	fresh wire.Chunk[Slot]
 }
 
-// compactLocked drops validated slots off the front of the order FIFO.
+// compactLocked drops finished slots off the front of the order FIFO. Not
+// valed ones: completeSlot sets valed before it publishes the versions, and
+// a slot that leaves the window early lets Watermark pass its CTS while a
+// snapshot at that watermark would still read the previous version.
 // Amortized O(1): each slot is appended once, trimmed once and moved at most
 // once. The front advances by index rather than by reslicing, so a pipeline
 // that drains — every commit of a shallow one — rewinds into the array it
 // already has instead of allocating a new FIFO; only an array a burst grew
 // past the pipeline bound is let go.
 func (p *outPipe) compactLocked() {
-	for p.head < len(p.order) && p.order[p.head].valed {
+	for p.head < len(p.order) && p.order[p.head].finished {
 		p.order[p.head] = nil // release the slot to the GC
 		p.head++
 	}
@@ -259,10 +270,10 @@ func (p *outPipe) live() []*Slot { return p.order[p.head:] }
 // size class (TestSlotSize).
 type Slot struct {
 	pipe *outPipe
-	// inv is the R-INV to (re)send. It points at first until a view change
+	// inv is the R-INV to (re)send. It points at first until a resend
 	// rewrites epoch and followers, which installs a fresh copy instead
-	// (copy-on-write, OnViewChange/resendLoop): the original may still be in
-	// flight, and on the zero-copy hub the followers hold this very struct.
+	// (copy-on-write, resend): the original may still be in flight, and on
+	// the zero-copy hub the followers hold this very struct.
 	inv   *wire.CommitInv
 	first wire.CommitInv
 	// updates backs first.Updates for a write set that fits; a larger one
@@ -280,8 +291,9 @@ type Slot struct {
 	finished bool
 	done     chan struct{}
 	// Crash-aware resend pacing (see resendPolicy): the next re-broadcast is
-	// due resendAfter past openedAt, when Commit registered the slot — which
-	// also feeds the phase-latency histograms and the watchdog's age scan.
+	// due resendAfter past openedAt, when Commit or adopt registered the
+	// slot — which also feeds the phase-latency histograms and the
+	// watchdog's age scan.
 	// (An offset, not a second time.Time: it keeps the Slot in its size
 	// class.)
 	retr        retry.Retrier
@@ -338,14 +350,12 @@ type inPipe struct {
 	// unlogged marks applied slots whose WAL append has not succeeded yet.
 	// A slot enters on apply (durability armed) and leaves once an Append
 	// covering it returns; an entry lingering here means the first append
-	// failed, so the next delivery of the same R-INV retries it. Duplicates
-	// of already-durable slots are *not* in this map and re-ACK without
-	// re-appending — a resend storm must not grow the WAL.
+	// failed, so the pipe is counted in Engine.unloggedPipes (retrying) and
+	// the resend loop, or the next delivery of the same R-INV, retries it.
+	// Duplicates of already-durable slots are *not* in this map and re-ACK
+	// without re-appending — a resend storm must not grow the WAL.
 	unlogged map[uint64]*wire.CommitInv
-	// lastCTS is the highest CTS applied on this pipe, piggybacked on every
-	// R-ACK (CommitAck.AppliedWM). CTSs increase along a pipe and slots
-	// apply in pipe order, so lastCTS vouches for every earlier slot.
-	lastCTS uint64
+	retrying bool
 	// wdSeen is watchdog-only state: when the debt scanner first observed
 	// each stored R-INV (under mu, but ONLY from watchdogScan — the apply
 	// and validate hot paths never touch it, so obs costs nothing here).
@@ -394,17 +404,16 @@ type Config struct {
 // New creates a reliable-commit engine.
 func New(self wire.NodeID, st *store.Store, tr transport.Transport, agent *viewsvc.Agent, cfg Config) *Engine {
 	e := &Engine{
-		self:    self,
-		st:      st,
-		tr:      tr,
-		agent:   agent,
-		replays: make(map[wire.TxID]*replaySlot),
-		coWake:  make(chan struct{}, 1),
-		closed:  make(chan struct{}),
-		log:     cfg.Log,
-		incar:   wire.Epoch(cfg.Incarnation),
-		clock:   cfg.Clock,
-		ts:      cfg.Timestamps,
+		self:   self,
+		st:     st,
+		tr:     tr,
+		agent:  agent,
+		coWake: make(chan struct{}, 1),
+		closed: make(chan struct{}),
+		log:    cfg.Log,
+		incar:  wire.Epoch(cfg.Incarnation),
+		clock:  cfg.Clock,
+		ts:     cfg.Timestamps,
 	}
 	if e.clock == nil {
 		e.clock = new(safetime.Clock)
@@ -538,13 +547,9 @@ func (e *Engine) Handle(from wire.NodeID, m wire.Msg) {
 	}
 }
 
-// PendingReplays returns how many dead-coordinator replays are still
+// PendingReplays returns how many adopted dead-coordinator slots are still
 // unvalidated (0 in steady state; diagnostics and drain waits).
-func (e *Engine) PendingReplays() int {
-	e.replayMu.Lock()
-	defer e.replayMu.Unlock()
-	return len(e.replays)
-}
+func (e *Engine) PendingReplays() int { return openSlots(&e.adopted) }
 
 // Stats returns a snapshot of counters.
 func (e *Engine) Stats() Stats {
@@ -589,16 +594,25 @@ func (e *Engine) HasPending(obj wire.ObjectID) bool {
 	return ok && o.PendingCommits.Load() > 0
 }
 
-// PendingSlots returns the number of unvalidated coordinator slots.
-func (e *Engine) PendingSlots() int {
+// PendingSlots returns the number of unvalidated slots this node opened.
+func (e *Engine) PendingSlots() int { return openSlots(&e.outPipes) }
+
+func openSlots[K comparable](pipes *shardmap.COW[K, *outPipe]) int {
 	n := 0
-	e.outPipes.Range(func(_ wire.Worker, p *outPipe) bool {
+	pipes.Range(func(_ K, p *outPipe) bool {
 		p.mu.Lock()
 		n += len(p.slots)
 		p.mu.Unlock()
 		return true
 	})
 	return n
+}
+
+// eachPipe calls fn for every coordinator pipe: this node's own, then the
+// dead coordinators' it adopted.
+func (e *Engine) eachPipe(fn func(*outPipe)) {
+	e.outPipes.Range(func(_ wire.Worker, p *outPipe) bool { fn(p); return true })
+	e.adopted.Range(func(_ wire.PipeID, p *outPipe) bool { fn(p); return true })
 }
 
 // errSlotsPending drives WaitIdle's retry.Do poll; never escapes.
@@ -705,10 +719,8 @@ func (e *Engine) Commit(w wire.Worker, updates []wire.Update, followers wire.Bit
 	slot.inv = inv
 	slot.resendAfter, _ = slot.retr.Next() // resendPolicy never gives up
 	p.slots[local] = slot
-	// Trim before appending: a drained FIFO rewinds, and the new slot lands
-	// at the front of the array it already has.
-	//lint:allow lockedsuffix p.mu is held: the backpressure loop above exits via break with the lock taken
-	p.compactLocked()
+	// A drained FIFO was rewound by compactLocked: the new slot lands at the
+	// front of the array it already has.
 	p.order = append(p.order, slot)
 	p.mu.Unlock()
 
@@ -743,13 +755,16 @@ func (e *Engine) Commit(w wire.Worker, updates []wire.Update, followers wire.Bit
 	return slot
 }
 
-// completeSlot validates a coordinator slot: flip local objects whose version
-// is unchanged back to Valid, publish the committed versions into the MVCC
-// rings, release pending counts, broadcast R-VAL. The slot is removed from
-// the pipe only AFTER the object flips and ring publications: Watermark
-// counts every present slot as open, so deleting first would let a
-// watermark advance past a version that is not ring-published yet — a
-// snapshot reader at that watermark would miss the commit.
+// completeSlot validates a coordinator slot once every live follower ACKed
+// it. An own slot flips its local objects whose version is unchanged back to
+// Valid, publishes the committed versions into the MVCC rings, releases
+// their pending counts and records the commit with its data; an adopted one
+// validates the stored R-INV it replays as a received R-VAL would. Either
+// way the R-VAL goes to the followers. The slot is removed from the pipe
+// only AFTER that: Watermark counts every present slot as open, so deleting
+// first would let a watermark advance past a version that is not
+// ring-published yet — a snapshot reader at that watermark would miss the
+// commit.
 func (e *Engine) completeSlot(s *Slot) {
 	p := s.pipe
 	p.mu.Lock()
@@ -758,60 +773,71 @@ func (e *Engine) completeSlot(s *Slot) {
 		return
 	}
 	s.valed = true
-	// OnViewChange and the resend loop repoint s.inv and s.followers under
-	// p.mu; everything below works from this one consistent reading.
+	// The resend pass repoints s.inv and s.followers under p.mu; everything
+	// below works from this one consistent reading.
 	inv, targets := s.inv, s.followers.Union(s.extraVal)
 	val := p.vals.Take()
 	p.mu.Unlock()
-	cts := inv.CTS
+	*val = wire.CommitVal{Tx: s.Tx(), Epoch: inv.Epoch} // written once, here, before any enqueue
 
+	if p.adopted {
+		e.handleVal(val)
+	} else {
+		e.validateOwn(s, inv)
+	}
+	for n := range targets.Each {
+		e.enqueue(n, val) // coalesced with neighbouring slots' R-VALs
+	}
+	if !p.adopted {
+		e.stCommitted.Add(1)
+		s.tr.Event("applied")
+		if ob := e.obs; ob != nil {
+			ob.appliedNS.RecordSince(s.openedAt)
+			ob.reg.Traces.Offer(s.tr)
+		}
+	}
+
+	p.mu.Lock()
+	delete(p.slots, s.Tx().Local)
+	s.finished = true
+	p.compactLocked()
+	if s.done != nil {
+		close(s.done)
+	}
+	p.mu.Unlock()
+	if p.adopted {
+		e.maybeReportDone()
+	}
+}
+
+// validateOwn is completeSlot's local half for a slot this node opened.
+func (e *Engine) validateOwn(s *Slot, inv *wire.CommitInv) {
 	s.tr.Event("ack")
 	if ob := e.obs; ob != nil {
 		ob.ackNS.RecordSince(s.openedAt)
 	}
-
 	for _, u := range inv.Updates {
 		if o, ok := e.st.Get(u.Obj); ok {
 			o.Mu.Lock()
-			o.ValidateWriteLocked(cts, u.Version, u.Data)
+			o.ValidateWriteLocked(inv.CTS, u.Version, u.Data)
 			if o.PendingCommits.Load() > 0 {
 				o.PendingCommits.Add(-1)
 			}
 			o.Mu.Unlock()
 		}
 	}
-
 	// Coordinator-side commit record carries the data: the coordinator
 	// never logged a RecInv for its own write. Cluster-wide durability does
 	// not depend on it (followers persisted the updates before acking);
 	// it is what a restarted coordinator re-arms from when no replica of the
 	// object is live anywhere (core.reclaimOne).
 	s.tr.Event("val")
-	e.recCommitted(inv.Updates, true, cts)
-
-	*val = wire.CommitVal{Tx: s.Tx(), Epoch: inv.Epoch} // written once, here, before any enqueue
-	for n := range targets.Each {
-		e.enqueue(n, val) // coalesced with neighbouring slots' R-VALs
-	}
-	e.stCommitted.Add(1)
-	s.tr.Event("applied")
-	if ob := e.obs; ob != nil {
-		ob.appliedNS.RecordSince(s.openedAt)
-		ob.reg.Traces.Offer(s.tr)
-	}
-
-	p.mu.Lock()
-	delete(p.slots, s.Tx().Local)
-	s.finished = true
-	if s.done != nil {
-		close(s.done)
-	}
-	p.mu.Unlock()
+	e.recCommitted(inv.Updates, true, inv.CTS)
 }
 
 // Watermark computes this node's applied watermark W: every reliable commit
 // this node is responsible for completing (its own open coordinator slots
-// plus any dead-coordinator replays it carries) with CTS ≤ W has been
+// plus the dead coordinators' slots it adopted) with CTS ≤ W has been
 // validated — applied and ring-published at all followers and locally. The
 // clock is read FIRST, then open slots lower the bound: a slot registered
 // after the read minted its CTS after (hence above) the candidate, so the
@@ -819,29 +845,18 @@ func (e *Engine) completeSlot(s *Slot) {
 // (min, monotone — safetime.Tracker), W yields the snapshot-read safe-time.
 func (e *Engine) Watermark() uint64 {
 	w := e.clock.Next()
-	e.outPipes.Range(func(_ wire.Worker, p *outPipe) bool {
+	e.eachPipe(func(p *outPipe) {
 		p.mu.Lock()
-		// CTSs ascend along the registration FIFO, so after trimming
-		// validated slots off the head the front entry carries the
-		// pipe's minimum open CTS — no need to scan the rest.
-		p.compactLocked()
+		// CTSs ascend along the order FIFO and its front entry is open, so
+		// it carries the pipe's minimum open CTS — no need to scan the
+		// rest.
 		if open := p.live(); len(open) > 0 {
 			if cts := open[0].inv.CTS; cts != 0 && cts <= w {
 				w = cts - 1
 			}
 		}
 		p.mu.Unlock()
-		return true
 	})
-	if e.replayN.Load() != 0 {
-		e.replayMu.Lock()
-		for _, rs := range e.replays {
-			if cts := rs.inv.CTS; cts != 0 && cts <= w {
-				w = cts - 1
-			}
-		}
-		e.replayMu.Unlock()
-	}
 	return w
 }
 
@@ -908,9 +923,6 @@ func (e *Engine) applyOneLocked(p *inPipe, m *wire.CommitInv) {
 		o.Mu.Unlock()
 	}
 	e.clock.Update(m.CTS)
-	if m.CTS > p.lastCTS {
-		p.lastCTS = m.CTS
-	}
 	p.stored[m.Tx.Local] = m
 	if e.log != nil && len(m.Updates) > 0 {
 		p.unlogged[m.Tx.Local] = m
@@ -923,10 +935,14 @@ func (e *Engine) applyOneLocked(p *inPipe, m *wire.CommitInv) {
 // armed and the slot is still in p.unlogged, the updates are appended to
 // the WAL — group-committed, durable on return — strictly before the R-ACK
 // is queued, so a coordinator can never observe an acknowledgement for a
-// write the follower could forget in a crash. A slot already logged (not
-// in unlogged) re-ACKs without touching the WAL: duplicates and resend
-// storms must not grow it. The ACK itself stays coalesced: one delivery
-// tick's worth of R-ACKs leaves as a single transport batch.
+// write the follower could forget in a crash. The R-ACK names this one slot
+// and acknowledges nothing else. A failed append sends nothing: the slot
+// stays in unlogged and the pipe is counted, so the resend loop retries the
+// append (retryAppends) until it returns, or a retransmitted R-INV does
+// first. A slot already logged (not in unlogged) re-ACKs without touching
+// the WAL: duplicates and resend storms must not grow it. The ACK itself
+// stays coalesced: one delivery tick's worth of R-ACKs leaves as a single
+// transport batch.
 func (e *Engine) ackDurable(p *inPipe, to wire.NodeID, m *wire.CommitInv) {
 	if l := e.log; l != nil {
 		if inv, needs := p.unlogged[m.Tx.Local]; needs {
@@ -937,18 +953,47 @@ func (e *Engine) ackDurable(p *inPipe, to wire.NodeID, m *wire.CommitInv) {
 				recs[i] = storage.Record{Kind: storage.RecInv, Obj: u.Obj, Version: u.Version, Data: u.Data, CTS: inv.CTS}
 			}
 			if l.Append(recs...) != nil {
-				// No durability, no ACK: stay silent and let the coordinator
-				// resend (the slot stays in unlogged, so the retransmit
-				// retries the append). Failing storage degrades liveness,
-				// never safety.
+				// No durability, no ACK. Failing storage degrades
+				// liveness, never safety.
+				if !p.retrying {
+					p.retrying = true
+					e.unloggedPipes.Add(1)
+				}
 				return
 			}
-			delete(p.unlogged, m.Tx.Local)
+			e.logged(p, m.Tx.Local)
 		}
 	}
 	ack := p.acks.Take()
-	*ack = wire.CommitAck{Tx: m.Tx, Epoch: m.Epoch, From: e.self, AppliedWM: p.lastCTS}
+	*ack = wire.CommitAck{Tx: m.Tx, Epoch: m.Epoch, From: e.self}
 	e.enqueue(to, ack)
+}
+
+// logged drops local from p.unlogged, and the pipe from the engine's count
+// once no failed append is left in it (p.mu held).
+func (e *Engine) logged(p *inPipe, local uint64) {
+	delete(p.unlogged, local)
+	if p.retrying && len(p.unlogged) == 0 {
+		p.retrying = false
+		e.unloggedPipes.Add(-1)
+	}
+}
+
+// retryAppends retries, through ackDurable, every failed follower append on a
+// pipe whose coordinator is live, and ACKs that coordinator once one returns.
+// A dead coordinator's pipe is left to its replayers: each of their resends
+// retries the append on delivery.
+func (e *Engine) retryAppends(live wire.Bitmap) {
+	e.inPipes.Range(func(id wire.PipeID, p *inPipe) bool {
+		if live.Contains(id.Node) {
+			p.mu.Lock()
+			for _, inv := range p.unlogged {
+				e.ackDurable(p, id.Node, inv)
+			}
+			p.mu.Unlock()
+		}
+		return true
+	})
 }
 
 // recCommitted records validated versions in the WAL (best effort: a
@@ -980,7 +1025,7 @@ func (e *Engine) handleVal(m *wire.CommitVal) {
 	p.mu.Lock()
 	inv := p.stored[m.Tx.Local]
 	delete(p.stored, m.Tx.Local)
-	delete(p.unlogged, m.Tx.Local)
+	e.logged(p, m.Tx.Local)
 	p.markDone(m.Tx.Local)
 	// The R-VAL may unblock a waiting successor (prev-VAL inclusion rule).
 	if next, ok := p.waiting[m.Tx.Local+1]; ok {
@@ -1025,235 +1070,157 @@ func (p *inPipe) markDone(local uint64) {
 func (e *Engine) handleAck(m *wire.CommitAck) {
 	// No epoch filter (mirrors handleVal): "follower F applied Tx" is a
 	// fact regardless of the epoch the ACK crossed; completeness is always
-	// evaluated against the *current* live set anyway.
+	// evaluated against the *current* live set anyway. The ACK names one
+	// slot of one pipe — own or adopted, of this very incarnation — and
+	// acknowledges that slot alone.
+	var p *outPipe
 	if m.Tx.Pipe.Node == e.self {
-		p, ok := e.outPipes.Get(m.Tx.Pipe.Worker)
-		if !ok {
-			return
-		}
-		live := e.agent.View().Live
-		self := wire.BitmapOf(e.self)
-		// Completions collect in a stack buffer: one ACK finishes one slot,
-		// a sweep a handful.
-		var buf [8]*Slot
-		complete := buf[:0]
-		p.mu.Lock()
-		if s := p.slots[m.Tx.Local]; s != nil {
-			s.acked = s.acked.Add(m.From)
-			need := s.followers.Intersect(live)
-			if !s.valed && s.acked.Union(self).Intersect(need) == need {
-				complete = append(complete, s)
-			}
-		}
-		// AppliedWM coverage: the follower vouches for every slot on this
-		// pipe with CTS ≤ AppliedWM (pipes apply in order, CTSs increase
-		// along the pipe), so open slots whose individual R-ACK was lost
-		// in flight are marked acked too. The walk follows the
-		// registration-order FIFO and stops at the watermark — in the
-		// common case (slots complete in order) it touches one or two
-		// slots, never the whole map.
-		p.compactLocked()
-		if prev := p.swept[m.From]; m.AppliedWM > prev {
-			open := p.live()
-			i := sort.Search(len(open), func(i int) bool {
-				return open[i].inv.CTS > prev
-			})
-			for ; i < len(open); i++ {
-				s := open[i]
-				if s.inv.CTS == 0 || s.inv.CTS > m.AppliedWM {
-					break
-				}
-				if s.valed || !s.followers.Contains(m.From) || s.acked.Contains(m.From) {
-					continue
-				}
-				s.acked = s.acked.Add(m.From)
-				need := s.followers.Intersect(live)
-				if s.acked.Union(self).Intersect(need) == need {
-					complete = append(complete, s)
-				}
-			}
-			if p.swept == nil {
-				p.swept = make(map[wire.NodeID]uint64)
-			}
-			p.swept[m.From] = m.AppliedWM
-		}
-		p.mu.Unlock()
-		for _, s := range complete {
-			e.completeSlot(s)
-		}
+		p, _ = e.outPipes.Get(m.Tx.Pipe.Worker)
+	} else {
+		p, _ = e.adopted.Get(m.Tx.Pipe)
+	}
+	if p == nil || p.id != m.Tx.Pipe {
 		return
 	}
-	// ACK for a transaction this node is replaying (dead coordinator).
-	// Fast-path probe: replays are empty except around a view change, so
-	// stray ACKs for foreign pipes skip the slow-path lock entirely.
-	if e.replayN.Load() == 0 {
-		return
+	live := e.agent.View().Live
+	p.mu.Lock()
+	s := p.slots[m.Tx.Local]
+	if s != nil {
+		s.acked = s.acked.Add(m.From)
 	}
-	e.replayMu.Lock()
-	rs := e.replays[m.Tx]
-	if rs != nil {
-		rs.acked = rs.acked.Add(m.From)
-		if rs.acked.Intersect(rs.followers) == rs.followers && !rs.finished {
-			rs.finished = true
-			e.finishReplayLocked(rs)
-		}
+	complete := s != nil && !s.valed && s.acknowledged(live, e.self)
+	p.mu.Unlock()
+	if complete {
+		e.completeSlot(s)
 	}
-	e.replayMu.Unlock()
+}
+
+// acknowledged reports whether every live follower of s ACKed it (p.mu held).
+func (s *Slot) acknowledged(live wire.Bitmap, self wire.NodeID) bool {
+	need := s.followers.Intersect(live).Remove(self)
+	return s.acked.Intersect(need) == need
 }
 
 // ---------------------------------------------------------------------------
-// Recovery: replaying pending reliable commits of dead coordinators (§5.1).
+// Recovery and resends (§5.1).
 // ---------------------------------------------------------------------------
 
-type replaySlot struct {
-	inv       *wire.CommitInv
-	followers wire.Bitmap
-	acked     wire.Bitmap
-	finished  bool
-	// Crash-aware resend pacing (see resendPolicy).
-	retr       *retry.Retrier
-	nextResend time.Time
-	// since stamps replay creation for the watchdog's age scan.
-	since time.Time
-}
-
-// OnViewChange prunes dead followers from this coordinator's open slots and
-// replays every stored R-INV of dead coordinators. It reports recovery-done
-// to the membership agent once all replays validate.
+// OnViewChange adopts every stored R-INV of a dead coordinator as a slot,
+// then runs the resend pass over every open slot, own and adopted: dead
+// followers are pruned, a slot its surviving followers all ACKed validates,
+// and every other one is re-sent in the new epoch. It reports recovery-done
+// to the membership agent once no adopted slot is open.
 func (e *Engine) OnViewChange(next wire.View, removed wire.Bitmap) {
 	if removed.Count() == 0 {
 		return
 	}
-	// Drain the coalescer first so recovery's direct sends below cannot
-	// overtake still-queued pre-change messages on the same links.
-	e.flushOut()
-	live := next.Live
-	epoch := next.Epoch
+	e.adopt(next.Live)
+	e.recoveryEpoch.Store(uint32(next.Epoch))
+	e.resend(time.Now(), next, true)
+	e.maybeReportDone()
+}
 
-	// 1. Own open slots: rewrite epochs, drop dead followers, re-send to
-	// the survivors (they may have missed the original in the old epoch).
-	var toComplete []*Slot
-	e.outPipes.Range(func(_ wire.Worker, p *outPipe) bool {
+// adopt registers each R-INV this node stores for a coordinator outside live
+// as a slot on that coordinator's adopted pipe, at its Local in the pipe's
+// order, followed by the stored copy's live followers but this node. A slot
+// already adopted stays as it is, with the ACKs it collected.
+func (e *Engine) adopt(live wire.Bitmap) {
+	now := time.Now()
+	e.inPipes.Range(func(id wire.PipeID, ip *inPipe) bool {
+		if live.Contains(id.Node) {
+			return true
+		}
+		ip.mu.Lock()
+		stored := slices.Collect(maps.Values(ip.stored))
+		ip.mu.Unlock()
+		if len(stored) == 0 {
+			return true
+		}
+		p := e.adopted.GetOrCreate(id, func() *outPipe {
+			return &outPipe{id: id, adopted: true, slots: make(map[uint64]*Slot)}
+		})
 		p.mu.Lock()
-		for _, s := range p.slots {
-			s.followers = s.followers.Intersect(live)
-			// Copy-on-write: the original R-INV may still be in flight
-			// on transport goroutines.
-			inv := *s.inv
-			inv.Followers = s.followers
-			inv.Epoch = epoch
+		for _, inv := range stored {
+			local := inv.Tx.Local
+			if p.slots[local] != nil {
+				continue
+			}
+			s := p.fresh.Take()
+			*s = Slot{pipe: p, first: *inv, followers: inv.Followers.Intersect(live).Remove(e.self),
+				retr: resendPolicy.Begin(), openedAt: now}
+			s.inv = &s.first
+			p.slots[local] = s
+			open := p.live()
+			at := sort.Search(len(open), func(i int) bool { return open[i].Tx().Local > local })
+			p.order = slices.Insert(p.order, p.head+at, s)
+			e.stReplays.Add(1)
+		}
+		p.mu.Unlock()
+		return true
+	})
+}
+
+// resend is one pass of the crash-aware resender over every coordinator
+// pipe's order FIFO, own and adopted. Dead followers are pruned; a slot every
+// live follower ACKed validates; any other slot whose resend is due — every
+// one, when forced — is re-sent to its unacknowledged followers with the
+// view's epoch and the Replay bit (version checks make re-application
+// idempotent and order-independent, §5.1). It reports whether it sent
+// anything.
+func (e *Engine) resend(now time.Time, view wire.View, force bool) bool {
+	type send struct {
+		to  wire.NodeID
+		inv *wire.CommitInv
+	}
+	var sends []send
+	var complete []*Slot
+	e.eachPipe(func(p *outPipe) {
+		p.mu.Lock()
+		for _, s := range p.live() {
+			if s.valed || !force && now.Before(s.openedAt.Add(s.resendAfter)) {
+				continue
+			}
+			s.followers = s.followers.Intersect(view.Live)
+			if s.acknowledged(view.Live, e.self) {
+				complete = append(complete, s)
+				continue
+			}
+			wait, _ := s.retr.Next() // resendPolicy never gives up
+			s.resendAfter = now.Sub(s.openedAt) + wait
+			inv := *s.inv // copy-on-write: the original may be in flight
+			inv.Epoch = view.Epoch
 			inv.Replay = true
+			inv.Followers = s.followers
 			s.inv = &inv
-			if s.acked.Intersect(s.followers) == s.followers {
-				toComplete = append(toComplete, s)
-			} else {
-				for n := range s.followers.Each {
-					if !s.acked.Contains(n) {
-						_ = e.tr.Send(n, s.inv)
-					}
+			for n := range s.followers.Each {
+				if !s.acked.Contains(n) {
+					sends = append(sends, send{n, s.inv})
 				}
 			}
 		}
 		p.mu.Unlock()
-		return true
 	})
-	for _, s := range toComplete {
+	for _, s := range complete {
 		e.completeSlot(s)
 	}
-
-	// 2. Stored R-INVs of dead coordinators: replay them.
-	type item struct {
-		pipe wire.PipeID
-		inv  *wire.CommitInv
+	if len(sends) > 0 {
+		e.flushOut() // keep per-link FIFO with queued originals
 	}
-	var items []item
-	e.inPipes.Range(func(id wire.PipeID, p *inPipe) bool {
-		if live.Contains(id.Node) {
-			return true
-		}
-		p.mu.Lock()
-		for _, inv := range p.stored {
-			items = append(items, item{pipe: id, inv: inv})
-		}
-		p.mu.Unlock()
-		return true
-	})
-	e.replayMu.Lock()
-	e.replayEpoch = epoch
-	for _, it := range items {
-		inv := *it.inv // shallow copy; updates shared (immutable)
-		inv.Epoch = epoch
-		inv.Replay = true
-		inv.Followers = it.inv.Followers.Intersect(live).Remove(e.self)
-		rs := &replaySlot{inv: &inv, followers: inv.Followers, retr: resendPolicy.Start(), since: time.Now()}
-		if wait, ok := rs.retr.Next(); ok {
-			rs.nextResend = time.Now().Add(wait)
-		}
-		if _, dup := e.replays[inv.Tx]; !dup {
-			e.replayN.Add(1)
-		}
-		e.replays[inv.Tx] = rs
-		e.stReplays.Add(1)
+	for _, s := range sends {
+		e.stResends.Add(1)
+		_ = e.tr.Send(s.to, s.inv)
 	}
-	// Snapshot inv/followers under replayMu: the resendLoop rewrites both
-	// fields (also under replayMu), so they must not be read lock-free below.
-	type replayOut struct {
-		rs        *replaySlot
-		inv       *wire.CommitInv
-		followers wire.Bitmap
-	}
-	replays := make([]replayOut, 0, len(e.replays))
-	for _, rs := range e.replays {
-		replays = append(replays, replayOut{rs: rs, inv: rs.inv, followers: rs.followers})
-	}
-	e.replayMu.Unlock()
-
-	for _, ro := range replays {
-		if ro.followers.Count() == 0 {
-			e.replayMu.Lock()
-			if !ro.rs.finished {
-				ro.rs.finished = true
-				e.finishReplayLocked(ro.rs)
-			}
-			e.replayMu.Unlock()
-			continue
-		}
-		for n := range ro.followers.Each {
-			_ = e.tr.Send(n, ro.inv)
-		}
-	}
-	e.maybeReportDone()
-}
-
-// finishReplayLocked validates a replayed transaction (replayMu held): the
-// local stored copy flips Valid, survivors get R-VAL.
-func (e *Engine) finishReplayLocked(rs *replaySlot) {
-	tx := rs.inv.Tx
-	delete(e.replays, tx)
-	e.replayN.Add(-1)
-	epoch := rs.inv.Epoch
-	followers := rs.followers
-	go func() {
-		// Validate locally exactly like a follower receiving R-VAL.
-		e.handleVal(&wire.CommitVal{Tx: tx, Epoch: epoch})
-		for n := range followers.Each {
-			if n != e.self {
-				_ = e.tr.Send(n, &wire.CommitVal{Tx: tx, Epoch: epoch})
-			}
-		}
-		e.maybeReportDone()
-	}()
+	return len(sends) > 0
 }
 
 // resendLoop is the liveness backstop behind the epoch filter on R-INVs:
 // handleInv silently drops an invalidation whose epoch does not match the
 // local agent's, so an R-INV in flight across a view change is lost at the
 // protocol layer even though the transport delivered it (the two agents bump
-// epochs asynchronously). Every unacknowledged coordinator slot and replay
-// slot is therefore periodically re-broadcast with the *current* epoch and
-// the Replay bit (version checks make re-application idempotent and
-// order-independent, §5.1), and completeness is re-evaluated against the
-// live set so slots whose missing followers died still validate.
+// epochs asynchronously). It runs the resend pass, and completeness is
+// re-evaluated against the live set so slots whose missing followers died
+// still validate. While a follower pipe holds a failed WAL append it also
+// retries that append (retryAppends).
 func (e *Engine) resendLoop() {
 	// Epoch mismatches can only arise around a view change (the agents bump
 	// epochs asynchronously but settle quickly), so the resender works in a
@@ -1261,7 +1228,10 @@ func (e *Engine) resendLoop() {
 	// unacknowledged slots — and is completely idle in steady state. Under
 	// saturation slots legitimately sit unvalidated for tens of
 	// milliseconds behind follower backlogs; resending those would double
-	// the message volume exactly when the pipeline is busiest.
+	// the message volume exactly when the pipeline is busiest. An open
+	// adopted slot keeps the resender working past the window: a replay
+	// must not wait for the next view change to reach a follower that
+	// dropped its first delivery.
 	const (
 		epochGrace = 50 * time.Millisecond
 		activeTick = 500 * time.Microsecond // while recovering
@@ -1279,100 +1249,31 @@ func (e *Engine) resendLoop() {
 		case now = <-t.C:
 		}
 		view := e.agent.View()
-		live, epoch := view.Live, view.Epoch
-		if epoch != lastEpoch {
-			lastEpoch = epoch
+		if view.Epoch != lastEpoch {
+			lastEpoch = view.Epoch
 			graceUntil = now.Add(epochGrace)
 		}
-		if now.After(graceUntil) && e.replayN.Load() == 0 {
+		resending := !now.After(graceUntil) || e.PendingReplays() != 0
+		unlogged := e.unloggedPipes.Load() != 0
+		if !resending && !unlogged {
 			t.Reset(idleTick)
 			continue
 		}
 		t.Reset(activeTick)
-
-		type send struct {
-			to  wire.NodeID
-			inv *wire.CommitInv
+		if unlogged {
+			e.retryAppends(view.Live)
 		}
-		var sends []send
-		var complete []*Slot
-
-		e.outPipes.Range(func(_ wire.Worker, p *outPipe) bool {
-			p.mu.Lock()
-			for _, s := range p.slots {
-				if s.valed || now.Before(s.openedAt.Add(s.resendAfter)) {
-					continue
-				}
-				need := s.followers.Intersect(live)
-				if s.acked.Union(wire.BitmapOf(e.self)).Intersect(need) == need {
-					complete = append(complete, s)
-					continue
-				}
-				wait, _ := s.retr.Next()
-				s.resendAfter = now.Sub(s.openedAt) + wait
-				inv := *s.inv // copy-on-write: the original may be in flight
-				inv.Epoch = epoch
-				inv.Replay = true
-				inv.Followers = need
-				s.inv = &inv
-				for n := range need.Each {
-					if n != e.self && !s.acked.Contains(n) {
-						sends = append(sends, send{n, s.inv})
-					}
-				}
-			}
-			p.mu.Unlock()
-			return true
-		})
-		for _, s := range complete {
-			e.completeSlot(s)
-		}
-
-		e.replayMu.Lock()
-		for _, rs := range e.replays {
-			if rs.finished || now.Before(rs.nextResend) {
-				continue
-			}
-			need := rs.followers.Intersect(live)
-			if rs.acked.Intersect(need) == need {
-				rs.finished = true
-				rs.followers = need
-				e.finishReplayLocked(rs)
-				continue
-			}
-			wait, _ := rs.retr.Next()
-			rs.nextResend = now.Add(wait)
-			inv := *rs.inv
-			inv.Epoch = epoch
-			rs.inv = &inv
-			for n := range need.Each {
-				if n != e.self && !rs.acked.Contains(n) {
-					sends = append(sends, send{n, rs.inv})
-				}
-			}
-		}
-		e.replayMu.Unlock()
-
-		if len(sends) > 0 {
+		if resending && e.resend(now, view, false) {
 			// Still-unacked slots right after an epoch change: keep the
 			// window open until the protocol quiesces.
 			graceUntil = now.Add(epochGrace)
-			e.flushOut() // keep per-link FIFO with queued originals
-		}
-		for _, s := range sends {
-			e.stResends.Add(1)
-			_ = e.tr.Send(s.to, s.inv)
 		}
 	}
 }
 
-// maybeReportDone reports recovery completion once no replays remain.
+// maybeReportDone reports recovery completion once no adopted slot is open.
 func (e *Engine) maybeReportDone() {
-	e.replayMu.Lock()
-	n := len(e.replays)
-	epoch := e.replayEpoch
-	e.replayMu.Unlock()
-	if n == 0 && epoch != 0 {
+	if epoch := wire.Epoch(e.recoveryEpoch.Load()); epoch != 0 && e.PendingReplays() == 0 {
 		e.agent.ReportRecoveryDone(epoch)
 	}
 }

@@ -2,6 +2,8 @@ package commit
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -505,19 +507,22 @@ func TestConcurrentCommitsManyObjects(t *testing.T) {
 }
 
 // countingStore is a Storage stub that counts successfully appended records,
-// can fail the next append (a transient storage error) and can hold the next
-// append until released (a slow fsync).
+// can fail the next append (a transient storage error) or every append of one
+// object's records, and can hold the next append until released (a slow
+// fsync).
 type countingStore struct {
 	mu       sync.Mutex
 	appended int
 	failNext bool
+	refuse   wire.ObjectID // non-zero: every append with a record of it fails
 	hold     chan struct{} // non-nil: the next append waits for it to close
 	held     chan struct{} // closed once that append is waiting
 }
 
 func (c *countingStore) Append(recs []storage.Record) error {
 	c.mu.Lock()
-	if c.failNext {
+	refused := slices.ContainsFunc(recs, func(r storage.Record) bool { return r.Obj == c.refuse })
+	if c.failNext || refused {
 		c.failNext = false
 		c.mu.Unlock()
 		return fmt.Errorf("transient append failure")
@@ -591,7 +596,10 @@ func acksFrom(t *testing.T, c *tcluster, fl *tnode) func() int {
 // (a resend storm must not grow the WAL). A slot whose first append failed
 // sends no ACK and is retried by the next delivery; an append that has not
 // returned holds its ACK back. This is the run-time half of zeuslint's
-// ackdurable rule, at the one choke point it sanctions.
+// ackdurable rule, at the one choke point it sanctions. The pipe's
+// coordinator, node 2, is not live: node 0 delivers its R-INVs as a replayer
+// would, and only those deliveries retry the append (retryAppends leaves a
+// dead coordinator's pipe to its replayers).
 func TestDuplicateInvDoesNotRelog(t *testing.T) {
 	cs := &countingStore{failNext: true}
 	c := newTestClusterWith(t, 2, onNode(1, Config{Log: storage.NewLog(cs, nil)}))
@@ -599,7 +607,7 @@ func TestDuplicateInvDoesNotRelog(t *testing.T) {
 	acks := acksFrom(t, c, fl)
 
 	inv := &wire.CommitInv{
-		Tx:        wire.TxID{Pipe: wire.PipeID{Node: 0, Worker: 0}, Local: 1},
+		Tx:        wire.TxID{Pipe: wire.PipeID{Node: 2, Worker: 0}, Local: 1},
 		Epoch:     fl.agent.Epoch(),
 		Followers: wire.BitmapOf(1),
 		PrevVal:   true,
@@ -674,5 +682,213 @@ func TestIncarnationPinsPipeID(t *testing.T) {
 	want := c.nodes[1].agent.Epoch()
 	if got := c.nodes[1].eng.pipe(0).id.Incar; got != want {
 		t.Fatalf("memory-only pipe Incar = %d, want the epoch %d", got, want)
+	}
+}
+
+// TestFollowerRetriesAFailedAppend: a follower whose WAL append failed once
+// ACKs the slot as soon as a retry of the append returns — with no view
+// change, so no resend from the coordinator delivers the R-INV again.
+func TestFollowerRetriesAFailedAppend(t *testing.T) {
+	cs := &countingStore{failNext: true}
+	c := newTestClusterWith(t, 2, onNode(1, Config{Log: storage.NewLog(cs, nil)}))
+	c.seedObject(1, 0, wire.BitmapOf(1))
+	epoch := c.nodes[0].agent.Epoch()
+	s := c.localCommit(0, 0, []wire.ObjectID{1}, "v1")
+	waitClosed(t, s.Done())
+	if now := c.nodes[0].agent.Epoch(); now != epoch {
+		t.Fatalf("the view changed (epoch %d → %d): the test needs a steady view", epoch, now)
+	}
+	c.waitValid(t, 1, 1, 1, "v1")
+}
+
+// ackHarness is what TestAnRAckAcknowledgesOnlyItsOwnSlot's cases act on:
+// the follower, its store, and held, which returns the first R-INV of a
+// slot that node 0 sent the follower when its handler keeps them back.
+type ackHarness struct {
+	fl   *tnode
+	cs   *countingStore
+	held func(local uint64) *wire.CommitInv
+}
+
+// TestAnRAckAcknowledgesOnlyItsOwnSlot: with timestamps on, the coordinator
+// pipelines slot 1 (object 1) and slot 2 (object 2) to one follower, which
+// acknowledges slot 2 but not yet slot 1. Slot 2 validates; slot 1 stays open
+// until the follower's R-ACK for slot 1 itself, and the follower's object 1
+// then holds slot 1's version.
+func TestAnRAckAcknowledgesOnlyItsOwnSlot(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		refuse wire.ObjectID // the follower's store fails every append of it
+		hold   bool          // the follower's handler keeps node 0's R-INVs back (ackHarness.held)
+		// deliver, if set, runs once both slots are committed; release lets
+		// slot 1 through.
+		deliver, release func(h ackHarness)
+	}{
+		{
+			name:   "slot 1's append fails",
+			refuse: 1,
+			release: func(h ackHarness) {
+				h.cs.mu.Lock()
+				h.cs.refuse = 0
+				h.cs.mu.Unlock()
+			},
+		},
+		{
+			name: "a replayed slot 2 is applied first",
+			hold: true,
+			deliver: func(h ackHarness) {
+				replay := *h.held(2)
+				replay.Replay = true
+				h.fl.eng.Handle(0, &replay)
+			},
+			release: func(h ackHarness) { h.fl.eng.Handle(0, h.held(1)) },
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cs := &countingStore{refuse: tc.refuse}
+			c := newTestClusterWith(t, 2, func(id wire.NodeID) Config {
+				if id == 1 {
+					return Config{Timestamps: true, Log: storage.NewLog(cs, nil)}
+				}
+				return Config{Timestamps: true}
+			})
+			c.seedObject(1, 0, wire.BitmapOf(1))
+			c.seedObject(2, 0, wire.BitmapOf(1))
+			h := ackHarness{fl: c.nodes[1], cs: cs}
+			var mu sync.Mutex
+			invs := map[uint64]*wire.CommitInv{}
+			if tc.hold {
+				h.fl.tr.SetHandler(func(from wire.NodeID, m wire.Msg) {
+					if inv, ok := m.(*wire.CommitInv); ok {
+						mu.Lock()
+						if invs[inv.Tx.Local] == nil {
+							invs[inv.Tx.Local] = inv
+						}
+						mu.Unlock()
+						return
+					}
+					h.fl.eng.Handle(from, m)
+				})
+			}
+			h.held = func(local uint64) *wire.CommitInv {
+				t.Helper()
+				for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(200 * time.Microsecond) {
+					mu.Lock()
+					inv := invs[local]
+					mu.Unlock()
+					if inv != nil {
+						return inv
+					} else if time.Now().After(deadline) {
+						t.Fatalf("slot %d's R-INV never reached the follower", local)
+					}
+				}
+			}
+
+			one := c.localCommit(0, 0, []wire.ObjectID{1}, "one")
+			two := c.localCommit(0, 0, []wire.ObjectID{2}, "two")
+			if one.inv.CTS == 0 || two.inv.CTS <= one.inv.CTS {
+				t.Fatalf("CTSs %d, %d: the slots must be timestamped in order", one.inv.CTS, two.inv.CTS)
+			}
+			if tc.deliver != nil {
+				tc.deliver(h)
+			}
+			waitClosed(t, two.Done())
+			time.Sleep(20 * time.Millisecond)
+			if closed(one.Done()) {
+				t.Fatal("slot 1 validated though the follower never acknowledged it")
+			}
+			tc.release(h)
+			waitClosed(t, one.Done())
+			c.waitValid(t, 1, 1, 1, "one")
+			c.waitValid(t, 1, 2, 1, "two")
+		})
+	}
+}
+
+// TestAdoptedSlotsHoldTheWatermark: a follower adopts a dead coordinator's
+// stored R-INVs as slots in Local order, whatever order they arrived in, so
+// the front of the adopted pipe carries its minimum open CTS and Watermark
+// stays below it while a surviving follower has not acknowledged the replay.
+func TestAdoptedSlotsHoldTheWatermark(t *testing.T) {
+	c := newTestClusterWith(t, 3, func(wire.NodeID) Config { return Config{Timestamps: true} })
+	c.seedObject(1, 0, wire.BitmapOf(1, 2))
+	c.seedObject(2, 0, wire.BitmapOf(1, 2))
+	pipe := wire.PipeID{Node: 0, Worker: 0}
+	fl := c.nodes[1]
+	for _, inv := range []*wire.CommitInv{ // slot 2 first, as a replay
+		{Tx: wire.TxID{Pipe: pipe, Local: 2}, Epoch: 1, Followers: wire.BitmapOf(1, 2), Replay: true, CTS: 20,
+			Updates: []wire.Update{{Obj: 2, Version: 1, Data: []byte("two")}}},
+		{Tx: wire.TxID{Pipe: pipe, Local: 1}, Epoch: 1, Followers: wire.BitmapOf(1, 2), CTS: 10,
+			Updates: []wire.Update{{Obj: 1, Version: 1, Data: []byte("one")}}},
+	} {
+		fl.eng.Handle(0, inv)
+	}
+	c.hub.SetDown(2, true) // node 2 stays live but never acknowledges the replays
+	c.hub.SetDown(0, true)
+	c.mgr.Fail(0)
+	if !c.mgr.WaitEpoch(2, 2*time.Second) {
+		t.Fatal("no view change")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for fl.eng.PendingReplays() != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("node 1 adopted %d slots, want 2", fl.eng.PendingReplays())
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	p, _ := fl.eng.adopted.Get(pipe)
+	p.mu.Lock()
+	var order []uint64
+	for _, s := range p.live() {
+		order = append(order, s.Tx().Local)
+	}
+	p.mu.Unlock()
+	if !slices.Equal(order, []uint64{1, 2}) {
+		t.Fatalf("adopted pipe order %v, want [1 2]", order)
+	}
+	if wm := fl.eng.Watermark(); wm >= 10 {
+		t.Fatalf("watermark %d passed the open adopted slot at CTS 10", wm)
+	}
+	var buf strings.Builder
+	fl.eng.DumpState(&buf)
+	if !strings.Contains(buf.String(), "adopted pipe="+pipe.String()) {
+		t.Fatalf("dump does not show the adopted pipe:\n%s", buf.String())
+	}
+}
+
+// TestWatermarkWaitsForThePublish: a slot is open for Watermark until its
+// version is in the coordinator's ring, not only until its completion
+// begins. Completion is held inside the local validation (the test holds the
+// object's lock) after every follower ACKed; the watermark must stay below
+// the slot's CTS until the publish is through — a snapshot at that watermark
+// would otherwise read the previous version from this very replica.
+func TestWatermarkWaitsForThePublish(t *testing.T) {
+	c := newTestClusterWith(t, 2, func(wire.NodeID) Config { return Config{Timestamps: true} })
+	c.seedObject(1, 0, wire.BitmapOf(1))
+	eng := c.nodes[0].eng
+	open := c.gateFollower(1)
+	s := c.localCommit(0, 0, []wire.ObjectID{1}, "v1")
+	o, _ := c.nodes[0].st.Get(1)
+	o.Mu.Lock()
+	open()
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(200 * time.Microsecond) {
+		s.pipe.mu.Lock()
+		completing := s.valed
+		s.pipe.mu.Unlock()
+		if completing {
+			break
+		} else if time.Now().After(deadline) {
+			o.Mu.Unlock()
+			t.Fatal("the slot never began to complete")
+		}
+	}
+	wm := eng.Watermark()
+	o.Mu.Unlock()
+	if cts := s.inv.CTS; wm >= cts {
+		t.Fatalf("watermark %d passed CTS %d while the version was not yet published", wm, cts)
+	}
+	waitClosed(t, s.Done())
+	if wm, cts := eng.Watermark(), s.inv.CTS; wm < cts {
+		t.Fatalf("watermark %d still below CTS %d after the slot finished", wm, cts)
 	}
 }

@@ -10,10 +10,10 @@ import (
 )
 
 // DumpState writes a human-readable snapshot of the engine's invariant
-// surface to w: every unvalidated coordinator slot, every follower pipe with
-// stored or buffered R-INVs, the recovery replay table, and every store
-// object still carrying commit debt (PendingCommits > 0 or a non-Valid
-// t_state). It exists for the pending-commit wedge hunt (ROADMAP): when a
+// surface to w: every unvalidated coordinator slot (own, and adopted from a
+// dead coordinator), every follower pipe with stored or buffered R-INVs, and
+// every store object still carrying commit debt (PendingCommits > 0 or a
+// non-Valid t_state). It exists for the pending-commit wedge hunt (ROADMAP): when a
 // torture final read exhausts NackPendingCommit retries, this is the trace
 // that says WHICH slot pins the counter and on WHOSE pipe it is stranded.
 //
@@ -24,10 +24,14 @@ func (e *Engine) DumpState(w io.Writer) {
 	fmt.Fprintf(w, "== commit.Engine node=%d epoch=%d live=%v ==\n",
 		e.self, e.agent.Epoch(), e.agent.View().Live.Nodes())
 
-	e.outPipes.Range(func(wk wire.Worker, p *outPipe) bool {
+	e.eachPipe(func(p *outPipe) {
 		p.mu.Lock()
 		if len(p.slots) > 0 {
-			fmt.Fprintf(w, "outPipe worker=%d nextLocal=%d openSlots=%d\n", wk, p.nextLocal, len(p.slots))
+			if p.adopted {
+				fmt.Fprintf(w, "adopted pipe=%v openSlots=%d\n", p.id, len(p.slots))
+			} else {
+				fmt.Fprintf(w, "outPipe worker=%d nextLocal=%d openSlots=%d\n", p.id.Worker, p.nextLocal, len(p.slots))
+			}
 			for _, local := range sortedKeys(p.slots) {
 				s := p.slots[local]
 				fmt.Fprintf(w, "  slot local=%d tx=%v epoch=%d followers=%v acked=%v valed=%v updates=%d\n",
@@ -35,7 +39,6 @@ func (e *Engine) DumpState(w io.Writer) {
 			}
 		}
 		p.mu.Unlock()
-		return true
 	})
 
 	e.inPipes.Range(func(id wire.PipeID, p *inPipe) bool {
@@ -55,16 +58,6 @@ func (e *Engine) DumpState(w io.Writer) {
 		p.mu.Unlock()
 		return true
 	})
-
-	e.replayMu.Lock()
-	if len(e.replays) > 0 {
-		fmt.Fprintf(w, "replays epoch=%d n=%d\n", e.replayEpoch, len(e.replays))
-		for tx, rs := range e.replays {
-			fmt.Fprintf(w, "  replay tx=%v followers=%v acked=%v finished=%v\n",
-				tx, rs.followers.Nodes(), rs.acked.Nodes(), rs.finished)
-		}
-	}
-	e.replayMu.Unlock()
 
 	e.st.ForEach(func(o *store.Object) bool {
 		o.Mu.Lock()

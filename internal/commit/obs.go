@@ -51,11 +51,12 @@ func newEngineObs(e *Engine, r *obs.Registry) *engineObs {
 // Watchdog: the in-flight promotion of DumpState.
 // ---------------------------------------------------------------------------
 
-// StartWatchdog arms the slot-age scanner: any coordinator slot, stored
-// R-INV (pending-commit debt at a follower) or dead-coordinator replay older
-// than age emits ONE structured incident into the registry's IncidentLog,
-// with the engine state DumpState would show post-mortem — so a wedge in the
-// CI race gate self-diagnoses while it is still observable. Requires
+// StartWatchdog arms the slot-age scanner: any coordinator slot (own, or a
+// dead coordinator's adopted for replay) or stored R-INV (pending-commit debt
+// at a follower) older than age emits ONE structured incident into the
+// registry's IncidentLog, with the engine state DumpState would show
+// post-mortem — so a wedge in the CI race gate self-diagnoses while it is
+// still observable. Requires
 // Config.Obs; returns false if observability is off or age is zero. The scanner stops
 // with the engine (Close).
 func (e *Engine) StartWatchdog(age time.Duration) bool {
@@ -109,19 +110,22 @@ func (e *Engine) watchdogScan(now time.Time, age time.Duration, reported map[str
 		log.Report(kind, detail)
 	}
 
-	e.outPipes.Range(func(wk wire.Worker, p *outPipe) bool {
+	e.eachPipe(func(p *outPipe) {
+		key, kind := "slot:%v", "open-slot"
+		if p.adopted {
+			key, kind = "replay:%v", "replay-stuck"
+		}
 		p.mu.Lock()
 		for _, s := range p.slots {
 			if s.valed || now.Sub(s.openedAt) < age {
 				continue
 			}
-			report(fmt.Sprintf("slot:%v", s.Tx()), "open-slot",
+			report(fmt.Sprintf(key, s.Tx()), kind,
 				fmt.Sprintf("tx=%v age=%s followers=%v acked=%v epoch=%d updates=%d",
 					s.Tx(), now.Sub(s.openedAt).Round(time.Millisecond),
 					s.followers.Nodes(), s.acked.Nodes(), epoch, len(s.inv.Updates)))
 		}
 		p.mu.Unlock()
-		return true
 	})
 
 	// Stored R-INV debt ages from when THIS scanner first saw it (wdSeen is
@@ -155,18 +159,6 @@ func (e *Engine) watchdogScan(now time.Time, age time.Duration, reported map[str
 		p.mu.Unlock()
 		return true
 	})
-
-	e.replayMu.Lock()
-	for tx, rs := range e.replays {
-		if rs.finished || rs.since.IsZero() || now.Sub(rs.since) < age {
-			continue
-		}
-		report(fmt.Sprintf("replay:%v", tx), "replay-stuck",
-			fmt.Sprintf("tx=%v age=%s followers=%v acked=%v epoch=%d",
-				tx, now.Sub(rs.since).Round(time.Millisecond),
-				rs.followers.Nodes(), rs.acked.Nodes(), epoch))
-	}
-	e.replayMu.Unlock()
 
 	// Forget resolved offenders so a later wedge on the same key refires.
 	for key := range reported {

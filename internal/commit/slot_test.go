@@ -267,7 +267,8 @@ func TestSlotsAreCarvedNotReused(t *testing.T) {
 
 // TestShallowPipelineKeepsItsFIFO: a pipeline that drains between commits
 // (one slot in flight at a time) must reuse the order array instead of
-// allocating a new one per commit.
+// allocating a new one per commit, and a drained FIFO holds no slot (each
+// would keep its chunk alive).
 func TestShallowPipelineKeepsItsFIFO(t *testing.T) {
 	c := newTestCluster(t, 3)
 	c.seedObject(1, 0, wire.BitmapOf(1, 2))
@@ -280,10 +281,10 @@ func TestShallowPipelineKeepsItsFIFO(t *testing.T) {
 		}
 		p := eng.pipe(0)
 		p.mu.Lock()
-		if p.head != 0 || len(p.order) != 1 {
-			t.Fatalf("commit %d: FIFO holds %d entries from %d, want the one new slot at the front", i, len(p.order), p.head)
+		if p.head != 0 || len(p.order) != 0 || cap(p.order) == 0 {
+			t.Fatalf("commit %d: drained FIFO holds %d entries from %d (cap %d), want none, in the array it had", i, len(p.order), p.head, cap(p.order))
 		}
-		arr := &p.order[0]
+		arr := &p.order[:1][0]
 		p.mu.Unlock()
 		if i == 0 {
 			base = arr
@@ -294,7 +295,7 @@ func TestShallowPipelineKeepsItsFIFO(t *testing.T) {
 }
 
 // TestCompactSlidesANeverDrainingWindow drives compactLocked directly: with
-// the front slot stuck the window only grows; once the front validates, the
+// the front slot stuck the window only grows; once the front finishes, the
 // trimmed prefix is reclaimed by sliding the live window down, and an array
 // grown past the pipeline bound is dropped when the pipeline finally drains.
 func TestCompactSlidesANeverDrainingWindow(t *testing.T) {
@@ -306,7 +307,7 @@ func TestCompactSlidesANeverDrainingWindow(t *testing.T) {
 	}
 	add(3 * MaxPipelineDepth)
 	for _, s := range p.order[1:] {
-		s.valed = true
+		s.finished = true
 	}
 	p.compactLocked()
 	if p.head != 0 || len(p.live()) != 3*MaxPipelineDepth {
@@ -315,7 +316,7 @@ func TestCompactSlidesANeverDrainingWindow(t *testing.T) {
 	// Unstick the front, keep two unvalidated slots at the tail.
 	tail := []*Slot{{}, {}}
 	p.order = append(p.order, tail...)
-	p.order[0].valed = true
+	p.order[0].finished = true
 	p.compactLocked()
 	if p.head != 0 || len(p.order) != 2 || p.order[0] != tail[0] || p.order[1] != tail[1] {
 		t.Fatalf("after the slide: head %d, order %d entries", p.head, len(p.order))
@@ -325,7 +326,7 @@ func TestCompactSlidesANeverDrainingWindow(t *testing.T) {
 			t.Fatal("the slide left a dead slot referenced behind the window")
 		}
 	}
-	tail[0].valed, tail[1].valed = true, true
+	tail[0].finished, tail[1].finished = true, true
 	p.compactLocked()
 	if p.order != nil || p.head != 0 {
 		t.Fatalf("a burst-sized array survived the drain: cap %d", cap(p.order))

@@ -13,6 +13,8 @@ func Fig7(s Scale) Table {
 		Title: "Figure 7: Handovers — all-local (ideal) vs Zeus",
 		Paper: "Zeus within 4–9 % of the ideal",
 		Cols:  []string{"nodes", "handovers %", "ideal tx/s", "zeus tx/s", "gap %"},
+		Notes: []string{"not reproduced: at quick scale the gap spanned −21 % to 88 % over six runs " +
+			"(2-vCPU host), the ideal and zeus columns moving 2–4x run to run, so the rows state no shape"},
 	}
 	for _, nodes := range []int{3, 6} {
 		for _, share := range []float64{0.025, 0.05} {

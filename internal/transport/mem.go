@@ -146,7 +146,7 @@ func (t *MemTransport) sendable() error {
 // codec and the no-aliasing rule under every protocol test stays affordable.
 // The exemption is safe because commit-protocol messages are immutable once
 // handed to the transport (the engine copy-on-writes them for epoch rewrites,
-// see commit.OnViewChange/resendLoop) and Update.Data/object data are never
+// see commit.Engine.resend) and Update.Data/object data are never
 // mutated in place anywhere (writes replace the slice wholesale). Byte
 // accounting uses the exact encoded size so bandwidth numbers stay comparable
 // with the real fabrics.

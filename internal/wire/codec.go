@@ -412,7 +412,7 @@ func CommitSize(m Msg) (n int, ok bool) {
 		}
 		return n, true
 	case *CommitAck:
-		return 30, true // kind + tx + epoch + from + applied watermark
+		return 22, true // kind + tx + epoch + from
 	case *CommitVal:
 		return 20, true // kind + tx + epoch
 	}
@@ -503,7 +503,6 @@ func AppendMarshal(dst []byte, m Msg) []byte {
 		e.tx(v.Tx)
 		e.epoch(v.Epoch)
 		e.node(v.From)
-		e.u64(v.AppliedWM)
 	case *CommitVal:
 		e.tx(v.Tx)
 		e.epoch(v.Epoch)
@@ -649,7 +648,7 @@ func unmarshal(p []byte, dc *Decoder) (Msg, error) {
 		dc.settleInv(d.err == nil)
 		m = v
 	case KindCommitAck:
-		m = put(dc, &dc.acks, d, CommitAck{Tx: d.tx(), Epoch: d.epoch(), From: d.node(), AppliedWM: d.u64()})
+		m = put(dc, &dc.acks, d, CommitAck{Tx: d.tx(), Epoch: d.epoch(), From: d.node()})
 	case KindCommitVal:
 		m = put(dc, &dc.vals, d, CommitVal{Tx: d.tx(), Epoch: d.epoch()})
 	case KindBReadReq:

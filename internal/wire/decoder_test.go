@@ -74,7 +74,7 @@ func chunkedKinds() []chunkedKind {
 	return []chunkedKind{
 		inv,
 		chunked("R-ACK", func(dc *Decoder) *Chunk[CommitAck] { return &dc.acks }, 0, func(seq uint64) Msg {
-			return &CommitAck{Tx: TxID{Local: seq}, Epoch: 3, From: NodeID(seq % 3), AppliedWM: seq - 1}
+			return &CommitAck{Tx: TxID{Local: seq}, Epoch: 3, From: NodeID(seq % 3)}
 		}),
 		chunked("R-VAL", func(dc *Decoder) *Chunk[CommitVal] { return &dc.vals }, 0, func(seq uint64) Msg {
 			return &CommitVal{Tx: TxID{Local: seq}, Epoch: 3}

@@ -252,17 +252,14 @@ type CommitInv struct {
 
 func (*CommitInv) Kind() Kind { return KindCommitInv }
 
-// CommitAck is R-ACK. Because pipelines are FIFO, acknowledging tx_id implies
-// the successful reception and processing of all previous slots in the pipe.
+// CommitAck is R-ACK: From applied slot Tx and its WAL append returned. It
+// acknowledges that one slot and no other — a replayed R-INV (Replay) is
+// applied ahead of its predecessors, so an R-ACK does not imply the earlier
+// slots of its pipe.
 type CommitAck struct {
 	Tx    TxID
 	Epoch Epoch
 	From  NodeID
-	// AppliedWM piggybacks the sender's highest applied CTS on this pipe:
-	// every R-INV with CTS ≤ AppliedWM delivered on the pipe has been
-	// applied (and ring-published) at the sender. The coordinator uses it
-	// to mark earlier slots acked when their individual R-ACKs were lost.
-	AppliedWM uint64
 }
 
 func (*CommitAck) Kind() Kind { return KindCommitAck }

@@ -161,7 +161,7 @@ func allMessages() []Msg {
 			Followers: BitmapOf(0, 1), PrevVal: true, Replay: true,
 			Updates: []Update{{Obj: 1, Version: 2, Data: data}, {Obj: 9, Version: 1, Data: nil}},
 			CTS:     1234567},
-		&CommitAck{Tx: TxID{Pipe: PipeID{Node: 2, Worker: 5}, Local: 99}, Epoch: 3, From: 1, AppliedWM: 1234566},
+		&CommitAck{Tx: TxID{Pipe: PipeID{Node: 2, Worker: 5}, Local: 99}, Epoch: 3, From: 1},
 		&CommitVal{Tx: TxID{Pipe: PipeID{Node: 2, Worker: 5}, Local: 99}, Epoch: 3},
 		&BReadReq{ReqID: 5, Obj: 10},
 		&BResp{ReqID: 5, OK: true, Ver: 3, Data: data},
@@ -460,7 +460,7 @@ func TestEncodedSizes(t *testing.T) {
 		size int
 	}{
 		{KindOwnReq, 44}, {KindOwnInv, 65}, {KindOwnAck, 92}, {KindOwnVal, 31},
-		{KindOwnNack, 24}, {KindOwnResp, 92}, {KindCommitInv, 101}, {KindCommitAck, 30},
+		{KindOwnNack, 24}, {KindOwnResp, 92}, {KindCommitInv, 101}, {KindCommitAck, 22},
 		{KindCommitVal, 20}, {KindBReadReq, 17}, {KindBResp, 41}, {KindBLock, 45},
 		{KindBValidate, 29}, {KindBBackup, 52}, {KindBCommit, 52}, {KindBAbort, 37},
 		{KindVSPropose, 24}, {KindVSPropose, 10}, {KindVSAccept, 123}, {KindVSCommit, 122},
@@ -497,7 +497,7 @@ func TestCommitSizeExact(t *testing.T) {
 		&CommitInv{Tx: tx, Epoch: 3, Followers: BitmapOf(0, 2), PrevVal: true, CTS: 5},
 		&CommitInv{Tx: tx, Epoch: 3, Followers: BitmapOf(0, 2), Updates: upd(64)},
 		&CommitInv{Tx: tx, Epoch: 3, Followers: BitmapOf(0, 2), Replay: true, Updates: upd(0, 400, 7)},
-		&CommitAck{Tx: tx, Epoch: 3, From: 2, AppliedWM: 1 << 40},
+		&CommitAck{Tx: tx, Epoch: 3, From: 2},
 		&CommitVal{Tx: tx, Epoch: 3},
 	}
 	for _, m := range msgs {
