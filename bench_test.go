@@ -188,30 +188,6 @@ func BenchmarkReadOnlyTx(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotReadTx measures an MVCC snapshot read-only transaction on
-// a reader replica (Options.SnapshotReads): one Get served from the local
-// version ring at a fresh timestamp. Unlike BenchmarkReadOnlyTx this pays
-// the safe-time wait — the quorum watermark exchange must cover the
-// transaction's timestamp before the ring read is allowed — so per-op
-// latency is interval-bound; the win is scale-out (see
-// BenchmarkFigures/readscale), not single-stream latency.
-func BenchmarkSnapshotReadTx(b *testing.B) {
-	c := zeus.New(zeus.Options{Nodes: 3, Workers: 4, SnapshotReads: true})
-	defer c.Close()
-	c.Seed(1, 0, make([]byte, 128))
-	n := c.Node(1) // a reader
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tx := n.BeginRO()
-		if _, err := tx.Get(1); err != nil {
-			b.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkOwnershipTransfer measures the reliable ownership protocol: each
 // iteration bounces one object between two nodes (§4: 1.5 RTT fast path).
 // nacks/op is the requests that did not succeed per bounce: a bounce whose

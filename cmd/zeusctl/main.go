@@ -10,8 +10,8 @@
 //	zeusctl -view :7100,:7101,:7102 fail  -node 3
 //	zeusctl -view :7100,:7101,:7102 leave -node 3
 //
-// status additionally pulls each live node's observability header (applied
-// watermark, safe-time lag, commits, incidents) over the data plane;
+// status additionally pulls each live node's observability header (epoch,
+// commits, incidents) over the data plane;
 // metrics pulls one node's full metric registry.
 package main
 
@@ -90,8 +90,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("zeusctl: %v", err)
 		}
-		fmt.Printf("# node %d  epoch=%d applied_wm=%d safe_time=%d clock=%d commits=%d incidents=%d\n",
-			st.From, st.Epoch, st.AppliedWM, st.SafeTime, st.Clock, st.Commits, st.Incidents)
+		fmt.Printf("# node %d  epoch=%d commits=%d incidents=%d\n",
+			st.From, st.Epoch, st.Commits, st.Incidents)
 		os.Stdout.Write(st.Metrics)
 	case "join":
 		requireNode(*node)
@@ -142,9 +142,8 @@ func printStatus(s wire.VSState) {
 	}
 }
 
-// printNodeRows polls every live node over ObsPull and prints its applied
-// watermark, safe-time lag and commit/incident counts — the per-node health
-// row of `zeusctl status`. Nodes that do not answer in time (e.g. still
+// printNodeRows polls every live node over ObsPull and prints its epoch and
+// commit/incident counts — the per-node health row of `zeusctl status`. Nodes that do not answer in time (e.g. still
 // recovering) are reported as unreachable rather than failing the command.
 func printNodeRows(tr *transport.TCP, ch chan *wire.ObsState, s wire.VSState) {
 	for _, id := range s.Live.Nodes() {
@@ -153,12 +152,8 @@ func printNodeRows(tr *transport.TCP, ch chan *wire.ObsState, s wire.VSState) {
 			fmt.Printf("node %-3d  (no obs reply: %v)\n", id, err)
 			continue
 		}
-		lag := "-"
-		if st.SafeTime > 0 && st.Clock > st.SafeTime {
-			lag = time.Duration(st.Clock - st.SafeTime).String()
-		}
-		fmt.Printf("node %-3d  applied_wm=%-12d safe_lag=%-10s commits=%-8d incidents=%d\n",
-			id, st.AppliedWM, lag, st.Commits, st.Incidents)
+		fmt.Printf("node %-3d  epoch=%-6d commits=%-8d incidents=%d\n",
+			id, st.Epoch, st.Commits, st.Incidents)
 	}
 }
 
@@ -214,7 +209,7 @@ func usage() {
 commands:
   status   print the committed view: epoch, live set, recovery barrier,
            directory placement, the replicated address book, and each live
-           node's applied watermark / safe-time lag / commit count
+           node's epoch / commit count / incident count
   metrics  pull node -node's full metrics registry (text rendering)
   join     admit node -node at address -addr
   fail     report node -node failed (waits for the committed removal)

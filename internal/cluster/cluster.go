@@ -362,16 +362,6 @@ func (c *Cluster) Bytes() uint64 { return c.fabric.Bytes() }
 func (c *Cluster) Seed(obj wire.ObjectID, owner wire.NodeID, readers wire.Bitmap, data []byte) {
 	reps := wire.ReplicaSet{Owner: owner, Readers: readers.Remove(owner)}
 	ts := wire.OTS{Ver: 1, Node: owner}
-	// With snapshot reads the ring is armed with a floor timestamp: HLC
-	// timestamps are wall-clock-scale, so CTS 1 orders the seeded version
-	// below every commit the cluster will ever mint while keeping it visible
-	// to any snapshot (ts >= 1). Without them nothing would ever evict the
-	// entry: the timestamp stays 0, "committed before timestamps existed",
-	// and an ownership transfer re-publishes nothing either.
-	var seedCTS uint64
-	if c.opts.SnapshotReads {
-		seedCTS = 1
-	}
 	if data = slices.Clip(data); len(data) == 0 {
 		data = nil
 	}
@@ -384,7 +374,7 @@ func (c *Cluster) Seed(obj wire.ObjectID, owner wire.NodeID, readers wire.Bitmap
 		}
 		var val store.Shipped
 		if reps.LevelOf(id) != wire.NonReplica {
-			val = store.Shipped{Has: true, CTS: seedCTS, Version: 1, Data: data}
+			val = store.Shipped{Has: true, Version: 1, Data: data}
 		}
 		o, _ := n.Store().GetOrCreate(obj)
 		o.Mu.Lock()

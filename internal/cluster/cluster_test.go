@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -249,42 +248,37 @@ func TestLeaveDrainsAndRemoves(t *testing.T) {
 	}
 }
 
-// TestDefaultClusterGrowsNoRing: with snapshot reads off nobody reads the
-// version ring, so neither Seed, nor a hundred commits, nor an ownership
-// transfer (which re-publishes at the CTS the ex-owner ships) may put an
-// entry in it — the seeded (1,1) entry used to stay for the life of the
-// process and pin the seeded payload on every replica.
-func TestDefaultClusterGrowsNoRing(t *testing.T) {
-	c := New(DefaultOptions(3))
+// TestDeleteAtDriverDropsTheWholeReplica: the node that deletes an object may
+// also drive its directory shard, and then keeps the bare entry. That entry
+// must be as empty as any other dropped replica's — the requester's delete
+// branch used to nil the payload only, leaving the old version behind for a
+// later re-create to meet.
+func TestDeleteAtDriverDropsTheWholeReplica(t *testing.T) {
+	c := New(DefaultOptions(3)) // three nodes: each drives every shard
 	defer c.Close()
-	c.SeedAt(21, 0, []byte("seeded"))
-	write := func(node int) {
-		t.Helper()
-		if err := dbapi.Run(c.Node(node).DB(), 0, func(tx dbapi.Txn) error {
-			return tx.Set(21, []byte("written"))
+	c.Seed(31, 0, wire.BitmapOf(1, 2), []byte("seeded"))
+	for i := 0; i < 3; i++ {
+		if err := dbapi.Run(c.Node(0).DB(), 0, func(tx dbapi.Txn) error {
+			return tx.Set(31, []byte("written"))
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 100; i++ {
-		write(0)
-	}
-	write(1) // moves ownership to node 1, shipping the value and its CTS
 	if !c.WaitIdle(2 * time.Second) {
 		t.Fatal("WaitIdle timed out")
 	}
-	for n := 0; n < 3; n++ {
-		o, ok := c.Node(n).Store().Get(21)
-		if !ok {
-			t.Fatalf("node %d has no replica", n)
-		}
-		o.Mu.Lock()
-		newest, _ := o.RingReadLocked(math.MaxUint64) // a ring entry if any: those carry a CTS
-		cts := o.CommitCTSLocked()
-		o.Mu.Unlock()
-		if newest.CTS != 0 || cts != 0 {
-			t.Errorf("node %d: ring serves an entry at CTS %d, CommitCTS %d; want none and 0", n, newest.CTS, cts)
-		}
+	if err := c.Node(0).DeleteObject(31); err != nil {
+		t.Fatal(err)
+	}
+	o, ok := c.Node(0).Store().Get(31)
+	if !ok {
+		t.Fatal("the deleting driver lost its directory entry")
+	}
+	o.Mu.Lock()
+	defer o.Mu.Unlock()
+	if o.LevelLocked() != wire.NonReplica || o.DataLocked() != nil || o.TVersion() != 0 {
+		t.Fatalf("surviving entry: level %v, data %q, version %d; want a bare entry",
+			o.LevelLocked(), o.DataLocked(), o.TVersion())
 	}
 }
 

@@ -49,7 +49,6 @@ import (
 
 	"zeus/internal/obs"
 	"zeus/internal/retry"
-	"zeus/internal/safetime"
 	"zeus/internal/shardmap"
 	"zeus/internal/storage"
 	"zeus/internal/store"
@@ -168,14 +167,11 @@ type Engine struct {
 	once   sync.Once
 
 	// The Config fields, fixed at construction: the durability WAL (nil
-	// disables durability), the durable incarnation stamped into new
+	// disables durability) and the durable incarnation stamped into new
 	// pipelines' PipeID.Incar (zero falls back to the view epoch at pipe
-	// creation), the node's hybrid-logical clock, and whether commits are
-	// timestamped at all.
+	// creation).
 	log   *storage.Log
 	incar wire.Epoch
-	clock *safetime.Clock
-	ts    bool
 
 	// obs holds the cached metric handles the hot path records into. nil
 	// (no Config.Obs) keeps the seed write path: every record site is gated
@@ -206,12 +202,10 @@ type outPipe struct {
 	mu        sync.Mutex
 	nextLocal uint64
 	slots     map[uint64]*Slot
-	// order holds the same slots in Local order, hence CTS ascending (an own
-	// pipe mints each CTS under mu as it registers the slot; adopt inserts a
-	// replayed slot at its Local). Watermark reads the pipe's minimum open CTS
-	// off its front and the resend pass walks it, instead of iterating the
-	// slots map, whose cost is capacity- not size-proportional and never
-	// shrinks. The live window is order[head:] (see live); completeSlot
+	// order holds the same slots in Local order (an own pipe appends each
+	// slot as it registers it; adopt inserts a replayed slot at its Local).
+	// The resend pass walks it instead of iterating the slots map, whose cost
+	// is capacity- not size-proportional and never shrinks. The live window is order[head:] (see live); completeSlot
 	// trims finished slots off its front (compactLocked) as they finish, so
 	// the front entry is always open and an idle pipe holds no slot.
 	order []*Slot
@@ -222,10 +216,7 @@ type outPipe struct {
 	fresh wire.Chunk[Slot]
 }
 
-// compactLocked drops finished slots off the front of the order FIFO. Not
-// valed ones: completeSlot sets valed before it publishes the versions, and
-// a slot that leaves the window early lets Watermark pass its CTS while a
-// snapshot at that watermark would still read the previous version.
+// compactLocked drops finished slots off the front of the order FIFO.
 // Amortized O(1): each slot is appended once, trimmed once and moved at most
 // once. The front advances by index rather than by reslicing, so a pipeline
 // that drains — every commit of a shallow one — rewinds into the array it
@@ -266,7 +257,7 @@ func (p *outPipe) live() []*Slot { return p.order[p.head:] }
 // as long as they store the R-INV, which rules out any recycling — and the GC
 // frees a chunk when its last slot dies; the price is that a stuck slot keeps
 // its ChunkRecords-1 neighbours (≈ 6.5 KB) and the versions they published
-// alive. 416 bytes, so 16 of them and Go's malloc header fit the 6784-byte
+// alive. 408 bytes, so 16 of them and Go's malloc header fit the 6784-byte
 // size class (TestSlotSize).
 type Slot struct {
 	pipe *outPipe
@@ -365,14 +356,8 @@ type inPipe struct {
 }
 
 // Config is what the node hands the engine at construction; the zero value
-// is a memory-only, untimestamped, unobserved engine with a private clock.
+// is a memory-only, unobserved engine.
 type Config struct {
-	// Clock is the node's hybrid-logical clock, shared with the ownership
-	// engine and the snapshot-read path: it mints the commit timestamp (CTS)
-	// stamped into every R-INV and merges CTSs observed as a follower, so
-	// causally-related commits carry increasing timestamps across owner
-	// migration. Nil installs a private clock.
-	Clock *safetime.Clock
 	// Log is the node's durability WAL. Followers persist R-INV updates
 	// before acking (ackDurable) and both sides record committed versions,
 	// so a restarted node replays every write it ever acknowledged. The
@@ -387,15 +372,6 @@ type Config struct {
 	// alternate between durable and memory-only lifetimes: the counter and
 	// the epoch fallback draw from independent sequences.
 	Incarnation uint64
-	// Timestamps turns on commit timestamping: every R-INV carries a CTS
-	// minted from the clock and validated versions are published to the
-	// object version rings (the substrate of MVCC snapshot reads). A
-	// deployment that never snapshot-reads leaves it off and skips the clock
-	// read on every commit and the ring insert on every validation. It must
-	// be uniform across the cluster: a CTS-0 commit is invisible to the
-	// ring, so a mixed cluster would serve snapshots that miss other nodes'
-	// writes.
-	Timestamps bool
 	// Obs, when non-nil, receives the engine's metrics, traces and watchdog
 	// incidents.
 	Obs *obs.Registry
@@ -412,11 +388,6 @@ func New(self wire.NodeID, st *store.Store, tr transport.Transport, agent *views
 		closed: make(chan struct{}),
 		log:    cfg.Log,
 		incar:  wire.Epoch(cfg.Incarnation),
-		clock:  cfg.Clock,
-		ts:     cfg.Timestamps,
-	}
-	if e.clock == nil {
-		e.clock = new(safetime.Clock)
 	}
 	if cfg.Obs != nil {
 		e.obs = newEngineObs(e, cfg.Obs)
@@ -692,22 +663,11 @@ func (e *Engine) Commit(w wire.Worker, updates []wire.Update, followers wire.Bit
 		prev.extraVal = prev.extraVal.Union(followers.Remove(e.self))
 	}
 
-	// The CTS is minted while p.mu is held, atomically with slot
-	// registration: Watermark reads the clock first and then scans open
-	// slots, so a timestamp must never exist without its slot being
-	// visible — otherwise a watermark could vouch for a commit it has
-	// never seen. CTS 0 (timestamping off) keeps the seed write path:
-	// no clock read here, no ring publish at validation.
-	var cts uint64
-	if e.ts {
-		cts = e.clock.Next()
-	}
-
 	slot := p.fresh.Take()
 	*slot = Slot{
 		pipe: p,
 		first: wire.CommitInv{Tx: wire.TxID{Pipe: p.id, Local: local}, Epoch: epoch,
-			Followers: followers, PrevVal: prevVal, CTS: cts},
+			Followers: followers, PrevVal: prevVal},
 		followers: followers, retr: resendPolicy.Begin(), openedAt: time.Now(), tr: tr,
 	}
 	inv := &slot.first
@@ -757,14 +717,10 @@ func (e *Engine) Commit(w wire.Worker, updates []wire.Update, followers wire.Bit
 
 // completeSlot validates a coordinator slot once every live follower ACKed
 // it. An own slot flips its local objects whose version is unchanged back to
-// Valid, publishes the committed versions into the MVCC rings, releases
-// their pending counts and records the commit with its data; an adopted one
-// validates the stored R-INV it replays as a received R-VAL would. Either
-// way the R-VAL goes to the followers. The slot is removed from the pipe
-// only AFTER that: Watermark counts every present slot as open, so deleting
-// first would let a watermark advance past a version that is not
-// ring-published yet — a snapshot reader at that watermark would miss the
-// commit.
+// Valid, releases their pending counts and records the commit with its data;
+// an adopted one validates the stored R-INV it replays as a received R-VAL
+// would. Either way the R-VAL goes to the followers, and the slot then leaves
+// the pipe.
 func (e *Engine) completeSlot(s *Slot) {
 	p := s.pipe
 	p.mu.Lock()
@@ -819,7 +775,7 @@ func (e *Engine) validateOwn(s *Slot, inv *wire.CommitInv) {
 	for _, u := range inv.Updates {
 		if o, ok := e.st.Get(u.Obj); ok {
 			o.Mu.Lock()
-			o.ValidateWriteLocked(inv.CTS, u.Version, u.Data)
+			o.ValidateLocked(u.Version, store.TWrite)
 			if o.PendingCommits.Load() > 0 {
 				o.PendingCommits.Add(-1)
 			}
@@ -832,32 +788,7 @@ func (e *Engine) validateOwn(s *Slot, inv *wire.CommitInv) {
 	// it is what a restarted coordinator re-arms from when no replica of the
 	// object is live anywhere (core.reclaimOne).
 	s.tr.Event("val")
-	e.recCommitted(inv.Updates, true, inv.CTS)
-}
-
-// Watermark computes this node's applied watermark W: every reliable commit
-// this node is responsible for completing (its own open coordinator slots
-// plus the dead coordinators' slots it adopted) with CTS ≤ W has been
-// validated — applied and ring-published at all followers and locally. The
-// clock is read FIRST, then open slots lower the bound: a slot registered
-// after the read minted its CTS after (hence above) the candidate, so the
-// result is safe against concurrent commits. Taken over all live nodes
-// (min, monotone — safetime.Tracker), W yields the snapshot-read safe-time.
-func (e *Engine) Watermark() uint64 {
-	w := e.clock.Next()
-	e.eachPipe(func(p *outPipe) {
-		p.mu.Lock()
-		// CTSs ascend along the order FIFO and its front entry is open, so
-		// it carries the pipe's minimum open CTS — no need to scan the
-		// rest.
-		if open := p.live(); len(open) > 0 {
-			if cts := open[0].inv.CTS; cts != 0 && cts <= w {
-				w = cts - 1
-			}
-		}
-		p.mu.Unlock()
-	})
-	return w
+	e.recCommitted(inv.Updates, true)
 }
 
 // ---------------------------------------------------------------------------
@@ -919,10 +850,9 @@ func (e *Engine) applyOneLocked(p *inPipe, m *wire.CommitInv) {
 	for _, u := range m.Updates {
 		o, _ := e.st.GetOrCreate(u.Obj)
 		o.Mu.Lock()
-		o.StageInvLocked(m.CTS, u.Version, u.Data)
+		o.StageInvLocked(u.Version, u.Data)
 		o.Mu.Unlock()
 	}
-	e.clock.Update(m.CTS)
 	p.stored[m.Tx.Local] = m
 	if e.log != nil && len(m.Updates) > 0 {
 		p.unlogged[m.Tx.Local] = m
@@ -950,7 +880,7 @@ func (e *Engine) ackDurable(p *inPipe, to wire.NodeID, m *wire.CommitInv) {
 			for i, u := range inv.Updates {
 				// Data aliases the applied update; safe because store data
 				// is replace-only and WAL records are frozen at Append.
-				recs[i] = storage.Record{Kind: storage.RecInv, Obj: u.Obj, Version: u.Version, Data: u.Data, CTS: inv.CTS}
+				recs[i] = storage.Record{Kind: storage.RecInv, Obj: u.Obj, Version: u.Version, Data: u.Data}
 			}
 			if l.Append(recs...) != nil {
 				// No durability, no ACK. Failing storage degrades
@@ -999,14 +929,14 @@ func (e *Engine) retryAppends(live wire.Bitmap) {
 // recCommitted records validated versions in the WAL (best effort: a
 // restarted owner re-arms from them only when no replica of the object is
 // live anywhere; R-INV durability is what acks depend on).
-func (e *Engine) recCommitted(updates []wire.Update, withData bool, cts uint64) {
+func (e *Engine) recCommitted(updates []wire.Update, withData bool) {
 	l := e.log
 	if l == nil || len(updates) == 0 {
 		return
 	}
 	recs := make([]storage.Record, len(updates))
 	for i, u := range updates {
-		recs[i] = storage.Record{Kind: storage.RecCommit, Obj: u.Obj, Version: u.Version, CTS: cts}
+		recs[i] = storage.Record{Kind: storage.RecCommit, Obj: u.Obj, Version: u.Version}
 		if withData {
 			recs[i].Data = u.Data
 		}
@@ -1045,7 +975,7 @@ func (e *Engine) handleVal(m *wire.CommitVal) {
 	}
 	// Follower-side commit record: version only, the matching RecInv
 	// already carries the data.
-	e.recCommitted(inv.Updates, false, inv.CTS)
+	e.recCommitted(inv.Updates, false)
 }
 
 func (p *inPipe) isDone(local uint64) bool {

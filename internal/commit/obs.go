@@ -18,7 +18,7 @@ type engineObs struct {
 
 	// ackNS is the slot-open → fully-acked latency (the replication round
 	// trip the paper's §5.2 pipeline hides from the application); appliedNS
-	// extends it through local validation, ring publish and the R-VAL
+	// extends it through local validation and the R-VAL
 	// fan-out — the full open→acked→validated→applied phase chain.
 	ackNS     *obs.Histogram
 	appliedNS *obs.Histogram

@@ -124,7 +124,7 @@ func TestSlotSendsItsEmbeddedRInv(t *testing.T) {
 // TestSlotSize: a pipe carves Slots wire.ChunkRecords at a time, and a Slot
 // holds pointers, so the array also carries Go's 8-byte malloc header. At 432
 // bytes that was 16 × 432 + 8 = 6920, one byte into the 8192-byte size class
-// (1.2 KB of every chunk wasted); at 416 it is 6664, inside the 6784-byte
+// (1.2 KB of every chunk wasted); at 408 it is 6536, inside the 6784-byte
 // class. A Slot past 424 bytes leaves the 6912-byte class too.
 func TestSlotSize(t *testing.T) {
 	const sizeClass = 6784

@@ -41,8 +41,6 @@ import (
 	"zeus/internal/directory"
 	"zeus/internal/obs"
 	"zeus/internal/ownership"
-	"zeus/internal/retry"
-	"zeus/internal/safetime"
 	"zeus/internal/storage"
 	"zeus/internal/store"
 	"zeus/internal/transport"
@@ -63,15 +61,6 @@ type Config struct {
 	// OnOwnershipLatency, if set, observes the latency of every successful
 	// ownership request (the metric of Figure 12).
 	OnOwnershipLatency func(time.Duration)
-	// SnapshotReads enables MVCC snapshot reads (§5.3 extended): reliable
-	// commits carry an HLC commit timestamp and publish into per-object
-	// version rings, nodes exchange applied watermarks to advance a
-	// quorum-agreed safe-time, and read-only transactions read at that
-	// safe-time from ANY local replica — zero owner traffic, strictly
-	// serializable. Snapshot transactions never auto-acquire read level: a
-	// non-replica returns ErrNoReplica instead of generating ownership
-	// traffic.
-	SnapshotReads bool
 	// TraceSample samples every Nth write transaction with a per-phase
 	// obs.Trace (begin → inv → ack → val → applied). 0 disables tracing.
 	// Requires a registry.
@@ -104,9 +93,6 @@ type Stats struct {
 	Aborts    uint64
 	ROCommits uint64
 	ROAborts  uint64
-	// SnapshotReads counts object reads served from the version ring by
-	// snapshot transactions (SnapshotReads mode only).
-	SnapshotReads uint64
 }
 
 // Node is one Zeus datastore server.
@@ -120,12 +106,6 @@ type Node struct {
 	own    *ownership.Engine
 	cmt    *commit.Engine
 	dirsvc *directory.Service
-
-	// Safe-time plane (always built; the exchange loop only runs with
-	// Config.SnapshotReads): the node's one HLC (handed to the commit and
-	// ownership engines) and the per-node watermark tracker.
-	clk   *safetime.Clock
-	safet *safetime.Tracker
 
 	leases []lease // one per worker
 
@@ -155,7 +135,6 @@ type Node struct {
 	stAborts    atomic.Uint64
 	stROCommits atomic.Uint64
 	stROAborts  atomic.Uint64
-	stSnapReads atomic.Uint64
 
 	// Observability (nil without a registry or a watchdog age): the node's
 	// registry, the write-transaction trace sampler, and the sampling
@@ -202,7 +181,7 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, stg s
 	// the store is rebuilt from the snapshot + WAL replay while no message
 	// can race the install. See installRecovered for the demotion rules.
 	var recovered int
-	var incarnation, maxCTS uint64
+	var incarnation uint64
 	pending := make(map[wire.ObjectID]bool)
 	if stg != nil {
 		rec, err := stg.Recover()
@@ -213,7 +192,6 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, stg s
 		}
 		recovered = installRecovered(id, st, rec, pending)
 		incarnation = rec.Incarnation
-		maxCTS = rec.MaxCTS
 	}
 	// Sharded ownership directory (§6.2): ownership REQs resolve object →
 	// shard → drivers through the placement map the view service replicates.
@@ -226,26 +204,17 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, stg s
 		stg: stg, recovered: recovered, incarnation: incarnation,
 		reclaimPending: pending, leases: make([]lease, cfg.Workers)}
 	n.router = transport.NewRouter()
-	// One HLC per node, handed to both engines: commit stamps CTSs from it,
-	// ownership merges the CTS riding on grants back in. Recovery seeds it
-	// above every persisted timestamp so the new lifetime never reuses one.
-	n.clk = new(safetime.Clock)
-	n.clk.Update(maxCTS)
 	if stg != nil {
 		n.log = storage.NewLog(stg, reg)
 	}
 	n.cmt = commit.New(id, st, tr, agent, commit.Config{
-		Clock: n.clk,
-		Log:   n.log,
+		Log: n.log,
 		// The durable incarnation replaces the view epoch as PipeID.Incar:
 		// a fast rejoin that beats the failure detector never bumps the
 		// epoch, but the counter advances on every Recover. Zero without
 		// storage.
 		Incarnation: incarnation,
-		// Commit timestamping (and with it ring publication) is paid only
-		// by deployments that serve snapshot reads.
-		Timestamps: cfg.SnapshotReads,
-		Obs:        reg,
+		Obs:         reg,
 	})
 	n.own = ownership.New(id, st, tr, agent, ownership.Config{
 		Directory: n.dirsvc,
@@ -254,16 +223,10 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, stg s
 		// (local ownership held) are detected by the ownership engine itself
 		// via Object.LocalOwnerLocked — this probe does not lock the object.
 		HasPendingCommit: n.cmt.HasPending,
-		Clock:            n.clk,
 		Log:              n.log,
 		Obs:              reg,
 		OnLatency:        cfg.OnOwnershipLatency,
 	})
-	n.safet = safetime.NewTracker()
-	{
-		v := agent.View()
-		n.safet.OnViewChange(v.Epoch, v.Live, 0)
-	}
 	if n.log != nil {
 		go n.snapshotLoop()
 	}
@@ -284,7 +247,6 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, stg s
 			n.cmt.StartWatchdog(cfg.WatchdogAge)
 		}
 	}
-	n.router.Handle(wire.KindSafeTime, n.handleSafeTime)
 	n.router.Handle(wire.KindObsPull, n.handleObsPull)
 	n.own.Register(n.router)
 	n.cmt.Register(n.router)
@@ -302,11 +264,7 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, stg s
 	}
 
 	agent.OnChange(func(old, next wire.View, removed wire.Bitmap) {
-		// The safe-time tracker resets on EVERY view change (cross-epoch
-		// watermarks are not comparable) and pauses on removals until the
-		// recovery barrier closes; the ownership/commit machinery below
-		// only reacts to removals.
-		n.safet.OnViewChange(next.Epoch, next.Live, removed)
+		// The ownership and commit machinery reacts to removals only.
 		if removed.Count() == 0 {
 			return
 		}
@@ -314,63 +272,17 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, stg s
 		n.own.PruneDead(next.Live)
 		n.cmt.OnViewChange(next, removed) // reports recovery-done when drained
 	})
-	agent.OnRecovered(func(ep wire.Epoch) {
-		n.own.Resume()
-		n.safet.Resume(ep)
-	})
-	if cfg.SnapshotReads {
-		go n.safetimeLoop()
-	}
+	agent.OnRecovered(func(wire.Epoch) { n.own.Resume() })
 	go n.renewLoop()
 	return n
 }
-
-// safeTimeInterval is the period of the safe-time exchange.
-const safeTimeInterval = 50 * time.Microsecond
-
-// safetimeLoop drives the safe-time exchange (SnapshotReads mode): each
-// tick computes this node's applied watermark — every reliable commit this
-// node coordinated with CTS ≤ W is validated at all followers — folds it
-// into the local tracker and broadcasts it to the live peers. The exchange
-// is tiny (one 20-byte message per peer per tick) and off every critical
-// path; its period bounds how far behind real time the safe-time trails.
-func (n *Node) safetimeLoop() {
-	t := time.NewTicker(safeTimeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-n.closedCh:
-			return
-		case <-t.C:
-		}
-		v := n.agent.View()
-		w := n.cmt.Watermark()
-		n.safet.Observe(n.id, v.Epoch, w)
-		m := &wire.SafeTime{From: n.id, Epoch: v.Epoch, WM: w}
-		for _, nd := range v.Live.Nodes() {
-			if nd != n.id {
-				_ = n.tr.Send(nd, m)
-			}
-		}
-		transport.Flush(n.tr)
-	}
-}
-
-func (n *Node) handleSafeTime(from wire.NodeID, m wire.Msg) {
-	st := m.(*wire.SafeTime)
-	n.safet.Observe(st.From, st.Epoch, st.WM)
-}
-
-// SafeTime returns the node's current quorum-advanced safe-time (0 until
-// the first full exchange completes). Tests and tooling.
-func (n *Node) SafeTime() uint64 { return n.safet.Safe() }
 
 // Obs returns the node's observability registry (nil unless NewNode was given
 // one or a watchdog age armed the watchdog).
 func (n *Node) Obs() *obs.Registry { return n.obs }
 
-// registerNodeMetrics exposes the node-level transaction counters and the
-// safe-time plane through the registry. Pure pull-scrape over the existing
+// registerNodeMetrics exposes the node-level transaction counters through the
+// registry. Pure pull-scrape over the existing
 // engine atomics — the callbacks run at render time only, never on a hot
 // path, and the atomics stay the single source of truth (no double counting
 // against Stats()).
@@ -379,37 +291,17 @@ func (n *Node) registerNodeMetrics(r *obs.Registry) {
 	r.CounterFunc("core_aborts_total", n.stAborts.Load)
 	r.CounterFunc("core_ro_commits_total", n.stROCommits.Load)
 	r.CounterFunc("core_ro_aborts_total", n.stROAborts.Load)
-	r.CounterFunc("core_snapshot_reads_total", n.stSnapReads.Load)
-	r.GaugeFunc("st_applied_wm", func() int64 { return int64(n.cmt.Watermark()) })
-	r.GaugeFunc("st_safe_time", func() int64 { return int64(n.safet.Safe()) })
-	// Safe-time lag: how far the quorum-advanced safe-time trails the local
-	// HLC, in nanoseconds (the HLC is ns-based). 0 until the first full
-	// exchange — "lag since 1970" would drown every real reading.
-	r.GaugeFunc("st_safe_lag_ns", func() int64 {
-		s := n.safet.Safe()
-		if s == 0 {
-			return 0
-		}
-		if now := n.clk.Now(); now > s {
-			return int64(now - s)
-		}
-		return 0
-	})
 }
 
 // handleObsPull answers a remote metrics pull (zeusctl metrics / status):
-// the cheap header — epoch, applied watermark, safe-time, clock, commit
-// count, incident count — always; the full text rendering of the registry
+// the cheap header — epoch, commit count, incident count — always; the full text rendering of the registry
 // only when asked (Full), since it allocates.
 func (n *Node) handleObsPull(from wire.NodeID, m wire.Msg) {
 	pull := m.(*wire.ObsPull)
 	st := &wire.ObsState{
-		From:      n.id,
-		Epoch:     n.agent.View().Epoch,
-		AppliedWM: n.cmt.Watermark(),
-		SafeTime:  n.safet.Safe(),
-		Clock:     n.clk.Now(),
-		Commits:   n.stCommits.Load(),
+		From:    n.id,
+		Epoch:   n.agent.View().Epoch,
+		Commits: n.stCommits.Load(),
 	}
 	if r := n.obs; r != nil {
 		st.Incidents = r.Incidents.Total()
@@ -437,9 +329,6 @@ func (n *Node) maybeTrace(tx *Tx) {
 		tx.tr.Event("begin")
 	}
 }
-
-// Clock exposes the node's hybrid-logical clock (tests and tooling).
-func (n *Node) Clock() *safetime.Clock { return n.clk }
 
 // renewLoop keeps this node's membership lease fresh (§3.1: live nodes renew
 // continuously, so that a failure declaration waits out a full lease): three
@@ -484,11 +373,10 @@ func (n *Node) Agent() *viewsvc.Agent { return n.agent }
 // Stats returns this node's transaction counters.
 func (n *Node) Stats() Stats {
 	return Stats{
-		Commits:       n.stCommits.Load(),
-		Aborts:        n.stAborts.Load(),
-		ROCommits:     n.stROCommits.Load(),
-		ROAborts:      n.stROAborts.Load(),
-		SnapshotReads: n.stSnapReads.Load(),
+		Commits:   n.stCommits.Load(),
+		Aborts:    n.stAborts.Load(),
+		ROCommits: n.stROCommits.Load(),
+		ROAborts:  n.stROAborts.Load(),
 	}
 }
 
@@ -583,9 +471,7 @@ type Tx struct {
 	worker   int
 	leased   bool // holds the worker's lease until Commit or Abort
 	ro       bool
-	snap     bool   // snapshot read (SnapshotReads mode): serve from the ring
-	finished bool   // Commit or Abort ran: Get, Set and Commit refuse
-	at       uint64 // snapshot timestamp (snap only)
+	finished bool // Commit or Abort ran: Get, Set and Commit refuse
 
 	// The access set: inline[:nacc] until it outgrows the array, then spill
 	// (which holds every entry, the first inlineAccesses included) with
@@ -614,9 +500,7 @@ const inlineAccesses = 4
 type access struct {
 	id  wire.ObjectID
 	obj *store.Object // resolved once, at first touch
-	// ver is the t_version observed at first read (accRead). A snapshot
-	// read keeps the commit timestamp of the ring entry it was served from
-	// instead: nothing validates or locks a snapshot transaction's reads.
+	// ver is the t_version observed at first read (accRead).
 	ver uint64
 	// data is what Get returns from the second access on: the slice Set
 	// adopted (accWritten; it becomes the object's payload at commit), else
@@ -757,18 +641,13 @@ func (n *Node) BeginOn(worker int) *Tx {
 }
 
 // BeginRO starts a read-only transaction: local, strictly serializable on
-// any replica, no network traffic (§5.3). It takes no worker. With
-// Config.SnapshotReads the transaction reads at a fixed HLC timestamp from
-// the version ring instead of validating current versions (see snapshotGet).
+// any replica, no network traffic (§5.3). It takes no worker.
 //
 // BeginRO must stay inlinable into its callers: a caller that does not let
 // the Tx escape — BeginRO, Get, Commit in one function — then runs the whole
-// read-only transaction, access set included, on its stack. The snapshot
-// timestamp is therefore minted lazily in snapshotGet, not here — a clock
-// call would blow the inlining budget for every RO transaction, snapshot mode
-// or not.
+// read-only transaction, access set included, on its stack.
 func (n *Node) BeginRO() *Tx {
-	return &Tx{n: n, ro: true, snap: n.cfg.SnapshotReads}
+	return &Tx{n: n, ro: true}
 }
 
 // Get returns the value of obj as seen by the transaction (tr_open_read). The
@@ -788,9 +667,6 @@ func (tx *Tx) Get(obj uint64) ([]byte, error) {
 	if a := tx.find(id); a != nil {
 		return a.data, nil
 	}
-	if tx.snap {
-		return tx.snapshotGet(id)
-	}
 	o, err := tx.ensureReadable(id)
 	if err != nil {
 		return nil, err
@@ -803,9 +679,11 @@ func (tx *Tx) Get(obj uint64) ([]byte, error) {
 	st, ver, lvl, data := o.SnapshotRef()
 
 	// Invalidated objects cannot be read (§5.3); the owner may read its
-	// own locally committed (Write-state) values thanks to pipelining.
+	// own locally committed (Write-state) values thanks to pipelining. Nor
+	// can a record this node no longer replicates: a grant that drops the
+	// replica after ensureReadable leaves it ⟨0, Valid⟩ with no payload.
 	switch {
-	case st == store.TValid:
+	case st == store.TValid && lvl != wire.NonReplica:
 	case st == store.TWrite && lvl == wire.Owner && !tx.ro:
 	default:
 		tx.release()
@@ -822,97 +700,9 @@ func (tx *Tx) Get(obj uint64) ([]byte, error) {
 	return data, nil
 }
 
-// snapshotGet serves a read at the transaction's snapshot timestamp from
-// the local version ring: any replica answers, the owner is never
-// contacted. The read delays (waitSafe) until the quorum-advanced
-// safe-time covers the timestamp — at that point every commit that could
-// order before it is ring-published on this replica, so the newest ring
-// entry with CTS ≤ at is exactly the strictly-serializable answer. A miss
-// (non-replica, ring evicted past the timestamp, or safe-time not
-// advancing) returns ErrConflict and the dbapi retry loop re-begins with a
-// fresh, later timestamp.
-func (tx *Tx) snapshotGet(id wire.ObjectID) ([]byte, error) {
-	n := tx.n
-	if tx.at == 0 {
-		// Lazy mint (see BeginRO): from the local HLC, NOT the current
-		// safe-time — reading at a fresh T (and delaying until S ≥ T) is
-		// what makes the snapshot strictly serializable. The first read is
-		// still inside the transaction's lifetime, so T orders after every
-		// commit that completed before the transaction began.
-		tx.at = n.clk.Next()
-	}
-	o, ok := n.st.Get(id)
-	if !ok {
-		return nil, dbapi.ErrNoReplica
-	}
-	o.Mu.Lock()
-	lvl := o.LevelLocked()
-	o.Mu.Unlock()
-	if lvl == wire.NonReplica {
-		// Snapshot reads never generate ownership traffic; the caller
-		// routes to a replica instead.
-		return nil, dbapi.ErrNoReplica
-	}
-	if err := tx.waitSafe(); err != nil {
-		return nil, err
-	}
-	o.Mu.Lock()
-	e, ok := o.RingReadLocked(tx.at)
-	o.Mu.Unlock()
-	if !ok {
-		return nil, dbapi.ErrConflict
-	}
-	tx.add(access{id: id, obj: o, ver: e.CTS, data: e.Data, flags: accRead})
-	n.stSnapReads.Add(1)
-	return e.Data, nil
-}
-
-// SnapshotTS returns a snapshot transaction's timestamp T, 0 until its first
-// read mints it. Ask before Commit or Abort: they zero a DB transaction.
-func (tx *Tx) SnapshotTS() uint64 { return tx.at }
-
-// ReadCTS returns the commit timestamp of the version a snapshot transaction
-// read of obj, 0 if it read none. Ask before Commit or Abort.
-func (tx *Tx) ReadCTS(obj uint64) uint64 {
-	if a := tx.find(wire.ObjectID(obj)); a != nil && tx.snap {
-		return a.ver
-	}
-	return 0
-}
-
-// waitSafe delays until the safe-time covers the snapshot timestamp
-// (SAFETIME-style pacing via internal/retry — no raw sleeps in engine
-// code). A replica that cannot catch up within the policy's horizon gives
-// up with ErrConflict rather than blocking the reader forever.
-func (tx *Tx) waitSafe() error {
-	n := tx.n
-	if n.safet.Safe() >= tx.at {
-		return nil
-	}
-	r := retry.Policy{
-		InitialBackoff: 5 * time.Microsecond,
-		MaxBackoff:     200 * time.Microsecond,
-		MaxElapsed:     2 * time.Second,
-	}.Start()
-	for n.safet.Safe() < tx.at {
-		select {
-		case <-n.closedCh:
-			return dbapi.ErrConflict
-		default:
-		}
-		d, ok := r.Next()
-		if !ok {
-			return dbapi.ErrConflict
-		}
-		_ = retry.Sleep(nil, d, n.closedCh)
-	}
-	return nil
-}
-
 // Set stages a full-object write (tr_open_write + update). It adopts val
 // instead of copying it: the bytes become the version the commit publishes —
-// shared with the version ring, the WAL and, on the hub, the followers'
-// replicas — so the caller must not write them after Set (build a fresh slice
+// shared with the WAL and, on the hub, the followers' replicas — so the caller must not write them after Set (build a fresh slice
 // per write). The staged slice's capacity is clipped to its length, so an
 // append to the version — by anyone who Gets it — reallocates instead of
 // writing past it. A second Set of the same object replaces the staged slice;
@@ -1129,11 +919,7 @@ func (tx *Tx) Commit() error {
 	defer tx.end()
 	n := tx.n
 	if tx.ro || tx.nwrites == 0 {
-		// Snapshot transactions are already serializable at their fixed
-		// timestamp: every read came from an immutable ring entry chosen
-		// at `at`, so there is nothing to re-validate (and validating
-		// against the CURRENT version would wrongly abort them).
-		ok := tx.snap || tx.validateReads()
+		ok := tx.validateReads()
 		tx.release()
 		if !ok {
 			if tx.ro {
@@ -1294,6 +1080,6 @@ func (a dbAdapter) begin(worker int, ro bool) *Tx {
 	if !l.take() {
 		return busyTx
 	}
-	l.tx = Tx{n: a.n, worker: w, leased: true, ro: ro, snap: ro && a.n.cfg.SnapshotReads}
+	l.tx = Tx{n: a.n, worker: w, leased: true, ro: ro}
 	return &l.tx
 }

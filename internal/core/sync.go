@@ -58,7 +58,7 @@ func installRecovered(self wire.NodeID, st *store.Store, rec *storage.Recovered,
 		}
 		o, _ := st.GetOrCreate(id)
 		o.Mu.Lock()
-		o.RecoverLocked(self, r.CTS, r.Version, r.Data, r.TS, r.Replicas)
+		o.RecoverLocked(self, r.Version, r.Data, r.TS, r.Replicas)
 		o.Mu.Unlock()
 		pending[id] = r.Valid
 	}
@@ -228,7 +228,6 @@ func (n *Node) SnapshotNow() error {
 				TS:       o.OTSLocked(),
 				Replicas: o.ReplicasLocked(),
 				Level:    o.LevelLocked(),
-				CTS:      o.CommitCTSLocked(),
 			}
 			o.Mu.Unlock()
 			err = emit(so)

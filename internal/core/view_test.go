@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"zeus/internal/cluster"
 	"zeus/internal/core"
 	"zeus/internal/dbapi"
 )
@@ -173,40 +172,6 @@ func TestSetAdoptsTheCallersBytes(t *testing.T) {
 		if !sameArray(data, val) || cap(data) != 8 {
 			t.Errorf("node %d holds the version in its own array (same %v, cap %d): it was copied", i, sameArray(data, val), cap(data))
 		}
-	}
-}
-
-func TestSnapshotViewSurvivesRingEviction(t *testing.T) {
-	opts := cluster.DefaultOptions(3)
-	opts.SnapshotReads = true
-	c := cluster.New(opts)
-	t.Cleanup(c.Close)
-	c.SeedAt(1, 0, u64(0))
-	var old []byte
-	if err := dbapi.RunRO(c.Node(1).DB(), 0, func(tx dbapi.Txn) (err error) {
-		old, err = tx.Get(1)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Three times the ring's capacity: the entry `old` came from is long gone.
-	for i := uint64(1); i <= 24; i++ {
-		if err := dbapi.Run(c.Node(0).DB(), 0, func(tx dbapi.Txn) error { return tx.Set(1, u64(i)) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !c.WaitIdle(2 * time.Second) {
-		t.Fatal("WaitIdle timed out")
-	}
-	var now []byte
-	if err := dbapi.RunRO(c.Node(1).DB(), 0, func(tx dbapi.Txn) (err error) {
-		now, err = tx.Get(1)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if fromU64(now) != 24 || fromU64(old) != 0 {
-		t.Fatalf("a fresh snapshot reads %d and the retained one %d; want 24 and 0", fromU64(now), fromU64(old))
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 var ErrConflict = errors.New("db: transaction conflict, retry")
 
 // ErrNoReplica reports a read-only access on a node that stores no replica
-// and could not (or was configured not to) acquire one.
+// and could not acquire one.
 var ErrNoReplica = errors.New("db: object has no local replica")
 
 // Txn is one transaction: reads and writes of whole objects, finished by

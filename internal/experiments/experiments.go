@@ -63,7 +63,7 @@ var All = []Experiment{
 	{"transport", "Transport frame batching + delayed acks vs the per-message floor", Transport},
 	{"scaling", "Worker-pipeline scaling: local write tx with 1→8 workers", Scaling},
 	{"directory", "Sharded ownership directory: REQ throughput vs shard count", Directory},
-	{"readscale", "MVCC snapshot reads: RO throughput vs reader replicas (95/5 and 100/0)", ReadScale},
+	{"readscale", "§5.3 read-only transactions: RO throughput vs reader replicas (95/5 and 100/0)", ReadScale},
 	{"slo", "Open-loop SLO matrix: omission-safe latency over app workloads (netsim + TCP)", SLOExp},
 }
 

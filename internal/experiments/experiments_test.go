@@ -167,13 +167,13 @@ var figures = map[string]figure{
 	}},
 	"directory": {"Directory sharding: ownership-REQ throughput vs shard count (6 nodes, 48 hot objects)",
 		[]string{"shards", "acquired", "elapsed", "acq/s", "reqs", "nacks", "timeouts", "speedup"}, 4, nil},
-	"readscale": {"Readscale: snapshot reads vs reader replicas",
-		[]string{"mix", "replicas", "reads", "writes", "elapsed", "reads/s", "speedup", "owner ring reads", "reader own reqs"}, 6, []check{
+	"readscale": {"Readscale: read-only transactions vs reader replicas",
+		[]string{"mix", "replicas", "reads", "writes", "elapsed", "reads/s", "speedup", "owner RO commits", "reader own reqs"}, 6, []check{
 			positive("reads", "reads/s"),
-			// The headline invariants hold at every point: snapshot reads
-			// are served entirely by the reader replicas and generate no
-			// ownership traffic.
-			everyRow("no ring reads at the owner", func(t Table, i int) bool { return t.Num(i, "owner ring reads") == 0 }),
+			// The headline invariants hold at every point: read-only
+			// transactions are served entirely by the reader replicas and
+			// generate no ownership traffic.
+			everyRow("no read-only commits at the owner", func(t Table, i int) bool { return t.Num(i, "owner RO commits") == 0 }),
 			everyRow("no ownership requests from the readers", func(t Table, i int) bool { return t.Num(i, "reader own reqs") == 0 }),
 			everyRow("writes in the 95/5 mix alone", func(t Table, i int) bool {
 				return (t.Rows[i][0] == "95/5") == (t.Num(i, "writes") > 0)

@@ -15,8 +15,8 @@ import (
 // sync.Mutex/RWMutex is lexically held (a visible X.Lock()/X.RLock() with no
 // intervening unconditional X.Unlock()). It is the rule a type cannot carry
 // here: the suffix is used on some twenty functions over a dozen different
-// mutexes (commit pipes, the view service, transport queues, safe-time, the
-// WAL, netsim), so a lock-token parameter would be a wrapper type per mutex.
+// mutexes (commit pipes, the view service, transport queues, the WAL,
+// netsim), so a lock-token parameter would be a wrapper type per mutex.
 // The field side it used to have — no unlocked write to store.Object's
 // Mu-guarded fields — is a compile error now: every such field is unexported
 // and written only by the store's own *Locked transitions.

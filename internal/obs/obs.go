@@ -271,8 +271,8 @@ func (r *Registry) CounterFunc(name string, fn func() uint64) {
 	r.mu.Unlock()
 }
 
-// GaugeFunc registers a gauge read from fn at render time (safe-time lag,
-// applied watermark, pipeline depth).
+// GaugeFunc registers a gauge read from fn at render time (pipeline depth,
+// queue lengths).
 func (r *Registry) GaugeFunc(name string, fn func() int64) {
 	r.mu.Lock()
 	r.gfuncs[name] = fn

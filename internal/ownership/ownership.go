@@ -53,7 +53,6 @@ import (
 	"zeus/internal/directory"
 	"zeus/internal/obs"
 	"zeus/internal/retry"
-	"zeus/internal/safetime"
 	"zeus/internal/shardmap"
 	"zeus/internal/storage"
 	"zeus/internal/store"
@@ -112,11 +111,6 @@ type Config struct {
 	// are detected by the engine itself via Object.LocalOwnerLocked. Nil
 	// means no commit engine: never pending.
 	HasPendingCommit func(wire.ObjectID) bool
-	// Clock is the node's hybrid-logical clock: the engine merges the commit
-	// timestamps riding on ownership ACKs/RESPs into it, and transferred
-	// data re-arms the receiving replica's snapshot-read ring at the shipped
-	// CTS. Nil installs a private clock.
-	Clock *safetime.Clock
 	// Log, when set, records applied ownership grants (recGrant) so a
 	// restarted node knows each object's last-known replica set and level.
 	// The engine never closes the log.
@@ -194,12 +188,10 @@ type Engine struct {
 	closed     chan struct{}
 	once       sync.Once
 
-	// Config.Log and Config.Clock (never nil), and the cached metric handles
-	// the request path records into — nil without Config.Obs, which keeps
-	// the seed path (one branch).
-	log   *storage.Log
-	clock *safetime.Clock
-	obs   *engineObs
+	// Config.Log, and the cached metric handles the request path records
+	// into — nil without Config.Obs, which keeps the seed path (one branch).
+	log *storage.Log
+	obs *engineObs
 
 	stRequests  atomic.Uint64
 	stSucceeded atomic.Uint64
@@ -285,9 +277,6 @@ func New(self wire.NodeID, st *store.Store, tr transport.Transport, agent *views
 	if cfg.HasPendingCommit == nil {
 		cfg.HasPendingCommit = func(wire.ObjectID) bool { return false }
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = new(safetime.Clock)
-	}
 	e := &Engine{
 		self:      self,
 		st:        st,
@@ -301,7 +290,6 @@ func New(self wire.NodeID, st *store.Store, tr transport.Transport, agent *views
 		closed:    make(chan struct{}),
 		rng:       rand.New(rand.NewSource(int64(self)*7919 + 1)),
 		log:       cfg.Log,
-		clock:     cfg.Clock,
 
 		attemptTimeout: attemptTimeout,
 		deadline:       acquireDeadline,
@@ -924,7 +912,6 @@ func (e *Engine) buildAck(ack *wire.OwnAck, inv *wire.OwnInv) {
 			ack.TVersion = o.TVersion()
 			if inv.Recovery || inv.Holds < ack.TVersion {
 				ack.HasData = true
-				ack.CTS = o.CommitCTSLocked()
 				// No copy: object payloads are replace-only (see
 				// store.Object.DataLocked) and a data-carrying ACK is
 				// never self-delivered (the data source is never the
@@ -942,7 +929,7 @@ func (e *Engine) buildAck(ack *wire.OwnAck, inv *wire.OwnInv) {
 // reports a version, and a shipped value outlives a later bare report.
 func fromSource(val *store.Shipped, m *wire.OwnAck) {
 	if m.TVersion != 0 && !val.Has {
-		*val = store.Shipped{Has: m.HasData, CTS: m.CTS, Version: m.TVersion, Data: m.Data}
+		*val = store.Shipped{Has: m.HasData, Version: m.TVersion, Data: m.Data}
 	}
 }
 
@@ -1171,7 +1158,6 @@ func (e *Engine) applyAsRequester(id uint64, obj wire.ObjectID, ts wire.OTS, rep
 		return false
 	}
 	if applied {
-		e.clock.Update(val.CTS)
 		e.recGrant(obj, ts, reps)
 	}
 	e.deliver(id, outcome{ok: true})
@@ -1300,7 +1286,6 @@ func (e *Engine) checkRecoveryCompleteLocked(rs *recovState, epoch wire.Epoch) {
 			ReqID: rs.reqID, Obj: rs.obj, TS: rs.ts, Epoch: epoch,
 			Driver: e.self, Arbiters: rs.arbiters, NewReplicas: p.NewReplicas,
 			Mode: p.Mode, HasData: rs.val.Has, TVersion: rs.val.Version, Data: rs.val.Data,
-			CTS: rs.val.CTS,
 		})
 		return
 	}
@@ -1334,7 +1319,7 @@ func (e *Engine) handleResp(m *wire.OwnResp) {
 		return
 	}
 	if e.applyAsRequester(m.ReqID, m.Obj, m.TS, m.NewReplicas, m.Mode,
-		store.Shipped{Has: m.HasData, CTS: m.CTS, Version: m.TVersion, Data: m.Data}) {
+		store.Shipped{Has: m.HasData, Version: m.TVersion, Data: m.Data}) {
 		e.validate(m.Arbiters, m.ReqID, m.Obj, m.TS, m.Epoch)
 	}
 }

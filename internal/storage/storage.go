@@ -65,11 +65,6 @@ type Record struct {
 	TS       wire.OTS
 	Replicas wire.ReplicaSet
 	Level    wire.AccessLevel
-	// CTS is the commit timestamp of the recorded version (RecInv /
-	// RecCommit; 0 when unknown). Replay keeps the newest so a restarted
-	// node reseeds its hybrid-logical clock above everything it ever
-	// persisted.
-	CTS uint64
 }
 
 // SnapObject is one object in a snapshot: the store's durable fields at
@@ -83,8 +78,6 @@ type SnapObject struct {
 	TS       wire.OTS
 	Replicas wire.ReplicaSet
 	Level    wire.AccessLevel
-	// CTS is the object's commit timestamp at scan time (Object.CommitCTSLocked).
-	CTS uint64
 }
 
 // Storage is the driver interface. Implementations must be safe for
@@ -121,7 +114,6 @@ type RecoveredObject struct {
 	TS       wire.OTS
 	Replicas wire.ReplicaSet
 	Level    wire.AccessLevel
-	CTS      uint64 // commit timestamp of Version (0 when unknown)
 }
 
 // Recovered is the result of WAL + snapshot replay.
@@ -139,10 +131,6 @@ type Recovered struct {
 	// followers, even when the restart beat the failure detector and the
 	// view epoch never bumped.
 	Incarnation uint64
-	// MaxCTS is the largest commit timestamp seen across the snapshot and
-	// WAL: the restarted node's hybrid-logical clock must start above it so
-	// commits of the new lifetime never reuse a persisted timestamp.
-	MaxCTS uint64
 }
 
 // NewRecovered returns an empty recovery image for drivers to fill.
@@ -160,10 +148,6 @@ func (r *Recovered) ApplySnap(s SnapObject) {
 		TS:       s.TS,
 		Replicas: s.Replicas,
 		Level:    s.Level,
-		CTS:      s.CTS,
-	}
-	if s.CTS > r.MaxCTS {
-		r.MaxCTS = s.CTS
 	}
 }
 
@@ -177,16 +161,12 @@ func (r *Recovered) ApplyRecord(rec Record) {
 		r.Objects[rec.Obj] = o
 	}
 	r.Records++
-	if rec.CTS > r.MaxCTS {
-		r.MaxCTS = rec.CTS
-	}
 	switch rec.Kind {
 	case RecInv:
 		if rec.Version > o.Version {
 			o.Version = rec.Version
 			o.Data = rec.Data
 			o.Valid = false
-			o.CTS = rec.CTS
 		}
 	case RecCommit:
 		switch {
@@ -195,9 +175,6 @@ func (r *Recovered) ApplyRecord(rec Record) {
 			if rec.Data != nil {
 				o.Data = rec.Data
 			}
-			if rec.CTS > o.CTS {
-				o.CTS = rec.CTS
-			}
 		case rec.Version > o.Version:
 			// A commit for a version we never staged: install what we
 			// have. Without data the object stays invalid and the reclaim
@@ -205,7 +182,6 @@ func (r *Recovered) ApplyRecord(rec Record) {
 			o.Version = rec.Version
 			o.Data = rec.Data
 			o.Valid = rec.Data != nil
-			o.CTS = rec.CTS
 		}
 	case RecGrant:
 		r.Grants++

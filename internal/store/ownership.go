@@ -61,7 +61,6 @@ type PendingOwn struct {
 // then the data source's version, and the zero Shipped has no source.
 type Shipped struct {
 	Has     bool
-	CTS     uint64
 	Version uint64
 	Data    []byte
 }
@@ -84,7 +83,7 @@ func (o *Object) pendingRec() *PendingOwn {
 // setPendingLocked makes p the arbitration record, overwriting the one it
 // supersedes.
 func (o *Object) setPendingLocked(p PendingOwn) {
-	c := o.coldFor(true)
+	c := o.coldFor()
 	if c.pending == nil {
 		c.pending = pendPool.Get().(*PendingOwn)
 	}
@@ -214,7 +213,7 @@ func (o *Object) GrantLocked(self wire.NodeID, ts wire.OTS, reps wire.ReplicaSet
 			o.dropLocked()
 		}
 	case val.Has && val.Version >= o.TVersion():
-		o.installLocked(val.CTS, val.Version, val.Data)
+		o.installLocked(val.Version, val.Data)
 	}
 	return true, false
 }

@@ -44,15 +44,15 @@ func TestOwnershipTransitions(t *testing.T) {
 	set := func(owner wire.NodeID, readers ...wire.NodeID) wire.ReplicaSet {
 		return wire.ReplicaSet{Owner: owner, Readers: wire.BitmapOf(readers...)}
 	}
-	ships := func(cts, ver uint64, data string) Shipped {
-		return Shipped{Has: true, CTS: cts, Version: ver, Data: b(data)}
+	ships := func(ver uint64, data string) Shipped {
+		return Shipped{Has: true, Version: ver, Data: b(data)}
 	}
 	fresh := func(*Object) {}
 	// owner3 / reader3: node 1 owns, resp. reads, committed version 3 under
 	// o_ts 3.0; recovered5 is node 1 restarted over a WAL that says it owned v5.
-	owner3 := func(o *Object) { o.GrantLocked(self, ts(3, 0), set(1, 0, 2), ships(30, 3, "a")) }
-	reader3 := func(o *Object) { o.GrantLocked(self, ts(3, 0), set(0, 1, 2), ships(30, 3, "a")) }
-	recovered5 := func(o *Object) { o.RecoverLocked(self, 50, 5, b("c"), ts(7, 1), set(1, 0)) }
+	owner3 := func(o *Object) { o.GrantLocked(self, ts(3, 0), set(1, 0, 2), ships(3, "a")) }
+	reader3 := func(o *Object) { o.GrantLocked(self, ts(3, 0), set(0, 1, 2), ships(3, "a")) }
+	recovered5 := func(o *Object) { o.RecoverLocked(self, 5, b("c"), ts(7, 1), set(1, 0)) }
 	// move7 is the arbitration node 1 drives for node 2's acquisition; move9
 	// the one node 2 drives for node 0's, which beats it (4.2 > 4.1); drop8
 	// removes reader 1.
@@ -65,8 +65,8 @@ func TestOwnershipTransitions(t *testing.T) {
 	const (
 		move7s = "req7@4.1->2[0 1] arb[0 1 2] src1 ep5"
 		move9s = "req9@4.2->0[1 2] arb[0 1 2] src1 ep5"
-		a3     = "a v3 Valid cts30 [30:3:a]"
-		none   = "nil v0 Valid cts0 []"
+		a3     = "a v3 Valid"
+		none   = "nil v0 Valid"
 	)
 
 	for _, tc := range []struct {
@@ -96,14 +96,14 @@ func TestOwnershipTransitions(t *testing.T) {
 			},
 			want: "reader Valid 3.0 0[1 2] -", wantValue: a3},
 		{name: "request: a value awaiting its R-VAL is not held",
-			pre: func(o *Object) { reader3(o); o.StageInvLocked(50, 5, b("c")) },
+			pre: func(o *Object) { reader3(o); o.StageInvLocked(5, b("c")) },
 			do: func(t *testing.T, o *Object) {
 				if holds := o.RequestLocked(); holds != 0 {
 					t.Errorf("RequestLocked = %d, want 0", holds)
 				}
 				o.SettleRequestLocked()
 			},
-			want: "reader Valid 3.0 0[1 2] -", wantValue: "c v5 Invalid cts50 [30:3:a 50:5:c]"},
+			want: "reader Valid 3.0 0[1 2] -", wantValue: "c v5 Invalid"},
 		{name: "request: a value an arbitration may drop is not held",
 			pre: func(o *Object) { reader3(o); o.InvalidateLocked(drop8, self) },
 			do: func(t *testing.T, o *Object) {
@@ -120,7 +120,7 @@ func TestOwnershipTransitions(t *testing.T) {
 				}
 				o.SettleRequestLocked()
 			},
-			want: "non-replica Valid 7.1 -[0] -", wantValue: "c v5 Invalid cts50 []"},
+			want: "non-replica Valid 7.1 -[0] -", wantValue: "c v5 Invalid"},
 		{name: "request: an arbitration holding the entry is left alone",
 			pre:  func(o *Object) { owner3(o); o.DriveLocked(move7) },
 			do:   func(_ *testing.T, o *Object) { o.RequestLocked(); o.SettleRequestLocked() },
@@ -134,7 +134,7 @@ func TestOwnershipTransitions(t *testing.T) {
 				}
 			},
 			want: "owner Drive 3.0 1[0 2] " + move7s, wantValue: a3},
-		{name: "arbitrate: a drive shares the cold record with a ring and a yield, and keeps both",
+		{name: "arbitrate: a drive shares the cold record with a yield, and keeps it",
 			pre:  func(o *Object) { owner3(o); o.YieldLocalLocked(time.Hour) },
 			do:   func(_ *testing.T, o *Object) { o.DriveLocked(move7) },
 			want: "owner Drive 3.0 1[0 2] " + move7s, wantValue: a3 + " yield"},
@@ -166,7 +166,7 @@ func TestOwnershipTransitions(t *testing.T) {
 				o.InvalidateLocked(p, self)
 			},
 			want: "owner Invalid 3.0 1[0 2] req9@4.2->1[0 2 3] arb[0 1 2] src1 ep5", wantValue: a3},
-		{name: "grant: a VAL applying a pending grant that drops this node discards payload, version and ring",
+		{name: "grant: a VAL applying a pending grant that drops this node discards payload and version",
 			pre: func(o *Object) { reader3(o); o.InvalidateLocked(drop8, self) },
 			do: func(t *testing.T, o *Object) {
 				if p, applied := o.GrantPendingLocked(self); !applied || p != drop8 {
@@ -174,7 +174,7 @@ func TestOwnershipTransitions(t *testing.T) {
 				}
 			},
 			want: "non-replica Valid 4.0 0[2] -", wantValue: none},
-		{name: "grant: a VAL that drops this node takes the arbitration, the ring and the yield, and the cold record with them",
+		{name: "grant: a VAL that drops this node takes the arbitration and the yield, and the cold record with them",
 			pre: func(o *Object) { reader3(o); o.YieldLocalLocked(time.Hour); o.InvalidateLocked(drop8, self) },
 			do: func(t *testing.T, o *Object) {
 				o.GrantPendingLocked(self)
@@ -185,7 +185,7 @@ func TestOwnershipTransitions(t *testing.T) {
 			want: "non-replica Valid 4.0 0[2] -", wantValue: none},
 		{name: "grant: a VAL that settles a record whose cold record held only the arbitration returns it",
 			pre: func(o *Object) {
-				o.GrantLocked(self, ts(3, 0), set(0, 1, 2), ships(0, 3, "seed"))
+				o.GrantLocked(self, ts(3, 0), set(0, 1, 2), ships(3, "seed"))
 				o.InvalidateLocked(move9, self)
 			},
 			do: func(t *testing.T, o *Object) {
@@ -194,7 +194,7 @@ func TestOwnershipTransitions(t *testing.T) {
 					t.Error("the settled arbitration left its cold record behind")
 				}
 			},
-			want: "reader Valid 4.2 0[1 2] -", wantValue: "seed v3 Valid cts0 []"},
+			want: "reader Valid 4.2 0[1 2] -", wantValue: "seed v3 Valid"},
 		{name: "grant: a VAL with nothing pending applies nothing",
 			pre: reader3,
 			do: func(t *testing.T, o *Object) {
@@ -213,11 +213,11 @@ func TestOwnershipTransitions(t *testing.T) {
 					t.Error("applied an arbitration older than o_ts")
 				}
 			},
-			want: "non-replica Valid 7.1 -[0] -", wantValue: "c v5 Invalid cts50 []"},
+			want: "non-replica Valid 7.1 -[0] -", wantValue: "c v5 Invalid"},
 		{name: "grant: an older o_ts is refused and nothing is touched",
 			pre: func(o *Object) { owner3(o); o.DriveLocked(move7) },
 			do: func(t *testing.T, o *Object) {
-				if applied, _ := o.GrantLocked(self, ts(2, 5), set(0), ships(99, 9, "z")); applied {
+				if applied, _ := o.GrantLocked(self, ts(2, 5), set(0), ships(9, "z")); applied {
 					t.Error("applied a grant older than o_ts")
 				}
 			},
@@ -225,7 +225,7 @@ func TestOwnershipTransitions(t *testing.T) {
 		{name: "grant: a grant older than the pending arbitration is refused, and the arbitration stays",
 			pre: func(o *Object) { reader3(o); o.InvalidateLocked(move9, self) },
 			do: func(t *testing.T, o *Object) {
-				if applied, _ := o.GrantLocked(self, ts(4, 1), set(1, 0, 2), ships(40, 4, "b")); applied {
+				if applied, _ := o.GrantLocked(self, ts(4, 1), set(1, 0, 2), ships(4, "b")); applied {
 					t.Error("applied a grant older than the pending arbitration")
 				}
 			},
@@ -233,17 +233,17 @@ func TestOwnershipTransitions(t *testing.T) {
 		{name: "grant: a grant at o_ts with nothing pending still applies",
 			pre: reader3,
 			do: func(t *testing.T, o *Object) {
-				if applied, _ := o.GrantLocked(self, ts(3, 0), set(0, 1), ships(30, 3, "a")); !applied {
+				if applied, _ := o.GrantLocked(self, ts(3, 0), set(0, 1), ships(3, "a")); !applied {
 					t.Error("refused a grant at o_ts")
 				}
 			},
 			want: "reader Valid 3.0 0[1] -", wantValue: a3},
 		{name: "grant: a shipped value older than the local version keeps the local value",
-			pre: func(o *Object) { reader3(o); o.StageInvLocked(50, 5, b("c")); o.ValidateLocked(5, TInvalid) },
+			pre: func(o *Object) { reader3(o); o.StageInvLocked(5, b("c")); o.ValidateLocked(5, TInvalid) },
 			do: func(_ *testing.T, o *Object) {
-				o.GrantLocked(self, ts(4, 1), set(1, 0, 2), ships(40, 4, "old"))
+				o.GrantLocked(self, ts(4, 1), set(1, 0, 2), ships(4, "old"))
 			},
-			want: "owner Valid 4.1 1[0 2] -", wantValue: "c v5 Valid cts50 [30:3:a 50:5:c]"},
+			want: "owner Valid 4.1 1[0 2] -", wantValue: "c v5 Valid"},
 		{name: "grant: a raise over a record that holds nothing, with a version reported and nothing shipped, is refused",
 			pre: fresh,
 			do: func(t *testing.T, o *Object) {
@@ -287,14 +287,14 @@ func TestOwnershipTransitions(t *testing.T) {
 		{name: "grant: a shipped value arrives with the level",
 			pre: fresh,
 			do: func(t *testing.T, o *Object) {
-				if applied, unbacked := o.GrantLocked(self, ts(4, 1), set(1, 0), ships(40, 4, "b")); !applied || unbacked {
+				if applied, unbacked := o.GrantLocked(self, ts(4, 1), set(1, 0), ships(4, "b")); !applied || unbacked {
 					t.Errorf("GrantLocked = %v, %v", applied, unbacked)
 				}
 			},
-			want: "owner Valid 4.1 1[0] -", wantValue: "b v4 Valid cts40 [40:4:b]"},
+			want: "owner Valid 4.1 1[0] -", wantValue: "b v4 Valid"},
 		{name: "grant: a set that does not list this node installs nothing",
 			pre:  fresh,
-			do:   func(_ *testing.T, o *Object) { o.GrantLocked(self, ts(1, 0), set(0), ships(10, 1, "x")) },
+			do:   func(_ *testing.T, o *Object) { o.GrantLocked(self, ts(1, 0), set(0), ships(1, "x")) },
 			want: "non-replica Valid 1.0 0[] -", wantValue: none},
 		{name: "grant: a delete at its driver leaves a bare entry",
 			pre:  owner3,
@@ -302,8 +302,8 @@ func TestOwnershipTransitions(t *testing.T) {
 			want: "non-replica Valid 4.1 -[] -", wantValue: none},
 		{name: "grant: a newer grant supersedes a pending arbitration",
 			pre:  func(o *Object) { recovered5(o); o.InvalidateLocked(move9, self) },
-			do:   func(_ *testing.T, o *Object) { o.GrantLocked(self, ts(8, 0), set(0, 1), ships(50, 5, "c")) },
-			want: "reader Valid 8.0 0[1] -", wantValue: "c v5 Valid cts50 [50:5:c]"},
+			do:   func(_ *testing.T, o *Object) { o.GrantLocked(self, ts(8, 0), set(0, 1), ships(5, "c")) },
+			want: "reader Valid 8.0 0[1] -", wantValue: "c v5 Valid"},
 		{name: "prune: the view change edits the set and the pending record alike",
 			pre: func(o *Object) {
 				owner3(o)
@@ -328,29 +328,29 @@ func TestOwnershipTransitions(t *testing.T) {
 			want: "owner Drive 3.0 1[0 2] req7@4.1->2[0 1] arb[0 1] src1 ep6", wantValue: a3},
 		{name: "recover: a remembered self-as-owner is rewritten",
 			pre:  func(o *Object) { owner3(o); o.DriveLocked(move7) },
-			do:   func(_ *testing.T, o *Object) { o.RecoverLocked(self, 50, 5, b("c"), ts(7, 1), set(1, 0)) },
-			want: "non-replica Valid 7.1 -[0] -", wantValue: "c v5 Invalid cts50 []"},
-		{name: "recover: without a timestamp neither the arbitration, the ring, the yield nor the cold record survives",
+			do:   func(_ *testing.T, o *Object) { o.RecoverLocked(self, 5, b("c"), ts(7, 1), set(1, 0)) },
+			want: "non-replica Valid 7.1 -[0] -", wantValue: "c v5 Invalid"},
+		{name: "recover: neither the arbitration, the yield nor the cold record survives",
 			pre: func(o *Object) { owner3(o); o.YieldLocalLocked(time.Hour); o.DriveLocked(move7) },
 			do: func(t *testing.T, o *Object) {
-				o.RecoverLocked(self, 0, 5, b("c"), ts(7, 0), set(0, 1))
+				o.RecoverLocked(self, 5, b("c"), ts(7, 0), set(0, 1))
 				if o.cold != nil {
 					t.Error("recovery kept a cold record it had nothing to put in")
 				}
 			},
-			want: "non-replica Valid 7.0 0[1] -", wantValue: "c v5 Invalid cts0 []"},
+			want: "non-replica Valid 7.0 0[1] -", wantValue: "c v5 Invalid"},
 		{name: "recover: another node's ownership is a hint like any other",
 			pre:  fresh,
-			do:   func(_ *testing.T, o *Object) { o.RecoverLocked(self, 50, 5, b("c"), ts(7, 0), set(0, 1)) },
-			want: "non-replica Valid 7.0 0[1] -", wantValue: "c v5 Invalid cts50 []"},
+			do:   func(_ *testing.T, o *Object) { o.RecoverLocked(self, 5, b("c"), ts(7, 0), set(0, 1)) },
+			want: "non-replica Valid 7.0 0[1] -", wantValue: "c v5 Invalid"},
 		{name: "reclaim: the vouched-for recovered value is served again",
 			pre:  recovered5,
 			do:   func(_ *testing.T, o *Object) { o.ReclaimLocked(self, true) },
-			want: "owner Valid 7.1 1[0] -", wantValue: "c v5 Valid cts50 []"},
+			want: "owner Valid 7.1 1[0] -", wantValue: "c v5 Valid"},
 		{name: "reclaim: a recovered value that had not completed its commit stays Invalid",
 			pre:  recovered5,
 			do:   func(_ *testing.T, o *Object) { o.ReclaimLocked(self, false) },
-			want: "owner Valid 7.1 1[0] -", wantValue: "c v5 Invalid cts50 []"},
+			want: "owner Valid 7.1 1[0] -", wantValue: "c v5 Invalid"},
 		{name: "reclaim: a pending arbitration keeps the entry until its VAL",
 			pre: func(o *Object) { recovered5(o); o.InvalidateLocked(move9, self) },
 			do: func(t *testing.T, o *Object) {
@@ -359,7 +359,7 @@ func TestOwnershipTransitions(t *testing.T) {
 					t.Error("a reclaimed owner acts on an entry an arbitration holds")
 				}
 			},
-			want: "owner Invalid 7.1 1[0] " + move9s, wantValue: "c v5 Valid cts50 []"},
+			want: "owner Invalid 7.1 1[0] " + move9s, wantValue: "c v5 Valid"},
 		{name: "adopt: a newer directory entry replaces the set and leaves the level alone",
 			pre: reader3,
 			do: func(t *testing.T, o *Object) {
@@ -442,7 +442,7 @@ func TestOwnershipInvariantsHold(t *testing.T) {
 				near.Ver--
 			}
 			ver := o.TVersion() + uint64(rng.Intn(3))
-			val := Shipped{Has: rng.Intn(2) == 0, CTS: uint64(rng.Intn(1000)), Version: ver, Data: []byte{byte(step)}}
+			val := Shipped{Has: rng.Intn(2) == 0, Version: ver, Data: []byte{byte(step)}}
 			pend := PendingOwn{ReqID: uint64(seed)<<32 | uint64(step), TS: near, Requester: wire.NodeID(rng.Intn(3)),
 				Driver: wire.NodeID(rng.Intn(3)), Mode: wire.ReqMode(rng.Intn(5)), NewReplicas: randSet(),
 				PrevOwner: wire.NodeID(rng.Intn(3)), Arbiters: wire.Bitmap(rng.Intn(8)), Epoch: wire.Epoch(step)}
@@ -501,7 +501,7 @@ func TestOwnershipInvariantsHold(t *testing.T) {
 				}
 			case r < 19:
 				op = "recover"
-				o.RecoverLocked(self, val.CTS, ver, val.Data, near, randSet())
+				o.RecoverLocked(self, ver, val.Data, near, randSet())
 				floor[i] = wire.OTS{} // a new life
 			case r < 20:
 				op, raises = "reclaim", true
@@ -520,7 +520,7 @@ func TestOwnershipInvariantsHold(t *testing.T) {
 				if o.level == wire.NonReplica {
 					continue
 				}
-				o.StageInvLocked(val.CTS, ver, val.Data)
+				o.StageInvLocked(ver, val.Data)
 				o.ValidateLocked(ver, TInvalid)
 			case r < 25:
 				op = "yield" // the owner NACKed a mover; half of them have run out already

@@ -9,23 +9,23 @@
 // ID and the atomic PendingCommits every field is unexported, and a replica
 // changes only through the transitions below, each called with Mu held from
 // exactly these protocol steps. The value side (payload, ⟨t_version,
-// t_state⟩, commit timestamp, MVCC ring):
+// t_state⟩):
 //
 //	stage     StageLocked          core.Tx.Commit, core.CreateObjectWithReaders:
 //	                               the owner's local commit → next version, Write
 //	          StageInvLocked       commit.applyOneLocked: a follower applies an
-//	                               R-INV → Invalid unless stale; ring entry always
-//	validate  ValidateWriteLocked  commit.completeSlot: every follower acked →
-//	                               Write → Valid if still current; ring entry always
-//	          ValidateLocked       commit.handleVal: R-VAL → Invalid → Valid
+//	                               R-INV → Invalid unless stale
+//	validate  ValidateLocked       commit.completeSlot (every follower acked →
+//	                               Write → Valid), commit.handleVal (R-VAL →
+//	                               Invalid → Valid): only if still current
 //	install   installLocked        inside grant and reclaim only: a committed
 //	                               value that arrived whole
 //	recover   RecoverLocked        core.installRecovered: WAL/snapshot replay of
 //	                               an object this node owned → Invalid hint, no
-//	                               history, no yield, no arbitration, NonReplica
+//	                               yield, no arbitration, NonReplica
 //	drop      dropLocked           inside grant only: this node left the replica
 //	                               set or the object was deleted → no payload,
-//	                               version 0, no history, no yield
+//	                               version 0, no yield
 //
 // The ownership side (o_state, o_ts, o_replicas, the pending arbitration, the
 // access level; ownership.go):
@@ -51,10 +51,9 @@
 // like every transition that returns an arbitration record, a copy: the
 // records are pooled and no pointer to one leaves this package.
 //
-// What holds after any sequence of transitions (TestRingNeverAheadOfWord,
-// TestOwnershipInvariantsHold): a ring entry is published only after the
-// ⟨t_version, t_state⟩ word covers its version, and the payload slice is only
-// ever replaced whole; o_ts never decreases in a record's life, which
+// What holds after any sequence of transitions (TestObjectTransitions,
+// TestOwnershipInvariantsHold): the payload slice is only ever replaced whole;
+// o_ts never decreases in a record's life, which
 // RecoverLocked starts; an arbitration is pending iff o_state is Drive or
 // Invalid; a level rises only by grant — a restarted owner takes its objects
 // back through the directory like any requester — or, where no replica is live
@@ -68,9 +67,9 @@
 // source's version with nothing shipped, and changes nothing.
 //
 // A replica costs its 80-byte record (TestObjectSize) and its index slots, 92
-// bytes an object at 30 000 (TestStoreBytesPerObject); snapshot reads, a
-// transfer-fairness yield and a pending arbitration add one 48-byte side
-// record (Object.cold), recycled through coldPool. The payload is held as a
+// bytes an object at 30 000 (TestStoreBytesPerObject); a transfer-fairness
+// yield and a pending arbitration add one 16-byte side record (Object.cold),
+// recycled through coldPool. The payload is held as a
 // string view of the bytes its writer handed over (adopt, view: the package's
 // one use of unsafe), since a replace-only payload never uses a capacity.
 //
@@ -138,8 +137,8 @@ const NoLocalOwner int32 = -1
 // are protected by Mu; engines lock the object across multi-field updates.
 // The record fills the 80-byte allocation size class (TestObjectSize): every
 // byte is paid once per replica, so the small fields sit together, nothing is
-// stored twice, what a replica uses rarely — snapshot reads, transfer
-// fairness, an arbitration in flight — is behind one pointer (cold), the
+// stored twice, what a replica uses rarely — transfer fairness, an
+// arbitration in flight — is behind one pointer (cold), the
 // payload carries no capacity word, and o_ts and o_replicas are unpacked,
 // their node ids beside the small fields (wire.OTS and wire.ReplicaSet each
 // pad a 2-byte node id to 8).
@@ -178,12 +177,11 @@ type Object struct {
 	otsVer  uint64
 	readers wire.Bitmap
 
-	// cold is nil until a transition records a non-zero commit timestamp
-	// (only snapshot reads mint one), a yield or an arbitration, and nil again
-	// as soon as it holds none of them (settleColdLocked): after drop and
+	// cold is nil until a transition records a yield or an arbitration, and
+	// nil again as soon as it holds neither (settleColdLocked): after drop and
 	// recover, after a VAL settles the arbitration, after a local grant finds
-	// only an expired yield in it. nil reads as "commit timestamp 0, empty
-	// ring, no yield, no arbitration pending".
+	// only an expired yield in it. nil reads as "no yield, no arbitration
+	// pending".
 	cold *coldState
 
 	otsNode wire.NodeID
@@ -206,24 +204,9 @@ type Object struct {
 	PendingCommits atomic.Int32
 }
 
-// coldState is what a replica uses rarely — snapshot reads' timestamp and
-// ring, the transfer-fairness yield, and the arbitration in flight — guarded
-// by Mu. 48 bytes: under snapshot reads a replica costs 128 with its record.
+// coldState is what a replica uses rarely — the transfer-fairness yield and
+// the arbitration in flight — guarded by Mu.
 type coldState struct {
-	// commitCTS is the commit timestamp of the newest reliably-committed
-	// version this replica knows about (0 when unknown, e.g. an object
-	// recovered without a timestamp).
-	commitCTS uint64
-
-	// ring is the per-object MVCC version ring: the last few committed
-	// ⟨CTS, version, payload⟩ triples, newest last, serving snapshot reads
-	// at a timestamp. Entries follow the same REPLACE-ONLY discipline as
-	// data — VersionEntry.Data aliases published payloads and is never
-	// mutated in place — and entries enter only through publishRingLocked.
-	// A published entry's payload may be aliased by concurrent snapshot
-	// readers after Mu is released.
-	ring []VersionEntry
-
 	// yieldUntil implements transfer fairness (§6.2 starvation avoidance):
 	// after NACKing an ownership request for pending commits, the owner
 	// briefly defers granting *new* local write ownership of this object
@@ -246,10 +229,9 @@ type coldState struct {
 // to one leaves this package.
 var coldPool = sync.Pool{New: func() any { return new(coldState) }}
 
-// coldFor returns cold, taken from coldPool first if need is set (nil
-// otherwise).
-func (o *Object) coldFor(need bool) *coldState {
-	if o.cold == nil && need {
+// coldFor returns cold, taken from coldPool first when there is none.
+func (o *Object) coldFor() *coldState {
+	if o.cold == nil {
 		o.cold = coldPool.Get().(*coldState)
 	}
 	return o.cold
@@ -258,19 +240,18 @@ func (o *Object) coldFor(need bool) *coldState {
 // settleColdLocked returns the cold record to coldPool once it holds nothing,
 // so that cold is nil iff it would read as nil.
 func (o *Object) settleColdLocked() {
-	if c := o.cold; c != nil && c.commitCTS == 0 && len(c.ring) == 0 && c.yieldUntil == 0 && c.pending == nil {
+	if c := o.cold; c != nil && c.yieldUntil == 0 && c.pending == nil {
 		*c = coldState{}
 		o.cold = nil
 		coldPool.Put(c)
 	}
 }
 
-// forgetLocked is what drop and recover share (caller holds Mu): no ring, no
-// yield, cts as the commit timestamp; a pending arbitration is the ownership
-// side's to settle.
-func (o *Object) forgetLocked(cts uint64) {
-	if c := o.coldFor(cts != 0); c != nil {
-		c.commitCTS, c.ring, c.yieldUntil = cts, nil, 0
+// forgetLocked is what drop and recover share (caller holds Mu): no yield; a
+// pending arbitration is the ownership side's to settle.
+func (o *Object) forgetLocked() {
+	if c := o.cold; c != nil {
+		c.yieldUntil = 0
 		o.settleColdLocked()
 	}
 }
@@ -289,25 +270,8 @@ func view(s string) []byte {
 	return unsafe.Slice(unsafe.StringData(s), len(s))
 }
 
-// VersionEntry is one committed version in an object's ring.
-type VersionEntry struct {
-	// CTS is the commit timestamp the coordinator minted for the reliable
-	// commit that produced Version.
-	CTS     uint64
-	Version uint64
-	// Data is the committed payload. Replace-only, like the object's.
-	Data []byte
-}
-
-// DefaultRingEntries is the per-object ring capacity: enough to cover the
-// read-timestamp window (a few safe-time exchange intervals) without
-// retaining unbounded history.
-const DefaultRingEntries = 8
-
 // StageLocked is the owner's local commit (caller holds Mu): data becomes the
-// next version, in state Write, and that version is returned. The commit
-// timestamp is minted afterwards by the commit engine, so the ring entry is
-// ValidateWriteLocked's to publish.
+// next version, in state Write, and that version is returned.
 func (o *Object) StageLocked(data []byte) uint64 {
 	ver := o.TVersion() + 1
 	o.data = adopt(data)
@@ -318,17 +282,12 @@ func (o *Object) StageLocked(data []byte) uint64 {
 // StageInvLocked applies one update of an R-INV at a follower (caller holds
 // Mu): a newer version replaces the payload and leaves the replica Invalid; a
 // stale one — a duplicate, or an R-INV overtaken by a later one or by an
-// ownership install — touches neither. The ring entry is published either
-// way, before the R-VAL: a reliable commit never aborts once the coordinator
-// locally committed, so the version is already history, and
-// publish-before-ACK is what lets the follower's ACK vouch that snapshot
-// readers here can see it.
-func (o *Object) StageInvLocked(cts, ver uint64, data []byte) {
+// ownership install — touches neither.
+func (o *Object) StageInvLocked(ver uint64, data []byte) {
 	if ver > o.TVersion() {
 		o.data = adopt(data)
 		o.setTLocked(ver, TInvalid)
 	}
-	o.publishRingLocked(cts, ver, data)
 }
 
 // ValidateLocked flips the replica to Valid iff it still holds exactly
@@ -340,28 +299,12 @@ func (o *Object) ValidateLocked(ver uint64, from TState) {
 	}
 }
 
-// ValidateWriteLocked completes the owner's reliable commit of ver (caller
-// holds Mu): Write → Valid if no later write superseded it, and the ring
-// entry published regardless — a superseding write does not un-commit this
-// version, and the ring insert is version-sorted.
-func (o *Object) ValidateWriteLocked(cts, ver uint64, data []byte) {
-	o.ValidateLocked(ver, TWrite)
-	o.publishRingLocked(cts, ver, data)
-}
-
 // installLocked installs a committed value that arrived whole (caller holds
-// Mu, and has checked ver is not below t_version): payload, ⟨ver, Valid⟩, and
-// cts as the replica's commit timestamp — taken as given, the sender vouches
-// for the version it shipped — and as the ring entry that re-arms snapshot
-// reads here. cts 0, "committed before timestamps existed", publishes nothing.
-func (o *Object) installLocked(cts, ver uint64, data []byte) {
+// Mu, and has checked ver is not below t_version): payload and ⟨ver, Valid⟩,
+// taken as given — the sender vouches for the version it shipped.
+func (o *Object) installLocked(ver uint64, data []byte) {
 	o.data = adopt(data)
 	o.setTLocked(ver, TValid)
-	if c := o.coldFor(cts != 0); c != nil {
-		c.commitCTS = cts
-		o.settleColdLocked()
-	}
-	o.publishRingLocked(cts, ver, data)
 }
 
 // RecoverLocked installs what the WAL and snapshot remembered of an object
@@ -370,16 +313,13 @@ func (o *Object) installLocked(cts, ver uint64, data []byte) {
 // under level NonReplica. A remembered "self is owner" is rewritten to NoNode
 // — ownership may have migrated while the node was down — and the node
 // requests the object back (and, when no replica is live anywhere,
-// ReclaimLocked it). The ring does not survive a restart —
-// its entries vouch for "committed and safe-time-covered", a rejoiner for
-// nothing — while cts is kept so a later validate re-enables RingReadLocked's
-// implicit entry. It starts a record's life (a fresh store, before any handler
-// exists), so it is the one transition that takes o_ts as given, and no yield
-// or arbitration survives it.
-func (o *Object) RecoverLocked(self wire.NodeID, cts, ver uint64, data []byte, ts wire.OTS, reps wire.ReplicaSet) {
+// ReclaimLocked it). It starts a record's life (a fresh store, before any
+// handler exists), so it is the one transition that takes o_ts as given, and
+// no yield or arbitration survives it.
+func (o *Object) RecoverLocked(self wire.NodeID, ver uint64, data []byte, ts wire.OTS, reps wire.ReplicaSet) {
 	o.data = adopt(data)
 	o.setTLocked(ver, TInvalid)
-	o.forgetLocked(cts)
+	o.forgetLocked()
 	o.clearPendingLocked()
 	if reps.Owner == self {
 		reps.Owner = wire.NoNode
@@ -390,84 +330,20 @@ func (o *Object) RecoverLocked(self wire.NodeID, cts, ver uint64, data []byte, t
 }
 
 // dropLocked discards the replica (caller holds Mu) when this node leaves the
-// object's replica set or the object is deleted: no payload, version 0, and no
-// history — a dropped replica must never serve ring reads, and a later
-// re-install must not meet a stale version or timestamp — nor a yield, which
-// only an owner's local writes obey. Its one caller, GrantLocked, has settled
+// object's replica set or the object is deleted: no payload, version 0 — a
+// later re-install must not meet a stale version — and no yield, which only an
+// owner's local writes obey. Its one caller, GrantLocked, has settled
 // the arbitration already, so the cold record goes too.
 func (o *Object) dropLocked() {
 	o.data = ""
 	o.setTLocked(0, TValid)
-	o.forgetLocked(0)
+	o.forgetLocked()
 }
 
 // setTLocked is the one writer of the packed ⟨t_version, t_state⟩ word, which
 // is what keeps a version and its state from ever being observed apart.
 func (o *Object) setTLocked(ver uint64, st TState) {
 	o.tsv.Store(ver<<2 | uint64(st))
-}
-
-// publishRingLocked records a committed version in the ring. The ring never
-// runs ahead of the ⟨t_version, t_state⟩ word: every transition writes the
-// word first, and a version above it (a slot completing on a record dropped
-// since it was staged) is not published. Publication is a sorted insert by
-// version with dedupe: slot completions race (ack handlers run per
-// follower), so version k may be published after k+1 — an append-only ring
-// would drop k and serve a stale read at timestamps in [cts_k, cts_{k+1}).
-// A full ring evicts its oldest entry in place before the insert, so the
-// array never grows past DefaultRingEntries. commitCTS tracks the newest
-// published entry.
-func (o *Object) publishRingLocked(cts, ver uint64, data []byte) {
-	if cts == 0 || ver > o.TVersion() {
-		return // no timestamp known (a seed without snapshot reads), or not this record's history
-	}
-	h := o.coldFor(true)
-	i := len(h.ring)
-	for i > 0 && h.ring[i-1].Version >= ver {
-		if h.ring[i-1].Version == ver {
-			return // already published
-		}
-		i--
-	}
-	if len(data) == 0 {
-		data = nil // as view serves the implicit entry's empty payload
-	}
-	e := VersionEntry{CTS: cts, Version: ver, Data: data}
-	switch {
-	case len(h.ring) < DefaultRingEntries:
-		h.ring = append(h.ring, VersionEntry{})
-		copy(h.ring[i+1:], h.ring[i:])
-		h.ring[i] = e
-	case i > 0:
-		copy(h.ring, h.ring[1:i])
-		h.ring[i-1] = e
-	} // else full and older than the oldest retained version: e is the entry to evict
-	if cts > h.commitCTS {
-		h.commitCTS = cts
-	}
-}
-
-// RingReadLocked returns the newest committed version with CTS ≤ ts
-// (caller holds Mu). When the ring has no entries at or below ts, the
-// current committed value stands in: a validated object whose commitCTS ≤
-// ts (including commitCTS 0 — committed before timestamps existed, hence
-// before any read timestamp) is itself the snapshot. ok=false means this
-// replica's retained history starts after ts and the read must retry at a
-// fresher timestamp.
-func (o *Object) RingReadLocked(ts uint64) (VersionEntry, bool) {
-	var cts uint64
-	if h := o.cold; h != nil {
-		for i := len(h.ring) - 1; i >= 0; i-- {
-			if h.ring[i].CTS <= ts {
-				return h.ring[i], true
-			}
-		}
-		cts = h.commitCTS
-	}
-	if ver, st := o.TSnapshot(); st == TValid && cts <= ts {
-		return VersionEntry{CTS: cts, Version: ver, Data: view(o.data)}, true
-	}
-	return VersionEntry{}, false
 }
 
 // GrantLocalLocked attempts to make worker the local owner (caller holds Mu).
@@ -495,7 +371,7 @@ func (o *Object) GrantLocalLocked(worker int32) bool {
 // YieldLocalLocked refuses new local write grants for the next d (caller
 // holds Mu): the transfer-fairness yield, see coldState.yieldUntil.
 func (o *Object) YieldLocalLocked(d time.Duration) {
-	o.coldFor(true).yieldUntil = monoNow() + int64(d)
+	o.coldFor().yieldUntil = monoNow() + int64(d)
 }
 
 // monoNow is the monotonic clock in nanoseconds since process start: a
@@ -546,15 +422,6 @@ func (o *Object) SnapshotRef() (TState, uint64, wire.AccessLevel, []byte) {
 // when there is none. Like SnapshotRef's result it may be read after Mu is
 // released and must never be written through (zeuslint frozen).
 func (o *Object) DataLocked() []byte { return view(o.data) }
-
-// CommitCTSLocked returns the commit timestamp of the newest reliably
-// committed version this replica knows about, 0 when unknown (caller holds Mu).
-func (o *Object) CommitCTSLocked() uint64 {
-	if o.cold == nil {
-		return 0
-	}
-	return o.cold.commitCTS
-}
 
 // shardCount scales with the host (the same policy as the ownership
 // engine's stripes — see shardmap.ScaledCount).

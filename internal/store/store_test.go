@@ -1,7 +1,6 @@
 package store
 
 import (
-	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -159,7 +158,7 @@ func TestSnapshotRefStableAcrossReplace(t *testing.T) {
 	s := New()
 	o, _ := s.GetOrCreate(1)
 	o.Mu.Lock()
-	o.installLocked(0, 1, []byte("v1"))
+	o.installLocked(1, []byte("v1"))
 	o.Mu.Unlock()
 
 	st, ver, lvl, ref := o.SnapshotRef()
@@ -285,22 +284,21 @@ func TestGetOrCreatePropertyIdempotent(t *testing.T) {
 // Go rounds it up to the 96-byte class, 16 bytes more per replica, three
 // times per object. It reached 80 by two moves from 96: the pending
 // arbitration's pointer went into the cold record, and the payload is a
-// string view, which drops the capacity word of a slice. Under snapshot reads
-// the cold record adds its 48-byte class: 128 in all.
+// string view, which drops the capacity word of a slice. A yield or an
+// arbitration adds the cold record's 16-byte class: 96 in all.
 func TestObjectSize(t *testing.T) {
 	if got := unsafe.Sizeof(Object{}); got > 80 {
 		t.Fatalf("store.Object is %d bytes, must stay within the 80-byte size class", got)
 	}
-	if got := unsafe.Sizeof(Object{}) + unsafe.Sizeof(coldState{}); got > 128 {
-		t.Fatalf("store.Object and its cold record are %d bytes, must stay within 128", got)
+	if got := unsafe.Sizeof(Object{}) + unsafe.Sizeof(coldState{}); got > 96 {
+		t.Fatalf("store.Object and its cold record are %d bytes, must stay within 96", got)
 	}
 }
 
 // TestPayloadIsTheAdoptedArray: the payload is held without its capacity but
-// is still the caller's array, not a copy — DataLocked, SnapshotRef and the
-// ring read's implicit entry return the very bytes a transition adopted, with
-// cap == len — and an empty payload reads as nil, never as a non-nil empty
-// slice, from a ring entry as from the record: the WAL and snapshot codecs
+// is still the caller's array, not a copy — DataLocked and SnapshotRef return
+// the very bytes a transition adopted, with cap == len — and an empty payload
+// reads as nil, never as a non-nil empty slice: the WAL and snapshot codecs
 // write a nil payload as "no data".
 func TestPayloadIsTheAdoptedArray(t *testing.T) {
 	same := func(what string, got, want []byte) {
@@ -311,40 +309,33 @@ func TestPayloadIsTheAdoptedArray(t *testing.T) {
 	}
 	v := make([]byte, 8, 16)[2:5:5] // clipped, as Set and Seed hand it over
 	o, _ := New().GetOrCreate(1)
-	// reads returns what the three read paths serve once do has run.
-	reads := func(do func()) (data, ref, ring []byte, served bool) {
+	// reads returns what the two read paths serve once do has run.
+	reads := func(do func()) (data, ref []byte) {
 		o.Mu.Lock()
 		do()
 		data = o.DataLocked()
-		e, ok := o.RingReadLocked(math.MaxUint64)
 		o.Mu.Unlock()
 		_, _, _, ref = o.SnapshotRef()
-		return data, ref, e.Data, ok
+		return data, ref
 	}
 
-	data, ref, ring, served := reads(func() { o.installLocked(0, 1, v) })
+	data, ref := reads(func() { o.installLocked(1, v) })
 	same("DataLocked", data, v)
 	same("SnapshotRef", ref, v)
-	if !served {
-		t.Fatal("the implicit ring entry was not served")
-	}
-	same("RingReadLocked", ring, v)
 	for _, step := range []struct {
 		name string
 		do   func()
 	}{
 		{"an empty payload committed", func() { o.ValidateLocked(o.StageLocked([]byte{}), TWrite) }},
-		{"an empty payload published to the ring", func() { o.StageInvLocked(7, o.TVersion()+1, []byte{}) }},
+		{"an empty payload applied from an R-INV", func() { o.StageInvLocked(o.TVersion()+1, []byte{}) }},
 		{"a drop", o.dropLocked},
 		{"a recovery without data", func() {
-			o.RecoverLocked(0, 0, 2, nil, wire.OTS{}, wire.ReplicaSet{})
+			o.RecoverLocked(0, 2, nil, wire.OTS{}, wire.ReplicaSet{})
 			o.ValidateLocked(o.TSnapshot())
 		}},
 	} {
-		data, ref, ring, served := reads(step.do)
-		if data != nil || ref != nil || ring != nil || !served {
-			t.Errorf("after %s: DataLocked %#v, SnapshotRef %#v, ring read %#v (served %v); want nil, nil, nil (true)",
-				step.name, data, ref, ring, served)
+		if data, ref := reads(step.do); data != nil || ref != nil {
+			t.Errorf("after %s: DataLocked %#v, SnapshotRef %#v; want nil, nil", step.name, data, ref)
 		}
 	}
 }
@@ -568,56 +559,6 @@ func TestYieldLocalDefersNewGrants(t *testing.T) {
 	}
 	if o.LocalOwnerLocked() != 3 {
 		t.Fatal("the yield took the object from the worker holding it")
-	}
-}
-
-// TestPublishRingStaysInPlace: the ring holds the DefaultRingEntries newest
-// distinct versions, sorted, whatever order they were published in — and a
-// full ring makes room before the insert, so its array never grows past
-// DefaultRingEntries (appending first used to double it on the ninth
-// publish, for good).
-func TestPublishRingStaysInPlace(t *testing.T) {
-	inOrder := make([]uint64, 100)
-	for i := range inOrder {
-		inOrder[i] = uint64(i + 1)
-	}
-	shuffled := slices.Clone(inOrder)
-	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) {
-		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-	})
-	withDuplicates := append(slices.Clone(shuffled), shuffled[:50]...)
-	for name, versions := range map[string][]uint64{
-		"in order": inOrder, "shuffled": shuffled, "duplicates": withDuplicates,
-	} {
-		o := &Object{}
-		o.setTLocked(100, TValid) // the ring never runs ahead of the word
-		var want []uint64         // the reference: sorted insert, dedupe, then drop the oldest
-		for _, v := range versions {
-			o.publishRingLocked(1000+v, v, []byte{byte(v)})
-			if i, dup := slices.BinarySearch(want, v); !dup {
-				want = slices.Insert(want, i, v)
-				if len(want) > DefaultRingEntries {
-					want = want[1:]
-				}
-			}
-			ring := o.ringForTest()
-			if cap(ring) > DefaultRingEntries {
-				t.Fatalf("%s: ring array grew to %d slots after publishing v%d", name, cap(ring), v)
-			}
-			got := make([]uint64, len(ring))
-			for i, e := range ring {
-				got[i] = e.Version
-				if e.CTS != 1000+e.Version || e.Data[0] != byte(e.Version) {
-					t.Fatalf("%s: entry %d = %+v does not belong to its version", name, i, e)
-				}
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s: after publishing v%d the ring holds %v, want %v", name, v, got, want)
-			}
-		}
-		if cts := o.CommitCTSLocked(); cts != 1100 {
-			t.Fatalf("%s: commitCTS %d, want the newest published (1100)", name, cts)
-		}
 	}
 }
 

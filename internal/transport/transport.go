@@ -120,8 +120,8 @@ func Flush(t Transport) {
 // ordering does not exist in the paper either, the ownership protocol
 // tolerates cross-object reordering by construction (o_ts arbitration), and
 // VAL-vs-INV races on one object are impossible across shards because both
-// carry the same ObjectID. Unkeyed kinds (membership, directory and restart
-// sync, safe time, observability) keep today's inline delivery. Shard queues
+// carry the same ObjectID. Unkeyed kinds (membership, directory, observability)
+// keep today's inline delivery. Shard queues
 // are unbounded FIFOs: the commit pipeline's MaxPipelineDepth backpressure
 // bounds them in steady state, and never blocking the transport goroutine
 // rules out delivery deadlocks between mutually-loaded nodes.

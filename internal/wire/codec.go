@@ -406,7 +406,7 @@ func (d *dec) objsList() []ObjectID {
 func CommitSize(m Msg) (n int, ok bool) {
 	switch v := m.(type) {
 	case *CommitInv:
-		n = 42 // kind + tx + epoch + followers + prevval + replay + count + cts
+		n = 34 // kind + tx + epoch + followers + prevval + replay + count
 		for i := range v.Updates {
 			n += 20 + len(v.Updates[i].Data) // obj + version + length prefix
 		}
@@ -466,7 +466,6 @@ func AppendMarshal(dst []byte, m Msg) []byte {
 		e.boolean(v.HasData)
 		e.u64(v.TVersion)
 		e.bytes(v.Data)
-		e.u64(v.CTS)
 	case *OwnVal:
 		e.u64(v.ReqID)
 		e.obj(v.Obj)
@@ -490,7 +489,6 @@ func AppendMarshal(dst []byte, m Msg) []byte {
 		e.boolean(v.HasData)
 		e.u64(v.TVersion)
 		e.bytes(v.Data)
-		e.u64(v.CTS)
 	case *CommitInv:
 		e.tx(v.Tx)
 		e.epoch(v.Epoch)
@@ -498,7 +496,6 @@ func AppendMarshal(dst []byte, m Msg) []byte {
 		e.boolean(v.PrevVal)
 		e.boolean(v.Replay)
 		e.updates(v.Updates)
-		e.u64(v.CTS)
 	case *CommitAck:
 		e.tx(v.Tx)
 		e.epoch(v.Epoch)
@@ -576,9 +573,6 @@ func AppendMarshal(dst []byte, m Msg) []byte {
 	case *ObsState:
 		e.node(v.From)
 		e.epoch(v.Epoch)
-		e.u64(v.AppliedWM)
-		e.u64(v.SafeTime)
-		e.u64(v.Clock)
 		e.u64(v.Commits)
 		e.u64(v.Incidents)
 		e.bytes(v.Metrics)
@@ -622,7 +616,7 @@ func unmarshal(p []byte, dc *Decoder) (Msg, error) {
 			ReqID: d.u64(), Obj: d.obj(), TS: d.ots(), Epoch: d.epoch(),
 			From: d.node(), Arbiters: d.bitmap(), NewReplicas: d.replicas(),
 			Mode: ReqMode(d.u8()), HasData: d.boolean(), TVersion: d.u64(),
-			Data: d.bytes(), CTS: d.u64(),
+			Data: d.bytes(),
 		})
 	case KindOwnVal:
 		m = put(dc, &dc.ownVals, d, OwnVal{ReqID: d.u64(), Obj: d.obj(), TS: d.ots(), Epoch: d.epoch()})
@@ -636,14 +630,13 @@ func unmarshal(p []byte, dc *Decoder) (Msg, error) {
 			ReqID: d.u64(), Obj: d.obj(), TS: d.ots(), Epoch: d.epoch(),
 			Driver: d.node(), Arbiters: d.bitmap(), NewReplicas: d.replicas(),
 			Mode: ReqMode(d.u8()), HasData: d.boolean(), TVersion: d.u64(),
-			Data: d.bytes(), CTS: d.u64(),
+			Data: d.bytes(),
 		})
 	case KindCommitInv:
 		v, inline := dc.inv()
 		*v = CommitInv{
 			Tx: d.tx(), Epoch: d.epoch(), Followers: d.bitmap(),
 			PrevVal: d.boolean(), Replay: d.boolean(), Updates: d.updates(inline),
-			CTS: d.u64(),
 		}
 		dc.settleInv(d.err == nil)
 		m = v
@@ -695,8 +688,7 @@ func unmarshal(p []byte, dc *Decoder) (Msg, error) {
 		m = &ObsPull{From: d.node(), Full: d.boolean()}
 	case KindObsState:
 		m = &ObsState{
-			From: d.node(), Epoch: d.epoch(), AppliedWM: d.u64(),
-			SafeTime: d.u64(), Clock: d.u64(), Commits: d.u64(),
+			From: d.node(), Epoch: d.epoch(), Commits: d.u64(),
 			Incidents: d.u64(), Metrics: d.bytes(),
 		}
 	default:

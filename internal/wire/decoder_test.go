@@ -17,7 +17,6 @@ func testInv(seq uint64, n int) *CommitInv {
 		Epoch:     3,
 		Followers: BitmapOf(0, 1),
 		PrevVal:   seq%2 == 0,
-		CTS:       1000 + seq,
 	}
 	for i := 0; i < n; i++ {
 		m.Updates = append(m.Updates, Update{
@@ -91,7 +90,7 @@ func chunkedKinds() []chunkedKind {
 		chunked("ACK", func(dc *Decoder) *Chunk[OwnAck] { return &dc.ownAcks }, 1, func(seq uint64) Msg {
 			return &OwnAck{ReqID: seq, Obj: ObjectID(seq * 10), TS: ts(seq), Epoch: 2, From: 1,
 				Arbiters: BitmapOf(0, 1, 2), NewReplicas: reps(seq), Mode: AcquireOwner,
-				HasData: true, TVersion: seq + 5, Data: data(seq), CTS: 1000 + seq}
+				HasData: true, TVersion: seq + 5, Data: data(seq)}
 		}),
 		chunked("VAL", func(dc *Decoder) *Chunk[OwnVal] { return &dc.ownVals }, 0, func(seq uint64) Msg {
 			return &OwnVal{ReqID: seq, Obj: ObjectID(seq * 10), TS: ts(seq), Epoch: 2}
@@ -103,7 +102,7 @@ func chunkedKinds() []chunkedKind {
 		chunked("RESP", func(dc *Decoder) *Chunk[OwnResp] { return &dc.ownResps }, 1, func(seq uint64) Msg {
 			return &OwnResp{ReqID: seq, Obj: ObjectID(seq * 10), TS: ts(seq), Epoch: 2, Driver: 1,
 				Arbiters: BitmapOf(0, 1), NewReplicas: reps(seq), Mode: AcquireOwner,
-				HasData: true, TVersion: seq + 5, Data: data(seq), CTS: 1000 + seq}
+				HasData: true, TVersion: seq + 5, Data: data(seq)}
 		}),
 		chunked("LEASE", func(dc *Decoder) *Chunk[VSLeaseMsg] { return &dc.leases }, 0, func(seq uint64) Msg {
 			return &VSLeaseMsg{Nodes: BitmapOf(NodeID(seq % 3)), Heartbeat: seq%2 == 0, Ballot: seq}
@@ -270,7 +269,7 @@ func TestDecoderAllocs(t *testing.T) {
 // TestChunkedRecordSizes: OwnAck and OwnResp hold a pointer (Data), so a
 // chunk of them carries Go's 8-byte malloc header. At 112 bytes that was
 // 16 × 112 + 8 = 1800, past the 1792-byte size class into the 2048-byte one;
-// with Mode and HasData packed beside From they are 104, and a chunk is 1672.
+// with Mode and HasData packed beside From they are 96, and a chunk is 1544.
 func TestChunkedRecordSizes(t *testing.T) {
 	const sizeClass = 1792
 	for _, r := range []struct {

@@ -65,8 +65,7 @@ const (
 	_
 	_
 
-	// Safe-time exchange: per-node applied watermarks backing MVCC
-	// snapshot reads.
+	// A probe no engine handles (SafeTime).
 	KindSafeTime
 
 	// Observability pull: a tool (zeusctl metrics/status) asks a node for
@@ -159,7 +158,7 @@ func (*OwnInv) Kind() Kind { return KindOwnInv }
 // driver during arb-replay. The data source reports its version (TVersion)
 // and ships the data when the requester holds an older one. Field order is
 // memory layout only (the codec writes fields by name): Mode and HasData fill
-// Epoch/From's word, which keeps the record at 104 bytes
+// Epoch/From's word, which keeps the record at 96 bytes
 // (TestChunkedRecordSizes).
 type OwnAck struct {
 	ReqID       uint64
@@ -173,9 +172,6 @@ type OwnAck struct {
 	NewReplicas ReplicaSet
 	TVersion    uint64
 	Data        []byte
-	// CTS is the piggybacked value's commit timestamp (0 when unknown),
-	// seeding the requester's version ring for snapshot reads.
-	CTS uint64
 }
 
 func (*OwnAck) Kind() Kind { return KindOwnAck }
@@ -219,8 +215,6 @@ type OwnResp struct {
 	NewReplicas ReplicaSet
 	TVersion    uint64
 	Data        []byte
-	// CTS mirrors OwnAck.CTS for the recovery-path data hand-off.
-	CTS uint64
 }
 
 func (*OwnResp) Kind() Kind { return KindOwnResp }
@@ -243,11 +237,6 @@ type CommitInv struct {
 	// Replay marks a replayed R-INV after a coordinator failure.
 	Replay  bool
 	Updates []Update
-	// CTS is the commit timestamp minted from the coordinator's hybrid
-	// logical clock when the slot was registered. Followers merge it into
-	// their clocks and publish it with the ring entries of the updates, so
-	// MVCC snapshot reads can pick the newest version ≤ a read timestamp.
-	CTS uint64
 }
 
 func (*CommitInv) Kind() Kind { return KindCommitInv }
@@ -607,16 +596,13 @@ type DirState struct {
 func (*DirState) Kind() Kind { return KindDirState }
 
 // ---------------------------------------------------------------------------
-// Safe-time exchange (MVCC snapshot reads).
+// Transport probe.
 // ---------------------------------------------------------------------------
 
-// SafeTime advertises the sender's applied watermark WM: every reliable
-// commit the sender coordinates with CTS ≤ WM is applied (and
-// ring-published) at all of its followers, and every R-INV the sender
-// accepted with CTS ≤ WM is applied locally. Receivers fold the reports
-// into safetime.Tracker; min over live nodes, made monotone, is the
-// safe-time at which any replica may serve snapshot reads. Epoch-fenced
-// like every protocol message.
+// SafeTime is a small message no engine handles. Its one user is the
+// benchmark's hub round-trip probe (benchmark/ladder.go), which times it
+// through the transport alone. The kind keeps its number, as retired kinds
+// do.
 type SafeTime struct {
 	From  NodeID
 	Epoch Epoch
@@ -641,15 +627,11 @@ type ObsPull struct {
 func (*ObsPull) Kind() Kind { return KindObsPull }
 
 // ObsState answers an ObsPull with the node's liveness scalars — current
-// epoch, applied watermark, safe-time and clock (snapshot-read staleness is
-// Clock - SafeTime), committed transaction count, watchdog incident count —
-// plus, when Full was requested, the full text-format metric dump.
+// epoch, committed transaction count, watchdog incident count — plus, when
+// Full was requested, the full text-format metric dump.
 type ObsState struct {
 	From      NodeID
 	Epoch     Epoch
-	AppliedWM uint64
-	SafeTime  uint64
-	Clock     uint64
 	Commits   uint64
 	Incidents uint64
 	Metrics   []byte

@@ -151,16 +151,15 @@ func allMessages() []Msg {
 			PrevOwner: 1, Arbiters: BitmapOf(0, 1, 2), Recovery: true, Holds: 10},
 		&OwnAck{ReqID: 7, Obj: 42, TS: OTS{9, 1}, Epoch: 2, From: 1,
 			Arbiters: BitmapOf(0, 1, 2), NewReplicas: ReplicaSet{Owner: 3, Readers: BitmapOf(1)},
-			Mode: AcquireOwner, HasData: true, TVersion: 11, Data: data, CTS: 77},
+			Mode: AcquireOwner, HasData: true, TVersion: 11, Data: data},
 		&OwnVal{ReqID: 7, Obj: 42, TS: OTS{9, 1}, Epoch: 2},
 		&OwnNack{ReqID: 7, Obj: 42, Epoch: 2, From: 1, Reason: NackPendingCommit},
 		&OwnResp{ReqID: 7, Obj: 42, TS: OTS{9, 1}, Epoch: 2, Driver: 0,
 			Arbiters: BitmapOf(0, 1), NewReplicas: ReplicaSet{Owner: 3}, Mode: AcquireOwner,
-			HasData: true, TVersion: 4, Data: data, CTS: 78},
+			HasData: true, TVersion: 4, Data: data},
 		&CommitInv{Tx: TxID{Pipe: PipeID{Node: 2, Worker: 5}, Local: 99}, Epoch: 3,
 			Followers: BitmapOf(0, 1), PrevVal: true, Replay: true,
-			Updates: []Update{{Obj: 1, Version: 2, Data: data}, {Obj: 9, Version: 1, Data: nil}},
-			CTS:     1234567},
+			Updates: []Update{{Obj: 1, Version: 2, Data: data}, {Obj: 9, Version: 1, Data: nil}}},
 		&CommitAck{Tx: TxID{Pipe: PipeID{Node: 2, Worker: 5}, Local: 99}, Epoch: 3, From: 1},
 		&CommitVal{Tx: TxID{Pipe: PipeID{Node: 2, Worker: 5}, Local: 99}, Epoch: 3},
 		&BReadReq{ReqID: 5, Obj: 10},
@@ -193,8 +192,7 @@ func allMessages() []Msg {
 		}},
 		&SafeTime{From: 2, Epoch: 5, WM: 987654321},
 		&ObsPull{From: 3, Full: true},
-		&ObsState{From: 1, Epoch: 4, AppliedWM: 10, SafeTime: 9, Clock: 11,
-			Commits: 5, Incidents: 1, Metrics: []byte("zeus_commits_total 5\n")},
+		&ObsState{From: 1, Epoch: 4, Commits: 5, Incidents: 1, Metrics: []byte("zeus_commits_total 5\n")},
 	}
 }
 
@@ -459,13 +457,13 @@ func TestEncodedSizes(t *testing.T) {
 		kind Kind
 		size int
 	}{
-		{KindOwnReq, 44}, {KindOwnInv, 65}, {KindOwnAck, 92}, {KindOwnVal, 31},
-		{KindOwnNack, 24}, {KindOwnResp, 92}, {KindCommitInv, 101}, {KindCommitAck, 22},
+		{KindOwnReq, 44}, {KindOwnInv, 65}, {KindOwnAck, 84}, {KindOwnVal, 31},
+		{KindOwnNack, 24}, {KindOwnResp, 84}, {KindCommitInv, 93}, {KindCommitAck, 22},
 		{KindCommitVal, 20}, {KindBReadReq, 17}, {KindBResp, 41}, {KindBLock, 45},
 		{KindBValidate, 29}, {KindBBackup, 52}, {KindBCommit, 52}, {KindBAbort, 37},
 		{KindVSPropose, 24}, {KindVSPropose, 10}, {KindVSAccept, 123}, {KindVSCommit, 122},
 		{KindVSLease, 18}, {KindVSQuery, 85}, {KindDirPull, 23}, {KindDirState, 73},
-		{KindSafeTime, 15}, {KindObsPull, 4}, {KindObsState, 72},
+		{KindSafeTime, 15}, {KindObsPull, 4}, {KindObsState, 48},
 	}
 	msgs := allMessages()
 	if len(msgs) != len(want) {
@@ -494,7 +492,7 @@ func TestCommitSizeExact(t *testing.T) {
 		return us
 	}
 	msgs := []Msg{
-		&CommitInv{Tx: tx, Epoch: 3, Followers: BitmapOf(0, 2), PrevVal: true, CTS: 5},
+		&CommitInv{Tx: tx, Epoch: 3, Followers: BitmapOf(0, 2), PrevVal: true},
 		&CommitInv{Tx: tx, Epoch: 3, Followers: BitmapOf(0, 2), Updates: upd(64)},
 		&CommitInv{Tx: tx, Epoch: 3, Followers: BitmapOf(0, 2), Replay: true, Updates: upd(0, 400, 7)},
 		&CommitAck{Tx: tx, Epoch: 3, From: 2},

@@ -84,13 +84,6 @@ type Options struct {
 	// OnOwnershipLatency observes every successful ownership request's
 	// latency (the Figure 12 metric).
 	OnOwnershipLatency func(time.Duration)
-	// SnapshotReads enables MVCC snapshot reads: read-only transactions
-	// read at a hybrid-logical-clock timestamp from per-object version
-	// rings on ANY local replica, delaying until the cluster's
-	// quorum-advanced safe-time covers the timestamp. Strictly
-	// serializable, zero owner traffic — read throughput scales with the
-	// replica count.
-	SnapshotReads bool
 	// Observability gives every node an obs.Registry: per-node counters and
 	// latency histograms across the commit, ownership, storage and transport
 	// layers, sampled per-transaction traces, and the commit-engine debt
@@ -131,7 +124,6 @@ func New(opts Options) *Cluster {
 		}
 	}
 	co.OnOwnershipLatency = opts.OnOwnershipLatency
-	co.SnapshotReads = opts.SnapshotReads
 	co.Observability = opts.Observability
 	co.TraceSample = opts.TraceSample
 	co.WatchdogAge = opts.WatchdogAge
@@ -244,13 +236,10 @@ func scoped(fn func(*Tx) error) func(dbapi.Txn) error {
 
 // Stats reports this node's transaction counters.
 type Stats struct {
-	Commits         uint64
-	Aborts          uint64
-	ReadOnlyCommits uint64
-	ReadOnlyAborts  uint64
-	// SnapshotReads counts object reads served from the local version ring
-	// by snapshot transactions (Options.SnapshotReads mode).
-	SnapshotReads    uint64
+	Commits          uint64
+	Aborts           uint64
+	ReadOnlyCommits  uint64
+	ReadOnlyAborts   uint64
 	OwnershipMoves   uint64
 	PendingPipelines int
 }
@@ -264,7 +253,6 @@ func (n *Node) Stats() Stats {
 		Aborts:           cs.Aborts,
 		ReadOnlyCommits:  cs.ROCommits,
 		ReadOnlyAborts:   cs.ROAborts,
-		SnapshotReads:    cs.SnapshotReads,
 		OwnershipMoves:   os.Succeeded,
 		PendingPipelines: n.n.CommitEngine().PendingSlots(),
 	}
