@@ -62,7 +62,7 @@ func liveHeap() int64 {
 // TestFootprintCeilings: live heap follows the data. An idle 3-node cluster
 // holds what its goroutines and tables need — no pre-sized delivery buffers
 // (seven 65 536-frame hub inboxes were 22 MB of it) — and a seeded object
-// costs, per replica, its record (80 B), its index slots and a third of the
+// costs, per replica, its record (64 B), its index slots and a third of the
 // payload the three replicas share: nothing pinned beside them (the seeded
 // ring entry and a dead copy of the payload were another 112 B). 30 000
 // objects is the benchmark's population.
@@ -71,7 +71,7 @@ func TestFootprintCeilings(t *testing.T) {
 	for _, row := range []struct {
 		objects int
 		ceiling float64
-	}{{10000, 128}, {30000, 116}} {
+	}{{10000, 112}, {30000, 100}} {
 		before := liveHeap()
 		c := zeus.New(zeus.Options{Nodes: 3})
 		idle := liveHeap() - before
@@ -85,8 +85,8 @@ func TestFootprintCeilings(t *testing.T) {
 		if idle >= 4<<20 {
 			t.Errorf("an idle 3-node cluster holds %.2f MB of live heap, must stay below 4 MB", float64(idle)/1e6)
 		}
-		// Achieved: 0.29 MB, and 80 + 64/3 + the index: 116 at 10 000
-		// objects, 113 at 30 000. The index's share moves with where each
+		// Achieved: 0.31 MB, and 64 + 64/3 + the index: 99.7 at 10 000
+		// objects, 96.7 at 30 000. The index's share moves with where each
 		// shard's population falls between two table lengths — 11 to 18 B
 		// an entry, 13.5 on average, over stores of 2 thousand to 2 million
 		// objects in the 64 shards of a host with up to 8 processors.

@@ -142,6 +142,9 @@ func main() {
 	if *id < 0 || wire.NodeID(*id) > viewsvc.MaxDataNode {
 		log.Fatalf("zeusd: -id %d out of range (0..%d)", *id, viewsvc.MaxDataNode)
 	}
+	if *workers > core.MaxWorkers {
+		log.Fatalf("zeusd: -workers %d out of range (at most %d)", *workers, core.MaxWorkers)
+	}
 	self := wire.NodeID(*id)
 	if peers != nil {
 		if _, ok := peers[self]; !ok {

@@ -358,8 +358,13 @@ func (c *Cluster) Bytes() uint64 { return c.fabric.Bytes() }
 // back, and a node it leaves out drops its copy. Seed adopts data as a
 // transaction's Set does: the slice, capacity clipped (an empty one as nil), is
 // the version every replica shares, so the caller must not write it after the
-// call; one slice that nobody writes may seed many objects.
-func (c *Cluster) Seed(obj wire.ObjectID, owner wire.NodeID, readers wire.Bitmap, data []byte) {
+// call; one slice that nobody writes may seed many objects. A value that
+// would not fit an R-INV on its own (wire.UpdateSize over wire.MaxBlob) is
+// refused with wire.ErrTooLarge, and nothing is installed.
+func (c *Cluster) Seed(obj wire.ObjectID, owner wire.NodeID, readers wire.Bitmap, data []byte) error {
+	if size := wire.UpdateSize(len(data)); size > wire.MaxBlob {
+		return fmt.Errorf("cluster: seeding %d bytes, over the %d one R-INV carries: %w", size, wire.MaxBlob, wire.ErrTooLarge)
+	}
 	reps := wire.ReplicaSet{Owner: owner, Readers: readers.Remove(owner)}
 	ts := wire.OTS{Ver: 1, Node: owner}
 	if data = slices.Clip(data); len(data) == 0 {
@@ -367,8 +372,10 @@ func (c *Cluster) Seed(obj wire.ObjectID, owner wire.NodeID, readers wire.Bitmap
 	}
 	// Directory entries land at the object's arbitration drivers.
 	targets := reps.All().Union(c.DirDrivers(obj))
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	for id := range targets.Each {
-		n := c.Node(int(id))
+		n := c.nodes[id]
 		if n == nil {
 			continue
 		}
@@ -381,23 +388,28 @@ func (c *Cluster) Seed(obj wire.ObjectID, owner wire.NodeID, readers wire.Bitmap
 		o.GrantLocked(id, ts, reps, val)
 		o.Mu.Unlock()
 	}
+	return nil
 }
 
 // SeedRange seeds objects [from, from+count) round-robin across owners with
-// the default degree-1 readers after each owner, all with the same value.
-func (c *Cluster) SeedRange(from wire.ObjectID, count int, data []byte) {
-	live := c.Live().Nodes()
+// the default degree-1 readers after each owner, all with the same value, and
+// stops at the first refusal.
+func (c *Cluster) SeedRange(from wire.ObjectID, count int, data []byte) error {
+	live := c.Live()
+	nodes := live.Nodes()
 	for i := 0; i < count; i++ {
-		obj := from + wire.ObjectID(i)
-		owner := live[i%len(live)]
-		c.Seed(obj, owner, core.DefaultReaders(c.Live(), owner, c.opts.Degree), data)
+		owner := nodes[i%len(nodes)]
+		if err := c.Seed(from+wire.ObjectID(i), owner, core.DefaultReaders(live, owner, c.opts.Degree), data); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // SeedAt seeds one object at an explicit owner with the live view's
 // core.DefaultReaders, adopting data as Seed does.
-func (c *Cluster) SeedAt(obj wire.ObjectID, owner wire.NodeID, data []byte) {
-	c.Seed(obj, owner, core.DefaultReaders(c.Live(), owner, c.opts.Degree), data)
+func (c *Cluster) SeedAt(obj wire.ObjectID, owner wire.NodeID, data []byte) error {
+	return c.Seed(obj, owner, core.DefaultReaders(c.Live(), owner, c.opts.Degree), data)
 }
 
 // WaitIdle waits for every node's commit pipelines to drain.

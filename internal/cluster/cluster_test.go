@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -366,6 +367,67 @@ func TestOwnershipLatencyHookWiring(t *testing.T) {
 	}
 	if n == 0 {
 		t.Fatal("latency hook never fired")
+	}
+}
+
+// TestTCPCarriesEveryWriteItTakes: a TCP read loop hangs up on a frame over
+// wire.MaxMsg, and the commit's resend loop would then send the R-INV into
+// fresh sockets forever. So a write that one R-INV cannot carry is refused
+// before it reaches the wire: a value, or a transaction's values together,
+// over wire.MaxBlob counted by wire.UpdateSize — a replaced value no longer
+// counts — and a seed of such a value. The transaction that was refused
+// still commits what it took. (The large buffers are never written, so they
+// cost address space, not memory.)
+func TestTCPCarriesEveryWriteItTakes(t *testing.T) {
+	opts := DefaultOptions(3)
+	opts.Fabric = FabricTCP
+	c := New(opts)
+	defer c.Close()
+	c.SeedAt(1, 0, []byte("a"))
+	c.SeedAt(2, 0, []byte("b"))
+	whole := make([]byte, wire.MaxBlob)
+	if err := c.SeedAt(3, 0, whole); !errors.Is(err, wire.ErrTooLarge) {
+		t.Errorf("Seed of %d bytes answered %v, want wire.ErrTooLarge", len(whole), err)
+	}
+	tx := c.Node(0).BeginOn(0)
+	defer tx.Abort()
+	if err := tx.Set(1, whole); !errors.Is(err, wire.ErrTooLarge) {
+		t.Fatalf("Set of %d bytes answered %v, want wire.ErrTooLarge", len(whole), err)
+	}
+	half := whole[:wire.MaxBlob/2]
+	if err := tx.Set(1, half); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Set(2, half); !errors.Is(err, wire.ErrTooLarge) {
+		t.Fatalf("a second Set of %d bytes answered %v, want wire.ErrTooLarge", len(half), err)
+	}
+	if err := tx.Set(1, []byte("a2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Set(2, half); err != nil {
+		t.Fatalf("Set after the large value was replaced: %v", err)
+	}
+	if err := tx.Set(2, []byte("b2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Node(0).WaitReplication(5 * time.Second) {
+		t.Fatal("the write never replicated")
+	}
+	for _, obj := range []uint64{1, 2} {
+		var got []byte
+		if err := dbapi.RunRO(c.Node(1).DB(), 0, func(tx dbapi.Txn) error {
+			v, err := tx.Get(obj)
+			got = append([]byte(nil), v...)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if want := map[uint64]string{1: "a2", 2: "b2"}[obj]; string(got) != want {
+			t.Errorf("object %d reads %q at a follower, want %q", obj, got, want)
+		}
 	}
 }
 

@@ -56,7 +56,7 @@ type Config struct {
 	// owner. 0 picks 3, the paper's 3-way replication.
 	Degree int
 	// Workers is the number of worker threads; each owns a commit pipeline.
-	// 0 picks 8.
+	// 0 picks 8; more than MaxWorkers is refused.
 	Workers int
 	// OnOwnershipLatency, if set, observes the latency of every successful
 	// ownership request (the metric of Figure 12).
@@ -74,6 +74,10 @@ type Config struct {
 	// every test opting into metrics.
 	WatchdogAge time.Duration
 }
+
+// MaxWorkers is the most workers a node runs: a commit pipeline is named by
+// its worker's one-byte wire.Worker, so worker 256 would share worker 0's.
+const MaxWorkers = int(^wire.Worker(0)) + 1
 
 // WithDefaults returns cfg with a non-positive Degree or Workers replaced by
 // the default: 3-way replication, 8 workers.
@@ -163,6 +167,9 @@ type Node struct {
 // reply just carries less).
 func NewNode(id wire.NodeID, tr transport.Transport, agent *viewsvc.Agent, stg storage.Storage, reg *obs.Registry, cfg Config) *Node {
 	cfg = cfg.WithDefaults()
+	if cfg.Workers > MaxWorkers {
+		panic(fmt.Sprintf("core: %d workers, at most %d: a commit pipeline is named by a one-byte wire.Worker", cfg.Workers, MaxWorkers))
+	}
 	// Watchdog arming via the environment (CI race jobs set a low threshold
 	// for every test binary without code changes). Resolved before the Node
 	// copies cfg so there is exactly one Config to read.
@@ -437,6 +444,9 @@ func (n *Node) CreateObject(obj wire.ObjectID, data []byte) error {
 
 // CreateObjectWithReaders is CreateObject with an explicit reader set.
 func (n *Node) CreateObjectWithReaders(obj wire.ObjectID, data []byte, readers wire.Bitmap) error {
+	if size := wire.UpdateSize(len(data)); size > wire.MaxBlob {
+		return tooLarge(size)
+	}
 	if err := n.own.Create(obj, readers); err != nil {
 		return err
 	}
@@ -478,6 +488,7 @@ type Tx struct {
 	// index mapping an id to its position. Use accesses/find/add.
 	nacc    int
 	nwrites int // entries with accWritten
+	wsize   int // their wire.UpdateSize, summed: the R-INV they travel in
 	inline  [inlineAccesses]access
 	spill   []access
 	index   map[wire.ObjectID]int32
@@ -706,7 +717,9 @@ func (tx *Tx) Get(obj uint64) ([]byte, error) {
 // per write). The staged slice's capacity is clipped to its length, so an
 // append to the version — by anyone who Gets it — reallocates instead of
 // writing past it. A second Set of the same object replaces the staged slice;
-// an empty val is staged as nil.
+// an empty val is staged as nil. A transaction's writes travel in one R-INV,
+// so a Set that would take them past wire.MaxBlob (counted by
+// wire.UpdateSize) is refused with wire.ErrTooLarge and stages nothing.
 func (tx *Tx) Set(obj uint64, val []byte) error {
 	if tx.ro {
 		return fmt.Errorf("core: Set on read-only transaction")
@@ -716,6 +729,13 @@ func (tx *Tx) Set(obj uint64, val []byte) error {
 	}
 	id := wire.ObjectID(obj)
 	a := tx.find(id)
+	wsize := tx.wsize + wire.UpdateSize(len(val))
+	if a != nil && a.flags&accWritten != 0 {
+		wsize -= wire.UpdateSize(len(a.data))
+	}
+	if wsize > wire.MaxBlob {
+		return tooLarge(wsize)
+	}
 	if a == nil || a.flags&accHeld == 0 {
 		o, err := tx.ensureWritable(id)
 		if err != nil {
@@ -726,7 +746,7 @@ func (tx *Tx) Set(obj uint64, val []byte) error {
 		} else if a.obj != o {
 			// The object was deleted and re-created since it was read: the
 			// entry's orphan is not what the grant was taken on.
-			o.ReleaseLocal(int32(tx.worker))
+			o.ReleaseLocal(int16(tx.worker))
 			tx.release()
 			return dbapi.ErrConflict
 		}
@@ -743,6 +763,7 @@ func (tx *Tx) Set(obj uint64, val []byte) error {
 			}
 		}
 	}
+	tx.wsize = wsize
 	if a.flags&accWritten == 0 {
 		a.flags |= accWritten
 		tx.nwrites++
@@ -752,6 +773,11 @@ func (tx *Tx) Set(obj uint64, val []byte) error {
 	}
 	a.data = slices.Clip(val)
 	return nil
+}
+
+// tooLarge refuses writes that would not fit one R-INV (wire.MaxBlob).
+func tooLarge(size int) error {
+	return fmt.Errorf("core: writes of %d bytes, over the %d one R-INV carries: %w", size, wire.MaxBlob, wire.ErrTooLarge)
 }
 
 // ensureReadable secures reader (or owner) level for the object and returns
@@ -790,7 +816,7 @@ func (tx *Tx) ensureWritable(id wire.ObjectID) (*store.Object, error) {
 			// transfer-fairness yield (§6.2): after a remote requester
 			// was NACKed for pending commits, new local write grants
 			// hold off so the pipeline drains and the transfer wins.
-			granted := o.GrantLocalLocked(int32(tx.worker))
+			granted := o.GrantLocalLocked(int16(tx.worker))
 			o.Mu.Unlock()
 			if !granted {
 				tx.release()
@@ -955,7 +981,7 @@ func (tx *Tx) Commit() error {
 		if ok {
 			o := a.obj
 			o.Mu.Lock()
-			ok = o.HoldsLocked(wire.Owner) && o.LocalOwnerLocked() == int32(tx.worker)
+			ok = o.HoldsLocked(wire.Owner) && o.LocalOwnerLocked() == int16(tx.worker)
 			o.Mu.Unlock()
 		}
 		if !ok {
@@ -1048,7 +1074,7 @@ func (tx *Tx) release() {
 	acc := tx.accesses()
 	for i := range acc {
 		if a := &acc[i]; a.flags&accHeld != 0 {
-			a.obj.ReleaseLocal(int32(tx.worker))
+			a.obj.ReleaseLocal(int16(tx.worker))
 			a.flags &^= accHeld
 		}
 	}

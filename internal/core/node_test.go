@@ -15,6 +15,8 @@ import (
 	"zeus/internal/netsim"
 	"zeus/internal/ownership"
 	"zeus/internal/store"
+	"zeus/internal/transport"
+	"zeus/internal/viewsvc"
 	"zeus/internal/wire"
 )
 
@@ -36,6 +38,43 @@ func fromU64(b []byte) uint64 {
 		return 0
 	}
 	return binary.LittleEndian.Uint64(b)
+}
+
+// TestWorkersFitTheirPipelineNames: a commit pipeline is named by a one-byte
+// wire.Worker, so a node runs at most core.MaxWorkers workers — the last of
+// them commits like the first — and NewNode refuses one more rather than let
+// worker 256 share worker 0's pipeline.
+func TestWorkersFitTheirPipelineNames(t *testing.T) {
+	func() {
+		mgr := viewsvc.NewSelfHosted(viewsvc.Config{}, wire.BitmapOf(0))
+		defer mgr.Close()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("NewNode took %d workers", core.MaxWorkers+1)
+			}
+		}()
+		n := core.NewNode(0, transport.NewHub().Node(0), mgr.Agent(0), nil, nil, core.Config{Workers: core.MaxWorkers + 1})
+		n.Close()
+	}()
+	opts := cluster.DefaultOptions(3)
+	opts.Workers = core.MaxWorkers
+	c := cluster.New(opts)
+	defer c.Close()
+	c.SeedAt(1, 0, u64(0))
+	for _, w := range []int{0, core.MaxWorkers - 1} {
+		tx := c.Node(0).BeginOn(w)
+		if err := tx.Set(1, u64(uint64(w)+1)); err != nil {
+			t.Fatalf("worker %d: %v", w, err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatalf("worker %d: %v", w, err)
+		}
+		select {
+		case <-tx.Durable():
+		case <-time.After(5 * time.Second):
+			t.Fatalf("worker %d: the write never became durable", w)
+		}
+	}
 }
 
 func TestWriteThenReadLocal(t *testing.T) {

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"sync"
 	"time"
 
 	"zeus/internal/wire"
@@ -65,40 +64,26 @@ type Shipped struct {
 	Data    []byte
 }
 
-// pendPool recycles arbitration records: an object's is set at REQ/INV time
-// and cleared at VAL time, three records per move, each in the cold record
-// that coldPool recycles beside it. The pointer never leaves this file —
-// PendingLocked and the transitions hand out copies — so a recycled record
-// cannot be read through a stale reference.
-var pendPool = sync.Pool{New: func() any { return new(PendingOwn) }}
-
-// pendingRec is the arbitration record, nil when none is pending.
-func (o *Object) pendingRec() *PendingOwn {
-	if o.cold == nil {
-		return nil
-	}
-	return o.cold.pending
-}
-
 // setPendingLocked makes p the arbitration record, overwriting the one it
 // supersedes.
 func (o *Object) setPendingLocked(p PendingOwn) {
-	c := o.coldFor()
-	if c.pending == nil {
-		c.pending = pendPool.Get().(*PendingOwn)
-	}
-	*c.pending = p
+	c := o.coldLocked()
+	c.pending, c.arbitrating = p, true
+	o.putColdLocked(c)
 }
 
-// clearPendingLocked recycles the arbitration record, and the cold record if
-// the arbitration was all it held.
+// clearPendingLocked drops the arbitration record, and the side table's
+// entry if the arbitration was all it held.
 func (o *Object) clearPendingLocked() {
-	if c := o.cold; c != nil && c.pending != nil {
-		pendPool.Put(c.pending)
-		c.pending = nil
-		o.settleColdLocked()
+	if o.ostate&hasPending != 0 {
+		c := o.coldLocked()
+		c.pending, c.arbitrating = PendingOwn{}, false
+		o.putColdLocked(c)
 	}
 }
+
+// setOStateLocked sets o_state, keeping the cold bits beside it.
+func (o *Object) setOStateLocked(s OState) { o.ostate = o.ostate&coldBits | s }
 
 // Reads of the ownership side (caller holds Mu).
 
@@ -106,7 +91,7 @@ func (o *Object) clearPendingLocked() {
 func (o *Object) LevelLocked() wire.AccessLevel { return o.level }
 
 // OStateLocked returns o_state.
-func (o *Object) OStateLocked() OState { return o.ostate }
+func (o *Object) OStateLocked() OState { return o.ostate &^ coldBits }
 
 // OTSLocked returns o_ts, the timestamp of the last applied grant.
 func (o *Object) OTSLocked() wire.OTS { return wire.OTS{Ver: o.otsVer, Node: o.otsNode} }
@@ -122,14 +107,15 @@ func (o *Object) setReplicasLocked(r wire.ReplicaSet) { o.owner, o.readers = r.O
 
 // LocalOwnerLocked returns the worker holding the object for a write
 // transaction, or NoLocalOwner.
-func (o *Object) LocalOwnerLocked() int32 { return o.localOwner }
+func (o *Object) LocalOwnerLocked() int16 { return o.localOwner }
 
-// PendingLocked returns a copy of the in-flight arbitration record, if any.
+// PendingLocked returns a copy of the in-flight arbitration record, if any;
+// without one it reads no more than the record.
 func (o *Object) PendingLocked() (PendingOwn, bool) {
-	if p := o.pendingRec(); p != nil {
-		return *p, true
+	if o.ostate&hasPending == 0 {
+		return PendingOwn{}, false
 	}
-	return PendingOwn{}, false
+	return o.coldLocked().pending, true
 }
 
 // HoldsLocked reports whether this node may act at level min (Reader or
@@ -137,15 +123,16 @@ func (o *Object) PendingLocked() (PendingOwn, bool) {
 // invalidated the entry — a node's own outstanding request (ORequest) does
 // not suspend the rights it already holds.
 func (o *Object) HoldsLocked(min wire.AccessLevel) bool {
-	return o.level >= min && (o.ostate == OValid || o.ostate == ORequest)
+	s := o.OStateLocked()
+	return o.level >= min && (s == OValid || s == ORequest)
 }
 
 // RequestLocked marks this node's own ownership request as outstanding, unless
 // an arbitration holds the entry (caller holds Mu), and returns its Holds: the
 // Valid version of a replica it may act on, else 0 (R-INV, hint, pending drop).
 func (o *Object) RequestLocked() (holds uint64) {
-	if o.ostate == OValid {
-		o.ostate = ORequest
+	if o.OStateLocked() == OValid {
+		o.setOStateLocked(ORequest)
 	}
 	if ver, st := o.TSnapshot(); st == TValid && o.HoldsLocked(wire.Reader) {
 		return ver
@@ -156,8 +143,8 @@ func (o *Object) RequestLocked() (holds uint64) {
 // SettleRequestLocked is RequestLocked undone for a request that was given up;
 // a granted one settles through GrantLocked (caller holds Mu).
 func (o *Object) SettleRequestLocked() {
-	if o.ostate == ORequest {
-		o.ostate = OValid
+	if o.OStateLocked() == ORequest {
+		o.setOStateLocked(OValid)
 	}
 }
 
@@ -165,7 +152,7 @@ func (o *Object) SettleRequestLocked() {
 // Mu and has found no arbitration pending).
 func (o *Object) DriveLocked(p PendingOwn) {
 	o.setPendingLocked(p)
-	o.ostate = ODrive
+	o.setOStateLocked(ODrive)
 }
 
 // InvalidateLocked applies an arbiter's INV (caller holds Mu and has decided p
@@ -176,11 +163,11 @@ func (o *Object) DriveLocked(p PendingOwn) {
 // applies first and may serve writes before the VAL arrives here, so the owner
 // is demoted to Reader now; the VAL installs the final level either way.
 func (o *Object) InvalidateLocked(p PendingOwn, self wire.NodeID) (loser PendingOwn, lost bool) {
-	if old := o.pendingRec(); old != nil && o.ostate == ODrive && old.Driver == self && old.ReqID != p.ReqID {
-		loser, lost = *old, true
+	if old, ok := o.PendingLocked(); ok && o.OStateLocked() == ODrive && old.Driver == self && old.ReqID != p.ReqID {
+		loser, lost = old, true
 	}
 	o.setPendingLocked(p)
-	o.ostate = OInvalid
+	o.setOStateLocked(OInvalid)
 	if o.level == wire.Owner && p.NewReplicas.LevelOf(self) != wire.Owner {
 		o.level = wire.Reader
 	}
@@ -194,19 +181,23 @@ func (o *Object) InvalidateLocked(p PendingOwn, self wire.NodeID) (loser Pending
 // unless it already holds a newer version. Refused, changing nothing: a stale
 // grant, older than o_ts or the pending arbitration; an unbacked one, a raise
 // that would leave the record below the source's val.Version, nothing shipped.
+// A grant that leaves this node below owner also ends its yield, which only
+// an owner's local writes obey.
 func (o *Object) GrantLocked(self wire.NodeID, ts wire.OTS, reps wire.ReplicaSet, val Shipped) (applied, unbacked bool) {
-	if p := o.pendingRec(); ts.Less(o.OTSLocked()) || p != nil && ts.Less(p.TS) {
+	if ts.Less(o.OTSLocked()) || o.ostate&hasPending != 0 && ts.Less(o.coldLocked().pending.TS) {
 		return false, false
 	}
 	if reps.LevelOf(self) > o.level && !val.Has && o.TVersion() < val.Version {
 		return false, true
 	}
 	o.clearPendingLocked()
+	was := o.level
+	if o.level = reps.LevelOf(self); o.level != wire.Owner {
+		o.forgetYieldLocked()
+	}
 	o.setReplicasLocked(reps)
 	o.setOTSLocked(ts)
-	o.ostate = OValid
-	was := o.level
-	o.level = reps.LevelOf(self)
+	o.setOStateLocked(OValid)
 	switch {
 	case o.level == wire.NonReplica:
 		if was != wire.NonReplica {
@@ -223,14 +214,13 @@ func (o *Object) GrantLocked(self wire.NodeID, ts wire.OTS, reps wire.ReplicaSet
 // there was none, or when o_ts has since passed it — the arbitration is void
 // and dropped.
 func (o *Object) GrantPendingLocked(self wire.NodeID) (p PendingOwn, applied bool) {
-	pp := o.pendingRec()
-	if pp == nil {
+	p, ok := o.PendingLocked()
+	if !ok {
 		return PendingOwn{}, false
 	}
-	p = *pp
 	if applied, _ = o.GrantLocked(self, p.TS, p.NewReplicas, Shipped{}); !applied {
 		o.clearPendingLocked()
-		o.ostate = OValid
+		o.setOStateLocked(OValid)
 	}
 	return p, applied
 }
@@ -242,25 +232,27 @@ func (o *Object) GrantPendingLocked(self wire.NodeID) (p PendingOwn, applied boo
 // view it installs), so the level stands.
 func (o *Object) PruneLocked(live wire.Bitmap) {
 	o.setReplicasLocked(o.ReplicasLocked().Prune(live))
-	if p := o.pendingRec(); p != nil {
+	if p, ok := o.PendingLocked(); ok {
 		p.Arbiters = p.Arbiters.Intersect(live)
 		p.NewReplicas = p.NewReplicas.Prune(live)
 		if !live.Contains(p.PrevOwner) {
 			p.PrevOwner = wire.NoNode
 		}
+		o.setPendingLocked(p)
 	}
 }
 
 // ReplayLocked re-stamps the pending arbitration for an arb-replay in epoch
 // among live and returns a copy (caller holds Mu); false when none is pending.
 func (o *Object) ReplayLocked(epoch wire.Epoch, live wire.Bitmap) (PendingOwn, bool) {
-	p := o.pendingRec()
-	if p == nil {
+	p, ok := o.PendingLocked()
+	if !ok {
 		return PendingOwn{}, false
 	}
 	p.Epoch = epoch
 	p.Arbiters = p.Arbiters.Intersect(live)
-	return *p, true
+	o.setPendingLocked(p)
+	return p, true
 }
 
 // ReclaimLocked re-arms a restarted node as the owner its durable grant
@@ -275,8 +267,8 @@ func (o *Object) ReclaimLocked(self wire.NodeID, vouch bool) {
 	}
 	o.owner = self
 	o.level = wire.Owner
-	if o.pendingRec() == nil {
-		o.ostate = OValid
+	if o.ostate&hasPending == 0 {
+		o.setOStateLocked(OValid)
 	}
 }
 
@@ -288,7 +280,7 @@ func (o *Object) ReclaimLocked(self wire.NodeID, vouch bool) {
 // grant to this node — no arbitration named it, no value came with it — and a
 // level only ever changes through one.
 func (o *Object) AdoptEntryLocked(ts wire.OTS, reps wire.ReplicaSet) bool {
-	if o.pendingRec() != nil || !o.OTSLocked().Less(ts) {
+	if o.ostate&hasPending != 0 || !o.OTSLocked().Less(ts) {
 		return false
 	}
 	o.setOTSLocked(ts)

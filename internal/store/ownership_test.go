@@ -16,11 +16,11 @@ import (
 // req<id>@<ts>-><new set> arb<arbiters> src<prev owner> ep<epoch>.
 func ownerSide(o *Object) string {
 	pend := "-"
-	if p := o.pendingRec(); p != nil {
+	if p, ok := o.PendingLocked(); ok {
 		pend = fmt.Sprintf("req%d@%d.%d->%s arb%v src%s ep%d", p.ReqID, p.TS.Ver, p.TS.Node,
 			setString(p.NewReplicas), p.Arbiters, nodeString(p.PrevOwner), p.Epoch)
 	}
-	return fmt.Sprintf("%v %v %d.%d %s %s", o.level, o.ostate, o.otsVer, o.otsNode, setString(o.ReplicasLocked()), pend)
+	return fmt.Sprintf("%v %v %d.%d %s %s", o.level, o.OStateLocked(), o.otsVer, o.otsNode, setString(o.ReplicasLocked()), pend)
 }
 
 func setString(r wire.ReplicaSet) string { return nodeString(r.Owner) + r.Readers.String() }
@@ -80,7 +80,7 @@ func TestOwnershipTransitions(t *testing.T) {
 			pre: reader3,
 			do: func(t *testing.T, o *Object) {
 				o.RequestLocked()
-				if !o.HoldsLocked(wire.Reader) || o.HoldsLocked(wire.Owner) || o.ostate != ORequest {
+				if !o.HoldsLocked(wire.Reader) || o.HoldsLocked(wire.Owner) || o.OStateLocked() != ORequest {
 					t.Errorf("requesting reader: %s", ownerSide(o))
 				}
 				o.SettleRequestLocked()
@@ -134,7 +134,7 @@ func TestOwnershipTransitions(t *testing.T) {
 				}
 			},
 			want: "owner Drive 3.0 1[0 2] " + move7s, wantValue: a3},
-		{name: "arbitrate: a drive shares the cold record with a yield, and keeps it",
+		{name: "arbitrate: a drive shares the side-table entry with a yield, and keeps it",
 			pre:  func(o *Object) { owner3(o); o.YieldLocalLocked(time.Hour) },
 			do:   func(_ *testing.T, o *Object) { o.DriveLocked(move7) },
 			want: "owner Drive 3.0 1[0 2] " + move7s, wantValue: a3 + " yield"},
@@ -174,24 +174,24 @@ func TestOwnershipTransitions(t *testing.T) {
 				}
 			},
 			want: "non-replica Valid 4.0 0[2] -", wantValue: none},
-		{name: "grant: a VAL that drops this node takes the arbitration and the yield, and the cold record with them",
+		{name: "grant: a VAL that drops this node takes the arbitration and the yield, and the side-table entry with them",
 			pre: func(o *Object) { reader3(o); o.YieldLocalLocked(time.Hour); o.InvalidateLocked(drop8, self) },
 			do: func(t *testing.T, o *Object) {
 				o.GrantPendingLocked(self)
-				if o.cold != nil {
-					t.Error("a dropped replica kept its cold record")
+				if _, ok := coldEntry(o); ok {
+					t.Error("a dropped replica kept its side-table entry")
 				}
 			},
 			want: "non-replica Valid 4.0 0[2] -", wantValue: none},
-		{name: "grant: a VAL that settles a record whose cold record held only the arbitration returns it",
+		{name: "grant: a VAL that settles an entry that held only the arbitration deletes it",
 			pre: func(o *Object) {
 				o.GrantLocked(self, ts(3, 0), set(0, 1, 2), ships(3, "seed"))
 				o.InvalidateLocked(move9, self)
 			},
 			do: func(t *testing.T, o *Object) {
 				o.GrantPendingLocked(self)
-				if o.cold != nil {
-					t.Error("the settled arbitration left its cold record behind")
+				if _, ok := coldEntry(o); ok {
+					t.Error("the settled arbitration left its side-table entry behind")
 				}
 			},
 			want: "reader Valid 4.2 0[1 2] -", wantValue: "seed v3 Valid"},
@@ -330,12 +330,12 @@ func TestOwnershipTransitions(t *testing.T) {
 			pre:  func(o *Object) { owner3(o); o.DriveLocked(move7) },
 			do:   func(_ *testing.T, o *Object) { o.RecoverLocked(self, 5, b("c"), ts(7, 1), set(1, 0)) },
 			want: "non-replica Valid 7.1 -[0] -", wantValue: "c v5 Invalid"},
-		{name: "recover: neither the arbitration, the yield nor the cold record survives",
+		{name: "recover: neither the arbitration, the yield nor the side-table entry survives",
 			pre: func(o *Object) { owner3(o); o.YieldLocalLocked(time.Hour); o.DriveLocked(move7) },
 			do: func(t *testing.T, o *Object) {
 				o.RecoverLocked(self, 5, b("c"), ts(7, 0), set(0, 1))
-				if o.cold != nil {
-					t.Error("recovery kept a cold record it had nothing to put in")
+				if _, ok := coldEntry(o); ok {
+					t.Error("recovery kept a side-table entry it had nothing to put in")
 				}
 			},
 			want: "non-replica Valid 7.0 0[1] -", wantValue: "c v5 Invalid"},
@@ -394,22 +394,22 @@ func TestOwnershipTransitions(t *testing.T) {
 		if got := valueSide(o); got != tc.wantValue {
 			t.Errorf("%s:\n got  %s\n want %s", tc.name, got, tc.wantValue)
 		}
-		if !coldSettled(o) {
-			t.Errorf("%s: kept a cold record that holds nothing", tc.name)
+		if !coldInStep(o) {
+			t.Errorf("%s: the side table and the cold bits disagree", tc.name)
 		}
 	}
 }
 
-// TestOwnershipInvariantsHold drives two records (they share the arbitration
-// pool) through seeded random sequences of every ownership-side transition,
+// TestOwnershipInvariantsHold drives two records through seeded random sequences of every ownership-side transition,
 // legal or not at that point, and checks after every step the invariants the
 // package doc states: o_ts never decreases in a record's life; a level rises
 // only through a grant or a reclaim, an applied raise never leaves t_version
 // below the source's version, and an unbacked refusal changes nothing; a NonReplica record never reads as ⟨Valid, payload⟩; an
-// arbitration is pending iff o_state is Drive or Invalid; the cold record
-// (which holds the arbitration) is nil iff it holds nothing; and the copies
-// PendingLocked and InvalidateLocked handed out still read what they read
-// then — the records are pooled, so a copy that aliased one would not. The
+// arbitration is pending iff o_state is Drive or Invalid; the side table
+// (which holds the arbitration) has an entry iff it holds something, and the
+// cold bits say what; and the copies PendingLocked and InvalidateLocked
+// handed out still read what they read then — the entries are overwritten in
+// place, so a copy that aliased one would not. The
 // commit engine's transitions take part where its protocol runs them — a
 // local commit at an owner, an R-INV and its R-VAL at a replica.
 func TestOwnershipInvariantsHold(t *testing.T) {
@@ -457,7 +457,7 @@ func TestOwnershipInvariantsHold(t *testing.T) {
 				o.SettleRequestLocked()
 			case r < 6:
 				op = "drive"
-				if o.pendingRec() != nil {
+				if o.ostate&hasPending != 0 {
 					continue // DriveLocked's one precondition
 				}
 				o.DriveLocked(pend)
@@ -466,7 +466,7 @@ func TestOwnershipInvariantsHold(t *testing.T) {
 			case r < 10:
 				op = fmt.Sprintf("inv(%d.%d)", near.Ver, near.Node)
 				driving, _ := o.PendingLocked()
-				wasDriving := o.ostate == ODrive && driving.Driver == self
+				wasDriving := o.OStateLocked() == ODrive && driving.Driver == self
 				if loser, lost := o.InvalidateLocked(pend, self); lost {
 					if !wasDriving || loser != driving {
 						t.Fatalf("seed %d step %d: InvalidateLocked lost %+v, was driving %+v", seed, step, loser, driving)
@@ -540,14 +540,14 @@ func TestOwnershipInvariantsHold(t *testing.T) {
 			if o.level > was && !raises {
 				bad = fmt.Sprintf("level rose from %v", was)
 			}
-			if ver, ts := o.TSnapshot(); o.level == wire.NonReplica && ts == TValid && (ver != 0 || o.data != "") {
+			if ver, ts := o.TSnapshot(); o.level == wire.NonReplica && ts == TValid && (ver != 0 || o.DataLocked() != nil) {
 				bad = "a non-replica reads as Valid with a payload"
 			}
-			if (o.pendingRec() != nil) != (o.ostate == ODrive || o.ostate == OInvalid) {
+			if _, ok := o.PendingLocked(); ok != (o.OStateLocked() == ODrive || o.OStateLocked() == OInvalid) {
 				bad = "pending record and o_state disagree"
 			}
-			if !coldSettled(o) {
-				bad = "a cold record that holds nothing was kept"
+			if !coldInStep(o) {
+				bad = "the side table and the cold bits disagree"
 			}
 			for _, c := range copies {
 				if c.got != c.want {

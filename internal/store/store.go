@@ -49,7 +49,7 @@
 // falls there) and ReclaimLocked (the level comes from the node's own durable
 // grant history) are its two variants. Everything else reads — PendingLocked,
 // like every transition that returns an arbitration record, a copy: the
-// records are pooled and no pointer to one leaves this package.
+// record lives in the side table, and no pointer into it leaves this package.
 //
 // What holds after any sequence of transitions (TestObjectTransitions,
 // TestOwnershipInvariantsHold): the payload slice is only ever replaced whole;
@@ -66,12 +66,14 @@
 // too: GrantLocked refuses a raise that would leave the record below the data
 // source's version with nothing shipped, and changes nothing.
 //
-// A replica costs its 80-byte record (TestObjectSize) and its index slots, 92
-// bytes an object at 30 000 (TestStoreBytesPerObject); a transfer-fairness
-// yield and a pending arbitration add one 16-byte side record (Object.cold),
-// recycled through coldPool. The payload is held as a
-// string view of the bytes its writer handed over (adopt, view: the package's
-// one use of unsafe), since a replace-only payload never uses a capacity.
+// A replica costs its 64-byte record (TestObjectSize) and its index slots, 76
+// bytes an object at 30 000 (TestStoreBytesPerObject). A transfer-fairness
+// yield and a pending arbitration are one entry of a side table outside the
+// record (coldTable), there only while it holds either; two bits of o_state's
+// byte say whether it does, so no hot path looks it up. The payload is a
+// pointer to the bytes its writer handed over and their 32-bit length
+// (setDataLocked, DataLocked: the package's one use of unsafe), since a
+// replace-only payload never uses a capacity.
 //
 // The index (TestStoreIndexMatchesMap): a shard maps ids to records in an
 // open-addressing table of pointers, 8 bytes a slot where a Go map pays 16 and
@@ -131,24 +133,24 @@ func (s TState) String() string {
 }
 
 // NoLocalOwner marks an object not currently held by any local worker.
-const NoLocalOwner int32 = -1
+const NoLocalOwner int16 = -1
 
 // Object is one object replica (or bare directory entry) at a node. Fields
 // are protected by Mu; engines lock the object across multi-field updates.
-// The record fills the 80-byte allocation size class (TestObjectSize): every
+// The record fills the 64-byte allocation size class (TestObjectSize): every
 // byte is paid once per replica, so the small fields sit together, nothing is
 // stored twice, what a replica uses rarely — transfer fairness, an
-// arbitration in flight — is behind one pointer (cold), the
-// payload carries no capacity word, and o_ts and o_replicas are unpacked,
-// their node ids beside the small fields (wire.OTS and wire.ReplicaSet each
-// pad a 2-byte node id to 8).
+// arbitration in flight — lives in a side table (coldState), the payload is a
+// pointer and a 32-bit length, and o_ts and o_replicas are unpacked, their
+// node ids beside the small fields (wire.OTS and wire.ReplicaSet each pad a
+// 2-byte node id to 8).
 type Object struct {
 	Mu sync.Mutex
 
 	ID wire.ObjectID
 
-	// data is the object payload, held as a view of the adopted bytes (adopt;
-	// read back through view, nil when empty). It is REPLACE-ONLY: every
+	// data and n are the object payload, the adopted bytes (setDataLocked;
+	// read back through DataLocked, nil when empty). It is REPLACE-ONLY: every
 	// transition installs a freshly allocated (or freshly received) payload
 	// under Mu, and no code path ever mutates a published backing array in
 	// place — local commits install the slice the transaction's Set adopted
@@ -160,8 +162,10 @@ type Object struct {
 	// transaction layer's owner-local read buffers, the ownership ACK
 	// piggyback and the zero-copy FabricMem delivery all alias the array after
 	// Mu is released. TestSnapshotRefStableAcrossReplace and
-	// TestPayloadIsTheAdoptedArray pin it.
-	data string
+	// TestPayloadIsTheAdoptedArray pin it. Every payload a node takes in is at
+	// most wire.MaxBlob bytes (Tx.Set, cluster.Seed and the decoders refuse
+	// more), so n fits 32 bits.
+	data unsafe.Pointer
 
 	// tsv is the reliable-commit metadata ⟨t_version, t_state⟩ (meaningful
 	// on owner and readers), packed into one atomic word (version<<2 |
@@ -177,21 +181,7 @@ type Object struct {
 	otsVer  uint64
 	readers wire.Bitmap
 
-	// cold is nil until a transition records a yield or an arbitration, and
-	// nil again as soon as it holds neither (settleColdLocked): after drop and
-	// recover, after a VAL settles the arbitration, after a local grant finds
-	// only an expired yield in it. nil reads as "no yield, no arbitration
-	// pending".
-	cold *coldState
-
-	otsNode wire.NodeID
-	owner   wire.NodeID
-	ostate  OState
-	level   wire.AccessLevel
-
-	// localOwner is the local worker currently holding the object for a
-	// write transaction (§7's local ownership), or NoLocalOwner.
-	localOwner int32
+	n uint32
 
 	// PendingCommits counts reliable commits involving this object that
 	// have not been validated yet; the owner NACKs ownership requests
@@ -202,10 +192,24 @@ type Object struct {
 	// hook runs with other object locks held, and a lock-free read keeps
 	// pending checks off every engine-global structure.
 	PendingCommits atomic.Int32
+
+	otsNode wire.NodeID
+	owner   wire.NodeID
+
+	// localOwner is the local worker currently holding the object for a
+	// write transaction (§7's local ownership), or NoLocalOwner; a node has
+	// at most 256 workers (core.MaxWorkers).
+	localOwner int16
+
+	// ostate is o_state in its low bits, and in hasYield and hasPending
+	// which parts of a cold state the side table holds for the record.
+	ostate OState
+	level  wire.AccessLevel
 }
 
 // coldState is what a replica uses rarely — the transfer-fairness yield and
-// the arbitration in flight — guarded by Mu.
+// the arbitration in flight — held outside the record, in coldTable, only
+// while it holds either (TestColdEntriesLastOnlyWhileNeeded).
 type coldState struct {
 	// yieldUntil implements transfer fairness (§6.2 starvation avoidance):
 	// after NACKing an ownership request for pending commits, the owner
@@ -218,63 +222,83 @@ type coldState struct {
 	yieldUntil int64
 
 	// pending is the in-flight arbitration, applied at REQ/INV time and
-	// finalized (or superseded) at VAL time; nil when none, pooled (pendPool).
-	// An object is arbitrated only while it moves, so it too lives here.
-	pending *PendingOwn
+	// finalized (or superseded) at VAL time, valid iff arbitrating. An object
+	// is arbitrated only while it moves, so it too lives here.
+	pending     PendingOwn
+	arbitrating bool
 }
 
-// coldPool recycles cold records: a move gives each of its three sides one
-// for the arbitration and takes it back at VAL time, so without the pool
-// every move would allocate three. A record goes back zeroed, and no pointer
-// to one leaves this package.
-var coldPool = sync.Pool{New: func() any { return new(coldState) }}
+// The bits of Object.ostate above o_state that say what the side table holds
+// for the record; a record with neither has no entry.
+const (
+	hasYield   OState = 1 << 6
+	hasPending OState = 1 << 7
+	coldBits          = hasYield | hasPending
+)
 
-// coldFor returns cold, taken from coldPool first when there is none.
-func (o *Object) coldFor() *coldState {
-	if o.cold == nil {
-		o.cold = coldPool.Get().(*coldState)
+// coldTable holds the cold states of every store in the process, keyed by
+// record and striped by its id. A stripe's lock is a leaf, taken under the
+// record's Mu, and its map keeps its buckets, so an entry costs no allocation
+// once its stripe has held as many at once (coldState stays within the 128
+// bytes a map stores in place, TestObjectSize). Only a record whose ostate has
+// a cold bit set looks it up, so the hot paths — a local grant, a grant that
+// finds no arbitration — stay a bit test. An entry keeps its record alive: a
+// store dropped while records of it still yield or arbitrate (an in-process
+// restart mid-move) leaves theirs behind.
+var coldTable = shardmap.NewStriped[*Object, coldState](func(o *Object) uint64 { return hash(o.ID) })
+
+// coldLocked returns the record's cold state, the zero one when the table
+// holds no entry for it (caller holds Mu).
+func (o *Object) coldLocked() coldState {
+	if o.ostate&coldBits == 0 {
+		return coldState{}
 	}
-	return o.cold
+	c, _ := coldTable.Get(o)
+	return c
 }
 
-// settleColdLocked returns the cold record to coldPool once it holds nothing,
-// so that cold is nil iff it would read as nil.
-func (o *Object) settleColdLocked() {
-	if c := o.cold; c != nil && c.yieldUntil == 0 && c.pending == nil {
-		*c = coldState{}
-		o.cold = nil
-		coldPool.Put(c)
+// putColdLocked makes c the record's cold state (caller holds Mu): an entry
+// while it holds a yield or an arbitration, none once it holds neither, and
+// ostate's cold bits saying which.
+func (o *Object) putColdLocked(c coldState) {
+	var has OState
+	if c.yieldUntil != 0 {
+		has |= hasYield
 	}
+	if c.arbitrating {
+		has |= hasPending
+	}
+	switch {
+	case has != 0:
+		coldTable.Put(o, c)
+	case o.ostate&coldBits != 0:
+		coldTable.Delete(o)
+	}
+	o.ostate = o.ostate&^coldBits | has
 }
 
-// forgetLocked is what drop and recover share (caller holds Mu): no yield; a
-// pending arbitration is the ownership side's to settle.
-func (o *Object) forgetLocked() {
-	if c := o.cold; c != nil {
+// forgetYieldLocked clears the transfer-fairness yield (caller holds Mu),
+// which only an owner's local writes obey.
+func (o *Object) forgetYieldLocked() {
+	if o.ostate&hasYield != 0 {
+		c := o.coldLocked()
 		c.yieldUntil = 0
-		o.settleColdLocked()
+		o.putColdLocked(c)
 	}
 }
 
-// adopt holds b as a payload without copying it. A payload is clipped and
-// replace-only, so the capacity word a slice would carry is never used.
-func adopt(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
-
-// view is the payload as the slice adopt was given, nil when empty (a drop, a
-// recovery without data): the WAL and snapshot codecs read a nil payload as
-// "no data".
-func view(s string) []byte {
-	if s == "" {
-		return nil
-	}
-	return unsafe.Slice(unsafe.StringData(s), len(s))
+// setDataLocked adopts b as the payload without copying it (caller holds
+// Mu). A payload is clipped and replace-only, so the capacity word a slice
+// would carry is never used.
+func (o *Object) setDataLocked(b []byte) {
+	o.data, o.n = unsafe.Pointer(unsafe.SliceData(b)), uint32(len(b))
 }
 
 // StageLocked is the owner's local commit (caller holds Mu): data becomes the
 // next version, in state Write, and that version is returned.
 func (o *Object) StageLocked(data []byte) uint64 {
 	ver := o.TVersion() + 1
-	o.data = adopt(data)
+	o.setDataLocked(data)
 	o.setTLocked(ver, TWrite)
 	return ver
 }
@@ -285,7 +309,7 @@ func (o *Object) StageLocked(data []byte) uint64 {
 // ownership install — touches neither.
 func (o *Object) StageInvLocked(ver uint64, data []byte) {
 	if ver > o.TVersion() {
-		o.data = adopt(data)
+		o.setDataLocked(data)
 		o.setTLocked(ver, TInvalid)
 	}
 }
@@ -303,7 +327,7 @@ func (o *Object) ValidateLocked(ver uint64, from TState) {
 // Mu, and has checked ver is not below t_version): payload and ⟨ver, Valid⟩,
 // taken as given — the sender vouches for the version it shipped.
 func (o *Object) installLocked(ver uint64, data []byte) {
-	o.data = adopt(data)
+	o.setDataLocked(data)
 	o.setTLocked(ver, TValid)
 }
 
@@ -317,27 +341,26 @@ func (o *Object) installLocked(ver uint64, data []byte) {
 // handler exists), so it is the one transition that takes o_ts as given, and
 // no yield or arbitration survives it.
 func (o *Object) RecoverLocked(self wire.NodeID, ver uint64, data []byte, ts wire.OTS, reps wire.ReplicaSet) {
-	o.data = adopt(data)
+	o.setDataLocked(data)
 	o.setTLocked(ver, TInvalid)
-	o.forgetLocked()
-	o.clearPendingLocked()
+	o.putColdLocked(coldState{})
 	if reps.Owner == self {
 		reps.Owner = wire.NoNode
 	}
 	o.setReplicasLocked(reps)
 	o.setOTSLocked(ts)
-	o.ostate, o.level = OValid, wire.NonReplica
+	o.ostate, o.level = OValid, wire.NonReplica // no cold bits: no entry
 }
 
 // dropLocked discards the replica (caller holds Mu) when this node leaves the
 // object's replica set or the object is deleted: no payload, version 0 — a
 // later re-install must not meet a stale version — and no yield, which only an
 // owner's local writes obey. Its one caller, GrantLocked, has settled
-// the arbitration already, so the cold record goes too.
+// the arbitration already, so the table keeps no entry for the record.
 func (o *Object) dropLocked() {
-	o.data = ""
+	o.setDataLocked(nil)
 	o.setTLocked(0, TValid)
-	o.forgetLocked()
+	o.forgetYieldLocked()
 }
 
 // setTLocked is the one writer of the packed ⟨t_version, t_state⟩ word, which
@@ -351,18 +374,19 @@ func (o *Object) setTLocked(ver uint64, st TState) {
 // asks once per object, so a second ask is refused like any other. A grant is
 // also refused while the transfer-fairness yield (YieldLocalLocked) is
 // active; a worker that already holds the object keeps it. The first grant
-// after a yield ran out clears it, and returns the cold record to its pool if
-// the yield was all it held.
-func (o *Object) GrantLocalLocked(worker int32) bool {
+// after a yield ran out clears it, and the side table's entry with it if the
+// yield was all it held. Without a yield it reads no more than the record.
+func (o *Object) GrantLocalLocked(worker int16) bool {
 	if o.localOwner != NoLocalOwner {
 		return false
 	}
-	if c := o.cold; c != nil && c.yieldUntil != 0 {
+	if o.ostate&hasYield != 0 {
+		c := o.coldLocked()
 		if monoNow() < c.yieldUntil {
 			return false
 		}
 		c.yieldUntil = 0
-		o.settleColdLocked()
+		o.putColdLocked(c)
 	}
 	o.localOwner = worker
 	return true
@@ -371,7 +395,9 @@ func (o *Object) GrantLocalLocked(worker int32) bool {
 // YieldLocalLocked refuses new local write grants for the next d (caller
 // holds Mu): the transfer-fairness yield, see coldState.yieldUntil.
 func (o *Object) YieldLocalLocked(d time.Duration) {
-	o.coldFor().yieldUntil = monoNow() + int64(d)
+	c := o.coldLocked()
+	c.yieldUntil = monoNow() + int64(d)
+	o.putColdLocked(c)
 }
 
 // monoNow is the monotonic clock in nanoseconds since process start: a
@@ -381,7 +407,7 @@ func monoNow() int64 { return int64(time.Since(processStart)) }
 var processStart = time.Now()
 
 // ReleaseLocal releases local ownership if held by worker.
-func (o *Object) ReleaseLocal(worker int32) {
+func (o *Object) ReleaseLocal(worker int16) {
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
 	if o.localOwner == worker {
@@ -415,13 +441,18 @@ func (o *Object) SnapshotRef() (TState, uint64, wire.AccessLevel, []byte) {
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
 	ver, st := o.TSnapshot()
-	return st, ver, o.level, view(o.data)
+	return st, ver, o.level, o.DataLocked()
 }
 
 // DataLocked returns the payload without copying it (caller holds Mu), nil
 // when there is none. Like SnapshotRef's result it may be read after Mu is
 // released and must never be written through (zeuslint frozen).
-func (o *Object) DataLocked() []byte { return view(o.data) }
+func (o *Object) DataLocked() []byte {
+	if o.n == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(o.data), o.n)
+}
 
 // shardCount scales with the host (the same policy as the ownership
 // engine's stripes — see shardmap.ScaledCount).
@@ -540,8 +571,9 @@ func (s *Store) GetOrCreate(id wire.ObjectID) (o *Object, created bool) {
 // an object once and validates against it until it commits — must not
 // mistake the orphan for a live replica, so it is left Invalid and without an
 // access level: read validation and the local-commit ownership check both
-// fail on it, exactly as a lookup of the missing id would. The caller must
-// not hold the object's Mu.
+// fail on it, exactly as a lookup of the missing id would. Nothing arbitrates
+// or yields on it any more, so the side table keeps no entry for it. The
+// caller must not hold the object's Mu.
 func (s *Store) Delete(id wire.ObjectID) {
 	sh, h := s.shard(id)
 	sh.mu.Lock()
@@ -565,6 +597,8 @@ func (s *Store) Delete(id wire.ObjectID) {
 	o.Mu.Lock()
 	o.level = wire.NonReplica
 	o.setTLocked(o.TVersion(), TInvalid)
+	o.putColdLocked(coldState{})
+	o.ostate = OValid
 	o.Mu.Unlock()
 }
 

@@ -20,7 +20,7 @@ func TestGetOrCreateDefaults(t *testing.T) {
 		t.Fatal("first insert must report created")
 	}
 	if o.level != wire.NonReplica || o.owner != wire.NoNode ||
-		o.localOwner != NoLocalOwner || o.TState() != TValid || o.ostate != OValid {
+		o.localOwner != NoLocalOwner || o.TState() != TValid || o.ostate != OValid { // no cold bits either
 		t.Fatalf("bad defaults: %+v", o)
 	}
 	o2, created2 := s.GetOrCreate(7)
@@ -95,7 +95,7 @@ func TestForEachVisitsAllAndStops(t *testing.T) {
 	}
 }
 
-func tryAcquireLocal(o *Object, worker int32) bool {
+func tryAcquireLocal(o *Object, worker int16) bool {
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
 	return o.GrantLocalLocked(worker)
@@ -132,9 +132,9 @@ func TestLocalOwnershipMutualExclusion(t *testing.T) {
 	const workers = 8
 	var wg sync.WaitGroup
 	counter := 0
-	for w := int32(0); w < workers; w++ {
+	for w := int16(0); w < workers; w++ {
 		wg.Add(1)
-		go func(w int32) {
+		go func(w int16) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				if tryAcquireLocal(o, w) {
@@ -165,7 +165,7 @@ func TestSnapshotRefStableAcrossReplace(t *testing.T) {
 	if st != TValid || ver != 1 || lvl != wire.NonReplica || string(ref) != "v1" {
 		t.Fatalf("snapshot ref: %v %d %v %q", st, ver, lvl, ref)
 	}
-	if &ref[0] != unsafe.StringData(o.data) {
+	if unsafe.Pointer(&ref[0]) != o.data {
 		t.Fatal("SnapshotRef must alias, not copy")
 	}
 
@@ -280,18 +280,18 @@ func TestGetOrCreatePropertyIdempotent(t *testing.T) {
 	}
 }
 
-// TestObjectSize pins the record at its allocation size class: past 80 bytes
-// Go rounds it up to the 96-byte class, 16 bytes more per replica, three
-// times per object. It reached 80 by two moves from 96: the pending
-// arbitration's pointer went into the cold record, and the payload is a
-// string view, which drops the capacity word of a slice. A yield or an
-// arbitration adds the cold record's 16-byte class: 96 in all.
+// TestObjectSize pins the record at its allocation size class, full: past 64
+// bytes Go rounds it up to the 80-byte class, 16 bytes more per replica,
+// three times per object: so the payload is a pointer and a 32-bit length
+// among the small fields, and the yield and the arbitration live in the side
+// table. An entry there stays within the 128 bytes a Go map stores in place,
+// so taking one allocates nothing once its stripe's map has room.
 func TestObjectSize(t *testing.T) {
-	if got := unsafe.Sizeof(Object{}); got > 80 {
-		t.Fatalf("store.Object is %d bytes, must stay within the 80-byte size class", got)
+	if got := unsafe.Sizeof(Object{}); got != 64 {
+		t.Fatalf("store.Object is %d bytes, must fill the 64-byte size class", got)
 	}
-	if got := unsafe.Sizeof(Object{}) + unsafe.Sizeof(coldState{}); got > 96 {
-		t.Fatalf("store.Object and its cold record are %d bytes, must stay within 96", got)
+	if got := unsafe.Sizeof(coldState{}); got > 128 {
+		t.Fatalf("a side-table entry is %d bytes, must stay within the 128 a map stores in place", got)
 	}
 }
 
@@ -357,7 +357,7 @@ func TestStoreBytesPerObject(t *testing.T) {
 	}{
 		{objects: 3000, perEntry: 22},
 		{objects: 10000, perEntry: 22},
-		{objects: 30000, perObject: 96, perEntry: 12},
+		{objects: 30000, perObject: 80, perEntry: 12},
 		{objects: 100000, perEntry: 22},
 	} {
 		before := liveHeap()

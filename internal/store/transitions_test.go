@@ -2,7 +2,7 @@ package store
 
 import (
 	"fmt"
-	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,26 +14,32 @@ import (
 // adds " yield".
 func valueSide(o *Object) string {
 	data := "nil"
-	if o.data != "" {
-		data = o.data
+	if d := o.DataLocked(); d != nil {
+		data = string(d)
 	}
 	yield := ""
-	if o.cold != nil && o.cold.yieldUntil != 0 {
+	if o.coldLocked().yieldUntil != 0 {
 		yield = " yield"
 	}
 	return fmt.Sprintf("%s v%d %v%s", data, o.TVersion(), o.TState(), yield)
 }
 
-// coldSettled reports whether cold is nil iff it holds nothing: a record that
-// would read like none has gone back to coldPool.
-func coldSettled(o *Object) bool {
-	c := o.cold
-	return c == nil || c.yieldUntil != 0 || c.pending != nil
+// coldEntry is the side table's entry for o, looked up whatever o's cold bits
+// say.
+func coldEntry(o *Object) (coldState, bool) { return coldTable.Get(o) }
+
+// coldInStep reports whether the side table holds an entry for o iff it holds
+// a yield or an arbitration, and o's cold bits say which.
+func coldInStep(o *Object) bool {
+	c, ok := coldEntry(o)
+	return ok == (o.ostate&coldBits != 0) &&
+		(o.ostate&hasYield != 0) == (c.yieldUntil != 0) &&
+		(o.ostate&hasPending != 0) == c.arbitrating
 }
 
 // TestObjectTransitions is the pre-state → post-state table of the value-side
 // transitions (store package doc), and of the transfer-fairness yield that
-// shares their cold record. Pre-states are themselves built from transitions,
+// the side table holds beside the record. Pre-states are themselves built from transitions,
 // so every row is a reachable history.
 func TestObjectTransitions(t *testing.T) {
 	b := func(s string) []byte { return []byte(s) }
@@ -53,10 +59,8 @@ func TestObjectTransitions(t *testing.T) {
 		pre  func(*Object)
 		do   func(*Object)
 		want string
-		// allocs, when set, is what do allocates, each run on a fresh pre-state
-		// and coldPool emptied first. Under -race a sync.Pool drops a quarter
-		// of its Puts, which costs a reusing row one more allocation in those
-		// runs; AllocsPerRun's whole-number average still reads the same.
+		// allocs, when set, is what do allocates, each run on a fresh
+		// pre-state; AllocsPerRun's warm-up run has made the stripe's map.
 		allocs *float64
 	}{
 		{name: "stage: the owner's local commit mints the next version",
@@ -104,8 +108,8 @@ func TestObjectTransitions(t *testing.T) {
 			pre: func(o *Object) { invalid4(o); yielding(o) },
 			do: func(o *Object) {
 				o.RecoverLocked(0, 5, b("c"), wire.OTS{}, wire.ReplicaSet{})
-				if o.cold != nil {
-					t.Error("recovery kept a cold record it had nothing to put in")
+				if _, ok := coldEntry(o); ok {
+					t.Error("recovery kept a side-table entry it had nothing to put in")
 				}
 			},
 			want: "c v5 Invalid"},
@@ -117,15 +121,15 @@ func TestObjectTransitions(t *testing.T) {
 			pre: func(o *Object) { invalid4(o); yielding(o) },
 			do: func(o *Object) {
 				o.dropLocked()
-				if o.cold != nil {
-					t.Error("a dropped replica kept its cold record")
+				if _, ok := coldEntry(o); ok {
+					t.Error("a dropped replica kept its side-table entry")
 				}
 			},
 			want: "nil v0 Valid"},
-		{name: "yield: the first one takes a cold record from the pool, new when it is empty",
+		{name: "yield: the first one is a side-table entry, which allocates nothing",
 			pre: func(o *Object) { o.installLocked(1, b("seed")) }, do: yielding,
-			want: "seed v1 Valid yield", allocs: exactly(1)},
-		{name: "yield: the record a settled yield gave back is the one the next yield takes",
+			want: "seed v1 Valid yield", allocs: exactly(0)},
+		{name: "yield: one after a settled yield takes a new entry",
 			pre: func(o *Object) { o.installLocked(1, b("seed")) },
 			do: func(o *Object) {
 				yielded(o)
@@ -133,8 +137,8 @@ func TestObjectTransitions(t *testing.T) {
 				o.ReleaseLocal(3)
 				yielding(o)
 			},
-			want: "seed v1 Valid yield", allocs: exactly(1)},
-		{name: "yield: a second one reuses the record",
+			want: "seed v1 Valid yield", allocs: exactly(0)},
+		{name: "yield: a second one overwrites the entry",
 			pre: func(o *Object) { valid3(o); yielding(o) }, do: yielding,
 			want: "a v3 Valid yield", allocs: exactly(0)},
 		{name: "yield: a new local grant is refused while it lasts",
@@ -154,14 +158,14 @@ func TestObjectTransitions(t *testing.T) {
 				}
 			},
 			want: "nil v0 Valid yield", allocs: exactly(0)},
-		{name: "yield: the first grant after it ran out clears it, and the record it alone held",
+		{name: "yield: the first grant after it ran out clears it, and the entry it alone held",
 			pre: yielded,
 			do: func(o *Object) {
 				if !o.GrantLocalLocked(3) {
 					t.Error("local grant refused after the yield ran out")
 				}
-				if o.cold != nil {
-					t.Error("an expired yield left its cold record behind")
+				if _, ok := coldEntry(o); ok {
+					t.Error("an expired yield left its side-table entry behind")
 				}
 			},
 			want: "nil v0 Valid", allocs: exactly(0)},
@@ -176,8 +180,8 @@ func TestObjectTransitions(t *testing.T) {
 		if got := valueSide(o); got != tc.want {
 			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, tc.want)
 		}
-		if !coldSettled(o) {
-			t.Errorf("%s: kept a cold record that holds nothing", tc.name)
+		if !coldInStep(o) {
+			t.Errorf("%s: the side table and the cold bits disagree", tc.name)
 		}
 		if tc.allocs != nil {
 			const runs = 20
@@ -185,12 +189,132 @@ func TestObjectTransitions(t *testing.T) {
 			for i := range objs {
 				objs[i] = fresh()
 			}
-			runtime.GC() // a pool survives one collection, in its victim cache
-			runtime.GC()
 			n := 0
 			if got := testing.AllocsPerRun(runs, func() { tc.do(objs[n]); n++ }); got != *tc.allocs {
 				t.Errorf("%s: allocates %v, want %v", tc.name, got, *tc.allocs)
 			}
+		}
+	}
+}
+
+// TestColdEntriesLastOnlyWhileNeeded: the side table holds an entry for a
+// record only while it yields or arbitrates, so every way a yield or an
+// arbitration ends leaves none behind; and records of one stripe yield and
+// arbitrate at once, each under its own Mu (run it under -race).
+func TestColdEntriesLastOnlyWhileNeeded(t *testing.T) {
+	const self = wire.NodeID(1)
+	set := func(owner wire.NodeID, readers ...wire.NodeID) wire.ReplicaSet {
+		return wire.ReplicaSet{Owner: owner, Readers: wire.BitmapOf(readers...)}
+	}
+	// move takes ownership from node 1 to node 2; share adds reader 3.
+	move := PendingOwn{ReqID: 7, TS: wire.OTS{Ver: 2}, Requester: 2, Mode: wire.AcquireOwner,
+		NewReplicas: set(2, 0, 1), PrevOwner: 1, Arbiters: wire.BitmapOf(0, 1, 2)}
+	share := move
+	share.Requester, share.Mode, share.NewReplicas = 3, wire.AcquireReader, set(1, 0, 2, 3)
+	owner := func(o *Object) {
+		o.GrantLocked(self, wire.OTS{Ver: 1}, set(1, 0, 2), Shipped{Has: true, Version: 1, Data: []byte("a")})
+	}
+	for _, tc := range []struct {
+		name string
+		pre  func(o *Object)
+		end  func(s *Store, o *Object)
+	}{
+		{"an expired yield's next local grant",
+			func(o *Object) { owner(o); o.YieldLocalLocked(-time.Nanosecond) },
+			func(_ *Store, o *Object) {
+				if !o.GrantLocalLocked(3) {
+					t.Error("local grant refused after the yield ran out")
+				}
+			}},
+		{"a VAL that settles an arbitration",
+			func(o *Object) { owner(o); o.InvalidateLocked(share, self) },
+			func(_ *Store, o *Object) { o.GrantPendingLocked(self) }},
+		{"a VAL that moves ownership away over a yield",
+			func(o *Object) { owner(o); o.YieldLocalLocked(time.Hour); o.InvalidateLocked(move, self) },
+			func(_ *Store, o *Object) { o.GrantPendingLocked(self) }},
+		{"a stale arbitration's VAL",
+			func(o *Object) {
+				owner(o)
+				o.InvalidateLocked(move, self)
+				o.AdoptEntryLocked(wire.OTS{Ver: 3}, set(1, 0, 2)) // refused: pending
+				o.setOTSLocked(wire.OTS{Ver: 3})                   // o_ts passed the arbitration
+			},
+			func(_ *Store, o *Object) {
+				if _, applied := o.GrantPendingLocked(self); applied {
+					t.Error("applied an arbitration o_ts has passed")
+				}
+			}},
+		{"a drop",
+			func(o *Object) { owner(o); o.YieldLocalLocked(time.Hour); o.DriveLocked(move) },
+			func(_ *Store, o *Object) { o.GrantLocked(self, wire.OTS{Ver: 5}, set(2, 0), Shipped{}) }},
+		{"a recovery",
+			func(o *Object) { owner(o); o.YieldLocalLocked(time.Hour); o.DriveLocked(move) },
+			func(_ *Store, o *Object) { o.RecoverLocked(self, 1, nil, wire.OTS{Ver: 1}, set(1, 0)) }},
+		{"Store.Delete",
+			func(o *Object) { owner(o); o.YieldLocalLocked(time.Hour); o.InvalidateLocked(move, self) },
+			func(s *Store, o *Object) {
+				o.Mu.Unlock()
+				s.Delete(o.ID)
+				o.Mu.Lock()
+			}},
+	} {
+		s := New()
+		o, _ := s.GetOrCreate(1)
+		o.Mu.Lock()
+		tc.pre(o)
+		if _, ok := coldEntry(o); !ok {
+			t.Fatalf("%s: the pre-state has no side-table entry", tc.name)
+		}
+		tc.end(s, o)
+		if c, ok := coldEntry(o); ok || o.ostate&coldBits != 0 {
+			t.Errorf("%s: left entry %+v (present %v), cold bits %#x", tc.name, c, ok, o.ostate&coldBits)
+		}
+		o.Mu.Unlock()
+	}
+
+	// Concurrent: each goroutine moves its own records of one stripe away and
+	// back, yielding on the way; the records end owned here with nothing cold.
+	// The ids are multiples of 1 024, the most stripes there are: a multiple
+	// of an odd constant, their hashes share their low ten bits, all zero.
+	const goroutines, perG, rounds = 4, 4, 300
+	s := New()
+	var objs []*Object
+	for id := wire.ObjectID(0); len(objs) < goroutines*perG; id += 1024 {
+		o, _ := s.GetOrCreate(id)
+		objs = append(objs, o)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(mine []*Object) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for _, o := range mine {
+					ts := func(k uint64) wire.OTS { return wire.OTS{Ver: uint64(r)*3 + k} }
+					away, back := move, move
+					away.TS = ts(2)
+					back.TS, back.NewReplicas = ts(3), set(1, 0, 2)
+					o.Mu.Lock()
+					o.GrantLocked(self, ts(1), set(1, 0, 2), Shipped{Has: true, Version: uint64(r) + 1})
+					o.YieldLocalLocked(time.Hour)
+					o.InvalidateLocked(away, self)
+					o.GrantPendingLocked(self) // ownership leaves: no yield, no arbitration
+					o.DriveLocked(back)
+					o.GrantPendingLocked(self)
+					ok := coldInStep(o)
+					o.Mu.Unlock()
+					if !ok {
+						t.Errorf("object %d round %d: the side table and the cold bits disagree", o.ID, r)
+						return
+					}
+				}
+			}
+		}(objs[g*perG : (g+1)*perG])
+	}
+	wg.Wait()
+	for _, o := range objs {
+		if c, ok := coldEntry(o); ok {
+			t.Errorf("object %d: entry %+v left after its last arbitration", o.ID, c)
 		}
 	}
 }

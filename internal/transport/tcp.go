@@ -249,7 +249,7 @@ func (t *TCP) readLoop(peer wire.NodeID, c net.Conn) {
 			return
 		}
 		n := binary.LittleEndian.Uint32(lenBuf[:])
-		if n > 64<<20 {
+		if n > wire.MaxMsg {
 			return
 		}
 		if cap(buf) < int(n) {

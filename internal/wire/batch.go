@@ -45,9 +45,9 @@ func (it *BatchIter) Next() ([]byte, error) {
 	}
 	n := binary.LittleEndian.Uint32(it.p[it.off:])
 	it.off += 4
-	if n > maxBlob || it.off+int(n) > len(it.p) {
+	if n > MaxMsg || it.off+int(n) > len(it.p) {
 		it.off = len(it.p)
-		if n > maxBlob {
+		if n > MaxMsg {
 			return nil, ErrTooLarge
 		}
 		return nil, ErrShortBuffer

@@ -13,9 +13,21 @@ var (
 	ErrTooLarge    = errors.New("wire: field exceeds size limit")
 )
 
-// maxBlob bounds variable-length fields so a corrupt length prefix cannot
-// trigger a huge allocation.
-const maxBlob = 64 << 20
+// MaxBlob bounds a variable-length field, so that a corrupt length prefix
+// cannot trigger a huge allocation. It also bounds what a node takes in: a
+// transaction's updates travel in one R-INV, so together, counted by
+// UpdateSize, they stay within it — core.Tx.Set, core.Node.CreateObject and
+// cluster.Seed refuse more — and every message a node sends stays within
+// MaxMsg.
+const MaxBlob = 64 << 20
+
+// MaxMsg bounds one encoded message, and so a TCP frame and an element of a
+// batch: MaxBlob of fields and the fixed header around them.
+const MaxMsg = MaxBlob + 4<<10
+
+// UpdateSize is what an Update of n data bytes adds to an encoded message:
+// object id, version, length prefix and data.
+func UpdateSize(n int) int { return 20 + n }
 
 type enc struct{ b []byte }
 
@@ -189,8 +201,8 @@ func (d *dec) bytes() []byte {
 	if d.err != nil {
 		return nil
 	}
-	if n > maxBlob || d.off+int(n) > len(d.b) {
-		if n > maxBlob {
+	if n > MaxBlob || d.off+int(n) > len(d.b) {
+		if n > MaxBlob {
 			d.err = ErrTooLarge
 		} else {
 			d.fail()
@@ -236,7 +248,7 @@ func (d *dec) updates(inline []Update) []Update {
 	for i := uint32(0); i < n && d.err == nil; i++ {
 		d.skip(16) // obj + version
 		l := d.u32()
-		if d.err == nil && l > maxBlob {
+		if d.err == nil && l > MaxBlob {
 			d.err = ErrTooLarge
 		}
 		d.skip(int(l))
@@ -408,7 +420,7 @@ func CommitSize(m Msg) (n int, ok bool) {
 	case *CommitInv:
 		n = 34 // kind + tx + epoch + followers + prevval + replay + count
 		for i := range v.Updates {
-			n += 20 + len(v.Updates[i].Data) // obj + version + length prefix
+			n += UpdateSize(len(v.Updates[i].Data))
 		}
 		return n, true
 	case *CommitAck:

@@ -215,7 +215,7 @@ func TestDecoderFailedDecodeUsesNoRecord(t *testing.T) {
 			bad[fmt.Sprintf("cut at %d", n)] = good[:n]
 		}
 		if k.name == "R-INV" {
-			// The first update claims a payload beyond maxBlob: its length
+			// The first update claims a payload beyond MaxBlob: its length
 			// prefix follows the 34-byte header, the object id and the version.
 			oversized := append([]byte(nil), good...)
 			copy(oversized[34+16:], []byte{0xFF, 0xFF, 0xFF, 0xFF})

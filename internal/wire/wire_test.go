@@ -479,6 +479,25 @@ func TestEncodedSizes(t *testing.T) {
 	}
 }
 
+// TestMaxMsgHoldsTheLargestSends: the largest R-INV a node sends — updates
+// whose UpdateSize sums to MaxBlob, as core.Tx.Set admits — and an ownership
+// ACK or recovery response shipping the largest value Set admits stay within
+// MaxMsg, the bound a TCP read loop and a batch iterator hold each message to.
+// (The buffers are never written: sizing reads their lengths only.)
+func TestMaxMsgHoldsTheLargestSends(t *testing.T) {
+	value := make([]byte, MaxBlob-UpdateSize(0))
+	for _, us := range [][]Update{{{Data: value}}, {{Data: value[:MaxBlob/2-UpdateSize(0)]}, {Data: value[:MaxBlob/2-UpdateSize(0)]}}} {
+		if n, _ := CommitSize(&CommitInv{Updates: us}); n > MaxMsg {
+			t.Errorf("an R-INV of %d updates encodes to %d bytes, over MaxMsg %d", len(us), n, MaxMsg)
+		}
+	}
+	for _, m := range []Msg{&OwnAck{HasData: true}, &OwnResp{HasData: true}} {
+		if n := len(Marshal(m)) + len(value); n > MaxMsg {
+			t.Errorf("a %v shipping %d bytes encodes to %d bytes, over MaxMsg %d", m.Kind(), len(value), n, MaxMsg)
+		}
+	}
+}
+
 // TestCommitSizeExact pins CommitSize to the codec: the commit engine and the
 // hub account replicated bytes with it instead of encoding, so it must equal
 // len(Marshal(m)) for every reliable-commit kind and refuse everything else.

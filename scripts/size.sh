@@ -97,7 +97,19 @@ cd "$(dirname "$0")/.."
 # Lowered by 399 to 23775 when one experiments.Table and its registry replaced seventeen result types, printers and wrappers, net of Begin's exact busy answer.
 # Lowered by 116 to 23659 when a replayed R-INV became a slot on an adopted pipe and only an R-ACK acknowledges a slot: the replay table, its resend half and the AppliedWM sweep went, net of the follower's retry of a failed WAL append and Figure 7's note.
 # Lowered by 674 to 22985 when read-only transactions kept one path: snapshot reads, the safe-time exchange, the hybrid clock, the version ring and the commit timestamps went, net of Get's refusal of a dropped replica and readscale's reader pacing.
-max_lines=22985  # non-test Go outside benchmark/, testdata/ excluded
+# Raised by 81 to 23066 (the tree grew by 82 from 22 984) for the 64-byte
+# store.Object and the bounds that make its narrowed fields structural: 26 in
+# internal/store (the cold side table's get and put, with the two o_state bits
+# that keep hot paths off it, o_state's setter and mask, the yield a grant
+# ends when ownership leaves, the payload's pointer-and-length setter and
+# reader, and their docs, net of the two sync.Pools, their helpers and
+# pendingRec), 26 in internal/core (MaxWorkers and NewNode's refusal; Set's
+# and CreateObject's refusal of writes one R-INV cannot carry, with the
+# transaction's running size), 12 in internal/cluster (Seed's refusal and the
+# error it returns through SeedAt and SeedRange), 12 in internal/wire (MaxBlob
+# exported, MaxMsg, UpdateSize, their docs), 3 in cmd/zeusd (-workers checked)
+# and 3 in zeus.go (Seed's error, the bound in the docs of Set and Seed).
+max_lines=23066  # non-test Go outside benchmark/, testdata/ excluded
 # Lowered from 77 by those five fields: ownership.Config's AttemptTimeout,
 # Deadline and Retry, cluster.Options.Lease and viewsvc.Config.Heartbeat.
 # Lowered from 72 to 62 by de-duplication, not by removing a knob: the eight

@@ -56,7 +56,7 @@ type Options struct {
 	// as evaluated in the paper).
 	ReplicationDegree int
 	// Workers is the number of worker threads per node; each worker owns a
-	// reliable-commit pipeline (default 8).
+	// reliable-commit pipeline (default 8, at most 256: New panics above).
 	Workers int
 	// DirectoryShards partitions the ownership directory (§6.2) into hash
 	// shards, each driven by up to three nodes chosen by rendezvous
@@ -158,9 +158,10 @@ func (c *Cluster) Leave(i int) error { return c.c.Leave(i) }
 // Seed bulk-installs an object with an explicit owner, bypassing the
 // protocols — use for initial data loading only. Like Tx.Set it adopts data:
 // the bytes become the seeded version every replica holds, so the caller must
-// not write them after the call.
-func (c *Cluster) Seed(obj uint64, owner int, data []byte) {
-	c.c.SeedAt(wire.ObjectID(obj), wire.NodeID(owner), data)
+// not write them after the call. A value over what one replication message
+// carries (wire.MaxBlob, 64 MiB) is refused, as Tx.Set refuses it.
+func (c *Cluster) Seed(obj uint64, owner int, data []byte) error {
+	return c.c.SeedAt(wire.ObjectID(obj), wire.NodeID(owner), data)
 }
 
 // Messages returns the total protocol messages carried so far.
@@ -293,7 +294,9 @@ func (t *Tx) Get(obj uint64) ([]byte, error) { return t.tx.Get(obj) }
 // become the version the commit publishes, shared with every replica that
 // applies it, so the caller must not write them after Set — build a fresh
 // slice for every write. (The version's capacity is clipped to its length,
-// so an append to what Get returns for it reallocates.)
+// so an append to what Get returns for it reallocates.) A transaction's
+// writes travel in one replication message: a Set that would take them past
+// 64 MiB (wire.MaxBlob) is refused with an error and stages nothing.
 func (t *Tx) Set(obj uint64, val []byte) error { return t.tx.Set(obj, val) }
 
 // Commit finishes the transaction; ErrConflict means retry.
