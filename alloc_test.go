@@ -193,8 +193,10 @@ func TestAllocCeilings(t *testing.T) {
 
 	t.Logf("mallocs per transaction: rmw %.2f, transfer %.2f, read-only %.2f; per ownership move %.2f; with observability: rmw %.2f, move %.2f",
 		rmw, transfer, ro, move, rmwObs, moveObs)
-	// Achieved: 1.27, 2.26, 0 and 0.65–0.86 (the hundredths, and a tenth or
+	// Achieved: 1.08, 2.09, 0 and 0.65–0.86 (the hundredths, and a tenth or
 	// two of a move, are timers and lease renewals; the two write shapes cost
+	// 1.27 and 2.26 while every slot had an R-ACK from each follower and an
+	// R-VAL of its own, where a window of slots now shares one of each,
 	// 2.2 and 3.3 while Set copied and the slot was an allocation of its own,
 	// 4.3 and 6.3 while Get copied and the Updates were a slice of their own,
 	// 7 and 9 while every R-ACK and R-VAL was its own allocation too; a move

@@ -264,8 +264,10 @@ func BenchmarkWireCommitInv(b *testing.B) {
 
 // BenchmarkWireDecodeStream measures the inbound half of the replication path
 // as a read loop runs it: one Decoder walking a batch of two-update R-INVs,
-// R-ACKs and R-VALs (a third each). One op is one message; mallocs/msg is what
-// the chunks leave of the one-shot decode's 3, 1 and 1 (mean 1.67).
+// each followed by an R-ACK and an R-VAL naming its slot alone, and every
+// eighth slot by a window R-ACK and R-VAL naming the eight slots up to it.
+// One op is one message; mallocs/msg is what the chunks leave of the one-shot
+// decode's 3, 1 and 1.
 func BenchmarkWireDecodeStream(b *testing.B) {
 	var stream []byte
 	for i := uint64(1); i <= wire.ChunkRecords; i++ {
@@ -274,6 +276,11 @@ func BenchmarkWireDecodeStream(b *testing.B) {
 			Updates: []wire.Update{{Obj: 42, Version: i, Data: make([]byte, 64)}, {Obj: 43, Version: i, Data: make([]byte, 64)}}})
 		stream = wire.AppendMessage(stream, &wire.CommitAck{Tx: tx, Epoch: 3, From: 2})
 		stream = wire.AppendMessage(stream, &wire.CommitVal{Tx: tx, Epoch: 3})
+		if i%8 == 0 {
+			run := wire.TxID{Pipe: tx.Pipe, Local: i - 7}
+			stream = wire.AppendMessage(stream, &wire.CommitAck{Tx: run, More: 0x7f, Epoch: 3, From: 2})
+			stream = wire.AppendMessage(stream, &wire.CommitVal{Tx: run, More: 0x7f, Epoch: 3})
+		}
 	}
 	var dec wire.Decoder
 	var before, after runtime.MemStats

@@ -7,7 +7,11 @@
 // apply newer versions, flip the objects to Invalid, store the R-INV and
 // R-ACK. Once all followers ACKed, the coordinator validates locally and
 // broadcasts R-VAL; followers validate (iff the version is unchanged) and
-// discard the stored R-INV.
+// discard the stored R-INV. Acknowledgements travel in windows: a follower
+// sends one R-ACK per pipe per flush, naming with one bit each the slots
+// whose WAL append returned since the last, and a coordinator one R-VAL per
+// pipe per flush, naming the slots it validated, to the union of their
+// followers (see window).
 //
 // Pipelining (§5.2, Figure 5): the coordinator never waits for replication —
 // tx_id = ⟨local_tx_id, node_id⟩ (extended per worker thread, §7) orders the
@@ -25,9 +29,10 @@
 // reports recovery-done; the ownership protocol resumes only after every live
 // node has reported (the membership barrier).
 //
-// A slot is acknowledged by a follower's R-ACK for it and by nothing else: the
-// R-ACK leaves only once the follower's WAL append for that slot returned
-// (ackDurable), and no acknowledgement of one slot vouches for another.
+// A slot is acknowledged by a follower's R-ACK that names it and by nothing
+// else: its bit is set only once the follower's WAL append for that slot
+// returned (ackDurable), and no acknowledgement of one slot vouches for
+// another — an R-ACK names each slot it acknowledges with a bit of its own.
 //
 // Concurrency (§5.2/§7): the engine holds no global lock on any hot path.
 // Pipelines are looked up lock-free (copy-on-write maps — pipes are created
@@ -64,6 +69,13 @@ type Stats struct {
 	Replays         uint64 // slots replayed for dead coordinators
 	Resends         uint64 // crash-aware R-INV re-broadcasts
 	BytesReplicated uint64
+	// R-ACK and R-VAL messages this node sent (an R-VAL once per target),
+	// and the slots they named: slots per message is what a window folds.
+	RAcks, RAckSlots uint64
+	RVals, RValSlots uint64
+	// QueueMax is the most messages one peer's coalescer queue held when a
+	// flush took it.
+	QueueMax uint64
 }
 
 // MaxPipelineDepth bounds the unvalidated slots per pipeline. The paper's
@@ -126,6 +138,44 @@ type peerQueue struct {
 // count-triggered flushes' worth); a burst's larger array goes to the GC.
 const maxSpareCap = 4 * coalesceFlushCount
 
+// window is a run of one pipe's slots waiting to be named by one R-ACK (a
+// follower's, on its inPipe) or one R-VAL (a coordinator's, on its outPipe):
+// bit i of mask names slot base+i, and base's own bit is always set. On the
+// wire Tx.Local is base and More is mask>>1, so each named slot has its own
+// bit and none is implied. flushOut emits every non-empty window just before
+// it sends the peer queues; a slot that does not fit the open window — of
+// another epoch or destination, or 64 or more slots away — emits it at once
+// and opens the next.
+type window struct {
+	base, mask uint64
+	targets    wire.Bitmap // R-VAL: the union of the named slots' targets
+	epoch      wire.Epoch
+	to         wire.NodeID // R-ACK: the coordinator, or a replayer
+}
+
+// add names local in w for a message of epoch bound for to. It reports
+// false, leaving w unchanged, when w holds a run of another epoch or
+// destination, or local lies outside the 64 slots w can name.
+func (w *window) add(local uint64, epoch wire.Epoch, to wire.NodeID) bool {
+	switch {
+	case w.mask == 0:
+		*w = window{base: local, mask: 1, epoch: epoch, to: to}
+	case epoch != w.epoch || to != w.to:
+		return false
+	case local >= w.base && local-w.base < 64:
+		w.mask |= 1 << (local - w.base)
+	case local < w.base && w.base-local <= uint64(bits.LeadingZeros64(w.mask)):
+		w.mask = w.mask<<(w.base-local) | 1
+		w.base = local
+	default:
+		return false
+	}
+	return true
+}
+
+// windowed is a pipe holding a window for flushOut to emit.
+type windowed interface{ emitWindow(e *Engine) }
+
 // Engine runs the reliable commit protocol on one node.
 type Engine struct {
 	self  wire.NodeID
@@ -162,6 +212,11 @@ type Engine struct {
 	coCount atomic.Int32  // approximate total (flush-threshold heuristic only)
 	coArmed atomic.Bool   // a timed flush cycle is pending
 	coWake  chan struct{}
+	// wins lists the pipes whose window turned non-empty since the last
+	// flushOut emitted them. winMu is taken before a pipe's lock, never
+	// after.
+	winMu sync.Mutex
+	wins  []windowed
 
 	closed chan struct{}
 	once   sync.Once
@@ -183,6 +238,11 @@ type Engine struct {
 	stReplays   atomic.Uint64
 	stResends   atomic.Uint64
 	stBytes     atomic.Uint64
+	stRAcks     atomic.Uint64
+	stRAckSlots atomic.Uint64
+	stRVals     atomic.Uint64
+	stRValSlots atomic.Uint64
+	stQueueMax  atomic.Uint64
 }
 
 // coalesceFlushCount / coalesceInterval bound the outbound coalescer: flush
@@ -210,8 +270,10 @@ type outPipe struct {
 	// the front entry is always open and an idle pipe holds no slot.
 	order []*Slot
 	head  int
-	// vals is where completeSlot takes each slot's R-VAL from, and fresh
-	// where Commit and adopt take each Slot from (both under mu).
+	// val is the R-VAL window of the slots completeSlot validated since the
+	// last flush, vals where its messages are taken from, and fresh where
+	// Commit and adopt take each Slot from (all under mu).
+	val   window
 	vals  wire.Chunk[wire.CommitVal]
 	fresh wire.Chunk[Slot]
 }
@@ -312,7 +374,7 @@ func (s *Slot) Tx() wire.TxID { return s.first.Tx }
 
 // Done returns a channel that is closed once the slot validated: every live
 // follower acknowledged, the local objects flipped back to Valid and the
-// R-VAL is queued. The channel is made on the first call — tests and drain
+// slot's bit is in its pipe's R-VAL window, which the next flush sends. The channel is made on the first call — tests and drain
 // paths wait on it, the transaction hot path never asks.
 func (s *Slot) Done() <-chan struct{} {
 	p := s.pipe
@@ -330,6 +392,7 @@ func (s *Slot) Done() <-chan struct{} {
 
 // inPipe tracks one remote coordinator pipeline at a follower.
 type inPipe struct {
+	id wire.PipeID
 	mu sync.Mutex
 	// stored holds applied-but-unvalidated R-INVs (pending commits).
 	stored map[uint64]*wire.CommitInv
@@ -351,7 +414,12 @@ type inPipe struct {
 	// each stored R-INV (under mu, but ONLY from watchdogScan — the apply
 	// and validate hot paths never touch it, so obs costs nothing here).
 	wdSeen map[uint64]time.Time
-	// acks is where ackDurable takes each R-ACK from (under mu).
+	// ack is the R-ACK window of the slots whose append returned since the
+	// last flush, and acks where its messages are taken from. Both are under
+	// wmu, not mu, so a flush never waits behind a WAL append (ackDurable
+	// appends with mu held).
+	wmu  sync.Mutex
+	ack  window
 	acks wire.Chunk[wire.CommitAck]
 }
 
@@ -407,23 +475,36 @@ func (e *Engine) Close() {
 
 // enqueue queues one outbound protocol message for peer-coalesced sending.
 func (e *Engine) enqueue(to wire.NodeID, m wire.Msg) {
+	switch n := e.queue(to, m); {
+	case n == 0:
+	case n >= coalesceFlushCount:
+		e.flushOut()
+	default:
+		e.arm()
+	}
+}
+
+// queue appends m to to's coalescer queue and returns the approximate total
+// queued, 0 if m is not for a peer. It neither flushes nor arms: enqueue
+// does, and flushOut sends what it queues itself.
+func (e *Engine) queue(to wire.NodeID, m wire.Msg) int32 {
 	if to == e.self || int(to) >= maxPeers {
-		return
+		return 0
 	}
 	q := &e.coQ[to]
 	q.mu.Lock()
 	q.msgs = append(q.msgs, m)
 	q.mu.Unlock()
 	e.coDirty.Or(1 << to)
-	if e.coCount.Add(1) >= coalesceFlushCount {
-		e.flushOut()
-		return
-	}
-	// Arm a timed flush unless one is already pending. The flag (not the
-	// approximate count) carries the liveness guarantee: every enqueued
-	// message is followed by a flush within coalesceInterval, because the
-	// pending cycle disarms *before* it flushes — an enqueue racing with
-	// the flush re-arms the next cycle.
+	return e.coCount.Add(1)
+}
+
+// arm arms a timed flush unless one is already pending. The flag (not the
+// approximate count) carries the liveness guarantee: every enqueued message
+// and every window bit is followed by a flush within coalesceInterval,
+// because the pending cycle disarms *before* it flushes — an enqueue or a
+// window racing with the flush re-arms the next cycle.
+func (e *Engine) arm() {
 	if !e.coArmed.Swap(true) {
 		select {
 		case e.coWake <- struct{}{}:
@@ -432,14 +513,29 @@ func (e *Engine) enqueue(to wire.NodeID, m wire.Msg) {
 	}
 }
 
-// flushOut drains the coalescer, sending each peer's queue as one batch.
+// listWindow puts p on the list of pipes flushOut emits windows from, once
+// its window turned non-empty, and arms a timed flush as enqueue does: a bit
+// set on an otherwise idle node still leaves within coalesceInterval.
+func (e *Engine) listWindow(p windowed) {
+	e.winMu.Lock()
+	e.wins = append(e.wins, p)
+	e.winMu.Unlock()
+	e.arm()
+}
+
+// flushOut emits every pending window (one R-ACK or one R-VAL per pipe),
+// then drains the coalescer, sending each peer's queue as one batch.
 // Only peers flagged dirty are visited; an enqueue racing with the swap
 // re-flags its peer (the Or runs after the append), so at worst a queue is
 // visited empty once or left for the already-armed next cycle. One flusher
 // sends to a peer at a time (peerQueue.sending), which keeps the peer's
 // batches in queue order on the link; what a second flusher leaves behind is
 // sent by the first before it lets go, so no message waits for a later flush.
+// flushOut takes no pipe lock but a window's, and the callers hold none of
+// those: a count-triggered flush from enqueue runs with at most an inPipe's
+// mu held.
 func (e *Engine) flushOut() {
+	e.emitWindows()
 	dirty := e.coDirty.Swap(0)
 	for dirty != 0 {
 		to := bits.TrailingZeros64(dirty)
@@ -456,6 +552,8 @@ func (e *Engine) flushOut() {
 			q.msgs, q.spare = q.spare, nil
 			q.mu.Unlock()
 			e.coCount.Add(int32(-len(msgs)))
+			for n, max := uint64(len(msgs)), e.stQueueMax.Load(); n > max && !e.stQueueMax.CompareAndSwap(max, n); max = e.stQueueMax.Load() {
+			}
 			_ = e.tr.SendBatch(wire.NodeID(to), msgs)
 			park := cap(msgs) <= maxSpareCap // a burst's array goes to the GC
 			if park {
@@ -469,6 +567,72 @@ func (e *Engine) flushOut() {
 		q.sending = false
 		q.mu.Unlock()
 	}
+}
+
+// emitWindows queues the message of each listed pipe's window (flushOut
+// sends them right after) and empties the list, keeping its array.
+func (e *Engine) emitWindows() {
+	e.winMu.Lock()
+	defer e.winMu.Unlock()
+	for _, p := range e.wins {
+		p.emitWindow(e)
+	}
+	clear(e.wins)
+	e.wins = e.wins[:0]
+}
+
+// emitWindow queues the follower's pending R-ACK.
+func (p *inPipe) emitWindow(e *Engine) {
+	p.wmu.Lock()
+	to, ack := e.sealAckLocked(p)
+	p.wmu.Unlock()
+	if ack != nil {
+		e.queue(to, ack)
+	}
+}
+
+// sealAckLocked turns p's R-ACK window into its message and empties it
+// (p.wmu held); nil if the window is empty. This is where an R-ACK is made:
+// from bits that only ackDurable sets, each after its append returned.
+func (e *Engine) sealAckLocked(p *inPipe) (wire.NodeID, *wire.CommitAck) {
+	w := &p.ack
+	if w.mask == 0 {
+		return 0, nil
+	}
+	ack := p.acks.Take()
+	*ack = wire.CommitAck{Tx: wire.TxID{Pipe: p.id, Local: w.base}, More: w.mask >> 1, Epoch: w.epoch, From: e.self}
+	e.stRAcks.Add(1)
+	e.stRAckSlots.Add(uint64(bits.OnesCount64(w.mask)))
+	to := w.to
+	*w = window{}
+	return to, ack
+}
+
+// emitWindow queues the coordinator's pending R-VAL to each of its targets.
+func (p *outPipe) emitWindow(e *Engine) {
+	p.mu.Lock()
+	targets, val := e.sealValLocked(p)
+	p.mu.Unlock()
+	for n := range targets.Each {
+		e.queue(n, val)
+	}
+}
+
+// sealValLocked turns p's R-VAL window into its message and empties it
+// (p.mu held); nil if the window is empty.
+func (e *Engine) sealValLocked(p *outPipe) (wire.Bitmap, *wire.CommitVal) {
+	w := &p.val
+	if w.mask == 0 {
+		return 0, nil
+	}
+	val := p.vals.Take()
+	*val = wire.CommitVal{Tx: wire.TxID{Pipe: p.id, Local: w.base}, More: w.mask >> 1, Epoch: w.epoch}
+	sent := uint64(w.targets.Count())
+	e.stRVals.Add(sent)
+	e.stRValSlots.Add(sent * uint64(bits.OnesCount64(w.mask)))
+	targets := w.targets
+	*w = window{}
+	return targets, val
 }
 
 // coalesceLoop flushes the outbound coalescer at most coalesceInterval after
@@ -530,6 +694,11 @@ func (e *Engine) Stats() Stats {
 		Replays:         e.stReplays.Load(),
 		Resends:         e.stResends.Load(),
 		BytesReplicated: e.stBytes.Load(),
+		RAcks:           e.stRAcks.Load(),
+		RAckSlots:       e.stRAckSlots.Load(),
+		RVals:           e.stRVals.Load(),
+		RValSlots:       e.stRValSlots.Load(),
+		QueueMax:        e.stQueueMax.Load(),
 	}
 }
 
@@ -552,7 +721,7 @@ func (e *Engine) pipe(w wire.Worker) *outPipe {
 
 func (e *Engine) inPipe(id wire.PipeID) *inPipe {
 	return e.inPipes.GetOrCreate(id, func() *inPipe {
-		return &inPipe{stored: make(map[uint64]*wire.CommitInv), done: make(map[uint64]bool), waiting: make(map[uint64]*wire.CommitInv), unlogged: make(map[uint64]*wire.CommitInv)}
+		return &inPipe{id: id, stored: make(map[uint64]*wire.CommitInv), done: make(map[uint64]bool), waiting: make(map[uint64]*wire.CommitInv), unlogged: make(map[uint64]*wire.CommitInv)}
 	})
 }
 
@@ -719,8 +888,9 @@ func (e *Engine) Commit(w wire.Worker, updates []wire.Update, followers wire.Bit
 // it. An own slot flips its local objects whose version is unchanged back to
 // Valid, releases their pending counts and records the commit with its data;
 // an adopted one validates the stored R-INV it replays as a received R-VAL
-// would. Either way the R-VAL goes to the followers, and the slot then leaves
-// the pipe.
+// would. Either way the slot leaves the pipe and its bit joins the pipe's
+// R-VAL window, which the next flush sends to the union of the window's
+// targets (a target that did not follow a slot takes it as ordering only).
 func (e *Engine) completeSlot(s *Slot) {
 	p := s.pipe
 	p.mu.Lock()
@@ -732,17 +902,13 @@ func (e *Engine) completeSlot(s *Slot) {
 	// The resend pass repoints s.inv and s.followers under p.mu; everything
 	// below works from this one consistent reading.
 	inv, targets := s.inv, s.followers.Union(s.extraVal)
-	val := p.vals.Take()
 	p.mu.Unlock()
-	*val = wire.CommitVal{Tx: s.Tx(), Epoch: inv.Epoch} // written once, here, before any enqueue
+	local := s.Tx().Local
 
 	if p.adopted {
-		e.handleVal(val)
+		e.validateStored(e.inPipe(p.id), local)
 	} else {
 		e.validateOwn(s, inv)
-	}
-	for n := range targets.Each {
-		e.enqueue(n, val) // coalesced with neighbouring slots' R-VALs
 	}
 	if !p.adopted {
 		e.stCommitted.Add(1)
@@ -753,14 +919,31 @@ func (e *Engine) completeSlot(s *Slot) {
 		}
 	}
 
+	var full *wire.CommitVal
+	var fullTargets wire.Bitmap
 	p.mu.Lock()
-	delete(p.slots, s.Tx().Local)
-	s.finished = true
+	delete(p.slots, local)
+	s.finished = true // from here on Done hands out s.done as it is
 	p.compactLocked()
-	if s.done != nil {
-		close(s.done)
+	done := s.done
+	fresh := targets != 0 && p.val.mask == 0
+	if targets != 0 {
+		if !p.val.add(local, inv.Epoch, 0) {
+			fullTargets, full = e.sealValLocked(p)
+			p.val.add(local, inv.Epoch, 0)
+		}
+		p.val.targets = p.val.targets.Union(targets)
 	}
 	p.mu.Unlock()
+	for n := range fullTargets.Each {
+		e.enqueue(n, full)
+	}
+	if fresh {
+		e.listWindow(p)
+	}
+	if done != nil {
+		close(done) // after the listing: a flush by whoever waited sends the R-VAL
+	}
 	if p.adopted {
 		e.maybeReportDone()
 	}
@@ -863,16 +1046,18 @@ func (e *Engine) applyOneLocked(p *inPipe, m *wire.CommitInv) {
 // ackDurable is the single choke point between applying an R-INV and
 // acknowledging it (zeuslint ackdurable; p.mu held): when durability is
 // armed and the slot is still in p.unlogged, the updates are appended to
-// the WAL — group-committed, durable on return — strictly before the R-ACK
-// is queued, so a coordinator can never observe an acknowledgement for a
-// write the follower could forget in a crash. The R-ACK names this one slot
-// and acknowledges nothing else. A failed append sends nothing: the slot
-// stays in unlogged and the pipe is counted, so the resend loop retries the
-// append (retryAppends) until it returns, or a retransmitted R-INV does
-// first. A slot already logged (not in unlogged) re-ACKs without touching
-// the WAL: duplicates and resend storms must not grow it. The ACK itself
-// stays coalesced: one delivery tick's worth of R-ACKs leaves as a single
-// transport batch.
+// the WAL — group-committed, durable on return — strictly before the slot's
+// bit is set in the pipe's R-ACK window, so a coordinator can never observe
+// an acknowledgement for a write the follower could forget in a crash. The
+// window bit is the receipt that the append returned: the R-ACK the next
+// flush makes of the window (sealAckLocked) names this slot by that bit and
+// acknowledges nothing else. A failed append sets no bit: the slot stays in
+// unlogged and the pipe is counted, so the resend loop retries the append
+// (retryAppends) until it returns, or a retransmitted R-INV does first. A
+// slot already logged (not in unlogged) sets its bit again without touching
+// the WAL: duplicates and resend storms must not grow it. A slot the open
+// window cannot name — another destination or epoch, or 64 slots away —
+// sends that window at once and opens the next.
 func (e *Engine) ackDurable(p *inPipe, to wire.NodeID, m *wire.CommitInv) {
 	if l := e.log; l != nil {
 		if inv, needs := p.unlogged[m.Tx.Local]; needs {
@@ -894,9 +1079,21 @@ func (e *Engine) ackDurable(p *inPipe, to wire.NodeID, m *wire.CommitInv) {
 			e.logged(p, m.Tx.Local)
 		}
 	}
-	ack := p.acks.Take()
-	*ack = wire.CommitAck{Tx: m.Tx, Epoch: m.Epoch, From: e.self}
-	e.enqueue(to, ack)
+	p.wmu.Lock()
+	fresh := p.ack.mask == 0
+	var fullTo wire.NodeID
+	var full *wire.CommitAck
+	if !p.ack.add(m.Tx.Local, m.Epoch, to) {
+		fullTo, full = e.sealAckLocked(p)
+		p.ack.add(m.Tx.Local, m.Epoch, to)
+	}
+	p.wmu.Unlock()
+	if full != nil {
+		e.enqueue(fullTo, full)
+	}
+	if fresh {
+		e.listWindow(p)
+	}
 }
 
 // logged drops local from p.unlogged, and the pipe from the engine's count
@@ -946,20 +1143,27 @@ func (e *Engine) recCommitted(updates []wire.Update, withData bool) {
 
 func (e *Engine) handleVal(m *wire.CommitVal) {
 	// No epoch filter: an R-VAL states the fact "every follower applied
-	// Tx", which stays true across view changes. Dropping a VAL in flight
-	// over an epoch bump would strand the stored R-INV (the coordinator
-	// has already completed the slot and never re-VALs), pinning the
-	// object Invalid forever; the t_version checks below keep stale VALs
-	// harmless.
+	// these slots", which stays true across view changes. Dropping a VAL in
+	// flight over an epoch bump would strand the stored R-INV (the
+	// coordinator has already completed the slot and never re-VALs),
+	// pinning the object Invalid forever; the t_version checks in
+	// validateStored keep stale VALs harmless.
 	p := e.inPipe(m.Tx.Pipe)
+	for local := range m.Slots {
+		e.validateStored(p, local)
+	}
+}
+
+// validateStored validates one slot an R-VAL names at this follower.
+func (e *Engine) validateStored(p *inPipe, local uint64) {
 	p.mu.Lock()
-	inv := p.stored[m.Tx.Local]
-	delete(p.stored, m.Tx.Local)
-	e.logged(p, m.Tx.Local)
-	p.markDone(m.Tx.Local)
+	inv := p.stored[local]
+	delete(p.stored, local)
+	e.logged(p, local)
+	p.markDone(local)
 	// The R-VAL may unblock a waiting successor (prev-VAL inclusion rule).
-	if next, ok := p.waiting[m.Tx.Local+1]; ok {
-		delete(p.waiting, m.Tx.Local+1)
+	if next, ok := p.waiting[local+1]; ok {
+		delete(p.waiting, local+1)
 		e.applyInvLocked(p, next.Tx.Pipe.Node, next)
 	}
 	p.mu.Unlock()
@@ -998,11 +1202,11 @@ func (p *inPipe) markDone(local uint64) {
 // ---------------------------------------------------------------------------
 
 func (e *Engine) handleAck(m *wire.CommitAck) {
-	// No epoch filter (mirrors handleVal): "follower F applied Tx" is a
-	// fact regardless of the epoch the ACK crossed; completeness is always
-	// evaluated against the *current* live set anyway. The ACK names one
-	// slot of one pipe — own or adopted, of this very incarnation — and
-	// acknowledges that slot alone.
+	// No epoch filter (mirrors handleVal): "follower F applied these slots"
+	// is a fact regardless of the epoch the ACK crossed; completeness is
+	// always evaluated against the *current* live set anyway. The ACK names
+	// slots of one pipe — own or adopted, of this very incarnation — and
+	// acknowledges exactly the slots it names.
 	var p *outPipe
 	if m.Tx.Pipe.Node == e.self {
 		p, _ = e.outPipes.Get(m.Tx.Pipe.Worker)
@@ -1013,14 +1217,20 @@ func (e *Engine) handleAck(m *wire.CommitAck) {
 		return
 	}
 	live := e.agent.View().Live
+	var complete [65]*Slot // an ACK names at most 65 slots
+	n := 0
 	p.mu.Lock()
-	s := p.slots[m.Tx.Local]
-	if s != nil {
-		s.acked = s.acked.Add(m.From)
+	for local := range m.Slots {
+		if s := p.slots[local]; s != nil {
+			s.acked = s.acked.Add(m.From)
+			if !s.valed && s.acknowledged(live, e.self) {
+				complete[n] = s
+				n++
+			}
+		}
 	}
-	complete := s != nil && !s.valed && s.acknowledged(live, e.self)
 	p.mu.Unlock()
-	if complete {
+	for _, s := range complete[:n] {
 		e.completeSlot(s)
 	}
 }

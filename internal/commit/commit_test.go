@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -559,35 +558,22 @@ func (c *countingStore) holdNext() (held <-chan struct{}, release func()) {
 	return c.held, sync.OnceFunc(func() { close(hold) })
 }
 
-// acksFrom replaces node 0's handler with one that counts the R-ACKs fl
-// sends it. The returned func reports that count once everything fl's
-// engine queued before the call has arrived: it queues a marker R-VAL behind
-// it, and a peer's coalescer queue and the hub keep their order.
+// acksFrom replaces node 0's handler with a recorder and returns a func that
+// counts the slots named by the R-ACKs fl has sent it, once everything fl's
+// engine acknowledged before the call has arrived (recorder.flush).
 func acksFrom(t *testing.T, c *tcluster, fl *tnode) func() int {
 	t.Helper()
-	var acks atomic.Int32
-	marks := make(chan wire.Msg, 1)
-	c.nodes[0].tr.SetHandler(func(from wire.NodeID, m wire.Msg) {
-		switch m.(type) {
-		case *wire.CommitAck:
-			acks.Add(1)
-		case *wire.CommitVal:
-			marks <- m
-		}
-	})
+	r := record(c, 0)
 	return func() int {
 		t.Helper()
-		mark := &wire.CommitVal{}
-		fl.eng.enqueue(0, mark)
-		select {
-		case got := <-marks:
-			if got != mark {
-				t.Fatalf("node 0 received an R-VAL nobody sent: %+v", got)
+		r.flush(t, fl, 0)
+		n := 0
+		for _, ack := range r.acksAt(0) {
+			for range ack.Slots {
+				n++
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("the marker R-VAL never arrived")
 		}
-		return int(acks.Load())
+		return n
 	}
 }
 
@@ -629,6 +615,9 @@ func TestDuplicateInvDoesNotRelog(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		fl.eng.Handle(0, inv) // pure duplicates: re-ACK only
+		if n := acks(); n != 2+i {
+			t.Fatalf("%d R-ACKs after duplicate %d, want %d: one per delivery since the append succeeded", n, i+1, 2+i)
+		}
 	}
 	if n := cs.count(); n != 1 {
 		t.Fatalf("duplicates grew the WAL: %d records, want 1", n)

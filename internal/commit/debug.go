@@ -32,6 +32,9 @@ func (e *Engine) DumpState(w io.Writer) {
 			} else {
 				fmt.Fprintf(w, "outPipe worker=%d nextLocal=%d openSlots=%d\n", p.id.Worker, p.nextLocal, len(p.slots))
 			}
+			if p.val.mask != 0 {
+				fmt.Fprintf(w, "  R-VAL window base=%d mask=%#x targets=%v\n", p.val.base, p.val.mask, p.val.targets.Nodes())
+			}
 			for _, local := range sortedKeys(p.slots) {
 				s := p.slots[local]
 				fmt.Fprintf(w, "  slot local=%d tx=%v epoch=%d followers=%v acked=%v valed=%v updates=%d\n",
@@ -46,6 +49,11 @@ func (e *Engine) DumpState(w io.Writer) {
 		if len(p.stored) > 0 || len(p.waiting) > 0 {
 			fmt.Fprintf(w, "inPipe coord=%d worker=%d watermark=%d stored=%v waiting=%v\n",
 				id.Node, id.Worker, p.watermark, sortedKeys(p.stored), sortedKeys(p.waiting))
+			p.wmu.Lock()
+			if p.ack.mask != 0 {
+				fmt.Fprintf(w, "  R-ACK window to=%d base=%d mask=%#x\n", p.ack.to, p.ack.base, p.ack.mask)
+			}
+			p.wmu.Unlock()
 			for _, local := range sortedKeys(p.stored) {
 				inv := p.stored[local]
 				objs := make([]wire.ObjectID, 0, len(inv.Updates))

@@ -42,6 +42,11 @@ func newEngineObs(e *Engine, r *obs.Registry) *engineObs {
 	r.CounterFunc("cmt_replays_total", e.stReplays.Load)
 	r.CounterFunc("cmt_resends_total", e.stResends.Load)
 	r.CounterFunc("cmt_bytes_total", e.stBytes.Load)
+	r.CounterFunc("cmt_rack_total", e.stRAcks.Load)
+	r.CounterFunc("cmt_rack_slots_total", e.stRAckSlots.Load)
+	r.CounterFunc("cmt_rval_total", e.stRVals.Load)
+	r.CounterFunc("cmt_rval_slots_total", e.stRValSlots.Load)
+	r.GaugeFunc("cmt_peer_queue_max", func() int64 { return int64(e.stQueueMax.Load()) })
 	r.GaugeFunc("cmt_open_slots", func() int64 { return int64(e.PendingSlots()) })
 	r.GaugeFunc("cmt_pending_replays", func() int64 { return int64(e.PendingReplays()) })
 	return b

@@ -249,9 +249,9 @@ func TestSlotsAreCarvedNotReused(t *testing.T) {
 	}
 
 	var vals []*wire.CommitVal
-	for deadline := time.Now().Add(2 * time.Second); len(vals) < 2*batch; time.Sleep(200 * time.Microsecond) {
+	for deadline := time.Now().Add(2 * time.Second); namedSlots(vals) < 2*batch; time.Sleep(200 * time.Microsecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("follower 2 was sent %d R-VALs, want %d", len(vals), 2*batch)
+			t.Fatalf("follower 2 was sent R-VALs for %d slots, want %d", namedSlots(vals), 2*batch)
 		}
 		mu.Lock()
 		vals = heldVals
@@ -263,6 +263,17 @@ func TestSlotsAreCarvedNotReused(t *testing.T) {
 	if n := len(stored()); n != 0 {
 		t.Errorf("follower 2 still stores %d R-INVs after their R-VALs", n)
 	}
+}
+
+// namedSlots counts the slots a run of R-VALs names.
+func namedSlots(vals []*wire.CommitVal) int {
+	n := 0
+	for _, v := range vals {
+		for range v.Slots {
+			n++
+		}
+	}
+	return n
 }
 
 // TestShallowPipelineKeepsItsFIFO: a pipeline that drains between commits
@@ -370,23 +381,27 @@ func TestCoalescerReusesItsBuffers(t *testing.T) {
 // TestEmittedRecordsAreDistinct: R-ACKs and R-VALs are carved from chunks on
 // the pipes, and a record must never be handed out twice — on the zero-copy
 // hub the receiver holds a pointer into the sender's chunk, so a reused
-// record would rewrite a message that is still in flight. 100 pipelined
-// commits (six chunks' worth) must arrive as 100 different R-ACKs and 100
-// different R-VALs that still name their own transactions at the end.
+// record would rewrite a message that is still in flight. 100 commits, each
+// waited for before the next so that their windows rarely fold (and the
+// records span several chunks), must be named by exactly one R-ACK and one
+// R-VAL each, every one of those a record of its own that still names its own
+// slots at the end.
 func TestEmittedRecordsAreDistinct(t *testing.T) {
 	c := newTestCluster(t, 2)
 	c.seedObject(1, 0, wire.BitmapOf(1))
 	var mu sync.Mutex
 	var acks []*wire.CommitAck
 	var vals []*wire.CommitVal
+	var ackCopies []wire.CommitAck
+	var valCopies []wire.CommitVal
 	for _, nd := range c.nodes {
 		nd.tr.SetHandler(func(from wire.NodeID, m wire.Msg) {
 			mu.Lock()
 			switch v := m.(type) {
 			case *wire.CommitAck:
-				acks = append(acks, v)
+				acks, ackCopies = append(acks, v), append(ackCopies, *v)
 			case *wire.CommitVal:
-				vals = append(vals, v)
+				vals, valCopies = append(vals, v), append(valCopies, *v)
 			}
 			mu.Unlock()
 			nd.eng.Handle(from, m)
@@ -396,53 +411,71 @@ func TestEmittedRecordsAreDistinct(t *testing.T) {
 	const commits = 100
 	var slots []*Slot
 	for i := 0; i < commits; i++ {
-		slots = append(slots, c.localCommit(0, 0, []wire.ObjectID{1}, "v"))
-	}
-	for _, s := range slots {
+		s := c.localCommit(0, 0, []wire.ObjectID{1}, "v")
 		waitClosed(t, s.Done())
+		slots = append(slots, s)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		mu.Lock()
-		done := len(vals) == commits
+		done := namedSlots(vals) == commits
 		mu.Unlock()
 		if done {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d R-VALs arrived", len(vals), commits)
+			t.Fatalf("R-VALs for %d of %d slots arrived", namedSlots(vals), commits)
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(acks) != commits {
-		t.Fatalf("%d R-ACKs for %d commits", len(acks), commits)
-	}
 	// Arrival order is TestFlushersKeepAPeersOrder's business; here every
-	// transaction must be named by exactly one R-ACK and one R-VAL, each its
-	// own record.
+	// transaction must be named by exactly one R-ACK and one R-VAL, each
+	// record its own and unchanged since it arrived.
 	pipe := slots[0].Tx().Pipe
 	ackFor, valFor := map[uint64]*wire.CommitAck{}, map[uint64]*wire.CommitVal{}
 	ackSeen, valSeen := map[*wire.CommitAck]bool{}, map[*wire.CommitVal]bool{}
-	for i := 0; i < commits; i++ {
-		ack, val := acks[i], vals[i]
-		if ackSeen[ack] || valSeen[val] {
-			t.Fatalf("the record of %v's R-ACK or %v's R-VAL was handed out twice", ack.Tx, val.Tx)
+	for i, ack := range acks {
+		if ackSeen[ack] || *ack != ackCopies[i] {
+			t.Fatalf("the record of R-ACK %+v was handed out twice", ackCopies[i])
 		}
-		ackSeen[ack], valSeen[val] = true, true
-		if ack.Tx.Pipe != pipe || ack.From != 1 || ackFor[ack.Tx.Local] != nil {
-			t.Errorf("R-ACK %+v: wrong pipe or sender, or the second for its transaction", *ack)
+		ackSeen[ack] = true
+		if ack.Tx.Pipe != pipe || ack.From != 1 {
+			t.Errorf("R-ACK %+v: wrong pipe or sender", *ack)
 		}
-		if val.Tx.Pipe != pipe || valFor[val.Tx.Local] != nil {
-			t.Errorf("R-VAL %+v: wrong pipe, or the second for its transaction", *val)
+		for local := range ack.Slots {
+			if ackFor[local] != nil {
+				t.Errorf("slot %d named by a second R-ACK %+v", local, *ack)
+			}
+			ackFor[local] = ack
 		}
-		ackFor[ack.Tx.Local], valFor[val.Tx.Local] = ack, val
+	}
+	for i, val := range vals {
+		if valSeen[val] || *val != valCopies[i] {
+			t.Fatalf("the record of R-VAL %+v was handed out twice", valCopies[i])
+		}
+		valSeen[val] = true
+		if val.Tx.Pipe != pipe {
+			t.Errorf("R-VAL %+v: wrong pipe", *val)
+		}
+		for local := range val.Slots {
+			if valFor[local] != nil {
+				t.Errorf("slot %d named by a second R-VAL %+v", local, *val)
+			}
+			valFor[local] = val
+		}
 	}
 	for local := uint64(1); local <= commits; local++ {
 		if ackFor[local] == nil || valFor[local] == nil {
 			t.Errorf("commit %d: R-ACK %v, R-VAL %v", local, ackFor[local], valFor[local])
 		}
+	}
+	if len(ackFor) != commits || len(valFor) != commits {
+		t.Errorf("R-ACKs name %d slots and R-VALs %d, want the %d commits", len(ackFor), len(valFor), commits)
+	}
+	if len(acks) <= 2*wire.ChunkRecords || len(vals) <= 2*wire.ChunkRecords {
+		t.Errorf("%d R-ACKs and %d R-VALs: the records did not span three chunks", len(acks), len(vals))
 	}
 }
 

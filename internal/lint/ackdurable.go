@@ -18,9 +18,18 @@ import (
 // ackDurable is the sanctioned choke point; best-effort appends (recCommitted,
 // recGrant) live in functions that send no acks and stay exempt.
 //
+// An R-ACK names a window of slots, so ackDurable hands a CommitAck to
+// enqueue only when a slot does not fit the open window; the usual emission
+// site is commit.Engine.sealAckLocked, which flushOut calls to turn each
+// pending window into one CommitAck. That function appends nothing, so this
+// analyzer does not see it: it emits only bits ackDurable set, each after
+// its Append returned without error, and the rule across the two functions
+// is held at run time.
+//
 // No type orders two calls. TestDuplicateInvDoesNotRelog holds the same rule
-// at run time, for that one choke point: no R-ACK leaves while its Append is
-// blocked, and none after a failed one.
+// at run time, for that one choke point: no R-ACK names a slot while its
+// Append is blocked, and none after a failed one; TestAFailedAppendSetsNoBit
+// holds it for the window bit.
 var AckDurable = &analysis.Analyzer{
 	Name: "ackdurable",
 	Doc:  "a CommitAck follows the WAL Append it depends on, with its error checked",

@@ -14,7 +14,7 @@ import (
 // on: a value is frozen once it is handed over, because the callee keeps its
 // memory after the call returns. The hand-off table lists who keeps what:
 //
-//   - Send, SendBatch, Multicast, Broadcast, send, enqueue and Enqueue keep a
+//   - Send, SendBatch, Multicast, Broadcast, send, enqueue, queue and Enqueue keep a
 //     wire message. FabricMem delivers commit messages with no codec round
 //     trip (the receiver aliases the very struct the sender built), the
 //     reliable transport's retransmit queue holds it until it is acked, and
@@ -91,8 +91,8 @@ var handoffs = map[string]struct {
 }{
 	"Send": {wireMsgs, -1}, "SendBatch": {wireMsgs, -1}, "Multicast": {wireMsgs, -1},
 	"Broadcast": {wireMsgs, -1}, "send": {wireMsgs, -1}, "enqueue": {wireMsgs, -1},
-	"Enqueue": {wireMsgs, -1},
-	"Append":  {walRecs, -1},
+	"Enqueue": {wireMsgs, -1}, "queue": {wireMsgs, -1},
+	"Append": {walRecs, -1},
 
 	"(*zeus/internal/core.Tx).Set":            {versions, 1},
 	"(zeus/internal/dbapi.Txn).Set":           {versions, 1},

@@ -424,9 +424,9 @@ func CommitSize(m Msg) (n int, ok bool) {
 		}
 		return n, true
 	case *CommitAck:
-		return 22, true // kind + tx + epoch + from
+		return 30, true // kind + tx + more + epoch + from
 	case *CommitVal:
-		return 20, true // kind + tx + epoch
+		return 28, true // kind + tx + more + epoch
 	}
 	return 0, false
 }
@@ -510,10 +510,12 @@ func AppendMarshal(dst []byte, m Msg) []byte {
 		e.updates(v.Updates)
 	case *CommitAck:
 		e.tx(v.Tx)
+		e.u64(v.More)
 		e.epoch(v.Epoch)
 		e.node(v.From)
 	case *CommitVal:
 		e.tx(v.Tx)
+		e.u64(v.More)
 		e.epoch(v.Epoch)
 	case *BReadReq:
 		e.u64(v.ReqID)
@@ -653,9 +655,9 @@ func unmarshal(p []byte, dc *Decoder) (Msg, error) {
 		dc.settleInv(d.err == nil)
 		m = v
 	case KindCommitAck:
-		m = put(dc, &dc.acks, d, CommitAck{Tx: d.tx(), Epoch: d.epoch(), From: d.node()})
+		m = put(dc, &dc.acks, d, CommitAck{Tx: d.tx(), More: d.u64(), Epoch: d.epoch(), From: d.node()})
 	case KindCommitVal:
-		m = put(dc, &dc.vals, d, CommitVal{Tx: d.tx(), Epoch: d.epoch()})
+		m = put(dc, &dc.vals, d, CommitVal{Tx: d.tx(), More: d.u64(), Epoch: d.epoch()})
 	case KindBReadReq:
 		m = &BReadReq{ReqID: d.u64(), Obj: d.obj()}
 	case KindBResp:

@@ -296,6 +296,10 @@ func FuzzUnmarshal(f *testing.F) {
 		f.Add(b[:len(b)/2])
 	}
 	f.Add(Marshal(testInv(3, inlineUpdates+1)))
+	// Acknowledgement windows: a run with gaps, and one naming all 65 slots.
+	win := TxID{Pipe: PipeID{Node: 2, Worker: 1, Incar: 4}, Local: 9}
+	f.Add(Marshal(&CommitAck{Tx: win, More: 0b1011, Epoch: 3, From: 1}))
+	f.Add(Marshal(&CommitVal{Tx: win, More: ^uint64(0), Epoch: 3}))
 	// The baseline's one reply in the two shapes the fixture lacks: a
 	// refusal, and a lock's packed versions.
 	for _, m := range []Msg{&BResp{ReqID: 9}, &BResp{ReqID: 9, OK: true, Data: make([]byte, 16)}} {

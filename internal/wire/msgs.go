@@ -1,6 +1,9 @@
 package wire
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Kind discriminates message types on the wire.
 type Kind uint8
@@ -241,27 +244,51 @@ type CommitInv struct {
 
 func (*CommitInv) Kind() Kind { return KindCommitInv }
 
-// CommitAck is R-ACK: From applied slot Tx and its WAL append returned. It
-// acknowledges that one slot and no other — a replayed R-INV (Replay) is
-// applied ahead of its predecessors, so an R-ACK does not imply the earlier
-// slots of its pipe.
+// CommitAck is R-ACK: From applied the slots it names and their WAL appends
+// returned. It names a window of one pipe's slots: Tx is the first, and bit i
+// of More names slot Tx.Local+1+i. Each set bit names one slot; none is
+// implied — a replayed R-INV (Replay) is applied ahead of its predecessors,
+// so an R-ACK says nothing of the slots between or before the ones it names.
+// CommitAck{Tx: tx} names exactly tx.
 type CommitAck struct {
 	Tx    TxID
+	More  uint64
 	Epoch Epoch
 	From  NodeID
 }
 
 func (*CommitAck) Kind() Kind { return KindCommitAck }
 
+// Slots yields the slots m names, in ascending order.
+func (m *CommitAck) Slots(yield func(uint64) bool) { eachSlot(m.Tx.Local, m.More, yield) }
+
 // CommitVal is R-VAL: followers flip the updated objects back to Valid iff
 // their t_version has not been increased since, then discard the stored
-// R-INV.
+// R-INV. Like CommitAck it names a window of one pipe's slots, Tx and a bit
+// of More for each later one: each set bit names one slot; none is implied.
+// A node that did not follow a named slot takes it as ordering only.
 type CommitVal struct {
 	Tx    TxID
+	More  uint64
 	Epoch Epoch
 }
 
 func (*CommitVal) Kind() Kind { return KindCommitVal }
+
+// Slots yields the slots m names, in ascending order.
+func (m *CommitVal) Slots(yield func(uint64) bool) { eachSlot(m.Tx.Local, m.More, yield) }
+
+// eachSlot yields first, then first+1+i for each set bit i of more.
+func eachSlot(first, more uint64, yield func(uint64) bool) {
+	if !yield(first) {
+		return
+	}
+	for ; more != 0; more &= more - 1 {
+		if !yield(first + 1 + uint64(bits.TrailingZeros64(more))) {
+			return
+		}
+	}
+}
 
 // ---------------------------------------------------------------------------
 // Membership.

@@ -450,16 +450,17 @@ func TestBufPoolRecycles(t *testing.T) {
 
 // TestEncodedSizes pins the bytes each allMessages fixture encodes to, so a
 // field that grows a message is an edit here, kind by kind. OwnReq and OwnInv
-// carry the requester's Holds (8 bytes); the reliable-commit kinds are the
-// replication path's bytes (wire.commitinv_* in the benchmark).
+// carry the requester's Holds (8 bytes), CommitAck and CommitVal the window's
+// More (8 bytes); the reliable-commit kinds are the replication path's bytes
+// (wire.commitinv_* in the benchmark).
 func TestEncodedSizes(t *testing.T) {
 	want := []struct {
 		kind Kind
 		size int
 	}{
 		{KindOwnReq, 44}, {KindOwnInv, 65}, {KindOwnAck, 84}, {KindOwnVal, 31},
-		{KindOwnNack, 24}, {KindOwnResp, 84}, {KindCommitInv, 93}, {KindCommitAck, 22},
-		{KindCommitVal, 20}, {KindBReadReq, 17}, {KindBResp, 41}, {KindBLock, 45},
+		{KindOwnNack, 24}, {KindOwnResp, 84}, {KindCommitInv, 93}, {KindCommitAck, 30},
+		{KindCommitVal, 28}, {KindBReadReq, 17}, {KindBResp, 41}, {KindBLock, 45},
 		{KindBValidate, 29}, {KindBBackup, 52}, {KindBCommit, 52}, {KindBAbort, 37},
 		{KindVSPropose, 24}, {KindVSPropose, 10}, {KindVSAccept, 123}, {KindVSCommit, 122},
 		{KindVSLease, 18}, {KindVSQuery, 85}, {KindDirPull, 23}, {KindDirState, 73},
@@ -525,6 +526,52 @@ func TestCommitSizeExact(t *testing.T) {
 	}
 	if _, ok := CommitSize(&SafeTime{Epoch: 1}); ok {
 		t.Error("CommitSize accepted a non-commit message")
+	}
+}
+
+// TestWindowRoundTrip: an R-ACK and an R-VAL naming a window of slots —
+// the first in Tx, each later one by its bit of More, the 64th bit included —
+// survive the codec, and Slots names exactly the slots with a bit, in order,
+// without allocating.
+func TestWindowRoundTrip(t *testing.T) {
+	tx := TxID{Pipe: PipeID{Node: 1, Worker: 2, Incar: 7}, Local: 100}
+	const more = 1<<63 | 1<<4 | 1
+	want := []uint64{100, 101, 105, 164}
+	for _, m := range []interface {
+		Msg
+		Slots(func(uint64) bool)
+	}{
+		&CommitAck{Tx: tx, More: more, Epoch: 3, From: 2},
+		&CommitVal{Tx: tx, More: more, Epoch: 3},
+	} {
+		got, err := Unmarshal(Marshal(m))
+		if err != nil {
+			t.Fatalf("%v: %v", m.Kind(), err)
+		}
+		if !reflect.DeepEqual(got, m) {
+			t.Errorf("%v: decoded %+v, sent %+v", m.Kind(), got, m)
+		}
+		var slots []uint64
+		for local := range m.Slots {
+			slots = append(slots, local)
+		}
+		if !slices.Equal(slots, want) {
+			t.Errorf("%v names slots %v, want %v", m.Kind(), slots, want)
+		}
+	}
+	ack, val, sum := &CommitAck{Tx: tx, More: more}, &CommitVal{Tx: tx, More: more}, uint64(0)
+	if a := testing.AllocsPerRun(100, func() {
+		for local := range ack.Slots {
+			sum += local
+		}
+		for local := range val.Slots {
+			sum += local
+		}
+	}); a != 0 {
+		t.Errorf("ranging over Slots allocates %v times", a)
+	}
+	if got := (&CommitAck{Tx: tx}); !slices.Equal(slices.Collect(got.Slots), []uint64{100}) {
+		t.Error("an R-ACK without More must name its Tx alone")
 	}
 }
 

@@ -109,7 +109,15 @@ cd "$(dirname "$0")/.."
 # error it returns through SeedAt and SeedRange), 12 in internal/wire (MaxBlob
 # exported, MaxMsg, UpdateSize, their docs), 3 in cmd/zeusd (-workers checked)
 # and 3 in zeus.go (Seed's error, the bound in the docs of Set and Seed).
-max_lines=23066  # non-test Go outside benchmark/, testdata/ excluded
+# Raised by 261 to 23327 when a pipe's R-ACKs and R-VALs left as one message
+# each per flush, one bit a slot: 210 in internal/commit (the window and its
+# add, the list flushOut emits from, enqueue split into queue and arm, the
+# two sealers, the window paths of ackDurable, completeSlot, handleAck and
+# handleVal, the five counters; 63 of the 210 are comments and blanks), 29 in internal/wire
+# (CommitAck/CommitVal.More, its codec, Slots and the two docs), 13 in
+# commit's dump and metrics, 9 in zeuslint (ackdurable's doc names the new
+# emission site, frozen's table holds queue).
+max_lines=23327  # non-test Go outside benchmark/, testdata/ excluded
 # Lowered from 77 by those five fields: ownership.Config's AttemptTimeout,
 # Deadline and Retry, cluster.Options.Lease and viewsvc.Config.Heartbeat.
 # Lowered from 72 to 62 by de-duplication, not by removing a knob: the eight
