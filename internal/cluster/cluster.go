@@ -106,7 +106,10 @@ type Cluster struct {
 }
 
 // New builds and starts a cluster.
-func New(opts Options) *Cluster {
+func New(opts Options) *Cluster { return newOn(opts, newFabric(opts)) }
+
+// newOn builds and starts a cluster on the given fabric.
+func newOn(opts Options, fabric transport.Fabric) *Cluster {
 	if opts.Nodes <= 0 {
 		opts.Nodes = 3
 	}
@@ -130,7 +133,7 @@ func New(opts Options) *Cluster {
 	}
 	c := &Cluster{
 		opts:   opts,
-		fabric: newFabric(opts),
+		fabric: fabric,
 		nodes:  make(map[wire.NodeID]*core.Node),
 		stores: make(map[wire.NodeID]storage.Storage),
 	}

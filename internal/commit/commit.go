@@ -862,7 +862,7 @@ func (e *Engine) Commit(w wire.Worker, updates []wire.Update, followers wire.Bit
 	// Batched fan-out: hand the R-INV to the per-peer coalescer, so
 	// back-to-back pipeline slots to the same follower ride one transport
 	// batch. The byte accounting is the exact encoded size per follower.
-	size, _ := wire.CommitSize(inv)
+	size := wire.Size(inv)
 	for n := range followers.Each {
 		e.enqueue(n, inv)
 	}

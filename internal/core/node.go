@@ -692,7 +692,9 @@ func (tx *Tx) Get(obj uint64) ([]byte, error) {
 	// Invalidated objects cannot be read (§5.3); the owner may read its
 	// own locally committed (Write-state) values thanks to pipelining. Nor
 	// can a record this node no longer replicates: a grant that drops the
-	// replica after ensureReadable leaves it ⟨0, Valid⟩ with no payload.
+	// replica after ensureReadable leaves it ⟨0, Valid⟩ with no payload, and
+	// from the INV that drops it until then it is leaving (store.TLeaving),
+	// which is not Valid either — here, and in validateReads.
 	switch {
 	case st == store.TValid && lvl != wire.NonReplica:
 	case st == store.TWrite && lvl == wire.Owner && !tx.ro:

@@ -15,7 +15,7 @@ import (
 // memory after the call returns. The hand-off table lists who keeps what:
 //
 //   - Send, SendBatch, Multicast, Broadcast, send, enqueue, queue and Enqueue keep a
-//     wire message. FabricMem delivers commit messages with no codec round
+//     wire message. FabricMem delivers every message with no codec round
 //     trip (the receiver aliases the very struct the sender built), the
 //     reliable transport's retransmit queue holds it until it is acked, and
 //     the commit engine's resend path copy-on-writes rather than edit what is

@@ -32,9 +32,10 @@
 // collection. A failure-free move makes only what crosses the wire — the INV,
 // the remote arbiters' ACKs and the VAL — and makes each as a sixteenth of an
 // allocation: the engine Takes the record from a wire.Chunk of its own when it
-// emits one, and the receiving fabric's wire.Decoder carves the decoded one
-// from its chunks. That costs nothing to get right because no handler keeps a
-// message: each copies what it needs by value (store.PendingOwn, ackSet,
+// emits one; a decoding fabric's (TCP, reliable) wire.Decoder carves the
+// decoded one from its chunks, and the hub hands over the emitted record
+// itself. That costs nothing to get right because no handler keeps or writes
+// a message: each copies what it needs by value (store.PendingOwn, ackSet,
 // store.Shipped) before it returns, so a chunk lives for sixteen messages.
 // What merely outlives a call is reused: the arbiters' arbitration records
 // (pooled inside the store, which only ever hands out copies) and the
@@ -737,7 +738,7 @@ func (e *Engine) handleReq(m *wire.OwnReq) {
 		pend.Holds = m.Holds
 		inv := e.invFromPending(m.Obj, pend)
 		e.sendOthers(pend.Arbiters, inv)
-		e.ackAsArbiter(inv) // driver re-ACKs too
+		e.ackOnceCommitted(inv) // driver re-ACKs too
 		return
 	}
 
@@ -845,7 +846,7 @@ func (e *Engine) handleReq(m *wire.OwnReq) {
 
 	inv := e.invFromPending(m.Obj, pend)
 	e.sendOthers(arbiters, inv)
-	e.ackAsArbiter(inv)
+	e.ackOnceCommitted(inv)
 }
 
 func (e *Engine) invFromPending(obj wire.ObjectID, p store.PendingOwn) *wire.OwnInv {
@@ -886,6 +887,56 @@ func (e *Engine) ackAsArbiter(inv *wire.OwnInv) {
 	_ = e.tr.Send(dst, ack)
 }
 
+// ackOnceCommitted ACKs inv (ackAsArbiter) once this node may: at once,
+// unless it is inv's data source and holds a value it committed locally whose
+// reliable commit still runs (Write). A requester installs what a source ships
+// as Valid, so the owner refuses INVs while its commits are pending (§4.1) —
+// all but a replay, which must complete, and which therefore waits for them
+// here. The wait runs on a goroutine of its own, over a copy of inv: a handler
+// must neither block — the commit it waits for may be queued behind it — nor
+// keep a message.
+func (e *Engine) ackOnceCommitted(inv *wire.OwnInv) {
+	if !e.shipsUncommitted(inv) {
+		e.ackAsArbiter(inv)
+		return
+	}
+	cp := *inv
+	go func() {
+		for e.shipsUncommitted(&cp) {
+			if cp.Epoch != e.agent.Epoch() {
+				return // its ACK would be dropped
+			}
+			select {
+			case <-e.closed:
+				return
+			case <-time.After(100 * time.Microsecond):
+			}
+		}
+		e.ackAsArbiter(&cp)
+	}()
+}
+
+// shipsUncommitted reports whether this node is inv's data source and holds a
+// value in state Write, leaving or not.
+func (e *Engine) shipsUncommitted(inv *wire.OwnInv) bool {
+	if !isSource(e.self, inv) {
+		return false
+	}
+	o, ok := e.st.Get(inv.Obj)
+	if !ok {
+		return false
+	}
+	_, st := o.TSnapshot()
+	return st&^store.TLeaving == store.TWrite
+}
+
+// isSource reports whether node is inv's data source: the node that reports
+// its version, and ships its value, with its ACK.
+func isSource(node wire.NodeID, inv *wire.OwnInv) bool {
+	return (inv.Mode == wire.AcquireOwner || inv.Mode == wire.AcquireReader) &&
+		node == inv.PrevOwner && node != inv.Requester
+}
+
 // validate VALs every arbiter of a request but this node: the step that
 // follows the requester's (or, its requester dead, the replaying driver's)
 // own apply.
@@ -904,9 +955,7 @@ func (e *Engine) buildAck(ack *wire.OwnAck, inv *wire.OwnInv) {
 		From: e.self, Arbiters: inv.Arbiters, NewReplicas: inv.NewReplicas,
 		Mode: inv.Mode,
 	}
-	source := (inv.Mode == wire.AcquireOwner || inv.Mode == wire.AcquireReader) &&
-		e.self == inv.PrevOwner && e.self != inv.Requester
-	if source {
+	if isSource(e.self, inv) {
 		if o, ok := e.st.Get(inv.Obj); ok {
 			o.Mu.Lock()
 			ack.TVersion = o.TVersion()
@@ -950,7 +999,7 @@ func (e *Engine) handleInv(m *wire.OwnInv) {
 	pend, arbitrating := o.PendingLocked()
 	if (arbitrating && pend.TS == m.TS) || effective == m.TS {
 		o.Mu.Unlock()
-		e.ackAsArbiter(m)
+		e.ackOnceCommitted(m)
 		return
 	}
 
@@ -959,6 +1008,15 @@ func (e *Engine) handleInv(m *wire.OwnInv) {
 	}
 	if !effective.Less(m.TS) {
 		o.Mu.Unlock()
+		// What beat the INV may be an arbitration of an earlier epoch, whose
+		// own INVs the arbiters dropped as stale. Only a failure's view
+		// change replays every pending arbitration (Resume), so after a join
+		// nothing else would complete it: replay it now, in this epoch.
+		if arbitrating && pend.TS == effective && pend.Epoch != m.Epoch {
+			e.stReplays.Add(1)
+			pend.Epoch = m.Epoch
+			go e.arbReplay(m.Obj, pend, m.Epoch, e.agent.View().Live)
+		}
 		// Lost arbitration: ignore silently — the loser's driver NACKs its
 		// requester when it learns of the winner. Do NOT NACK from here:
 		// one arbiter cannot tell a genuinely losing request from a stale
@@ -1029,7 +1087,7 @@ func (e *Engine) handleInv(m *wire.OwnInv) {
 			Reason: wire.NackLostArbitration,
 		})
 	}
-	e.ackAsArbiter(m)
+	e.ackOnceCommitted(m)
 }
 
 // recGrant records an applied grant in the WAL (best effort: grant records
@@ -1241,13 +1299,15 @@ func (e *Engine) arbReplay(obj wire.ObjectID, pend store.PendingOwn, epoch wire.
 		arbiters: pend.Arbiters.Intersect(live).Add(e.self).Union(e.dir.DriversFor(obj).Intersect(live)),
 		pend:     pend,
 	}
+	// A replay of an earlier epoch gives way: its ACKs are dropped as stale.
 	e.recovMu.Lock()
-	if _, dup := e.recov[pend.ReqID]; dup {
+	if old, dup := e.recov[pend.ReqID]; dup && old.pend.Epoch == epoch {
 		e.recovMu.Unlock()
 		return
+	} else if !dup {
+		e.recovN.Add(1)
 	}
 	e.recov[pend.ReqID] = rs
-	e.recovN.Add(1)
 	e.recovMu.Unlock()
 
 	inv := e.invFromPending(obj, pend)
@@ -1255,12 +1315,8 @@ func (e *Engine) arbReplay(obj wire.ObjectID, pend store.PendingOwn, epoch wire.
 	inv.Driver = e.self // ACKs flow to the replaying driver
 	inv.Recovery = true
 	inv.Arbiters = rs.arbiters
-	var own wire.OwnAck // the replayer's own ACK: it may be the data source
-	e.buildAck(&own, inv)
 	e.sendOthers(rs.arbiters, inv)
-	e.recovMu.Lock()
-	e.handleRecoveryAckLocked(rs, &own)
-	e.recovMu.Unlock()
+	e.ackOnceCommitted(inv) // to itself: the replayer may be the data source
 }
 
 func (e *Engine) handleRecoveryAckLocked(rs *recovState, m *wire.OwnAck) {

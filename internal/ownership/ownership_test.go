@@ -879,9 +879,10 @@ func (a auditedTransport) SetHandler(h transport.Handler) {
 }
 
 // moveAudit checks that the chunked message records of a move are handed out
-// once, on the emitting and on the decoding side. It keeps every record it has
-// seen reachable, so an address cannot come back through the allocator: a
-// pointer met twice is a record handed out twice.
+// once, and that a handler is given exactly the records sent to its node: the
+// hub delivers the sender's record itself. It keeps every record it has seen
+// reachable, so an address cannot come back through the allocator: a pointer
+// emitted again with other content is a record handed out twice.
 type moveAudit struct {
 	mu sync.Mutex
 	// asking counts, per node and object, the requesters inside an
@@ -890,11 +891,11 @@ type moveAudit struct {
 	// issued is the ⟨object, o_ts⟩ pairs each request id was arbitrated
 	// with, taken from the INVs as their drivers sent them.
 	issued map[uint64]map[string]bool
-	// records maps every chunked record seen, sent or received, to its
-	// content when first seen; inFlight counts contents sent and not yet
-	// received, per destination.
+	// records maps every chunked record sent to its content when first
+	// sent; inFlight counts, per destination, the sends of each record not
+	// yet received.
 	records  map[wire.Msg]string
-	inFlight map[wire.NodeID]map[string]int
+	inFlight map[wire.NodeID]map[wire.Msg]int
 	errs     []string
 }
 
@@ -903,7 +904,7 @@ func newMoveAudit() *moveAudit {
 		asking:   map[wire.NodeID]map[wire.ObjectID]int{},
 		issued:   map[uint64]map[string]bool{},
 		records:  map[wire.Msg]string{},
-		inFlight: map[wire.NodeID]map[string]int{},
+		inFlight: map[wire.NodeID]map[wire.Msg]int{},
 	}
 }
 
@@ -965,9 +966,9 @@ func (a *moveAudit) sent(from, to wire.NodeID, m wire.Msg) {
 		a.errorf("node %d sent %s, which matches no issued arbitration", from, content)
 	}
 	if a.inFlight[to] == nil {
-		a.inFlight[to] = map[string]int{}
+		a.inFlight[to] = map[wire.Msg]int{}
 	}
-	a.inFlight[to][content]++
+	a.inFlight[to][m]++
 }
 
 func (a *moveAudit) received(from, to wire.NodeID, m wire.Msg) {
@@ -978,14 +979,13 @@ func (a *moveAudit) received(from, to wire.NodeID, m wire.Msg) {
 	content := fmt.Sprintf("%T%+v", m, m)
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if first, seen := a.records[m]; seen {
-		a.errorf("node %d was handed record %p twice: as %s, then as %s", to, m, first, content)
+	if a.inFlight[to][m] == 0 {
+		a.errorf("node %d received record %p (%s) from %d, which nobody sent it", to, m, content, from)
 	}
-	a.records[m] = content
-	if a.inFlight[to][content] == 0 {
-		a.errorf("node %d received %s from %d, which nobody sent it", to, content, from)
+	a.inFlight[to][m]--
+	if sent := a.records[m]; sent != content {
+		a.errorf("node %d received record %p as %s; it was sent as %s", to, m, content, sent)
 	}
-	a.inFlight[to][content]--
 	if !a.issued[id][key] {
 		a.errorf("node %d received %s, which matches no issued arbitration", to, content)
 	}
@@ -993,12 +993,12 @@ func (a *moveAudit) received(from, to wire.NodeID, m wire.Msg) {
 
 // TestRecordsAreHandedOutOnce: movers on all three nodes bounce eight objects
 // at once, so each engine's emission chunks are hit by two requester
-// goroutines (INVs) and four shard goroutines (ACKs, VALs) together, and each
-// hub Decoder by every sender. Every INV, ACK and VAL a handler is given must
-// be a record of its own that carries, field for field, what some engine
-// sent, and the ⟨request id, object, o_ts⟩ of an arbitration a driver
-// actually issued for a requester that was asking. Run under -race, where two
-// fills of one record are also a reported write-write race.
+// goroutines (INVs) and four shard goroutines (ACKs, VALs) together. Every
+// INV, ACK and VAL a handler is given must be a record some engine sent to
+// its node, carrying field for field what it carried when sent, and the
+// ⟨request id, object, o_ts⟩ of an arbitration a driver actually issued for a
+// requester that was asking. Run under -race, where two fills of one record
+// are also a reported write-write race.
 func TestRecordsAreHandedOutOnce(t *testing.T) {
 	audit := newMoveAudit()
 	c := newAuditedCluster(t, 3, 4, audit)

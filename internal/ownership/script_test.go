@@ -518,3 +518,119 @@ func TestUnbackedRecoveryRespIsRetried(t *testing.T) {
 		t.Errorf("owners %v, want node 1 alone", owners)
 	}
 }
+
+// TestPreJoinArbitrationIsReplayed: an arbitration minted in the epoch before
+// a join, whose INVs the arbiters drop as stale, is replayed by the node that
+// holds it as soon as it refuses a contender because of it. A join runs no
+// arb-replay (a node's view-change hook reacts to removals only), and a
+// contender's lower o_ts loses at that node, so nothing else completes it:
+// every later request for the object was refused until its deadline.
+//
+// Three engines, all drivers; object 1 owned by node 2, readers 0 and 1.
+//
+//  1. Node 1 acquires: it drives A = ⟨2,1⟩ in epoch 1; A's INVs stay in flight.
+//  2. Node 4 joins (epoch 2); A's INVs reach nodes 0 and 2 and are dropped.
+//  3. Node 0 acquires: it drives B = ⟨2,0⟩ in epoch 2. Node 1 refuses B, A
+//     being higher, and replays A in epoch 2.
+//  4. Nodes 0 and 2 accept the replay and ACK node 1, which applies A and
+//     VALs them: node 1 owns the object at ⟨2,1⟩.
+func TestPreJoinArbitrationIsReplayed(t *testing.T) {
+	const obj = wire.ObjectID(1)
+	c, s := newScriptedCluster(t, 3)
+	c.seedScripted(obj, 2, wire.BitmapOf(0, 1))
+
+	// 1.
+	a := c.acquire(1, obj)
+	s.take(t, 1, 0, wire.KindOwnInv, nil) // dropped in step 2 either way
+	s.take(t, 1, 2, wire.KindOwnInv, nil)
+
+	// 2.
+	if !c.mgr.Join(4) {
+		t.Fatal("the join never committed")
+	}
+
+	// 3.
+	c.acquire(0, obj)
+	c.deliver(t, s, 0, 1, wire.KindOwnInv)
+	if got := c.ownerSide(1, obj); got != "reader Drive o_ts ⟨1,2⟩ pending ⟨2,1⟩ by 1 for 1" {
+		t.Fatalf("node 1 after refusing B: %s", got)
+	}
+
+	// 4.
+	replay := func(m wire.Msg) bool { return m.(*wire.OwnInv).Recovery }
+	for _, arbiter := range []wire.NodeID{0, 2} {
+		c.nodes[arbiter].eng.Handle(1, s.take(t, 1, arbiter, wire.KindOwnInv, replay))
+		c.deliver(t, s, arbiter, 1, wire.KindOwnAck)
+	}
+	if err := <-a; err != nil {
+		t.Fatalf("node 1's acquisition: %v", err)
+	}
+	c.deliver(t, s, 1, 0, wire.KindOwnVal)
+	c.deliver(t, s, 1, 2, wire.KindOwnVal)
+
+	for id, want := range []string{
+		"reader Valid o_ts ⟨2,1⟩",
+		"owner Valid o_ts ⟨2,1⟩",
+		"reader Valid o_ts ⟨2,1⟩",
+	} {
+		if got := c.ownerSide(wire.NodeID(id), obj); got != want {
+			t.Errorf("node %d: %s, want %s", id, got, want)
+		}
+	}
+	if owners := c.ownersOf(obj); len(owners) != 1 {
+		t.Errorf("owners %v, want node 1 alone", owners)
+	}
+}
+
+// TestSourceShipsOnlyACommittedValue: an owner ACKs a replayed INV with its
+// value only once that value's reliable commit completed. A replay passes the
+// owner's pending-commit refusal (the locally committed value is final), so
+// the owner used to ship a value still in state Write — and its requester
+// installed it Valid while the commit's followers still served the version
+// before it: a read-only transaction there could read one object's new
+// version beside another's old one.
+//
+// Three engines, all drivers; object 1 owned by node 2, reader 0, all at v1;
+// node 1 holds nothing. Node 2 has locally committed v2 (Write).
+//
+//  1. Node 1 acquires a read: it drives A = ⟨2,1⟩; A's INVs are lost.
+//  2. Node 3 fails (epoch 2); node 1 replays A.
+//  3. Node 0 ACKs the replay. Node 2 accepts it, but does not ACK while v2 is
+//     Write; once v2 is Valid it ACKs, shipping v2, and node 1 reads v2.
+func TestSourceShipsOnlyACommittedValue(t *testing.T) {
+	const obj = wire.ObjectID(1)
+	c, s := newScriptedCluster(t, 3)
+	c.seedScripted(obj, 2, wire.BitmapOf(0), 1)
+	src, _ := c.nodes[2].st.Get(obj)
+	src.Mu.Lock()
+	src.StageLocked([]byte("v2"))
+	src.Mu.Unlock()
+
+	// 1.
+	done := make(chan error, 1)
+	go func() { done <- c.nodes[1].eng.AcquireRead(obj) }()
+	s.take(t, 1, 0, wire.KindOwnInv, nil)
+	s.take(t, 1, 2, wire.KindOwnInv, nil)
+
+	// 2.
+	c.epochChange(t, 3)
+
+	// 3.
+	c.deliver(t, s, 1, 0, wire.KindOwnInv)
+	c.deliver(t, s, 0, 1, wire.KindOwnAck)
+	c.deliver(t, s, 1, 2, wire.KindOwnInv)
+	time.Sleep(20 * time.Millisecond)
+	if s.queued(2, 1, wire.KindOwnAck) {
+		t.Fatalf("node 2 ACKed while its value is %s", c.valueOf(2, obj))
+	}
+	src.Mu.Lock()
+	src.ValidateLocked(2, store.TWrite)
+	src.Mu.Unlock()
+	c.deliver(t, s, 2, 1, wire.KindOwnAck)
+	if err := <-done; err != nil {
+		t.Fatalf("node 1's acquisition: %v", err)
+	}
+	if got := c.valueOf(1, obj); got != `v2 Valid "v2"` {
+		t.Errorf("node 1 reads %s, want v2", got)
+	}
+}

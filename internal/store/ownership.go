@@ -161,7 +161,9 @@ func (o *Object) DriveLocked(p PendingOwn) {
 // loser, whose requester the caller NACKs. An owner that accepts an INV moving
 // ownership away gives up its write rights with the ACK (§4.1): the requester
 // applies first and may serve writes before the VAL arrives here, so the owner
-// is demoted to Reader now; the VAL installs the final level either way.
+// is demoted to Reader now; the VAL installs the final level either way. For
+// the same reason a replica that p drops is leaving from now on (TLeaving):
+// the requester's next commits skip it, so it must serve nothing.
 func (o *Object) InvalidateLocked(p PendingOwn, self wire.NodeID) (loser PendingOwn, lost bool) {
 	if old, ok := o.PendingLocked(); ok && o.OStateLocked() == ODrive && old.Driver == self && old.ReqID != p.ReqID {
 		loser, lost = old, true
@@ -171,7 +173,20 @@ func (o *Object) InvalidateLocked(p PendingOwn, self wire.NodeID) (loser Pending
 	if o.level == wire.Owner && p.NewReplicas.LevelOf(self) != wire.Owner {
 		o.level = wire.Reader
 	}
+	if o.level != wire.NonReplica && p.NewReplicas.LevelOf(self) == wire.NonReplica {
+		ver, st := o.TSnapshot()
+		o.setTLocked(ver, st|TLeaving)
+	}
 	return loser, lost
+}
+
+// stayLocked ends a leave that did not happen (caller holds Mu): the
+// arbitration that would have dropped the replica lost, and the replica
+// serves again in whatever state the commit transitions left it.
+func (o *Object) stayLocked() {
+	if ver, st := o.TSnapshot(); st&TLeaving != 0 {
+		o.setTLocked(ver, st&^TLeaving)
+	}
 }
 
 // GrantLocked applies a grant (caller holds Mu): ⟨reps, ts⟩ become the entry,
@@ -198,12 +213,14 @@ func (o *Object) GrantLocked(self wire.NodeID, ts wire.OTS, reps wire.ReplicaSet
 	o.setReplicasLocked(reps)
 	o.setOTSLocked(ts)
 	o.setOStateLocked(OValid)
-	switch {
-	case o.level == wire.NonReplica:
+	if o.level == wire.NonReplica {
 		if was != wire.NonReplica {
 			o.dropLocked()
 		}
-	case val.Has && val.Version >= o.TVersion():
+		return true, false
+	}
+	o.stayLocked()
+	if val.Has && val.Version >= o.TVersion() {
 		o.installLocked(val.Version, val.Data)
 	}
 	return true, false
@@ -221,6 +238,7 @@ func (o *Object) GrantPendingLocked(self wire.NodeID) (p PendingOwn, applied boo
 	if applied, _ = o.GrantLocked(self, p.TS, p.NewReplicas, Shipped{}); !applied {
 		o.clearPendingLocked()
 		o.setOStateLocked(OValid)
+		o.stayLocked()
 	}
 	return p, applied
 }

@@ -111,7 +111,7 @@ func TestOwnershipTransitions(t *testing.T) {
 					t.Errorf("RequestLocked = %d, want 0", holds)
 				}
 			},
-			want: "reader Invalid 3.0 0[1 2] req8@4.0->0[2] arb[0 1] src0 ep5", wantValue: a3},
+			want: "reader Invalid 3.0 0[1 2] req8@4.0->0[2] arb[0 1] src0 ep5", wantValue: "a v3 Valid+leaving"},
 		{name: "request: a recovered hint is not held",
 			pre: recovered5,
 			do: func(t *testing.T, o *Object) {
@@ -166,6 +166,21 @@ func TestOwnershipTransitions(t *testing.T) {
 				o.InvalidateLocked(p, self)
 			},
 			want: "owner Invalid 3.0 1[0 2] req9@4.2->1[0 2 3] arb[0 1 2] src1 ep5", wantValue: a3},
+		{name: "arbitrate: a replica an INV drops is leaving: it keeps its value and serves nothing",
+			pre:  reader3,
+			do:   func(_ *testing.T, o *Object) { o.InvalidateLocked(drop8, self) },
+			want: "reader Invalid 3.0 0[1 2] req8@4.0->0[2] arb[0 1] src0 ep5", wantValue: "a v3 Valid+leaving"},
+		{name: "arbitrate: a leaving replica stays leaving through an R-INV and its R-VAL",
+			pre: func(o *Object) { reader3(o); o.InvalidateLocked(drop8, self) },
+			do: func(_ *testing.T, o *Object) {
+				o.StageInvLocked(4, b("d"))
+				o.ValidateLocked(4, TInvalid)
+			},
+			want: "reader Invalid 3.0 0[1 2] req8@4.0->0[2] arb[0 1] src0 ep5", wantValue: "d v4 Valid+leaving"},
+		{name: "grant: a grant that keeps a leaving replica ends the leave",
+			pre:  func(o *Object) { reader3(o); o.InvalidateLocked(drop8, self) },
+			do:   func(_ *testing.T, o *Object) { o.GrantLocked(self, ts(5, 2), set(2, 0, 1), Shipped{}) },
+			want: "reader Valid 5.2 2[0 1] -", wantValue: a3},
 		{name: "grant: a VAL applying a pending grant that drops this node discards payload and version",
 			pre: func(o *Object) { reader3(o); o.InvalidateLocked(drop8, self) },
 			do: func(t *testing.T, o *Object) {
@@ -405,7 +420,8 @@ func TestOwnershipTransitions(t *testing.T) {
 // package doc states: o_ts never decreases in a record's life; a level rises
 // only through a grant or a reclaim, an applied raise never leaves t_version
 // below the source's version, and an unbacked refusal changes nothing; a NonReplica record never reads as ⟨Valid, payload⟩; an
-// arbitration is pending iff o_state is Drive or Invalid; the side table
+// arbitration is pending iff o_state is Drive or Invalid, and whenever the
+// replica is leaving; the side table
 // (which holds the arbitration) has an entry iff it holds something, and the
 // cold bits say what; and the copies PendingLocked and InvalidateLocked
 // handed out still read what they read then — the entries are overwritten in
@@ -545,6 +561,9 @@ func TestOwnershipInvariantsHold(t *testing.T) {
 			}
 			if _, ok := o.PendingLocked(); ok != (o.OStateLocked() == ODrive || o.OStateLocked() == OInvalid) {
 				bad = "pending record and o_state disagree"
+			}
+			if _, ts := o.TSnapshot(); ts&TLeaving != 0 && o.ostate&hasPending == 0 {
+				bad = "a replica is leaving with no arbitration pending"
 			}
 			if !coldInStep(o) {
 				bad = "the side table and the cold bits disagree"

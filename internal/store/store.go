@@ -59,7 +59,10 @@
 // back through the directory like any requester — or, where no replica is live
 // to grant from, by reclaim; the value moves with it — a node that leaves the set drops its replica, a grant that does not
 // list this node installs nothing, recovery installs Invalid — so through
-// these transitions a NonReplica record never reads as ⟨Valid, payload⟩. (The
+// these transitions a NonReplica record never reads as ⟨Valid, payload⟩. A
+// replica whose node ACKed the arbitration that drops it is leaving
+// (TLeaving) until a grant settles it, and only then: it serves nothing,
+// because the requester applies first and commits past it. (The
 // commit engine's transitions are level-blind: an R-INV that finds a replica
 // already dropped leaves a payload behind a NonReplica level, which no read
 // path serves and the next grant's install supersedes.) The converse holds
@@ -117,9 +120,21 @@ const (
 	// TWrite: the owner locally committed an update whose reliable commit
 	// is pending.
 	TWrite
+
+	// TLeaving is a flag on any of the three, not a state of its own: this
+	// node ACKed an arbitration that drops its replica (InvalidateLocked),
+	// whose requester applies it first and commits the next versions without
+	// this node, so the replica serves nothing — no read path accepts a state
+	// but TValid, and TValid|TLeaving is not TValid — until the grant settles
+	// it: dropped, or, had the arbitration lost, kept and the flag cleared.
+	// The commit transitions carry it over.
+	TLeaving TState = 4
 )
 
 func (s TState) String() string {
+	if s&TLeaving != 0 {
+		return (s &^ TLeaving).String() + "+leaving"
+	}
 	switch s {
 	case TValid:
 		return "Valid"
@@ -168,8 +183,8 @@ type Object struct {
 	data unsafe.Pointer
 
 	// tsv is the reliable-commit metadata ⟨t_version, t_state⟩ (meaningful
-	// on owner and readers), packed into one atomic word (version<<2 |
-	// state) and stored nowhere else: written by the transitions under Mu,
+	// on owner and readers), packed into one atomic word (version<<3 |
+	// state, TLeaving included) and stored nowhere else: written by the transitions under Mu,
 	// read through TVersion/TState or, without Mu, through TSnapshot — the
 	// read-only re-validation's seqlock-style check, where the single-word
 	// payload makes the double read degenerate to one consistent load.
@@ -299,7 +314,7 @@ func (o *Object) setDataLocked(b []byte) {
 func (o *Object) StageLocked(data []byte) uint64 {
 	ver := o.TVersion() + 1
 	o.setDataLocked(data)
-	o.setTLocked(ver, TWrite)
+	o.setTLocked(ver, TWrite|o.TState()&TLeaving)
 	return ver
 }
 
@@ -310,16 +325,17 @@ func (o *Object) StageLocked(data []byte) uint64 {
 func (o *Object) StageInvLocked(ver uint64, data []byte) {
 	if ver > o.TVersion() {
 		o.setDataLocked(data)
-		o.setTLocked(ver, TInvalid)
+		o.setTLocked(ver, TInvalid|o.TState()&TLeaving)
 	}
 }
 
 // ValidateLocked flips the replica to Valid iff it still holds exactly
-// ⟨ver, from⟩ (caller holds Mu); any other version or state means a later
-// transition owns the record and the call is a no-op.
+// ⟨ver, from⟩ (caller holds Mu), TLeaving aside, which it keeps; any other
+// version or state means a later transition owns the record and the call is
+// a no-op.
 func (o *Object) ValidateLocked(ver uint64, from TState) {
-	if v, st := o.TSnapshot(); v == ver && st == from {
-		o.setTLocked(ver, TValid)
+	if v, st := o.TSnapshot(); v == ver && st&^TLeaving == from&^TLeaving {
+		o.setTLocked(ver, TValid|st&TLeaving)
 	}
 }
 
@@ -366,7 +382,7 @@ func (o *Object) dropLocked() {
 // setTLocked is the one writer of the packed ⟨t_version, t_state⟩ word, which
 // is what keeps a version and its state from ever being observed apart.
 func (o *Object) setTLocked(ver uint64, st TState) {
-	o.tsv.Store(ver<<2 | uint64(st))
+	o.tsv.Store(ver<<3 | uint64(st))
 }
 
 // GrantLocalLocked attempts to make worker the local owner (caller holds Mu).
@@ -416,10 +432,11 @@ func (o *Object) ReleaseLocal(worker int16) {
 }
 
 // TVersion returns t_version. Stable only while the caller holds Mu.
-func (o *Object) TVersion() uint64 { return o.tsv.Load() >> 2 }
+func (o *Object) TVersion() uint64 { return o.tsv.Load() >> 3 }
 
-// TState returns t_state. Stable only while the caller holds Mu.
-func (o *Object) TState() TState { return TState(o.tsv.Load() & 3) }
+// TState returns t_state, TLeaving included. Stable only while the caller
+// holds Mu.
+func (o *Object) TState() TState { return TState(o.tsv.Load() & 7) }
 
 // TSnapshot returns ⟨t_version, t_state⟩ from one atomic load, without
 // taking Mu. Because both ride in a single word, the value is always a
@@ -427,7 +444,7 @@ func (o *Object) TState() TState { return TState(o.tsv.Load() & 3) }
 // the object lock.
 func (o *Object) TSnapshot() (uint64, TState) {
 	w := o.tsv.Load()
-	return w >> 2, TState(w & 3)
+	return w >> 3, TState(w & 7)
 }
 
 // SnapshotRef returns (t_state, t_version, access level, data) WITHOUT

@@ -12,7 +12,8 @@ import (
 // Reliable transport over netsim instead. Each node's inbox is a queue (see
 // queue.go) bounded at inboxBound messages: an idle node holds no buffer, and
 // a sender that finds the inbox full blocks until the node's dispatch
-// goroutine takes the backlog or the node closes.
+// goroutine takes the backlog or the node closes. A message is delivered as
+// the sender's pointer, never encoded (see MemTransport.count).
 type Hub struct {
 	mu    sync.RWMutex
 	nodes map[wire.NodeID]*MemTransport
@@ -35,8 +36,9 @@ func (h *Hub) Messages() uint64 { return h.msgs.Load() }
 // messages it coalesces, mirroring the reliable transport's frame batching.
 func (h *Hub) Frames() uint64 { return h.frames.Load() }
 
-// Bytes returns the marshalled payload bytes carried so far (an approximation
-// of network bandwidth used, for the bandwidth comparisons in §8).
+// Bytes returns the bytes the messages carried so far would have encoded to,
+// wire.Size each (the network bandwidth a deployment would use, for the
+// bandwidth comparisons in §8).
 func (h *Hub) Bytes() uint64 { return h.bytes.Load() }
 
 // MemTransport is one node's attachment to a Hub.
@@ -49,12 +51,6 @@ type MemTransport struct {
 	closed  chan struct{}
 	once    sync.Once
 	down    atomic.Bool
-	// dec decodes what roundtrip marshals towards this node, so the records
-	// of a decoded ownership message come from this node's chunks like on
-	// the fabrics with a read loop. Senders are many goroutines: decMu
-	// serializes them for the ~150 ns a decode takes.
-	decMu sync.Mutex
-	dec   wire.Decoder
 }
 
 // memFrame is one inbox entry: a message and who sent it. A SendBatch is a
@@ -132,48 +128,21 @@ func (t *MemTransport) sendable() error {
 	return nil
 }
 
-// roundtrip runs m through the codec so that tests exercise serialization
-// and receivers never alias sender memory: it is marshalled into a pooled
-// buffer and decoded through dst's Decoder. A nil dst is a frame the fabric
-// drops: counted as carried, not decoded.
-//
-// Exception — the reliable-commit hot path (R-INV/R-ACK/R-VAL) is delivered
-// zero-copy: the receiver gets the sender's message pointer with no
-// marshal/unmarshal round trip. Ownership messages are not exempt — what a
-// node addresses to itself the ownership engine handles inline, and never
-// sends; what does cross the hub is decoded into the destination's chunks, a
-// sixteenth of an allocation a message, so the round trip that keeps the
-// codec and the no-aliasing rule under every protocol test stays affordable.
-// The exemption is safe because commit-protocol messages are immutable once
-// handed to the transport (the engine copy-on-writes them for epoch rewrites,
-// see commit.Engine.resend) and Update.Data/object data are never
-// mutated in place anywhere (writes replace the slice wholesale). Byte
-// accounting uses the exact encoded size so bandwidth numbers stay comparable
-// with the real fabrics.
-func (t *MemTransport) roundtrip(dst *MemTransport, m wire.Msg) (wire.Msg, error) {
-	if n, ok := wire.CommitSize(m); ok {
-		t.hub.msgs.Add(1)
-		t.hub.bytes.Add(uint64(n))
-		return m, nil
-	}
-	buf := wire.GetBuf()
-	buf.B = wire.AppendMarshal(buf.B, m)
-	t.hub.msgs.Add(1)
-	t.hub.bytes.Add(uint64(len(buf.B)))
-	mm, err := dst.decode(buf.B)
-	wire.PutBuf(buf)
-	return mm, err
-}
-
-// decode parses one marshalled message addressed to this node; a nil node
-// (see roundtrip) decodes nothing.
-func (t *MemTransport) decode(b []byte) (wire.Msg, error) {
-	if t == nil {
-		return nil, nil
-	}
-	t.decMu.Lock()
-	defer t.decMu.Unlock()
-	return t.dec.Unmarshal(b)
+// count accounts n deliveries of m as carried: one message and wire.Size(m)
+// bytes each, as if encoded. The hub hands every message over by pointer —
+// the receiver gets the sender's record, with no codec round trip — so the
+// rule that keeps that safe is the one every fabric's senders and handlers
+// keep anyway: a sender fills a message once, before the send, and never
+// writes it again (zeuslint frozen); a handler never writes a message it was
+// given (cluster's TestHandlersNeverWriteWhatTheyReceive); payloads
+// (Update.Data, an ACK's Data) are replace-only. The codec itself is held by
+// the TCP and reliable fabrics, which really encode, and by the wire
+// package's round-trip and fuzz tests. Byte accounting uses the exact encoded
+// size, so bandwidth numbers stay comparable with the real fabrics. A frame
+// the fabric drops (see peer) still counts as carried.
+func (t *MemTransport) count(m wire.Msg, n int) {
+	t.hub.msgs.Add(uint64(n))
+	t.hub.bytes.Add(uint64(wire.Size(m) * n))
 }
 
 // peer returns the destination's transport, or nil when the frame would be
@@ -203,11 +172,8 @@ func (t *MemTransport) Send(to wire.NodeID, m wire.Msg) error {
 		return err
 	}
 	dst := t.peer(to)
-	mm, err := t.roundtrip(dst, m)
-	if err != nil {
-		return err
-	}
-	t.enqueue(dst, memFrame{from: t.self, msg: mm})
+	t.count(m, 1)
+	t.enqueue(dst, memFrame{from: t.self, msg: m})
 	return nil
 }
 
@@ -215,7 +181,8 @@ func (t *MemTransport) Send(to wire.NodeID, m wire.Msg) error {
 // batch is len(msgs) inbox entries pushed under one lock, so nothing comes
 // between them, and the receiver's delivery tick follows the last. The
 // entries are staged on this stack (msgs is the caller's again on return, see
-// Transport.SendBatch); nothing of the batch but its messages is allocated.
+// Transport.SendBatch); a batch of up to batchStage messages allocates
+// nothing.
 func (t *MemTransport) SendBatch(to wire.NodeID, msgs []wire.Msg) error {
 	if err := t.sendable(); err != nil {
 		return err
@@ -230,11 +197,8 @@ func (t *MemTransport) SendBatch(to wire.NodeID, msgs []wire.Msg) error {
 		fs = make([]memFrame, 0, len(msgs))
 	}
 	for _, m := range msgs {
-		mm, err := t.roundtrip(dst, m) // a dropped message still counts as carried
-		if err != nil {
-			return err
-		}
-		fs = append(fs, memFrame{from: t.self, msg: mm, more: true})
+		t.count(m, 1)
+		fs = append(fs, memFrame{from: t.self, msg: m, more: true})
 	}
 	fs[len(fs)-1].more = false
 	if dst != nil {
@@ -244,9 +208,8 @@ func (t *MemTransport) SendBatch(to wire.NodeID, msgs []wire.Msg) error {
 	return nil
 }
 
-// Multicast sends m to every destination, marshalling once. Each receiver
-// gets its own decoded copy (no cross-node aliasing), except commit-protocol
-// messages, which ride the zero-copy fast path (see roundtrip).
+// Multicast sends m to every destination: each gets the sender's pointer,
+// like a Send to each (see count).
 func (t *MemTransport) Multicast(dsts []wire.NodeID, m wire.Msg) error {
 	if err := t.sendable(); err != nil {
 		return err
@@ -254,29 +217,11 @@ func (t *MemTransport) Multicast(dsts []wire.NodeID, m wire.Msg) error {
 	if len(dsts) == 0 {
 		return nil
 	}
-	n, zeroCopy := wire.CommitSize(m)
-	var buf *wire.Buf
-	if !zeroCopy {
-		buf = wire.GetBuf()
-		buf.B = wire.AppendMarshal(buf.B, m)
-		n = len(buf.B)
-	}
-	t.hub.msgs.Add(uint64(len(dsts)))
-	t.hub.bytes.Add(uint64(n) * uint64(len(dsts)))
-	var err error
+	t.count(m, len(dsts))
 	for _, to := range dsts {
-		dst, mm := t.peer(to), m
-		if !zeroCopy {
-			var e error
-			if mm, e = dst.decode(buf.B); e != nil {
-				err = e
-				continue
-			}
-		}
-		t.enqueue(dst, memFrame{from: t.self, msg: mm})
+		t.enqueue(t.peer(to), memFrame{from: t.self, msg: m})
 	}
-	wire.PutBuf(buf) // nil on the zero-copy path: a no-op
-	return err
+	return nil
 }
 
 // dispatch hands one inbox entry to the handler and, unless more of its batch

@@ -23,7 +23,8 @@
 // alive: at 8 KiB the benchmark's live heap did not move, at 64 KiB it grew
 // 1.4 MB (+5.5 % on smallbank_tcp) and batched no better. Each inbound stream
 // decodes through a wire.Decoder of its own; the hub, which has no streams,
-// keeps one per destination node and serializes its senders on it.
+// decodes nothing: it hands the receiver the sender's message (see
+// MemTransport.count for the rule that makes that safe).
 //
 // Every hand-off to a delivery goroutine — the hub's inbox, the reliable
 // fabric's per-peer in-order delivery, the Router's shard queues — is the

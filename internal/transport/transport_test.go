@@ -10,6 +10,7 @@ import (
 
 	"zeus/internal/netsim"
 	"zeus/internal/wire"
+	"zeus/internal/wire/wiretest"
 )
 
 // collect gathers inbound messages with ordering per sender.
@@ -447,48 +448,51 @@ func TestHubSendBatchFIFOAndFrames(t *testing.T) {
 	}
 }
 
-func TestHubMulticastDeliversFreshCopies(t *testing.T) {
+// TestHubDeliversTheSendersMessage: the hub hands every kind over by pointer.
+// A message of each kind (wiretest's fixture), sent by Send, by SendBatch and by Multicast to two
+// nodes, arrives at every destination as the sender's own record, and each
+// delivery counts one message and the exact encoded size in bytes.
+func TestHubDeliversTheSendersMessage(t *testing.T) {
 	h := NewHub()
-	a, b, c2 := h.Node(0), h.Node(1), h.Node(2)
+	a, b, c := h.Node(0), h.Node(1), h.Node(2)
 	defer a.Close()
 	defer b.Close()
-	defer c2.Close()
+	defer c.Close()
 	cb, cc := newCollect(), newCollect()
 	b.SetHandler(cb.handler)
-	c2.SetHandler(cc.handler)
+	c.SetHandler(cc.handler)
 
-	// Non-commit kinds go through the codec: receivers never alias.
-	m := &wire.OwnAck{Obj: 1, TS: wire.OTS{Ver: 1}, HasData: true, Data: []byte("abc")}
-	if err := a.Multicast([]wire.NodeID{1, 2}, m); err != nil {
-		t.Fatal(err)
+	msgs := wiretest.AllMessages()
+	var bytes uint64
+	for _, m := range msgs {
+		if err := a.Send(1, m); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.SendBatch(1, []wire.Msg{m}); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Multicast([]wire.NodeID{1, 2}, m); err != nil {
+			t.Fatal(err)
+		}
+		bytes += 4 * uint64(len(wire.Marshal(m)))
 	}
-	cb.waitN(t, 1, time.Second)
-	cc.waitN(t, 1, time.Second)
-	mb := cb.msgs[0].(*wire.OwnAck)
-	mc := cc.msgs[0].(*wire.OwnAck)
-	if &mb.Data[0] == &mc.Data[0] {
-		t.Fatal("multicast receivers alias the same memory")
+	cb.waitN(t, 3*len(msgs), time.Second)
+	cc.waitN(t, len(msgs), time.Second)
+	for i, m := range msgs {
+		for j, got := range cb.msgs[3*i : 3*i+3] {
+			if got != m {
+				t.Errorf("%v, delivery %d of 3 to node 1: %p, sent %p", m.Kind(), j+1, got, m)
+			}
+		}
+		if cc.msgs[i] != m {
+			t.Errorf("%v, multicast to node 2: %p, sent %p", m.Kind(), cc.msgs[i], m)
+		}
 	}
-	if h.Messages() != 2 {
-		t.Fatalf("multicast to 2 peers must count 2 messages, got %d", h.Messages())
+	if got, want := h.Messages(), uint64(4*len(msgs)); got != want {
+		t.Errorf("Messages() = %d, want %d", got, want)
 	}
-
-	// Commit-protocol kinds ride the zero-copy fast path: both receivers
-	// observe the sender's message (immutable by protocol contract), with
-	// no marshal/unmarshal round trip, and byte accounting stays exact.
-	before := h.Bytes()
-	inv := &wire.CommitInv{Tx: wire.TxID{Local: 1}, Updates: []wire.Update{{Obj: 1, Version: 1, Data: []byte("abc")}}}
-	if err := a.Multicast([]wire.NodeID{1, 2}, inv); err != nil {
-		t.Fatal(err)
-	}
-	cb.waitN(t, 2, time.Second)
-	cc.waitN(t, 2, time.Second)
-	if cb.msgs[1].(*wire.CommitInv) != inv || cc.msgs[1].(*wire.CommitInv) != inv {
-		t.Fatal("commit fan-out must be zero-copy on the hub")
-	}
-	want := uint64(2 * len(wire.Marshal(inv)))
-	if got := h.Bytes() - before; got != want {
-		t.Fatalf("zero-copy byte accounting = %d, want %d", got, want)
+	if got := h.Bytes(); got != bytes {
+		t.Errorf("Bytes() = %d, want %d (Σ len(wire.Marshal(m)) per delivery)", got, bytes)
 	}
 }
 

@@ -47,6 +47,11 @@ type Client struct {
 	// and swept by a background ticker for bits set inside it.
 	renewPending atomic.Uint64
 	renewFlushed atomic.Int64 // unix nanos of the last renewal multicast
+	// leases is where each renewal multicast's record comes from: a
+	// sixteenth of an allocation, like every other steady-state message.
+	// Renew and the sweeper flush at once, so leaseMu serializes the Take.
+	leaseMu sync.Mutex
+	leases  wire.Chunk[wire.VSLeaseMsg]
 
 	events chan wire.VSState
 	closed chan struct{}
@@ -203,7 +208,8 @@ func (c *Client) WaitEpoch(e wire.Epoch, timeout time.Duration) bool {
 }
 
 // Renew renews node's lease: an atomic bit set, plus — at most once per
-// throttle window across ALL nodes — one bitmap multicast. No lock anywhere.
+// throttle window across ALL nodes — one bitmap multicast, whose record the
+// flush takes under leaseMu. That flush is the only lock on the path.
 func (c *Client) Renew(node wire.NodeID) {
 	if node >= wire.MaxNodes {
 		return
@@ -228,7 +234,11 @@ func (c *Client) flushRenewals() {
 	if bits == 0 {
 		return
 	}
-	_ = c.tr.Multicast(c.replicas, &wire.VSLeaseMsg{Nodes: wire.Bitmap(bits)})
+	c.leaseMu.Lock()
+	m := c.leases.Take()
+	c.leaseMu.Unlock()
+	m.Nodes = wire.Bitmap(bits)
+	_ = c.tr.Multicast(c.replicas, m)
 	transport.Flush(c.tr)
 }
 

@@ -139,6 +139,7 @@ type Replica struct {
 	queue    []wire.VSCommand
 	pendFail map[wire.NodeID]*time.Timer // lease waits for reported failures
 	subs     wire.Bitmap                 // client endpoints to push commits to
+	beats    wire.Chunk[wire.VSLeaseMsg] // the leader's heartbeat records, taken under mu
 
 	// Candidacy (ballot takeover) state.
 	candBallot  uint64
@@ -602,7 +603,9 @@ func (r *Replica) tick() {
 		// Heartbeat and re-drive the in-flight entry (covers accepts lost
 		// to a replica that was briefly unreachable).
 		if len(r.ids) > 1 {
-			r.multicast(&wire.VSLeaseMsg{Heartbeat: true, Ballot: r.ballot})
+			hb := r.beats.Take()
+			*hb = wire.VSLeaseMsg{Heartbeat: true, Ballot: r.ballot}
+			r.multicast(hb)
 			if r.acc != nil {
 				r.multicast(&wire.VSAccept{
 					Ballot: r.ballot, Phase: wire.VSPhaseAccept,

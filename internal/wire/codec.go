@@ -409,32 +409,50 @@ func (d *dec) objsList() []ObjectID {
 	return out
 }
 
-// CommitSize returns the exact marshalled size of the three reliable-commit
-// kinds (R-INV, R-ACK, R-VAL) without encoding them; ok is false for every
-// other kind. The commit engine's replicated-bytes counter and the hub's
-// zero-copy fast path both account with it, so their byte figures stay
-// comparable with the fabrics that really encode. TestCommitSizeExact pins it
-// to len(Marshal(m)).
-func CommitSize(m Msg) (n int, ok bool) {
+// Size returns the exact marshalled size of m, len(Marshal(m)). The
+// reliable-commit and ownership kinds, which every loaded node sends, are
+// sized by arithmetic — their fixed fields plus their variable data — without
+// encoding; the rare kinds (view service, directory, baseline, observability)
+// are encoded into a pooled buffer and measured. The hub's byte counter and
+// the commit engine's replicated-bytes counter both account with it, so their
+// figures stay comparable with the fabrics that really encode. TestSizeExact
+// pins it to the codec for every kind.
+func Size(m Msg) int {
 	switch v := m.(type) {
 	case *CommitInv:
-		n = 34 // kind + tx + epoch + followers + prevval + replay + count
+		n := 34 // kind + tx + epoch + followers + prevval + replay + count
 		for i := range v.Updates {
 			n += UpdateSize(len(v.Updates[i].Data))
 		}
-		return n, true
+		return n
 	case *CommitAck:
-		return 30, true // kind + tx + more + epoch + from
+		return 30 // kind + tx + more + epoch + from
 	case *CommitVal:
-		return 28, true // kind + tx + more + epoch
+		return 28 // kind + tx + more + epoch
+	case *OwnReq:
+		return 44 // kind + reqid + obj + requester + mode + epoch + target + shard + holds
+	case *OwnInv:
+		return 65 // kind + reqid + obj + ts + epoch + requester + driver + mode + replicas + prevowner + arbiters + recovery + holds
+	case *OwnAck:
+		return 65 + len(v.Data) // kind + reqid + obj + ts + epoch + from + arbiters + replicas + mode + hasdata + tversion + length + data
+	case *OwnVal:
+		return 31 // kind + reqid + obj + ts + epoch
+	case *OwnNack:
+		return 24 // kind + reqid + obj + epoch + from + reason
+	case *OwnResp:
+		return 65 + len(v.Data) // kind + reqid + obj + ts + epoch + driver + arbiters + replicas + mode + hasdata + tversion + length + data
 	}
-	return 0, false
+	buf := GetBuf()
+	buf.B = AppendMarshal(buf.B, m)
+	n := len(buf.B)
+	PutBuf(buf)
+	return n
 }
 
-// Marshal serializes a message: one kind byte followed by the body.
+// Marshal serializes a message: one kind byte followed by the body, in a
+// slice of exactly its size.
 func Marshal(m Msg) []byte {
-	n, _ := CommitSize(m) // the hot kinds are sized exactly; append grows the rest
-	return AppendMarshal(make([]byte, 0, n), m)
+	return AppendMarshal(make([]byte, 0, Size(m)), m)
 }
 
 // AppendMarshal appends m's serialization to dst and returns the extended

@@ -4,8 +4,9 @@ package wire
 const ChunkRecords = 16
 
 // Chunk carves records of one type out of arrays of ChunkRecords, so a record
-// costs 1/ChunkRecords of an allocation. Its users are the Decoder and the
-// engines' emission paths (messages), and the commit engine's pipelines
+// costs 1/ChunkRecords of an allocation. Its users are the Decoder, the
+// engines' emission paths (the ownership INV, ACK and VAL; the view service's
+// lease renewals and heartbeats) and the commit engine's pipelines
 // (commit.Slot, which embeds its first R-INV). It is a bump allocator, not a
 // recycler: a record is handed out once and never comes back, and the
 // garbage collector frees an array when the last record carved from it dies —
@@ -67,9 +68,9 @@ type invRecord struct {
 // each.
 //
 // Ownership rule: one Decoder per inbound stream, owned by the goroutine that
-// reads it (a TCP connection's read loop, the reliable fabric's per-peer
-// delivery goroutine) or serialized by its owner, as the hub does per
-// destination. It is not safe for concurrent use. Decoded messages are
+// reads it — a TCP connection's read loop, the reliable fabric's per-peer
+// delivery goroutine. (The in-process hub decodes nothing: it delivers the
+// sender's message.) It is not safe for concurrent use. Decoded messages are
 // ordinary messages: handlers keep them as long as they like (a follower
 // stores an R-INV until its R-VAL) and nobody gives them back.
 //

@@ -141,60 +141,12 @@ func TestReplicaSetWithOwnerSameOwner(t *testing.T) {
 	}
 }
 
-// allMessages returns one populated instance of every message type.
-func allMessages() []Msg {
-	data := []byte("the quick brown fox")
-	return []Msg{
-		&OwnReq{ReqID: 7, Obj: 42, Requester: 3, Mode: AcquireOwner, Epoch: 2, Target: BitmapOf(1, 2), Shard: 13, Holds: 10},
-		&OwnInv{ReqID: 7, Obj: 42, TS: OTS{9, 1}, Epoch: 2, Requester: 3, Driver: 0,
-			Mode: AcquireReader, NewReplicas: ReplicaSet{Owner: 3, Readers: BitmapOf(1)},
-			PrevOwner: 1, Arbiters: BitmapOf(0, 1, 2), Recovery: true, Holds: 10},
-		&OwnAck{ReqID: 7, Obj: 42, TS: OTS{9, 1}, Epoch: 2, From: 1,
-			Arbiters: BitmapOf(0, 1, 2), NewReplicas: ReplicaSet{Owner: 3, Readers: BitmapOf(1)},
-			Mode: AcquireOwner, HasData: true, TVersion: 11, Data: data},
-		&OwnVal{ReqID: 7, Obj: 42, TS: OTS{9, 1}, Epoch: 2},
-		&OwnNack{ReqID: 7, Obj: 42, Epoch: 2, From: 1, Reason: NackPendingCommit},
-		&OwnResp{ReqID: 7, Obj: 42, TS: OTS{9, 1}, Epoch: 2, Driver: 0,
-			Arbiters: BitmapOf(0, 1), NewReplicas: ReplicaSet{Owner: 3}, Mode: AcquireOwner,
-			HasData: true, TVersion: 4, Data: data},
-		&CommitInv{Tx: TxID{Pipe: PipeID{Node: 2, Worker: 5}, Local: 99}, Epoch: 3,
-			Followers: BitmapOf(0, 1), PrevVal: true, Replay: true,
-			Updates: []Update{{Obj: 1, Version: 2, Data: data}, {Obj: 9, Version: 1, Data: nil}}},
-		&CommitAck{Tx: TxID{Pipe: PipeID{Node: 2, Worker: 5}, Local: 99}, Epoch: 3, From: 1},
-		&CommitVal{Tx: TxID{Pipe: PipeID{Node: 2, Worker: 5}, Local: 99}, Epoch: 3},
-		&BReadReq{ReqID: 5, Obj: 10},
-		&BResp{ReqID: 5, OK: true, Ver: 3, Data: data},
-		&BLock{ReqID: 5, Items: []BVer{{Obj: 1, Ver: 2}, {Obj: 3, Ver: 4}}},
-		&BValidate{ReqID: 5, Items: []BVer{{Obj: 8, Ver: 0}}},
-		&BBackup{ReqID: 5, Updates: []Update{{Obj: 1, Version: 3, Data: data}}},
-		&BCommit{ReqID: 5, Updates: []Update{{Obj: 1, Version: 3, Data: data}}},
-		&BAbort{ReqID: 5, Objs: []ObjectID{1, 2, 3}},
-		&VSPropose{Cmd: VSCommand{Op: VSJoin, Node: 3, Epoch: 0, Addr: "127.0.0.1:7003"}},
-		&VSPropose{Cmd: VSCommand{Op: VSFail, Node: 3, Epoch: 4}},
-		&VSAccept{Ballot: 4, Phase: VSPhasePromise,
-			Cmd:    VSCommand{Op: VSLeave, Node: 2},
-			State:  VSState{Index: 9, Epoch: 5, Live: BitmapOf(0, 1), Barrier: BitmapOf(0), BarrierEpoch: 5},
-			HasAcc: true, AccBallot: 3, AccCmd: VSCommand{Op: VSJoin, Node: 6},
-			AccState: VSState{Index: 10, Epoch: 6, Live: BitmapOf(0, 1, 6)}},
-		&VSCommit{Ballot: 4, Cmd: VSCommand{Op: VSRecoveryDone, Node: 1, Epoch: 5},
-			State: VSState{Index: 11, Epoch: 5, Live: BitmapOf(0, 1),
-				Placement: DirPlacement{Epoch: 5, Degree: 2, Shards: []Bitmap{BitmapOf(0, 1), BitmapOf(0, 1)}},
-				Addrs:     []NodeAddr{{Node: 0, Addr: "10.0.0.1:7000"}, {Node: 1, Addr: "10.0.0.2:7000"}},
-				Joined:    []NodeEpoch{{Node: 1, Epoch: 4}}},
-			BarrierDone: true, DoneEpoch: 5},
-		&VSLeaseMsg{Nodes: BitmapOf(2, 5), Heartbeat: true, Ballot: 7},
-		&VSQuery{Resp: true, Ballot: 7, State: VSState{Index: 3, Epoch: 2, Live: BitmapOf(0, 1, 2),
-			Placement: ComputePlacement(4, 3, 2, BitmapOf(0, 1, 2))}},
-		&DirPull{Shards: []uint32{9, 11, 12}, PlacementEpoch: 3, From: 4},
-		&DirState{Shard: 9, PlacementEpoch: 3, From: 2, Entries: []DirEntry{
-			{Obj: 42, TS: OTS{9, 1}, Replicas: ReplicaSet{Owner: 3, Readers: BitmapOf(1, 2)}, Pending: true},
-			{Obj: 43, TS: OTS{2, 0}, Replicas: ReplicaSet{Owner: NoNode}},
-		}},
-		&SafeTime{From: 2, Epoch: 5, WM: 987654321},
-		&ObsPull{From: 3, Full: true},
-		&ObsState{From: 1, Epoch: 4, Commits: 5, Incidents: 1, Metrics: []byte("zeus_commits_total 5\n")},
-	}
-}
+// AllMessages is wiretest.AllMessages, set by fixture_test.go: the fixture
+// lives in a package of its own, for other packages' tests, which this
+// package's internal tests cannot import.
+var AllMessages func() []Msg
+
+func allMessages() []Msg { return AllMessages() }
 
 func TestMarshalRoundTripAllKinds(t *testing.T) {
 	seen := map[Kind]bool{}
@@ -488,7 +440,7 @@ func TestEncodedSizes(t *testing.T) {
 func TestMaxMsgHoldsTheLargestSends(t *testing.T) {
 	value := make([]byte, MaxBlob-UpdateSize(0))
 	for _, us := range [][]Update{{{Data: value}}, {{Data: value[:MaxBlob/2-UpdateSize(0)]}, {Data: value[:MaxBlob/2-UpdateSize(0)]}}} {
-		if n, _ := CommitSize(&CommitInv{Updates: us}); n > MaxMsg {
+		if n := Size(&CommitInv{Updates: us}); n > MaxMsg {
 			t.Errorf("an R-INV of %d updates encodes to %d bytes, over MaxMsg %d", len(us), n, MaxMsg)
 		}
 	}
@@ -499,10 +451,11 @@ func TestMaxMsgHoldsTheLargestSends(t *testing.T) {
 	}
 }
 
-// TestCommitSizeExact pins CommitSize to the codec: the commit engine and the
-// hub account replicated bytes with it instead of encoding, so it must equal
-// len(Marshal(m)) for every reliable-commit kind and refuse everything else.
-func TestCommitSizeExact(t *testing.T) {
+// TestSizeExact pins Size to the codec: the hub and the commit engine account
+// bytes with it instead of encoding, so it must equal len(Marshal(m)) for
+// every kind — the round-trip fixture, and the kinds sized by arithmetic with
+// their variable parts empty and long.
+func TestSizeExact(t *testing.T) {
 	tx := TxID{Pipe: PipeID{Node: 1, Worker: 2, Incar: 7}, Local: 99}
 	upd := func(sizes ...int) []Update {
 		var us []Update
@@ -511,21 +464,20 @@ func TestCommitSizeExact(t *testing.T) {
 		}
 		return us
 	}
-	msgs := []Msg{
+	msgs := append(allMessages(),
 		&CommitInv{Tx: tx, Epoch: 3, Followers: BitmapOf(0, 2), PrevVal: true},
 		&CommitInv{Tx: tx, Epoch: 3, Followers: BitmapOf(0, 2), Updates: upd(64)},
 		&CommitInv{Tx: tx, Epoch: 3, Followers: BitmapOf(0, 2), Replay: true, Updates: upd(0, 400, 7)},
-		&CommitAck{Tx: tx, Epoch: 3, From: 2},
-		&CommitVal{Tx: tx, Epoch: 3},
-	}
+		&OwnAck{ReqID: 1, Obj: 2, From: 1},
+		&OwnAck{ReqID: 1, Obj: 2, From: 1, HasData: true, Data: make([]byte, 1000)},
+		&OwnResp{ReqID: 1, Obj: 2, Driver: 1},
+		&OwnResp{ReqID: 1, Obj: 2, Driver: 1, HasData: true, Data: make([]byte, 1000)},
+	)
 	for _, m := range msgs {
-		n, ok := CommitSize(m)
-		if want := len(Marshal(m)); !ok || n != want {
-			t.Errorf("CommitSize(%v) = %d, %v; Marshal is %d bytes", m.Kind(), n, ok, want)
+		// AppendMarshal, not Marshal: Marshal is sized by Size itself.
+		if n, want := Size(m), len(AppendMarshal(nil, m)); n != want {
+			t.Errorf("Size(%v) = %d; the codec encodes %d bytes", m.Kind(), n, want)
 		}
-	}
-	if _, ok := CommitSize(&SafeTime{Epoch: 1}); ok {
-		t.Error("CommitSize accepted a non-commit message")
 	}
 }
 

@@ -117,7 +117,22 @@ cd "$(dirname "$0")/.."
 # (CommitAck/CommitVal.More, its codec, Slots and the two docs), 13 in
 # commit's dump and metrics, 9 in zeuslint (ackdurable's doc names the new
 # emission site, frozen's table holds queue).
-max_lines=23327  # non-test Go outside benchmark/, testdata/ excluded
+# Lowered by 19 to 23308 when the hub handed every message over by pointer:
+# its Decoder, decMu, decode and roundtrip's marshal/decode branches went
+# (mem.go −55), net of wire.Size sizing every kind (+18 over CommitSize), the
+# view service's two lease-record chunks (+12), cluster's fabric seam for
+# tests (+3) and the docs of the one rule (+3). Then raised by 157 to 23465
+# for three ownership fixes and a shared fixture: 55 in internal/ownership (a
+# data source ACKs a replayed INV only once its Write value committed,
+# ackOnceCommitted on a goroutine of its own, 36; an INV refused for an
+# arbitration of an earlier epoch replays it, and a replay of an earlier
+# epoch gives way, 11; isSource shared by buildAck, 8), 35 in internal/store
+# (the TLeaving flag on t_state: set by InvalidateLocked on a replica the INV
+# drops, carried by the commit transitions, cleared by the grant; 19 of the
+# 35 are docs), 3 in core's and viewsvc's docs, and 64 for
+# internal/wire/wiretest, the all-kinds message fixture that wire's and
+# transport's tests share instead of each keeping a copy.
+max_lines=23465  # non-test Go outside benchmark/, testdata/ excluded
 # Lowered from 77 by those five fields: ownership.Config's AttemptTimeout,
 # Deadline and Retry, cluster.Options.Lease and viewsvc.Config.Heartbeat.
 # Lowered from 72 to 62 by de-duplication, not by removing a knob: the eight
