@@ -6,7 +6,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"zeus"
 )
@@ -45,9 +44,9 @@ func main() {
 	}
 	fmt.Printf("node 2 stats after migration: %+v\n", n2.Stats())
 
-	// Replicas serve strictly serializable read-only transactions locally,
+	// Update returned once every replica held the write, so the replicas
+	// serve it to strictly serializable read-only transactions, locally and
 	// with zero network traffic.
-	n2.WaitReplication(2 * time.Second)
 	for i := 0; i < 3; i++ {
 		n := c.Node(i)
 		_ = n.View(0, func(tx *zeus.Tx) error {

@@ -102,7 +102,7 @@ func TestScaleOutServesExistingSessions(t *testing.T) {
 		}
 		want[cookie] = b
 	}
-	if !c.Node(0).WaitReplication(cfg2s()) {
+	if !c.Node(0).CommitEngine().WaitIdle(cfg2s()) {
 		t.Fatal("replication stalled")
 	}
 	// The scale-out proxy on node 1 shares the same session objects.

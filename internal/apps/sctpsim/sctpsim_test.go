@@ -145,7 +145,7 @@ func TestReplicationSurvivesStateOnBackup(t *testing.T) {
 	if _, err := a.Transfer(20, 150); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Node(0).WaitReplication(cfgTimeout) {
+	if !c.Node(0).CommitEngine().WaitIdle(cfgTimeout) {
 		t.Fatal("replication stalled")
 	}
 	// The backup replica holds the association state: a failover peer

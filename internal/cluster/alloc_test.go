@@ -53,7 +53,7 @@ func TestTCPAllocCeiling(t *testing.T) {
 			for i := 0; i < txs; i++ {
 				body(i)
 			}
-			if !owner.WaitReplication(10 * time.Second) {
+			if !owner.CommitEngine().WaitIdle(10 * time.Second) {
 				t.Fatal("pipelines never drained")
 			}
 			runtime.ReadMemStats(&after)
@@ -184,7 +184,7 @@ func TestRunAllocCeilings(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if !owner.WaitReplication(10 * time.Second) {
+			if !owner.CommitEngine().WaitIdle(10 * time.Second) {
 				t.Fatal("pipelines never drained")
 			}
 			runtime.ReadMemStats(&after)

@@ -227,7 +227,7 @@ func TestLeaveDrainsAndRemoves(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	c.Node(3).WaitReplication(2 * time.Second)
+	c.Node(3).CommitEngine().WaitIdle(2 * time.Second)
 	if err := c.Leave(3); err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func TestTCPCarriesEveryWriteItTakes(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Node(0).WaitReplication(5 * time.Second) {
+	if !c.Node(0).CommitEngine().WaitIdle(5 * time.Second) {
 		t.Fatal("the write never replicated")
 	}
 	for _, obj := range []uint64{1, 2} {
@@ -446,7 +446,7 @@ func TestTCPFabricCluster(t *testing.T) {
 	}
 	// Run returns at the local commit; node 2 serves the old value, validly,
 	// until the R-INV reaches it. Reliably committed means it has.
-	if !c.Node(1).WaitReplication(5 * time.Second) {
+	if !c.Node(1).CommitEngine().WaitIdle(5 * time.Second) {
 		t.Fatal("write never replicated")
 	}
 	var got []byte

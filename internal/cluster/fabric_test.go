@@ -67,7 +67,7 @@ func TestKillRestartOnEveryFabric(t *testing.T) {
 			for _, obj := range ownedBy(3) {
 				write(t, c, 3, obj)
 			}
-			if !c.Node(3).WaitReplication(5 * time.Second) {
+			if !c.Node(3).CommitEngine().WaitIdle(5 * time.Second) {
 				t.Fatal("node 3's writes did not replicate")
 			}
 			if err := c.Node(3).SnapshotNow(); err != nil {
@@ -145,7 +145,7 @@ func TestKillRestartOnEveryFabric(t *testing.T) {
 			defer c.Close()
 			c.SeedRange(1, objects, u64c(0))
 			write(t, c, 3, 4)
-			if !c.Node(3).WaitReplication(5 * time.Second) {
+			if !c.Node(3).CommitEngine().WaitIdle(5 * time.Second) {
 				t.Fatal("node 3's write did not replicate")
 			}
 			if err := c.Leave(3); err != nil {

@@ -104,7 +104,7 @@ func TestCrashRestartTorture(t *testing.T) {
 			}
 		}
 	}
-	if !c.Node(3).WaitReplication(5 * time.Second) {
+	if !c.Node(3).CommitEngine().WaitIdle(5 * time.Second) {
 		t.Fatal("solo writes did not replicate")
 	}
 	if err := c.Node(3).SnapshotNow(); err != nil {

@@ -259,7 +259,12 @@ type outPipe struct {
 	id      wire.PipeID
 	adopted bool
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// wake (on mu) is broadcast whenever a slot of the pipe finishes, and
+	// when the engine closes: Slot.Wait and WaitIdle sleep on it. closed is
+	// the engine's, so a pipe made after Close still wakes its waiters.
+	wake      sync.Cond
+	closed    <-chan struct{}
 	nextLocal uint64
 	slots     map[uint64]*Slot
 	// order holds the same slots in Local order (an own pipe appends each
@@ -276,6 +281,12 @@ type outPipe struct {
 	val   window
 	vals  wire.Chunk[wire.CommitVal]
 	fresh wire.Chunk[Slot]
+}
+
+func (e *Engine) newOutPipe(id wire.PipeID, adopted bool) *outPipe {
+	p := &outPipe{id: id, adopted: adopted, closed: e.closed, nextLocal: 1, slots: make(map[uint64]*Slot)}
+	p.wake.L = &p.mu
+	return p
 }
 
 // compactLocked drops finished slots off the front of the order FIFO.
@@ -374,8 +385,10 @@ func (s *Slot) Tx() wire.TxID { return s.first.Tx }
 
 // Done returns a channel that is closed once the slot validated: every live
 // follower acknowledged, the local objects flipped back to Valid and the
-// slot's bit is in its pipe's R-VAL window, which the next flush sends. The channel is made on the first call — tests and drain
-// paths wait on it, the transaction hot path never asks.
+// slot's bit is in its pipe's R-VAL window, which the next flush sends. The
+// channel is made on the first call, so a caller that only needs to block
+// waits with Wait, which allocates nothing; Done is for a select, as a
+// tracer's watcher makes.
 func (s *Slot) Done() <-chan struct{} {
 	p := s.pipe
 	p.mu.Lock()
@@ -388,6 +401,28 @@ func (s *Slot) Done() <-chan struct{} {
 		}
 	}
 	return s.done
+}
+
+// ErrClosed is what Wait answers when the engine closed before the slot
+// validated: the write is committed locally, and whether a follower holds it
+// is not known.
+var ErrClosed = errors.New("commit: engine closed before the commit validated")
+
+// Wait blocks until the slot validated, as Done's channel closes, and returns
+// nil; or until the engine closes first, and returns ErrClosed.
+func (s *Slot) Wait() error {
+	p := s.pipe
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for !s.finished {
+		select {
+		case <-p.closed:
+			return ErrClosed
+		default:
+		}
+		p.wake.Wait()
+	}
+	return nil
 }
 
 // inPipe tracks one remote coordinator pipeline at a follower.
@@ -465,12 +500,23 @@ func New(self wire.NodeID, st *store.Store, tr transport.Transport, agent *views
 	return e
 }
 
-// Close flushes coalesced outbound messages and stops the background loops.
+// Close flushes coalesced outbound messages, stops the background loops and
+// wakes every Slot.Wait: one on an open slot answers ErrClosed.
 func (e *Engine) Close() {
 	e.once.Do(func() {
 		close(e.closed)
 		e.flushOut()
+		e.eachPipe((*outPipe).broadcast)
 	})
+}
+
+// broadcast wakes every waiter on p. It takes p.mu, so a waiter that checked
+// its condition is asleep on wake by then and sees the change that prompted
+// the call.
+func (p *outPipe) broadcast() {
+	p.mu.Lock()
+	p.wake.Broadcast()
+	p.mu.Unlock()
 }
 
 // enqueue queues one outbound protocol message for peer-coalesced sending.
@@ -715,7 +761,7 @@ func (e *Engine) pipe(w wire.Worker) *outPipe {
 		if incar == 0 {
 			incar = e.agent.Epoch()
 		}
-		return &outPipe{id: wire.PipeID{Node: e.self, Worker: w, Incar: incar}, nextLocal: 1, slots: make(map[uint64]*Slot)}
+		return e.newOutPipe(wire.PipeID{Node: e.self, Worker: w, Incar: incar}, false)
 	})
 }
 
@@ -755,27 +801,29 @@ func (e *Engine) eachPipe(fn func(*outPipe)) {
 	e.adopted.Range(func(_ wire.PipeID, p *outPipe) bool { fn(p); return true })
 }
 
-// errSlotsPending drives WaitIdle's retry.Do poll; never escapes.
-var errSlotsPending = errors.New("commit: coordinator slots pending")
-
-// WaitIdle blocks until every coordinator slot validated or timeout elapses.
+// WaitIdle blocks until every coordinator slot validated or timeout elapses,
+// and reports whether a pass over the pipes found none open. It sleeps on each
+// open pipe's wake in turn, which a finishing slot broadcasts, and a timer
+// once the timeout elapsed.
 func (e *Engine) WaitIdle(timeout time.Duration) bool {
 	e.flushOut() // push queued R-INVs out instead of waiting a tick
-	if timeout <= 0 {
-		return e.PendingSlots() == 0
-	}
-	err := retry.Do(nil, retry.Policy{
-		InitialBackoff: 100 * time.Microsecond,
-		MaxBackoff:     time.Millisecond,
-		Jitter:         -1,
-		MaxElapsed:     timeout,
-	}, nil, func(int) error {
-		if e.PendingSlots() > 0 {
-			return errSlotsPending
+	deadline := time.Now().Add(timeout)
+	t := time.AfterFunc(timeout, func() { e.eachPipe((*outPipe).broadcast) })
+	defer t.Stop()
+	for e.PendingSlots() > 0 {
+		if !time.Now().Before(deadline) {
+			return false
 		}
-		return nil
-	})
-	return err == nil
+		e.outPipes.Range(func(_ wire.Worker, p *outPipe) bool {
+			p.mu.Lock()
+			for len(p.slots) > 0 && time.Now().Before(deadline) {
+				p.wake.Wait()
+			}
+			p.mu.Unlock()
+			return true
+		})
+	}
+	return true
 }
 
 // Commit starts the reliable commit of a locally committed transaction on
@@ -786,8 +834,9 @@ func (e *Engine) WaitIdle(timeout time.Duration) bool {
 // pending state — see HasPending). The updates are copied into the slot (their
 // Data is not: the engine and the followers share the published version), so
 // the caller's slice can live on its stack. The returned slot names the
-// transaction (Tx) and reports validation (Done: tests and drain paths wait on
-// it; applications do not).
+// transaction (Tx) and reports validation: Wait blocks until then, Done's
+// channel closes then. Whether to wait is the committing caller's choice; the
+// pipeline goes on either way.
 //
 // tr is a sampled transaction's trace recorder, nil for the unsampled majority
 // (Trace.Event is nil-receiver-safe). The slot stamps "inv" after the R-INV
@@ -924,6 +973,7 @@ func (e *Engine) completeSlot(s *Slot) {
 	p.mu.Lock()
 	delete(p.slots, local)
 	s.finished = true // from here on Done hands out s.done as it is
+	p.wake.Broadcast()
 	p.compactLocked()
 	done := s.done
 	fresh := targets != 0 && p.val.mask == 0
@@ -1277,7 +1327,7 @@ func (e *Engine) adopt(live wire.Bitmap) {
 			return true
 		}
 		p := e.adopted.GetOrCreate(id, func() *outPipe {
-			return &outPipe{id: id, adopted: true, slots: make(map[uint64]*Slot)}
+			return e.newOutPipe(id, true)
 		})
 		p.mu.Lock()
 		for _, inv := range stored {

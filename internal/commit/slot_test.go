@@ -101,6 +101,95 @@ func TestSlotDoneWithoutFollowers(t *testing.T) {
 	}
 }
 
+// waitAsync runs s.Wait on a goroutine of its own and hands its answer over.
+func waitAsync(s *Slot) <-chan error {
+	ch := make(chan error, 1)
+	go func() { ch <- s.Wait() }()
+	return ch
+}
+
+// TestSlotWait: Wait blocks until the slot validated and answers nil, at
+// once for a slot that already did, without allocating; a Close while it
+// waits answers ErrClosed, and so does a Wait after the Close on a slot that
+// never validated.
+func TestSlotWait(t *testing.T) {
+	c := newTestCluster(t, 3)
+	c.seedObject(1, 0, wire.BitmapOf(1, 2))
+	eng := c.nodes[0].eng
+	open := c.gateFollower(1)
+
+	s := c.localCommit(0, 0, []wire.ObjectID{1}, "a")
+	waited := waitAsync(s)
+	select {
+	case err := <-waited:
+		t.Fatalf("Wait returned %v while a follower held the R-INV", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	open()
+	select {
+	case err := <-waited:
+		if err != nil {
+			t.Fatalf("Wait on a validated slot: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Wait never returned after the slot validated")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = s.Wait() }); allocs != 0 {
+		t.Errorf("Wait on a validated slot allocates %.1f objects", allocs)
+	}
+
+	// Follower 2 holds the next slot's R-INV until the test ends: the slot
+	// is open when Close comes.
+	defer c.gateFollower(2)()
+	stuck := c.localCommit(0, 0, []wire.ObjectID{1}, "b")
+	waited = waitAsync(stuck)
+	time.Sleep(5 * time.Millisecond)
+	eng.Close()
+	select {
+	case err := <-waited:
+		if err != ErrClosed {
+			t.Fatalf("Wait cut short by Close: %v, want ErrClosed", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close left a Wait blocked")
+	}
+	if err := stuck.Wait(); err != ErrClosed {
+		t.Fatalf("Wait after Close on an open slot: %v, want ErrClosed", err)
+	}
+}
+
+// TestWaitIdleWakesOnCompletion: WaitIdle returns as soon as the last open
+// slot validates, not at its next poll, and still answers false when its
+// timeout runs out first.
+func TestWaitIdleWakesOnCompletion(t *testing.T) {
+	c := newTestCluster(t, 3)
+	c.seedObject(1, 0, wire.BitmapOf(1, 2))
+	eng := c.nodes[0].eng
+	open := c.gateFollower(1)
+	c.localCommit(0, 0, []wire.ObjectID{1}, "a")
+
+	start := time.Now()
+	if eng.WaitIdle(30 * time.Millisecond) {
+		t.Fatal("WaitIdle reported idle while a slot was open")
+	}
+	if waited := time.Since(start); waited < 30*time.Millisecond {
+		t.Fatalf("WaitIdle gave up after %v, before its 30ms timeout", waited)
+	}
+
+	idle := make(chan bool, 1)
+	go func() { idle <- eng.WaitIdle(10 * time.Second) }()
+	time.Sleep(5 * time.Millisecond)
+	open()
+	select {
+	case ok := <-idle:
+		if !ok {
+			t.Fatal("WaitIdle reported pending slots after the last one validated")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("WaitIdle did not wake when the last slot validated")
+	}
+}
+
 // TestSlotSendsItsEmbeddedRInv: the first R-INV a slot sends is the one
 // embedded in it, so the slot, its message, its Updates and its resend pacer
 // are one record — a sixteenth of the pipe's chunk.

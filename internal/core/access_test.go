@@ -71,7 +71,7 @@ func TestLargeReadOnlyAudit(t *testing.T) {
 	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Node(0).WaitReplication(2 * time.Second) {
+	if !c.Node(0).CommitEngine().WaitIdle(2 * time.Second) {
 		t.Fatal("write never replicated")
 	}
 	if v, err := ro.Get(500); err != nil || fromU64(v) != 500 {
@@ -256,7 +256,7 @@ func TestDurableChannel(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("durable never closed")
 	}
-	if !n.WaitReplication(2 * time.Second) {
+	if !n.CommitEngine().WaitIdle(2 * time.Second) {
 		t.Fatal("pipeline never drained")
 	}
 	for name, tx := range map[string]interface{ Durable() <-chan struct{} }{"early": early, "never": never, "late": late} {

@@ -120,6 +120,7 @@ type Node struct {
 	trimQ     chan trimReq
 	closedCh  chan struct{}
 	closeOnce sync.Once
+	closed    atomic.Bool // set by Close: a Begin answers closedTx
 
 	// Durability (nil without storage): the group-commit WAL front
 	// end shared by the commit and ownership engines, and the recovery
@@ -391,6 +392,7 @@ func (n *Node) Stats() Stats {
 // node's to close: whoever made it does (a zeusd process its socket, a cluster
 // its fabric), and a restart builds the next incarnation on the same endpoint.
 func (n *Node) Close() {
+	n.closed.Store(true)
 	n.closeOnce.Do(func() { close(n.closedCh) })
 	n.own.Close()
 	n.cmt.Close()
@@ -403,11 +405,6 @@ func (n *Node) Close() {
 	if n.stg != nil {
 		_ = n.stg.Close()
 	}
-}
-
-// WaitReplication blocks until all pending reliable commits validated.
-func (n *Node) WaitReplication(timeout time.Duration) bool {
-	return n.cmt.WaitIdle(timeout)
 }
 
 // ---------------------------------------------------------------------------
@@ -588,9 +585,20 @@ var FinishedTx = &Tx{finished: true}
 // worker out. Begin does not block: a leaked transaction would hang it.
 var busyTx = &Tx{finished: true}
 
+// ErrClosed is what a transaction begun on a closed node answers. A closed
+// node serves nothing again, so no retry loop retries it.
+var ErrClosed = errors.New("core: node closed")
+
+// closedTx is what a Begin on a closed node returns: finished and nobody's,
+// its Get, Set and Commit answer ErrClosed.
+var closedTx = &Tx{finished: true}
+
 func (tx *Tx) refusal() error {
-	if tx == busyTx {
+	switch tx {
+	case busyTx:
 		return dbapi.ErrConflict
+	case closedTx:
+		return ErrClosed
 	}
 	return errFinished
 }
@@ -644,6 +652,9 @@ func (n *Node) Begin() *Tx {
 // the caller keeps it on its stack (BeginOn inlines and the access set is part
 // of the struct).
 func (n *Node) BeginOn(worker int) *Tx {
+	if n.closed.Load() {
+		return closedTx
+	}
 	w := worker % n.cfg.Workers
 	if !n.leases[w].take() {
 		return busyTx
@@ -940,8 +951,29 @@ func (tx *Tx) validateReads() bool {
 // snapshot (§5.3); write transactions perform the local commit and hand the
 // updates to the reliable-commit pipeline without blocking (§5.2).
 func (tx *Tx) Commit() error {
+	_, err := tx.commit()
+	return err
+}
+
+// CommitDurable is Commit that returns once the write is on every live
+// follower: nil after the reliable commit validated, commit.ErrClosed if the
+// node closed first. Only the caller waits: the worker's lease is given back
+// at the local commit, as Commit gives it back, so the worker's next
+// transaction pipelines behind this one (§5.2). The slot is taken before
+// that, because the worker's next Begin overwrites its Tx.
+func (tx *Tx) CommitDurable() error {
+	slot, err := tx.commit()
+	if err != nil || slot == nil {
+		return err
+	}
+	return slot.Wait()
+}
+
+// commit is Commit, returning the reliable commit a write ended in (nil if
+// the transaction wrote nothing or did not commit).
+func (tx *Tx) commit() (*commit.Slot, error) {
 	if tx.finished {
-		return tx.refusal()
+		return nil, tx.refusal()
 	}
 	tx.finished = true
 	defer tx.end()
@@ -955,14 +987,14 @@ func (tx *Tx) Commit() error {
 			} else {
 				n.stAborts.Add(1)
 			}
-			return dbapi.ErrConflict
+			return nil, dbapi.ErrConflict
 		}
 		if tx.ro {
 			n.stROCommits.Add(1)
 		} else {
 			n.stCommits.Add(1)
 		}
-		return nil
+		return nil, nil
 	}
 
 	// Local commit: verify ownership of the write set (still held), then
@@ -989,13 +1021,13 @@ func (tx *Tx) Commit() error {
 		if !ok {
 			tx.release()
 			n.stAborts.Add(1)
-			return dbapi.ErrConflict
+			return nil, dbapi.ErrConflict
 		}
 	}
 	if !tx.validateReads() {
 		tx.release()
 		n.stAborts.Add(1)
-		return dbapi.ErrConflict
+		return nil, dbapi.ErrConflict
 	}
 
 	// Apply: install private copies, bump versions, mark Write state. The
@@ -1025,7 +1057,7 @@ func (tx *Tx) Commit() error {
 	// Reliable commit: pipelined, never blocks the worker (§5.2).
 	tx.slot = n.cmt.Commit(wire.Worker(tx.worker), updates, followers, tx.tr)
 	n.stCommits.Add(1)
-	return nil
+	return tx.slot, nil
 }
 
 // Abort abandons the transaction and releases local ownership (tr_abort).
@@ -1059,11 +1091,12 @@ func (tx *Tx) end() {
 }
 
 // Durable returns a channel closed once the transaction's reliable commit
-// validated on all followers (nil if the transaction wrote nothing).
-// Applications do not wait on it — the pipeline guarantees ordering — but
-// tests and drain paths do; the channel is made on the first call (one
-// shared, already closed channel if the commit validated before that). A DB
-// transaction keeps its slot, payload included, until the worker's next Begin.
+// validated on all followers (nil if the transaction wrote nothing): until
+// then a read on another node may still see the previous version. The channel
+// is made on the first call (one shared, already closed channel if the commit
+// validated before that); a caller that only blocks commits with
+// CommitDurable instead, which waits without one. A DB transaction keeps its
+// slot, payload included, until the worker's next Begin.
 func (tx *Tx) Durable() <-chan struct{} {
 	if tx.slot == nil {
 		return nil
@@ -1103,6 +1136,9 @@ func (a dbAdapter) Begin(worker int) dbapi.Txn {
 func (a dbAdapter) BeginRO(worker int) dbapi.Txn { return a.begin(worker, true) }
 
 func (a dbAdapter) begin(worker int, ro bool) *Tx {
+	if a.n.closed.Load() {
+		return closedTx
+	}
 	w := worker % a.n.cfg.Workers
 	l := &a.n.leases[w]
 	if !l.take() {

@@ -362,7 +362,7 @@ func TestOwnerDeathTakeoverPreservesData(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Node(0).WaitReplication(2 * time.Second) {
+	if !c.Node(0).CommitEngine().WaitIdle(2 * time.Second) {
 		t.Fatal("replication stalled")
 	}
 	if err := c.Kill(0); err != nil {

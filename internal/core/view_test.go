@@ -67,7 +67,7 @@ func TestViewSurvivesLaterCommits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !owner.WaitReplication(2 * time.Second) {
+	if !owner.CommitEngine().WaitIdle(2 * time.Second) {
 		t.Fatal("pipelines never drained")
 	}
 	for i, v := range held {
@@ -158,7 +158,7 @@ func TestSetAdoptsTheCallersBytes(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if !owner.WaitReplication(2 * time.Second) {
+	if !owner.CommitEngine().WaitIdle(2 * time.Second) {
 		t.Fatal("pipelines never drained")
 	}
 	for i := 0; i < 3; i++ {

@@ -74,6 +74,13 @@ var DefaultPolicy = retry.Policy{
 // DefaultPolicy, the standard application loop: it retries until fn's
 // transaction commits, or returns fn's first other error, or the last
 // ErrConflict wrapped with retry.ErrExhausted once the policy runs out.
+//
+// Run returns when the Txn's Commit does. On core.Node.DB that is the local
+// commit (§5.2): a read on another node may still see the previous value for
+// a while, which the internal drivers — the benchmark and the experiments,
+// measuring the paper's pipelined throughput — accept and report as
+// commit.durable_lag. zeus.Node.Update runs Run on a DB whose Commit returns
+// once every live follower holds the write.
 func Run(db DB, worker int, fn func(Txn) error) error {
 	return run(db, worker, fn, false)
 }

@@ -63,7 +63,7 @@ func Scaling(s Scale) Table {
 			},
 		})
 		elapsed := run.Elapsed
-		n.WaitReplication(10 * time.Second)
+		n.CommitEngine().WaitIdle(10 * time.Second)
 		c.Close()
 
 		total := ops * workers // attempts: disjoint write streams abort nothing

@@ -679,6 +679,12 @@ func (e *Engine) pickDriver(obj wire.ObjectID, avoid wire.Bitmap) wire.NodeID {
 	return e.self // not reached: skip < n
 }
 
+// readerSource is the data source of a request whose owner is dead: the
+// lowest live reader but the requester.
+func readerSource(reps wire.ReplicaSet, live wire.Bitmap, requester wire.NodeID) (wire.NodeID, bool) {
+	return lowest(reps.Readers.Intersect(live).Remove(requester))
+}
+
 // lowest returns the lowest-numbered member of set.
 func lowest(set wire.Bitmap) (wire.NodeID, bool) {
 	for n := range set.Each {
@@ -829,7 +835,7 @@ func (e *Engine) handleReq(m *wire.OwnReq) {
 		arbiters = arbiters.Union(cur.All().Intersect(live))
 	default:
 		if prevOwner == wire.NoNode {
-			if src, ok := lowest(cur.Readers.Intersect(live).Remove(m.Requester)); ok {
+			if src, ok := readerSource(cur, live, m.Requester); ok {
 				arbiters = arbiters.Add(src)
 				prevOwner = src // acts as the data source
 			}
@@ -1285,6 +1291,22 @@ func (e *Engine) ArbReplayAll() {
 }
 
 func (e *Engine) arbReplay(obj wire.ObjectID, pend store.PendingOwn, epoch wire.Epoch, live wire.Bitmap) {
+	// A replay whose data source died (PruneLocked cleared PrevOwner) takes
+	// a live reader as its source, as handleReq does when the owner died.
+	// Without one, nothing is shipped and nothing reported, so the requester
+	// is granted its level over what it holds: nothing, or a stale value,
+	// which it then serves as Valid.
+	if pend.PrevOwner == wire.NoNode && (pend.Mode == wire.AcquireOwner || pend.Mode == wire.AcquireReader) {
+		if o, ok := e.st.Get(obj); ok {
+			o.Mu.Lock()
+			cur := o.ReplicasLocked()
+			o.Mu.Unlock()
+			if src, ok := readerSource(cur, live, pend.Requester); ok {
+				pend.PrevOwner = src
+				pend.Arbiters = pend.Arbiters.Add(src)
+			}
+		}
+	}
 	// The replay's arbiter set is the original one (minus the dead) PLUS
 	// the object's CURRENT shard drivers: every cross-epoch arbitration can
 	// only complete through this path (epoch filters drop the in-flight

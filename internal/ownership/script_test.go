@@ -396,6 +396,43 @@ func TestReplayShipsPastAStaleHolds(t *testing.T) {
 	}
 }
 
+// TestReplayWithADeadSourceShipsFromAReader: an arbitration replayed after
+// its data source — the owner — died takes a live reader as its source, as a
+// fresh request on an ownerless object does. Replayed without one, its RESP
+// carried no value and no version, and the requester became a reader of
+// version 0: every read-only transaction on it read nothing, Valid, while
+// its other objects moved on (a torn read in the public-API owner-kill
+// torture).
+//
+// Three engines, all drivers, and node 3, which runs none, owning object 1
+// with readers 0 and 1 at v1; node 2 holds nothing. Node 2 acquires a reader
+// replica; its INVs reach nodes 0 and 1, not the owner, which dies. Node 2
+// replays its own arbitration and completes it.
+func TestReplayWithADeadSourceShipsFromAReader(t *testing.T) {
+	const obj = wire.ObjectID(1)
+	c, s := newScriptedCluster(t, 3)
+	c.seedScripted(obj, 3, wire.BitmapOf(0, 1), 2)
+
+	done := make(chan error, 1)
+	go func() { done <- c.nodes[2].eng.AcquireRead(obj) }()
+	c.deliver(t, s, 2, 0, wire.KindOwnInv)
+	c.deliver(t, s, 2, 1, wire.KindOwnInv)
+	c.epochChange(t, 3)
+	for _, arbiter := range []wire.NodeID{0, 1} {
+		c.deliver(t, s, arbiter, 2, wire.KindOwnAck) // epoch 1: dropped
+	}
+	for _, arbiter := range []wire.NodeID{0, 1} {
+		c.deliver(t, s, 2, arbiter, wire.KindOwnInv)
+		c.deliver(t, s, arbiter, 2, wire.KindOwnAck)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("node 2's acquisition: %v", err)
+	}
+	if got := c.valueOf(2, obj); got != `v1 Valid "v1"` {
+		t.Errorf("node 2 reads %s as %s, want v1", c.ownerSide(2, obj), got)
+	}
+}
+
 // unbacked is the data source's ACK as a source that holds v5 and ships
 // nothing would send it: the grant it completes would raise its requester
 // over the older value it holds.

@@ -170,9 +170,6 @@ func (c *Cluster) Messages() uint64 { return c.c.Messages() }
 // Bytes returns the total payload bytes carried so far.
 func (c *Cluster) Bytes() uint64 { return c.c.Bytes() }
 
-// WaitIdle blocks until every node's commit pipelines drained.
-func (c *Cluster) WaitIdle(timeout time.Duration) bool { return c.c.WaitIdle(timeout) }
-
 // Node is one Zeus server.
 type Node struct {
 	n *core.Node
@@ -210,25 +207,45 @@ func (n *Node) DeleteObject(obj uint64) error {
 
 // Update runs fn in a write transaction on the given worker, retrying
 // conflicts with exponential back-off, a busy worker's too: a worker runs
-// one transaction, read-only included, until Commit or Abort. The Tx is fn's
-// for the length of the call: a handle kept past it refuses every operation.
+// one transaction, read-only included, until Commit or Abort. It returns as
+// Commit does, once every live follower holds the write. The Tx is fn's for
+// the length of the call: a handle kept past it refuses every operation.
 func (n *Node) Update(worker int, fn func(*Tx) error) error {
-	return dbapi.Run(n.n.DB(), worker, scoped(fn))
+	return dbapi.Run(publicDB{n.n}, worker, scoped(fn))
 }
 
 // View runs fn in a read-only transaction on the given worker, retrying
 // conflicts, a busy worker's included. As with Update, the Tx ends with the
 // call.
 func (n *Node) View(worker int, fn func(*Tx) error) error {
-	return dbapi.RunRO(n.n.DB(), worker, scoped(fn))
+	return dbapi.RunRO(publicDB{n.n}, worker, scoped(fn))
 }
+
+// publicDB is the node's DB — the worker's own transaction record, which
+// keeps a transaction off the heap — under the public commit rule: a write's
+// Commit returns once every live follower holds it. Both types are one
+// pointer, so handing them out as interfaces allocates nothing.
+type publicDB struct{ n *core.Node }
+
+// publicTx is a core.Tx whose Commit is CommitDurable.
+type publicTx struct{ *core.Tx }
+
+func (d publicDB) Begin(worker int) dbapi.Txn {
+	return publicTx{d.n.DB().Begin(worker).(*core.Tx)}
+}
+
+func (d publicDB) BeginRO(worker int) dbapi.Txn {
+	return publicTx{d.n.DB().BeginRO(worker).(*core.Tx)}
+}
+
+func (t publicTx) Commit() error { return t.CommitDurable() }
 
 // scoped hands fn a handle that is severed when fn returns: the engine
 // reuses the worker's core.Tx for its next transaction, which a handle that
 // still pointed at it would reach into.
 func scoped(fn func(*Tx) error) func(dbapi.Txn) error {
 	return func(t dbapi.Txn) error {
-		w := &Tx{tx: t.(*core.Tx)}
+		w := &Tx{tx: t.(publicTx).Tx}
 		err := fn(w)
 		w.tx = core.FinishedTx
 		return err
@@ -266,11 +283,6 @@ func (n *Node) AcquireOwnership(obj uint64) error {
 	return n.n.OwnershipEngine().AcquireOwnership(wire.ObjectID(obj))
 }
 
-// WaitReplication blocks until all pending reliable commits validated.
-func (n *Node) WaitReplication(timeout time.Duration) bool {
-	return n.n.WaitReplication(timeout)
-}
-
 // Obs returns this node's observability registry — counters, histograms,
 // sampled traces and watchdog incidents (nil unless the deployment was built
 // with Options.Observability). See internal/obs for the registry API.
@@ -299,16 +311,17 @@ func (t *Tx) Get(obj uint64) ([]byte, error) { return t.tx.Get(obj) }
 // 64 MiB (wire.MaxBlob) is refused with an error and stages nothing.
 func (t *Tx) Set(obj uint64, val []byte) error { return t.tx.Set(obj, val) }
 
-// Commit finishes the transaction; ErrConflict means retry.
-func (t *Tx) Commit() error { return t.tx.Commit() }
+// Commit finishes the transaction; ErrConflict means retry. A write returns
+// nil once every live follower holds it, so a transaction that starts after
+// that, on any node, reads it. Only the caller waits for the followers: the
+// worker takes its next transaction as soon as the write committed locally.
+// If the node closes during the wait, Commit returns an error that is not a
+// conflict — the write committed locally, and whether it survives is not
+// known, so it must not be retried as if it had not happened.
+func (t *Tx) Commit() error { return t.tx.CommitDurable() }
 
 // Abort abandons the transaction.
 func (t *Tx) Abort() { t.tx.Abort() }
-
-// Durable returns a channel closed once the transaction's updates are
-// replicated to all followers (nil for read-only transactions). Applications
-// need not wait — the pipeline preserves ordering — but tests may.
-func (t *Tx) Durable() <-chan struct{} { return t.tx.Durable() }
 
 // IsConflict reports whether err is the retryable conflict error.
 func IsConflict(err error) bool { return errors.Is(err, ErrConflict) }
